@@ -74,6 +74,25 @@ func BenchmarkSimulatorStep(b *testing.B) {
 	benchSimStep(b, 6, 0)
 }
 
+// BenchmarkNewSimulator measures construction of the Table I system: the
+// fixed cost of every run, and most of a short job's setup time.
+func BenchmarkNewSimulator(b *testing.B) {
+	k, err := trace.ByName("bfs")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Scheme = core.AdaARI
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim, err := core.NewSimulator(cfg, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim.Close()
+	}
+}
+
 // BenchmarkSimulatorStepShards{1,2,4} track end-to-end shard scaling on an
 // 8x8 system (cores, MCs and both networks fanned out per shard).
 func BenchmarkSimulatorStepShards1(b *testing.B) { benchSimStep(b, 8, 1) }
@@ -96,6 +115,13 @@ func benchSimStep(b *testing.B, meshDim, shards int) {
 		b.Fatal(err)
 	}
 	b.Cleanup(sim.Close)
+	// Step through the configured warmup first: the cold-start cycles cost
+	// differently from the saturated steady state, so without this ns/op
+	// depends on b.N — and with it on -benchtime, which differs between
+	// make bench and make benchdiff.
+	for i := int64(0); i < cfg.WarmupCycles; i++ {
+		sim.Step()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -20,25 +22,44 @@ type entry struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Procs is the GOMAXPROCS the benchmark ran under (the -N name
-	// suffix). Scaling gates (benchdiff -scale) use it to tell a genuine
-	// flat-scaling regression from a run on a machine with too few cores
-	// to scale at all.
-	Procs int `json:"procs,omitempty"`
+	// Procs is the GOMAXPROCS the benchmark ran under: the -N name suffix,
+	// which go test omits when it is 1 — so a bare name records 1. Scaling
+	// gates (benchdiff -scale) use it to tell a genuine flat-scaling
+	// regression from a run on a machine with too few cores to scale at all.
+	Procs int `json:"procs"`
 }
 
 // doc is the full output document.
 type doc struct {
-	Goos       string  `json:"goos,omitempty"`
-	Goarch     string  `json:"goarch,omitempty"`
-	CPU        string  `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// NumCPU and GOMAXPROCS are the host shape of the recording process
+	// (make bench pipes go test into benchjson on the same machine).
+	NumCPU     int     `json:"num_cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
 	Benchmarks []entry `json:"benchmarks"`
 }
 
 func main() {
-	var d doc
+	d, err := convert(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(d); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// convert parses `go test -bench` output into a document.
+func convert(r io.Reader) (doc, error) {
+	d := doc{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	var pkg string
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -57,16 +78,7 @@ func main() {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(d); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return d, sc.Err()
 }
 
 // parseBench parses one result line of the form
@@ -77,9 +89,8 @@ func parseBench(line string) (entry, bool) {
 	if len(f) < 4 {
 		return entry{}, false
 	}
-	var e entry
 	// Strip the -GOMAXPROCS suffix if present, recording its value.
-	e.Name = f[0]
+	e := entry{Name: f[0], Procs: 1}
 	if i := strings.LastIndexByte(f[0], '-'); i > 0 {
 		if p, err := strconv.Atoi(f[0][i+1:]); err == nil && p > 0 {
 			e.Name = f[0][:i]

@@ -4,11 +4,17 @@ package cache
 // fills and merges subsequent misses to the same line, so one in-flight
 // read request serves every warp waiting on that line.
 type MSHR struct {
-	entries map[uint64][]int // line addr -> waiter tokens
-	max     int
+	// The outstanding entries are the dense prefix lines[:n] / waiters[:n]
+	// of a fixed table: a lookup scans at most max line addresses in one or
+	// two cache lines, and a fill swaps the last entry into the hole (entry
+	// order is never observable).
+	lines   []uint64 // line addr
+	waiters [][]int  // waiter tokens, in arrival order
+	n       int
 	maxWait int
 	// free recycles waiter slices between entries (Lookup pops, Recycle
-	// pushes), keeping the steady-state miss path allocation-free.
+	// pushes), keeping the steady-state miss path allocation-free. It starts
+	// with one slice per entry, carved from a single backing array.
 	free [][]int
 
 	// Stats.
@@ -23,11 +29,27 @@ func NewMSHR(maxEntries, maxWaiters int) *MSHR {
 	if maxEntries <= 0 || maxWaiters <= 0 {
 		panic("cache: MSHR sizes must be positive")
 	}
-	return &MSHR{
-		entries: make(map[uint64][]int, maxEntries),
-		max:     maxEntries,
+	m := &MSHR{
+		lines:   make([]uint64, maxEntries),
+		waiters: make([][]int, maxEntries),
 		maxWait: maxWaiters,
+		free:    make([][]int, maxEntries),
 	}
+	backing := make([]int, maxEntries*maxWaiters)
+	for i := range m.free {
+		m.free[i] = backing[i*maxWaiters : i*maxWaiters : (i+1)*maxWaiters]
+	}
+	return m
+}
+
+// find returns the table index of lineAddr's entry, or -1.
+func (m *MSHR) find(lineAddr uint64) int {
+	for i, l := range m.lines[:m.n] {
+		if l == lineAddr {
+			return i
+		}
+	}
+	return -1
 }
 
 // Outcome of an MSHR lookup/allocate.
@@ -44,16 +66,16 @@ const (
 
 // Lookup attaches waiter to lineAddr's entry, allocating one if needed.
 func (m *MSHR) Lookup(lineAddr uint64, waiter int) Outcome {
-	if ws, ok := m.entries[lineAddr]; ok {
-		if len(ws) >= m.maxWait {
+	if i := m.find(lineAddr); i >= 0 {
+		if len(m.waiters[i]) >= m.maxWait {
 			m.FullStall++
 			return Stalled
 		}
-		m.entries[lineAddr] = append(ws, waiter)
+		m.waiters[i] = append(m.waiters[i], waiter)
 		m.Merges++
 		return Merged
 	}
-	if len(m.entries) >= m.max {
+	if m.Full() {
 		m.FullStall++
 		return Stalled
 	}
@@ -62,28 +84,30 @@ func (m *MSHR) Lookup(lineAddr uint64, waiter int) Outcome {
 		ws = m.free[n-1]
 		m.free = m.free[:n-1]
 	} else {
-		ws = make([]int, 0, 4)
+		ws = make([]int, 0, m.maxWait)
 	}
-	m.entries[lineAddr] = append(ws, waiter)
+	m.lines[m.n] = lineAddr
+	m.waiters[m.n] = append(ws, waiter)
+	m.n++
 	m.Allocs++
 	return Allocated
 }
 
 // Pending reports whether lineAddr has an outstanding fill.
-func (m *MSHR) Pending(lineAddr uint64) bool {
-	_, ok := m.entries[lineAddr]
-	return ok
-}
+func (m *MSHR) Pending(lineAddr uint64) bool { return m.find(lineAddr) >= 0 }
 
 // Fill completes lineAddr's outstanding fill and returns its waiters. The
 // returned slice stays valid until the caller hands it back via Recycle (or
 // forever, if the caller never does).
 func (m *MSHR) Fill(lineAddr uint64) []int {
-	ws, ok := m.entries[lineAddr]
-	if !ok {
+	i := m.find(lineAddr)
+	if i < 0 {
 		return nil
 	}
-	delete(m.entries, lineAddr)
+	ws := m.waiters[i]
+	m.n--
+	m.lines[i], m.waiters[i] = m.lines[m.n], m.waiters[m.n]
+	m.waiters[m.n] = nil
 	return ws
 }
 
@@ -97,7 +121,7 @@ func (m *MSHR) Recycle(ws []int) {
 }
 
 // Occupied returns the number of outstanding entries.
-func (m *MSHR) Occupied() int { return len(m.entries) }
+func (m *MSHR) Occupied() int { return m.n }
 
 // Full reports whether no further line can be allocated.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.max }
+func (m *MSHR) Full() bool { return m.n >= len(m.lines) }

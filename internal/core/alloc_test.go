@@ -33,3 +33,27 @@ func TestStepDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Step allocated %.4f objects/op in steady state, want ~0", allocs)
 	}
 }
+
+// TestNewSimulatorAllocBudget keeps construction cheap: it is most of a
+// short job's setup time (serve-paths runs 50 ms jobs), and it was 12 380
+// allocations — 80 % of them routers and flit rings — before the networks
+// were slab-built. 439 at the time of writing; the budget is about twice
+// that.
+func TestNewSimulatorAllocBudget(t *testing.T) {
+	k, err := trace.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Scheme = AdaARI
+	avg := testing.AllocsPerRun(10, func() {
+		sim, err := NewSimulator(cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Close()
+	})
+	if avg > 900 {
+		t.Fatalf("NewSimulator allocates %.0f times; budget 900", avg)
+	}
+}

@@ -27,10 +27,9 @@ type Simulator struct {
 	kernel   trace.Kernel
 	workload trace.Workload
 
-	mesh      noc.Mesh
-	mcNodes   []int
-	ccNodes   []int
-	mcIndexOf map[int]int
+	mesh    noc.Mesh
+	mcNodes []int
+	ccNodes []int
 
 	reqNet *noc.Network
 	repNet resettableFabric
@@ -107,7 +106,6 @@ func NewSimulatorWorkload(cfg Config, k trace.Kernel, w trace.Workload) (*Simula
 		kernel:    k,
 		workload:  w,
 		mesh:      noc.Mesh{Width: cfg.MeshWidth, Height: cfg.MeshHeight},
-		mcIndexOf: make(map[int]int),
 		coreClock: timing.NewClock(cfg.CoreClockNum, cfg.CoreClockDen),
 		memClock:  timing.NewClock(cfg.MemClockNum, cfg.MemClockDen),
 	}
@@ -117,10 +115,9 @@ func NewSimulatorWorkload(cfg Config, k trace.Kernel, w trace.Workload) (*Simula
 	} else {
 		s.mcNodes = noc.DiamondMCPlacement(s.mesh, cfg.NumMC)
 	}
-	isMC := make(map[int]bool, len(s.mcNodes))
-	for i, n := range s.mcNodes {
+	isMC := make([]bool, s.mesh.Nodes())
+	for _, n := range s.mcNodes {
 		isMC[n] = true
-		s.mcIndexOf[n] = i
 	}
 	for n := 0; n < s.mesh.Nodes(); n++ {
 		if !isMC[n] {
@@ -413,20 +410,23 @@ func (s *Simulator) buildNodes() error {
 
 	// Request network delivers to MCs, gated by their ingress space. The MC
 	// extracts the transaction, so the packet shell recycles immediately.
+	// mcAt and coreAt are indexed by node id (nil where the node holds the
+	// other kind): the per-eject lookups are a slice index.
+	mcAt := make([]*mem.Controller, s.mesh.Nodes())
+	for _, mc := range s.mcs {
+		mcAt[mc.Node] = mc
+	}
 	s.reqNet.SetEjectHandler(func(node int, pkt *noc.Packet, now int64) {
-		s.mcs[s.mcIndexOf[node]].Receive(pkt)
+		mcAt[node].Receive(pkt)
 		s.reqNet.PutPacket(pkt)
 	})
 	s.reqNet.SetSinkGate(func(node int) bool {
-		i, ok := s.mcIndexOf[node]
-		if !ok {
-			return true
-		}
-		return s.mcs[i].CanReceive()
+		mc := mcAt[node]
+		return mc == nil || mc.CanReceive()
 	})
 
 	// Reply fabric delivers to cores.
-	coreAt := make(map[int]*gpu.Core, len(s.cores))
+	coreAt := make([]*gpu.Core, s.mesh.Nodes())
 	for _, c := range s.cores {
 		coreAt[c.Node] = c
 	}

@@ -202,7 +202,7 @@ func (c *Core) issue() {
 		return
 	}
 	for w := range c.warps {
-		if w == c.current {
+		if w == c.current || c.warps[w].state != warpReady {
 			continue
 		}
 		if c.tryIssue(w) {

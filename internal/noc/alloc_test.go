@@ -54,10 +54,38 @@ func TestNetworkStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestNewNetworkAllocBudget keeps network construction slab-built: every
+// router, port, VC, flit ring and credit array is carved from a dozen
+// per-network slabs (23 allocations at the time of writing, against ~5 100
+// when each was its own object), and NewSimulator builds two networks per
+// run. The budget is about twice the achieved count.
+func TestNewNetworkAllocBudget(t *testing.T) {
+	for _, ari := range []bool{false, true} {
+		cfg := benchLikeConfig(ari)
+		avg := testing.AllocsPerRun(10, func() {
+			if _, err := NewNetwork(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 50 {
+			t.Errorf("NewNetwork(ari=%v) allocates %.0f times; budget 50", ari, avg)
+		}
+	}
+}
+
 // newBenchLikeNet mirrors benchNet for tests: the loaded 6x6 reply network,
 // optionally with the ARI split-NI configuration.
 func newBenchLikeNet(t *testing.T, ari bool) *Network {
 	t.Helper()
+	n, err := NewNetwork(benchLikeConfig(ari))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetEjectHandler(func(_ int, pkt *Packet, _ int64) { n.PutPacket(pkt) })
+	return n
+}
+
+func benchLikeConfig(ari bool) Config {
 	mesh := Mesh{Width: 6, Height: 6}
 	cfg := Config{
 		Mesh:        mesh,
@@ -74,10 +102,5 @@ func newBenchLikeNet(t *testing.T, ari bool) *Network {
 		}
 		cfg.PriorityLevels = 2
 	}
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.SetEjectHandler(func(_ int, pkt *Packet, _ int64) { n.PutPacket(pkt) })
-	return n
+	return cfg
 }

@@ -8,8 +8,6 @@ type roundRobin struct {
 	next int
 }
 
-func newRoundRobin(n int) *roundRobin { return &roundRobin{n: n} }
-
 // pick returns the first index i (scanning next, next+1, ... mod n) for
 // which req(i) is true, advancing the pointer past the winner. It returns
 // -1 when nothing is requesting.
@@ -22,25 +20,4 @@ func (a *roundRobin) pick(req func(i int) bool) int {
 		}
 	}
 	return -1
-}
-
-// pickPriority is pick with an integer priority: among requesters it grants
-// the highest prio(i); ties break round-robin from the rotating pointer.
-// This models the ARI priority-aware switch allocator output stage (§5).
-func (a *roundRobin) pickPriority(req func(i int) bool, prio func(i int) int) int {
-	best := -1
-	bestPrio := 0
-	for k := 0; k < a.n; k++ {
-		i := (a.next + k) % a.n
-		if !req(i) {
-			continue
-		}
-		if p := prio(i); best == -1 || p > bestPrio {
-			best, bestPrio = i, p
-		}
-	}
-	if best >= 0 {
-		a.next = (best + 1) % a.n
-	}
-	return best
 }

@@ -113,13 +113,13 @@ func TestMCRouterHasExtraSwitchPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rMC := n.routers[ariSrc]
+	rMC := &n.routers[ariSrc]
 	// 4 mesh ports x 1 + injection port x 4 = 8 switch-ports.
-	if got := len(rMC.spVCs); got != 8 {
+	if got := len(rMC.sps); got != 8 {
 		t.Fatalf("MC-router switch ports = %d, want 8", got)
 	}
-	r1 := n.routers[1]
-	if got := len(r1.spVCs); got != 5 {
+	r1 := &n.routers[1]
+	if got := len(r1.sps); got != 5 {
 		t.Fatalf("non-MC router switch ports = %d, want 5", got)
 	}
 }

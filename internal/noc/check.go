@@ -1,6 +1,9 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CheckInvariants validates the network's internal consistency. It is
 // O(buffers) and intended for tests and debugging, not the hot loop. The
@@ -15,13 +18,17 @@ import "fmt"
 //     one that input VC is actively forwarding into, and vice versa;
 //  4. wormhole contiguity: within any VC buffer, flits form contiguous
 //     ascending runs per packet and packets never interleave.
+//
+// It also asserts that every incrementally maintained index the allocators
+// iterate instead of scanning — the per-port VC masks, the free-VC and
+// dirty-credit masks, the waiting/active counts — equals a full recount.
 func (n *Network) CheckInvariants() error {
 	if err := n.checkRecovery(); err != nil {
 		return err
 	}
-	for _, r := range n.routers {
-		if err := n.checkRouter(r); err != nil {
-			return fmt.Errorf("router %d: %w", r.id, err)
+	for i := range n.routers {
+		if err := n.checkRouter(&n.routers[i]); err != nil {
+			return fmt.Errorf("router %d: %w", i, err)
 		}
 	}
 	return nil
@@ -42,7 +49,8 @@ func (n *Network) checkRecovery() error {
 	}
 	n.fold() // checks run at step boundaries; drain any shard deltas first
 	inbox := 0
-	for id, ni := range n.nis {
+	for id := range n.nis {
+		ni := &n.nis[id]
 		if len(ni.retrans) > ni.retransCap {
 			return fmt.Errorf("ni %d: %d retrans entries exceed cap %d", id, len(ni.retrans), ni.retransCap)
 		}
@@ -61,13 +69,25 @@ func (n *Network) checkRecovery() error {
 		return fmt.Errorf("ctlPending %d != %d signals in NI inboxes", n.ctlPending, inbox)
 	}
 	if n.inFlight == 0 && n.ctlPending == 0 {
-		for id, ni := range n.nis {
-			if len(ni.retrans) != 0 {
+		for id := range n.nis {
+			if ni := &n.nis[id]; len(ni.retrans) != 0 {
 				return fmt.Errorf("ni %d: %d retrans entries with nothing in flight or pending", id, len(ni.retrans))
 			}
 		}
 	}
 	return nil
+}
+
+// countStaged counts the staged flits bound for input port p (for VC v of it
+// when v >= 0).
+func countStaged(staged []stagedFlit, p, v int) int {
+	c := 0
+	for i := range staged {
+		if int(staged[i].port) == p && (v < 0 || int(staged[i].vc) == v) {
+			c++
+		}
+	}
+	return c
 }
 
 func (n *Network) checkRouter(r *router) error {
@@ -76,105 +96,164 @@ func (n *Network) checkRouter(r *router) error {
 	// (0): the incremental activity counters of event-driven stepping must
 	// agree with a full recount (a divergence would silently de-schedule a
 	// busy component).
-	recount := 0
-	for _, ip := range r.in {
-		recount += len(ip.arrivals)
-		for _, vc := range ip.vcs {
-			recount += vc.buf.len()
-		}
+	recount := len(r.staged)
+	for g := range r.vcs {
+		recount += r.vcs[g].buf.len()
 	}
 	if recount != r.flitCount() {
 		return fmt.Errorf("activity counter %d != recounted %d flits", r.flitCount(), recount)
 	}
-	e := n.ejectors[r.id]
+	e := &n.ejectors[r.id]
 	recount = len(e.arrivals)
-	for _, q := range e.vcs {
-		recount += q.len()
+	for v := range e.vcs {
+		recount += e.vcs[v].len()
 	}
 	if recount != e.flitCount() {
 		return fmt.Errorf("ejector activity counter %d != recounted %d flits", e.flitCount(), recount)
 	}
+	if err := checkMasks(r); err != nil {
+		return err
+	}
 
 	// (1) and (4): buffer bounds and contiguity.
-	for _, ip := range r.in {
-		for _, vc := range ip.vcs {
-			if vc.buf.len() > depth {
-				return fmt.Errorf("port %d vc %d: %d flits exceed depth %d",
-					ip.index, vc.vcIdx, vc.buf.len(), depth)
-			}
-			if err := checkContiguity(vc.buf); err != nil {
-				return fmt.Errorf("port %d vc %d: %w", ip.index, vc.vcIdx, err)
-			}
+	for g := range r.vcs {
+		buf := &r.vcs[g].buf
+		if buf.len() > depth {
+			return fmt.Errorf("port %d vc %d: %d flits exceed depth %d", g/r.nvc, g%r.nvc, buf.len(), depth)
+		}
+		if err := checkContiguity(buf); err != nil {
+			return fmt.Errorf("port %d vc %d: %w", g/r.nvc, g%r.nvc, err)
 		}
 	}
 
 	// (2): credit conservation per output VC.
-	for _, op := range r.out {
+	for o := range r.out {
+		op := &r.out[o]
 		for v := range op.vcs {
-			credits := op.vcs[v].credits + op.creditIn[v]
+			credits := int(op.vcs[v].credits + op.creditIn[v])
 			var resident int
 			switch {
-			case op.destPort != nil:
-				resident = op.destPort.vcs[v].buf.len()
-				for _, sf := range op.destPort.arrivals {
-					if sf.vc == v {
-						resident++
-					}
-				}
+			case op.dest != nil:
+				p := int(op.destPort)
+				resident = op.dest.vcs[p*r.nvc+v].buf.len() + countStaged(op.dest.staged, p, v)
 			case op.eject != nil:
-				resident = op.eject.vcs[v].len()
-				for _, sf := range op.eject.arrivals {
-					if sf.vc == v {
-						resident++
-					}
-				}
+				resident = op.eject.vcs[v].len() + countStaged(op.eject.arrivals, 0, v)
 			}
 			if credits+resident != depth {
 				return fmt.Errorf("out %d vc %d: credits %d + resident %d != depth %d",
-					op.index, v, credits, resident, depth)
+					o, v, credits, resident, depth)
 			}
 		}
 	}
 
 	// (3): ownership coherence in both directions.
-	for _, op := range r.out {
+	for o := range r.out {
+		op := &r.out[o]
 		for v := range op.vcs {
-			owner := op.vcs[v].owner
+			owner := op.owner(v, r.nvc)
 			if owner < 0 {
 				continue
 			}
-			vc := r.allVCs[owner]
-			if vc.state != vcActive || vc.outPort != op.index || vc.outVC != v {
+			vc := &r.vcs[owner]
+			if vc.state != vcActive || int(vc.outPort) != o || int(vc.outVC) != v {
 				return fmt.Errorf("out %d vc %d: owner %d not forwarding into it (state %d, out %d/%d)",
-					op.index, v, owner, vc.state, vc.outPort, vc.outVC)
+					o, v, owner, vc.state, vc.outPort, vc.outVC)
 			}
 		}
 	}
-	for _, vc := range r.allVCs {
+	for g := range r.vcs {
+		vc := &r.vcs[g]
 		if vc.state != vcActive {
 			continue
 		}
-		ov := &r.out[vc.outPort].vcs[vc.outVC]
-		if ov.owner != vc.globalIdx {
+		if owner := r.out[vc.outPort].owner(int(vc.outVC), r.nvc); owner != g {
 			return fmt.Errorf("vc %d active toward %d/%d but not its owner (owner %d)",
-				vc.globalIdx, vc.outPort, vc.outVC, ov.owner)
+				g, vc.outPort, vc.outVC, owner)
 		}
 	}
 
 	// NI-side credit conservation for injection VCs.
-	ni := n.nis[r.id]
-	for p, ip := range ni.ports {
-		for v, vc := range ip.vcs {
-			staged := 0
-			for _, sf := range ip.arrivals {
-				if sf.vc == v {
-					staged++
+	ni := &n.nis[r.id]
+	for i, c := range ni.vcCredits {
+		p, v := NumDirections+i/r.nvc, i%r.nvc
+		buffered, staged := r.vcs[p*r.nvc+v].buf.len(), countStaged(r.staged, p, v)
+		if int(c)+buffered+staged != depth {
+			return fmt.Errorf("injection port %d vc %d: NI credits %d + buffered %d + staged %d != depth %d",
+				p-NumDirections, v, c, buffered, staged, depth)
+		}
+	}
+	return nil
+}
+
+// checkMasks recounts every mask and count the allocators rely on from the
+// per-VC and per-output-VC state they index.
+func checkMasks(r *router) error {
+	var waiting, active int32
+	for p := range r.in {
+		var nonEmpty, waitVC, act, hasCredit uint32
+		for v := 0; v < r.nvc; v++ {
+			vc := &r.vcs[p*r.nvc+v]
+			bit := uint32(1) << uint(v)
+			if !vc.buf.empty() {
+				nonEmpty |= bit
+			}
+			switch vc.state {
+			case vcWaitVC:
+				waitVC |= bit
+				if vc.buf.empty() {
+					return fmt.Errorf("port %d vc %d: waiting for a VC with no head flit", p, v)
+				}
+			case vcActive:
+				act |= bit
+				if r.out[vc.outPort].vcs[vc.outVC].credits > 0 {
+					hasCredit |= bit
 				}
 			}
-			if ni.vcCredits[p][v]+vc.buf.len()+staged != depth {
-				return fmt.Errorf("injection port %d vc %d: NI credits %d + buffered %d + staged %d != depth %d",
-					p, v, ni.vcCredits[p][v], vc.buf.len(), staged, depth)
+		}
+		ip := &r.in[p]
+		if ip.nonEmpty != nonEmpty || ip.waitVC != waitVC || ip.active != act || ip.hasCredit != hasCredit {
+			return fmt.Errorf("port %d: masks nonEmpty/waitVC/active/hasCredit %04b/%04b/%04b/%04b != recounted %04b/%04b/%04b/%04b",
+				p, ip.nonEmpty, ip.waitVC, ip.active, ip.hasCredit, nonEmpty, waitVC, act, hasCredit)
+		}
+		waiting += int32(bits.OnesCount32(waitVC))
+		active += int32(bits.OnesCount32(act))
+	}
+	if r.waitVCs != waiting || r.activeVCs != active {
+		return fmt.Errorf("waiting/active counts %d/%d != recounted %d/%d", r.waitVCs, r.activeVCs, waiting, active)
+	}
+	for g := range r.vcs {
+		vc := &r.vcs[g]
+		if vc.state == vcIdle {
+			continue
+		}
+		if g < NumDirections*r.nvc && vc.waitSince < r.starveFloor {
+			return fmt.Errorf("vc %d: waitSince %d below the starvation floor %d", g, vc.waitSince, r.starveFloor)
+		}
+		if vc.state == vcWaitVC && !r.vaRetry {
+			if o, v := r.pickOutVC(vc); o >= 0 {
+				return fmt.Errorf("vc %d: grantable out %d/%d while VA is parked", g, o, v)
 			}
+		}
+	}
+	for o := range r.out {
+		op := &r.out[o]
+		var free, dirty uint32
+		for v := range op.vcs {
+			if op.vcs[v].ownerPort < 0 {
+				free |= 1 << uint(v)
+			}
+			if op.creditIn[v] != 0 {
+				dirty |= 1 << uint(v)
+			}
+		}
+		if op.free != free || r.creditDirty[o] != dirty {
+			return fmt.Errorf("out %d: masks free/creditDirty %04b/%04b != recounted %04b/%04b",
+				o, op.free, r.creditDirty[o], free, dirty)
+		}
+	}
+	for i := range r.sps {
+		if sp := &r.sps[i]; sp.mask&(1<<sp.next) == 0 {
+			return fmt.Errorf("switch-port %d: pointer %d outside its VC set %04b", i, sp.next, sp.mask)
 		}
 	}
 	return nil

@@ -28,8 +28,9 @@ func (s vcState) String() string {
 func (n *Network) DumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "network @cycle %d: inFlight=%d\n", n.now, n.inFlight)
-	for _, r := range n.routers {
-		if r.flitCount() == 0 && n.ejectors[r.id].flitCount() == 0 && n.nis[r.id].queuedFlits() == 0 {
+	for id := range n.routers {
+		r, ni, e := &n.routers[id], &n.nis[id], &n.ejectors[id]
+		if r.flitCount() == 0 && e.flitCount() == 0 && ni.queuedFlits() == 0 {
 			continue
 		}
 		tag := ""
@@ -37,12 +38,14 @@ func (n *Network) DumpState() string {
 			tag = " [MC]"
 		}
 		fmt.Fprintf(&b, "router %d%s: %d flits\n", r.id, tag, r.flitCount())
-		for _, ip := range r.in {
-			for _, vc := range ip.vcs {
+		for p := range r.in {
+			ip := &r.in[p]
+			for v := 0; v < r.nvc; v++ {
+				vc := &r.vcs[p*r.nvc+v]
 				if vc.buf.empty() && vc.state == vcIdle {
 					continue
 				}
-				fmt.Fprintf(&b, "  in %d vc %d: state=%s buf=%d", ip.index, vc.vcIdx, vc.state, vc.buf.len())
+				fmt.Fprintf(&b, "  in %d vc %d: state=%s buf=%d", p, v, vc.state, vc.buf.len())
 				if !vc.buf.empty() {
 					f := vc.buf.front()
 					fmt.Fprintf(&b, " head=pkt %d %s %d->%d flit %d/%d age=%d",
@@ -56,25 +59,26 @@ func (n *Network) DumpState() string {
 				}
 				b.WriteByte('\n')
 			}
-			if len(ip.arrivals) > 0 {
-				fmt.Fprintf(&b, "  in %d: %d staged arrivals\n", ip.index, len(ip.arrivals))
+			if staged := countStaged(r.staged, p, -1); staged > 0 {
+				fmt.Fprintf(&b, "  in %d: %d staged arrivals\n", p, staged)
 			}
 		}
-		for _, op := range r.out {
+		for o := range r.out {
+			op := &r.out[o]
 			var creds []string
 			for v := range op.vcs {
-				creds = append(creds, fmt.Sprintf("%d(own %d)", op.vcs[v].credits, op.vcs[v].owner))
+				creds = append(creds, fmt.Sprintf("%d(own %d)", op.vcs[v].credits, op.owner(v, r.nvc)))
 			}
 			stall := ""
 			if n.now < op.stalledUntil {
 				stall = fmt.Sprintf(" STALLED(until %d)", op.stalledUntil)
 			}
-			fmt.Fprintf(&b, "  out %d: credits=[%s]%s\n", op.index, strings.Join(creds, " "), stall)
+			fmt.Fprintf(&b, "  out %d: credits=[%s]%s\n", o, strings.Join(creds, " "), stall)
 		}
-		if ni := n.nis[r.id]; ni.queuedFlits() > 0 {
+		if ni.queuedFlits() > 0 {
 			fmt.Fprintf(&b, "  ni: %d queued flits (mode %s)\n", ni.queuedFlits(), ni.mode)
 		}
-		if e := n.ejectors[r.id]; e.flitCount() > 0 {
+		if e.flitCount() > 0 {
 			fmt.Fprintf(&b, "  ejector: %d flits\n", e.flitCount())
 		}
 	}
@@ -99,38 +103,35 @@ func (n *Network) forEachBufferedPacket(visit func(*Packet)) {
 			visit(p)
 		}
 	}
-	for _, ni := range n.nis {
-		if ni.queue != nil {
-			for i := 0; i < ni.queue.len(); i++ {
-				mark(ni.queue.at(i).pkt)
-			}
-		}
-		for _, q := range ni.splitQueues {
-			for i := 0; i < q.len(); i++ {
-				mark(q.at(i).pkt)
-			}
+	markQueue := func(q *flitQueue) {
+		for i := 0; i < q.len(); i++ {
+			mark(q.at(i).pkt)
 		}
 	}
-	for _, r := range n.routers {
-		for _, ip := range r.in {
-			for _, sf := range ip.arrivals {
-				mark(sf.f.pkt)
-			}
-			for _, vc := range ip.vcs {
-				for i := 0; i < vc.buf.len(); i++ {
-					mark(vc.buf.at(i).pkt)
-				}
-			}
+	markStaged := func(staged []stagedFlit) {
+		for i := range staged {
+			mark(staged[i].f.pkt)
 		}
 	}
-	for _, e := range n.ejectors {
-		for _, sf := range e.arrivals {
-			mark(sf.f.pkt)
+	for i := range n.nis {
+		ni := &n.nis[i]
+		markQueue(&ni.queue)
+		for v := range ni.splitQueues {
+			markQueue(&ni.splitQueues[v])
 		}
-		for _, q := range e.vcs {
-			for i := 0; i < q.len(); i++ {
-				mark(q.at(i).pkt)
-			}
+	}
+	for i := range n.routers {
+		r := &n.routers[i]
+		markStaged(r.staged)
+		for g := range r.vcs {
+			markQueue(&r.vcs[g].buf)
+		}
+	}
+	for i := range n.ejectors {
+		e := &n.ejectors[i]
+		markStaged(e.arrivals)
+		for v := range e.vcs {
+			markQueue(&e.vcs[v])
 		}
 	}
 }

@@ -78,45 +78,47 @@ func (n *Network) packetDump(p *Packet) PacketDump {
 // goroutine stepping the network (a watchdog poll, or between Steps).
 func (n *Network) StateSnapshot() StateDump {
 	d := StateDump{Cycle: n.now, InFlight: n.inFlight}
-	for _, r := range n.routers {
-		if r.flitCount() == 0 && n.ejectors[r.id].flitCount() == 0 && n.nis[r.id].queuedFlits() == 0 {
+	for id := range n.routers {
+		r, ni, e := &n.routers[id], &n.nis[id], &n.ejectors[id]
+		if r.flitCount() == 0 && e.flitCount() == 0 && ni.queuedFlits() == 0 {
 			continue
 		}
-		rd := RouterDump{ID: r.id, MC: r.isMC, Flits: r.flitCount()}
-		for _, ip := range r.in {
-			for _, vc := range ip.vcs {
+		rd := RouterDump{ID: r.id, MC: r.isMC, Flits: r.flitCount(), StagedArrivals: len(r.staged)}
+		for p := range r.in {
+			for v := 0; v < r.nvc; v++ {
+				vc := &r.vcs[p*r.nvc+v]
 				if vc.buf.empty() && vc.state == vcIdle {
 					continue
 				}
 				vd := VCDump{
-					Port:     ip.index,
-					VC:       vc.vcIdx,
+					Port:     p,
+					VC:       v,
 					State:    vc.state.String(),
 					Buffered: vc.buf.len(),
-					Frozen:   n.now < ip.frozenUntil,
+					Frozen:   n.now < r.in[p].frozenUntil,
 				}
 				if !vc.buf.empty() {
 					pd := n.packetDump(vc.buf.front().pkt)
 					vd.Head = &pd
 				}
 				if vc.state != vcIdle {
-					vd.OutPort, vd.OutVC = vc.outPort, vc.outVC
+					vd.OutPort, vd.OutVC = int(vc.outPort), int(vc.outVC)
 					vd.Waiting = n.now - vc.waitSince
 				}
 				rd.VCs = append(rd.VCs, vd)
 			}
-			rd.StagedArrivals += len(ip.arrivals)
 		}
-		for _, op := range r.out {
-			od := OutPortDump{Port: op.index, Stalled: n.now < op.stalledUntil}
+		for o := range r.out {
+			op := &r.out[o]
+			od := OutPortDump{Port: o, Stalled: n.now < op.stalledUntil}
 			for v := range op.vcs {
-				od.Credits = append(od.Credits, op.vcs[v].credits)
-				od.Owners = append(od.Owners, op.vcs[v].owner)
+				od.Credits = append(od.Credits, int(op.vcs[v].credits))
+				od.Owners = append(od.Owners, op.owner(v, r.nvc))
 			}
 			rd.Outs = append(rd.Outs, od)
 		}
-		rd.NIQueuedFlits = n.nis[r.id].queuedFlits()
-		rd.EjectorFlits = n.ejectors[r.id].flitCount()
+		rd.NIQueuedFlits = ni.queuedFlits()
+		rd.EjectorFlits = e.flitCount()
 		d.Routers = append(d.Routers, rd)
 	}
 	for _, p := range n.OldestPackets(5) {

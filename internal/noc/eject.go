@@ -9,18 +9,17 @@ type ejector struct {
 	node int
 	// sh/lidx locate the ejector's flit-count activity predicate in its
 	// stepping shard's SoA arrays (sh.ejectFlits[lidx]; see soa.go) — the
-	// count of buffered plus staged flits, always equal to what busy()
-	// recounts.
+	// count of buffered plus staged flits.
 	sh   *netShard
 	lidx int32
-	vcs  []*flitQueue
+	vcs  []flitQueue
 	// arrivals staged by the router's ST this cycle.
 	arrivals []stagedFlit
-	rr       *roundRobin
+	rr       roundRobin
 	rate     int
-	// backOut is the router output port whose credits track this ejector's
-	// buffer space.
-	backOut *outputPort
+	// router is the node's router: its ejection output port's credits track
+	// this ejector's buffer space.
+	router *router
 	// vcBad accumulates, per reassembly VC, whether any flit of the packet
 	// currently reassembling arrived corrupted — the model of the receiving
 	// NI recomputing the packet CRC. Nil when recovery is disabled
@@ -28,23 +27,24 @@ type ejector struct {
 	vcBad []bool
 }
 
-func newEjector(net *Network, node int, backOut *outputPort) *ejector {
+// init builds the ejector of router's node out of the network's slabs.
+func (e *ejector) init(net *Network, router *router, sl *slabs) {
 	cfg := &net.cfg
-	e := &ejector{
-		net:     net,
-		node:    node,
-		vcs:     make([]*flitQueue, cfg.VCs),
-		rr:      newRoundRobin(cfg.VCs),
-		rate:    cfg.EjectRate,
-		backOut: backOut,
+	*e = ejector{
+		net:      net,
+		node:     router.id,
+		vcs:      carve(&sl.queues, cfg.VCs),
+		arrivals: carve(&sl.staged, cfg.PipelineStages)[:0],
+		rr:       roundRobin{n: cfg.VCs},
+		rate:     cfg.EjectRate,
+		router:   router,
 	}
 	for v := range e.vcs {
-		e.vcs[v] = newFlitQueue(cfg.VCDepth)
+		e.vcs[v].buf = carve(&sl.flits, cfg.VCDepth)
 	}
 	if cfg.RetransBufPkts > 0 {
-		e.vcBad = make([]bool, cfg.VCs)
+		e.vcBad = carve(&sl.bools, cfg.VCs)
 	}
-	return e
 }
 
 // flitCount reads the ejector's activity predicate (SoA slot; see soa.go).
@@ -81,7 +81,7 @@ func (e *ejector) consume(now int64) {
 		}
 		f := e.vcs[v].pop()
 		e.addFlits(-1)
-		e.backOut.creditIn[v]++
+		e.router.returnCredit(int32(ejectPortIndex), int32(v))
 		e.net.stats.EjectFlits++
 		if f.bad && e.vcBad != nil {
 			e.vcBad[v] = true
@@ -114,16 +114,4 @@ func (e *ejector) consume(now int64) {
 			}
 		}
 	}
-}
-
-func (e *ejector) busy() bool {
-	if len(e.arrivals) > 0 {
-		return true
-	}
-	for _, q := range e.vcs {
-		if !q.empty() {
-			return true
-		}
-	}
-	return false
 }

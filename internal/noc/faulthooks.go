@@ -20,7 +20,7 @@ func (n *Network) StallLink(node, port int, until int64) {
 	if port < 0 || port >= numOutPorts {
 		panic(fmt.Sprintf("noc: StallLink port %d out of range [0,%d)", port, numOutPorts))
 	}
-	op := n.routers[node].out[port]
+	op := &n.routers[node].out[port]
 	if until > op.stalledUntil {
 		op.stalledUntil = until
 	}
@@ -32,11 +32,11 @@ func (n *Network) StallLink(node, port int, until int64) {
 // failure). Ports 0..NumDirections-1 are the mesh inputs; higher indices are
 // the injection ports.
 func (n *Network) FreezeInputPort(node, port int, until int64) {
-	r := n.routers[node]
+	r := &n.routers[node]
 	if port < 0 || port >= len(r.in) {
 		panic(fmt.Sprintf("noc: FreezeInputPort port %d out of range [0,%d)", port, len(r.in)))
 	}
-	ip := r.in[port]
+	ip := &r.in[port]
 	if until > ip.frozenUntil {
 		ip.frozenUntil = until
 	}
@@ -46,7 +46,7 @@ func (n *Network) FreezeInputPort(node, port int, until int64) {
 // to the router, so its queues back up and Offer rejections propagate the
 // backpressure burst to the node logic (MC data stalls, core send stalls).
 func (n *Network) StallNISupply(node int, until int64) {
-	ni := n.nis[node]
+	ni := &n.nis[node]
 	if until > ni.stalledUntil {
 		ni.stalledUntil = until
 	}
@@ -64,7 +64,7 @@ func (n *Network) CorruptLink(node, port int, until int64) {
 	if port < 0 || port >= numOutPorts {
 		panic(fmt.Sprintf("noc: CorruptLink port %d out of range [0,%d)", port, numOutPorts))
 	}
-	op := n.routers[node].out[port]
+	op := &n.routers[node].out[port]
 	if until > op.corruptUntil {
 		op.corruptUntil = until
 	}
@@ -73,7 +73,7 @@ func (n *Network) CorruptLink(node, port int, until int64) {
 // KillLink permanently removes the mesh link on output port `port` of
 // node's router. The whole network then switches to the fault-adaptive
 // up*/down* routing table (ftable.go): waiting packets everywhere re-route
-// through it (every router's deadEpoch is bumped), and new routes detour
+// through it (every router's reroute flag is raised), and new routes detour
 // around the dead link deadlock-free. Worms already granted the link drain
 // gracefully — switch allocation still serves active owners — so no flit
 // is lost at the instant of death. The kill is refused (returns false)
@@ -85,8 +85,8 @@ func (n *Network) KillLink(node, port int) bool {
 	if port < 0 || port >= NumDirections {
 		panic(fmt.Sprintf("noc: KillLink port %d out of range [0,%d)", port, NumDirections))
 	}
-	op := n.routers[node].out[port]
-	if op.destPort == nil || op.dead {
+	op := &n.routers[node].out[port]
+	if op.dest == nil || op.dead {
 		return false
 	}
 	op.dead = true // tentatively, for the connectivity probe
@@ -96,8 +96,8 @@ func (n *Network) KillLink(node, port int) bool {
 	}
 	n.recovery.DeadLinks++
 	n.rebuildFaultTable()
-	for _, r := range n.routers {
-		r.deadEpoch++
+	for i := range n.routers {
+		n.routers[i].reroute = true
 	}
 	return true
 }
@@ -112,25 +112,17 @@ func (n *Network) DeadLinks() int { return n.recovery.DeadLinks }
 // link).
 func (n *Network) FaultHorizon() int64 {
 	var h int64
-	for _, r := range n.routers {
-		for _, op := range r.out {
-			if op.stalledUntil > h {
-				h = op.stalledUntil
-			}
-			if op.corruptUntil > h {
-				h = op.corruptUntil
-			}
+	for i := range n.routers {
+		r := &n.routers[i]
+		for o := range r.out {
+			h = max(h, r.out[o].stalledUntil, r.out[o].corruptUntil)
 		}
-		for _, ip := range r.in {
-			if ip.frozenUntil > h {
-				h = ip.frozenUntil
-			}
+		for p := range r.in {
+			h = max(h, r.in[p].frozenUntil)
 		}
 	}
-	for _, ni := range n.nis {
-		if ni.stalledUntil > h {
-			h = ni.stalledUntil
-		}
+	for i := range n.nis {
+		h = max(h, n.nis[i].stalledUntil)
 	}
 	return h
 }

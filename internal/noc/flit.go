@@ -134,19 +134,28 @@ func newFlitQueue(capacity int) *flitQueue {
 	return &flitQueue{buf: make([]flit, capacity)}
 }
 
-func (q *flitQueue) len() int      { return q.size }
-func (q *flitQueue) cap() int      { return len(q.buf) }
-func (q *flitQueue) free() int     { return len(q.buf) - q.size }
-func (q *flitQueue) empty() bool   { return q.size == 0 }
-func (q *flitQueue) full() bool    { return q.size == len(q.buf) }
-func (q *flitQueue) front() flit   { return q.buf[q.head] }
-func (q *flitQueue) at(i int) flit { return q.buf[(q.head+i)%len(q.buf)] }
+func (q *flitQueue) len() int    { return q.size }
+func (q *flitQueue) cap() int    { return len(q.buf) }
+func (q *flitQueue) free() int   { return len(q.buf) - q.size }
+func (q *flitQueue) empty() bool { return q.size == 0 }
+func (q *flitQueue) full() bool  { return q.size == len(q.buf) }
+func (q *flitQueue) front() flit { return q.buf[q.head] }
+
+// slot maps a logical position (0 = front, at most cap) to its ring index.
+func (q *flitQueue) slot(i int) int {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return i
+}
+
+func (q *flitQueue) at(i int) flit { return q.buf[q.slot(i)] }
 
 func (q *flitQueue) push(f flit) {
 	if q.full() {
 		panic("noc: flit queue overflow")
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = f
+	q.buf[q.slot(q.size)] = f
 	q.size++
 }
 
@@ -155,7 +164,7 @@ func (q *flitQueue) pop() flit {
 		panic("noc: flit queue underflow")
 	}
 	f := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = q.slot(1)
 	q.size--
 	return f
 }

@@ -41,7 +41,7 @@ import "sort"
 // needed because the table itself is the deadlock-free layer.
 //
 // The table is rebuilt on every successful kill (serial, between cycles)
-// and every router's deadEpoch is bumped so packets already waiting on a
+// and every router's reroute flag is raised so packets already waiting on a
 // computed route re-route through the new table (router.routeCompute).
 // During stepping the table is read-only, so sharded workers need no
 // synchronisation.
@@ -52,12 +52,12 @@ const ftableEject = 0xFF
 // biAlive reports whether node u's mesh link in direction d exists and is
 // alive in both directions.
 func (n *Network) biAlive(u int, d Direction) bool {
-	op := n.routers[u].out[d]
-	if op.destPort == nil || op.dead {
+	op := &n.routers[u].out[d]
+	if op.dest == nil || op.dead {
 		return false
 	}
-	rev := n.routers[op.destPort.router.id].out[d.opposite()]
-	return rev.destPort != nil && !rev.dead
+	rev := &op.dest.out[d.opposite()]
+	return rev.dest != nil && !rev.dead
 }
 
 // aliveBiConnected reports whether the undirected graph of mesh links alive

@@ -43,10 +43,14 @@ type Fabric interface {
 
 // Network is a cycle-accurate 2D-mesh NoC.
 type Network struct {
-	cfg      Config
-	routers  []*router
-	ejectors []*ejector
-	nis      []*NI
+	cfg Config
+	// Routers, ejectors and NIs live by value, indexed by node id; their
+	// ports, VCs, flit rings and credit arrays are carved from a handful of
+	// per-network slabs (see slabs), so construction costs a few dozen
+	// allocations and a router's hot state sits in contiguous memory.
+	routers  []router
+	ejectors []ejector
+	nis      []NI
 
 	now      int64
 	inFlight int
@@ -106,6 +110,69 @@ type Network struct {
 
 var _ Fabric = (*Network)(nil)
 
+// slabs are the backing arrays every router, ejector and NI of one network
+// is carved from (carve hands out consecutive sub-slices), sized exactly by
+// newSlabs.
+type slabs struct {
+	inPorts  []inputPort
+	outPorts []outputPort
+	inVCs    []inputVC
+	outVCs   []outVCState
+	sps      []switchPort
+	reqs     []spRequest
+	staged   []stagedFlit
+	flits    []flit
+	queues   []flitQueue
+	int32s   []int32
+	bools    []bool
+}
+
+// carve cuts the next n elements off the front of *slab, capped so an
+// append to the result can never run into its neighbour.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+func newSlabs(cfg *Config) *slabs {
+	var inPorts, sps, staged, flits, queues, int32s, bools int
+	nodes := cfg.Mesh.Nodes()
+	for id := 0; id < nodes; id++ {
+		nc := cfg.node(id)
+		numIn := NumDirections + nc.injPorts()
+		inPorts += numIn
+		sps += NumDirections + nc.injPorts()*nc.injSpeedup(cfg.VCs)
+		// Router input staging plus the ejector's (one flit per cycle in
+		// flight for PipelineStages cycles).
+		staged += stagedCap(cfg, nc) + cfg.PipelineStages
+		// Router VC rings, ejector reassembly rings, NI queue(s).
+		flits += (numIn+1)*cfg.VCs*cfg.VCDepth + niQueueFlits(cfg, nc)
+		queues += cfg.VCs
+		if nc.NI == NISplit {
+			queues += cfg.VCs
+		}
+		// Output creditIn slots plus the NI's injection-VC credits.
+		int32s += (numOutPorts + nc.injPorts()) * cfg.VCs
+		if cfg.RetransBufPkts > 0 {
+			bools += cfg.VCs
+		}
+	}
+	return &slabs{
+		inPorts:  make([]inputPort, inPorts),
+		outPorts: make([]outputPort, nodes*numOutPorts),
+		inVCs:    make([]inputVC, inPorts*cfg.VCs),
+		outVCs:   make([]outVCState, nodes*numOutPorts*cfg.VCs),
+		sps:      make([]switchPort, sps),
+		reqs:     make([]spRequest, sps),
+		staged:   make([]stagedFlit, staged),
+		flits:    make([]flit, flits),
+		queues:   make([]flitQueue, queues),
+		int32s:   make([]int32, int32s),
+		bools:    make([]bool, bools),
+	}
+}
+
 // NewNetwork builds a network from cfg (validated first).
 func NewNetwork(cfg Config) (*Network, error) {
 	cfg, err := cfg.Validate()
@@ -114,15 +181,17 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	n := &Network{cfg: cfg, scan: cfg.ScanStep}
 	nodes := cfg.Mesh.Nodes()
-	n.routers = make([]*router, nodes)
-	n.ejectors = make([]*ejector, nodes)
-	n.nis = make([]*NI, nodes)
-	for id := 0; id < nodes; id++ {
-		n.routers[id] = newRouter(n, id)
+	n.routers = make([]router, nodes)
+	n.ejectors = make([]ejector, nodes)
+	n.nis = make([]NI, nodes)
+	sl := newSlabs(&n.cfg)
+	for id := range n.routers {
+		n.routers[id].init(n, id, sl)
 	}
 	// Wire mesh links and local ports.
-	meshLinks := 0
-	for id, r := range n.routers {
+	meshLinks, injLinks := 0, 0
+	for id := range n.routers {
+		r := &n.routers[id]
 		for d := Direction(0); d < Direction(NumDirections); d++ {
 			nb := cfg.Mesh.Neighbor(id, d)
 			if nb < 0 {
@@ -130,25 +199,23 @@ func NewNetwork(cfg Config) (*Network, error) {
 			}
 			// Output port d of this router feeds input port opposite(d) of
 			// the neighbour.
-			dst := n.routers[nb].in[int(d.opposite())]
-			r.out[int(d)].destPort = dst
-			dst.upstream = r.out[int(d)]
+			op := &r.out[d]
+			op.dest, op.destPort = &n.routers[nb], int32(d.opposite())
+			dst := &op.dest.in[op.destPort]
+			dst.upstream, dst.upOut = r, int32(d)
 			meshLinks++
 		}
-		e := newEjector(n, id, r.out[ejectPortIndex])
-		r.out[ejectPortIndex].eject = e
-		n.ejectors[id] = e
-		n.nis[id] = newNI(n, id, r)
-	}
-	n.stats.MeshLinks = meshLinks
-	injLinks := 0
-	for _, ni := range n.nis {
+		n.ejectors[id].init(n, r, sl)
+		r.out[ejectPortIndex].eject = &n.ejectors[id]
+		ni := &n.nis[id]
+		ni.init(n, r, sl)
 		if ni.mode == NISplit {
 			injLinks += cfg.VCs
 		} else {
-			injLinks += len(ni.ports)
+			injLinks += ni.injPorts
 		}
 	}
+	n.stats.MeshLinks = meshLinks
 	n.stats.InjLinks = injLinks
 	n.buildShards(1)
 	return n, nil
@@ -180,15 +247,16 @@ func (n *Network) ResetStats() {
 	n.InjWindows = n.InjWindows[:0]
 	n.injWindowCount = 0
 	n.injWindowStart = n.now
-	for _, ni := range n.nis {
+	for i := range n.nis {
+		ni := &n.nis[i]
 		ni.occupancy = statsTimeWeightedAt(float64(ni.queuedFlits()), n.now)
 		ni.everHeld = ni.queuedFlits() > 0
 		ni.rejectedOfferEvents = 0
 		ni.injectedFlits = 0
 	}
-	for _, r := range n.routers {
-		for _, op := range r.out {
-			op.flits = 0
+	for i := range n.routers {
+		for o := range n.routers[i].out {
+			n.routers[i].out[o].flits = 0
 		}
 	}
 }
@@ -211,12 +279,13 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 	// Inject is called from node logic, which sharded simulations fan out
 	// over the same spatial partition as the mesh — so everything below
 	// (the NI and its shard's counters) is only touched by node's shard.
-	sh := n.nis[node].sh
+	ni := &n.nis[node]
+	sh := ni.sh
 	if pkt.ID == 0 {
 		pkt.ID = sh.ctr.pktIDNext
 		sh.ctr.pktIDNext += sh.ctr.pktIDStride
 	}
-	ok := n.nis[node].Offer(pkt, n.now)
+	ok := ni.Offer(pkt, n.now)
 	if ok {
 		sh.ctr.injWindow++
 	}
@@ -239,8 +308,8 @@ func (n *Network) Step() {
 			n.commitShards()
 		}
 		if n.scan {
-			for _, e := range n.ejectors {
-				e.consume(n.now)
+			for i := range n.ejectors {
+				n.ejectors[i].consume(n.now)
 			}
 		} else {
 			// Dense sweep of the SoA ejector predicates: node order is
@@ -277,7 +346,7 @@ func (n *Network) Step() {
 //
 //   - a router with flits == 0 has nothing buffered or staged, so RC/VA/SA
 //     are no-ops on it (vcWaitVC implies a buffered head flit, and the
-//     round-robin arbiters advance only on grants); the per-cycle rrVA
+//     round-robin arbiters advance only on grants); the per-cycle VA
 //     rotation it would have performed is fast-forwarded on wake-up inside
 //     vcAllocate, and credits staged toward it stay in creditIn until its
 //     next applyArrivals — no decision can read them before then;
@@ -327,8 +396,8 @@ func (n *Network) Idle() bool {
 	if n.inFlight != 0 || n.ctlPending != 0 {
 		return false
 	}
-	for _, ni := range n.nis {
-		if ni.pendingFlits() > 0 {
+	for i := range n.nis {
+		if n.nis[i].pendingFlits() > 0 {
 			return false
 		}
 	}
@@ -352,8 +421,8 @@ func (n *Network) VAGrants() uint64 {
 // staged arrivals): the instantaneous router occupancy of the fabric.
 func (n *Network) BufferedFlits() int {
 	total := 0
-	for _, r := range n.routers {
-		total += r.flitCount()
+	for i := range n.routers {
+		total += n.routers[i].flitCount()
 	}
 	return total
 }
@@ -361,8 +430,8 @@ func (n *Network) BufferedFlits() int {
 // NIQueuedFlits returns the flits waiting in all NI injection queues.
 func (n *Network) NIQueuedFlits() int {
 	total := 0
-	for _, ni := range n.nis {
-		total += ni.queuedFlits()
+	for i := range n.nis {
+		total += n.nis[i].queuedFlits()
 	}
 	return total
 }
@@ -376,12 +445,13 @@ func (n *Network) VCOccupancy(v int) int {
 		return 0
 	}
 	total := 0
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		if r.flitCount() == 0 {
 			continue
 		}
-		for _, ip := range r.in {
-			total += ip.vcs[v].buf.len()
+		for p := range r.in {
+			total += r.vcs[p*r.nvc+v].buf.len()
 		}
 	}
 	return total
@@ -392,7 +462,8 @@ func (n *Network) VCOccupancy(v int) int {
 func (n *Network) NIOccupancyAvgFlits() float64 {
 	var sum float64
 	var cnt int
-	for _, ni := range n.nis {
+	for i := range n.nis {
+		ni := &n.nis[i]
 		if !ni.everHeld {
 			continue
 		}
@@ -415,10 +486,10 @@ func (n *Network) NIQueueCapacityFlits(node int) int {
 // Divide by Stats().Cycles for flits/cycle.
 func (n *Network) LinkLoad() [][]uint64 {
 	out := make([][]uint64, len(n.routers))
-	for id, r := range n.routers {
+	for id := range n.routers {
 		row := make([]uint64, numOutPorts)
-		for o, op := range r.out {
-			row[o] = op.flits
+		for o := range row {
+			row[o] = n.routers[id].out[o].flits
 		}
 		out[id] = row
 	}
@@ -428,8 +499,8 @@ func (n *Network) LinkLoad() [][]uint64 {
 // NILoad reports per-node injection-link flit counts.
 func (n *Network) NILoad() []uint64 {
 	out := make([]uint64, len(n.nis))
-	for id, ni := range n.nis {
-		out[id] = ni.injectedFlits
+	for id := range n.nis {
+		out[id] = n.nis[id].injectedFlits
 	}
 	return out
 }

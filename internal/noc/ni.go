@@ -25,22 +25,24 @@ type NI struct {
 	node   int
 	mode   NIMode
 	router *router
-	ports  []*inputPort // the router's injection input ports
+	// injPorts is the number of injection input ports of the router (its
+	// input ports NumDirections..NumDirections+injPorts-1).
+	injPorts int
 
-	// vcCredits[p][v] is the free space the NI sees in injection port p,
+	// vcCredits[p*VCs+v] is the free space the NI sees in injection port p,
 	// VC v of the router (decremented on staging, restored by the router's
 	// switch traversal).
-	vcCredits [][]int
+	vcCredits []int32
 
 	// Baseline / MultiPort state: one FIFO and the (port, VC) binding of
 	// the packet currently streaming over the narrow link.
-	queue               *flitQueue
+	queue               flitQueue
 	boundPort, boundVC  int
-	rrBind              *roundRobin // over port*vc slots for head binding
+	rrBind              roundRobin // over port*vc slots for head binding
 	lastOfferCycle      int64
 	offeredThisCycle    bool
-	splitQueues         []*flitQueue // NISplit: one per VC
-	splitPick           *roundRobin
+	splitQueues         []flitQueue // NISplit: one per VC
+	splitPick           roundRobin
 	occupancy           stats.TimeWeighted
 	everHeld            bool
 	acceptedPackets     uint64
@@ -65,56 +67,61 @@ type NI struct {
 	inbox          []ctlSignal
 }
 
-func newNI(net *Network, node int, router *router) *NI {
+// splitQueueFlits is the capacity of each split queue: an equal share of the
+// NI buffer, but at least one long packet (§4.1) — the total NI buffer is
+// kept >= the baseline's in that case.
+func splitQueueFlits(cfg *Config) int {
+	per := cfg.NIQueueFlits / cfg.VCs
+	if long := cfg.LongPacketFlits(); per < long {
+		per = long
+	}
+	return per
+}
+
+// niQueueFlits is the total injection-queue storage of a node's NI.
+func niQueueFlits(cfg *Config, nc NodeConfig) int {
+	if nc.NI == NISplit {
+		return cfg.VCs * splitQueueFlits(cfg)
+	}
+	return cfg.NIQueueFlits
+}
+
+// init builds the NI of router's node out of the network's slabs.
+func (ni *NI) init(net *Network, router *router, sl *slabs) {
 	cfg := &net.cfg
-	nc := cfg.node(node)
-	ni := &NI{
+	*ni = NI{
 		net:       net,
-		node:      node,
-		mode:      nc.NI,
+		node:      router.id,
+		mode:      cfg.node(router.id).NI,
 		router:    router,
+		injPorts:  len(router.in) - NumDirections,
 		boundPort: -1,
 		boundVC:   -1,
 	}
-	for p := NumDirections; p < len(router.in); p++ {
-		ip := router.in[p]
-		ip.ni = ni
-		ni.ports = append(ni.ports, ip)
-	}
-	ni.vcCredits = make([][]int, len(ni.ports))
-	for p := range ni.vcCredits {
-		ni.vcCredits[p] = make([]int, cfg.VCs)
-		for v := range ni.vcCredits[p] {
-			ni.vcCredits[p][v] = cfg.VCDepth
-		}
+	ni.vcCredits = carve(&sl.int32s, ni.injPorts*cfg.VCs)
+	for i := range ni.vcCredits {
+		ni.vcCredits[i] = int32(cfg.VCDepth)
 	}
 	switch ni.mode {
 	case NISplit:
-		per := cfg.NIQueueFlits / cfg.VCs
-		if per < cfg.LongPacketFlits() {
-			// Each split queue must hold at least one long packet (§4.1);
-			// the total NI buffer is kept >= the baseline's in that case.
-			per = cfg.LongPacketFlits()
-		}
-		ni.splitQueues = make([]*flitQueue, cfg.VCs)
+		ni.splitQueues = carve(&sl.queues, cfg.VCs)
 		for v := range ni.splitQueues {
-			ni.splitQueues[v] = newFlitQueue(per)
+			ni.splitQueues[v].buf = carve(&sl.flits, splitQueueFlits(cfg))
 		}
-		ni.splitPick = newRoundRobin(cfg.VCs)
+		ni.splitPick = roundRobin{n: cfg.VCs}
 	default:
-		ni.queue = newFlitQueue(cfg.NIQueueFlits)
-		ni.rrBind = newRoundRobin(len(ni.ports) * cfg.VCs)
+		ni.queue.buf = carve(&sl.flits, cfg.NIQueueFlits)
+		ni.rrBind = roundRobin{n: ni.injPorts * cfg.VCs}
 	}
 	if cfg.RetransBufPkts > 0 {
 		ni.retransCap = cfg.RetransBufPkts
 		ni.retrans = make([]retransEntry, 0, cfg.RetransBufPkts)
 	}
-	return ni
 }
 
 // creditReturn restores one credit for injection port p, VC v; called by
 // the router when it pops a flit from that VC.
-func (ni *NI) creditReturn(p, v int) { ni.vcCredits[p][v]++ }
+func (ni *NI) creditReturn(p, v int) { ni.vcCredits[p*ni.router.nvc+v]++ }
 
 // queuedFlits reads the NI's activity predicate: flits buffered in its
 // injection queue(s) (SoA slot; see soa.go).
@@ -167,11 +174,9 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	} else {
 		pkt.Priority = 0
 	}
-	var q *flitQueue
+	q := &ni.queue
 	if ni.mode == NISplit {
-		q = ni.splitQueues[ni.pickSplitQueue(pkt)]
-	} else {
-		q = ni.queue
+		q = &ni.splitQueues[ni.pickSplitQueue(pkt)]
 	}
 	if ni.retransCap > 0 {
 		// Stamp the end-to-end checksum and retain the packet's identity
@@ -213,7 +218,7 @@ func (ni *NI) pickSplitQueue(pkt *Packet) int {
 	start := ni.splitPick.next
 	for k := 0; k < n; k++ {
 		v := (start + k) % n
-		q := ni.splitQueues[v]
+		q := &ni.splitQueues[v]
 		if q.free() < pkt.Size {
 			continue
 		}
@@ -262,7 +267,7 @@ func (ni *NI) stepFIFO(now int64) {
 		}
 	}
 	p, v := ni.boundPort, ni.boundVC
-	if p == -1 || ni.vcCredits[p][v] <= 0 {
+	if p == -1 || ni.vcCredits[p*ni.router.nvc+v] <= 0 {
 		return
 	}
 	ni.sendFlit(p, v, now)
@@ -275,14 +280,13 @@ func (ni *NI) stepFIFO(now int64) {
 // the most free space, round-robin tie-broken, requiring room for the whole
 // packet so two packets never interleave within a VC stream from the NI.
 func (ni *NI) bindHead(pkt *Packet) {
-	vcs := ni.net.cfg.VCs
+	vcs := ni.router.nvc
 	best, bestCred := -1, 0
-	n := len(ni.ports) * vcs
+	n := len(ni.vcCredits)
 	start := ni.rrBind.next
 	for k := 0; k < n; k++ {
 		slot := (start + k) % n
-		p, v := slot/vcs, slot%vcs
-		c := ni.vcCredits[p][v]
+		c := int(ni.vcCredits[slot])
 		if c < pkt.Size {
 			continue
 		}
@@ -300,8 +304,8 @@ func (ni *NI) bindHead(pkt *Packet) {
 // stepSplit implements the ARI split supply: every split queue forwards one
 // flit per cycle into its dedicated VC of injection port 0.
 func (ni *NI) stepSplit(now int64) {
-	for v, q := range ni.splitQueues {
-		if q.empty() || ni.vcCredits[0][v] <= 0 {
+	for v := range ni.splitQueues {
+		if ni.splitQueues[v].empty() || ni.vcCredits[v] <= 0 {
 			continue
 		}
 		ni.sendSplitFlit(v, now)
@@ -319,7 +323,7 @@ func (ni *NI) sendSplitFlit(v int, now int64) {
 }
 
 func (ni *NI) deliver(f flit, p, v int, now int64) {
-	ni.vcCredits[p][v]--
+	ni.vcCredits[p*ni.router.nvc+v]--
 	ni.addQueued(-1)
 	if f.isHead() {
 		f.pkt.InjectedAt = now
@@ -328,8 +332,7 @@ func (ni *NI) deliver(f flit, p, v int, now int64) {
 		}
 	}
 	// The injection link is one cycle regardless of router pipeline depth.
-	ni.ports[p].arrivals = append(ni.ports[p].arrivals, stagedFlit{f: f, vc: v, deliverAt: now + 1})
-	ni.router.addFlits(1)
+	ni.router.stage(f, int32(NumDirections+p), int32(v), now+1)
 	ni.injectedFlits++
 	ni.sh.ctr.injLinkFlits++
 }
@@ -348,8 +351,8 @@ func (ni *NI) OccupancyAvg(now int64) float64 {
 func (ni *NI) QueueCapacityFlits() int {
 	if ni.mode == NISplit {
 		total := 0
-		for _, q := range ni.splitQueues {
-			total += q.cap()
+		for v := range ni.splitQueues {
+			total += ni.splitQueues[v].cap()
 		}
 		return total
 	}

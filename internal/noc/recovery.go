@@ -238,18 +238,15 @@ func (ni *NI) tryRetransmit(now int64) {
 	if ni.net.cfg.PriorityLevels >= 2 {
 		pkt.Priority = ni.net.cfg.PriorityLevels - 1
 	}
-	var q *flitQueue
+	q := &ni.queue
 	if ni.mode == NISplit {
 		v := ni.pickSplitQueue(pkt)
 		if v < 0 {
 			return // no split queue has room: retry next cycle
 		}
-		q = ni.splitQueues[v]
-	} else {
-		if ni.queue.free() < e.size {
-			return // queue full: retry next cycle
-		}
-		q = ni.queue
+		q = &ni.splitQueues[v]
+	} else if q.free() < e.size {
+		return // queue full: retry next cycle
 	}
 	for s := 0; s < e.size; s++ {
 		q.push(flit{pkt: pkt, seq: s})

@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // ejectPortIndex is the output-port index of the local ejection port; mesh
 // output ports use Direction values 0..3.
 const ejectPortIndex = NumDirections
@@ -19,51 +21,53 @@ const (
 	vcActive
 )
 
-// inputVC is one virtual channel of a router input port.
+// inputVC is one virtual channel of a router input port. VCs live by value
+// in router.vcs, indexed port*VCs + vc; the allocators never scan them —
+// they iterate the set bits of the owning port's masks (see inputPort) and
+// only then touch the VC.
 type inputVC struct {
-	port      *inputPort
-	vcIdx     int // index within the port
-	globalIdx int // index within router.allVCs
-
-	buf   *flitQueue
-	state vcState
-
-	cands   []routeCandidate
-	outPort int
-	outVC   int
-	// routeEpoch is the router's deadEpoch at the time cands was computed;
-	// a waiting VC whose epoch is stale recomputes its candidates, so a
-	// link death re-routes packets that were already waiting on it.
-	routeEpoch int
-	// effPrio is the packet priority captured at route computation, before
-	// the per-hop decrement (§5): the value the packet carried on arrival.
-	effPrio int
+	buf flitQueue // ring carved from the network's flit slab
 	// waitSince is when the head flit last became eligible without being
 	// served; it drives the starvation guard.
 	waitSince int64
+	// effPrio is the packet priority captured at route computation, before
+	// the per-hop decrement (§5): the value the packet carried on arrival.
+	effPrio int
+	// cands[:nCands] are the admissible outputs computed by RC.
+	cands  [2]routeCandidate
+	nCands uint8
+	state  vcState
+	// outPort/outVC name the downstream VC held while active, -1 otherwise.
+	outPort int8
+	outVC   int8
 }
 
 // stagedFlit is a flit in flight on a link or in the router pipeline,
-// delivered into the target buffer at the start of cycle deliverAt.
+// delivered into buffer (port, vc) of its target at the start of cycle
+// deliverAt. Ejectors have a single port and leave port zero.
 type stagedFlit struct {
 	f         flit
-	vc        int
 	deliverAt int64
+	port      int32
+	vc        int32
 }
 
-// inputPort is a router input port: either one of the four mesh ports or an
-// injection port fed by the node's NI.
+// inputPort is a router input port: one of the four mesh ports (indices
+// below NumDirections) or an injection port fed by the node's NI. Its four
+// masks index the port's VCs
+// (bit v = VC v; Config.VCs <= 32, so one word always suffices) and are what
+// RC, VA and SA iterate instead of the VC array:
+//
+//	nonEmpty  the VC's buffer holds at least one flit
+//	waitVC    state == vcWaitVC
+//	active    state == vcActive
+//	hasCredit active, and the held downstream VC has a credit
+//
+// Every mask is maintained at the single place its predicate changes (push,
+// pop, RC, VA grant, credit application, traversal) and CheckInvariants
+// asserts each one equals a recount.
 type inputPort struct {
-	router *router
-	index  int // input-port index within the router
-	vcs    []*inputVC
-
-	// arrivals staged by the upstream ST (or the NI) this cycle, applied at
-	// the start of the next cycle.
-	arrivals []stagedFlit
-
-	isInjection bool
-	injIndex    int // which injection port of the node (MultiPort)
+	nonEmpty, waitVC, active, hasCredit uint32
 
 	// frozenUntil is the fault-injection freeze horizon: while now is before
 	// it, no VC of this port may bid for the switch. Buffered flits (and
@@ -71,47 +75,48 @@ type inputPort struct {
 	// the credit flow control (see internal/fault).
 	frozenUntil int64
 
-	// upstream is the neighbouring router's output port feeding this port
-	// (nil for injection ports, whose credits return to the NI).
-	upstream *outputPort
+	// upstream/upOut name the neighbouring router's output port feeding this
+	// port (nil for injection ports, whose credits return to the NI).
+	upstream *router
+	upOut    int32
 	// remoteUpstream marks an upstream owned by another stepping shard:
-	// credits then return through the shard outbox instead of writing
-	// upstream.creditIn directly, and upstreamShard names the shard whose
+	// credits then return through the shard outbox instead of writing the
+	// upstream creditIn directly, and upstreamShard names the shard whose
 	// commit worker must land them (see shard.go).
 	remoteUpstream bool
 	upstreamShard  int32
-	ni             *NI
-
-	// spIDs are the switch-port ids owned by this port (1 for mesh ports,
-	// InjSpeedup for injection ports).
-	spIDs []int
 }
 
 // outVCState tracks one downstream virtual channel from the sender's side.
 type outVCState struct {
-	credits int
-	// owner is the globalIdx of the input VC currently forwarding a packet
-	// into this downstream VC, or -1.
-	owner int
+	credits int32
+	// ownerPort/ownerVC name the input VC currently forwarding a packet into
+	// this downstream VC; ownerPort is -1 when it is free.
+	ownerPort int16
+	ownerVC   int16
 }
 
 // outputPort is a router output port: a mesh link to a neighbour or the
 // local ejection port.
 type outputPort struct {
-	router *router
-	index  int
-	vcs    []outVCState
+	vcs []outVCState
 	// creditIn stages credits returned by the downstream consumer this
-	// cycle, applied at the start of the next cycle.
-	creditIn []int
+	// cycle, applied at the start of the next cycle; the owning router's
+	// creditDirty mask flags the non-zero slots.
+	creditIn []int32
+	// free has bit v set while downstream VC v has no owner (VA's candidate
+	// filter).
+	free uint32
 
-	// Exactly one of destPort (mesh) or eject (local) is non-nil.
-	destPort *inputPort
+	// Exactly one of dest (mesh; destPort is the neighbour's input port) or
+	// eject (local) is non-nil, except at a mesh edge where both are.
+	dest     *router
+	destPort int32
 	eject    *ejector
-	// remote marks a destPort owned by another stepping shard: traversals
-	// then stage through the shard outbox instead of appending to
-	// destPort.arrivals directly, and remoteShard names the destination
-	// shard whose commit worker must land them (see shard.go).
+	// remote marks a dest owned by another stepping shard: traversals then
+	// stage through the shard outbox instead of the neighbour's staged list,
+	// and remoteShard names the destination shard whose commit worker must
+	// land them (see shard.go).
 	remote      bool
 	remoteShard int32
 
@@ -132,130 +137,162 @@ type outputPort struct {
 	dead bool
 }
 
+// owner returns the flat index (port*VCs + vc) of the input VC holding
+// downstream VC v, or -1.
+func (op *outputPort) owner(v, vcs int) int {
+	ov := &op.vcs[v]
+	if ov.ownerPort < 0 {
+		return -1
+	}
+	return int(ov.ownerPort)*vcs + int(ov.ownerVC)
+}
+
+// switchPort is one crossbar input. A mesh input port owns one switch-port
+// carrying all its VCs; an injection port with speedup s owns s of them, VC
+// v demultiplexed onto the port's switch-port v mod s (§4.2, Fig 8). SA
+// stage 1 is a round-robin among the member VCs in ascending order; next is
+// the member scanned first, advanced past the winner on every grant.
+type switchPort struct {
+	mask   uint32 // member VCs of the owning input port
+	port   int32  // owning input port
+	next   uint8
+	first  uint8 // lowest member VC
+	stride uint8 // distance between member VCs
+}
+
+// spRequest is one SA stage-1 winner — input VC (port, vc) bidding through
+// switch-port sp — as stage 2 sees it: a request for output out at priority
+// prio.
+type spRequest struct {
+	sp, port, vc, out int32
+	prio              int
+}
+
 // router is a virtual-channel wormhole router with a single-cycle
 // RC/VA/SA/ST pipeline and 1-cycle links, per-injection-port crossbar
-// speedup and optional priority-aware switch allocation.
+// speedup and optional priority-aware switch allocation. All its arrays are
+// carved from the owning network's slabs (NewNetwork).
 type router struct {
 	net *Network
 	// sh is the stepping shard that owns this router; phase-A counter
 	// increments go to its deltas so parallel shards never share a counter,
 	// and lidx is this router's slot in the shard's SoA activity arrays
 	// (id - sh.lo; see soa.go).
-	sh     *netShard
-	lidx   int32
-	id     int
-	isMC   bool // tagged by the caller for stats / scheme logic
-	in     []*inputPort
-	out    []*outputPort
-	allVCs []*inputVC
+	sh   *netShard
+	lidx int32
+	id   int
+	isMC bool // tagged by the caller for stats / scheme logic
+	nvc  int  // Config.VCs
 
-	// Switch: spVCs[sp] lists the globalIdx of VCs multiplexed onto
-	// switch-port sp; spArb arbitrates among them (SA stage 1); outArb[o]
-	// arbitrates among switch-ports for output o (SA stage 2).
-	spVCs     [][]int
-	spArb     []*roundRobin
-	outArb    []*roundRobin
-	spWinner  []int // per switch-port: winning globalIdx this cycle, or -1
-	rrVA      int
-	candBuf   []routeCandidate
+	in  []inputPort
+	out []outputPort
+	vcs []inputVC // port*nvc + vc
+
+	// staged holds the flits in flight toward this router's input buffers,
+	// in staging order. Each (port, VC) buffer has a single producer (one
+	// upstream output, or the NI), so one list preserves every buffer's
+	// arrival order.
+	staged []stagedFlit
+	// creditDirty[o] flags the non-zero slots of out[o].creditIn.
+	creditDirty [numOutPorts]uint32
+
+	// Switch: SA stage 1 picks one VC per switch-port, stage 2 grants one
+	// switch-port per output; outNext[o] is output o's round-robin pointer
+	// over switch-port indices. reqs is stage 1's scratch result.
+	sps       []switchPort
+	outNext   [numOutPorts]int32
+	reqs      []spRequest
 	prioArbOn bool
 
 	// The router's flit-count activity predicate lives in its shard's SoA
 	// array (sh.routerFlits[lidx]; see soa.go) — addFlits/flitCount below.
-	// It always equals what busy() recounts.
 	//
-	// waitVCs counts input VCs in vcWaitVC and activeVCs those in vcActive:
-	// O(1) early-outs that let vcAllocate skip its O(VCs) scan when nothing
-	// waits and switchAllocate return when nothing can bid. Both passes are
-	// side-effect-free when their count is zero (pick without a grant never
-	// advances an arbiter), so the skip is behaviour-identical.
+	// waitVCs counts input VCs in vcWaitVC and activeVCs those in vcActive
+	// (the popcounts of the port masks): O(1) early-outs for VA and SA.
 	waitVCs   int32
 	activeVCs int32
-	// lastVA is the cycle vcAllocate last ran, so the unconditional rrVA
-	// rotation of skipped cycles can be fast-forwarded on wake-up.
-	lastVA int64
+	// vaRetry is set by every event that can turn a failed VC allocation
+	// into a grant — a new waiter (RC), credits applied to an output, a tail
+	// freeing a downstream VC, a re-route — and cleared by each VA pass. A
+	// grant only ever removes options from the other waiters, so while it is
+	// clear every waiter would fail exactly as it did last pass and VA skips
+	// the pass (CheckInvariants re-derives that no waiter is grantable).
+	vaRetry bool
+	// starveFloor is a lower bound on the waitSince of every non-idle mesh
+	// input VC. waitSince only ever moves forward to the current cycle, so
+	// the bound stays valid until the guard rescans; while now-starveFloor is
+	// within the starvation limit no VC can be starving.
+	starveFloor int64
 
-	// deadEpoch increments on every link kill anywhere in the mesh (the
-	// fault-routing table is global), so waiting VCs know to recompute
-	// their route candidates (see routeCompute).
-	deadEpoch int
+	// VA scans waiting VCs in rotating order from (rrPort, rrVC). The
+	// pointer advances one VC per simulated cycle whether or not anything
+	// allocates; lastVA is the cycle vcAllocate last ran, so the rotation of
+	// cycles the router slept through is fast-forwarded on wake-up.
+	rrPort, rrVC int
+	lastVA       int64
+
+	// reroute is set on every router by a link kill (the fault-routing table
+	// is global): VCs already waiting on a computed route recompute their
+	// candidates at the next RC.
+	reroute bool
 }
 
-func newRouter(net *Network, id int) *router {
+// init builds router id out of the network's slabs.
+func (r *router) init(net *Network, id int, sl *slabs) {
 	cfg := &net.cfg
 	nc := cfg.node(id)
-	r := &router{
+	vcs := cfg.VCs
+	*r = router{
 		net:       net,
 		id:        id,
+		nvc:       vcs,
 		prioArbOn: cfg.PriorityLevels >= 2,
 		lastVA:    -1,
 	}
 
 	numIn := NumDirections + nc.injPorts()
-	r.in = make([]*inputPort, numIn)
-	spID := 0
-	for p := 0; p < numIn; p++ {
-		ip := &inputPort{router: r, index: p}
+	speedup := nc.injSpeedup(vcs)
+	r.in = carve(&sl.inPorts, numIn)
+	r.vcs = carve(&sl.inVCs, numIn*vcs)
+	r.sps = carve(&sl.sps, NumDirections+nc.injPorts()*speedup)
+	r.reqs = carve(&sl.reqs, len(r.sps))[:0]
+	r.staged = carve(&sl.staged, stagedCap(cfg, nc))[:0]
+	for i := range r.vcs {
+		r.vcs[i] = inputVC{buf: flitQueue{buf: carve(&sl.flits, cfg.VCDepth)}, outPort: -1, outVC: -1}
+	}
+	sp := 0
+	for p := range r.in {
+		s := 1
 		if p >= NumDirections {
-			ip.isInjection = true
-			ip.injIndex = p - NumDirections
+			s = speedup
 		}
-		spCount := 1
-		if ip.isInjection {
-			spCount = nc.injSpeedup(cfg.VCs)
-		}
-		for k := 0; k < spCount; k++ {
-			ip.spIDs = append(ip.spIDs, spID)
-			spID++
-		}
-		ip.vcs = make([]*inputVC, cfg.VCs)
-		for v := 0; v < cfg.VCs; v++ {
-			vc := &inputVC{
-				port:      ip,
-				vcIdx:     v,
-				globalIdx: len(r.allVCs),
-				buf:       newFlitQueue(cfg.VCDepth),
-				outPort:   -1,
-				outVC:     -1,
+		for k := 0; k < s; k++ {
+			var mask uint32
+			for v := k; v < vcs; v += s {
+				mask |= 1 << uint(v)
 			}
-			ip.vcs[v] = vc
-			r.allVCs = append(r.allVCs, vc)
+			r.sps[sp] = switchPort{mask: mask, port: int32(p), next: uint8(k), first: uint8(k), stride: uint8(s)}
+			sp++
 		}
-		r.in[p] = ip
 	}
 
-	// Switch-port -> VC mapping: VC v of a port with s switch-ports is
-	// demultiplexed onto the port's switch-port v mod s (§4.2, Fig 8).
-	r.spVCs = make([][]int, spID)
-	for _, ip := range r.in {
-		s := len(ip.spIDs)
-		for _, vc := range ip.vcs {
-			sp := ip.spIDs[vc.vcIdx%s]
-			r.spVCs[sp] = append(r.spVCs[sp], vc.globalIdx)
-		}
-	}
-	r.spArb = make([]*roundRobin, spID)
-	for sp := range r.spArb {
-		r.spArb[sp] = newRoundRobin(len(r.spVCs[sp]))
-	}
-	r.spWinner = make([]int, spID)
-
-	r.out = make([]*outputPort, numOutPorts)
-	r.outArb = make([]*roundRobin, numOutPorts)
-	for o := 0; o < numOutPorts; o++ {
-		op := &outputPort{
-			router:   r,
-			index:    o,
-			vcs:      make([]outVCState, cfg.VCs),
-			creditIn: make([]int, cfg.VCs),
-		}
+	r.out = carve(&sl.outPorts, numOutPorts)
+	for o := range r.out {
+		op := &r.out[o]
+		op.vcs = carve(&sl.outVCs, vcs)
+		op.creditIn = carve(&sl.int32s, vcs)
+		op.free = maskAll(vcs)
 		for v := range op.vcs {
-			op.vcs[v] = outVCState{credits: cfg.VCDepth, owner: -1}
+			op.vcs[v] = outVCState{credits: int32(cfg.VCDepth), ownerPort: -1}
 		}
-		r.out[o] = op
-		r.outArb[o] = newRoundRobin(spID)
 	}
-	return r
+}
+
+// stagedCap bounds the flits simultaneously in flight toward one router: a
+// mesh link carries one flit per cycle for PipelineStages cycles, and an NI
+// supplies at most VCs flits per cycle over its 1-cycle injection links.
+func stagedCap(cfg *Config, nc NodeConfig) int {
+	return NumDirections*cfg.PipelineStages + nc.injPorts()*cfg.VCs
 }
 
 // flitCount reads the router's activity predicate: flits resident in its
@@ -267,154 +304,219 @@ func (r *router) flitCount() int { return int(r.sh.routerFlits[r.lidx]) }
 // that owns it (see commitShard).
 func (r *router) addFlits(d int) { r.sh.routerFlits[r.lidx] += int32(d) }
 
-// applyArrivals moves due link-staged flits into VC buffers and applies
-// staged credits (phase 1 of the cycle).
+// stage puts a flit in flight toward input buffer (port, vc), landing at
+// the start of cycle due.
+func (r *router) stage(f flit, port, vc int32, due int64) {
+	r.staged = append(r.staged, stagedFlit{f: f, deliverAt: due, port: port, vc: vc})
+	r.addFlits(1)
+}
+
+// returnCredit stages one credit for downstream VC v of output o, applied
+// by the next applyArrivals.
+func (r *router) returnCredit(o, v int32) {
+	r.out[o].creditIn[v]++
+	r.creditDirty[o] |= 1 << uint(v)
+}
+
+// applyArrivals moves due staged flits into VC buffers and applies staged
+// credits (phase 1 of the cycle).
 func (r *router) applyArrivals(now int64) {
-	for _, ip := range r.in {
-		kept := ip.arrivals[:0]
-		for _, sf := range ip.arrivals {
-			if sf.deliverAt <= now {
-				ip.vcs[sf.vc].buf.push(sf.f)
-			} else {
-				kept = append(kept, sf)
+	if len(r.staged) > 0 {
+		kept := r.staged[:0]
+		for i := range r.staged {
+			sf := &r.staged[i]
+			if sf.deliverAt > now {
+				kept = append(kept, *sf)
+				continue
+			}
+			r.vcs[int(sf.port)*r.nvc+int(sf.vc)].buf.push(sf.f)
+			r.in[sf.port].nonEmpty |= 1 << uint(sf.vc)
+		}
+		r.staged = kept
+	}
+	for o, m := range r.creditDirty {
+		if m == 0 {
+			continue
+		}
+		r.creditDirty[o] = 0
+		op := &r.out[o]
+		for ; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros32(m)
+			ov := &op.vcs[v]
+			ov.credits += op.creditIn[v]
+			op.creditIn[v] = 0
+			if ov.ownerPort >= 0 {
+				r.in[ov.ownerPort].hasCredit |= 1 << uint(ov.ownerVC)
 			}
 		}
-		ip.arrivals = kept
+		r.vaRetry = true
 	}
-	for _, op := range r.out {
-		for v := range op.creditIn {
-			if op.creditIn[v] != 0 {
-				op.vcs[v].credits += op.creditIn[v]
-				op.creditIn[v] = 0
-			}
-		}
-	}
+}
+
+// cycle runs the router's RC, VA and SA/ST stages back to back. Fusing them
+// per router (instead of three network-wide passes) is order-safe because
+// every cross-router write a stage makes — a staged flit, a staged credit,
+// an outbox entry — only becomes readable at the next cycle's
+// applyArrivals, which has already run for every router of this cycle; the
+// stages of different routers therefore commute.
+func (r *router) cycle(now int64) {
+	r.routeCompute(now)
+	r.vcAllocate(now)
+	r.switchAllocate(now)
 }
 
 // routeCompute runs RC for every idle VC with a buffered head flit: it
 // computes the admissible candidates, captures the arrival priority, and
-// performs the per-hop priority decrement (§5). VCs still waiting for a
-// downstream VC recompute their candidates when a link died since their
-// last RC (routeEpoch stale) — without re-applying the priority decrement,
-// which is per hop, not per recomputation.
+// performs the per-hop priority decrement (§5). After a link death, VCs
+// still waiting for a downstream VC recompute their candidates — without
+// re-applying the priority decrement, which is per hop, not per
+// recomputation.
 func (r *router) routeCompute(now int64) {
-	for _, vc := range r.allVCs {
-		if vc.buf.empty() {
-			continue
-		}
-		switch vc.state {
-		case vcIdle:
+	for p := range r.in {
+		ip := &r.in[p]
+		for m := ip.nonEmpty &^ (ip.waitVC | ip.active); m != 0; m &= m - 1 {
+			v := bits.TrailingZeros32(m)
+			vc := &r.vcs[p*r.nvc+v]
 			f := vc.buf.front()
 			if !f.isHead() {
 				panic("noc: non-head flit at front of idle VC")
 			}
 			pkt := f.pkt
-			vc.cands = r.net.routeCandidates(r.id, pkt.Dst, vc.cands)
-			vc.routeEpoch = r.deadEpoch
+			r.setCandidates(vc, pkt.Dst)
 			vc.effPrio = pkt.Priority
 			if pkt.Priority > 0 {
 				pkt.Priority--
 			}
 			vc.state = vcWaitVC
+			ip.waitVC |= 1 << uint(v)
 			r.waitVCs++
+			r.vaRetry = true
 			vc.waitSince = now
-		case vcWaitVC:
-			if vc.routeEpoch != r.deadEpoch {
-				pkt := vc.buf.front().pkt
-				vc.cands = r.net.routeCandidates(r.id, pkt.Dst, vc.cands)
-				vc.routeEpoch = r.deadEpoch
+		}
+	}
+	if r.reroute {
+		r.reroute = false
+		r.vaRetry = true
+		for p := range r.in {
+			for m := r.in[p].waitVC; m != 0; m &= m - 1 {
+				vc := &r.vcs[p*r.nvc+bits.TrailingZeros32(m)]
+				r.setCandidates(vc, vc.buf.front().pkt.Dst)
 			}
 		}
 	}
+}
+
+func (r *router) setCandidates(vc *inputVC, dst int) {
+	vc.nCands = uint8(len(r.net.routeCandidates(r.id, dst, vc.cands[:0])))
 }
 
 // vcAllocate runs separable input-first VC allocation: waiting VCs claim a
 // free downstream VC among their route candidates, scanned in rotating
-// order for fairness. With ARI prioritisation enabled, higher-priority
-// waiters (freshly injected packets at MC-routers, §5) are served first so
-// they exit the hot region quickly.
+// order for fairness.
 //
-// The rotating pointer rrVA advances once per simulated cycle whether or
-// not anything allocates, so a router skipped by event-driven stepping
-// first fast-forwards the rotations of the cycles it slept through; the
-// pointer is then exactly what the scan-everything loop would hold.
+// The rotating pointer advances once per simulated cycle whether or not
+// anything allocates, so a router skipped by event-driven stepping first
+// fast-forwards the rotations of the cycles it slept through; the pointer
+// is then exactly what the scan-everything loop would hold.
 func (r *router) vcAllocate(now int64) {
-	n := len(r.allVCs)
-	if n > 0 {
-		if skipped := now - 1 - r.lastVA; skipped > 0 {
-			r.rrVA = (r.rrVA + int(skipped%int64(n))) % n
-		}
+	if skipped := now - 1 - r.lastVA; skipped > 0 {
+		n := len(r.vcs)
+		rr := (r.rrPort*r.nvc + r.rrVC + int(skipped%int64(n))) % n
+		r.rrPort, r.rrVC = rr/r.nvc, rr%r.nvc
 	}
-	if r.waitVCs > 0 {
+	if r.waitVCs > 0 && r.vaRetry {
 		r.vcAllocatePass(now)
+		r.vaRetry = false
 	}
-	if n > 0 {
-		r.rrVA = (r.rrVA + 1) % n
+	if r.rrVC++; r.rrVC == r.nvc {
+		r.rrVC = 0
+		if r.rrPort++; r.rrPort == len(r.in) {
+			r.rrPort = 0
+		}
 	}
 	r.lastVA = now
 }
 
-// vcAllocatePass attempts allocation for every waiting VC, scanning from
-// the rotating pointer and stopping once all VCs that were waiting at entry
-// have been visited (no new waiter can appear mid-pass, so the tail of the
-// rotation is provably a no-op).
+// vcAllocatePass attempts allocation for every waiting VC in rotation order
+// from (rrPort, rrVC): the pointer port's VCs at or above rrVC, the other
+// ports in cyclic order, then the pointer port's VCs below rrVC. No new
+// waiter can appear mid-pass and a grant only clears the winner's own bit,
+// so reading each port's mask once is exact.
 func (r *router) vcAllocatePass(now int64) {
-	n := len(r.allVCs)
-	remaining := r.waitVCs
-	for k := 0; k < n && remaining > 0; k++ {
-		vc := r.allVCs[(r.rrVA+k)%n]
-		if vc.state != vcWaitVC {
+	low := uint32(1)<<uint(r.rrVC) - 1
+	r.vcAllocatePort(r.rrPort, r.in[r.rrPort].waitVC&^low, now)
+	for p := r.rrPort + 1; p < len(r.in); p++ {
+		r.vcAllocatePort(p, r.in[p].waitVC, now)
+	}
+	for p := 0; p < r.rrPort; p++ {
+		r.vcAllocatePort(p, r.in[p].waitVC, now)
+	}
+	r.vcAllocatePort(r.rrPort, r.in[r.rrPort].waitVC&low, now)
+}
+
+// vcAllocatePort attempts allocation for the waiting VCs m of input port p,
+// ascending.
+func (r *router) vcAllocatePort(p int, m uint32, now int64) {
+	for ; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros32(m)
+		vc := &r.vcs[p*r.nvc+v]
+		bestPort, bestVC := r.pickOutVC(vc)
+		if bestPort < 0 {
 			continue
 		}
-		remaining--
-		pkt := vc.buf.front().pkt
-		bestPort, bestVC, bestCredits := -1, -1, -1
-		for _, cand := range vc.cands {
-			op := r.out[cand.port]
-			if cand.port != ejectPortIndex && op.destPort == nil {
-				continue // mesh edge: no link in that direction
-			}
-			for v := len(op.vcs) - 1; v >= 0; v-- {
-				if cand.vcMask&(1<<uint(v)) == 0 {
-					continue
-				}
-				ov := &op.vcs[v]
-				if !r.vcEligible(pkt, ov) {
-					continue
-				}
-				// Prefer the candidate with the most downstream credits
-				// (local congestion awareness); scanning VCs downward makes
-				// ties prefer adaptive VCs over the escape VC.
-				if ov.credits > bestCredits {
-					bestPort, bestVC, bestCredits = cand.port, v, ov.credits
-				}
-			}
-		}
-		if bestPort >= 0 {
-			r.out[bestPort].vcs[bestVC].owner = vc.globalIdx
-			vc.outPort, vc.outVC = bestPort, bestVC
-			vc.state = vcActive
-			r.waitVCs--
-			r.activeVCs++
-			r.sh.ctr.vaGrants++
-			if tr := r.net.tracer; tr != nil && pkt.traced {
+		op := &r.out[bestPort]
+		op.vcs[bestVC].ownerPort, op.vcs[bestVC].ownerVC = int16(p), int16(v)
+		op.free &^= 1 << uint(bestVC)
+		vc.outPort, vc.outVC = int8(bestPort), int8(bestVC)
+		vc.state = vcActive
+		ip := &r.in[p]
+		bit := uint32(1) << uint(v)
+		ip.waitVC &^= bit
+		ip.active |= bit
+		ip.hasCredit |= bit // a packet needs >= 1 credit, so the granted VC has one
+		r.waitVCs--
+		r.activeVCs++
+		r.sh.ctr.vaGrants++
+		if tr := r.net.tracer; tr != nil {
+			if pkt := vc.buf.front().pkt; pkt.traced {
 				tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, r.id, TraceVAGrant, now)
 			}
 		}
 	}
 }
 
-// vcEligible applies the buffer-allocation policy: atomic allocation needs
-// a completely empty downstream VC; non-atomic (WPF [28]) only needs space
-// for the whole packet.
-func (r *router) vcEligible(pkt *Packet, ov *outVCState) bool {
-	if ov.owner != -1 {
-		return false
+// pickOutVC chooses the downstream VC a waiting VC would be granted now, or
+// -1, -1: over its candidates in order and downstream VCs descending, the
+// first strict maximum of downstream credits among the eligible VCs (local
+// congestion awareness; scanning VCs downward makes ties prefer adaptive VCs
+// over the escape VC). The buffer-allocation policy decides eligibility:
+// atomic allocation needs a completely empty downstream VC; non-atomic (WPF
+// [28]) only needs space for the whole packet.
+func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
+	bestPort, bestVC = -1, -1
+	var need int32 // set once a candidate has a free VC
+	bestCredits := int32(-1)
+	for _, cand := range vc.cands[:vc.nCands] {
+		op := &r.out[cand.port]
+		f := cand.vcMask & op.free
+		if f == 0 || (cand.port != ejectPortIndex && op.dest == nil) {
+			continue // nothing free, or mesh edge: no link in that direction
+		}
+		if need == 0 {
+			need = int32(r.net.cfg.VCDepth)
+			if r.net.cfg.NonAtomicVC {
+				need = int32(vc.buf.front().pkt.Size)
+			}
+		}
+		for f != 0 {
+			ov := 31 - bits.LeadingZeros32(f)
+			f &^= 1 << uint(ov)
+			if c := op.vcs[ov].credits; c >= need && c > bestCredits {
+				bestPort, bestVC, bestCredits = cand.port, ov, c
+			}
+		}
 	}
-	if r.net.cfg.NonAtomicVC {
-		return ov.credits >= pkt.Size
-	}
-	return ov.credits == r.net.cfg.VCDepth
+	return bestPort, bestVC
 }
 
 // starvationActive reports whether any non-injection input VC has been
@@ -422,15 +524,17 @@ func (r *router) vcEligible(pkt *Packet, ov *outVCState) bool {
 // priority is suppressed this cycle (§5).
 func (r *router) starvationActive(now int64) bool {
 	limit := r.net.cfg.StarvationLimit
-	for _, vc := range r.allVCs {
-		if vc.port.isInjection {
-			continue
-		}
-		if vc.state != vcIdle && now-vc.waitSince > limit {
-			return true
+	if now-r.starveFloor <= limit {
+		return false
+	}
+	oldest := now
+	for p := 0; p < NumDirections; p++ {
+		for m := r.in[p].waitVC | r.in[p].active; m != 0; m &= m - 1 {
+			oldest = min(oldest, r.vcs[p*r.nvc+bits.TrailingZeros32(m)].waitSince)
 		}
 	}
-	return false
+	r.starveFloor = oldest
+	return now-oldest > limit
 }
 
 // switchAllocate runs separable input-first switch allocation and performs
@@ -438,79 +542,125 @@ func (r *router) starvationActive(now int64) bool {
 func (r *router) switchAllocate(now int64) {
 	if r.activeVCs == 0 {
 		// No input VC holds a downstream VC, so no switch-port can bid and
-		// no output can grant; skipping is behaviour-identical (pick without
-		// a grant never advances an arbiter, and creditStallCycles only
-		// counts active VCs).
+		// no output can grant.
 		return
 	}
 	starved := r.prioArbOn && r.starvationActive(now)
 
-	// Stage 1: each switch-port picks among its eligible VCs.
-	for sp := range r.spVCs {
-		vcsOfSP := r.spVCs[sp]
-		w := r.spArb[sp].pick(func(j int) bool {
-			return r.saEligible(r.allVCs[vcsOfSP[j]], now)
-		})
+	// Stage 1: each switch-port of a port not frozen by fault injection
+	// picks among its member VCs that are active and hold a flit. The winner
+	// requests its output with the priority it carried on arrival when ARI
+	// prioritisation is enabled (injection VCs forced to 0 while the
+	// starvation guard is active); an output stalled by fault injection
+	// grants nobody, so requests toward it are dropped here.
+	reqs := r.reqs[:0]
+	stalls := 0
+	for i := range r.sps {
+		sp := &r.sps[i]
+		ip := &r.in[sp.port]
+		bidding := ip.active & ip.nonEmpty & sp.mask
+		if bidding == 0 || now < ip.frozenUntil {
+			continue
+		}
+		v, st := sp.pick(bidding, ip.hasCredit, r.nvc)
+		stalls += st
+		if v < 0 {
+			continue
+		}
+		vc := &r.vcs[int(sp.port)*r.nvc+v]
+		if now < r.out[vc.outPort].stalledUntil {
+			continue
+		}
+		prio := 0
+		if r.prioArbOn && !(starved && int(sp.port) >= NumDirections) {
+			prio = vc.effPrio
+		}
+		reqs = append(reqs, spRequest{sp: int32(i), port: sp.port, vc: int32(v), out: int32(vc.outPort), prio: prio})
+	}
+	r.sh.ctr.creditStallCycles += uint64(stalls)
+
+	// Stage 2, then ST/LT in output order.
+	for o, i := range grantOutputs(reqs, &r.outNext, len(r.sps)) {
+		if i >= 0 {
+			r.traverse(int(reqs[i].port), int(reqs[i].vc), o, now)
+		}
+	}
+}
+
+// pick is SA stage 1 for one switch-port: among the bidding member VCs it
+// grants, round-robin from the pointer, the first one holding a downstream
+// credit, and advances the pointer to the member after the winner. It
+// returns the winning VC (-1 when no bidder has a credit) and the number of
+// credit-less bidders the scan passed before stopping — all of them when
+// nobody wins — which is what creditStallCycles counts: the popcount of the
+// stalled bits inside the rotated window, not of the whole port.
+func (sp *switchPort) pick(bidding, hasCredit uint32, nvc int) (v, stalls int) {
+	// Rotating right by the pointer puts the member scanned first at bit 0
+	// and keeps the cyclic member order (every member bit is below nvc <= 32).
+	stalled := bits.RotateLeft32(bidding&^hasCredit, -int(sp.next))
+	elig := bits.RotateLeft32(bidding&hasCredit, -int(sp.next))
+	if elig == 0 {
+		return -1, bits.OnesCount32(stalled)
+	}
+	t := bits.TrailingZeros32(elig)
+	v = (int(sp.next) + t) & 31
+	if sp.next = uint8(v) + sp.stride; int(sp.next) >= nvc {
+		sp.next = sp.first
+	}
+	return v, bits.OnesCount32(stalled & (1<<uint(t) - 1))
+}
+
+// grantOutputs is SA stage 2: each output port grants, among the requests
+// naming it, the highest priority, ties broken round-robin over switch-port
+// indices from the output's pointer next[o], and moves the pointer past the
+// winner. reqs is in ascending switch-port order with at most one request
+// per switch-port; nSP is the router's switch-port count. The result maps
+// each output to the index of its granted request, or -1.
+func grantOutputs(reqs []spRequest, next *[numOutPorts]int32, nSP int) (won [numOutPorts]int32) {
+	var wonRot [numOutPorts]int32
+	for o := range won {
+		won[o] = -1
+	}
+	for i := range reqs {
+		q := &reqs[i]
+		o := q.out
+		rot := q.sp - next[o] // distance from the pointer in scan order
+		if rot < 0 {
+			rot += int32(nSP)
+		}
+		if w := won[o]; w < 0 || q.prio > reqs[w].prio || (q.prio == reqs[w].prio && rot < wonRot[o]) {
+			won[o], wonRot[o] = int32(i), rot
+		}
+	}
+	for o, w := range won {
 		if w < 0 {
-			r.spWinner[sp] = -1
-		} else {
-			r.spWinner[sp] = vcsOfSP[w]
+			continue
+		}
+		if next[o] = reqs[w].sp + 1; int(next[o]) == nSP {
+			next[o] = 0
 		}
 	}
-
-	// Stage 2: each output port grants one requesting switch-port;
-	// priority-aware when ARI prioritisation is enabled.
-	for o, op := range r.out {
-		if now < op.stalledUntil {
-			continue // link stalled by fault injection: no grant this cycle
-		}
-		req := func(sp int) bool {
-			w := r.spWinner[sp]
-			return w >= 0 && r.allVCs[w].outPort == o
-		}
-		var winner int
-		if r.prioArbOn {
-			winner = r.outArb[o].pickPriority(req, func(sp int) int {
-				vc := r.allVCs[r.spWinner[sp]]
-				if starved && vc.port.isInjection {
-					return 0
-				}
-				return vc.effPrio
-			})
-		} else {
-			winner = r.outArb[o].pick(req)
-		}
-		if winner >= 0 {
-			r.traverse(r.allVCs[r.spWinner[winner]], op, now)
-		}
-	}
+	return won
 }
 
-// saEligible reports whether an input VC can bid for the switch this cycle:
-// its port must not be frozen, and it must hold a flit and a downstream
-// credit.
-func (r *router) saEligible(vc *inputVC, now int64) bool {
-	if now < vc.port.frozenUntil {
-		return false // input port frozen by fault injection
-	}
-	if vc.state != vcActive || vc.buf.empty() {
-		return false
-	}
-	if r.out[vc.outPort].vcs[vc.outVC].credits <= 0 {
-		r.sh.ctr.creditStallCycles++
-		return false
-	}
-	return true
-}
-
-// traverse moves one flit from an input VC across the crossbar onto the
-// output link, returns a credit upstream, and retires the downstream-VC
+// traverse moves one flit from input VC (p, v) across the crossbar onto
+// output o's link, returns a credit upstream, and retires the downstream-VC
 // ownership at the tail.
-func (r *router) traverse(vc *inputVC, op *outputPort, now int64) {
+func (r *router) traverse(p, v, o int, now int64) {
+	ip := &r.in[p]
+	vc := &r.vcs[p*r.nvc+v]
+	op := &r.out[o]
+	bit := uint32(1) << uint(v)
+
 	f := vc.buf.pop()
+	if vc.buf.empty() {
+		ip.nonEmpty &^= bit
+	}
 	r.addFlits(-1)
 	ov := &op.vcs[vc.outVC]
-	ov.credits--
+	if ov.credits--; ov.credits == 0 {
+		ip.hasCredit &^= bit
+	}
 	op.flits++
 	r.sh.ctr.switchTraversals++
 	if now < op.corruptUntil {
@@ -533,14 +683,13 @@ func (r *router) traverse(vc *inputVC, op *outputPort, now int64) {
 		// commit worker lands it (the downstream applyArrivals cannot read
 		// it before deliverAt anyway).
 		d := op.remoteShard
-		r.sh.outFlits[d] = append(r.sh.outFlits[d], remoteFlit{dst: op.destPort, sf: stagedFlit{f: f, vc: vc.outVC, deliverAt: due}})
+		r.sh.outFlits[d] = append(r.sh.outFlits[d], remoteFlit{dst: op.dest, sf: stagedFlit{f: f, deliverAt: due, port: op.destPort, vc: int32(vc.outVC)}})
 		r.sh.ctr.meshLinkFlits++
-	case op.destPort != nil:
-		op.destPort.arrivals = append(op.destPort.arrivals, stagedFlit{f: f, vc: vc.outVC, deliverAt: due})
-		op.destPort.router.addFlits(1)
+	case op.dest != nil:
+		op.dest.stage(f, op.destPort, int32(vc.outVC), due)
 		r.sh.ctr.meshLinkFlits++
 	case op.eject != nil:
-		op.eject.arrivals = append(op.eject.arrivals, stagedFlit{f: f, vc: vc.outVC, deliverAt: due})
+		op.eject.arrivals = append(op.eject.arrivals, stagedFlit{f: f, deliverAt: due, vc: int32(vc.outVC)})
 		op.eject.addFlits(1)
 	default:
 		panic("noc: output port with no destination")
@@ -548,37 +697,24 @@ func (r *router) traverse(vc *inputVC, op *outputPort, now int64) {
 
 	// Credit for the freed input-buffer slot.
 	switch {
-	case vc.port.isInjection:
-		vc.port.ni.creditReturn(vc.port.injIndex, vc.vcIdx)
-	case vc.port.remoteUpstream:
-		d := vc.port.upstreamShard
-		r.sh.outCredits[d] = append(r.sh.outCredits[d], remoteCredit{op: vc.port.upstream, vc: vc.vcIdx})
+	case p >= NumDirections:
+		r.net.nis[r.id].creditReturn(p-NumDirections, v)
+	case ip.remoteUpstream:
+		d := ip.upstreamShard
+		r.sh.outCredits[d] = append(r.sh.outCredits[d], remoteCredit{r: ip.upstream, out: ip.upOut, vc: int32(v)})
 	default:
-		vc.port.upstream.creditIn[vc.vcIdx]++
+		ip.upstream.returnCredit(ip.upOut, int32(v))
 	}
 
 	vc.waitSince = now
 	if f.isTail() {
-		ov.owner = -1
+		ov.ownerPort = -1
+		op.free |= 1 << uint(vc.outVC)
+		r.vaRetry = true
 		vc.state = vcIdle
 		vc.outPort, vc.outVC = -1, -1
+		ip.active &^= bit
+		ip.hasCredit &^= bit
 		r.activeVCs--
 	}
-}
-
-// busy reports whether the router holds any flit in any input VC or staged
-// arrival (used for drain detection). It recounts what the flits counter
-// tracks incrementally; CheckInvariants asserts the two agree.
-func (r *router) busy() bool {
-	for _, ip := range r.in {
-		if len(ip.arrivals) > 0 {
-			return true
-		}
-		for _, vc := range ip.vcs {
-			if !vc.buf.empty() {
-				return true
-			}
-		}
-	}
-	return false
 }

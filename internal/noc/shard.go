@@ -27,11 +27,11 @@ import (
 //     source shard in ascending shard order, exactly the outbox entries
 //     destined for shard d. Workers therefore write disjoint state (only
 //     shard d's input buffers, credit counters and activity slots), and the
-//     observable order is the serial one: each inputPort has exactly one
-//     upstream router, hence exactly one source shard, so the port's
-//     arrival order equals that single source's staging order — the same
-//     order the old serial shard-order commit (and serial stepping itself)
-//     produced. Credit commits are integer additions and commute. See
+//     observable order is the serial one: each (input port, VC) buffer has
+//     exactly one upstream router, hence exactly one source shard, so its
+//     entries in the destination router's staged list keep that single
+//     source's staging order — the order serial stepping produces. Credit
+//     commits are integer additions and commute. See
 //     DESIGN.md §16 for the full determinism argument.
 //  3. eject: ejector consumption runs serially in node order. It is the one
 //     phase with global side effects (float latency accumulation, the
@@ -73,16 +73,17 @@ type shardCounters struct {
 	pktIDStride uint64
 }
 
-// remoteFlit is a flit staged toward an input port owned by another shard.
+// remoteFlit is a flit staged toward a router owned by another shard.
 type remoteFlit struct {
-	dst *inputPort
+	dst *router
 	sf  stagedFlit
 }
 
-// remoteCredit is a credit returned to an output port owned by another shard.
+// remoteCredit is a credit returned to output port out of a router owned by
+// another shard.
 type remoteCredit struct {
-	op *outputPort
-	vc int
+	r       *router
+	out, vc int32
 }
 
 // netShard is one spatial partition of the mesh: a contiguous node range,
@@ -91,9 +92,9 @@ type remoteCredit struct {
 type netShard struct {
 	index    int
 	lo, hi   int // node range [lo, hi)
-	routers  []*router
-	ejectors []*ejector
-	nis      []*NI
+	routers  []router
+	ejectors []ejector
+	nis      []NI
 	// proto mirrors Config.RetransBufPkts > 0: the NI stepping predicate
 	// must also consult protocol activity (ACK/NACK inboxes, pending
 	// retransmissions) when the recovery layer is on.
@@ -124,61 +125,29 @@ type netShard struct {
 	outCredits [][]remoteCredit
 }
 
-// step runs phases A for every component of the shard. scan selects the
-// scan-everything reference loop; otherwise the event-driven predicates
-// apply per component, read from the dense per-shard activity arrays (a
-// fully idle shard degenerates to three linear int32 sweeps that touch no
-// component struct at all).
+// step runs phases A for every component of the shard in two sweeps over
+// its nodes: first arrivals and NI supply (a node's router arrivals, ejector
+// arrivals and NI step touch disjoint state, and an NI only feeds its own
+// router), then each router's fused RC/VA/SA cycle (see router.cycle for why
+// fusing is order-safe). scan selects the scan-everything reference loop;
+// otherwise the event-driven predicates apply per component, read from the
+// dense per-shard activity arrays (a fully idle shard degenerates to linear
+// int32 sweeps that touch no component struct at all).
 func (s *netShard) step(now int64, scan bool) {
-	if scan {
-		for _, r := range s.routers {
-			r.applyArrivals(now)
-		}
-		for _, e := range s.ejectors {
-			e.applyArrivals(now)
-		}
-		for _, ni := range s.nis {
-			ni.step(now)
-		}
-		for _, r := range s.routers {
-			r.routeCompute(now)
-		}
-		for _, r := range s.routers {
-			r.vcAllocate(now)
-		}
-		for _, r := range s.routers {
-			r.switchAllocate(now)
-		}
-		return
-	}
-	for i, f := range s.routerFlits {
-		if f > 0 {
+	for i := range s.routers {
+		if scan || s.routerFlits[i] > 0 {
 			s.routers[i].applyArrivals(now)
 		}
-	}
-	for i, f := range s.ejectFlits {
-		if f > 0 {
+		if scan || s.ejectFlits[i] > 0 {
 			s.ejectors[i].applyArrivals(now)
 		}
-	}
-	for i, q := range s.niQueued {
-		if q > 0 || (s.proto && s.nis[i].protoActive()) {
+		if scan || s.niQueued[i] > 0 || (s.proto && s.nis[i].protoActive()) {
 			s.nis[i].step(now)
 		}
 	}
-	for i, f := range s.routerFlits {
-		if f > 0 {
-			s.routers[i].routeCompute(now)
-		}
-	}
-	for i, f := range s.routerFlits {
-		if f > 0 {
-			s.routers[i].vcAllocate(now)
-		}
-	}
-	for i, f := range s.routerFlits {
-		if f > 0 {
-			s.routers[i].switchAllocate(now)
+	for i := range s.routers {
+		if scan || s.routerFlits[i] > 0 {
+			s.routers[i].cycle(now)
 		}
 	}
 }
@@ -257,17 +226,10 @@ func (n *Network) buildShards(k int) {
 		}
 		s.ctr.pktIDNext = uint64(i + 1)
 		s.ctr.pktIDStride = uint64(len(ranges))
-		for j, r := range s.routers {
-			r.sh = s
-			r.lidx = int32(j)
-		}
-		for j, e := range s.ejectors {
-			e.sh = s
-			e.lidx = int32(j)
-		}
-		for j, ni := range s.nis {
-			ni.sh = s
-			ni.lidx = int32(j)
+		for j := range s.routers {
+			s.routers[j].sh, s.routers[j].lidx = s, int32(j)
+			s.ejectors[j].sh, s.ejectors[j].lidx = s, int32(j)
+			s.nis[j].sh, s.nis[j].lidx = s, int32(j)
 		}
 		n.shards[i] = s
 	}
@@ -275,19 +237,22 @@ func (n *Network) buildShards(k int) {
 	// another shard, and an input port whose upstream output port does. The
 	// destination/upstream shard index is precomputed so traverse can stage
 	// into the per-destination outbox without chasing pointers.
-	for _, r := range n.routers {
-		for _, op := range r.out {
-			op.remote = op.destPort != nil && op.destPort.router.sh != r.sh
+	for i := range n.routers {
+		r := &n.routers[i]
+		for o := range r.out {
+			op := &r.out[o]
+			op.remote = op.dest != nil && op.dest.sh != r.sh
 			if op.remote {
-				op.remoteShard = int32(op.destPort.router.sh.index)
+				op.remoteShard = int32(op.dest.sh.index)
 			} else {
 				op.remoteShard = -1
 			}
 		}
-		for _, ip := range r.in {
-			ip.remoteUpstream = ip.upstream != nil && ip.upstream.router.sh != r.sh
+		for p := range r.in {
+			ip := &r.in[p]
+			ip.remoteUpstream = ip.upstream != nil && ip.upstream.sh != r.sh
 			if ip.remoteUpstream {
-				ip.upstreamShard = int32(ip.upstream.router.sh.index)
+				ip.upstreamShard = int32(ip.upstream.sh.index)
 			} else {
 				ip.upstreamShard = -1
 			}
@@ -402,9 +367,9 @@ func (n *Network) fold() {
 // parallel: worker d commits everything destined for shard d, scanning
 // source shards in ascending order. Workers write disjoint state (only
 // their own shard's input buffers, credit counters and activity slots), and
-// the result is byte-identical to the old serial shard-order drain: each
-// input port has exactly one upstream router, hence one source shard, so
-// its arrival order is that source's staging order under either schedule;
+// the result is byte-identical to a serial shard-order drain: each input
+// buffer has exactly one upstream router, hence one source shard, so its
+// arrival order is that source's staging order under either schedule;
 // credit commits are commutative integer additions.
 func (n *Network) commitShards() {
 	staged := 0
@@ -427,16 +392,15 @@ func (n *Network) commitShard(d int) {
 		flits := s.outFlits[d]
 		for i := range flits {
 			rf := &flits[i]
-			rf.dst.arrivals = append(rf.dst.arrivals, rf.sf)
-			rf.dst.router.addFlits(1)
+			rf.dst.stage(rf.sf.f, rf.sf.port, rf.sf.vc, rf.sf.deliverAt)
 			rf.dst = nil
 			rf.sf.f.pkt = nil
 		}
 		s.outFlits[d] = flits[:0]
 		credits := s.outCredits[d]
 		for i := range credits {
-			credits[i].op.creditIn[credits[i].vc]++
-			credits[i].op = nil
+			credits[i].r.returnCredit(credits[i].out, credits[i].vc)
+			credits[i].r = nil
 		}
 		s.outCredits[d] = credits[:0]
 	}

@@ -77,25 +77,47 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with mean m
-// (number of Bernoulli failures before a success with p = 1/(m+1)),
-// clamped to [0, 64*m+64] to bound pathological tails. m must be >= 0.
-func (s *Source) Geometric(m float64) int {
+// Geometric is a geometric distribution of fixed mean m: the number of
+// Bernoulli failures before a success with p = 1/(m+1), clamped to
+// [0, 64*m+64] to bound pathological tails. It holds the constant
+// denominator ln(1-p) of the inverse CDF, so a caller sampling one mean many
+// times pays one logarithm per draw instead of two. The zero value is the
+// degenerate distribution of a mean <= 0: always 0, consuming no randomness.
+type Geometric struct {
+	logQ  float64 // ln(1-p)
+	limit int     // 0 marks the degenerate distribution
+}
+
+// NewGeometric returns the geometric distribution with mean m.
+func NewGeometric(m float64) Geometric {
 	if m <= 0 {
-		return 0
+		return Geometric{}
 	}
 	p := 1.0 / (m + 1.0)
+	return Geometric{logQ: math.Log(1.0 - p), limit: int(64*m) + 64}
+}
+
+// Sample draws one value from the distribution using s.
+func (d Geometric) Sample(s *Source) int {
+	if d.limit == 0 {
+		return 0
+	}
 	u := s.Float64()
 	// Inverse CDF: floor(ln(1-u) / ln(1-p)).
-	g := int(math.Log(1.0-u) / math.Log(1.0-p))
-	limit := int(64*m) + 64
+	g := int(math.Log(1.0-u) / d.logQ)
 	if g < 0 {
 		g = 0
 	}
-	if g > limit {
-		g = limit
+	if g > d.limit {
+		g = d.limit
 	}
 	return g
+}
+
+// Geometric returns one sample of the geometric distribution with mean m
+// (see the Geometric type); m <= 0 yields 0.
+func (s *Source) Geometric(m float64) int {
+	return NewGeometric(m).Sample(s)
 }
 
 // Perm fills dst with a pseudo-random permutation of 0..len(dst)-1

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -68,8 +69,10 @@ func TestMetricsEndpointIdleServer(t *testing.T) {
 	}
 }
 
-// blockedJob submits a never-finishing job and waits until it is admitted.
-func blockedJob(t *testing.T, s *serve.Server, ts string) {
+// blockedJob submits a never-finishing job and waits until its run is
+// registered with the monitor: that, not admission (which happens earlier),
+// is what /metrics progress and /debug/nocstate observe.
+func blockedJob(t *testing.T, mon *obs.RunMonitor, ts string) {
 	t.Helper()
 	go func() {
 		resp, err := http.Post(ts+"/v1/jobs", "application/json",
@@ -78,8 +81,8 @@ func blockedJob(t *testing.T, s *serve.Server, ts string) {
 			resp.Body.Close()
 		}
 	}()
-	pollUntil(t, 5*time.Second, "the job to be admitted", func() bool {
-		return s.Stats().Admitted == 1
+	pollUntil(t, 5*time.Second, "the job's run to start", func() bool {
+		return len(mon.Active()) == 1
 	})
 }
 
@@ -91,7 +94,7 @@ func TestMetricsExposesRunningJobProgress(t *testing.T) {
 	r.Base.MeasureCycles = 1 << 40 // runs until aborted
 	s, ts := startServer(t, serve.Config{Runner: r, MaxInFlight: 1})
 	t.Cleanup(func() { abortAndWait(t, s) })
-	blockedJob(t, s, ts.URL)
+	blockedJob(t, r.Monitor, ts.URL)
 
 	const label = `{job="bfs/XY-Baseline"}`
 	var body string
@@ -139,7 +142,7 @@ func TestNoCStateSnapshotsRunningJob(t *testing.T) {
 	r.Base.MeasureCycles = 1 << 40
 	s, ts := startServer(t, serve.Config{Runner: r, MaxInFlight: 1})
 	t.Cleanup(func() { abortAndWait(t, s) })
-	blockedJob(t, s, ts.URL)
+	blockedJob(t, r.Monitor, ts.URL)
 
 	code, body := getBody(t, ts.URL+"/debug/nocstate")
 	if code != http.StatusOK {
@@ -223,7 +226,7 @@ func TestObservabilityEndpointsLeakNothingAcrossDrain(t *testing.T) {
 	r := testRunner(t)
 	r.Base.MeasureCycles = 1 << 40
 	s, ts := startServer(t, serve.Config{Runner: r, MaxInFlight: 1})
-	blockedJob(t, s, ts.URL)
+	blockedJob(t, r.Monitor, ts.URL)
 
 	// Concurrent scrape load across all observability endpoints, including
 	// nocstate fetches that will be cut off mid-handshake by the abort.

@@ -118,7 +118,7 @@ const (
 
 // warpGen is the per-warp stream state.
 type warpGen struct {
-	rng     *rng.Source
+	rng     rng.Source
 	cursor  uint64
 	hotOff  uint64 // this warp's hot-set base offset in lines
 	started bool
@@ -129,6 +129,10 @@ type Generator struct {
 	k     Kernel
 	warps []warpGen // [core*warpsPerCore + warp]
 	wpc   int
+	// The kernel's two fixed-mean distributions: compute-segment length and
+	// transactions per memory instruction beyond the first.
+	compute  rng.Geometric
+	coalesce rng.Geometric
 }
 
 // NewGenerator builds the deterministic stream generator for kernel k over
@@ -141,11 +145,16 @@ func NewGenerator(k Kernel, cores int, seed uint64) (*Generator, error) {
 		return nil, fmt.Errorf("trace: cores must be positive")
 	}
 	root := rng.New(seed ^ hashName(k.Name))
-	g := &Generator{k: k, wpc: k.WarpsPerCore}
+	g := &Generator{
+		k:        k,
+		wpc:      k.WarpsPerCore,
+		compute:  rng.NewGeometric(k.ComputePerMem),
+		coalesce: rng.NewGeometric(k.CoalesceMean - 1),
+	}
 	g.warps = make([]warpGen, cores*k.WarpsPerCore)
 	for i := range g.warps {
 		w := &g.warps[i]
-		w.rng = root.Split(uint64(i) + 1)
+		w.rng = *root.Split(uint64(i) + 1)
 		// The hot set is shared by a core's warps (inter-warp reuse), so a
 		// kernel with HotLines within the L1 capacity is L1-friendly.
 		w.hotOff = uint64(i/k.WarpsPerCore) * uint64(k.HotLines)
@@ -174,7 +183,7 @@ func (g *Generator) warp(core, warp int) *warpGen {
 // NextCompute returns the next compute-segment length for (core, warp).
 func (g *Generator) NextCompute(core, warp int) int {
 	w := g.warp(core, warp)
-	return w.rng.Geometric(g.k.ComputePerMem)
+	return g.compute.Sample(&w.rng)
 }
 
 // NextMem generates the next memory instruction for (core, warp).
@@ -184,7 +193,7 @@ func (g *Generator) NextMem(core, warp int, scratch []uint64) (write bool, addrs
 
 	n := 1
 	if g.k.CoalesceMean > 1 {
-		n = 1 + w.rng.Geometric(g.k.CoalesceMean-1)
+		n = 1 + g.coalesce.Sample(&w.rng)
 		if n > 4 {
 			n = 4
 		}
@@ -201,7 +210,7 @@ func (g *Generator) NextMem(core, warp int, scratch []uint64) (write bool, addrs
 
 // nextAddr draws one line address from the kernel's region mix.
 func (g *Generator) nextAddr(w *warpGen) uint64 {
-	r := w.rng
+	r := &w.rng
 	switch {
 	case r.Bool(g.k.Locality):
 		line := w.hotOff + uint64(r.Intn(g.k.HotLines))
