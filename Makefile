@@ -3,27 +3,11 @@ DATE := $(shell date +%Y%m%d)
 # their base date).
 BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: check test bench bench-scale benchdiff bench-ledger-check validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
+.PHONY: check test bench benchdiff bench-ledger-check validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
 
-# Shard-scaling budgets enforced by benchdiff -scale: 4-shard stepping must
-# be at least 2x faster than serial on the 16x16 mesh (the recorded figure
-# is ~3x on 4+ cores) and noticeably faster on 32x32. benchdiff skips these
-# loudly when the run's GOMAXPROCS is under -scale-min-procs (default 4),
-# so a laptop or throttled CI runner cannot fail the gate on physics.
-SCALE_GATES := \
-	-scale 'BenchmarkNetworkStep16x16Shards4/BenchmarkNetworkStep16x16Shards1<=0.5' \
-	-scale 'BenchmarkNetworkStep32x32Shards4/BenchmarkNetworkStep32x32Shards1<=0.6'
-
-# GATE_MATCH selects the benchmarks under the absolute (baseline-vs-fresh)
-# ns/op check. The big-mesh shard series is deliberately NOT in it: those
-# runs are ~0.5-3 ms/op, so min-of-3 folds few iterations and absolute
-# numbers swing >15% with shared-machine load between sessions — they are
-# gated by the within-run SCALE_GATES ratios instead, where both sides see
-# the same machine conditions. The short 6x6 NetworkStep benches cover the
-# same stepping code paths for absolute regressions. SimulatorStepShards2/4
-# are out for the same reason: with more shard workers than the recording
-# box has CPUs their min-of-3 swings 30% between sessions.
-GATE_MATCH := 'NetworkStep(Baseline|ARI|Faulty|Event|Scan)|SimulatorStep($$|Shards1)|NewSimulator|AnalyticSuite|GateRoute|HistogramObserve'
+# GATE_MATCH selects the benchmarks under benchdiff's baseline-vs-fresh
+# ns/op check.
+GATE_MATCH := 'NetworkStep(Baseline|ARI|Faulty|Event)|SimulatorStep$$|NewSimulator|AnalyticSuite|GateRoute|HistogramObserve'
 
 # check is the full gate: build everything, vet, and run all tests with the
 # race detector (covers the equivalence, golden, property, and race suites).
@@ -41,8 +25,8 @@ bench-ledger-check:
 test:
 	go test ./...
 
-# bench records the NoC stepping benchmarks (event-driven vs scan reference)
-# and the end-to-end simulator benchmarks into a dated JSON snapshot.
+# bench records the NoC stepping benchmarks and the end-to-end simulator
+# benchmarks into a dated JSON snapshot.
 # -count=3 stores every repetition; benchdiff folds them to the per-name
 # minimum, so the committed baseline uses the same min-of-N protocol as the
 # gate's fresh run.
@@ -50,26 +34,15 @@ bench:
 	go test ./internal/noc ./internal/analytic ./internal/cluster ./internal/obs . -run '^$$' -bench 'NetworkStep|SimulatorStep|NewSimulator|AnalyticSuite|GateRoute|HistogramObserve' -benchmem -count=3 \
 		| tee /dev/stderr | go run ./cmd/benchjson > BENCH_$(DATE).json
 
-# bench-scale runs only the shard-scaling benchmark series (16x16 and
-# 32x32 meshes at 1/2/4/8 shards) and applies the scaling-ratio gate —
-# fast feedback on parallel stepping without the full bench suite. Only
-# the within-run ratios are asserted (-match '^$' disables the absolute
-# check; see GATE_MATCH above for why big-mesh absolutes are not gated).
-bench-scale:
-	go test ./internal/noc -run '^$$' -bench 'NetworkStep(16x16|32x32)Shards' -benchmem -benchtime 0.5s -count=3 \
-		| tee /dev/stderr | go run ./cmd/benchjson \
-		| go run ./cmd/benchdiff -baseline $(BASELINE) -match '^$$' $(SCALE_GATES)
-
 # benchdiff is the benchmark regression gate: re-run the NetworkStep and
 # SimulatorStep benchmarks and fail when any ns/op regresses more than 15%
-# against the newest committed BENCH_*.json snapshot, or when shard scaling
-# goes flat (SCALE_GATES above). -count=3 with min-of-N folding in
-# benchdiff keeps the gate robust to scheduling noise on shared CI
-# machines.
+# against the newest committed BENCH_*.json snapshot. -count=3 with
+# min-of-N folding in benchdiff keeps the gate robust to scheduling noise on
+# shared CI machines.
 benchdiff:
 	go test ./internal/noc ./internal/analytic ./internal/cluster ./internal/obs . -run '^$$' -bench 'NetworkStep|SimulatorStep|NewSimulator|AnalyticSuite|GateRoute|HistogramObserve' -benchmem -benchtime 0.5s -count=3 \
 		| tee /dev/stderr | go run ./cmd/benchjson \
-		| go run ./cmd/benchdiff -baseline $(BASELINE) -match $(GATE_MATCH) $(SCALE_GATES)
+		| go run ./cmd/benchdiff -baseline $(BASELINE) -match $(GATE_MATCH)
 
 # validate-analytic is the physics drift oracle (DESIGN.md §12): re-run the
 # analytical estimator against the cycle-accurate simulator over the full
@@ -92,10 +65,9 @@ soak:
 # chaos runs the layered fault-recovery soaks under -race (DESIGN.md §13):
 # every stall kind combined with flit-corruption bursts and permanent link
 # deaths, checking zero undetected corruption (every corrupted packet is
-# CRC-caught, NACKed and retransmitted), serial-vs-sharded byte-identity of
-# the recovering fabric, and the ariserve kill/restart soak with chaos
-# faults active — byte-identical results across the restart with no
-# completed job re-executed.
+# CRC-caught, NACKed and retransmitted) and the ariserve kill/restart soak
+# with chaos faults active — byte-identical results across the restart with
+# no completed job re-executed.
 chaos:
 	go test -race -count=1 ./internal/fault -run 'Chaos'
 	go test -race -count=1 ./internal/serve -run 'ChaosKillRestart' -timeout 10m

@@ -71,7 +71,29 @@ func BenchmarkAreaModel(b *testing.B)   { benchFigure(b, "area", "pair_overhead"
 // BenchmarkSimulatorStep measures the raw simulator stepping rate of the
 // Table I system (cycles/second of wall time drives every figure above).
 func BenchmarkSimulatorStep(b *testing.B) {
-	benchSimStep(b, 6, 0)
+	k, err := trace.ByName("bfs")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Scheme = core.AdaARI
+	sim, err := core.NewSimulator(cfg, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(sim.Close)
+	// Step through the configured warmup first: the cold-start cycles cost
+	// differently from the saturated steady state, so without this ns/op
+	// depends on b.N — and with it on -benchtime, which differs between
+	// make bench and make benchdiff.
+	for i := int64(0); i < cfg.WarmupCycles; i++ {
+		sim.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Step()
+	}
 }
 
 // BenchmarkNewSimulator measures construction of the Table I system: the
@@ -90,41 +112,5 @@ func BenchmarkNewSimulator(b *testing.B) {
 			b.Fatal(err)
 		}
 		sim.Close()
-	}
-}
-
-// BenchmarkSimulatorStepShards{1,2,4} track end-to-end shard scaling on an
-// 8x8 system (cores, MCs and both networks fanned out per shard).
-func BenchmarkSimulatorStepShards1(b *testing.B) { benchSimStep(b, 8, 1) }
-func BenchmarkSimulatorStepShards2(b *testing.B) { benchSimStep(b, 8, 2) }
-func BenchmarkSimulatorStepShards4(b *testing.B) { benchSimStep(b, 8, 4) }
-
-func benchSimStep(b *testing.B, meshDim, shards int) {
-	b.Helper()
-	k, err := trace.ByName("bfs")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Scheme = core.AdaARI
-	cfg.MeshWidth = meshDim
-	cfg.MeshHeight = meshDim
-	cfg.Shards = shards
-	sim, err := core.NewSimulator(cfg, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(sim.Close)
-	// Step through the configured warmup first: the cold-start cycles cost
-	// differently from the saturated steady state, so without this ns/op
-	// depends on b.N — and with it on -benchtime, which differs between
-	// make bench and make benchdiff.
-	for i := int64(0); i < cfg.WarmupCycles; i++ {
-		sim.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
 	}
 }

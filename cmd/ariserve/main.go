@@ -70,8 +70,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address")
 		journal  = fs.String("journal", "", "JSONL job journal; a killed server restarts from it")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM")
-		inflight = fs.Int("inflight", 0, "max concurrent simulations (0 = GOMAXPROCS / shards)")
-		shards   = fs.Int("shards", 0, "per-run intra-run parallelism: worker shards per simulation (0/1 = serial)")
+		inflight = fs.Int("inflight", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		queue    = fs.Int("queue", 0, "admitted-but-waiting slots (0 = 2x inflight, negative = none)")
 		cycles   = fs.Int64("cycles", 10000, "default measured cycles per run")
 		warmup   = fs.Int64("warmup", 3000, "default warmup cycles per run")
@@ -93,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	r := exp.NewRunner()
 	r.Base.MeasureCycles = *cycles
 	r.Base.WarmupCycles = *warmup
-	r.Base.Shards = *shards
 	r.RunTimeout = *timeout
 	r.MaxRetries = *retries
 	if *journal != "" {

@@ -52,7 +52,6 @@ func main() {
 		speedup   = flag.Int("speedup", 4, "injection-port crossbar speedup")
 		prio      = flag.Int("priolevels", 2, "ARI priority levels")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
-		shards    = flag.Int("shards", 0, "intra-run parallelism: step the mesh across this many worker shards (0/1 = serial; results are byte-identical either way)")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		record    = flag.String("record", "", "record the memory trace to this file")
 		replay    = flag.String("replay", "", "replay a recorded memory trace from this file")
@@ -121,7 +120,6 @@ func main() {
 	override("speedup", func() { cfg.InjSpeedup = *speedup })
 	override("priolevels", func() { cfg.PriorityLevels = *prio })
 	override("seed", func() { cfg.Seed = *seed })
-	override("shards", func() { cfg.Shards = *shards })
 	override("warmup", func() { cfg.WarmupCycles = *warmup })
 	override("cycles", func() { cfg.MeasureCycles = *cycles })
 	override("corrupt-prob", func() {
@@ -164,9 +162,6 @@ func main() {
 		fatal(err)
 	}
 	defer sim.Close()
-	if *traceSample > 0 && sim.Shards() > 1 {
-		fatal(fmt.Errorf("-trace-sample requires serial stepping: packet tracing observes flits mid-flight and is incompatible with -shards %d", cfg.Shards))
-	}
 
 	var reg *obs.Registry
 	if *obsInterval > 0 {
@@ -301,8 +296,8 @@ func writeChromeTrace(path string, colls ...*obs.Collector) error {
 // flits/cycle. The MC nodes light up on the injection grid while the mesh
 // grid stays cool — the §3 observation made visible.
 func printHeatmap(sim *core.Simulator, cfg core.Config) {
-	rep, ok := sim.ReplyNet().(*noc.Network)
-	if !ok {
+	rep := sim.ReplyMesh()
+	if rep == nil {
 		fmt.Println("\n(heatmap available only for mesh reply fabrics)")
 		return
 	}

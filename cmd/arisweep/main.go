@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -63,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		journal = fs.String("journal", "", "JSONL result journal; an interrupted sweep resumes from it")
 		timeout = fs.Duration("timeout", 0, "per-run wall-time limit (0 = unlimited); with -server it becomes the job's timeout_ms and bounds the submission round trip")
 		server  = fs.String("server", "", "ariserve base URL; points run remotely via the retrying client")
-		shards  = fs.Int("shards", 0, "per-run intra-run parallelism: worker shards per simulation (0/1 = serial; results byte-identical)")
 
 		obsInterval = fs.Int64("obs-interval", 0, "metrics sampling interval in NoC cycles for locally-run points (0 = off)")
 		obsDir      = fs.String("obs-dir", ".", "directory for per-point metric CSVs (metrics_<label>.csv)")
@@ -83,19 +81,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Reject a bad shard count up front: every sweep point inherits it, so
-	// letting config validation catch it at the first run (or worse, on the
-	// server) turns a flag typo into a late runtime error.
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
-	}
 
 	base := core.DefaultConfig()
 	base.Scheme = sch
 	base.WarmupCycles = *warmup
 	base.MeasureCycles = *cycles
 	base.Seed = *seed
-	base.Shards = *shards
 	if *corruptProb < 0 || *corruptProb > 1 || *linkDeath < 0 || *linkDeath > 1 {
 		return fmt.Errorf("-corrupt-prob and -link-death must be in [0,1]")
 	}
@@ -103,25 +94,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		base.Fault.Enabled = true
 		base.Fault.CorruptProb = *corruptProb
 		base.Fault.LinkDeathProb = *linkDeath
-	}
-
-	// Report the effective parallelism of the sweep (concurrent runs x
-	// per-run shards) and clamp it to the host instead of silently
-	// oversubscribing. Points run one at a time here, so the budget is
-	// 1 x shards locally; with -server, per-point shards still apply but
-	// concurrent-run admission belongs to the server.
-	if eff := noc.EffectiveShards(noc.Mesh{Width: base.MeshWidth, Height: base.MeshHeight}, base.Shards); eff > 1 {
-		if *server == "" {
-			if maxP := runtime.GOMAXPROCS(0); eff > maxP {
-				fmt.Fprintf(stderr, "arisweep: clamping -shards %d to %d: 1 concurrent run x %d shards exceeds GOMAXPROCS=%d\n",
-					eff, maxP, eff, maxP)
-				base.Shards = maxP
-				eff = maxP
-			}
-			fmt.Fprintf(stderr, "arisweep: effective parallelism: 1 concurrent run x %d shards = %d workers\n", eff, eff)
-		} else {
-			fmt.Fprintf(stderr, "arisweep: effective parallelism: %d shards per point; concurrent-run admission is the server's (shard-aware MaxInFlight)\n", eff)
-		}
 	}
 
 	type point struct {

@@ -25,24 +25,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNegativeShardsUpFront is the regression test for the late
-// -shards validation: a negative value must fail flag validation before any
-// sweep point spawns (previously it surfaced as a config error from the
-// first run), and the message must name the flag, not the config field.
-func TestRunRejectsNegativeShardsUpFront(t *testing.T) {
-	var out, errb bytes.Buffer
-	err := run([]string{"-param", "speedup", "-bench", "bfs", "-shards", "-3"}, &out, &errb)
-	if err == nil {
-		t.Fatal("run with -shards -3 succeeded, want error")
-	}
-	if !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("error %q does not name the -shards flag", err)
-	}
-	if out.Len() != 0 {
-		t.Errorf("sweep produced output before rejecting the bad flag:\n%s", out.String())
-	}
-}
-
 func TestRunSpeedupSweep(t *testing.T) {
 	var out, errb bytes.Buffer
 	args := []string{"-param", "speedup", "-bench", "bfs", "-cycles", "300", "-warmup", "100"}

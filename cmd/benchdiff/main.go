@@ -5,17 +5,6 @@
 //
 //	go test -bench ... | go run ./cmd/benchjson | \
 //	    go run ./cmd/benchdiff -baseline BENCH_20260806.json
-//
-// Beyond the pairwise regression check, -scale asserts ratios between two
-// benchmarks of the same fresh run — the shard-scaling gate:
-//
-//	-scale 'BenchmarkNetworkStep16x16Shards4/BenchmarkNetworkStep16x16Shards1<=0.5'
-//
-// fails when 4-shard stepping is not at least 2x faster than 1-shard.
-// Scaling assertions need real cores to mean anything, so they are skipped
-// (loudly) when the fresh run's recorded GOMAXPROCS is below
-// -scale-min-procs; a flat ratio on a 1-CPU machine is physics, not a
-// regression.
 package main
 
 import (
@@ -24,8 +13,6 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"strconv"
-	"strings"
 )
 
 // entry and doc mirror cmd/benchjson's output schema.
@@ -36,7 +23,6 @@ type entry struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	Procs       int      `json:"procs,omitempty"`
 }
 
 type doc struct {
@@ -119,93 +105,10 @@ func compare(base, fresh doc, match *regexp.Regexp, thresholdPct float64) ([]reg
 	return regs, report
 }
 
-// scaleAssert is one parsed -scale assertion: the fresh run's folded
-// num ns/op divided by den ns/op must not exceed maxRatio.
-type scaleAssert struct {
-	num, den string
-	maxRatio float64
-}
-
-// parseScale parses "NumName/DenName<=ratio".
-func parseScale(s string) (scaleAssert, error) {
-	var a scaleAssert
-	le := strings.Index(s, "<=")
-	if le < 0 {
-		return a, fmt.Errorf("scale assertion %q: want Num/Den<=ratio", s)
-	}
-	ratio, err := strconv.ParseFloat(strings.TrimSpace(s[le+2:]), 64)
-	if err != nil || ratio <= 0 {
-		return a, fmt.Errorf("scale assertion %q: bad ratio", s)
-	}
-	names := strings.Split(strings.TrimSpace(s[:le]), "/")
-	if len(names) != 2 || strings.TrimSpace(names[0]) == "" || strings.TrimSpace(names[1]) == "" {
-		return a, fmt.Errorf("scale assertion %q: want Num/Den<=ratio", s)
-	}
-	a.num = strings.TrimSpace(names[0])
-	a.den = strings.TrimSpace(names[1])
-	a.maxRatio = ratio
-	return a, nil
-}
-
-// checkScales evaluates scaling assertions on the folded fresh entries.
-// Assertions are skipped — reported but never failing — when the run's
-// recorded GOMAXPROCS is below minProcs: a shard-scaling ratio measured
-// without enough cores says nothing about the code. A benchmark named by an
-// assertion but absent from the run is a failure, not a skip: a scaling
-// gate that can be evaded by not running the benchmark gates nothing.
-func checkScales(fresh []entry, asserts []scaleAssert, minProcs int) (failures, report []string) {
-	byName := make(map[string]entry, len(fresh))
-	for _, e := range fresh {
-		if prev, ok := byName[e.Name]; !ok || e.NsPerOp < prev.NsPerOp {
-			byName[e.Name] = e
-		}
-	}
-	for _, a := range asserts {
-		num, okN := byName[a.num]
-		den, okD := byName[a.den]
-		if !okN || !okD {
-			missing := a.num
-			if okN {
-				missing = a.den
-			}
-			failures = append(failures, fmt.Sprintf("scale %s/%s: benchmark %s missing from fresh run", a.num, a.den, missing))
-			continue
-		}
-		procs := num.Procs
-		if den.Procs > procs {
-			procs = den.Procs
-		}
-		ratio := num.NsPerOp / den.NsPerOp
-		if procs < minProcs {
-			report = append(report, fmt.Sprintf("  scale %s/%s = %.2f  SKIPPED: run used %d procs, gate needs >= %d",
-				a.num, a.den, ratio, procs, minProcs))
-			continue
-		}
-		mark := ""
-		if ratio > a.maxRatio {
-			mark = "  SCALING REGRESSION"
-			failures = append(failures, fmt.Sprintf("scale %s/%s = %.2f exceeds %.2f", a.num, a.den, ratio, a.maxRatio))
-		}
-		report = append(report, fmt.Sprintf("  scale %s/%s = %.2f  (budget %.2f)%s",
-			a.num, a.den, ratio, a.maxRatio, mark))
-	}
-	return failures, report
-}
-
 func main() {
 	baselinePath := flag.String("baseline", "", "committed benchjson document to compare against (required)")
 	threshold := flag.Float64("threshold", 15, "maximum tolerated ns/op regression in percent")
 	match := flag.String("match", "NetworkStep|SimulatorStep", "regexp selecting gated benchmark names")
-	scaleMinProcs := flag.Int("scale-min-procs", 4, "skip -scale assertions when the fresh run used fewer procs")
-	var scales []scaleAssert
-	flag.Func("scale", "scaling assertion Num/Den<=ratio on the fresh run's ns/op (repeatable)", func(s string) error {
-		a, err := parseScale(s)
-		if err != nil {
-			return err
-		}
-		scales = append(scales, a)
-		return nil
-	})
 	flag.Parse()
 
 	if *baselinePath == "" {
@@ -238,20 +141,8 @@ func main() {
 	for _, line := range report {
 		fmt.Println(line)
 	}
-	scaleFails, scaleReport := checkScales(fold(fresh), scales, *scaleMinProcs)
-	for _, line := range scaleReport {
-		fmt.Println(line)
-	}
-	failed := false
 	if len(regs) > 0 {
 		fmt.Printf("benchdiff: %d benchmark(s) regressed beyond %.0f%%\n", len(regs), *threshold)
-		failed = true
-	}
-	for _, f := range scaleFails {
-		fmt.Println("benchdiff:", f)
-		failed = true
-	}
-	if failed {
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: ok")

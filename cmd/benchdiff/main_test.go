@@ -2,7 +2,6 @@ package main
 
 import (
 	"regexp"
-	"strings"
 	"testing"
 )
 
@@ -36,7 +35,7 @@ func TestCompareFlagsOnlyRegressionsBeyondThreshold(t *testing.T) {
 func TestCompareToleratesNewAndRemovedBenchmarks(t *testing.T) {
 	re := regexp.MustCompile("NetworkStep")
 	base := d(e("p", "BenchmarkNetworkStepOld", 100))
-	fresh := d(e("p", "BenchmarkNetworkStepShards4", 400))
+	fresh := d(e("p", "BenchmarkNetworkStepNew", 400))
 	regs, report := compare(base, fresh, re, 15)
 	if len(regs) != 0 {
 		t.Fatalf("new/removed benchmarks must not fail the gate: %+v", regs)
@@ -77,94 +76,6 @@ func TestCompareTakesMinAcrossRepeatedRuns(t *testing.T) {
 	regs, _ = compare(base, slow, re, 15)
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions, want 1: %+v", len(regs), regs)
-	}
-}
-
-func ep(pkg, name string, ns float64, procs int) entry {
-	e := e(pkg, name, ns)
-	e.Procs = procs
-	return e
-}
-
-func TestParseScale(t *testing.T) {
-	a, err := parseScale("BenchmarkA/BenchmarkB<=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.num != "BenchmarkA" || a.den != "BenchmarkB" || a.maxRatio != 0.5 {
-		t.Fatalf("parsed %+v", a)
-	}
-	for _, bad := range []string{"", "A/B", "A<=0.5", "A/B<=x", "A/B<=-1", "/B<=0.5"} {
-		if _, err := parseScale(bad); err == nil {
-			t.Fatalf("parseScale(%q) accepted", bad)
-		}
-	}
-}
-
-func TestCheckScalesFailsFlatScaling(t *testing.T) {
-	asserts := []scaleAssert{{num: "BenchmarkShards4", den: "BenchmarkShards1", maxRatio: 0.5}}
-	// 4-shard stepping barely faster than serial on an 8-proc run: the
-	// ratio 0.95 blows the 0.5 budget and must fail the gate.
-	flat := []entry{
-		ep("p", "BenchmarkShards1", 1000, 8),
-		ep("p", "BenchmarkShards4", 950, 8),
-	}
-	fails, _ := checkScales(flat, asserts, 4)
-	if len(fails) != 1 {
-		t.Fatalf("flat scaling passed the gate: %v", fails)
-	}
-	// Honest 3x scaling passes.
-	good := []entry{
-		ep("p", "BenchmarkShards1", 1000, 8),
-		ep("p", "BenchmarkShards4", 330, 8),
-	}
-	fails, report := checkScales(good, asserts, 4)
-	if len(fails) != 0 {
-		t.Fatalf("3x scaling failed the gate: %v", fails)
-	}
-	if len(report) != 1 {
-		t.Fatalf("want 1 report line, got %v", report)
-	}
-}
-
-func TestCheckScalesSkipsOnTooFewProcs(t *testing.T) {
-	asserts := []scaleAssert{{num: "BenchmarkShards4", den: "BenchmarkShards1", maxRatio: 0.5}}
-	// A 1-proc machine cannot show parallel speedup; the assertion must be
-	// skipped loudly instead of failing on physics.
-	oneCPU := []entry{
-		ep("p", "BenchmarkShards1", 1000, 1),
-		ep("p", "BenchmarkShards4", 990, 1),
-	}
-	fails, report := checkScales(oneCPU, asserts, 4)
-	if len(fails) != 0 {
-		t.Fatalf("1-proc run failed the scaling gate: %v", fails)
-	}
-	if len(report) != 1 || !strings.Contains(report[0], "SKIPPED") {
-		t.Fatalf("skip must be reported loudly: %v", report)
-	}
-}
-
-func TestCheckScalesFailsOnMissingBenchmark(t *testing.T) {
-	asserts := []scaleAssert{{num: "BenchmarkShards4", den: "BenchmarkShards1", maxRatio: 0.5}}
-	fails, _ := checkScales([]entry{ep("p", "BenchmarkShards1", 1000, 8)}, asserts, 4)
-	if len(fails) != 1 {
-		t.Fatalf("missing benchmark must fail, got %v", fails)
-	}
-}
-
-func TestCheckScalesFoldsRepeatsToMin(t *testing.T) {
-	asserts := []scaleAssert{{num: "BenchmarkShards4", den: "BenchmarkShards1", maxRatio: 0.5}}
-	// -count=3 repetitions: the min of each side (1000, 400) gives 0.4,
-	// inside the budget, even though pairing noisy outliers would fail.
-	fresh := []entry{
-		ep("p", "BenchmarkShards1", 1400, 8),
-		ep("p", "BenchmarkShards1", 1000, 8),
-		ep("p", "BenchmarkShards4", 700, 8),
-		ep("p", "BenchmarkShards4", 400, 8),
-	}
-	fails, _ := checkScales(fresh, asserts, 4)
-	if len(fails) != 0 {
-		t.Fatalf("min-of-N folding failed: %v", fails)
 	}
 }
 

@@ -219,20 +219,6 @@ type Config struct {
 	// first violation. Opt-in self-check for test suites and soaks; see
 	// also CheckOptions.InvariantEvery for the error-returning variant.
 	NoCCheckEvery int64
-
-	// ScanStep forces the scan-everything stepping loops in both networks,
-	// the cores and the MCs. The default event-driven stepping is
-	// bit-identical (internal/simeq proves it); the flag keeps the reference
-	// path alive for those differential tests.
-	ScanStep bool
-
-	// Shards selects deterministic intra-run parallelism: the mesh (and the
-	// node logic on it) is partitioned into this many row-contiguous shards
-	// stepped on a shared worker pool, with results byte-identical to serial
-	// stepping (internal/simeq proves it). 0 or 1 is serial; values above
-	// the mesh height are clamped (noc.EffectiveShards). Sharding composes
-	// with ScanStep and fault injection but not with packet tracing.
-	Shards int
 }
 
 // DefaultConfig returns the Table I configuration: 6x6 mesh, 28 compute
@@ -288,9 +274,6 @@ func (c Config) Validate() error {
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("core: invalid horizon warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards %d must be >= 0", c.Shards)
 	}
 	if c.RetransBufPkts < 0 {
 		return fmt.Errorf("core: RetransBufPkts %d must be >= 0", c.RetransBufPkts)

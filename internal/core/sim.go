@@ -8,17 +8,9 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/mem"
 	"repro/internal/noc"
-	"repro/internal/par"
 	"repro/internal/timing"
 	"repro/internal/trace"
 )
-
-// resettableFabric is a Fabric whose measurement counters can be cleared at
-// the warmup boundary (both the mesh network and the DA2mesh overlay are).
-type resettableFabric interface {
-	noc.Fabric
-	ResetStats()
-}
 
 // Simulator is one full-system instance: a kernel running on every compute
 // node, request and reply networks, and the MC nodes.
@@ -32,7 +24,11 @@ type Simulator struct {
 	ccNodes []int
 
 	reqNet *noc.Network
-	repNet resettableFabric
+	repNet noc.Fabric
+	// repMesh is repNet when the reply fabric is a mesh network, nil for the
+	// behavioural fabrics (ideal, DA2mesh): the one place that knows the
+	// reply fabric's concrete type.
+	repMesh *noc.Network
 
 	cores []*gpu.Core
 	mcs   []*mem.Controller
@@ -59,28 +55,9 @@ type Simulator struct {
 	sampler     func(cycle int64)
 	sampleEvery int64
 
-	// Sharded stepping (Config.Shards > 1): both mesh networks and the node
-	// logic are partitioned by the same noc.ShardRanges row blocks and
-	// stepped on one shared worker pool, byte-identical to serial stepping.
-	shards     int
-	pool       *par.Pool
-	nodeShards []nodeShard
-	nodeStepFn func(int)
-	// parallelNodes gates the node-logic fan-out on the workload supporting
-	// concurrent per-core calls (trace.ConcurrentWorkload); when false the
-	// networks still step sharded but node ticks stay on the caller.
-	parallelNodes bool
-	// tickCoreTicks/tickMemTicks pass the per-Step clock ticks into the
-	// prebuilt nodeStepFn without a per-cycle closure allocation.
-	tickCoreTicks int
-	tickMemTicks  int
-}
-
-// nodeShard groups the cores and MCs whose nodes fall in one mesh shard's
-// row block, so node logic and its NIs are always ticked by the same worker.
-type nodeShard struct {
-	cores []*gpu.Core
-	mcs   []*mem.Controller
+	// scan selects the scan-everything reference stepping
+	// (UseScanReference): quiescent MCs are ticked instead of skipped.
+	scan bool
 }
 
 // NewSimulator assembles a simulator for kernel k under cfg, generating
@@ -134,77 +111,25 @@ func NewSimulatorWorkload(cfg Config, k trace.Kernel, w trace.Workload) (*Simula
 	if err := s.buildFaultInjectors(); err != nil {
 		return nil, err
 	}
-	if err := s.setupShards(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
-// setupShards enables deterministic intra-run parallelism when
-// Config.Shards asks for it: one worker pool shared by both mesh networks
-// and (when the workload allows it) the node-logic fan-out, all partitioned
-// by the same row blocks. Non-mesh reply fabrics (ideal, DA2mesh) keep
-// stepping serially on the caller — only the meshes shard.
-func (s *Simulator) setupShards() error {
-	s.shards = noc.EffectiveShards(s.mesh, s.cfg.Shards)
-	if s.shards <= 1 {
-		s.shards = 1
-		return nil
+// UseScanReference switches every stepping layer — both fabrics, the cores
+// and the MC loop — to its scan-everything reference: each component is
+// visited every cycle instead of only when it holds work. Event-driven
+// stepping is proven bit-identical against it by internal/simeq; it is that
+// oracle, not a product mode, so no Config field, flag or job body selects
+// it. Call it before the first Step, from tests only.
+func (s *Simulator) UseScanReference() {
+	s.scan = true
+	s.reqNet.UseScanReference()
+	if rep, ok := s.repNet.(interface{ UseScanReference() }); ok {
+		rep.UseScanReference() // mesh and DA2mesh; the ideal fabric has one loop
 	}
-	s.pool = par.New(s.shards)
-	if _, err := s.reqNet.SetShards(s.shards, s.pool); err != nil {
-		return fmt.Errorf("core: sharding request network: %w", err)
-	}
-	if rep, ok := s.repNet.(*noc.Network); ok {
-		if _, err := rep.SetShards(s.shards, s.pool); err != nil {
-			return fmt.Errorf("core: sharding reply network: %w", err)
-		}
-	}
-	ranges := noc.ShardRanges(s.mesh, s.shards)
-	s.nodeShards = make([]nodeShard, len(ranges))
 	for _, c := range s.cores {
-		for i, rg := range ranges {
-			if c.Node >= rg[0] && c.Node < rg[1] {
-				s.nodeShards[i].cores = append(s.nodeShards[i].cores, c)
-				break
-			}
-		}
-	}
-	for _, mc := range s.mcs {
-		for i, rg := range ranges {
-			if mc.Node >= rg[0] && mc.Node < rg[1] {
-				s.nodeShards[i].mcs = append(s.nodeShards[i].mcs, mc)
-				break
-			}
-		}
-	}
-	if cw, ok := s.workload.(trace.ConcurrentWorkload); ok {
-		s.parallelNodes = cw.ConcurrentByCore()
-	}
-	s.nodeStepFn = func(i int) { s.stepNodeShard(i) }
-	return nil
-}
-
-// stepNodeShard runs one shard's core and MC ticks for the current cycle
-// (the parallel half of Step's node phase).
-func (s *Simulator) stepNodeShard(i int) {
-	ns := &s.nodeShards[i]
-	for t := 0; t < s.tickCoreTicks; t++ {
-		for _, c := range ns.cores {
-			c.Tick()
-		}
-	}
-	for _, mc := range ns.mcs {
-		if s.cfg.ScanStep || !mc.Quiescent() {
-			mc.Tick(s.cycle, s.tickMemTicks)
-		} else {
-			mc.SkipIdle(s.tickMemTicks)
-		}
+		c.UseScanReference()
 	}
 }
-
-// Shards returns the effective shard count (1 when stepping serially).
-func (s *Simulator) Shards() int { return s.shards }
 
 // RecoveryStats returns the fault-recovery protocol counters summed over the
 // request network and, when it is a mesh, the reply network. Zero when
@@ -222,25 +147,16 @@ func (s *Simulator) RecoveryStats() noc.RecoveryStats {
 		agg.DeadLinks += r.DeadLinks
 	}
 	add(s.reqNet.RecoveryStats())
-	if rep, ok := s.repNet.(*noc.Network); ok {
-		add(rep.RecoveryStats())
+	if s.repMesh != nil {
+		add(s.repMesh.RecoveryStats())
 	}
 	return agg
 }
 
-// Close releases the worker pool behind sharded stepping. Serial simulators
-// hold no resources, so Close is a no-op for them; it is idempotent and the
-// simulator must not be stepped afterwards.
-func (s *Simulator) Close() {
-	if s.pool != nil {
-		s.pool.Close()
-		s.pool = nil
-	}
-	s.reqNet.Close()
-	if rep, ok := s.repNet.(*noc.Network); ok {
-		rep.Close()
-	}
-}
+// Close is a no-op: a simulator holds no resources beyond memory. It stays
+// because callers (the benchmark driver among them) pair every NewSimulator
+// with a Close.
+func (s *Simulator) Close() {}
 
 // buildFaultInjectors attaches the deterministic fault schedules when
 // Config.Fault is enabled. Faults apply to mesh networks only: the DA2mesh
@@ -258,8 +174,8 @@ func (s *Simulator) buildFaultInjectors() error {
 	if s.reqFault, err = fault.NewInjector(fcfg, s.reqNet, 1); err != nil {
 		return fmt.Errorf("core: request fault injector: %w", err)
 	}
-	if rep, ok := s.repNet.(*noc.Network); ok {
-		if s.repFault, err = fault.NewInjector(fcfg, rep, 2); err != nil {
+	if s.repMesh != nil {
+		if s.repFault, err = fault.NewInjector(fcfg, s.repMesh, 2); err != nil {
 			return fmt.Errorf("core: reply fault injector: %w", err)
 		}
 	}
@@ -289,7 +205,6 @@ func (s *Simulator) buildNetworks() error {
 		NonAtomicVC:    true,
 		EjectRate:      cfg.EjectRate,
 		RetransBufPkts: retrans,
-		ScanStep:       cfg.ScanStep,
 		CheckEvery:     cfg.NoCCheckEvery,
 	}
 	reqNet, err := noc.NewNetwork(reqCfg)
@@ -309,7 +224,6 @@ func (s *Simulator) buildNetworks() error {
 		NIQueueFlits:   cfg.NIQueueFlits,
 		EjectRate:      cfg.EjectRate,
 		RetransBufPkts: retrans,
-		ScanStep:       cfg.ScanStep,
 		CheckEvery:     cfg.NoCCheckEvery,
 	}
 	if cfg.Scheme.hasPriority() {
@@ -365,7 +279,7 @@ func (s *Simulator) buildNetworks() error {
 		for _, n := range s.mcNodes {
 			rep.MarkMCRouter(n)
 		}
-		s.repNet = rep
+		s.repNet, s.repMesh = rep, rep
 	}
 	return nil
 }
@@ -377,7 +291,6 @@ func (s *Simulator) buildNodes() error {
 
 	coreCfg := cfg.Core
 	coreCfg.WarpsPerCore = s.kernel.WarpsPerCore
-	coreCfg.ScanTick = cfg.ScanStep
 	workload := s.workload
 	if workload == nil {
 		gen, err := trace.NewGenerator(s.kernel, len(s.ccNodes), cfg.Seed)
@@ -385,7 +298,6 @@ func (s *Simulator) buildNodes() error {
 			return err
 		}
 		workload = gen
-		s.workload = gen // setupShards checks it for per-core concurrency
 	}
 
 	s.cores = make([]*gpu.Core, len(s.ccNodes))
@@ -472,27 +384,18 @@ func (s *Simulator) sendRequest(node int, txn *mem.Transaction) bool {
 func (s *Simulator) Step() {
 	coreTicks := s.coreClock.Tick()
 	memTicks := s.memClock.Tick()
-	if s.parallelNodes {
-		// Fan the node phase out over the mesh shards: cores and MCs only
-		// interact through the networks (requests and replies hand over
-		// inside the networks' Step, not here), so per-shard tick order is
-		// free to differ from the serial (tick, node) order.
-		s.tickCoreTicks, s.tickMemTicks = coreTicks, memTicks
-		s.pool.Run(len(s.nodeShards), s.nodeStepFn)
-	} else {
-		for t := 0; t < coreTicks; t++ {
-			for _, c := range s.cores {
-				c.Tick()
-			}
+	for t := 0; t < coreTicks; t++ {
+		for _, c := range s.cores {
+			c.Tick()
 		}
-		for _, mc := range s.mcs {
-			if s.cfg.ScanStep || !mc.Quiescent() {
-				mc.Tick(s.cycle, memTicks)
-			} else {
-				// A quiescent MC's Tick only advances the DRAM clock; skip
-				// the rest of the pipeline walk but keep that clock aligned.
-				mc.SkipIdle(memTicks)
-			}
+	}
+	for _, mc := range s.mcs {
+		if s.scan || !mc.Quiescent() {
+			mc.Tick(s.cycle, memTicks)
+		} else {
+			// A quiescent MC's Tick only advances the DRAM clock; skip
+			// the rest of the pipeline walk but keep that clock aligned.
+			mc.SkipIdle(memTicks)
 		}
 	}
 	if s.measuring {
@@ -539,6 +442,11 @@ func (s *Simulator) RequestNet() *noc.Network { return s.reqNet }
 // ReplyNet exposes the reply fabric.
 func (s *Simulator) ReplyNet() noc.Fabric { return s.repNet }
 
+// ReplyMesh returns the reply fabric as a mesh network, or nil when the
+// scheme replaces it with a behavioural fabric (ideal reply, DA2mesh) that
+// has no per-router state to inspect, fault or trace.
+func (s *Simulator) ReplyMesh() *noc.Network { return s.repMesh }
+
 // MCNodes returns the MC node ids.
 func (s *Simulator) MCNodes() []int { return s.mcNodes }
 
@@ -564,8 +472,8 @@ func (s *Simulator) StateDumpJSON() []byte {
 	}
 	req := s.reqNet.StateSnapshot()
 	d.Request = &req
-	if rep, ok := s.repNet.(*noc.Network); ok {
-		rd := rep.StateSnapshot()
+	if s.repMesh != nil {
+		rd := s.repMesh.StateSnapshot()
 		d.Reply = &rd
 	}
 	b, err := json.Marshal(d)

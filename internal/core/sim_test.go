@@ -115,12 +115,12 @@ func TestOverlaySchemeUsesDA2Mesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sim.ReplyNet().(*noc.DA2Mesh); !ok {
-		t.Fatalf("reply fabric is %T, want *noc.DA2Mesh", sim.ReplyNet())
+	if _, ok := sim.ReplyNet().(*noc.DA2Mesh); !ok || sim.ReplyMesh() != nil {
+		t.Fatalf("reply fabric is %T (mesh %v), want *noc.DA2Mesh and no mesh", sim.ReplyNet(), sim.ReplyMesh() != nil)
 	}
 	sim2, _ := NewSimulator(fastConfig(AdaARI), k)
-	if _, ok := sim2.ReplyNet().(*noc.Network); !ok {
-		t.Fatalf("reply fabric is %T, want *noc.Network", sim2.ReplyNet())
+	if sim2.ReplyMesh() == nil || sim2.ReplyNet() != noc.Fabric(sim2.ReplyMesh()) {
+		t.Fatalf("reply fabric is %T, want the mesh network ReplyMesh returns", sim2.ReplyNet())
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/noc"
@@ -80,5 +82,22 @@ func TestDefaultConfigMatchesTableI(t *testing.T) {
 	mcs := noc.DiamondMCPlacement(noc.Mesh{Width: 6, Height: 6}, 8)
 	if len(mcs) != 8 {
 		t.Fatalf("diamond placement has %d MCs", len(mcs))
+	}
+}
+
+// TestConfigCarriesNoSteppingKnob pins that the scan oracle and the deleted
+// shard count are not configuration: nothing a JSON job body, a -config file
+// or exp.JobKey (which hashes this encoding) carries can select a stepping
+// schedule.
+func TestConfigCarriesNoSteppingKnob(t *testing.T) {
+	enc, err := json.Marshal(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower := strings.ToLower(string(enc)) // field names and json tags alike
+	for _, key := range []string{"scan", "shards"} {
+		if strings.Contains(lower, key) {
+			t.Errorf("encoded Config contains a %q key: %s", key, enc)
+		}
 	}
 }

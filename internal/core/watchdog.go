@@ -167,13 +167,13 @@ func (w *watchdog) poll() error {
 	}
 	if w.opt.InvariantEvery > 0 && now-w.lastInvCheck >= w.opt.InvariantEvery {
 		w.lastInvCheck = now
-		for _, f := range []noc.Fabric{w.s.reqNet, w.s.repNet} {
-			if n, ok := f.(*noc.Network); ok {
-				if err := n.CheckInvariants(); err != nil {
-					return fmt.Errorf("core: invariant violated at cycle %d (%s/%s): %w",
-						now, w.s.kernel.Name, w.s.cfg.Scheme, err)
-				}
-			}
+		err := w.s.reqNet.CheckInvariants()
+		if err == nil && w.s.repMesh != nil {
+			err = w.s.repMesh.CheckInvariants()
+		}
+		if err != nil {
+			return fmt.Errorf("core: invariant violated at cycle %d (%s/%s): %w",
+				now, w.s.kernel.Name, w.s.cfg.Scheme, err)
 		}
 	}
 
@@ -210,8 +210,8 @@ func (w *watchdog) poll() error {
 // packet — they deliver on a fixed schedule).
 func (s *Simulator) oldestPacketAge() int64 {
 	age := s.reqNet.OldestPacketAge()
-	if rep, ok := s.repNet.(*noc.Network); ok {
-		if a := rep.OldestPacketAge(); a > age {
+	if s.repMesh != nil {
+		if a := s.repMesh.OldestPacketAge(); a > age {
 			age = a
 		}
 	}
@@ -221,8 +221,8 @@ func (s *Simulator) oldestPacketAge() int64 {
 // diagnose builds the structured watchdog failure for the current state.
 func (s *Simulator) diagnose(kind string, noProgress int64) *WatchdogError {
 	dump := "request network:\n" + s.reqNet.DumpState()
-	if rep, ok := s.repNet.(*noc.Network); ok {
-		dump += "reply network:\n" + rep.DumpState()
+	if s.repMesh != nil {
+		dump += "reply network:\n" + s.repMesh.DumpState()
 	} else {
 		dump += fmt.Sprintf("reply fabric: %d packets in flight (no per-router state)\n", s.repNet.InFlight())
 	}

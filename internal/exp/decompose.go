@@ -48,8 +48,8 @@ func Decompose(base core.Config, bench string, sample uint64, schemes ...core.Sc
 		if err != nil {
 			return nil, fmt.Errorf("exp: decompose %s/%s: %w", bench, sch, err)
 		}
-		rep, ok := sim.ReplyNet().(*noc.Network)
-		if !ok {
+		rep := sim.ReplyMesh()
+		if rep == nil {
 			return nil, fmt.Errorf("exp: decompose: scheme %s has no traceable reply fabric", sch)
 		}
 		coll := obs.NewCollector("rep")

@@ -16,7 +16,7 @@ import (
 // journalVersion is bumped whenever the serialised Result or the key schema
 // changes shape; entries from another version are ignored on load so a
 // stale journal can never smuggle incompatible results into a sweep.
-const journalVersion = 2
+const journalVersion = 3
 
 // journalEntry is one completed run, one JSON object per line (JSONL).
 type journalEntry struct {

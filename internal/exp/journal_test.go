@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -141,5 +143,67 @@ func TestJobKeyDistinguishesConfigs(t *testing.T) {
 	cfg2.Seed++
 	if JobKey(cfg, "bfs") == JobKey(cfg2, "bfs") {
 		t.Fatal("different configs share a key")
+	}
+}
+
+// TestJournalKeepsOlderVersionLines is the version-bump regression: a
+// journal written by the previous schema version opens cleanly, serves none
+// of its entries (their keys hashed a different Config shape), keeps their
+// bytes on disk — skipped, never truncated — and appends current-version
+// lines after them.
+func TestJournalKeepsOlderVersionLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	var old []byte
+	for i := 0; i < 2; i++ {
+		line, err := json.Marshal(journalEntry{
+			V:      journalVersion - 1,
+			Key:    fmt.Sprintf("old-%d", i),
+			Bench:  "bfs",
+			Scheme: core.AdaARI.String(),
+			Result: fakeResult("bfs", float64(i)+0.5),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(append(old, line...), '\n')
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("open journal holding older-version lines: %v", err)
+	}
+	if j.Loaded() != 0 {
+		t.Fatalf("loaded %d older-version entries, want 0", j.Loaded())
+	}
+	if _, ok := j.Get("old-0"); ok {
+		t.Fatal("an older-version entry was served")
+	}
+	if err := j.record("new", fakeResult("srad", 2.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, old) {
+		t.Fatalf("older-version lines were not kept byte for byte:\n got %q\nwant prefix %q", raw, old)
+	}
+	if want := fmt.Sprintf(`{"v":%d,"key":"new",`, journalVersion); !strings.HasPrefix(string(raw[len(old):]), want) {
+		t.Fatalf("appended line %q does not start with %q", raw[len(old):], want)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if _, ok := j2.Get("new"); !ok || j2.Loaded() != 1 {
+		t.Fatalf("reopen loaded %d entries (new present: %v), want exactly the appended one", j2.Loaded(), ok)
 	}
 }

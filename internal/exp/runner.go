@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -39,11 +38,8 @@ type Runner struct {
 	Base core.Config
 	// Benchmarks is the evaluated suite (defaults to trace.Suite()).
 	Benchmarks []trace.Kernel
-	// Workers bounds parallel simulations. The default is GOMAXPROCS divided
-	// by the largest per-run shard count among the dispatched jobs, so
-	// intra-run parallelism (Config.Shards) and inter-run parallelism
-	// together stay within the machine (shards x concurrent runs <=
-	// GOMAXPROCS). Set explicitly to override the budget.
+	// Workers bounds parallel simulations (default GOMAXPROCS: each run
+	// steps on one goroutine).
 	Workers int
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
@@ -190,12 +186,6 @@ func (r *Runner) RunAllContext(ctx context.Context, jobs []Job) ([]core.Result, 
 		workers := r.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
-			if s := maxJobShards(need); s > 1 {
-				workers /= s
-			}
-			if workers < 1 {
-				workers = 1
-			}
 		}
 		if workers > len(keys) {
 			workers = len(keys)
@@ -441,19 +431,6 @@ func (r *Runner) simulate(ctx context.Context, j Job) (res core.Result, err erro
 		return core.Result{}, fmt.Errorf("exp: %s: %w", name, err)
 	}
 	return res, nil
-}
-
-// maxJobShards returns the largest effective per-run shard count among the
-// jobs, for the default worker budget.
-func maxJobShards(need map[runKey]Job) int {
-	max := 1
-	for _, j := range need {
-		s := noc.EffectiveShards(noc.Mesh{Width: j.Cfg.MeshWidth, Height: j.Cfg.MeshHeight}, j.Cfg.Shards)
-		if s > max {
-			max = s
-		}
-	}
-	return max
 }
 
 // withScheme returns the base config with the scheme set.

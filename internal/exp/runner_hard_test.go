@@ -201,77 +201,6 @@ func TestJournalResumeAfterKill(t *testing.T) {
 	}
 }
 
-// TestJournalResumeAfterKillSharded repeats the kill/resume round-trip with
-// sharded simulations (Config.Shards = 2): the journal's (config, benchmark)
-// keys include the shard count, the resumed sweep must only re-run the lost
-// entries, and — because sharded stepping is byte-identical to serial — the
-// resumed results must equal the uninterrupted sweep's. Run under -race in
-// CI, this also soaks the worker-pool teardown between journalled runs.
-func TestJournalResumeAfterKillSharded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep-sharded.jsonl")
-
-	r1 := tinyRunner(t)
-	r1.Base.Shards = 2
-	j1, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1.Journal = j1
-	want, err := r1.RunAll(sweepJobs(r1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	total := r1.Runs()
-
-	// Simulate a kill mid-append: keep one complete record plus a torn tail.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	sc := bufio.NewScanner(strings.NewReader(string(raw)))
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
-	}
-	if len(lines) != total {
-		t.Fatalf("journal has %d lines, want %d", len(lines), total)
-	}
-	const keep = 1
-	torn := lines[0] + "\n" + lines[1][:len(lines[1])/2]
-	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := tinyRunner(t)
-	r2.Base.Shards = 2
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Loaded() != keep {
-		t.Fatalf("resumed journal loaded %d entries, want %d", j2.Loaded(), keep)
-	}
-	r2.Journal = j2
-	got, err := r2.RunAll(sweepJobs(r2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Runs() != total-keep {
-		t.Fatalf("resumed sweep ran %d simulations, want %d", r2.Runs(), total-keep)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("resumed sharded sweep results differ from the uninterrupted sweep")
-	}
-	if j2.Len() != total {
-		t.Fatalf("journal holds %d entries after resume, want %d", j2.Len(), total)
-	}
-}
-
 func TestJournalIgnoresForeignVersions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	content := `{"v":999,"key":"abc","bench":"x","scheme":"y","result":{}}` + "\n" +

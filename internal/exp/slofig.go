@@ -50,8 +50,8 @@ func SLOFigure(base core.Config, bench string, sample uint64, thresholdCycles in
 		if err != nil {
 			return nil, fmt.Errorf("exp: slo %s/%s: %w", bench, sch, err)
 		}
-		rep, ok := sim.ReplyNet().(*noc.Network)
-		if !ok {
+		rep := sim.ReplyMesh()
+		if rep == nil {
 			return nil, fmt.Errorf("exp: slo: scheme %s has no traceable reply fabric", sch)
 		}
 		coll := obs.NewCollector("rep")

@@ -30,7 +30,6 @@ func testNet(t *testing.T, mutate func(*noc.Config)) *noc.Network {
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
-	t.Cleanup(n.Close)
 	return n
 }
 

@@ -17,10 +17,8 @@ type soakFingerprint struct {
 }
 
 // runSoak drives seeded random traffic through a faulted network, then
-// drains it and verifies zero flit loss and clean invariants. shards > 1
-// steps the mesh on that many workers (the deterministic sharded path);
-// 0 or 1 is serial.
-func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64, shards int) soakFingerprint {
+// drains it and verifies zero flit loss and clean invariants.
+func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) soakFingerprint {
 	t.Helper()
 	cfg := noc.Config{
 		Mesh:        noc.Mesh{Width: 4, Height: 4},
@@ -41,12 +39,6 @@ func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64, s
 	n, err := noc.NewNetwork(cfg)
 	if err != nil {
 		t.Fatalf("%s: NewNetwork: %v", name, err)
-	}
-	defer n.Close()
-	if shards > 1 {
-		if _, err := n.SetShards(shards, nil); err != nil {
-			t.Fatalf("%s: SetShards(%d): %v", name, shards, err)
-		}
 	}
 	inj, err := NewInjector(SoakConfig(seed), n, 1)
 	if err != nil {
@@ -142,7 +134,7 @@ func TestSoakZeroFlitLoss(t *testing.T) {
 	for name, mutate := range soakSchemes() {
 		name, mutate := name, mutate
 		t.Run(name, func(t *testing.T) {
-			runSoak(t, name, mutate, seed, 0)
+			runSoak(t, name, mutate, seed)
 		})
 		seed++
 	}
@@ -153,37 +145,14 @@ func TestSoakZeroFlitLoss(t *testing.T) {
 // different seed produces a different schedule.
 func TestSoakDeterministicReplay(t *testing.T) {
 	schemes := soakSchemes()
-	a := runSoak(t, "ada-ari", schemes["ada-ari"], 42, 0)
-	b := runSoak(t, "ada-ari", schemes["ada-ari"], 42, 0)
+	a := runSoak(t, "ada-ari", schemes["ada-ari"], 42)
+	b := runSoak(t, "ada-ari", schemes["ada-ari"], 42)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%+v\nvs\n%+v", a, b)
 	}
-	c := runSoak(t, "ada-ari", schemes["ada-ari"], 43, 0)
+	c := runSoak(t, "ada-ari", schemes["ada-ari"], 43)
 	if reflect.DeepEqual(a.Events, c.Events) {
 		t.Fatal("different seeds produced identical fault schedules")
-	}
-}
-
-// TestSoakShardedMatchesSerial composes the fault soak with sharded
-// stepping: the same seed must produce an identical fingerprint (stats,
-// flit counts and fault schedule) whether the mesh steps serially or on 2
-// or 4 workers — link stalls and port freezes landing on shard-boundary
-// links included. Run under -race in CI, this doubles as the concurrency
-// soak for the sharded path.
-func TestSoakShardedMatchesSerial(t *testing.T) {
-	schemes := soakSchemes()
-	for name := range schemes {
-		name, mutate := name, schemes[name]
-		t.Run(name, func(t *testing.T) {
-			serial := runSoak(t, name, mutate, 42, 0)
-			for _, shards := range []int{2, 4} {
-				got := runSoak(t, name, mutate, 42, shards)
-				if !reflect.DeepEqual(serial, got) {
-					t.Fatalf("%s shards=%d fingerprint diverged from serial:\n%+v\nvs\n%+v",
-						name, shards, got, serial)
-				}
-			}
-		})
 	}
 }
 

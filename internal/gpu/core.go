@@ -40,13 +40,6 @@ type Config struct {
 	StoreQueueCap int
 	// LSUQueueCap bounds transactions waiting in the LSU.
 	LSUQueueCap int
-	// ScanTick forces the full per-cycle scheduler scan even on cycles with
-	// no ready warp and an empty LSU queue. The default (false) short-cuts
-	// such cycles to the exact observable effect of the scan — one core
-	// cycle, one issue stall — which is the event-driven fast path of the
-	// system loop. Both settings are bit-identical; ScanTick exists for the
-	// equivalence tests.
-	ScanTick bool
 }
 
 // DefaultConfig returns the Table I core parameters.
@@ -118,8 +111,13 @@ type Core struct {
 	// txnFree recycles Transaction structs: every transaction this core
 	// creates comes back exactly once through ReceiveReply (writes ack,
 	// reads fill), which returns it here — the request/reply hot path then
-	// allocates nothing. Per-core, so sharded simulation needs no locking.
+	// allocates nothing.
 	txnFree []*mem.Transaction
+
+	// scan forces the full per-cycle scheduler scan even on cycles Tick's
+	// fast path would short-cut to its exact observable effect — one core
+	// cycle, one issue stall (UseScanReference).
+	scan bool
 
 	// Stats (reset at end of warmup).
 	Instructions  uint64
@@ -179,10 +177,16 @@ func (c *Core) IPC() float64 {
 	return float64(c.Instructions) / float64(c.CoreCycles)
 }
 
+// UseScanReference disables Tick's idle fast path, so every cycle runs the
+// full scheduler scan: the reference the fast path is proven bit-identical
+// against (internal/simeq). Tests only; core.Simulator.UseScanReference
+// forwards here.
+func (c *Core) UseScanReference() { c.scan = true }
+
 // Tick advances the core by one core-clock cycle.
 func (c *Core) Tick() {
 	c.CoreCycles++
-	if !c.cfg.ScanTick && c.readyWarps == 0 && len(c.lsuQ) == 0 {
+	if !c.scan && c.readyWarps == 0 && len(c.lsuQ) == 0 {
 		// Fast path: with no ready warp, every tryIssue returns false before
 		// any side effect (in particular, before any workload RNG draw), and
 		// with an empty LSU queue stepLSU is a no-op. The scan's only

@@ -66,8 +66,7 @@ type Controller struct {
 
 	// Allocation recycling for the steady-state hot path. wbFree holds
 	// retired internal writeback transactions (reclaimed by takeWB when DRAM
-	// commits them); waiterFree holds emptied pendingReads slices. Both are
-	// per-controller, so sharded simulation needs no locking.
+	// commits them); waiterFree holds emptied pendingReads slices.
 	wbFree     []*Transaction
 	waiterFree [][]*Transaction
 	takeWB     func(*Transaction)

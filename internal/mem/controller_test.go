@@ -26,6 +26,7 @@ func (s *stubFabric) Now() int64                                                
 func (s *stubFabric) SetEjectHandler(func(node int, pkt *noc.Packet, now int64)) {}
 func (s *stubFabric) InFlight() int                                              { return 0 }
 func (s *stubFabric) Stats() *noc.NetStats                                       { return &noc.NetStats{} }
+func (s *stubFabric) ResetStats()                                                {}
 func (s *stubFabric) GetPacket() *noc.Packet                                     { return &noc.Packet{} }
 func (s *stubFabric) PutPacket(*noc.Packet)                                      {}
 

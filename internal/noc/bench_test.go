@@ -114,9 +114,9 @@ func BenchmarkNetworkStepFaulty(b *testing.B) {
 	}
 }
 
-// benchScanNet builds the baseline 6x6 network with the chosen stepping
-// mode for the event-vs-scan comparison benchmarks.
-func benchScanNet(b *testing.B, scan bool) *Network {
+// benchEventNet builds the baseline 6x6 network for the low/medium-load
+// stepping benchmarks.
+func benchEventNet(b *testing.B) *Network {
 	b.Helper()
 	mesh := Mesh{Width: 6, Height: 6}
 	n, err := NewNetwork(Config{
@@ -126,7 +126,6 @@ func benchScanNet(b *testing.B, scan bool) *Network {
 		DataBytes:   128,
 		Routing:     RouteMinAdaptive,
 		NonAtomicVC: true,
-		ScanStep:    scan,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -164,93 +163,8 @@ func stepAtLoad(b *testing.B, n *Network, period int) {
 	}
 }
 
-func BenchmarkNetworkStepEventLowLoad(b *testing.B) { stepAtLoad(b, benchScanNet(b, false), 20) }
-func BenchmarkNetworkStepScanLowLoad(b *testing.B)  { stepAtLoad(b, benchScanNet(b, true), 20) }
-func BenchmarkNetworkStepEventMedLoad(b *testing.B) { stepAtLoad(b, benchScanNet(b, false), 4) }
-func BenchmarkNetworkStepScanMedLoad(b *testing.B)  { stepAtLoad(b, benchScanNet(b, true), 4) }
-
-// benchShardNet builds a side x side mesh stepped across k shards — large
-// enough that each shard owns multiple rows of routers and the per-step work
-// dominates the barrier cost.
-func benchShardNet(b *testing.B, side, shards int) *Network {
-	b.Helper()
-	n, err := NewNetwork(Config{
-		Mesh:        Mesh{Width: side, Height: side},
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     RouteMinAdaptive,
-		NonAtomicVC: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if shards > 1 {
-		if _, err := n.SetShards(shards, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Cleanup(n.Close)
-	n.SetEjectHandler(func(_ int, pkt *Packet, _ int64) { n.PutPacket(pkt) })
-	return n
-}
-
-// stepShardLoad drives dense all-to-all traffic (one long-packet injection
-// per 32 nodes per cycle, spread over the whole mesh) so every shard is busy
-// every step and the offered load scales with the mesh.
-func stepShardLoad(b *testing.B, n *Network) {
-	cfg := n.Config()
-	nodes := cfg.Mesh.Nodes()
-	perCycle := nodes / 32
-	if perCycle < 1 {
-		perCycle = 1
-	}
-	seed := uint64(1)
-	next := func(mod int) int {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return int(seed>>33) % mod
-	}
-	long := cfg.LongPacketFlits()
-	iter := func() {
-		for s := 0; s < perCycle; s++ {
-			src, dst := next(nodes), next(nodes)
-			if src == dst {
-				continue
-			}
-			pkt := n.GetPacket()
-			pkt.Type = ReadReply
-			pkt.Dst = dst
-			pkt.Size = long
-			if !n.Inject(src, pkt) {
-				n.PutPacket(pkt)
-			}
-		}
-		n.Step()
-	}
-	// Warm into the saturated steady state before the timer starts. Ramp
-	// steps (freelist growth, GC, slices finding their high-water marks)
-	// cost several times a plateau step, so without this the reported
-	// ns/op depends on -benchtime via the ramp fraction and the benchdiff
-	// gate compares apples to oranges across run lengths.
-	for k := 0; k < 1500; k++ {
-		iter()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		iter()
-	}
-}
-
-func BenchmarkNetworkStep16x16Shards1(b *testing.B) { stepShardLoad(b, benchShardNet(b, 16, 1)) }
-func BenchmarkNetworkStep16x16Shards2(b *testing.B) { stepShardLoad(b, benchShardNet(b, 16, 2)) }
-func BenchmarkNetworkStep16x16Shards4(b *testing.B) { stepShardLoad(b, benchShardNet(b, 16, 4)) }
-func BenchmarkNetworkStep16x16Shards8(b *testing.B) { stepShardLoad(b, benchShardNet(b, 16, 8)) }
-
-func BenchmarkNetworkStep32x32Shards1(b *testing.B) { stepShardLoad(b, benchShardNet(b, 32, 1)) }
-func BenchmarkNetworkStep32x32Shards2(b *testing.B) { stepShardLoad(b, benchShardNet(b, 32, 2)) }
-func BenchmarkNetworkStep32x32Shards4(b *testing.B) { stepShardLoad(b, benchShardNet(b, 32, 4)) }
-func BenchmarkNetworkStep32x32Shards8(b *testing.B) { stepShardLoad(b, benchShardNet(b, 32, 8)) }
+func BenchmarkNetworkStepEventLowLoad(b *testing.B) { stepAtLoad(b, benchEventNet(b), 20) }
+func BenchmarkNetworkStepEventMedLoad(b *testing.B) { stepAtLoad(b, benchEventNet(b), 4) }
 
 func BenchmarkRouteCompute(b *testing.B) {
 	m := Mesh{Width: 8, Height: 8}

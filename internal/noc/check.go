@@ -47,7 +47,6 @@ func (n *Network) checkRecovery() error {
 	if !n.recoveryOn() {
 		return nil
 	}
-	n.fold() // checks run at step boundaries; drain any shard deltas first
 	inbox := 0
 	for id := range n.nis {
 		ni := &n.nis[id]
@@ -111,6 +110,14 @@ func (n *Network) checkRouter(r *router) error {
 	if recount != e.flitCount() {
 		return fmt.Errorf("ejector activity counter %d != recounted %d flits", e.flitCount(), recount)
 	}
+	ni := &n.nis[r.id]
+	recount = ni.queue.len()
+	for q := range ni.splitQueues {
+		recount += ni.splitQueues[q].len()
+	}
+	if recount != ni.queuedFlits() {
+		return fmt.Errorf("NI activity counter %d != recounted %d queued flits", ni.queuedFlits(), recount)
+	}
 	if err := checkMasks(r); err != nil {
 		return err
 	}
@@ -173,7 +180,6 @@ func (n *Network) checkRouter(r *router) error {
 	}
 
 	// NI-side credit conservation for injection VCs.
-	ni := &n.nis[r.id]
 	for i, c := range ni.vcCredits {
 		p, v := NumDirections+i/r.nvc, i%r.nvc
 		buffered, staged := r.vcs[p*r.nvc+v].buf.len(), countStaged(r.staged, p, v)

@@ -119,14 +119,6 @@ type Config struct {
 	// priority is suppressed at a router (§5; 1k cycles in the paper).
 	StarvationLimit int64
 
-	// ScanStep forces the original scan-everything stepping loop, in which
-	// every router, NI and ejector is visited every cycle. The default
-	// (false) is event-driven stepping, which visits only components that
-	// hold flits; the two are bit-identical (see DESIGN.md §"Event-driven
-	// stepping" and internal/simeq), so this flag exists purely for
-	// differential testing and as a debugging escape hatch.
-	ScanStep bool
-
 	// RetransBufPkts, when positive, enables the fault-recovery protocol
 	// layer (recovery.go): sending NIs stamp a CRC over each packet, retain
 	// up to RetransBufPkts unacknowledged packets for retransmission, and

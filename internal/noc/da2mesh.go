@@ -33,7 +33,7 @@ type DA2Mesh struct {
 	nextPktID    uint64
 	ejectHandler func(node int, pkt *Packet, now int64)
 
-	// scan selects the scan-everything loops (Config.ScanStep); the default
+	// scan selects the scan-everything loops (UseScanReference); the default
 	// skips nodes with no queued or arriving flits — provably a no-op for
 	// them, so both modes are bit-identical.
 	scan bool
@@ -82,7 +82,7 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DA2Mesh{cfg: cfg, scan: cfg.ScanStep}
+	d := &DA2Mesh{cfg: cfg}
 	nodes := cfg.Mesh.Nodes()
 	d.backlog = make([]int, nodes)
 	d.ejectQ = make([][]overlayArrival, nodes)
@@ -128,6 +128,10 @@ func (d *DA2Mesh) InFlight() int { return d.inFlight }
 
 // Stats returns the fabric statistics.
 func (d *DA2Mesh) Stats() *NetStats { return &d.stats }
+
+// UseScanReference switches the overlay to its scan-everything loops (the
+// test oracle; see Network.UseScanReference). Call before the first Step.
+func (d *DA2Mesh) UseScanReference() { d.scan = true }
 
 // ResetStats clears measurement counters (end of warmup).
 func (d *DA2Mesh) ResetStats() {

@@ -7,11 +7,6 @@ package noc
 type ejector struct {
 	net  *Network
 	node int
-	// sh/lidx locate the ejector's flit-count activity predicate in its
-	// stepping shard's SoA arrays (sh.ejectFlits[lidx]; see soa.go) — the
-	// count of buffered plus staged flits.
-	sh   *netShard
-	lidx int32
 	vcs  []flitQueue
 	// arrivals staged by the router's ST this cycle.
 	arrivals []stagedFlit
@@ -47,13 +42,13 @@ func (e *ejector) init(net *Network, router *router, sl *slabs) {
 	}
 }
 
-// flitCount reads the ejector's activity predicate (SoA slot; see soa.go).
-func (e *ejector) flitCount() int { return int(e.sh.ejectFlits[e.lidx]) }
+// flitCount reads the ejector's activity predicate (the network's
+// ejectFlits slot): buffered plus staged flits.
+func (e *ejector) flitCount() int { return int(e.net.ejectFlits[e.node]) }
 
-// addFlits adjusts the ejector's activity predicate. Incremented by the
-// owning shard's traverse (the ejection port never crosses a shard
-// boundary), decremented by the serial ejection phase.
-func (e *ejector) addFlits(d int) { e.sh.ejectFlits[e.lidx] += int32(d) }
+// addFlits adjusts the ejector's activity predicate: incremented by the
+// router's traverse, decremented as consume drains.
+func (e *ejector) addFlits(d int) { e.net.ejectFlits[e.node] += int32(d) }
 
 func (e *ejector) applyArrivals(now int64) {
 	kept := e.arrivals[:0]

@@ -43,8 +43,6 @@ import "sort"
 // The table is rebuilt on every successful kill (serial, between cycles)
 // and every router's reroute flag is raised so packets already waiting on a
 // computed route re-route through the new table (router.routeCompute).
-// During stepping the table is read-only, so sharded workers need no
-// synchronisation.
 
 // ftableEject marks the here == dst entry (packets eject, never look it up).
 const ftableEject = 0xFF

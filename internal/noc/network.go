@@ -2,9 +2,7 @@ package noc
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -31,6 +29,9 @@ type Fabric interface {
 	InFlight() int
 	// Stats returns the fabric's statistics (finalised occupancy included).
 	Stats() *NetStats
+	// ResetStats clears the measurement counters (end of warmup) while
+	// preserving all in-flight state.
+	ResetStats()
 	// GetPacket returns a zeroed Packet from the fabric's freelist. Callers
 	// that do not manage packet lifetimes may ignore it and allocate
 	// Packets directly; the freelist is an optimisation, not a requirement.
@@ -51,6 +52,16 @@ type Network struct {
 	routers  []router
 	ejectors []ejector
 	nis      []NI
+
+	// Activity counters, indexed by node id: routerFlits[i] counts flits
+	// resident in router i (VC buffers plus staged arrivals), ejectFlits[i]
+	// the same for its ejector, niQueued[i] the flits queued in its NI. They
+	// are the O(1) predicates of event-driven stepping — an idle region of
+	// the mesh costs a linear int32 sweep that touches no component struct —
+	// and CheckInvariants asserts they equal a full recount.
+	routerFlits []int32
+	ejectFlits  []int32
+	niQueued    []int32
 
 	now      int64
 	inFlight int
@@ -81,21 +92,13 @@ type Network struct {
 	injWindowStart int64
 	InjWindows     []uint32
 
-	// scan selects the scan-everything reference loop (Config.ScanStep);
+	// scan selects the scan-everything reference loop (UseScanReference);
 	// the default is event-driven stepping over the active components.
-	scan   bool
-	pool   pktPool
-	poolMu sync.Mutex
-
-	// Sharded stepping (see shard.go): the mesh is always partitioned —
-	// into one shard by default, so serial and parallel stepping share one
-	// code path — and stepPool fans the shards out when there are several.
-	shards      []*netShard
-	sharded     bool
-	stepPool    *par.Pool
-	ownPool     *par.Pool
-	shardStepFn func(int)
-	commitFn    func(int)
+	scan bool
+	pool pktPool
+	// lastPktID is the ID handed to the most recently injected packet
+	// (1, 2, 3, ...; IDs are not part of encoded Results).
+	lastPktID uint64
 
 	// tracer receives lifecycle events for every traceEvery-th packet (see
 	// SetTracer); nil disables tracing at the cost of a nil check on
@@ -179,11 +182,15 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, scan: cfg.ScanStep}
+	n := &Network{cfg: cfg}
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]router, nodes)
 	n.ejectors = make([]ejector, nodes)
 	n.nis = make([]NI, nodes)
+	activity := make([]int32, 3*nodes)
+	n.routerFlits = carve(&activity, nodes)
+	n.ejectFlits = carve(&activity, nodes)
+	n.niQueued = carve(&activity, nodes)
 	sl := newSlabs(&n.cfg)
 	for id := range n.routers {
 		n.routers[id].init(n, id, sl)
@@ -217,9 +224,15 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	n.stats.MeshLinks = meshLinks
 	n.stats.InjLinks = injLinks
-	n.buildShards(1)
 	return n, nil
 }
+
+// UseScanReference switches the network to the scan-everything reference
+// loop, in which every router, NI and ejector is visited every cycle. It is
+// the oracle the event-driven step is proven bit-identical against
+// (internal/simeq), not a product mode: call it before the first Step, from
+// tests only (core.Simulator.UseScanReference forwards here).
+func (n *Network) UseScanReference() { n.scan = true }
 
 // Config returns the validated configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -241,7 +254,6 @@ func (n *Network) SetSinkGate(g func(node int) bool) { n.sinkGate = g }
 // ResetStats clears measurement counters (end of warmup) while preserving
 // structural fields and all in-flight state.
 func (n *Network) ResetStats() {
-	n.fold() // flush shard deltas so none survive the reset
 	meshLinks, injLinks := n.stats.MeshLinks, n.stats.InjLinks
 	n.stats = NetStats{MeshLinks: meshLinks, InjLinks: injLinks}
 	n.InjWindows = n.InjWindows[:0]
@@ -276,54 +288,67 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 		panic(fmt.Sprintf("noc: destination %d out of range", pkt.Dst))
 	}
 	pkt.Src = node
-	// Inject is called from node logic, which sharded simulations fan out
-	// over the same spatial partition as the mesh — so everything below
-	// (the NI and its shard's counters) is only touched by node's shard.
-	ni := &n.nis[node]
-	sh := ni.sh
 	if pkt.ID == 0 {
-		pkt.ID = sh.ctr.pktIDNext
-		sh.ctr.pktIDNext += sh.ctr.pktIDStride
+		n.lastPktID++
+		pkt.ID = n.lastPktID
 	}
-	ok := ni.Offer(pkt, n.now)
+	ok := n.nis[node].Offer(pkt, n.now)
 	if ok {
-		sh.ctr.injWindow++
+		n.injWindowCount++
 	}
 	return ok
 }
 
-// Step advances the network one cycle: arrivals/credits land, NIs supply
-// flits, routers run RC/VA/SA/ST, ejectors drain. The default stepping is
-// event-driven (only components holding flits are visited); Config.ScanStep
-// selects the scan-everything reference loop. Both produce bit-identical
-// simulations — see DESIGN.md §"Event-driven stepping" for the invariants
-// that make the skip safe.
+// Step advances the network one cycle: arrivals and credits land and NIs
+// supply flits, then every router runs its fused RC/VA/SA/ST cycle (see
+// router.cycle for why fusing is order-safe), then ejectors drain in node
+// order. Stepping is event-driven — only components whose activity counter
+// is non-zero are visited:
+//
+//   - a router with no flits has nothing buffered or staged, so RC/VA/SA
+//     are no-ops on it (vcWaitVC implies a buffered head flit, and the
+//     round-robin arbiters advance only on grants); the per-cycle VA
+//     rotation it would have performed is fast-forwarded on wake-up inside
+//     vcAllocate, and credits staged toward it stay in creditIn until its
+//     next applyArrivals — no decision can read them before then;
+//   - an NI with no queued flits can neither supply a flit nor change its
+//     time-weighted occupancy (the level is unchanged, and TimeWeighted.Set
+//     is idempotent for unchanged levels) — unless the recovery protocol
+//     still owes it work (protoActive);
+//   - an ejector with no buffered or staged flits has nothing to drain.
+//
+// When no packet is in flight anywhere and no control signal is pending the
+// whole cycle is skipped: every counter above is provably zero. The scan
+// flag (UseScanReference) visits everything instead; both schedules produce
+// bit-identical simulations — see DESIGN.md §7.
 func (n *Network) Step() {
-	// Fold injection-phase deltas first: the inFlight early-out below must
-	// see packets node logic injected since the previous step.
-	n.fold()
-	if n.scan || n.inFlight > 0 || n.ctlPending > 0 {
-		n.stepPool.Run(len(n.shards), n.shardStepFn)
-		if n.sharded {
-			n.commitShards()
-		}
-		if n.scan {
-			for i := range n.ejectors {
-				n.ejectors[i].consume(n.now)
+	if scan := n.scan; scan || n.inFlight > 0 || n.ctlPending > 0 {
+		now := n.now
+		proto := n.recoveryOn()
+		for i := range n.routers {
+			if scan || n.routerFlits[i] > 0 {
+				n.routers[i].applyArrivals(now)
 			}
-		} else {
-			// Dense sweep of the SoA ejector predicates: node order is
-			// preserved because shards partition nodes into ascending
-			// contiguous ranges.
-			for _, s := range n.shards {
-				for i, f := range s.ejectFlits {
-					if f > 0 {
-						s.ejectors[i].consume(n.now)
-					}
-				}
+			if scan || n.ejectFlits[i] > 0 {
+				n.ejectors[i].applyArrivals(now)
+			}
+			if scan || n.niQueued[i] > 0 || (proto && n.nis[i].protoActive()) {
+				n.nis[i].step(now)
 			}
 		}
-		n.fold()
+		for i := range n.routers {
+			if scan || n.routerFlits[i] > 0 {
+				n.routers[i].cycle(now)
+			}
+		}
+		// Ejection is the one phase with global side effects (latency
+		// accumulation, the ejection callback into node logic, inFlight
+		// retirement); it runs last, in node order.
+		for i := range n.ejectors {
+			if scan || n.ejectFlits[i] > 0 {
+				n.ejectors[i].consume(now)
+			}
+		}
 	}
 	if n.cfg.CheckEvery > 0 && n.now%n.cfg.CheckEvery == 0 {
 		if err := n.CheckInvariants(); err != nil {
@@ -339,60 +364,18 @@ func (n *Network) Step() {
 	}
 }
 
-// The per-component phases of a step live in netShard.step (shard.go): the
-// serial loops this file used to hold are the one-shard special case of the
-// sharded schedule, with the same phase order and the same event-driven
-// activity predicates:
-//
-//   - a router with flits == 0 has nothing buffered or staged, so RC/VA/SA
-//     are no-ops on it (vcWaitVC implies a buffered head flit, and the
-//     round-robin arbiters advance only on grants); the per-cycle VA
-//     rotation it would have performed is fast-forwarded on wake-up inside
-//     vcAllocate, and credits staged toward it stay in creditIn until its
-//     next applyArrivals — no decision can read them before then;
-//   - an NI with no queued flits can neither supply a flit nor change its
-//     time-weighted occupancy (the level is unchanged, and TimeWeighted.Set
-//     is idempotent for unchanged levels);
-//   - an ejector with no buffered or staged flits has nothing to drain.
-//
-// When no packet is in flight anywhere (InFlight == 0) the whole cycle is
-// skipped: every counter above is provably zero. Ejection always runs
-// serially in node order after the shards complete (see shard.go for why).
-
-// GetPacket returns a zeroed Packet from the network's freelist. With
-// sharded stepping the freelist is shared by every shard's node logic, so
-// it locks; serial networks keep the lock-free path.
-func (n *Network) GetPacket() *Packet {
-	if n.sharded {
-		n.poolMu.Lock()
-		p := n.pool.get()
-		n.poolMu.Unlock()
-		return p
-	}
-	return n.pool.get()
-}
+// GetPacket returns a zeroed Packet from the network's freelist.
+func (n *Network) GetPacket() *Packet { return n.pool.get() }
 
 // PutPacket releases a delivered or rejected packet to the freelist.
-func (n *Network) PutPacket(p *Packet) {
-	if n.sharded {
-		n.poolMu.Lock()
-		n.pool.put(p)
-		n.poolMu.Unlock()
-		return
-	}
-	n.pool.put(p)
-}
+func (n *Network) PutPacket(p *Packet) { n.pool.put(p) }
 
 // InFlight returns packets accepted but not yet delivered.
-func (n *Network) InFlight() int {
-	n.fold()
-	return n.inFlight
-}
+func (n *Network) InFlight() int { return n.inFlight }
 
 // Idle reports whether no flit exists anywhere in the network and no
 // recovery-protocol work (ACK/NACK signals, unacknowledged packets) remains.
 func (n *Network) Idle() bool {
-	n.fold()
 	if n.inFlight != 0 || n.ctlPending != 0 {
 		return false
 	}
@@ -405,17 +388,11 @@ func (n *Network) Idle() bool {
 }
 
 // Stats returns the network statistics.
-func (n *Network) Stats() *NetStats {
-	n.fold()
-	return &n.stats
-}
+func (n *Network) Stats() *NetStats { return &n.stats }
 
 // VAGrants returns the cumulative count of successful VC allocations across
 // all routers (observability; never reset, consumers take deltas).
-func (n *Network) VAGrants() uint64 {
-	n.fold()
-	return n.vaGrants
-}
+func (n *Network) VAGrants() uint64 { return n.vaGrants }
 
 // BufferedFlits returns the flits resident in routers (VC buffers plus
 // staged arrivals): the instantaneous router occupancy of the fabric.

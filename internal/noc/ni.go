@@ -15,13 +15,7 @@ import "repro/internal/stats"
 //   - NIMultiPort: one queue, one flit per cycle total, but the head packet
 //     may bind to any VC of any of the router's multiple injection ports.
 type NI struct {
-	net *Network
-	// sh is the stepping shard that owns this NI's node; injection-side
-	// counters go to its deltas (Inject is fanned out by shard too), and
-	// lidx is the NI's slot in the shard's SoA activity arrays: the queued
-	// flit count lives in sh.niQueued[lidx] (see soa.go).
-	sh     *netShard
-	lidx   int32
+	net    *Network
 	node   int
 	mode   NIMode
 	router *router
@@ -123,13 +117,12 @@ func (ni *NI) init(net *Network, router *router, sl *slabs) {
 // the router when it pops a flit from that VC.
 func (ni *NI) creditReturn(p, v int) { ni.vcCredits[p*ni.router.nvc+v]++ }
 
-// queuedFlits reads the NI's activity predicate: flits buffered in its
-// injection queue(s) (SoA slot; see soa.go).
-func (ni *NI) queuedFlits() int { return int(ni.sh.niQueued[ni.lidx]) }
+// queuedFlits reads the NI's activity predicate (the network's niQueued
+// slot): flits buffered in its injection queue(s).
+func (ni *NI) queuedFlits() int { return int(ni.net.niQueued[ni.node]) }
 
-// addQueued adjusts the NI's activity predicate; only ever called from the
-// NI's own shard (node logic is fanned out by the same partition).
-func (ni *NI) addQueued(d int) { ni.sh.niQueued[ni.lidx] += int32(d) }
+// addQueued adjusts the NI's activity predicate.
+func (ni *NI) addQueued(d int) { ni.net.niQueued[ni.node] += int32(d) }
 
 // CanAccept reports whether Offer(pkt) would succeed this cycle: the NI
 // core logic formats at most one packet per cycle (it processes one data
@@ -157,9 +150,9 @@ func (ni *NI) CanAccept(pkt *Packet, now int64) bool {
 func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	if !ni.CanAccept(pkt, now) {
 		ni.rejectedOfferEvents++
-		ni.sh.ctr.niFullRejects++
+		ni.net.stats.NIFullRejects++
 		if ni.retransCap > 0 && len(ni.retrans) >= ni.retransCap {
-			ni.sh.ctr.retransFullRejects++
+			ni.net.recovery.RetransBufFullRejects++
 		}
 		return false
 	}
@@ -200,9 +193,9 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)
 	ni.acceptedPackets++
-	ni.sh.ctr.inFlight++
-	ni.sh.ctr.packetsInjected[pkt.Type]++
-	ni.sh.ctr.flitsInjected[pkt.Type] += uint64(pkt.Size)
+	ni.net.inFlight++
+	ni.net.stats.PacketsInjected[pkt.Type]++
+	ni.net.stats.FlitsInjected[pkt.Type] += uint64(pkt.Size)
 	if tr := ni.net.tracer; tr != nil && pkt.ID%ni.net.traceEvery == 0 {
 		pkt.traced = true
 		tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, ni.node, TraceNIEnqueue, now)
@@ -334,7 +327,7 @@ func (ni *NI) deliver(f flit, p, v int, now int64) {
 	// The injection link is one cycle regardless of router pipeline depth.
 	ni.router.stage(f, int32(NumDirections+p), int32(v), now+1)
 	ni.injectedFlits++
-	ni.sh.ctr.injLinkFlits++
+	ni.net.stats.InjLinkFlits++
 }
 
 // pendingFlits returns the flits still buffered in the NI.

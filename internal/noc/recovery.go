@@ -23,9 +23,8 @@ import (
 //     the source; on a clean delivery it sends an ACK. Control signals are
 //     modelled like credits: an out-of-band sideband that consumes no mesh
 //     bandwidth but does pay propagation latency (one cycle per hop of the
-//     minimal path plus one). They are written during the serial ejection
-//     phase and consumed by the target NI's own shard at least one cycle
-//     later, so sharded stepping stays byte-identical to serial.
+//     minimal path plus one). They are written during the ejection phase
+//     and consumed by the target NI at least one cycle later.
 //
 //   - Retransmission. A sending NI retains every accepted packet in a
 //     bounded retransmission buffer until the ACK arrives; a full buffer
@@ -109,24 +108,17 @@ func PacketCheck(p *Packet) uint32 {
 // recoveryOn reports whether the fault-recovery protocol layer is enabled.
 func (n *Network) recoveryOn() bool { return n.cfg.RetransBufPkts > 0 }
 
-// RecoveryStats returns the cumulative recovery counters (folded).
-func (n *Network) RecoveryStats() RecoveryStats {
-	n.fold()
-	return n.recovery
-}
+// RecoveryStats returns the cumulative recovery counters.
+func (n *Network) RecoveryStats() RecoveryStats { return n.recovery }
 
 // CtlPending returns the number of ACK/NACK sideband signals still in
-// flight (folded); drain loops include it via Idle.
-func (n *Network) CtlPending() int {
-	n.fold()
-	return n.ctlPending
-}
+// flight; drain loops include it via Idle.
+func (n *Network) CtlPending() int { return n.ctlPending }
 
 // sendCtl issues one sideband control signal from the receiving node toward
-// the source NI of pktID. Called only from the serial ejection phase, so
-// appends to any NI inbox are race-free and in deterministic node order;
-// the signal becomes visible to the target NI's shard next cycle at the
-// earliest (due is always > now).
+// the source NI of pktID. Called only from the ejection phase, so appends
+// to an NI inbox happen in node order; the signal becomes visible to the
+// target NI next cycle at the earliest (due is always > now).
 func (n *Network) sendCtl(from, to int, pktID uint64, nack bool, now int64) {
 	due := now + 1 + int64(n.cfg.Mesh.Hops(from, to))
 	n.nis[to].inbox = append(n.nis[to].inbox, ctlSignal{pktID: pktID, due: due, nack: nack})
@@ -157,7 +149,7 @@ func (ni *NI) protoActive() bool {
 
 // stepProtocol consumes due control signals and re-injects at most one
 // NACKed packet per cycle through the normal supply path. Runs inside
-// ni.step, i.e. in the NI's own shard, strictly before the supply stage.
+// ni.step, strictly before the supply stage.
 func (ni *NI) stepProtocol(now int64) {
 	if len(ni.inbox) > 0 {
 		kept := ni.inbox[:0]
@@ -166,7 +158,7 @@ func (ni *NI) stepProtocol(now int64) {
 				kept = append(kept, c)
 				continue
 			}
-			ni.sh.ctr.ctlConsumed++
+			ni.net.ctlPending--
 			if c.nack {
 				ni.nackRetrans(c.pktID)
 			} else {
@@ -256,6 +248,6 @@ func (ni *NI) tryRetransmit(now int64) {
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)
 	e.pending = false
 	ni.retransPending--
-	ni.sh.ctr.retransPackets++
-	ni.sh.ctr.retransFlits += uint64(e.size)
+	ni.net.recovery.RetransPackets++
+	ni.net.recovery.RetransFlits += uint64(e.size)
 }

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -222,94 +221,5 @@ func TestKillLinkConnectivityGuard(t *testing.T) {
 	}
 	if n.DeadLinks() != 1 {
 		t.Fatalf("DeadLinks %d, want 1", n.DeadLinks())
-	}
-}
-
-// TestRecoverySharded locks byte-identical recovery across serial and
-// sharded stepping: same corruption windows, same kill, same traffic — the
-// delivery log, stats and recovery counters must match for shards {1,2,4}.
-func TestRecoverySharded(t *testing.T) {
-	type fingerprint struct {
-		log      string
-		stats    NetStats
-		recovery RecoveryStats
-	}
-	run := func(shards int) fingerprint {
-		n, err := NewNetwork(Config{
-			Mesh:           Mesh{Width: 4, Height: 4},
-			VCs:            4,
-			LinkBits:       128,
-			DataBytes:      128,
-			Routing:        RouteMinAdaptive,
-			NonAtomicVC:    true,
-			RetransBufPkts: 4,
-			CheckEvery:     16,
-		})
-		if err != nil {
-			t.Fatalf("NewNetwork: %v", err)
-		}
-		defer n.Close()
-		if _, err := n.SetShards(shards, nil); err != nil {
-			t.Fatalf("SetShards(%d): %v", shards, err)
-		}
-		var log string
-		n.SetEjectHandler(func(node int, pkt *Packet, now int64) {
-			log += fmt.Sprintf("%d@%d:%d;", pkt.ID, node, now)
-		})
-		n.CorruptLink(0, int(East), 60)
-		n.CorruptLink(9, int(North), 90)
-		if !n.KillLink(5, int(East)) {
-			t.Fatal("KillLink refused")
-		}
-		// Deterministic traffic: each node sends to a fixed spread of
-		// destinations over the first cycles.
-		seq := uint64(1)
-		for cycle := 0; cycle < 120; cycle++ {
-			for s := 0; s < 16; s++ {
-				d := (s + cycle + 3) % 16
-				if d == s {
-					continue
-				}
-				typ := ReadRequest
-				if (s+cycle)%3 == 0 {
-					typ = ReadReply
-				}
-				pkt := mkPacket(n.Config(), typ, d)
-				pkt.ID = seq // explicit IDs: shard striding must not change the log
-				if n.Inject(s, pkt) {
-					seq++
-				} else {
-					pkt.ID = 0
-				}
-			}
-			n.Step()
-		}
-		for i := 0; i < 20000 && !n.Idle(); i++ {
-			n.Step()
-		}
-		if !n.Idle() {
-			t.Fatalf("shards=%d: did not drain", shards)
-		}
-		return fingerprint{log: log, stats: *n.Stats(), recovery: n.RecoveryStats()}
-	}
-
-	ref := run(1)
-	if ref.recovery.CorruptPackets == 0 {
-		t.Fatal("reference run saw no corruption: the test exercises nothing")
-	}
-	if ref.recovery.RetransPackets != ref.recovery.CorruptPackets {
-		t.Fatalf("retransmissions %d != drops %d", ref.recovery.RetransPackets, ref.recovery.CorruptPackets)
-	}
-	for _, k := range []int{2, 4} {
-		got := run(k)
-		if got.log != ref.log {
-			t.Errorf("shards=%d: delivery log diverged from serial", k)
-		}
-		if got.stats != ref.stats {
-			t.Errorf("shards=%d: NetStats diverged: %+v vs %+v", k, got.stats, ref.stats)
-		}
-		if got.recovery != ref.recovery {
-			t.Errorf("shards=%d: RecoveryStats diverged: %+v vs %+v", k, got.recovery, ref.recovery)
-		}
 	}
 }

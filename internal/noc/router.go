@@ -79,12 +79,6 @@ type inputPort struct {
 	// port (nil for injection ports, whose credits return to the NI).
 	upstream *router
 	upOut    int32
-	// remoteUpstream marks an upstream owned by another stepping shard:
-	// credits then return through the shard outbox instead of writing the
-	// upstream creditIn directly, and upstreamShard names the shard whose
-	// commit worker must land them (see shard.go).
-	remoteUpstream bool
-	upstreamShard  int32
 }
 
 // outVCState tracks one downstream virtual channel from the sender's side.
@@ -113,12 +107,6 @@ type outputPort struct {
 	dest     *router
 	destPort int32
 	eject    *ejector
-	// remote marks a dest owned by another stepping shard: traversals then
-	// stage through the shard outbox instead of the neighbour's staged list,
-	// and remoteShard names the destination shard whose commit worker must
-	// land them (see shard.go).
-	remote      bool
-	remoteShard int32
 
 	// flits counts traversals onto this output's link (observability).
 	flits uint64
@@ -173,13 +161,7 @@ type spRequest struct {
 // speedup and optional priority-aware switch allocation. All its arrays are
 // carved from the owning network's slabs (NewNetwork).
 type router struct {
-	net *Network
-	// sh is the stepping shard that owns this router; phase-A counter
-	// increments go to its deltas so parallel shards never share a counter,
-	// and lidx is this router's slot in the shard's SoA activity arrays
-	// (id - sh.lo; see soa.go).
-	sh   *netShard
-	lidx int32
+	net  *Network
 	id   int
 	isMC bool // tagged by the caller for stats / scheme logic
 	nvc  int  // Config.VCs
@@ -204,8 +186,8 @@ type router struct {
 	reqs      []spRequest
 	prioArbOn bool
 
-	// The router's flit-count activity predicate lives in its shard's SoA
-	// array (sh.routerFlits[lidx]; see soa.go) — addFlits/flitCount below.
+	// The router's flit-count activity predicate lives in the network's
+	// routerFlits array — addFlits/flitCount below.
 	//
 	// waitVCs counts input VCs in vcWaitVC and activeVCs those in vcActive
 	// (the popcounts of the port masks): O(1) early-outs for VA and SA.
@@ -296,13 +278,11 @@ func stagedCap(cfg *Config, nc NodeConfig) int {
 }
 
 // flitCount reads the router's activity predicate: flits resident in its
-// input-VC buffers plus staged arrivals (SoA slot; see soa.go).
-func (r *router) flitCount() int { return int(r.sh.routerFlits[r.lidx]) }
+// input-VC buffers plus staged arrivals.
+func (r *router) flitCount() int { return int(r.net.routerFlits[r.id]) }
 
-// addFlits adjusts the router's activity predicate. Callers outside the
-// router's own shard may only do so from the commit worker of the shard
-// that owns it (see commitShard).
-func (r *router) addFlits(d int) { r.sh.routerFlits[r.lidx] += int32(d) }
+// addFlits adjusts the router's activity predicate.
+func (r *router) addFlits(d int) { r.net.routerFlits[r.id] += int32(d) }
 
 // stage puts a flit in flight toward input buffer (port, vc), landing at
 // the start of cycle due.
@@ -476,7 +456,7 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 		ip.hasCredit |= bit // a packet needs >= 1 credit, so the granted VC has one
 		r.waitVCs--
 		r.activeVCs++
-		r.sh.ctr.vaGrants++
+		r.net.vaGrants++
 		if tr := r.net.tracer; tr != nil {
 			if pkt := vc.buf.front().pkt; pkt.traced {
 				tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, r.id, TraceVAGrant, now)
@@ -577,7 +557,7 @@ func (r *router) switchAllocate(now int64) {
 		}
 		reqs = append(reqs, spRequest{sp: int32(i), port: sp.port, vc: int32(v), out: int32(vc.outPort), prio: prio})
 	}
-	r.sh.ctr.creditStallCycles += uint64(stalls)
+	r.net.stats.CreditStallCycles += uint64(stalls)
 
 	// Stage 2, then ST/LT in output order.
 	for o, i := range grantOutputs(reqs, &r.outNext, len(r.sps)) {
@@ -662,12 +642,12 @@ func (r *router) traverse(p, v, o int, now int64) {
 		ip.hasCredit &^= bit
 	}
 	op.flits++
-	r.sh.ctr.switchTraversals++
+	r.net.stats.SwitchTraversals++
 	if now < op.corruptUntil {
 		// The link is inside a corruption window: the flit's payload is
 		// damaged in transit. Only the receiving NI's CRC check observes it.
 		f.bad = true
-		r.sh.ctr.corruptFlits++
+		r.net.recovery.CorruptFlits++
 	}
 	if tr := r.net.tracer; tr != nil && f.seq == 0 && f.pkt.traced {
 		tr.PacketEvent(f.pkt.ID, f.pkt.Type, f.pkt.Src, f.pkt.Dst, r.id, TraceSwitch, now)
@@ -677,17 +657,9 @@ func (r *router) traverse(p, v, o int, now int64) {
 	// t + PipelineStages (1 = single-cycle router + 1-cycle link).
 	due := now + int64(r.net.cfg.PipelineStages)
 	switch {
-	case op.remote:
-		// Boundary link: the destination buffer belongs to another shard,
-		// so stage into the outbox slot of the destination shard, whose
-		// commit worker lands it (the downstream applyArrivals cannot read
-		// it before deliverAt anyway).
-		d := op.remoteShard
-		r.sh.outFlits[d] = append(r.sh.outFlits[d], remoteFlit{dst: op.dest, sf: stagedFlit{f: f, deliverAt: due, port: op.destPort, vc: int32(vc.outVC)}})
-		r.sh.ctr.meshLinkFlits++
 	case op.dest != nil:
 		op.dest.stage(f, op.destPort, int32(vc.outVC), due)
-		r.sh.ctr.meshLinkFlits++
+		r.net.stats.MeshLinkFlits++
 	case op.eject != nil:
 		op.eject.arrivals = append(op.eject.arrivals, stagedFlit{f: f, deliverAt: due, vc: int32(vc.outVC)})
 		op.eject.addFlits(1)
@@ -696,13 +668,9 @@ func (r *router) traverse(p, v, o int, now int64) {
 	}
 
 	// Credit for the freed input-buffer slot.
-	switch {
-	case p >= NumDirections:
+	if p >= NumDirections {
 		r.net.nis[r.id].creditReturn(p-NumDirections, v)
-	case ip.remoteUpstream:
-		d := ip.upstreamShard
-		r.sh.outCredits[d] = append(r.sh.outCredits[d], remoteCredit{r: ip.upstream, out: ip.upOut, vc: int32(v)})
-	default:
+	} else {
 		ip.upstream.returnCredit(ip.upOut, int32(v))
 	}
 

@@ -55,18 +55,11 @@ type Tracer interface {
 // observation only: it never alters routing, allocation or timing, so a
 // traced run's Result is bit-identical to an untraced one. The hot-path
 // cost with tracing disabled is a nil check on head-flit events.
-// Tracing is incompatible with sharded stepping: tracer callbacks fire
-// synchronously from whichever shard worker handles the packet, and the
-// Tracer interface is not required to be concurrency-safe (SetShards
-// refuses k > 1 while a tracer is installed, and vice versa).
 func (n *Network) SetTracer(tr Tracer, sampleEvery uint64) {
 	if tr == nil || sampleEvery == 0 {
 		n.tracer = nil
 		n.traceEvery = 0
 		return
-	}
-	if n.sharded {
-		panic("noc: SetTracer on a network with sharded stepping enabled")
 	}
 	n.tracer = tr
 	n.traceEvery = sampleEvery

@@ -22,7 +22,7 @@ import (
 // simulated behaviour.
 func AttachSimulator(reg *Registry, sim *core.Simulator) {
 	attachFabric(reg, "req", sim.RequestNet())
-	if rep, ok := sim.ReplyNet().(*noc.Network); ok {
+	if rep := sim.ReplyMesh(); rep != nil {
 		attachFabric(reg, "rep", rep)
 	} else {
 		attachBehaviouralFabric(reg, "rep", sim.ReplyNet())
@@ -136,7 +136,7 @@ func attachGPU(reg *Registry, sim *core.Simulator) {
 func AttachTracers(sim *core.Simulator, sampleEvery uint64) (req, rep *Collector) {
 	req = NewCollector("req")
 	sim.RequestNet().SetTracer(req, sampleEvery)
-	if mesh, ok := sim.ReplyNet().(*noc.Network); ok {
+	if mesh := sim.ReplyMesh(); mesh != nil {
 		rep = NewCollector("rep")
 		mesh.SetTracer(rep, sampleEvery)
 	}

@@ -41,7 +41,6 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/noc"
 	"repro/internal/obs"
 )
 
@@ -51,11 +50,8 @@ type Config struct {
 	// Attach a Journal to it to make the server crash-safe across restarts.
 	Runner *exp.Runner
 
-	// MaxInFlight bounds concurrently executing simulations. The default is
-	// GOMAXPROCS divided by the Runner's per-run shard count
-	// (Runner.Base.Shards, clamped to the base mesh height), so intra-run
-	// parallelism and concurrent admission together stay within the machine:
-	// shards x concurrent runs <= GOMAXPROCS. Set explicitly to override.
+	// MaxInFlight bounds concurrently executing simulations (default
+	// GOMAXPROCS: each run steps on one goroutine).
 	MaxInFlight int
 
 	// QueueDepth bounds jobs admitted but waiting for an execution slot.
@@ -204,13 +200,6 @@ func New(cfg Config) (*Server, error) {
 	maxInFlight := cfg.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = runtime.GOMAXPROCS(0)
-		base := cfg.Runner.Base
-		if s := noc.EffectiveShards(noc.Mesh{Width: base.MeshWidth, Height: base.MeshHeight}, base.Shards); s > 1 {
-			maxInFlight /= s
-		}
-		if maxInFlight < 1 {
-			maxInFlight = 1
-		}
 	}
 	queueDepth := cfg.QueueDepth
 	switch {

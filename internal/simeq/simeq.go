@@ -1,16 +1,18 @@
-// Package simeq is the determinism lock for the event-driven stepping
-// optimisation. The simulator's hot loops skip provably-idle components
-// (routers, NIs, ejectors, cores, memory controllers); Config.ScanStep
-// keeps the original scan-everything loops alive as a reference, and this
-// package's tests prove the two produce bit-identical core.Results for
-// every suite kernel under the baseline, ARI and ideal-reply schemes.
+// Package simeq is the determinism lock of the simulator. Its hot loops
+// skip provably-idle components (routers, NIs, ejectors, cores, memory
+// controllers); the scan-everything loops survive as a test oracle behind
+// core.Simulator.UseScanReference, and this package's tests prove the two
+// produce bit-identical core.Results for every suite kernel under the
+// baseline, ARI, ideal-reply and DA2mesh schemes.
 //
 // Identity is checked on the JSON encoding: every Result field is either an
 // exported scalar/array or a stats.Mean, which marshals its raw float
 // accumulators at full precision, so byte-equal encodings imply bit-equal
-// results. The same encoding backs the golden-file determinism test, which
-// pins three benchmark x scheme matrices against testdata/golden.json (run
-// with -update to regenerate after an intentional model change).
+// results. The same encoding backs the two cross-commit locks: the golden
+// file (three benchmark x scheme matrices in full, testdata/golden.json)
+// and the digest table of the 90-point validation matrix
+// (testdata/matrix_digests.json); run with -update to regenerate either
+// after an intentional model change.
 package simeq
 
 import (

@@ -42,22 +42,6 @@ var (
 	_ Workload = (*Replayer)(nil)
 )
 
-// ConcurrentWorkload is the opt-in marker for sharded simulation: a workload
-// whose ConcurrentByCore returns true guarantees that calls for distinct
-// cores touch disjoint state, so the simulator may tick different cores'
-// shards on different workers. Generators and Replayers qualify (all their
-// stream state is per-warp); Recorders do not — they serialise every step
-// onto one output stream, whose record order is part of the artefact.
-type ConcurrentWorkload interface {
-	ConcurrentByCore() bool
-}
-
-// ConcurrentByCore reports that generator streams are per-warp independent.
-func (g *Generator) ConcurrentByCore() bool { return true }
-
-// ConcurrentByCore reports that replay streams are per-warp independent.
-func (r *Replayer) ConcurrentByCore() bool { return true }
-
 // Recorder wraps a Workload and tees every generated step to an output
 // stream while passing results through unchanged.
 type Recorder struct {
