@@ -111,15 +111,26 @@ obs:
 	go test -race -count=1 ./internal/serve -run 'Metrics|NoCState|Pprof|Observability|Trace|ByteIdentical|DebugEndpoints'
 	go test -race -count=1 ./internal/cluster -run 'Trace|RetryAfter|Rollup|ClusterMetrics'
 
-# profile captures CPU and heap profiles of a representative simulation via
-# arisim's -cpuprofile/-memprofile flags; inspect with `go tool pprof`.
+# profile captures a CPU profile of the ledger's hot regime: the
+# sim-reply-saturated job list of benchmark/ (bfs/kmeans/pathfinder under
+# Ada-Baseline and Ada-ARI) at its horizon, 1000 warmup + 3000 measured
+# cycles. One such run lasts ~0.2 s, too short for the 100 Hz sampler, so
+# every job runs under PROFILE_SEEDS seeds into its own file and pprof merges
+# them. Inspect further with `go tool pprof $(PROFILE_DIR)/arisim $(PROFILE_DIR)/*.pprof`.
+PROFILE_DIR := .bench_build/profile
+PROFILE_SEEDS := 1 2 3 4 5 6 7 8
 profile:
-	go run ./cmd/arisim -bench bfs -scheme Ada-ARI -cycles 20000 -warmup 4000 \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "profiles written: cpu.pprof mem.pprof (go tool pprof cpu.pprof)"
+	mkdir -p $(PROFILE_DIR) && rm -f $(PROFILE_DIR)/*.pprof
+	go build -o $(PROFILE_DIR)/arisim ./cmd/arisim
+	for b in bfs kmeans pathfinder; do for s in Ada-Baseline Ada-ARI; do for seed in $(PROFILE_SEEDS); do \
+		$(PROFILE_DIR)/arisim -bench $$b -scheme $$s -warmup 1000 -cycles 3000 -seed $$seed \
+			-cpuprofile $(PROFILE_DIR)/$$b.$$s.$$seed.pprof > /dev/null || exit 1; \
+	done; done; done
+	go tool pprof -top -nodecount 30 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/*.pprof
 
 # fuzz replays the committed corpora and then fuzzes each target briefly.
 fuzz:
 	go test ./internal/core -run FuzzConfigValidate -fuzz FuzzConfigValidate -fuzztime 15s
 	go test ./internal/trace -run FuzzKernelValidate -fuzz FuzzKernelValidate -fuzztime 15s
+	go test ./internal/trace -run FuzzSkipMem -fuzz FuzzSkipMem -fuzztime 15s
 	go test ./internal/analytic -run FuzzEstimatorProperties -fuzz FuzzEstimatorProperties -fuzztime 15s

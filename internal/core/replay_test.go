@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -83,5 +84,70 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 	if plain.Instructions != recorded.Instructions || plain.IPC != recorded.IPC {
 		t.Fatalf("recorder perturbed the run: %d vs %d instructions",
 			plain.Instructions, recorded.Instructions)
+	}
+}
+
+// degenerateSkips counts SkipMem calls that report an instruction without
+// transactions: a replayed compute-only tail record met while the core's
+// LSU queue was full.
+type degenerateSkips struct {
+	trace.Workload
+	n int
+}
+
+func (d *degenerateSkips) SkipMem(core, warp int) bool {
+	ok := d.Workload.SkipMem(core, warp)
+	if !ok {
+		d.n++
+	}
+	return ok
+}
+
+// TestReplayTailRecordsUnderFullLSU replays a short saturating trace over
+// several times its horizon, so every warp's stream wraps through its
+// zero-address tail record, many of them while the LSU queue is full. The
+// core must then issue the record as compute, exactly as the scan reference
+// does after drawing it with NextMem.
+func TestReplayTailRecordsUnderFullLSU(t *testing.T) {
+	k, _ := trace.ByName("bfs")
+	cfg := fastConfig(XYBaseline)
+	cfg.WarmupCycles, cfg.MeasureCycles = 100, 400
+	cores := cfg.MeshWidth*cfg.MeshHeight - cfg.NumMC
+
+	gen, _ := trace.NewGenerator(k, cores, cfg.Seed)
+	var buf bytes.Buffer
+	rec, _ := trace.NewRecorder(gen, &buf, cores, k.WarpsPerCore)
+	sim, err := NewSimulatorWorkload(cfg, k, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.MeasureCycles = 4000
+	replay := func(scan bool) (Result, int) {
+		rep, err := trace.NewReplayer(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &degenerateSkips{Workload: rep}
+		sim, err := NewSimulatorWorkload(cfg, k, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scan {
+			sim.UseScanReference()
+		}
+		return sim.Run(), w.n
+	}
+	got, degenerate := replay(false)
+	want, _ := replay(true)
+	if degenerate == 0 {
+		t.Fatal("no tail record was reached with the LSU queue full; the test exercises nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay through tail records diverged from the scan reference:\n%+v\n%+v", got, want)
 	}
 }

@@ -36,3 +36,21 @@ func BenchmarkCoreTickMemoryBound(b *testing.B) {
 		c.Tick()
 	}
 }
+
+func BenchmarkCoreTickLSUFull(b *testing.B) {
+	// The request NI never accepts: the LSU queue fills with the first
+	// loads and stays full, and every other warp sits ready on a memory
+	// instruction that cannot fit — the reply-saturated regime's tick.
+	c, err := NewCore(0, 0, DefaultConfig(), &scriptedWorkload{compute: 0, stride: 128},
+		func(*mem.Transaction) bool { return false })
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		c.Tick()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Tick()
+	}
+}

@@ -8,6 +8,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -24,6 +25,12 @@ type Workload interface {
 	// kind and the coalesced line addresses it touches (1..N transactions).
 	// The returned slice may reuse scratch.
 	NextMem(core, warp int, scratch []uint64) (write bool, addrs []uint64)
+	// SkipMem advances warp w of core c past its next memory instruction
+	// without building it — every later NextCompute/NextMem/SkipMem result
+	// is what it would be after a NextMem — and reports whether that
+	// instruction had at least one transaction. The core calls it for an
+	// instruction it can already tell will not issue.
+	SkipMem(core, warp int) bool
 }
 
 // Config describes one SIMT core (Table I: 16KB L1 per core, 8 CTAs/core,
@@ -96,9 +103,16 @@ type Core struct {
 	// readyWarps counts warps in warpReady state: the O(1) activity
 	// predicate for the Tick fast path.
 	readyWarps int
-	l1         *cache.Cache
-	mshr       *cache.MSHR
-	lsuQ       []lsuOp
+	// ready and blocked are bit masks over warps, 64 a word. ready mirrors
+	// state == warpReady; blocked marks the ready warps whose next
+	// instruction is a memory instruction (initialised, computeLeft == 0).
+	// Both change only on transitions — a warp waiting or waking, a compute
+	// segment being drawn or running out — never on a plain compute issue.
+	ready, blocked []uint64
+
+	l1   *cache.Cache
+	mshr *cache.MSHR
+	lsuQ []lsuOp
 
 	workload Workload
 	// send hands a transaction to the request-network NI; false means the
@@ -114,9 +128,7 @@ type Core struct {
 	// allocates nothing.
 	txnFree []*mem.Transaction
 
-	// scan forces the full per-cycle scheduler scan even on cycles Tick's
-	// fast path would short-cut to its exact observable effect — one core
-	// cycle, one issue stall (UseScanReference).
+	// scan selects the reference scheduler (UseScanReference).
 	scan bool
 
 	// Stats (reset at end of warmup).
@@ -146,12 +158,27 @@ func NewCore(index, node int, cfg Config, w Workload, send func(txn *mem.Transac
 		cfg:        cfg,
 		warps:      make([]warp, cfg.WarpsPerCore),
 		readyWarps: cfg.WarpsPerCore,
+		ready:      allReady(cfg.WarpsPerCore),
+		blocked:    make([]uint64, (cfg.WarpsPerCore+63)/64),
 		l1:         cache.New(cfg.L1),
 		mshr:       cache.NewMSHR(cfg.MSHREntries, cfg.MSHRWaiters),
 		workload:   w,
 		send:       send,
 	}, nil
 }
+
+// allReady returns the ready mask of n warps, all ready.
+func allReady(n int) []uint64 {
+	m := make([]uint64, (n+63)/64)
+	for w := 0; w < n; w++ {
+		setBit(m, w)
+	}
+	return m
+}
+
+// setBit and clearBit write warp w's bit of a warp mask.
+func setBit(m []uint64, w int)   { m[w>>6] |= 1 << (w & 63) }
+func clearBit(m []uint64, w int) { m[w>>6] &^= 1 << (w & 63) }
 
 // L1 exposes the L1 cache for stats.
 func (c *Core) L1() *cache.Cache { return c.l1 }
@@ -177,20 +204,25 @@ func (c *Core) IPC() float64 {
 	return float64(c.Instructions) / float64(c.CoreCycles)
 }
 
-// UseScanReference disables Tick's idle fast path, so every cycle runs the
-// full scheduler scan: the reference the fast path is proven bit-identical
-// against (internal/simeq). Tests only; core.Simulator.UseScanReference
-// forwards here.
+// UseScanReference makes every cycle run the full scheduler scan: no fast
+// path, every warp struct visited, and an instruction that cannot issue drawn
+// with NextMem and dropped instead of skipped. It is the reference the
+// mask-driven issue stage and SkipMem are proven bit-identical against
+// (internal/simeq). Tests only; core.Simulator.UseScanReference forwards here.
 func (c *Core) UseScanReference() { c.scan = true }
 
 // Tick advances the core by one core-clock cycle.
 func (c *Core) Tick() {
 	c.CoreCycles++
-	if !c.scan && c.readyWarps == 0 && len(c.lsuQ) == 0 {
-		// Fast path: with no ready warp, every tryIssue returns false before
-		// any side effect (in particular, before any workload RNG draw), and
-		// with an empty LSU queue stepLSU is a no-op. The scan's only
-		// observable effect is the issue stall recorded here.
+	if c.scan {
+		c.stepLSU()
+		c.issueScan()
+		return
+	}
+	if c.readyWarps == 0 && len(c.lsuQ) == 0 {
+		// Idle: with no ready warp nothing can issue (so no workload draw
+		// happens), and with an empty LSU queue stepLSU is a no-op. The
+		// cycle's only observable effect is the issue stall recorded here.
 		c.IssueStalls++
 		return
 	}
@@ -200,8 +232,54 @@ func (c *Core) Tick() {
 
 // issue performs greedy-then-oldest scheduling: keep issuing from the
 // current warp until it cannot issue, then fall back to the oldest (lowest
-// index) ready warp.
+// index) ready warp. A failed attempt changes no warp's readiness, so each
+// word of the ready mask is walked from a copy.
 func (c *Core) issue() {
+	cur := c.current
+	if c.tryIssue(cur) {
+		return
+	}
+	// With the LSU queue full and every ready warp on a memory instruction,
+	// each attempt would draw the instruction and fail on the queue check,
+	// whatever its kind or size: the walk then only advances each warp's
+	// stream past one instruction, in the order the attempts would have
+	// drawn them, and only an instruction without transactions issues.
+	skipOnly := len(c.lsuQ) >= c.cfg.LSUQueueCap && c.allBlocked()
+	for i, word := range c.ready {
+		for ; word != 0; word &= word - 1 {
+			w := i<<6 | bits.TrailingZeros64(word)
+			if w == cur {
+				continue
+			}
+			if skipOnly {
+				if c.workload.SkipMem(c.Index, w) {
+					continue
+				}
+				c.issueDegenerate(w)
+			} else if !c.tryIssue(w) {
+				continue
+			}
+			c.current = w
+			return
+		}
+	}
+	c.IssueStalls++
+}
+
+// allBlocked reports whether every ready warp is blocked (vacuously true
+// with none ready); blocked is a subset of ready, so the masks are equal.
+func (c *Core) allBlocked() bool {
+	for i, word := range c.ready {
+		if word != c.blocked[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// issueScan is issue as the scan reference runs it: every warp struct
+// visited, readiness read from the warp itself.
+func (c *Core) issueScan() {
 	if c.tryIssue(c.current) {
 		return
 	}
@@ -217,6 +295,25 @@ func (c *Core) issue() {
 	c.IssueStalls++
 }
 
+// setComputeLeft starts ready warp w's next compute segment of n
+// instructions, keeping the blocked mask in step.
+func (c *Core) setComputeLeft(w, n int) {
+	c.warps[w].computeLeft = n
+	if n == 0 {
+		setBit(c.blocked, w)
+	} else {
+		clearBit(c.blocked, w)
+	}
+}
+
+// issueDegenerate issues warp w's memory instruction that turned out to have
+// no transactions (a degenerate workload, e.g. a replayed trace's
+// compute-only tail record): it counts as a compute instruction.
+func (c *Core) issueDegenerate(w int) {
+	c.Instructions++
+	c.setComputeLeft(w, c.workload.NextCompute(c.Index, w))
+}
+
 // tryIssue attempts to issue one instruction from warp w.
 func (c *Core) tryIssue(w int) bool {
 	wp := &c.warps[w]
@@ -224,22 +321,34 @@ func (c *Core) tryIssue(w int) bool {
 		return false
 	}
 	if !wp.initialised {
-		wp.computeLeft = c.workload.NextCompute(c.Index, w)
 		wp.initialised = true
+		c.setComputeLeft(w, c.workload.NextCompute(c.Index, w))
 	}
-	if wp.computeLeft > 0 {
-		wp.computeLeft--
+	if n := wp.computeLeft; n > 0 {
+		wp.computeLeft = n - 1
 		c.Instructions++
+		if n == 1 {
+			setBit(c.blocked, w)
+		}
 		return true
 	}
 	// Memory instruction: all of its transactions must fit in the LSU
-	// queue; stores additionally need store-queue space.
+	// queue; stores additionally need store-queue space. An instruction that
+	// does not issue is dropped — the warp's next attempt draws a new one —
+	// so when the queue is already full (any instruction with a transaction
+	// fails, before the store-queue check) the stream is advanced without
+	// building it. The scan reference draws it and drops it.
+	if !c.scan && len(c.lsuQ) >= c.cfg.LSUQueueCap {
+		if c.workload.SkipMem(c.Index, w) {
+			return false
+		}
+		c.issueDegenerate(w)
+		return true
+	}
 	write, addrs := c.workload.NextMem(c.Index, w, c.addrScratch[:0])
 	c.addrScratch = addrs
 	if len(addrs) == 0 {
-		// Degenerate workload: treat as compute.
-		c.Instructions++
-		wp.computeLeft = c.workload.NextCompute(c.Index, w)
+		c.issueDegenerate(w)
 		return true
 	}
 	if len(c.lsuQ)+len(addrs) > c.cfg.LSUQueueCap {
@@ -254,16 +363,20 @@ func (c *Core) tryIssue(w int) bool {
 	}
 	c.Instructions++
 	c.MemInstrs++
+	next := c.workload.NextCompute(c.Index, w)
 	if write {
 		c.outstandingStores += len(addrs)
 		c.StoreTxns += uint64(len(addrs))
+		c.setComputeLeft(w, next)
 	} else {
 		wp.pendingLoads += len(addrs)
 		wp.state = warpWaiting
 		c.readyWarps--
+		clearBit(c.ready, w)
+		clearBit(c.blocked, w) // the warp was blocked on this load
+		wp.computeLeft = next
 		c.LoadTxns += uint64(len(addrs))
 	}
-	wp.computeLeft = c.workload.NextCompute(c.Index, w)
 	return true
 }
 
@@ -394,6 +507,10 @@ func (c *Core) loadDone(w int) {
 	if wp.pendingLoads == 0 && wp.state == warpWaiting {
 		wp.state = warpReady
 		c.readyWarps++
+		setBit(c.ready, w)
+		if wp.computeLeft == 0 {
+			setBit(c.blocked, w)
+		}
 	}
 }
 

@@ -176,9 +176,15 @@ func (c *Controller) collectDRAM(now int64) {
 		if txn.IsWrite {
 			continue // DRAM write commit; reply was sent at L2 time
 		}
+		// Replying needs reply-queue slots for every merged reader, and every
+		// fill has at least one: a full reply queue holds the fill back
+		// without the map being consulted.
+		if len(c.replyQ) >= c.cfg.ReplyQueueCap {
+			kept = append(kept, txn)
+			continue
+		}
 		waiters := c.pendingReads[txn.Addr]
 		// Installing may evict a dirty line: that needs a DRAM queue slot.
-		// Replying needs reply-queue slots for every merged reader.
 		if len(c.replyQ)+len(waiters) > c.cfg.ReplyQueueCap || !c.dram.CanAccept() {
 			kept = append(kept, txn)
 			continue

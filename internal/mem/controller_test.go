@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/rng"
 )
 
 // stubFabric is a reply fabric that accepts packets unless blocked.
@@ -197,5 +198,53 @@ func TestL2WritebackPath(t *testing.T) {
 	}
 	if mc.DRAM().Writes == 0 {
 		t.Fatal("writeback never reached DRAM")
+	}
+}
+
+// mcSnapshot is every stat and queue length of a controller.
+func mcSnapshot(mc *Controller) [15]int64 {
+	return [15]int64{
+		int64(mc.ReadHits), int64(mc.ReadMisses), int64(mc.WriteHits), int64(mc.WriteMisses),
+		int64(mc.MergedReads), int64(mc.Writebacks), int64(mc.RepliesSent), mc.StallTime, mc.BlockedCycle,
+		int64(len(mc.inQ)), int64(len(mc.l2Pipe)), int64(len(mc.pendingReads)), int64(len(mc.dramDone)),
+		int64(len(mc.replyQ)), int64(mc.dram.Pending()),
+	}
+}
+
+// TestReplyFabricShutGolden holds the reply fabric shut for 1000 cycles, so
+// DRAM fills pile up behind a full reply queue, then opens it and drains.
+// The constants were recorded before collectDRAM learned to hold a fill back
+// on the queue length alone, without looking up its readers.
+func TestReplyFabricShutGolden(t *testing.T) {
+	fab := &stubFabric{}
+	mc := newTestMC(t, fab)
+	r := rng.New(21)
+	var id uint64
+	run := func(from int64, cycles int, feed bool) int64 {
+		for i := 0; i < cycles; i++ {
+			if feed && mc.CanReceive() && r.Intn(2) == 0 {
+				id++
+				line := uint64(r.Intn(4096))
+				if r.Intn(3) == 0 {
+					line = uint64(r.Intn(8)) // a few hot lines: merges and L2 hits
+				}
+				mc.Receive(reqPacket(&Transaction{ID: id, IsWrite: r.Intn(4) == 0, Addr: line * 128, SrcNode: 3}))
+			}
+			from = tickN(mc, from, 1)
+		}
+		return from
+	}
+	now := run(0, 300, true) // open: warm the L2 and the DRAM row buffers
+	fab.blocked = true
+	now = run(now, 1000, true)
+	shut := mcSnapshot(mc)
+	fab.blocked = false
+	run(now, 3000, false)
+	drained := mcSnapshot(mc)
+
+	wantShut := [15]int64{28, 83, 11, 37, 4, 0, 134, 22, 1000, 8, 8, 13, 13, 8, 0}
+	wantDrained := [15]int64{30, 88, 12, 37, 4, 0, 171, 8147, 1000, 0, 0, 0, 0, 0, 0}
+	if shut != wantShut || drained != wantDrained {
+		t.Fatalf("shut %v, recorded %v\ndrained %v, recorded %v", shut, wantShut, drained, wantDrained)
 	}
 }

@@ -6,10 +6,32 @@ import (
 	"repro/internal/rng"
 )
 
-// The router's mask allocators are checked against the closure-driven
-// roundRobin arbiter (still the ejector's arbiter), driven the way the
-// scan-based router drove it: same winners, same pointers, same
+// The mask allocators of the router and the ejector are checked against the
+// closure-driven roundRobin arbiter they replaced, driven the way the
+// scan-based code drove it: same winners, same pointers, same
 // creditStallCycles, over seeded random states.
+
+// roundRobin is a rotating-priority arbiter over n requesters. Grant order
+// starts at the slot after the previous winner, so every requester is at
+// most n-1 grants from the front (strong fairness).
+type roundRobin struct {
+	n    int
+	next int
+}
+
+// pick returns the first index i (scanning next, next+1, ... mod n) for
+// which req(i) is true, advancing the pointer past the winner. It returns
+// -1 when nothing is requesting.
+func (a *roundRobin) pick(req func(i int) bool) int {
+	for k := 0; k < a.n; k++ {
+		i := (a.next + k) % a.n
+		if req(i) {
+			a.next = (i + 1) % a.n
+			return i
+		}
+	}
+	return -1
+}
 
 // pickPriority is pick with an integer priority: among requesters it grants
 // the highest prio(i); ties break round-robin from the rotating pointer.
@@ -79,6 +101,28 @@ func TestSwitchPortPickMatchesRoundRobin(t *testing.T) {
 			if v != refV || stalls != refStalls || int(sp.next) != members[ref.next] {
 				t.Fatalf("iter %d round %d (nvc %d first %d stride %d): mask pick = vc %d, %d stalls, pointer %d; reference vc %d, %d stalls, pointer %d",
 					iter, round, nvc, first, stride, v, stalls, sp.next, refV, refStalls, members[ref.next])
+			}
+		}
+	}
+}
+
+// TestEjectorPickMatchesRoundRobin is the ejector's drain order: one grant
+// per drained flit over the non-empty reassembly VCs.
+func TestEjectorPickMatchesRoundRobin(t *testing.T) {
+	r := rng.New(19)
+	for iter := 0; iter < 20000; iter++ {
+		nvc := 1 + r.Intn(32)
+		ref := roundRobin{n: nvc, next: r.Intn(nvc)}
+		e := ejector{vcs: make([]flitQueue, nvc), next: ref.next}
+		for round := 0; round < 6; round++ {
+			e.nonEmpty = uint32(r.Uint64()) & maskAll(nvc)
+			if r.Intn(8) == 0 {
+				e.nonEmpty = 0
+			}
+			want := ref.pick(func(v int) bool { return e.nonEmpty&(1<<uint(v)) != 0 })
+			if got := e.pickVC(); got != want || e.next != ref.next {
+				t.Fatalf("iter %d round %d (nvc %d, occupancy %032b): mask pick = vc %d, pointer %d; reference vc %d, pointer %d",
+					iter, round, nvc, e.nonEmpty, got, e.next, want, ref.next)
 			}
 		}
 	}

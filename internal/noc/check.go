@@ -104,11 +104,18 @@ func (n *Network) checkRouter(r *router) error {
 	}
 	e := &n.ejectors[r.id]
 	recount = len(e.arrivals)
+	var ejNonEmpty uint32
 	for v := range e.vcs {
 		recount += e.vcs[v].len()
+		if !e.vcs[v].empty() {
+			ejNonEmpty |= 1 << uint(v)
+		}
 	}
 	if recount != e.flitCount() {
 		return fmt.Errorf("ejector activity counter %d != recounted %d flits", e.flitCount(), recount)
+	}
+	if e.nonEmpty != ejNonEmpty {
+		return fmt.Errorf("ejector mask nonEmpty %04b != recounted %04b", e.nonEmpty, ejNonEmpty)
 	}
 	ni := &n.nis[r.id]
 	recount = ni.queue.len()

@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // ejector is the ejection side of a node's network interface: per-VC
 // reassembly buffers drained at a fixed flit rate. Completed packets are
 // delivered to the network's ejection handler; every drained flit returns a
@@ -10,7 +12,10 @@ type ejector struct {
 	vcs  []flitQueue
 	// arrivals staged by the router's ST this cycle.
 	arrivals []stagedFlit
-	rr       roundRobin
+	// nonEmpty has bit v set while vcs[v] holds a flit; next is the
+	// round-robin pointer of consume's pick over it.
+	nonEmpty uint32
+	next     int
 	rate     int
 	// router is the node's router: its ejection output port's credits track
 	// this ejector's buffer space.
@@ -30,7 +35,6 @@ func (e *ejector) init(net *Network, router *router, sl *slabs) {
 		node:     router.id,
 		vcs:      carve(&sl.queues, cfg.VCs),
 		arrivals: carve(&sl.staged, cfg.PipelineStages)[:0],
-		rr:       roundRobin{n: cfg.VCs},
 		rate:     cfg.EjectRate,
 		router:   router,
 	}
@@ -55,11 +59,27 @@ func (e *ejector) applyArrivals(now int64) {
 	for _, sf := range e.arrivals {
 		if sf.deliverAt <= now {
 			e.vcs[sf.vc].push(sf.f)
+			e.nonEmpty |= 1 << uint(sf.vc)
 		} else {
 			kept = append(kept, sf)
 		}
 	}
 	e.arrivals = kept
+}
+
+// pickVC grants the first non-empty VC at or after the round-robin pointer,
+// cyclically, and moves the pointer past it; -1 when every VC is empty.
+func (e *ejector) pickVC() int {
+	if e.nonEmpty == 0 {
+		return -1
+	}
+	// Rotating right by the pointer puts the VC scanned first at bit 0 and
+	// keeps the cyclic order (every VC bit is below len(vcs) <= 32).
+	v := (e.next + bits.TrailingZeros32(bits.RotateLeft32(e.nonEmpty, -e.next))) & 31
+	if e.next = v + 1; e.next == len(e.vcs) {
+		e.next = 0
+	}
+	return v
 }
 
 // consume drains up to rate flits this cycle, round-robin across VCs, and
@@ -70,11 +90,14 @@ func (e *ejector) consume(now int64) {
 		return
 	}
 	for k := 0; k < e.rate; k++ {
-		v := e.rr.pick(func(i int) bool { return !e.vcs[i].empty() })
+		v := e.pickVC()
 		if v < 0 {
 			return
 		}
 		f := e.vcs[v].pop()
+		if e.vcs[v].empty() {
+			e.nonEmpty &^= 1 << uint(v)
+		}
 		e.addFlits(-1)
 		e.router.returnCredit(int32(ejectPortIndex), int32(v))
 		e.net.stats.EjectFlits++

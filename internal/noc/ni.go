@@ -32,11 +32,10 @@ type NI struct {
 	// the packet currently streaming over the narrow link.
 	queue               flitQueue
 	boundPort, boundVC  int
-	rrBind              roundRobin // over port*vc slots for head binding
+	bindNext            int // round-robin pointer over port*vc slots for head binding
 	lastOfferCycle      int64
 	offeredThisCycle    bool
 	splitQueues         []flitQueue // NISplit: one per VC
-	splitPick           roundRobin
 	occupancy           stats.TimeWeighted
 	everHeld            bool
 	acceptedPackets     uint64
@@ -102,10 +101,8 @@ func (ni *NI) init(net *Network, router *router, sl *slabs) {
 		for v := range ni.splitQueues {
 			ni.splitQueues[v].buf = carve(&sl.flits, splitQueueFlits(cfg))
 		}
-		ni.splitPick = roundRobin{n: cfg.VCs}
 	default:
 		ni.queue.buf = carve(&sl.flits, cfg.NIQueueFlits)
-		ni.rrBind = roundRobin{n: ni.injPorts * cfg.VCs}
 	}
 	if cfg.RetransBufPkts > 0 {
 		ni.retransCap = cfg.RetransBufPkts
@@ -204,13 +201,11 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 }
 
 // pickSplitQueue returns the split queue index for pkt: the least-occupied
-// queue with room for the whole packet (round-robin tie-break), or -1.
+// queue with room for the whole packet (the lowest index among equals), or
+// -1.
 func (ni *NI) pickSplitQueue(pkt *Packet) int {
 	best, bestLen := -1, 0
-	n := len(ni.splitQueues)
-	start := ni.splitPick.next
-	for k := 0; k < n; k++ {
-		v := (start + k) % n
+	for v := range ni.splitQueues {
 		q := &ni.splitQueues[v]
 		if q.free() < pkt.Size {
 			continue
@@ -276,7 +271,7 @@ func (ni *NI) bindHead(pkt *Packet) {
 	vcs := ni.router.nvc
 	best, bestCred := -1, 0
 	n := len(ni.vcCredits)
-	start := ni.rrBind.next
+	start := ni.bindNext
 	for k := 0; k < n; k++ {
 		slot := (start + k) % n
 		c := int(ni.vcCredits[slot])
@@ -290,7 +285,7 @@ func (ni *NI) bindHead(pkt *Packet) {
 	if best < 0 {
 		return
 	}
-	ni.rrBind.next = (best + 1) % n
+	ni.bindNext = (best + 1) % n
 	ni.boundPort, ni.boundVC = best/vcs, best%vcs
 }
 
