@@ -84,8 +84,7 @@ func BenchmarkSimulatorStep(b *testing.B) {
 	b.Cleanup(sim.Close)
 	// Step through the configured warmup first: the cold-start cycles cost
 	// differently from the saturated steady state, so without this ns/op
-	// depends on b.N — and with it on -benchtime, which differs between
-	// make bench and make benchdiff.
+	// depends on b.N — and with it on -benchtime.
 	for i := int64(0); i < cfg.WarmupCycles; i++ {
 		sim.Step()
 	}

@@ -10,8 +10,8 @@ import (
 
 // BenchmarkAnalyticSuite measures the fast path's unit of work: one
 // full-suite estimate for one configuration — the query shape ariserve's
-// estimate mode answers. The acceptance budget is < 1ms per config; the
-// benchmark feeds the benchdiff regression gate.
+// estimate mode answers. The acceptance budget is < 1ms per config
+// (TestEstimateSuiteUnderBudget); the ledger's row is analytic.estimate_us.
 func BenchmarkAnalyticSuite(b *testing.B) {
 	cfg := analytic.ValidationConfig()
 	cfg.Scheme = core.AdaARI

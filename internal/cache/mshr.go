@@ -120,8 +120,5 @@ func (m *MSHR) Recycle(ws []int) {
 	m.free = append(m.free, ws[:0])
 }
 
-// Occupied returns the number of outstanding entries.
-func (m *MSHR) Occupied() int { return m.n }
-
 // Full reports whether no further line can be allocated.
 func (m *MSHR) Full() bool { return m.n >= len(m.lines) }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -104,25 +103,20 @@ type ReplicaStats struct {
 //	GET  /readyz    200 while >= 1 replica is routable, else 503
 //	GET  /metrics   Prometheus text: routing, failover, hedge, per-replica
 type Gateway struct {
-	base       core.Config
-	ring       *Ring
-	health     *Health
-	repl       int
-	hedgeAfter time.Duration
-	hc         *http.Client
-	mux        *http.ServeMux
-	started    time.Time
+	cfg     Config // as given to New, defaults filled in
+	ring    *Ring
+	health  *Health
+	mux     *http.ServeMux
+	started time.Time
 
 	spans       *obs.SpanRecorder
-	traceSample int
-	traceSeq    atomic.Int64
 	routeHist   obs.Histogram // end-to-end routing latency, µs
 	attemptHist obs.Histogram // per-proxied-attempt latency, µs
 	slo         *obs.SLOTracker
 
 	mu        sync.Mutex
 	requests  int64
-	shed      int64
+	counts    [numOutcomes]int64 // routed submissions answered, per outcome
 	failovers int64
 	hedges    int64
 	hedgeWins int64
@@ -136,41 +130,30 @@ func New(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	repl := cfg.Replication
-	if repl <= 0 {
-		repl = 2
+	if cfg.Replication <= 0 {
+		cfg.Replication = 2
 	}
-	if repl > len(ring.replicas) {
-		repl = len(ring.replicas)
+	cfg.Replication = min(cfg.Replication, len(ring.replicas))
+	if cfg.HedgeAfter == 0 {
+		cfg.HedgeAfter = 250 * time.Millisecond
 	}
-	hedge := cfg.HedgeAfter
-	if hedge == 0 {
-		hedge = 250 * time.Millisecond
+	if cfg.HTTPClient == nil {
+		cfg.HTTPClient = http.DefaultClient
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
+	if cfg.SLOTarget <= 0 {
+		cfg.SLOTarget = 2 * time.Second
 	}
-	target := cfg.SLOTarget
-	if target <= 0 {
-		target = 2 * time.Second
-	}
-	goal := cfg.SLOGoal
-	if goal <= 0 || goal >= 1 {
-		goal = 0.99
+	if cfg.SLOGoal <= 0 || cfg.SLOGoal >= 1 {
+		cfg.SLOGoal = 0.99
 	}
 	g := &Gateway{
-		base:        cfg.Base,
-		ring:        ring,
-		health:      NewHealth(ring.Replicas(), cfg.BreakerThreshold, cfg.ProbeInterval, hc),
-		repl:        repl,
-		hedgeAfter:  hedge,
-		hc:          hc,
-		started:     time.Now(),
-		spans:       obs.NewSpanRecorder(cfg.TraceCap),
-		traceSample: cfg.TraceSample,
+		cfg:     cfg,
+		ring:    ring,
+		health:  NewHealth(ring.Replicas(), cfg.BreakerThreshold, cfg.ProbeInterval, cfg.HTTPClient),
+		started: time.Now(),
+		spans:   obs.NewSpanRecorder(cfg.TraceCap),
 		slo: obs.NewSLOTracker([]obs.Objective{
-			{Name: "route_latency", Threshold: target.Microseconds(), Goal: goal},
+			{Name: "route_latency", Threshold: cfg.SLOTarget.Microseconds(), Goal: cfg.SLOGoal},
 		}),
 		routed: make(map[string]int64, len(cfg.Replicas)),
 	}
@@ -183,9 +166,9 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("/readyz", g.handleReady)
 	g.mux.HandleFunc("/metrics", g.handleMetrics)
 	g.mux.HandleFunc("/metrics/cluster", g.handleClusterMetrics)
-	g.mux.HandleFunc("/debug/spans", g.handleSpans)
+	g.mux.Handle("/debug/spans", g.spans)
 	g.mux.HandleFunc("/debug/trace", g.handleTrace)
-	g.mux.HandleFunc("/debug/slo", g.handleSLO)
+	g.mux.Handle("/debug/slo", g.slo)
 	return g, nil
 }
 
@@ -213,7 +196,7 @@ func (g *Gateway) Stats() Stats {
 	defer g.mu.Unlock()
 	st := Stats{
 		Requests:  g.requests,
-		Shed:      g.shed,
+		Shed:      g.counts[outShed],
 		Failovers: g.failovers,
 		Hedges:    g.hedges,
 		HedgeWins: g.hedgeWins,
@@ -228,7 +211,7 @@ func (g *Gateway) Stats() Stats {
 func (g *Gateway) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if g.health.UpCount() == 0 {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "no routable replicas")
+		serve.WriteError(w, http.StatusServiceUnavailable, "no routable replicas")
 		return
 	}
 	fmt.Fprintln(w, "ready")
@@ -255,59 +238,121 @@ type attemptResult struct {
 	body          []byte
 }
 
+// outcome is how a routed submission ended.
+type outcome int
+
+const (
+	outOK        outcome = iota // an owner answered 2xx: relayed verbatim
+	outRejected                 // an owner answered a deterministic rejection: relayed verbatim
+	outShed                     // every owner is down or shedding: 429 + Retry-After
+	outAbandoned                // the client went away first: nothing written
+	numOutcomes
+)
+
+// outcomes describes every way a routed submission can end: the
+// gateway.route span's outcome attr (a rejection appends the relayed
+// status) and what the answer means for the route_latency objective.
+var outcomes = [numOutcomes]struct {
+	name   string
+	served bool // latency observed: arigate_route_seconds, good when within the target
+	failed bool // a bad event (a rejection only when the relayed status is 5xx)
+}{
+	outOK:        {name: "ok", served: true},
+	outRejected:  {name: "rejected", failed: true},
+	outShed:      {name: "shed", failed: true},
+	outAbandoned: {name: "abandoned"},
+}
+
+// routing is one submission on its way through the gateway.
+type routing struct {
+	w        http.ResponseWriter
+	start    time.Time
+	scope    *obs.Scope // nil when untraced
+	answered bool
+}
+
+// answer ends one routed submission: the only code that moves an outcome
+// counter, the route histogram or the SLO tracker, closes the root span and
+// writes the response. res is the owner's answer being relayed (ok,
+// rejected) or, for a shed, just the Retry-After hints the owners offered.
+func (g *Gateway) answer(rt *routing, o outcome, res attemptResult) {
+	rt.answered = true
+	row, name := outcomes[o], outcomes[o].name
+	if o == outRejected {
+		name += " " + strconv.Itoa(res.status)
+		row.failed = res.status >= 500
+	}
+	g.mu.Lock()
+	g.counts[o]++
+	if o == outOK && res.hedged {
+		g.hedgeWins++
+	}
+	g.mu.Unlock()
+	switch d := time.Since(rt.start); {
+	case row.served:
+		g.routeHist.ObserveDuration(d)
+		g.slo.Observe(d.Microseconds())
+	case row.failed:
+		g.slo.Fail()
+	}
+	rt.scope.Finish(name)
+
+	switch o {
+	case outOK, outRejected:
+		relay(rt.w, res)
+	case outShed:
+		switch {
+		case res.retryAfter >= 1:
+			rt.w.Header().Set("Retry-After", strconv.Itoa(res.retryAfter))
+		case res.retryAfterRaw != "":
+			rt.w.Header().Set("Retry-After", res.retryAfterRaw)
+		default:
+			rt.w.Header().Set("Retry-After", "1")
+		}
+		serve.WriteError(rt.w, http.StatusTooManyRequests, "all owners of this job are down or shedding")
+	}
+}
+
 // handleJobs routes one submission: consistent-hash owners, healthy-first,
 // hedged when slow, failing over on shed/unavailable/transport errors, and
 // shedding 429 + Retry-After itself when every owner is out.
 func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request body: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "read request body: "+err.Error())
 		return
 	}
 	var q serve.JobRequest
 	if err := json.Unmarshal(body, &q); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	// Resolve the job exactly as a replica would, so the routing key IS the
 	// idempotency key: every duplicate of a job lands on the same owners.
-	job, err := serve.BuildJob(g.base, &q)
+	job, err := serve.BuildJob(g.cfg.Base, &q)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := exp.JobKey(job.Cfg, job.Kernel.Name)
 
-	// Distributed tracing: continue an incoming context or mint one for a
-	// sampled submission. The root span brackets the whole routing decision;
-	// its context is echoed to the client so a curl away from the gateway is
-	// enough to learn the trace ID to pull from /debug/trace.
-	start := time.Now()
-	tc, traced := g.traceContext(r)
-	var root obs.Span
-	recordRoot := func(outcome string) {
-		if !traced {
-			return
+	// The root span brackets the whole routing decision.
+	rt := &routing{w: w, start: time.Now(),
+		scope: g.spans.StartScope(w, r, "gateway.route", "arigate", g.cfg.TraceSample)}
+	rt.scope.SetAttr("bench", job.Kernel.Name)
+	rt.scope.SetAttr("key", key)
+	defer func() {
+		if !rt.answered { // client gone before an answer
+			g.answer(rt, outAbandoned, attemptResult{})
 		}
-		traced = false // record exactly once per request
-		root.End()
-		root.SetAttr("outcome", outcome)
-		g.spans.Record(root)
-	}
-	if traced {
-		root = obs.StartSpan(tc.Trace, tc.Span, "gateway.route", "arigate")
-		root.SetAttr("bench", job.Kernel.Name)
-		root.SetAttr("key", key)
-		w.Header().Set(obs.TraceHeader, obs.TraceContext{Trace: root.Trace, Span: root.ID}.String())
-		defer recordRoot("abandoned") // client gone before an answer
-	}
+	}()
 
-	owners := g.ring.Owners(key, g.repl)
+	owners := g.ring.Owners(key, g.cfg.Replication)
 	cands := owners[:0]
 	for _, o := range owners {
 		if g.health.Up(o) {
@@ -318,9 +363,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	g.requests++
 	g.mu.Unlock()
 	if len(cands) == 0 {
-		recordRoot("shed")
-		g.slo.Fail()
-		g.shedOne(w, 0, "")
+		g.answer(rt, outShed, attemptResult{})
 		return
 	}
 
@@ -329,64 +372,67 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	results := make(chan attemptResult, len(cands))
-	next, pending := 0, 0
-	launch := func(hedged bool) bool {
+	next, pending, scope := 0, 0, rt.scope
+	// launch sends the next candidate an attempt, if one is left, counting
+	// it in *because (failovers, hedges; nil for the first attempt).
+	launch := func(hedged bool, because *int64) {
 		if next >= len(cands) {
-			return false
+			return
 		}
 		rep := cands[next]
 		next++
 		pending++
 		g.mu.Lock()
 		g.routed[rep]++
+		if because != nil {
+			*because++
+		}
 		g.mu.Unlock()
 		// Each attempt gets its own child span and propagates it to the
 		// replica, so the replica's spans parent under the attempt that
 		// reached it — hedge legs share the trace ID but not span IDs.
-		var att obs.Span
+		att := scope.Child("gateway.attempt")
 		var attCtx string
-		if root.Trace != "" {
-			att = obs.StartSpan(root.Trace, root.ID, "gateway.attempt", "arigate")
+		if scope != nil {
 			att.SetAttr("replica", rep)
 			if hedged {
 				att.SetAttr("hedged", "true")
 			}
-			attCtx = obs.TraceContext{Trace: att.Trace, Span: att.ID}.String()
+			attCtx = att.Context().String()
 		}
 		go func() {
 			t0 := time.Now()
 			res := g.forward(ctx, rep, body, hedged, attCtx)
 			g.attemptHist.ObserveDuration(time.Since(t0))
-			if att.Trace != "" {
+			if scope != nil {
 				// The span closes here even when this leg lost the race and
 				// was cancelled: a hedge's loser leaves a span marked
 				// cancelled, never a dangling one.
-				att.End()
-				if res.err != nil {
-					att.SetAttr("error", res.err.Error())
-					if ctx.Err() != nil {
-						att.SetAttr("cancelled", "true")
-					}
-				} else {
-					att.SetAttr("status", strconv.Itoa(res.status))
+				switch {
+				case res.err == nil:
+					scope.EndChild(att, "status", strconv.Itoa(res.status))
+				case ctx.Err() != nil:
+					scope.EndChild(att, "error", res.err.Error(), "cancelled", "true")
+				default:
+					scope.EndChild(att, "error", res.err.Error())
 				}
-				g.spans.Record(att)
 			}
 			results <- res
 		}()
-		return true
 	}
-	launch(false)
+	launch(false, nil)
 
 	var hedgeC <-chan time.Time
-	if g.hedgeAfter > 0 && len(cands) > 1 {
-		t := time.NewTimer(g.hedgeAfter)
+	if g.cfg.HedgeAfter > 0 && len(cands) > 1 {
+		t := time.NewTimer(g.cfg.HedgeAfter)
 		defer t.Stop()
 		hedgeC = t.C
 	}
 
-	maxRetryAfter := 0
-	rawRetryAfter := ""
+	// What the owners offer while shedding: the max parsed Retry-After and,
+	// failing any parseable one, the last raw header — an HTTP-date hint
+	// must reach the client, not vanish here.
+	var hints attemptResult
 	for pending > 0 {
 		select {
 		case res := <-results:
@@ -398,73 +444,43 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 				// Transport failure: the restart/death signature. Feed the
 				// breaker and re-route to the next owner.
 				g.health.ReportFailure(res.replica)
-				if launch(false) {
-					g.mu.Lock()
-					g.failovers++
-					g.mu.Unlock()
-				}
+				launch(false, &g.failovers)
 				continue
 			}
 			g.health.ReportSuccess(res.replica)
 			switch {
 			case res.status >= 200 && res.status < 300:
-				if res.hedged {
-					g.mu.Lock()
-					g.hedgeWins++
-					g.mu.Unlock()
-				}
-				g.routeHist.ObserveDuration(time.Since(start))
-				g.slo.Observe(time.Since(start).Microseconds())
-				recordRoot("ok")
-				relay(w, res)
+				g.answer(rt, outOK, res)
 				return
 			case res.status == http.StatusTooManyRequests ||
 				res.status == http.StatusServiceUnavailable ||
 				res.status == http.StatusBadGateway ||
 				res.status == http.StatusGatewayTimeout:
 				// The owner is alive but shedding or draining: degrade
-				// sideways to the next owner before degrading to a shed.
-				// Keep every hint the owners offered: the max parsed delay,
-				// and failing any parseable one, the last raw header — an
-				// HTTP-date hint must reach the client, not vanish here.
-				if res.retryAfter > maxRetryAfter {
-					maxRetryAfter = res.retryAfter
-				}
+				// sideways to the next owner before degrading to a shed,
+				// keeping every hint the owners offered.
+				hints.retryAfter = max(hints.retryAfter, res.retryAfter)
 				if res.retryAfter == 0 && res.retryAfterRaw != "" {
-					rawRetryAfter = res.retryAfterRaw
+					hints.retryAfterRaw = res.retryAfterRaw
 				}
-				if launch(false) {
-					g.mu.Lock()
-					g.failovers++
-					g.mu.Unlock()
-				}
+				launch(false, &g.failovers)
 			default:
 				// Deterministic rejection (malformed job, simulation
 				// failure): identical on every replica, so relay verbatim —
 				// failing over would only duplicate the failure.
-				if res.status >= 500 {
-					g.slo.Fail()
-				}
-				recordRoot("rejected " + strconv.Itoa(res.status))
-				relay(w, res)
+				g.answer(rt, outRejected, res)
 				return
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			if launch(true) {
-				g.mu.Lock()
-				g.hedges++
-				g.mu.Unlock()
-			}
+			launch(true, &g.hedges)
 		case <-ctx.Done():
 			return // client gone
 		}
 	}
 	// Every owner of this key is down or shedding: shed with the most
 	// pessimistic Retry-After any owner offered.
-	recordRoot("shed")
-	g.slo.Fail()
-	g.shedOne(w, maxRetryAfter, rawRetryAfter)
+	g.answer(rt, outShed, hints)
 }
 
 // forward performs one proxied POST /v1/jobs round trip to replica.
@@ -481,7 +497,7 @@ func (g *Gateway) forward(ctx context.Context, replica string, body []byte, hedg
 	if traceCtx != "" {
 		req.Header.Set(obs.TraceHeader, traceCtx)
 	}
-	resp, err := g.hc.Do(req)
+	resp, err := g.cfg.HTTPClient.Do(req)
 	if err != nil {
 		out.err = err
 		return out
@@ -502,24 +518,6 @@ func (g *Gateway) forward(ctx context.Context, replica string, body []byte, hedg
 	return out
 }
 
-// shedOne answers one unroutable submission with 429 + Retry-After: the max
-// parsed delay the owners offered, or failing that their raw (HTTP-date)
-// hint verbatim, or the 1s floor.
-func (g *Gateway) shedOne(w http.ResponseWriter, retryAfter int, raw string) {
-	g.mu.Lock()
-	g.shed++
-	g.mu.Unlock()
-	switch {
-	case retryAfter >= 1:
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	case raw != "":
-		w.Header().Set("Retry-After", raw)
-	default:
-		w.Header().Set("Retry-After", "1")
-	}
-	writeError(w, http.StatusTooManyRequests, "all owners of this job are down or shedding")
-}
-
 // relay copies one replica answer to the client verbatim. Retry-After is
 // forwarded as the replica sent it — re-serialising the parsed integer would
 // drop HTTP-date hints.
@@ -534,10 +532,4 @@ func relay(w http.ResponseWriter, res attemptResult) {
 	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

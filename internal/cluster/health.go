@@ -2,11 +2,12 @@ package cluster
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Health actively tracks replica liveness: a probe loop GETs each
@@ -124,21 +125,10 @@ func (h *Health) probeAll() {
 func (h *Health) probe(replica string) {
 	ctx, cancel := context.WithTimeout(context.Background(), h.interval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, replica+"/readyz", nil)
-	if err != nil {
-		h.record(replica, false, true)
-		return
-	}
-	resp, err := h.client.Do(req)
-	if err != nil {
-		h.record(replica, false, true)
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-	resp.Body.Close()
 	// A draining replica answers readyz 503: it is alive but refusing new
 	// work, which for routing purposes is the same as down.
-	h.record(replica, resp.StatusCode == http.StatusOK, true)
+	_, ok := serve.GetOK(ctx, h.client, replica+"/readyz", 1<<10)
+	h.record(replica, ok, true)
 }
 
 // ReportSuccess feeds a successful proxied request into the breaker: any

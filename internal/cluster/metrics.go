@@ -19,18 +19,15 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Metric("arigate_hedge_wins_total", "Requests won by a hedged attempt.", "counter", float64(st.HedgeWins))
 	p.Metric("arigate_replicas", "Replicas on the routing ring.", "gauge", float64(len(st.Replicas)))
 
-	p.Family("arigate_replica_up", "Whether the replica's circuit is closed (routable).", "gauge")
-	for _, r := range st.Replicas {
-		p.Sample("arigate_replica_up", obs.Labels("replica", r.URL), obs.Bool(r.Up))
+	perReplica := func(name, help, typ string, read func(ReplicaStats) float64) {
+		p.Family(name, help, typ)
+		for _, r := range st.Replicas {
+			p.Sample(name, obs.Labels("replica", r.URL), read(r))
+		}
 	}
-	p.Family("arigate_replica_routed_total", "Attempts sent to the replica.", "counter")
-	for _, r := range st.Replicas {
-		p.Sample("arigate_replica_routed_total", obs.Labels("replica", r.URL), float64(r.Routed))
-	}
-	p.Family("arigate_replica_failures_total", "Probe and proxy failures observed for the replica.", "counter")
-	for _, r := range st.Replicas {
-		p.Sample("arigate_replica_failures_total", obs.Labels("replica", r.URL), float64(r.Failures))
-	}
+	perReplica("arigate_replica_up", "Whether the replica's circuit is closed (routable).", "gauge", func(r ReplicaStats) float64 { return obs.Bool(r.Up) })
+	perReplica("arigate_replica_routed_total", "Attempts sent to the replica.", "counter", func(r ReplicaStats) float64 { return float64(r.Routed) })
+	perReplica("arigate_replica_failures_total", "Probe and proxy failures observed for the replica.", "counter", func(r ReplicaStats) float64 { return float64(r.Failures) })
 
 	p.Histogram("arigate_route_seconds", "End-to-end routing latency of answered submissions.",
 		g.routeHist.Snapshot(), 1e-6)

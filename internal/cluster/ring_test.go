@@ -125,7 +125,7 @@ func TestOwnersClamp(t *testing.T) {
 }
 
 // BenchmarkGateRoute is the gateway's per-submission routing hot path:
-// hash the key, find its owners. Registered in the benchdiff gate.
+// hash the key, find its owners. The ledger's row is cluster.stage_route_us.
 func BenchmarkGateRoute(b *testing.B) {
 	reps := make([]string, 8)
 	for i := range reps {

@@ -94,31 +94,16 @@ func (s Scheme) Routing() noc.RoutingAlgo {
 	}
 }
 
-// usesOverlay reports whether the reply fabric is the DA2mesh overlay.
-func (s Scheme) usesOverlay() bool { return s == DA2MeshBase || s == DA2MeshARI }
+// The scheme predicates below are the one seam through which both the layers
+// that build the system (NewSimulator) and those that model it
+// (internal/analytic) read what a Scheme means.
 
-// UsesOverlay reports whether the reply fabric is the DA2mesh overlay. It is
-// the exported face of the scheme seam for layers that model rather than
-// build the system (internal/analytic).
-func (s Scheme) UsesOverlay() bool { return s.usesOverlay() }
+// UsesOverlay reports whether the reply fabric is the DA2mesh overlay.
+func (s Scheme) UsesOverlay() bool { return s == DA2MeshBase || s == DA2MeshARI }
 
 // HasSplitNI reports whether the scheme accelerates injection supply with
 // ARI's per-VC split NI queues.
-func (s Scheme) HasSplitNI() bool { return s.hasSplitNI() }
-
-// HasSpeedup reports whether the scheme accelerates injection consumption
-// with crossbar speedup (§4.2).
-func (s Scheme) HasSpeedup() bool { return s.hasSpeedup() }
-
-// HasPriority reports whether the scheme uses ARI's multi-level injection
-// prioritisation (§5).
-func (s Scheme) HasPriority() bool { return s.hasPriority() }
-
-// IsMultiPort reports whether the scheme is the MultiPort baseline [3].
-func (s Scheme) IsMultiPort() bool { return s.isMultiPort() }
-
-// hasSplitNI reports whether the scheme accelerates injection supply.
-func (s Scheme) hasSplitNI() bool {
+func (s Scheme) HasSplitNI() bool {
 	switch s {
 	case XYARI, AdaARI, AccSupply, AccBothNoPriority, DA2MeshARI:
 		return true
@@ -126,8 +111,9 @@ func (s Scheme) hasSplitNI() bool {
 	return false
 }
 
-// hasSpeedup reports whether the scheme accelerates injection consumption.
-func (s Scheme) hasSpeedup() bool {
+// HasSpeedup reports whether the scheme accelerates injection consumption
+// with crossbar speedup (§4.2).
+func (s Scheme) HasSpeedup() bool {
 	switch s {
 	case XYARI, AdaARI, AccConsume, AccBothNoPriority, DA2MeshARI:
 		return true
@@ -135,8 +121,9 @@ func (s Scheme) hasSpeedup() bool {
 	return false
 }
 
-// hasPriority reports whether the scheme uses ARI prioritisation (§5).
-func (s Scheme) hasPriority() bool {
+// HasPriority reports whether the scheme uses ARI's multi-level injection
+// prioritisation (§5).
+func (s Scheme) HasPriority() bool {
 	switch s {
 	case XYARI, AdaARI, DA2MeshARI:
 		return true
@@ -144,8 +131,8 @@ func (s Scheme) hasPriority() bool {
 	return false
 }
 
-// isMultiPort reports whether the scheme is the MultiPort baseline [3].
-func (s Scheme) isMultiPort() bool { return s == AdaMultiPort }
+// IsMultiPort reports whether the scheme is the MultiPort baseline [3].
+func (s Scheme) IsMultiPort() bool { return s == AdaMultiPort }
 
 // Config is the full-system configuration; DefaultConfig matches Table I.
 type Config struct {

@@ -226,7 +226,7 @@ func (s *Simulator) buildNetworks() error {
 		RetransBufPkts: retrans,
 		CheckEvery:     cfg.NoCCheckEvery,
 	}
-	if cfg.Scheme.hasPriority() {
+	if cfg.Scheme.HasPriority() {
 		repCfg.PriorityLevels = cfg.PriorityLevels
 		repCfg.StarvationLimit = cfg.StarvationLimit
 	}
@@ -237,13 +237,13 @@ func (s *Simulator) buildNetworks() error {
 	}
 	for _, n := range s.mcNodes {
 		nc := &nodes[n]
-		if cfg.Scheme.hasSplitNI() {
+		if cfg.Scheme.HasSplitNI() {
 			nc.NI = noc.NISplit
 		}
-		if cfg.Scheme.hasSpeedup() {
+		if cfg.Scheme.HasSpeedup() {
 			nc.InjSpeedup = speedup
 		}
-		if cfg.Scheme.isMultiPort() {
+		if cfg.Scheme.IsMultiPort() {
 			nc.NI = noc.NIMultiPort
 			nc.InjPorts = cfg.MultiPortPorts
 		}
@@ -264,7 +264,7 @@ func (s *Simulator) buildNetworks() error {
 			return fmt.Errorf("core: ideal reply fabric: %w", err)
 		}
 		s.repNet = rep
-	case cfg.Scheme.usesOverlay():
+	case cfg.Scheme.UsesOverlay():
 		repCfg.RetransBufPkts = 0
 		rep, err := noc.NewDA2Mesh(repCfg)
 		if err != nil {

@@ -206,16 +206,16 @@ func TestSchemeProperties(t *testing.T) {
 	if XYBaseline.Routing() != noc.RouteXY || AdaARI.Routing() != noc.RouteMinAdaptive {
 		t.Fatal("routing mapping wrong")
 	}
-	if !AdaARI.hasSplitNI() || !AdaARI.hasSpeedup() || !AdaARI.hasPriority() {
+	if !AdaARI.HasSplitNI() || !AdaARI.HasSpeedup() || !AdaARI.HasPriority() {
 		t.Fatal("AdaARI must enable all three mechanisms")
 	}
-	if AccSupply.hasSpeedup() || AccConsume.hasSplitNI() || AccBothNoPriority.hasPriority() {
+	if AccSupply.HasSpeedup() || AccConsume.HasSplitNI() || AccBothNoPriority.HasPriority() {
 		t.Fatal("ablation schemes enable the wrong mechanisms")
 	}
-	if !DA2MeshARI.usesOverlay() || DA2MeshBase.hasSplitNI() {
+	if !DA2MeshARI.UsesOverlay() || DA2MeshBase.HasSplitNI() {
 		t.Fatal("overlay schemes wired wrong")
 	}
-	if !AdaMultiPort.isMultiPort() || AdaARI.isMultiPort() {
+	if !AdaMultiPort.IsMultiPort() || AdaARI.IsMultiPort() {
 		t.Fatal("MultiPort flag wrong")
 	}
 }

@@ -34,10 +34,10 @@ func Decompose(base core.Config, bench string, sample uint64, schemes ...core.Sc
 	table := stats.NewTable("scheme", "replies", "queue", "network", "eject", "total", "queue_share")
 	summary := make(map[string]float64)
 	fig := &Figure{
-		ID:    "decompose",
-		Title: fmt.Sprintf("Reply-latency decomposition on %s (trace-sampled, 1/%d packets)", bench, sample),
-		Paper: "Figs. 2/3: reply latency is dominated by MC-side injection queueing, not network transit",
-		Table: table,
+		ID:      "decompose",
+		Title:   fmt.Sprintf("Reply-latency decomposition on %s (trace-sampled, 1/%d packets)", bench, sample),
+		Paper:   "Figs. 2/3: reply latency is dominated by MC-side injection queueing, not network transit",
+		Table:   table,
 		Summary: summary,
 	}
 

@@ -39,8 +39,12 @@ type journalEntry struct {
 type Journal struct {
 	path string
 
+	appendMu sync.Mutex // serialises appends, held across write + fsync
+	f        *os.File   // guarded by appendMu
+
+	// mu guards entries and is never held across I/O: with the journal as
+	// the Runner's one store, a lookup must not wait out another run's fsync.
 	mu      sync.Mutex
-	f       *os.File
 	entries map[string]core.Result
 	loaded  int
 }
@@ -105,8 +109,8 @@ func (j *Journal) Path() string { return j.path }
 
 // Close flushes and closes the journal file.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.appendMu.Lock()
+	defer j.appendMu.Unlock()
 	if j.f == nil {
 		return nil
 	}
@@ -115,20 +119,17 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// lookup returns the journalled result for key, if present.
-func (j *Journal) lookup(key string) (core.Result, bool) {
+// Get returns the journalled result for key, if present. It is the
+// read side cluster peers hit while a job is completing locally: the
+// in-memory index is published only after the record's line is fully
+// written and fsync'd, so a concurrent Get observes either no entry or the
+// complete, durable record — never a torn tail.
+func (j *Journal) Get(key string) (core.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	r, ok := j.entries[key]
 	return r, ok
 }
-
-// Get returns the journalled result for key, if present. It is the
-// read side cluster peers hit while a job is completing locally: the
-// in-memory index is published under the journal lock only after the
-// record's line is fully written and fsync'd, so a concurrent Get observes
-// either no entry or the complete, durable record — never a torn tail.
-func (j *Journal) Get(key string) (core.Result, bool) { return j.lookup(key) }
 
 // record appends one finished run and syncs it to disk before returning, so
 // a crash immediately after never loses it.
@@ -147,12 +148,12 @@ func (j *Journal) record(key string, res core.Result) error {
 		return fmt.Errorf("exp: encode journal entry: %w", err)
 	}
 	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.appendMu.Lock()
+	defer j.appendMu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("exp: journal %s is closed", j.path)
 	}
-	if _, ok := j.entries[key]; ok {
+	if _, ok := j.Get(key); ok {
 		return nil
 	}
 	if _, err := j.f.Write(line); err != nil {
@@ -161,7 +162,9 @@ func (j *Journal) record(key string, res core.Result) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("exp: sync journal: %w", err)
 	}
+	j.mu.Lock()
 	j.entries[key] = res
+	j.mu.Unlock()
 	return nil
 }
 

@@ -78,7 +78,7 @@ func TestJournalRecoversTornTail(t *testing.T) {
 			t.Fatalf("cut %d: loaded %d entries, want %d", cut, j.Loaded(), wantLoaded)
 		}
 		for _, k := range keys[:wantLoaded] {
-			if _, ok := j.lookup(k); !ok {
+			if _, ok := j.Get(k); !ok {
 				t.Fatalf("cut %d: complete record %s not recovered", cut, k)
 			}
 		}
@@ -96,7 +96,7 @@ func TestJournalRecoversTornTail(t *testing.T) {
 		if j2.Loaded() != wantLoaded+1 {
 			t.Fatalf("cut %d: reopen loaded %d entries, want %d", cut, j2.Loaded(), wantLoaded+1)
 		}
-		if got, ok := j2.lookup("key-after-crash"); !ok || got.IPC != 9.25 {
+		if got, ok := j2.Get("key-after-crash"); !ok || got.IPC != 9.25 {
 			t.Fatalf("cut %d: post-recovery append lost on reopen (ok=%v, got=%+v)", cut, ok, got)
 		}
 		if err := j2.Close(); err != nil {

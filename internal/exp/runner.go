@@ -3,9 +3,9 @@
 // analysis, the §6.1 area overheads and the §7.5 scalability study) from
 // the simulator, printing the same rows/series the paper reports.
 //
-// Runs are cached by (config, benchmark) and executed on a worker pool, so
-// figures that share underlying simulations (e.g. Figs 3/5/11/12/13 all use
-// the main 30-benchmark scheme matrix) pay for them once.
+// Runs are stored by JobKey(config, benchmark) and executed on a worker pool,
+// so figures that share underlying simulations (e.g. Figs 3/5/11/12/13 all
+// use the main 30-benchmark scheme matrix) pay for them once.
 package exp
 
 import (
@@ -59,8 +59,9 @@ type Runner struct {
 	// Checks configures the per-run watchdogs; the zero value enables the
 	// default deadlock/starvation thresholds (see core.CheckOptions).
 	Checks core.CheckOptions
-	// Journal, when non-nil, persists every finished run and pre-seeds the
-	// cache on lookup, making sweeps resumable across process kills.
+	// Journal, when non-nil, is the result store: every finished or adopted
+	// run is appended and fsync'd before it becomes visible, making sweeps
+	// resumable across process kills. Attach it before the first run.
 	Journal *Journal
 
 	// Monitor, when non-nil, tracks every executing run for live
@@ -72,28 +73,25 @@ type Runner struct {
 	// Instrument, when non-nil, is called with every freshly built simulator
 	// before it runs. Observability attachments (metrics registries, packet
 	// tracers) hook in here; the hook must only observe, never alter
-	// simulated behaviour — results are cached and journalled under the
-	// assumption that a config determines its Result byte-identically.
+	// simulated behaviour — results are stored and journalled under the
+	// assumption that a config determines its Result byte-identically
+	// (WithInstrument adds a second observer for the runs of one call).
 	Instrument func(*core.Simulator)
-	// InstrumentJob is Instrument with the job identity alongside the
-	// simulator, for per-request attachments: the serving layer hooks
-	// distributed-trace packet collectors onto exactly the run a traced
-	// submission is waiting on. Called after Instrument. The same contract
-	// applies — observe only, never alter simulated behaviour.
-	InstrumentJob func(Job, *core.Simulator)
 
-	mu    sync.Mutex
-	cache map[runKey]core.Result
-	// byKey mirrors the cache keyed by JobKey — the identity cluster peers
-	// query by — so a serving layer can answer /v1/results/<key> without
-	// reversing the hash.
-	byKey map[string]core.Result
-	runs  int
+	mu sync.Mutex
+	// results is the store when no Journal is attached, keyed by JobKey.
+	results map[string]core.Result
+	runs    int
 }
 
-type runKey struct {
-	cfg   core.Config
-	bench string
+type instrumentKey struct{}
+
+// WithInstrument returns a context under which every simulator built by
+// RunAllContext/RunKey is also handed to fn, after Runner.Instrument and
+// under the same observe-only contract: how a caller sharing a Runner (the
+// job server's traced submissions) observes exactly the runs it waits on.
+func WithInstrument(ctx context.Context, fn func(*core.Simulator)) context.Context {
+	return context.WithValue(ctx, instrumentKey{}, fn)
 }
 
 // ErrRunTimeout marks a run that exceeded RunTimeout; errors.Is against it
@@ -128,14 +126,10 @@ func (r *Runner) Runs() int {
 
 // Run executes (or recalls) one simulation.
 func (r *Runner) Run(cfg core.Config, k trace.Kernel) (core.Result, error) {
-	results, err := r.RunAll([]Job{{Cfg: cfg, Kernel: k}})
-	if err != nil {
-		return core.Result{}, err
-	}
-	return results[0], nil
+	return r.RunKey(context.Background(), jobKey(cfg, k.Name), Job{Cfg: cfg, Kernel: k})
 }
 
-// RunAll executes the jobs (deduplicated against the cache) on the worker
+// RunAll executes the jobs (deduplicated against the store) on the worker
 // pool and returns results in job order.
 func (r *Runner) RunAll(jobs []Job) ([]core.Result, error) {
 	return r.RunAllContext(context.Background(), jobs)
@@ -147,49 +141,52 @@ func (r *Runner) RunAll(jobs []Job) ([]core.Result, error) {
 // joined errors of every failed run (plus ctx's error, if cancelled) are
 // returned.
 func (r *Runner) RunAllContext(ctx context.Context, jobs []Job) ([]core.Result, error) {
-	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[runKey]core.Result)
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = jobKey(j.Cfg, j.Kernel.Name)
 	}
+	return r.runKeyed(ctx, keys, jobs)
+}
+
+// RunKey is RunAllContext for one job whose JobKey the caller already
+// derived (the serving layer computes it once per submission).
+func (r *Runner) RunKey(ctx context.Context, key string, j Job) (core.Result, error) {
+	results, err := r.runKeyed(ctx, []string{key}, []Job{j})
+	if err != nil {
+		return core.Result{}, err
+	}
+	return results[0], nil
+}
+
+// runKeyed runs jobs[i] under keys[i] = its JobKey.
+func (r *Runner) runKeyed(ctx context.Context, keys []string, jobs []Job) ([]core.Result, error) {
 	// Collect the distinct keys that still need simulating; the journal
-	// fills the cache for runs a previous (possibly killed) sweep finished.
-	need := make(map[runKey]Job)
-	for _, j := range jobs {
-		k := runKey{cfg: j.Cfg, bench: j.Kernel.Name}
-		if _, ok := r.cache[k]; ok {
-			continue
+	// answers for runs a previous (possibly killed) sweep finished.
+	need := make(map[string]Job)
+	for i, j := range jobs {
+		if _, ok := r.LookupKey(keys[i]); !ok {
+			need[keys[i]] = j
 		}
-		if r.Journal != nil {
-			key := jobKey(j.Cfg, j.Kernel.Name)
-			if res, ok := r.Journal.lookup(key); ok {
-				r.cache[k] = res
-				r.setByKeyLocked(key, res)
-				continue
-			}
-		}
-		need[k] = j
 	}
-	r.mu.Unlock()
 
 	if len(need) > 0 {
-		keys := make([]runKey, 0, len(need))
+		order := make([]string, 0, len(need))
 		for k := range need {
-			keys = append(keys, k)
+			order = append(order, k)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].bench != keys[j].bench {
-				return keys[i].bench < keys[j].bench
+		sort.Slice(order, func(i, j int) bool {
+			a, b := need[order[i]], need[order[j]]
+			if a.Kernel.Name != b.Kernel.Name {
+				return a.Kernel.Name < b.Kernel.Name
 			}
-			return fmt.Sprint(keys[i].cfg) < fmt.Sprint(keys[j].cfg)
+			return fmt.Sprint(a.Cfg) < fmt.Sprint(b.Cfg)
 		})
 
 		workers := r.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		if workers > len(keys) {
-			workers = len(keys)
-		}
+		workers = min(workers, len(order))
 
 		// fail is closed once, on the first failure; dispatch selects on it
 		// so queued jobs are abandoned rather than started.
@@ -205,7 +202,7 @@ func (r *Runner) RunAllContext(ctx context.Context, jobs []Job) ([]core.Result, 
 		}
 
 		var wg sync.WaitGroup
-		ch := make(chan runKey)
+		ch := make(chan string)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
@@ -223,7 +220,7 @@ func (r *Runner) RunAllContext(ctx context.Context, jobs []Job) ([]core.Result, 
 			}()
 		}
 	dispatch:
-		for _, k := range keys {
+		for _, k := range order {
 			select {
 			case ch <- k:
 			case <-fail:
@@ -235,9 +232,7 @@ func (r *Runner) RunAllContext(ctx context.Context, jobs []Job) ([]core.Result, 
 		close(ch)
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
-			errMu.Lock()
-			errs = append(errs, err)
-			errMu.Unlock()
+			errs = append(errs, err) // every worker has returned: no lock needed
 		}
 		if len(errs) > 0 {
 			return nil, errors.Join(errs...)
@@ -245,10 +240,8 @@ func (r *Runner) RunAllContext(ctx context.Context, jobs []Job) ([]core.Result, 
 	}
 
 	out := make([]core.Result, len(jobs))
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for i, j := range jobs {
-		res, ok := r.cache[runKey{cfg: j.Cfg, bench: j.Kernel.Name}]
+		res, ok := r.LookupKey(keys[i])
 		if !ok {
 			return nil, fmt.Errorf("exp: missing result for %s", j.Kernel.Name)
 		}
@@ -257,105 +250,69 @@ func (r *Runner) RunAllContext(ctx context.Context, jobs []Job) ([]core.Result, 
 	return out, nil
 }
 
-// finish publishes one completed run: journal first (synced to disk), then
-// cache + progress, so a crash between the two at worst recomputes nothing.
-func (r *Runner) finish(k runKey, res core.Result) error {
-	key := jobKey(k.cfg, k.bench)
-	if r.Journal != nil {
-		if err := r.Journal.record(key, res); err != nil {
-			return err
-		}
+// finish publishes one completed run: store first (a journal syncs it to
+// disk), then the run count + progress, so a crash between the two at worst
+// recomputes nothing.
+func (r *Runner) finish(key string, res core.Result) error {
+	if err := r.AdoptKey(key, res); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cache[k] = res
-	r.setByKeyLocked(key, res)
 	r.runs++
 	// The progress write stays under the mutex: workers share r.Progress,
 	// and io.Writer implementations (bytes.Buffer, files with buffering)
 	// are not safe for concurrent use.
 	if r.Progress != nil {
 		fmt.Fprintf(r.Progress, "run %3d: %-16s %-20s IPC=%.3f\n",
-			r.runs, k.bench, res.Scheme, res.IPC)
+			r.runs, res.Benchmark, res.Scheme, res.IPC)
 	}
 	return nil
 }
 
-// Lookup returns the result for (cfg, bench) if it is already in the cache
-// or the journal, without simulating. It lets a serving layer answer
-// duplicate submissions idempotently and report journal-backed cache hits.
+// Lookup returns the stored result for (cfg, bench), if any, without
+// simulating.
 func (r *Runner) Lookup(cfg core.Config, bench string) (core.Result, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := runKey{cfg: cfg, bench: bench}
-	if res, ok := r.cache[k]; ok {
-		return res, true
-	}
-	if r.Journal != nil {
-		key := jobKey(cfg, bench)
-		if res, ok := r.Journal.lookup(key); ok {
-			if r.cache == nil {
-				r.cache = make(map[runKey]core.Result)
-			}
-			r.cache[k] = res
-			r.setByKeyLocked(key, res)
-			return res, true
-		}
-	}
-	return core.Result{}, false
+	return r.LookupKey(jobKey(cfg, bench))
 }
 
-// LookupKey returns the result stored under the given JobKey, consulting
-// the in-memory index and then the journal, without simulating. It is the
-// lookup cluster peers perform: the key is the content hash itself, so no
-// configuration needs to travel with the query.
+// LookupKey returns the result stored under the given JobKey without
+// simulating: from the journal when one is attached, else from memory. It
+// lets a serving layer answer duplicate submissions idempotently, and it is
+// the lookup cluster peers perform — the key is the content hash itself, so
+// no configuration needs to travel with the query.
 func (r *Runner) LookupKey(key string) (core.Result, bool) {
-	r.mu.Lock()
-	if res, ok := r.byKey[key]; ok {
-		r.mu.Unlock()
-		return res, true
-	}
-	r.mu.Unlock()
 	if r.Journal != nil {
-		if res, ok := r.Journal.Get(key); ok {
-			r.mu.Lock()
-			r.setByKeyLocked(key, res)
-			r.mu.Unlock()
-			return res, true
-		}
+		return r.Journal.Get(key)
 	}
-	return core.Result{}, false
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	res, ok := r.results[key]
+	return res, ok
 }
 
 // Adopt stores a result computed elsewhere — a cluster peer that already
-// ran the job — into this runner's cache and journal without counting it
-// as a run. Determinism makes adoption safe: the same (config, benchmark)
-// produces the same Result bytes on every replica, and keeping Runs()
-// untouched preserves the zero-duplicate-runs accounting the cluster soaks
-// verify.
+// ran the job — without counting it as a run. Determinism makes adoption
+// safe: the same (config, benchmark) produces the same Result bytes on every
+// replica, and keeping Runs() untouched preserves the zero-duplicate-runs
+// accounting the cluster soaks verify.
 func (r *Runner) Adopt(cfg core.Config, bench string, res core.Result) error {
-	key := jobKey(cfg, bench)
+	return r.AdoptKey(jobKey(cfg, bench), res)
+}
+
+// AdoptKey is Adopt under an already derived JobKey, and the one write into
+// the store: the journal (fsync'd, then visible) when attached, else memory.
+func (r *Runner) AdoptKey(key string, res core.Result) error {
 	if r.Journal != nil {
-		if err := r.Journal.record(key, res); err != nil {
-			return err
-		}
+		return r.Journal.record(key, res)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cache == nil {
-		r.cache = make(map[runKey]core.Result)
+	if r.results == nil {
+		r.results = make(map[string]core.Result)
 	}
-	r.cache[runKey{cfg: cfg, bench: bench}] = res
-	r.setByKeyLocked(key, res)
+	r.results[key] = res
 	return nil
-}
-
-// setByKeyLocked indexes res under its JobKey; callers hold r.mu.
-func (r *Runner) setByKeyLocked(key string, res core.Result) {
-	if r.byKey == nil {
-		r.byKey = make(map[string]core.Result)
-	}
-	r.byKey[key] = res
 }
 
 // simulateRetry wraps simulate in the opt-in MaxRetries policy: only a
@@ -412,8 +369,8 @@ func (r *Runner) simulate(ctx context.Context, j Job) (res core.Result, err erro
 	if r.Instrument != nil {
 		r.Instrument(sim)
 	}
-	if r.InstrumentJob != nil {
-		r.InstrumentJob(j, sim)
+	if attach, ok := ctx.Value(instrumentKey{}).(func(*core.Simulator)); ok {
+		attach(sim)
 	}
 	if r.Monitor != nil {
 		st := r.Monitor.Begin(name, j.Cfg.Scheme.String(), j.Cfg.WarmupCycles+j.Cfg.MeasureCycles)

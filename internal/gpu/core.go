@@ -513,8 +513,3 @@ func (c *Core) loadDone(w int) {
 		}
 	}
 }
-
-// OutstandingWork reports in-flight memory activity (drain detection).
-func (c *Core) OutstandingWork() int {
-	return len(c.lsuQ) + c.mshr.Occupied() + c.outstandingStores
-}

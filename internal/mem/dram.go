@@ -266,15 +266,6 @@ func (d *DRAM) TakeCompleted(out []*Transaction, wantWriteback func(*Transaction
 	return out
 }
 
-// RowHitRate returns the fraction of requests that hit an open row.
-func (d *DRAM) RowHitRate() float64 {
-	total := d.RowHits + d.RowMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(d.RowHits) / float64(total)
-}
-
 func maxI64(vs ...int64) int64 {
 	m := vs[0]
 	for _, v := range vs[1:] {

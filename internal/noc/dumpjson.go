@@ -1,7 +1,5 @@
 package noc
 
-import "encoding/json"
-
 // PacketDump is the JSON form of one in-flight packet's header state.
 type PacketDump struct {
 	ID        uint64 `json:"id"`
@@ -125,9 +123,4 @@ func (n *Network) StateSnapshot() StateDump {
 		d.OldestPackets = append(d.OldestPackets, n.packetDump(p))
 	}
 	return d
-}
-
-// DumpStateJSON returns StateSnapshot encoded as JSON.
-func (n *Network) DumpStateJSON() ([]byte, error) {
-	return json.Marshal(n.StateSnapshot())
 }

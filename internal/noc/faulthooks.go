@@ -104,25 +104,3 @@ func (n *Network) KillLink(node, port int) bool {
 
 // DeadLinks returns the number of permanently killed mesh links.
 func (n *Network) DeadLinks() int { return n.recovery.DeadLinks }
-
-// FaultHorizon returns the furthest fault expiry cycle over all components,
-// or 0 when no fault was ever applied. Drain loops use it to know when all
-// service stalls have lapsed. Corruption windows count; dead links do not
-// (they never expire — drain relies on re-routing, not recovery of the
-// link).
-func (n *Network) FaultHorizon() int64 {
-	var h int64
-	for i := range n.routers {
-		r := &n.routers[i]
-		for o := range r.out {
-			h = max(h, r.out[o].stalledUntil, r.out[o].corruptUntil)
-		}
-		for p := range r.in {
-			h = max(h, r.in[p].frozenUntil)
-		}
-	}
-	for i := range n.nis {
-		h = max(h, n.nis[i].stalledUntil)
-	}
-	return h
-}

@@ -6,11 +6,6 @@ import (
 	"repro/internal/stats"
 )
 
-// statsTimeWeightedAt restarts an NI occupancy tracker mid-run.
-func statsTimeWeightedAt(level float64, now int64) stats.TimeWeighted {
-	return stats.NewTimeWeightedAt(level, now)
-}
-
 // Fabric is the interface between node logic and an interconnect; the mesh
 // Network and the DA2mesh overlay both implement it.
 type Fabric interface {
@@ -261,7 +256,7 @@ func (n *Network) ResetStats() {
 	n.injWindowStart = n.now
 	for i := range n.nis {
 		ni := &n.nis[i]
-		ni.occupancy = statsTimeWeightedAt(float64(ni.queuedFlits()), n.now)
+		ni.occupancy = stats.NewTimeWeightedAt(float64(ni.queuedFlits()), n.now)
 		ni.everHeld = ni.queuedFlits() > 0
 		ni.rejectedOfferEvents = 0
 		ni.injectedFlits = 0
@@ -380,7 +375,7 @@ func (n *Network) Idle() bool {
 		return false
 	}
 	for i := range n.nis {
-		if n.nis[i].pendingFlits() > 0 {
+		if n.nis[i].queuedFlits() > 0 {
 			return false
 		}
 	}

@@ -258,7 +258,7 @@ func (ni *NI) stepFIFO(now int64) {
 	if p == -1 || ni.vcCredits[p*ni.router.nvc+v] <= 0 {
 		return
 	}
-	ni.sendFlit(p, v, now)
+	ni.deliver(ni.queue.pop(), p, v, now)
 	if f.isTail() {
 		ni.boundPort, ni.boundVC = -1, -1
 	}
@@ -296,18 +296,8 @@ func (ni *NI) stepSplit(now int64) {
 		if ni.splitQueues[v].empty() || ni.vcCredits[v] <= 0 {
 			continue
 		}
-		ni.sendSplitFlit(v, now)
+		ni.deliver(ni.splitQueues[v].pop(), 0, v, now)
 	}
-}
-
-func (ni *NI) sendFlit(p, v int, now int64) {
-	f := ni.queue.pop()
-	ni.deliver(f, p, v, now)
-}
-
-func (ni *NI) sendSplitFlit(v int, now int64) {
-	f := ni.splitQueues[v].pop()
-	ni.deliver(f, 0, v, now)
 }
 
 func (ni *NI) deliver(f flit, p, v int, now int64) {
@@ -324,9 +314,6 @@ func (ni *NI) deliver(f flit, p, v int, now int64) {
 	ni.injectedFlits++
 	ni.net.stats.InjLinkFlits++
 }
-
-// pendingFlits returns the flits still buffered in the NI.
-func (ni *NI) pendingFlits() int { return ni.queuedFlits() }
 
 // OccupancyAvg returns the time-weighted average NI queue occupancy in
 // flits (Fig 6's metric, converted to packets by the caller).

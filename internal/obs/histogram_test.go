@@ -114,8 +114,8 @@ func TestPromHistogramRendering(t *testing.T) {
 	}
 }
 
-// BenchmarkHistogramObserve gates the serving hot path in benchdiff: one
-// Observe per request must stay a couple of atomic adds, allocation-free.
+// BenchmarkHistogramObserve prices the serving hot path: one Observe per
+// request must stay a couple of atomic adds, allocation-free.
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()

@@ -14,7 +14,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"repro/internal/stats"
@@ -181,11 +180,4 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SortedNames returns the probe names in lexical order (stable summaries).
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"net/http"
 	"sync"
 	"time"
 )
@@ -122,9 +124,6 @@ func newSLOTracker(objectives []Objective, windows []time.Duration, slot time.Du
 	return t
 }
 
-// Objectives returns the tracked objectives.
-func (t *SLOTracker) Objectives() []Objective { return t.objectives }
-
 // Observe records one successful event with the given latency; it is good
 // for every objective whose threshold it meets.
 func (t *SLOTracker) Observe(v int64) {
@@ -203,6 +202,12 @@ func (t *SLOTracker) Report() SLOReport {
 		rep.Objectives[oi] = st
 	}
 	return rep
+}
+
+// ServeHTTP is /debug/slo on both binaries: the report as JSON.
+func (t *SLOTracker) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(t.Report())
 }
 
 // WriteMetrics renders the report as Prometheus gauges under the given

@@ -5,20 +5,19 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Request-scoped distributed tracing across the serving stack (DESIGN.md
-// §15): arigate mints a trace for a sampled job and propagates it to the
-// replicas via the X-Ari-Trace header; ariserve continues it with spans for
-// admission, queue wait and the simulation itself, and links the sampled
-// NoC packet lifecycles of that run (Collector) into the same trace. Spans
-// from every process merge into one Chrome trace_event timeline, so a slow
-// query is explainable end to end: gateway hedges, replica queueing, the
-// run, and the packets inside the simulated fabric, all under one trace ID.
+// §15): spans from arigate, every ariserve replica and a traced run's
+// sampled NoC packets share one trace ID, propagated via X-Ari-Trace, and
+// merge into one Chrome trace_event timeline.
 
 // TraceHeader carries the trace context between processes as
 // "<trace id>-<span id>", both fixed-width lowercase hex.
@@ -116,6 +115,9 @@ func StartSpan(trace, parent, name, process string) Span {
 // End stamps the span's duration.
 func (s *Span) End() { s.DurUS = time.Now().UnixMicro() - s.StartUS }
 
+// Context is the span's propagated form: what a callee parents under.
+func (s *Span) Context() TraceContext { return TraceContext{Trace: s.Trace, Span: s.ID} }
+
 // SetAttr annotates the span.
 func (s *Span) SetAttr(k, v string) {
 	if s.Attrs == nil {
@@ -133,6 +135,8 @@ type SpanRecorder struct {
 	next  int // ring write position once full
 	full  bool
 	spans []Span
+
+	unsampled atomic.Int64 // requests that arrived without a context (StartScope)
 }
 
 // DefaultSpanCap bounds the recorder when the configured capacity is 0.
@@ -199,6 +203,83 @@ func (r *SpanRecorder) LatestTrace() string {
 	return ""
 }
 
+// ServeHTTP is /debug/spans on both binaries: the recorded spans as JSON
+// (?trace=<id> filters to one trace), which the gateway's /debug/trace merges.
+func (r *SpanRecorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(r.Spans(req.URL.Query().Get("trace")))
+}
+
+// Scope carries one traced request through its handler: a root span plus
+// the child spans and instant events recorded under it. A nil *Scope
+// (untraced request) is valid and makes every method a no-op, so handlers
+// call it unconditionally.
+type Scope struct {
+	rec  *SpanRecorder
+	root Span
+}
+
+// StartScope decides one request's tracing fate: continue a valid incoming
+// X-Ari-Trace context (the sender sampled), else mint a trace for 1 in
+// sample context-less requests (0 = never). The root's context is echoed on
+// the response so callers — curl included — learn the trace ID to pull.
+func (r *SpanRecorder) StartScope(w http.ResponseWriter, req *http.Request, name, process string, sample int) *Scope {
+	tc, ok := ParseTraceContext(req.Header.Get(TraceHeader))
+	if !ok {
+		if sample <= 0 || (r.unsampled.Add(1)-1)%int64(sample) != 0 {
+			return nil
+		}
+		tc = TraceContext{Trace: NewTraceID()}
+	}
+	sc := &Scope{rec: r, root: StartSpan(tc.Trace, tc.Span, name, process)}
+	w.Header().Set(TraceHeader, sc.root.Context().String())
+	return sc
+}
+
+// SetAttr annotates the root span.
+func (sc *Scope) SetAttr(k, v string) {
+	if sc != nil {
+		sc.root.SetAttr(k, v)
+	}
+}
+
+// Child starts a span nested under the root; close it with EndChild. The
+// zero Span returned when untraced is safe to pass back.
+func (sc *Scope) Child(name string) Span {
+	if sc == nil {
+		return Span{}
+	}
+	return StartSpan(sc.root.Trace, sc.root.ID, name, sc.root.Process)
+}
+
+// EndChild stamps and records a child span with optional attr pairs. It is
+// safe to call from a goroutine other than the handler's.
+func (sc *Scope) EndChild(sp Span, attrs ...string) {
+	if sc == nil || sp.Trace == "" {
+		return
+	}
+	sp.End()
+	for i := 0; i+1 < len(attrs); i += 2 {
+		sp.SetAttr(attrs[i], attrs[i+1])
+	}
+	sc.rec.Record(sp)
+}
+
+// Event records an instantaneous child span: the trace shows where an
+// answer came from even when getting it took no time worth timing.
+func (sc *Scope) Event(name string) {
+	if sc != nil {
+		sc.rec.Record(sc.Child(name))
+	}
+}
+
+// Finish closes and records the root span with its outcome; call it once.
+func (sc *Scope) Finish(outcome string) {
+	if sc != nil {
+		sc.EndChild(sc.root, "outcome", outcome)
+	}
+}
+
 // PacketSpans converts the completed packet lifecycles of a Collector into
 // spans of the given trace, parented under the simulation-run span and
 // anchored at its wall-clock start: packet cycles map 1:1 to microseconds
@@ -228,40 +309,15 @@ func PacketSpans(c *Collector, trace, parent, process string, anchorUS int64, li
 		last := p.lastSwitch()
 		sp.Attrs = map[string]string{
 			"net":    c.Label,
-			"src":    itoa(p.Src),
-			"dst":    itoa(p.Dst),
-			"queue":  itoa64(p.Injected - p.Enqueued),
-			"net_cy": itoa64(last - p.Injected),
-			"eject":  itoa64(p.Ejected - last),
+			"src":    strconv.Itoa(p.Src),
+			"dst":    strconv.Itoa(p.Dst),
+			"queue":  strconv.FormatInt(p.Injected-p.Enqueued, 10),
+			"net_cy": strconv.FormatInt(last-p.Injected, 10),
+			"eject":  strconv.FormatInt(p.Ejected-last, 10),
 		}
 		out = append(out, sp)
 	}
 	return out
-}
-
-func itoa(v int) string { return itoa64(int64(v)) }
-
-func itoa64(v int64) string {
-	// strconv would be fine; this avoids the import churn for two helpers.
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // WriteSpanTrace exports spans as a Chrome trace_event JSON document (the

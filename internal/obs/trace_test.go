@@ -26,11 +26,11 @@ func TestTraceContextRoundTrip(t *testing.T) {
 func TestParseTraceContextRejectsGarbage(t *testing.T) {
 	for _, h := range []string{
 		"", "abc", strings.Repeat("z", 33),
-		"0123456789abcdef:0123456789abcdef",       // wrong separator
-		"0123456789ABCDEF-0123456789abcdef",       // upper hex
-		"0123456789abcde-0123456789abcdef",        // short trace
-		"0123456789abcdef-0123456789abcdeff",      // long span
-		"0123456789abcdef-0123456789abcdeg",       // non-hex
+		"0123456789abcdef:0123456789abcdef",  // wrong separator
+		"0123456789ABCDEF-0123456789abcdef",  // upper hex
+		"0123456789abcde-0123456789abcdef",   // short trace
+		"0123456789abcdef-0123456789abcdeff", // long span
+		"0123456789abcdef-0123456789abcdeg",  // non-hex
 	} {
 		if _, ok := ParseTraceContext(h); ok {
 			t.Errorf("ParseTraceContext(%q) accepted", h)

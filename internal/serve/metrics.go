@@ -11,18 +11,19 @@ import (
 )
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
-// format via obs.PromWriter: server admission/shed counters, per-job
-// progress from the run monitor (cycles, cycles/sec, ETA, watchdog state),
-// and process metrics from the Go runtime.
+// format via obs.PromWriter: the outcome counters and stage histograms the
+// pipeline's tables declare, per-job progress from the run monitor (cycles,
+// cycles/sec, ETA, watchdog state), and process metrics from the Go runtime.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var p obs.PromWriter
 	st := s.Stats()
 
 	p.Metric("ari_jobs_admitted", "Jobs currently holding an admission slot (executing + waiting).", "gauge", float64(st.Admitted))
-	p.Metric("ari_jobs_completed_total", "Simulations finished by this process.", "counter", float64(st.Completed))
-	p.Metric("ari_jobs_cache_hits_total", "Submissions answered from the cache or journal.", "counter", float64(st.CacheHits))
-	p.Metric("ari_jobs_peer_hits_total", "Submissions answered from a cluster peer's journal without running.", "counter", float64(st.PeerHits))
-	p.Metric("ari_jobs_shed_total", "Submissions rejected with 429 because the queue was full.", "counter", float64(st.Shed))
+	for _, row := range outcomes {
+		if row.metric != "" {
+			p.Metric(row.metric, row.help, "counter", float64(*row.stat(&st)))
+		}
+	}
 	p.Metric("ari_draining", "1 once admission is closed.", "gauge", obs.Bool(st.Draining))
 	p.Metric("ari_service_time_seconds", "EWMA of observed simulation wall time.", "gauge", st.ServiceTimeMs/1000)
 	p.Metric("ari_uptime_seconds", "Server process uptime.", "gauge", time.Since(s.started).Seconds())
@@ -31,7 +32,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Per-job progress, labelled by run identity. One gauge family per
 	// dimension, the Prometheus-idiomatic shape of the monitor's snapshot.
-	progress := s.monitor.Snapshot()
+	progress := s.cfg.Monitor.Snapshot()
 	perJob := func(name, help string, read func(i int) float64) {
 		p.Family(name, help, "gauge")
 		for i, pr := range progress {
@@ -48,10 +49,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	p.Histogram("ari_job_seconds", "Full submission latency of 2xx answers (cache hits, estimates, peer hits and runs).",
 		s.jobHist.Snapshot(), 1e-6)
-	p.Histogram("ari_queue_wait_seconds", "Admitted jobs' wait for an execution slot.",
-		s.queueHist.Snapshot(), 1e-6)
-	p.Histogram("ari_run_seconds", "Simulation wall time of completed runs.",
-		s.runHist.Snapshot(), 1e-6)
+	for i, st := range stages {
+		if st.metric != "" {
+			p.Histogram(st.metric, st.help, s.stageHist[i].Snapshot(), 1e-6)
+		}
+	}
 	s.slo.Report().WriteMetrics(&p, "ari")
 	p.Metric("ari_trace_spans", "Spans held in the in-memory recorder.", "gauge", float64(s.spans.Len()))
 
@@ -85,7 +87,7 @@ func (s *Server) handleNoCState(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
 	defer cancel()
 	entries := []nocStateEntry{}
-	for _, st := range s.monitor.Active() {
+	for _, st := range s.cfg.Monitor.Active() {
 		e := nocStateEntry{Job: st.Name()}
 		dump, err := st.FetchState(ctx)
 		if err != nil {
@@ -98,4 +100,20 @@ func (s *Server) handleNoCState(w http.ResponseWriter, r *http.Request) {
 		entries = append(entries, e)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": entries})
+}
+
+// handleTrace renders one locally recorded trace (?trace=<id>, default the
+// latest root) as a Chrome trace_event document.
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	trace := r.URL.Query().Get("trace")
+	if trace == "" {
+		trace = s.spans.LatestTrace()
+	}
+	spans := s.spans.Spans(trace)
+	if trace == "" || len(spans) == 0 {
+		WriteError(w, http.StatusNotFound, "trace not found; enable sampling with -trace-sample")
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	obs.WriteSpanTrace(w, spans)
 }

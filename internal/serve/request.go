@@ -83,12 +83,6 @@ type errorResponse struct {
 // so a routing front door (internal/cluster) derives the identical
 // exp.JobKey for consistent-hash placement.
 func BuildJob(base core.Config, q *JobRequest) (exp.Job, error) {
-	return buildJob(base, q)
-}
-
-// buildJob resolves a request against the server's base configuration into
-// a validated runner job.
-func buildJob(base core.Config, q *JobRequest) (exp.Job, error) {
 	kernel, err := trace.ByName(q.Bench)
 	if err != nil {
 		return exp.Job{}, err

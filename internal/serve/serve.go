@@ -26,20 +26,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/analytic"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/obs"
 )
@@ -147,32 +142,20 @@ type Stats struct {
 //	GET  /healthz   liveness: 200 while the process runs
 //	GET  /readyz    readiness: 200 while admitting, 503 once draining
 type Server struct {
-	runner      *exp.Runner
-	maxInFlight int
-	queue       chan struct{} // admission slots (executing + waiting)
-	work        chan struct{} // execution slots
-	mux         *http.ServeMux
-	monitor     *obs.RunMonitor
-	started     time.Time
-	peers       []string
-	peerTimeout time.Duration
-	peerClient  *http.Client
+	cfg     Config        // as given to New, defaults filled in
+	queue   chan struct{} // admission slots (executing + waiting)
+	work    chan struct{} // execution slots
+	mux     *http.ServeMux
+	started time.Time
 
-	spans        *obs.SpanRecorder
-	traceSample  int
-	traceSeq     atomic.Int64
-	tracePackets int
-	packetSample int
-	process      string
-	jobHist      obs.Histogram // full submission latency of 2xx answers, µs
-	queueHist    obs.Histogram // wait for an execution slot, µs
-	runHist      obs.Histogram // simulation wall time, µs
-	slo          *obs.SLOTracker
+	spans     *obs.SpanRecorder
+	jobHist   obs.Histogram            // full submission latency of served answers, µs
+	stageHist [numStages]obs.Histogram // per-stage latency, µs (see stages)
+	slo       *obs.SLOTracker
 
-	// traced maps job keys of in-flight traced runs to their collector
-	// rendezvous (see tracedRun).
-	traceMu sync.Mutex
-	traced  map[string]*tracedRun
+	// stageHook, when set (tests only), is called as a submission enters a
+	// stage: the transition tests wait on instead of polling counters.
+	stageHook func(stage string)
 
 	// rootCtx is cancelled by Abort: every in-flight run aborts at its
 	// next watchdog poll. This is the drain-deadline / simulated-crash path.
@@ -182,11 +165,7 @@ type Server struct {
 	mu          sync.Mutex
 	draining    bool
 	ewma        time.Duration
-	completed   int64
-	cacheHits   int64
-	peerHits    int64
-	estimated   int64
-	shed        int64
+	counts      [numOutcomes]int64 // submissions answered, per outcome
 	faultEvents int64
 	recovered   int64
 	inflight    sync.WaitGroup
@@ -197,90 +176,60 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Runner == nil {
 		return nil, errors.New("serve: Config.Runner is required")
 	}
-	maxInFlight := cfg.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = runtime.GOMAXPROCS(0)
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = runtime.GOMAXPROCS(0)
 	}
-	queueDepth := cfg.QueueDepth
 	switch {
-	case queueDepth == 0:
-		queueDepth = 2 * maxInFlight
-	case queueDepth < 0:
-		queueDepth = 0
+	case cfg.QueueDepth == 0:
+		cfg.QueueDepth = 2 * cfg.MaxInFlight
+	case cfg.QueueDepth < 0:
+		cfg.QueueDepth = 0
 	}
-	monitor := cfg.Monitor
-	if monitor == nil {
-		monitor = cfg.Runner.Monitor
+	if cfg.Monitor == nil {
+		cfg.Monitor = cfg.Runner.Monitor
 	}
-	if monitor == nil {
-		monitor = obs.NewRunMonitor()
+	if cfg.Monitor == nil {
+		cfg.Monitor = obs.NewRunMonitor()
 	}
 	if cfg.Runner.Monitor == nil {
-		cfg.Runner.Monitor = monitor
+		cfg.Runner.Monitor = cfg.Monitor
 	}
-	peerTimeout := cfg.PeerTimeout
-	if peerTimeout <= 0 {
-		peerTimeout = time.Second
+	if cfg.PeerTimeout <= 0 {
+		cfg.PeerTimeout = time.Second
 	}
-	peerClient := cfg.PeerClient
-	if peerClient == nil {
-		peerClient = http.DefaultClient
+	if cfg.PeerClient == nil {
+		cfg.PeerClient = http.DefaultClient
 	}
-	tracePackets := cfg.TracePackets
 	switch {
-	case tracePackets == 0:
-		tracePackets = 256
-	case tracePackets < 0:
-		tracePackets = 0
+	case cfg.TracePackets == 0:
+		cfg.TracePackets = 256
+	case cfg.TracePackets < 0:
+		cfg.TracePackets = 0
 	}
-	packetSample := cfg.PacketSample
-	if packetSample <= 0 {
-		packetSample = 16
+	if cfg.PacketSample <= 0 {
+		cfg.PacketSample = 16
 	}
-	process := cfg.Process
-	if process == "" {
-		process = "ariserve"
+	if cfg.Process == "" {
+		cfg.Process = "ariserve"
 	}
-	target := cfg.SLOTarget
-	if target <= 0 {
-		target = 30 * time.Second
+	if cfg.SLOTarget <= 0 {
+		cfg.SLOTarget = 30 * time.Second
 	}
-	goal := cfg.SLOGoal
-	if goal <= 0 || goal >= 1 {
-		goal = 0.99
+	if cfg.SLOGoal <= 0 || cfg.SLOGoal >= 1 {
+		cfg.SLOGoal = 0.99
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		runner:      cfg.Runner,
-		maxInFlight: maxInFlight,
-		queue:       make(chan struct{}, maxInFlight+queueDepth),
-		work:        make(chan struct{}, maxInFlight),
-		monitor:     monitor,
-		started:     time.Now(),
-		peers:       cfg.Peers,
-		peerTimeout: peerTimeout,
-		peerClient:  peerClient,
-		spans:       obs.NewSpanRecorder(cfg.TraceCap),
-		traceSample: cfg.TraceSample,
-		tracePackets: tracePackets,
-		packetSample: packetSample,
-		process:     process,
+		cfg:     cfg,
+		queue:   make(chan struct{}, cfg.MaxInFlight+cfg.QueueDepth),
+		work:    make(chan struct{}, cfg.MaxInFlight),
+		started: time.Now(),
+		spans:   obs.NewSpanRecorder(cfg.TraceCap),
 		slo: obs.NewSLOTracker([]obs.Objective{
-			{Name: "job_latency", Threshold: target.Microseconds(), Goal: goal},
+			{Name: "job_latency", Threshold: cfg.SLOTarget.Microseconds(), Goal: cfg.SLOGoal},
 		}),
-		traced:  make(map[string]*tracedRun),
 		rootCtx: ctx,
 		abort:   cancel,
-	}
-	// Chain onto the runner's InstrumentJob seam so traced runs get packet
-	// collectors. The runner may be shared (peers, tests): preserve any hook
-	// already installed.
-	prevInstrument := cfg.Runner.InstrumentJob
-	cfg.Runner.InstrumentJob = func(j exp.Job, sim *core.Simulator) {
-		if prevInstrument != nil {
-			prevInstrument(j, sim)
-		}
-		s.instrumentJob(j, sim)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
@@ -292,9 +241,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/readyz", s.handleReady)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/debug/nocstate", s.handleNoCState)
-	s.mux.HandleFunc("/debug/spans", s.handleSpans)
+	s.mux.Handle("/debug/spans", s.spans)
 	s.mux.HandleFunc("/debug/trace", s.handleTrace)
-	s.mux.HandleFunc("/debug/slo", s.handleSLO)
+	s.mux.Handle("/debug/slo", s.slo)
 	// pprof goes on the server's own mux — ariserve never serves the
 	// DefaultServeMux, so the import's side-effect registrations alone
 	// would be unreachable.
@@ -324,6 +273,24 @@ func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
+}
+
+// claimSlot admits one submission (nil) unless admission is closed or the
+// queue is full. It shares s.mu with BeginDrain so that a submission either
+// sees the drain or is counted in inflight before Wait can observe it.
+func (s *Server) claimSlot() *answer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return reject(outDraining, errDraining)
+	}
+	select {
+	case s.queue <- struct{}{}:
+		s.inflight.Add(1)
+		return nil
+	default:
+		return reject(outShed, errQueueFull)
+	}
 }
 
 // Abort cancels every in-flight job immediately (each aborts at its next
@@ -364,24 +331,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
+	st := Stats{
 		Admitted:         len(s.queue),
-		Completed:        s.completed,
-		CacheHits:        s.cacheHits,
-		PeerHits:         s.peerHits,
-		Estimated:        s.estimated,
-		Shed:             s.shed,
 		Draining:         s.draining,
 		ServiceTimeMs:    float64(s.ewma) / float64(time.Millisecond),
 		FaultEvents:      s.faultEvents,
 		RecoveredPackets: s.recovered,
 	}
+	for o, row := range outcomes {
+		if row.stat != nil {
+			*row.stat(&st) = s.counts[o]
+		}
+	}
+	return st
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})
+		s.writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	fmt.Fprintln(w, "ready")
@@ -391,278 +358,37 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
-		return
-	}
-	start := time.Now()
-	jt := s.startJobTrace(w, r)
-	defer jt.finish("abandoned") // client gone before an answer; first finish wins
-
-	var q JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&q); err != nil {
-		jt.finish("bad_request")
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	job, err := buildJob(s.runner.Base, &q)
-	if err != nil {
-		jt.finish("bad_request")
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	key := exp.JobKey(job.Cfg, job.Kernel.Name)
-	jt.setAttr("bench", job.Kernel.Name)
-	jt.setAttr("key", key)
-
-	// Idempotent fast path: a duplicate of a finished job — a client retry,
-	// or any job the journal already holds after a restart — is answered
-	// from the store without consuming a queue slot, even under overload
-	// or drain.
-	if res, ok := s.runner.Lookup(job.Cfg, job.Kernel.Name); ok {
-		s.mu.Lock()
-		s.cacheHits++
-		s.mu.Unlock()
-		jt.event("serve.journal_hit")
-		s.answered(start)
-		jt.finish("cached")
-		writeJSON(w, http.StatusOK, JobResponse{Key: key, Cached: true, Result: res})
-		return
-	}
-
-	// Estimate mode: answer from the analytical model in microseconds —
-	// no queue slot, so estimates are never shed and work even while
-	// draining. The client escalates to a real simulation by resubmitting
-	// without Estimate; the JobKey stays the same, so the escalated run
-	// lands in the journal and later estimate-mode lookups return it exact.
-	if q.Estimate {
-		est, err := analytic.EstimateOne(job.Cfg, job.Kernel)
-		if err != nil {
-			jt.finish("bad_request")
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "estimate: " + err.Error()})
-			return
-		}
-		s.mu.Lock()
-		s.estimated++
-		s.mu.Unlock()
-		s.answered(start)
-		jt.finish("estimated")
-		writeJSON(w, http.StatusOK, JobResponse{Key: key, Estimated: true, Estimate: &est})
-		return
-	}
-
-	// Peer result-fetch: before spending an admission slot on a simulation,
-	// ask the cluster peers whether the job is already journaled anywhere.
-	// A hit is adopted into the local store (journal + cache, not counted as
-	// a run) so the next duplicate is a plain local cache hit — and then
-	// served exactly like one. Peer errors fall through to a normal run:
-	// a partitioned replica keeps serving, it just stops sharing.
-	if len(s.peers) > 0 {
-		pf := jt.child("serve.peer_fetch")
-		res, peer, ok := s.peerFetch(r.Context(), key)
-		jt.endChild(pf, "hit", strconv.FormatBool(ok), "peer", peer)
-		if ok {
-			if err := s.runner.Adopt(job.Cfg, job.Kernel.Name, res); err != nil {
-				// Journal write failure: still answer — the result is
-				// correct, only the local durability is degraded.
-				fmt.Fprintln(os.Stderr, "serve: adopt peer result:", err)
-			}
-			s.mu.Lock()
-			s.peerHits++
-			s.mu.Unlock()
-			s.answered(start)
-			jt.finish("peer")
-			writeJSON(w, http.StatusOK, JobResponse{Key: key, Cached: true, Peer: peer, Result: res})
-			return
-		}
-	}
-
-	// Admission: shed instead of queueing unboundedly.
-	adm := jt.child("serve.admission")
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		jt.endChild(adm, "outcome", "draining")
-		s.slo.Fail()
-		jt.finish("draining")
-		s.reject(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	select {
-	case s.queue <- struct{}{}:
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		jt.endChild(adm, "outcome", "admitted")
-	default:
-		s.shed++
-		s.mu.Unlock()
-		jt.endChild(adm, "outcome", "shed")
-		s.slo.Fail()
-		jt.finish("shed")
-		s.reject(w, http.StatusTooManyRequests, "admission queue full")
-		return
-	}
-	defer func() {
-		<-s.queue
-		s.inflight.Done()
-	}()
-
-	// Deadline propagation: the client deadline (and disconnect) cancel via
-	// the request context; a drain-deadline Abort cancels via rootCtx.
-	ctx := r.Context()
-	if d := q.Timeout(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopAfter := context.AfterFunc(s.rootCtx, cancel)
-	defer stopAfter()
-
-	// Wait (bounded by the queue slot) for an execution slot.
-	qw := jt.child("serve.queue_wait")
-	waitStart := time.Now()
-	select {
-	case s.work <- struct{}{}:
-		s.queueHist.ObserveDuration(time.Since(waitStart))
-		jt.endChild(qw)
-	case <-ctx.Done():
-		s.queueHist.ObserveDuration(time.Since(waitStart))
-		jt.endChild(qw, "cancelled", "true")
-		s.slo.Fail()
-		jt.finish("cancelled")
-		s.writeRunError(w, ctx.Err())
-		return
-	}
-	defer func() { <-s.work }()
-
-	// The run span is the anchor of the trace's NoC layer: when this traced
-	// run builds a simulator, instrumentJob attaches packet collectors, and
-	// the sampled lifecycles land as child spans anchored at the span's
-	// wall-clock start (1 cycle = 1 µs).
-	runSp := jt.child("serve.run")
-	var tr *tracedRun
-	if jt.active() && s.tracePackets > 0 {
-		tr = &tracedRun{
-			trace: runSp.Trace, parent: runSp.ID, process: s.process,
-			startUS: runSp.StartUS, limit: s.tracePackets,
-		}
-		if !s.registerTraced(key, tr) {
-			tr = nil // a concurrent traced duplicate owns the key
-		}
-	}
-	runStart := time.Now()
-	results, err := s.runner.RunAllContext(ctx, []exp.Job{job})
-	if tr != nil {
-		s.unregisterTraced(key)
-	}
-	if err != nil {
-		jt.endChild(runSp, "error", err.Error())
-		s.slo.Fail()
-		jt.finish("error")
-		s.writeRunError(w, err)
-		return
-	}
-	s.observe(time.Since(runStart))
-	jt.endChild(runSp,
-		"scheme", job.Cfg.Scheme.String(),
-		"cycles", strconv.FormatInt(results[0].MeasuredCycles, 10))
-	if tr != nil {
-		for _, ps := range tr.packetSpans() {
-			s.spans.Record(ps)
-		}
-	}
-	s.mu.Lock()
-	s.faultEvents += int64(results[0].FaultEvents)
-	s.recovered += int64(results[0].Recovery.RetransPackets)
-	s.mu.Unlock()
-	s.answered(start)
-	jt.finish("ok")
-	writeJSON(w, http.StatusOK, JobResponse{Key: key, Result: results[0]})
-}
-
 // handleResults serves GET /v1/results/<key>: the peer result-sharing
-// endpoint. It answers strictly from the local store — cache and journal,
-// never by running — so it is cheap, side-effect free, and loop-free (a
+// endpoint. It answers strictly from the local store, never by
+// running — so it is cheap, side-effect free, and loop-free (a
 // peer answering a peer never fans out further). A replica keeps serving
 // this endpoint while draining: its journal outlives its admission.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	key := strings.TrimPrefix(r.URL.Path, "/v1/results/")
 	if key == "" || strings.Contains(key, "/") {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "want /v1/results/<job key>"})
+		WriteError(w, http.StatusBadRequest, "want /v1/results/<job key>")
 		return
 	}
-	res, ok := s.runner.LookupKey(key)
+	res, ok := s.cfg.Runner.LookupKey(key)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job key"})
+		WriteError(w, http.StatusNotFound, "unknown job key")
 		return
 	}
 	writeJSON(w, http.StatusOK, JobResponse{Key: key, Cached: true, Result: res})
 }
 
-// peerFetch asks each peer in turn for the journaled result of key, bounded
-// as a whole by PeerTimeout. First hit wins; every failure (refused
-// connection, 404, bad body) just moves on — peers are an optimisation,
-// never a dependency.
-func (s *Server) peerFetch(ctx context.Context, key string) (core.Result, string, bool) {
-	ctx, cancel := context.WithTimeout(ctx, s.peerTimeout)
-	defer cancel()
-	for _, peer := range s.peers {
-		if ctx.Err() != nil {
-			break
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/results/"+key, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := s.peerClient.Do(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			continue
-		}
-		var out JobResponse
-		err = json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		return out.Result, peer, true
-	}
-	return core.Result{}, "", false
-}
-
-// writeRunError maps a failed run onto a status code: deadline expiry is
-// 504, cancellation (client gone, drain abort) is 503 — both retryable by
-// an idempotent client — anything else is a terminal 500.
-func (s *Server) writeRunError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "job deadline exceeded: " + err.Error()})
-	case errors.Is(err, context.Canceled):
+// writeError answers one non-2xx status; every 429 and 503 carries a
+// Retry-After derived from the observed service time and current backlog.
+func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
+	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "job cancelled: " + err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
-}
-
-// reject sheds one submission with a Retry-After derived from the observed
-// service time and current backlog.
-func (s *Server) reject(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
-	writeJSON(w, code, errorResponse{Error: msg})
+	WriteError(w, code, msg)
 }
 
 // retryAfterSecs estimates when a shed client should come back: roughly one
@@ -675,25 +401,13 @@ func (s *Server) retryAfterSecs() int {
 	if ewma <= 0 {
 		return 1
 	}
-	secs := int(math.Ceil(ewma.Seconds() * float64(len(s.queue)+1) / float64(s.maxInFlight)))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return max(1, int(math.Ceil(ewma.Seconds()*float64(len(s.queue)+1)/float64(s.cfg.MaxInFlight))))
 }
 
-// observe folds one completed simulation's wall time into the service-time
-// EWMA (α = 0.2) and bumps the completion counter.
-func (s *Server) observe(d time.Duration) {
-	s.runHist.ObserveDuration(d)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.completed++
-	if s.ewma == 0 {
-		s.ewma = d
-		return
-	}
-	s.ewma = time.Duration(0.8*float64(s.ewma) + 0.2*float64(d))
+// WriteError writes the JSON error body of every non-2xx answer, ariserve's
+// and arigate's alike.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	writeJSON(w, code, errorResponse{Error: msg})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

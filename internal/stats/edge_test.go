@@ -17,17 +17,6 @@ func TestEmptyCollectors(t *testing.T) {
 		t.Errorf("empty Mean sum/count = %v/%v, want 0/0", m.Sum(), m.Count())
 	}
 
-	h := NewHistogram(4, 10)
-	if v := h.Mean(); v != 0 {
-		t.Errorf("empty Histogram.Mean = %v, want 0", v)
-	}
-	if v := h.Percentile(99); v != 0 {
-		t.Errorf("empty Histogram.Percentile(99) = %v, want 0", v)
-	}
-	if h.Max() != 0 || h.Count() != 0 {
-		t.Errorf("empty Histogram max/count = %v/%v, want 0/0", h.Max(), h.Count())
-	}
-
 	var s Series
 	if s.Len() != 0 {
 		t.Errorf("empty Series.Len = %d", s.Len())
@@ -39,33 +28,6 @@ func TestEmptyCollectors(t *testing.T) {
 	var tw TimeWeighted
 	if v := tw.Average(); v != 0 {
 		t.Errorf("empty TimeWeighted.Average = %v, want 0", v)
-	}
-}
-
-// TestSingleSamplePercentiles locks the degenerate-distribution case: with
-// one sample, every percentile must report that sample's bucket edge.
-func TestSingleSamplePercentiles(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		sample float64
-		want   float64 // bucket lower edge at width 10
-	}{
-		{"zero", 0, 0},
-		{"mid bucket", 15, 10},
-		{"bucket boundary", 20, 20},
-		{"negative clamps to bucket 0", -5, 0},
-		{"overflow reports overflow edge", 1e6, 40},
-	} {
-		h := NewHistogram(4, 10)
-		h.Add(tc.sample)
-		for _, p := range []float64{0, 1, 50, 99, 100} {
-			if got := h.Percentile(p); got != tc.want {
-				t.Errorf("%s: Percentile(%v) = %v, want %v", tc.name, p, got, tc.want)
-			}
-		}
-		if h.Count() != 1 {
-			t.Errorf("%s: count %d, want 1", tc.name, h.Count())
-		}
 	}
 }
 

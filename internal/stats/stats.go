@@ -73,78 +73,6 @@ func (m *Mean) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Histogram is a fixed-width bucket histogram over [0, width*len(buckets)),
-// with an overflow bucket for larger samples.
-type Histogram struct {
-	width    float64
-	buckets  []uint64
-	overflow uint64
-	count    uint64
-	sum      float64
-	max      float64
-}
-
-// NewHistogram returns a histogram with n buckets of the given width.
-func NewHistogram(n int, width float64) *Histogram {
-	if n <= 0 || width <= 0 {
-		panic("stats: histogram needs positive bucket count and width")
-	}
-	return &Histogram{width: width, buckets: make([]uint64, n)}
-}
-
-// Add folds a sample into the histogram. Negative samples clamp to bucket 0.
-func (h *Histogram) Add(v float64) {
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-	if v < 0 {
-		v = 0
-	}
-	i := int(v / h.width)
-	if i >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Count returns the total number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the mean of all samples (including overflow samples, using
-// their true values).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Max returns the largest sample seen.
-func (h *Histogram) Max() float64 { return h.max }
-
-// Percentile returns an approximation of the p-th percentile (0..100) using
-// bucket lower edges; overflow samples report as the overflow edge.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.count)))
-	if target == 0 {
-		target = 1
-	}
-	var seen uint64
-	for i, b := range h.buckets {
-		seen += b
-		if seen >= target {
-			return float64(i) * h.width
-		}
-	}
-	return float64(len(h.buckets)) * h.width
-}
-
 // NewTimeWeightedAt returns a TimeWeighted whose observation window starts
 // at time now with the given level (used when resetting stats mid-run).
 func NewTimeWeightedAt(level float64, now int64) TimeWeighted {

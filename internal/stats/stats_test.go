@@ -58,41 +58,6 @@ func TestMeanMatchesNaiveQuick(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 5) // [0,50) + overflow
-	for _, v := range []float64{0, 4.9, 5, 12, 49.9, 50, 1000, -3} {
-		h.Add(v)
-	}
-	if h.Count() != 8 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 1000 {
-		t.Fatalf("max = %v", h.Max())
-	}
-	if h.overflow != 2 {
-		t.Fatalf("overflow = %d, want 2 (50 and 1000)", h.overflow)
-	}
-	if p := h.Percentile(50); p < 0 || p > 15 {
-		t.Fatalf("p50 = %v out of plausible range", p)
-	}
-	if p := h.Percentile(100); p != 50 {
-		t.Fatalf("p100 with overflow = %v, want overflow edge 50", p)
-	}
-}
-
-func TestHistogramMeanExact(t *testing.T) {
-	h := NewHistogram(4, 1)
-	vals := []float64{0.5, 1.5, 2.5, 100}
-	var sum float64
-	for _, v := range vals {
-		h.Add(v)
-		sum += v
-	}
-	if got, want := h.Mean(), sum/4; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("mean = %v, want %v", got, want)
-	}
-}
-
 func TestTimeWeighted(t *testing.T) {
 	var tw TimeWeighted
 	tw.Set(2, 0)  // level 2 from t=0
