@@ -1,4 +1,4 @@
-.PHONY: check test bench-ledger-check validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
+.PHONY: check test bench-ledger-check goldens validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
 
 # check is the full gate: build everything, vet, gofmt, and run all tests
 # with the race detector (covers the equivalence, golden, property, and race
@@ -19,6 +19,21 @@ bench-ledger-check:
 
 test:
 	go test ./...
+
+# goldens regenerates every committed file the model feeds, from the tree as
+# it stands: the simeq goldens (golden.json, matrix_digests.json), the
+# decomposition golden, the analytic error bands (90 simulations; review the
+# diff, never widen a band by hand), and the figures — experiments_full.txt
+# and results_csv/ from one `ariexp -fig all` pass, fig_decompose.csv from
+# arireport. A change that moves the model on purpose runs it in the same
+# commit, never separately; EXPERIMENTS.md is then updated from
+# experiments_full.txt by hand.
+goldens:
+	go test ./internal/simeq -run 'GoldenDeterminism|MatrixDigests' -count=1 -update
+	go test ./internal/exp -run Decompose -count=1 -update
+	go test ./internal/analytic -run TestErrorBands -count=1 -analytic-full -analytic-record
+	go run ./cmd/ariexp -fig all -csv results_csv | tee experiments_full.txt
+	go run ./cmd/arireport -decompose -o /dev/null
 
 # validate-analytic is the physics drift oracle (DESIGN.md §12): re-run the
 # analytical estimator against the cycle-accurate simulator over the full
@@ -108,5 +123,4 @@ profile:
 fuzz:
 	go test ./internal/core -run FuzzConfigValidate -fuzz FuzzConfigValidate -fuzztime 15s
 	go test ./internal/trace -run FuzzKernelValidate -fuzz FuzzKernelValidate -fuzztime 15s
-	go test ./internal/trace -run FuzzSkipMem -fuzz FuzzSkipMem -fuzztime 15s
 	go test ./internal/analytic -run FuzzEstimatorProperties -fuzz FuzzEstimatorProperties -fuzztime 15s

@@ -138,7 +138,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg.HedgeAfter = 250 * time.Millisecond
 	}
 	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = http.DefaultClient
+		cfg.HTTPClient = serve.ClusterClient
 	}
 	if cfg.SLOTarget <= 0 {
 		cfg.SLOTarget = 2 * time.Second

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -311,5 +313,52 @@ func TestGatewayEndpoints(t *testing.T) {
 				t.Fatalf("stats body: %v", err)
 			}
 		}
+	}
+}
+
+// TestGatewayReusesReplicaConnections: the gateway as shipped (no HTTPClient
+// given) keeps a connection per submission it has in flight to a replica, so
+// waves of 16 concurrent submissions open 16 connections, not 14 more each
+// wave (http.DefaultClient keeps two idle per host).
+func TestGatewayReusesReplicaConnections(t *testing.T) {
+	const clients, waves = 16, 4
+	var opened, arrived atomic.Int32
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		// Answer only once the whole wave is in flight.
+		if arrived.Add(1)%clients == 0 {
+			close(release)
+		}
+		<-release
+		okJobs("k")(w, r)
+	})
+	ts := httptest.NewUnstartedServer(mux)
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	g := gateFor(t, Config{Replicas: []string{ts.URL}})
+	for wave := 0; wave < waves; wave++ {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				if w := postJob(t, g, serve.JobRequest{Bench: "bfs", Seed: seed}); w.Code != http.StatusOK {
+					t.Errorf("submission answered %d: %s", w.Code, w.Body)
+				}
+			}(uint64(1 + wave*clients + c))
+		}
+		wg.Wait()
+		release = make(chan struct{})
+	}
+	if n := opened.Load(); n > clients {
+		t.Fatalf("%d waves of %d concurrent submissions opened %d connections to the replica, want at most %d",
+			waves, clients, n, clients)
 	}
 }

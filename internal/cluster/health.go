@@ -59,7 +59,7 @@ func NewHealth(replicas []string, threshold int, interval time.Duration, hc *htt
 		interval = 500 * time.Millisecond
 	}
 	if hc == nil {
-		hc = http.DefaultClient
+		hc = serve.ClusterClient
 	}
 	h := &Health{
 		replicas:  append([]string(nil), replicas...),

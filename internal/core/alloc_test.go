@@ -37,7 +37,7 @@ func TestStepDoesNotAllocate(t *testing.T) {
 // TestNewSimulatorAllocBudget keeps construction cheap: it is most of a
 // short job's setup time (serve-paths runs 50 ms jobs), and it was 12 380
 // allocations — 80 % of them routers and flit rings — before the networks
-// were slab-built. 482 at the time of writing; the budget is about twice
+// were slab-built. 510 at the time of writing; the budget is about twice
 // that.
 func TestNewSimulatorAllocBudget(t *testing.T) {
 	k, err := trace.ByName("bfs")

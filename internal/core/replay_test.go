@@ -87,36 +87,20 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// degenerateSkips counts SkipMem calls that report an instruction without
-// transactions: a replayed compute-only tail record met while the core's
-// LSU queue was full.
-type degenerateSkips struct {
-	trace.Workload
-	n int
-}
-
-func (d *degenerateSkips) SkipMem(core, warp int) bool {
-	ok := d.Workload.SkipMem(core, warp)
-	if !ok {
-		d.n++
-	}
-	return ok
-}
-
-// TestReplayTailRecordsUnderFullLSU replays a short saturating trace over
-// several times its horizon, so every warp's stream wraps through its
-// zero-address tail record, many of them while the LSU queue is full. The
-// core must then issue the record as compute, exactly as the scan reference
-// does after drawing it with NextMem.
-func TestReplayTailRecordsUnderFullLSU(t *testing.T) {
-	k, _ := trace.ByName("bfs")
-	cfg := fastConfig(XYBaseline)
-	cfg.WarmupCycles, cfg.MeasureCycles = 100, 400
+// recordRun runs kernel k under cfg with a Recorder in the loop and returns
+// the flushed trace.
+func recordRun(t *testing.T, cfg Config, k trace.Kernel) []byte {
+	t.Helper()
 	cores := cfg.MeshWidth*cfg.MeshHeight - cfg.NumMC
-
-	gen, _ := trace.NewGenerator(k, cores, cfg.Seed)
+	gen, err := trace.NewGenerator(k, cores, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	rec, _ := trace.NewRecorder(gen, &buf, cores, k.WarpsPerCore)
+	rec, err := trace.NewRecorder(gen, &buf, cores, k.WarpsPerCore)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim, err := NewSimulatorWorkload(cfg, k, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -125,14 +109,43 @@ func TestReplayTailRecordsUnderFullLSU(t *testing.T) {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// tailRecords counts the memory instructions without transactions the
+// workload hands out: a replayed trace's compute-only tail records.
+type tailRecords struct {
+	trace.Workload
+	n int
+}
+
+func (d *tailRecords) NextMem(core, warp int, scratch []uint64) (bool, []uint64) {
+	write, addrs := d.Workload.NextMem(core, warp, scratch)
+	if len(addrs) == 0 {
+		d.n++
+	}
+	return write, addrs
+}
+
+// TestReplayTailRecordsUnderFullLSU replays a short saturating trace over
+// several times its horizon, so every warp's stream wraps through its
+// zero-address tail record, many of them while the LSU queue is full. There
+// is nothing to hold: the core issues the record as compute whatever the
+// queue's state and goes on to the warp's next record, and the mask-driven
+// issue stage agrees with the scan reference on all of it.
+func TestReplayTailRecordsUnderFullLSU(t *testing.T) {
+	k, _ := trace.ByName("bfs")
+	cfg := fastConfig(XYBaseline)
+	cfg.WarmupCycles, cfg.MeasureCycles = 100, 400
+	raw := recordRun(t, cfg, k)
 
 	cfg.MeasureCycles = 4000
 	replay := func(scan bool) (Result, int) {
-		rep, err := trace.NewReplayer(bytes.NewReader(buf.Bytes()))
+		rep, err := trace.NewReplayer(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := &degenerateSkips{Workload: rep}
+		w := &tailRecords{Workload: rep}
 		sim, err := NewSimulatorWorkload(cfg, k, w)
 		if err != nil {
 			t.Fatal(err)
@@ -140,12 +153,17 @@ func TestReplayTailRecordsUnderFullLSU(t *testing.T) {
 		if scan {
 			sim.UseScanReference()
 		}
-		return sim.Run(), w.n
+		res, err := sim.RunChecked(CheckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, w.n
 	}
-	got, degenerate := replay(false)
+	got, tails := replay(false)
 	want, _ := replay(true)
-	if degenerate == 0 {
-		t.Fatal("no tail record was reached with the LSU queue full; the test exercises nothing")
+	// Each of the 28 x 48 warps has one tail record per pass over its stream.
+	if tails < 2*28*k.WarpsPerCore {
+		t.Fatalf("%d tail records replayed: the streams did not wrap twice, the test exercises nothing", tails)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay through tail records diverged from the scan reference:\n%+v\n%+v", got, want)

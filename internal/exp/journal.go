@@ -14,9 +14,11 @@ import (
 )
 
 // journalVersion is bumped whenever the serialised Result or the key schema
-// changes shape; entries from another version are ignored on load so a
-// stale journal can never smuggle incompatible results into a sweep.
-const journalVersion = 3
+// changes shape, or the model changes what a Config computes; entries from
+// another version are ignored on load, and the version is hashed into
+// JobKey, so a stale journal, cache or peer can never answer a submission
+// with a result of the older model.
+const journalVersion = 4
 
 // journalEntry is one completed run, one JSON object per line (JSONL).
 type journalEntry struct {

@@ -52,6 +52,8 @@ func Fig9(r *Runner) (*Figure, error) {
 		Paper:   "two levels capture most benefit (e.g. ~6% bfs); more can reduce it",
 		Table:   t,
 		Summary: summary,
+		Notes: []string{"bfs is one seed of a wide spread here: -fig stability gives its 2-level gain " +
+			"over seeds 1-10 as a mean and a range (fig9_bfs_gain_*); read the sign there"},
 	}, nil
 }
 

@@ -23,14 +23,9 @@ type Workload interface {
 	NextCompute(core, warp int) int
 	// NextMem returns the next memory instruction of warp w of core c: its
 	// kind and the coalesced line addresses it touches (1..N transactions).
-	// The returned slice may reuse scratch.
+	// The returned slice may reuse scratch. The core calls it once per
+	// instruction and holds the result until the instruction issues.
 	NextMem(core, warp int, scratch []uint64) (write bool, addrs []uint64)
-	// SkipMem advances warp w of core c past its next memory instruction
-	// without building it — every later NextCompute/NextMem/SkipMem result
-	// is what it would be after a NextMem — and reports whether that
-	// instruction had at least one transaction. The core calls it for an
-	// instruction it can already tell will not issue.
-	SkipMem(core, warp int) bool
 }
 
 // Config describes one SIMT core (Table I: 16KB L1 per core, 8 CTAs/core,
@@ -83,7 +78,15 @@ type warp struct {
 	computeLeft  int
 	pendingLoads int
 	initialised  bool
+	// heldWrite is the kind of the memory instruction the warp holds; its
+	// addresses are Core.held[w].
+	heldWrite bool
 }
+
+// heldAddrs is each warp's share of the held-instruction slab: the widest
+// instruction trace.Generator draws. A wider one (a replayed trace's) moves
+// its warp's slot to the heap, once.
+const heldAddrs = 4
 
 // lsuOp is one transaction queued at the load-store unit.
 type lsuOp struct {
@@ -103,12 +106,15 @@ type Core struct {
 	// readyWarps counts warps in warpReady state: the O(1) activity
 	// predicate for the Tick fast path.
 	readyWarps int
-	// ready and blocked are bit masks over warps, 64 a word. ready mirrors
-	// state == warpReady; blocked marks the ready warps whose next
-	// instruction is a memory instruction (initialised, computeLeft == 0).
-	// Both change only on transitions — a warp waiting or waking, a compute
-	// segment being drawn or running out — never on a plain compute issue.
-	ready, blocked []uint64
+	// ready is a bit mask over warps, 64 a word, mirroring state ==
+	// warpReady: it changes only when a warp starts waiting or wakes.
+	ready []uint64
+	// held[w] is the memory instruction warp w has drawn and not yet issued:
+	// NextMem is called once per instruction, and an instruction that does
+	// not fit the LSU queue (or, a store, the store queue) stays here for
+	// the warp's next attempt. Empty means nothing is held — an instruction
+	// without transactions issues at once. Carved from one slab per core.
+	held [][]uint64
 
 	l1   *cache.Cache
 	mshr *cache.MSHR
@@ -120,7 +126,6 @@ type Core struct {
 	send func(txn *mem.Transaction) bool
 
 	outstandingStores int
-	addrScratch       []uint64
 	nextTxnID         uint64
 	// txnFree recycles Transaction structs: every transaction this core
 	// creates comes back exactly once through ReceiveReply (writes ack,
@@ -152,6 +157,11 @@ func NewCore(index, node int, cfg Config, w Workload, send func(txn *mem.Transac
 	if w == nil || send == nil {
 		return nil, fmt.Errorf("gpu: core needs a workload and a send hook")
 	}
+	held := make([][]uint64, cfg.WarpsPerCore)
+	slab := make([]uint64, cfg.WarpsPerCore*heldAddrs)
+	for w := range held {
+		held[w] = slab[w*heldAddrs : w*heldAddrs : (w+1)*heldAddrs]
+	}
 	return &Core{
 		Index:      index,
 		Node:       node,
@@ -159,7 +169,7 @@ func NewCore(index, node int, cfg Config, w Workload, send func(txn *mem.Transac
 		warps:      make([]warp, cfg.WarpsPerCore),
 		readyWarps: cfg.WarpsPerCore,
 		ready:      allReady(cfg.WarpsPerCore),
-		blocked:    make([]uint64, (cfg.WarpsPerCore+63)/64),
+		held:       held,
 		l1:         cache.New(cfg.L1),
 		mshr:       cache.NewMSHR(cfg.MSHREntries, cfg.MSHRWaiters),
 		workload:   w,
@@ -204,11 +214,11 @@ func (c *Core) IPC() float64 {
 	return float64(c.Instructions) / float64(c.CoreCycles)
 }
 
-// UseScanReference makes every cycle run the full scheduler scan: no fast
-// path, every warp struct visited, and an instruction that cannot issue drawn
-// with NextMem and dropped instead of skipped. It is the reference the
-// mask-driven issue stage and SkipMem are proven bit-identical against
-// (internal/simeq). Tests only; core.Simulator.UseScanReference forwards here.
+// UseScanReference makes every cycle run the full scheduler scan: no idle
+// fast path, and ready warps found by visiting every warp struct instead of
+// walking the ready mask. It is the reference the mask-driven issue stage is
+// proven bit-identical against (internal/simeq). Tests only;
+// core.Simulator.UseScanReference forwards here.
 func (c *Core) UseScanReference() { c.scan = true }
 
 // Tick advances the core by one core-clock cycle.
@@ -239,42 +249,15 @@ func (c *Core) issue() {
 	if c.tryIssue(cur) {
 		return
 	}
-	// With the LSU queue full and every ready warp on a memory instruction,
-	// each attempt would draw the instruction and fail on the queue check,
-	// whatever its kind or size: the walk then only advances each warp's
-	// stream past one instruction, in the order the attempts would have
-	// drawn them, and only an instruction without transactions issues.
-	skipOnly := len(c.lsuQ) >= c.cfg.LSUQueueCap && c.allBlocked()
 	for i, word := range c.ready {
 		for ; word != 0; word &= word - 1 {
-			w := i<<6 | bits.TrailingZeros64(word)
-			if w == cur {
-				continue
+			if w := i<<6 | bits.TrailingZeros64(word); w != cur && c.tryIssue(w) {
+				c.current = w
+				return
 			}
-			if skipOnly {
-				if c.workload.SkipMem(c.Index, w) {
-					continue
-				}
-				c.issueDegenerate(w)
-			} else if !c.tryIssue(w) {
-				continue
-			}
-			c.current = w
-			return
 		}
 	}
 	c.IssueStalls++
-}
-
-// allBlocked reports whether every ready warp is blocked (vacuously true
-// with none ready); blocked is a subset of ready, so the masks are equal.
-func (c *Core) allBlocked() bool {
-	for i, word := range c.ready {
-		if word != c.blocked[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // issueScan is issue as the scan reference runs it: every warp struct
@@ -284,34 +267,12 @@ func (c *Core) issueScan() {
 		return
 	}
 	for w := range c.warps {
-		if w == c.current || c.warps[w].state != warpReady {
-			continue
-		}
-		if c.tryIssue(w) {
+		if w != c.current && c.tryIssue(w) {
 			c.current = w
 			return
 		}
 	}
 	c.IssueStalls++
-}
-
-// setComputeLeft starts ready warp w's next compute segment of n
-// instructions, keeping the blocked mask in step.
-func (c *Core) setComputeLeft(w, n int) {
-	c.warps[w].computeLeft = n
-	if n == 0 {
-		setBit(c.blocked, w)
-	} else {
-		clearBit(c.blocked, w)
-	}
-}
-
-// issueDegenerate issues warp w's memory instruction that turned out to have
-// no transactions (a degenerate workload, e.g. a replayed trace's
-// compute-only tail record): it counts as a compute instruction.
-func (c *Core) issueDegenerate(w int) {
-	c.Instructions++
-	c.setComputeLeft(w, c.workload.NextCompute(c.Index, w))
 }
 
 // tryIssue attempts to issue one instruction from warp w.
@@ -322,60 +283,52 @@ func (c *Core) tryIssue(w int) bool {
 	}
 	if !wp.initialised {
 		wp.initialised = true
-		c.setComputeLeft(w, c.workload.NextCompute(c.Index, w))
+		wp.computeLeft = c.workload.NextCompute(c.Index, w)
 	}
-	if n := wp.computeLeft; n > 0 {
-		wp.computeLeft = n - 1
+	if wp.computeLeft > 0 {
+		wp.computeLeft--
 		c.Instructions++
-		if n == 1 {
-			setBit(c.blocked, w)
-		}
 		return true
 	}
-	// Memory instruction: all of its transactions must fit in the LSU
-	// queue; stores additionally need store-queue space. An instruction that
-	// does not issue is dropped — the warp's next attempt draws a new one —
-	// so when the queue is already full (any instruction with a transaction
-	// fails, before the store-queue check) the stream is advanced without
-	// building it. The scan reference draws it and drops it.
-	if !c.scan && len(c.lsuQ) >= c.cfg.LSUQueueCap {
-		if c.workload.SkipMem(c.Index, w) {
-			return false
-		}
-		c.issueDegenerate(w)
-		return true
-	}
-	write, addrs := c.workload.NextMem(c.Index, w, c.addrScratch[:0])
-	c.addrScratch = addrs
+	// Memory instruction: drawn once and held until all of its transactions
+	// fit in the LSU queue and, for a store, in the store queue. One wider
+	// than a queue can never fit, so it issues into that queue once empty.
+	addrs := c.held[w]
 	if len(addrs) == 0 {
-		c.issueDegenerate(w)
-		return true
+		wp.heldWrite, addrs = c.workload.NextMem(c.Index, w, addrs)
+		if len(addrs) == 0 {
+			// No transactions (a replayed trace's compute-only tail record):
+			// it counts as a compute instruction.
+			c.Instructions++
+			wp.computeLeft = c.workload.NextCompute(c.Index, w)
+			return true
+		}
+		c.held[w] = addrs
 	}
-	if len(c.lsuQ)+len(addrs) > c.cfg.LSUQueueCap {
+	n, write := len(addrs), wp.heldWrite
+	if len(c.lsuQ) > 0 && len(c.lsuQ)+n > c.cfg.LSUQueueCap {
 		return false
 	}
-	if write && c.outstandingStores+len(addrs) > c.cfg.StoreQueueCap {
+	if write && c.outstandingStores > 0 && c.outstandingStores+n > c.cfg.StoreQueueCap {
 		c.StoreQStalls++
 		return false
 	}
 	for _, a := range addrs {
 		c.lsuQ = append(c.lsuQ, lsuOp{addr: a, write: write, warp: w})
 	}
+	c.held[w] = addrs[:0]
 	c.Instructions++
 	c.MemInstrs++
-	next := c.workload.NextCompute(c.Index, w)
+	wp.computeLeft = c.workload.NextCompute(c.Index, w)
 	if write {
-		c.outstandingStores += len(addrs)
-		c.StoreTxns += uint64(len(addrs))
-		c.setComputeLeft(w, next)
+		c.outstandingStores += n
+		c.StoreTxns += uint64(n)
 	} else {
-		wp.pendingLoads += len(addrs)
+		wp.pendingLoads += n
 		wp.state = warpWaiting
 		c.readyWarps--
 		clearBit(c.ready, w)
-		clearBit(c.blocked, w) // the warp was blocked on this load
-		wp.computeLeft = next
-		c.LoadTxns += uint64(len(addrs))
+		c.LoadTxns += uint64(n)
 	}
 	return true
 }
@@ -508,8 +461,5 @@ func (c *Core) loadDone(w int) {
 		wp.state = warpReady
 		c.readyWarps++
 		setBit(c.ready, w)
-		if wp.computeLeft == 0 {
-			setBit(c.blocked, w)
-		}
 	}
 }

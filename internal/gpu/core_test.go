@@ -24,12 +24,6 @@ func (s *scriptedWorkload) NextMem(core, warp int, scratch []uint64) (bool, []ui
 	return write, append(scratch, s.cursor)
 }
 
-func (s *scriptedWorkload) SkipMem(core, warp int) bool {
-	s.memCount++
-	s.cursor += s.stride
-	return true
-}
-
 // collector records transactions the core tries to send.
 type collector struct {
 	sent    []*mem.Transaction
@@ -128,7 +122,6 @@ func (f *fixedAddrWorkload) NextCompute(core, warp int) int { return 0 }
 func (f *fixedAddrWorkload) NextMem(core, warp int, scratch []uint64) (bool, []uint64) {
 	return false, append(scratch, f.addr)
 }
-func (f *fixedAddrWorkload) SkipMem(core, warp int) bool { return true }
 
 func TestStoresDoNotBlockWarp(t *testing.T) {
 	col := &collector{}

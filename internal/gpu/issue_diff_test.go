@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -10,9 +11,9 @@ import (
 
 // The issue stage against its own reference: a normal core and a
 // UseScanReference core run one scripted workload side by side and must
-// agree tick by tick — same counters, same greedy warp, same warp states,
-// and the same sequence of workload calls with the same results, where a
-// SkipMem counts as the NextMem it stands for.
+// agree tick by tick — same counters, same greedy warp, same warp states and
+// held instructions, and the same sequence of workload calls with the same
+// results.
 
 // wlCall is one logged workload call.
 type wlCall struct {
@@ -26,9 +27,8 @@ type wlCall struct {
 // diffWorkload draws every result from one stream shared by all warps, so
 // any difference in the order or number of calls changes every later result.
 type diffWorkload struct {
-	src   rng.Source
-	log   []wlCall
-	skips int
+	src rng.Source
+	log []wlCall
 }
 
 func (d *diffWorkload) NextCompute(core, warp int) int {
@@ -50,12 +50,6 @@ func (d *diffWorkload) NextMem(core, warp int, scratch []uint64) (bool, []uint64
 	}
 	d.log = append(d.log, wlCall{mem: true, warp: warp, n: n, write: write, base: base})
 	return write, scratch
-}
-
-func (d *diffWorkload) SkipMem(core, warp int) bool {
-	d.skips++
-	_, addrs := d.NextMem(core, warp, nil)
-	return len(addrs) > 0
 }
 
 // diffRig is one core with its request sink: transactions the sink accepts
@@ -100,19 +94,18 @@ func (r *diffRig) tick(now int, reject bool) {
 	r.core.Tick()
 }
 
-// checkMasks recounts the ready/blocked masks and readyWarps from the warp
-// array.
+// checkMasks recounts the ready mask and readyWarps from the warp array, and
+// checks that only a ready warp out of compute holds an instruction.
 func checkMasks(c *Core) error {
 	ready := 0
 	for w := range c.warps {
 		wp := &c.warps[w]
 		isReady := wp.state == warpReady
-		isBlocked := isReady && wp.initialised && wp.computeLeft == 0
 		if got := c.ready[w>>6]>>(w&63)&1 != 0; got != isReady {
 			return fmt.Errorf("warp %d: ready bit %v, state %d", w, got, wp.state)
 		}
-		if got := c.blocked[w>>6]>>(w&63)&1 != 0; got != isBlocked {
-			return fmt.Errorf("warp %d: blocked bit %v, warp %+v", w, got, *wp)
+		if len(c.held[w]) > 0 && !(isReady && wp.initialised && wp.computeLeft == 0) {
+			return fmt.Errorf("warp %d holds %d addresses, warp %+v", w, len(c.held[w]), *wp)
 		}
 		if isReady {
 			ready++
@@ -122,7 +115,7 @@ func checkMasks(c *Core) error {
 		return fmt.Errorf("readyWarps %d, recounted %d", c.readyWarps, ready)
 	}
 	if n := len(c.warps); n&63 != 0 {
-		if last := len(c.ready) - 1; c.ready[last]>>(n&63) != 0 || c.blocked[last]>>(n&63) != 0 {
+		if last := len(c.ready) - 1; c.ready[last]>>(n&63) != 0 {
 			return fmt.Errorf("mask bits set beyond warp %d", n-1)
 		}
 	}
@@ -147,7 +140,7 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 			ref.core.UseScanReference()
 
 			script := rng.New(uint64(100*lsuCap + warps))
-			burst := 0
+			burst, retries := 0, 0
 			for now := 0; now < ticks; now++ {
 				// The sink rejects in bursts long enough for the LSU queue to
 				// fill and every ready warp to run out of compute.
@@ -171,8 +164,9 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 						ref.core.current, len(ref.core.lsuQ), ref.core.outstandingStores)
 				}
 				for w := range fast.core.warps {
-					if fast.core.warps[w] != ref.core.warps[w] {
-						t.Fatalf("%s: warp %d %+v, reference %+v", name(), w, fast.core.warps[w], ref.core.warps[w])
+					if fast.core.warps[w] != ref.core.warps[w] || !slices.Equal(fast.core.held[w], ref.core.held[w]) {
+						t.Fatalf("%s: warp %d %+v holding %x, reference %+v holding %x", name(), w,
+							fast.core.warps[w], fast.core.held[w], ref.core.warps[w], ref.core.held[w])
 					}
 				}
 				if len(fast.wl.log) != len(ref.wl.log) {
@@ -184,16 +178,19 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 					}
 				}
 				fast.wl.log, ref.wl.log = fast.wl.log[:0], ref.wl.log[:0]
+				for _, held := range fast.core.held {
+					if len(held) > 0 {
+						retries++ // carried into the next tick
+					}
+				}
 				for _, c := range []*Core{fast.core, ref.core} {
 					if err := checkMasks(c); err != nil {
 						t.Fatalf("%s: %v", name(), err)
 					}
 				}
 			}
-			// One warp alone cannot always fill the LSU queue; many must.
-			if (fast.wl.skips == 0 && warps > 1) || ref.wl.skips != 0 {
-				t.Fatalf("lsu %d warps %d: %d skips in the normal core (want some), %d in the reference (want none)",
-					lsuCap, warps, fast.wl.skips, ref.wl.skips)
+			if retries == 0 {
+				t.Fatalf("lsu %d warps %d: no instruction was ever held over a tick", lsuCap, warps)
 			}
 			for i, v := range coreCounters(fast.core) {
 				total[i] += v

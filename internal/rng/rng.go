@@ -40,12 +40,6 @@ func (s *Source) Uint64() uint64 {
 	return mix(s.state)
 }
 
-// Skip advances the stream past n draws without computing their values: the
-// state after Skip(n) is the state after n calls of Uint64.
-func (s *Source) Skip(n int) {
-	s.state += uint64(n) * golden
-}
-
 // mix is the SplitMix64 output function.
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -15,19 +15,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSkipEqualsDrawing(t *testing.T) {
-	a, b := New(42), New(42)
-	for n := 0; n < 20; n++ {
-		for i := 0; i < n; i++ {
-			a.Uint64()
-		}
-		b.Skip(n)
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("Skip(%d) left the stream somewhere other than %d draws on", n, n)
-		}
-	}
-}
-
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

@@ -411,6 +411,17 @@ func (s *Server) fetchFromPeers(ctx context.Context, key string) (core.Result, s
 	return core.Result{}, "", false
 }
 
+// ClusterClient is the default client for every request one process of a
+// cluster sends another: the gateway's proxying and probes, a replica's peer
+// fetches. http.DefaultClient keeps two idle connections per host, so a
+// gateway with more submissions than that in flight to one replica would
+// dial anew for most of them.
+var ClusterClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns, t.MaxIdleConnsPerHost = 0, 64 // no total cap; per host bounds it
+	return &http.Client{Transport: t}
+}()
+
 // GetOK GETs url and returns its 200 body, at most limit bytes of it;
 // ok is false on any failure. It is every best-effort read between the
 // processes of a cluster: peer result fetches, health probes, federation.

@@ -198,7 +198,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.PeerTimeout = time.Second
 	}
 	if cfg.PeerClient == nil {
-		cfg.PeerClient = http.DefaultClient
+		cfg.PeerClient = ClusterClient
 	}
 	switch {
 	case cfg.TracePackets == 0:

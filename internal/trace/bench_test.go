@@ -15,18 +15,6 @@ func BenchmarkGeneratorNextMem(b *testing.B) {
 	}
 }
 
-func BenchmarkGeneratorSkipMem(b *testing.B) {
-	k := testKernel()
-	g, err := NewGenerator(k, 28, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.SkipMem(i%28, i%k.WarpsPerCore)
-	}
-}
-
 func BenchmarkGeneratorNextCompute(b *testing.B) {
 	k := testKernel()
 	g, _ := NewGenerator(k, 28, 1)

@@ -46,31 +46,6 @@ func FuzzKernelValidate(f *testing.F) {
 	})
 }
 
-// FuzzSkipMem holds SkipMem to the draw sequence of NextMem (see
-// skipMemDiverges) over arbitrary valid kernels, seeds and call scripts.
-func FuzzSkipMem(f *testing.F) {
-	for i, k := range Suite() {
-		f.Add(k.ReadFrac, k.CoalesceMean, k.Locality, k.HotLines, k.L2Frac, k.SharedLines, k.StreamLines, uint64(i), uint64(i)*31)
-	}
-	f.Add(0.0, 1.0, 0.0, 1, 0.0, 1, uint64(1), uint64(1), uint64(2))
-	f.Add(1.0, 0.5, 1.0, 1, 1.0, 1, uint64(1), uint64(3), uint64(4))
-
-	f.Fuzz(func(t *testing.T, rf, coal, loc float64, hot int, l2f float64, shared int, stream, seed, script uint64) {
-		k := Kernel{
-			Name: "fuzz", WarpsPerCore: 3,
-			ComputePerMem: 2, ReadFrac: rf, CoalesceMean: coal,
-			Locality: loc, HotLines: hot, L2Frac: l2f,
-			SharedLines: shared, StreamLines: stream,
-		}
-		if k.Validate() != nil {
-			return
-		}
-		if err := skipMemDiverges(k, seed, script, 300); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // FuzzReplayer exercises the binary trace parser with arbitrary input: it
 // must either reject the stream with an error or produce a Replayer whose
 // streams are safe to pull — never panic or hang.

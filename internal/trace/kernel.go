@@ -133,11 +133,6 @@ type Generator struct {
 	// transactions per memory instruction beyond the first.
 	compute  rng.Geometric
 	coalesce rng.Geometric
-	// kindDraws is how many draws NextMem makes before the address: one for
-	// the read/write Bool unless ReadFrac is 0 or 1, one for the coalescing
-	// sample when CoalesceMean > 1. Their values steer no later draw, which
-	// is what lets SkipMem step over them.
-	kindDraws int
 }
 
 // NewGenerator builds the deterministic stream generator for kernel k over
@@ -155,12 +150,6 @@ func NewGenerator(k Kernel, cores int, seed uint64) (*Generator, error) {
 		wpc:      k.WarpsPerCore,
 		compute:  rng.NewGeometric(k.ComputePerMem),
 		coalesce: rng.NewGeometric(k.CoalesceMean - 1),
-	}
-	if k.ReadFrac > 0 && k.ReadFrac < 1 {
-		g.kindDraws++
-	}
-	if k.CoalesceMean > 1 {
-		g.kindDraws++
 	}
 	g.warps = make([]warpGen, cores*k.WarpsPerCore)
 	for i := range g.warps {
@@ -217,24 +206,6 @@ func (g *Generator) NextMem(core, warp int, scratch []uint64) (write bool, addrs
 		addrs = append(addrs, base+uint64(i)*lineBytes)
 	}
 	return write, addrs
-}
-
-// SkipMem advances (core, warp) past its next memory instruction without
-// building it: the stream state afterwards is exactly what NextMem would
-// leave. The read/write and coalescing draws are stepped over unevaluated;
-// the region draws are evaluated because they decide how many more draws
-// follow and whether the streaming cursor moves. A generated instruction
-// always has a transaction, so the result is always true.
-func (g *Generator) SkipMem(core, warp int) bool {
-	w := g.warp(core, warp)
-	r := &w.rng
-	r.Skip(g.kindDraws)
-	if r.Bool(g.k.Locality) || r.Bool(g.k.L2Frac) {
-		r.Skip(1) // the line index within the hot or shared region
-	} else if w.cursor++; w.cursor >= g.k.StreamLines {
-		w.cursor = 0
-	}
-	return true
 }
 
 // nextAddr draws one line address from the kernel's region mix.

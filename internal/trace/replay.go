@@ -34,10 +34,6 @@ const (
 type Workload interface {
 	NextCompute(core, warp int) int
 	NextMem(core, warp int, scratch []uint64) (write bool, addrs []uint64)
-	// SkipMem advances the warp's stream past its next memory instruction,
-	// consuming exactly what NextMem would, and reports whether that
-	// instruction had at least one transaction.
-	SkipMem(core, warp int) bool
 }
 
 var (
@@ -56,7 +52,6 @@ type Recorder struct {
 	pendingCompute map[[2]int]int
 	err            error
 	records        uint64
-	skipScratch    []uint64
 }
 
 // NewRecorder starts a trace on w for a system of the given shape. The
@@ -125,14 +120,6 @@ func (r *Recorder) NextMem(core, warp int, scratch []uint64) (bool, []uint64) {
 	}
 	r.records++
 	return write, addrs
-}
-
-// SkipMem implements Workload. A skipped instruction is still a step of the
-// recorded run, so it is materialised and written like any other.
-func (r *Recorder) SkipMem(core, warp int) bool {
-	_, addrs := r.NextMem(core, warp, r.skipScratch[:0])
-	r.skipScratch = addrs
-	return len(addrs) > 0
 }
 
 // Flush finishes the trace and reports any deferred write error. Compute
@@ -279,17 +266,6 @@ func (r *Replayer) NextCompute(core, warp int) int {
 
 // NextMem implements Workload.
 func (r *Replayer) NextMem(core, warp int, scratch []uint64) (bool, []uint64) {
-	rec := r.takePending(core, warp)
-	return rec.write, append(scratch, rec.addrs...)
-}
-
-// SkipMem implements Workload.
-func (r *Replayer) SkipMem(core, warp int) bool {
-	return len(r.takePending(core, warp).addrs) > 0
-}
-
-// takePending consumes the record whose compute half NextCompute returned.
-func (r *Replayer) takePending(core, warp int) *replayRecord {
 	idx := core*r.warps + warp
 	rec := r.pending[idx]
 	if rec == nil {
@@ -298,5 +274,5 @@ func (r *Replayer) takePending(core, warp int) *replayRecord {
 		rec = r.next(core, warp)
 	}
 	r.pending[idx] = nil
-	return rec
+	return rec.write, append(scratch, rec.addrs...)
 }
