@@ -1,4 +1,4 @@
-.PHONY: check test bench-ledger-check goldens validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
+.PHONY: check test bench-ledger-check goldens validate-analytic fuzz soak loadtest obs profile
 
 # check is the full gate: build everything, vet, gofmt, and run all tests
 # with the race detector (covers the equivalence, golden, property, and race
@@ -23,9 +23,9 @@ test:
 # goldens regenerates every committed file the model feeds, from the tree as
 # it stands: the simeq goldens (golden.json, matrix_digests.json), the
 # decomposition golden, the analytic error bands (90 simulations; review the
-# diff, never widen a band by hand), and the figures — experiments_full.txt
-# and results_csv/ from one `ariexp -fig all` pass, fig_decompose.csv from
-# arireport. A change that moves the model on purpose runs it in the same
+# diff, never widen a band by hand), and the figures — the Markdown report
+# experiments_full.txt and every results_csv/ file from one `ariexp -fig all`
+# pass. A change that moves the model on purpose runs it in the same
 # commit, never separately; EXPERIMENTS.md is then updated from
 # experiments_full.txt by hand.
 goldens:
@@ -33,7 +33,6 @@ goldens:
 	go test ./internal/exp -run Decompose -count=1 -update
 	go test ./internal/analytic -run TestErrorBands -count=1 -analytic-full -analytic-record
 	go run ./cmd/ariexp -fig all -csv results_csv | tee experiments_full.txt
-	go run ./cmd/arireport -decompose -o /dev/null
 
 # validate-analytic is the physics drift oracle (DESIGN.md §12): re-run the
 # analytical estimator against the cycle-accurate simulator over the full
@@ -45,35 +44,29 @@ goldens:
 validate-analytic:
 	go test ./internal/analytic -run TestErrorBands -analytic-full -count=1 -v
 
-# soak runs the fault-injection robustness suites under -race: seeded NoC
-# fault schedules across schemes with invariants checked throughout, the
-# watchdog deadlock/starvation detectors, and deterministic replay under
-# faults (DESIGN.md §8).
+# soak runs every robustness soak under -race:
+#   - fault injection (DESIGN.md §8): seeded NoC fault schedules across
+#     schemes with invariants checked throughout, the watchdog
+#     deadlock/starvation detectors, and deterministic replay under faults;
+#   - layered fault recovery (DESIGN.md §13): every stall kind combined with
+#     flit-corruption bursts and permanent link deaths, checking zero
+#     undetected corruption (every corrupted packet is CRC-caught, NACKed and
+#     retransmitted), and the ariserve kill/restart soak with chaos faults
+#     active — byte-identical results across the restart with no completed
+#     job re-executed;
+#   - the cluster-wide chaos soak (DESIGN.md §14): three journalled ariserve
+#     replicas behind an arigate front door, hard-killed and restarted
+#     mid-flight while chaos faults are active inside every simulation. Every
+#     job is answered byte-identically to an uninterrupted run, none is lost
+#     or re-run (a post-soak resubmission sweep is served entirely from
+#     journals — locally or via cross-replica peer fetch), and the
+#     failover/hedging path is exercised. The cluster unit suites (ring
+#     properties, breaker, gateway routing) and the arigate lifecycle smoke
+#     run alongside.
 soak:
 	go test -race -count=1 ./internal/fault
 	go test -race -count=1 ./internal/core -run 'Watchdog|Fault|RunChecked|Truncated'
-
-# chaos runs the layered fault-recovery soaks under -race (DESIGN.md §13):
-# every stall kind combined with flit-corruption bursts and permanent link
-# deaths, checking zero undetected corruption (every corrupted packet is
-# CRC-caught, NACKed and retransmitted) and the ariserve kill/restart soak
-# with chaos faults active — byte-identical results across the restart with
-# no completed job re-executed.
-chaos:
-	go test -race -count=1 ./internal/fault -run 'Chaos'
 	go test -race -count=1 ./internal/serve -run 'ChaosKillRestart' -timeout 10m
-
-# cluster-soak runs the cluster-wide chaos soak under -race (DESIGN.md §14):
-# three journalled ariserve replicas behind an arigate front door, replicas
-# hard-killed and restarted mid-flight while chaos faults (corruption bursts
-# + link deaths) are active inside every simulation. Invariants: every job
-# answered byte-identically to an uninterrupted run, zero lost jobs, zero
-# re-runs of completed jobs (a post-soak resubmission sweep is served
-# entirely from journals — locally or via cross-replica peer fetch), and the
-# failover/hedging path actually exercised. The cluster unit suites (ring
-# properties, breaker, gateway routing) and the arigate lifecycle smoke run
-# alongside.
-cluster-soak:
 	go test -race -count=1 ./internal/cluster ./cmd/arigate -timeout 15m
 
 # loadtest runs the serving robustness suites under -race: overload (shed

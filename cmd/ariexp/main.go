@@ -1,9 +1,12 @@
-// Command ariexp regenerates the paper's tables and figures.
+// Command ariexp regenerates the paper's tables and figures and renders them
+// as a Markdown report (one section per figure).
 //
 // Usage:
 //
-//	ariexp -fig 11                # one figure (table1,3,4,5,util,6,9..16,scale,area)
-//	ariexp -fig all               # everything, in paper order
+//	ariexp -fig 11                # one figure (-list prints the ids)
+//	ariexp -fig all > report.md   # everything, in paper order
+//	ariexp -csv results_csv       # ... and every figure's table as CSV
+//	ariexp -fig slo -bench srad   # traced figures run on the first benchmark
 //	ariexp -fig 11 -cycles 20000  # longer measurement window
 //	ariexp -quick                 # fast smoke pass (short horizons)
 //	ariexp -v                     # per-run progress
@@ -117,6 +120,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
+	fmt.Fprintf(stdout, "# ARI reproduction report\n\n%d measured + %d warmup NoC cycles per run, seed %d.\n\n",
+		r.Base.MeasureCycles, r.Base.WarmupCycles, r.Base.Seed)
 	start := time.Now()
 	ids := []string{*fig}
 	if *fig == "all" {
@@ -135,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, f.String())
+		fmt.Fprint(stdout, f.String())
 		if *csvDir != "" && f.Table != nil {
 			path := filepath.Join(*csvDir, "fig_"+sanitize(id)+".csv")
 			if err := os.WriteFile(path, []byte(f.Table.CSV()), 0o644); err != nil {
@@ -143,6 +148,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	fmt.Fprintf(stdout, "(%d simulations, %s)\n", r.Runs(), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "---\n\n%d simulations in %s.\n", r.Runs(), time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 func TestRunList(t *testing.T) {
@@ -11,7 +15,7 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"table1", "3", "11", "area"} {
+	for _, want := range []string{"table1", "3", "decompose", "11", "area", "slo"} {
 		found := false
 		for _, line := range strings.Split(out.String(), "\n") {
 			if line == want {
@@ -49,5 +53,29 @@ func TestRunTinyFigure(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestRunDecomposeCSV: the traced figure runs through ariexp's registry and
+// writes the same CSV as exp.Decompose at the same horizons.
+func TestRunDecomposeCSV(t *testing.T) {
+	dir := t.TempDir()
+	var out, errb bytes.Buffer
+	args := []string{"-fig", "decompose", "-quick", "-bench", "bfs", "-csv", dir}
+	if err := run(args, &out, &errb); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, errb.String())
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "fig_decompose.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := exp.NewRunner()
+	r.Base.MeasureCycles, r.Base.WarmupCycles = 3000, 1000 // -quick
+	f, err := exp.Decompose(r, "bfs", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := f.Table.CSV(); string(got) != want {
+		t.Fatalf("fig_decompose.csv:\n%s\nwant exp.Decompose's:\n%s", got, want)
 	}
 }

@@ -200,12 +200,6 @@ type Config struct {
 	// networks; schemes whose reply fabric is the DA2mesh overlay or the
 	// ideal fabric get request-side faults only.
 	Fault fault.Config
-
-	// NoCCheckEvery, when positive, runs noc.CheckInvariants on both mesh
-	// networks every N cycles from inside their Step, panicking on the
-	// first violation. Opt-in self-check for test suites and soaks; see
-	// also CheckOptions.InvariantEvery for the error-returning variant.
-	NoCCheckEvery int64
 }
 
 // DefaultConfig returns the Table I configuration: 6x6 mesh, 28 compute

@@ -205,7 +205,6 @@ func (s *Simulator) buildNetworks() error {
 		NonAtomicVC:    true,
 		EjectRate:      cfg.EjectRate,
 		RetransBufPkts: retrans,
-		CheckEvery:     cfg.NoCCheckEvery,
 	}
 	reqNet, err := noc.NewNetwork(reqCfg)
 	if err != nil {
@@ -224,7 +223,6 @@ func (s *Simulator) buildNetworks() error {
 		NIQueueFlits:   cfg.NIQueueFlits,
 		EjectRate:      cfg.EjectRate,
 		RetransBufPkts: retrans,
-		CheckEvery:     cfg.NoCCheckEvery,
 	}
 	if cfg.Scheme.HasPriority() {
 		repCfg.PriorityLevels = cfg.PriorityLevels

@@ -85,17 +85,17 @@ func TestDefaultConfigMatchesTableI(t *testing.T) {
 	}
 }
 
-// TestConfigCarriesNoSteppingKnob pins that the scan oracle and the deleted
-// shard count are not configuration: nothing a JSON job body, a -config file
-// or exp.JobKey (which hashes this encoding) carries can select a stepping
-// schedule.
+// TestConfigCarriesNoSteppingKnob pins that the scan oracle, the deleted
+// shard count and the deleted in-Step invariant gate are not configuration:
+// nothing a JSON job body, a -config file or exp.JobKey (which hashes this
+// encoding) carries can select a stepping schedule or a self-check.
 func TestConfigCarriesNoSteppingKnob(t *testing.T) {
 	enc, err := json.Marshal(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	lower := strings.ToLower(string(enc)) // field names and json tags alike
-	for _, key := range []string{"scan", "shards"} {
+	for _, key := range []string{"scan", "shards", "noccheckevery"} {
 		if strings.Contains(lower, key) {
 			t.Errorf("encoded Config contains a %q key: %s", key, enc)
 		}

@@ -32,8 +32,8 @@ type CheckOptions struct {
 	PollEvery int64
 	// InvariantEvery, when positive, additionally runs noc.CheckInvariants
 	// on both mesh fabrics every InvariantEvery cycles and converts a
-	// violation into an error (unlike noc.Config.CheckEvery, which panics
-	// from inside Step).
+	// violation into an error naming the run. It is the one invariant gate:
+	// no Config carries one.
 	InvariantEvery int64
 	// Interrupt, when non-nil, is polled every PollEvery cycles; returning
 	// true aborts the run with ErrInterrupted. The experiment harness wires

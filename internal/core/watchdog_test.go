@@ -184,12 +184,11 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 				cfg.WarmupCycles = 200
 				cfg.MeasureCycles = 800
 				cfg.Fault = fault.SoakConfig(7)
-				cfg.NoCCheckEvery = 64 // panic on any invariant violation
 				sim, err := NewSimulator(cfg, testKernel(t))
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := sim.RunChecked(CheckOptions{})
+				r, err := sim.RunChecked(CheckOptions{InvariantEvery: 64})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,12 +12,12 @@ import (
 
 var updateDecompose = flag.Bool("update", false, "rewrite testdata/decompose_golden.csv from the current simulator")
 
-// decomposeConfig is the short-horizon config behind the golden file.
-func decomposeConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.WarmupCycles = 300
-	cfg.MeasureCycles = 700
-	return cfg
+// decomposeRunner is the short-horizon runner behind the golden file.
+func decomposeRunner() *Runner {
+	r := NewRunner()
+	r.Base.WarmupCycles = 300
+	r.Base.MeasureCycles = 700
+	return r
 }
 
 // TestDecomposeGolden pins the full decomposition pipeline — trace hooks,
@@ -25,7 +26,7 @@ func decomposeConfig() core.Config {
 // byte change here means either an intentional model change (rerun with
 // -update) or an observability bug.
 func TestDecomposeGolden(t *testing.T) {
-	fig, err := Decompose(decomposeConfig(), "bfs", 4)
+	fig, err := Decompose(decomposeRunner(), "bfs", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +65,16 @@ func TestDecomposeGolden(t *testing.T) {
 // TestDecomposeRejectsUntraceableScheme: behavioural reply fabrics have no
 // per-hop state and must be refused, not silently decomposed as zeros.
 func TestDecomposeRejectsUntraceableScheme(t *testing.T) {
-	cfg := decomposeConfig()
-	cfg.IdealReply = true
-	if _, err := Decompose(cfg, "bfs", 4, core.XYBaseline); err == nil {
-		t.Fatal("ideal reply fabric decomposed without error")
+	r := decomposeRunner()
+	r.Base.IdealReply = true
+	_, err := Decompose(r, "bfs", 4)
+	if err == nil || !strings.Contains(err.Error(), "no traceable reply fabric") {
+		t.Fatalf("ideal reply fabric: err = %v, want no traceable reply fabric", err)
 	}
 }
 
 func TestDecomposeUnknownBench(t *testing.T) {
-	if _, err := Decompose(decomposeConfig(), "no-such-bench", 1); err == nil {
+	if _, err := Decompose(decomposeRunner(), "no-such-bench", 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

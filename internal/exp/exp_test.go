@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -71,23 +73,59 @@ func TestRunAllPreservesJobOrder(t *testing.T) {
 	}
 }
 
+// checkMarkdown asserts that out is one Markdown figure section: a "## id"
+// heading and, when the figure has a table, a header row, a |---| separator
+// and rows of the header's cell count (a '|' inside a cell is escaped).
+func checkMarkdown(t *testing.T, f *Figure, out string) {
+	t.Helper()
+	if !strings.HasPrefix(out, "## "+f.ID+" — ") {
+		t.Fatalf("figure %s: no '## %s — ' heading:\n%s", f.ID, f.ID, out)
+	}
+	if f.Table == nil {
+		return
+	}
+	cells := func(line string) int {
+		return len(strings.Split(strings.ReplaceAll(line, `\|`, ""), "|")) - 2
+	}
+	sep := regexp.MustCompile(`^(\|-+)+\|$`)
+	var table []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "|") {
+			table = append(table, line)
+		}
+	}
+	if len(table) < 2 || !sep.MatchString(table[1]) || cells(table[1]) != cells(table[0]) {
+		t.Fatalf("figure %s: table has no header and |---| separator:\n%s", f.ID, out)
+	}
+	for _, row := range table[2:] {
+		if !strings.HasSuffix(row, "|") || cells(row) != cells(table[0]) {
+			t.Fatalf("figure %s: row %q does not have the header's %d cells", f.ID, row, cells(table[0]))
+		}
+	}
+}
+
 func TestFiguresGenerate(t *testing.T) {
 	// Every registered figure must generate without error on the tiny
-	// runner and produce a printable body. Shared runs must be reused via
-	// the cache (the scheme matrix figures reuse each other's runs).
+	// runner and render as a Markdown section. Shared runs must be reused
+	// via the cache (the scheme matrix figures reuse each other's runs).
 	r := tinyRunner(t)
 	for _, e := range Registry() {
 		f, err := e.Gen(r)
 		if err != nil {
 			t.Fatalf("figure %s: %v", e.ID, err)
 		}
-		out := f.String()
-		if !strings.Contains(out, f.ID) {
-			t.Fatalf("figure %s output missing its id:\n%s", e.ID, out)
-		}
+		checkMarkdown(t, f, f.String())
 		if f.Table == nil && len(f.Summary) == 0 {
 			t.Fatalf("figure %s has neither table nor summary", e.ID)
 		}
+	}
+	// A '|' inside a cell is escaped, not read as a column break.
+	piped := &Figure{ID: "pipe", Title: "escaping", Table: stats.NewTable("a|b", "c")}
+	piped.Table.AddRow("x|y", "|")
+	out := piped.String()
+	checkMarkdown(t, piped, out)
+	if !strings.Contains(out, `| x\|y | \| |`) {
+		t.Fatalf("'|' in a cell not escaped:\n%s", out)
 	}
 	// Figs 3/5/util share XYBaseline runs; 11/12/13 share the scheme
 	// matrix: the total distinct-run count must be well below the naive

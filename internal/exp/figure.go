@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -21,28 +20,26 @@ type Figure struct {
 	Notes   []string
 }
 
-// String renders the figure for terminal output.
+// String renders the figure as a Markdown section: a heading, the paper's
+// claim as a quote, the table, the headline values as bullets and the notes
+// in italics.
 func (f *Figure) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "=== %s: %s ===\n", f.ID, f.Title)
+	fmt.Fprintf(&b, "## %s — %s\n\n", f.ID, f.Title)
 	if f.Paper != "" {
-		fmt.Fprintf(&b, "paper: %s\n", f.Paper)
+		fmt.Fprintf(&b, "> paper: %s\n\n", f.Paper)
 	}
 	if f.Table != nil {
-		b.WriteString(f.Table.String())
+		b.WriteString(f.Table.String() + "\n")
 	}
 	if len(f.Summary) > 0 {
-		keys := make([]string, 0, len(f.Summary))
-		for k := range f.Summary {
-			keys = append(keys, k)
+		for _, k := range stats.SortedKeys(f.Summary) {
+			fmt.Fprintf(&b, "- **%s** = %.4f\n", k, f.Summary[k])
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "measured %s = %.4f\n", k, f.Summary[k])
-		}
+		b.WriteByte('\n')
 	}
 	for _, n := range f.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
+		fmt.Fprintf(&b, "*%s*\n\n", n)
 	}
 	return b.String()
 }
@@ -50,7 +47,8 @@ func (f *Figure) String() string {
 // GenFunc generates one figure.
 type GenFunc func(r *Runner) (*Figure, error)
 
-// Registry maps figure ids to their generators, in paper order.
+// Registry maps figure ids to their generators, in paper order. The traced
+// figures (decompose, slo) run on the suite's first benchmark.
 func Registry() []struct {
 	ID  string
 	Gen GenFunc
@@ -61,6 +59,7 @@ func Registry() []struct {
 	}{
 		{"table1", TableI},
 		{"3", Fig3},
+		{"decompose", func(r *Runner) (*Figure, error) { return Decompose(r, r.Benchmarks[0].Name, tracedSample) }},
 		{"4", Fig4},
 		{"5", Fig5},
 		{"util", LinkUtil},
@@ -81,6 +80,7 @@ func Registry() []struct {
 		{"stability", SeedStability},
 		{"fault", FaultFigure},
 		{"loadlat", LoadLatency},
+		{"slo", func(r *Runner) (*Figure, error) { return SLOFigure(r, r.Benchmarks[0].Name, tracedSample, 0) }},
 		{"analytic", AnalyticComparison},
 	}
 }

@@ -18,7 +18,7 @@ import (
 // another version are ignored on load, and the version is hashed into
 // JobKey, so a stale journal, cache or peer can never answer a submission
 // with a result of the older model.
-const journalVersion = 4
+const journalVersion = 5
 
 // journalEntry is one completed run, one JSON object per line (JSONL).
 type journalEntry struct {

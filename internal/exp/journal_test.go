@@ -155,8 +155,9 @@ func TestJournalKeepsOlderVersionLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	var old []byte
 	// v2 had the stepping knobs in Config; v3 results come from cores that
-	// dropped the memory instructions they could not issue.
-	for i, v := range []int{2, 3} {
+	// dropped the memory instructions they could not issue; v4 keys hashed
+	// a Config that still carried NoCCheckEvery.
+	for i, v := range []int{2, 3, 4} {
 		line, err := json.Marshal(journalEntry{
 			V:      v,
 			Key:    fmt.Sprintf("old-%d", i),

@@ -6,21 +6,21 @@ import (
 	"repro/internal/core"
 )
 
-// TestSLOFigureDeterministic pins the CI contract for `arireport -slo`: two
+// TestSLOFigureDeterministic pins the CI contract for `ariexp -fig slo`: two
 // invocations over the same seeded config produce byte-identical tables and
 // identical summaries, and the figure's semantics hold — a derived threshold
 // puts the first scheme's compliance at ~p95, compliance stays in [0,1], and
 // every default scheme is present.
 func TestSLOFigureDeterministic(t *testing.T) {
-	base := core.DefaultConfig()
-	base.WarmupCycles = 300
-	base.MeasureCycles = 1200
+	r := NewRunner()
+	r.Base.WarmupCycles = 300
+	r.Base.MeasureCycles = 1200
 
-	f1, err := SLOFigure(base, "bfs", 2, 0)
+	f1, err := SLOFigure(r, "bfs", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := SLOFigure(base, "bfs", 2, 0)
+	f2, err := SLOFigure(r, "bfs", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSLOFigureDeterministic(t *testing.T) {
 	}
 
 	// An explicit budget is honoured verbatim.
-	f3, err := SLOFigure(base, "bfs", 2, 64)
+	f3, err := SLOFigure(r, "bfs", 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ func runChaos(t *testing.T, name string, mutate func(*noc.Config), seed uint64) 
 		Routing:        noc.RouteXY,
 		NonAtomicVC:    true,
 		RetransBufPkts: 8,
-		CheckEvery:     64, // panic on any invariant violation mid-soak
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -74,13 +73,13 @@ func runChaos(t *testing.T, name string, mutate func(*noc.Config), seed uint64) 
 			}
 		}
 		inj.Step(n.Now())
-		n.Step()
+		stepChecked(t, name, n)
 	}
 
 	// Drain: transient faults expire on their own; dead links stay dead and
 	// the detours must still deliver everything, retransmissions included.
 	for i := 0; i < 300000 && !n.Idle(); i++ {
-		n.Step()
+		stepChecked(t, name, n)
 	}
 	if !n.Idle() {
 		t.Fatalf("%s: network did not drain under chaos (inFlight=%d, ctl=%d)\n%s",

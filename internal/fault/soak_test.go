@@ -27,7 +27,6 @@ func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) s
 		DataBytes:   128,
 		Routing:     noc.RouteXY,
 		NonAtomicVC: true,
-		CheckEvery:  64, // panic on any invariant violation mid-soak
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -73,7 +72,7 @@ func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) s
 			}
 		}
 		inj.Step(n.Now())
-		n.Step()
+		stepChecked(t, name, n)
 	}
 	if len(inj.Events()) == 0 {
 		t.Fatalf("%s: soak injected no faults; probabilities too low to exercise anything", name)
@@ -82,7 +81,7 @@ func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) s
 	// Drain: no new traffic or faults; already-applied faults expire on
 	// their own, after which every buffered flit must reach its ejector.
 	for i := 0; i < 200000 && !n.Idle(); i++ {
-		n.Step()
+		stepChecked(t, name, n)
 	}
 	if !n.Idle() {
 		t.Fatalf("%s: network did not drain after faults expired (inFlight=%d)\n%s",
@@ -99,6 +98,19 @@ func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) s
 		EjectedFlits:  ejected,
 		Stats:         *n.Stats(),
 		Events:        inj.Events(),
+	}
+}
+
+// stepChecked advances n one cycle and checks every NoC invariant each 64
+// cycles of a soak, drain included.
+func stepChecked(t *testing.T, name string, n *noc.Network) {
+	t.Helper()
+	now := n.Now()
+	n.Step()
+	if now%64 == 0 {
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("%s: invariant violated at cycle %d: %v", name, now, err)
+		}
 	}
 }
 
@@ -128,7 +140,7 @@ func soakSchemes() map[string]func(*noc.Config) {
 
 // TestSoakZeroFlitLoss is the fault-injection soak: every scheme absorbs a
 // dense schedule of link stalls, port freezes and NI bursts with zero flit
-// loss and invariants clean throughout (CheckEvery panics on violation).
+// loss and invariants clean throughout (checked every 64 cycles).
 func TestSoakZeroFlitLoss(t *testing.T) {
 	seed := uint64(11)
 	for name, mutate := range soakSchemes() {

@@ -2,19 +2,31 @@ package noc
 
 import "testing"
 
+// checkedNet is a Network whose Step checks every invariant each `every`
+// cycles and fails the test on the first violation.
+type checkedNet struct {
+	*Network
+	t     *testing.T
+	every int64
+}
+
+func (c checkedNet) Step() {
+	c.t.Helper()
+	now := c.Now()
+	c.Network.Step()
+	if now%c.every == 0 {
+		if err := c.CheckInvariants(); err != nil {
+			c.t.Fatalf("invariant violated at cycle %d: %v", now, err)
+		}
+	}
+}
+
 // runChecked drives random traffic while validating all invariants every
-// few cycles, across a matrix of configurations.
+// few cycles, across a matrix of configurations: each 16 cycles inside
+// Step, and at an off-period cadence below.
 func runChecked(t *testing.T, mutate func(*Config), cycles int, seed uint64) {
 	t.Helper()
-	n := newTestNet(t, func(c *Config) {
-		// Also exercise the opt-in in-Step invariant gate (Config.CheckEvery),
-		// which panics on the first violation; the explicit checks below then
-		// report the cycle when one slips through off-period.
-		c.CheckEvery = 16
-		if mutate != nil {
-			mutate(c)
-		}
-	})
+	n := checkedNet{newTestNet(t, mutate), t, 16}
 	cfg := n.Config()
 	n.SetEjectHandler(func(int, *Packet, int64) {})
 	next := func(mod int) int {

@@ -127,12 +127,6 @@ type Config struct {
 	// delivered undetected — the unprotected-network contrast case.
 	RetransBufPkts int
 
-	// CheckEvery, when positive, runs CheckInvariants every CheckEvery
-	// cycles at the end of Step and panics on the first violation. It is an
-	// opt-in self-check for test suites, soaks and debugging; the check is
-	// O(buffers), so it is off by default.
-	CheckEvery int64
-
 	// Nodes optionally overrides the injection architecture per node id.
 	// Missing/zero entries are the enhanced baseline.
 	Nodes []NodeConfig

@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // String names the input-VC states for diagnostics.
@@ -20,77 +19,10 @@ func (s vcState) String() string {
 	}
 }
 
-// DumpState returns a human-readable diagnostic of all non-quiescent state:
-// per-router input-VC states and ownership, the output-port credit map,
-// staged arrivals, NI queue levels, and the oldest in-flight packets. It is
-// the payload of watchdog failures (deadlock/starvation reports) and is safe
-// to call at any cycle boundary — it only reads.
-func (n *Network) DumpState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "network @cycle %d: inFlight=%d\n", n.now, n.inFlight)
-	for id := range n.routers {
-		r, ni, e := &n.routers[id], &n.nis[id], &n.ejectors[id]
-		if r.flitCount() == 0 && e.flitCount() == 0 && ni.queuedFlits() == 0 {
-			continue
-		}
-		tag := ""
-		if r.isMC {
-			tag = " [MC]"
-		}
-		fmt.Fprintf(&b, "router %d%s: %d flits\n", r.id, tag, r.flitCount())
-		for p := range r.in {
-			ip := &r.in[p]
-			for v := 0; v < r.nvc; v++ {
-				vc := &r.vcs[p*r.nvc+v]
-				if vc.buf.empty() && vc.state == vcIdle {
-					continue
-				}
-				fmt.Fprintf(&b, "  in %d vc %d: state=%s buf=%d", p, v, vc.state, vc.buf.len())
-				if !vc.buf.empty() {
-					f := vc.buf.front()
-					fmt.Fprintf(&b, " head=pkt %d %s %d->%d flit %d/%d age=%d",
-						f.pkt.ID, f.pkt.Type, f.pkt.Src, f.pkt.Dst, f.seq, f.pkt.Size, n.now-f.pkt.CreatedAt)
-				}
-				if vc.state != vcIdle {
-					fmt.Fprintf(&b, " out=%d/%d waiting=%d", vc.outPort, vc.outVC, n.now-vc.waitSince)
-				}
-				if n.now < ip.frozenUntil {
-					fmt.Fprintf(&b, " FROZEN(until %d)", ip.frozenUntil)
-				}
-				b.WriteByte('\n')
-			}
-			if staged := countStaged(r.staged, p, -1); staged > 0 {
-				fmt.Fprintf(&b, "  in %d: %d staged arrivals\n", p, staged)
-			}
-		}
-		for o := range r.out {
-			op := &r.out[o]
-			var creds []string
-			for v := range op.vcs {
-				creds = append(creds, fmt.Sprintf("%d(own %d)", op.vcs[v].credits, op.owner(v, r.nvc)))
-			}
-			stall := ""
-			if n.now < op.stalledUntil {
-				stall = fmt.Sprintf(" STALLED(until %d)", op.stalledUntil)
-			}
-			fmt.Fprintf(&b, "  out %d: credits=[%s]%s\n", o, strings.Join(creds, " "), stall)
-		}
-		if ni.queuedFlits() > 0 {
-			fmt.Fprintf(&b, "  ni: %d queued flits (mode %s)\n", ni.queuedFlits(), ni.mode)
-		}
-		if e.flitCount() > 0 {
-			fmt.Fprintf(&b, "  ejector: %d flits\n", e.flitCount())
-		}
-	}
-	if old := n.OldestPackets(5); len(old) > 0 {
-		b.WriteString("oldest packets:\n")
-		for _, p := range old {
-			fmt.Fprintf(&b, "  pkt %d %s %d->%d size=%d prio=%d created=%d age=%d\n",
-				p.ID, p.Type, p.Src, p.Dst, p.Size, p.Priority, p.CreatedAt, n.now-p.CreatedAt)
-		}
-	}
-	return b.String()
-}
+// DumpState renders StateSnapshot as text: the payload of watchdog
+// failures (deadlock/starvation reports). Safe at any cycle boundary — it
+// only reads.
+func (n *Network) DumpState() string { return n.StateSnapshot().String() }
 
 // forEachBufferedPacket visits every distinct packet with at least one flit
 // resident in the network (NI queues, VC buffers, staged arrivals, ejector

@@ -345,11 +345,6 @@ func (n *Network) Step() {
 			}
 		}
 	}
-	if n.cfg.CheckEvery > 0 && n.now%n.cfg.CheckEvery == 0 {
-		if err := n.CheckInvariants(); err != nil {
-			panic(fmt.Sprintf("noc: invariant violated at cycle %d: %v", n.now, err))
-		}
-	}
 	n.now++
 	n.stats.Cycles++
 	if n.now-n.injWindowStart >= 100 {

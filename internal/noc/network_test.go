@@ -42,8 +42,15 @@ func mkPacket(cfg Config, typ PacketType, dst int) *Packet {
 	}
 }
 
+// stepper is a Network, or a checkedNet whose Step also checks invariants.
+type stepper interface {
+	Idle() bool
+	Step()
+	InFlight() int
+}
+
 // runUntilIdle steps the network until drained or the cycle limit hits.
-func runUntilIdle(t *testing.T, n *Network, limit int) {
+func runUntilIdle(t *testing.T, n stepper, limit int) {
 	t.Helper()
 	for i := 0; i < limit; i++ {
 		if n.Idle() {

@@ -6,15 +6,15 @@ import (
 
 // recoveryNet builds a test network with the fault-recovery layer enabled
 // and invariants checked every cycle.
-func recoveryNet(t *testing.T, mutate func(*Config)) *Network {
+func recoveryNet(t *testing.T, mutate func(*Config)) checkedNet {
 	t.Helper()
-	return newTestNet(t, func(c *Config) {
+	n := newTestNet(t, func(c *Config) {
 		c.RetransBufPkts = 4
-		c.CheckEvery = 1
 		if mutate != nil {
 			mutate(c)
 		}
 	})
+	return checkedNet{n, t, 1}
 }
 
 func TestPacketCheckCoversIdentity(t *testing.T) {

@@ -293,10 +293,15 @@ func (s *Server) claimSlot() *answer {
 	}
 }
 
-// Abort cancels every in-flight job immediately (each aborts at its next
-// watchdog poll). Completed jobs are already synced to the journal, so an
-// Abort loses only in-flight work — the crash-only exit path.
-func (s *Server) Abort() { s.abort() }
+// Abort closes admission and cancels every in-flight job immediately (each
+// aborts at its next watchdog poll). Completed jobs are already synced to
+// the journal, so an Abort loses only in-flight work — the crash-only exit
+// path. Closing admission first orders every inflight.Add before a later
+// Wait, as BeginDrain does for Shutdown.
+func (s *Server) Abort() {
+	s.BeginDrain()
+	s.abort()
+}
 
 // Wait blocks until every admitted job has finished, or ctx expires.
 func (s *Server) Wait(ctx context.Context) error {

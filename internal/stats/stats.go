@@ -188,8 +188,8 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// Table is a minimal fixed-column text table used by the experiment harness
-// to print figure data as aligned rows.
+// Table is a minimal fixed-column table used by the experiment harness to
+// print figure data: as a Markdown pipe table (String) or as CSV.
 type Table struct {
 	header []string
 	rows   [][]string
@@ -218,37 +218,31 @@ func (t *Table) AddRowf(label string, format string, vals ...float64) {
 	t.AddRow(cells...)
 }
 
-// String renders the table with aligned columns.
+// String renders the table as a Markdown pipe table whose columns are
+// padded to align in a terminal too; a '|' inside a cell is escaped.
 func (t *Table) String() string {
+	rows := append([][]string{t.header}, t.rows...)
 	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
+	for r, row := range rows {
+		esc := make([]string, len(row))
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			esc[i] = strings.ReplaceAll(c, "|", `\|`)
+			widths[i] = max(widths[i], len(esc[i]))
 		}
+		rows[r] = esc
 	}
 	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+	for r, row := range rows {
+		for i, c := range row {
+			fmt.Fprintf(&b, "| %-*s ", widths[i], c)
 		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
+		b.WriteString("|\n")
+		if r == 0 {
+			for _, w := range widths {
+				b.WriteString("|" + strings.Repeat("-", w+2))
+			}
+			b.WriteString("|\n")
+		}
 	}
 	return b.String()
 }
