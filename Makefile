@@ -98,7 +98,8 @@ obs:
 # profile captures a CPU profile of the ledger's hot regime: the
 # sim-reply-saturated job list of benchmark/ (bfs/kmeans/pathfinder under
 # Ada-Baseline and Ada-ARI) at its horizon, 1000 warmup + 3000 measured
-# cycles. One such run lasts ~0.2 s, too short for the 100 Hz sampler, so
+# cycles, through RunChecked with the default watchdogs as every real caller
+# runs it. One such run lasts ~0.2 s, too short for the 100 Hz sampler, so
 # every job runs under PROFILE_SEEDS seeds into its own file and pprof merges
 # them. Inspect further with `go tool pprof $(PROFILE_DIR)/arisim $(PROFILE_DIR)/*.pprof`.
 PROFILE_DIR := .bench_build/profile

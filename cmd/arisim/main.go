@@ -186,11 +186,17 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	// The checked loops with default watchdogs, as exp.Runner and ariserve
+	// run them: a stuck simulation exits with its diagnostic instead of
+	// spinning, and -cpuprofile sees the loop users pay for.
 	var r core.Result
 	if *work > 0 {
-		r = sim.RunWork(*work, cfg.MeasureCycles*100)
+		r, err = sim.RunWorkChecked(*work, cfg.MeasureCycles*100, core.CheckOptions{})
 	} else {
-		r = sim.Run()
+		r, err = sim.RunChecked(core.CheckOptions{})
+	}
+	if err != nil {
+		fatal(err)
 	}
 	if finish != nil {
 		if err := finish(); err != nil {

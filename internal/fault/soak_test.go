@@ -102,7 +102,8 @@ func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) s
 }
 
 // stepChecked advances n one cycle and checks every NoC invariant each 64
-// cycles of a soak, drain included.
+// cycles of a soak, drain included, along with the watchdog's age scan
+// against the sorted walk of the diagnostics.
 func stepChecked(t *testing.T, name string, n *noc.Network) {
 	t.Helper()
 	now := n.Now()
@@ -110,6 +111,13 @@ func stepChecked(t *testing.T, name string, n *noc.Network) {
 	if now%64 == 0 {
 		if err := n.CheckInvariants(); err != nil {
 			t.Fatalf("%s: invariant violated at cycle %d: %v", name, now, err)
+		}
+		want := int64(0)
+		if old := n.OldestPackets(1); len(old) > 0 {
+			want = n.Now() - old[0].CreatedAt
+		}
+		if got := n.OldestPacketAge(); got != want {
+			t.Fatalf("%s: cycle %d: OldestPacketAge %d, oldest of OldestPackets %d cycles", name, now, got, want)
 		}
 	}
 }

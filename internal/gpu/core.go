@@ -88,6 +88,16 @@ type warp struct {
 // its warp's slot to the heap, once.
 const heldAddrs = 4
 
+// mshrStall is the memoised reason the LSU head load last stalled on the
+// MSHR file; see Core.lsuStall.
+type mshrStall uint8
+
+const (
+	noMSHRStall   mshrStall = iota
+	mshrMergeFull           // the line's entry has no free waiter slot
+	mshrTableFull           // no entry for the line, and none free
+)
+
 // lsuOp is one transaction queued at the load-store unit.
 type lsuOp struct {
 	addr  uint64
@@ -115,10 +125,19 @@ type Core struct {
 	// the warp's next attempt. Empty means nothing is held — an instruction
 	// without transactions issues at once. Carved from one slab per core.
 	held [][]uint64
+	// holding is a bit mask over warps, 64 a word, mirroring len(held[w]) >
+	// 0. A holding warp is ready and out of compute, so while the LSU queue
+	// is full its attempt fails before any side effect and issue skips it.
+	holding []uint64
 
 	l1   *cache.Cache
 	mshr *cache.MSHR
 	lsuQ []lsuOp
+	// lsuStall memoises why the LSU head load stalled on the MSHR file. The
+	// outcome depends only on the MSHR file and the L1, and while the head
+	// is stalled only a read fill (ReceiveReply) changes either, so until
+	// then each tick just counts the stall again.
+	lsuStall mshrStall
 
 	workload Workload
 	// send hands a transaction to the request-network NI; false means the
@@ -170,6 +189,7 @@ func NewCore(index, node int, cfg Config, w Workload, send func(txn *mem.Transac
 		readyWarps: cfg.WarpsPerCore,
 		ready:      allReady(cfg.WarpsPerCore),
 		held:       held,
+		holding:    make([]uint64, (cfg.WarpsPerCore+63)/64),
 		l1:         cache.New(cfg.L1),
 		mshr:       cache.NewMSHR(cfg.MSHREntries, cfg.MSHRWaiters),
 		workload:   w,
@@ -186,12 +206,16 @@ func allReady(n int) []uint64 {
 	return m
 }
 
-// setBit and clearBit write warp w's bit of a warp mask.
-func setBit(m []uint64, w int)   { m[w>>6] |= 1 << (w & 63) }
-func clearBit(m []uint64, w int) { m[w>>6] &^= 1 << (w & 63) }
+// setBit, clearBit and hasBit write and read warp w's bit of a warp mask.
+func setBit(m []uint64, w int)      { m[w>>6] |= 1 << (w & 63) }
+func clearBit(m []uint64, w int)    { m[w>>6] &^= 1 << (w & 63) }
+func hasBit(m []uint64, w int) bool { return m[w>>6]&(1<<(w&63)) != 0 }
 
 // L1 exposes the L1 cache for stats.
 func (c *Core) L1() *cache.Cache { return c.l1 }
+
+// MSHR exposes the miss-status holding registers for stats.
+func (c *Core) MSHR() *cache.MSHR { return c.mshr }
 
 // ResetStats clears measurement counters (end of warmup).
 func (c *Core) ResetStats() {
@@ -243,13 +267,20 @@ func (c *Core) Tick() {
 // issue performs greedy-then-oldest scheduling: keep issuing from the
 // current warp until it cannot issue, then fall back to the oldest (lowest
 // index) ready warp. A failed attempt changes no warp's readiness, so each
-// word of the ready mask is walked from a copy.
+// word of the ready mask is walked from a copy. While the LSU queue is full
+// the warps holding an instruction are left out: their attempts would fail
+// at the queue check, before any side effect (issueScan, the reference,
+// tries them).
 func (c *Core) issue() {
 	cur := c.current
-	if c.tryIssue(cur) {
+	lsuFull := len(c.lsuQ) >= c.cfg.LSUQueueCap
+	if !(lsuFull && hasBit(c.holding, cur)) && c.tryIssue(cur) {
 		return
 	}
 	for i, word := range c.ready {
+		if lsuFull {
+			word &^= c.holding[i]
+		}
 		for ; word != 0; word &= word - 1 {
 			if w := i<<6 | bits.TrailingZeros64(word); w != cur && c.tryIssue(w) {
 				c.current = w
@@ -304,6 +335,7 @@ func (c *Core) tryIssue(w int) bool {
 			return true
 		}
 		c.held[w] = addrs
+		setBit(c.holding, w)
 	}
 	n, write := len(addrs), wp.heldWrite
 	if len(c.lsuQ) > 0 && len(c.lsuQ)+n > c.cfg.LSUQueueCap {
@@ -317,6 +349,7 @@ func (c *Core) tryIssue(w int) bool {
 		c.lsuQ = append(c.lsuQ, lsuOp{addr: a, write: write, warp: w})
 	}
 	c.held[w] = addrs[:0]
+	clearBit(c.holding, w)
 	c.Instructions++
 	c.MemInstrs++
 	wp.computeLeft = c.workload.NextCompute(c.Index, w)
@@ -392,6 +425,15 @@ func (c *Core) newTxn() *mem.Transaction {
 // doLoad services a load transaction: L1 hit completes immediately, a miss
 // merges into the MSHR or allocates an entry and sends a read request.
 func (c *Core) doLoad(op lsuOp) bool {
+	switch c.lsuStall {
+	case mshrMergeFull:
+		c.MSHRStalls++
+		c.mshr.FullStall++ // what the failed Lookup counts
+		return false
+	case mshrTableFull:
+		c.MSHRStalls++
+		return false
+	}
 	line := op.addr
 	if c.mshr.Pending(line) {
 		switch c.mshr.Lookup(line, op.warp) {
@@ -399,6 +441,7 @@ func (c *Core) doLoad(op lsuOp) bool {
 			return true
 		default:
 			c.MSHRStalls++
+			c.lsuStall = mshrMergeFull
 			return false
 		}
 	}
@@ -409,6 +452,7 @@ func (c *Core) doLoad(op lsuOp) bool {
 	}
 	if c.mshr.Full() {
 		c.MSHRStalls++
+		c.lsuStall = mshrTableFull
 		return false
 	}
 	c.nextTxnID++
@@ -442,6 +486,7 @@ func (c *Core) ReceiveReply(txn *mem.Transaction) {
 		return
 	}
 	// Fill the L1 (loads allocate; fills are clean lines).
+	c.lsuStall = noMSHRStall
 	c.l1.Access(txn.Addr, false)
 	ws := c.mshr.Fill(txn.Addr)
 	for _, w := range ws {

@@ -13,7 +13,9 @@ import (
 // UseScanReference core run one scripted workload side by side and must
 // agree tick by tick — same counters, same greedy warp, same warp states and
 // held instructions, and the same sequence of workload calls with the same
-// results.
+// results. The reference runs without the stage's two retry gates: issueScan
+// tries every ready warp, holding or not, and its LSU re-evaluates a stalled
+// head load every tick (its lsuStall memo is cleared before each one).
 
 // wlCall is one logged workload call.
 type wlCall struct {
@@ -80,7 +82,7 @@ func newDiffRig(t *testing.T, cfg Config) *diffRig {
 	return r
 }
 
-func (r *diffRig) tick(now int, reject bool) {
+func (r *diffRig) tick(now int, reject, memo bool) {
 	r.now, r.reject = now, reject
 	keptT, keptD := r.inFlight[:0], r.due[:0]
 	for i, txn := range r.inFlight {
@@ -91,11 +93,15 @@ func (r *diffRig) tick(now int, reject bool) {
 		}
 	}
 	r.inFlight, r.due = keptT, keptD
+	if !memo {
+		r.core.lsuStall = noMSHRStall
+	}
 	r.core.Tick()
 }
 
-// checkMasks recounts the ready mask and readyWarps from the warp array, and
-// checks that only a ready warp out of compute holds an instruction.
+// checkMasks recounts the ready and holding masks and readyWarps from the
+// warp array, and checks that only a ready warp out of compute holds an
+// instruction.
 func checkMasks(c *Core) error {
 	ready := 0
 	for w := range c.warps {
@@ -106,6 +112,9 @@ func checkMasks(c *Core) error {
 		}
 		if len(c.held[w]) > 0 && !(isReady && wp.initialised && wp.computeLeft == 0) {
 			return fmt.Errorf("warp %d holds %d addresses, warp %+v", w, len(c.held[w]), *wp)
+		}
+		if got := hasBit(c.holding, w); got != (len(c.held[w]) > 0) {
+			return fmt.Errorf("warp %d: holding bit %v, %d addresses held", w, got, len(c.held[w]))
 		}
 		if isReady {
 			ready++
@@ -122,14 +131,26 @@ func checkMasks(c *Core) error {
 	return nil
 }
 
-func coreCounters(c *Core) [9]uint64 {
-	return [9]uint64{c.Instructions, c.MemInstrs, c.LoadTxns, c.StoreTxns, c.IssueStalls,
-		c.LSUSendStalls, c.MSHRStalls, c.StoreQStalls, c.CoreCycles}
+func coreCounters(c *Core) [10]uint64 {
+	return [10]uint64{c.Instructions, c.MemInstrs, c.LoadTxns, c.StoreTxns, c.IssueStalls,
+		c.LSUSendStalls, c.MSHRStalls, c.StoreQStalls, c.CoreCycles, c.mshr.FullStall}
+}
+
+// gated reports whether a tick of c will take a retry gate: skip holding
+// warps behind a full LSU queue, or replay a memoised MSHR stall.
+func gated(c *Core) (skip, memo bool) {
+	if len(c.lsuQ) >= c.cfg.LSUQueueCap {
+		for _, m := range c.holding {
+			skip = skip || m != 0
+		}
+	}
+	return skip, c.lsuStall != noMSHRStall
 }
 
 func TestIssueStageMatchesScanReference(t *testing.T) {
 	const ticks = 50000
-	var total [9]uint64 // counters summed over the matrix: no path left cold
+	var total [10]uint64 // counters summed over the matrix: no path left cold
+	skips, memos := 0, 0
 	for _, lsuCap := range []int{1, 4, 8} {
 		for _, warps := range []int{1, 48, 65} {
 			cfg := DefaultConfig()
@@ -149,8 +170,15 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 				} else if script.Intn(60) == 0 {
 					burst = 1 + script.Intn(400)
 				}
-				fast.tick(now, burst > 0)
-				ref.tick(now, burst > 0)
+				skip, memo := gated(fast.core)
+				if skip {
+					skips++
+				}
+				if memo {
+					memos++
+				}
+				fast.tick(now, burst > 0, true)
+				ref.tick(now, burst > 0, false)
 
 				name := func() string { return fmt.Sprintf("lsu %d warps %d tick %d", lsuCap, warps, now) }
 				if a, b := coreCounters(fast.core), coreCounters(ref.core); a != b {
@@ -201,5 +229,8 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 		if v == 0 {
 			t.Fatalf("script left counter %d at zero over the whole matrix: %v", i, total)
 		}
+	}
+	if skips == 0 || memos == 0 {
+		t.Fatalf("gates never taken: %d holding skips, %d memoised MSHR stalls", skips, memos)
 	}
 }

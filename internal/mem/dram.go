@@ -4,7 +4,10 @@
 // and the reply-generation path whose stalls the paper measures (Fig 12).
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Transaction is one memory request travelling through the system; it rides
 // as the Payload of NoC packets.
@@ -97,6 +100,14 @@ type DRAM struct {
 	done []*dramReq // completed, awaiting pickup
 	free []*dramReq // retired request records, recycled by Enqueue
 
+	// nextDone is the earliest completeAt of an in-service request
+	// (math.MaxInt64 when none): before it the completion scan finds
+	// nothing. issueStale is set when the FR-FCFS scan picked nothing; a
+	// pick depends only on the queue and the banks' busy/open-row state,
+	// which only an Enqueue or a completion changes, and both clear it.
+	nextDone   int64
+	issueStale bool
+
 	// Stats.
 	Reads       uint64
 	Writes      uint64
@@ -111,7 +122,7 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &DRAM{cfg: cfg, banks: make([]bankState, cfg.Banks)}
+	d := &DRAM{cfg: cfg, banks: make([]bankState, cfg.Banks), nextDone: math.MaxInt64}
 	// Start timing references far in the past so fresh banks see no
 	// phantom tRC/tRRD/tRAS constraints.
 	const longAgo = int64(-1) << 30
@@ -144,6 +155,7 @@ func (d *DRAM) Enqueue(txn *Transaction, writeback bool) bool {
 	}
 	*r = dramReq{txn: txn, bank: bank, row: row, arrival: d.now, writeback: writeback}
 	d.queue = append(d.queue, r)
+	d.issueStale = false
 	return true
 }
 
@@ -169,22 +181,18 @@ func (d *DRAM) AdvanceIdle(n int) { d.now += int64(n) }
 
 // Tick advances one memory cycle: completes in-service requests and issues
 // at most one new request chosen FR-FCFS (first ready row-hit, else oldest).
+// The nextDone and issueStale gates skip the two scans while their outcome
+// is known to be empty.
 func (d *DRAM) Tick() {
 	d.now++
 	if len(d.queue) > 0 {
 		d.BusyCycles++
 	}
-
-	// Complete requests whose data transfer finished.
-	for i := 0; i < len(d.queue); {
-		r := d.queue[i]
-		if r.inService && r.completeAt <= d.now {
-			d.banks[r.bank].busy = false
-			d.done = append(d.done, r)
-			d.queue = append(d.queue[:i], d.queue[i+1:]...)
-			continue
-		}
-		i++
+	if d.now >= d.nextDone {
+		d.complete()
+	}
+	if d.issueStale {
+		return
 	}
 
 	// FR-FCFS issue: scan arrival order; first row-hit to a free bank wins,
@@ -203,9 +211,30 @@ func (d *DRAM) Tick() {
 		}
 	}
 	if pick == nil {
+		d.issueStale = true
 		return
 	}
 	d.issue(pick)
+}
+
+// complete retires the in-service requests whose data transfer finished, in
+// queue order, and moves nextDone to the earliest one still in service.
+func (d *DRAM) complete() {
+	d.nextDone = math.MaxInt64
+	for i := 0; i < len(d.queue); {
+		r := d.queue[i]
+		if r.inService && r.completeAt <= d.now {
+			d.banks[r.bank].busy = false
+			d.done = append(d.done, r)
+			d.queue = append(d.queue[:i], d.queue[i+1:]...)
+			d.issueStale = false
+			continue
+		}
+		if r.inService {
+			d.nextDone = min(d.nextDone, r.completeAt)
+		}
+		i++
+	}
 }
 
 // issue computes the full service schedule of one request analytically and
@@ -240,6 +269,7 @@ func (d *DRAM) issue(r *dramReq) {
 	b.busy = true
 	r.inService = true
 	r.completeAt = dataEnd
+	d.nextDone = min(d.nextDone, dataEnd)
 	if r.txn.IsWrite {
 		d.Writes++
 	} else {

@@ -218,10 +218,3 @@ func TestDRAMConfigValidate(t *testing.T) {
 		t.Fatal("negative timing accepted")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -128,8 +128,53 @@ func TestEjectorPickMatchesRoundRobin(t *testing.T) {
 	}
 }
 
+// spRequest is one SA stage-1 winner — input VC (port, vc) bidding through
+// switch-port sp — as the separate stage 2 saw it: a request for output out
+// at priority prio.
+type spRequest struct {
+	sp, port, vc, out int32
+	prio              int
+}
+
+// grantOutputs is the separate SA stage 2 the router ran before stage 2
+// was folded into stage 1's scan (saGrant.offer): each output port grants,
+// among the requests naming it, the highest priority, ties broken
+// round-robin over switch-port indices from the output's pointer next[o],
+// and moves the pointer past the winner. reqs is in ascending switch-port
+// order with at most one request per switch-port; nSP is the router's
+// switch-port count. The result maps each output to the index of its
+// granted request, or -1.
+func grantOutputs(reqs []spRequest, next *[numOutPorts]int32, nSP int) (won [numOutPorts]int32) {
+	var wonRot [numOutPorts]int32
+	for o := range won {
+		won[o] = -1
+	}
+	for i := range reqs {
+		q := &reqs[i]
+		o := q.out
+		rot := q.sp - next[o] // distance from the pointer in scan order
+		if rot < 0 {
+			rot += int32(nSP)
+		}
+		if w := won[o]; w < 0 || q.prio > reqs[w].prio || (q.prio == reqs[w].prio && rot < wonRot[o]) {
+			won[o], wonRot[o] = int32(i), rot
+		}
+	}
+	for o, w := range won {
+		if w < 0 {
+			continue
+		}
+		if next[o] = reqs[w].sp + 1; int(next[o]) == nSP {
+			next[o] = 0
+		}
+	}
+	return won
+}
+
 // TestGrantOutputsMatchesRoundRobin is SA stage 2, with and without
-// priorities, over more switch-ports than fit a 32-bit word.
+// priorities, over more switch-ports than fit a 32-bit word: grantOutputs
+// against the rotating arbiter, and the running winner the router keeps
+// (saGrant.offer, fed in switch-port order) against grantOutputs.
 func TestGrantOutputsMatchesRoundRobin(t *testing.T) {
 	r := rng.New(16)
 	for iter := 0; iter < 5000; iter++ {
@@ -148,8 +193,16 @@ func TestGrantOutputsMatchesRoundRobin(t *testing.T) {
 				if r.Intn(3) == 0 {
 					continue
 				}
-				reqs = append(reqs, spRequest{sp: int32(sp), out: int32(r.Intn(numOutPorts)), prio: r.Intn(prioLevels)})
+				reqs = append(reqs, spRequest{sp: int32(sp), vc: int32(r.Intn(8)), out: int32(r.Intn(numOutPorts)), prio: r.Intn(prioLevels)})
 				bySP[sp] = len(reqs)
+			}
+			var fused [numOutPorts]saGrant
+			for _, q := range reqs {
+				rot := q.sp - next[q.out]
+				if rot < 0 {
+					rot += int32(nSP)
+				}
+				fused[q.out].offer(q.sp, q.vc, int32(nSP)-rot, q.prio)
 			}
 			won := grantOutputs(reqs, &next, nSP)
 			for o := range ref {
@@ -160,16 +213,183 @@ func TestGrantOutputsMatchesRoundRobin(t *testing.T) {
 				} else {
 					w = ref[o].pick(req)
 				}
-				got := -1
+				got, fusedSP := -1, -1
 				if won[o] >= 0 {
 					got = int(reqs[won[o]].sp)
 				}
-				if got != w || int(next[o]) != ref[o].next {
-					t.Fatalf("iter %d round %d out %d (nSP %d): granted sp %d pointer %d; reference sp %d pointer %d",
-						iter, round, o, nSP, got, next[o], w, ref[o].next)
+				if g := fused[o]; g.rank != 0 {
+					fusedSP = int(g.sp)
+					if q := reqs[bySP[g.sp]-1]; g.vc != q.vc {
+						t.Fatalf("iter %d round %d out %d: running winner vc %d, request vc %d", iter, round, o, g.vc, q.vc)
+					}
+				}
+				if got != w || fusedSP != w || int(next[o]) != ref[o].next {
+					t.Fatalf("iter %d round %d out %d (nSP %d): granted sp %d, running winner sp %d, pointer %d; reference sp %d pointer %d",
+						iter, round, o, nSP, got, fusedSP, next[o], w, ref[o].next)
 				}
 			}
 		}
+	}
+}
+
+// separableSA is switch allocation as two separate stages, the way the
+// router ran it before the fold: stage 1 over copies of the switch-ports
+// into a request list (fault horizons read unconditionally, the starvation
+// guard recomputed by a full scan), then grantOutputs over a copy of the
+// output pointers. It returns each output's winning input VC and the moved
+// pointers and stall count, touching no router state.
+func separableSA(r *router, now int64) (win [numOutPorts][2]int32, sps []switchPort, next [numOutPorts]int32, stalls int) {
+	sps = append([]switchPort(nil), r.sps...)
+	next = r.outNext
+	starved := false
+	if r.prioArbOn {
+		for g := 0; g < NumDirections*r.nvc; g++ {
+			if vc := &r.vcs[g]; vc.state != vcIdle && now-vc.waitSince > r.net.cfg.StarvationLimit {
+				starved = true
+			}
+		}
+	}
+	var reqs []spRequest
+	for i := range sps {
+		sp := &sps[i]
+		ip := &r.in[sp.port]
+		bidding := ip.active & ip.nonEmpty & sp.mask
+		if bidding == 0 || now < ip.frozenUntil {
+			continue
+		}
+		v, st := sp.pick(bidding, ip.hasCredit, r.nvc)
+		stalls += st
+		if v < 0 {
+			continue
+		}
+		vc := &r.vcs[int(sp.port)*r.nvc+v]
+		if now < r.out[vc.outPort].stalledUntil {
+			continue
+		}
+		prio := 0
+		if r.prioArbOn && !(starved && int(sp.port) >= NumDirections) {
+			prio = vc.effPrio
+		}
+		reqs = append(reqs, spRequest{sp: int32(i), port: sp.port, vc: int32(v), out: int32(vc.outPort), prio: prio})
+	}
+	for o, i := range grantOutputs(reqs, &next, len(sps)) {
+		win[o] = [2]int32{-1, -1}
+		if i >= 0 {
+			win[o] = [2]int32{reqs[i].port, reqs[i].vc}
+		}
+	}
+	return win, sps, next, stalls
+}
+
+// TestArbitrateMatchesSeparableStages holds the router's fused switch
+// allocation to separableSA over random router states: strided injection
+// switch-ports (ARI speedup) and several injection ports (MultiPort), ARI
+// priorities with the starvation guard on and off, and fault horizons with
+// the network's faulted bit set — same winners, same switch-port and output
+// pointers, same creditStallCycles.
+func TestArbitrateMatchesSeparableStages(t *testing.T) {
+	r := rng.New(21)
+	var nets []*Network
+	for _, nc := range []NodeConfig{{NI: NISplit, InjSpeedup: 2}, {NI: NISplit, InjSpeedup: 4}, {NI: NIMultiPort, InjPorts: 3}, {}} {
+		for _, vcs := range []int{2, 4, 6} {
+			for _, prio := range []int{0, 2} {
+				cfg := Config{Mesh: Mesh{Width: 3, Height: 3}, VCs: vcs, LinkBits: 128, DataBytes: 128,
+					Routing: RouteMinAdaptive, NonAtomicVC: true, PriorityLevels: prio, StarvationLimit: 20}
+				cfg.Nodes = make([]NodeConfig, cfg.Mesh.Nodes())
+				cfg.Nodes[4] = nc
+				n, err := NewNetwork(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nets = append(nets, n)
+			}
+		}
+	}
+	starvedSeen, faultDropped := 0, 0
+	for iter := 0; iter < 20000; iter++ {
+		n := nets[r.Intn(len(nets))]
+		rt := &n.routers[4] // centre: every mesh output has a link
+		const now = 1000
+		n.faulted = r.Intn(3) == 0
+		span := 15 + r.Intn(16) // waits beyond the limit of 20 in some states only
+		rt.activeVCs = 0
+		for p := range rt.in {
+			ip := &rt.in[p]
+			ip.waitVC, ip.active, ip.nonEmpty, ip.hasCredit, ip.frozenUntil = 0, 0, 0, 0, 0
+			if n.faulted && r.Intn(4) == 0 {
+				ip.frozenUntil = now - 2 + int64(r.Intn(5))
+			}
+			for v := 0; v < rt.nvc; v++ {
+				vc := &rt.vcs[p*rt.nvc+v]
+				bit := uint32(1) << uint(v)
+				vc.state = vcState(r.Intn(3))
+				vc.waitSince = now - int64(r.Intn(span))
+				vc.effPrio = r.Intn(2)
+				if r.Intn(3) != 0 {
+					ip.nonEmpty |= bit
+				}
+				if vc.state == vcWaitVC {
+					ip.waitVC |= bit
+				}
+				if vc.state == vcActive {
+					ip.active |= bit
+					rt.activeVCs++
+					vc.outPort, vc.outVC = int8(r.Intn(numOutPorts)), int8(r.Intn(rt.nvc))
+					if r.Intn(5) != 0 {
+						ip.hasCredit |= bit
+					}
+				}
+			}
+		}
+		rt.starveFloor = now - 30 // a valid lower bound on every waitSince
+		for o := range rt.out {
+			rt.out[o].stalledUntil = 0
+			if n.faulted && r.Intn(4) == 0 {
+				rt.out[o].stalledUntil = now - 2 + int64(r.Intn(5))
+			}
+			rt.outNext[o] = int32(r.Intn(len(rt.sps)))
+		}
+		for i := range rt.sps {
+			sp := &rt.sps[i]
+			members := (rt.nvc - int(sp.first) + int(sp.stride) - 1) / int(sp.stride)
+			sp.next = sp.first + uint8(r.Intn(members))*sp.stride
+		}
+
+		wantWin, wantSPs, wantNext, wantStalls := separableSA(rt, now)
+		before := n.stats.CreditStallCycles
+		var won [numOutPorts]saGrant
+		rt.arbitrate(now, &won)
+		for o := range won {
+			got := [2]int32{-1, -1}
+			if g := won[o]; g.rank != 0 {
+				got = [2]int32{rt.sps[g.sp].port, g.vc}
+			}
+			if got != wantWin[o] {
+				t.Fatalf("iter %d out %d: fused grants %d/%d, separable stages %d/%d", iter, o, got[0], got[1], wantWin[o][0], wantWin[o][1])
+			}
+		}
+		if rt.outNext != wantNext {
+			t.Fatalf("iter %d: output pointers %v, separable stages %v", iter, rt.outNext, wantNext)
+		}
+		for i := range rt.sps {
+			if rt.sps[i] != wantSPs[i] {
+				t.Fatalf("iter %d switch-port %d: %+v, separable stages %+v", iter, i, rt.sps[i], wantSPs[i])
+			}
+		}
+		if got := int(n.stats.CreditStallCycles - before); got != wantStalls {
+			t.Fatalf("iter %d: %d credit stalls, separable stages %d", iter, got, wantStalls)
+		}
+		if rt.prioArbOn && now-rt.starveFloor > n.cfg.StarvationLimit { // the guard rescanned and fired
+			starvedSeen++
+		}
+		for o := range rt.out {
+			if rt.out[o].stalledUntil > now && wantWin[o][0] < 0 {
+				faultDropped++
+			}
+		}
+	}
+	if starvedSeen == 0 || faultDropped == 0 {
+		t.Fatalf("states never exercised the starvation guard (%d) or a stalled output (%d)", starvedSeen, faultDropped)
 	}
 }
 

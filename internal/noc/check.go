@@ -21,7 +21,8 @@ import (
 //
 // It also asserts that every incrementally maintained index the allocators
 // iterate instead of scanning — the per-port VC masks, the free-VC and
-// dirty-credit masks, the waiting/active counts — equals a full recount.
+// dirty-credit masks, the waiting/active counts, the candidate-output masks
+// — equals a full recount, and that no waiter VA would skip is grantable.
 func (n *Network) CheckInvariants() error {
 	if err := n.checkRecovery(); err != nil {
 		return err
@@ -216,6 +217,13 @@ func checkMasks(r *router) error {
 				if vc.buf.empty() {
 					return fmt.Errorf("port %d vc %d: waiting for a VC with no head flit", p, v)
 				}
+				var outs uint8
+				for _, c := range vc.cands[:vc.nCands] {
+					outs |= 1 << uint(c.port)
+				}
+				if vc.candOuts != outs {
+					return fmt.Errorf("port %d vc %d: candOuts %05b != recounted %05b", p, v, vc.candOuts, outs)
+				}
 			case vcActive:
 				act |= bit
 				if r.out[vc.outPort].vcs[vc.outVC].credits > 0 {
@@ -227,6 +235,9 @@ func checkMasks(r *router) error {
 		if ip.nonEmpty != nonEmpty || ip.waitVC != waitVC || ip.active != act || ip.hasCredit != hasCredit {
 			return fmt.Errorf("port %d: masks nonEmpty/waitVC/active/hasCredit %04b/%04b/%04b/%04b != recounted %04b/%04b/%04b/%04b",
 				p, ip.nonEmpty, ip.waitVC, ip.active, ip.hasCredit, nonEmpty, waitVC, act, hasCredit)
+		}
+		if ip.vaFresh&^waitVC != 0 {
+			return fmt.Errorf("port %d: vaFresh %04b outside waitVC %04b", p, ip.vaFresh, waitVC)
 		}
 		waiting += int32(bits.OnesCount32(waitVC))
 		active += int32(bits.OnesCount32(act))
@@ -242,9 +253,13 @@ func checkMasks(r *router) error {
 		if g < NumDirections*r.nvc && vc.waitSince < r.starveFloor {
 			return fmt.Errorf("vc %d: waitSince %d below the starvation floor %d", g, vc.waitSince, r.starveFloor)
 		}
-		if vc.state == vcWaitVC && !r.vaRetry {
+		// VA skips every waiter while vaRetry is clear, and in a pass each
+		// waiter that is not fresh and has no candidate output in vaDirty.
+		fresh := r.in[g/r.nvc].vaFresh&(1<<uint(g%r.nvc)) != 0
+		if vc.state == vcWaitVC && (!r.vaRetry || (!fresh && vc.candOuts&r.vaDirty == 0)) {
 			if o, v := r.pickOutVC(vc); o >= 0 {
-				return fmt.Errorf("vc %d: grantable out %d/%d while VA is parked", g, o, v)
+				return fmt.Errorf("vc %d: grantable out %d/%d while VA would skip it (vaRetry %v, vaDirty %05b)",
+					g, o, v, r.vaRetry, r.vaDirty)
 			}
 		}
 	}

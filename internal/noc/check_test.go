@@ -18,6 +18,15 @@ func (c checkedNet) Step() {
 		if err := c.CheckInvariants(); err != nil {
 			c.t.Fatalf("invariant violated at cycle %d: %v", now, err)
 		}
+		// The watchdog's allocation-free age scan against the sorted walk of
+		// the diagnostics.
+		want := int64(0)
+		if old := c.OldestPackets(1); len(old) > 0 {
+			want = c.Now() - old[0].CreatedAt
+		}
+		if got := c.OldestPacketAge(); got != want {
+			c.t.Fatalf("cycle %d: OldestPacketAge %d, oldest of OldestPackets %d cycles", now, got, want)
+		}
 	}
 }
 

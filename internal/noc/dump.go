@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -87,11 +88,46 @@ func (n *Network) OldestPackets(k int) []*Packet {
 }
 
 // OldestPacketAge returns the age in cycles of the oldest in-flight packet,
-// or 0 when the network holds none.
+// or 0 when the network holds none: the same answer as OldestPackets(1),
+// read as a minimum of CreatedAt over the buffered flits. It skips every
+// router, ejector and NI whose activity counter is zero and allocates
+// nothing — the starvation watchdog calls it every poll.
 func (n *Network) OldestPacketAge() int64 {
-	old := n.OldestPackets(1)
-	if len(old) == 0 {
-		return 0
+	oldest := n.now // no packet is younger than the current cycle
+	queue := func(q *flitQueue) {
+		for i := 0; i < q.len(); i++ {
+			oldest = min(oldest, q.at(i).pkt.CreatedAt)
+		}
 	}
-	return n.now - old[0].CreatedAt
+	staged := func(s []stagedFlit) {
+		for i := range s {
+			oldest = min(oldest, s[i].f.pkt.CreatedAt)
+		}
+	}
+	for i := range n.routers {
+		if n.niQueued[i] > 0 {
+			ni := &n.nis[i]
+			queue(&ni.queue)
+			for v := range ni.splitQueues {
+				queue(&ni.splitQueues[v])
+			}
+		}
+		if n.routerFlits[i] > 0 {
+			r := &n.routers[i]
+			staged(r.staged)
+			for p := range r.in {
+				for m := r.in[p].nonEmpty; m != 0; m &= m - 1 {
+					queue(&r.vcs[p*r.nvc+bits.TrailingZeros32(m)].buf)
+				}
+			}
+		}
+		if n.ejectFlits[i] > 0 {
+			e := &n.ejectors[i]
+			staged(e.arrivals)
+			for m := e.nonEmpty; m != 0; m &= m - 1 {
+				queue(&e.vcs[bits.TrailingZeros32(m)])
+			}
+		}
+	}
+	return n.now - oldest
 }

@@ -20,6 +20,7 @@ func (n *Network) StallLink(node, port int, until int64) {
 	if port < 0 || port >= numOutPorts {
 		panic(fmt.Sprintf("noc: StallLink port %d out of range [0,%d)", port, numOutPorts))
 	}
+	n.faulted = true
 	op := &n.routers[node].out[port]
 	if until > op.stalledUntil {
 		op.stalledUntil = until
@@ -36,6 +37,7 @@ func (n *Network) FreezeInputPort(node, port int, until int64) {
 	if port < 0 || port >= len(r.in) {
 		panic(fmt.Sprintf("noc: FreezeInputPort port %d out of range [0,%d)", port, len(r.in)))
 	}
+	n.faulted = true
 	ip := &r.in[port]
 	if until > ip.frozenUntil {
 		ip.frozenUntil = until
@@ -64,6 +66,7 @@ func (n *Network) CorruptLink(node, port int, until int64) {
 	if port < 0 || port >= numOutPorts {
 		panic(fmt.Sprintf("noc: CorruptLink port %d out of range [0,%d)", port, numOutPorts))
 	}
+	n.faulted = true
 	op := &n.routers[node].out[port]
 	if until > op.corruptUntil {
 		op.corruptUntil = until

@@ -69,6 +69,11 @@ type Network struct {
 	// consumed; it keeps Step and Idle honest after the last flit drains
 	// while acknowledgements are still propagating.
 	ctlPending int
+	// faulted is set by the first StallLink, FreezeInputPort or CorruptLink.
+	// Until then every frozenUntil/stalledUntil/corruptUntil horizon is 0,
+	// never after the current cycle, so switch allocation and traversal skip
+	// reading them.
+	faulted bool
 	// ftable is the fault-adaptive up*/down* next-hop table, non-nil once
 	// any mesh link is permanently dead; it then supersedes the configured
 	// routing algorithm entirely (ftable.go). Rebuilt on every kill,
@@ -117,7 +122,6 @@ type slabs struct {
 	inVCs    []inputVC
 	outVCs   []outVCState
 	sps      []switchPort
-	reqs     []spRequest
 	staged   []stagedFlit
 	flits    []flit
 	queues   []flitQueue
@@ -162,7 +166,6 @@ func newSlabs(cfg *Config) *slabs {
 		inVCs:    make([]inputVC, inPorts*cfg.VCs),
 		outVCs:   make([]outVCState, nodes*numOutPorts*cfg.VCs),
 		sps:      make([]switchPort, sps),
-		reqs:     make([]spRequest, sps),
 		staged:   make([]stagedFlit, staged),
 		flits:    make([]flit, flits),
 		queues:   make([]flitQueue, queues),

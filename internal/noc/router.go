@@ -33,10 +33,12 @@ type inputVC struct {
 	// effPrio is the packet priority captured at route computation, before
 	// the per-hop decrement (§5): the value the packet carried on arrival.
 	effPrio int
-	// cands[:nCands] are the admissible outputs computed by RC.
-	cands  [2]routeCandidate
-	nCands uint8
-	state  vcState
+	// cands[:nCands] are the admissible outputs computed by RC; candOuts
+	// has bit o set for each candidate's output port o (VA's dirty filter).
+	cands    [2]routeCandidate
+	nCands   uint8
+	candOuts uint8
+	state    vcState
 	// outPort/outVC name the downstream VC held while active, -1 otherwise.
 	outPort int8
 	outVC   int8
@@ -53,7 +55,7 @@ type stagedFlit struct {
 }
 
 // inputPort is a router input port: one of the four mesh ports (indices
-// below NumDirections) or an injection port fed by the node's NI. Its four
+// below NumDirections) or an injection port fed by the node's NI. Its
 // masks index the port's VCs
 // (bit v = VC v; Config.VCs <= 32, so one word always suffices) and are what
 // RC, VA and SA iterate instead of the VC array:
@@ -62,6 +64,7 @@ type stagedFlit struct {
 //	waitVC    state == vcWaitVC
 //	active    state == vcActive
 //	hasCredit active, and the held downstream VC has a credit
+//	vaFresh   waiting, and not yet tried by VA since RC or a re-route
 //
 // Every mask is maintained at the single place its predicate changes (push,
 // pop, RC, VA grant, credit application, traversal) and CheckInvariants
@@ -79,6 +82,7 @@ type inputPort struct {
 	// port (nil for injection ports, whose credits return to the NI).
 	upstream *router
 	upOut    int32
+	vaFresh  uint32 // after upOut, where it fills padding
 }
 
 // outVCState tracks one downstream virtual channel from the sender's side.
@@ -148,12 +152,23 @@ type switchPort struct {
 	stride uint8 // distance between member VCs
 }
 
-// spRequest is one SA stage-1 winner — input VC (port, vc) bidding through
-// switch-port sp — as stage 2 sees it: a request for output out at priority
-// prio.
-type spRequest struct {
-	sp, port, vc, out int32
-	prio              int
+// saGrant is SA stage 2's running winner at one output: VC vc of the input
+// port behind switch-port sp, its stage-1 winner, bidding at priority prio.
+// rank is the switch-port count minus the request's distance from the
+// output's round-robin pointer, so the nearest ranks highest; rank 0 means
+// no request yet, and as priorities are never negative any request beats
+// that zero value.
+type saGrant struct {
+	prio         int
+	rank, sp, vc int32
+}
+
+// offer is SA stage 2 for one request: the output keeps the highest
+// priority, ties broken by the highest rank.
+func (g *saGrant) offer(sp, vc, rank int32, prio int) {
+	if prio > g.prio || (prio == g.prio && rank > g.rank) {
+		*g = saGrant{prio: prio, rank: rank, sp: sp, vc: vc}
+	}
 }
 
 // router is a virtual-channel wormhole router with a single-cycle
@@ -180,10 +195,9 @@ type router struct {
 
 	// Switch: SA stage 1 picks one VC per switch-port, stage 2 grants one
 	// switch-port per output; outNext[o] is output o's round-robin pointer
-	// over switch-port indices. reqs is stage 1's scratch result.
+	// over switch-port indices.
 	sps       []switchPort
 	outNext   [numOutPorts]int32
-	reqs      []spRequest
 	prioArbOn bool
 
 	// The router's flit-count activity predicate lives in the network's
@@ -194,12 +208,17 @@ type router struct {
 	waitVCs   int32
 	activeVCs int32
 	// vaRetry is set by every event that can turn a failed VC allocation
-	// into a grant — a new waiter (RC), credits applied to an output, a tail
-	// freeing a downstream VC, a re-route — and cleared by each VA pass. A
+	// into a grant — a new waiter (RC), credits landing on a free downstream
+	// VC, a tail freeing one, a re-route — and cleared by each VA pass. A
 	// grant only ever removes options from the other waiters, so while it is
 	// clear every waiter would fail exactly as it did last pass and VA skips
-	// the pass (CheckInvariants re-derives that no waiter is grantable).
+	// the pass. Within a pass the same argument runs per waiter: vaDirty has
+	// bit o set when output o gained an option (a freed VC, or credits on a
+	// free VC) since the last pass, and a waiter that is not fresh (see
+	// inputPort.vaFresh) and has no candidate output in vaDirty is skipped.
+	// CheckInvariants re-derives that no skipped waiter is grantable.
 	vaRetry bool
+	vaDirty uint8
 	// starveFloor is a lower bound on the waitSince of every non-idle mesh
 	// input VC. waitSince only ever moves forward to the current cycle, so
 	// the bound stays valid until the guard rescans; while now-starveFloor is
@@ -237,7 +256,6 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 	r.in = carve(&sl.inPorts, numIn)
 	r.vcs = carve(&sl.inVCs, numIn*vcs)
 	r.sps = carve(&sl.sps, NumDirections+nc.injPorts()*speedup)
-	r.reqs = carve(&sl.reqs, len(r.sps))[:0]
 	r.staged = carve(&sl.staged, stagedCap(cfg, nc))[:0]
 	for i := range r.vcs {
 		r.vcs[i] = inputVC{buf: flitQueue{buf: carve(&sl.flits, cfg.VCDepth)}, outPort: -1, outVC: -1}
@@ -320,6 +338,12 @@ func (r *router) applyArrivals(now int64) {
 		}
 		r.creditDirty[o] = 0
 		op := &r.out[o]
+		if m&op.free != 0 {
+			// Credits on an owned VC matter only to SA; on a free one they may
+			// turn a failed allocation into a grant.
+			r.vaDirty |= 1 << uint(o)
+			r.vaRetry = true
+		}
 		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros32(m)
 			ov := &op.vcs[v]
@@ -329,7 +353,6 @@ func (r *router) applyArrivals(now int64) {
 				r.in[ov.ownerPort].hasCredit |= 1 << uint(ov.ownerVC)
 			}
 		}
-		r.vaRetry = true
 	}
 }
 
@@ -369,6 +392,7 @@ func (r *router) routeCompute(now int64) {
 			}
 			vc.state = vcWaitVC
 			ip.waitVC |= 1 << uint(v)
+			ip.vaFresh |= 1 << uint(v)
 			r.waitVCs++
 			r.vaRetry = true
 			vc.waitSince = now
@@ -378,7 +402,9 @@ func (r *router) routeCompute(now int64) {
 		r.reroute = false
 		r.vaRetry = true
 		for p := range r.in {
-			for m := r.in[p].waitVC; m != 0; m &= m - 1 {
+			ip := &r.in[p]
+			ip.vaFresh = ip.waitVC
+			for m := ip.waitVC; m != 0; m &= m - 1 {
 				vc := &r.vcs[p*r.nvc+bits.TrailingZeros32(m)]
 				r.setCandidates(vc, vc.buf.front().pkt.Dst)
 			}
@@ -388,6 +414,10 @@ func (r *router) routeCompute(now int64) {
 
 func (r *router) setCandidates(vc *inputVC, dst int) {
 	vc.nCands = uint8(len(r.net.routeCandidates(r.id, dst, vc.cands[:0])))
+	vc.candOuts = 0
+	for _, c := range vc.cands[:vc.nCands] {
+		vc.candOuts |= 1 << uint(c.port)
+	}
 }
 
 // vcAllocate runs separable input-first VC allocation: waiting VCs claim a
@@ -407,6 +437,7 @@ func (r *router) vcAllocate(now int64) {
 	if r.waitVCs > 0 && r.vaRetry {
 		r.vcAllocatePass(now)
 		r.vaRetry = false
+		r.vaDirty = 0
 	}
 	if r.rrVC++; r.rrVC == r.nvc {
 		r.rrVC = 0
@@ -435,11 +466,19 @@ func (r *router) vcAllocatePass(now int64) {
 }
 
 // vcAllocatePort attempts allocation for the waiting VCs m of input port p,
-// ascending.
+// ascending. A waiter tried before (not fresh) whose candidate outputs have
+// gained no option since is skipped: it failed then, and the grants in
+// between only removed options, so it would fail again.
 func (r *router) vcAllocatePort(p int, m uint32, now int64) {
+	ip := &r.in[p]
+	fresh := ip.vaFresh
+	ip.vaFresh &^= m
 	for ; m != 0; m &= m - 1 {
 		v := bits.TrailingZeros32(m)
 		vc := &r.vcs[p*r.nvc+v]
+		if fresh&(1<<uint(v)) == 0 && vc.candOuts&r.vaDirty == 0 {
+			continue
+		}
 		bestPort, bestVC := r.pickOutVC(vc)
 		if bestPort < 0 {
 			continue
@@ -449,7 +488,6 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 		op.free &^= 1 << uint(bestVC)
 		vc.outPort, vc.outVC = int8(bestPort), int8(bestVC)
 		vc.state = vcActive
-		ip := &r.in[p]
 		bit := uint32(1) << uint(v)
 		ip.waitVC &^= bit
 		ip.active |= bit
@@ -518,28 +556,41 @@ func (r *router) starvationActive(now int64) bool {
 }
 
 // switchAllocate runs separable input-first switch allocation and performs
-// the winning switch/link traversals (SA + ST + LT).
+// the winning switch/link traversals (SA + ST + LT), in output order.
 func (r *router) switchAllocate(now int64) {
 	if r.activeVCs == 0 {
 		// No input VC holds a downstream VC, so no switch-port can bid and
 		// no output can grant.
 		return
 	}
-	starved := r.prioArbOn && r.starvationActive(now)
+	var won [numOutPorts]saGrant
+	r.arbitrate(now, &won)
+	for o := range won {
+		if g := &won[o]; g.rank != 0 {
+			r.traverse(int(r.sps[g.sp].port), int(g.vc), o, now)
+		}
+	}
+}
 
-	// Stage 1: each switch-port of a port not frozen by fault injection
-	// picks among its member VCs that are active and hold a flit. The winner
-	// requests its output with the priority it carried on arrival when ARI
-	// prioritisation is enabled (injection VCs forced to 0 while the
-	// starvation guard is active); an output stalled by fault injection
-	// grants nobody, so requests toward it are dropped here.
-	reqs := r.reqs[:0]
+// arbitrate is SA with stage 2 folded into stage 1's scan. Each switch-port
+// of a port not frozen by fault injection picks among its member VCs that
+// are active and hold a flit; the winner requests its output with the
+// priority it carried on arrival when ARI prioritisation is enabled
+// (injection VCs forced to 0 while the starvation guard is active), and the
+// output's running winner (saGrant.offer) takes it or keeps its own. An
+// output stalled by fault injection grants nobody, so requests toward it
+// are dropped. Every arbiter pointer moves as the two separate stages moved
+// it; won (zero on entry) receives each output's winner.
+func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) {
+	starved := r.prioArbOn && r.starvationActive(now)
+	faulted := r.net.faulted
+	nSP := int32(len(r.sps))
 	stalls := 0
 	for i := range r.sps {
 		sp := &r.sps[i]
 		ip := &r.in[sp.port]
 		bidding := ip.active & ip.nonEmpty & sp.mask
-		if bidding == 0 || now < ip.frozenUntil {
+		if bidding == 0 || (faulted && now < ip.frozenUntil) {
 			continue
 		}
 		v, st := sp.pick(bidding, ip.hasCredit, r.nvc)
@@ -548,21 +599,26 @@ func (r *router) switchAllocate(now int64) {
 			continue
 		}
 		vc := &r.vcs[int(sp.port)*r.nvc+v]
-		if now < r.out[vc.outPort].stalledUntil {
+		o := vc.outPort
+		if faulted && now < r.out[o].stalledUntil {
 			continue
 		}
 		prio := 0
 		if r.prioArbOn && !(starved && int(sp.port) >= NumDirections) {
 			prio = vc.effPrio
 		}
-		reqs = append(reqs, spRequest{sp: int32(i), port: sp.port, vc: int32(v), out: int32(vc.outPort), prio: prio})
+		rot := int32(i) - r.outNext[o] // distance from the pointer in scan order
+		if rot < 0 {
+			rot += nSP
+		}
+		won[o].offer(int32(i), int32(v), nSP-rot, prio)
 	}
 	r.net.stats.CreditStallCycles += uint64(stalls)
-
-	// Stage 2, then ST/LT in output order.
-	for o, i := range grantOutputs(reqs, &r.outNext, len(r.sps)) {
-		if i >= 0 {
-			r.traverse(int(reqs[i].port), int(reqs[i].vc), o, now)
+	for o := range won {
+		if g := &won[o]; g.rank != 0 {
+			if r.outNext[o] = g.sp + 1; r.outNext[o] == nSP {
+				r.outNext[o] = 0
+			}
 		}
 	}
 }
@@ -590,39 +646,6 @@ func (sp *switchPort) pick(bidding, hasCredit uint32, nvc int) (v, stalls int) {
 	return v, bits.OnesCount32(stalled & (1<<uint(t) - 1))
 }
 
-// grantOutputs is SA stage 2: each output port grants, among the requests
-// naming it, the highest priority, ties broken round-robin over switch-port
-// indices from the output's pointer next[o], and moves the pointer past the
-// winner. reqs is in ascending switch-port order with at most one request
-// per switch-port; nSP is the router's switch-port count. The result maps
-// each output to the index of its granted request, or -1.
-func grantOutputs(reqs []spRequest, next *[numOutPorts]int32, nSP int) (won [numOutPorts]int32) {
-	var wonRot [numOutPorts]int32
-	for o := range won {
-		won[o] = -1
-	}
-	for i := range reqs {
-		q := &reqs[i]
-		o := q.out
-		rot := q.sp - next[o] // distance from the pointer in scan order
-		if rot < 0 {
-			rot += int32(nSP)
-		}
-		if w := won[o]; w < 0 || q.prio > reqs[w].prio || (q.prio == reqs[w].prio && rot < wonRot[o]) {
-			won[o], wonRot[o] = int32(i), rot
-		}
-	}
-	for o, w := range won {
-		if w < 0 {
-			continue
-		}
-		if next[o] = reqs[w].sp + 1; int(next[o]) == nSP {
-			next[o] = 0
-		}
-	}
-	return won
-}
-
 // traverse moves one flit from input VC (p, v) across the crossbar onto
 // output o's link, returns a credit upstream, and retires the downstream-VC
 // ownership at the tail.
@@ -643,7 +666,7 @@ func (r *router) traverse(p, v, o int, now int64) {
 	}
 	op.flits++
 	r.net.stats.SwitchTraversals++
-	if now < op.corruptUntil {
+	if r.net.faulted && now < op.corruptUntil {
 		// The link is inside a corruption window: the flit's payload is
 		// damaged in transit. Only the receiving NI's CRC check observes it.
 		f.bad = true
@@ -678,6 +701,7 @@ func (r *router) traverse(p, v, o int, now int64) {
 	if f.isTail() {
 		ov.ownerPort = -1
 		op.free |= 1 << uint(vc.outVC)
+		r.vaDirty |= 1 << uint(o)
 		r.vaRetry = true
 		vc.state = vcIdle
 		vc.outPort, vc.outVC = -1, -1
