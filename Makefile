@@ -102,16 +102,22 @@ obs:
 # runs it. One such run lasts ~0.2 s, too short for the 100 Hz sampler, so
 # every job runs under PROFILE_SEEDS seeds into its own file and pprof merges
 # them. Inspect further with `go tool pprof $(PROFILE_DIR)/arisim $(PROFILE_DIR)/*.pprof`.
+# One job (bfs, Ada-ARI) also writes a heap profile, whose alloc_space top
+# 15 shows what building and running a simulator allocates: construction
+# footprint has a figure next to the CPU profile.
 PROFILE_DIR := .bench_build/profile
 PROFILE_SEEDS := 1 2 3 4 5 6 7 8
 profile:
-	mkdir -p $(PROFILE_DIR) && rm -f $(PROFILE_DIR)/*.pprof
+	mkdir -p $(PROFILE_DIR) && rm -f $(PROFILE_DIR)/*.pprof $(PROFILE_DIR)/mem.heap
 	go build -o $(PROFILE_DIR)/arisim ./cmd/arisim
 	for b in bfs kmeans pathfinder; do for s in Ada-Baseline Ada-ARI; do for seed in $(PROFILE_SEEDS); do \
 		$(PROFILE_DIR)/arisim -bench $$b -scheme $$s -warmup 1000 -cycles 3000 -seed $$seed \
 			-cpuprofile $(PROFILE_DIR)/$$b.$$s.$$seed.pprof > /dev/null || exit 1; \
 	done; done; done
 	go tool pprof -top -nodecount 30 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/*.pprof
+	$(PROFILE_DIR)/arisim -bench bfs -scheme Ada-ARI -warmup 1000 -cycles 3000 \
+		-memprofile $(PROFILE_DIR)/mem.heap > /dev/null
+	go tool pprof -sample_index=alloc_space -top -nodecount 15 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/mem.heap
 
 # fuzz replays the committed corpora and then fuzzes each target briefly.
 fuzz:

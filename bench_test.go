@@ -94,22 +94,3 @@ func BenchmarkSimulatorStep(b *testing.B) {
 		sim.Step()
 	}
 }
-
-// BenchmarkNewSimulator measures construction of the Table I system: the
-// fixed cost of every run, and most of a short job's setup time.
-func BenchmarkNewSimulator(b *testing.B) {
-	k, err := trace.ByName("bfs")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Scheme = core.AdaARI
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sim, err := core.NewSimulator(cfg, k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.Close()
-	}
-}

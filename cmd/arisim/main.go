@@ -72,6 +72,11 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	if *memProfile != "" {
+		// Record every allocation: at the default 512 KB sampling rate a
+		// simulator's construction (under 1 MB) barely registers.
+		runtime.MemProfileRate = 1
+	}
 
 	if *list {
 		for _, k := range trace.Suite() {

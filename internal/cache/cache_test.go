@@ -231,20 +231,20 @@ func TestMSHRConservationQuick(t *testing.T) {
 				}
 			} else {
 				for _, w := range m.Fill(line) {
-					if !registered[w] {
+					if !registered[int(w)] {
 						return false
 					}
-					delete(registered, w)
+					delete(registered, int(w))
 				}
 			}
 		}
 		// Drain the rest.
 		for line := uint64(0); line < 8*128; line += 128 {
 			for _, w := range m.Fill(line) {
-				if !registered[w] {
+				if !registered[int(w)] {
 					return false
 				}
-				delete(registered, w)
+				delete(registered, int(w))
 			}
 		}
 		return len(registered) == 0

@@ -4,18 +4,18 @@ package cache
 // fills and merges subsequent misses to the same line, so one in-flight
 // read request serves every warp waiting on that line.
 type MSHR struct {
-	// The outstanding entries are the dense prefix lines[:n] / waiters[:n]
-	// of a fixed table: a lookup scans at most max line addresses in one or
-	// two cache lines, and a fill swaps the last entry into the hole (entry
-	// order is never observable).
-	lines   []uint64 // line addr
-	waiters [][]int  // waiter tokens, in arrival order
+	// The outstanding entries are the dense prefix lines[:n] of a fixed
+	// table: a lookup scans at most max line addresses in one or two cache
+	// lines, and a fill moves the last entry into the hole (entry order is
+	// never observable). Entry i's waiter tokens, in arrival order, are
+	// waiters[i*maxWait:][:nWait[i]].
+	lines   []uint64
+	nWait   []int32
+	waiters []int32
+	// filled receives the waiters Fill returns.
+	filled  []int32
 	n       int
 	maxWait int
-	// free recycles waiter slices between entries (Lookup pops, Recycle
-	// pushes), keeping the steady-state miss path allocation-free. It starts
-	// with one slice per entry, carved from a single backing array.
-	free [][]int
 
 	// Stats.
 	Merges    uint64
@@ -29,17 +29,14 @@ func NewMSHR(maxEntries, maxWaiters int) *MSHR {
 	if maxEntries <= 0 || maxWaiters <= 0 {
 		panic("cache: MSHR sizes must be positive")
 	}
-	m := &MSHR{
+	ints := make([]int32, maxEntries+(maxEntries+1)*maxWaiters)
+	return &MSHR{
 		lines:   make([]uint64, maxEntries),
-		waiters: make([][]int, maxEntries),
+		nWait:   ints[:maxEntries],
+		waiters: ints[maxEntries : maxEntries+maxEntries*maxWaiters],
+		filled:  ints[maxEntries+maxEntries*maxWaiters:],
 		maxWait: maxWaiters,
-		free:    make([][]int, maxEntries),
 	}
-	backing := make([]int, maxEntries*maxWaiters)
-	for i := range m.free {
-		m.free[i] = backing[i*maxWaiters : i*maxWaiters : (i+1)*maxWaiters]
-	}
-	return m
 }
 
 // find returns the table index of lineAddr's entry, or -1.
@@ -50,6 +47,12 @@ func (m *MSHR) find(lineAddr uint64) int {
 		}
 	}
 	return -1
+}
+
+// wait appends waiter to entry i.
+func (m *MSHR) wait(i, waiter int) {
+	m.waiters[i*m.maxWait+int(m.nWait[i])] = int32(waiter)
+	m.nWait[i]++
 }
 
 // Outcome of an MSHR lookup/allocate.
@@ -64,14 +67,15 @@ const (
 	Stalled
 )
 
-// Lookup attaches waiter to lineAddr's entry, allocating one if needed.
+// Lookup attaches waiter (a non-negative token below 2^31) to lineAddr's
+// entry, allocating one if needed.
 func (m *MSHR) Lookup(lineAddr uint64, waiter int) Outcome {
 	if i := m.find(lineAddr); i >= 0 {
-		if len(m.waiters[i]) >= m.maxWait {
+		if int(m.nWait[i]) >= m.maxWait {
 			m.FullStall++
 			return Stalled
 		}
-		m.waiters[i] = append(m.waiters[i], waiter)
+		m.wait(i, waiter)
 		m.Merges++
 		return Merged
 	}
@@ -79,15 +83,9 @@ func (m *MSHR) Lookup(lineAddr uint64, waiter int) Outcome {
 		m.FullStall++
 		return Stalled
 	}
-	var ws []int
-	if n := len(m.free); n > 0 {
-		ws = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		ws = make([]int, 0, m.maxWait)
-	}
 	m.lines[m.n] = lineAddr
-	m.waiters[m.n] = append(ws, waiter)
+	m.nWait[m.n] = 0
+	m.wait(m.n, waiter)
 	m.n++
 	m.Allocs++
 	return Allocated
@@ -96,28 +94,21 @@ func (m *MSHR) Lookup(lineAddr uint64, waiter int) Outcome {
 // Pending reports whether lineAddr has an outstanding fill.
 func (m *MSHR) Pending(lineAddr uint64) bool { return m.find(lineAddr) >= 0 }
 
-// Fill completes lineAddr's outstanding fill and returns its waiters. The
-// returned slice stays valid until the caller hands it back via Recycle (or
-// forever, if the caller never does).
-func (m *MSHR) Fill(lineAddr uint64) []int {
+// Fill completes lineAddr's outstanding fill and returns its waiters in
+// arrival order, or nil when none is outstanding. The returned slice is
+// reused by the next Fill.
+func (m *MSHR) Fill(lineAddr uint64) []int32 {
 	i := m.find(lineAddr)
 	if i < 0 {
 		return nil
 	}
-	ws := m.waiters[i]
+	ws := m.filled[:copy(m.filled, m.waiters[i*m.maxWait:][:m.nWait[i]])]
 	m.n--
-	m.lines[i], m.waiters[i] = m.lines[m.n], m.waiters[m.n]
-	m.waiters[m.n] = nil
-	return ws
-}
-
-// Recycle returns a slice obtained from Fill to the MSHR's freelist once
-// the caller is done iterating it. Optional but keeps fills allocation-free.
-func (m *MSHR) Recycle(ws []int) {
-	if ws == nil {
-		return
+	if last := m.n; i != last {
+		m.lines[i], m.nWait[i] = m.lines[last], m.nWait[last]
+		copy(m.waiters[i*m.maxWait:], m.waiters[last*m.maxWait:][:m.nWait[last]])
 	}
-	m.free = append(m.free, ws[:0])
+	return ws
 }
 
 // Full reports whether no further line can be allocated.

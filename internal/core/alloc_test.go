@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -106,5 +107,53 @@ func TestNewSimulatorAllocBudget(t *testing.T) {
 	})
 	if avg > 900 {
 		t.Fatalf("NewSimulator allocates %.0f times; budget 900", avg)
+	}
+}
+
+// TestNewSimulatorByteBudget holds what one simulator costs to hold: the
+// ledger keeps every job's simulator alive, so peak RSS moves one for one
+// with these bytes. The Table I system cost 1.42 MB when flits carried a
+// *Packet and caches held a slice of 24-byte ways per set; with pointer-free
+// 8-byte flits behind a packet table and flat tag/state and MSHR tables it
+// is 0.77 MB at the time of writing.
+func TestNewSimulatorByteBudget(t *testing.T) {
+	k, err := trace.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Scheme = AdaARI
+	const runs, budget = 10, 850_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sim, err := NewSimulator(cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Close()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+		t.Fatalf("NewSimulator allocates %d B; budget %d B", per, budget)
+	}
+}
+
+// BenchmarkNewSimulator measures construction of the Table I system: the
+// fixed cost of every run, and most of a short job's setup time.
+func BenchmarkNewSimulator(b *testing.B) {
+	k, err := trace.ByName("bfs")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Scheme = AdaARI
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim, err := NewSimulator(cfg, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim.Close()
 	}
 }

@@ -102,8 +102,10 @@ func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) s
 }
 
 // stepChecked advances n one cycle and checks every NoC invariant each 64
-// cycles of a soak, drain included, along with the watchdog's age scan
-// against the sorted walk of the diagnostics.
+// cycles of a soak, drain included — among them that the live packet-table
+// slots are exactly the packets with a buffered flit, which holds the
+// watchdog's age scan to a walk of every buffer — and the age scan against
+// the sorted list of the diagnostics.
 func stepChecked(t *testing.T, name string, n *noc.Network) {
 	t.Helper()
 	now := n.Now()

@@ -488,11 +488,9 @@ func (c *Core) ReceiveReply(txn *mem.Transaction) {
 	// Fill the L1 (loads allocate; fills are clean lines).
 	c.lsuStall = noMSHRStall
 	c.l1.Access(txn.Addr, false)
-	ws := c.mshr.Fill(txn.Addr)
-	for _, w := range ws {
-		c.loadDone(w)
+	for _, w := range c.mshr.Fill(txn.Addr) {
+		c.loadDone(int(w))
 	}
-	c.mshr.Recycle(ws)
 	c.txnFree = append(c.txnFree, txn)
 }
 

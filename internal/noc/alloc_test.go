@@ -1,6 +1,10 @@
 package noc
 
-import "testing"
+import (
+	"reflect"
+	"runtime"
+	"testing"
+)
 
 // TestNetworkStepDoesNotAllocate locks the stepping hot path at zero
 // allocations per inject+step iteration once steady state is reached — the
@@ -54,21 +58,35 @@ func TestNetworkStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestNewNetworkAllocBudget keeps network construction slab-built: every
-// router, port, VC, flit ring and credit array is carved from a dozen
-// per-network slabs (23 allocations at the time of writing, against ~5 100
-// when each was its own object), and NewSimulator builds two networks per
-// run. The budget is about twice the achieved count.
+// TestNewNetworkAllocBudget keeps network construction slab-built and
+// small: every router, port, VC, flit ring and credit array is carved from a
+// dozen per-network slabs (23 allocations at the time of writing, against
+// ~5 100 when each was its own object), and NewSimulator builds two networks
+// per run. Bytes are bounded beside the count: flit rings are most of them,
+// and with 8-byte flits the loaded 6x6 network costs 205 KB (baseline and
+// ARI alike) at the time of writing, against 384 KB with 24-byte flits that
+// held a *Packet. Both budgets are about a quarter above the achieved
+// figure.
 func TestNewNetworkAllocBudget(t *testing.T) {
 	for _, ari := range []bool{false, true} {
 		cfg := benchLikeConfig(ari)
-		avg := testing.AllocsPerRun(10, func() {
+		build := func() {
 			if _, err := NewNetwork(cfg); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if avg > 50 {
+		}
+		if avg := testing.AllocsPerRun(10, build); avg > 50 {
 			t.Errorf("NewNetwork(ari=%v) allocates %.0f times; budget 50", ari, avg)
+		}
+		const runs, budget = 10, 260_000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+			t.Errorf("NewNetwork(ari=%v) allocates %d B; budget %d B", ari, per, budget)
 		}
 	}
 }
@@ -103,4 +121,46 @@ func benchLikeConfig(ari bool) Config {
 		cfg.PriorityLevels = 2
 	}
 	return cfg
+}
+
+// TestStorageLayout pins the per-flit storage: a flit is 8 bytes with no
+// pointer for the garbage collector to scan, so the flit slab is never
+// scanned; a staged flit is 24 bytes and an input VC one 64-byte line.
+func TestStorageLayout(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  reflect.Type
+		size uintptr
+	}{
+		{"flit", reflect.TypeOf(flit{}), 8},
+		{"stagedFlit", reflect.TypeOf(stagedFlit{}), 24},
+		{"inputVC", reflect.TypeOf(inputVC{}), 64},
+	} {
+		if c.typ.Size() != c.size {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.typ.Size(), c.size)
+		}
+	}
+	if hasPointers(reflect.TypeOf(flit{})) || hasPointers(reflect.TypeOf(stagedFlit{})) {
+		t.Error("a flit or staged flit holds a pointer")
+	}
+}
+
+// hasPointers reports whether a value of type t holds anything the garbage
+// collector scans.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Pointer, reflect.Map, reflect.Slice, reflect.String, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	}
+	return false
 }

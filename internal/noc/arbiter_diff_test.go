@@ -268,7 +268,7 @@ func separableSA(r *router, now int64) (win [numOutPorts][2]int32, sps []switchP
 		}
 		prio := 0
 		if r.prioArbOn && !(starved && int(sp.port) >= NumDirections) {
-			prio = vc.effPrio
+			prio = int(vc.effPrio)
 		}
 		reqs = append(reqs, spRequest{sp: int32(i), port: sp.port, vc: int32(v), out: int32(vc.outPort), prio: prio})
 	}
@@ -324,7 +324,7 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 				bit := uint32(1) << uint(v)
 				vc.state = vcState(r.Intn(3))
 				vc.waitSince = now - int64(r.Intn(span))
-				vc.effPrio = r.Intn(2)
+				vc.effPrio = int16(r.Intn(2))
 				if r.Intn(3) != 0 {
 					ip.nonEmpty |= bit
 				}
@@ -423,11 +423,12 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 				}
 			}
 			pkt := &Packet{Size: 1 + r.Intn(depth)}
+			h := n.pkts.add(pkt)
 			vc.buf = flitQueue{buf: vc.buf.buf}
-			vc.buf.push(flit{pkt: pkt})
+			vc.buf.push(flit{h: h})
 			vc.nCands = uint8(1 + r.Intn(2))
 			for i := range vc.cands[:vc.nCands] {
-				vc.cands[i] = routeCandidate{port: r.Intn(numOutPorts), vcMask: uint32(r.Uint64()) & maskAll(cfg.VCs)}
+				vc.cands[i] = routeCandidate{port: int8(r.Intn(numOutPorts)), vcMask: uint32(r.Uint64()) & maskAll(cfg.VCs)}
 			}
 
 			wantPort, wantVC, best := -1, -1, int32(-1)
@@ -439,13 +440,14 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 						ok = int(ov.credits) >= pkt.Size
 					}
 					if cand.vcMask&(1<<uint(v)) != 0 && ov.ownerPort < 0 && ok && ov.credits > best {
-						wantPort, wantVC, best = cand.port, v, ov.credits
+						wantPort, wantVC, best = int(cand.port), v, ov.credits
 					}
 				}
 			}
 			if gotPort, gotVC := rt.pickOutVC(vc); gotPort != wantPort || gotVC != wantVC {
 				t.Fatalf("nonAtomic=%v iter %d: pickOutVC = %d/%d, scan = %d/%d", nonAtomic, iter, gotPort, gotVC, wantPort, wantVC)
 			}
+			n.pkts.release(h)
 		}
 	}
 }

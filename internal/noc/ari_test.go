@@ -279,7 +279,7 @@ func TestChoosePacketVCMaskAdaptive(t *testing.T) {
 	if len(cands) != 2 {
 		t.Fatalf("adaptive candidates = %d, want 2", len(cands))
 	}
-	if cands[0].port != int(East) {
+	if int(cands[0].port) != int(East) {
 		t.Fatalf("XY-preferred port = %d, want East", cands[0].port)
 	}
 	if cands[0].vcMask&1 == 0 {
@@ -295,7 +295,7 @@ func TestChoosePacketVCMaskAdaptive(t *testing.T) {
 	}
 	// Arrived: ejection port.
 	cands = computeRoute(m, RouteMinAdaptive, 5, 5, 4, nil)
-	if len(cands) != 1 || cands[0].port != ejectPortIndex {
+	if len(cands) != 1 || int(cands[0].port) != ejectPortIndex {
 		t.Fatalf("arrival candidate wrong: %+v", cands)
 	}
 }

@@ -175,12 +175,9 @@ func BenchmarkRouteCompute(b *testing.B) {
 }
 
 func BenchmarkFlitQueue(b *testing.B) {
-	q := newFlitQueue(9)
-	pkt := &Packet{Size: 9}
+	q := flitQueue{buf: make([]flit, 9)}
 	for i := 0; i < b.N; i++ {
-		for s := 0; s < 9; s++ {
-			q.push(flit{pkt: pkt, seq: s})
-		}
+		q.pushPacket(0, 9)
 		for s := 0; s < 9; s++ {
 			q.pop()
 		}

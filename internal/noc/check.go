@@ -17,7 +17,10 @@ import (
 //  3. ownership coherence: a downstream VC owned by an input VC is the
 //     one that input VC is actively forwarding into, and vice versa;
 //  4. wormhole contiguity: within any VC buffer, flits form contiguous
-//     ascending runs per packet and packets never interleave.
+//     ascending runs per packet and packets never interleave;
+//
+// and, for the packet table flits name their packets through (checkPackets),
+// that its live slots are exactly the packets with a flit in the network.
 //
 // It also asserts that every incrementally maintained index the allocators
 // iterate instead of scanning — the per-port VC masks, the free-VC and
@@ -25,6 +28,9 @@ import (
 // — equals a full recount, and that no waiter VA would skip is grantable.
 func (n *Network) CheckInvariants() error {
 	if err := n.checkRecovery(); err != nil {
+		return err
+	}
+	if err := n.checkPackets(); err != nil {
 		return err
 	}
 	for i := range n.routers {
@@ -136,7 +142,7 @@ func (n *Network) checkRouter(r *router) error {
 		if buf.len() > depth {
 			return fmt.Errorf("port %d vc %d: %d flits exceed depth %d", g/r.nvc, g%r.nvc, buf.len(), depth)
 		}
-		if err := checkContiguity(buf); err != nil {
+		if err := n.checkContiguity(buf); err != nil {
 			return fmt.Errorf("port %d vc %d: %w", g/r.nvc, g%r.nvc, err)
 		}
 	}
@@ -288,31 +294,112 @@ func checkMasks(r *router) error {
 }
 
 // checkContiguity verifies (4) for one buffer: per-packet flit sequences
-// ascend by one and a packet's flits are never interleaved with another's.
-func checkContiguity(q *flitQueue) error {
+// ascend by one, a packet's flits are never interleaved with another's, and
+// only a packet's last flit carries the tail bit.
+func (n *Network) checkContiguity(q *flitQueue) error {
 	var cur *Packet
 	expect := 0
 	for i := 0; i < q.len(); i++ {
 		f := q.at(i)
-		if cur == nil || f.pkt != cur {
+		pkt := n.pkts.of(f)
+		if cur == nil || pkt != cur {
 			if cur != nil && expect != 0 && expect != cur.Size {
 				// Previous packet truncated mid-stream inside the buffer is
 				// fine only if its earlier flits already left; a *new*
 				// packet may only start at a head flit.
 				if !f.isHead() {
-					return fmt.Errorf("packet %d interleaved mid-stream", f.pkt.ID)
+					return fmt.Errorf("packet %d interleaved mid-stream", pkt.ID)
 				}
 			}
-			cur = f.pkt
-			expect = f.seq
+			cur = pkt
+			expect = int(f.seq)
 		}
-		if f.seq != expect {
-			return fmt.Errorf("packet %d flit %d out of order (want %d)", f.pkt.ID, f.seq, expect)
+		if int(f.seq) != expect {
+			return fmt.Errorf("packet %d flit %d out of order (want %d)", pkt.ID, f.seq, expect)
 		}
 		expect++
+		if f.isTail() != (expect == cur.Size) {
+			return fmt.Errorf("packet %d flit %d of %d: tail bit %v", pkt.ID, f.seq, cur.Size, f.isTail())
+		}
 		if expect == cur.Size {
 			cur, expect = nil, 0
 		}
+	}
+	return nil
+}
+
+// forEachFlit visits every flit resident in the network — NI and split
+// queues, router staging lists and VC rings, ejector arrivals and rings —
+// with the node it sits at.
+func (n *Network) forEachFlit(visit func(node int, f flit)) {
+	queue := func(node int, q *flitQueue) {
+		for i := 0; i < q.len(); i++ {
+			visit(node, q.at(i))
+		}
+	}
+	staged := func(node int, s []stagedFlit) {
+		for i := range s {
+			visit(node, s[i].f)
+		}
+	}
+	for id := range n.routers {
+		ni, r, e := &n.nis[id], &n.routers[id], &n.ejectors[id]
+		queue(id, &ni.queue)
+		for v := range ni.splitQueues {
+			queue(id, &ni.splitQueues[v])
+		}
+		staged(id, r.staged)
+		for g := range r.vcs {
+			queue(id, &r.vcs[g].buf)
+		}
+		staged(id, e.arrivals)
+		for v := range e.vcs {
+			queue(id, &e.vcs[v])
+		}
+	}
+}
+
+// checkPackets validates the packet table (pool.go):
+//
+//  8. every resident flit names a live slot and every live slot is named by
+//     a resident flit, so the live slots are exactly the packets in the
+//     network (the watchdog's minimum over them is the minimum over the
+//     buffers);
+//  9. the live slots are the packets accepted and not yet retired: inFlight
+//     less the dropped packets awaiting retransmission (NACKs on the
+//     sideband, NACKed retransmission-buffer entries).
+func (n *Network) checkPackets() error {
+	named := make([]bool, len(n.pkts.pkts))
+	var err error
+	n.forEachFlit(func(node int, f flit) {
+		switch {
+		case err != nil:
+		case int(f.h) >= len(named) || n.pkts.pkts[f.h] == nil:
+			err = fmt.Errorf("node %d: flit %d names free packet slot %d", node, f.seq, f.h)
+		default:
+			named[f.h] = true
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for h, p := range n.pkts.pkts {
+		if p != nil && !named[h] {
+			return fmt.Errorf("packet %d holds slot %d with no flit in the network", p.ID, h)
+		}
+	}
+	awaiting := 0
+	for id := range n.nis {
+		ni := &n.nis[id]
+		awaiting += ni.retransPending
+		for _, c := range ni.inbox {
+			if c.nack {
+				awaiting++
+			}
+		}
+	}
+	if live := n.pkts.live(); live != n.inFlight-awaiting {
+		return fmt.Errorf("%d live packet slots != %d in flight - %d awaiting retransmission", live, n.inFlight, awaiting)
 	}
 	return nil
 }

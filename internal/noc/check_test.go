@@ -18,16 +18,25 @@ func (c checkedNet) Step() {
 		if err := c.CheckInvariants(); err != nil {
 			c.t.Fatalf("invariant violated at cycle %d: %v", now, err)
 		}
-		// The watchdog's allocation-free age scan against the sorted walk of
-		// the diagnostics.
-		want := int64(0)
-		if old := c.OldestPackets(1); len(old) > 0 {
-			want = c.Now() - old[0].CreatedAt
-		}
+		// The watchdog's packet-table age scan against a walk of every
+		// buffered flit, and the diagnostics' sorted list against both.
+		want := bufferedOldestAge(c.Network)
 		if got := c.OldestPacketAge(); got != want {
-			c.t.Fatalf("cycle %d: OldestPacketAge %d, oldest of OldestPackets %d cycles", now, got, want)
+			c.t.Fatalf("cycle %d: OldestPacketAge %d, oldest buffered flit %d cycles", now, got, want)
+		}
+		if old := c.OldestPackets(1); len(old) > 0 && c.Now()-old[0].CreatedAt != want {
+			c.t.Fatalf("cycle %d: oldest of OldestPackets %d cycles, oldest buffered flit %d", now, c.Now()-old[0].CreatedAt, want)
 		}
 	}
+}
+
+// bufferedOldestAge is the reference for OldestPacketAge: the age of the
+// oldest packet with a flit in any NI queue, staging list, VC ring or
+// ejector of n, found by walking every one of them.
+func bufferedOldestAge(n *Network) int64 {
+	oldest := n.now
+	n.forEachFlit(func(_ int, f flit) { oldest = min(oldest, n.pkts.of(f).CreatedAt) })
+	return n.now - oldest
 }
 
 // runChecked drives random traffic while validating all invariants every

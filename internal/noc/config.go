@@ -1,6 +1,9 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NIMode selects the network-interface / injection architecture at a node
 // (paper §4 and §6.2 scheme list).
@@ -171,6 +174,10 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.PipelineStages > 8 {
 		return c, fmt.Errorf("noc: pipeline depth %d beyond supported 8", c.PipelineStages)
+	}
+	if c.PriorityLevels > math.MaxInt16+1 {
+		// A VC captures the arriving priority in an int16 (inputVC.effPrio).
+		return c, fmt.Errorf("noc: at most %d priority levels supported, got %d", math.MaxInt16+1, c.PriorityLevels)
 	}
 	if c.StarvationLimit <= 0 {
 		c.StarvationLimit = 1000

@@ -1,6 +1,9 @@
 package noc
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // DA2Mesh is a behavioural model of the DA2mesh overlay of Kim et al. [20]:
 // each injecting node owns dedicated narrow per-destination channels, so
@@ -24,7 +27,7 @@ type DA2Mesh struct {
 	now   int64
 	stats NetStats
 
-	nis      []*overlayNI
+	nis      []overlayNI
 	backlog  []int // per destination, flits queued or in flight toward it
 	ejectQ   [][]overlayArrival
 	inflight []overlayArrival // packets in flight, unsorted
@@ -38,6 +41,9 @@ type DA2Mesh struct {
 	// them, so both modes are bit-identical.
 	scan bool
 	pool pktPool
+	// pkts holds every packet with a flit still queued on a lane; the lane
+	// flits carry its handles.
+	pkts pktTable
 }
 
 var _ Fabric = (*DA2Mesh)(nil)
@@ -51,16 +57,15 @@ type overlayArrival struct {
 
 // overlayLane is one narrow injection lane streaming whole packets.
 type overlayLane struct {
-	q         *flitQueue
+	q         flitQueue // ring carved from the overlay's flit slab
 	streaming *Packet
-	sent      int
 }
 
 // overlayNI is the injection interface of one node on the overlay.
 type overlayNI struct {
 	node  int
 	mode  NIMode
-	lanes []*overlayLane
+	lanes []overlayLane
 	// FIFO modes share one queue (lane 0's) and stream one flit/cycle in
 	// total; split mode gives each lane its own queue and link.
 	offeredAt int64
@@ -86,29 +91,35 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 	nodes := cfg.Mesh.Nodes()
 	d.backlog = make([]int, nodes)
 	d.ejectQ = make([][]overlayArrival, nodes)
-	d.nis = make([]*overlayNI, nodes)
-	injLinks := 0
+	d.nis = make([]overlayNI, nodes)
+	// Every lane has its own ring: NIQueueFlits in the FIFO modes (whose
+	// traffic all queues on lane 0), a mesh split queue's share in split
+	// mode.
+	lanesOf := func(nc NodeConfig) (lanes, per int) {
+		switch nc.NI {
+		case NISplit:
+			return cfg.VCs, splitQueueFlits(&cfg)
+		case NIMultiPort:
+			return nc.injPorts(), cfg.NIQueueFlits
+		}
+		return 1, cfg.NIQueueFlits
+	}
+	var lanes, flits int
 	for id := 0; id < nodes; id++ {
+		l, per := lanesOf(cfg.node(id))
+		lanes, flits = lanes+l, flits+l*per
+	}
+	laneSlab, flitSlab := make([]overlayLane, lanes), make([]flit, flits)
+	injLinks := 0
+	for id := range d.nis {
 		nc := cfg.node(id)
-		oni := &overlayNI{node: id, mode: nc.NI, offeredAt: -1}
-		lanes := 1
-		if nc.NI == NISplit {
-			lanes = cfg.VCs
-		} else if nc.NI == NIMultiPort {
-			lanes = nc.injPorts()
+		l, per := lanesOf(nc)
+		oni := &d.nis[id]
+		*oni = overlayNI{node: id, mode: nc.NI, offeredAt: -1, lanes: carve(&laneSlab, l)}
+		for i := range oni.lanes {
+			oni.lanes[i].q.buf = carve(&flitSlab, per)
 		}
-		per := cfg.NIQueueFlits
-		if nc.NI == NISplit {
-			per = cfg.NIQueueFlits / lanes
-			if per < cfg.LongPacketFlits() {
-				per = cfg.LongPacketFlits()
-			}
-		}
-		for l := 0; l < lanes; l++ {
-			oni.lanes = append(oni.lanes, &overlayLane{q: newFlitQueue(per)})
-		}
-		d.nis[id] = oni
-		injLinks += lanes
+		injLinks += len(oni.lanes)
 	}
 	d.stats.InjLinks = injLinks
 	d.stats.MeshLinks = 0
@@ -137,7 +148,8 @@ func (d *DA2Mesh) UseScanReference() { d.scan = true }
 func (d *DA2Mesh) ResetStats() {
 	injLinks := d.stats.InjLinks
 	d.stats = NetStats{InjLinks: injLinks}
-	for _, ni := range d.nis {
+	for i := range d.nis {
+		ni := &d.nis[i]
 		ni.occupancy = 0
 		ni.occCycles = 0
 		ni.everHeld = ni.queued > 0
@@ -146,7 +158,7 @@ func (d *DA2Mesh) ResetStats() {
 
 // CanInject reports whether node's overlay NI can take pkt this cycle.
 func (d *DA2Mesh) CanInject(node int, pkt *Packet) bool {
-	ni := d.nis[node]
+	ni := &d.nis[node]
 	if ni.offeredAt == d.now {
 		return false
 	}
@@ -155,7 +167,8 @@ func (d *DA2Mesh) CanInject(node int, pkt *Packet) bool {
 
 // Inject hands pkt to node's overlay NI.
 func (d *DA2Mesh) Inject(node int, pkt *Packet) bool {
-	ni := d.nis[node]
+	checkSize(pkt)
+	ni := &d.nis[node]
 	if ni.offeredAt == d.now {
 		d.stats.NIFullRejects++
 		return false
@@ -172,10 +185,7 @@ func (d *DA2Mesh) Inject(node int, pkt *Packet) bool {
 	}
 	pkt.CreatedAt = d.now
 	ni.offeredAt = d.now
-	q := ni.lanes[lane].q
-	for s := 0; s < pkt.Size; s++ {
-		q.push(flit{pkt: pkt, seq: s})
-	}
+	ni.lanes[lane].q.pushPacket(d.pkts.add(pkt), pkt.Size)
 	ni.queued += pkt.Size
 	ni.everHeld = true
 	ni.pick = (lane + 1) % len(ni.lanes)
@@ -199,7 +209,7 @@ func (ni *overlayNI) pickLane(pkt *Packet) int {
 	n := len(ni.lanes)
 	for k := 0; k < n; k++ {
 		l := (ni.pick + k) % n
-		q := ni.lanes[l].q
+		q := &ni.lanes[l].q
 		if q.free() < pkt.Size {
 			continue
 		}
@@ -215,8 +225,8 @@ func (d *DA2Mesh) Step() {
 	d.deliverArrivals()
 	d.streamLanes()
 	d.drainEjectors()
-	for _, ni := range d.nis {
-		if ni.everHeld {
+	for i := range d.nis {
+		if ni := &d.nis[i]; ni.everHeld {
 			ni.occupancy += float64(ni.queued)
 			ni.occCycles++
 		}
@@ -230,7 +240,8 @@ func (d *DA2Mesh) Step() {
 // empty, so the loop body is a no-op for them.
 func (d *DA2Mesh) streamLanes() {
 	window := overlayWindowPackets * d.cfg.LongPacketFlits()
-	for _, ni := range d.nis {
+	for i := range d.nis {
+		ni := &d.nis[i]
 		if !d.scan && ni.queued == 0 {
 			continue
 		}
@@ -239,33 +250,33 @@ func (d *DA2Mesh) streamLanes() {
 			budget = 1 // shared narrow supply (baseline & MultiPort NI limit)
 		}
 		for l := 0; l < len(ni.lanes) && budget > 0; l++ {
-			lane := ni.lanes[l]
+			lane := &ni.lanes[l]
 			if lane.q.empty() {
 				continue
 			}
 			f := lane.q.front()
 			if f.isHead() && lane.streaming == nil {
-				if d.backlog[f.pkt.Dst] > window {
+				pkt := d.pkts.of(f)
+				if d.backlog[pkt.Dst] > window {
 					continue // destination plane buffers full
 				}
-				lane.streaming = f.pkt
-				lane.sent = 0
-				f.pkt.InjectedAt = d.now
-				d.backlog[f.pkt.Dst] += f.pkt.Size
+				lane.streaming = pkt
+				pkt.InjectedAt = d.now
+				d.backlog[pkt.Dst] += pkt.Size
 			}
 			if lane.streaming == nil {
 				continue
 			}
 			lane.q.pop()
 			ni.queued--
-			lane.sent++
 			budget--
 			d.stats.InjLinkFlits++
 			if f.isTail() {
-				hops := d.cfg.Mesh.Hops(f.pkt.Src, f.pkt.Dst)
+				pkt := lane.streaming
+				d.pkts.release(f.h)
 				d.inflight = append(d.inflight, overlayArrival{
-					pkt:      f.pkt,
-					arriveAt: d.now + int64(hops),
+					pkt:      pkt,
+					arriveAt: d.now + int64(d.cfg.Mesh.Hops(pkt.Src, pkt.Dst)),
 				})
 				lane.streaming = nil
 			}
@@ -330,6 +341,40 @@ func (d *DA2Mesh) drainEjectors() {
 	}
 }
 
+// CheckInvariants validates the overlay's packet table: every lane flit
+// names a live slot, every live slot is named by a lane flit, and the live
+// slots are the accepted packets whose tail has not left its lane — those
+// in flight less those flying toward or queued at an ejector. O(lanes), for
+// tests.
+func (d *DA2Mesh) CheckInvariants() error {
+	named := make([]bool, len(d.pkts.pkts))
+	for id := range d.nis {
+		for l := range d.nis[id].lanes {
+			q := &d.nis[id].lanes[l].q
+			for i := 0; i < q.len(); i++ {
+				f := q.at(i)
+				if int(f.h) >= len(named) || d.pkts.pkts[f.h] == nil {
+					return fmt.Errorf("node %d lane %d: flit %d names free packet slot %d", id, l, f.seq, f.h)
+				}
+				named[f.h] = true
+			}
+		}
+	}
+	for h, p := range d.pkts.pkts {
+		if p != nil && !named[h] {
+			return fmt.Errorf("packet %d holds slot %d with no flit on a lane", p.ID, h)
+		}
+	}
+	offLane := len(d.inflight)
+	for _, q := range d.ejectQ {
+		offLane += len(q)
+	}
+	if live := d.pkts.live(); live != d.inFlight-offLane {
+		return fmt.Errorf("%d live packet slots != %d in flight - %d off their lanes", live, d.inFlight, offLane)
+	}
+	return nil
+}
+
 // GetPacket returns a zeroed packet from the fabric's freelist.
 func (d *DA2Mesh) GetPacket() *Packet { return d.pool.get() }
 
@@ -341,7 +386,8 @@ func (d *DA2Mesh) PutPacket(p *Packet) { d.pool.put(p) }
 func (d *DA2Mesh) NIOccupancyAvgFlits() float64 {
 	var sum float64
 	var cnt int
-	for _, ni := range d.nis {
+	for i := range d.nis {
+		ni := &d.nis[i]
 		if !ni.everHeld || ni.occCycles == 0 {
 			continue
 		}

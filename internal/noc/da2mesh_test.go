@@ -132,29 +132,52 @@ func TestOverlayOfferRateLimit(t *testing.T) {
 	}
 }
 
+// TestOverlayConservation delivers every accepted packet exactly once, with
+// the packet table consistent throughout, under every NI architecture.
 func TestOverlayConservation(t *testing.T) {
-	d := newTestOverlay(t, nil)
-	var delivered uint64
-	d.SetEjectHandler(func(int, *Packet, int64) { delivered++ })
-	seed := uint64(7)
-	next := func(mod int) int {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return int(seed>>33) % mod
-	}
-	var injected uint64
-	for c := 0; c < 3000; c++ {
-		s := next(16)
-		dst := next(16)
-		if s != dst && d.Inject(s, mkPacket(d.cfg, ReadReply, dst)) {
-			injected++
-		}
-		d.Step()
-	}
-	for i := 0; i < 100000 && d.InFlight() > 0; i++ {
-		d.Step()
-	}
-	if delivered != injected {
-		t.Fatalf("overlay conservation: injected %d delivered %d", injected, delivered)
+	for name, nc := range map[string]NodeConfig{
+		"baseline":  {},
+		"split":     {NI: NISplit, InjSpeedup: 4},
+		"multiport": {NI: NIMultiPort, InjPorts: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := newTestOverlay(t, func(c *Config) {
+				c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
+				for i := range c.Nodes {
+					c.Nodes[i] = nc
+				}
+			})
+			var delivered uint64
+			d.SetEjectHandler(func(int, *Packet, int64) { delivered++ })
+			seed := uint64(7)
+			next := func(mod int) int {
+				seed = seed*6364136223846793005 + 1442695040888963407
+				return int(seed>>33) % mod
+			}
+			var injected uint64
+			for c := 0; c < 3000; c++ {
+				s := next(16)
+				dst := next(16)
+				if s != dst && d.Inject(s, mkPacket(d.cfg, ReadReply, dst)) {
+					injected++
+				}
+				d.Step()
+				if c%7 == 0 {
+					if err := d.CheckInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", c, err)
+					}
+				}
+			}
+			for i := 0; i < 100000 && d.InFlight() > 0; i++ {
+				d.Step()
+			}
+			if err := d.CheckInvariants(); err != nil {
+				t.Fatalf("after drain: %v", err)
+			}
+			if delivered != injected {
+				t.Fatalf("overlay conservation: injected %d delivered %d", injected, delivered)
+			}
+		})
 	}
 }
 

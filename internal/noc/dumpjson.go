@@ -111,7 +111,7 @@ func (n *Network) StateSnapshot() StateDump {
 				vd := VCDump{VC: v, State: vc.state.String(), Buffered: vc.buf.len()}
 				if !vc.buf.empty() {
 					f := vc.buf.front()
-					pd := n.packetDump(f.pkt)
+					pd := n.packetDump(n.pkts.of(f))
 					vd.Head, vd.HeadFlit = &pd, int(f.seq)
 				}
 				if vc.state != vcIdle {

@@ -101,10 +101,14 @@ func (e *ejector) consume(now int64) {
 		e.addFlits(-1)
 		e.router.returnCredit(int32(ejectPortIndex), int32(v))
 		e.net.stats.EjectFlits++
-		if f.bad && e.vcBad != nil {
+		if f.isBad() && e.vcBad != nil {
 			e.vcBad[v] = true
 		}
 		if f.isTail() {
+			// The tail leaves the fabric's buffers: the packet's table slot
+			// is released before the handler, which may recycle the packet.
+			pkt := e.net.pkts.of(f)
+			e.net.pkts.release(f.h)
 			if e.vcBad != nil && e.vcBad[v] {
 				// CRC mismatch at reassembly: drop the packet and NACK the
 				// source; the sender's retransmission buffer still holds it.
@@ -112,23 +116,23 @@ func (e *ejector) consume(now int64) {
 				// already settled; inFlight stays up until a clean copy of
 				// this packet is delivered.
 				e.vcBad[v] = false
-				e.net.dropCorrupt(e.node, f.pkt, now)
+				e.net.dropCorrupt(e.node, pkt, now)
 				continue
 			}
-			e.net.stats.recordEject(f.pkt, now)
+			e.net.stats.recordEject(pkt, now)
 			e.net.inFlight--
 			if e.vcBad != nil {
 				// Clean delivery: ACK frees the sender's retransmission slot.
 				// Sent before the handler, which may recycle the shell.
-				e.net.sendCtl(e.node, f.pkt.Src, f.pkt.ID, false, now)
+				e.net.sendCtl(e.node, pkt.Src, pkt.ID, false, now)
 			}
 			// The eject event fires before the handler, which may recycle the
 			// packet into the pool (zeroing it).
-			if tr := e.net.tracer; tr != nil && f.pkt.traced {
-				tr.PacketEvent(f.pkt.ID, f.pkt.Type, f.pkt.Src, f.pkt.Dst, e.node, TraceEject, now)
+			if tr := e.net.tracer; tr != nil && pkt.traced {
+				tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, e.node, TraceEject, now)
 			}
 			if h := e.net.ejectHandler; h != nil {
-				h(e.node, f.pkt, now)
+				h(e.node, pkt, now)
 			}
 		}
 	}

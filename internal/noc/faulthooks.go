@@ -56,7 +56,7 @@ func (n *Network) StallNISupply(node int, until int64) {
 
 // CorruptLink opens a corruption window on output port `port` of node's
 // router until cycle `until`: every flit traversing the link while the
-// window is open has its payload marked corrupted (flit.bad). Routing and
+// window is open has its payload marked corrupted (flitBad). Routing and
 // flow control are untouched — the damage is only observable to the
 // receiving NI's CRC check, which drops and NACKs the packet when recovery
 // is enabled (Config.RetransBufPkts > 0) and delivers it silently wrong

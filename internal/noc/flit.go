@@ -55,8 +55,10 @@ func (t PacketType) IsReply() bool { return t == ReadReply || t == WriteReply }
 // therefore a multi-flit packet.
 func (t PacketType) IsLong() bool { return t == ReadReply || t == WriteRequest }
 
-// Packet is one network transaction. Flits reference their packet; per-flit
-// state lives in the buffers, not here.
+// Packet is one network transaction: the header identity, timestamps and
+// payload a fabric carries from Inject to the ejection callback. While it is
+// in flight the fabric's packet table holds it; its flits carry only the
+// table handle (see flit).
 type Packet struct {
 	ID   uint64
 	Type PacketType
@@ -91,20 +93,31 @@ type Packet struct {
 	Check uint32
 }
 
-// flit is one link-width slice of a packet. Flits are small values stored
-// in ring buffers; they are never shared across buffers.
+// flit is one link-width slice of a packet: an 8-byte, pointer-free value
+// naming its packet by a handle into the owning fabric's packet table
+// (pktTable), so the flit slab is never scanned by the garbage collector.
+// Flits are stored in ring buffers; they are never shared across buffers.
 type flit struct {
-	pkt *Packet
-	seq int // 0-based flit index within the packet
-	// bad marks a flit whose payload was corrupted on a link traversal
-	// (CorruptLink window). The flag rides the flit value through buffers
-	// and never influences routing or arbitration; only the receiving NI's
-	// CRC-check-equivalent reads it (see recovery.go).
-	bad bool
+	h   uint32 // packet-table handle
+	seq uint16 // 0-based flit index within the packet
+	// bits holds flitTail, and flitBad for a flit whose payload was
+	// corrupted on a link traversal (CorruptLink window). The bad bit rides
+	// the flit through buffers and never influences routing or arbitration;
+	// only the receiving NI's CRC-check-equivalent reads it (recovery.go).
+	bits uint8
 }
 
+const (
+	flitTail uint8 = 1 << iota
+	flitBad
+)
+
 func (f flit) isHead() bool { return f.seq == 0 }
-func (f flit) isTail() bool { return f.seq == f.pkt.Size-1 }
+func (f flit) isTail() bool { return f.bits&flitTail != 0 }
+func (f flit) isBad() bool  { return f.bits&flitBad != 0 }
+
+// maxPacketFlits is the longest packet a flit's 16-bit seq can index.
+const maxPacketFlits = 1<<16 - 1
 
 // PacketSize returns the number of flits a packet of type t occupies on a
 // network with the given link width, for a data payload of dataBytes.
@@ -124,26 +137,23 @@ func PacketSize(t PacketType, linkBits, dataBytes int) int {
 	return 1 + n
 }
 
-// flitQueue is a fixed-capacity FIFO ring of flits.
+// flitQueue is a fixed-capacity FIFO ring of flits, its ring carved from
+// the owning fabric's flit slab.
 type flitQueue struct {
 	buf        []flit
-	head, size int
+	head, size int32
 }
 
-func newFlitQueue(capacity int) *flitQueue {
-	return &flitQueue{buf: make([]flit, capacity)}
-}
-
-func (q *flitQueue) len() int    { return q.size }
+func (q *flitQueue) len() int    { return int(q.size) }
 func (q *flitQueue) cap() int    { return len(q.buf) }
-func (q *flitQueue) free() int   { return len(q.buf) - q.size }
+func (q *flitQueue) free() int   { return len(q.buf) - int(q.size) }
 func (q *flitQueue) empty() bool { return q.size == 0 }
-func (q *flitQueue) full() bool  { return q.size == len(q.buf) }
+func (q *flitQueue) full() bool  { return int(q.size) == len(q.buf) }
 func (q *flitQueue) front() flit { return q.buf[q.head] }
 
 // slot maps a logical position (0 = front, at most cap) to its ring index.
 func (q *flitQueue) slot(i int) int {
-	if i += q.head; i >= len(q.buf) {
+	if i += int(q.head); i >= len(q.buf) {
 		i -= len(q.buf)
 	}
 	return i
@@ -155,8 +165,19 @@ func (q *flitQueue) push(f flit) {
 	if q.full() {
 		panic("noc: flit queue overflow")
 	}
-	q.buf[q.slot(q.size)] = f
+	q.buf[q.slot(int(q.size))] = f
 	q.size++
+}
+
+// pushPacket queues every flit of the size-flit packet with handle h.
+func (q *flitQueue) pushPacket(h uint32, size int) {
+	for s := 0; s < size; s++ {
+		f := flit{h: h, seq: uint16(s)}
+		if s == size-1 {
+			f.bits = flitTail
+		}
+		q.push(f)
+	}
 }
 
 func (q *flitQueue) pop() flit {
@@ -164,7 +185,7 @@ func (q *flitQueue) pop() flit {
 		panic("noc: flit queue underflow")
 	}
 	f := q.buf[q.head]
-	q.head = q.slot(1)
+	q.head = int32(q.slot(1))
 	q.size--
 	return f
 }

@@ -227,8 +227,8 @@ func (n *Network) routeCandidates(here, dst int, scratch []routeCandidate) []rou
 	}
 	scratch = scratch[:0]
 	if here == dst {
-		return append(scratch, routeCandidate{port: ejectPortIndex, vcMask: maskAll(n.cfg.VCs)})
+		return append(scratch, routeCandidate{port: int8(ejectPortIndex), vcMask: maskAll(n.cfg.VCs)})
 	}
 	dir := n.ftable[here*n.cfg.Mesh.Nodes()+dst]
-	return append(scratch, routeCandidate{port: int(dir), vcMask: maskAll(n.cfg.VCs)})
+	return append(scratch, routeCandidate{port: int8(dir), vcMask: maskAll(n.cfg.VCs)})
 }

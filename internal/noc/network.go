@@ -96,6 +96,9 @@ type Network struct {
 	// the default is event-driven stepping over the active components.
 	scan bool
 	pool pktPool
+	// pkts holds every packet with a flit in an NI queue, staged, in a VC
+	// buffer or in an ejector; flits carry its handles.
+	pkts pktTable
 	// lastPktID is the ID handed to the most recently injected packet
 	// (1, 2, 3, ...; IDs are not part of encoded Results).
 	lastPktID uint64
@@ -277,11 +280,9 @@ func (n *Network) CanInject(node int, pkt *Packet) bool {
 }
 
 // Inject hands pkt to node's NI. pkt.Size must already be set (use
-// PacketSize); pkt.Src is overwritten with node.
+// PacketSize) and at most 65 535 flits; pkt.Src is overwritten with node.
 func (n *Network) Inject(node int, pkt *Packet) bool {
-	if pkt.Size <= 0 {
-		panic("noc: packet has no size; use PacketSize")
-	}
+	checkSize(pkt)
 	if pkt.Dst < 0 || pkt.Dst >= n.cfg.Mesh.Nodes() {
 		panic(fmt.Sprintf("noc: destination %d out of range", pkt.Dst))
 	}
@@ -295,6 +296,16 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 		n.injWindowCount++
 	}
 	return ok
+}
+
+// checkSize panics unless pkt's size is one a flit's seq can index.
+func checkSize(pkt *Packet) {
+	if pkt.Size <= 0 {
+		panic("noc: packet has no size; use PacketSize")
+	}
+	if pkt.Size > maxPacketFlits {
+		panic(fmt.Sprintf("noc: packet of %d flits exceeds the %d-flit maximum", pkt.Size, maxPacketFlits))
+	}
 }
 
 // Step advances the network one cycle: arrivals and credits land and NIs

@@ -270,3 +270,35 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("simulation not deterministic: (%d,%f) vs (%d,%f)", f1, l1, f2, l2)
 	}
 }
+
+// TestInjectRejectsOversizedPacket: a flit's 16-bit sequence number indexes
+// at most 65 535 flits, so both fabrics refuse a longer packet at Inject.
+func TestInjectRejectsOversizedPacket(t *testing.T) {
+	for name, f := range map[string]Fabric{
+		"mesh":    newTestNet(t, nil),
+		"overlay": newTestOverlay(t, nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a 65 536-flit packet was accepted")
+				}
+			}()
+			f.Inject(0, &Packet{Type: ReadReply, Dst: 1, Size: maxPacketFlits + 1})
+		})
+	}
+}
+
+// TestPriorityLevelsValidated: a VC records a packet's arriving priority in
+// an int16, so more levels than it holds are rejected.
+func TestPriorityLevelsValidated(t *testing.T) {
+	cfg := Config{Mesh: Mesh{Width: 4, Height: 4}, VCs: 4, LinkBits: 128, DataBytes: 128}
+	cfg.PriorityLevels = 1 << 15
+	if _, err := cfg.Validate(); err != nil {
+		t.Fatalf("%d priority levels rejected: %v", cfg.PriorityLevels, err)
+	}
+	cfg.PriorityLevels++
+	if _, err := cfg.Validate(); err == nil {
+		t.Fatalf("%d priority levels accepted", cfg.PriorityLevels)
+	}
+}

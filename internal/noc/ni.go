@@ -183,9 +183,7 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 			payload: pkt.Payload,
 		})
 	}
-	for s := 0; s < pkt.Size; s++ {
-		q.push(flit{pkt: pkt, seq: s})
-	}
+	q.pushPacket(ni.net.pkts.add(pkt), pkt.Size)
 	ni.addQueued(pkt.Size)
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)
@@ -249,7 +247,7 @@ func (ni *NI) stepFIFO(now int64) {
 	}
 	f := ni.queue.front()
 	if f.isHead() && ni.boundVC == -1 {
-		ni.bindHead(f.pkt)
+		ni.bindHead(ni.net.pkts.of(f).Size)
 		if ni.boundVC == -1 {
 			return // no injection VC can take the packet yet
 		}
@@ -266,8 +264,9 @@ func (ni *NI) stepFIFO(now int64) {
 
 // bindHead selects the injection (port, VC) for a new packet: the slot with
 // the most free space, round-robin tie-broken, requiring room for the whole
-// packet so two packets never interleave within a VC stream from the NI.
-func (ni *NI) bindHead(pkt *Packet) {
+// packet (size flits) so two packets never interleave within a VC stream
+// from the NI.
+func (ni *NI) bindHead(size int) {
 	vcs := ni.router.nvc
 	best, bestCred := -1, 0
 	n := len(ni.vcCredits)
@@ -275,7 +274,7 @@ func (ni *NI) bindHead(pkt *Packet) {
 	for k := 0; k < n; k++ {
 		slot := (start + k) % n
 		c := int(ni.vcCredits[slot])
-		if c < pkt.Size {
+		if c < size {
 			continue
 		}
 		if c > bestCred {
@@ -304,9 +303,10 @@ func (ni *NI) deliver(f flit, p, v int, now int64) {
 	ni.vcCredits[p*ni.router.nvc+v]--
 	ni.addQueued(-1)
 	if f.isHead() {
-		f.pkt.InjectedAt = now
-		if tr := ni.net.tracer; tr != nil && f.pkt.traced {
-			tr.PacketEvent(f.pkt.ID, f.pkt.Type, f.pkt.Src, f.pkt.Dst, ni.node, TraceInject, now)
+		pkt := ni.net.pkts.of(f)
+		pkt.InjectedAt = now
+		if tr := ni.net.tracer; tr != nil && pkt.traced {
+			tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, ni.node, TraceInject, now)
 		}
 	}
 	// The injection link is one cycle regardless of router pipeline depth.

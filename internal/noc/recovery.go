@@ -240,9 +240,7 @@ func (ni *NI) tryRetransmit(now int64) {
 	} else if q.free() < e.size {
 		return // queue full: retry next cycle
 	}
-	for s := 0; s < e.size; s++ {
-		q.push(flit{pkt: pkt, seq: s})
-	}
+	q.pushPacket(ni.net.pkts.add(pkt), e.size)
 	ni.addQueued(e.size)
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)

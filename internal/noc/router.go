@@ -30,12 +30,13 @@ type inputVC struct {
 	// waitSince is when the head flit last became eligible without being
 	// served; it drives the starvation guard.
 	waitSince int64
-	// effPrio is the packet priority captured at route computation, before
-	// the per-hop decrement (§5): the value the packet carried on arrival.
-	effPrio int
 	// cands[:nCands] are the admissible outputs computed by RC; candOuts
 	// has bit o set for each candidate's output port o (VA's dirty filter).
-	cands    [2]routeCandidate
+	cands [2]routeCandidate
+	// effPrio is the packet priority captured at route computation, before
+	// the per-hop decrement (§5): the value the packet carried on arrival
+	// (Config.Validate bounds it to int16).
+	effPrio  int16
 	nCands   uint8
 	candOuts uint8
 	state    vcState
@@ -384,9 +385,9 @@ func (r *router) routeCompute(now int64) {
 			if !f.isHead() {
 				panic("noc: non-head flit at front of idle VC")
 			}
-			pkt := f.pkt
+			pkt := r.net.pkts.of(f)
 			r.setCandidates(vc, pkt.Dst)
-			vc.effPrio = pkt.Priority
+			vc.effPrio = int16(pkt.Priority)
 			if pkt.Priority > 0 {
 				pkt.Priority--
 			}
@@ -406,7 +407,7 @@ func (r *router) routeCompute(now int64) {
 			ip.vaFresh = ip.waitVC
 			for m := ip.waitVC; m != 0; m &= m - 1 {
 				vc := &r.vcs[p*r.nvc+bits.TrailingZeros32(m)]
-				r.setCandidates(vc, vc.buf.front().pkt.Dst)
+				r.setCandidates(vc, r.net.pkts.of(vc.buf.front()).Dst)
 			}
 		}
 	}
@@ -496,7 +497,7 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 		r.activeVCs++
 		r.net.vaGrants++
 		if tr := r.net.tracer; tr != nil {
-			if pkt := vc.buf.front().pkt; pkt.traced {
+			if pkt := r.net.pkts.of(vc.buf.front()); pkt.traced {
 				tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, r.id, TraceVAGrant, now)
 			}
 		}
@@ -517,20 +518,20 @@ func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
 	for _, cand := range vc.cands[:vc.nCands] {
 		op := &r.out[cand.port]
 		f := cand.vcMask & op.free
-		if f == 0 || (cand.port != ejectPortIndex && op.dest == nil) {
+		if f == 0 || (int(cand.port) != ejectPortIndex && op.dest == nil) {
 			continue // nothing free, or mesh edge: no link in that direction
 		}
 		if need == 0 {
 			need = int32(r.net.cfg.VCDepth)
 			if r.net.cfg.NonAtomicVC {
-				need = int32(vc.buf.front().pkt.Size)
+				need = int32(r.net.pkts.of(vc.buf.front()).Size)
 			}
 		}
 		for f != 0 {
 			ov := 31 - bits.LeadingZeros32(f)
 			f &^= 1 << uint(ov)
 			if c := op.vcs[ov].credits; c >= need && c > bestCredits {
-				bestPort, bestVC, bestCredits = cand.port, ov, c
+				bestPort, bestVC, bestCredits = int(cand.port), ov, c
 			}
 		}
 	}
@@ -605,7 +606,7 @@ func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) {
 		}
 		prio := 0
 		if r.prioArbOn && !(starved && int(sp.port) >= NumDirections) {
-			prio = vc.effPrio
+			prio = int(vc.effPrio)
 		}
 		rot := int32(i) - r.outNext[o] // distance from the pointer in scan order
 		if rot < 0 {
@@ -669,11 +670,13 @@ func (r *router) traverse(p, v, o int, now int64) {
 	if r.net.faulted && now < op.corruptUntil {
 		// The link is inside a corruption window: the flit's payload is
 		// damaged in transit. Only the receiving NI's CRC check observes it.
-		f.bad = true
+		f.bits |= flitBad
 		r.net.recovery.CorruptFlits++
 	}
-	if tr := r.net.tracer; tr != nil && f.seq == 0 && f.pkt.traced {
-		tr.PacketEvent(f.pkt.ID, f.pkt.Type, f.pkt.Src, f.pkt.Dst, r.id, TraceSwitch, now)
+	if tr := r.net.tracer; tr != nil && f.isHead() {
+		if pkt := r.net.pkts.of(f); pkt.traced {
+			tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, r.id, TraceSwitch, now)
+		}
 	}
 
 	// A flit sent at cycle t lands in the downstream buffer at

@@ -24,8 +24,8 @@ func (r RoutingAlgo) String() string {
 // routeCandidate is one admissible (output port, downstream VC set) choice
 // produced by route computation.
 type routeCandidate struct {
-	port   int    // output port index (Direction, or ejection port)
 	vcMask uint32 // bit v set => downstream VC v admissible
+	port   int8   // output port index (Direction, or ejection port)
 }
 
 // maskAll returns a VC mask with the low n bits set.
@@ -52,7 +52,7 @@ func maskNoEscape(n int) uint32 {
 func computeRoute(m Mesh, algo RoutingAlgo, here, dst, vcs int, scratch []routeCandidate) []routeCandidate {
 	scratch = scratch[:0]
 	if here == dst {
-		return append(scratch, routeCandidate{port: ejectPortIndex, vcMask: maskAll(vcs)})
+		return append(scratch, routeCandidate{port: int8(ejectPortIndex), vcMask: maskAll(vcs)})
 	}
 	hx, hy := m.Coord(here)
 	dx, dy := m.Coord(dst)
@@ -77,7 +77,7 @@ func computeRoute(m Mesh, algo RoutingAlgo, here, dst, vcs int, scratch []routeC
 	}
 
 	if algo == RouteXY {
-		return append(scratch, routeCandidate{port: int(xyDir), vcMask: maskAll(vcs)})
+		return append(scratch, routeCandidate{port: int8(xyDir), vcMask: maskAll(vcs)})
 	}
 
 	// Minimal adaptive: every productive direction is admissible on the
@@ -88,10 +88,10 @@ func computeRoute(m Mesh, algo RoutingAlgo, here, dst, vcs int, scratch []routeC
 		if xyDir == yDir {
 			other = xDir
 		}
-		scratch = append(scratch, routeCandidate{port: int(xyDir), vcMask: maskNoEscape(vcs) | 1})
-		scratch = append(scratch, routeCandidate{port: int(other), vcMask: maskNoEscape(vcs)})
+		scratch = append(scratch, routeCandidate{port: int8(xyDir), vcMask: maskNoEscape(vcs) | 1})
+		scratch = append(scratch, routeCandidate{port: int8(other), vcMask: maskNoEscape(vcs)})
 		return scratch
 	}
 	// Only one productive dimension left: it is the XY direction.
-	return append(scratch, routeCandidate{port: int(xyDir), vcMask: maskAll(vcs)})
+	return append(scratch, routeCandidate{port: int8(xyDir), vcMask: maskAll(vcs)})
 }

@@ -61,7 +61,7 @@ func TestXYRouteMinimalAndOrdered(t *testing.T) {
 				src, dst, steps, m.Hops(src, dst))
 		}
 		arrived := routeOnce(m, RouteXY, dst, dst, 4)
-		if len(arrived) != 1 || arrived[0].port != ejectPortIndex {
+		if len(arrived) != 1 || int(arrived[0].port) != ejectPortIndex {
 			t.Fatalf("arrived packet not routed to the ejection port: %+v", arrived)
 		}
 	}
@@ -126,13 +126,13 @@ func TestAdaptiveEscapeVCFollowsXY(t *testing.T) {
 			var escapePorts []int
 			for i, c := range cands {
 				if c.vcMask&1 != 0 {
-					escapePorts = append(escapePorts, c.port)
+					escapePorts = append(escapePorts, int(c.port))
 					if i != 0 {
 						t.Fatalf("escape candidate not ordered first at %d toward %d", here, dst)
 					}
 				}
 			}
-			if len(escapePorts) != 1 || escapePorts[0] != xy.port {
+			if len(escapePorts) != 1 || escapePorts[0] != int(xy.port) {
 				t.Fatalf("escape VC admissible on %v at %d toward %d, want only XY port %v",
 					escapePorts, here, dst, Direction(xy.port))
 			}
