@@ -102,19 +102,30 @@ obs:
 # runs it. One such run lasts ~0.2 s, too short for the 100 Hz sampler, so
 # every job runs under PROFILE_SEEDS seeds into its own file and pprof merges
 # them. Inspect further with `go tool pprof $(PROFILE_DIR)/arisim $(PROFILE_DIR)/*.pprof`.
+# The sim-low-load job list (lavaMD/nn/binomialOptions under the same two
+# schemes, 4000 warmup + 40000 measured cycles, LOWLOAD_SEEDS seeds) is
+# profiled the same way into $(PROFILE_DIR)/low and gets its own merged top
+# 30: the fixed per-cycle cost that sparse traffic exposes has a profile
+# next to the saturated one.
 # One job (bfs, Ada-ARI) also writes a heap profile, whose alloc_space top
 # 15 shows what building and running a simulator allocates: construction
 # footprint has a figure next to the CPU profile.
 PROFILE_DIR := .bench_build/profile
 PROFILE_SEEDS := 1 2 3 4 5 6 7 8
+LOWLOAD_SEEDS := 1 2
 profile:
-	mkdir -p $(PROFILE_DIR) && rm -f $(PROFILE_DIR)/*.pprof $(PROFILE_DIR)/mem.heap
+	mkdir -p $(PROFILE_DIR)/low && rm -f $(PROFILE_DIR)/*.pprof $(PROFILE_DIR)/low/*.pprof $(PROFILE_DIR)/mem.heap
 	go build -o $(PROFILE_DIR)/arisim ./cmd/arisim
 	for b in bfs kmeans pathfinder; do for s in Ada-Baseline Ada-ARI; do for seed in $(PROFILE_SEEDS); do \
 		$(PROFILE_DIR)/arisim -bench $$b -scheme $$s -warmup 1000 -cycles 3000 -seed $$seed \
 			-cpuprofile $(PROFILE_DIR)/$$b.$$s.$$seed.pprof > /dev/null || exit 1; \
 	done; done; done
 	go tool pprof -top -nodecount 30 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/*.pprof
+	for b in lavaMD nn binomialOptions; do for s in Ada-Baseline Ada-ARI; do for seed in $(LOWLOAD_SEEDS); do \
+		$(PROFILE_DIR)/arisim -bench $$b -scheme $$s -warmup 4000 -cycles 40000 -seed $$seed \
+			-cpuprofile $(PROFILE_DIR)/low/$$b.$$s.$$seed.pprof > /dev/null || exit 1; \
+	done; done; done
+	go tool pprof -top -nodecount 30 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/low/*.pprof
 	$(PROFILE_DIR)/arisim -bench bfs -scheme Ada-ARI -warmup 1000 -cycles 3000 \
 		-memprofile $(PROFILE_DIR)/mem.heap > /dev/null
 	go tool pprof -sample_index=alloc_space -top -nodecount 15 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/mem.heap

@@ -7,11 +7,13 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStepDoesNotAllocate locks in the zero-allocation steady-state step:
-// after a warmup long enough to grow every queue, freelist and stats buffer
-// to its working size, Step must not allocate. The only tolerated residue is
-// the amortised growth of the per-run InjWindows series (one append per 100
-// cycles per network), which stays far below the 0.01 allocs/op bound.
+// TestStepDoesNotAllocate locks in the zero-allocation steady-state step,
+// over every kind of reply fabric — the mesh, the ideal fabric and the
+// DA2mesh overlay with and without ARI's NIs: after a warmup long enough to
+// grow every queue, freelist and scratch slice to its working size, Step
+// must not allocate. The only tolerated residue is the amortised growth of
+// the per-run InjWindows series (one append per 100 cycles per network),
+// which stays far below the 0.01 allocs/op bound.
 func TestStepDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is slow")
@@ -20,18 +22,31 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Scheme = AdaARI
-	sim, err := NewSimulator(cfg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6000; i++ {
-		sim.Step()
-	}
-	allocs := testing.AllocsPerRun(5000, func() { sim.Step() })
-	if allocs > 0.01 {
-		t.Fatalf("Step allocated %.4f objects/op in steady state, want ~0", allocs)
+	for _, tc := range []struct {
+		name   string
+		scheme Scheme
+		ideal  bool
+	}{
+		{"Ada-ARI", AdaARI, false},
+		{"ideal-reply", XYBaseline, true},
+		{"DA2Mesh", DA2MeshBase, false},
+		{"DA2Mesh+ARI", DA2MeshARI, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Scheme, cfg.IdealReply = tc.scheme, tc.ideal
+			sim, err := NewSimulator(cfg, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6000; i++ {
+				sim.Step()
+			}
+			allocs := testing.AllocsPerRun(5000, func() { sim.Step() })
+			if allocs > 0.01 {
+				t.Fatalf("Step allocated %.4f objects/op in steady state, want ~0", allocs)
+			}
+		})
 	}
 }
 

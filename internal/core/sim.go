@@ -54,10 +54,6 @@ type Simulator struct {
 	// disabled-path cost is one comparison per Step.
 	sampler     func(cycle int64)
 	sampleEvery int64
-
-	// scan selects the scan-everything reference stepping
-	// (UseScanReference): quiescent MCs are ticked instead of skipped.
-	scan bool
 }
 
 // NewSimulator assembles a simulator for kernel k under cfg, generating
@@ -112,23 +108,6 @@ func NewSimulatorWorkload(cfg Config, k trace.Kernel, w trace.Workload) (*Simula
 		return nil, err
 	}
 	return s, nil
-}
-
-// UseScanReference switches every stepping layer — both fabrics, the cores
-// and the MC loop — to its scan-everything reference: each component is
-// visited every cycle instead of only when it holds work. Event-driven
-// stepping is proven bit-identical against it by internal/simeq; it is that
-// oracle, not a product mode, so no Config field, flag or job body selects
-// it. Call it before the first Step, from tests only.
-func (s *Simulator) UseScanReference() {
-	s.scan = true
-	s.reqNet.UseScanReference()
-	if rep, ok := s.repNet.(interface{ UseScanReference() }); ok {
-		rep.UseScanReference() // mesh and DA2mesh; the ideal fabric has one loop
-	}
-	for _, c := range s.cores {
-		c.UseScanReference()
-	}
 }
 
 // RecoveryStats returns the fault-recovery protocol counters summed over the
@@ -388,7 +367,7 @@ func (s *Simulator) Step() {
 		}
 	}
 	for _, mc := range s.mcs {
-		if s.scan || !mc.Quiescent() {
+		if !mc.Quiescent() {
 			mc.Tick(s.cycle, memTicks)
 		} else {
 			// A quiescent MC's Tick only advances the DRAM clock; skip

@@ -152,9 +152,6 @@ type Core struct {
 	// allocates nothing.
 	txnFree []*mem.Transaction
 
-	// scan selects the reference scheduler (UseScanReference).
-	scan bool
-
 	// Stats (reset at end of warmup).
 	Instructions  uint64
 	MemInstrs     uint64
@@ -238,21 +235,9 @@ func (c *Core) IPC() float64 {
 	return float64(c.Instructions) / float64(c.CoreCycles)
 }
 
-// UseScanReference makes every cycle run the full scheduler scan: no idle
-// fast path, and ready warps found by visiting every warp struct instead of
-// walking the ready mask. It is the reference the mask-driven issue stage is
-// proven bit-identical against (internal/simeq). Tests only;
-// core.Simulator.UseScanReference forwards here.
-func (c *Core) UseScanReference() { c.scan = true }
-
 // Tick advances the core by one core-clock cycle.
 func (c *Core) Tick() {
 	c.CoreCycles++
-	if c.scan {
-		c.stepLSU()
-		c.issueScan()
-		return
-	}
 	if c.readyWarps == 0 && len(c.lsuQ) == 0 {
 		// Idle: with no ready warp nothing can issue (so no workload draw
 		// happens), and with an empty LSU queue stepLSU is a no-op. The
@@ -269,8 +254,8 @@ func (c *Core) Tick() {
 // index) ready warp. A failed attempt changes no warp's readiness, so each
 // word of the ready mask is walked from a copy. While the LSU queue is full
 // the warps holding an instruction are left out: their attempts would fail
-// at the queue check, before any side effect (issueScan, the reference,
-// tries them).
+// at the queue check, before any side effect (the reference in the package
+// tests tries them).
 func (c *Core) issue() {
 	cur := c.current
 	lsuFull := len(c.lsuQ) >= c.cfg.LSUQueueCap
@@ -286,21 +271,6 @@ func (c *Core) issue() {
 				c.current = w
 				return
 			}
-		}
-	}
-	c.IssueStalls++
-}
-
-// issueScan is issue as the scan reference runs it: every warp struct
-// visited, readiness read from the warp itself.
-func (c *Core) issueScan() {
-	if c.tryIssue(c.current) {
-		return
-	}
-	for w := range c.warps {
-		if w != c.current && c.tryIssue(w) {
-			c.current = w
-			return
 		}
 	}
 	c.IssueStalls++

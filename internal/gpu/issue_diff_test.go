@@ -9,13 +9,38 @@ import (
 	"repro/internal/rng"
 )
 
-// The issue stage against its own reference: a normal core and a
-// UseScanReference core run one scripted workload side by side and must
-// agree tick by tick — same counters, same greedy warp, same warp states and
-// held instructions, and the same sequence of workload calls with the same
-// results. The reference runs without the stage's two retry gates: issueScan
-// tries every ready warp, holding or not, and its LSU re-evaluates a stalled
-// head load every tick (its lsuStall memo is cleared before each one).
+// The issue stage against its own reference: a core stepped by Tick and one
+// stepped by scanTick run one scripted workload side by side and must agree
+// tick by tick — same counters, same greedy warp, same warp states and held
+// instructions, and the same sequence of workload calls with the same
+// results. The reference runs without the stage's fast paths: no idle
+// early-out, issueScan tries every warp struct, holding or not, and its LSU
+// re-evaluates a stalled head load every tick (its lsuStall memo is cleared
+// before each one).
+
+// scanTick is Tick as the reference runs it: the LSU steps and issueScan
+// runs every tick, whatever the core's activity.
+func (c *Core) scanTick() {
+	c.CoreCycles++
+	c.stepLSU()
+	c.issueScan()
+}
+
+// issueScan is greedy-then-oldest issue with every warp struct visited and
+// readiness read from the warp itself, instead of the ready and holding
+// masks.
+func (c *Core) issueScan() {
+	if c.tryIssue(c.current) {
+		return
+	}
+	for w := range c.warps {
+		if w != c.current && c.tryIssue(w) {
+			c.current = w
+			return
+		}
+	}
+	c.IssueStalls++
+}
 
 // wlCall is one logged workload call.
 type wlCall struct {
@@ -82,7 +107,7 @@ func newDiffRig(t *testing.T, cfg Config) *diffRig {
 	return r
 }
 
-func (r *diffRig) tick(now int, reject, memo bool) {
+func (r *diffRig) tick(now int, reject, scan bool) {
 	r.now, r.reject = now, reject
 	keptT, keptD := r.inFlight[:0], r.due[:0]
 	for i, txn := range r.inFlight {
@@ -93,10 +118,12 @@ func (r *diffRig) tick(now int, reject, memo bool) {
 		}
 	}
 	r.inFlight, r.due = keptT, keptD
-	if !memo {
+	if scan {
 		r.core.lsuStall = noMSHRStall
+		r.core.scanTick()
+	} else {
+		r.core.Tick()
 	}
-	r.core.Tick()
 }
 
 // checkMasks recounts the ready and holding masks and readyWarps from the
@@ -158,7 +185,6 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 			// Small enough that MSHR and store-queue stalls occur too.
 			cfg.MSHREntries, cfg.MSHRWaiters, cfg.StoreQueueCap = 4, 2, 6
 			fast, ref := newDiffRig(t, cfg), newDiffRig(t, cfg)
-			ref.core.UseScanReference()
 
 			script := rng.New(uint64(100*lsuCap + warps))
 			burst, retries := 0, 0
@@ -177,8 +203,8 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 				if memo {
 					memos++
 				}
-				fast.tick(now, burst > 0, true)
-				ref.tick(now, burst > 0, false)
+				fast.tick(now, burst > 0, false)
+				ref.tick(now, burst > 0, true)
 
 				name := func() string { return fmt.Sprintf("lsu %d warps %d tick %d", lsuCap, warps, now) }
 				if a, b := coreCounters(fast.core), coreCounters(ref.core); a != b {

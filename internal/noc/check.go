@@ -25,7 +25,8 @@ import (
 // It also asserts that every incrementally maintained index the allocators
 // iterate instead of scanning — the per-port VC masks, the free-VC and
 // dirty-credit masks, the waiting/active counts, the candidate-output masks
-// — equals a full recount, and that no waiter VA would skip is grantable.
+// — equals a full recount, that no waiter VA would skip is grantable, and
+// that every node with work is in the busy set Step walks.
 func (n *Network) CheckInvariants() error {
 	if err := n.checkRecovery(); err != nil {
 		return err
@@ -100,7 +101,8 @@ func (n *Network) checkRouter(r *router) error {
 	depth := n.cfg.VCDepth
 
 	// (0): the incremental activity counters of event-driven stepping must
-	// agree with a full recount (a divergence would silently de-schedule a
+	// agree with a full recount, and the node's busy bit must be set while
+	// any of them is non-zero (a divergence would silently de-schedule a
 	// busy component).
 	recount := len(r.staged)
 	for g := range r.vcs {
@@ -131,6 +133,12 @@ func (n *Network) checkRouter(r *router) error {
 	}
 	if recount != ni.queuedFlits() {
 		return fmt.Errorf("NI activity counter %d != recounted %d queued flits", ni.queuedFlits(), recount)
+	}
+	// A node with work must be in the busy set, or Step would never visit it.
+	if n.busy[r.id>>6]&(1<<(r.id&63)) == 0 &&
+		(r.flitCount() > 0 || e.flitCount() > 0 || ni.queuedFlits() > 0 || ni.protoActive()) {
+		return fmt.Errorf("busy bit clear with %d router, %d ejector, %d NI flits (protocol work %v)",
+			r.flitCount(), e.flitCount(), ni.queuedFlits(), ni.protoActive())
 	}
 	if err := checkMasks(r); err != nil {
 		return err

@@ -1,8 +1,9 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DA2Mesh is a behavioural model of the DA2mesh overlay of Kim et al. [20]:
@@ -31,15 +32,12 @@ type DA2Mesh struct {
 	backlog  []int // per destination, flits queued or in flight toward it
 	ejectQ   [][]overlayArrival
 	inflight []overlayArrival // packets in flight, unsorted
+	arrived  []overlayArrival // deliverArrivals' scratch
 
 	inFlight     int
 	nextPktID    uint64
 	ejectHandler func(node int, pkt *Packet, now int64)
 
-	// scan selects the scan-everything loops (UseScanReference); the default
-	// skips nodes with no queued or arriving flits — provably a no-op for
-	// them, so both modes are bit-identical.
-	scan bool
 	pool pktPool
 	// pkts holds every packet with a flit still queued on a lane; the lane
 	// flits carry its handles.
@@ -140,10 +138,6 @@ func (d *DA2Mesh) InFlight() int { return d.inFlight }
 // Stats returns the fabric statistics.
 func (d *DA2Mesh) Stats() *NetStats { return &d.stats }
 
-// UseScanReference switches the overlay to its scan-everything loops (the
-// test oracle; see Network.UseScanReference). Call before the first Step.
-func (d *DA2Mesh) UseScanReference() { d.scan = true }
-
 // ResetStats clears measurement counters (end of warmup).
 func (d *DA2Mesh) ResetStats() {
 	injLinks := d.stats.InjLinks
@@ -236,13 +230,13 @@ func (d *DA2Mesh) Step() {
 }
 
 // streamLanes advances every injection lane by its per-cycle flit budget.
-// Event-driven mode skips NIs with nothing queued: their lanes are all
-// empty, so the loop body is a no-op for them.
+// It skips NIs with nothing queued: their lanes are all empty, so the loop
+// body would be a no-op for them.
 func (d *DA2Mesh) streamLanes() {
 	window := overlayWindowPackets * d.cfg.LongPacketFlits()
 	for i := range d.nis {
 		ni := &d.nis[i]
-		if !d.scan && ni.queued == 0 {
+		if ni.queued == 0 {
 			continue
 		}
 		budget := len(ni.lanes) // 1 flit per lane per cycle
@@ -285,10 +279,11 @@ func (d *DA2Mesh) streamLanes() {
 }
 
 // deliverArrivals moves due in-flight packets into their destination
-// ejection queues, ordered deterministically.
+// ejection queues in (arriveAt, ID) order — a unique key, so the order is
+// fully determined. The arrivals are gathered into a scratch slice reused
+// every cycle.
 func (d *DA2Mesh) deliverArrivals() {
-	due := d.inflight[:0]
-	var arrived []overlayArrival
+	due, arrived := d.inflight[:0], d.arrived[:0]
 	for _, a := range d.inflight {
 		if a.arriveAt <= d.now {
 			arrived = append(arrived, a)
@@ -296,25 +291,23 @@ func (d *DA2Mesh) deliverArrivals() {
 			due = append(due, a)
 		}
 	}
-	d.inflight = due
-	sort.Slice(arrived, func(i, j int) bool {
-		if arrived[i].arriveAt != arrived[j].arriveAt {
-			return arrived[i].arriveAt < arrived[j].arriveAt
-		}
-		return arrived[i].pkt.ID < arrived[j].pkt.ID
+	d.inflight, d.arrived = due, arrived
+	slices.SortFunc(arrived, func(a, b overlayArrival) int {
+		return cmp.Or(cmp.Compare(a.arriveAt, b.arriveAt), cmp.Compare(a.pkt.ID, b.pkt.ID))
 	})
 	for _, a := range arrived {
 		d.ejectQ[a.pkt.Dst] = append(d.ejectQ[a.pkt.Dst], a)
 	}
 }
 
-// drainEjectors consumes EjectRate flits/cycle at every destination.
-// Event-driven mode skips destinations with an empty ejection queue (the
-// budget loop would exit immediately for them).
+// drainEjectors consumes EjectRate flits/cycle at every destination,
+// skipping those with an empty ejection queue (the budget loop would exit
+// immediately for them). Delivered packets leave the queue by copying the
+// rest down, so its backing array is reused forever.
 func (d *DA2Mesh) drainEjectors() {
 	for node := range d.ejectQ {
 		q := d.ejectQ[node]
-		if !d.scan && len(q) == 0 {
+		if len(q) == 0 {
 			continue
 		}
 		budget := d.cfg.EjectRate
@@ -337,7 +330,7 @@ func (d *DA2Mesh) drainEjectors() {
 				q = q[1:]
 			}
 		}
-		d.ejectQ[node] = q
+		d.ejectQ[node] = d.ejectQ[node][:copy(d.ejectQ[node], q)]
 	}
 }
 

@@ -43,7 +43,11 @@ type InPortDump struct {
 
 // OutPortDump is the JSON form of one router output port's credit state.
 type OutPortDump struct {
-	Port    int   `json:"port"`
+	Port int `json:"port"`
+	// Credits counts, per downstream VC, the credits held plus those staged
+	// back toward the router: a router that slept through its credit returns
+	// applies them only when it next runs, so the sum is what the dump
+	// reports whatever the stepping schedule.
 	Credits []int `json:"credits"`
 	Owners  []int `json:"owners"`
 	// StalledUntil is the horizon of the link's last fault-injected stall:
@@ -128,7 +132,7 @@ func (n *Network) StateSnapshot() StateDump {
 			op := &r.out[o]
 			od := OutPortDump{Port: o, StalledUntil: op.stalledUntil}
 			for v := range op.vcs {
-				od.Credits = append(od.Credits, int(op.vcs[v].credits))
+				od.Credits = append(od.Credits, int(op.vcs[v].credits+op.creditIn[v]))
 				od.Owners = append(od.Owners, op.owner(v, r.nvc))
 			}
 			rd.Outs = append(rd.Outs, od)

@@ -1,6 +1,10 @@
 package noc
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // IdealFabric is a reply network with unlimited bandwidth: every offered
 // packet is accepted immediately and delivered after its minimal hop
@@ -14,6 +18,7 @@ type IdealFabric struct {
 	stats NetStats
 
 	inflight     []overlayArrival
+	due          []overlayArrival // Step's scratch
 	inFlight     int
 	nextPktID    uint64
 	ejectHandler func(node int, pkt *Packet, now int64)
@@ -91,10 +96,11 @@ func (f *IdealFabric) Inject(node int, pkt *Packet) bool {
 	return true
 }
 
-// Step advances one cycle, delivering due packets.
+// Step advances one cycle, delivering due packets in ID order (IDs are
+// unique, so the order is fully determined). The due packets are gathered
+// into a scratch slice reused every cycle.
 func (f *IdealFabric) Step() {
-	kept := f.inflight[:0]
-	var due []overlayArrival
+	kept, due := f.inflight[:0], f.due[:0]
 	for _, a := range f.inflight {
 		if a.arriveAt <= f.now {
 			due = append(due, a)
@@ -102,8 +108,8 @@ func (f *IdealFabric) Step() {
 			kept = append(kept, a)
 		}
 	}
-	f.inflight = kept
-	sort.Slice(due, func(i, j int) bool { return due[i].pkt.ID < due[j].pkt.ID })
+	f.inflight, f.due = kept, due
+	slices.SortFunc(due, func(a, b overlayArrival) int { return cmp.Compare(a.pkt.ID, b.pkt.ID) })
 	for _, a := range due {
 		f.stats.recordEject(a.pkt, f.now)
 		f.inFlight--

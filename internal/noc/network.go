@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/stats"
 )
@@ -51,12 +52,15 @@ type Network struct {
 	// Activity counters, indexed by node id: routerFlits[i] counts flits
 	// resident in router i (VC buffers plus staged arrivals), ejectFlits[i]
 	// the same for its ejector, niQueued[i] the flits queued in its NI. They
-	// are the O(1) predicates of event-driven stepping — an idle region of
-	// the mesh costs a linear int32 sweep that touches no component struct —
-	// and CheckInvariants asserts they equal a full recount.
+	// are the O(1) predicates of event-driven stepping, and CheckInvariants
+	// asserts they equal a full recount.
 	routerFlits []int32
 	ejectFlits  []int32
 	niQueued    []int32
+	// busy has bit i set while node i may hold work (markBusy); Step's
+	// sweeps walk its set bits and its ejection sweep clears a node's bit
+	// once the three counters are zero and its NI owes no protocol work.
+	busy []uint64
 
 	now      int64
 	inFlight int
@@ -92,9 +96,6 @@ type Network struct {
 	injWindowStart int64
 	InjWindows     []uint32
 
-	// scan selects the scan-everything reference loop (UseScanReference);
-	// the default is event-driven stepping over the active components.
-	scan bool
 	pool pktPool
 	// pkts holds every packet with a flit in an NI queue, staged, in a VC
 	// buffer or in an ejector; flits carry its handles.
@@ -192,6 +193,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.routerFlits = carve(&activity, nodes)
 	n.ejectFlits = carve(&activity, nodes)
 	n.niQueued = carve(&activity, nodes)
+	n.busy = make([]uint64, (nodes+63)/64)
 	sl := newSlabs(&n.cfg)
 	for id := range n.routers {
 		n.routers[id].init(n, id, sl)
@@ -227,13 +229,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.stats.InjLinks = injLinks
 	return n, nil
 }
-
-// UseScanReference switches the network to the scan-everything reference
-// loop, in which every router, NI and ejector is visited every cycle. It is
-// the oracle the event-driven step is proven bit-identical against
-// (internal/simeq), not a product mode: call it before the first Step, from
-// tests only (core.Simulator.UseScanReference forwards here).
-func (n *Network) UseScanReference() { n.scan = true }
 
 // Config returns the validated configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -311,8 +306,8 @@ func checkSize(pkt *Packet) {
 // Step advances the network one cycle: arrivals and credits land and NIs
 // supply flits, then every router runs its fused RC/VA/SA/ST cycle (see
 // router.cycle for why fusing is order-safe), then ejectors drain in node
-// order. Stepping is event-driven — only components whose activity counter
-// is non-zero are visited:
+// order. Each sweep walks the busy set in node order and, at a busy node,
+// visits only the components whose activity counter is non-zero:
 //
 //   - a router with no flits has nothing buffered or staged, so RC/VA/SA
 //     are no-ops on it (vcWaitVC implies a buffered head flit, and the
@@ -326,39 +321,66 @@ func checkSize(pkt *Packet) {
 //     still owes it work (protoActive);
 //   - an ejector with no buffered or staged flits has nothing to drain.
 //
-// When no packet is in flight anywhere and no control signal is pending the
-// whole cycle is skipped: every counter above is provably zero. The scan
-// flag (UseScanReference) visits everything instead; both schedules produce
-// bit-identical simulations — see DESIGN.md §7.
+// A sweep reads each word of the busy set once, when it reaches it, so a
+// node marked while it runs may wait for the next cycle. That is exact too:
+// a node the ejection sweep marks has nothing to eject, and a router woken
+// by a neighbour's traversal holds only a staged flit, which lands next
+// cycle. When no packet is in flight and no control signal is pending the
+// whole cycle is skipped. DESIGN.md §7 has the argument in full.
 func (n *Network) Step() {
-	if scan := n.scan; scan || n.inFlight > 0 || n.ctlPending > 0 {
+	if n.inFlight > 0 || n.ctlPending > 0 {
 		now := n.now
 		proto := n.recoveryOn()
-		for i := range n.routers {
-			if scan || n.routerFlits[i] > 0 {
-				n.routers[i].applyArrivals(now)
-			}
-			if scan || n.ejectFlits[i] > 0 {
-				n.ejectors[i].applyArrivals(now)
-			}
-			if scan || n.niQueued[i] > 0 || (proto && n.nis[i].protoActive()) {
-				n.nis[i].step(now)
+		for w, m := range n.busy {
+			for ; m != 0; m &= m - 1 {
+				i := w<<6 | bits.TrailingZeros64(m)
+				if n.routerFlits[i] > 0 {
+					n.routers[i].applyArrivals(now)
+				}
+				if n.ejectFlits[i] > 0 {
+					n.ejectors[i].applyArrivals(now)
+				}
+				if n.niQueued[i] > 0 || (proto && n.nis[i].protoActive()) {
+					n.nis[i].step(now)
+				}
 			}
 		}
-		for i := range n.routers {
-			if scan || n.routerFlits[i] > 0 {
-				n.routers[i].cycle(now)
+		for w, m := range n.busy {
+			for ; m != 0; m &= m - 1 {
+				i := w<<6 | bits.TrailingZeros64(m)
+				if n.routerFlits[i] > 0 {
+					n.routers[i].cycle(now)
+				}
 			}
 		}
 		// Ejection is the one phase with global side effects (latency
 		// accumulation, the ejection callback into node logic, inFlight
-		// retirement); it runs last, in node order.
-		for i := range n.ejectors {
-			if scan || n.ejectFlits[i] > 0 {
-				n.ejectors[i].consume(now)
+		// retirement); it runs last, in node order, and retires the busy bit
+		// of every node it leaves with no work.
+		for w, m := range n.busy {
+			for ; m != 0; m &= m - 1 {
+				i := w<<6 | bits.TrailingZeros64(m)
+				if n.ejectFlits[i] > 0 {
+					n.ejectors[i].consume(now)
+				}
+				if n.routerFlits[i] == 0 && n.ejectFlits[i] == 0 && n.niQueued[i] == 0 &&
+					!(proto && n.nis[i].protoActive()) {
+					n.busy[w] &^= m & -m
+				}
 			}
 		}
 	}
+	n.endCycle()
+}
+
+// markBusy sets node's busy bit where it can go from idle to busy: a flit
+// staged into a neighbour (traverse), Offer, and sendCtl. Every other work
+// lands on a node already busy (DESIGN.md §7).
+func (n *Network) markBusy(node int) { n.busy[node>>6] |= 1 << (node & 63) }
+
+// endCycle closes the cycle: the clock, the cycle count and the 100-cycle
+// injection windows.
+func (n *Network) endCycle() {
 	n.now++
 	n.stats.Cycles++
 	if n.now-n.injWindowStart >= 100 {

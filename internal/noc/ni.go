@@ -185,6 +185,7 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	}
 	q.pushPacket(ni.net.pkts.add(pkt), pkt.Size)
 	ni.addQueued(pkt.Size)
+	ni.net.markBusy(ni.node)
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)
 	ni.acceptedPackets++

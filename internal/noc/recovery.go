@@ -122,6 +122,7 @@ func (n *Network) CtlPending() int { return n.ctlPending }
 func (n *Network) sendCtl(from, to int, pktID uint64, nack bool, now int64) {
 	due := now + 1 + int64(n.cfg.Mesh.Hops(from, to))
 	n.nis[to].inbox = append(n.nis[to].inbox, ctlSignal{pktID: pktID, due: due, nack: nack})
+	n.markBusy(to)
 	n.ctlPending++
 	if nack {
 		n.recovery.NacksSent++

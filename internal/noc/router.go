@@ -428,7 +428,7 @@ func (r *router) setCandidates(vc *inputVC, dst int) {
 // The rotating pointer advances once per simulated cycle whether or not
 // anything allocates, so a router skipped by event-driven stepping first
 // fast-forwards the rotations of the cycles it slept through; the pointer
-// is then exactly what the scan-everything loop would hold.
+// is then exactly what visiting the router every cycle would leave.
 func (r *router) vcAllocate(now int64) {
 	if skipped := now - 1 - r.lastVA; skipped > 0 {
 		n := len(r.vcs)
@@ -685,6 +685,7 @@ func (r *router) traverse(p, v, o int, now int64) {
 	switch {
 	case op.dest != nil:
 		op.dest.stage(f, op.destPort, int32(vc.outVC), due)
+		r.net.markBusy(op.dest.id)
 		r.net.stats.MeshLinkFlits++
 	case op.eject != nil:
 		op.eject.arrivals = append(op.eject.arrivals, stagedFlit{f: f, deliverAt: due, vc: int32(vc.outVC)})
