@@ -80,8 +80,9 @@ loadtest:
 
 # obs runs the observability suites under vet + -race: registry/collector
 # semantics (incl. the allocation-free sampling guard), the Chrome-trace
-# schema fixture, the instrumented-vs-plain byte-identity lock, the
-# per-class NetStats counters, the decomposition + SLO-figure goldens, the
+# schema fixture, the instrumented-vs-plain byte-identity lock on all three
+# reply fabrics, the per-class NetStats counters, the per-fabric tracer event
+# order, the decomposition (with its DA2mesh rows) + SLO-figure goldens, the
 # /metrics, /debug/nocstate and pprof endpoint tests (DESIGN.md §10), the
 # distributed-tracing suites (trace continuation, hedge propagation,
 # traced-vs-plain byte identity; DESIGN.md §15), and the 2-replica traced

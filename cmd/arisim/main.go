@@ -269,9 +269,6 @@ func printDecomposition(reqColl, repColl *obs.Collector) {
 	fmt.Println("\ntraced latency decomposition (cycles, mean over sampled packets):")
 	fmt.Printf("%-8s %8s %8s %8s %8s %8s %11s\n", "fabric", "packets", "queue", "network", "eject", "total", "queue share")
 	for _, c := range []*obs.Collector{reqColl, repColl} {
-		if c == nil {
-			continue
-		}
 		d := c.Decompose()
 		fmt.Printf("%-8s %8d %8.1f %8.1f %8.1f %8.1f %10.1f%%\n",
 			c.Label, d.Packets, d.Queue.Value(), d.Net.Value(), d.Eject.Value(),
@@ -285,13 +282,7 @@ func writeChromeTrace(path string, colls ...*obs.Collector) error {
 	if err != nil {
 		return err
 	}
-	var active []*obs.Collector
-	for _, c := range colls {
-		if c != nil {
-			active = append(active, c)
-		}
-	}
-	if err := obs.WriteChromeTrace(f, active...); err != nil {
+	if err := obs.WriteChromeTrace(f, colls...); err != nil {
 		f.Close()
 		return err
 	}
@@ -307,8 +298,8 @@ func writeChromeTrace(path string, colls ...*obs.Collector) error {
 // flits/cycle. The MC nodes light up on the injection grid while the mesh
 // grid stays cool — the §3 observation made visible.
 func printHeatmap(sim *core.Simulator, cfg core.Config) {
-	rep := sim.ReplyMesh()
-	if rep == nil {
+	rep, ok := sim.ReplyNet().(*noc.Network)
+	if !ok {
 		fmt.Println("\n(heatmap available only for mesh reply fabrics)")
 		return
 	}

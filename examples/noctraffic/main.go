@@ -29,12 +29,11 @@ func main() {
 	}
 
 	cfg := noc.Config{
-		Mesh:        mesh,
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     noc.RouteMinAdaptive,
-		NonAtomicVC: true,
+		Mesh:      mesh,
+		VCs:       4,
+		LinkBits:  128,
+		DataBytes: 128,
+		Routing:   noc.RouteMinAdaptive,
 	}
 	if *ari {
 		cfg.Nodes = make([]noc.NodeConfig, mesh.Nodes())

@@ -52,11 +52,12 @@ func TestStepDoesNotAllocate(t *testing.T) {
 
 // TestRunCheckedPollDoesNotAllocate extends the lock to the loop every real
 // caller runs: RunChecked's default watchdog polls every 64 cycles, and its
-// starvation check scans every buffered flit of both meshes for the oldest
-// packet. Each measured run is one poll window — 64 Steps, then the poll —
-// on a saturated bfs/Ada-ARI system, against a twin that steps the same
-// windows without polling: the step path still grows a freelist now and
-// then, identically in both, so any difference is the poll's.
+// starvation check scans every packet both fabrics hold for the oldest.
+// Each measured run is one poll window — 64 Steps, then the poll — on a
+// saturated bfs system under each kind of reply fabric (mesh, DA2mesh,
+// ideal), against a twin that steps the same windows without polling: the
+// step path still grows a freelist now and then, identically in both, so
+// any difference is the poll's.
 func TestRunCheckedPollDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is slow")
@@ -65,39 +66,43 @@ func TestRunCheckedPollDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Scheme = AdaARI
-	var sims [2]*Simulator
-	for i := range sims {
-		if sims[i], err = NewSimulator(cfg, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w := newWatchdog(sims[0], CheckOptions{})
-	window := func(s *Simulator, poll bool) func() {
-		return func() {
-			for i := int64(0); i < w.opt.PollEvery; i++ {
-				s.Step()
-			}
-			if poll {
-				if err := w.poll(); err != nil {
+	ideal := fastConfig(AdaARI)
+	ideal.IdealReply = true
+	for name, cfg := range map[string]Config{"mesh": fastConfig(AdaARI), "DA2Mesh": fastConfig(DA2MeshARI), "ideal": ideal} {
+		t.Run(name, func(t *testing.T) {
+			var sims [2]*Simulator
+			for i := range sims {
+				if sims[i], err = NewSimulator(cfg, k); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-	}
-	polled, plain := window(sims[0], true), window(sims[1], false)
-	for i := 0; i < 100; i++ {
-		polled()
-		plain()
-	}
-	if sims[0].RequestNet().InFlight() == 0 {
-		t.Fatal("nothing in flight: the age scan has nothing to walk")
-	}
-	const polls = 16
-	withPoll, without := testing.AllocsPerRun(polls, polled), testing.AllocsPerRun(polls, plain)
-	if withPoll != without {
-		t.Fatalf("a %d-cycle window allocated %.2f objects with the watchdog poll, %.2f without", w.opt.PollEvery, withPoll, without)
+			w := newWatchdog(sims[0], CheckOptions{})
+			window := func(s *Simulator, poll bool) func() {
+				return func() {
+					for i := int64(0); i < w.opt.PollEvery; i++ {
+						s.Step()
+					}
+					if poll {
+						if err := w.poll(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			polled, plain := window(sims[0], true), window(sims[1], false)
+			for i := 0; i < 100; i++ {
+				polled()
+				plain()
+			}
+			if sims[0].RequestNet().InFlight() == 0 || sims[0].ReplyNet().InFlight() == 0 {
+				t.Fatal("a fabric holds nothing: the age scan has nothing to walk")
+			}
+			const polls = 16
+			withPoll, without := testing.AllocsPerRun(polls, polled), testing.AllocsPerRun(polls, plain)
+			if withPoll != without {
+				t.Fatalf("a %d-cycle window allocated %.2f objects with the watchdog poll, %.2f without", w.opt.PollEvery, withPoll, without)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/noc"
 	"repro/internal/trace"
 )
 
@@ -48,8 +49,8 @@ func readStallCounters(s *Simulator) stallCounters {
 		c.DRAMQueueStalls += d.QueueStalls
 	}
 	c.ReqVAGrants = s.reqNet.VAGrants()
-	if s.repMesh != nil {
-		c.RepVAGrants = s.repMesh.VAGrants()
+	if mesh, ok := s.repNet.(*noc.Network); ok {
+		c.RepVAGrants = mesh.VAGrants()
 	}
 	put(c.ReqVAGrants, c.RepVAGrants)
 	c.Digest = h.Sum64()

@@ -124,13 +124,11 @@ func (s *Simulator) collect() Result {
 		r.FaultEvents += int(s.repFault.TotalEvents())
 	}
 
-	switch rep := s.repNet.(type) {
-	case *noc.Network:
-		r.NIOccAvgFlits = rep.NIOccupancyAvgFlits()
-		r.NIQueueCapFlits = rep.NIQueueCapacityFlits(s.mcNodes[0])
-		r.ReplyInjPeakWin95 = rep.PeakInjWindow(95)
-	case *noc.DA2Mesh:
-		r.NIOccAvgFlits = rep.NIOccupancyAvgFlits()
+	r.NIOccAvgFlits = s.repNet.NIOccupancyAvgFlits()
+	if mesh, ok := s.repNet.(*noc.Network); ok {
+		// NI capacity and the eq. (1) injection windows are the mesh's own.
+		r.NIQueueCapFlits = mesh.NIQueueCapacityFlits(s.mcNodes[0])
+		r.ReplyInjPeakWin95 = mesh.PeakInjWindow(95)
 	}
 
 	r.Activity = Activity{

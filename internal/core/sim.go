@@ -25,16 +25,13 @@ type Simulator struct {
 
 	reqNet *noc.Network
 	repNet noc.Fabric
-	// repMesh is repNet when the reply fabric is a mesh network, nil for the
-	// behavioural fabrics (ideal, DA2mesh): the one place that knows the
-	// reply fabric's concrete type.
-	repMesh *noc.Network
 
 	cores []*gpu.Core
 	mcs   []*mem.Controller
 
 	// reqFault/repFault drive the deterministic fault schedules when
-	// Config.Fault is enabled (mesh fabrics only).
+	// Config.Fault is enabled; repFault stays nil unless the reply fabric is
+	// a mesh.
 	reqFault *fault.Injector
 	repFault *fault.Injector
 
@@ -82,37 +79,18 @@ func NewSimulatorWorkload(cfg Config, k trace.Kernel, w trace.Workload) (*Simula
 		coreClock: timing.NewClock(cfg.CoreClockNum, cfg.CoreClockDen),
 		memClock:  timing.NewClock(cfg.MemClockNum, cfg.MemClockDen),
 	}
-
-	if cfg.EdgeMCPlacement {
-		s.mcNodes = noc.EdgeMCPlacement(s.mesh, cfg.NumMC)
-	} else {
-		s.mcNodes = noc.DiamondMCPlacement(s.mesh, cfg.NumMC)
-	}
-	isMC := make([]bool, s.mesh.Nodes())
-	for _, n := range s.mcNodes {
-		isMC[n] = true
-	}
-	for n := 0; n < s.mesh.Nodes(); n++ {
-		if !isMC[n] {
-			s.ccNodes = append(s.ccNodes, n)
-		}
-	}
-
 	if err := s.buildNetworks(); err != nil {
 		return nil, err
 	}
 	if err := s.buildNodes(); err != nil {
 		return nil, err
 	}
-	if err := s.buildFaultInjectors(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
-// RecoveryStats returns the fault-recovery protocol counters summed over the
-// request network and, when it is a mesh, the reply network. Zero when
-// recovery is disabled (Config.RetransBufPkts 0 and no corrupting faults).
+// RecoveryStats returns the fault-recovery protocol counters summed over
+// both fabrics. Zero when recovery is disabled (Config.RetransBufPkts 0 and
+// no corrupting faults) and always zero on the behavioural reply fabrics.
 func (s *Simulator) RecoveryStats() noc.RecoveryStats {
 	var agg noc.RecoveryStats
 	add := func(r noc.RecoveryStats) {
@@ -126,9 +104,7 @@ func (s *Simulator) RecoveryStats() noc.RecoveryStats {
 		agg.DeadLinks += r.DeadLinks
 	}
 	add(s.reqNet.RecoveryStats())
-	if s.repMesh != nil {
-		add(s.repMesh.RecoveryStats())
-	}
+	add(s.repNet.RecoveryStats())
 	return agg
 }
 
@@ -137,83 +113,61 @@ func (s *Simulator) RecoveryStats() noc.RecoveryStats {
 // with a Close.
 func (s *Simulator) Close() {}
 
-// buildFaultInjectors attaches the deterministic fault schedules when
-// Config.Fault is enabled. Faults apply to mesh networks only: the DA2mesh
-// overlay and the ideal fabric are behavioural models without per-link
-// state, so the reply side is skipped for those schemes.
-func (s *Simulator) buildFaultInjectors() error {
-	if !s.cfg.Fault.Enabled {
-		return nil
+// retransBufPkts sizes the recovery protocol: corruption without a
+// retransmission buffer would mean silently wrong deliveries, so a
+// corrupting fault schedule turns recovery on by default
+// (Config.RetransBufPkts documents this).
+func retransBufPkts(cfg Config) int {
+	if cfg.RetransBufPkts == 0 && cfg.Fault.Enabled && cfg.Fault.CorruptProb > 0 {
+		return 8
 	}
-	fcfg := s.cfg.Fault
-	if fcfg.Seed == 0 {
-		fcfg.Seed = s.cfg.Seed
-	}
-	var err error
-	if s.reqFault, err = fault.NewInjector(fcfg, s.reqNet, 1); err != nil {
-		return fmt.Errorf("core: request fault injector: %w", err)
-	}
-	if s.repMesh != nil {
-		if s.repFault, err = fault.NewInjector(fcfg, s.repMesh, 2); err != nil {
-			return fmt.Errorf("core: reply fault injector: %w", err)
-		}
-	}
-	return nil
+	return cfg.RetransBufPkts
 }
 
-// buildNetworks wires the request mesh and the scheme's reply fabric.
-func (s *Simulator) buildNetworks() error {
-	cfg := s.cfg
-	routing := cfg.Scheme.Routing()
-
-	// Recovery protocol sizing: corruption without a retransmission buffer
-	// would mean silently wrong deliveries, so a corrupting fault schedule
-	// turns recovery on by default (Config.RetransBufPkts documents this).
-	retrans := cfg.RetransBufPkts
-	if retrans == 0 && cfg.Fault.Enabled && cfg.Fault.CorruptProb > 0 {
-		retrans = 8
+// ReplyNetwork returns the mesh reply network cfg describes — the
+// per-MC-node injection architecture of cfg.Scheme (split NIs, crossbar
+// speedup, default 4; MultiPort ports), its priority levels and recovery
+// sizing — together with the node split it serves: the MC nodes that inject
+// replies and the compute nodes that receive them. NewSimulator builds its
+// reply fabric from it, and so does the standalone load-latency figure.
+func ReplyNetwork(cfg Config) (rep noc.Config, mcNodes, ccNodes []int) {
+	mesh := noc.Mesh{Width: cfg.MeshWidth, Height: cfg.MeshHeight}
+	if cfg.EdgeMCPlacement {
+		mcNodes = noc.EdgeMCPlacement(mesh, cfg.NumMC)
+	} else {
+		mcNodes = noc.DiamondMCPlacement(mesh, cfg.NumMC)
+	}
+	isMC := make([]bool, mesh.Nodes())
+	for _, n := range mcNodes {
+		isMC[n] = true
+	}
+	for n := 0; n < mesh.Nodes(); n++ {
+		if !isMC[n] {
+			ccNodes = append(ccNodes, n)
+		}
 	}
 
-	// Request network: never modified by any scheme (§4.2, §6.1).
-	reqCfg := noc.Config{
-		Mesh:           s.mesh,
-		VCs:            cfg.VCs,
-		LinkBits:       cfg.ReqLinkBits,
-		DataBytes:      cfg.DataBytes,
-		Routing:        routing,
-		NonAtomicVC:    true,
-		EjectRate:      cfg.EjectRate,
-		RetransBufPkts: retrans,
-	}
-	reqNet, err := noc.NewNetwork(reqCfg)
-	if err != nil {
-		return fmt.Errorf("core: request network: %w", err)
-	}
-	s.reqNet = reqNet
-
-	// Reply network: per-MC-node injection architecture by scheme.
-	repCfg := noc.Config{
-		Mesh:           s.mesh,
+	rep = noc.Config{
+		Mesh:           mesh,
 		VCs:            cfg.VCs,
 		LinkBits:       cfg.RepLinkBits,
 		DataBytes:      cfg.DataBytes,
-		Routing:        routing,
-		NonAtomicVC:    true,
+		Routing:        cfg.Scheme.Routing(),
 		NIQueueFlits:   cfg.NIQueueFlits,
 		EjectRate:      cfg.EjectRate,
-		RetransBufPkts: retrans,
+		RetransBufPkts: retransBufPkts(cfg),
 	}
 	if cfg.Scheme.HasPriority() {
-		repCfg.PriorityLevels = cfg.PriorityLevels
-		repCfg.StarvationLimit = cfg.StarvationLimit
+		rep.PriorityLevels = cfg.PriorityLevels
+		rep.StarvationLimit = cfg.StarvationLimit
 	}
-	nodes := make([]noc.NodeConfig, s.mesh.Nodes())
+	rep.Nodes = make([]noc.NodeConfig, mesh.Nodes())
 	speedup := cfg.InjSpeedup
 	if speedup <= 0 {
 		speedup = 4
 	}
-	for _, n := range s.mcNodes {
-		nc := &nodes[n]
+	for _, n := range mcNodes {
+		nc := &rep.Nodes[n]
 		if cfg.Scheme.HasSplitNI() {
 			nc.NI = noc.NISplit
 		}
@@ -228,35 +182,72 @@ func (s *Simulator) buildNetworks() error {
 			nc.NI = noc.NINarrowLink
 		}
 	}
-	repCfg.Nodes = nodes
+	return rep, mcNodes, ccNodes
+}
 
+// buildNetworks wires the request mesh and the scheme's reply fabric, and
+// the deterministic fault schedules when Config.Fault is enabled. Faults
+// apply to mesh networks only: the DA2mesh overlay and the ideal fabric are
+// behavioural models without per-link state, so the reply side is skipped
+// for those schemes.
+func (s *Simulator) buildNetworks() error {
+	cfg := s.cfg
+	fcfg := cfg.Fault
+	if fcfg.Seed == 0 {
+		fcfg.Seed = cfg.Seed
+	}
+
+	// Request network: never modified by any scheme (§4.2, §6.1).
+	reqNet, err := noc.NewNetwork(noc.Config{
+		Mesh:           s.mesh,
+		VCs:            cfg.VCs,
+		LinkBits:       cfg.ReqLinkBits,
+		DataBytes:      cfg.DataBytes,
+		Routing:        cfg.Scheme.Routing(),
+		EjectRate:      cfg.EjectRate,
+		RetransBufPkts: retransBufPkts(cfg),
+	})
+	if err != nil {
+		return fmt.Errorf("core: request network: %w", err)
+	}
+	s.reqNet = reqNet
+	if fcfg.Enabled {
+		if s.reqFault, err = fault.NewInjector(fcfg, reqNet, 1); err != nil {
+			return fmt.Errorf("core: request fault injector: %w", err)
+		}
+	}
+
+	// Reply fabric: this switch is the one place that decides its type.
+	repCfg, mcNodes, ccNodes := ReplyNetwork(cfg)
+	s.mcNodes, s.ccNodes = mcNodes, ccNodes
 	switch {
 	case cfg.IdealReply:
 		// The ideal fabric and the DA2mesh overlay never see corruption
 		// (fault injectors attach to mesh Networks only), so the recovery
 		// layer would only perturb their timing — leave it off.
 		repCfg.RetransBufPkts = 0
-		rep, err := noc.NewIdealFabric(repCfg)
-		if err != nil {
+		if s.repNet, err = noc.NewIdealFabric(repCfg); err != nil {
 			return fmt.Errorf("core: ideal reply fabric: %w", err)
 		}
-		s.repNet = rep
 	case cfg.Scheme.UsesOverlay():
 		repCfg.RetransBufPkts = 0
-		rep, err := noc.NewDA2Mesh(repCfg)
-		if err != nil {
+		if s.repNet, err = noc.NewDA2Mesh(repCfg); err != nil {
 			return fmt.Errorf("core: reply overlay: %w", err)
 		}
-		s.repNet = rep
 	default:
 		rep, err := noc.NewNetwork(repCfg)
 		if err != nil {
 			return fmt.Errorf("core: reply network: %w", err)
 		}
-		for _, n := range s.mcNodes {
+		for _, n := range mcNodes {
 			rep.MarkMCRouter(n)
 		}
-		s.repNet, s.repMesh = rep, rep
+		if fcfg.Enabled {
+			if s.repFault, err = fault.NewInjector(fcfg, rep, 2); err != nil {
+				return fmt.Errorf("core: reply fault injector: %w", err)
+			}
+		}
+		s.repNet = rep
 	}
 	return nil
 }
@@ -419,41 +410,30 @@ func (s *Simulator) RequestNet() *noc.Network { return s.reqNet }
 // ReplyNet exposes the reply fabric.
 func (s *Simulator) ReplyNet() noc.Fabric { return s.repNet }
 
-// ReplyMesh returns the reply fabric as a mesh network, or nil when the
-// scheme replaces it with a behavioural fabric (ideal reply, DA2mesh) that
-// has no per-router state to inspect, fault or trace.
-func (s *Simulator) ReplyMesh() *noc.Network { return s.repMesh }
-
 // MCNodes returns the MC node ids.
 func (s *Simulator) MCNodes() []int { return s.mcNodes }
 
 // StateDumpJSON returns a JSON diagnostic of both fabrics' non-quiescent
-// state (the structured form of the watchdog's text dump). Like DumpState
-// it only reads, but it must run on the goroutine stepping the simulator —
+// state (the structured form of the watchdog's text dump). It only reads, but it must run on the goroutine stepping the simulator —
 // the watchdog poll services Inspector state requests for exactly that
 // reason.
 func (s *Simulator) StateDumpJSON() []byte {
 	type dump struct {
-		Cycle       int64          `json:"cycle"`
-		Benchmark   string         `json:"benchmark"`
-		Scheme      string         `json:"scheme"`
-		Request     *noc.StateDump `json:"request"`
-		Reply       *noc.StateDump `json:"reply,omitempty"`
-		RepInFlight int            `json:"reply_in_flight"`
+		Cycle       int64         `json:"cycle"`
+		Benchmark   string        `json:"benchmark"`
+		Scheme      string        `json:"scheme"`
+		Request     noc.StateDump `json:"request"`
+		Reply       noc.StateDump `json:"reply"`
+		RepInFlight int           `json:"reply_in_flight"`
 	}
-	d := dump{
+	b, err := json.Marshal(dump{
 		Cycle:       s.cycle,
 		Benchmark:   s.kernel.Name,
 		Scheme:      s.cfg.Scheme.String(),
+		Request:     s.reqNet.StateSnapshot(),
+		Reply:       s.repNet.StateSnapshot(),
 		RepInFlight: s.repNet.InFlight(),
-	}
-	req := s.reqNet.StateSnapshot()
-	d.Request = &req
-	if s.repMesh != nil {
-		rd := s.repMesh.StateSnapshot()
-		d.Reply = &rd
-	}
-	b, err := json.Marshal(d)
+	})
 	if err != nil {
 		// The dump types contain only marshallable fields; a failure here is
 		// a programming error worth surfacing in the payload, not a panic in

@@ -30,8 +30,8 @@ type CheckOptions struct {
 	// checks are O(1) except the age scan, which is O(buffers) and runs at
 	// this cadence too.
 	PollEvery int64
-	// InvariantEvery, when positive, additionally runs noc.CheckInvariants
-	// on both mesh fabrics every InvariantEvery cycles and converts a
+	// InvariantEvery, when positive, additionally runs CheckInvariants on
+	// both fabrics every InvariantEvery cycles and converts a
 	// violation into an error naming the run. It is the one invariant gate:
 	// no Config carries one.
 	InvariantEvery int64
@@ -168,8 +168,8 @@ func (w *watchdog) poll() error {
 	if w.opt.InvariantEvery > 0 && now-w.lastInvCheck >= w.opt.InvariantEvery {
 		w.lastInvCheck = now
 		err := w.s.reqNet.CheckInvariants()
-		if err == nil && w.s.repMesh != nil {
-			err = w.s.repMesh.CheckInvariants()
+		if err == nil {
+			err = w.s.repNet.CheckInvariants()
 		}
 		if err != nil {
 			return fmt.Errorf("core: invariant violated at cycle %d (%s/%s): %w",
@@ -206,26 +206,15 @@ func (w *watchdog) poll() error {
 }
 
 // oldestPacketAge returns the maximum in-flight packet age over both
-// fabrics (mesh networks only; the behavioural fabrics never starve a
-// packet — they deliver on a fixed schedule).
+// fabrics.
 func (s *Simulator) oldestPacketAge() int64 {
-	age := s.reqNet.OldestPacketAge()
-	if s.repMesh != nil {
-		if a := s.repMesh.OldestPacketAge(); a > age {
-			age = a
-		}
-	}
-	return age
+	return max(s.reqNet.OldestPacketAge(), s.repNet.OldestPacketAge())
 }
 
 // diagnose builds the structured watchdog failure for the current state.
 func (s *Simulator) diagnose(kind string, noProgress int64) *WatchdogError {
-	dump := "request network:\n" + s.reqNet.DumpState()
-	if s.repMesh != nil {
-		dump += "reply network:\n" + s.repMesh.DumpState()
-	} else {
-		dump += fmt.Sprintf("reply fabric: %d packets in flight (no per-router state)\n", s.repNet.InFlight())
-	}
+	dump := "request network:\n" + s.reqNet.StateSnapshot().String() +
+		"reply network:\n" + s.repNet.StateSnapshot().String()
 	return &WatchdogError{
 		Kind:            kind,
 		Benchmark:       s.kernel.Name,

@@ -99,27 +99,35 @@ func TestWatchdogDetectsStarvation(t *testing.T) {
 // TestRunCheckedMatchesRun pins that the watchdog is purely observational:
 // a healthy run produces the identical Result through both entry points.
 func TestRunCheckedMatchesRun(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WarmupCycles = 200
-	cfg.MeasureCycles = 600
-	k := testKernel(t)
+	// Every kind of reply fabric: the watchdog walks both fabrics through
+	// noc.Fabric (invariants, oldest age) and must only read.
+	overlay, ideal := DefaultConfig(), DefaultConfig()
+	overlay.Scheme = DA2MeshARI
+	ideal.IdealReply = true
+	for name, cfg := range map[string]Config{"mesh": DefaultConfig(), "DA2Mesh+ARI": overlay, "ideal": ideal} {
+		t.Run(name, func(t *testing.T) {
+			cfg.WarmupCycles = 200
+			cfg.MeasureCycles = 600
+			k := testKernel(t)
 
-	simA, err := NewSimulator(cfg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := simA.Run()
+			simA, err := NewSimulator(cfg, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := simA.Run()
 
-	simB, err := NewSimulator(cfg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := simB.RunChecked(CheckOptions{InvariantEvery: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, checked) {
-		t.Fatalf("RunChecked diverged from Run:\n%+v\nvs\n%+v", plain, checked)
+			simB, err := NewSimulator(cfg, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked, err := simB.RunChecked(CheckOptions{InvariantEvery: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, checked) {
+				t.Fatalf("RunChecked diverged from Run:\n%+v\nvs\n%+v", plain, checked)
+			}
+		})
 	}
 }
 

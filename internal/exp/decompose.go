@@ -15,33 +15,32 @@ import (
 // figures (decompose, slo): one packet in four.
 const tracedSample = 4
 
-// tracedSchemes are the schemes the traced figures compare.
-var tracedSchemes = [...]core.Scheme{core.XYBaseline, core.AdaARI}
+// sloSchemes are the schemes the SLO figure compares; the decomposition adds
+// the DA2mesh pair (Fig 16) to them.
+var (
+	sloSchemes       = []core.Scheme{core.XYBaseline, core.AdaARI}
+	decomposeSchemes = []core.Scheme{core.XYBaseline, core.AdaARI, core.DA2MeshBase, core.DA2MeshARI}
+)
 
-// traceReplies runs bench under each of tracedSchemes through the Runner's
-// run path — watchdogs, timeout, retries, panic recovery — with every
-// sample-th reply-network packet traced (1 = all), and returns one collector
-// per scheme. The runs bypass the result store because traces are not part
-// of Result. A scheme whose reply fabric has no per-hop state (ideal,
-// DA2mesh) cannot be traced and is rejected.
-func (r *Runner) traceReplies(fig, bench string, sample uint64) ([]*obs.Collector, error) {
+// traceReplies runs bench under each of schemes through the Runner's run
+// path — watchdogs, timeout, retries, panic recovery — with every sample-th
+// reply-fabric packet traced (1 = all), and returns one collector per
+// scheme. The runs bypass the result store because traces are not part of
+// Result.
+func (r *Runner) traceReplies(bench string, schemes []core.Scheme, sample uint64) ([]*obs.Collector, error) {
 	kernel, err := trace.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
-	colls := make([]*obs.Collector, len(tracedSchemes))
-	for i, sch := range tracedSchemes {
+	colls := make([]*obs.Collector, len(schemes))
+	for i, sch := range schemes {
 		ctx := WithInstrument(context.Background(), func(sim *core.Simulator) {
-			if rep := sim.ReplyMesh(); rep != nil {
-				colls[i] = obs.NewCollector("rep")
-				rep.SetTracer(colls[i], sample)
-			}
+			// A fresh collector per attempt: a retried run starts over.
+			colls[i] = obs.NewCollector("rep")
+			sim.ReplyNet().SetTracer(colls[i], sample)
 		})
 		if _, err := r.simulateRetry(ctx, Job{Cfg: r.withScheme(sch), Kernel: kernel}); err != nil {
 			return nil, err
-		}
-		if colls[i] == nil {
-			return nil, fmt.Errorf("exp: %s: scheme %s has no traceable reply fabric", fig, sch)
 		}
 	}
 	return colls, nil
@@ -52,14 +51,14 @@ func (r *Runner) traceReplies(fig, bench string, sample uint64) ([]*obs.Collecto
 // latency to its components — NI injection queueing (the bottleneck the
 // paper removes), network transit and ejection.
 func Decompose(r *Runner, bench string, sample uint64) (*Figure, error) {
-	colls, err := r.traceReplies("decompose", bench, sample)
+	colls, err := r.traceReplies(bench, decomposeSchemes, sample)
 	if err != nil {
 		return nil, err
 	}
 	table := stats.NewTable("scheme", "replies", "queue", "network", "eject", "total", "queue_share")
 	summary := make(map[string]float64)
 	for i, coll := range colls {
-		sch := tracedSchemes[i].String()
+		sch := decomposeSchemes[i].String()
 		d := coll.Decompose(noc.ReadReply, noc.WriteReply)
 		table.AddRow(sch,
 			fmt.Sprintf("%d", d.Packets),
@@ -78,6 +77,7 @@ func Decompose(r *Runner, bench string, sample uint64) (*Figure, error) {
 		Summary: summary,
 		Notes: []string{
 			"queue = NI enqueue -> injection grant; network = injection -> last switch traversal; eject = last switch -> tail consumed",
+			"DA2Mesh rows: injection = a lane starts the head flit; the last switch = arrival at the destination's ejection queue",
 			"traced from sampled packet lifecycles (internal/obs), not end-of-run aggregates",
 		},
 	}, nil

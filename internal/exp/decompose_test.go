@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -62,14 +61,21 @@ func TestDecomposeGolden(t *testing.T) {
 	}
 }
 
-// TestDecomposeRejectsUntraceableScheme: behavioural reply fabrics have no
-// per-hop state and must be refused, not silently decomposed as zeros.
-func TestDecomposeRejectsUntraceableScheme(t *testing.T) {
-	r := decomposeRunner()
-	r.Base.IdealReply = true
-	_, err := Decompose(r, "bfs", 4)
-	if err == nil || !strings.Contains(err.Error(), "no traceable reply fabric") {
-		t.Fatalf("ideal reply fabric: err = %v, want no traceable reply fabric", err)
+// TestDecomposeDA2MeshQueueShare: the DA2mesh overlay is traced like the
+// mesh, and its reply latency shows the same injection queueing that ARI
+// removes (Fig 16's mechanism): a non-zero queue share that ARI shrinks.
+func TestDecomposeDA2MeshQueueShare(t *testing.T) {
+	fig, err := Decompose(decomposeRunner(), "bfs", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fig.Summary["queue_share_"+core.DA2MeshBase.String()]
+	ari := fig.Summary["queue_share_"+core.DA2MeshARI.String()]
+	if base <= 0 {
+		t.Fatalf("DA2Mesh queue share %.3f, want > 0 (summary %v)", base, fig.Summary)
+	}
+	if ari >= base {
+		t.Errorf("DA2Mesh+ARI queue share %.3f >= DA2Mesh %.3f; expected ARI to shrink queueing", ari, base)
 	}
 }
 

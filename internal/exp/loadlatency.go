@@ -59,29 +59,14 @@ func LoadLatency(r *Runner) (*Figure, error) {
 }
 
 // replyNetPoint measures (avg latency, delivered pkts/cycle/MC) at one
-// offered load on a standalone reply network.
+// offered load on a standalone reply network, built as the full system
+// builds it under Ada-Baseline or Ada-ARI.
 func replyNetPoint(base core.Config, ari bool, load float64, cycles int) (latency, throughput float64, err error) {
-	mesh := noc.Mesh{Width: base.MeshWidth, Height: base.MeshHeight}
-	mcs := noc.DiamondMCPlacement(mesh, base.NumMC)
-	cfg := noc.Config{
-		Mesh:        mesh,
-		VCs:         base.VCs,
-		LinkBits:    base.RepLinkBits,
-		DataBytes:   base.DataBytes,
-		Routing:     noc.RouteMinAdaptive,
-		NonAtomicVC: true,
-	}
+	base.Scheme = core.AdaBaseline
 	if ari {
-		cfg.Nodes = make([]noc.NodeConfig, mesh.Nodes())
-		speedup := base.InjSpeedup
-		if speedup <= 0 {
-			speedup = 4
-		}
-		for _, n := range mcs {
-			cfg.Nodes[n] = noc.NodeConfig{NI: noc.NISplit, InjSpeedup: speedup}
-		}
-		cfg.PriorityLevels = base.PriorityLevels
+		base.Scheme = core.AdaARI
 	}
+	cfg, mcs, ccs := core.ReplyNetwork(base)
 	net, err := noc.NewNetwork(cfg)
 	if err != nil {
 		return 0, 0, err
@@ -89,16 +74,6 @@ func replyNetPoint(base core.Config, ari bool, load float64, cycles int) (latenc
 	var delivered uint64
 	net.SetEjectHandler(func(node int, pkt *noc.Packet, now int64) { delivered++ })
 
-	isMC := map[int]bool{}
-	for _, n := range mcs {
-		isMC[n] = true
-	}
-	var ccs []int
-	for n := 0; n < mesh.Nodes(); n++ {
-		if !isMC[n] {
-			ccs = append(ccs, n)
-		}
-	}
 	longPkt := cfg.LongPacketFlits()
 	perCycle := load / float64(longPkt)
 	src := rng.New(base.Seed ^ 0xA51)

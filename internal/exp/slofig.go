@@ -22,7 +22,7 @@ import (
 // same budget?". Everything downstream of the seeded simulator is
 // deterministic, so the figure is byte-stable run to run.
 func SLOFigure(r *Runner, bench string, sample uint64, thresholdCycles int64) (*Figure, error) {
-	colls, err := r.traceReplies("slo", bench, sample)
+	colls, err := r.traceReplies(bench, sloSchemes, sample)
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +36,7 @@ func SLOFigure(r *Runner, bench string, sample uint64, thresholdCycles int64) (*
 			hist.Observe(p.Ejected - p.Enqueued)
 		}
 		if snaps[i] = hist.Snapshot(); snaps[i].Count == 0 {
-			return nil, fmt.Errorf("exp: slo %s/%s: no reply packets completed (horizons too short?)", bench, tracedSchemes[i])
+			return nil, fmt.Errorf("exp: slo %s/%s: no reply packets completed (horizons too short?)", bench, sloSchemes[i])
 		}
 	}
 
@@ -55,7 +55,7 @@ func SLOFigure(r *Runner, bench string, sample uint64, thresholdCycles int64) (*
 		Summary: summary,
 	}
 	for i, snap := range snaps {
-		sch := tracedSchemes[i].String()
+		sch := sloSchemes[i].String()
 		c := snap.Compliance(thresholdCycles)
 		table.AddRow(sch,
 			fmt.Sprintf("%d", snap.Count),

@@ -20,7 +20,6 @@ func runChaos(t *testing.T, name string, mutate func(*noc.Config), seed uint64) 
 		LinkBits:       128,
 		DataBytes:      128,
 		Routing:        noc.RouteXY,
-		NonAtomicVC:    true,
 		RetransBufPkts: 8,
 	}
 	if mutate != nil {

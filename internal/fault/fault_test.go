@@ -12,12 +12,11 @@ import (
 func testNet(t *testing.T, mutate func(*noc.Config)) *noc.Network {
 	t.Helper()
 	cfg := noc.Config{
-		Mesh:        noc.Mesh{Width: 4, Height: 4},
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     noc.RouteXY,
-		NonAtomicVC: true,
+		Mesh:      noc.Mesh{Width: 4, Height: 4},
+		VCs:       4,
+		LinkBits:  128,
+		DataBytes: 128,
+		Routing:   noc.RouteXY,
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -21,12 +21,11 @@ type soakFingerprint struct {
 func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) soakFingerprint {
 	t.Helper()
 	cfg := noc.Config{
-		Mesh:        noc.Mesh{Width: 4, Height: 4},
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     noc.RouteXY,
-		NonAtomicVC: true,
+		Mesh:      noc.Mesh{Width: 4, Height: 4},
+		VCs:       4,
+		LinkBits:  128,
+		DataBytes: 128,
+		Routing:   noc.RouteXY,
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -7,14 +7,15 @@ import (
 	"repro/internal/rng"
 )
 
-// stubFabric is a reply fabric that accepts packets unless blocked.
+// stubFabric is a reply fabric that accepts packets unless blocked. The
+// controller only injects; the embedded nil Fabric stands in for the rest
+// and panics if anything else is called.
 type stubFabric struct {
+	noc.Fabric
 	blocked  bool
 	accepted []*noc.Packet
-	now      int64
 }
 
-func (s *stubFabric) CanInject(node int, pkt *noc.Packet) bool { return !s.blocked }
 func (s *stubFabric) Inject(node int, pkt *noc.Packet) bool {
 	if s.blocked {
 		return false
@@ -22,14 +23,8 @@ func (s *stubFabric) Inject(node int, pkt *noc.Packet) bool {
 	s.accepted = append(s.accepted, pkt)
 	return true
 }
-func (s *stubFabric) Step()                                                      { s.now++ }
-func (s *stubFabric) Now() int64                                                 { return s.now }
-func (s *stubFabric) SetEjectHandler(func(node int, pkt *noc.Packet, now int64)) {}
-func (s *stubFabric) InFlight() int                                              { return 0 }
-func (s *stubFabric) Stats() *noc.NetStats                                       { return &noc.NetStats{} }
-func (s *stubFabric) ResetStats()                                                {}
-func (s *stubFabric) GetPacket() *noc.Packet                                     { return &noc.Packet{} }
-func (s *stubFabric) PutPacket(*noc.Packet)                                      {}
+func (s *stubFabric) GetPacket() *noc.Packet { return &noc.Packet{} }
+func (s *stubFabric) PutPacket(*noc.Packet)  {}
 
 func newTestMC(t *testing.T, fab noc.Fabric) *Controller {
 	t.Helper()

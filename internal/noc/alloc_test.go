@@ -106,12 +106,11 @@ func newBenchLikeNet(t *testing.T, ari bool) *Network {
 func benchLikeConfig(ari bool) Config {
 	mesh := Mesh{Width: 6, Height: 6}
 	cfg := Config{
-		Mesh:        mesh,
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     RouteMinAdaptive,
-		NonAtomicVC: true,
+		Mesh:      mesh,
+		VCs:       4,
+		LinkBits:  128,
+		DataBytes: 128,
+		Routing:   RouteMinAdaptive,
 	}
 	if ari {
 		cfg.Nodes = make([]NodeConfig, mesh.Nodes())
@@ -125,7 +124,7 @@ func benchLikeConfig(ari bool) Config {
 
 // TestStorageLayout pins the per-flit storage: a flit is 8 bytes with no
 // pointer for the garbage collector to scan, so the flit slab is never
-// scanned; a staged flit is 24 bytes and an input VC one 64-byte line.
+// scanned; a staged flit is 16 bytes and an input VC one 64-byte line.
 func TestStorageLayout(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -133,7 +132,7 @@ func TestStorageLayout(t *testing.T) {
 		size uintptr
 	}{
 		{"flit", reflect.TypeOf(flit{}), 8},
-		{"stagedFlit", reflect.TypeOf(stagedFlit{}), 24},
+		{"stagedFlit", reflect.TypeOf(stagedFlit{}), 16},
 		{"inputVC", reflect.TypeOf(inputVC{}), 64},
 	} {
 		if c.typ.Size() != c.size {

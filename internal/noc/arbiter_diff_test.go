@@ -294,7 +294,7 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 		for _, vcs := range []int{2, 4, 6} {
 			for _, prio := range []int{0, 2} {
 				cfg := Config{Mesh: Mesh{Width: 3, Height: 3}, VCs: vcs, LinkBits: 128, DataBytes: 128,
-					Routing: RouteMinAdaptive, NonAtomicVC: true, PriorityLevels: prio, StarvationLimit: 20}
+					Routing: RouteMinAdaptive, PriorityLevels: prio, StarvationLimit: 20}
 				cfg.Nodes = make([]NodeConfig, cfg.Mesh.Nodes())
 				cfg.Nodes[4] = nc
 				n, err := NewNetwork(cfg)
@@ -395,70 +395,64 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 
 // TestPickOutVCMatchesScan is VA's choice: the reference is the scan the
 // router used to run — candidates in order, downstream VCs descending, first
-// strict maximum of credits among unowned VCs that pass the allocation
-// policy.
+// strict maximum of credits among unowned VCs with room for the whole
+// packet (non-atomic allocation), or empty ones for a packet longer than a
+// VC buffer.
 func TestPickOutVCMatchesScan(t *testing.T) {
 	r := rng.New(17)
-	for _, nonAtomic := range []bool{false, true} {
-		cfg := Config{Mesh: Mesh{Width: 3, Height: 3}, VCs: 6, LinkBits: 128, DataBytes: 128,
-			Routing: RouteMinAdaptive, NonAtomicVC: nonAtomic}
-		n, err := NewNetwork(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		depth := n.cfg.VCDepth
-		rt := &n.routers[4] // centre: every mesh output has a link
-		vc := &rt.vcs[0]
-		for iter := 0; iter < 20000; iter++ {
-			for o := range rt.out {
-				op := &rt.out[o]
-				op.free = 0
-				for v := range op.vcs {
-					op.vcs[v] = outVCState{credits: int32(r.Intn(depth + 1)), ownerPort: -1}
-					if r.Intn(3) == 0 {
-						op.vcs[v].ownerPort = 1
-					} else {
-						op.free |= 1 << uint(v)
-					}
+	cfg := Config{Mesh: Mesh{Width: 3, Height: 3}, VCs: 6, LinkBits: 128, DataBytes: 128,
+		Routing: RouteMinAdaptive}
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := n.cfg.VCDepth
+	rt := &n.routers[4] // centre: every mesh output has a link
+	vc := &rt.vcs[0]
+	for iter := 0; iter < 20000; iter++ {
+		for o := range rt.out {
+			op := &rt.out[o]
+			op.free = 0
+			for v := range op.vcs {
+				op.vcs[v] = outVCState{credits: int32(r.Intn(depth + 1)), ownerPort: -1}
+				if r.Intn(3) == 0 {
+					op.vcs[v].ownerPort = 1
+				} else {
+					op.free |= 1 << uint(v)
 				}
 			}
-			pkt := &Packet{Size: 1 + r.Intn(depth)}
-			h := n.pkts.add(pkt)
-			vc.buf = flitQueue{buf: vc.buf.buf}
-			vc.buf.push(flit{h: h})
-			vc.nCands = uint8(1 + r.Intn(2))
-			for i := range vc.cands[:vc.nCands] {
-				vc.cands[i] = routeCandidate{port: int8(r.Intn(numOutPorts)), vcMask: uint32(r.Uint64()) & maskAll(cfg.VCs)}
-			}
+		}
+		pkt := &Packet{Size: 1 + r.Intn(2*depth)}
+		h := n.pkts.add(pkt)
+		vc.buf = flitQueue{buf: vc.buf.buf}
+		vc.buf.push(flit{h: h})
+		vc.nCands = uint8(1 + r.Intn(2))
+		for i := range vc.cands[:vc.nCands] {
+			vc.cands[i] = routeCandidate{port: int8(r.Intn(numOutPorts)), vcMask: uint32(r.Uint64()) & maskAll(cfg.VCs)}
+		}
 
-			wantPort, wantVC, best := -1, -1, int32(-1)
-			for _, cand := range vc.cands[:vc.nCands] {
-				for v := cfg.VCs - 1; v >= 0; v-- {
-					ov := rt.out[cand.port].vcs[v]
-					ok := ov.credits == int32(depth)
-					if nonAtomic {
-						ok = int(ov.credits) >= pkt.Size
-					}
-					if cand.vcMask&(1<<uint(v)) != 0 && ov.ownerPort < 0 && ok && ov.credits > best {
-						wantPort, wantVC, best = int(cand.port), v, ov.credits
-					}
+		wantPort, wantVC, best := -1, -1, int32(-1)
+		for _, cand := range vc.cands[:vc.nCands] {
+			for v := cfg.VCs - 1; v >= 0; v-- {
+				ov := rt.out[cand.port].vcs[v]
+				if cand.vcMask&(1<<uint(v)) != 0 && ov.ownerPort < 0 && int(ov.credits) >= min(pkt.Size, depth) && ov.credits > best {
+					wantPort, wantVC, best = int(cand.port), v, ov.credits
 				}
 			}
-			if gotPort, gotVC := rt.pickOutVC(vc); gotPort != wantPort || gotVC != wantVC {
-				t.Fatalf("nonAtomic=%v iter %d: pickOutVC = %d/%d, scan = %d/%d", nonAtomic, iter, gotPort, gotVC, wantPort, wantVC)
-			}
-			n.pkts.release(h)
 		}
+		if gotPort, gotVC := rt.pickOutVC(vc); gotPort != wantPort || gotVC != wantVC {
+			t.Fatalf("iter %d: pickOutVC = %d/%d, scan = %d/%d", iter, gotPort, gotVC, wantPort, wantVC)
+		}
+		n.pkts.release(h)
 	}
 }
 
-// TestCreditStallCyclesGolden pins a network-level creditStallCycles count
-// recorded with the closure-arbitrated router. Whole-packet allocation
-// (atomic or WPF) grants a downstream VC only with credits for the entire
-// packet, so the counter stays 0 unless a packet is longer than a VC buffer;
-// split NIs inject those, and under atomic allocation the worm then runs out
-// of credits mid-packet at every hop. InjSpeedup > 1 makes the MC routers'
-// stage-1 windows strided.
+// TestCreditStallCyclesGolden pins a network-level creditStallCycles count.
+// Non-atomic allocation grants a downstream VC only with credits for the
+// entire packet, so the counter stays 0 unless a packet is longer than a VC
+// buffer; split NIs inject those, they are granted only empty VCs, and the
+// worm then runs out of credits mid-packet at every hop. InjSpeedup > 1
+// makes the MC routers' stage-1 windows strided.
 func TestCreditStallCyclesGolden(t *testing.T) {
 	mesh := Mesh{Width: 4, Height: 4}
 	cfg := Config{Mesh: mesh, VCs: 4, LinkBits: 128, DataBytes: 128, Routing: RouteMinAdaptive,
@@ -490,7 +484,7 @@ func TestCreditStallCyclesGolden(t *testing.T) {
 		t.Fatal("network did not drain")
 	}
 	st := n.Stats()
-	const wantStalls, wantSwitch, wantLatency = 332, 85614, 233224
+	const wantStalls, wantSwitch, wantLatency = 385, 85022, 231680
 	if lat := st.Latency[ReadReply].Sum(); st.CreditStallCycles != wantStalls || st.SwitchTraversals != wantSwitch || lat != wantLatency {
 		t.Fatalf("creditStallCycles/switchTraversals/latency sum = %d/%d/%v, recorded %d/%d/%v",
 			st.CreditStallCycles, st.SwitchTraversals, lat, wantStalls, wantSwitch, wantLatency)

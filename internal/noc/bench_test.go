@@ -7,12 +7,11 @@ func benchNet(b *testing.B, ari bool) *Network {
 	b.Helper()
 	mesh := Mesh{Width: 6, Height: 6}
 	cfg := Config{
-		Mesh:        mesh,
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     RouteMinAdaptive,
-		NonAtomicVC: true,
+		Mesh:      mesh,
+		VCs:       4,
+		LinkBits:  128,
+		DataBytes: 128,
+		Routing:   RouteMinAdaptive,
 	}
 	if ari {
 		cfg.Nodes = make([]NodeConfig, mesh.Nodes())
@@ -75,7 +74,6 @@ func BenchmarkNetworkStepFaulty(b *testing.B) {
 		LinkBits:       128,
 		DataBytes:      128,
 		Routing:        RouteMinAdaptive,
-		NonAtomicVC:    true,
 		RetransBufPkts: 8,
 		PriorityLevels: 2,
 	}
@@ -120,12 +118,11 @@ func benchEventNet(b *testing.B) *Network {
 	b.Helper()
 	mesh := Mesh{Width: 6, Height: 6}
 	n, err := NewNetwork(Config{
-		Mesh:        mesh,
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     RouteMinAdaptive,
-		NonAtomicVC: true,
+		Mesh:      mesh,
+		VCs:       4,
+		LinkBits:  128,
+		DataBytes: 128,
+		Routing:   RouteMinAdaptive,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -82,10 +82,6 @@ func TestInvariantsAdaptive(t *testing.T) {
 	runChecked(t, func(c *Config) { c.Routing = RouteMinAdaptive }, 1500, 2)
 }
 
-func TestInvariantsAtomicVC(t *testing.T) {
-	runChecked(t, func(c *Config) { c.NonAtomicVC = false }, 1500, 3)
-}
-
 func TestInvariantsARI(t *testing.T) {
 	runChecked(t, func(c *Config) {
 		c.Routing = RouteMinAdaptive

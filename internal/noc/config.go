@@ -95,17 +95,9 @@ type Config struct {
 	// DataBytes is the payload of long packets in bytes (128B cache line).
 	DataBytes int
 
+	// Routing selects XY or minimal-adaptive routing. VC allocation is
+	// non-atomic (WPF [28]) under both, as the paper runs them (§6.2).
 	Routing RoutingAlgo
-	// PipelineStages is the router pipeline depth in cycles: 1 (default)
-	// models an aggressive single-cycle router; larger values delay a
-	// flit's availability at the next hop by stages-1 extra cycles,
-	// modelling deeper RC/VA/SA/ST pipelines.
-	PipelineStages int
-	// NonAtomicVC enables non-atomic VC allocation (WPF [28]): a free VC
-	// may be allocated to a packet whenever it has credits for the whole
-	// packet, rather than only when completely empty. The paper enables it
-	// for both XY and adaptive routing (§6.2).
-	NonAtomicVC bool
 
 	// NIQueueFlits is the total NI injection queue capacity in flits
 	// (Table I: 36 = four 9-flit long packets at 128-bit links). Split NIs
@@ -168,12 +160,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.EjectRate <= 0 {
 		c.EjectRate = 1
-	}
-	if c.PipelineStages <= 0 {
-		c.PipelineStages = 1
-	}
-	if c.PipelineStages > 8 {
-		return c, fmt.Errorf("noc: pipeline depth %d beyond supported 8", c.PipelineStages)
 	}
 	if c.PriorityLevels > math.MaxInt16+1 {
 		// A VC captures the arriving priority in an int16 (inputVC.effPrio).

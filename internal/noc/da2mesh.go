@@ -24,9 +24,7 @@ import (
 //     backlog exceeds the overlay window (2 long packets), which stands in
 //     for the plane's finite buffering.
 type DA2Mesh struct {
-	cfg   Config
-	now   int64
-	stats NetStats
+	fabricBase
 
 	nis      []overlayNI
 	backlog  []int // per destination, flits queued or in flight toward it
@@ -34,11 +32,6 @@ type DA2Mesh struct {
 	inflight []overlayArrival // packets in flight, unsorted
 	arrived  []overlayArrival // deliverArrivals' scratch
 
-	inFlight     int
-	nextPktID    uint64
-	ejectHandler func(node int, pkt *Packet, now int64)
-
-	pool pktPool
 	// pkts holds every packet with a flit still queued on a lane; the lane
 	// flits carry its handles.
 	pkts pktTable
@@ -85,7 +78,7 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DA2Mesh{cfg: cfg}
+	d := &DA2Mesh{fabricBase: fabricBase{cfg: cfg}}
 	nodes := cfg.Mesh.Nodes()
 	d.backlog = make([]int, nodes)
 	d.ejectQ = make([][]overlayArrival, nodes)
@@ -124,20 +117,6 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 	return d, nil
 }
 
-// Now returns the current cycle.
-func (d *DA2Mesh) Now() int64 { return d.now }
-
-// SetEjectHandler installs the packet-delivery callback.
-func (d *DA2Mesh) SetEjectHandler(h func(node int, pkt *Packet, now int64)) {
-	d.ejectHandler = h
-}
-
-// InFlight returns packets accepted but not yet delivered.
-func (d *DA2Mesh) InFlight() int { return d.inFlight }
-
-// Stats returns the fabric statistics.
-func (d *DA2Mesh) Stats() *NetStats { return &d.stats }
-
 // ResetStats clears measurement counters (end of warmup).
 func (d *DA2Mesh) ResetStats() {
 	injLinks := d.stats.InjLinks
@@ -159,9 +138,10 @@ func (d *DA2Mesh) CanInject(node int, pkt *Packet) bool {
 	return ni.pickLane(pkt) >= 0
 }
 
-// Inject hands pkt to node's overlay NI.
+// Inject hands pkt to node's overlay NI. The packet is numbered only once
+// the NI accepts it.
 func (d *DA2Mesh) Inject(node int, pkt *Packet) bool {
-	checkSize(pkt)
+	d.checkPacket(pkt)
 	ni := &d.nis[node]
 	if ni.offeredAt == d.now {
 		d.stats.NIFullRejects++
@@ -173,19 +153,14 @@ func (d *DA2Mesh) Inject(node int, pkt *Packet) bool {
 		return false
 	}
 	pkt.Src = node
-	if pkt.ID == 0 {
-		d.nextPktID++
-		pkt.ID = d.nextPktID
-	}
+	d.number(pkt)
 	pkt.CreatedAt = d.now
 	ni.offeredAt = d.now
 	ni.lanes[lane].q.pushPacket(d.pkts.add(pkt), pkt.Size)
 	ni.queued += pkt.Size
 	ni.everHeld = true
 	ni.pick = (lane + 1) % len(ni.lanes)
-	d.inFlight++
-	d.stats.PacketsInjected[pkt.Type]++
-	d.stats.FlitsInjected[pkt.Type] += uint64(pkt.Size)
+	d.accept(node, pkt)
 	return true
 }
 
@@ -256,6 +231,7 @@ func (d *DA2Mesh) streamLanes() {
 				}
 				lane.streaming = pkt
 				pkt.InjectedAt = d.now
+				d.trace(pkt, ni.node, TraceInject, d.now)
 				d.backlog[pkt.Dst] += pkt.Size
 			}
 			if lane.streaming == nil {
@@ -280,8 +256,8 @@ func (d *DA2Mesh) streamLanes() {
 
 // deliverArrivals moves due in-flight packets into their destination
 // ejection queues in (arriveAt, ID) order — a unique key, so the order is
-// fully determined. The arrivals are gathered into a scratch slice reused
-// every cycle.
+// fully determined — and traces each arrival as the packet's one switch
+// event. The arrivals are gathered into a scratch slice reused every cycle.
 func (d *DA2Mesh) deliverArrivals() {
 	due, arrived := d.inflight[:0], d.arrived[:0]
 	for _, a := range d.inflight {
@@ -297,6 +273,7 @@ func (d *DA2Mesh) deliverArrivals() {
 	})
 	for _, a := range arrived {
 		d.ejectQ[a.pkt.Dst] = append(d.ejectQ[a.pkt.Dst], a)
+		d.trace(a.pkt, a.pkt.Dst, TraceSwitch, d.now)
 	}
 }
 
@@ -322,11 +299,7 @@ func (d *DA2Mesh) drainEjectors() {
 			d.stats.EjectFlits += uint64(take)
 			d.backlog[node] -= take
 			if a.drained == a.pkt.Size {
-				d.stats.recordEject(a.pkt, d.now)
-				d.inFlight--
-				if d.ejectHandler != nil {
-					d.ejectHandler(node, a.pkt, d.now)
-				}
+				d.deliver(node, a.pkt, d.now)
 				q = q[1:]
 			}
 		}
@@ -368,11 +341,30 @@ func (d *DA2Mesh) CheckInvariants() error {
 	return nil
 }
 
-// GetPacket returns a zeroed packet from the fabric's freelist.
-func (d *DA2Mesh) GetPacket() *Packet { return d.pool.get() }
+// OldestPacketAge returns the age of the oldest packet the overlay holds:
+// on a lane, flying toward its destination, or in an ejection queue.
+func (d *DA2Mesh) OldestPacketAge() int64 {
+	oldest := oldestArrival(d.inflight, d.pkts.oldest(d.now))
+	for _, q := range d.ejectQ {
+		oldest = oldestArrival(q, oldest)
+	}
+	return d.now - oldest
+}
 
-// PutPacket recycles a delivered packet into the freelist.
-func (d *DA2Mesh) PutPacket(p *Packet) { d.pool.put(p) }
+// StateSnapshot reports the cycle, the in-flight count and the oldest
+// packets.
+func (d *DA2Mesh) StateSnapshot() StateDump {
+	held := d.pkts.appendLive(nil)
+	for _, a := range d.inflight {
+		held = append(held, a.pkt)
+	}
+	for _, q := range d.ejectQ {
+		for _, a := range q {
+			held = append(held, a.pkt)
+		}
+	}
+	return d.snapshot(held)
+}
 
 // NIOccupancyAvgFlits returns the mean time-averaged lane-queue occupancy
 // over injecting NIs.

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // String names the input-VC states for diagnostics.
 func (s vcState) String() string {
@@ -29,36 +26,11 @@ func (n *Network) DumpState() string { return n.StateSnapshot().String() }
 // packet-table slots, each of which has at least one flit in the network.
 // Diagnostics use it, not the hot loop.
 func (n *Network) OldestPackets(k int) []*Packet {
-	var pkts []*Packet
-	for _, p := range n.pkts.pkts {
-		if p != nil {
-			pkts = append(pkts, p)
-		}
-	}
-	sort.Slice(pkts, func(i, j int) bool {
-		if pkts[i].CreatedAt != pkts[j].CreatedAt {
-			return pkts[i].CreatedAt < pkts[j].CreatedAt
-		}
-		return pkts[i].ID < pkts[j].ID
-	})
-	if len(pkts) > k {
-		pkts = pkts[:k]
-	}
-	return pkts
+	return oldestPackets(n.pkts.appendLive(nil), k)
 }
 
 // OldestPacketAge returns the age in cycles of the oldest in-flight packet,
 // or 0 when the network holds none: the same answer as OldestPackets(1),
 // read as a minimum of CreatedAt over the live packet-table slots. It
 // allocates nothing — the starvation watchdog calls it every poll.
-func (n *Network) OldestPacketAge() int64 {
-	oldest := n.now // no packet is younger than the current cycle
-	if n.pkts.live() > 0 {
-		for _, p := range n.pkts.pkts {
-			if p != nil {
-				oldest = min(oldest, p.CreatedAt)
-			}
-		}
-	}
-	return n.now - oldest
-}
+func (n *Network) OldestPacketAge() int64 { return n.now - n.pkts.oldest(n.now) }

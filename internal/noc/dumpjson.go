@@ -68,28 +68,15 @@ type RouterDump struct {
 	EjectorFlits  int           `json:"ejector_flits,omitempty"`
 }
 
-// StateDump is a network's non-quiescent state: JSON-encodable so a live
+// StateDump is a fabric's non-quiescent state: JSON-encodable so a live
 // /debug/nocstate request is diagnosable remotely, and rendered as text
-// (String) for watchdog failures.
+// (String) for watchdog failures. Routers is empty on the behavioural
+// fabrics, which have none.
 type StateDump struct {
 	Cycle         int64        `json:"cycle"`
 	InFlight      int          `json:"in_flight"`
 	Routers       []RouterDump `json:"routers,omitempty"`
 	OldestPackets []PacketDump `json:"oldest_packets,omitempty"`
-}
-
-// packetDump converts one packet header at the current cycle.
-func (n *Network) packetDump(p *Packet) PacketDump {
-	return PacketDump{
-		ID:        p.ID,
-		Type:      p.Type.String(),
-		Src:       p.Src,
-		Dst:       p.Dst,
-		Size:      p.Size,
-		Priority:  p.Priority,
-		CreatedAt: p.CreatedAt,
-		Age:       n.now - p.CreatedAt,
-	}
 }
 
 // StateSnapshot captures every router with buffered, staged or queued
@@ -98,7 +85,7 @@ func (n *Network) packetDump(p *Packet) PacketDump {
 // it must run on the goroutine stepping the network (a watchdog poll, or
 // between Steps).
 func (n *Network) StateSnapshot() StateDump {
-	d := StateDump{Cycle: n.now, InFlight: n.inFlight}
+	d := n.snapshot(n.pkts.appendLive(nil))
 	for id := range n.routers {
 		r, ni, e := &n.routers[id], &n.nis[id], &n.ejectors[id]
 		if r.flitCount() == 0 && e.flitCount() == 0 && ni.queuedFlits() == 0 {
@@ -141,9 +128,6 @@ func (n *Network) StateSnapshot() StateDump {
 			rd.NIQueuedFlits, rd.NIMode = q, ni.mode.String()
 		}
 		d.Routers = append(d.Routers, rd)
-	}
-	for _, p := range n.OldestPackets(5) {
-		d.OldestPackets = append(d.OldestPackets, n.packetDump(p))
 	}
 	return d
 }

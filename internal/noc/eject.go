@@ -10,7 +10,8 @@ type ejector struct {
 	net  *Network
 	node int
 	vcs  []flitQueue
-	// arrivals staged by the router's ST this cycle.
+	// arrivals staged by the router's ST this cycle (at most one: the
+	// ejection port has one switch output).
 	arrivals []stagedFlit
 	// nonEmpty has bit v set while vcs[v] holds a flit; next is the
 	// round-robin pointer of consume's pick over it.
@@ -34,7 +35,7 @@ func (e *ejector) init(net *Network, router *router, sl *slabs) {
 		net:      net,
 		node:     router.id,
 		vcs:      carve(&sl.queues, cfg.VCs),
-		arrivals: carve(&sl.staged, cfg.PipelineStages)[:0],
+		arrivals: carve(&sl.staged, 1)[:0],
 		rate:     cfg.EjectRate,
 		router:   router,
 	}
@@ -54,17 +55,13 @@ func (e *ejector) flitCount() int { return int(e.net.ejectFlits[e.node]) }
 // router's traverse, decremented as consume drains.
 func (e *ejector) addFlits(d int) { e.net.ejectFlits[e.node] += int32(d) }
 
-func (e *ejector) applyArrivals(now int64) {
-	kept := e.arrivals[:0]
+// applyArrivals lands every flit the router staged last cycle.
+func (e *ejector) applyArrivals() {
 	for _, sf := range e.arrivals {
-		if sf.deliverAt <= now {
-			e.vcs[sf.vc].push(sf.f)
-			e.nonEmpty |= 1 << uint(sf.vc)
-		} else {
-			kept = append(kept, sf)
-		}
+		e.vcs[sf.vc].push(sf.f)
+		e.nonEmpty |= 1 << uint(sf.vc)
 	}
-	e.arrivals = kept
+	e.arrivals = e.arrivals[:0]
 }
 
 // pickVC grants the first non-empty VC at or after the round-robin pointer,
@@ -119,21 +116,12 @@ func (e *ejector) consume(now int64) {
 				e.net.dropCorrupt(e.node, pkt, now)
 				continue
 			}
-			e.net.stats.recordEject(pkt, now)
-			e.net.inFlight--
 			if e.vcBad != nil {
 				// Clean delivery: ACK frees the sender's retransmission slot.
 				// Sent before the handler, which may recycle the shell.
 				e.net.sendCtl(e.node, pkt.Src, pkt.ID, false, now)
 			}
-			// The eject event fires before the handler, which may recycle the
-			// packet into the pool (zeroing it).
-			if tr := e.net.tracer; tr != nil && pkt.traced {
-				tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, e.node, TraceEject, now)
-			}
-			if h := e.net.ejectHandler; h != nil {
-				h(e.node, pkt, now)
-			}
+			e.net.deliver(e.node, pkt, now)
 		}
 	}
 }

@@ -10,12 +10,11 @@ import (
 // read-reply packet and drains it.
 func Example() {
 	cfg := noc.Config{
-		Mesh:        noc.Mesh{Width: 4, Height: 4},
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     noc.RouteMinAdaptive,
-		NonAtomicVC: true,
+		Mesh:      noc.Mesh{Width: 4, Height: 4},
+		VCs:       4,
+		LinkBits:  128,
+		DataBytes: 128,
+		Routing:   noc.RouteMinAdaptive,
 	}
 	cfg.Nodes = make([]noc.NodeConfig, cfg.Mesh.Nodes())
 	cfg.Nodes[5] = noc.NodeConfig{NI: noc.NISplit, InjSpeedup: 4} // the MC

@@ -2,8 +2,8 @@ package noc
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
-	"sort"
 )
 
 // IdealFabric is a reply network with unlimited bandwidth: every offered
@@ -13,23 +13,16 @@ import (
 // eq. (1) — the rate an MC would inject at if the consumption side were
 // perfect (§4.2) — which then sizes the crossbar speedup.
 type IdealFabric struct {
-	cfg   Config
-	now   int64
-	stats NetStats
+	fabricBase
 
-	inflight     []overlayArrival
-	due          []overlayArrival // Step's scratch
-	inFlight     int
-	nextPktID    uint64
-	ejectHandler func(node int, pkt *Packet, now int64)
+	inflight []overlayArrival
+	due      []overlayArrival // Step's scratch
 
 	// Per-node injection counts per 100-cycle window, for the eq. (1)
 	// peak-rate measurement.
 	windowCount []uint32
 	windowStart int64
 	Windows     [][]uint32 // [node][window]
-
-	pool pktPool
 }
 
 var _ Fabric = (*IdealFabric)(nil)
@@ -42,25 +35,11 @@ func NewIdealFabric(cfg Config) (*IdealFabric, error) {
 	}
 	nodes := cfg.Mesh.Nodes()
 	return &IdealFabric{
-		cfg:         cfg,
+		fabricBase:  fabricBase{cfg: cfg},
 		windowCount: make([]uint32, nodes),
 		Windows:     make([][]uint32, nodes),
 	}, nil
 }
-
-// Now returns the current cycle.
-func (f *IdealFabric) Now() int64 { return f.now }
-
-// SetEjectHandler installs the delivery callback.
-func (f *IdealFabric) SetEjectHandler(h func(node int, pkt *Packet, now int64)) {
-	f.ejectHandler = h
-}
-
-// InFlight returns packets accepted but not yet delivered.
-func (f *IdealFabric) InFlight() int { return f.inFlight }
-
-// Stats returns the fabric statistics.
-func (f *IdealFabric) Stats() *NetStats { return &f.stats }
 
 // ResetStats clears measurement counters.
 func (f *IdealFabric) ResetStats() {
@@ -75,13 +54,12 @@ func (f *IdealFabric) ResetStats() {
 // CanInject always reports true: consumption is perfect.
 func (f *IdealFabric) CanInject(node int, pkt *Packet) bool { return true }
 
-// Inject accepts the packet unconditionally.
+// Inject accepts the packet unconditionally: it is enqueued and injected in
+// the same cycle.
 func (f *IdealFabric) Inject(node int, pkt *Packet) bool {
+	f.checkPacket(pkt)
 	pkt.Src = node
-	if pkt.ID == 0 {
-		f.nextPktID++
-		pkt.ID = f.nextPktID
-	}
+	f.number(pkt)
 	pkt.CreatedAt = f.now
 	pkt.InjectedAt = f.now
 	hops := f.cfg.Mesh.Hops(node, pkt.Dst)
@@ -89,10 +67,9 @@ func (f *IdealFabric) Inject(node int, pkt *Packet) bool {
 		pkt:      pkt,
 		arriveAt: f.now + int64(hops) + int64(pkt.Size),
 	})
-	f.inFlight++
 	f.windowCount[node]++
-	f.stats.PacketsInjected[pkt.Type]++
-	f.stats.FlitsInjected[pkt.Type] += uint64(pkt.Size)
+	f.accept(node, pkt)
+	f.trace(pkt, node, TraceInject, f.now)
 	return true
 }
 
@@ -111,11 +88,7 @@ func (f *IdealFabric) Step() {
 	f.inflight, f.due = kept, due
 	slices.SortFunc(due, func(a, b overlayArrival) int { return cmp.Compare(a.pkt.ID, b.pkt.ID) })
 	for _, a := range due {
-		f.stats.recordEject(a.pkt, f.now)
-		f.inFlight--
-		if f.ejectHandler != nil {
-			f.ejectHandler(a.pkt.Dst, a.pkt, f.now)
-		}
+		f.deliver(a.pkt.Dst, a.pkt, f.now)
 	}
 	f.now++
 	f.stats.Cycles++
@@ -128,22 +101,38 @@ func (f *IdealFabric) Step() {
 	}
 }
 
-// GetPacket returns a zeroed packet from the fabric's freelist.
-func (f *IdealFabric) GetPacket() *Packet { return f.pool.get() }
+// NIOccupancyAvgFlits is 0: nothing ever queues at an ideal NI.
+func (f *IdealFabric) NIOccupancyAvgFlits() float64 { return 0 }
 
-// PutPacket recycles a delivered packet into the freelist.
-func (f *IdealFabric) PutPacket(p *Packet) { f.pool.put(p) }
+// CheckInvariants validates that every packet in flight is counted and none
+// is overdue (Step delivers each at its arrival cycle).
+func (f *IdealFabric) CheckInvariants() error {
+	if len(f.inflight) != f.inFlight {
+		return fmt.Errorf("%d packets held != %d in flight", len(f.inflight), f.inFlight)
+	}
+	for _, a := range f.inflight {
+		if a.arriveAt < f.now {
+			return fmt.Errorf("packet %d overdue: due at %d, now %d", a.pkt.ID, a.arriveAt, f.now)
+		}
+	}
+	return nil
+}
+
+// OldestPacketAge returns the age of the oldest packet in flight.
+func (f *IdealFabric) OldestPacketAge() int64 { return f.now - oldestArrival(f.inflight, f.now) }
+
+// StateSnapshot reports the cycle, the in-flight count and the oldest
+// packets.
+func (f *IdealFabric) StateSnapshot() StateDump {
+	held := make([]*Packet, len(f.inflight))
+	for i, a := range f.inflight {
+		held[i] = a.pkt
+	}
+	return f.snapshot(held)
+}
 
 // PeakWindow returns the p-th percentile (0..100) of per-100-cycle packet
-// injection counts of the given node.
+// injection counts of the given node (eq. (1), see peakWindow).
 func (f *IdealFabric) PeakWindow(node int, p float64) float64 {
-	ws := f.Windows[node]
-	if len(ws) == 0 {
-		return 0
-	}
-	sorted := make([]uint32, len(ws))
-	copy(sorted, ws)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return float64(sorted[idx])
+	return peakWindow(f.Windows[node], p)
 }

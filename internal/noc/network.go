@@ -1,46 +1,14 @@
 package noc
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/stats"
 )
 
-// Fabric is the interface between node logic and an interconnect; the mesh
-// Network and the DA2mesh overlay both implement it.
-type Fabric interface {
-	// CanInject reports whether Inject(node, pkt) would succeed this cycle.
-	CanInject(node int, pkt *Packet) bool
-	// Inject hands a whole packet to node's NI; false means the node must
-	// stall and retry.
-	Inject(node int, pkt *Packet) bool
-	// Step advances the fabric by one NoC cycle.
-	Step()
-	// Now returns the fabric's current cycle.
-	Now() int64
-	// SetEjectHandler installs the packet-delivery callback.
-	SetEjectHandler(h func(node int, pkt *Packet, now int64))
-	// InFlight returns packets accepted but not yet delivered.
-	InFlight() int
-	// Stats returns the fabric's statistics (finalised occupancy included).
-	Stats() *NetStats
-	// ResetStats clears the measurement counters (end of warmup) while
-	// preserving all in-flight state.
-	ResetStats()
-	// GetPacket returns a zeroed Packet from the fabric's freelist. Callers
-	// that do not manage packet lifetimes may ignore it and allocate
-	// Packets directly; the freelist is an optimisation, not a requirement.
-	GetPacket() *Packet
-	// PutPacket releases a packet to the freelist. Only call it for packets
-	// obtained from GetPacket, and only once no reference remains (after
-	// the ejection callback returned, or after Inject rejected it).
-	PutPacket(*Packet)
-}
-
 // Network is a cycle-accurate 2D-mesh NoC.
 type Network struct {
-	cfg Config
+	fabricBase
 	// Routers, ejectors and NIs live by value, indexed by node id; their
 	// ports, VCs, flit rings and credit arrays are carved from a handful of
 	// per-network slabs (see slabs), so construction costs a few dozen
@@ -62,13 +30,6 @@ type Network struct {
 	// once the three counters are zero and its NI owes no protocol work.
 	busy []uint64
 
-	now      int64
-	inFlight int
-	stats    NetStats
-	// recovery holds the fault-recovery protocol counters (recovery.go);
-	// kept off NetStats so encoded Results stay byte-identical to
-	// pre-recovery goldens. Never reset — consumers take deltas.
-	recovery RecoveryStats
 	// ctlPending counts ACK/NACK sideband signals issued but not yet
 	// consumed; it keeps Step and Idle honest after the last flit drains
 	// while acknowledgements are still propagating.
@@ -82,8 +43,7 @@ type Network struct {
 	// any mesh link is permanently dead; it then supersedes the configured
 	// routing algorithm entirely (ftable.go). Rebuilt on every kill,
 	// read-only during stepping.
-	ftable       []uint8
-	ejectHandler func(node int, pkt *Packet, now int64)
+	ftable []uint8
 	// sinkGate, when set, lets a node refuse ejection this cycle (e.g. a
 	// memory controller whose request ingress is full); the refusal backs
 	// flits up into the network — the §3 backpressure chain.
@@ -96,19 +56,9 @@ type Network struct {
 	injWindowStart int64
 	InjWindows     []uint32
 
-	pool pktPool
 	// pkts holds every packet with a flit in an NI queue, staged, in a VC
 	// buffer or in an ejector; flits carry its handles.
 	pkts pktTable
-	// lastPktID is the ID handed to the most recently injected packet
-	// (1, 2, 3, ...; IDs are not part of encoded Results).
-	lastPktID uint64
-
-	// tracer receives lifecycle events for every traceEvery-th packet (see
-	// SetTracer); nil disables tracing at the cost of a nil check on
-	// head-flit events.
-	tracer     Tracer
-	traceEvery uint64
 	// vaGrants counts successful VC allocations. It lives here rather than
 	// in NetStats so encoded Results (which embed NetStats) stay
 	// byte-identical to pre-observability golden files.
@@ -149,9 +99,8 @@ func newSlabs(cfg *Config) *slabs {
 		numIn := NumDirections + nc.injPorts()
 		inPorts += numIn
 		sps += NumDirections + nc.injPorts()*nc.injSpeedup(cfg.VCs)
-		// Router input staging plus the ejector's (one flit per cycle in
-		// flight for PipelineStages cycles).
-		staged += stagedCap(cfg, nc) + cfg.PipelineStages
+		// Router input staging plus the ejector's one flit per cycle.
+		staged += stagedCap(nc, cfg.VCs) + 1
 		// Router VC rings, ejector reassembly rings, NI queue(s).
 		flits += (numIn+1)*cfg.VCs*cfg.VCDepth + niQueueFlits(cfg, nc)
 		queues += cfg.VCs
@@ -184,7 +133,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg}
+	n := &Network{fabricBase: fabricBase{cfg: cfg}}
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]router, nodes)
 	n.ejectors = make([]ejector, nodes)
@@ -233,14 +182,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 // Config returns the validated configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Now returns the current cycle.
-func (n *Network) Now() int64 { return n.now }
-
-// SetEjectHandler installs the packet-delivery callback.
-func (n *Network) SetEjectHandler(h func(node int, pkt *Packet, now int64)) {
-	n.ejectHandler = h
-}
-
 // MarkMCRouter tags a node's router as an MC-router (stats/diagnostics).
 func (n *Network) MarkMCRouter(node int) { n.routers[node].isMC = true }
 
@@ -276,31 +217,16 @@ func (n *Network) CanInject(node int, pkt *Packet) bool {
 
 // Inject hands pkt to node's NI. pkt.Size must already be set (use
 // PacketSize) and at most 65 535 flits; pkt.Src is overwritten with node.
+// The packet is numbered before its NI can refuse it.
 func (n *Network) Inject(node int, pkt *Packet) bool {
-	checkSize(pkt)
-	if pkt.Dst < 0 || pkt.Dst >= n.cfg.Mesh.Nodes() {
-		panic(fmt.Sprintf("noc: destination %d out of range", pkt.Dst))
-	}
+	n.checkPacket(pkt)
 	pkt.Src = node
-	if pkt.ID == 0 {
-		n.lastPktID++
-		pkt.ID = n.lastPktID
-	}
+	n.number(pkt)
 	ok := n.nis[node].Offer(pkt, n.now)
 	if ok {
 		n.injWindowCount++
 	}
 	return ok
-}
-
-// checkSize panics unless pkt's size is one a flit's seq can index.
-func checkSize(pkt *Packet) {
-	if pkt.Size <= 0 {
-		panic("noc: packet has no size; use PacketSize")
-	}
-	if pkt.Size > maxPacketFlits {
-		panic(fmt.Sprintf("noc: packet of %d flits exceeds the %d-flit maximum", pkt.Size, maxPacketFlits))
-	}
 }
 
 // Step advances the network one cycle: arrivals and credits land and NIs
@@ -335,10 +261,10 @@ func (n *Network) Step() {
 			for ; m != 0; m &= m - 1 {
 				i := w<<6 | bits.TrailingZeros64(m)
 				if n.routerFlits[i] > 0 {
-					n.routers[i].applyArrivals(now)
+					n.routers[i].applyArrivals()
 				}
 				if n.ejectFlits[i] > 0 {
-					n.ejectors[i].applyArrivals(now)
+					n.ejectors[i].applyArrivals()
 				}
 				if n.niQueued[i] > 0 || (proto && n.nis[i].protoActive()) {
 					n.nis[i].step(now)
@@ -390,15 +316,6 @@ func (n *Network) endCycle() {
 	}
 }
 
-// GetPacket returns a zeroed Packet from the network's freelist.
-func (n *Network) GetPacket() *Packet { return n.pool.get() }
-
-// PutPacket releases a delivered or rejected packet to the freelist.
-func (n *Network) PutPacket(p *Packet) { n.pool.put(p) }
-
-// InFlight returns packets accepted but not yet delivered.
-func (n *Network) InFlight() int { return n.inFlight }
-
 // Idle reports whether no flit exists anywhere in the network and no
 // recovery-protocol work (ACK/NACK signals, unacknowledged packets) remains.
 func (n *Network) Idle() bool {
@@ -412,9 +329,6 @@ func (n *Network) Idle() bool {
 	}
 	return true
 }
-
-// Stats returns the network statistics.
-func (n *Network) Stats() *NetStats { return &n.stats }
 
 // VAGrants returns the cumulative count of successful VC allocations across
 // all routers (observability; never reset, consumers take deltas).
@@ -508,20 +422,6 @@ func (n *Network) NILoad() []uint64 {
 	return out
 }
 
-// PeakInjWindow returns the p-th percentile (0..100) of per-100-cycle
-// packet injection counts, the measurement behind eq. (1) (§4.2 sizes S so
-// that 95% of peak windows are satisfied).
-func (n *Network) PeakInjWindow(p float64) float64 {
-	if len(n.InjWindows) == 0 {
-		return 0
-	}
-	sorted := make([]uint32, len(n.InjWindows))
-	copy(sorted, n.InjWindows)
-	for i := 1; i < len(sorted); i++ { // insertion sort: windows are few
-		for j := i; j > 0 && sorted[j-1] > sorted[j]; j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
-		}
-	}
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return float64(sorted[idx])
-}
+// PeakInjWindow returns the p-th percentile (0..100) of the network's
+// per-100-cycle packet injection counts (eq. (1), see peakWindow).
+func (n *Network) PeakInjWindow(p float64) float64 { return peakWindow(n.InjWindows, p) }

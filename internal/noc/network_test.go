@@ -8,12 +8,11 @@ import (
 func testConfig(t *testing.T, mutate func(*Config)) Config {
 	t.Helper()
 	cfg := Config{
-		Mesh:        Mesh{Width: 4, Height: 4},
-		VCs:         4,
-		LinkBits:    128,
-		DataBytes:   128,
-		Routing:     RouteXY,
-		NonAtomicVC: true,
+		Mesh:      Mesh{Width: 4, Height: 4},
+		VCs:       4,
+		LinkBits:  128,
+		DataBytes: 128,
+		Routing:   RouteXY,
 	}
 	if mutate != nil {
 		mutate(&cfg)

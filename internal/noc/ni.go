@@ -189,13 +189,7 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)
 	ni.acceptedPackets++
-	ni.net.inFlight++
-	ni.net.stats.PacketsInjected[pkt.Type]++
-	ni.net.stats.FlitsInjected[pkt.Type] += uint64(pkt.Size)
-	if tr := ni.net.tracer; tr != nil && pkt.ID%ni.net.traceEvery == 0 {
-		pkt.traced = true
-		tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, ni.node, TraceNIEnqueue, now)
-	}
+	ni.net.accept(ni.node, pkt)
 	return true
 }
 
@@ -306,12 +300,9 @@ func (ni *NI) deliver(f flit, p, v int, now int64) {
 	if f.isHead() {
 		pkt := ni.net.pkts.of(f)
 		pkt.InjectedAt = now
-		if tr := ni.net.tracer; tr != nil && pkt.traced {
-			tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, ni.node, TraceInject, now)
-		}
+		ni.net.trace(pkt, ni.node, TraceInject, now)
 	}
-	// The injection link is one cycle regardless of router pipeline depth.
-	ni.router.stage(f, int32(NumDirections+p), int32(v), now+1)
+	ni.router.stage(f, int32(NumDirections+p), int32(v))
 	ni.injectedFlits++
 	ni.net.stats.InjLinkFlits++
 }

@@ -67,3 +67,26 @@ func (t *pktTable) of(f flit) *Packet { return t.pkts[f.h] }
 
 // live returns the number of packets the table holds.
 func (t *pktTable) live() int { return len(t.pkts) - len(t.free) }
+
+// appendLive appends every packet the table holds to dst, in handle order.
+func (t *pktTable) appendLive(dst []*Packet) []*Packet {
+	for _, p := range t.pkts {
+		if p != nil {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
+// oldest returns the minimum of oldest and the CreatedAt of every packet the
+// table holds.
+func (t *pktTable) oldest(oldest int64) int64 {
+	if t.live() > 0 {
+		for _, p := range t.pkts {
+			if p != nil {
+				oldest = min(oldest, p.CreatedAt)
+			}
+		}
+	}
+	return oldest
+}

@@ -108,9 +108,6 @@ func PacketCheck(p *Packet) uint32 {
 // recoveryOn reports whether the fault-recovery protocol layer is enabled.
 func (n *Network) recoveryOn() bool { return n.cfg.RetransBufPkts > 0 }
 
-// RecoveryStats returns the cumulative recovery counters.
-func (n *Network) RecoveryStats() RecoveryStats { return n.recovery }
-
 // CtlPending returns the number of ACK/NACK sideband signals still in
 // flight; drain loops include it via Idle.
 func (n *Network) CtlPending() int { return n.ctlPending }

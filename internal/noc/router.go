@@ -45,14 +45,13 @@ type inputVC struct {
 	outVC   int8
 }
 
-// stagedFlit is a flit in flight on a link or in the router pipeline,
-// delivered into buffer (port, vc) of its target at the start of cycle
-// deliverAt. Ejectors have a single port and leave port zero.
+// stagedFlit is a flit in flight on a link, delivered into buffer (port,
+// vc) of its target at the start of the next cycle. Ejectors have a single
+// port and leave port zero.
 type stagedFlit struct {
-	f         flit
-	deliverAt int64
-	port      int32
-	vc        int32
+	f    flit
+	port int32
+	vc   int32
 }
 
 // inputPort is a router input port: one of the four mesh ports (indices
@@ -257,7 +256,7 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 	r.in = carve(&sl.inPorts, numIn)
 	r.vcs = carve(&sl.inVCs, numIn*vcs)
 	r.sps = carve(&sl.sps, NumDirections+nc.injPorts()*speedup)
-	r.staged = carve(&sl.staged, stagedCap(cfg, nc))[:0]
+	r.staged = carve(&sl.staged, stagedCap(nc, vcs))[:0]
 	for i := range r.vcs {
 		r.vcs[i] = inputVC{buf: flitQueue{buf: carve(&sl.flits, cfg.VCDepth)}, outPort: -1, outVC: -1}
 	}
@@ -289,11 +288,11 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 	}
 }
 
-// stagedCap bounds the flits simultaneously in flight toward one router: a
-// mesh link carries one flit per cycle for PipelineStages cycles, and an NI
-// supplies at most VCs flits per cycle over its 1-cycle injection links.
-func stagedCap(cfg *Config, nc NodeConfig) int {
-	return NumDirections*cfg.PipelineStages + nc.injPorts()*cfg.VCs
+// stagedCap bounds the flits simultaneously in flight toward one router:
+// each mesh link carries one flit per cycle, and an NI supplies at most VCs
+// flits per cycle per injection port.
+func stagedCap(nc NodeConfig, vcs int) int {
+	return NumDirections + nc.injPorts()*vcs
 }
 
 // flitCount reads the router's activity predicate: flits resident in its
@@ -304,9 +303,9 @@ func (r *router) flitCount() int { return int(r.net.routerFlits[r.id]) }
 func (r *router) addFlits(d int) { r.net.routerFlits[r.id] += int32(d) }
 
 // stage puts a flit in flight toward input buffer (port, vc), landing at
-// the start of cycle due.
-func (r *router) stage(f flit, port, vc int32, due int64) {
-	r.staged = append(r.staged, stagedFlit{f: f, deliverAt: due, port: port, vc: vc})
+// the start of the next cycle.
+func (r *router) stage(f flit, port, vc int32) {
+	r.staged = append(r.staged, stagedFlit{f: f, port: port, vc: vc})
 	r.addFlits(1)
 }
 
@@ -317,22 +316,15 @@ func (r *router) returnCredit(o, v int32) {
 	r.creditDirty[o] |= 1 << uint(v)
 }
 
-// applyArrivals moves due staged flits into VC buffers and applies staged
-// credits (phase 1 of the cycle).
-func (r *router) applyArrivals(now int64) {
-	if len(r.staged) > 0 {
-		kept := r.staged[:0]
-		for i := range r.staged {
-			sf := &r.staged[i]
-			if sf.deliverAt > now {
-				kept = append(kept, *sf)
-				continue
-			}
-			r.vcs[int(sf.port)*r.nvc+int(sf.vc)].buf.push(sf.f)
-			r.in[sf.port].nonEmpty |= 1 << uint(sf.vc)
-		}
-		r.staged = kept
+// applyArrivals moves the flits staged last cycle into VC buffers and
+// applies staged credits (phase 1 of the cycle).
+func (r *router) applyArrivals() {
+	for i := range r.staged {
+		sf := &r.staged[i]
+		r.vcs[int(sf.port)*r.nvc+int(sf.vc)].buf.push(sf.f)
+		r.in[sf.port].nonEmpty |= 1 << uint(sf.vc)
 	}
+	r.staged = r.staged[:0]
 	for o, m := range r.creditDirty {
 		if m == 0 {
 			continue
@@ -496,10 +488,8 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 		r.waitVCs--
 		r.activeVCs++
 		r.net.vaGrants++
-		if tr := r.net.tracer; tr != nil {
-			if pkt := r.net.pkts.of(vc.buf.front()); pkt.traced {
-				tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, r.id, TraceVAGrant, now)
-			}
+		if r.net.tracer != nil {
+			r.net.trace(r.net.pkts.of(vc.buf.front()), r.id, TraceVAGrant, now)
 		}
 	}
 }
@@ -508,9 +498,9 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 // -1, -1: over its candidates in order and downstream VCs descending, the
 // first strict maximum of downstream credits among the eligible VCs (local
 // congestion awareness; scanning VCs downward makes ties prefer adaptive VCs
-// over the escape VC). The buffer-allocation policy decides eligibility:
-// atomic allocation needs a completely empty downstream VC; non-atomic (WPF
-// [28]) only needs space for the whole packet.
+// over the escape VC). Allocation is non-atomic (WPF [28], enabled for both
+// routings in §6.2): a free VC is eligible once it has credits for the whole
+// packet — for a packet longer than a VC buffer, once it is empty.
 func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
 	bestPort, bestVC = -1, -1
 	var need int32 // set once a candidate has a free VC
@@ -522,10 +512,7 @@ func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
 			continue // nothing free, or mesh edge: no link in that direction
 		}
 		if need == 0 {
-			need = int32(r.net.cfg.VCDepth)
-			if r.net.cfg.NonAtomicVC {
-				need = int32(r.net.pkts.of(vc.buf.front()).Size)
-			}
+			need = int32(min(r.net.pkts.of(vc.buf.front()).Size, r.net.cfg.VCDepth))
 		}
 		for f != 0 {
 			ov := 31 - bits.LeadingZeros32(f)
@@ -673,22 +660,19 @@ func (r *router) traverse(p, v, o int, now int64) {
 		f.bits |= flitBad
 		r.net.recovery.CorruptFlits++
 	}
-	if tr := r.net.tracer; tr != nil && f.isHead() {
-		if pkt := r.net.pkts.of(f); pkt.traced {
-			tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, r.id, TraceSwitch, now)
-		}
+	if r.net.tracer != nil && f.isHead() {
+		r.net.trace(r.net.pkts.of(f), r.id, TraceSwitch, now)
 	}
 
-	// A flit sent at cycle t lands in the downstream buffer at
-	// t + PipelineStages (1 = single-cycle router + 1-cycle link).
-	due := now + int64(r.net.cfg.PipelineStages)
+	// A flit sent at cycle t lands in the downstream buffer at t+1
+	// (single-cycle router + 1-cycle link).
 	switch {
 	case op.dest != nil:
-		op.dest.stage(f, op.destPort, int32(vc.outVC), due)
+		op.dest.stage(f, op.destPort, int32(vc.outVC))
 		r.net.markBusy(op.dest.id)
 		r.net.stats.MeshLinkFlits++
 	case op.eject != nil:
-		op.eject.arrivals = append(op.eject.arrivals, stagedFlit{f: f, deliverAt: due, vc: int32(vc.outVC)})
+		op.eject.arrivals = append(op.eject.arrivals, stagedFlit{f: f, vc: int32(vc.outVC)})
 		op.eject.addFlits(1)
 	default:
 		panic("noc: output port with no destination")

@@ -18,8 +18,8 @@ import (
 func (n *Network) scanStep() {
 	now := n.now
 	for i := range n.routers {
-		n.routers[i].applyArrivals(now)
-		n.ejectors[i].applyArrivals(now)
+		n.routers[i].applyArrivals()
+		n.ejectors[i].applyArrivals()
 		n.nis[i].step(now)
 	}
 	for i := range n.routers {

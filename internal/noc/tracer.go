@@ -43,24 +43,25 @@ func (s TraceStage) String() string {
 }
 
 // Tracer receives lifecycle events for sampled packets. Implementations are
-// called synchronously from inside Network.Step, so they must not block and
-// must not touch the network; they only record. Events for one packet arrive
-// in pipeline order; events for different packets interleave.
+// called synchronously from inside a fabric's Inject and Step, so they must
+// not block and must not touch the fabric; they only record. Events for one
+// packet arrive in pipeline order with non-decreasing cycles; events for
+// different packets interleave.
+//
+// Every fabric opens a lifecycle with TraceNIEnqueue and closes it with
+// TraceEject; what lies between is the fabric's own:
+//
+//   - Network: TraceInject when the head flit leaves the NI, then per hop
+//     TraceVAGrant and TraceSwitch.
+//   - DA2Mesh: TraceInject when a lane starts streaming the head flit, and
+//     one TraceSwitch when the packet reaches its destination's ejection
+//     queue (the overlay's last "hop"); TraceEject when that queue has
+//     drained its tail.
+//   - IdealFabric: TraceInject at Inject (there is no queue), no hop, and
+//     TraceEject at delivery.
+//
+// A stage a fabric does not have therefore reads as zero in a latency
+// decomposition.
 type Tracer interface {
 	PacketEvent(pktID uint64, t PacketType, src, dst, node int, stage TraceStage, cycle int64)
-}
-
-// SetTracer installs tr and samples every sampleEvery-th packet by ID
-// (1 traces every packet; 0 or a nil tracer disables tracing). Tracing is
-// observation only: it never alters routing, allocation or timing, so a
-// traced run's Result is bit-identical to an untraced one. The hot-path
-// cost with tracing disabled is a nil check on head-flit events.
-func (n *Network) SetTracer(tr Tracer, sampleEvery uint64) {
-	if tr == nil || sampleEvery == 0 {
-		n.tracer = nil
-		n.traceEvery = 0
-		return
-	}
-	n.tracer = tr
-	n.traceEvery = sampleEvery
 }

@@ -10,10 +10,11 @@ import (
 // AttachSimulator registers the standard probe set over sim's layers on reg
 // and installs reg.Sample as sim's sampling hook at reg.Interval() cycles:
 //
-//   - per-class injection/ejection rates and flit counts for both fabrics;
-//   - per-VC occupancy, router/NI buffer levels and in-flight packets;
-//   - credit-stall cycles, SA grant (switch traversal) and VA grant rates,
-//     link-flit counters and NI-full rejections;
+//   - for both fabrics, per-class injection/ejection rates and flit counts,
+//     in-flight packets, credit-stall cycles, SA grant (switch traversal)
+//     rates, link-flit counters and NI-full rejections;
+//   - on a mesh fabric also VA grant rates, per-VC occupancy and router/NI
+//     buffer levels;
 //   - the warp-stall breakdown (issue/LSU-send/MSHR/store-queue stalls),
 //     instruction and core-cycle counters, and per-interval IPC.
 //
@@ -22,18 +23,17 @@ import (
 // simulated behaviour.
 func AttachSimulator(reg *Registry, sim *core.Simulator) {
 	attachFabric(reg, "req", sim.RequestNet())
-	if rep := sim.ReplyMesh(); rep != nil {
-		attachFabric(reg, "rep", rep)
-	} else {
-		attachBehaviouralFabric(reg, "rep", sim.ReplyNet())
-	}
+	attachFabric(reg, "rep", sim.ReplyNet())
 	attachGPU(reg, sim)
 	sim.SetSampler(reg.Interval(), reg.Sample)
 }
 
-// attachFabric registers the full mesh-network probe set under the label.
-func attachFabric(reg *Registry, label string, n *noc.Network) {
-	st := n.Stats()
+// attachFabric registers f's probe set under the label: the NetStats
+// counters and the in-flight gauge on every fabric, and the router, VC and
+// recovery probes only where routers exist (the mesh).
+func attachFabric(reg *Registry, label string, f noc.Fabric) {
+	st := f.Stats()
+	mesh, _ := f.(*noc.Network)
 	for t := 0; t < noc.NumPacketTypes; t++ {
 		typ := noc.PacketType(t)
 		reg.Counter(fmt.Sprintf("%s.injected_packets.%s", label, typ),
@@ -45,47 +45,36 @@ func attachFabric(reg *Registry, label string, n *noc.Network) {
 	}
 	reg.Counter(label+".credit_stall_cycles", func() float64 { return float64(st.CreditStallCycles) })
 	reg.Counter(label+".sa_grants", func() float64 { return float64(st.SwitchTraversals) })
-	reg.Counter(label+".va_grants", func() float64 { return float64(n.VAGrants()) })
+	if mesh != nil {
+		reg.Counter(label+".va_grants", func() float64 { return float64(mesh.VAGrants()) })
+	}
 	reg.Counter(label+".mesh_link_flits", func() float64 { return float64(st.MeshLinkFlits) })
 	reg.Counter(label+".inj_link_flits", func() float64 { return float64(st.InjLinkFlits) })
 	reg.Counter(label+".eject_flits", func() float64 { return float64(st.EjectFlits) })
 	reg.Counter(label+".ni_full_rejects", func() float64 { return float64(st.NIFullRejects) })
-	reg.Gauge(label+".in_flight", func() float64 { return float64(n.InFlight()) })
-	reg.Gauge(label+".router_flits", func() float64 { return float64(n.BufferedFlits()) })
-	reg.Gauge(label+".ni_queued_flits", func() float64 { return float64(n.NIQueuedFlits()) })
-	for v := 0; v < n.Config().VCs; v++ {
+	reg.Gauge(label+".in_flight", func() float64 { return float64(f.InFlight()) })
+	if mesh == nil {
+		return
+	}
+	reg.Gauge(label+".router_flits", func() float64 { return float64(mesh.BufferedFlits()) })
+	reg.Gauge(label+".ni_queued_flits", func() float64 { return float64(mesh.NIQueuedFlits()) })
+	for v := 0; v < mesh.Config().VCs; v++ {
 		vc := v
 		reg.Gauge(fmt.Sprintf("%s.vc_flits.v%d", label, vc),
-			func() float64 { return float64(n.VCOccupancy(vc)) })
+			func() float64 { return float64(mesh.VCOccupancy(vc)) })
 	}
 	// Recovery-protocol counters, only when the layer is enabled: networks
 	// without it keep their historical metric set byte-identical.
-	if n.Config().RetransBufPkts > 0 {
-		reg.Counter(label+".corrupt_flits", func() float64 { return float64(n.RecoveryStats().CorruptFlits) })
-		reg.Counter(label+".corrupt_packets", func() float64 { return float64(n.RecoveryStats().CorruptPackets) })
-		reg.Counter(label+".nacks_sent", func() float64 { return float64(n.RecoveryStats().NacksSent) })
-		reg.Counter(label+".acks_sent", func() float64 { return float64(n.RecoveryStats().AcksSent) })
-		reg.Counter(label+".retrans_packets", func() float64 { return float64(n.RecoveryStats().RetransPackets) })
-		reg.Counter(label+".retrans_buf_rejects", func() float64 { return float64(n.RecoveryStats().RetransBufFullRejects) })
-		reg.Gauge(label+".dead_links", func() float64 { return float64(n.DeadLinks()) })
-		reg.Gauge(label+".ctl_pending", func() float64 { return float64(n.CtlPending()) })
+	if mesh.Config().RetransBufPkts > 0 {
+		reg.Counter(label+".corrupt_flits", func() float64 { return float64(mesh.RecoveryStats().CorruptFlits) })
+		reg.Counter(label+".corrupt_packets", func() float64 { return float64(mesh.RecoveryStats().CorruptPackets) })
+		reg.Counter(label+".nacks_sent", func() float64 { return float64(mesh.RecoveryStats().NacksSent) })
+		reg.Counter(label+".acks_sent", func() float64 { return float64(mesh.RecoveryStats().AcksSent) })
+		reg.Counter(label+".retrans_packets", func() float64 { return float64(mesh.RecoveryStats().RetransPackets) })
+		reg.Counter(label+".retrans_buf_rejects", func() float64 { return float64(mesh.RecoveryStats().RetransBufFullRejects) })
+		reg.Gauge(label+".dead_links", func() float64 { return float64(mesh.DeadLinks()) })
+		reg.Gauge(label+".ctl_pending", func() float64 { return float64(mesh.CtlPending()) })
 	}
-}
-
-// attachBehaviouralFabric registers the reduced probe set available on
-// fabrics without per-router state (the ideal fabric, the DA2mesh overlay).
-func attachBehaviouralFabric(reg *Registry, label string, f noc.Fabric) {
-	st := f.Stats()
-	for t := 0; t < noc.NumPacketTypes; t++ {
-		typ := noc.PacketType(t)
-		reg.Counter(fmt.Sprintf("%s.injected_packets.%s", label, typ),
-			func() float64 { return float64(st.PacketsInjected[typ]) })
-		reg.Counter(fmt.Sprintf("%s.ejected_packets.%s", label, typ),
-			func() float64 { return float64(st.PacketsEjected[typ]) })
-		reg.Counter(fmt.Sprintf("%s.injected_flits.%s", label, typ),
-			func() float64 { return float64(st.FlitsInjected[typ]) })
-	}
-	reg.Gauge(label+".in_flight", func() float64 { return float64(f.InFlight()) })
 }
 
 // attachGPU registers the warp-stall breakdown and IPC over all cores.
@@ -130,15 +119,11 @@ func attachGPU(reg *Registry, sim *core.Simulator) {
 }
 
 // AttachTracers installs collectors sampling every sampleEvery-th packet on
-// both mesh fabrics of sim and returns them (request first, then reply; the
-// reply entry is nil for behavioural reply fabrics, which carry no per-hop
-// state to trace).
+// both fabrics of sim and returns them, request first, then reply. Every
+// fabric is traceable; noc.Tracer lists the events each emits.
 func AttachTracers(sim *core.Simulator, sampleEvery uint64) (req, rep *Collector) {
-	req = NewCollector("req")
+	req, rep = NewCollector("req"), NewCollector("rep")
 	sim.RequestNet().SetTracer(req, sampleEvery)
-	if mesh := sim.ReplyMesh(); mesh != nil {
-		rep = NewCollector("rep")
-		mesh.SetTracer(rep, sampleEvery)
-	}
+	sim.ReplyNet().SetTracer(rep, sampleEvery)
 	return req, rep
 }
