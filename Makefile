@@ -5,11 +5,14 @@
 # suites). Performance is not gated here: the ledger is benchmark/ (see
 # benchmark/README.md; `bash benchmark/run.sh -compare A B` is the one
 # comparison tool), and the Benchmark* functions are plain `go test -bench`.
+# Each internal benchmark still runs once, so one that a state change breaks
+# (a b.Fatal, a panic) fails here rather than in the next profiling session.
 check: bench-ledger-check
 	go build ./...
 	go vet ./...
 	test -z "$$(gofmt -l .)"
 	go test -race ./...
+	go test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # bench-ledger-check compiles and tests benchmark/, which is its own module
 # (replace repro => ../) and so is invisible to the root go build/vet/test:

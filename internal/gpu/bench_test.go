@@ -19,21 +19,33 @@ func BenchmarkCoreTickCompute(b *testing.B) {
 }
 
 func BenchmarkCoreTickMemoryBound(b *testing.B) {
-	// Every instruction is a load; replies return immediately, so the core
-	// exercises the full issue + LSU + MSHR + fill path each iteration.
-	var core *Core
+	// Every instruction is a load of a fresh line, and each reply is
+	// delivered on the next iteration — after the LSU has registered its
+	// MSHR entry — so every instruction takes the full issue + LSU + MSHR +
+	// fill path.
+	var pending []*mem.Transaction
 	send := func(txn *mem.Transaction) bool {
-		core.ReceiveReply(txn)
+		pending = append(pending, txn)
 		return true
 	}
 	c, err := NewCore(0, 0, smallCoreConfig(), &scriptedWorkload{compute: 0, stride: 128}, send)
 	if err != nil {
 		b.Fatal(err)
 	}
-	core = c
+	var due []*mem.Transaction
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		due, pending = pending, due[:0]
+		for _, txn := range due {
+			c.ReceiveReply(txn)
+		}
 		c.Tick()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.Instructions)/float64(b.N), "instr/op")
+	// Stuck warps would leave the loop timing the idle early-out.
+	if c.Instructions < uint64(b.N)/4 {
+		b.Fatalf("%d instructions in %d ticks: the memory path stopped issuing", c.Instructions, b.N)
 	}
 }
 

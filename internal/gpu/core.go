@@ -152,7 +152,14 @@ type Core struct {
 	// allocates nothing.
 	txnFree []*mem.Transaction
 
+	// run is the current warp's remaining compute run, moved out of its
+	// computeLeft by the burst hand-off at the end of Tick. While it is
+	// positive a tick issues one compute instruction and does nothing else;
+	// it sits beside the two counters that tick writes.
+	run int
+
 	// Stats (reset at end of warmup).
+	CoreCycles    uint64
 	Instructions  uint64
 	MemInstrs     uint64
 	LoadTxns      uint64
@@ -161,7 +168,6 @@ type Core struct {
 	LSUSendStalls uint64 // LSU blocked by NI rejection
 	MSHRStalls    uint64
 	StoreQStalls  uint64
-	CoreCycles    uint64
 }
 
 // NewCore builds a core. send is the request-injection hook installed by
@@ -236,8 +242,23 @@ func (c *Core) IPC() float64 {
 }
 
 // Tick advances the core by one core-clock cycle.
+//
+// A compute burst costs three fields a tick. When a tick ends with the LSU
+// queue empty and the current warp ready with compute left, that compute
+// moves into run, and the ticks that follow only count it down. The full
+// tick would do the same: greedy issue tries the current warp first and a
+// ready warp with compute left always issues; the LSU queue grows only when
+// a memory instruction issues, which needs the compute spent, so stepLSU
+// stays a no-op; and replies (ReceiveReply) only make other warps ready.
+// The current warp, and with it every workload draw, is therefore the same
+// tick for tick.
 func (c *Core) Tick() {
 	c.CoreCycles++
+	if c.run > 0 {
+		c.run--
+		c.Instructions++
+		return
+	}
 	if c.readyWarps == 0 && len(c.lsuQ) == 0 {
 		// Idle: with no ready warp nothing can issue (so no workload draw
 		// happens), and with an empty LSU queue stepLSU is a no-op. The
@@ -247,6 +268,9 @@ func (c *Core) Tick() {
 	}
 	c.stepLSU()
 	c.issue()
+	if wp := &c.warps[c.current]; len(c.lsuQ) == 0 && wp.state == warpReady && wp.computeLeft > 0 {
+		c.run, wp.computeLeft = wp.computeLeft, 0
+	}
 }
 
 // issue performs greedy-then-oldest scheduling: keep issuing from the

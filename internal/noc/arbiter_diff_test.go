@@ -312,7 +312,6 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 		const now = 1000
 		n.faulted = r.Intn(3) == 0
 		span := 15 + r.Intn(16) // waits beyond the limit of 20 in some states only
-		rt.activeVCs = 0
 		for p := range rt.in {
 			ip := &rt.in[p]
 			ip.waitVC, ip.active, ip.nonEmpty, ip.hasCredit, ip.frozenUntil = 0, 0, 0, 0, 0
@@ -333,7 +332,6 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 				}
 				if vc.state == vcActive {
 					ip.active |= bit
-					rt.activeVCs++
 					vc.outPort, vc.outVC = int8(r.Intn(numOutPorts)), int8(r.Intn(rt.nvc))
 					if r.Intn(5) != 0 {
 						ip.hasCredit |= bit
@@ -341,6 +339,7 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 				}
 			}
 		}
+		_, rt.bidPorts, _ = activityMasks(rt)
 		rt.starveFloor = now - 30 // a valid lower bound on every waitSince
 		for o := range rt.out {
 			rt.out[o].stalledUntil = 0
@@ -358,11 +357,14 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 		wantWin, wantSPs, wantNext, wantStalls := separableSA(rt, now)
 		before := n.stats.CreditStallCycles
 		var won [numOutPorts]saGrant
-		rt.arbitrate(now, &won)
+		wonOuts := rt.arbitrate(now, &won)
 		for o := range won {
 			got := [2]int32{-1, -1}
 			if g := won[o]; g.rank != 0 {
 				got = [2]int32{rt.sps[g.sp].port, g.vc}
+			}
+			if (wonOuts&(1<<uint(o)) != 0) != (got[0] >= 0) {
+				t.Fatalf("iter %d out %d: won mask %05b, winner %d/%d", iter, o, wonOuts, got[0], got[1])
 			}
 			if got != wantWin[o] {
 				t.Fatalf("iter %d out %d: fused grants %d/%d, separable stages %d/%d", iter, o, got[0], got[1], wantWin[o][0], wantWin[o][1])

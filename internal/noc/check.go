@@ -213,10 +213,30 @@ func (n *Network) checkRouter(r *router) error {
 	return nil
 }
 
+// activityMasks recounts the router-level masks rcPorts, bidPorts and
+// creditOuts from the port masks and creditDirty.
+func activityMasks(r *router) (rcPorts, bidPorts uint32, creditOuts uint8) {
+	for p := range r.in {
+		ip := &r.in[p]
+		if ip.nonEmpty&^(ip.waitVC|ip.active) != 0 {
+			rcPorts |= 1 << uint(p)
+		}
+		if ip.nonEmpty&ip.active != 0 {
+			bidPorts |= 1 << uint(p)
+		}
+	}
+	for o, m := range r.creditDirty {
+		if m != 0 {
+			creditOuts |= 1 << uint(o)
+		}
+	}
+	return rcPorts, bidPorts, creditOuts
+}
+
 // checkMasks recounts every mask and count the allocators rely on from the
 // per-VC and per-output-VC state they index.
 func checkMasks(r *router) error {
-	var waiting, active int32
+	var waiting int32
 	for p := range r.in {
 		var nonEmpty, waitVC, act, hasCredit uint32
 		for v := 0; v < r.nvc; v++ {
@@ -254,10 +274,9 @@ func checkMasks(r *router) error {
 			return fmt.Errorf("port %d: vaFresh %04b outside waitVC %04b", p, ip.vaFresh, waitVC)
 		}
 		waiting += int32(bits.OnesCount32(waitVC))
-		active += int32(bits.OnesCount32(act))
 	}
-	if r.waitVCs != waiting || r.activeVCs != active {
-		return fmt.Errorf("waiting/active counts %d/%d != recounted %d/%d", r.waitVCs, r.activeVCs, waiting, active)
+	if r.waitVCs != waiting {
+		return fmt.Errorf("waiting count %d != recounted %d", r.waitVCs, waiting)
 	}
 	for g := range r.vcs {
 		vc := &r.vcs[g]
@@ -292,6 +311,12 @@ func checkMasks(r *router) error {
 			return fmt.Errorf("out %d: masks free/creditDirty %04b/%04b != recounted %04b/%04b",
 				o, op.free, r.creditDirty[o], free, dirty)
 		}
+	}
+	// The output masks are recounted above, so recounting the router-level
+	// masks from them checks those against the VC state too.
+	if rc, bid, credit := activityMasks(r); r.rcPorts != rc || r.bidPorts != bid || r.creditOuts != credit {
+		return fmt.Errorf("masks rcPorts/bidPorts/creditOuts %b/%b/%05b != recounted %b/%b/%05b",
+			r.rcPorts, r.bidPorts, r.creditOuts, rc, bid, credit)
 	}
 	for i := range r.sps {
 		if sp := &r.sps[i]; sp.mask&(1<<sp.next) == 0 {

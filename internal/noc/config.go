@@ -63,6 +63,10 @@ type NodeConfig struct {
 	InjSpeedup int
 }
 
+// maxInjPorts bounds NodeConfig.InjPorts so a router's input ports (the
+// mesh ports plus the injection ports) fit one uint32 mask.
+const maxInjPorts = 32 - NumDirections
+
 func (nc NodeConfig) injPorts() int {
 	if nc.InjPorts < 1 {
 		return 1
@@ -173,6 +177,11 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Nodes != nil && len(c.Nodes) != c.Mesh.Nodes() {
 		return c, fmt.Errorf("noc: Nodes has %d entries for a %d-node mesh", len(c.Nodes), c.Mesh.Nodes())
+	}
+	for id, nc := range c.Nodes {
+		if nc.InjPorts > maxInjPorts {
+			return c, fmt.Errorf("noc: node %d has %d injection ports, at most %d supported", id, nc.InjPorts, maxInjPorts)
+		}
 	}
 	return c, nil
 }

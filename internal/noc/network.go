@@ -107,8 +107,9 @@ func newSlabs(cfg *Config) *slabs {
 		if nc.NI == NISplit {
 			queues += cfg.VCs
 		}
-		// Output creditIn slots plus the NI's injection-VC credits.
-		int32s += (numOutPorts + nc.injPorts()) * cfg.VCs
+		// Output creditIn slots, the NI's injection-VC credits and the
+		// router's switch-port offsets.
+		int32s += (numOutPorts+nc.injPorts())*cfg.VCs + numIn + 1
 		if cfg.RetransBufPkts > 0 {
 			bools += cfg.VCs
 		}

@@ -301,3 +301,19 @@ func TestPriorityLevelsValidated(t *testing.T) {
 		t.Fatalf("%d priority levels accepted", cfg.PriorityLevels)
 	}
 }
+
+// TestInjPortsValidated: a router's input ports index the bits of its
+// uint32 activity masks, so a node with more injection ports than fit next
+// to the four mesh ports is rejected.
+func TestInjPortsValidated(t *testing.T) {
+	cfg := Config{Mesh: Mesh{Width: 2, Height: 2}, VCs: 4, LinkBits: 128, DataBytes: 128}
+	cfg.Nodes = make([]NodeConfig, cfg.Mesh.Nodes())
+	cfg.Nodes[3] = NodeConfig{NI: NIMultiPort, InjPorts: 28}
+	if _, err := NewNetwork(cfg); err != nil {
+		t.Fatalf("28 injection ports rejected: %v", err)
+	}
+	cfg.Nodes[3].InjPorts++
+	if _, err := cfg.Validate(); err == nil {
+		t.Fatal("29 injection ports accepted")
+	}
+}

@@ -193,20 +193,33 @@ type router struct {
 	// creditDirty[o] flags the non-zero slots of out[o].creditIn.
 	creditDirty [numOutPorts]uint32
 
+	// Router-level activity masks, so RC, SA and credit application visit
+	// only the ports and outputs with work: rcPorts has bit p set while
+	// input port p has an idle VC holding a head flit, bidPorts while port p
+	// has an active VC holding a flit, and creditOuts bit o while
+	// creditDirty[o] is non-zero. Config.Validate bounds the input ports to
+	// 32. Each is maintained where its predicate changes (push, RC, VA grant,
+	// traversal, returnCredit) and CheckInvariants asserts it equals a
+	// recount.
+	rcPorts, bidPorts uint32
+	creditOuts        uint8
+
 	// Switch: SA stage 1 picks one VC per switch-port, stage 2 grants one
 	// switch-port per output; outNext[o] is output o's round-robin pointer
 	// over switch-port indices.
-	sps       []switchPort
+	sps []switchPort
+	// spStart[p] is the index of input port p's first switch-port; its
+	// switch-ports are sps[spStart[p]:spStart[p+1]].
+	spStart   []int32
 	outNext   [numOutPorts]int32
 	prioArbOn bool
 
 	// The router's flit-count activity predicate lives in the network's
 	// routerFlits array — addFlits/flitCount below.
 	//
-	// waitVCs counts input VCs in vcWaitVC and activeVCs those in vcActive
-	// (the popcounts of the port masks): O(1) early-outs for VA and SA.
-	waitVCs   int32
-	activeVCs int32
+	// waitVCs counts input VCs in vcWaitVC (the popcount of the port
+	// masks): VA's O(1) early-out; SA's is bidPorts.
+	waitVCs int32
 	// vaRetry is set by every event that can turn a failed VC allocation
 	// into a grant — a new waiter (RC), credits landing on a free downstream
 	// VC, a tail freeing one, a re-route — and cleared by each VA pass. A
@@ -256,12 +269,14 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 	r.in = carve(&sl.inPorts, numIn)
 	r.vcs = carve(&sl.inVCs, numIn*vcs)
 	r.sps = carve(&sl.sps, NumDirections+nc.injPorts()*speedup)
+	r.spStart = carve(&sl.int32s, numIn+1)
 	r.staged = carve(&sl.staged, stagedCap(nc, vcs))[:0]
 	for i := range r.vcs {
 		r.vcs[i] = inputVC{buf: flitQueue{buf: carve(&sl.flits, cfg.VCDepth)}, outPort: -1, outVC: -1}
 	}
 	sp := 0
 	for p := range r.in {
+		r.spStart[p] = int32(sp)
 		s := 1
 		if p >= NumDirections {
 			s = speedup
@@ -275,6 +290,7 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 			sp++
 		}
 	}
+	r.spStart[numIn] = int32(sp)
 
 	r.out = carve(&sl.outPorts, numOutPorts)
 	for o := range r.out {
@@ -314,21 +330,30 @@ func (r *router) stage(f flit, port, vc int32) {
 func (r *router) returnCredit(o, v int32) {
 	r.out[o].creditIn[v]++
 	r.creditDirty[o] |= 1 << uint(v)
+	r.creditOuts |= 1 << uint(o)
 }
 
 // applyArrivals moves the flits staged last cycle into VC buffers and
-// applies staged credits (phase 1 of the cycle).
+// applies staged credits (phase 1 of the cycle). A flit landing in an idle
+// VC gives RC work at its port, one landing in an active VC gives SA a
+// bidder (a waiting VC already holds its head flit).
 func (r *router) applyArrivals() {
 	for i := range r.staged {
 		sf := &r.staged[i]
-		r.vcs[int(sf.port)*r.nvc+int(sf.vc)].buf.push(sf.f)
+		vc := &r.vcs[int(sf.port)*r.nvc+int(sf.vc)]
+		vc.buf.push(sf.f)
 		r.in[sf.port].nonEmpty |= 1 << uint(sf.vc)
+		switch vc.state {
+		case vcIdle:
+			r.rcPorts |= 1 << uint(sf.port)
+		case vcActive:
+			r.bidPorts |= 1 << uint(sf.port)
+		}
 	}
 	r.staged = r.staged[:0]
-	for o, m := range r.creditDirty {
-		if m == 0 {
-			continue
-		}
+	for outs := r.creditOuts; outs != 0; outs &= outs - 1 {
+		o := bits.TrailingZeros8(outs)
+		m := r.creditDirty[o]
 		r.creditDirty[o] = 0
 		op := &r.out[o]
 		if m&op.free != 0 {
@@ -347,6 +372,7 @@ func (r *router) applyArrivals() {
 			}
 		}
 	}
+	r.creditOuts = 0
 }
 
 // cycle runs the router's RC, VA and SA/ST stages back to back. Fusing them
@@ -361,14 +387,15 @@ func (r *router) cycle(now int64) {
 	r.switchAllocate(now)
 }
 
-// routeCompute runs RC for every idle VC with a buffered head flit: it
-// computes the admissible candidates, captures the arrival priority, and
-// performs the per-hop priority decrement (§5). After a link death, VCs
-// still waiting for a downstream VC recompute their candidates — without
-// re-applying the priority decrement, which is per hop, not per
-// recomputation.
+// routeCompute runs RC for every idle VC with a buffered head flit, at the
+// ports rcPorts names: it computes the admissible candidates, captures the
+// arrival priority, and performs the per-hop priority decrement (§5). After
+// a link death, VCs still waiting for a downstream VC recompute their
+// candidates — without re-applying the priority decrement, which is per
+// hop, not per recomputation.
 func (r *router) routeCompute(now int64) {
-	for p := range r.in {
+	for pm := r.rcPorts; pm != 0; pm &= pm - 1 {
+		p := bits.TrailingZeros32(pm)
 		ip := &r.in[p]
 		for m := ip.nonEmpty &^ (ip.waitVC | ip.active); m != 0; m &= m - 1 {
 			v := bits.TrailingZeros32(m)
@@ -391,6 +418,7 @@ func (r *router) routeCompute(now int64) {
 			vc.waitSince = now
 		}
 	}
+	r.rcPorts = 0
 	if r.reroute {
 		r.reroute = false
 		r.vaRetry = true
@@ -485,8 +513,8 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 		ip.waitVC &^= bit
 		ip.active |= bit
 		ip.hasCredit |= bit // a packet needs >= 1 credit, so the granted VC has one
+		r.bidPorts |= 1 << uint(p)
 		r.waitVCs--
-		r.activeVCs++
 		r.net.vaGrants++
 		if r.net.tracer != nil {
 			r.net.trace(r.net.pkts.of(vc.buf.front()), r.id, TraceVAGrant, now)
@@ -546,69 +574,79 @@ func (r *router) starvationActive(now int64) bool {
 // switchAllocate runs separable input-first switch allocation and performs
 // the winning switch/link traversals (SA + ST + LT), in output order.
 func (r *router) switchAllocate(now int64) {
-	if r.activeVCs == 0 {
-		// No input VC holds a downstream VC, so no switch-port can bid and
-		// no output can grant.
+	if r.bidPorts == 0 {
+		// No active input VC holds a flit, so no switch-port can bid and no
+		// output can grant.
 		return
 	}
 	var won [numOutPorts]saGrant
-	r.arbitrate(now, &won)
-	for o := range won {
-		if g := &won[o]; g.rank != 0 {
-			r.traverse(int(r.sps[g.sp].port), int(g.vc), o, now)
-		}
+	for m := r.arbitrate(now, &won); m != 0; m &= m - 1 {
+		o := bits.TrailingZeros8(m)
+		r.traverse(int(r.sps[won[o].sp].port), int(won[o].vc), o, now)
 	}
 }
 
 // arbitrate is SA with stage 2 folded into stage 1's scan. Each switch-port
-// of a port not frozen by fault injection picks among its member VCs that
-// are active and hold a flit; the winner requests its output with the
-// priority it carried on arrival when ARI prioritisation is enabled
+// of a bidding port (bidPorts) not frozen by fault injection picks among its
+// member VCs that are active and hold a flit; the winner requests its output
+// with the priority it carried on arrival when ARI prioritisation is enabled
 // (injection VCs forced to 0 while the starvation guard is active), and the
-// output's running winner (saGrant.offer) takes it or keeps its own. An
-// output stalled by fault injection grants nobody, so requests toward it
-// are dropped. Every arbiter pointer moves as the two separate stages moved
-// it; won (zero on entry) receives each output's winner.
-func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) {
+// output's running winner (saGrant.offer) takes it or keeps its own. A
+// switch-port of a port outside bidPorts has no bidder, and stage 2 keeps
+// the maximum of (priority, rank) with every rank distinct, so skipping
+// those ports leaves every winner as the full scan picks it. An output
+// stalled by fault injection grants nobody, so requests toward it are
+// dropped. Every arbiter pointer moves as the two separate stages moved it;
+// won (zero on entry) receives each output's winner, and the returned mask
+// has bit o set for each output that has one.
+func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) (wonOuts uint8) {
 	starved := r.prioArbOn && r.starvationActive(now)
 	faulted := r.net.faulted
 	nSP := int32(len(r.sps))
 	stalls := 0
-	for i := range r.sps {
-		sp := &r.sps[i]
-		ip := &r.in[sp.port]
-		bidding := ip.active & ip.nonEmpty & sp.mask
-		if bidding == 0 || (faulted && now < ip.frozenUntil) {
+	for pm := r.bidPorts; pm != 0; pm &= pm - 1 {
+		p := bits.TrailingZeros32(pm)
+		ip := &r.in[p]
+		if faulted && now < ip.frozenUntil {
 			continue
 		}
-		v, st := sp.pick(bidding, ip.hasCredit, r.nvc)
-		stalls += st
-		if v < 0 {
-			continue
+		ready := ip.active & ip.nonEmpty
+		for i := r.spStart[p]; i < r.spStart[p+1]; i++ {
+			sp := &r.sps[i]
+			bidding := ready & sp.mask
+			if bidding == 0 {
+				continue
+			}
+			v, st := sp.pick(bidding, ip.hasCredit, r.nvc)
+			stalls += st
+			if v < 0 {
+				continue
+			}
+			vc := &r.vcs[p*r.nvc+v]
+			o := vc.outPort
+			if faulted && now < r.out[o].stalledUntil {
+				continue
+			}
+			prio := 0
+			if r.prioArbOn && !(starved && p >= NumDirections) {
+				prio = int(vc.effPrio)
+			}
+			rot := i - r.outNext[o] // distance from the pointer in scan order
+			if rot < 0 {
+				rot += nSP
+			}
+			won[o].offer(i, int32(v), nSP-rot, prio)
+			wonOuts |= 1 << uint(o)
 		}
-		vc := &r.vcs[int(sp.port)*r.nvc+v]
-		o := vc.outPort
-		if faulted && now < r.out[o].stalledUntil {
-			continue
-		}
-		prio := 0
-		if r.prioArbOn && !(starved && int(sp.port) >= NumDirections) {
-			prio = int(vc.effPrio)
-		}
-		rot := int32(i) - r.outNext[o] // distance from the pointer in scan order
-		if rot < 0 {
-			rot += nSP
-		}
-		won[o].offer(int32(i), int32(v), nSP-rot, prio)
 	}
 	r.net.stats.CreditStallCycles += uint64(stalls)
-	for o := range won {
-		if g := &won[o]; g.rank != 0 {
-			if r.outNext[o] = g.sp + 1; r.outNext[o] == nSP {
-				r.outNext[o] = 0
-			}
+	for m := wonOuts; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros8(m)
+		if r.outNext[o] = won[o].sp + 1; r.outNext[o] == nSP {
+			r.outNext[o] = 0
 		}
 	}
+	return wonOuts
 }
 
 // pick is SA stage 1 for one switch-port: among the bidding member VCs it
@@ -695,6 +733,11 @@ func (r *router) traverse(p, v, o int, now int64) {
 		vc.outPort, vc.outVC = -1, -1
 		ip.active &^= bit
 		ip.hasCredit &^= bit
-		r.activeVCs--
+		if ip.nonEmpty&bit != 0 {
+			r.rcPorts |= 1 << uint(p) // the next packet's head is behind the tail
+		}
+	}
+	if ip.active&ip.nonEmpty == 0 {
+		r.bidPorts &^= 1 << uint(p)
 	}
 }
