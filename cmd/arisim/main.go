@@ -29,7 +29,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
@@ -85,7 +84,7 @@ func main() {
 		return
 	}
 
-	scheme, err := parseScheme(*schemeStr)
+	scheme, err := core.ParseScheme(*schemeStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -395,15 +394,6 @@ func buildWorkload(record, replay string, cfg core.Config, kernel trace.Kernel) 
 	default:
 		return nil, nil, nil
 	}
-}
-
-func parseScheme(s string) (core.Scheme, error) {
-	for sch := core.Scheme(0); int(sch) < core.NumSchemes; sch++ {
-		if strings.EqualFold(sch.String(), s) {
-			return sch, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 // printEstimate renders the analytical model's answer in the same shape as

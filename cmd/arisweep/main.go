@@ -158,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// runPoint executes one sweep point: locally on the hardened runner, or
 	// remotely through the retrying client when -server is set.
 	// Per-point observability (local only): each point gets a fresh metrics
-	// registry attached through Runner.Instrument and dumped to its own CSV.
+	// registry attached through exp.WithInstrument and dumped to its own CSV.
 	// Points journalled from a previous sweep never build a simulator, so
 	// they produce no CSV — by design, resumption stays cheap.
 	var runPoint func(cfg core.Config) (core.Result, error)
@@ -200,15 +200,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stderr, "arisweep: resuming, %d runs journalled in %s\n", j.Loaded(), j.Path())
 			}
 		}
+		ctx := context.Background()
 		if *obsInterval > 0 {
-			runner.Instrument = func(sim *core.Simulator) {
+			ctx = exp.WithInstrument(ctx, func(sim *core.Simulator) {
 				obsReg = obs.NewRegistry(*obsInterval)
 				obs.AttachSimulator(obsReg, sim)
 				obsReg.Reserve(int((base.WarmupCycles+base.MeasureCycles) / *obsInterval) + 2)
-			}
+			})
 		}
 		runPoint = func(cfg core.Config) (core.Result, error) {
-			return runner.Run(cfg, kernel)
+			return runner.RunKey(ctx, exp.JobKey(cfg, kernel.Name), exp.Job{Cfg: cfg, Kernel: kernel})
 		}
 	}
 

@@ -50,7 +50,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r := sim.Run()
+		r, err := sim.RunChecked(core.CheckOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if s == core.AdaBaseline {
 			baseIPC = r.IPC
 		}

@@ -29,7 +29,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return sim.Run()
+		r, err := sim.RunChecked(core.CheckOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
 	}
 
 	base := run(core.AdaBaseline)

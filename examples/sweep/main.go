@@ -36,7 +36,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return sim.Run()
+		r, err := sim.RunChecked(core.CheckOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
 	}
 
 	fmt.Printf("benchmark %s: IPC for VC count x injection speedup (Ada-ARI)\n\n", *bench)

@@ -30,13 +30,19 @@ type Calibration struct {
 }
 
 // CalibrateSpeedup performs the eq. (1)/(2) sizing for kernel k under cfg.
-func CalibrateSpeedup(cfg Config, k trace.Kernel) (Calibration, error) {
+// The ideal-fabric run goes through RunChecked under opt, so a stuck or
+// interrupted calibration fails like any other run.
+func CalibrateSpeedup(cfg Config, k trace.Kernel, opt CheckOptions) (Calibration, error) {
 	cfg.IdealReply = true
 	sim, err := NewSimulator(cfg, k)
 	if err != nil {
 		return Calibration{}, err
 	}
-	res := sim.Run()
+	defer sim.Close()
+	res, err := sim.RunChecked(opt)
+	if err != nil {
+		return Calibration{}, err
+	}
 
 	ideal, ok := sim.ReplyNet().(*noc.IdealFabric)
 	if !ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/noc"
@@ -18,7 +19,7 @@ func TestIdealReplyFabricWiring(t *testing.T) {
 	if _, ok := sim.ReplyNet().(*noc.IdealFabric); !ok {
 		t.Fatalf("reply fabric is %T, want *noc.IdealFabric", sim.ReplyNet())
 	}
-	r := sim.Run()
+	r := mustRun(t, sim)
 	if r.Instructions == 0 || r.RepliesSent == 0 {
 		t.Fatal("ideal-reply run made no progress")
 	}
@@ -37,7 +38,7 @@ func TestIdealBeatsRealNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := sim.Run()
+	ideal := mustRun(t, sim)
 	if ideal.IPC <= real.IPC {
 		t.Fatalf("ideal reply fabric IPC %.3f not above real %.3f", ideal.IPC, real.IPC)
 	}
@@ -47,7 +48,7 @@ func TestCalibrateSpeedup(t *testing.T) {
 	cfg := fastConfig(AdaBaseline)
 	for _, name := range []string{"bfs", "lavaMD"} {
 		k, _ := trace.ByName(name)
-		cal, err := CalibrateSpeedup(cfg, k)
+		cal, err := CalibrateSpeedup(cfg, k, CheckOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,9 +69,19 @@ func TestCalibrateSpeedup(t *testing.T) {
 	// compute-bound one.
 	kHigh, _ := trace.ByName("bfs")
 	kLow, _ := trace.ByName("lavaMD")
-	ch, _ := CalibrateSpeedup(cfg, kHigh)
-	cl, _ := CalibrateSpeedup(cfg, kLow)
+	ch, _ := CalibrateSpeedup(cfg, kHigh, CheckOptions{})
+	cl, _ := CalibrateSpeedup(cfg, kLow, CheckOptions{})
 	if ch.PeakRatePerMC <= cl.PeakRatePerMC {
 		t.Fatalf("bfs peak rate %.4f not above lavaMD %.4f", ch.PeakRatePerMC, cl.PeakRatePerMC)
+	}
+}
+
+// TestCalibrateSpeedupObeysInterrupt: the ideal-fabric run goes through the
+// checked loop, so the harness's interrupt stops it.
+func TestCalibrateSpeedupObeysInterrupt(t *testing.T) {
+	k, _ := trace.ByName("bfs")
+	_, err := CalibrateSpeedup(fastConfig(AdaBaseline), k, CheckOptions{Interrupt: func() bool { return true }})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
 }

@@ -25,7 +25,12 @@ func Example() {
 			fmt.Println(err)
 			return 0
 		}
-		return sim.Run().IPC
+		r, err := sim.RunChecked(core.CheckOptions{})
+		if err != nil {
+			fmt.Println(err)
+			return 0
+		}
+		return r.IPC
 	}
 	base := run(core.AdaBaseline)
 	ari := run(core.AdaARI)

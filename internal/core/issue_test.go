@@ -33,7 +33,7 @@ func TestRealisedCoalescingMatchesKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim.Run()
+			mustRun(t, sim)
 			var txns, instrs uint64
 			for _, c := range sim.Cores() {
 				txns += c.LoadTxns + c.StoreTxns

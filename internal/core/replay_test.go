@@ -33,7 +33,7 @@ func TestRecordedTraceReplaysFaithfully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := simA.Run()
+	a := mustRun(t, simA)
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRecordedTraceReplaysFaithfully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := simB.Run()
+	b := mustRun(t, simB)
 
 	if a.Instructions != b.Instructions {
 		t.Fatalf("replay diverged: %d vs %d instructions", a.Instructions, b.Instructions)
@@ -70,7 +70,7 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := simPlain.Run()
+	plain := mustRun(t, simPlain)
 
 	gen, _ := trace.NewGenerator(k, cores, cfg.Seed)
 	var buf bytes.Buffer
@@ -79,7 +79,7 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded := simRec.Run()
+	recorded := mustRun(t, simRec)
 
 	if plain.Instructions != recorded.Instructions || plain.IPC != recorded.IPC {
 		t.Fatalf("recorder perturbed the run: %d vs %d instructions",
@@ -105,7 +105,7 @@ func recordRun(t *testing.T, cfg Config, k trace.Kernel) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
+	mustRun(t, sim)
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type Result struct {
 	Instructions   uint64
 	IPC            float64 // aggregate warp-instructions per core cycle
 
-	// Truncated reports that a fixed-work run (RunWork/RunWorkChecked) hit
+	// Truncated reports that a fixed-work run (RunWorkChecked) hit
 	// its maxCycles guard before retiring the requested instructions, so
 	// MeasuredCycles understates the true execution time.
 	Truncated bool

@@ -18,7 +18,7 @@ func TestRunWorkFixedWorkMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.RunWork(work, 200000)
+		return mustRunWork(t, sim, work, 200000)
 	}
 	base := runW(AdaBaseline)
 	ari := runW(AdaARI)
@@ -39,7 +39,7 @@ func TestRunWorkRespectsCycleBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := sim.RunWork(1<<60, 500)
+	r := mustRunWork(t, sim, 1<<60, 500)
 	if r.MeasuredCycles > 501 {
 		t.Fatalf("cycle bound ignored: measured %d", r.MeasuredCycles)
 	}
@@ -57,7 +57,7 @@ func TestRunWorkActivityUsesRealWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := sim.RunWork(5000, 100000)
+	r := mustRunWork(t, sim, 5000, 100000)
 	if r.Activity.NoCCycles != r.MeasuredCycles {
 		t.Fatalf("activity window %d != measured %d", r.Activity.NoCCycles, r.MeasuredCycles)
 	}

@@ -50,21 +50,13 @@ func (s *Simulator) scanStep() (quiet int) {
 	return quiet
 }
 
-// retired sums the warp-instructions the cores retired since the last reset.
-func (s *Simulator) retired() uint64 {
-	var done uint64
-	for _, c := range s.cores {
-		done += c.Instructions
-	}
-	return done
-}
-
-// scanRun drives s as Run does (work 0) or as RunWork(work, maxCycles) does,
-// every cycle stepped by scanStep. It returns the Result and the ticks
-// scanStep gave quiescent controllers.
-func (s *Simulator) scanRun(work uint64, maxCycles int64) (r Result, quiet int) {
+// plainRun is the tests' reference run loop: step through warmup,
+// resetStats, step through the measurement window — a fixed horizon when
+// work is 0, else until the cores retire work instructions or maxCycles
+// pass — and collect, with no watchdog. step is Step or scanStep.
+func (s *Simulator) plainRun(step func(), work uint64, maxCycles int64) Result {
 	for s.cycle < s.cfg.WarmupCycles {
-		quiet += s.scanStep()
+		step()
 	}
 	s.resetStats()
 	s.measuring = true
@@ -73,12 +65,19 @@ func (s *Simulator) scanRun(work uint64, maxCycles int64) (r Result, quiet int) 
 		maxCycles = s.cfg.MeasureCycles
 	}
 	for s.cycle-start < maxCycles && (work == 0 || s.retired() < work) {
-		quiet += s.scanStep()
+		step()
 	}
 	s.measuring = false
 	s.measuredCycles = s.cycle - start
-	r = s.collect()
+	r := s.collect()
 	r.Truncated = work > 0 && s.retired() < work
+	return r
+}
+
+// scanRun is plainRun with every cycle stepped by scanStep. It also returns
+// the ticks scanStep gave quiescent controllers.
+func (s *Simulator) scanRun(work uint64, maxCycles int64) (r Result, quiet int) {
+	r = s.plainRun(func() { quiet += s.scanStep() }, work, maxCycles)
 	return r, quiet
 }
 
@@ -99,7 +98,7 @@ var scanVariants = []struct {
 // matchScan builds two simulators for (cfg, k), runs one with run and the
 // other with scanRun(work, maxCycles), and fails unless their JSON-encoded
 // Results are byte-equal. It returns the quiescent-controller ticks.
-func matchScan(t *testing.T, cfg Config, k trace.Kernel, run func(*Simulator) Result, work uint64, maxCycles int64) int {
+func matchScan(t *testing.T, cfg Config, k trace.Kernel, run func(*Simulator) (Result, error), work uint64, maxCycles int64) int {
 	t.Helper()
 	build := func() *Simulator {
 		sim, err := NewSimulator(cfg, k)
@@ -109,7 +108,11 @@ func matchScan(t *testing.T, cfg Config, k trace.Kernel, run func(*Simulator) Re
 		return sim
 	}
 	want, quiet := build().scanRun(work, maxCycles)
-	a, errA := json.Marshal(run(build()))
+	got, err := run(build())
+	if err != nil {
+		t.Fatalf("run %s/%s: %v", k.Name, cfg.Scheme, err)
+	}
+	a, errA := json.Marshal(got)
 	b, errB := json.Marshal(want)
 	if errA != nil || errB != nil {
 		t.Fatalf("encode %s/%s: %v, %v", k.Name, cfg.Scheme, errA, errB)
@@ -134,7 +137,7 @@ func TestMCSkipMatchesScan(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.WarmupCycles, cfg.MeasureCycles = 300, 700
 				cfg.Scheme, cfg.IdealReply = v.scheme, v.ideal
-				quiet += matchScan(t, cfg, k, (*Simulator).Run, 0, 0)
+				quiet += matchScan(t, cfg, k, func(s *Simulator) (Result, error) { return s.RunChecked(CheckOptions{}) }, 0, 0)
 			}
 			if quiet == 0 {
 				t.Fatal("no controller was ever quiescent: the skip was never taken")
@@ -156,7 +159,9 @@ func TestMCSkipMatchesScanFixedWork(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.WarmupCycles, cfg.MeasureCycles = 300, 700
 			cfg.Scheme, cfg.IdealReply = v.scheme, v.ideal
-			matchScan(t, cfg, k, func(s *Simulator) Result { return s.RunWork(20000, 2000) }, 20000, 2000)
+			matchScan(t, cfg, k, func(s *Simulator) (Result, error) {
+				return s.RunWorkChecked(20000, 2000, CheckOptions{})
+			}, 20000, 2000)
 		}
 	}
 }

@@ -39,8 +39,8 @@ type Simulator struct {
 	memClock  *timing.Clock
 	cycle     int64
 	measuring bool
-	// measuredCycles is the realised measurement window (fixed for Run,
-	// variable for RunWork).
+	// measuredCycles is the realised measurement window (fixed for
+	// RunChecked, variable for RunWorkChecked).
 	measuredCycles int64
 
 	// coreCyclesMeasured counts core-clock ticks during measurement.
@@ -458,59 +458,42 @@ func (s *Simulator) resetStats() {
 	s.coreCyclesMeasured = 0
 }
 
-// Run executes warmup + a fixed-horizon measurement window and returns the
-// collected result. It never fails: all watchdogs are disabled, so a
-// deadlocked simulation spins forever — use RunChecked anywhere a hang is
-// unacceptable (the experiment harness always does).
-func (s *Simulator) Run() Result {
-	r, _ := s.RunChecked(uncheckedOptions())
-	return r
-}
-
-// RunChecked is Run with forward-progress watchdogs: it detects deadlock
-// (flits in flight, zero movement for CheckOptions.DeadlockCycles) and
-// livelock/starvation (a packet older than CheckOptions.PacketAgeCap) and
-// fails with a structured *WatchdogError carrying a full diagnostic dump
-// instead of spinning. A healthy simulation produces a Result bit-identical
-// to Run's: the watchdog only reads.
+// RunChecked executes warmup + a fixed-horizon measurement window under
+// the forward-progress watchdogs and returns the collected result. It
+// detects deadlock (flits in flight, zero movement for
+// CheckOptions.DeadlockCycles) and livelock/starvation (a packet older than
+// CheckOptions.PacketAgeCap) and fails with a structured *WatchdogError
+// carrying a full diagnostic dump instead of spinning. The watchdog only
+// reads: a healthy run's Result is the one plain Step calls would give.
 func (s *Simulator) RunChecked(opt CheckOptions) (Result, error) {
-	w := newWatchdog(s, opt)
-	for s.cycle < s.cfg.WarmupCycles {
-		s.Step()
-		if err := w.poll(); err != nil {
-			return Result{}, err
-		}
-	}
-	s.resetStats()
-	s.measuring = true
-	end := s.cfg.WarmupCycles + s.cfg.MeasureCycles
-	for s.cycle < end {
-		s.Step()
-		if err := w.poll(); err != nil {
-			return Result{}, err
-		}
-	}
-	s.measuring = false
-	s.measuredCycles = s.cfg.MeasureCycles
-	return s.collect(), nil
+	return s.run(opt, s.cfg.MeasureCycles, nil)
 }
 
-// RunWork executes warmup, then measures until the cores have retired
-// `instructions` warp-instructions in total (fixed-work mode: the basis the
-// paper's execution-time and energy comparisons use), bounded by maxCycles
-// as a runaway guard. The result's MeasuredCycles reflects the actual
-// window, so lower is faster for the same work; Result.Truncated reports
-// whether the guard clipped the run before the work completed. Watchdogs
-// are disabled — see RunWorkChecked.
-func (s *Simulator) RunWork(instructions uint64, maxCycles int64) Result {
-	r, _ := s.RunWorkChecked(instructions, maxCycles, uncheckedOptions())
-	return r
-}
-
-// RunWorkChecked is RunWork with the forward-progress watchdogs of
-// RunChecked. A run clipped by maxCycles is not an error — the Result comes
+// RunWorkChecked executes warmup, then measures until the cores have
+// retired `instructions` warp-instructions in total (fixed-work mode: the
+// basis the paper's execution-time and energy comparisons use), bounded by
+// maxCycles as a runaway guard, under RunChecked's watchdogs. The result's
+// MeasuredCycles reflects the actual window, so lower is faster for the
+// same work. A run clipped by maxCycles is not an error — the Result comes
 // back with Truncated set so callers can decide.
 func (s *Simulator) RunWorkChecked(instructions uint64, maxCycles int64, opt CheckOptions) (Result, error) {
+	return s.run(opt, maxCycles, func() bool { return s.retired() >= instructions })
+}
+
+// retired sums the warp-instructions the cores retired since the last reset.
+func (s *Simulator) retired() uint64 {
+	var done uint64
+	for _, c := range s.cores {
+		done += c.Instructions
+	}
+	return done
+}
+
+// run is the one run loop: warmup, the stats reset, then measurement until
+// workDone reports true (fixed work) or maxCycles pass, polling the watchdog
+// after every Step. A nil workDone is a fixed horizon; with one, hitting
+// maxCycles first sets Result.Truncated.
+func (s *Simulator) run(opt CheckOptions, maxCycles int64, workDone func() bool) (Result, error) {
 	w := newWatchdog(s, opt)
 	for s.cycle < s.cfg.WarmupCycles {
 		s.Step()
@@ -522,16 +505,9 @@ func (s *Simulator) RunWorkChecked(instructions uint64, maxCycles int64, opt Che
 	s.measuring = true
 	start := s.cycle
 	truncated := false
-	for {
-		var done uint64
-		for _, c := range s.cores {
-			done += c.Instructions
-		}
-		if done >= instructions {
-			break
-		}
+	for workDone == nil || !workDone() {
 		if s.cycle-start >= maxCycles {
-			truncated = true
+			truncated = workDone != nil
 			break
 		}
 		s.Step()

@@ -26,7 +26,27 @@ func runBench(t *testing.T, name string, cfg Config) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Run()
+	return mustRun(t, sim)
+}
+
+// mustRun runs sim over its fixed horizon under the default watchdogs.
+func mustRun(t testing.TB, sim *Simulator) Result {
+	t.Helper()
+	r, err := sim.RunChecked(CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// mustRunWork runs sim in fixed-work mode under the default watchdogs.
+func mustRunWork(t testing.TB, sim *Simulator, instructions uint64, maxCycles int64) Result {
+	t.Helper()
+	r, err := sim.RunWorkChecked(instructions, maxCycles, CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestEndToEndBaseline(t *testing.T) {
@@ -228,11 +248,11 @@ func TestWarmupResetIsolation(t *testing.T) {
 	cfg.WarmupCycles = 1000
 	cfg.MeasureCycles = 1000
 	simA, _ := NewSimulator(cfg, k)
-	a := simA.Run()
+	a := mustRun(t, simA)
 	cfg.WarmupCycles = 0
 	cfg.MeasureCycles = 2000
 	simB, _ := NewSimulator(cfg, k)
-	b := simB.Run()
+	b := mustRun(t, simB)
 	if a.Instructions >= b.Instructions {
 		t.Fatalf("warmup reset broken: %d >= %d", a.Instructions, b.Instructions)
 	}

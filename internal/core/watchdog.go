@@ -76,12 +76,6 @@ func (o CheckOptions) withDefaults() CheckOptions {
 	return o
 }
 
-// uncheckedOptions disables every detector; Run/RunWork use it so the
-// unchecked entry points keep their never-fail signatures.
-func uncheckedOptions() CheckOptions {
-	return CheckOptions{DeadlockCycles: -1, PacketAgeCap: -1}
-}
-
 // WatchdogError is the structured diagnostic a tripped watchdog returns:
 // what tripped, where the simulation stood, and a full dump of the stuck
 // state (per-router VC states, ownership, credit map, oldest packets).

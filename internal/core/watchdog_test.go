@@ -97,35 +97,59 @@ func TestWatchdogDetectsStarvation(t *testing.T) {
 }
 
 // TestRunCheckedMatchesRun pins that the watchdog is purely observational:
-// a healthy run produces the identical Result through both entry points.
+// on every kind of reply fabric, RunChecked and RunWorkChecked (with the
+// invariant sweep on) produce the Result of the tests' plain run loop —
+// plainRun over Step, no watchdog — at a fixed horizon, for a completed
+// fixed-work run and for one clipped by its cycle guard.
 func TestRunCheckedMatchesRun(t *testing.T) {
-	// Every kind of reply fabric: the watchdog walks both fabrics through
-	// noc.Fabric (invariants, oldest age) and must only read.
+	// The watchdog walks both fabrics through noc.Fabric (invariants,
+	// oldest age) and must only read.
 	overlay, ideal := DefaultConfig(), DefaultConfig()
 	overlay.Scheme = DA2MeshARI
 	ideal.IdealReply = true
+	opt := CheckOptions{InvariantEvery: 128}
+	modes := []struct {
+		name      string
+		work      uint64 // 0 = fixed horizon
+		maxCycles int64
+		truncated bool
+	}{
+		{"horizon", 0, 0, false},
+		{"work", 5000, 1 << 20, false},
+		{"clipped", 1 << 60, 300, true},
+	}
 	for name, cfg := range map[string]Config{"mesh": DefaultConfig(), "DA2Mesh+ARI": overlay, "ideal": ideal} {
 		t.Run(name, func(t *testing.T) {
 			cfg.WarmupCycles = 200
 			cfg.MeasureCycles = 600
 			k := testKernel(t)
+			build := func() *Simulator {
+				sim, err := NewSimulator(cfg, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim
+			}
+			for _, m := range modes {
+				ref := build()
+				plain := ref.plainRun(ref.Step, m.work, m.maxCycles)
 
-			simA, err := NewSimulator(cfg, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain := simA.Run()
-
-			simB, err := NewSimulator(cfg, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checked, err := simB.RunChecked(CheckOptions{InvariantEvery: 128})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain, checked) {
-				t.Fatalf("RunChecked diverged from Run:\n%+v\nvs\n%+v", plain, checked)
+				var checked Result
+				var err error
+				if m.work == 0 {
+					checked, err = build().RunChecked(opt)
+				} else {
+					checked, err = build().RunWorkChecked(m.work, m.maxCycles, opt)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", m.name, err)
+				}
+				if checked.Truncated != m.truncated {
+					t.Fatalf("%s: Truncated = %v, want %v", m.name, checked.Truncated, m.truncated)
+				}
+				if !reflect.DeepEqual(plain, checked) {
+					t.Fatalf("%s: checked run diverged from the plain loop:\n%+v\nvs\n%+v", m.name, plain, checked)
+				}
 			}
 		})
 	}
@@ -141,7 +165,7 @@ func TestRunWorkTruncatedFlag(t *testing.T) {
 	}
 	// An absurd instruction target with a tiny cycle guard must be clipped
 	// and say so.
-	r := sim.RunWork(math.MaxUint64, 200)
+	r := mustRunWork(t, sim, math.MaxUint64, 200)
 	if !r.Truncated {
 		t.Fatal("clipped fixed-work run did not set Truncated")
 	}
@@ -154,7 +178,7 @@ func TestRunWorkTruncatedFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A tiny target the cores retire quickly must not be marked truncated.
-	r2 := sim2.RunWork(1, 1<<20)
+	r2 := mustRunWork(t, sim2, 1, 1<<20)
 	if r2.Truncated {
 		t.Fatal("completed fixed-work run marked Truncated")
 	}

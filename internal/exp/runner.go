@@ -70,13 +70,6 @@ type Runner struct {
 	// deregisters on completion. The job server exposes the monitor at
 	// /metrics and /debug/nocstate.
 	Monitor *obs.RunMonitor
-	// Instrument, when non-nil, is called with every freshly built simulator
-	// before it runs. Observability attachments (metrics registries, packet
-	// tracers) hook in here; the hook must only observe, never alter
-	// simulated behaviour — results are stored and journalled under the
-	// assumption that a config determines its Result byte-identically
-	// (WithInstrument adds a second observer for the runs of one call).
-	Instrument func(*core.Simulator)
 
 	mu sync.Mutex
 	// results is the store when no Journal is attached, keyed by JobKey.
@@ -87,9 +80,9 @@ type Runner struct {
 type instrumentKey struct{}
 
 // WithInstrument returns a context under which every simulator built by
-// RunAllContext/RunKey is also handed to fn, after Runner.Instrument and
-// under the same observe-only contract: how a caller sharing a Runner (the
-// job server's traced submissions) observes exactly the runs it waits on.
+// RunAllContext/RunKey is handed to fn before it runs — the one pre-run hook,
+// scoped to the runs a caller waits on. fn must only observe (a config
+// determines its stored Result byte-identically), never alter the run.
 func WithInstrument(ctx context.Context, fn func(*core.Simulator)) context.Context {
 	return context.WithValue(ctx, instrumentKey{}, fn)
 }
@@ -349,26 +342,12 @@ func (r *Runner) simulate(ctx context.Context, j Job) (res core.Result, err erro
 		}
 	}()
 
-	opt := r.Checks
-	var deadline time.Time
-	if r.RunTimeout > 0 {
-		deadline = time.Now().Add(r.RunTimeout)
-	}
-	opt.Interrupt = func() bool {
-		if ctx.Err() != nil {
-			return true
-		}
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
-
+	opt := r.checks(ctx)
 	sim, err := newSimulator(j.Cfg, j.Kernel)
 	if err != nil {
 		return core.Result{}, fmt.Errorf("exp: %s: %w", name, err)
 	}
 	defer sim.Close()
-	if r.Instrument != nil {
-		r.Instrument(sim)
-	}
 	if attach, ok := ctx.Value(instrumentKey{}).(func(*core.Simulator)); ok {
 		attach(sim)
 	}
@@ -377,17 +356,33 @@ func (r *Runner) simulate(ctx context.Context, j Job) (res core.Result, err erro
 		defer r.Monitor.End(st)
 		opt.Inspector = st
 	}
-	res, err = sim.RunChecked(opt)
-	if err != nil {
-		if errors.Is(err, core.ErrInterrupted) {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return core.Result{}, fmt.Errorf("exp: %s: %w", name, ctxErr)
-			}
-			return core.Result{}, fmt.Errorf("exp: %s: %w after %s", name, ErrRunTimeout, r.RunTimeout)
-		}
-		return core.Result{}, fmt.Errorf("exp: %s: %w", name, err)
+	if res, err = sim.RunChecked(opt); err != nil {
+		return core.Result{}, r.runError(ctx, name, err)
 	}
 	return res, nil
+}
+
+// checks returns the CheckOptions of one run: r.Checks with an Interrupt
+// that fires once ctx is done or, when RunTimeout is set, once RunTimeout
+// has passed from now.
+func (r *Runner) checks(ctx context.Context) core.CheckOptions {
+	opt, timeout := r.Checks, r.RunTimeout
+	deadline := time.Now().Add(timeout)
+	opt.Interrupt = func() bool {
+		return ctx.Err() != nil || timeout > 0 && time.Now().After(deadline)
+	}
+	return opt
+}
+
+// runError names the failed run and reports an interrupt as its cause:
+// ctx's error, or else ErrRunTimeout.
+func (r *Runner) runError(ctx context.Context, name string, err error) error {
+	if errors.Is(err, core.ErrInterrupted) {
+		if err = ctx.Err(); err == nil {
+			err = fmt.Errorf("%w after %s", ErrRunTimeout, r.RunTimeout)
+		}
+	}
+	return fmt.Errorf("exp: %s: %w", name, err)
 }
 
 // withScheme returns the base config with the scheme set.

@@ -119,6 +119,18 @@ func TestRunTimeout(t *testing.T) {
 	}
 }
 
+// TestSizingObeysRunTimeout: the §4.2 calibration runs are runs of the
+// harness too, so RunTimeout bounds them.
+func TestSizingObeysRunTimeout(t *testing.T) {
+	r := tinyRunner(t)
+	r.Base.MeasureCycles = 1 << 30 // would run for hours
+	r.RunTimeout = 20 * time.Millisecond
+	_, err := SpeedupSizing(r)
+	if !errors.Is(err, ErrRunTimeout) {
+		t.Fatalf("err = %v, want ErrRunTimeout", err)
+	}
+}
+
 // sweepJobs is a small 3-benchmark x 2-scheme matrix used by the journal
 // tests.
 func sweepJobs(r *Runner) []Job {

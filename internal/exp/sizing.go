@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -11,16 +12,18 @@ import (
 // measure the ideal reply injection rate against an unlimited-bandwidth
 // fabric and derive the eq. (1) minimal speedup; the paper reports that an
 // injection-port speedup of 4 (the eq. (2) bound on a mesh) satisfies 95%
-// of the peak rates.
+// of the peak rates. Each calibration run obeys the Runner's Checks and
+// RunTimeout like any other run.
 func SpeedupSizing(r *Runner) (*Figure, error) {
 	t := stats.NewTable("benchmark", "peak rate (pkt/cyc/MC)", "avg flits/pkt", "eq.1 S", "chosen S")
 	satisfied := 0
 	var chosen []float64
+	ctx := context.Background()
 	for _, k := range r.Benchmarks {
 		cfg := r.withScheme(core.AdaBaseline)
-		cal, err := core.CalibrateSpeedup(cfg, k)
+		cal, err := core.CalibrateSpeedup(cfg, k, r.checks(ctx))
 		if err != nil {
-			return nil, err
+			return nil, r.runError(ctx, k.Name+"/"+cfg.Scheme.String(), err)
 		}
 		if cal.SatisfiedByBound {
 			satisfied++

@@ -33,7 +33,10 @@ func checkInstrumentedIdentity(t *testing.T, cfg core.Config) {
 	obs.AttachSimulator(reg, sim)
 	reg.Reserve(int((cfg.WarmupCycles+cfg.MeasureCycles)/50) + 2)
 	reqColl, repColl := obs.AttachTracers(sim, 2)
-	res := sim.Run()
+	res, err := sim.RunChecked(core.CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := simeq.Encode(res)
 	if err != nil {
 		t.Fatal(err)

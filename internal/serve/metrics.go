@@ -32,7 +32,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Per-job progress, labelled by run identity. One gauge family per
 	// dimension, the Prometheus-idiomatic shape of the monitor's snapshot.
-	progress := s.cfg.Monitor.Snapshot()
+	progress := s.cfg.Runner.Monitor.Snapshot()
 	perJob := func(name, help string, read func(i int) float64) {
 		p.Family(name, help, "gauge")
 		for i, pr := range progress {
@@ -87,7 +87,7 @@ func (s *Server) handleNoCState(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
 	defer cancel()
 	entries := []nocStateEntry{}
-	for _, st := range s.cfg.Monitor.Active() {
+	for _, st := range s.cfg.Runner.Monitor.Active() {
 		e := nocStateEntry{Job: st.Name()}
 		dump, err := st.FetchState(ctx)
 		if err != nil {

@@ -43,6 +43,8 @@ import (
 type Config struct {
 	// Runner executes (and caches/journals) the simulations. Required.
 	// Attach a Journal to it to make the server crash-safe across restarts.
+	// Its Monitor (installed when nil) is the one /metrics and
+	// /debug/nocstate read.
 	Runner *exp.Runner
 
 	// MaxInFlight bounds concurrently executing simulations (default
@@ -53,11 +55,6 @@ type Config struct {
 	// 0 selects the default (2×MaxInFlight); negative means no waiting
 	// slots at all — every job beyond MaxInFlight is shed.
 	QueueDepth int
-
-	// Monitor tracks executing runs for /metrics and /debug/nocstate. Nil
-	// selects the Runner's monitor, or a fresh one installed on the Runner
-	// (only when the Runner has none — an existing monitor is shared).
-	Monitor *obs.RunMonitor
 
 	// Peers lists sibling replica base URLs for cluster result sharing: on
 	// a store miss the server asks each peer's GET /v1/results/<key> before
@@ -185,14 +182,8 @@ func New(cfg Config) (*Server, error) {
 	case cfg.QueueDepth < 0:
 		cfg.QueueDepth = 0
 	}
-	if cfg.Monitor == nil {
-		cfg.Monitor = cfg.Runner.Monitor
-	}
-	if cfg.Monitor == nil {
-		cfg.Monitor = obs.NewRunMonitor()
-	}
 	if cfg.Runner.Monitor == nil {
-		cfg.Runner.Monitor = cfg.Monitor
+		cfg.Runner.Monitor = obs.NewRunMonitor()
 	}
 	if cfg.PeerTimeout <= 0 {
 		cfg.PeerTimeout = time.Second

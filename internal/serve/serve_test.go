@@ -153,6 +153,31 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestSchemeNamesIgnoreCase: a scheme label resolves without regard to case,
+// and the server's request resolution uses the one parser.
+func TestSchemeNamesIgnoreCase(t *testing.T) {
+	base := core.DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		want core.Scheme
+		ok   bool
+	}{
+		{"Ada-ARI", core.AdaARI, true},
+		{"ada-ari", core.AdaARI, true},
+		{"ADA-ARI", core.AdaARI, true},
+		{"Ada-ARI-2", 0, false},
+	} {
+		sch, err := core.ParseScheme(tc.name)
+		if (err == nil) != tc.ok || (tc.ok && sch != tc.want) {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v, ok %v", tc.name, sch, err, tc.want, tc.ok)
+		}
+		job, err := BuildJob(base, &JobRequest{Bench: "bfs", Scheme: tc.name})
+		if (err == nil) != tc.ok || (tc.ok && job.Cfg.Scheme != tc.want) {
+			t.Errorf("BuildJob(scheme %q) = %v, %v; want %v, ok %v", tc.name, job.Cfg.Scheme, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestJobDeadlinePropagatesAndCancels(t *testing.T) {
 	r := tinyRunner(t)
 	r.Base.MeasureCycles = 1 << 40 // would run for hours

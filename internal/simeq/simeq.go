@@ -45,7 +45,10 @@ func RunEncoded(tb testing.TB, cfg core.Config, k trace.Kernel) []byte {
 		tb.Fatalf("build %s/%s: %v", k.Name, cfg.Scheme, err)
 	}
 	defer sim.Close()
-	res := sim.Run()
+	res, err := sim.RunChecked(core.CheckOptions{})
+	if err != nil {
+		tb.Fatalf("run %s/%s: %v", k.Name, cfg.Scheme, err)
+	}
 	enc, err := Encode(res)
 	if err != nil {
 		tb.Fatalf("encode %s/%s: %v", k.Name, cfg.Scheme, err)
