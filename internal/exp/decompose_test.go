@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-var updateDecompose = flag.Bool("update", false, "rewrite testdata/decompose_golden.csv from the current simulator")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (decompose_golden.csv, figures_tiny.md) from the current simulator")
 
 // decomposeRunner is the short-horizon runner behind the golden file.
 func decomposeRunner() *Runner {
@@ -32,7 +32,7 @@ func TestDecomposeGolden(t *testing.T) {
 	got := fig.Table.CSV()
 
 	golden := filepath.Join("testdata", "decompose_golden.csv")
-	if *updateDecompose {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

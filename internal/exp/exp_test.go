@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -104,20 +106,39 @@ func checkMarkdown(t *testing.T, f *Figure, out string) {
 	}
 }
 
+// TestFiguresGenerate renders every registered figure on the tiny runner:
+// each must generate without error and render as a Markdown section, and
+// the concatenated report must equal testdata/figures_tiny.md byte for
+// byte — the lock on every figure's numbers (rerun with -update only for a
+// change that moves the model on purpose). Shared runs must be reused via
+// the cache (the scheme matrix figures reuse each other's runs).
 func TestFiguresGenerate(t *testing.T) {
-	// Every registered figure must generate without error on the tiny
-	// runner and render as a Markdown section. Shared runs must be reused
-	// via the cache (the scheme matrix figures reuse each other's runs).
 	r := tinyRunner(t)
+	var report strings.Builder
 	for _, e := range Registry() {
 		f, err := e.Gen(r)
 		if err != nil {
 			t.Fatalf("figure %s: %v", e.ID, err)
 		}
-		checkMarkdown(t, f, f.String())
+		out := f.String()
+		checkMarkdown(t, f, out)
 		if f.Table == nil && len(f.Summary) == 0 {
 			t.Fatalf("figure %s has neither table nor summary", e.ID)
 		}
+		report.WriteString(out)
+	}
+	golden := filepath.Join("testdata", "figures_tiny.md")
+	if *update {
+		if err := os.WriteFile(golden, []byte(report.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got := report.String(); got != string(want) {
+		t.Fatalf("figures diverged from %s (diff it against the report below):\n%s", golden, got)
 	}
 	// A '|' inside a cell is escaped, not read as a column break.
 	piped := &Figure{ID: "pipe", Title: "escaping", Table: stats.NewTable("a|b", "c")}
