@@ -12,12 +12,6 @@ import (
 	"repro/internal/trace"
 )
 
-// SimFunc runs one cycle-accurate simulation; the experiment harness's
-// Runner.Run satisfies it. Taking it as a parameter keeps this package free
-// of a dependency on internal/exp (which itself builds figures on top of
-// this package).
-type SimFunc func(cfg core.Config, k trace.Kernel) (core.Result, error)
-
 // Band is the recorded estimator-vs-simulator comparison for one
 // (benchmark, scheme) point: both sides' headline numbers and the signed
 // relative errors. The recorded errors are the drift oracle's reference —
@@ -79,12 +73,20 @@ func ValidationConfig() core.Config {
 	return cfg
 }
 
-// Compare runs the estimator and the simulator over kernels x schemes and
-// returns one Band per point, in (kernel, scheme) order.
-func Compare(cfg core.Config, kernels []trace.Kernel, schemes []core.Scheme, sim SimFunc) ([]Band, error) {
+// Compare sets the estimator against simulated results over kernels x
+// schemes: res[k][s] is kernels[k] simulated under cfg with schemes[s] (the
+// shape exp.Runner.Grid returns). It runs nothing and returns one Band per
+// point, in (kernel, scheme) order.
+func Compare(cfg core.Config, kernels []trace.Kernel, schemes []core.Scheme, res [][]core.Result) ([]Band, error) {
+	if len(res) != len(kernels) {
+		return nil, fmt.Errorf("analytic: %d result rows for %d kernels", len(res), len(kernels))
+	}
 	bands := make([]Band, 0, len(kernels)*len(schemes))
-	for _, k := range kernels {
-		for _, s := range schemes {
+	for ki, k := range kernels {
+		if len(res[ki]) != len(schemes) {
+			return nil, fmt.Errorf("analytic: %s: %d results for %d schemes", k.Name, len(res[ki]), len(schemes))
+		}
+		for si, s := range schemes {
 			c := cfg
 			c.Scheme = s
 			m, err := NewModel(c)
@@ -92,21 +94,18 @@ func Compare(cfg core.Config, kernels []trace.Kernel, schemes []core.Scheme, sim
 				return nil, err
 			}
 			est := m.Estimate(k)
-			res, err := sim(c, k)
-			if err != nil {
-				return nil, fmt.Errorf("analytic: simulating %s/%s: %w", k.Name, s, err)
-			}
-			simRep := res.Rep.AvgLatency(noc.ReadReply, noc.WriteReply)
+			sim := res[ki][si]
+			simRep := sim.Rep.AvgLatency(noc.ReadReply, noc.WriteReply)
 			b := Band{
 				Bench:         k.Name,
 				Scheme:        s.String(),
 				SimRepLatency: simRep,
 				EstRepLatency: est.RepLatency,
-				SimIPC:        res.IPC,
+				SimIPC:        sim.IPC,
 				EstIPC:        est.IPC,
 			}
 			b.RepErr = relErr(est.RepLatency, simRep)
-			b.IPCErr = relErr(est.IPC, res.IPC)
+			b.IPCErr = relErr(est.IPC, sim.IPC)
 			bands = append(bands, b)
 		}
 	}

@@ -30,15 +30,25 @@ const subsetBenches = 6
 // failure is independent of the byte-identity goldens.
 func TestErrorBands(t *testing.T) {
 	cfg := analytic.ValidationConfig()
-	runner := &exp.Runner{Base: cfg, Benchmarks: trace.Suite()}
 	suite := trace.Suite()
+	runner := &exp.Runner{Base: cfg, Benchmarks: suite}
 	schemes := analytic.ValidationSchemes()
 
-	if *recordBands {
-		bands, err := analytic.Compare(cfg, suite, schemes, runner.Run)
+	compare := func(kernels []trace.Kernel) []analytic.Band {
+		t.Helper()
+		res, err := runner.Grid(kernels, exp.SchemePoints(schemes...))
 		if err != nil {
 			t.Fatal(err)
 		}
+		bands, err := analytic.Compare(cfg, kernels, schemes, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bands
+	}
+
+	if *recordBands {
+		bands := compare(suite)
 		g := &analytic.Bands{
 			Warmup:  cfg.WarmupCycles,
 			Measure: cfg.MeasureCycles,
@@ -65,10 +75,7 @@ func TestErrorBands(t *testing.T) {
 	if !*fullBands {
 		kernels = suite[:subsetBenches]
 	}
-	bands, err := analytic.Compare(cfg, kernels, schemes, runner.Run)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bands := compare(kernels)
 	// Every measured point must have a recorded reference — a new benchmark
 	// or scheme needs a re-record, not a silent pass.
 	for _, b := range bands {

@@ -4,7 +4,8 @@ import (
 	"repro/internal/noc"
 )
 
-// Activity captures the event counts the power model charges energy for.
+// Activity captures the event counts the power model (internal/power)
+// charges energy for.
 type Activity struct {
 	NoCCycles      int64
 	CoreCycles     uint64

@@ -15,7 +15,11 @@ import (
 // human-readable face of the validate-analytic drift oracle.
 func AnalyticComparison(r *Runner) (*Figure, error) {
 	schemes := analytic.ValidationSchemes()
-	bands, err := analytic.Compare(r.Base, r.Benchmarks, schemes, r.Run)
+	res, err := r.Grid(r.Benchmarks, SchemePoints(schemes...))
+	if err != nil {
+		return nil, err
+	}
+	bands, err := analytic.Compare(r.Base, r.Benchmarks, schemes, res)
 	if err != nil {
 		return nil, err
 	}

@@ -8,26 +8,28 @@ import (
 	"repro/internal/noc"
 	"repro/internal/power"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Fig14 compares energy per unit of work between the adaptive baseline and
 // ARI (paper: dynamic ~equal, static shrinks with runtime, ~4% total
 // saving under the tools' low static share).
 func Fig14(r *Runner) (*Figure, error) {
-	matrix, err := r.schemeMatrix([]core.Scheme{core.AdaBaseline, core.AdaARI})
+	res, err := r.Grid(r.Benchmarks, SchemePoints(core.AdaBaseline, core.AdaARI))
 	if err != nil {
 		return nil, err
 	}
 	params := power.DefaultParams()
+	perInstr := func(res core.Result, ari bool) (power.Breakdown, error) {
+		return power.PerInstruction(power.Estimate(res.Activity, ari, params), res.Instructions)
+	}
 	t := stats.NewTable("benchmark", "baseline", "ARI", "ARI_dynamic", "ARI_static")
 	var totals []float64
 	for i, k := range r.Benchmarks {
-		eb, err := perInstrEnergy(matrix[i][0], false, params)
+		eb, err := perInstr(res[i][0], false)
 		if err != nil {
 			return nil, err
 		}
-		ea, err := perInstrEnergy(matrix[i][1], true, params)
+		ea, err := perInstr(res[i][1], true)
 		if err != nil {
 			return nil, err
 		}
@@ -48,72 +50,33 @@ func Fig14(r *Runner) (*Figure, error) {
 	}, nil
 }
 
-func perInstrEnergy(res core.Result, ari bool, p power.Params) (power.Breakdown, error) {
-	a := power.Activity{
-		NoCCycles:      res.Activity.NoCCycles,
-		Instructions:   res.Activity.Instructions,
-		L1Accesses:     res.Activity.L1Accesses,
-		L2Accesses:     res.Activity.L2Accesses,
-		DRAMReads:      res.Activity.DRAMReads,
-		DRAMWrites:     res.Activity.DRAMWrites,
-		ReqFlitHops:    res.Activity.ReqFlitHops,
-		RepFlitHops:    res.Activity.RepFlitHops,
-		BufferedFlits:  res.Activity.BufferedFlits,
-		InjectionFlits: res.Activity.InjectionFlits,
-	}
-	return power.PerInstruction(power.Estimate(a, ari, p), res.Instructions)
-}
-
 // Fig15 studies VC-count interaction (paper: ARI wins at equal VC count,
 // and grows more from 2->4 VCs than the baseline because the removed
 // injection bottleneck lets the extra VCs fill).
 func Fig15(r *Runner) (*Figure, error) {
-	benches := []string{"bfs", "b+tree", "hotspot", "pathfinder"}
-	type variant struct {
-		label  string
-		vcs    int
-		scheme core.Scheme
+	// The injection speedup matches the VC count (§7.5(3)).
+	vcs := func(n int, s core.Scheme) func(*core.Config) {
+		return func(c *core.Config) { c.Scheme, c.VCs, c.InjSpeedup = s, n, n }
 	}
-	variants := []variant{
-		{"2VC-Baseline", 2, core.AdaBaseline},
-		{"4VC-Baseline", 4, core.AdaBaseline},
-		{"2VC-ARI", 2, core.AdaARI},
-		{"4VC-ARI", 4, core.AdaARI},
+	points := []Point{
+		{"2VC-Baseline", vcs(2, core.AdaBaseline)},
+		{"4VC-Baseline", vcs(4, core.AdaBaseline)},
+		{"2VC-ARI", vcs(2, core.AdaARI)},
+		{"4VC-ARI", vcs(4, core.AdaARI)},
 	}
-	var jobs []Job
-	for _, name := range benches {
-		k, err := trace.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range variants {
-			cfg := r.withScheme(v.scheme)
-			cfg.VCs = v.vcs
-			cfg.InjSpeedup = v.vcs // speedup matches VC count (§7.5(3))
-			jobs = append(jobs, Job{Cfg: cfg, Kernel: k})
-		}
-	}
-	res, err := r.RunAll(jobs)
+	kernels, err := kernelsNamed("bfs", "b+tree", "hotspot", "pathfinder")
 	if err != nil {
 		return nil, err
 	}
-	header := []string{"benchmark"}
-	for _, v := range variants {
-		header = append(header, v.label)
+	res, err := r.Grid(kernels, points)
+	if err != nil {
+		return nil, err
 	}
-	t := stats.NewTable(header...)
+	t, norm, _ := normalised(kernels, points, res, ipcOf, "", nil)
 	var baseScaling, ariScaling []float64
-	for bi, name := range benches {
-		base := res[bi*len(variants)].IPC
-		row := []string{name}
-		vals := make([]float64, len(variants))
-		for vi := range variants {
-			vals[vi] = safeDiv(res[bi*len(variants)+vi].IPC, base)
-			row = append(row, fmt.Sprintf("%.3f", vals[vi]))
-		}
-		t.AddRow(row...)
-		baseScaling = append(baseScaling, safeDiv(vals[1], vals[0]))
-		ariScaling = append(ariScaling, safeDiv(vals[3], vals[2]))
+	for k := range kernels {
+		baseScaling = append(baseScaling, safeDiv(norm[1][k], norm[0][k]))
+		ariScaling = append(ariScaling, safeDiv(norm[3][k], norm[2][k]))
 	}
 	return &Figure{
 		ID:    "Fig 15",
@@ -130,26 +93,18 @@ func Fig15(r *Runner) (*Figure, error) {
 // Fig16 applies ARI on top of the DA2mesh overlay (paper: +16.4% IPC over
 // DA2mesh alone — the overlay does not address reply injection).
 func Fig16(r *Runner) (*Figure, error) {
-	matrix, err := r.schemeMatrix([]core.Scheme{core.DA2MeshBase, core.DA2MeshARI})
+	points := SchemePoints(core.DA2MeshBase, core.DA2MeshARI)
+	res, err := r.Grid(r.Benchmarks, points)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("benchmark", "DA2Mesh", "DA2Mesh+ARI")
-	var norms []float64
-	for i, k := range r.Benchmarks {
-		base := matrix[i][0].IPC
-		v := safeDiv(matrix[i][1].IPC, base)
-		norms = append(norms, v)
-		t.AddRow(k.Name, "1.000", fmt.Sprintf("%.3f", v))
-	}
-	gm := stats.GeoMean(norms)
-	t.AddRow("geomean", "1.000", fmt.Sprintf("%.3f", gm))
+	t, _, gm := normalised(r.Benchmarks, points, res, ipcOf, "geomean", stats.GeoMean)
 	return &Figure{
 		ID:      "Fig 16",
 		Title:   "ARI on top of DA2mesh (IPC norm. to DA2mesh)",
 		Paper:   "ARI adds ~16.4% on top of DA2mesh",
 		Table:   t,
-		Summary: map[string]float64{"da2mesh_ari_gain": gm - 1},
+		Summary: map[string]float64{"da2mesh_ari_gain": gm[1] - 1},
 	}, nil
 }
 
@@ -170,42 +125,31 @@ func Scalability(r *Runner) (*Figure, error) {
 		{"8x8", 8, 8, 8},
 	}
 	// A class-balanced subset keeps the study tractable on one machine.
-	names := []string{"bfs", "mummerGPU", "pathfinder", "hotspot",
+	kernels, err := kernelsNamed("bfs", "mummerGPU", "pathfinder", "hotspot",
 		"b+tree", "backprop", "histogram", "scan",
-		"blackScholes", "matrixMul", "nn", "monteCarlo"}
-	var jobs []Job
-	var kernels []trace.Kernel
-	for _, n := range names {
-		k, err := trace.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		kernels = append(kernels, k)
+		"blackScholes", "matrixMul", "nn", "monteCarlo")
+	if err != nil {
+		return nil, err
 	}
-	schemes := []core.Scheme{core.AdaBaseline, core.AdaARI}
-	for _, k := range kernels {
-		for _, sz := range sizes {
-			for _, sch := range schemes {
-				cfg := r.withScheme(sch)
-				cfg.MeshWidth, cfg.MeshHeight, cfg.NumMC = sz.w, sz.h, sz.mc
-				jobs = append(jobs, Job{Cfg: cfg, Kernel: k})
-			}
+	// Two points per size: Ada-Baseline, then Ada-ARI.
+	var points []Point
+	for _, sz := range sizes {
+		for _, sch := range []core.Scheme{core.AdaBaseline, core.AdaARI} {
+			points = append(points, Point{sz.label + "/" + sch.String(), func(c *core.Config) {
+				c.Scheme, c.MeshWidth, c.MeshHeight, c.NumMC = sch, sz.w, sz.h, sz.mc
+			}})
 		}
 	}
-	res, err := r.RunAll(jobs)
+	res, err := r.Grid(kernels, points)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("mesh", "ARI IPC gain (geomean)")
 	summary := map[string]float64{}
-	idx := 0
 	gains := make([][]float64, len(sizes))
-	for range kernels {
+	for _, row := range res {
 		for si := range sizes {
-			base := res[idx].IPC
-			ari := res[idx+1].IPC
-			gains[si] = append(gains[si], safeDiv(ari, base))
-			idx += 2
+			gains[si] = append(gains[si], safeDiv(row[2*si+1].IPC, row[2*si].IPC))
 		}
 	}
 	for si, sz := range sizes {

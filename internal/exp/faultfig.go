@@ -7,7 +7,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // faultCorruptRates are the per-cycle flit-corruption burst probabilities the
@@ -25,34 +24,28 @@ var faultCorruptRates = []float64{0, 0.01, 0.03, 0.1}
 // lossless operation under faults. Results average over a high- and a
 // medium-intensity benchmark.
 func FaultFigure(r *Runner) (*Figure, error) {
-	benches := []string{"bfs", "histogram"}
 	schemes := []core.Scheme{core.AdaBaseline, core.AdaMultiPort, core.AdaARI}
 
-	kernels := make([]trace.Kernel, len(benches))
-	for i, name := range benches {
-		k, err := trace.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		kernels[i] = k
+	kernels, err := kernelsNamed("bfs", "histogram")
+	if err != nil {
+		return nil, err
 	}
-
-	var jobs []Job
+	// One point per (rate, scheme), rates outermost.
+	var points []Point
 	for _, rate := range faultCorruptRates {
 		for _, s := range schemes {
-			cfg := r.withScheme(s)
-			// Recovery on at every rate, including 0, so the sweep varies
-			// only the fault pressure, never the protocol machinery.
-			cfg.RetransBufPkts = 8
-			if rate > 0 {
-				cfg.Fault = fault.Config{Enabled: true, CorruptProb: rate}
-			}
-			for _, k := range kernels {
-				jobs = append(jobs, Job{Cfg: cfg, Kernel: k})
-			}
+			points = append(points, Point{fmt.Sprintf("%.2f/%s", rate, s), func(c *core.Config) {
+				c.Scheme = s
+				// Recovery on at every rate, including 0, so the sweep varies
+				// only the fault pressure, never the protocol machinery.
+				c.RetransBufPkts = 8
+				if rate > 0 {
+					c.Fault = fault.Config{Enabled: true, CorruptProb: rate}
+				}
+			}})
 		}
 	}
-	res, err := r.RunAll(jobs)
+	res, err := r.Grid(kernels, points)
 	if err != nil {
 		return nil, err
 	}
@@ -61,15 +54,14 @@ func FaultFigure(r *Runner) (*Figure, error) {
 		"corrupt_pkts", "retrans_pkts", "fault_events")
 	// ipcAt[rate][scheme] = benchmark-averaged IPC, for the summary ratios.
 	ipcAt := make(map[float64]map[core.Scheme]float64)
-	idx := 0
+	p := 0
 	for _, rate := range faultCorruptRates {
 		ipcAt[rate] = make(map[core.Scheme]float64)
 		for _, s := range schemes {
 			var ipc, lat float64
 			var corrupt, retrans, events uint64
-			for range kernels {
-				rr := res[idx]
-				idx++
+			for k := range kernels {
+				rr := res[k][p]
 				ipc += rr.IPC
 				lat += rr.Rep.AvgLatency(noc.ReadReply, noc.WriteReply)
 				corrupt += rr.Recovery.CorruptPackets
@@ -93,6 +85,7 @@ func FaultFigure(r *Runner) (*Figure, error) {
 				fmt.Sprintf("%.3f", ipc), fmt.Sprintf("%.1f", lat),
 				fmt.Sprintf("%d", corrupt), fmt.Sprintf("%d", retrans),
 				fmt.Sprintf("%d", events))
+			p++
 		}
 	}
 

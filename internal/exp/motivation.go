@@ -6,8 +6,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
+
+// xyBaseline is the one point of the motivation figures that characterise
+// the baseline alone.
+var xyBaseline = SchemePoints(core.XYBaseline)
 
 // TableI prints the evaluated configuration, mirroring the paper's Table I.
 func TableI(r *Runner) (*Figure, error) {
@@ -44,20 +47,15 @@ func TableI(r *Runner) (*Figure, error) {
 // under the baseline (paper: request ~= 5.6x reply on average, despite the
 // bottleneck living on the reply side).
 func Fig3(r *Runner) (*Figure, error) {
-	cfg := r.withScheme(core.XYBaseline)
-	jobs := make([]Job, len(r.Benchmarks))
-	for i, k := range r.Benchmarks {
-		jobs[i] = Job{Cfg: cfg, Kernel: k}
-	}
-	res, err := r.RunAll(jobs)
+	res, err := r.Grid(r.Benchmarks, xyBaseline)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("benchmark", "req_latency", "rep_latency", "req/rep (norm)")
 	var ratios []float64
 	for i, k := range r.Benchmarks {
-		req := meanNet(&res[i].Req, noc.ReadRequest, noc.WriteRequest)
-		rep := meanNet(&res[i].Rep, noc.ReadReply, noc.WriteReply)
+		req := meanNet(&res[i][0].Req, noc.ReadRequest, noc.WriteRequest)
+		rep := meanNet(&res[i][0].Rep, noc.ReadReply, noc.WriteReply)
 		ratio := safeDiv(req, rep)
 		ratios = append(ratios, ratio)
 		t.AddRow(k.Name, fmt.Sprintf("%.1f", req), fmt.Sprintf("%.1f", rep), fmt.Sprintf("%.2f", ratio))
@@ -75,50 +73,27 @@ func Fig3(r *Runner) (*Figure, error) {
 // Fig4 measures the IPC impact of doubling each network's link width
 // (paper: 256-bit request links +0.8%, 256-bit reply links +25.6%).
 func Fig4(r *Runner) (*Figure, error) {
-	type variant struct {
-		label            string
-		reqBits, repBits int
+	linkBits := func(req, rep int) func(*core.Config) {
+		return func(c *core.Config) { c.Scheme, c.ReqLinkBits, c.RepLinkBits = core.XYBaseline, req, rep }
 	}
-	variants := []variant{
-		{"128-128", 128, 128},
-		{"256-128", 256, 128},
-		{"128-256", 128, 256},
+	points := []Point{
+		{"128-128", linkBits(128, 128)},
+		{"256-128", linkBits(256, 128)},
+		{"128-256", linkBits(128, 256)},
 	}
-	jobs := make([]Job, 0, len(variants)*len(r.Benchmarks))
-	for _, k := range r.Benchmarks {
-		for _, v := range variants {
-			cfg := r.withScheme(core.XYBaseline)
-			cfg.ReqLinkBits, cfg.RepLinkBits = v.reqBits, v.repBits
-			jobs = append(jobs, Job{Cfg: cfg, Kernel: k})
-		}
-	}
-	res, err := r.RunAll(jobs)
+	res, err := r.Grid(r.Benchmarks, points)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("benchmark", "128-128", "256-128", "128-256")
-	perVariant := make([][]float64, len(variants))
-	for i, k := range r.Benchmarks {
-		base := res[i*len(variants)].IPC
-		row := []string{k.Name}
-		for v := range variants {
-			norm := safeDiv(res[i*len(variants)+v].IPC, base)
-			perVariant[v] = append(perVariant[v], norm)
-			row = append(row, fmt.Sprintf("%.3f", norm))
-		}
-		t.AddRow(row...)
-	}
-	gmReq := stats.GeoMean(perVariant[1])
-	gmRep := stats.GeoMean(perVariant[2])
-	t.AddRow("geomean", "1.000", fmt.Sprintf("%.3f", gmReq), fmt.Sprintf("%.3f", gmRep))
+	t, _, gm := normalised(r.Benchmarks, points, res, ipcOf, "geomean", stats.GeoMean)
 	return &Figure{
 		ID:    "Fig 4",
 		Title: "IPC for request-reply link width combinations (norm. to 128-128)",
 		Paper: "doubling request links: +0.8% IPC; doubling reply links: +25.6%",
 		Table: t,
 		Summary: map[string]float64{
-			"req_double_gain": gmReq - 1,
-			"rep_double_gain": gmRep - 1,
+			"req_double_gain": gm[1] - 1,
+			"rep_double_gain": gm[2] - 1,
 		},
 	}, nil
 }
@@ -126,12 +101,7 @@ func Fig4(r *Runner) (*Figure, error) {
 // Fig5 reports the flit-weighted packet-type mix (paper: the reply network
 // carries ~72.7% of total NoC traffic vs 27.3% for the request network).
 func Fig5(r *Runner) (*Figure, error) {
-	cfg := r.withScheme(core.XYBaseline)
-	jobs := make([]Job, len(r.Benchmarks))
-	for i, k := range r.Benchmarks {
-		jobs[i] = Job{Cfg: cfg, Kernel: k}
-	}
-	res, err := r.RunAll(jobs)
+	res, err := r.Grid(r.Benchmarks, xyBaseline)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +111,7 @@ func Fig5(r *Runner) (*Figure, error) {
 		var total float64
 		shares := make([]float64, noc.NumPacketTypes)
 		for pt := 0; pt < noc.NumPacketTypes; pt++ {
-			f := float64(res[i].Req.FlitsInjected[pt] + res[i].Rep.FlitsInjected[pt])
+			f := float64(res[i][0].Req.FlitsInjected[pt] + res[i][0].Rep.FlitsInjected[pt])
 			shares[pt] = f
 			total += f
 		}
@@ -173,12 +143,7 @@ func Fig5(r *Runner) (*Figure, error) {
 // links average ~0.084 flit/cycle while injection links run ~0.39
 // flit/cycle (>4.5x), pinpointing the injection points as the bottleneck.
 func LinkUtil(r *Runner) (*Figure, error) {
-	cfg := r.withScheme(core.XYBaseline)
-	jobs := make([]Job, len(r.Benchmarks))
-	for i, k := range r.Benchmarks {
-		jobs[i] = Job{Cfg: cfg, Kernel: k}
-	}
-	res, err := r.RunAll(jobs)
+	res, err := r.Grid(r.Benchmarks, xyBaseline)
 	if err != nil {
 		return nil, err
 	}
@@ -186,11 +151,11 @@ func LinkUtil(r *Runner) (*Figure, error) {
 	var links, injs []float64
 	numMC := float64(r.Base.NumMC)
 	for i, k := range r.Benchmarks {
-		lu := res[i].Rep.MeshLinkUtil()
+		rep := &res[i][0].Rep
+		lu := rep.MeshLinkUtil()
 		// Injection-link utilisation over the links that actually inject
 		// (the MC nodes), not every node's unused NI link.
-		totalInj := float64(res[i].Rep.InjLinkFlits)
-		iu := safeDiv(totalInj/float64(res[i].Rep.Cycles), numMC)
+		iu := safeDiv(float64(rep.InjLinkFlits)/float64(rep.Cycles), numMC)
 		links = append(links, lu)
 		injs = append(injs, iu)
 		t.AddRow(k.Name, fmt.Sprintf("%.4f", lu), fmt.Sprintf("%.4f", iu), fmt.Sprintf("%.1fx", safeDiv(iu, lu)))
@@ -217,19 +182,17 @@ func Fig6(r *Runner) (*Figure, error) {
 	capsPkts := []int{4, 12, 28, 50, 80}
 	longPkt := noc.PacketSize(noc.ReadReply, r.Base.RepLinkBits, r.Base.DataBytes)
 
-	var jobs []Job
-	for _, name := range benches {
-		k, err := trace.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, cp := range capsPkts {
-			cfg := r.withScheme(core.XYBaseline)
-			cfg.NIQueueFlits = cp * longPkt
-			jobs = append(jobs, Job{Cfg: cfg, Kernel: k})
-		}
+	kernels, err := kernelsNamed(benches...)
+	if err != nil {
+		return nil, err
 	}
-	res, err := r.RunAll(jobs)
+	points := make([]Point, len(capsPkts))
+	for i, cp := range capsPkts {
+		points[i] = Point{fmt.Sprintf("%d", cp), func(c *core.Config) {
+			c.Scheme, c.NIQueueFlits = core.XYBaseline, cp*longPkt
+		}}
+	}
+	res, err := r.Grid(kernels, points)
 	if err != nil {
 		return nil, err
 	}
@@ -238,9 +201,9 @@ func Fig6(r *Runner) (*Figure, error) {
 	t := stats.NewTable(header...)
 	var trackRatio []float64
 	for ci, cp := range capsPkts {
-		row := []string{fmt.Sprintf("%d", cp)}
+		row := []string{points[ci].Label}
 		for bi := range benches {
-			occPkts := res[bi*len(capsPkts)+ci].NIOccAvgFlits / float64(longPkt)
+			occPkts := res[bi][ci].NIOccAvgFlits / float64(longPkt)
 			row = append(row, fmt.Sprintf("%.1f", occPkts))
 			trackRatio = append(trackRatio, safeDiv(occPkts, float64(cp)))
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // PlacementAblation is an extension study beyond the paper: it quantifies
@@ -19,39 +18,28 @@ import (
 // the calibrated Table I system.
 func PlacementAblation(r *Runner) (*Figure, error) {
 	benches := []string{"bfs", "kmeans", "mummerGPU", "pathfinder"}
-	type variant struct {
-		label  string
-		edge   bool
-		scheme core.Scheme
+	at := func(edge bool, s core.Scheme) func(*core.Config) {
+		return func(c *core.Config) { c.Scheme, c.EdgeMCPlacement = s, edge }
 	}
-	variants := []variant{
-		{"diamond/no-pri", false, core.AccBothNoPriority},
-		{"diamond/ARI", false, core.AdaARI},
-		{"edge/no-pri", true, core.AccBothNoPriority},
-		{"edge/ARI", true, core.AdaARI},
+	points := []Point{
+		{"diamond/no-pri", at(false, core.AccBothNoPriority)},
+		{"diamond/ARI", at(false, core.AdaARI)},
+		{"edge/no-pri", at(true, core.AccBothNoPriority)},
+		{"edge/ARI", at(true, core.AdaARI)},
 	}
-	var jobs []Job
-	for _, name := range benches {
-		k, err := trace.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range variants {
-			cfg := r.withScheme(v.scheme)
-			cfg.EdgeMCPlacement = v.edge
-			jobs = append(jobs, Job{Cfg: cfg, Kernel: k})
-		}
+	kernels, err := kernelsNamed(benches...)
+	if err != nil {
+		return nil, err
 	}
-	res, err := r.RunAll(jobs)
+	res, err := r.Grid(kernels, points)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("benchmark", "diamond prio gain", "edge prio gain")
 	var dGains, eGains []float64
 	for bi, name := range benches {
-		base := bi * len(variants)
-		d := safeDiv(res[base+1].IPC, res[base+0].IPC) - 1
-		e := safeDiv(res[base+3].IPC, res[base+2].IPC) - 1
+		d := safeDiv(res[bi][1].IPC, res[bi][0].IPC) - 1
+		e := safeDiv(res[bi][3].IPC, res[bi][2].IPC) - 1
 		dGains = append(dGains, d)
 		eGains = append(eGains, e)
 		t.AddRow(name, pct(d), pct(e))

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Fig9 varies the number of ARI priority levels on bfs and mummerGPU
@@ -14,19 +13,15 @@ import (
 func Fig9(r *Runner) (*Figure, error) {
 	benches := []string{"bfs", "mummerGPU"}
 	levels := []int{1, 2, 3, 4, 5, 6}
-	var jobs []Job
-	for _, name := range benches {
-		k, err := trace.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range levels {
-			cfg := r.withScheme(core.AdaARI)
-			cfg.PriorityLevels = l
-			jobs = append(jobs, Job{Cfg: cfg, Kernel: k})
-		}
+	kernels, err := kernelsNamed(benches...)
+	if err != nil {
+		return nil, err
 	}
-	res, err := r.RunAll(jobs)
+	points := make([]Point, len(levels))
+	for i, l := range levels {
+		points[i] = Point{fmt.Sprintf("%d", l), func(c *core.Config) { c.Scheme, c.PriorityLevels = core.AdaARI, l }}
+	}
+	res, err := r.Grid(kernels, points)
 	if err != nil {
 		return nil, err
 	}
@@ -35,10 +30,10 @@ func Fig9(r *Runner) (*Figure, error) {
 	t := stats.NewTable(header...)
 	summary := map[string]float64{}
 	for li, l := range levels {
-		row := []string{fmt.Sprintf("%d", l)}
+		row := []string{points[li].Label}
 		for bi, name := range benches {
-			base := res[bi*len(levels)].IPC // 1 level = no prioritisation
-			gain := safeDiv(res[bi*len(levels)+li].IPC, base) - 1
+			base := res[bi][0].IPC // 1 level = no prioritisation
+			gain := safeDiv(res[bi][li].IPC, base) - 1
 			row = append(row, pct(gain))
 			if l == 2 {
 				summary["gain_2_levels_"+name] = gain
@@ -57,43 +52,30 @@ func Fig9(r *Runner) (*Figure, error) {
 	}, nil
 }
 
-// fig10Schemes is Fig 10's ablation set, all under adaptive routing.
-var fig10Schemes = []core.Scheme{
-	core.AdaBaseline, core.AccSupply, core.AccConsume,
-	core.AccBothNoPriority, core.AdaARI,
+// fig10Points is Fig 10's ablation set, all under adaptive routing.
+var fig10Points = []Point{
+	scheme("Baseline", core.AdaBaseline),
+	scheme("Acc-Supply", core.AccSupply),
+	scheme("Acc-Consume", core.AccConsume),
+	scheme("Acc-Both-NoPri", core.AccBothNoPriority),
+	scheme("Acc-Both-Pri(ARI)", core.AdaARI),
 }
 
 // Fig10 isolates the supply and consumption accelerations (paper: either
 // alone is ineffective — supply-only can hurt — together +13.5%, plus
 // priority for the full ARI).
 func Fig10(r *Runner) (*Figure, error) {
-	matrix, err := r.schemeMatrix(fig10Schemes)
+	res, err := r.Grid(r.Benchmarks, fig10Points)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("benchmark", "Baseline", "Acc-Supply", "Acc-Consume", "Acc-Both-NoPri", "Acc-Both-Pri(ARI)")
-	norm := make([][]float64, len(fig10Schemes))
+	t, norm, gm := normalised(r.Benchmarks, fig10Points, res, ipcOf, "geomean", stats.GeoMean)
 	supplyHurts := 0
-	for i, k := range r.Benchmarks {
-		base := matrix[i][0].IPC
-		row := []string{k.Name}
-		for s := range fig10Schemes {
-			v := safeDiv(matrix[i][s].IPC, base)
-			norm[s] = append(norm[s], v)
-			row = append(row, fmt.Sprintf("%.3f", v))
-		}
-		if norm[1][len(norm[1])-1] < 1.0 {
+	for _, v := range norm[1] {
+		if v < 1.0 {
 			supplyHurts++
 		}
-		t.AddRow(row...)
 	}
-	gm := make([]float64, len(fig10Schemes))
-	gmRow := []string{"geomean"}
-	for s := range fig10Schemes {
-		gm[s] = stats.GeoMean(norm[s])
-		gmRow = append(gmRow, fmt.Sprintf("%.3f", gm[s]))
-	}
-	t.AddRow(gmRow...)
 	return &Figure{
 		ID:    "Fig 10",
 		Title: "Ablation: accelerating supply and consumption separately and combined (IPC norm. to Ada-Baseline)",
@@ -109,10 +91,13 @@ func Fig10(r *Runner) (*Figure, error) {
 	}, nil
 }
 
-// fig11Schemes is the main comparison of §7.2.
-var fig11Schemes = []core.Scheme{
-	core.XYBaseline, core.XYARI, core.AdaBaseline,
-	core.AdaMultiPort, core.AdaARI,
+// fig11Points is the main comparison of §7.2.
+var fig11Points = []Point{
+	scheme("XY-Base", core.XYBaseline),
+	scheme("XY-ARI", core.XYARI),
+	scheme("Ada-Base", core.AdaBaseline),
+	scheme("Ada-MultiPort", core.AdaMultiPort),
+	scheme("Ada-ARI", core.AdaARI),
 }
 
 // Fig11 is the headline performance comparison (paper: XY-ARI +8% over
@@ -120,34 +105,17 @@ var fig11Schemes = []core.Scheme{
 // Ada-Baseline; Ada-ARI +15.4% over Ada-Baseline, ~1.4x for a third of the
 // benchmarks).
 func Fig11(r *Runner) (*Figure, error) {
-	matrix, err := r.schemeMatrix(fig11Schemes)
+	res, err := r.Grid(r.Benchmarks, fig11Points)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("benchmark", "XY-Base", "XY-ARI", "Ada-Base", "Ada-MultiPort", "Ada-ARI")
-	norm := make([][]float64, len(fig11Schemes))
+	t, _, gm := normalised(r.Benchmarks, fig11Points, res, ipcOf, "geomean", stats.GeoMean)
 	big := 0
-	for i, k := range r.Benchmarks {
-		base := matrix[i][0].IPC
-		row := []string{k.Name}
-		for s := range fig11Schemes {
-			v := safeDiv(matrix[i][s].IPC, base)
-			norm[s] = append(norm[s], v)
-			row = append(row, fmt.Sprintf("%.3f", v))
-		}
-		if safeDiv(matrix[i][4].IPC, matrix[i][2].IPC) >= 1.35 {
+	for _, row := range res {
+		if safeDiv(row[4].IPC, row[2].IPC) >= 1.35 {
 			big++
 		}
-		t.AddRow(row...)
 	}
-	gm := make([]float64, len(fig11Schemes))
-	gmRow := []string{"geomean"}
-	for s := range fig11Schemes {
-		gm[s] = stats.GeoMean(norm[s])
-		gmRow = append(gmRow, fmt.Sprintf("%.3f", gm[s]))
-	}
-	t.AddRow(gmRow...)
-	adaBase := gm[2]
 	return &Figure{
 		ID:    "Fig 11",
 		Title: "Performance comparison across schemes (IPC norm. to XY-Baseline)",
@@ -156,8 +124,8 @@ func Fig11(r *Runner) (*Figure, error) {
 		Summary: map[string]float64{
 			"xy_ari_gain":        gm[1]/gm[0] - 1,
 			"ada_base_vs_xy":     gm[2]/gm[0] - 1,
-			"multiport_gain":     gm[3]/adaBase - 1,
-			"ada_ari_gain":       gm[4]/adaBase - 1,
+			"multiport_gain":     gm[3]/gm[2] - 1,
+			"ada_ari_gain":       gm[4]/gm[2] - 1,
 			"benchmarks_near14x": float64(big),
 		},
 	}, nil
@@ -167,42 +135,23 @@ func Fig11(r *Runner) (*Figure, error) {
 // −47.5%, Ada-ARI −67.8% vs the respective baselines). Because runs are
 // fixed-horizon, stall time is normalised per reply sent.
 func Fig12(r *Runner) (*Figure, error) {
-	matrix, err := r.schemeMatrix(fig11Schemes)
+	res, err := r.Grid(r.Benchmarks, fig11Points)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("benchmark", "XY-Base", "XY-ARI", "Ada-Base", "Ada-MultiPort", "Ada-ARI")
-	perScheme := make([][]float64, len(fig11Schemes))
 	stallPerReply := func(res core.Result) float64 {
 		return safeDiv(float64(res.MCStallTime), float64(res.RepliesSent))
 	}
-	for i, k := range r.Benchmarks {
-		base := stallPerReply(matrix[i][0])
-		row := []string{k.Name}
-		for s := range fig11Schemes {
-			v := safeDiv(stallPerReply(matrix[i][s]), base)
-			perScheme[s] = append(perScheme[s], v)
-			row = append(row, fmt.Sprintf("%.3f", v))
-		}
-		t.AddRow(row...)
-	}
-	avgRow := []string{"mean"}
-	avgs := make([]float64, len(fig11Schemes))
-	for s := range fig11Schemes {
-		avgs[s] = mean(perScheme[s])
-		avgRow = append(avgRow, fmt.Sprintf("%.3f", avgs[s]))
-	}
-	t.AddRow(avgRow...)
-	// Ada columns renormalised to Ada-Baseline.
-	adaRed := 1 - safeDiv(avgs[4], avgs[2])
+	t, _, avgs := normalised(r.Benchmarks, fig11Points, res, stallPerReply, "mean", mean)
 	return &Figure{
 		ID:    "Fig 12",
 		Title: "Data stall time in MCs due to NI injection-queue full (norm. per reply, to XY-Baseline)",
 		Paper: "XY-ARI reduces stall ~47.5%; Ada-ARI ~67.8%; MultiPort helps little in general",
 		Table: t,
 		Summary: map[string]float64{
-			"xy_ari_stall_reduction":    1 - safeDiv(avgs[1], avgs[0]),
-			"ada_ari_stall_reduction":   adaRed,
+			"xy_ari_stall_reduction": 1 - safeDiv(avgs[1], avgs[0]),
+			// Ada columns renormalised to Ada-Baseline.
+			"ada_ari_stall_reduction":   1 - safeDiv(avgs[4], avgs[2]),
 			"multiport_stall_reduction": 1 - safeDiv(avgs[3], avgs[2]),
 		},
 	}, nil
@@ -213,23 +162,23 @@ func Fig12(r *Runner) (*Figure, error) {
 // ARI also shrinks request latency despite changing nothing on the request
 // network — confirming the bottleneck is the reply side.
 func Fig13(r *Runner) (*Figure, error) {
-	matrix, err := r.schemeMatrix(fig11Schemes)
+	res, err := r.Grid(r.Benchmarks, fig11Points)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("benchmark", "XY-Base(req+rep)", "XY-ARI", "Ada-Base", "Ada-MultiPort", "Ada-ARI")
 	var reqDropXY, reqDropAda []float64
-	totNorm := make([][]float64, len(fig11Schemes))
+	totNorm := make([][]float64, len(fig11Points))
 	for i, k := range r.Benchmarks {
 		lat := func(s int) (req, rep float64) {
-			req = matrix[i][s].Req.AvgLatency(noc.ReadRequest, noc.WriteRequest)
-			rep = matrix[i][s].Rep.AvgLatency(noc.ReadReply, noc.WriteReply)
+			req = res[i][s].Req.AvgLatency(noc.ReadRequest, noc.WriteRequest)
+			rep = res[i][s].Rep.AvgLatency(noc.ReadReply, noc.WriteReply)
 			return
 		}
 		baseReq, baseRep := lat(0)
 		base := baseReq + baseRep
 		row := []string{k.Name}
-		for s := range fig11Schemes {
+		for s := range fig11Points {
 			rq, rp := lat(s)
 			row = append(row, fmt.Sprintf("%.2f(%.2f+%.2f)", safeDiv(rq+rp, base), safeDiv(rq, base), safeDiv(rp, base)))
 			totNorm[s] = append(totNorm[s], safeDiv(rq+rp, base))

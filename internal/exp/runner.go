@@ -391,23 +391,3 @@ func (r *Runner) withScheme(s core.Scheme) core.Config {
 	cfg.Scheme = s
 	return cfg
 }
-
-// schemeMatrix runs every benchmark under every scheme and returns
-// results[benchIdx][schemeIdx].
-func (r *Runner) schemeMatrix(schemes []core.Scheme) ([][]core.Result, error) {
-	jobs := make([]Job, 0, len(r.Benchmarks)*len(schemes))
-	for _, k := range r.Benchmarks {
-		for _, s := range schemes {
-			jobs = append(jobs, Job{Cfg: r.withScheme(s), Kernel: k})
-		}
-	}
-	flat, err := r.RunAll(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]core.Result, len(r.Benchmarks))
-	for i := range r.Benchmarks {
-		out[i] = flat[i*len(schemes) : (i+1)*len(schemes)]
-	}
-	return out, nil
-}

@@ -6,7 +6,11 @@
 // only depends on the ratios.
 package power
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Params holds the per-event dynamic energies (model units per event) and
 // the static power (units per NoC cycle for the whole chip).
@@ -46,21 +50,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Activity is the event-count input (mirrors core.Activity without
-// importing it, keeping this package dependency-free).
-type Activity struct {
-	NoCCycles      int64
-	Instructions   uint64
-	L1Accesses     uint64
-	L2Accesses     uint64
-	DRAMReads      uint64
-	DRAMWrites     uint64
-	ReqFlitHops    uint64
-	RepFlitHops    uint64
-	BufferedFlits  uint64
-	InjectionFlits uint64
-}
-
 // Breakdown is an energy estimate in model units.
 type Breakdown struct {
 	Dynamic float64
@@ -70,9 +59,9 @@ type Breakdown struct {
 // Total returns dynamic + static energy.
 func (b Breakdown) Total() float64 { return b.Dynamic + b.Static }
 
-// Estimate computes the energy of a run; ari applies the ARI static
-// overhead factor.
-func Estimate(a Activity, ari bool, p Params) Breakdown {
+// Estimate computes the energy of a run from its event counts; ari applies
+// the ARI static overhead factor.
+func Estimate(a core.Activity, ari bool, p Params) Breakdown {
 	var b Breakdown
 	b.Dynamic += float64(a.Instructions) * p.CoreInstr
 	b.Dynamic += float64(a.L1Accesses) * p.L1Access

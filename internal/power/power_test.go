@@ -3,10 +3,12 @@ package power
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
 )
 
-func sampleActivity() Activity {
-	return Activity{
+func sampleActivity() core.Activity {
+	return core.Activity{
 		NoCCycles:      10000,
 		Instructions:   500000,
 		L1Accesses:     100000,
