@@ -82,7 +82,7 @@ func runChaos(t *testing.T, name string, mutate func(*noc.Config), seed uint64) 
 	}
 	if !n.Idle() {
 		t.Fatalf("%s: network did not drain under chaos (inFlight=%d, ctl=%d)\n%s",
-			name, n.InFlight(), n.CtlPending(), n.DumpState())
+			name, n.InFlight(), n.CtlPending(), n.StateSnapshot().String())
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("%s: invariants dirty after drain: %v", name, err)

@@ -84,7 +84,7 @@ func runSoak(t *testing.T, name string, mutate func(*noc.Config), seed uint64) s
 	}
 	if !n.Idle() {
 		t.Fatalf("%s: network did not drain after faults expired (inFlight=%d)\n%s",
-			name, n.InFlight(), n.DumpState())
+			name, n.InFlight(), n.StateSnapshot().String())
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("%s: invariants dirty after drain: %v", name, err)

@@ -16,11 +16,6 @@ func (s vcState) String() string {
 	}
 }
 
-// DumpState renders StateSnapshot as text: the payload of watchdog
-// failures (deadlock/starvation reports). Safe at any cycle boundary — it
-// only reads.
-func (n *Network) DumpState() string { return n.StateSnapshot().String() }
-
 // OldestPackets returns up to k distinct in-flight packets ordered by
 // CreatedAt (oldest first, packet ID tie-break): the packets of the live
 // packet-table slots, each of which has at least one flit in the network.
