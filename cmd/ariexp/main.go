@@ -148,6 +148,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	fmt.Fprintf(stdout, "---\n\n%d simulations in %s.\n", r.Runs(), time.Since(start).Round(time.Millisecond))
+	// The wall time goes to stderr, so the report on stdout is a pure
+	// function of the flags (experiments_full.txt is diffed whole).
+	fmt.Fprintf(stdout, "---\n\n%d simulations.\n", r.Runs())
+	fmt.Fprintf(stderr, "ariexp: %d simulations in %s\n", r.Runs(), time.Since(start).Round(time.Millisecond))
 	return nil
 }
