@@ -183,7 +183,7 @@ func NewModel(cfg core.Config) (*Model, error) {
 	if m.niQueueFlits <= 0 {
 		m.niQueueFlits = float64(4 * m.repLong) // noc.Config.Validate default
 	}
-	m.vcBufFlits = float64(cfg.VCs * m.repLong) // default VCDepth is one long packet
+	m.vcBufFlits = float64(cfg.VCs * m.repLong) // every VC buffers one long packet
 
 	mc := cfg.MC
 	m.mcQueueSlots = float64(mc.InQueueCap + mc.L2PipeCap + mc.ReplyQueueCap)
@@ -284,9 +284,9 @@ func (m *Model) injection(mix classMix, shortLen, longLen int, throughRho float6
 // average route, at average link utilisation rho: one cycle per router plus
 // serialisation plus per-hop contention.
 func (m *Model) network(flits int, rho, lenMean float64) float64 {
-	// The simulator's routers are single-cycle (core leaves the noc
-	// pipeline at its default depth of 1); a flit also spends one cycle on
-	// each link, so a router traversal costs two cycles end to end.
+	// The simulator's routers are single-cycle (RC, VA, SA and ST in one
+	// cycle); a flit also spends one cycle on each link, so a router
+	// traversal costs two cycles end to end.
 	routers := m.avgHops + 1
 	return 2*routers + float64(flits-1) + routers*m.hopWait(rho, lenMean)
 }

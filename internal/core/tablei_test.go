@@ -63,8 +63,9 @@ func TestDefaultConfigMatchesTableI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nocCfg.VCDepth != longPkt {
-		t.Fatalf("VC depth = %d flits, want 1 packet (%d)", nocCfg.VCDepth, longPkt)
+	// Every VC buffers one long packet: LongPacketFlits is its depth.
+	if depth := nocCfg.LongPacketFlits(); depth != longPkt {
+		t.Fatalf("VC depth = %d flits, want 1 packet (%d)", depth, longPkt)
 	}
 	if nocCfg.NIQueueFlits != 36 {
 		t.Fatalf("NI queue = %d flits, want 36", nocCfg.NIQueueFlits)

@@ -8,8 +8,8 @@ import (
 
 // The mask allocators of the router and the ejector are checked against the
 // closure-driven roundRobin arbiter they replaced, driven the way the
-// scan-based code drove it: same winners, same pointers, same
-// creditStallCycles, over seeded random states.
+// scan-based code drove it: same winners, same pointers, over seeded random
+// states.
 
 // roundRobin is a rotating-priority arbiter over n requesters. Grant order
 // starts at the slot after the previous winner, so every requester is at
@@ -57,8 +57,8 @@ func (a *roundRobin) pickPriority(req func(i int) bool, prio func(i int) int) in
 
 // TestSwitchPortPickMatchesRoundRobin is SA stage 1: a switch-port's members
 // are VCs first, first+stride, ...; the reference arbitrates over member
-// positions and counts a credit stall inside the request closure, so only
-// the credit-less bidders visited before the winner count.
+// positions. pick is only called with a bidder, so rounds without one are
+// skipped.
 func TestSwitchPortPickMatchesRoundRobin(t *testing.T) {
 	r := rng.New(15)
 	for iter := 0; iter < 20000; iter++ {
@@ -76,31 +76,14 @@ func TestSwitchPortPickMatchesRoundRobin(t *testing.T) {
 
 		// A few rounds on one arbiter pair so pointer state carries over.
 		for round := 0; round < 4; round++ {
-			all := maskAll(nvc)
-			active, nonEmpty, hasCredit := uint32(r.Uint64())&all, uint32(r.Uint64())&all, uint32(r.Uint64())&all
-			if r.Intn(4) == 0 {
-				hasCredit = 0 // nobody wins: every bidder must count
+			bidding := uint32(r.Uint64()) & uint32(r.Uint64()) & mask
+			if bidding == 0 {
+				continue
 			}
-			refStalls := 0
-			w := ref.pick(func(j int) bool {
-				bit := uint32(1) << uint(members[j])
-				if active&nonEmpty&bit == 0 {
-					return false
-				}
-				if hasCredit&bit == 0 {
-					refStalls++
-					return false
-				}
-				return true
-			})
-			refV := -1
-			if w >= 0 {
-				refV = members[w]
-			}
-			v, stalls := sp.pick(active&nonEmpty&mask, hasCredit, nvc)
-			if v != refV || stalls != refStalls || int(sp.next) != members[ref.next] {
-				t.Fatalf("iter %d round %d (nvc %d first %d stride %d): mask pick = vc %d, %d stalls, pointer %d; reference vc %d, %d stalls, pointer %d",
-					iter, round, nvc, first, stride, v, stalls, sp.next, refV, refStalls, members[ref.next])
+			refV := members[ref.pick(func(j int) bool { return bidding&(1<<uint(members[j])) != 0 })]
+			if v := sp.pick(bidding, nvc); v != refV || int(sp.next) != members[ref.next] {
+				t.Fatalf("iter %d round %d (nvc %d first %d stride %d): mask pick = vc %d, pointer %d; reference vc %d, pointer %d",
+					iter, round, nvc, first, stride, v, sp.next, refV, members[ref.next])
 			}
 		}
 	}
@@ -237,8 +220,8 @@ func TestGrantOutputsMatchesRoundRobin(t *testing.T) {
 // into a request list (fault horizons read unconditionally, the starvation
 // guard recomputed by a full scan), then grantOutputs over a copy of the
 // output pointers. It returns each output's winning input VC and the moved
-// pointers and stall count, touching no router state.
-func separableSA(r *router, now int64) (win [numOutPorts][2]int32, sps []switchPort, next [numOutPorts]int32, stalls int) {
+// pointers, touching no router state.
+func separableSA(r *router, now int64) (win [numOutPorts][2]int32, sps []switchPort, next [numOutPorts]int32) {
 	sps = append([]switchPort(nil), r.sps...)
 	next = r.outNext
 	starved := false
@@ -257,11 +240,7 @@ func separableSA(r *router, now int64) (win [numOutPorts][2]int32, sps []switchP
 		if bidding == 0 || now < ip.frozenUntil {
 			continue
 		}
-		v, st := sp.pick(bidding, ip.hasCredit, r.nvc)
-		stalls += st
-		if v < 0 {
-			continue
-		}
+		v := sp.pick(bidding, r.nvc)
 		vc := &r.vcs[int(sp.port)*r.nvc+v]
 		if now < r.out[vc.outPort].stalledUntil {
 			continue
@@ -278,7 +257,7 @@ func separableSA(r *router, now int64) (win [numOutPorts][2]int32, sps []switchP
 			win[o] = [2]int32{reqs[i].port, reqs[i].vc}
 		}
 	}
-	return win, sps, next, stalls
+	return win, sps, next
 }
 
 // TestArbitrateMatchesSeparableStages holds the router's fused switch
@@ -286,7 +265,7 @@ func separableSA(r *router, now int64) (win [numOutPorts][2]int32, sps []switchP
 // switch-ports (ARI speedup) and several injection ports (MultiPort), ARI
 // priorities with the starvation guard on and off, and fault horizons with
 // the network's faulted bit set — same winners, same switch-port and output
-// pointers, same creditStallCycles.
+// pointers.
 func TestArbitrateMatchesSeparableStages(t *testing.T) {
 	r := rng.New(21)
 	var nets []*Network
@@ -314,7 +293,7 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 		span := 15 + r.Intn(16) // waits beyond the limit of 20 in some states only
 		for p := range rt.in {
 			ip := &rt.in[p]
-			ip.waitVC, ip.active, ip.nonEmpty, ip.hasCredit, ip.frozenUntil = 0, 0, 0, 0, 0
+			ip.waitVC, ip.active, ip.nonEmpty, ip.frozenUntil = 0, 0, 0, 0
 			if n.faulted && r.Intn(4) == 0 {
 				ip.frozenUntil = now - 2 + int64(r.Intn(5))
 			}
@@ -333,9 +312,6 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 				if vc.state == vcActive {
 					ip.active |= bit
 					vc.outPort, vc.outVC = int8(r.Intn(numOutPorts)), int8(r.Intn(rt.nvc))
-					if r.Intn(5) != 0 {
-						ip.hasCredit |= bit
-					}
 				}
 			}
 		}
@@ -354,8 +330,7 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 			sp.next = sp.first + uint8(r.Intn(members))*sp.stride
 		}
 
-		wantWin, wantSPs, wantNext, wantStalls := separableSA(rt, now)
-		before := n.stats.CreditStallCycles
+		wantWin, wantSPs, wantNext := separableSA(rt, now)
 		var won [numOutPorts]saGrant
 		wonOuts := rt.arbitrate(now, &won)
 		for o := range won {
@@ -378,9 +353,6 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 				t.Fatalf("iter %d switch-port %d: %+v, separable stages %+v", iter, i, rt.sps[i], wantSPs[i])
 			}
 		}
-		if got := int(n.stats.CreditStallCycles - before); got != wantStalls {
-			t.Fatalf("iter %d: %d credit stalls, separable stages %d", iter, got, wantStalls)
-		}
 		if rt.prioArbOn && now-rt.starveFloor > n.cfg.StarvationLimit { // the guard rescanned and fired
 			starvedSeen++
 		}
@@ -398,8 +370,7 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 // TestPickOutVCMatchesScan is VA's choice: the reference is the scan the
 // router used to run — candidates in order, downstream VCs descending, first
 // strict maximum of credits among unowned VCs with room for the whole
-// packet (non-atomic allocation), or empty ones for a packet longer than a
-// VC buffer.
+// packet (non-atomic allocation), for every size a VC holds.
 func TestPickOutVCMatchesScan(t *testing.T) {
 	r := rng.New(17)
 	cfg := Config{Mesh: Mesh{Width: 3, Height: 3}, VCs: 6, LinkBits: 128, DataBytes: 128,
@@ -408,7 +379,7 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth := n.cfg.VCDepth
+	depth := n.cfg.LongPacketFlits()
 	rt := &n.routers[4] // centre: every mesh output has a link
 	vc := &rt.vcs[0]
 	for iter := 0; iter < 20000; iter++ {
@@ -424,7 +395,7 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		pkt := &Packet{Size: 1 + r.Intn(2*depth)}
+		pkt := &Packet{Size: 1 + r.Intn(depth)}
 		h := n.pkts.add(pkt)
 		vc.buf = flitQueue{buf: vc.buf.buf}
 		vc.buf.push(flit{h: h})
@@ -437,7 +408,7 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 		for _, cand := range vc.cands[:vc.nCands] {
 			for v := cfg.VCs - 1; v >= 0; v-- {
 				ov := rt.out[cand.port].vcs[v]
-				if cand.vcMask&(1<<uint(v)) != 0 && ov.ownerPort < 0 && int(ov.credits) >= min(pkt.Size, depth) && ov.credits > best {
+				if cand.vcMask&(1<<uint(v)) != 0 && ov.ownerPort < 0 && int(ov.credits) >= pkt.Size && ov.credits > best {
 					wantPort, wantVC, best = int(cand.port), v, ov.credits
 				}
 			}
@@ -446,49 +417,5 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 			t.Fatalf("iter %d: pickOutVC = %d/%d, scan = %d/%d", iter, gotPort, gotVC, wantPort, wantVC)
 		}
 		n.pkts.release(h)
-	}
-}
-
-// TestCreditStallCyclesGolden pins a network-level creditStallCycles count.
-// Non-atomic allocation grants a downstream VC only with credits for the
-// entire packet, so the counter stays 0 unless a packet is longer than a VC
-// buffer; split NIs inject those, they are granted only empty VCs, and the
-// worm then runs out of credits mid-packet at every hop. InjSpeedup > 1
-// makes the MC routers' stage-1 windows strided.
-func TestCreditStallCyclesGolden(t *testing.T) {
-	mesh := Mesh{Width: 4, Height: 4}
-	cfg := Config{Mesh: mesh, VCs: 4, LinkBits: 128, DataBytes: 128, Routing: RouteMinAdaptive,
-		NIQueueFlits: 128, PriorityLevels: 2}
-	mcs := DiamondMCPlacement(mesh, 4)
-	cfg.Nodes = make([]NodeConfig, mesh.Nodes())
-	for _, m := range mcs {
-		cfg.Nodes[m] = NodeConfig{NI: NISplit, InjSpeedup: 2}
-	}
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.SetEjectHandler(func(int, *Packet, int64) {})
-	r := rng.New(18)
-	for cycle := 0; cycle < 6000; cycle++ {
-		if cycle < 4000 {
-			size := 1 + r.Intn(3*n.cfg.VCDepth) // up to three VC buffers long
-			n.Inject(mcs[cycle%len(mcs)], &Packet{Type: ReadReply, Dst: r.Intn(mesh.Nodes()), Size: size})
-		}
-		n.Step()
-		if cycle%97 == 0 {
-			if err := n.CheckInvariants(); err != nil {
-				t.Fatalf("cycle %d: %v", cycle, err)
-			}
-		}
-	}
-	if !n.Idle() {
-		t.Fatal("network did not drain")
-	}
-	st := n.Stats()
-	const wantStalls, wantSwitch, wantLatency = 385, 85022, 231680
-	if lat := st.Latency[ReadReply].Sum(); st.CreditStallCycles != wantStalls || st.SwitchTraversals != wantSwitch || lat != wantLatency {
-		t.Fatalf("creditStallCycles/switchTraversals/latency sum = %d/%d/%v, recorded %d/%d/%v",
-			st.CreditStallCycles, st.SwitchTraversals, lat, wantStalls, wantSwitch, wantLatency)
 	}
 }

@@ -13,7 +13,9 @@ import (
 //  1. no buffer ever exceeds its capacity;
 //  2. credit conservation: for every (output port, VC), the sender's
 //     credit count plus flits resident in (or staged toward) the matching
-//     downstream buffer plus credits staged back equals the buffer depth;
+//     downstream buffer plus credits staged back equals the buffer depth,
+//     and the downstream VC an active input VC (or an NI's bound packet)
+//     holds has a credit for every flit of the packet still to send;
 //  3. ownership coherence: a downstream VC owned by an input VC is the
 //     one that input VC is actively forwarding into, and vice versa;
 //  4. wormhole contiguity: within any VC buffer, flits form contiguous
@@ -98,7 +100,7 @@ func countStaged(staged []stagedFlit, p, v int) int {
 }
 
 func (n *Network) checkRouter(r *router) error {
-	depth := n.cfg.VCDepth
+	depth := n.longPkt
 
 	// (0): the incremental activity counters of event-driven stepping must
 	// agree with a full recount, and the node's busy bit must be set while
@@ -210,6 +212,14 @@ func (n *Network) checkRouter(r *router) error {
 				p-NumDirections, v, c, buffered, staged, depth)
 		}
 	}
+	// bindHead reserved the whole packet: stepFIFO never tests a credit.
+	if ni.boundVC >= 0 {
+		f := ni.queue.front()
+		if need, c := n.pkts.of(f).Size-int(f.seq), ni.vcCredits[ni.boundPort*r.nvc+ni.boundVC]; int(c) < need {
+			return fmt.Errorf("NI bound to injection port %d vc %d with %d credits for %d queued flits",
+				ni.boundPort, ni.boundVC, c, need)
+		}
+	}
 	return nil
 }
 
@@ -238,7 +248,7 @@ func activityMasks(r *router) (rcPorts, bidPorts uint32, creditOuts uint8) {
 func checkMasks(r *router) error {
 	var waiting int32
 	for p := range r.in {
-		var nonEmpty, waitVC, act, hasCredit uint32
+		var nonEmpty, waitVC, act uint32
 		for v := 0; v < r.nvc; v++ {
 			vc := &r.vcs[p*r.nvc+v]
 			bit := uint32(1) << uint(v)
@@ -260,15 +270,23 @@ func checkMasks(r *router) error {
 				}
 			case vcActive:
 				act |= bit
-				if r.out[vc.outPort].vcs[vc.outVC].credits > 0 {
-					hasCredit |= bit
+				// VA granted credits for the whole packet and only this VC
+				// spends them: SA never tests one.
+				need := 1
+				if !vc.buf.empty() {
+					f := vc.buf.front()
+					need = r.net.pkts.of(f).Size - int(f.seq)
+				}
+				if c := r.out[vc.outPort].vcs[vc.outVC].credits; int(c) < need {
+					return fmt.Errorf("port %d vc %d: downstream vc %d/%d has %d credits for %d unsent flits",
+						p, v, vc.outPort, vc.outVC, c, need)
 				}
 			}
 		}
 		ip := &r.in[p]
-		if ip.nonEmpty != nonEmpty || ip.waitVC != waitVC || ip.active != act || ip.hasCredit != hasCredit {
-			return fmt.Errorf("port %d: masks nonEmpty/waitVC/active/hasCredit %04b/%04b/%04b/%04b != recounted %04b/%04b/%04b/%04b",
-				p, ip.nonEmpty, ip.waitVC, ip.active, ip.hasCredit, nonEmpty, waitVC, act, hasCredit)
+		if ip.nonEmpty != nonEmpty || ip.waitVC != waitVC || ip.active != act {
+			return fmt.Errorf("port %d: masks nonEmpty/waitVC/active %04b/%04b/%04b != recounted %04b/%04b/%04b",
+				p, ip.nonEmpty, ip.waitVC, ip.active, nonEmpty, waitVC, act)
 		}
 		if ip.vaFresh&^waitVC != 0 {
 			return fmt.Errorf("port %d: vaFresh %04b outside waitVC %04b", p, ip.vaFresh, waitVC)

@@ -91,9 +91,8 @@ type Config struct {
 	Mesh Mesh
 
 	// VCs is the number of virtual channels per router port (Table I: 4).
+	// Each VC buffers exactly one long packet (Table I): LongPacketFlits.
 	VCs int
-	// VCDepth is the buffer depth of each VC in flits (Table I: 1 packet).
-	VCDepth int
 	// LinkBits is the link (flit) width in bits (Table I: 128).
 	LinkBits int
 	// DataBytes is the payload of long packets in bytes (128B cache line).
@@ -149,12 +148,9 @@ func (c Config) Validate() (Config, error) {
 	if c.DataBytes <= 0 {
 		return c, fmt.Errorf("noc: DataBytes must be positive, got %d", c.DataBytes)
 	}
-	longPkt := PacketSize(ReadReply, c.LinkBits, c.DataBytes)
-	if c.VCDepth == 0 {
-		c.VCDepth = longPkt // Table I: 1 packet per VC
-	}
-	if c.VCDepth < longPkt {
-		return c, fmt.Errorf("noc: VCDepth %d flits cannot hold a %d-flit packet", c.VCDepth, longPkt)
+	longPkt := c.LongPacketFlits()
+	if longPkt > maxPacketFlits {
+		return c, fmt.Errorf("noc: a %d-flit long packet exceeds the %d flits a flit's seq can index", longPkt, maxPacketFlits)
 	}
 	if c.NIQueueFlits == 0 {
 		c.NIQueueFlits = 4 * longPkt
@@ -194,7 +190,8 @@ func (c *Config) node(id int) NodeConfig {
 	return c.Nodes[id]
 }
 
-// LongPacketFlits returns the flit count of long packets under this config.
+// LongPacketFlits returns the flit count of long packets under this config:
+// the depth of every VC buffer and the longest packet a fabric accepts.
 func (c *Config) LongPacketFlits() int {
 	return PacketSize(ReadReply, c.LinkBits, c.DataBytes)
 }

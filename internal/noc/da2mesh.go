@@ -78,7 +78,7 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DA2Mesh{fabricBase: fabricBase{cfg: cfg}}
+	d := &DA2Mesh{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}}
 	nodes := cfg.Mesh.Nodes()
 	d.backlog = make([]int, nodes)
 	d.ejectQ = make([][]overlayArrival, nodes)

@@ -40,7 +40,7 @@ func (e *ejector) init(net *Network, router *router, sl *slabs) {
 		router:   router,
 	}
 	for v := range e.vcs {
-		e.vcs[v].buf = carve(&sl.flits, cfg.VCDepth)
+		e.vcs[v].buf = carve(&sl.flits, net.longPkt)
 	}
 	if cfg.RetransBufPkts > 0 {
 		e.vcBad = carve(&sl.bools, cfg.VCs)

@@ -15,8 +15,9 @@ type Fabric interface {
 	// CanInject reports whether Inject(node, pkt) would succeed this cycle.
 	CanInject(node int, pkt *Packet) bool
 	// Inject hands a whole packet to node's NI; false means the node must
-	// stall and retry. pkt.Size must be set (use PacketSize) and pkt.Dst be
-	// a node of the mesh; Inject panics otherwise.
+	// stall and retry. pkt.Size must be set (use PacketSize) to at most
+	// Config.LongPacketFlits, so the packet fits one VC, and pkt.Dst be a
+	// node of the mesh; Inject panics otherwise.
 	Inject(node int, pkt *Packet) bool
 	// Step advances the fabric by one NoC cycle.
 	Step()
@@ -66,6 +67,7 @@ type Fabric interface {
 // fabric embeds it and keeps its own Inject, Step and ResetStats.
 type fabricBase struct {
 	cfg      Config
+	longPkt  int // cfg.LongPacketFlits(): every VC's depth, the longest packet
 	now      int64
 	inFlight int
 	stats    NetStats
@@ -121,14 +123,15 @@ func (b *fabricBase) SetTracer(tr Tracer, sampleEvery uint64) {
 	b.tracer, b.traceEvery = tr, sampleEvery
 }
 
-// checkPacket panics unless pkt is one every fabric can carry: a size a
-// flit's seq can index and a destination inside the mesh.
+// checkPacket panics unless pkt is one every fabric can carry: a size that
+// fits one VC (at most a long packet, which Config.Validate bounds to what a
+// flit's seq can index) and a destination inside the mesh.
 func (b *fabricBase) checkPacket(pkt *Packet) {
 	if pkt.Size <= 0 {
 		panic("noc: packet has no size; use PacketSize")
 	}
-	if pkt.Size > maxPacketFlits {
-		panic(fmt.Sprintf("noc: packet of %d flits exceeds the %d-flit maximum", pkt.Size, maxPacketFlits))
+	if pkt.Size > b.longPkt {
+		panic(fmt.Sprintf("noc: packet of %d flits is longer than a VC (%d flits)", pkt.Size, b.longPkt))
 	}
 	if pkt.Dst < 0 || pkt.Dst >= b.cfg.Mesh.Nodes() {
 		panic(fmt.Sprintf("noc: destination %d out of range", pkt.Dst))

@@ -32,9 +32,10 @@ func testFabrics(t *testing.T, cfg Config) []namedFabric {
 }
 
 // TestInjectRejectsInvalidPackets: every fabric validates a packet before it
-// keeps any of it — a packet with no size, more flits than a flit's seq can
-// index, or a destination outside the mesh panics at Inject instead of
-// being delivered to a node that does not exist or failing later in Step.
+// keeps any of it — a packet with no size, more flits than a VC holds (one
+// long packet) or a flit's seq can index, or a destination outside the mesh
+// panics at Inject instead of being delivered to a node that does not exist
+// or failing later in Step.
 func TestInjectRejectsInvalidPackets(t *testing.T) {
 	cfg := testConfig(t, nil)
 	nodes := cfg.Mesh.Nodes()
@@ -43,6 +44,7 @@ func TestInjectRejectsInvalidPackets(t *testing.T) {
 		pkt  Packet
 	}{
 		{"no size", Packet{Type: ReadReply, Dst: 3}},
+		{"longer than a VC", Packet{Type: ReadReply, Dst: 3, Size: cfg.LongPacketFlits() + 1}},
 		{"too many flits", Packet{Type: ReadReply, Dst: 3, Size: maxPacketFlits + 1}},
 		{"negative destination", Packet{Type: ReadReply, Dst: -1, Size: 1}},
 		{"destination beyond the mesh", Packet{Type: ReadReply, Dst: nodes, Size: 1}},

@@ -35,7 +35,7 @@ func NewIdealFabric(cfg Config) (*IdealFabric, error) {
 	}
 	nodes := cfg.Mesh.Nodes()
 	return &IdealFabric{
-		fabricBase:  fabricBase{cfg: cfg},
+		fabricBase:  fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()},
 		windowCount: make([]uint32, nodes),
 		Windows:     make([][]uint32, nodes),
 	}, nil

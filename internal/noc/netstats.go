@@ -19,13 +19,16 @@ type NetStats struct {
 	// Link utilisation: flit traversals over router-to-router mesh links,
 	// and over NI-to-router injection links, each with the corresponding
 	// capacity (links x cycles) to form flits/cycle/link.
-	MeshLinkFlits     uint64
-	MeshLinks         int
-	InjLinkFlits      uint64
-	InjLinks          int
-	EjectFlits        uint64
-	SwitchTraversals  uint64
-	CreditStallCycles uint64 // SA requests blocked on zero credits
+	MeshLinkFlits    uint64
+	MeshLinks        int
+	InjLinkFlits     uint64
+	InjLinks         int
+	EjectFlits       uint64
+	SwitchTraversals uint64
+	// CreditStallCycles is always 0 (every packet fits its VC, granted with
+	// credits for all of it). It keeps encoded Results' bytes until the next
+	// exp.journalVersion bump, which drops it and the ledger's row.
+	CreditStallCycles uint64
 
 	// NIFullRejects counts Offer calls rejected because the NI queue could
 	// not take the whole packet (each is one stall observation for Fig 12's

@@ -93,7 +93,7 @@ func carve[T any](slab *[]T, n int) []T {
 
 func newSlabs(cfg *Config) *slabs {
 	var inPorts, sps, staged, flits, queues, int32s, bools int
-	nodes := cfg.Mesh.Nodes()
+	nodes, long := cfg.Mesh.Nodes(), cfg.LongPacketFlits()
 	for id := 0; id < nodes; id++ {
 		nc := cfg.node(id)
 		numIn := NumDirections + nc.injPorts()
@@ -101,8 +101,8 @@ func newSlabs(cfg *Config) *slabs {
 		sps += NumDirections + nc.injPorts()*nc.injSpeedup(cfg.VCs)
 		// Router input staging plus the ejector's one flit per cycle.
 		staged += stagedCap(nc, cfg.VCs) + 1
-		// Router VC rings, ejector reassembly rings, NI queue(s).
-		flits += (numIn+1)*cfg.VCs*cfg.VCDepth + niQueueFlits(cfg, nc)
+		// Router VC and ejector rings (a long packet each), NI queue(s).
+		flits += (numIn+1)*cfg.VCs*long + niQueueFlits(cfg, nc)
 		queues += cfg.VCs
 		if nc.NI == NISplit {
 			queues += cfg.VCs
@@ -134,7 +134,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{fabricBase: fabricBase{cfg: cfg}}
+	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}}
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]router, nodes)
 	n.ejectors = make([]ejector, nodes)
@@ -217,7 +217,7 @@ func (n *Network) CanInject(node int, pkt *Packet) bool {
 }
 
 // Inject hands pkt to node's NI. pkt.Size must already be set (use
-// PacketSize) and at most 65 535 flits; pkt.Src is overwritten with node.
+// PacketSize) and at most a long packet; pkt.Src is overwritten with node.
 // The packet is numbered before its NI can refuse it.
 func (n *Network) Inject(node int, pkt *Packet) bool {
 	n.checkPacket(pkt)

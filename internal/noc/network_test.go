@@ -270,8 +270,8 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestInjectRejectsOversizedPacket: a flit's 16-bit sequence number indexes
-// at most 65 535 flits, so both fabrics refuse a longer packet at Inject.
+// TestInjectRejectsOversizedPacket: a VC holds one long packet, so both
+// fabrics refuse a packet as long as a flit's 16-bit seq can index at Inject.
 func TestInjectRejectsOversizedPacket(t *testing.T) {
 	for name, f := range map[string]Fabric{
 		"mesh":    newTestNet(t, nil),
@@ -299,6 +299,20 @@ func TestPriorityLevelsValidated(t *testing.T) {
 	cfg.PriorityLevels++
 	if _, err := cfg.Validate(); err == nil {
 		t.Fatalf("%d priority levels accepted", cfg.PriorityLevels)
+	}
+}
+
+// TestLongPacketValidated: a flit's 16-bit seq indexes at most 65 535 flits,
+// so Validate rejects a config whose long packet is longer; no packet any
+// fabric accepts can then overflow it.
+func TestLongPacketValidated(t *testing.T) {
+	cfg := Config{Mesh: Mesh{Width: 2, Height: 2}, VCs: 4, LinkBits: 8, DataBytes: maxPacketFlits - 1}
+	if _, err := cfg.Validate(); err != nil {
+		t.Fatalf("a %d-flit long packet rejected: %v", cfg.LongPacketFlits(), err)
+	}
+	cfg.DataBytes++
+	if _, err := cfg.Validate(); err == nil {
+		t.Fatalf("a %d-flit long packet accepted", cfg.LongPacketFlits())
 	}
 }
 

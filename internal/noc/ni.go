@@ -93,7 +93,7 @@ func (ni *NI) init(net *Network, router *router, sl *slabs) {
 	}
 	ni.vcCredits = carve(&sl.int32s, ni.injPorts*cfg.VCs)
 	for i := range ni.vcCredits {
-		ni.vcCredits[i] = int32(cfg.VCDepth)
+		ni.vcCredits[i] = int32(net.longPkt)
 	}
 	switch ni.mode {
 	case NISplit:
@@ -247,11 +247,8 @@ func (ni *NI) stepFIFO(now int64) {
 			return // no injection VC can take the packet yet
 		}
 	}
-	p, v := ni.boundPort, ni.boundVC
-	if p == -1 || ni.vcCredits[p*ni.router.nvc+v] <= 0 {
-		return
-	}
-	ni.deliver(ni.queue.pop(), p, v, now)
+	// bindHead reserved room for the whole packet in the bound VC.
+	ni.deliver(ni.queue.pop(), ni.boundPort, ni.boundVC, now)
 	if f.isTail() {
 		ni.boundPort, ni.boundVC = -1, -1
 	}

@@ -63,14 +63,13 @@ type stagedFlit struct {
 //	nonEmpty  the VC's buffer holds at least one flit
 //	waitVC    state == vcWaitVC
 //	active    state == vcActive
-//	hasCredit active, and the held downstream VC has a credit
 //	vaFresh   waiting, and not yet tried by VA since RC or a re-route
 //
 // Every mask is maintained at the single place its predicate changes (push,
-// pop, RC, VA grant, credit application, traversal) and CheckInvariants
-// asserts each one equals a recount.
+// pop, RC, VA grant, traversal) and CheckInvariants asserts each one equals
+// a recount.
 type inputPort struct {
-	nonEmpty, waitVC, active, hasCredit uint32
+	nonEmpty, waitVC, active, vaFresh uint32
 
 	// frozenUntil is the fault-injection freeze horizon: while now is before
 	// it, no VC of this port may bid for the switch. Buffered flits (and
@@ -82,7 +81,6 @@ type inputPort struct {
 	// port (nil for injection ports, whose credits return to the NI).
 	upstream *router
 	upOut    int32
-	vaFresh  uint32 // after upOut, where it fills padding
 }
 
 // outVCState tracks one downstream virtual channel from the sender's side.
@@ -272,7 +270,7 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 	r.spStart = carve(&sl.int32s, numIn+1)
 	r.staged = carve(&sl.staged, stagedCap(nc, vcs))[:0]
 	for i := range r.vcs {
-		r.vcs[i] = inputVC{buf: flitQueue{buf: carve(&sl.flits, cfg.VCDepth)}, outPort: -1, outVC: -1}
+		r.vcs[i] = inputVC{buf: flitQueue{buf: carve(&sl.flits, net.longPkt)}, outPort: -1, outVC: -1}
 	}
 	sp := 0
 	for p := range r.in {
@@ -299,7 +297,7 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 		op.creditIn = carve(&sl.int32s, vcs)
 		op.free = maskAll(vcs)
 		for v := range op.vcs {
-			op.vcs[v] = outVCState{credits: int32(cfg.VCDepth), ownerPort: -1}
+			op.vcs[v] = outVCState{credits: int32(net.longPkt), ownerPort: -1}
 		}
 	}
 }
@@ -357,19 +355,15 @@ func (r *router) applyArrivals() {
 		r.creditDirty[o] = 0
 		op := &r.out[o]
 		if m&op.free != 0 {
-			// Credits on an owned VC matter only to SA; on a free one they may
-			// turn a failed allocation into a grant.
+			// Credits on a free VC may turn a failed allocation into a grant;
+			// an owned VC was granted with room for its whole packet.
 			r.vaDirty |= 1 << uint(o)
 			r.vaRetry = true
 		}
 		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros32(m)
-			ov := &op.vcs[v]
-			ov.credits += op.creditIn[v]
+			op.vcs[v].credits += op.creditIn[v]
 			op.creditIn[v] = 0
-			if ov.ownerPort >= 0 {
-				r.in[ov.ownerPort].hasCredit |= 1 << uint(ov.ownerVC)
-			}
 		}
 	}
 	r.creditOuts = 0
@@ -512,7 +506,6 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 		bit := uint32(1) << uint(v)
 		ip.waitVC &^= bit
 		ip.active |= bit
-		ip.hasCredit |= bit // a packet needs >= 1 credit, so the granted VC has one
 		r.bidPorts |= 1 << uint(p)
 		r.waitVCs--
 		r.net.vaGrants++
@@ -528,7 +521,7 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 // congestion awareness; scanning VCs downward makes ties prefer adaptive VCs
 // over the escape VC). Allocation is non-atomic (WPF [28], enabled for both
 // routings in §6.2): a free VC is eligible once it has credits for the whole
-// packet — for a packet longer than a VC buffer, once it is empty.
+// packet, so every flit of a granted packet has a slot waiting downstream.
 func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
 	bestPort, bestVC = -1, -1
 	var need int32 // set once a candidate has a free VC
@@ -540,7 +533,7 @@ func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
 			continue // nothing free, or mesh edge: no link in that direction
 		}
 		if need == 0 {
-			need = int32(min(r.net.pkts.of(vc.buf.front()).Size, r.net.cfg.VCDepth))
+			need = int32(r.net.pkts.of(vc.buf.front()).Size)
 		}
 		for f != 0 {
 			ov := 31 - bits.LeadingZeros32(f)
@@ -603,7 +596,6 @@ func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) (wonOuts uint8)
 	starved := r.prioArbOn && r.starvationActive(now)
 	faulted := r.net.faulted
 	nSP := int32(len(r.sps))
-	stalls := 0
 	for pm := r.bidPorts; pm != 0; pm &= pm - 1 {
 		p := bits.TrailingZeros32(pm)
 		ip := &r.in[p]
@@ -617,11 +609,7 @@ func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) (wonOuts uint8)
 			if bidding == 0 {
 				continue
 			}
-			v, st := sp.pick(bidding, ip.hasCredit, r.nvc)
-			stalls += st
-			if v < 0 {
-				continue
-			}
+			v := sp.pick(bidding, r.nvc)
 			vc := &r.vcs[p*r.nvc+v]
 			o := vc.outPort
 			if faulted && now < r.out[o].stalledUntil {
@@ -639,7 +627,6 @@ func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) (wonOuts uint8)
 			wonOuts |= 1 << uint(o)
 		}
 	}
-	r.net.stats.CreditStallCycles += uint64(stalls)
 	for m := wonOuts; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros8(m)
 		if r.outNext[o] = won[o].sp + 1; r.outNext[o] == nSP {
@@ -649,27 +636,18 @@ func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) (wonOuts uint8)
 	return wonOuts
 }
 
-// pick is SA stage 1 for one switch-port: among the bidding member VCs it
-// grants, round-robin from the pointer, the first one holding a downstream
-// credit, and advances the pointer to the member after the winner. It
-// returns the winning VC (-1 when no bidder has a credit) and the number of
-// credit-less bidders the scan passed before stopping — all of them when
-// nobody wins — which is what creditStallCycles counts: the popcount of the
-// stalled bits inside the rotated window, not of the whole port.
-func (sp *switchPort) pick(bidding, hasCredit uint32, nvc int) (v, stalls int) {
+// pick is SA stage 1 for one switch-port: among the bidding member VCs (at
+// least one) it grants the first round-robin from the pointer, and advances
+// the pointer to the member after the winner. Every bidder can send: VA
+// granted its downstream VC with room for the whole packet.
+func (sp *switchPort) pick(bidding uint32, nvc int) int {
 	// Rotating right by the pointer puts the member scanned first at bit 0
 	// and keeps the cyclic member order (every member bit is below nvc <= 32).
-	stalled := bits.RotateLeft32(bidding&^hasCredit, -int(sp.next))
-	elig := bits.RotateLeft32(bidding&hasCredit, -int(sp.next))
-	if elig == 0 {
-		return -1, bits.OnesCount32(stalled)
-	}
-	t := bits.TrailingZeros32(elig)
-	v = (int(sp.next) + t) & 31
+	v := (int(sp.next) + bits.TrailingZeros32(bits.RotateLeft32(bidding, -int(sp.next)))) & 31
 	if sp.next = uint8(v) + sp.stride; int(sp.next) >= nvc {
 		sp.next = sp.first
 	}
-	return v, bits.OnesCount32(stalled & (1<<uint(t) - 1))
+	return v
 }
 
 // traverse moves one flit from input VC (p, v) across the crossbar onto
@@ -687,9 +665,7 @@ func (r *router) traverse(p, v, o int, now int64) {
 	}
 	r.addFlits(-1)
 	ov := &op.vcs[vc.outVC]
-	if ov.credits--; ov.credits == 0 {
-		ip.hasCredit &^= bit
-	}
+	ov.credits--
 	op.flits++
 	r.net.stats.SwitchTraversals++
 	if r.net.faulted && now < op.corruptUntil {
@@ -732,7 +708,6 @@ func (r *router) traverse(p, v, o int, now int64) {
 		vc.state = vcIdle
 		vc.outPort, vc.outVC = -1, -1
 		ip.active &^= bit
-		ip.hasCredit &^= bit
 		if ip.nonEmpty&bit != 0 {
 			r.rcPorts |= 1 << uint(p) // the next packet's head is behind the tail
 		}

@@ -11,8 +11,10 @@ import (
 // and installs reg.Sample as sim's sampling hook at reg.Interval() cycles:
 //
 //   - for both fabrics, per-class injection/ejection rates and flit counts,
-//     in-flight packets, credit-stall cycles, SA grant (switch traversal)
-//     rates, link-flit counters and NI-full rejections;
+//     in-flight packets, credit-stall cycles (always 0: every packet fits
+//     its VC; the series stays until NetStats.CreditStallCycles goes), SA
+//     grant (switch traversal) rates, link-flit counters and NI-full
+//     rejections;
 //   - on a mesh fabric also VA grant rates, per-VC occupancy and router/NI
 //     buffer levels;
 //   - the warp-stall breakdown (issue/LSU-send/MSHR/store-queue stalls),
