@@ -100,9 +100,11 @@ loadtest:
 # order, the decomposition (with its DA2mesh rows) + SLO-figure goldens, the
 # /metrics, /debug/nocstate and pprof endpoint tests (DESIGN.md §10), the
 # distributed-tracing suites (trace continuation, hedge propagation,
-# traced-vs-plain byte identity; DESIGN.md §15), and the 2-replica traced
-# cluster smoke: one gateway-routed job must export a single schema-valid
-# Chrome trace spanning gateway, replica and NoC packets.
+# traced-vs-plain byte identity; DESIGN.md §15), the 2-replica traced
+# cluster smoke (one gateway-routed job must export a single schema-valid
+# Chrome trace spanning gateway, replica and NoC packets), and arisweep's
+# per-point metrics: points run concurrently, yet each CSV equals a lone
+# instrumented run's byte for byte.
 obs:
 	go vet ./internal/obs ./internal/serve/... ./internal/noc ./internal/exp
 	go test -race -count=1 ./internal/obs ./internal/stats
@@ -110,6 +112,7 @@ obs:
 	go test -race -count=1 ./internal/exp -run 'Decompose|SLOFigure'
 	go test -race -count=1 ./internal/serve -run 'Metrics|NoCState|Pprof|Observability|Trace|ByteIdentical|DebugEndpoints|StageBoundaries'
 	go test -race -count=1 ./internal/cluster -run 'Trace|RetryAfter|Rollup|ClusterMetrics|Contract|EveryCounter|Outcomes'
+	go test -race -count=1 ./cmd/arisweep -run 'PointMetrics'
 
 # profile captures a CPU profile of the ledger's hot regime: the
 # sim-reply-saturated job list of benchmark/ (bfs/kmeans/pathfinder under

@@ -1,22 +1,18 @@
 // Command arisweep sweeps one design parameter of the simulated system and
 // prints IPC (and stall) across the sweep — the tool behind the paper's
-// sensitivity studies (§7.5) and any ablation a user wants to run.
+// sensitivity studies (§7.5) and any ablation a user wants to run:
 //
-// Usage:
+//	arisweep -param speedup -bench kmeans
 //
-//	arisweep -param speedup -bench kmeans            # S = 1..4 (Fig 8 / §4.2)
-//	arisweep -param vcs -bench bfs                   # 1,2,4,8 VCs (Fig 15 axis)
-//	arisweep -param replink -bench bfs               # 64..512-bit reply links (Fig 4 axis)
-//	arisweep -param mesh -bench bfs                  # 4x4 / 6x6 / 8x8 (§7.5(2))
-//	arisweep -param niqueue -bench srad              # NI queue 4..80 packets (Fig 6 axis)
-//	arisweep -param starvation -bench bfs            # §5 threshold sensitivity
-//	arisweep -param priolevels -bench bfs            # 1..6 levels (Fig 9 axis)
+// -param names a row of exp.Axes, the table the figures take their columns
+// from: speedup, vcs, replink, mesh, niqueue, starvation or priolevels.
 //
-// Runs execute through the hardened experiment harness: each point runs
-// under the forward-progress watchdogs (a deadlocked configuration fails
-// with a diagnostic instead of hanging), -timeout bounds each run's wall
-// time, and -journal makes an interrupted sweep resumable without
-// recomputing finished points.
+// A local sweep is one exp.Runner.Grid call: the points run concurrently on
+// the harness's worker pool, each under the forward-progress watchdogs (a
+// deadlocked configuration fails with a diagnostic instead of hanging),
+// -timeout bounds each run's wall time, and -journal makes an interrupted
+// sweep resumable without recomputing finished points. The table is printed
+// in point order once every point has finished.
 // With -server, points are not simulated locally: each is submitted to a
 // running ariserve instance through the retrying client, so shed requests
 // (429), drains and even server restarts are ridden out transparently, and
@@ -24,12 +20,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -39,6 +38,9 @@ import (
 	"repro/internal/serve/client"
 	"repro/internal/trace"
 )
+
+// notFileSafe matches each rune a point label may not carry into a file name.
+var notFileSafe = regexp.MustCompile(`[^A-Za-z0-9_-]`)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -52,8 +54,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("arisweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	names := make([]string, len(exp.Axes))
+	for i, a := range exp.Axes {
+		names[i] = a.Name
+	}
 	var (
-		param   = fs.String("param", "speedup", "speedup | vcs | replink | mesh | niqueue | starvation | priolevels")
+		param   = fs.String("param", "speedup", strings.Join(names, " | "))
 		bench   = fs.String("bench", "bfs", "benchmark")
 		scheme  = fs.String("scheme", "Ada-ARI", "scheme under sweep")
 		cycles  = fs.Int64("cycles", 8000, "measured cycles")
@@ -96,96 +102,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 		base.Fault.LinkDeathProb = *linkDeath
 	}
 
-	type point struct {
-		label string
-		cfg   core.Config
+	ax, err := exp.AxisNamed(*param)
+	if err != nil {
+		return fmt.Errorf("-param: %w", err)
 	}
-	var points []point
-	add := func(label string, mutate func(*core.Config)) {
-		cfg := base
-		mutate(&cfg)
-		points = append(points, point{label, cfg})
-	}
-
-	switch *param {
-	case "speedup":
-		for s := 1; s <= 4; s++ {
-			s := s
-			add(fmt.Sprintf("S=%d", s), func(c *core.Config) { c.InjSpeedup = s })
-		}
-	case "vcs":
-		for _, v := range []int{1, 2, 4, 8} {
-			v := v
-			add(fmt.Sprintf("%dVC", v), func(c *core.Config) {
-				c.VCs = v
-				if c.InjSpeedup > v {
-					c.InjSpeedup = v
-				}
-			})
-		}
-	case "replink":
-		for _, b := range []int{64, 128, 256, 512} {
-			b := b
-			add(fmt.Sprintf("%db", b), func(c *core.Config) { c.RepLinkBits = b })
-		}
-	case "mesh":
-		for _, m := range []struct{ w, h, mc int }{{4, 4, 4}, {6, 6, 8}, {8, 8, 8}} {
-			m := m
-			add(fmt.Sprintf("%dx%d", m.w, m.h), func(c *core.Config) {
-				c.MeshWidth, c.MeshHeight, c.NumMC = m.w, m.h, m.mc
-			})
-		}
-	case "niqueue":
-		longPkt := noc.PacketSize(noc.ReadReply, base.RepLinkBits, base.DataBytes)
-		for _, p := range []int{4, 12, 28, 50, 80} {
-			p := p
-			add(fmt.Sprintf("%dpkt", p), func(c *core.Config) { c.NIQueueFlits = p * longPkt })
-		}
-	case "starvation":
-		for _, th := range []int64{100, 1000, 10000, 100000} {
-			th := th
-			add(fmt.Sprintf("%d", th), func(c *core.Config) { c.StarvationLimit = th })
-		}
-	case "priolevels":
-		for l := 1; l <= 6; l++ {
-			l := l
-			add(fmt.Sprintf("L=%d", l), func(c *core.Config) { c.PriorityLevels = l })
-		}
-	default:
-		return fmt.Errorf("unknown -param %q", *param)
+	points := make([]exp.Point, len(ax.Values))
+	cfgs := make([]core.Config, len(ax.Values))
+	for i, v := range ax.Values {
+		points[i] = ax.Point(v)
+		cfgs[i] = base
+		points[i].Edit(&cfgs[i])
 	}
 
-	// runPoint executes one sweep point: locally on the hardened runner, or
-	// remotely through the retrying client when -server is set.
-	// Per-point observability (local only): each point gets a fresh metrics
-	// registry attached through exp.WithInstrument and dumped to its own CSV.
-	// Points journalled from a previous sweep never build a simulator, so
-	// they produce no CSV — by design, resumption stays cheap.
-	var runPoint func(cfg core.Config) (core.Result, error)
-	var obsReg *obs.Registry
+	var results []core.Result
 	if *server != "" {
 		if *obsInterval > 0 {
 			fmt.Fprintln(stderr, "arisweep: -obs-interval is ignored with -server (metrics are per-process; scrape the server's /metrics instead)")
 		}
 		cli := client.New(*server)
-		runPoint = func(cfg core.Config) (core.Result, error) {
-			// -timeout propagates to the server as the job's watchdog deadline
-			// (TimeoutMs) and, padded for queueing and retries, bounds the
-			// whole submission round trip — a remote sweep point cannot hang
-			// past its budget any more than a local one can.
-			req := serve.JobRequest{Bench: *bench, Config: &cfg}
-			ctx := context.Background()
+		for i := range cfgs {
+			// -timeout becomes the job's watchdog deadline (TimeoutMs) and,
+			// padded for queueing and retries, bounds the whole round trip: a
+			// remote point cannot hang past its budget any more than a local one.
+			req := serve.JobRequest{Bench: *bench, Config: &cfgs[i], TimeoutMs: timeout.Milliseconds()}
+			ctx, cancel := context.Background(), context.CancelFunc(func() {})
 			if *timeout > 0 {
-				req.TimeoutMs = timeout.Milliseconds()
-				var cancel context.CancelFunc
 				ctx, cancel = context.WithTimeout(ctx, 4**timeout)
-				defer cancel()
 			}
 			resp, err := cli.Submit(ctx, req)
+			cancel()
 			if err != nil {
-				return core.Result{}, err
+				return err
 			}
-			return resp.Result, nil
+			results = append(results, resp.Result)
 		}
 	} else {
 		runner := &exp.Runner{Base: base, RunTimeout: *timeout}
@@ -200,70 +149,52 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stderr, "arisweep: resuming, %d runs journalled in %s\n", j.Loaded(), j.Path())
 			}
 		}
+		// Every simulated point gets its own metrics registry, keyed by JobKey
+		// as points run concurrently. A point journalled by an earlier sweep
+		// builds no simulator and writes no CSV: resumption stays cheap.
+		var mu sync.Mutex
+		regs := map[string]*obs.Registry{}
 		ctx := context.Background()
 		if *obsInterval > 0 {
-			ctx = exp.WithInstrument(ctx, func(sim *core.Simulator) {
-				obsReg = obs.NewRegistry(*obsInterval)
-				obs.AttachSimulator(obsReg, sim)
-				obsReg.Reserve(int((base.WarmupCycles+base.MeasureCycles) / *obsInterval) + 2)
+			ctx = exp.WithInstrument(ctx, func(j exp.Job, sim *core.Simulator) {
+				reg := obs.NewRegistry(*obsInterval)
+				obs.AttachSimulator(reg, sim)
+				reg.Reserve(int((base.WarmupCycles+base.MeasureCycles) / *obsInterval) + 2)
+				mu.Lock()
+				regs[exp.JobKey(j.Cfg, j.Kernel.Name)] = reg
+				mu.Unlock()
 			})
 		}
-		runPoint = func(cfg core.Config) (core.Result, error) {
-			return runner.RunKey(ctx, exp.JobKey(cfg, kernel.Name), exp.Job{Cfg: cfg, Kernel: kernel})
+		res, err := runner.Grid(ctx, []trace.Kernel{kernel}, points)
+		if err != nil {
+			return err
+		}
+		results = res[0]
+		for i, p := range points {
+			reg, ok := regs[exp.JobKey(cfgs[i], kernel.Name)]
+			if !ok {
+				continue
+			}
+			var csv bytes.Buffer
+			reg.WriteCSV(&csv) // a bytes.Buffer write cannot fail
+			path := fmt.Sprintf("%s/metrics_%s.csv", *obsDir, notFileSafe.ReplaceAllString(p.Label, "_"))
+			if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "arisweep: wrote %d metric samples to %s\n", reg.Samples(), path)
 		}
 	}
 
 	fmt.Fprintf(stdout, "sweep %s on %s (%s), %d measured cycles\n\n", *param, *bench, sch, *cycles)
 	fmt.Fprintf(stdout, "%-10s %10s %10s %14s %12s\n", *param, "IPC", "vs first", "stall/reply", "rep latency")
-	var first float64
-	for _, p := range points {
-		obsReg = nil
-		r, err := runPoint(p.cfg)
-		if err != nil {
-			return err
-		}
-		if obsReg != nil {
-			path := fmt.Sprintf("%s/metrics_%s.csv", *obsDir, sanitizeLabel(p.label))
-			if err := writePointCSV(obsReg, path); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "arisweep: wrote %d metric samples to %s\n", obsReg.Samples(), path)
-		}
-		if first == 0 {
-			first = r.IPC
-		}
+	for i, r := range results {
 		stall := 0.0
 		if r.RepliesSent > 0 {
 			stall = float64(r.MCStallTime) / float64(r.RepliesSent)
 		}
 		fmt.Fprintf(stdout, "%-10s %10.3f %+9.1f%% %14.1f %12.1f\n",
-			p.label, r.IPC, 100*(r.IPC/first-1), stall,
+			points[i].Label, r.IPC, 100*(r.IPC/results[0].IPC-1), stall,
 			r.Rep.AvgLatency(noc.ReadReply, noc.WriteReply))
 	}
 	return nil
-}
-
-// sanitizeLabel makes a sweep-point label safe as a file-name component.
-func sanitizeLabel(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
-}
-
-// writePointCSV dumps one point's sampled metrics.
-func writePointCSV(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

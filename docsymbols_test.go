@@ -18,17 +18,18 @@ import (
 // `gpu.ns_per_tick` never match.
 var docSymbol = regexp.MustCompile("`([a-z][a-z0-9]*)((?:\\.[A-Za-z][A-Za-z0-9]*){1,2})`")
 
-// TestDocSymbolsResolve holds DESIGN.md and README.md to the code: every
-// backticked `pkg.Name` or `pkg.Type.Member` whose pkg is a package of this
-// module must name a top-level declaration, a method or a struct field of
-// that package (so `noc.CheckInvariants`, a method, resolves). A name whose
+// TestDocSymbolsResolve holds DESIGN.md, README.md, EXPERIMENTS.md and the
+// verify skill to the code: every backticked `pkg.Name` or `pkg.Type.Member`
+// whose pkg is a package of this module must name a top-level declaration, a
+// method or a struct field of that package (so `noc.CheckInvariants`, a
+// method, resolves). A name whose
 // pkg is not a module package, such as `errors.Join`, is skipped, and so is
 // one the code spells as a string literal: a span or metric name such as
 // `serve.admission`.
 func TestDocSymbolsResolve(t *testing.T) {
 	decls, literals := moduleDecls(t)
 	checked := 0
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

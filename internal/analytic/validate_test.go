@@ -1,6 +1,7 @@
 package analytic_test
 
 import (
+	"context"
 	"flag"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestErrorBands(t *testing.T) {
 
 	compare := func(kernels []trace.Kernel) []analytic.Band {
 		t.Helper()
-		res, err := runner.Grid(kernels, exp.SchemePoints(schemes...))
+		res, err := runner.Grid(context.Background(), kernels, exp.SchemePoints(schemes...))
 		if err != nil {
 			t.Fatal(err)
 		}

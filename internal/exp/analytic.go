@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -15,7 +16,7 @@ import (
 // human-readable face of the validate-analytic drift oracle.
 func AnalyticComparison(r *Runner) (*Figure, error) {
 	schemes := analytic.ValidationSchemes()
-	res, err := r.Grid(r.Benchmarks, SchemePoints(schemes...))
+	res, err := r.Grid(context.Background(), r.Benchmarks, SchemePoints(schemes...))
 	if err != nil {
 		return nil, err
 	}

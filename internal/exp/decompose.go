@@ -34,7 +34,7 @@ func (r *Runner) traceReplies(bench string, schemes []core.Scheme, sample uint64
 	}
 	colls := make([]*obs.Collector, len(schemes))
 	for i, sch := range schemes {
-		ctx := WithInstrument(context.Background(), func(sim *core.Simulator) {
+		ctx := WithInstrument(context.Background(), func(_ Job, sim *core.Simulator) {
 			// A fresh collector per attempt: a retried run starts over.
 			colls[i] = obs.NewCollector("rep")
 			sim.ReplyNet().SetTracer(colls[i], sample)

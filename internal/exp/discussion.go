@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/area"
@@ -14,7 +15,7 @@ import (
 // ARI (paper: dynamic ~equal, static shrinks with runtime, ~4% total
 // saving under the tools' low static share).
 func Fig14(r *Runner) (*Figure, error) {
-	res, err := r.Grid(r.Benchmarks, SchemePoints(core.AdaBaseline, core.AdaARI))
+	res, err := r.Grid(context.Background(), r.Benchmarks, SchemePoints(core.AdaBaseline, core.AdaARI))
 	if err != nil {
 		return nil, err
 	}
@@ -54,21 +55,19 @@ func Fig14(r *Runner) (*Figure, error) {
 // and grows more from 2->4 VCs than the baseline because the removed
 // injection bottleneck lets the extra VCs fill).
 func Fig15(r *Runner) (*Figure, error) {
-	// The injection speedup matches the VC count (§7.5(3)).
-	vcs := func(n int, s core.Scheme) func(*core.Config) {
-		return func(c *core.Config) { c.Scheme, c.VCs, c.InjSpeedup = s, n, n }
-	}
+	// The injection speedup matches the VC count (§7.5(3); see the vcs axis).
+	vcs := axis("vcs")
 	points := []Point{
-		{"2VC-Baseline", vcs(2, core.AdaBaseline)},
-		{"4VC-Baseline", vcs(4, core.AdaBaseline)},
-		{"2VC-ARI", vcs(2, core.AdaARI)},
-		{"4VC-ARI", vcs(4, core.AdaARI)},
+		scheme("2VC-Baseline", core.AdaBaseline, vcs.Point(2)),
+		scheme("4VC-Baseline", core.AdaBaseline, vcs.Point(4)),
+		scheme("2VC-ARI", core.AdaARI, vcs.Point(2)),
+		scheme("4VC-ARI", core.AdaARI, vcs.Point(4)),
 	}
 	kernels, err := kernelsNamed("bfs", "b+tree", "hotspot", "pathfinder")
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.Grid(kernels, points)
+	res, err := r.Grid(context.Background(), kernels, points)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +93,7 @@ func Fig15(r *Runner) (*Figure, error) {
 // DA2mesh alone — the overlay does not address reply injection).
 func Fig16(r *Runner) (*Figure, error) {
 	points := SchemePoints(core.DA2MeshBase, core.DA2MeshARI)
-	res, err := r.Grid(r.Benchmarks, points)
+	res, err := r.Grid(context.Background(), r.Benchmarks, points)
 	if err != nil {
 		return nil, err
 	}
@@ -111,19 +110,8 @@ func Fig16(r *Runner) (*Figure, error) {
 // Scalability evaluates Ada-ARI vs Ada-Baseline on 4x4, 6x6 and 8x8 meshes
 // (paper: IPC improvement grows 3.7% -> 15.4% -> 24.7%).
 func Scalability(r *Runner) (*Figure, error) {
-	type size struct {
-		label string
-		w, h  int
-		mc    int
-	}
-	// MC count stays 8 across sizes (as the paper's per-MC bandwidth does),
-	// so the CC:MC ratio — the few-to-many intensity — grows with the
-	// mesh: 8:8, 28:8, 56:8.
-	sizes := []size{
-		{"4x4", 4, 4, 8},
-		{"6x6", 6, 6, 8},
-		{"8x8", 8, 8, 8},
-	}
+	// MC count stays 8 across sizes (see the mesh axis): CC:MC 8:8, 28:8, 56:8.
+	mesh := axis("mesh")
 	// A class-balanced subset keeps the study tractable on one machine.
 	kernels, err := kernelsNamed("bfs", "mummerGPU", "pathfinder", "hotspot",
 		"b+tree", "backprop", "histogram", "scan",
@@ -133,29 +121,28 @@ func Scalability(r *Runner) (*Figure, error) {
 	}
 	// Two points per size: Ada-Baseline, then Ada-ARI.
 	var points []Point
-	for _, sz := range sizes {
+	for _, v := range mesh.Values {
+		p := mesh.Point(v)
 		for _, sch := range []core.Scheme{core.AdaBaseline, core.AdaARI} {
-			points = append(points, Point{sz.label + "/" + sch.String(), func(c *core.Config) {
-				c.Scheme, c.MeshWidth, c.MeshHeight, c.NumMC = sch, sz.w, sz.h, sz.mc
-			}})
+			points = append(points, scheme(p.Label+"/"+sch.String(), sch, p))
 		}
 	}
-	res, err := r.Grid(kernels, points)
+	res, err := r.Grid(context.Background(), kernels, points)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("mesh", "ARI IPC gain (geomean)")
 	summary := map[string]float64{}
-	gains := make([][]float64, len(sizes))
+	gains := make([][]float64, len(mesh.Values))
 	for _, row := range res {
-		for si := range sizes {
+		for si := range gains {
 			gains[si] = append(gains[si], safeDiv(row[2*si+1].IPC, row[2*si].IPC))
 		}
 	}
-	for si, sz := range sizes {
-		g := stats.GeoMean(gains[si]) - 1
-		t.AddRow(sz.label, pct(g))
-		summary["gain_"+sz.label] = g
+	for si, v := range mesh.Values {
+		label, g := mesh.Point(v).Label, stats.GeoMean(gains[si])-1
+		t.AddRow(label, pct(g))
+		summary["gain_"+label] = g
 	}
 	return &Figure{
 		ID:      "§7.5 scalability",

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -23,7 +24,7 @@ func EnhancedBaseline(r *Runner) (*Figure, error) {
 		{"Narrow+Speedup", at(core.AccConsume, true)},
 		{"Ada-ARI", at(core.AdaARI, false)},
 	}
-	res, err := r.Grid(r.Benchmarks, points)
+	res, err := r.Grid(context.Background(), r.Benchmarks, points)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -45,7 +46,7 @@ func FaultFigure(r *Runner) (*Figure, error) {
 			}})
 		}
 	}
-	res, err := r.Grid(kernels, points)
+	res, err := r.Grid(context.Background(), kernels, points)
 	if err != nil {
 		return nil, err
 	}

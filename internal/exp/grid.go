@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -16,10 +17,10 @@ type Point struct {
 }
 
 // Grid runs every kernel under every point — kernels × points jobs in one
-// RunAll dispatch, so a (kernel, config) pair any figure already ran is
-// recalled, not re-simulated — and returns res[k][p]: kernels[k] under
-// points[p].
-func (r *Runner) Grid(kernels []trace.Kernel, points []Point) ([][]core.Result, error) {
+// RunAllContext dispatch under ctx, so a (kernel, config) pair any figure
+// already ran is recalled, not re-simulated — and returns res[k][p]:
+// kernels[k] under points[p].
+func (r *Runner) Grid(ctx context.Context, kernels []trace.Kernel, points []Point) ([][]core.Result, error) {
 	jobs := make([]Job, 0, len(kernels)*len(points))
 	for _, k := range kernels {
 		for _, p := range points {
@@ -28,7 +29,7 @@ func (r *Runner) Grid(kernels []trace.Kernel, points []Point) ([][]core.Result, 
 			jobs = append(jobs, Job{Cfg: cfg, Kernel: k})
 		}
 	}
-	flat, err := r.RunAll(jobs)
+	flat, err := r.RunAllContext(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -48,9 +49,15 @@ func SchemePoints(schemes ...core.Scheme) []Point {
 	return points
 }
 
-// scheme is the point that runs Base under s, labelled label.
-func scheme(label string, s core.Scheme) Point {
-	return Point{Label: label, Edit: func(c *core.Config) { c.Scheme = s }}
+// scheme is the point labelled label that runs Base under s, edited further
+// by each point of then (an axis point, say).
+func scheme(label string, s core.Scheme, then ...Point) Point {
+	return Point{Label: label, Edit: func(c *core.Config) {
+		c.Scheme = s
+		for _, p := range then {
+			p.Edit(c)
+		}
+	}}
 }
 
 // kernelsNamed resolves benchmark names to their kernels, in order.

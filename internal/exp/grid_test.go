@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestGridIndexesKernelByPoint(t *testing.T) {
 	kernels := []trace.Kernel{r.Benchmarks[2], r.Benchmarks[0], r.Benchmarks[1]}
 	points := append(SchemePoints(core.XYBaseline, core.AdaARI),
 		Point{"seed 2", func(c *core.Config) { c.Seed = 2 }})
-	res, err := r.Grid(kernels, points)
+	res, err := r.Grid(context.Background(), kernels, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestGridSimulatesRepeatedPairOnce(t *testing.T) {
 		// The same XY-Baseline config, reached by another edit.
 		{"XY, base VCs", func(c *core.Config) { c.Scheme, c.VCs = core.XYBaseline, r.Base.VCs }},
 	}
-	res, err := r.Grid(kernels, points)
+	res, err := r.Grid(context.Background(), kernels, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestGridSimulatesRepeatedPairOnce(t *testing.T) {
 			t.Errorf("kernel %d: repeated config gave different results", k)
 		}
 	}
-	if _, err := r.Grid(kernels, points[2:3]); err != nil {
+	if _, err := r.Grid(context.Background(), kernels, points[2:3]); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Runs(); got != 2*len(kernels) {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -47,7 +48,7 @@ func TableI(r *Runner) (*Figure, error) {
 // under the baseline (paper: request ~= 5.6x reply on average, despite the
 // bottleneck living on the reply side).
 func Fig3(r *Runner) (*Figure, error) {
-	res, err := r.Grid(r.Benchmarks, xyBaseline)
+	res, err := r.Grid(context.Background(), r.Benchmarks, xyBaseline)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +82,7 @@ func Fig4(r *Runner) (*Figure, error) {
 		{"256-128", linkBits(256, 128)},
 		{"128-256", linkBits(128, 256)},
 	}
-	res, err := r.Grid(r.Benchmarks, points)
+	res, err := r.Grid(context.Background(), r.Benchmarks, points)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +102,7 @@ func Fig4(r *Runner) (*Figure, error) {
 // Fig5 reports the flit-weighted packet-type mix (paper: the reply network
 // carries ~72.7% of total NoC traffic vs 27.3% for the request network).
 func Fig5(r *Runner) (*Figure, error) {
-	res, err := r.Grid(r.Benchmarks, xyBaseline)
+	res, err := r.Grid(context.Background(), r.Benchmarks, xyBaseline)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +144,7 @@ func Fig5(r *Runner) (*Figure, error) {
 // links average ~0.084 flit/cycle while injection links run ~0.39
 // flit/cycle (>4.5x), pinpointing the injection points as the bottleneck.
 func LinkUtil(r *Runner) (*Figure, error) {
-	res, err := r.Grid(r.Benchmarks, xyBaseline)
+	res, err := r.Grid(context.Background(), r.Benchmarks, xyBaseline)
 	if err != nil {
 		return nil, err
 	}
@@ -179,20 +180,18 @@ func LinkUtil(r *Runner) (*Figure, error) {
 // bottleneck.
 func Fig6(r *Runner) (*Figure, error) {
 	benches := []string{"pathfinder", "hotspot", "srad", "bfs"}
-	capsPkts := []int{4, 12, 28, 50, 80}
+	caps := axis("niqueue")
 	longPkt := noc.PacketSize(noc.ReadReply, r.Base.RepLinkBits, r.Base.DataBytes)
 
 	kernels, err := kernelsNamed(benches...)
 	if err != nil {
 		return nil, err
 	}
-	points := make([]Point, len(capsPkts))
-	for i, cp := range capsPkts {
-		points[i] = Point{fmt.Sprintf("%d", cp), func(c *core.Config) {
-			c.Scheme, c.NIQueueFlits = core.XYBaseline, cp*longPkt
-		}}
+	points := make([]Point, len(caps.Values))
+	for i, cp := range caps.Values {
+		points[i] = scheme(fmt.Sprint(cp), core.XYBaseline, caps.Point(cp))
 	}
-	res, err := r.Grid(kernels, points)
+	res, err := r.Grid(context.Background(), kernels, points)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +199,7 @@ func Fig6(r *Runner) (*Figure, error) {
 	header = append(header, benches...)
 	t := stats.NewTable(header...)
 	var trackRatio []float64
-	for ci, cp := range capsPkts {
+	for ci, cp := range caps.Values {
 		row := []string{points[ci].Label}
 		for bi := range benches {
 			occPkts := res[bi][ci].NIOccAvgFlits / float64(longPkt)

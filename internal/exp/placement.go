@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -31,7 +32,7 @@ func PlacementAblation(r *Runner) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.Grid(kernels, points)
+	res, err := r.Grid(context.Background(), kernels, points)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -12,16 +13,16 @@ import (
 // (paper: two levels reap most of the benefit; more levels can even hurt).
 func Fig9(r *Runner) (*Figure, error) {
 	benches := []string{"bfs", "mummerGPU"}
-	levels := []int{1, 2, 3, 4, 5, 6}
+	levels := axis("priolevels")
 	kernels, err := kernelsNamed(benches...)
 	if err != nil {
 		return nil, err
 	}
-	points := make([]Point, len(levels))
-	for i, l := range levels {
-		points[i] = Point{fmt.Sprintf("%d", l), func(c *core.Config) { c.Scheme, c.PriorityLevels = core.AdaARI, l }}
+	points := make([]Point, len(levels.Values))
+	for i, l := range levels.Values {
+		points[i] = scheme(fmt.Sprint(l), core.AdaARI, levels.Point(l))
 	}
-	res, err := r.Grid(kernels, points)
+	res, err := r.Grid(context.Background(), kernels, points)
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +30,7 @@ func Fig9(r *Runner) (*Figure, error) {
 	header = append(header, benches...)
 	t := stats.NewTable(header...)
 	summary := map[string]float64{}
-	for li, l := range levels {
+	for li, l := range levels.Values {
 		row := []string{points[li].Label}
 		for bi, name := range benches {
 			base := res[bi][0].IPC // 1 level = no prioritisation
@@ -65,7 +66,7 @@ var fig10Points = []Point{
 // alone is ineffective — supply-only can hurt — together +13.5%, plus
 // priority for the full ARI).
 func Fig10(r *Runner) (*Figure, error) {
-	res, err := r.Grid(r.Benchmarks, fig10Points)
+	res, err := r.Grid(context.Background(), r.Benchmarks, fig10Points)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +106,7 @@ var fig11Points = []Point{
 // Ada-Baseline; Ada-ARI +15.4% over Ada-Baseline, ~1.4x for a third of the
 // benchmarks).
 func Fig11(r *Runner) (*Figure, error) {
-	res, err := r.Grid(r.Benchmarks, fig11Points)
+	res, err := r.Grid(context.Background(), r.Benchmarks, fig11Points)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +136,7 @@ func Fig11(r *Runner) (*Figure, error) {
 // −47.5%, Ada-ARI −67.8% vs the respective baselines). Because runs are
 // fixed-horizon, stall time is normalised per reply sent.
 func Fig12(r *Runner) (*Figure, error) {
-	res, err := r.Grid(r.Benchmarks, fig11Points)
+	res, err := r.Grid(context.Background(), r.Benchmarks, fig11Points)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +163,7 @@ func Fig12(r *Runner) (*Figure, error) {
 // ARI also shrinks request latency despite changing nothing on the request
 // network — confirming the bottleneck is the reply side.
 func Fig13(r *Runner) (*Figure, error) {
-	res, err := r.Grid(r.Benchmarks, fig11Points)
+	res, err := r.Grid(context.Background(), r.Benchmarks, fig11Points)
 	if err != nil {
 		return nil, err
 	}

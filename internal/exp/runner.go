@@ -80,10 +80,11 @@ type Runner struct {
 type instrumentKey struct{}
 
 // WithInstrument returns a context under which every simulator built by
-// RunAllContext/RunKey is handed to fn before it runs — the one pre-run hook,
-// scoped to the runs a caller waits on. fn must only observe (a config
-// determines its stored Result byte-identically), never alter the run.
-func WithInstrument(ctx context.Context, fn func(*core.Simulator)) context.Context {
+// RunAllContext/RunKey is handed to fn, with the Job it runs (runs execute
+// concurrently), before it runs — the one pre-run hook, scoped to the runs a
+// caller waits on. fn must only observe (a config determines its stored
+// Result byte-identically), never alter the run.
+func WithInstrument(ctx context.Context, fn func(Job, *core.Simulator)) context.Context {
 	return context.WithValue(ctx, instrumentKey{}, fn)
 }
 
@@ -348,8 +349,8 @@ func (r *Runner) simulate(ctx context.Context, j Job) (res core.Result, err erro
 		return core.Result{}, fmt.Errorf("exp: %s: %w", name, err)
 	}
 	defer sim.Close()
-	if attach, ok := ctx.Value(instrumentKey{}).(func(*core.Simulator)); ok {
-		attach(sim)
+	if attach, ok := ctx.Value(instrumentKey{}).(func(Job, *core.Simulator)); ok {
+		attach(j, sim)
 	}
 	if r.Monitor != nil {
 		st := r.Monitor.Begin(name, j.Cfg.Scheme.String(), j.Cfg.WarmupCycles+j.Cfg.MeasureCycles)

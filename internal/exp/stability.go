@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -47,7 +48,7 @@ func SeedStability(r *Runner) (*Figure, error) {
 				}})
 			}
 		}
-		res, err := r.Grid(kernels, points)
+		res, err := r.Grid(context.Background(), kernels, points)
 		if err != nil {
 			return nil, err
 		}

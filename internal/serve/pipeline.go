@@ -373,7 +373,7 @@ func (s *Server) run(rq *request) *answer {
 	ctx, sp := rq.ctx, rq.span
 	var req, rep *obs.Collector
 	if rq.scope != nil && s.cfg.TracePackets > 0 {
-		ctx = exp.WithInstrument(ctx, func(sim *core.Simulator) {
+		ctx = exp.WithInstrument(ctx, func(_ exp.Job, sim *core.Simulator) {
 			req, rep = obs.AttachTracers(sim, uint64(s.cfg.PacketSample))
 		})
 	}
