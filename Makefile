@@ -27,7 +27,8 @@ test:
 # it stands: the simeq goldens (golden.json, matrix_digests.json), the
 # decomposition golden, the tiny-runner figure report (figures_tiny.md),
 # the analytic error bands (90 simulations; review the diff, never widen a
-# band by hand), and the figures — the Markdown report
+# band by hand), arisim's stdout golden (cmd/arisim/testdata/
+# bfs_ada_ari.golden), and the figures — the Markdown report
 # experiments_full.txt and every results_csv/ file from one `ariexp -fig all`
 # pass. A change that moves the model on purpose runs it in the same
 # commit, never separately; EXPERIMENTS.md is then updated from
@@ -36,6 +37,7 @@ goldens:
 	go test ./internal/simeq -run 'GoldenDeterminism|MatrixDigests' -count=1 -update
 	go test ./internal/exp -run 'Decompose|FiguresGenerate' -count=1 -update
 	go test ./internal/analytic -run TestErrorBands -count=1 -analytic-full -analytic-record
+	go test ./cmd/arisim -count=1 -update
 	go run ./cmd/ariexp -fig all -csv results_csv | tee experiments_full.txt
 
 # figures-check proves the committed figures are what the tree produces:

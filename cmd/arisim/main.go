@@ -4,9 +4,16 @@
 //
 // Usage:
 //
-//	arisim -bench bfs -scheme Ada-ARI -cycles 20000 [-warmup 4000]
-//	       [-mesh 6x6] [-mc 8] [-vcs 4] [-reqlink 128] [-replink 128]
-//	       [-speedup 4] [-priolevels 2] [-seed 1] [-list]
+//	arisim -bench bfs -scheme Ada-ARI -cycles 20000 [-warmup 4000] [-seed 1]
+//	       [-config cfg.json] [-dumpconfig] [-list]
+//	       [-speedup 4] [-vcs 4] [-reqlink 128] [-replink 128] [-mesh 6]
+//	       [-mcs 8] [-niqueue 4] [-starvation 1000] [-priolevels 2]
+//
+// The parameter flags are the rows of exp.Axes, the table arisweep sweeps:
+// each sets its parameter as arisweep's point for that value does (-mesh 8
+// is an 8x8 mesh, -vcs caps the speedup at the VC count, -niqueue counts
+// long reply packets). -config loads the base configuration; the flags the
+// command line sets override it, the parameter flags in table order.
 //
 // With -estimate, the analytical model (internal/analytic, DESIGN.md §12)
 // answers in microseconds instead of running the simulation.
@@ -26,51 +33,64 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "arisim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the testable entry point: it parses args, runs (or estimates) the
+// simulation and prints its statistics to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("arisim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	def := core.DefaultConfig()
 	var (
-		benchName = flag.String("bench", "bfs", "benchmark name (see -list)")
-		schemeStr = flag.String("scheme", "Ada-ARI", "scheme: XY-Baseline, XY-ARI, Ada-Baseline, Ada-MultiPort, Ada-ARI, Acc-Supply, Acc-Consume, Acc-Both-NoPriority, DA2Mesh, DA2Mesh+ARI")
-		cycles    = flag.Int64("cycles", 20000, "measured NoC cycles")
-		warmup    = flag.Int64("warmup", 4000, "warmup NoC cycles")
-		meshStr   = flag.String("mesh", "6x6", "mesh WxH")
-		numMC     = flag.Int("mc", 8, "memory controllers")
-		vcs       = flag.Int("vcs", 4, "virtual channels per port")
-		reqLink   = flag.Int("reqlink", 128, "request-network link bits")
-		repLink   = flag.Int("replink", 128, "reply-network link bits")
-		speedup   = flag.Int("speedup", 4, "injection-port crossbar speedup")
-		prio      = flag.Int("priolevels", 2, "ARI priority levels")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		list      = flag.Bool("list", false, "list benchmarks and exit")
-		record    = flag.String("record", "", "record the memory trace to this file")
-		replay    = flag.String("replay", "", "replay a recorded memory trace from this file")
-		confFile  = flag.String("config", "", "load the base configuration from a JSON file (flags still override)")
-		dumpConf  = flag.Bool("dumpconfig", false, "print the effective configuration as JSON and exit")
-		work      = flag.Uint64("work", 0, "fixed-work mode: measure until this many warp-instructions retire (0 = fixed horizon)")
+		benchName = fs.String("bench", "bfs", "benchmark name (see -list)")
+		schemeStr = fs.String("scheme", "Ada-ARI", "scheme: XY-Baseline, XY-ARI, Ada-Baseline, Ada-MultiPort, Ada-ARI, Acc-Supply, Acc-Consume, Acc-Both-NoPriority, DA2Mesh, DA2Mesh+ARI")
+		cycles    = fs.Int64("cycles", def.MeasureCycles, "measured NoC cycles")
+		warmup    = fs.Int64("warmup", def.WarmupCycles, "warmup NoC cycles")
+		seed      = fs.Uint64("seed", def.Seed, "simulation seed")
+		list      = fs.Bool("list", false, "list benchmarks and exit")
+		record    = fs.String("record", "", "record the memory trace to this file")
+		replay    = fs.String("replay", "", "replay a recorded memory trace from this file")
+		confFile  = fs.String("config", "", "load the base configuration from a JSON file (flags still override)")
+		dumpConf  = fs.Bool("dumpconfig", false, "print the effective configuration as JSON and exit")
+		work      = fs.Uint64("work", 0, "fixed-work mode: measure until this many warp-instructions retire (0 = fixed horizon)")
+		heatmap   = fs.Bool("heatmap", false, "print per-node reply-network link/injection utilisation grids")
+		estimate  = fs.Bool("estimate", false, "answer from the analytical model (internal/analytic) instead of simulating; microseconds instead of seconds")
 
-		corruptProb = flag.Float64("corrupt-prob", 0, "per-cycle probability of a flit-corruption burst; > 0 enables fault injection and the NoC recovery layer (CRC + NACK retransmission)")
-		linkDeath   = flag.Float64("link-death", 0, "per-cycle probability of a permanent link death; > 0 enables fault injection with fault-adaptive routing around dead links")
-		heatmap     = flag.Bool("heatmap", false, "print per-node reply-network link/injection utilisation grids")
-		estimate    = flag.Bool("estimate", false, "answer from the analytical model (internal/analytic) instead of simulating; microseconds instead of seconds")
-
-		obsInterval = flag.Int64("obs-interval", 0, "metrics sampling interval in NoC cycles (0 = observability off)")
-		obsOut      = flag.String("obs-out", "", "write the sampled metric time series as CSV to this file (requires -obs-interval)")
-		traceSample = flag.Uint64("trace-sample", 0, "record every Nth packet's lifecycle on both fabrics (0 = off)")
-		traceOut    = flag.String("trace-out", "", "write sampled packet lifetimes as Chrome trace_event JSON to this file (requires -trace-sample)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		obsInterval = fs.Int64("obs-interval", 0, "metrics sampling interval in NoC cycles (0 = observability off)")
+		obsOut      = fs.String("obs-out", "", "write the sampled metric time series as CSV to this file (requires -obs-interval)")
+		traceSample = fs.Uint64("trace-sample", 0, "record every Nth packet's lifecycle on both fabrics (0 = off)")
+		traceOut    = fs.String("trace-out", "", "write sampled packet lifetimes as Chrome trace_event JSON to this file (requires -trace-sample)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	flag.Parse()
+	axisVals := make([]*int, len(exp.Axes))
+	for i, ax := range exp.Axes {
+		vals := strings.Trim(fmt.Sprint(ax.Values), "[]")
+		axisVals[i] = fs.Int(ax.Name, 0, fmt.Sprintf("set the parameter as arisweep -param %s does (it sweeps %s)", ax.Name, vals))
+	}
+	applyFaults := exp.FaultFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *memProfile != "" {
 		// Record every allocation: at the default 512 KB sampling rate a
 		// simulator's construction (under 1 MB) barely registers.
@@ -79,91 +99,85 @@ func main() {
 
 	if *list {
 		for _, k := range trace.Suite() {
-			fmt.Printf("%-16s %s\n", k.Name, k.Sens)
+			fmt.Fprintf(stdout, "%-16s %s\n", k.Name, k.Sens)
 		}
-		return
+		return nil
 	}
 
 	scheme, err := core.ParseScheme(*schemeStr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	kernel, err := trace.ByName(*benchName)
 	if err != nil {
-		fatal(err)
-	}
-	var w, h int
-	if _, err := fmt.Sscanf(*meshStr, "%dx%d", &w, &h); err != nil {
-		fatal(fmt.Errorf("bad -mesh %q: %w", *meshStr, err))
+		return err
 	}
 
-	cfg := core.DefaultConfig()
-	if *confFile != "" {
+	// -config replaces Table I as the base; without it, -scheme's default
+	// (Ada-ARI) applies too. Each flag the command line set then overrides
+	// the base, the exp.Axes rows in table order.
+	cfg := def
+	if *confFile == "" {
+		cfg.Scheme = scheme
+	} else {
 		data, err := os.ReadFile(*confFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := json.Unmarshal(data, &cfg); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *confFile, err))
+			return fmt.Errorf("parsing %s: %w", *confFile, err)
 		}
 	}
-	// Explicitly passed flags override the file; defaults do not.
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	override := func(name string, apply func()) {
-		if *confFile == "" || set[name] {
-			apply()
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		switch f.Name {
+		case "scheme":
+			cfg.Scheme = scheme
+		case "seed":
+			cfg.Seed = *seed
+		case "warmup":
+			cfg.WarmupCycles = *warmup
+		case "cycles":
+			cfg.MeasureCycles = *cycles
+		}
+	})
+	for i, ax := range exp.Axes {
+		if set[ax.Name] {
+			ax.Point(*axisVals[i]).Edit(&cfg)
 		}
 	}
-	override("mesh", func() { cfg.MeshWidth, cfg.MeshHeight = w, h })
-	override("mc", func() { cfg.NumMC = *numMC })
-	override("vcs", func() { cfg.VCs = *vcs })
-	override("reqlink", func() { cfg.ReqLinkBits = *reqLink })
-	override("replink", func() { cfg.RepLinkBits = *repLink })
-	override("scheme", func() { cfg.Scheme = scheme })
-	override("speedup", func() { cfg.InjSpeedup = *speedup })
-	override("priolevels", func() { cfg.PriorityLevels = *prio })
-	override("seed", func() { cfg.Seed = *seed })
-	override("warmup", func() { cfg.WarmupCycles = *warmup })
-	override("cycles", func() { cfg.MeasureCycles = *cycles })
-	override("corrupt-prob", func() {
-		if *corruptProb > 0 {
-			cfg.Fault.Enabled = true
-			cfg.Fault.CorruptProb = *corruptProb
-		}
-	})
-	override("link-death", func() {
-		if *linkDeath > 0 {
-			cfg.Fault.Enabled = true
-			cfg.Fault.LinkDeathProb = *linkDeath
-		}
-	})
+	applyFaults(&cfg)
 
 	if *dumpConf {
 		out, err := json.MarshalIndent(cfg, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(string(out))
-		return
+		fmt.Fprintln(stdout, string(out))
+		return nil
 	}
 
 	if *estimate {
 		est, err := analytic.EstimateOne(cfg, kernel)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		printEstimate(est)
-		return
+		printEstimate(stdout, est)
+		return nil
 	}
 
-	workload, finish, err := buildWorkload(*record, *replay, cfg, kernel)
+	// buildWorkload sizes the trace from cfg, so cfg is validated first.
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	workload, finish, err := buildWorkload(stderr, *record, *replay, cfg, kernel)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sim, err := core.NewSimulatorWorkload(cfg, kernel, workload)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer sim.Close()
 
@@ -181,11 +195,11 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -200,52 +214,51 @@ func main() {
 		r, err = sim.RunChecked(core.CheckOptions{})
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if finish != nil {
 		if err := finish(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	printResult(r)
+	printResult(stdout, r)
 	if *heatmap {
-		printHeatmap(sim, cfg)
+		printHeatmap(stdout, sim, cfg)
 	}
 	if reg != nil {
-		if err := writeMetricsCSV(reg, *obsOut); err != nil {
-			fatal(err)
+		if err := writeMetricsCSV(stdout, stderr, reg, *obsOut); err != nil {
+			return err
 		}
 	}
 	if *traceSample > 0 {
-		printDecomposition(reqColl, repColl)
+		printDecomposition(stdout, reqColl, repColl)
 		if *traceOut != "" {
-			if err := writeChromeTrace(*traceOut, reqColl, repColl); err != nil {
-				fatal(err)
+			if err := writeChromeTrace(stderr, *traceOut, reqColl, repColl); err != nil {
+				return err
 			}
 		}
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			f.Close()
-			fatal(err)
+			return err
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+		return f.Close()
 	}
+	return nil
 }
 
 // writeMetricsCSV dumps the sampled time series (to stdout when no path is
 // given).
-func writeMetricsCSV(reg *obs.Registry, path string) error {
+func writeMetricsCSV(stdout, stderr io.Writer, reg *obs.Registry, path string) error {
 	if path == "" {
-		fmt.Printf("\nmetrics (%d samples every %d cycles):\n", reg.Samples(), reg.Interval())
-		return reg.WriteCSV(os.Stdout)
+		fmt.Fprintf(stdout, "\nmetrics (%d samples every %d cycles):\n", reg.Samples(), reg.Interval())
+		return reg.WriteCSV(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -258,25 +271,25 @@ func writeMetricsCSV(reg *obs.Registry, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d metric samples to %s\n", reg.Samples(), path)
+	fmt.Fprintf(stderr, "wrote %d metric samples to %s\n", reg.Samples(), path)
 	return nil
 }
 
 // printDecomposition prints the traced latency attribution per fabric — the
 // paper's Fig. 2/3 split, from lifecycle samples instead of aggregates.
-func printDecomposition(reqColl, repColl *obs.Collector) {
-	fmt.Println("\ntraced latency decomposition (cycles, mean over sampled packets):")
-	fmt.Printf("%-8s %8s %8s %8s %8s %8s %11s\n", "fabric", "packets", "queue", "network", "eject", "total", "queue share")
+func printDecomposition(w io.Writer, reqColl, repColl *obs.Collector) {
+	fmt.Fprintln(w, "\ntraced latency decomposition (cycles, mean over sampled packets):")
+	fmt.Fprintf(w, "%-8s %8s %8s %8s %8s %8s %11s\n", "fabric", "packets", "queue", "network", "eject", "total", "queue share")
 	for _, c := range []*obs.Collector{reqColl, repColl} {
 		d := c.Decompose()
-		fmt.Printf("%-8s %8d %8.1f %8.1f %8.1f %8.1f %10.1f%%\n",
+		fmt.Fprintf(w, "%-8s %8d %8.1f %8.1f %8.1f %8.1f %10.1f%%\n",
 			c.Label, d.Packets, d.Queue.Value(), d.Net.Value(), d.Eject.Value(),
 			d.Total.Value(), 100*d.QueueFraction())
 	}
 }
 
 // writeChromeTrace exports the sampled lifecycles for chrome://tracing.
-func writeChromeTrace(path string, colls ...*obs.Collector) error {
+func writeChromeTrace(stderr io.Writer, path string, colls ...*obs.Collector) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -288,7 +301,7 @@ func writeChromeTrace(path string, colls ...*obs.Collector) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote Chrome trace to %s\n", path)
+	fmt.Fprintf(stderr, "wrote Chrome trace to %s\n", path)
 	return nil
 }
 
@@ -296,10 +309,10 @@ func writeChromeTrace(path string, colls ...*obs.Collector) error {
 // link flits/cycle leaving each router, and each NI's injection-link
 // flits/cycle. The MC nodes light up on the injection grid while the mesh
 // grid stays cool — the §3 observation made visible.
-func printHeatmap(sim *core.Simulator, cfg core.Config) {
+func printHeatmap(w io.Writer, sim *core.Simulator, cfg core.Config) {
 	rep, ok := sim.ReplyNet().(*noc.Network)
 	if !ok {
-		fmt.Println("\n(heatmap available only for mesh reply fabrics)")
+		fmt.Fprintln(w, "\n(heatmap available only for mesh reply fabrics)")
 		return
 	}
 	cycles := float64(rep.Stats().Cycles)
@@ -318,7 +331,7 @@ func printHeatmap(sim *core.Simulator, cfg core.Config) {
 		}
 		return ' '
 	}
-	fmt.Println("\nreply-network mesh-link load (flits/cycle out of each router; * = MC):")
+	fmt.Fprintln(w, "\nreply-network mesh-link load (flits/cycle out of each router; * = MC):")
 	for y := 0; y < cfg.MeshHeight; y++ {
 		for x := 0; x < cfg.MeshWidth; x++ {
 			node := y*cfg.MeshWidth + x
@@ -326,24 +339,24 @@ func printHeatmap(sim *core.Simulator, cfg core.Config) {
 			for d := 0; d < 4; d++ {
 				total += link[node][d]
 			}
-			fmt.Printf(" %5.2f%c", float64(total)/cycles, mark(node))
+			fmt.Fprintf(w, " %5.2f%c", float64(total)/cycles, mark(node))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("\nreply-network injection-link load (flits/cycle from each NI):")
+	fmt.Fprintln(w, "\nreply-network injection-link load (flits/cycle from each NI):")
 	for y := 0; y < cfg.MeshHeight; y++ {
 		for x := 0; x < cfg.MeshWidth; x++ {
 			node := y*cfg.MeshWidth + x
-			fmt.Printf(" %5.2f%c", float64(ni[node])/cycles, mark(node))
+			fmt.Fprintf(w, " %5.2f%c", float64(ni[node])/cycles, mark(node))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
 // buildWorkload wires the optional trace record/replay paths. It returns a
 // nil workload (synthetic generation) when neither flag is set, and a
 // finish hook to flush/close files.
-func buildWorkload(record, replay string, cfg core.Config, kernel trace.Kernel) (trace.Workload, func() error, error) {
+func buildWorkload(stderr io.Writer, record, replay string, cfg core.Config, kernel trace.Kernel) (trace.Workload, func() error, error) {
 	switch {
 	case record != "" && replay != "":
 		return nil, nil, fmt.Errorf("-record and -replay are mutually exclusive")
@@ -387,7 +400,7 @@ func buildWorkload(record, replay string, cfg core.Config, kernel trace.Kernel) 
 				f.Close()
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "recorded %d trace records to %s\n", rec.Records(), record)
+			fmt.Fprintf(stderr, "recorded %d trace records to %s\n", rec.Records(), record)
 			return f.Close()
 		}
 		return rec, finish, nil
@@ -398,45 +411,45 @@ func buildWorkload(record, replay string, cfg core.Config, kernel trace.Kernel) 
 
 // printEstimate renders the analytical model's answer in the same shape as
 // a simulated result, clearly labelled as an estimate.
-func printEstimate(e analytic.Estimate) {
-	fmt.Printf("benchmark        %s\n", e.Bench)
-	fmt.Printf("scheme           %s\n", e.Scheme)
-	fmt.Println("mode             analytical estimate (no simulation; see DESIGN.md §12 for error bands)")
-	fmt.Printf("IPC              %.3f warp-instr/core-cycle (aggregate)\n", e.IPC)
-	fmt.Println()
-	fmt.Printf("request net:  avg pkt latency %.1f\n", e.ReqLatency)
-	fmt.Printf("reply net:    avg pkt latency %.1f\n", e.RepLatency)
-	fmt.Printf("MC turnaround    %.1f cycles\n", e.MCService)
-	fmt.Printf("load round trip  %.1f cycles\n", e.RoundTrip)
-	fmt.Printf("reply injection  %.4f pkt/cycle/MC (saturation %.4f%s)\n",
+func printEstimate(w io.Writer, e analytic.Estimate) {
+	fmt.Fprintf(w, "benchmark        %s\n", e.Bench)
+	fmt.Fprintf(w, "scheme           %s\n", e.Scheme)
+	fmt.Fprintln(w, "mode             analytical estimate (no simulation; see DESIGN.md §12 for error bands)")
+	fmt.Fprintf(w, "IPC              %.3f warp-instr/core-cycle (aggregate)\n", e.IPC)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "request net:  avg pkt latency %.1f\n", e.ReqLatency)
+	fmt.Fprintf(w, "reply net:    avg pkt latency %.1f\n", e.RepLatency)
+	fmt.Fprintf(w, "MC turnaround    %.1f cycles\n", e.MCService)
+	fmt.Fprintf(w, "load round trip  %.1f cycles\n", e.RoundTrip)
+	fmt.Fprintf(w, "reply injection  %.4f pkt/cycle/MC (saturation %.4f%s)\n",
 		e.RepInjRate, e.SaturationRate, map[bool]string{true: ", SATURATED", false: ""}[e.Saturated])
 }
 
-func printResult(r core.Result) {
-	fmt.Printf("benchmark        %s\n", r.Benchmark)
-	fmt.Printf("scheme           %s\n", r.Scheme)
-	fmt.Printf("measured cycles  %d (NoC) / %d (core)\n", r.MeasuredCycles, r.CoreCycles)
-	fmt.Printf("instructions     %d\n", r.Instructions)
-	fmt.Printf("IPC              %.3f warp-instr/core-cycle (aggregate)\n", r.IPC)
-	fmt.Println()
-	fmt.Printf("request net:  avg pkt latency %.1f  link util %.4f  inj util %.4f\n",
+func printResult(w io.Writer, r core.Result) {
+	fmt.Fprintf(w, "benchmark        %s\n", r.Benchmark)
+	fmt.Fprintf(w, "scheme           %s\n", r.Scheme)
+	fmt.Fprintf(w, "measured cycles  %d (NoC) / %d (core)\n", r.MeasuredCycles, r.CoreCycles)
+	fmt.Fprintf(w, "instructions     %d\n", r.Instructions)
+	fmt.Fprintf(w, "IPC              %.3f warp-instr/core-cycle (aggregate)\n", r.IPC)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "request net:  avg pkt latency %.1f  link util %.4f  inj util %.4f\n",
 		r.Req.AvgLatency(noc.ReadRequest, noc.WriteRequest), r.Req.MeshLinkUtil(), r.Req.InjLinkUtil())
-	fmt.Printf("reply net:    avg pkt latency %.1f  link util %.4f  inj util %.4f\n",
+	fmt.Fprintf(w, "reply net:    avg pkt latency %.1f  link util %.4f  inj util %.4f\n",
 		r.Rep.AvgLatency(noc.ReadReply, noc.WriteReply), r.Rep.MeshLinkUtil(), r.Rep.InjLinkUtil())
-	fmt.Println()
-	fmt.Printf("traffic mix (flit-weighted):")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "traffic mix (flit-weighted):")
 	for t := noc.PacketType(0); int(t) < noc.NumPacketTypes; t++ {
-		fmt.Printf("  %s %.1f%%", t, 100*flitShareBoth(&r, t))
+		fmt.Fprintf(w, "  %s %.1f%%", t, 100*flitShareBoth(&r, t))
 	}
-	fmt.Println()
-	fmt.Printf("MC stall time    %d cycles (blocked %d)\n", r.MCStallTime, r.MCBlockedCycles)
-	fmt.Printf("replies sent     %d\n", r.RepliesSent)
-	fmt.Printf("NI occupancy     %.1f flits avg (cap %d)\n", r.NIOccAvgFlits, r.NIQueueCapFlits)
-	fmt.Printf("L1 hit %.3f  L2 hit %.3f  DRAM row hit %.3f\n", r.L1HitRate, r.L2HitRate, r.DRAMRowHitRate)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "MC stall time    %d cycles (blocked %d)\n", r.MCStallTime, r.MCBlockedCycles)
+	fmt.Fprintf(w, "replies sent     %d\n", r.RepliesSent)
+	fmt.Fprintf(w, "NI occupancy     %.1f flits avg (cap %d)\n", r.NIOccAvgFlits, r.NIQueueCapFlits)
+	fmt.Fprintf(w, "L1 hit %.3f  L2 hit %.3f  DRAM row hit %.3f\n", r.L1HitRate, r.L2HitRate, r.DRAMRowHitRate)
 	if r.FaultEvents > 0 || r.Recovery != (noc.RecoveryStats{}) {
-		fmt.Println()
-		fmt.Printf("faults injected  %d (dead links %d)\n", r.FaultEvents, r.Recovery.DeadLinks)
-		fmt.Printf("recovery         %d corrupted pkts dropped+NACKed, %d retransmitted, %d buffer-full rejects\n",
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "faults injected  %d (dead links %d)\n", r.FaultEvents, r.Recovery.DeadLinks)
+		fmt.Fprintf(w, "recovery         %d corrupted pkts dropped+NACKed, %d retransmitted, %d buffer-full rejects\n",
 			r.Recovery.CorruptPackets, r.Recovery.RetransPackets, r.Recovery.RetransBufFullRejects)
 	}
 }
@@ -453,9 +466,4 @@ func flitShareBoth(r *core.Result, t noc.PacketType) float64 {
 		return 0
 	}
 	return float64(mine) / float64(total)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "arisim:", err)
-	os.Exit(1)
 }

@@ -1,0 +1,139 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exp"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/bfs_ada_ari.golden")
+
+// short is the horizon every simulating test runs at.
+var short = []string{"-bench", "bfs", "-warmup", "500", "-cycles", "2000"}
+
+// arisim runs the command with args and returns its stdout.
+func arisim(t *testing.T, args ...string) string {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if err := run(args, &out, &errb); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, errb.String())
+	}
+	return out.String()
+}
+
+// dumpConfig is the configuration arisim -dumpconfig prints for args.
+func dumpConfig(t *testing.T, args ...string) core.Config {
+	t.Helper()
+	var cfg core.Config
+	if err := json.Unmarshal([]byte(arisim(t, append(args, "-dumpconfig")...)), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// TestGolden pins the printed statistics of one short Ada-ARI run; -update
+// rewrites the golden.
+func TestGolden(t *testing.T) {
+	got := arisim(t, append(short, "-scheme", "Ada-ARI")...)
+	path := filepath.Join("testdata", "bfs_ada_ari.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("stdout differs from %s (rerun with -update if the change is intended):\n%s", path, got)
+	}
+}
+
+// TestDumpConfigRoundTrip: a dumped configuration loaded back with -config
+// dumps to the same bytes.
+func TestDumpConfigRoundTrip(t *testing.T) {
+	first := arisim(t, "-scheme", "XY-ARI", "-mesh", "8", "-seed", "3", "-corrupt-prob", "0.05", "-dumpconfig")
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(first), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if again := arisim(t, "-config", path, "-dumpconfig"); again != first {
+		t.Errorf("round trip changed the config:\n%s\nvs\n%s", first, again)
+	}
+}
+
+// TestAxisFlags: every exp.Axes row is a flag that edits the configuration
+// exactly as the row's point does, after -config; an unset one leaves the
+// file's value.
+func TestAxisFlags(t *testing.T) {
+	for _, ax := range exp.Axes {
+		v := ax.Values[len(ax.Values)-1]
+		want := core.DefaultConfig()
+		want.Scheme = core.AdaARI
+		ax.Point(v).Edit(&want)
+		if got := dumpConfig(t, "-"+ax.Name, strconv.Itoa(v)); got != want {
+			t.Errorf("-%s %d: config differs from the axis point's", ax.Name, v)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	file := arisim(t, "-priolevels", "3", "-mcs", "12", "-dumpconfig")
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := dumpConfig(t, "-config", path, "-priolevels", "5")
+	if cfg.PriorityLevels != 5 || cfg.NumMC != 12 {
+		t.Errorf("-config with -priolevels 5: PriorityLevels %d (want 5), NumMC %d (want the file's 12)",
+			cfg.PriorityLevels, cfg.NumMC)
+	}
+}
+
+// TestVCsCapSpeedup: -vcs caps the configured speedup at the VC count (eq. 2).
+func TestVCsCapSpeedup(t *testing.T) {
+	if cfg := dumpConfig(t, "-vcs", "2"); cfg.VCs != 2 || cfg.InjSpeedup != 2 {
+		t.Errorf("-vcs 2: VCs %d, InjSpeedup %d, want 2 and 2", cfg.VCs, cfg.InjSpeedup)
+	}
+}
+
+func TestEstimate(t *testing.T) {
+	out := arisim(t, "-bench", "bfs", "-scheme", "Ada-ARI", "-estimate")
+	for _, want := range []string{"analytical estimate", "IPC", "reply injection"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("estimate output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRecordReplay: replaying a recorded trace reproduces the recording run.
+func TestRecordReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bfs.trace")
+	recorded := arisim(t, append(short, "-record", path)...)
+	if replayed := arisim(t, append(short, "-replay", path)...); replayed != recorded {
+		t.Errorf("replay diverged from the recording run:\n%s\nvs\n%s", recorded, replayed)
+	}
+}
+
+func TestRejectsBadFlags(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-mesh", "6x6"},
+		{"-mcs", "24"},
+		{"-corrupt-prob", "-1"},
+		{"-link-death", "2"},
+		{"-bench", "nosuchbench"},
+		{"-scheme", "nosuchscheme"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(append(short, bad...), &out, &errb); err == nil {
+			t.Errorf("run(%v) succeeded, want error", bad)
+		}
+	}
+}

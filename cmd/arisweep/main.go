@@ -5,7 +5,9 @@
 //	arisweep -param speedup -bench kmeans
 //
 // -param names a row of exp.Axes, the table the figures take their columns
-// from: speedup, vcs, replink, mesh, niqueue, starvation or priolevels.
+// from and arisim its parameter flags: speedup, vcs, reqlink, replink, mesh,
+// mcs, niqueue, starvation or priolevels. -corrupt-prob and -link-death,
+// shared with arisim, inject faults into every point.
 //
 // A local sweep is one exp.Runner.Grid call: the points run concurrently on
 // the harness's worker pool, each under the forward-progress watchdogs (a
@@ -71,10 +73,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 		obsInterval = fs.Int64("obs-interval", 0, "metrics sampling interval in NoC cycles for locally-run points (0 = off)")
 		obsDir      = fs.String("obs-dir", ".", "directory for per-point metric CSVs (metrics_<label>.csv)")
-
-		corruptProb = fs.Float64("corrupt-prob", 0, "per-cycle flit-corruption burst probability applied to every point; > 0 enables fault injection and the NoC recovery layer")
-		linkDeath   = fs.Float64("link-death", 0, "per-cycle permanent link-death probability applied to every point; > 0 enables fault injection with fault-adaptive routing")
 	)
+	applyFaults := exp.FaultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -93,14 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	base.WarmupCycles = *warmup
 	base.MeasureCycles = *cycles
 	base.Seed = *seed
-	if *corruptProb < 0 || *corruptProb > 1 || *linkDeath < 0 || *linkDeath > 1 {
-		return fmt.Errorf("-corrupt-prob and -link-death must be in [0,1]")
-	}
-	if *corruptProb > 0 || *linkDeath > 0 {
-		base.Fault.Enabled = true
-		base.Fault.CorruptProb = *corruptProb
-		base.Fault.LinkDeathProb = *linkDeath
-	}
+	applyFaults(&base)
 
 	ax, err := exp.AxisNamed(*param)
 	if err != nil {

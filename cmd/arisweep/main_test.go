@@ -23,6 +23,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "nosuchbench"},
 		{"-scheme", "nosuchscheme"},
 		{"-nosuchflag"},
+		{"-corrupt-prob", "-1"},
+		{"-link-death", "2"},
 	} {
 		if err := run(args, &out, &errb); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

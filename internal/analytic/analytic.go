@@ -115,12 +115,7 @@ func NewModel(cfg core.Config) (*Model, error) {
 	m.repLong = noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.DataBytes)
 	m.repShort = 1
 
-	var mcNodes []int
-	if cfg.EdgeMCPlacement {
-		mcNodes = noc.EdgeMCPlacement(m.mesh, cfg.NumMC)
-	} else {
-		mcNodes = noc.DiamondMCPlacement(m.mesh, cfg.NumMC)
-	}
+	mcNodes := cfg.MCPlacement()
 	isMC := make(map[int]bool, len(mcNodes))
 	for _, n := range mcNodes {
 		isMC[n] = true

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -249,6 +250,16 @@ func (c Config) Validate() error {
 	if c.NumMC <= 0 || c.NumMC >= nodes {
 		return fmt.Errorf("core: NumMC %d must be in (0, %d)", c.NumMC, nodes)
 	}
+	mcs := c.MCPlacement()
+	slices.Sort(mcs)
+	if distinct := len(slices.Compact(mcs)); distinct < c.NumMC {
+		placement := "diamond"
+		if c.EdgeMCPlacement {
+			placement = "edge"
+		}
+		return fmt.Errorf("core: NumMC %d exceeds the %d distinct nodes the %s placement finds on a %dx%d mesh",
+			c.NumMC, distinct, placement, c.MeshWidth, c.MeshHeight)
+	}
 	if c.Scheme < 0 || int(c.Scheme) >= NumSchemes {
 		return fmt.Errorf("core: unknown scheme %d", c.Scheme)
 	}
@@ -267,6 +278,17 @@ func (c Config) Validate() error {
 		}
 	}
 	return c.Core.Validate()
+}
+
+// MCPlacement returns the memory-controller node ids of c's mesh: the
+// diamond placement, or the perimeter spread under EdgeMCPlacement.
+// Validate requires NumMC distinct ones.
+func (c Config) MCPlacement() []int {
+	mesh := noc.Mesh{Width: c.MeshWidth, Height: c.MeshHeight}
+	if c.EdgeMCPlacement {
+		return noc.EdgeMCPlacement(mesh, c.NumMC)
+	}
+	return noc.DiamondMCPlacement(mesh, c.NumMC)
 }
 
 // ChooseSpeedup implements the paper's speedup sizing (§4.2): the minimal

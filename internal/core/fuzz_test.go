@@ -18,6 +18,9 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(1<<20, 1<<20, 1, 4, 16<<10, 128, 4, int64(100), int64(100))
 	f.Add(6, 6, 8, 4, 1<<62, 1<<31, 1<<31, int64(100), int64(100))
 	f.Add(6, 6, 8, 4, 1<<30, 1<<62, 4, int64(100), int64(100))
+	// MC counts the placement cannot put on distinct nodes.
+	f.Add(6, 6, 24, 4, 16<<10, 128, 4, int64(100), int64(100))
+	f.Add(1, 6, 5, 4, 16<<10, 128, 4, int64(100), int64(100))
 
 	f.Fuzz(func(t *testing.T, w, h, mc, vcs, l1Size, l1Line, l1Ways int,
 		warmup, measure int64) {

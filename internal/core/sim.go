@@ -132,11 +132,7 @@ func retransBufPkts(cfg Config) int {
 // reply fabric from it, and so does the standalone load-latency figure.
 func ReplyNetwork(cfg Config) (rep noc.Config, mcNodes, ccNodes []int) {
 	mesh := noc.Mesh{Width: cfg.MeshWidth, Height: cfg.MeshHeight}
-	if cfg.EdgeMCPlacement {
-		mcNodes = noc.EdgeMCPlacement(mesh, cfg.NumMC)
-	} else {
-		mcNodes = noc.DiamondMCPlacement(mesh, cfg.NumMC)
-	}
+	mcNodes = cfg.MCPlacement()
 	isMC := make([]bool, mesh.Nodes())
 	for _, n := range mcNodes {
 		isMC[n] = true

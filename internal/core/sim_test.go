@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/noc"
@@ -196,6 +197,34 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestValidateMCPlacement: Validate accepts an MC count only when the
+// placement puts it on as many distinct nodes, and its error names the
+// count the placement reached.
+func TestValidateMCPlacement(t *testing.T) {
+	for _, c := range []struct {
+		w, h, mc int
+		edge     bool
+		limit    string // "" = valid
+	}{
+		{6, 6, 8, false, ""}, // Table I
+		{4, 4, 12, false, ""},
+		{6, 6, 20, true, ""},
+		{6, 6, 24, false, "20 distinct nodes the diamond placement"},
+		{6, 6, 24, true, "20 distinct nodes the edge placement"},
+		{1, 6, 5, false, "3 distinct nodes the diamond placement"},
+	} {
+		cfg := DefaultConfig()
+		cfg.MeshWidth, cfg.MeshHeight, cfg.NumMC, cfg.EdgeMCPlacement = c.w, c.h, c.mc, c.edge
+		err := cfg.Validate()
+		switch {
+		case c.limit == "" && err != nil:
+			t.Errorf("%dx%d/%d edge=%v: %v", c.w, c.h, c.mc, c.edge, err)
+		case c.limit != "" && (err == nil || !strings.Contains(err.Error(), c.limit)):
+			t.Errorf("%dx%d/%d edge=%v: error %v, want one naming %q", c.w, c.h, c.mc, c.edge, err, c.limit)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 
@@ -18,17 +19,23 @@ type Axis struct {
 }
 
 // Axes is every swept parameter, defined once: arisweep's -param resolves
-// here, and Figs 6 (niqueue), 9 (priolevels), 15 (vcs) and §7.5 (mesh) take
-// their columns from the same rows.
+// here, arisim registers one flag per row, and Figs 4 (reqlink, replink),
+// 6 (niqueue), 9 (priolevels), 15 (vcs) and §7.5 (mesh) take their columns
+// from the same rows. niqueue follows both link rows, as its point reads
+// RepLinkBits.
 var Axes = []Axis{
 	newAxis("speedup", "S=%d", []int{1, 2, 3, 4}, func(c *core.Config, v int) { c.InjSpeedup = v }),
 	// The speedup cannot exceed the VC count (eq. 2), so it is capped at v:
 	// from Base's 4 that is Fig 15's 2VC/S=2 and 4VC/S=4, and 8VC keeps S=4.
 	newAxis("vcs", "%dVC", []int{1, 2, 4, 8}, func(c *core.Config, v int) { c.VCs, c.InjSpeedup = v, min(c.InjSpeedup, v) }),
+	newAxis("reqlink", "%db", []int{64, 128, 256, 512}, func(c *core.Config, v int) { c.ReqLinkBits = v }),
 	newAxis("replink", "%db", []int{64, 128, 256, 512}, func(c *core.Config, v int) { c.RepLinkBits = v }),
 	// A v×v mesh keeps Base's MC count (Table I: 8), as §7.5 does, so the
 	// CC:MC ratio — the few-to-many intensity — grows with the mesh.
 	newAxis("mesh", "%[1]dx%[1]d", []int{4, 6, 8}, func(c *core.Config, v int) { c.MeshWidth, c.MeshHeight = v, v }),
+	// MC count on Base's mesh; a count the diamond placement has no layout
+	// for spreads evenly along the perimeter (noc.DiamondMCPlacement).
+	newAxis("mcs", "%dMC", []int{4, 8, 12, 16}, func(c *core.Config, v int) { c.NumMC = v }),
 	// NI queue capacity in long (read-reply) packets of the edited config.
 	newAxis("niqueue", "%dpkt", []int{4, 12, 28, 50, 80}, func(c *core.Config, v int) {
 		c.NIQueueFlits = v * noc.PacketSize(noc.ReadReply, c.RepLinkBits, c.DataBytes)
@@ -43,6 +50,28 @@ func newAxis(name, format string, values []int, set func(c *core.Config, v int))
 	return Axis{name, values, func(v int) Point {
 		return Point{fmt.Sprintf(format, v), func(c *core.Config) { set(c, v) }}
 	}}
+}
+
+// FaultFlags registers -corrupt-prob and -link-death on fs and returns the
+// edit that applies them once fs is parsed: each flag the command line set
+// writes its probability, and a non-zero probability enables fault
+// injection. Config.Validate rejects a probability outside [0,1].
+func FaultFlags(fs *flag.FlagSet) func(*core.Config) {
+	corrupt := fs.Float64("corrupt-prob", 0, "per-cycle probability of a flit-corruption burst; non-zero enables fault injection and the NoC recovery layer (CRC + NACK retransmission)")
+	death := fs.Float64("link-death", 0, "per-cycle probability of a permanent link death; non-zero enables fault injection with fault-adaptive routing around dead links")
+	return func(c *core.Config) {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "corrupt-prob":
+				c.Fault.CorruptProb = *corrupt
+			case "link-death":
+				c.Fault.LinkDeathProb = *death
+			}
+		})
+		if *corrupt != 0 || *death != 0 {
+			c.Fault.Enabled = true
+		}
+	}
 }
 
 // AxisNamed returns the axis called name; the error for an unknown name

@@ -74,13 +74,10 @@ func Fig3(r *Runner) (*Figure, error) {
 // Fig4 measures the IPC impact of doubling each network's link width
 // (paper: 256-bit request links +0.8%, 256-bit reply links +25.6%).
 func Fig4(r *Runner) (*Figure, error) {
-	linkBits := func(req, rep int) func(*core.Config) {
-		return func(c *core.Config) { c.Scheme, c.ReqLinkBits, c.RepLinkBits = core.XYBaseline, req, rep }
-	}
 	points := []Point{
-		{"128-128", linkBits(128, 128)},
-		{"256-128", linkBits(256, 128)},
-		{"128-256", linkBits(128, 256)},
+		scheme("128-128", core.XYBaseline),
+		scheme("256-128", core.XYBaseline, axis("reqlink").Point(256)),
+		scheme("128-256", core.XYBaseline, axis("replink").Point(256)),
 	}
 	res, err := r.Grid(context.Background(), r.Benchmarks, points)
 	if err != nil {
