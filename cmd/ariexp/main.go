@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/exp"
@@ -136,10 +137,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	for _, id := range ids {
+		runs, hits, wall, cpu := r.Runs(), r.StoreHits(), time.Now(), cpuTime()
 		f, err := exp.Generate(r, id)
 		if err != nil {
 			return err
 		}
+		fmt.Fprintf(stderr, "ariexp: fig %s: %d simulations, %d store hits, %.2f s wall, %.2f s CPU\n",
+			id, r.Runs()-runs, r.StoreHits()-hits, time.Since(wall).Seconds(), (cpuTime() - cpu).Seconds())
 		fmt.Fprint(stdout, f.String())
 		if *csvDir != "" && f.Table != nil {
 			path := filepath.Join(*csvDir, "fig_"+sanitize(id)+".csv")
@@ -153,4 +157,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "---\n\n%d simulations.\n", r.Runs())
 	fmt.Fprintf(stderr, "ariexp: %d simulations in %s\n", r.Runs(), time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// cpuTime returns the user plus system CPU time the process has used so
+// far, or 0 if getrusage fails.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/trace"
 )
 
 func TestRunList(t *testing.T) {
@@ -77,5 +81,69 @@ func TestRunDecomposeCSV(t *testing.T) {
 	}
 	if want := f.Table.CSV(); string(got) != want {
 		t.Fatalf("fig_decompose.csv:\n%s\nwant exp.Decompose's:\n%s", got, want)
+	}
+}
+
+// TestRunFigureCostLines: each figure's cost — simulations run, jobs the
+// store answered, wall and CPU seconds — goes to stderr as one line, in
+// figure order, and stdout stays the report alone: it equals the figures
+// rendered by a fresh runner on the same flags (answered from the run's
+// journal, whose results round-trip exactly).
+func TestRunFigureCostLines(t *testing.T) {
+	var out, errb bytes.Buffer
+	journal := filepath.Join(t.TempDir(), "runs.jsonl")
+	args := []string{"-fig", "all", "-bench", "bfs", "-cycles", "200", "-warmup", "100", "-journal", journal}
+	if err := run(args, &out, &errb); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, errb.String())
+	}
+
+	j, err := exp.OpenJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	r := exp.NewRunner()
+	r.Journal = j
+	r.Base.MeasureCycles, r.Base.WarmupCycles = 200, 100
+	bfs, err := trace.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Benchmarks = []trace.Kernel{bfs}
+	var want strings.Builder
+	fmt.Fprintf(&want, "# ARI reproduction report\n\n%d measured + %d warmup NoC cycles per run, seed %d.\n\n",
+		r.Base.MeasureCycles, r.Base.WarmupCycles, r.Base.Seed)
+	for _, e := range exp.Registry() {
+		f, err := exp.Generate(r, e.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString(f.String())
+	}
+	if r.Runs() != 0 {
+		t.Fatalf("the journal left %d runs to simulate again", r.Runs())
+	}
+	fmt.Fprintf(&want, "---\n\n%d simulations.\n", j.Loaded())
+	if out.String() != want.String() {
+		t.Fatalf("stdout is not the report:\n%s\nwant:\n%s", out.String(), want.String())
+	}
+
+	lines := strings.Split(strings.TrimSuffix(errb.String(), "\n"), "\n")
+	reg := exp.Registry()
+	if len(lines) != len(reg)+1 {
+		t.Fatalf("%d stderr lines for %d figures:\n%s", len(lines), len(reg), errb.String())
+	}
+	cost := regexp.MustCompile(`^ariexp: fig (\S+): (\d+) simulations, (\d+) store hits, \d+\.\d\d s wall, \d+\.\d\d s CPU$`)
+	sims := 0
+	for i, e := range reg {
+		m := cost.FindStringSubmatch(lines[i])
+		if m == nil || m[1] != e.ID {
+			t.Fatalf("stderr line %d %q is not figure %s's cost line", i, lines[i], e.ID)
+		}
+		n, _ := strconv.Atoi(m[2])
+		sims += n
+	}
+	if total := fmt.Sprintf("ariexp: %d simulations in ", sims); !strings.HasPrefix(lines[len(reg)], total) {
+		t.Fatalf("last stderr line %q, want the total %q...", lines[len(reg)], total)
 	}
 }

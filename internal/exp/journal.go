@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -62,37 +62,43 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: open journal: %w", err)
 	}
-	j := &Journal{path: path, f: f, entries: make(map[string]core.Result)}
-	// intact is the byte offset just past the last newline-terminated line;
-	// anything after it is a torn tail to be cut off.
-	var intact int64
-	r := bufio.NewReaderSize(f, 1<<20)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			break // len(line) > 0 here means a torn, unterminated tail
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("exp: read journal: %w", err)
-		}
-		intact += int64(len(line))
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.V != journalVersion || e.Key == "" {
-			continue // foreign or corrupt line: recompute that run
-		}
-		j.entries[e.Key] = e.Result
-	}
-	if err := f.Truncate(intact); err != nil {
+	raw, err := io.ReadAll(f)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("exp: truncate journal tail: %w", err)
+		return nil, fmt.Errorf("exp: read journal: %w", err)
+	}
+	entries, intact := scanJournal(raw)
+	if intact < int64(len(raw)) {
+		if err := f.Truncate(intact); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("exp: truncate journal tail: %w", err)
+		}
 	}
 	if _, err := f.Seek(intact, io.SeekStart); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("exp: seek journal: %w", err)
 	}
-	j.loaded = len(j.entries)
-	return j, nil
+	return &Journal{path: path, f: f, entries: entries, loaded: len(entries)}, nil
+}
+
+// scanJournal parses a journal's bytes: the entries of every intact line of
+// this journalVersion, and intact, the offset just past the last
+// newline-terminated line. Anything after intact is a torn tail.
+func scanJournal(raw []byte) (entries map[string]core.Result, intact int64) {
+	entries = make(map[string]core.Result)
+	for {
+		i := bytes.IndexByte(raw[intact:], '\n')
+		if i < 0 {
+			return entries, intact
+		}
+		line := raw[intact : intact+int64(i)+1]
+		intact += int64(len(line))
+		var e journalEntry
+		if err := json.Unmarshal(line, &e); err != nil || e.V != journalVersion || e.Key == "" {
+			continue // foreign or corrupt line: recompute that run
+		}
+		entries[e.Key] = e.Result
+	}
 }
 
 // Len returns the number of loaded + recorded entries.

@@ -105,6 +105,39 @@ func TestJournalRecoversTornTail(t *testing.T) {
 	}
 }
 
+// TestScanJournalEveryCut cuts a three-record journal at every byte, in
+// memory: the scan must return exactly the records whose line is complete
+// before the cut, with their results, and an intact length just past the
+// last of them.
+func TestScanJournalEveryCut(t *testing.T) {
+	_, keys, raw := writeEntries(t, 3)
+	var ends []int // offset just past each record's newline
+	for i, b := range raw {
+		if b == '\n' {
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) != len(keys) {
+		t.Fatalf("journal has %d lines, want %d", len(ends), len(keys))
+	}
+	for cut := 0; cut <= len(raw); cut++ {
+		entries, intact := scanJournal(raw[:cut])
+		complete, wantIntact := 0, 0
+		for complete < len(ends) && ends[complete] <= cut {
+			wantIntact = ends[complete]
+			complete++
+		}
+		if intact != int64(wantIntact) || len(entries) != complete {
+			t.Fatalf("cut %d: %d entries intact to %d, want %d to %d", cut, len(entries), intact, complete, wantIntact)
+		}
+		for i, k := range keys[:complete] {
+			if got, ok := entries[k]; !ok || got.IPC != float64(i)+0.5 {
+				t.Fatalf("cut %d: record %s = %+v (present %v)", cut, k, got, ok)
+			}
+		}
+	}
+}
+
 // TestJournalTruncatesTornTailOnDisk asserts the torn bytes are physically
 // removed at open, not just skipped in memory.
 func TestJournalTruncatesTornTailOnDisk(t *testing.T) {

@@ -75,6 +75,7 @@ type Runner struct {
 	// results is the store when no Journal is attached, keyed by JobKey.
 	results map[string]core.Result
 	runs    int
+	hits    int
 }
 
 type instrumentKey struct{}
@@ -118,6 +119,13 @@ func (r *Runner) Runs() int {
 	return r.runs
 }
 
+// StoreHits returns the number of jobs the store answered without a run.
+func (r *Runner) StoreHits() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.hits
+}
+
 // Run executes (or recalls) one simulation.
 func (r *Runner) Run(cfg core.Config, k trace.Kernel) (core.Result, error) {
 	return r.RunKey(context.Background(), jobKey(cfg, k.Name), Job{Cfg: cfg, Kernel: k})
@@ -157,11 +165,17 @@ func (r *Runner) runKeyed(ctx context.Context, keys []string, jobs []Job) ([]cor
 	// Collect the distinct keys that still need simulating; the journal
 	// answers for runs a previous (possibly killed) sweep finished.
 	need := make(map[string]Job)
+	hits := 0
 	for i, j := range jobs {
-		if _, ok := r.LookupKey(keys[i]); !ok {
+		if _, ok := r.LookupKey(keys[i]); ok {
+			hits++
+		} else {
 			need[keys[i]] = j
 		}
 	}
+	r.mu.Lock()
+	r.hits += hits
+	r.mu.Unlock()
 
 	if len(need) > 0 {
 		order := make([]string, 0, len(need))

@@ -138,6 +138,11 @@ type Core struct {
 	// is stalled only a read fill (ReceiveReply) changes either, so until
 	// then each tick just counts the stall again.
 	lsuStall mshrStall
+	// stuck is set when a full tick ends with the LSU head memoised on the
+	// MSHR file (lsuStall), the LSU queue full and every ready warp holding
+	// an instruction. Until a read fill (ReceiveReply) clears it, no tick
+	// can issue or move the LSU, so each one only counts its stalls.
+	stuck bool
 
 	workload Workload
 	// send hands a transaction to the request-network NI; false means the
@@ -266,11 +271,35 @@ func (c *Core) Tick() {
 		c.IssueStalls++
 		return
 	}
+	if c.stuck {
+		// What the full tick counts: stepLSU replays the memoised MSHR
+		// stall, and issue finds no warp it may try.
+		c.MSHRStalls++
+		if c.lsuStall == mshrMergeFull {
+			c.mshr.FullStall++
+		}
+		c.IssueStalls++
+		return
+	}
 	c.stepLSU()
 	c.issue()
 	if wp := &c.warps[c.current]; len(c.lsuQ) == 0 && wp.state == warpReady && wp.computeLeft > 0 {
 		c.run, wp.computeLeft = wp.computeLeft, 0
+	} else if c.lsuStall != noMSHRStall && len(c.lsuQ) >= c.cfg.LSUQueueCap {
+		c.stuck = c.readyAllHolding()
 	}
+}
+
+// readyAllHolding reports whether every ready warp holds an instruction.
+// Behind a full LSU queue such a warp's attempt fails before any side
+// effect, so issue skips it.
+func (c *Core) readyAllHolding() bool {
+	for i, word := range c.ready {
+		if word&^c.holding[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // issue performs greedy-then-oldest scheduling: keep issuing from the
@@ -480,7 +509,7 @@ func (c *Core) ReceiveReply(txn *mem.Transaction) {
 		return
 	}
 	// Fill the L1 (loads allocate; fills are clean lines).
-	c.lsuStall = noMSHRStall
+	c.lsuStall, c.stuck = noMSHRStall, false
 	c.l1.Access(txn.Addr, false)
 	for _, w := range c.mshr.Fill(txn.Addr) {
 		c.loadDone(int(w))

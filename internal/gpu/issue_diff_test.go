@@ -16,7 +16,7 @@ import (
 // results. The reference runs without the stage's fast paths: no idle
 // early-out, no compute burst, issueScan tries every warp struct, holding or
 // not, and its LSU re-evaluates a stalled head load every tick (its lsuStall
-// memo is cleared before each one).
+// memo and its stuck flag are cleared before each one).
 
 // scanTick is Tick as the reference runs it: the LSU steps and issueScan
 // runs every tick, whatever the core's activity.
@@ -125,7 +125,7 @@ func (r *diffRig) tick(now int, reject, scan bool) {
 	}
 	r.inFlight, r.due = keptT, keptD
 	if scan {
-		r.core.lsuStall = noMSHRStall
+		r.core.lsuStall, r.core.stuck = noMSHRStall, false
 		r.core.scanTick()
 	} else {
 		r.core.Tick()
@@ -184,14 +184,15 @@ func coreCounters(c *Core) [10]uint64 {
 }
 
 // gated reports whether a tick of c will take a retry gate: skip holding
-// warps behind a full LSU queue, or replay a memoised MSHR stall.
-func gated(c *Core) (skip, memo bool) {
+// warps behind a full LSU queue, replay a memoised MSHR stall, or only count
+// the stalls of a stuck core.
+func gated(c *Core) (skip, memo, stuck bool) {
 	if len(c.lsuQ) >= c.cfg.LSUQueueCap {
 		for _, m := range c.holding {
 			skip = skip || m != 0
 		}
 	}
-	return skip, c.lsuStall != noMSHRStall
+	return skip, c.lsuStall != noMSHRStall, c.stuck
 }
 
 // compareCores fails unless fast and ref agree after a tick: counters,
@@ -234,7 +235,7 @@ func compareCores(t *testing.T, name func() string, fast, ref *Core, fastLog, re
 func TestIssueStageMatchesScanReference(t *testing.T) {
 	const ticks = 50000
 	var total [10]uint64 // counters summed over the matrix: no path left cold
-	skips, memos, bursts := 0, 0, 0
+	skips, memos, stucks, bursts := 0, 0, 0, 0
 	for _, lsuCap := range []int{1, 4, 8} {
 		for _, warps := range []int{1, 48, 65} {
 			cfg := DefaultConfig()
@@ -254,12 +255,15 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 				} else if script.Intn(60) == 0 {
 					burst = 1 + script.Intn(400)
 				}
-				skip, memo := gated(fast.core)
+				skip, memo, stuck := gated(fast.core)
 				if skip {
 					skips++
 				}
 				if memo {
 					memos++
+				}
+				if stuck {
+					stucks++
 				}
 				if fast.core.run > 0 {
 					bursts++
@@ -288,8 +292,9 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 			t.Fatalf("script left counter %d at zero over the whole matrix: %v", i, total)
 		}
 	}
-	if skips == 0 || memos == 0 || bursts == 0 {
-		t.Fatalf("gates never taken: %d holding skips, %d memoised MSHR stalls, %d burst ticks", skips, memos, bursts)
+	if skips == 0 || memos == 0 || stucks == 0 || bursts == 0 {
+		t.Fatalf("gates never taken: %d holding skips, %d memoised MSHR stalls, %d stuck ticks, %d burst ticks",
+			skips, memos, stucks, bursts)
 	}
 }
 

@@ -45,6 +45,13 @@ type pipeEntry struct {
 	doneAt int64
 }
 
+// fill is one outstanding L2 miss: the line's DRAM read and the reads merged
+// onto it, all answered when the fill installs.
+type fill struct {
+	addr    uint64
+	readers []*Transaction
+}
+
 // Controller is one MC node: request ingress, L2 bank, DRAM channel and
 // reply egress toward the reply-network NI.
 type Controller struct {
@@ -56,9 +63,14 @@ type Controller struct {
 
 	inQ          []*Transaction
 	l2Pipe       []pipeEntry
-	pendingReads map[uint64][]*Transaction // line -> merged readers
-	dramDone     []*Transaction            // completions awaiting reply slot
-	replyQ       []*Transaction
+	pendingReads map[uint64]*fill // line -> its outstanding fill
+	// dramDone holds the fills DRAM has completed, awaiting reply slots for
+	// their readers; each carries its reader record, so the wait is re-tried
+	// without a map lookup.
+	dramDone []*fill
+	replyQ   []*Transaction
+	// completed is TakeCompleted's scratch.
+	completed []*Transaction
 
 	fabric    noc.Fabric
 	linkBits  int
@@ -66,10 +78,10 @@ type Controller struct {
 
 	// Allocation recycling for the steady-state hot path. wbFree holds
 	// retired internal writeback transactions (reclaimed by takeWB when DRAM
-	// commits them); waiterFree holds emptied pendingReads slices.
-	wbFree     []*Transaction
-	waiterFree [][]*Transaction
-	takeWB     func(*Transaction)
+	// commits them); fillFree holds installed fill records.
+	wbFree   []*Transaction
+	fillFree []*fill
+	takeWB   func(*Transaction)
 
 	// Stats.
 	ReadHits     uint64
@@ -100,7 +112,7 @@ func NewController(node int, cfg MCConfig, fabric noc.Fabric, linkBits, dataByte
 		cfg:          cfg,
 		l2:           cache.New(cfg.L2),
 		dram:         NewDRAM(cfg.DRAM),
-		pendingReads: make(map[uint64][]*Transaction),
+		pendingReads: make(map[uint64]*fill),
 		fabric:       fabric,
 		linkBits:     linkBits,
 		dataBytes:    dataBytes,
@@ -156,7 +168,17 @@ func (c *Controller) SkipIdle(memTicks int) {
 
 // Tick advances the controller by one NoC cycle; memTicks is how many
 // memory-clock cycles elapse within it (from the 1.75 GHz clock domain).
+//
+// An inert controller is not quiescent but cannot act this cycle: nothing
+// waits in the ingress, for a reply slot or in the reply queue, the L2 head
+// is not done, and the DRAM neither completes nor issues within memTicks.
+// Each stage would then find nothing to do, so only the DRAM clock moves.
 func (c *Controller) Tick(now int64, memTicks int) {
+	if len(c.inQ) == 0 && len(c.dramDone) == 0 && len(c.replyQ) == 0 &&
+		(len(c.l2Pipe) == 0 || c.l2Pipe[0].doneAt > now) && c.dram.inert(memTicks) {
+		c.dram.AdvanceIdle(memTicks)
+		return
+	}
 	for i := 0; i < memTicks; i++ {
 		c.dram.Tick()
 	}
@@ -169,38 +191,45 @@ func (c *Controller) Tick(now int64, memTicks int) {
 // collectDRAM pulls completed DRAM transactions: read fills install into L2
 // (spilling dirty victims back to DRAM) and fan replies out to every merged
 // reader; write completions were acknowledged at L2 already.
+//
+// Replying needs a reply-queue slot for every reader, and every fill has at
+// least one. So while the reply queue is full the held fills stay parked as
+// they are, and only the new completions are sorted.
 func (c *Controller) collectDRAM(now int64) {
-	c.dramDone = c.dram.TakeCompleted(c.dramDone, c.takeWB)
+	c.completed = c.dram.TakeCompleted(c.completed[:0], c.takeWB)
+	for _, txn := range c.completed {
+		if !txn.IsWrite { // a write commit's reply was sent at L2 time
+			c.dramDone = append(c.dramDone, c.pendingReads[txn.Addr])
+		}
+	}
+	if len(c.replyQ) >= c.cfg.ReplyQueueCap {
+		return
+	}
 	kept := c.dramDone[:0]
-	for _, txn := range c.dramDone {
-		if txn.IsWrite {
-			continue // DRAM write commit; reply was sent at L2 time
-		}
-		// Replying needs reply-queue slots for every merged reader, and every
-		// fill has at least one: a full reply queue holds the fill back
-		// without the map being consulted.
-		if len(c.replyQ) >= c.cfg.ReplyQueueCap {
-			kept = append(kept, txn)
-			continue
-		}
-		waiters := c.pendingReads[txn.Addr]
+	for _, f := range c.dramDone {
 		// Installing may evict a dirty line: that needs a DRAM queue slot.
-		if len(c.replyQ)+len(waiters) > c.cfg.ReplyQueueCap || !c.dram.CanAccept() {
-			kept = append(kept, txn)
+		if len(c.replyQ)+len(f.readers) > c.cfg.ReplyQueueCap || !c.dram.CanAccept() {
+			kept = append(kept, f)
 			continue
 		}
-		res := c.l2.Access(txn.Addr, false)
-		if res.Writeback {
-			c.writebackToDRAM(res.WritebackAddr)
-		}
-		delete(c.pendingReads, txn.Addr)
-		for _, w := range waiters {
-			w.ReadyAt = now
-			c.replyQ = append(c.replyQ, w)
-		}
-		c.waiterFree = append(c.waiterFree, waiters[:0])
+		c.install(f, now)
 	}
 	c.dramDone = kept
+}
+
+// install puts fill f's line into L2 and queues a reply for each reader.
+func (c *Controller) install(f *fill, now int64) {
+	res := c.l2.Access(f.addr, false)
+	if res.Writeback {
+		c.writebackToDRAM(res.WritebackAddr)
+	}
+	delete(c.pendingReads, f.addr)
+	for _, w := range f.readers {
+		w.ReadyAt = now
+		c.replyQ = append(c.replyQ, w)
+	}
+	f.readers = f.readers[:0]
+	c.fillFree = append(c.fillFree, f)
 }
 
 // drainL2Pipe moves finished L2 accesses into the reply queue.
@@ -238,14 +267,14 @@ func (c *Controller) processRequest(now int64) {
 
 // processRead handles a read request; returns false to retry next cycle.
 func (c *Controller) processRead(txn *Transaction, now int64) bool {
-	if ws, pending := c.pendingReads[txn.Addr]; pending {
+	if f, pending := c.pendingReads[txn.Addr]; pending {
 		// Bound merging so a fill's reply fan-out always fits the reply
 		// queue (otherwise the release condition in collectDRAM could
 		// never be met).
-		if len(ws) >= c.cfg.ReplyQueueCap {
+		if len(f.readers) >= c.cfg.ReplyQueueCap {
 			return false
 		}
-		c.pendingReads[txn.Addr] = append(ws, txn)
+		f.readers = append(f.readers, txn)
 		c.MergedReads++
 		return true
 	}
@@ -262,14 +291,16 @@ func (c *Controller) processRead(txn *Transaction, now int64) bool {
 		return false
 	}
 	c.ReadMisses++
-	var ws []*Transaction
-	if n := len(c.waiterFree); n > 0 {
-		ws = c.waiterFree[n-1]
-		c.waiterFree = c.waiterFree[:n-1]
+	var f *fill
+	if n := len(c.fillFree); n > 0 {
+		f = c.fillFree[n-1]
+		c.fillFree = c.fillFree[:n-1]
 	} else {
-		ws = make([]*Transaction, 0, 2)
+		f = &fill{readers: make([]*Transaction, 0, 2)}
 	}
-	c.pendingReads[txn.Addr] = append(ws, txn)
+	f.addr = txn.Addr
+	f.readers = append(f.readers, txn)
+	c.pendingReads[txn.Addr] = f
 	c.dram.Enqueue(txn, false)
 	return true
 }

@@ -73,15 +73,19 @@ type bankState struct {
 	openRow int64 // -1 when closed
 	readyAt int64 // earliest next column command
 	actAt   int64 // last activate time (tRAS/tRC reference)
-	busy    bool  // a request is in service on this bank
+	// waiting counts the bank's queued requests not yet in service.
+	waiting int32
+	busy    bool // a request is in service on this bank
 }
 
+// dramReq is one queued request, held by value: the scans read it and its
+// bank's state without chasing a pointer.
 type dramReq struct {
 	txn        *Transaction
-	bank       int
 	row        int64
 	arrival    int64
 	completeAt int64
+	bank       int32
 	inService  bool
 	writeback  bool // internal L2 writeback: no reply generated
 }
@@ -91,22 +95,22 @@ type dramReq struct {
 type DRAM struct {
 	cfg   DRAMConfig
 	banks []bankState
-	queue []*dramReq
+	queue []dramReq // arrival order
 	now   int64
 
 	busFreeAt int64
 	lastActAt int64
 
-	done []*dramReq // completed, awaiting pickup
-	free []*dramReq // retired request records, recycled by Enqueue
+	done []dramReq // completed, awaiting pickup
 
 	// nextDone is the earliest completeAt of an in-service request
 	// (math.MaxInt64 when none): before it the completion scan finds
-	// nothing. issueStale is set when the FR-FCFS scan picked nothing; a
-	// pick depends only on the queue and the banks' busy/open-row state,
-	// which only an Enqueue or a completion changes, and both clear it.
-	nextDone   int64
-	issueStale bool
+	// nothing. issuable counts the banks that are not busy and have a
+	// waiting request: an FR-FCFS pick exists exactly when it is non-zero
+	// (a request in service keeps its bank busy), so the issue scan runs
+	// only then.
+	nextDone int64
+	issuable int
 
 	// Stats.
 	Reads       uint64
@@ -122,7 +126,12 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &DRAM{cfg: cfg, banks: make([]bankState, cfg.Banks), nextDone: math.MaxInt64}
+	d := &DRAM{
+		cfg:      cfg,
+		banks:    make([]bankState, cfg.Banks),
+		queue:    make([]dramReq, 0, cfg.QueueCap),
+		nextDone: math.MaxInt64,
+	}
 	// Start timing references far in the past so fresh banks see no
 	// phantom tRC/tRRD/tRAS constraints.
 	const longAgo = int64(-1) << 30
@@ -146,16 +155,11 @@ func (d *DRAM) Enqueue(txn *Transaction, writeback bool) bool {
 		return false
 	}
 	bank, row := d.mapAddr(txn.Addr)
-	var r *dramReq
-	if n := len(d.free); n > 0 {
-		r = d.free[n-1]
-		d.free = d.free[:n-1]
-	} else {
-		r = new(dramReq)
+	d.queue = append(d.queue, dramReq{txn: txn, bank: int32(bank), row: row, arrival: d.now, writeback: writeback})
+	b := &d.banks[bank]
+	if b.waiting++; b.waiting == 1 && !b.busy {
+		d.issuable++
 	}
-	*r = dramReq{txn: txn, bank: bank, row: row, arrival: d.now, writeback: writeback}
-	d.queue = append(d.queue, r)
-	d.issueStale = false
 	return true
 }
 
@@ -174,15 +178,28 @@ func (d *DRAM) Pending() int { return len(d.queue) }
 // clock (see AdvanceIdle).
 func (d *DRAM) Quiescent() bool { return len(d.queue) == 0 && len(d.done) == 0 }
 
+// inert reports whether the next n Ticks would neither complete nor issue a
+// request, nor find one awaiting pickup: AdvanceIdle(n) then stands in for
+// them.
+func (d *DRAM) inert(n int) bool {
+	return d.issuable == 0 && d.nextDone > d.now+int64(n) && len(d.done) == 0
+}
+
 // AdvanceIdle advances the memory clock by n cycles in O(1). It is exactly
-// equivalent to n Ticks while Quiescent(): with an empty queue, Tick does
-// nothing but increment now.
-func (d *DRAM) AdvanceIdle(n int) { d.now += int64(n) }
+// equivalent to n Ticks while inert(n), in particular while Quiescent():
+// with nothing to complete or issue, Tick only increments now and, while
+// requests are queued, BusyCycles.
+func (d *DRAM) AdvanceIdle(n int) {
+	d.now += int64(n)
+	if len(d.queue) > 0 {
+		d.BusyCycles += uint64(n)
+	}
+}
 
 // Tick advances one memory cycle: completes in-service requests and issues
 // at most one new request chosen FR-FCFS (first ready row-hit, else oldest).
-// The nextDone and issueStale gates skip the two scans while their outcome
-// is known to be empty.
+// The nextDone and issuable gates skip the two scans while their outcome is
+// known to be empty.
 func (d *DRAM) Tick() {
 	d.now++
 	if len(d.queue) > 0 {
@@ -191,28 +208,27 @@ func (d *DRAM) Tick() {
 	if d.now >= d.nextDone {
 		d.complete()
 	}
-	if d.issueStale {
+	if d.issuable == 0 {
 		return
 	}
 
 	// FR-FCFS issue: scan arrival order; first row-hit to a free bank wins,
-	// else the oldest request to a free bank.
-	var pick *dramReq
-	for _, r := range d.queue {
-		if r.inService || d.banks[r.bank].busy {
+	// else the oldest request to a free bank. A request in service has a
+	// busy bank, so the bank alone decides eligibility.
+	pick := -1
+	for i := range d.queue {
+		r := &d.queue[i]
+		b := &d.banks[r.bank]
+		if b.busy {
 			continue
 		}
-		if d.banks[r.bank].openRow == r.row {
-			pick = r
+		if b.openRow == r.row {
+			pick = i
 			break
 		}
-		if pick == nil {
-			pick = r
+		if pick < 0 {
+			pick = i
 		}
-	}
-	if pick == nil {
-		d.issueStale = true
-		return
 	}
 	d.issue(pick)
 }
@@ -222,12 +238,9 @@ func (d *DRAM) Tick() {
 func (d *DRAM) complete() {
 	d.nextDone = math.MaxInt64
 	for i := 0; i < len(d.queue); {
-		r := d.queue[i]
+		r := &d.queue[i]
 		if r.inService && r.completeAt <= d.now {
-			d.banks[r.bank].busy = false
-			d.done = append(d.done, r)
-			d.queue = append(d.queue[:i], d.queue[i+1:]...)
-			d.issueStale = false
+			d.retire(i)
 			continue
 		}
 		if r.inService {
@@ -237,10 +250,26 @@ func (d *DRAM) complete() {
 	}
 }
 
-// issue computes the full service schedule of one request analytically and
-// reserves the bank and data bus.
-func (d *DRAM) issue(r *dramReq) {
+// retire moves in-service request i from the queue to done and frees its
+// bank.
+func (d *DRAM) retire(i int) {
+	r := &d.queue[i]
 	b := &d.banks[r.bank]
+	b.busy = false
+	if b.waiting > 0 {
+		d.issuable++
+	}
+	d.done = append(d.done, *r)
+	d.queue = append(d.queue[:i], d.queue[i+1:]...)
+}
+
+// issue computes the full service schedule of queued request i analytically
+// and reserves the bank and data bus.
+func (d *DRAM) issue(i int) {
+	r := &d.queue[i]
+	b := &d.banks[r.bank]
+	b.waiting--
+	d.issuable-- // the bank had a waiting request and was not busy
 	t := d.now
 	var colAt int64
 	switch {
@@ -278,20 +307,17 @@ func (d *DRAM) issue(r *dramReq) {
 }
 
 // TakeCompleted drains and returns completed requests in completion order.
-// The drained request records return to the Enqueue freelist.
 func (d *DRAM) TakeCompleted(out []*Transaction, wantWriteback func(*Transaction)) []*Transaction {
-	for i, r := range d.done {
-		if r.writeback {
+	for i := range d.done {
+		if r := &d.done[i]; r.writeback {
 			if wantWriteback != nil {
 				wantWriteback(r.txn)
 			}
 		} else {
 			out = append(out, r.txn)
 		}
-		r.txn = nil
-		d.free = append(d.free, r)
-		d.done[i] = nil
 	}
+	clear(d.done) // drop the transaction pointers
 	d.done = d.done[:0]
 	return out
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,39 +9,65 @@ import (
 )
 
 // refTick is DRAM.Tick without its two gates: every memory cycle scans the
-// queue for completions and then for an FR-FCFS pick. It is the reference
-// the gated Tick is held to.
+// queue for completions and then for an FR-FCFS pick, testing each request's
+// own in-service flag as well as its bank. It is the reference the gated Tick
+// is held to; it shares retire and issue, which keep the gates' bookkeeping,
+// but never reads nextDone or issuable.
 func refTick(d *DRAM) {
 	d.now++
 	if len(d.queue) > 0 {
 		d.BusyCycles++
 	}
 	for i := 0; i < len(d.queue); {
-		r := d.queue[i]
-		if r.inService && r.completeAt <= d.now {
-			d.banks[r.bank].busy = false
-			d.done = append(d.done, r)
-			d.queue = append(d.queue[:i], d.queue[i+1:]...)
+		if r := &d.queue[i]; r.inService && r.completeAt <= d.now {
+			d.retire(i)
 			continue
 		}
 		i++
 	}
-	var pick *dramReq
-	for _, r := range d.queue {
+	pick := -1
+	for i := range d.queue {
+		r := &d.queue[i]
 		if r.inService || d.banks[r.bank].busy {
 			continue
 		}
 		if d.banks[r.bank].openRow == r.row {
-			pick = r
+			pick = i
 			break
 		}
-		if pick == nil {
-			pick = r
+		if pick < 0 {
+			pick = i
 		}
 	}
-	if pick != nil {
+	if pick >= 0 {
 		d.issue(pick)
 	}
+}
+
+// checkIssuable recounts each bank's waiting requests and the issuable banks
+// from the queue.
+func checkIssuable(d *DRAM) error {
+	waiting := make([]int32, len(d.banks))
+	for i := range d.queue {
+		if r := &d.queue[i]; !r.inService {
+			waiting[r.bank]++
+		} else if !d.banks[r.bank].busy {
+			return fmt.Errorf("request %d in service on idle bank %d", i, r.bank)
+		}
+	}
+	issuable := 0
+	for b := range d.banks {
+		if d.banks[b].waiting != waiting[b] {
+			return fmt.Errorf("bank %d: waiting %d, recounted %d", b, d.banks[b].waiting, waiting[b])
+		}
+		if waiting[b] > 0 && !d.banks[b].busy {
+			issuable++
+		}
+	}
+	if d.issuable != issuable {
+		return fmt.Errorf("issuable %d, recounted %d", d.issuable, issuable)
+	}
+	return nil
 }
 
 // TestGatedTickMatchesReference drives a gated and a reference channel with
@@ -72,8 +99,11 @@ func TestGatedTickMatchesReference(t *testing.T) {
 			refTick(ref)
 			gatedOut = gated.TakeCompleted(gatedOut[:0], nil)
 			refOut = ref.TakeCompleted(refOut[:0], nil)
+			if err := checkIssuable(gated); err != nil {
+				t.Fatalf("stream %d cycle %d: %v", stream, cycle, err)
+			}
 			g, r := *gated, *ref
-			g.nextDone, g.issueStale, r.nextDone, r.issueStale = 0, false, 0, false
+			g.nextDone, r.nextDone = 0, 0
 			if !reflect.DeepEqual(g, r) || !reflect.DeepEqual(gatedOut, refOut) {
 				t.Fatalf("stream %d cycle %d: gated channel diverged from the reference\ngated %+v\nref   %+v", stream, cycle, g, r)
 			}

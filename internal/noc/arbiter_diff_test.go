@@ -399,6 +399,7 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 		h := n.pkts.add(pkt)
 		vc.buf = flitQueue{buf: vc.buf.buf}
 		vc.buf.push(flit{h: h})
+		vc.need = uint16(pkt.Size) // what RC captures
 		vc.nCands = uint8(1 + r.Intn(2))
 		for i := range vc.cands[:vc.nCands] {
 			vc.cands[i] = routeCandidate{port: int8(r.Intn(numOutPorts)), vcMask: uint32(r.Uint64()) & maskAll(cfg.VCs)}

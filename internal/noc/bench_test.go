@@ -180,3 +180,80 @@ func BenchmarkFlitQueue(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNetworkStepSinkBlocked steps request-like traffic — single-flit
+// reads and long writes from the compute nodes — into MC nodes whose sink
+// gate admits one packet every four cycles, so requests back up behind MC
+// ingress as in the reply-saturated regime (§3). skips/step counts the
+// waiting VCs the next VA pass leaves untried, measured over 1000 steps after
+// the timed loop.
+func BenchmarkNetworkStepSinkBlocked(b *testing.B) {
+	mesh := Mesh{Width: 6, Height: 6}
+	cfg := Config{Mesh: mesh, VCs: 4, LinkBits: 128, DataBytes: 128, Routing: RouteMinAdaptive}
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mcs := DiamondMCPlacement(mesh, 8)
+	open := make([]bool, mesh.Nodes())
+	isMC := make([]bool, mesh.Nodes())
+	var ccs []int
+	for _, mc := range mcs {
+		isMC[mc] = true
+	}
+	for id := range isMC {
+		if !isMC[id] {
+			ccs = append(ccs, id)
+		}
+	}
+	n.SetSinkGate(func(node int) bool { return !isMC[node] || open[node] })
+	n.SetEjectHandler(func(node int, pkt *Packet, _ int64) {
+		open[node] = false
+		n.PutPacket(pkt)
+	})
+	seed := uint64(1)
+	next := func(mod int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % mod
+	}
+	long := cfg.LongPacketFlits()
+	step := func(i int) {
+		if i%4 == 0 {
+			for _, mc := range mcs {
+				open[mc] = true
+			}
+		}
+		for k := 0; k < 4; k++ { // more than the gates admit
+			pkt := n.GetPacket()
+			pkt.Type, pkt.Size = ReadRequest, 1
+			if next(3) == 0 {
+				pkt.Type, pkt.Size = WriteRequest, long
+			}
+			pkt.Dst = mcs[next(len(mcs))]
+			if !n.Inject(ccs[(4*i+k)%len(ccs)], pkt) {
+				n.PutPacket(pkt)
+			}
+		}
+		n.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	b.StopTimer()
+	skips := 0
+	for i := 0; i < 1000; i++ {
+		for id := range n.routers {
+			r := &n.routers[id]
+			for g := range r.vcs {
+				fresh := r.in[g/r.nvc].vaFresh&(1<<uint(g%r.nvc)) != 0
+				if vc := &r.vcs[g]; vc.state == vcWaitVC && !fresh && (!r.vaRetry || !r.offered(vc)) {
+					skips++
+				}
+			}
+		}
+		step(b.N + i)
+	}
+	b.ReportMetric(float64(skips)/1000, "skips/step")
+}

@@ -261,12 +261,14 @@ func checkMasks(r *router) error {
 				if vc.buf.empty() {
 					return fmt.Errorf("port %d vc %d: waiting for a VC with no head flit", p, v)
 				}
-				var outs uint8
-				for _, c := range vc.cands[:vc.nCands] {
-					outs |= 1 << uint(c.port)
+				if size := r.net.pkts.of(vc.buf.front()).Size; int(vc.need) != size {
+					return fmt.Errorf("port %d vc %d: need %d for a %d-flit packet", p, v, vc.need, size)
 				}
-				if vc.candOuts != outs {
-					return fmt.Errorf("port %d vc %d: candOuts %05b != recounted %05b", p, v, vc.candOuts, outs)
+				// A waiter tried before is counted in its candidates' vaNeed.
+				for _, c := range vc.cands[:vc.nCands] {
+					if r.in[p].vaFresh&bit == 0 && r.vaNeed[c.port] > int32(vc.need) {
+						return fmt.Errorf("port %d vc %d: need %d below vaNeed %d of output %d", p, v, vc.need, r.vaNeed[c.port], c.port)
+					}
 				}
 			case vcActive:
 				act |= bit
@@ -305,12 +307,13 @@ func checkMasks(r *router) error {
 			return fmt.Errorf("vc %d: waitSince %d below the starvation floor %d", g, vc.waitSince, r.starveFloor)
 		}
 		// VA skips every waiter while vaRetry is clear, and in a pass each
-		// waiter that is not fresh and has no candidate output in vaDirty.
+		// waiter that is not fresh and has no candidate output offering its
+		// need.
 		fresh := r.in[g/r.nvc].vaFresh&(1<<uint(g%r.nvc)) != 0
-		if vc.state == vcWaitVC && (!r.vaRetry || (!fresh && vc.candOuts&r.vaDirty == 0)) {
+		if vc.state == vcWaitVC && (!r.vaRetry || (!fresh && !r.offered(vc))) {
 			if o, v := r.pickOutVC(vc); o >= 0 {
-				return fmt.Errorf("vc %d: grantable out %d/%d while VA would skip it (vaRetry %v, vaDirty %05b)",
-					g, o, v, r.vaRetry, r.vaDirty)
+				return fmt.Errorf("vc %d: grantable out %d/%d while VA would skip it (vaRetry %v, vaLevel %v, need %d)",
+					g, o, v, r.vaRetry, r.vaLevel, vc.need)
 			}
 		}
 	}

@@ -48,6 +48,7 @@ func (n *Network) FreezeInputPort(node, port int, until int64) {
 // to the router, so its queues back up and Offer rejections propagate the
 // backpressure burst to the node logic (MC data stalls, core send stalls).
 func (n *Network) StallNISupply(node int, until int64) {
+	n.faulted = true
 	ni := &n.nis[node]
 	if until > ni.stalledUntil {
 		ni.stalledUntil = until

@@ -34,10 +34,10 @@ type Network struct {
 	// consumed; it keeps Step and Idle honest after the last flit drains
 	// while acknowledgements are still propagating.
 	ctlPending int
-	// faulted is set by the first StallLink, FreezeInputPort or CorruptLink.
-	// Until then every frozenUntil/stalledUntil/corruptUntil horizon is 0,
-	// never after the current cycle, so switch allocation and traversal skip
-	// reading them.
+	// faulted is set by the first StallLink, FreezeInputPort, StallNISupply
+	// or CorruptLink. Until then every frozenUntil/stalledUntil/corruptUntil
+	// horizon is 0, never after the current cycle, so switch allocation,
+	// traversal and the NIs skip reading them.
 	faulted bool
 	// ftable is the fault-adaptive up*/down* next-hop table, non-nil once
 	// any mesh link is permanently dead; it then supersedes the configured

@@ -214,7 +214,7 @@ func (ni *NI) pickSplitQueue(pkt *Packet) int {
 // VCs. Staged flits land in the VC buffers at the start of the next cycle
 // (the injection link is a real 1-cycle link).
 func (ni *NI) step(now int64) {
-	if now >= ni.stalledUntil {
+	if !ni.net.faulted || now >= ni.stalledUntil {
 		if ni.retransCap > 0 {
 			// Protocol work first: consume due ACK/NACKs and re-inject at
 			// most one NACKed packet, so it can start supplying this cycle.

@@ -1,6 +1,9 @@
 package noc
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // ejectPortIndex is the output-port index of the local ejection port; mesh
 // output ports use Direction values 0..3.
@@ -30,16 +33,18 @@ type inputVC struct {
 	// waitSince is when the head flit last became eligible without being
 	// served; it drives the starvation guard.
 	waitSince int64
-	// cands[:nCands] are the admissible outputs computed by RC; candOuts
-	// has bit o set for each candidate's output port o (VA's dirty filter).
+	// cands[:nCands] are the admissible outputs computed by RC.
 	cands [2]routeCandidate
 	// effPrio is the packet priority captured at route computation, before
 	// the per-hop decrement (§5): the value the packet carried on arrival
 	// (Config.Validate bounds it to int16).
-	effPrio  int16
-	nCands   uint8
-	candOuts uint8
-	state    vcState
+	effPrio int16
+	// need is the waiting packet's size, captured at route computation: the
+	// credits a free downstream VC must hold to be granted (maxPacketFlits
+	// bounds it to uint16).
+	need   uint16
+	nCands uint8
+	state  vcState
 	// outPort/outVC name the downstream VC held while active, -1 otherwise.
 	outPort int8
 	outVC   int8
@@ -219,17 +224,24 @@ type router struct {
 	// masks): VA's O(1) early-out; SA's is bidPorts.
 	waitVCs int32
 	// vaRetry is set by every event that can turn a failed VC allocation
-	// into a grant — a new waiter (RC), credits landing on a free downstream
-	// VC, a tail freeing one, a re-route — and cleared by each VA pass. A
-	// grant only ever removes options from the other waiters, so while it is
-	// clear every waiter would fail exactly as it did last pass and VA skips
-	// the pass. Within a pass the same argument runs per waiter: vaDirty has
-	// bit o set when output o gained an option (a freed VC, or credits on a
-	// free VC) since the last pass, and a waiter that is not fresh (see
-	// inputPort.vaFresh) and has no candidate output in vaDirty is skipped.
-	// CheckInvariants re-derives that no skipped waiter is grantable.
+	// into a grant — a new waiter (RC), a re-route, a free downstream VC
+	// offering enough credits — and cleared by each VA pass. A grant only
+	// ever removes options from the other waiters, so while it is clear
+	// every waiter would fail exactly as it did last pass and VA skips the
+	// pass. A free VC is grantable once its credits reach the packet's size,
+	// and its credits only grow until it is granted. So vaLevel[o] keeps the
+	// highest credit count offered on a free VC of output o since the last
+	// pass (credits landing on a free VC, or a tail freeing one with credits
+	// left), and vaNeed[o] the smallest need of the waiters the last pass
+	// left with o among their candidates (MaxInt32 when none): an offer
+	// below it helps no waiter tried before, and a new waiter is fresh, so
+	// only an offer reaching it raises vaRetry. Within a pass, a waiter that
+	// is not fresh (see inputPort.vaFresh) and has no candidate output
+	// offering its need is skipped. CheckInvariants re-derives that no
+	// skipped waiter is grantable.
 	vaRetry bool
-	vaDirty uint8
+	vaLevel [numOutPorts]int32
+	vaNeed  [numOutPorts]int32
 	// starveFloor is a lower bound on the waitSince of every non-idle mesh
 	// input VC. waitSince only ever moves forward to the current cycle, so
 	// the bound stays valid until the guard rescans; while now-starveFloor is
@@ -260,6 +272,7 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 		nvc:       vcs,
 		prioArbOn: cfg.PriorityLevels >= 2,
 		lastVA:    -1,
+		vaNeed:    noNeeds(),
 	}
 
 	numIn := NumDirections + nc.injPorts()
@@ -354,19 +367,49 @@ func (r *router) applyArrivals() {
 		m := r.creditDirty[o]
 		r.creditDirty[o] = 0
 		op := &r.out[o]
-		if m&op.free != 0 {
-			// Credits on a free VC may turn a failed allocation into a grant;
-			// an owned VC was granted with room for its whole packet.
-			r.vaDirty |= 1 << uint(o)
-			r.vaRetry = true
-		}
 		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros32(m)
 			op.vcs[v].credits += op.creditIn[v]
 			op.creditIn[v] = 0
+			if op.free&(1<<uint(v)) != 0 {
+				// Credits on a free VC may turn a failed allocation into a
+				// grant; an owned VC was granted with room for its whole
+				// packet.
+				r.offer(o, op.vcs[v].credits)
+			}
 		}
 	}
 	r.creditOuts = 0
+}
+
+// noNeeds is vaNeed with no waiter left on any output.
+func noNeeds() (n [numOutPorts]int32) {
+	for o := range n {
+		n[o] = math.MaxInt32
+	}
+	return n
+}
+
+// offer records that a free downstream VC of output o holds credits: a
+// waiter needing at most that many may now be grantable there.
+func (r *router) offer(o int, credits int32) {
+	if credits > r.vaLevel[o] {
+		r.vaLevel[o] = credits
+		if credits >= r.vaNeed[o] {
+			r.vaRetry = true
+		}
+	}
+}
+
+// offered reports whether a candidate output of waiter vc has been offered
+// its need since the last VA pass.
+func (r *router) offered(vc *inputVC) bool {
+	for _, c := range vc.cands[:vc.nCands] {
+		if r.vaLevel[c.port] >= int32(vc.need) {
+			return true
+		}
+	}
+	return false
 }
 
 // cycle runs the router's RC, VA and SA/ST stages back to back. Fusing them
@@ -401,6 +444,7 @@ func (r *router) routeCompute(now int64) {
 			pkt := r.net.pkts.of(f)
 			r.setCandidates(vc, pkt.Dst)
 			vc.effPrio = int16(pkt.Priority)
+			vc.need = uint16(pkt.Size)
 			if pkt.Priority > 0 {
 				pkt.Priority--
 			}
@@ -429,10 +473,6 @@ func (r *router) routeCompute(now int64) {
 
 func (r *router) setCandidates(vc *inputVC, dst int) {
 	vc.nCands = uint8(len(r.net.routeCandidates(r.id, dst, vc.cands[:0])))
-	vc.candOuts = 0
-	for _, c := range vc.cands[:vc.nCands] {
-		vc.candOuts |= 1 << uint(c.port)
-	}
 }
 
 // vcAllocate runs separable input-first VC allocation: waiting VCs claim a
@@ -450,9 +490,10 @@ func (r *router) vcAllocate(now int64) {
 		r.rrPort, r.rrVC = rr/r.nvc, rr%r.nvc
 	}
 	if r.waitVCs > 0 && r.vaRetry {
+		r.vaNeed = noNeeds()
 		r.vcAllocatePass(now)
 		r.vaRetry = false
-		r.vaDirty = 0
+		r.vaLevel = [numOutPorts]int32{}
 	}
 	if r.rrVC++; r.rrVC == r.nvc {
 		r.rrVC = 0
@@ -482,8 +523,9 @@ func (r *router) vcAllocatePass(now int64) {
 
 // vcAllocatePort attempts allocation for the waiting VCs m of input port p,
 // ascending. A waiter tried before (not fresh) whose candidate outputs have
-// gained no option since is skipped: it failed then, and the grants in
-// between only removed options, so it would fail again.
+// not been offered its need since is skipped: it failed then, and the grants
+// in between only removed options, so it would fail again. A waiter left
+// waiting counts its need into its candidates' vaNeed.
 func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 	ip := &r.in[p]
 	fresh := ip.vaFresh
@@ -491,11 +533,14 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 	for ; m != 0; m &= m - 1 {
 		v := bits.TrailingZeros32(m)
 		vc := &r.vcs[p*r.nvc+v]
-		if fresh&(1<<uint(v)) == 0 && vc.candOuts&r.vaDirty == 0 {
-			continue
+		bestPort, bestVC := -1, -1
+		if fresh&(1<<uint(v)) != 0 || r.offered(vc) {
+			bestPort, bestVC = r.pickOutVC(vc)
 		}
-		bestPort, bestVC := r.pickOutVC(vc)
 		if bestPort < 0 {
+			for _, c := range vc.cands[:vc.nCands] {
+				r.vaNeed[c.port] = min(r.vaNeed[c.port], int32(vc.need))
+			}
 			continue
 		}
 		op := &r.out[bestPort]
@@ -524,16 +569,12 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 // packet, so every flit of a granted packet has a slot waiting downstream.
 func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
 	bestPort, bestVC = -1, -1
-	var need int32 // set once a candidate has a free VC
-	bestCredits := int32(-1)
+	need, bestCredits := int32(vc.need), int32(-1)
 	for _, cand := range vc.cands[:vc.nCands] {
 		op := &r.out[cand.port]
 		f := cand.vcMask & op.free
 		if f == 0 || (int(cand.port) != ejectPortIndex && op.dest == nil) {
 			continue // nothing free, or mesh edge: no link in that direction
-		}
-		if need == 0 {
-			need = int32(r.net.pkts.of(vc.buf.front()).Size)
 		}
 		for f != 0 {
 			ov := 31 - bits.LeadingZeros32(f)
@@ -703,8 +744,7 @@ func (r *router) traverse(p, v, o int, now int64) {
 	if f.isTail() {
 		ov.ownerPort = -1
 		op.free |= 1 << uint(vc.outVC)
-		r.vaDirty |= 1 << uint(o)
-		r.vaRetry = true
+		r.offer(o, ov.credits)
 		vc.state = vcIdle
 		vc.outPort, vc.outVC = -1, -1
 		ip.active &^= bit
