@@ -1,7 +1,7 @@
 // Cluster chaos soak: three journalled ariserve replicas behind an arigate
 // front door, with replicas hard-killed and restarted mid-flight while every
 // simulation is itself recovering from injected NoC faults (corruption
-// bursts, permanent link deaths — fault.ChaosConfig). The cluster must
+// bursts, permanent link deaths — noc.ChaosFaults). The cluster must
 // deliver every job byte-identical to an uninterrupted run, lose nothing,
 // and never re-run a completed job: a resubmission sweep after the soak
 // must be answered entirely from journals (locally or via peer fetch)
@@ -22,7 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/fault"
+	"repro/internal/noc"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/trace"
@@ -123,7 +123,7 @@ func TestClusterChaosSoakByteIdentical(t *testing.T) {
 	base.MeasureCycles = 400
 	// Corruption bursts + permanent link deaths inside every simulation:
 	// the cluster must stay correct while each run is itself recovering.
-	base.Fault = fault.ChaosConfig(7)
+	base.Fault = noc.ChaosFaults(7)
 
 	kernels := trace.Suite()[:14]
 

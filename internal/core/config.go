@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -183,7 +182,7 @@ type Config struct {
 	// on both mesh networks, sized to this many unacknowledged packets per
 	// NI. 0 leaves recovery off unless Fault.CorruptProb > 0, in which case
 	// it defaults to 8 — corruption without recovery would deliver silently
-	// wrong packets, which the fault injector refuses.
+	// wrong packets, which ScheduleFaults refuses.
 	RetransBufPkts int
 
 	Core gpu.Config
@@ -197,12 +196,12 @@ type Config struct {
 	WarmupCycles  int64
 	MeasureCycles int64
 
-	// Fault configures deterministic, seeded NoC fault injection (transient
-	// link stalls, input-port freezes, NI backpressure bursts — see
-	// internal/fault). Fault.Seed 0 inherits Seed. Faults apply to the mesh
-	// networks; schemes whose reply fabric is the DA2mesh overlay or the
-	// ideal fabric get request-side faults only.
-	Fault fault.Config
+	// Fault configures deterministic, seeded NoC fault injection (stalls,
+	// freezes, NI bursts, corruption, link death — see noc/fault.go).
+	// Fault.Seed 0 inherits Seed. Faults apply to the mesh networks;
+	// schemes whose reply fabric is the DA2mesh overlay or the ideal fabric
+	// get request-side faults only.
+	Fault noc.FaultConfig
 }
 
 // DefaultConfig returns the Table I configuration: 6x6 mesh, 28 compute

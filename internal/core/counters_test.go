@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/trace"
 )
@@ -85,7 +84,7 @@ var counterGolden = []struct {
 }
 
 // TestStallCountersGolden runs bfs, kmeans and transpose under XY-Baseline,
-// Ada-Baseline and Ada-ARI, plus bfs/Ada-ARI under fault.ChaosConfig, at
+// Ada-Baseline and Ada-ARI, plus bfs/Ada-ARI under noc.ChaosFaults, at
 // 1000+3000 cycles with invariants checked every 64 cycles, and compares
 // the counters with the recorded table. A deliberate re-record pastes the
 // lines this test prints on mismatch.
@@ -108,7 +107,7 @@ func TestStallCountersGolden(t *testing.T) {
 	}
 	chaos := DefaultConfig()
 	chaos.Scheme = AdaARI
-	chaos.Fault = fault.ChaosConfig(7)
+	chaos.Fault = noc.ChaosFaults(7)
 	runs = append(runs, run{"bfs/Ada-ARI/chaos", "bfs", chaos})
 
 	want := make(map[string]stallCounters)

@@ -37,9 +37,9 @@ type Result struct {
 	Truncated bool
 
 	// FaultEvents counts injected NoC faults when fault injection was
-	// enabled (request + reply side). Counted by the injectors' totals, so
+	// enabled (request + reply side). Counted by the schedules' totals, so
 	// the figure is exact even when the retained event log hits the
-	// fault.Config.MaxEvents cap.
+	// noc.FaultConfig.MaxEvents cap.
 	FaultEvents int
 
 	// Networks (copies of the per-fabric stats).
@@ -118,15 +118,11 @@ func (s *Simulator) collect() Result {
 	r.Rep = *s.repNet.Stats()
 	r.Recovery = s.RecoveryStats()
 
-	if s.reqFault != nil {
-		r.FaultEvents += int(s.reqFault.TotalEvents())
-	}
-	if s.repFault != nil {
-		r.FaultEvents += int(s.repFault.TotalEvents())
-	}
+	r.FaultEvents = s.reqNet.FaultEvents()
 
 	r.NIOccAvgFlits = s.repNet.NIOccupancyAvgFlits()
 	if mesh, ok := s.repNet.(*noc.Network); ok {
+		r.FaultEvents += mesh.FaultEvents()
 		// NI capacity and the eq. (1) injection windows are the mesh's own.
 		r.NIQueueCapFlits = mesh.NIQueueCapacityFlits(s.mcNodes[0])
 		r.ReplyInjPeakWin95 = mesh.PeakInjWindow(95)

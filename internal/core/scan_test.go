@@ -35,13 +35,7 @@ func (s *Simulator) scanStep() (quiet int) {
 	if s.measuring {
 		s.coreCyclesMeasured += uint64(coreTicks)
 	}
-	if s.reqFault != nil {
-		s.reqFault.Step(s.cycle)
-	}
 	s.reqNet.Step()
-	if s.repFault != nil {
-		s.repFault.Step(s.cycle)
-	}
 	s.repNet.Step()
 	s.cycle++
 	if s.sampleEvery > 0 && s.cycle%s.sampleEvery == 0 {

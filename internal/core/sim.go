@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -28,12 +27,6 @@ type Simulator struct {
 
 	cores []*gpu.Core
 	mcs   []*mem.Controller
-
-	// reqFault/repFault drive the deterministic fault schedules when
-	// Config.Fault is enabled; repFault stays nil unless the reply fabric is
-	// a mesh.
-	reqFault *fault.Injector
-	repFault *fault.Injector
 
 	coreClock *timing.Clock
 	memClock  *timing.Clock
@@ -182,10 +175,9 @@ func ReplyNetwork(cfg Config) (rep noc.Config, mcNodes, ccNodes []int) {
 }
 
 // buildNetworks wires the request mesh and the scheme's reply fabric, and
-// the deterministic fault schedules when Config.Fault is enabled. Faults
-// apply to mesh networks only: the DA2mesh overlay and the ideal fabric are
-// behavioural models without per-link state, so the reply side is skipped
-// for those schemes.
+// gives each mesh its fault schedule (Config.Fault; stream 1 for the request
+// mesh, 2 for the reply mesh). The DA2mesh overlay and the ideal fabric are
+// behavioural models without per-link state, so they get none.
 func (s *Simulator) buildNetworks() error {
 	cfg := s.cfg
 	fcfg := cfg.Fault
@@ -207,10 +199,8 @@ func (s *Simulator) buildNetworks() error {
 		return fmt.Errorf("core: request network: %w", err)
 	}
 	s.reqNet = reqNet
-	if fcfg.Enabled {
-		if s.reqFault, err = fault.NewInjector(fcfg, reqNet, 1); err != nil {
-			return fmt.Errorf("core: request fault injector: %w", err)
-		}
+	if err := reqNet.ScheduleFaults(fcfg, 1); err != nil {
+		return fmt.Errorf("core: request fault schedule: %w", err)
 	}
 
 	// Reply fabric: this switch is the one place that decides its type.
@@ -218,15 +208,10 @@ func (s *Simulator) buildNetworks() error {
 	s.mcNodes, s.ccNodes = mcNodes, ccNodes
 	switch {
 	case cfg.IdealReply:
-		// The ideal fabric and the DA2mesh overlay never see corruption
-		// (fault injectors attach to mesh Networks only), so the recovery
-		// layer would only perturb their timing — leave it off.
-		repCfg.RetransBufPkts = 0
 		if s.repNet, err = noc.NewIdealFabric(repCfg); err != nil {
 			return fmt.Errorf("core: ideal reply fabric: %w", err)
 		}
 	case cfg.Scheme.UsesOverlay():
-		repCfg.RetransBufPkts = 0
 		if s.repNet, err = noc.NewDA2Mesh(repCfg); err != nil {
 			return fmt.Errorf("core: reply overlay: %w", err)
 		}
@@ -238,10 +223,8 @@ func (s *Simulator) buildNetworks() error {
 		for _, n := range mcNodes {
 			rep.MarkMCRouter(n)
 		}
-		if fcfg.Enabled {
-			if s.repFault, err = fault.NewInjector(fcfg, rep, 2); err != nil {
-				return fmt.Errorf("core: reply fault injector: %w", err)
-			}
+		if err := rep.ScheduleFaults(fcfg, 2); err != nil {
+			return fmt.Errorf("core: reply fault schedule: %w", err)
 		}
 		s.repNet = rep
 	}
@@ -365,13 +348,7 @@ func (s *Simulator) Step() {
 	if s.measuring {
 		s.coreCyclesMeasured += uint64(coreTicks)
 	}
-	if s.reqFault != nil {
-		s.reqFault.Step(s.cycle)
-	}
 	s.reqNet.Step()
-	if s.repFault != nil {
-		s.repFault.Step(s.cycle)
-	}
 	s.repNet.Step()
 	s.cycle++
 	if s.sampleEvery > 0 && s.cycle%s.sampleEvery == 0 {

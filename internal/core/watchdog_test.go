@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
+	"repro/internal/noc"
 	"repro/internal/trace"
 )
 
@@ -215,7 +215,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 				cfg.Scheme = scheme
 				cfg.WarmupCycles = 200
 				cfg.MeasureCycles = 800
-				cfg.Fault = fault.SoakConfig(7)
+				cfg.Fault = noc.SoakFaults(7)
 				sim, err := NewSimulator(cfg, testKernel(t))
 				if err != nil {
 					t.Fatal(err)

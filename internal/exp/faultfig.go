@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/stats"
 )
@@ -41,7 +40,7 @@ func FaultFigure(r *Runner) (*Figure, error) {
 				// only the fault pressure, never the protocol machinery.
 				c.RetransBufPkts = 8
 				if rate > 0 {
-					c.Fault = fault.Config{Enabled: true, CorruptProb: rate}
+					c.Fault = noc.FaultConfig{Enabled: true, CorruptProb: rate}
 				}
 			}})
 		}

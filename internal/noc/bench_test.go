@@ -64,8 +64,8 @@ func BenchmarkNetworkStepARI(b *testing.B)      { stepLoaded(b, benchNet(b, true
 // stepping path: the ARI network with retransmission buffers on, one dead
 // link (so every route goes through the fault table) and a rolling
 // corruption window that keeps CRC drops, NACK/ACK sideband traffic and
-// retransmissions live throughout. Drives CorruptLink/KillLink directly —
-// internal/fault would be an import cycle from this package.
+// retransmissions live throughout. It drives the corruption and kill
+// setters directly, not a fault schedule, so the load stays fixed.
 func BenchmarkNetworkStepFaulty(b *testing.B) {
 	mesh := Mesh{Width: 6, Height: 6}
 	cfg := Config{
@@ -86,7 +86,7 @@ func BenchmarkNetworkStepFaulty(b *testing.B) {
 		b.Fatal(err)
 	}
 	n.SetEjectHandler(func(int, *Packet, int64) {})
-	if !n.KillLink(14, int(East)) {
+	if !n.killLink(14, int(East)) {
 		b.Fatal("kill refused")
 	}
 
@@ -102,7 +102,7 @@ func BenchmarkNetworkStepFaulty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i%64 == 0 {
 			// Re-arm a short corruption window on a rotating mesh link.
-			n.CorruptLink(next(36), next(NumDirections), n.Now()+8)
+			n.fault(flitCorrupt, next(36), next(NumDirections), n.Now()+8)
 		}
 		id++
 		pkt := &Packet{ID: id, Type: ReadReply, Dst: next(36), Size: long}

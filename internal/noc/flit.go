@@ -101,9 +101,10 @@ type flit struct {
 	h   uint32 // packet-table handle
 	seq uint16 // 0-based flit index within the packet
 	// bits holds flitTail, and flitBad for a flit whose payload was
-	// corrupted on a link traversal (CorruptLink window). The bad bit rides
-	// the flit through buffers and never influences routing or arbitration;
-	// only the receiving NI's CRC-check-equivalent reads it (recovery.go).
+	// corrupted on a link traversal (a flit-corrupt fault window). The bad
+	// bit rides the flit through buffers and never influences routing or
+	// arbitration; only the receiving NI's CRC-check-equivalent reads it
+	// (recovery.go).
 	bits uint8
 }
 

@@ -3,7 +3,7 @@ package noc
 import "sort"
 
 // Fault-adaptive routing. Once any mesh link is permanently dead
-// (KillLink), routing abandons the configured algorithm entirely and
+// (killLink), routing abandons the configured algorithm entirely and
 // follows a per-(router, destination) next-hop table computed over the
 // surviving topology. A local detour rule cannot work here: under
 // dimension-ordered routing a packet detoured around a dead column link is
@@ -13,7 +13,7 @@ import "sort"
 // needs, and its construction makes the whole network deadlock-free:
 //
 // Up*/down* routing. Take the undirected graph of mesh links alive in
-// BOTH directions (KillLink's connectivity guard keeps it connected), BFS
+// BOTH directions (killLink's connectivity guard keeps it connected), BFS
 // it from node 0 and order nodes by (BFS level, id). An edge toward a
 // smaller node in this order is an "up" edge, toward a larger one a
 // "down" edge. Every table path is a (possibly empty) run of up edges
@@ -59,7 +59,7 @@ func (n *Network) biAlive(u int, d Direction) bool {
 }
 
 // aliveBiConnected reports whether the undirected graph of mesh links alive
-// in both directions still connects every node. This is KillLink's guard:
+// in both directions still connects every node. This is killLink's guard:
 // it is (deliberately) stronger than strong connectivity of the alive
 // digraph, because the fault-routing table only uses bidirectionally-alive
 // links — a node whose every neighbour link is half-dead would be
@@ -90,7 +90,7 @@ func (n *Network) aliveBiConnected() bool {
 }
 
 // rebuildFaultTable recomputes the up*/down* next-hop table (see the
-// package comment above). Called after every successful KillLink, on a
+// package comment above). Called after every successful killLink, on a
 // graph aliveBiConnected has just vetted.
 func (n *Network) rebuildFaultTable() {
 	m := n.cfg.Mesh

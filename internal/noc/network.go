@@ -34,10 +34,13 @@ type Network struct {
 	// consumed; it keeps Step and Idle honest after the last flit drains
 	// while acknowledgements are still propagating.
 	ctlPending int
-	// faulted is set by the first StallLink, FreezeInputPort, StallNISupply
-	// or CorruptLink. Until then every frozenUntil/stalledUntil/corruptUntil
-	// horizon is 0, never after the current cycle, so switch allocation,
-	// traversal and the NIs skip reading them.
+	// faults is the fault schedule (ScheduleFaults), nil on a fault-free
+	// network; Step draws its faults first.
+	faults *faultSchedule
+	// faulted is set by the first transient fault (Network.fault). Until
+	// then every frozenUntil/stalledUntil/corruptUntil horizon is 0, never
+	// after the current cycle, so switch allocation, traversal and the NIs
+	// skip reading them.
 	faulted bool
 	// ftable is the fault-adaptive up*/down* next-hop table, non-nil once
 	// any mesh link is permanently dead; it then supersedes the configured
@@ -230,11 +233,12 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 	return ok
 }
 
-// Step advances the network one cycle: arrivals and credits land and NIs
-// supply flits, then every router runs its fused RC/VA/SA/ST cycle (see
-// router.cycle for why fusing is order-safe), then ejectors drain in node
-// order. Each sweep walks the busy set in node order and, at a busy node,
-// visits only the components whose activity counter is non-zero:
+// Step advances the network one cycle: the fault schedule, if any, draws
+// this cycle's faults; arrivals and credits land and NIs supply flits, then
+// every router runs its fused RC/VA/SA/ST cycle (see router.cycle for why
+// fusing is order-safe), then ejectors drain in node order. Each sweep
+// walks the busy set in node order and, at a busy node, visits only the
+// components whose activity counter is non-zero:
 //
 //   - a router with no flits has nothing buffered or staged, so RC/VA/SA
 //     are no-ops on it (vcWaitVC implies a buffered head flit, and the
@@ -253,8 +257,11 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 // a node the ejection sweep marks has nothing to eject, and a router woken
 // by a neighbour's traversal holds only a staged flit, which lands next
 // cycle. When no packet is in flight and no control signal is pending the
-// whole cycle is skipped. DESIGN.md §7 has the argument in full.
+// rest of the cycle is skipped. DESIGN.md §7 has the argument in full.
 func (n *Network) Step() {
+	if n.faults != nil {
+		n.faults.step(n)
+	}
 	if n.inFlight > 0 || n.ctlPending > 0 {
 		now := n.now
 		proto := n.recoveryOn()

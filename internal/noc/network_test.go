@@ -98,7 +98,7 @@ func TestStallNISupplyOnHealthyNetwork(t *testing.T) {
 	delivered := int64(-1)
 	n.SetEjectHandler(func(_ int, _ *Packet, now int64) { delivered = now })
 	pkt := mkPacket(n.Config(), ReadReply, 15)
-	n.StallNISupply(0, 20)
+	n.fault(niStall, 0, 0, 20)
 	if !n.Inject(0, pkt) {
 		t.Fatal("Inject rejected on empty network")
 	}

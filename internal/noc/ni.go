@@ -46,7 +46,7 @@ type NI struct {
 	mcLinkBusyUntil int64
 	// stalledUntil is the fault-injection backpressure horizon: while now is
 	// before it the NI supplies no flits, so its queues back up and Offer
-	// rejections propagate the burst to the node (see internal/fault).
+	// rejections propagate the burst to the node (see fault.go).
 	stalledUntil int64
 
 	// Fault-recovery protocol state (recovery.go). retransCap > 0 enables

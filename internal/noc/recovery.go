@@ -12,8 +12,8 @@ import (
 //
 //   - Detection. Every packet accepted by a sending NI carries a CRC32
 //     checksum over its header identity (Packet.Check). A link traversal
-//     inside a corruption window (CorruptLink) marks the flit value bad —
-//     the model of a payload bit-flip that a CRC recomputation at the
+//     inside a corruption window (a flit-corrupt fault) marks the flit value
+//     bad — the model of a payload bit-flip that a CRC recomputation at the
 //     receiver would catch. The ejector accumulates the per-VC bad flag
 //     while reassembling and, at the tail flit, drops the whole packet
 //     instead of delivering it: the eject handler never sees a corrupted
@@ -64,7 +64,7 @@ type RecoveryStats struct {
 	// RetransBufFullRejects counts Offer rejections caused specifically by
 	// a full retransmission buffer (unacknowledged packets at the cap).
 	RetransBufFullRejects uint64
-	// DeadLinks counts mesh links permanently killed by KillLink.
+	// DeadLinks counts mesh links permanently killed by killLink.
 	DeadLinks int
 }
 

@@ -54,7 +54,7 @@ func TestCorruptionDetectedAndRetransmitted(t *testing.T) {
 	})
 	// Corrupt node 0's East link long enough to damage the whole first copy
 	// of a 9-flit packet, but not the retransmission.
-	n.CorruptLink(0, int(East), 30)
+	n.fault(flitCorrupt, 0, int(East), 30)
 	pkt := mkPacket(n.Config(), ReadReply, 3) // 0 -> 3: pure East, crosses the window
 	if !n.Inject(0, pkt) {
 		t.Fatal("Inject rejected")
@@ -92,7 +92,7 @@ func TestRepeatedRetransmissionAndBackpressure(t *testing.T) {
 	n := recoveryNet(t, func(c *Config) { c.RetransBufPkts = 1 })
 	deliveries := 0
 	n.SetEjectHandler(func(node int, pkt *Packet, now int64) { deliveries++ })
-	n.CorruptLink(0, int(East), 200)
+	n.fault(flitCorrupt, 0, int(East), 200)
 	pkt := mkPacket(n.Config(), ReadReply, 3)
 	if !n.Inject(0, pkt) {
 		t.Fatal("Inject rejected")
@@ -133,17 +133,17 @@ func TestKillLinkDetour(t *testing.T) {
 			delivered := 0
 			n.SetEjectHandler(func(node int, pkt *Packet, now int64) { delivered++ })
 			// 0 -> 3 is pure East under XY; kill the first East hop.
-			if !n.KillLink(0, int(East)) {
-				t.Fatal("KillLink refused a legal kill")
+			if !n.killLink(0, int(East)) {
+				t.Fatal("killLink refused a legal kill")
 			}
 			if n.DeadLinks() != 1 {
 				t.Fatalf("DeadLinks %d, want 1", n.DeadLinks())
 			}
-			if n.KillLink(0, int(East)) {
-				t.Fatal("KillLink succeeded twice on the same link")
+			if n.killLink(0, int(East)) {
+				t.Fatal("killLink succeeded twice on the same link")
 			}
-			if n.KillLink(0, int(North)) {
-				t.Fatal("KillLink succeeded on a mesh edge with no link")
+			if n.killLink(0, int(North)) {
+				t.Fatal("killLink succeeded on a mesh edge with no link")
 			}
 			for i := 0; i < 4; i++ {
 				pkt := mkPacket(n.Config(), ReadRequest, 3)
@@ -186,8 +186,8 @@ func TestKillLinkReroutesWaitingPackets(t *testing.T) {
 	for n.Now() < 30 {
 		n.Step()
 	}
-	if !n.KillLink(1, int(East)) {
-		t.Fatal("KillLink refused")
+	if !n.killLink(1, int(East)) {
+		t.Fatal("killLink refused")
 	}
 	runUntilIdle(t, n, 4000)
 	if delivered != want {
@@ -211,12 +211,12 @@ func TestKillLinkConnectivityGuard(t *testing.T) {
 		c.Mesh = Mesh{Width: 2, Height: 2}
 		c.RetransBufPkts = 2
 	})
-	if !n.KillLink(0, int(East)) {
+	if !n.killLink(0, int(East)) {
 		t.Fatal("first kill refused")
 	}
 	// Node 0's only remaining outgoing link is South; killing it would strand
 	// the node's traffic.
-	if n.KillLink(0, int(South)) {
+	if n.killLink(0, int(South)) {
 		t.Fatal("kill disconnecting node 0 was allowed")
 	}
 	if n.DeadLinks() != 1 {

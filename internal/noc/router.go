@@ -79,7 +79,7 @@ type inputPort struct {
 	// frozenUntil is the fault-injection freeze horizon: while now is before
 	// it, no VC of this port may bid for the switch. Buffered flits (and
 	// their credits) are untouched, so the stall is absorbed losslessly by
-	// the credit flow control (see internal/fault).
+	// the credit flow control (see fault.go).
 	frozenUntil int64
 
 	// upstream/upOut name the neighbouring router's output port feeding this
@@ -126,7 +126,7 @@ type outputPort struct {
 	// traversing the link while now is before it are marked bad (payload
 	// bit-flips detected by the receiving NI's CRC check; see recovery.go).
 	corruptUntil int64
-	// dead marks a permanently killed mesh link (KillLink): route
+	// dead marks a permanently killed mesh link (killLink): route
 	// computation never offers it again. Worms that held it at death drain
 	// gracefully.
 	dead bool

@@ -16,6 +16,9 @@ import (
 // scanStep is Step with nothing skipped: Step's three sweeps, in node order,
 // over every component.
 func (n *Network) scanStep() {
+	if n.faults != nil {
+		n.faults.step(n)
+	}
 	now := n.now
 	for i := range n.routers {
 		n.routers[i].applyArrivals()
@@ -235,19 +238,19 @@ func TestStepMatchesScan(t *testing.T) {
 					case 0:
 						tw.both(func(n *Network) { n.StallLink(node, port, until) })
 					case 1:
-						tw.both(func(n *Network) { n.FreezeInputPort(node, port, until) })
+						tw.both(func(n *Network) { n.fault(portFreeze, node, port, until) })
 					case 2:
-						tw.both(func(n *Network) { n.StallNISupply(node, until) })
+						tw.both(func(n *Network) { n.fault(niStall, node, 0, until) })
 					case 3:
-						tw.both(func(n *Network) { n.CorruptLink(node, port, until-12) })
+						tw.both(func(n *Network) { n.fault(flitCorrupt, node, port, until-12) })
 					}
 					// Kill a link early in every sparse phase, when most routers
 					// sleep and wake with the re-route still pending.
 					for try := 0; c%400 == 250 && try < 20; try++ {
 						node, port := next(nodes), next(NumDirections)
-						killed := tw.live.KillLink(node, port)
-						if tw.ref.KillLink(node, port) != killed {
-							t.Fatalf("cycle %d: KillLink disagrees between the twins", c)
+						killed := tw.live.killLink(node, port)
+						if tw.ref.killLink(node, port) != killed {
+							t.Fatalf("cycle %d: killLink disagrees between the twins", c)
 						}
 						if killed {
 							break

@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/fault"
+	"repro/internal/noc"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/trace"
@@ -35,7 +35,7 @@ func TestChaosKillRestartSoakByteIdentical(t *testing.T) {
 	// Every stall kind layered with corruption bursts and permanent link
 	// deaths; CorruptProb > 0 auto-enables the recovery layer
 	// (RetransBufPkts defaults to 8 in the simulator build).
-	base.Fault = fault.ChaosConfig(7)
+	base.Fault = noc.ChaosFaults(7)
 
 	kernels := trace.Suite()[:14]
 
