@@ -286,11 +286,22 @@ func lineDiff(want, got string) string {
 	return strings.Join(out, "\n")
 }
 
+// jobOutcomes maps serve.Stats' job-outcome counters, by json tag, to their
+// ari_jobs_total{outcome=…} label.
+var jobOutcomes = map[string]string{
+	"completed":  "ok",
+	"cache_hits": "cached",
+	"estimated":  "estimated",
+	"peer_hits":  "peer",
+	"shed":       "shed",
+}
+
 // TestEveryCounterHasASeries locks the class of drift that hid
 // Stats.Estimated from /metrics: every int64 counter field of serve.Stats and
 // cluster.Stats, named by its json tag, must have a <prefix>_<tag>_total
-// series in the corresponding /metrics body — and the federated
-// /metrics/cluster must relay the replicas' series unchanged.
+// series in the corresponding /metrics body, or for a job outcome an
+// ari_jobs_total{outcome=…} sample — and the federated /metrics/cluster must
+// relay the replicas' series unchanged.
 func TestEveryCounterHasASeries(t *testing.T) {
 	c := startContractCluster(t)
 	c.submit(t, c.gateway.URL, `{"bench":"bfs","estimate":true}`, "")
@@ -310,14 +321,17 @@ func TestEveryCounterHasASeries(t *testing.T) {
 			}
 			tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 			series := regexp.MustCompile(`(?m)^[a-z_]+_` + tag + `_total `)
+			if o, ok := jobOutcomes[tag]; ok && typ == reflect.TypeOf(serve.Stats{}) {
+				series = regexp.MustCompile(`(?m)^ari_jobs_total\{outcome="` + o + `"\} `)
+			}
 			if !series.MatchString(body) {
-				t.Errorf("%s.%s (json %q) has no *_%s_total series on %s", typ, f.Name, tag, tag, tc.url)
+				t.Errorf("%s.%s (json %q) has no series matching %s on %s", typ, f.Name, tag, series, tc.url)
 			}
 		}
 	}
 	rollup := string(httpGet(t, c.gateway.URL+"/metrics/cluster"))
 	for _, ts := range c.replicas {
-		want := `ari_jobs_estimated_total{replica="http://` + ts.Listener.Addr().String() + `"}`
+		want := `ari_jobs_total{replica="http://` + ts.Listener.Addr().String() + `",outcome="estimated"}`
 		if !strings.Contains(rollup, want) {
 			t.Errorf("/metrics/cluster does not relay %s", want)
 		}

@@ -123,6 +123,8 @@ type Config struct {
 	// receiving NIs drop-and-NACK corrupted packets instead of delivering
 	// them. 0 (default) disables recovery: corruption, if injected, is
 	// delivered undetected — the unprotected-network contrast case.
+	// Recovery is mesh-only: the DA2mesh overlay and the ideal fabric carry
+	// no faults and ignore this field.
 	RetransBufPkts int
 
 	// Nodes optionally overrides the injection architecture per node id.

@@ -19,9 +19,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.Stats()
 
 	p.Metric("ari_jobs_admitted", "Jobs currently holding an admission slot (executing + waiting).", "gauge", float64(st.Admitted))
+	p.Family("ari_jobs_total", "Submissions by how they ended: cached (cache or journal), estimated (analytical model), "+
+		"peer (a cluster peer's journal), shed (429, queue full), ok (simulated by this process).", "counter")
 	for _, row := range outcomes {
-		if row.metric != "" {
-			p.Metric(row.metric, row.help, "counter", float64(*row.stat(&st)))
+		if row.stat != nil {
+			p.Sample("ari_jobs_total", obs.Labels("outcome", row.name), float64(*row.stat(&st)))
 		}
 	}
 	p.Metric("ari_draining", "1 once admission is closed.", "gauge", obs.Bool(st.Draining))

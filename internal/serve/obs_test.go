@@ -56,10 +56,10 @@ func TestMetricsEndpointIdleServer(t *testing.T) {
 	}
 	for _, want := range []string{
 		"ari_jobs_admitted 0",
-		"ari_jobs_completed_total 0",
+		`ari_jobs_total{outcome="ok"} 0`,
 		"ari_jobs_running 0",
 		"ari_draining 0",
-		"# TYPE ari_jobs_completed_total counter",
+		"# TYPE ari_jobs_total counter",
 		"go_goroutines ",
 		"go_heap_alloc_bytes ",
 	} {

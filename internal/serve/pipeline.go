@@ -61,28 +61,23 @@ var outcomes = [numOutcomes]struct {
 	// (errorClass). Every 429 and 503 carries Retry-After (writeError).
 	status int
 	slo    sloClass
-	// metric/help and stat publish the count on /metrics and in Stats.
-	metric, help string
-	stat         func(*Stats) *int64
+	// stat, when set, counts the outcome in Stats and on /metrics as
+	// ari_jobs_total{outcome=name}.
+	stat func(*Stats) *int64
 }{
 	outBadRequest: {name: "bad_request", status: http.StatusBadRequest},
 	outCached: {name: "cached", status: http.StatusOK, slo: sloServed,
-		metric: "ari_jobs_cache_hits_total", help: "Submissions answered from the cache or journal.",
 		stat: func(st *Stats) *int64 { return &st.CacheHits }},
 	outEstimated: {name: "estimated", status: http.StatusOK, slo: sloServed,
-		metric: "ari_jobs_estimated_total", help: "Estimate-mode submissions answered by the analytical model.",
 		stat: func(st *Stats) *int64 { return &st.Estimated }},
 	outPeer: {name: "peer", status: http.StatusOK, slo: sloServed,
-		metric: "ari_jobs_peer_hits_total", help: "Submissions answered from a cluster peer's journal without running.",
 		stat: func(st *Stats) *int64 { return &st.PeerHits }},
 	outDraining: {name: "draining", status: http.StatusServiceUnavailable, slo: sloFailed},
 	outShed: {name: "shed", status: http.StatusTooManyRequests, slo: sloFailed,
-		metric: "ari_jobs_shed_total", help: "Submissions rejected with 429 because the queue was full.",
 		stat: func(st *Stats) *int64 { return &st.Shed }},
 	outCancelled: {name: "cancelled", slo: sloFailed},
 	outError:     {name: "error", slo: sloFailed},
 	outOK: {name: "ok", status: http.StatusOK, slo: sloServed,
-		metric: "ari_jobs_completed_total", help: "Simulations finished by this process.",
 		stat: func(st *Stats) *int64 { return &st.Completed }},
 	outAbandoned: {name: "abandoned"}, // nobody left to answer: nothing is written
 }
