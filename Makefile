@@ -62,9 +62,10 @@ validate-analytic:
 	go test ./internal/analytic -run TestErrorBands -analytic-full -count=1 -v
 
 # soak runs every robustness soak under -race:
-#   - fault injection (DESIGN.md §8): seeded NoC fault schedules across
-#     schemes with invariants checked throughout, the watchdog
-#     deadlock/starvation detectors, and deterministic replay under faults;
+#   - fault injection (DESIGN.md §8): the noc fault suites (seeded fault
+#     schedules across schemes with invariants checked throughout, the
+#     schedule golden, deterministic replay under faults) and the watchdog
+#     deadlock/starvation detectors;
 #   - layered fault recovery (DESIGN.md §13): every stall kind combined with
 #     flit-corruption bursts and permanent link deaths, checking zero
 #     undetected corruption (every corrupted packet is CRC-caught, NACKed and
@@ -81,7 +82,7 @@ validate-analytic:
 #     properties, breaker, gateway routing) and the arigate lifecycle smoke
 #     run alongside.
 soak:
-	go test -race -count=1 ./internal/fault
+	go test -race -count=1 ./internal/noc -run 'Soak|Chaos|Fault'
 	go test -race -count=1 ./internal/core -run 'Watchdog|Fault|RunChecked|Truncated'
 	go test -race -count=1 ./internal/serve -run 'ChaosKillRestart' -timeout 10m
 	go test -race -count=1 ./internal/cluster ./cmd/arigate -timeout 15m

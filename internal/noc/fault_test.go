@@ -78,9 +78,9 @@ func TestFaultScheduleGolden(t *testing.T) {
 	}
 }
 
-// TestMaxEventsCap pins the bounded event log: past the cap faults are
+// TestFaultMaxEventsCap pins the bounded event log: past the cap faults are
 // still injected (FaultEvents keeps counting) but not logged.
-func TestMaxEventsCap(t *testing.T) {
+func TestFaultMaxEventsCap(t *testing.T) {
 	n := scheduled(t, FaultConfig{
 		Enabled:       true,
 		Seed:          7,
@@ -144,11 +144,11 @@ func TestFaultConfigValidate(t *testing.T) {
 	}
 }
 
-// TestMaxConcurrentSaturationKeepsStreamAligned pins the draw-stream
+// TestFaultMaxConcurrentKeepsStreamAligned pins the draw-stream
 // discipline: when the concurrency cap swallows a fault, the Bernoulli
 // draw is still consumed, so the schedule after saturation is identical to
 // a replay of the same seed — and fixed-length durations show up verbatim.
-func TestMaxConcurrentSaturationKeepsStreamAligned(t *testing.T) {
+func TestFaultMaxConcurrentKeepsStreamAligned(t *testing.T) {
 	mk := func() *Network {
 		return scheduled(t, FaultConfig{
 			Enabled:       true,
@@ -193,9 +193,9 @@ func TestMaxConcurrentSaturationKeepsStreamAligned(t *testing.T) {
 	}
 }
 
-// TestEventStringAllKinds pins the log rendering of every fault kind,
+// TestFaultEventStringAllKinds pins the log rendering of every fault kind,
 // including the permanent-fault form.
-func TestEventStringAllKinds(t *testing.T) {
+func TestFaultEventStringAllKinds(t *testing.T) {
 	cases := []struct {
 		e    faultEvent
 		want string
@@ -213,9 +213,9 @@ func TestEventStringAllKinds(t *testing.T) {
 	}
 }
 
-// TestCorruptionRequiresRecovery pins ScheduleFaults' refusal to corrupt a
-// network that cannot detect it.
-func TestCorruptionRequiresRecovery(t *testing.T) {
+// TestFaultCorruptionRequiresRecovery pins ScheduleFaults' refusal to
+// corrupt a network that cannot detect it.
+func TestFaultCorruptionRequiresRecovery(t *testing.T) {
 	n := newTestNet(t, nil) // RetransBufPkts zero: recovery off
 	if err := n.ScheduleFaults(FaultConfig{Enabled: true, CorruptProb: 0.1}, 0); err == nil {
 		t.Fatal("ScheduleFaults accepted corruption without the recovery layer")
