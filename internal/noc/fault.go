@@ -82,7 +82,7 @@ type FaultConfig struct {
 // Validate checks bounds and fills defaults, returning the normalised config.
 func (c FaultConfig) Validate() (FaultConfig, error) {
 	for k := range faultKinds {
-		if p := faultKinds[k].prob(&c); p < 0 || p > 1 {
+		if p := faultKinds[k].prob(&c); !(p >= 0 && p <= 1) { // NaN too
 			return c, fmt.Errorf("fault: probability %v outside [0,1]", p)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -126,6 +127,7 @@ func TestFaultConfigValidate(t *testing.T) {
 		{Enabled: true, MinDuration: -1},
 		{CorruptProb: -0.01},
 		{LinkDeathProb: 1.01},
+		{Enabled: true, CorruptProb: math.NaN()},
 		{MaxDeadLinks: -1},
 		{MaxEvents: -1},
 	} {
