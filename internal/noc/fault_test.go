@@ -102,10 +102,29 @@ func TestFaultMaxEventsCap(t *testing.T) {
 	}
 }
 
-// TestFaultConfigValidate covers the configurations Validate must reject
-// and the boundary ones it must accept: a degenerate duration range,
-// probabilities exactly 0 and 1, and the defaults it fills in.
+// TestFaultConfigValidate covers the malformed configurations Validate
+// must reject — a probability outside [0,1], an inverted or negative
+// duration range — and checks that the zero config is accepted.
 func TestFaultConfigValidate(t *testing.T) {
+	for i, bad := range []FaultConfig{
+		{Enabled: true, LinkStallProb: -0.1},
+		{Enabled: true, NIStallProb: 1.5},
+		{Enabled: true, MinDuration: 10, MaxDuration: 5},
+		{Enabled: true, MinDuration: -1},
+	} {
+		if _, err := bad.Validate(); err == nil {
+			t.Errorf("case %d: Validate accepted invalid config %+v", i, bad)
+		}
+	}
+	if _, err := (FaultConfig{}).Validate(); err != nil {
+		t.Errorf("zero config rejected: %v", err)
+	}
+}
+
+// TestFaultValidateEdgeCases covers the boundary configurations: a
+// degenerate duration range, probabilities exactly 0 and 1, NaN and the
+// remaining out-of-range fields, and the defaults Validate fills in.
+func TestFaultValidateEdgeCases(t *testing.T) {
 	// MinDuration == MaxDuration is a legal (fixed-length) range.
 	c, err := FaultConfig{Enabled: true, MinDuration: 5, MaxDuration: 5}.Validate()
 	if err != nil {
@@ -121,10 +140,6 @@ func TestFaultConfigValidate(t *testing.T) {
 	}
 
 	for i, bad := range []FaultConfig{
-		{Enabled: true, LinkStallProb: -0.1},
-		{Enabled: true, NIStallProb: 1.5},
-		{Enabled: true, MinDuration: 10, MaxDuration: 5},
-		{Enabled: true, MinDuration: -1},
 		{CorruptProb: -0.01},
 		{LinkDeathProb: 1.01},
 		{Enabled: true, CorruptProb: math.NaN()},
