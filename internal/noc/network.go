@@ -242,10 +242,9 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 //
 //   - a router with no flits has nothing buffered or staged, so RC/VA/SA
 //     are no-ops on it (vcWaitVC implies a buffered head flit, and the
-//     round-robin arbiters advance only on grants); the per-cycle VA
-//     rotation it would have performed is fast-forwarded on wake-up inside
-//     vcAllocate, and credits staged toward it stay in creditIn until its
-//     next applyArrivals — no decision can read them before then;
+//     round-robin arbiters advance only on grants, while VA's rotation is
+//     a function of the cycle); credits staged toward it stay in creditIn
+//     until its next applyArrivals — no decision can read them before then;
 //   - an NI with no queued flits can neither supply a flit nor change its
 //     time-weighted occupancy (the level is unchanged, and TimeWeighted.Set
 //     is idempotent for unchanged levels) — unless the recovery protocol

@@ -248,13 +248,6 @@ type router struct {
 	// within the starvation limit no VC can be starving.
 	starveFloor int64
 
-	// VA scans waiting VCs in rotating order from (rrPort, rrVC). The
-	// pointer advances one VC per simulated cycle whether or not anything
-	// allocates; lastVA is the cycle vcAllocate last ran, so the rotation of
-	// cycles the router slept through is fast-forwarded on wake-up.
-	rrPort, rrVC int
-	lastVA       int64
-
 	// reroute is set on every router by a link kill (the fault-routing table
 	// is global): VCs already waiting on a computed route recompute their
 	// candidates at the next RC.
@@ -271,7 +264,6 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 		id:        id,
 		nvc:       vcs,
 		prioArbOn: cfg.PriorityLevels >= 2,
-		lastVA:    -1,
 		vaNeed:    noNeeds(),
 	}
 
@@ -417,10 +409,19 @@ func (r *router) offered(vc *inputVC) bool {
 // every cross-router write a stage makes — a staged flit, a staged credit,
 // an outbox entry — only becomes readable at the next cycle's
 // applyArrivals, which has already run for every router of this cycle; the
-// stages of different routers therefore commute.
+// stages of different routers therefore commute. RC runs only when a port
+// has a head flit to route or a link kill asks for a re-route, and VA only
+// when a waiter may have become grantable (vaRetry).
 func (r *router) cycle(now int64) {
-	r.routeCompute(now)
-	r.vcAllocate(now)
+	if r.rcPorts != 0 || r.reroute {
+		r.routeCompute(now)
+	}
+	if r.waitVCs > 0 && r.vaRetry {
+		r.vaNeed = noNeeds()
+		r.vcAllocatePass(now)
+		r.vaRetry = false
+		r.vaLevel = [numOutPorts]int32{}
+	}
 	r.switchAllocate(now)
 }
 
@@ -475,50 +476,34 @@ func (r *router) setCandidates(vc *inputVC, dst int) {
 	vc.nCands = uint8(len(r.net.routeCandidates(r.id, dst, vc.cands[:0])))
 }
 
-// vcAllocate runs separable input-first VC allocation: waiting VCs claim a
-// free downstream VC among their route candidates, scanned in rotating
-// order for fairness.
-//
-// The rotating pointer advances once per simulated cycle whether or not
-// anything allocates, so a router skipped by event-driven stepping first
-// fast-forwards the rotations of the cycles it slept through; the pointer
-// is then exactly what visiting the router every cycle would leave.
-func (r *router) vcAllocate(now int64) {
-	if skipped := now - 1 - r.lastVA; skipped > 0 {
-		n := len(r.vcs)
-		rr := (r.rrPort*r.nvc + r.rrVC + int(skipped%int64(n))) % n
-		r.rrPort, r.rrVC = rr/r.nvc, rr%r.nvc
+// vcAllocatePass runs separable input-first VC allocation: every waiting VC
+// claims a free downstream VC among its route candidates, in rotating order
+// for fairness. The rotation pointer advances one VC per cycle whether or
+// not anything allocates, so at cycle now it is VC now mod (ports × VCs) of
+// the router's flat VC order: a pass takes the pointer port's waiters at or
+// above the pointer VC, the other ports' in cyclic order, then the pointer
+// port's below it. No new waiter can appear mid-pass and a grant only clears
+// the winner's own bit, so reading each port's mask once is exact; a port
+// with no waiter is not visited.
+func (r *router) vcAllocatePass(now int64) {
+	rr := int(now % int64(len(r.vcs)))
+	rrPort, low := rr/r.nvc, uint32(1)<<uint(rr%r.nvc)-1
+	if m := r.in[rrPort].waitVC &^ low; m != 0 {
+		r.vcAllocatePort(rrPort, m, now)
 	}
-	if r.waitVCs > 0 && r.vaRetry {
-		r.vaNeed = noNeeds()
-		r.vcAllocatePass(now)
-		r.vaRetry = false
-		r.vaLevel = [numOutPorts]int32{}
-	}
-	if r.rrVC++; r.rrVC == r.nvc {
-		r.rrVC = 0
-		if r.rrPort++; r.rrPort == len(r.in) {
-			r.rrPort = 0
+	for p := rrPort + 1; p < len(r.in); p++ {
+		if m := r.in[p].waitVC; m != 0 {
+			r.vcAllocatePort(p, m, now)
 		}
 	}
-	r.lastVA = now
-}
-
-// vcAllocatePass attempts allocation for every waiting VC in rotation order
-// from (rrPort, rrVC): the pointer port's VCs at or above rrVC, the other
-// ports in cyclic order, then the pointer port's VCs below rrVC. No new
-// waiter can appear mid-pass and a grant only clears the winner's own bit,
-// so reading each port's mask once is exact.
-func (r *router) vcAllocatePass(now int64) {
-	low := uint32(1)<<uint(r.rrVC) - 1
-	r.vcAllocatePort(r.rrPort, r.in[r.rrPort].waitVC&^low, now)
-	for p := r.rrPort + 1; p < len(r.in); p++ {
-		r.vcAllocatePort(p, r.in[p].waitVC, now)
+	for p := 0; p < rrPort; p++ {
+		if m := r.in[p].waitVC; m != 0 {
+			r.vcAllocatePort(p, m, now)
+		}
 	}
-	for p := 0; p < r.rrPort; p++ {
-		r.vcAllocatePort(p, r.in[p].waitVC, now)
+	if m := r.in[rrPort].waitVC & low; m != 0 {
+		r.vcAllocatePort(rrPort, m, now)
 	}
-	r.vcAllocatePort(r.rrPort, r.in[r.rrPort].waitVC&low, now)
 }
 
 // vcAllocatePort attempts allocation for the waiting VCs m of input port p,
