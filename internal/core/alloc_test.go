@@ -9,7 +9,8 @@ import (
 
 // TestStepDoesNotAllocate locks in the zero-allocation steady-state step,
 // over every kind of reply fabric — the mesh, the ideal fabric and the
-// DA2mesh overlay with and without ARI's NIs: after a warmup long enough to
+// DA2mesh overlay with and without ARI's NIs — and on the mesh under a
+// burst-heavy kernel, whose cores mostly sleep: after a warmup long enough to
 // grow every queue, freelist and scratch slice to its working size, Step
 // must not allocate. The only tolerated residue is the amortised growth of
 // the per-run InjWindows series (one append per 100 cycles per network),
@@ -18,21 +19,22 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is slow")
 	}
-	k, err := trace.ByName("bfs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		name   string
-		scheme Scheme
-		ideal  bool
+		name, kernel string
+		scheme       Scheme
+		ideal        bool
 	}{
-		{"Ada-ARI", AdaARI, false},
-		{"ideal-reply", XYBaseline, true},
-		{"DA2Mesh", DA2MeshBase, false},
-		{"DA2Mesh+ARI", DA2MeshARI, false},
+		{"Ada-ARI", "bfs", AdaARI, false},
+		{"ideal-reply", "bfs", XYBaseline, true},
+		{"DA2Mesh", "bfs", DA2MeshBase, false},
+		{"DA2Mesh+ARI", "bfs", DA2MeshARI, false},
+		{"Ada-ARI/lavaMD", "lavaMD", AdaARI, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			k, err := trace.ByName(tc.kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg := DefaultConfig()
 			cfg.Scheme, cfg.IdealReply = tc.scheme, tc.ideal
 			sim, err := NewSimulator(cfg, k)
@@ -175,5 +177,31 @@ func BenchmarkNewSimulator(b *testing.B) {
 			b.Fatal(err)
 		}
 		sim.Close()
+	}
+}
+
+// BenchmarkSimulatorStepLowLoad steps the Table I system under Ada-ARI on
+// lavaMD, a low-NoC-sensitivity kernel whose cores spend almost every tick
+// in a compute burst, after the ledger's 4000-cycle warmup: the per-cycle
+// fixed cost of every layer, with the cores asleep most of the time. It
+// allocates nothing.
+func BenchmarkSimulatorStepLowLoad(b *testing.B) {
+	k, err := trace.ByName("lavaMD")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Scheme = AdaARI
+	sim, err := NewSimulator(cfg, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		sim.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Step()
 	}
 }

@@ -71,6 +71,7 @@ type Result struct {
 
 // collect gathers the result after the measurement window.
 func (s *Simulator) collect() Result {
+	s.settle()
 	r := Result{
 		Benchmark:      s.kernel.Name,
 		Scheme:         s.cfg.Scheme,

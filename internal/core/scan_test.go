@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -10,14 +11,15 @@ import (
 
 // The simulator layer's stepping reference. Simulator.Step skips the
 // pipeline walk of a quiescent memory controller (SkipIdle only advances its
-// DRAM clock); scanStep ticks every controller every cycle. The layers below
+// DRAM clock) and the ticks of a core sleeping through a compute burst;
+// scanStep ticks every controller and every core every cycle. The layers below
 // hold their own references in their own tests — the NoC's scan step in
 // internal/noc, the issue stage's scan tick in internal/gpu — and
 // internal/simeq's TestMatrixDigests pins the composition across commits.
 
-// scanStep is Step with every memory controller ticked, quiescent or not. It
-// returns how many of its ticks went to a quiescent controller: the visits
-// Step skips.
+// scanStep is Step with every core and every memory controller ticked,
+// sleeping or quiescent or not. It returns how many of its ticks went to a
+// quiescent controller: the visits Step skips.
 func (s *Simulator) scanStep() (quiet int) {
 	coreTicks := s.coreClock.Tick()
 	memTicks := s.memClock.Tick()
@@ -158,4 +160,118 @@ func TestMCSkipMatchesScanFixedWork(t *testing.T) {
 			}, 20000, 2000)
 		}
 	}
+}
+
+// TestSleepingCoresMatchScan holds the sleeping cores to scanStep, which
+// ticks every core. Twin simulators, one stepped by Step and one by
+// scanStep, each with a sampler that logs every core's counters, run the
+// low-load kernels and a saturated one in lockstep under a fixed horizon and
+// under fixed work. After every cycle, across the warmup reset, every core's
+// counters with its slept ticks applied must equal the reference's, and a
+// sleeping core's wake must be the tick its burst ends. The sampler logs and
+// the encoded Results must match too: they read the counters through the
+// settles before the sampler and in collect, and fixed work through the one
+// in retired.
+func TestSleepingCoresMatchScan(t *testing.T) {
+	for _, name := range []string{"lavaMD", "nn", "binomialOptions", "bfs"} {
+		k, err := trace.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, work := range []uint64{0, 30000} {
+			cfg := DefaultConfig()
+			cfg.Scheme = AdaARI
+			cfg.WarmupCycles, cfg.MeasureCycles = 400, 1200
+			var sims [2]*Simulator
+			var logs [2][]uint64
+			for i := range sims {
+				s, err := NewSimulator(cfg, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// 37 divides neither horizon, so collect's settle is not
+				// preceded by the sampler's in the same cycle.
+				s.SetSampler(37, func(int64) {
+					for _, c := range s.cores {
+						logs[i] = append(logs[i], c.Instructions, c.CoreCycles)
+					}
+				})
+				sims[i] = s
+			}
+			live, ref := sims[0], sims[1]
+			slept := 0
+			step := func() {
+				live.Step()
+				ref.scanStep()
+				slept += matchSleepingCores(t, live, ref)
+			}
+			for live.cycle < cfg.WarmupCycles {
+				step()
+			}
+			for _, s := range sims {
+				s.resetStats()
+				s.measuring = true
+			}
+			matchSleepingCores(t, live, ref)
+			start, horizon := live.cycle, cfg.MeasureCycles
+			if work > 0 {
+				horizon = 2000
+			}
+			for live.cycle-start < horizon && (work == 0 || live.retired() < work) {
+				if work > 0 && live.retired() != ref.retired() {
+					t.Fatalf("%s cycle %d: retired %d, reference %d", name, live.cycle, live.retired(), ref.retired())
+				}
+				step()
+			}
+			for _, s := range sims {
+				s.measuring = false
+				s.measuredCycles = s.cycle - start
+			}
+			a, errA := json.Marshal(live.collect())
+			b, errB := json.Marshal(ref.collect())
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s work %d: result differs from the every-core reference\n got %s\nwant %s", name, work, a, b)
+			}
+			if !slices.Equal(logs[0], logs[1]) {
+				t.Fatalf("%s work %d: sampler read different core counters than the reference's", name, work)
+			}
+			if slept == 0 {
+				t.Fatalf("%s work %d: no core ever slept", name, work)
+			}
+		}
+	}
+}
+
+// matchSleepingCores fails unless every core of live, with the ticks it has
+// slept applied, has the counters and burst of ref's twin, and every
+// sleeping core wakes when its burst ends (an awake core has none). It reads
+// only, so the settles under test stay the only ones, and returns how many
+// cores sleep.
+func matchSleepingCores(t *testing.T, live, ref *Simulator) (sleeping int) {
+	t.Helper()
+	now := live.coreClock.Cycles()
+	for i, c := range live.cores {
+		var pending uint64
+		if sl := live.sleep[i]; sl.wake != notAsleep {
+			sleeping++
+			pending = now - sl.settled
+			if left := uint64(c.Burst()) - pending; sl.wake != now+left {
+				t.Fatalf("cycle %d: core %d wakes at tick %d, its burst ends at %d", live.cycle, i, sl.wake, now+left)
+			}
+		} else if c.Burst() != 0 {
+			t.Fatalf("cycle %d: core %d is awake with a %d-tick burst", live.cycle, i, c.Burst())
+		}
+		r := ref.cores[i]
+		got := [...]uint64{c.CoreCycles + pending, c.Instructions + pending, uint64(c.Burst()) - pending,
+			c.MemInstrs, c.LoadTxns, c.StoreTxns, c.IssueStalls, c.LSUSendStalls, c.MSHRStalls, c.StoreQStalls}
+		want := [...]uint64{r.CoreCycles, r.Instructions, uint64(r.Burst()),
+			r.MemInstrs, r.LoadTxns, r.StoreTxns, r.IssueStalls, r.LSUSendStalls, r.MSHRStalls, r.StoreQStalls}
+		if got != want {
+			t.Fatalf("cycle %d: core %d counters %v, reference %v", live.cycle, i, got, want)
+		}
+	}
+	return sleeping
 }

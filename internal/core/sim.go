@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/gpu"
 	"repro/internal/mem"
@@ -28,6 +30,16 @@ type Simulator struct {
 	cores []*gpu.Core
 	mcs   []*mem.Controller
 
+	// awake has bit i set while core i does full ticks. A tick that hands
+	// off a compute burst (gpu.Core.Burst) leaves only burst ticks until the
+	// burst ends, so the core sleeps until core tick sleep[i].wake, and its
+	// slept ticks are applied in one batch (gpu.Core.SkipBurst) at wake and
+	// wherever the simulator exposes core counters (settle). nextWake is the
+	// earliest wake of a sleeping core.
+	awake    []uint64
+	sleep    []coreSleep
+	nextWake uint64
+
 	coreClock *timing.Clock
 	memClock  *timing.Clock
 	cycle     int64
@@ -45,6 +57,14 @@ type Simulator struct {
 	sampler     func(cycle int64)
 	sampleEvery int64
 }
+
+// coreSleep is a sleeping core's wake tick and the core tick up to which
+// its slept ticks are applied; wake is notAsleep while the core is awake.
+type coreSleep struct {
+	wake, settled uint64
+}
+
+const notAsleep = math.MaxUint64
 
 // NewSimulator assembles a simulator for kernel k under cfg, generating
 // the workload streams synthetically from k's parameters.
@@ -257,6 +277,13 @@ func (s *Simulator) buildNodes() error {
 		}
 		s.cores[i] = c
 	}
+	s.awake = make([]uint64, (len(s.cores)+63)/64)
+	s.sleep = make([]coreSleep, len(s.cores))
+	for i := range s.cores {
+		s.awake[i>>6] |= 1 << (i & 63)
+		s.sleep[i].wake = notAsleep
+	}
+	s.nextWake = notAsleep
 
 	s.mcs = make([]*mem.Controller, len(s.mcNodes))
 	for i, node := range s.mcNodes {
@@ -331,10 +358,8 @@ func (s *Simulator) sendRequest(node int, txn *mem.Transaction) bool {
 func (s *Simulator) Step() {
 	coreTicks := s.coreClock.Tick()
 	memTicks := s.memClock.Tick()
-	for t := 0; t < coreTicks; t++ {
-		for _, c := range s.cores {
-			c.Tick()
-		}
+	for tick := s.coreClock.Cycles() - uint64(coreTicks); tick < s.coreClock.Cycles(); tick++ {
+		s.tickCores(tick)
 	}
 	for _, mc := range s.mcs {
 		if !mc.Quiescent() {
@@ -352,7 +377,52 @@ func (s *Simulator) Step() {
 	s.repNet.Step()
 	s.cycle++
 	if s.sampleEvery > 0 && s.cycle%s.sampleEvery == 0 {
+		s.settle()
 		s.sampler(s.cycle)
+	}
+}
+
+// tickCores runs core tick `tick` (counted from 0): it wakes the cores whose
+// burst ends there, then ticks every awake core in index order. That is the
+// order ticking every core gives, as a burst tick touches nothing outside
+// its core. A core whose tick hands off a burst of k ticks sleeps through
+// them and wakes at tick+1+k.
+func (s *Simulator) tickCores(tick uint64) {
+	if tick == s.nextWake {
+		s.nextWake = notAsleep
+		for i := range s.sleep {
+			sl := &s.sleep[i]
+			if sl.wake == tick {
+				s.cores[i].SkipBurst(int(tick - sl.settled))
+				sl.wake = notAsleep
+				s.awake[i>>6] |= 1 << (i & 63)
+			}
+			s.nextWake = min(s.nextWake, sl.wake)
+		}
+	}
+	for w, m := range s.awake {
+		for ; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			c := s.cores[i]
+			c.Tick()
+			if k := c.Burst(); k > 0 {
+				s.awake[w] &^= m & -m
+				s.sleep[i] = coreSleep{wake: tick + 1 + uint64(k), settled: tick + 1}
+				s.nextWake = min(s.nextWake, s.sleep[i].wake)
+			}
+		}
+	}
+}
+
+// settle applies the ticks every sleeping core has slept so far, so its
+// counters read what ticking it every core cycle would leave.
+func (s *Simulator) settle() {
+	now := s.coreClock.Cycles()
+	for i := range s.sleep {
+		if sl := &s.sleep[i]; sl.wake != notAsleep {
+			s.cores[i].SkipBurst(int(now - sl.settled))
+			sl.settled = now
+		}
 	}
 }
 
@@ -371,8 +441,12 @@ func (s *Simulator) SetSampler(every int64, fn func(cycle int64)) {
 // Cycle returns the current NoC cycle.
 func (s *Simulator) Cycle() int64 { return s.cycle }
 
-// Cores exposes the compute nodes.
-func (s *Simulator) Cores() []*gpu.Core { return s.cores }
+// Cores exposes the compute nodes, their counters settled to the current
+// cycle.
+func (s *Simulator) Cores() []*gpu.Core {
+	s.settle()
+	return s.cores
+}
 
 // MCs exposes the memory controllers.
 func (s *Simulator) MCs() []*mem.Controller { return s.mcs }
@@ -418,6 +492,7 @@ func (s *Simulator) StateDumpJSON() []byte {
 
 // resetStats clears all measurement counters at the warmup boundary.
 func (s *Simulator) resetStats() {
+	s.settle()
 	for _, c := range s.cores {
 		c.ResetStats()
 	}
@@ -455,6 +530,7 @@ func (s *Simulator) RunWorkChecked(instructions uint64, maxCycles int64, opt Che
 
 // retired sums the warp-instructions the cores retired since the last reset.
 func (s *Simulator) retired() uint64 {
+	s.settle()
 	var done uint64
 	for _, c := range s.cores {
 		done += c.Instructions

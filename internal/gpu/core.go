@@ -290,6 +290,21 @@ func (c *Core) Tick() {
 	}
 }
 
+// Burst returns the compute burst left after the last tick: the number of
+// ticks that follow which only count one instruction each.
+func (c *Core) Burst() int { return c.run }
+
+// SkipBurst applies k burst ticks at once, as k calls of Tick would while
+// the burst lasts; k may not exceed Burst.
+func (c *Core) SkipBurst(k int) {
+	if k > c.run {
+		panic(fmt.Sprintf("gpu: core %d skips %d ticks of a %d-tick burst", c.Index, k, c.run))
+	}
+	c.run -= k
+	c.CoreCycles += uint64(k)
+	c.Instructions += uint64(k)
+}
+
 // readyAllHolding reports whether every ready warp holds an instruction.
 // Behind a full LSU queue such a warp's attempt fails before any side
 // effect, so issue skips it.

@@ -431,3 +431,36 @@ func TestComputeBurstMatchesScanReference(t *testing.T) {
 		})
 	}
 }
+
+// TestSkipBurstMatchesTicks holds the batch settle to the ticks it stands
+// for: k burst ticks applied at once leave the counters and the burst that
+// k calls of Tick leave, and skipping past the end of the burst panics.
+func TestSkipBurstMatchesTicks(t *testing.T) {
+	latency := func(*mem.Transaction) int { return 6 }
+	newCore := func() *Core {
+		cfg := smallCoreConfig()
+		cfg.WarpsPerCore = 1
+		return newDiffRig(t, cfg, &playWorkload{computes: []int{40}}, latency).core
+	}
+	ticked, skipped := newCore(), newCore()
+	ticked.Tick()
+	skipped.Tick()
+	if skipped.Burst() != 39 {
+		t.Fatalf("burst after the first tick %d, want 39", skipped.Burst())
+	}
+	for _, k := range []int{0, 1, 15, 23} {
+		for i := 0; i < k; i++ {
+			ticked.Tick()
+		}
+		skipped.SkipBurst(k)
+		if a, b := coreCounters(skipped), coreCounters(ticked); a != b || skipped.Burst() != ticked.Burst() {
+			t.Fatalf("after SkipBurst(%d): counters %v burst %d, ticked %v burst %d", k, a, skipped.Burst(), b, ticked.Burst())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SkipBurst past the end of the burst did not panic")
+		}
+	}()
+	skipped.SkipBurst(1)
+}
