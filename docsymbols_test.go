@@ -2,6 +2,7 @@ package repro
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -13,21 +14,17 @@ import (
 	"testing"
 )
 
-// docSymbol matches a backticked `pkg.Name` or `pkg.Type.Member`. Names are
-// Go identifiers without underscores, so ledger metrics such as
+// docSymbol matches a backticked `q.Name` or `q.Name.Member`. Names are Go
+// identifiers without underscores, so ledger metrics such as
 // `gpu.ns_per_tick` never match.
 var docSymbol = regexp.MustCompile("`([a-z][a-z0-9]*)((?:\\.[A-Za-z][A-Za-z0-9]*){1,2})`")
 
 // TestDocSymbolsResolve holds DESIGN.md, README.md, EXPERIMENTS.md and the
-// verify skill to the code: every backticked `pkg.Name` or `pkg.Type.Member`
-// whose pkg is a package of this module must name a top-level declaration, a
-// method or a struct field of that package (so `noc.CheckInvariants`, a
-// method, resolves). A name whose
-// pkg is not a module package, such as `errors.Join`, is skipped, and so is
-// one the code spells as a string literal: a span or metric name such as
-// `serve.admission`.
+// verify skill to the code: every backticked `q.Name` or `q.Name.Member`
+// must resolve (docIndex.resolves says how), so a doc that still names a
+// deleted package's or type's symbol fails.
 func TestDocSymbolsResolve(t *testing.T) {
-	decls, literals := moduleDecls(t)
+	ix := newDocIndex(t)
 	checked := 0
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		text, err := os.ReadFile(doc)
@@ -35,32 +32,101 @@ func TestDocSymbolsResolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range docSymbol.FindAllStringSubmatch(string(text), -1) {
-			names, ok := decls[m[1]]
-			if !ok || literals[m[1]+m[2]] {
-				continue
-			}
 			checked++
-			for _, name := range strings.Split(m[2][1:], ".") {
-				if !names[name] {
-					t.Errorf("%s names `%s%s`, but package %s declares no %s", doc, m[1], m[2], m[1], name)
-				}
+			if !ix.resolves(m[1] + m[2]) {
+				t.Errorf("%s names `%s%s`, which resolves to no package, type, string or file of the repo", doc, m[1], m[2])
 			}
 		}
 	}
 	if checked == 0 {
-		t.Fatal("no module symbol found in the docs")
+		t.Fatal("no symbol found in the docs")
 	}
 }
 
-// moduleDecls parses every non-test Go file of the module's packages (under
-// internal/, cmd/ and examples/; benchmark/ is a module of its own) and
-// returns, per package name, the names it declares: top-level functions,
-// types, variables and constants, methods, and struct fields. Test files
-// count, an external test package under its package's name. It also
-// returns every string literal of those files.
-func moduleDecls(t *testing.T) (decls map[string]map[string]bool, literals map[string]bool) {
+// TestDocSymbolClassifier pins what resolves: a qualifier that is no module
+// package must be a standard-library package, a module type with the name
+// as its field or method, part of a string literal of the code, or a file of
+// the repo; `fault.SoakConfig`, named by the docs after its package was
+// folded into noc, is none of them.
+func TestDocSymbolClassifier(t *testing.T) {
+	ix := newDocIndex(t)
+	for _, tc := range []struct {
+		sym  string
+		want bool
+	}{
+		{"noc.CheckInvariants", true}, // module package, method
+		{"noc.FaultConfig.Validate", true},
+		{"noc.NoSuchName", false},
+		{"fault.SoakConfig", false}, // a deleted package
+		{"errors.Join", true},       // standard library
+		{"router.cycle", true},      // type with its method
+		{"warp.heldWrite", true},    // type with its field
+		{"router.noSuchMember", false},
+		{"gateway.route", true}, // span name, a string literal
+		{"fabric.go", true},     // files
+		{"run.sh", true},
+		{"golden.json", true},
+		{"nosuch.go", false},
+	} {
+		if got := ix.resolves(tc.sym); got != tc.want {
+			t.Errorf("resolves(%q) = %v, want %v", tc.sym, got, tc.want)
+		}
+	}
+}
+
+// docIndex is what a backticked symbol in the docs may resolve to.
+type docIndex struct {
+	pkgs     map[string]map[string]bool // module package -> its declared names
+	types    map[string]map[string]bool // module type -> its fields and methods
+	literals map[string]bool            // the string literals of the code
+	files    map[string]bool            // base names of the repo's files
+	std      map[string]bool            // standard-library package names
+}
+
+// resolves reports whether sym = q.Name or q.Name.Member names something:
+// a string literal or a file name spelled in full, else every name after q
+// declared in module package q, or a field or method of module type q, else
+// q a standard-library package.
+func (ix *docIndex) resolves(sym string) bool {
+	if ix.literals[sym] || ix.files[sym] {
+		return true
+	}
+	q, rest, _ := strings.Cut(sym, ".")
+	names := strings.Split(rest, ".")
+	declares := func(decls map[string]bool) bool {
+		if decls == nil {
+			return false
+		}
+		for _, name := range names {
+			if !decls[name] {
+				return false
+			}
+		}
+		return true
+	}
+	if decls, ok := ix.pkgs[q]; ok {
+		return declares(decls)
+	}
+	return declares(ix.types[q]) || ix.std[q]
+}
+
+// newDocIndex parses every Go file of the module's packages (under
+// internal/, cmd/ and examples/; benchmark/ is a module of its own), test
+// files included, an external test package under its package's name. It
+// records per package its top-level functions, types, variables and
+// constants, methods and struct fields; per type its fields and methods;
+// and every string literal. It also lists the repo's file names and the
+// standard library's package names from GOROOT.
+func newDocIndex(t *testing.T) *docIndex {
 	t.Helper()
-	decls, literals = map[string]map[string]bool{}, map[string]bool{}
+	ix := &docIndex{pkgs: map[string]map[string]bool{}, types: map[string]map[string]bool{},
+		literals: map[string]bool{}, files: map[string]bool{}, std: map[string]bool{}}
+	members := func(typ string) map[string]bool {
+		if ix.types[typ] == nil {
+			ix.types[typ] = map[string]bool{}
+		}
+		return ix.types[typ]
+	}
 	fset := token.NewFileSet()
 	for _, root := range []string{"internal", "cmd", "examples"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -72,21 +138,25 @@ func moduleDecls(t *testing.T) (decls map[string]map[string]bool, literals map[s
 				return err
 			}
 			pkg := strings.TrimSuffix(f.Name.Name, "_test")
-			names := decls[pkg]
+			names := ix.pkgs[pkg]
 			if names == nil {
 				names = map[string]bool{}
-				decls[pkg] = names
+				ix.pkgs[pkg] = names
 			}
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					names[d.Name.Name] = true
+					if d.Recv != nil {
+						members(receiverType(d.Recv.List[0].Type))[d.Name.Name] = true
+					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
 							names[spec.Name.Name] = true
 							addFields(names, spec.Type)
+							addFields(members(spec.Name.Name), spec.Type)
 						case *ast.ValueSpec:
 							for _, id := range spec.Names {
 								names[id.Name] = true
@@ -98,7 +168,7 @@ func moduleDecls(t *testing.T) (decls map[string]map[string]bool, literals map[s
 			ast.Inspect(f, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 					if v, err := strconv.Unquote(lit.Value); err == nil {
-						literals[v] = true
+						ix.literals[v] = true
 					}
 				}
 				return true
@@ -109,7 +179,49 @@ func moduleDecls(t *testing.T) (decls map[string]map[string]bool, literals map[s
 			t.Fatal(err)
 		}
 	}
-	return decls, literals
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build"):
+			return filepath.SkipDir
+		case !d.IsDir():
+			ix.files[d.Name()] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(build.Default.GOROOT, "src")
+	err = filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		switch d.Name() {
+		case "cmd", "internal", "testdata", "vendor":
+			return filepath.SkipDir
+		}
+		if path != src {
+			ix.std[d.Name()] = true
+		}
+		return nil
+	})
+	if err != nil || !ix.std["errors"] {
+		t.Fatalf("standard library packages not found under %s: %v", src, err)
+	}
+	return ix
+}
+
+// receiverType returns the type name of a method receiver, T of T or *T.
+func receiverType(e ast.Expr) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // addFields adds the struct fields and interface methods declared in typ,
