@@ -45,13 +45,16 @@ func writeEntries(t *testing.T, n int) (string, []string, []byte) {
 	return path, keys, raw
 }
 
-// TestJournalRecoversTornTail truncates the journal at every byte offset of
-// the last record — every possible crash point of a torn final append — and
-// asserts that (a) all complete records before it are recovered, (b) the
-// torn tail is cut off so a subsequent append lands on a fresh line, and
-// (c) the post-recovery append survives a further reopen (the regression:
-// appending after a torn tail used to glue the new record onto the partial
-// line, silently losing it on the next load).
+// TestJournalRecoversTornTail tears the last record at named crash points
+// of a torn final append — nothing of it written, one byte, a cut inside its
+// key, all but its newline, and the whole record — and asserts that (a) all
+// complete records before it are recovered, (b) the torn tail is cut off so
+// a subsequent append lands on a fresh line, and (c) the post-recovery
+// append survives a further reopen (the regression: appending after a torn
+// tail used to glue the new record onto the partial line, silently losing it
+// on the next load). The on-disk layer only truncates to the intact length
+// scanJournal returns, so the cut position matters to it only through that
+// length; TestScanJournalEveryCut covers the scan at every byte.
 func TestJournalRecoversTornTail(t *testing.T) {
 	path, keys, raw := writeEntries(t, 3)
 	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
@@ -60,8 +63,12 @@ func TestJournalRecoversTornTail(t *testing.T) {
 	}
 	prefix := lines[0] + lines[1]
 	last := string(raw)[len(prefix):] // final record including its '\n'
+	inKey := strings.Index(last, keys[2]) + len(keys[2])/2
+	if inKey <= 1 || inKey >= len(last)-1 {
+		t.Fatalf("key %s not inside the last record %q", keys[2], last)
+	}
 
-	for cut := 0; cut <= len(last); cut++ {
+	for _, cut := range []int{0, 1, inKey, len(last) - 1, len(last)} {
 		torn := prefix + last[:cut]
 		if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
 			t.Fatal(err)
