@@ -128,7 +128,9 @@ obs:
 # schemes, 4000 warmup + 40000 measured cycles, LOWLOAD_SEEDS seeds) is
 # profiled the same way into $(PROFILE_DIR)/low and gets its own merged top
 # 30: the fixed per-cycle cost that sparse traffic exposes has a profile
-# next to the saturated one.
+# next to the saturated one. Then `ariexp -fig enhanced -cpuprofile` profiles
+# the costliest figure (120 runs at Table I load on the worker pool) into
+# $(PROFILE_DIR)/fig/enhanced.pprof, with its own top 30.
 # One job (bfs, Ada-ARI) also writes a heap profile, whose alloc_space top
 # 15 shows what building and running a simulator allocates: construction
 # footprint has a figure next to the CPU profile.
@@ -136,7 +138,7 @@ PROFILE_DIR := .bench_build/profile
 PROFILE_SEEDS := 1 2 3 4 5 6 7 8
 LOWLOAD_SEEDS := 1 2
 profile:
-	mkdir -p $(PROFILE_DIR)/low && rm -f $(PROFILE_DIR)/*.pprof $(PROFILE_DIR)/low/*.pprof $(PROFILE_DIR)/mem.heap
+	mkdir -p $(PROFILE_DIR)/low $(PROFILE_DIR)/fig && rm -f $(PROFILE_DIR)/*.pprof $(PROFILE_DIR)/low/*.pprof $(PROFILE_DIR)/fig/*.pprof $(PROFILE_DIR)/mem.heap
 	go build -o $(PROFILE_DIR)/arisim ./cmd/arisim
 	for b in bfs kmeans pathfinder; do for s in Ada-Baseline Ada-ARI; do for seed in $(PROFILE_SEEDS); do \
 		$(PROFILE_DIR)/arisim -bench $$b -scheme $$s -warmup 1000 -cycles 3000 -seed $$seed \
@@ -148,6 +150,9 @@ profile:
 			-cpuprofile $(PROFILE_DIR)/low/$$b.$$s.$$seed.pprof > /dev/null || exit 1; \
 	done; done; done
 	go tool pprof -top -nodecount 30 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/low/*.pprof
+	go build -o $(PROFILE_DIR)/ariexp ./cmd/ariexp
+	$(PROFILE_DIR)/ariexp -fig enhanced -cpuprofile $(PROFILE_DIR)/fig/enhanced.pprof > /dev/null
+	go tool pprof -top -nodecount 30 $(PROFILE_DIR)/ariexp $(PROFILE_DIR)/fig/enhanced.pprof
 	$(PROFILE_DIR)/arisim -bench bfs -scheme Ada-ARI -warmup 1000 -cycles 3000 \
 		-memprofile $(PROFILE_DIR)/mem.heap > /dev/null
 	go tool pprof -sample_index=alloc_space -top -nodecount 15 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/mem.heap

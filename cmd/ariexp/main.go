@@ -13,6 +13,7 @@
 //	ariexp -bench bfs,srad        # restrict the suite to a benchmark subset
 //	ariexp -journal runs.jsonl    # resume an interrupted pass from a journal
 //	ariexp -timeout 5m            # fail any single run exceeding 5 minutes
+//	ariexp -fig enhanced -cpuprofile cpu.pprof  # profile the figure's runs
 //
 // Every simulation executes under the harness watchdogs: a run that stops
 // making forward progress fails with a diagnostic dump instead of hanging
@@ -26,6 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -73,6 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		bench   = fs.String("bench", "", "comma-separated benchmark subset (default: full suite)")
 		journal = fs.String("journal", "", "JSONL result journal; an interrupted pass resumes from it")
 		timeout = fs.Duration("timeout", 0, "per-run wall-time limit (0 = unlimited)")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -119,6 +122,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if j.Loaded() > 0 {
 			fmt.Fprintf(stderr, "ariexp: resuming, %d runs journalled in %s\n", j.Loaded(), j.Path())
 		}
+	}
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	fmt.Fprintf(stdout, "# ARI reproduction report\n\n%d measured + %d warmup NoC cycles per run, seed %d.\n\n",

@@ -60,6 +60,27 @@ func TestRunTinyFigure(t *testing.T) {
 	}
 }
 
+// TestRunCPUProfile: -cpuprofile writes a CPU profile of the figure runs and
+// leaves the report as it is without the flag.
+func TestRunCPUProfile(t *testing.T) {
+	args := []string{"-fig", "3", "-quick", "-bench", "bfs", "-cycles", "300", "-warmup", "100"}
+	var plain, profiled, errb bytes.Buffer
+	if err := run(args, &plain, &errb); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, errb.String())
+	}
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := run(append(args, "-cpuprofile", path), &profiled, &errb); err != nil {
+		t.Fatalf("run with -cpuprofile: %v\nstderr: %s", err, errb.String())
+	}
+	if profiled.String() != plain.String() {
+		t.Fatalf("-cpuprofile changed the report:\n%s\nwant\n%s", profiled.String(), plain.String())
+	}
+	// A profile is gzip-compressed protobuf.
+	if b, err := os.ReadFile(path); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile %s: %d bytes, err %v; want a gzip stream", path, len(b), err)
+	}
+}
+
 // TestRunDecomposeCSV: the traced figure runs through ariexp's registry and
 // writes the same CSV as exp.Decompose at the same horizons.
 func TestRunDecomposeCSV(t *testing.T) {
