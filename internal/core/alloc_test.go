@@ -111,7 +111,7 @@ func TestRunCheckedPollDoesNotAllocate(t *testing.T) {
 // TestNewSimulatorAllocBudget keeps construction cheap: it is most of a
 // short job's setup time (serve-paths runs 50 ms jobs), and it was 12 380
 // allocations — 80 % of them routers and flit rings — before the networks
-// were slab-built. 510 at the time of writing; the budget is about twice
+// were slab-built. 464 at the time of writing; the budget is about twice
 // that.
 func TestNewSimulatorAllocBudget(t *testing.T) {
 	k, err := trace.ByName("bfs")
@@ -135,9 +135,11 @@ func TestNewSimulatorAllocBudget(t *testing.T) {
 // TestNewSimulatorByteBudget holds what one simulator costs to hold: the
 // ledger keeps every job's simulator alive, so peak RSS moves one for one
 // with these bytes. The Table I system cost 1.42 MB when flits carried a
-// *Packet and caches held a slice of 24-byte ways per set; with pointer-free
-// 8-byte flits behind a packet table and flat tag/state and MSHR tables it
-// is 0.77 MB at the time of writing.
+// *Packet and caches held a slice of 24-byte ways per set, and 0.77 MB with
+// pointer-free 8-byte flits behind a packet table and flat tag/state and
+// MSHR tables. With offset-addressed flit rings, index-linked NoC ports,
+// one held-instruction slab per core and 16-byte warps it is 0.63 MB
+// (627 106 B) at the time of writing.
 func TestNewSimulatorByteBudget(t *testing.T) {
 	k, err := trace.ByName("bfs")
 	if err != nil {
@@ -145,7 +147,7 @@ func TestNewSimulatorByteBudget(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Scheme = AdaARI
-	const runs, budget = 10, 850_000
+	const runs, budget = 10, 680_000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -97,6 +97,10 @@ var ErrRunTimeout = errors.New("run timed out")
 // demand; production code never reassigns it.
 var newSimulator = core.NewSimulator
 
+// clock is the time RunTimeout is measured on: a seam for tests that need a
+// run to overrun its deadline at once; production code never reassigns it.
+var clock = time.Now
+
 // NewRunner returns a Runner over the full suite with Table I defaults and
 // harness-appropriate horizons.
 func NewRunner() *Runner {
@@ -382,9 +386,9 @@ func (r *Runner) simulate(ctx context.Context, j Job) (res core.Result, err erro
 // has passed from now.
 func (r *Runner) checks(ctx context.Context) core.CheckOptions {
 	opt, timeout := r.Checks, r.RunTimeout
-	deadline := time.Now().Add(timeout)
+	deadline := clock().Add(timeout)
 	opt.Interrupt = func() bool {
-		return ctx.Err() != nil || timeout > 0 && time.Now().After(deadline)
+		return ctx.Err() != nil || timeout > 0 && clock().After(deadline)
 	}
 	return opt
 }

@@ -12,15 +12,17 @@ import (
 )
 
 // stallFirstSimulator makes the first construction build a run that cannot
-// finish inside RunTimeout (transient-contention stand-in); every later
-// construction builds the real configuration.
-func stallFirstSimulator(calls *atomic.Int32) func(core.Config, trace.Kernel) (*core.Simulator, error) {
+// finish inside RunTimeout (transient-contention stand-in) and sets late
+// until the next construction, which builds the real configuration.
+func stallFirstSimulator(calls *atomic.Int32, late *atomic.Bool) func(core.Config, trace.Kernel) (*core.Simulator, error) {
 	return func(cfg core.Config, k trace.Kernel) (*core.Simulator, error) {
 		if calls.Add(1) == 1 {
+			late.Store(true)
 			slow := cfg
 			slow.MeasureCycles = 1 << 40
 			return core.NewSimulator(slow, k)
 		}
+		late.Store(false)
 		return core.NewSimulator(cfg, k)
 	}
 }
@@ -34,10 +36,20 @@ func TestRunRetriesTimeoutThenMatchesCleanRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	orig := newSimulator
-	defer func() { newSimulator = orig }()
+	orig, origClock := newSimulator, clock
+	defer func() { newSimulator, clock = orig, origClock }()
 	var calls atomic.Int32
-	newSimulator = stallFirstSimulator(&calls)
+	var late atomic.Bool
+	newSimulator = stallFirstSimulator(&calls, &late)
+	// While the stalled attempt runs the clock reads an hour ahead, so its
+	// first watchdog poll finds the deadline passed: the attempt times out
+	// at once instead of simulating until RunTimeout.
+	clock = func() time.Time {
+		if late.Load() {
+			return time.Now().Add(time.Hour)
+		}
+		return time.Now()
+	}
 
 	r := tinyRunner(t)
 	// Generous: the genuine tiny run must finish inside it even under -race.

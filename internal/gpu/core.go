@@ -8,6 +8,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/cache"
@@ -19,7 +20,7 @@ import (
 // implements it).
 type Workload interface {
 	// NextCompute returns the number of compute instructions warp w of core
-	// c executes before its next memory instruction.
+	// c executes before its next memory instruction, at most MaxUint32.
 	NextCompute(core, warp int) int
 	// NextMem returns the next memory instruction of warp w of core c: its
 	// kind and the coalesced line addresses it touches (1..N transactions).
@@ -73,19 +74,23 @@ const (
 	warpWaiting           // blocked on outstanding loads
 )
 
+// warp is one warp's issue state, 16 bytes. A compute run fits uint32 (the
+// trace format stores it so), and pendingLoads and held count the
+// transactions of one instruction.
 type warp struct {
-	state        warpState
-	computeLeft  int
-	pendingLoads int
-	initialised  bool
-	// heldWrite is the kind of the memory instruction the warp holds; its
-	// addresses are Core.held[w].
-	heldWrite bool
+	computeLeft  uint32
+	pendingLoads uint32
+	// held is the number of addresses of the memory instruction the warp
+	// holds (Core.heldOf), 0 when it holds none; heldWrite is its kind.
+	held        uint32
+	state       warpState
+	initialised bool
+	heldWrite   bool
 }
 
 // heldAddrs is each warp's share of the held-instruction slab: the widest
-// instruction trace.Generator draws. A wider one (a replayed trace's) moves
-// its warp's slot to the heap, once.
+// instruction trace.Generator draws. A wider one (a replayed trace's) is held
+// in Core.wide instead, whose buffer the warp keeps for the next.
 const heldAddrs = 4
 
 // mshrStall is the memoised reason the LSU head load last stalled on the
@@ -119,13 +124,16 @@ type Core struct {
 	// ready is a bit mask over warps, 64 a word, mirroring state ==
 	// warpReady: it changes only when a warp starts waiting or wakes.
 	ready []uint64
-	// held[w] is the memory instruction warp w has drawn and not yet issued:
-	// NextMem is called once per instruction, and an instruction that does
-	// not fit the LSU queue (or, a store, the store queue) stays here for
-	// the warp's next attempt. Empty means nothing is held — an instruction
-	// without transactions issues at once. Carved from one slab per core.
-	held [][]uint64
-	// holding is a bit mask over warps, 64 a word, mirroring len(held[w]) >
+	// held[w*heldAddrs:] holds the addresses of the memory instruction warp
+	// w has drawn and not yet issued, warps[w].held of them: NextMem is
+	// called once per instruction, and an instruction that does not fit the
+	// LSU queue (or, a store, the store queue) stays here for the warp's
+	// next attempt. None means nothing is held — an instruction without
+	// transactions issues at once. An instruction wider than heldAddrs is
+	// held in wide[w] (wide is nil until one is drawn).
+	held []uint64
+	wide [][]uint64
+	// holding is a bit mask over warps, 64 a word, mirroring warps[w].held >
 	// 0. A holding warp is ready and out of compute, so while the LSU queue
 	// is full its attempt fails before any side effect and issue skips it.
 	holding []uint64
@@ -184,11 +192,6 @@ func NewCore(index, node int, cfg Config, w Workload, send func(txn *mem.Transac
 	if w == nil || send == nil {
 		return nil, fmt.Errorf("gpu: core needs a workload and a send hook")
 	}
-	held := make([][]uint64, cfg.WarpsPerCore)
-	slab := make([]uint64, cfg.WarpsPerCore*heldAddrs)
-	for w := range held {
-		held[w] = slab[w*heldAddrs : w*heldAddrs : (w+1)*heldAddrs]
-	}
 	return &Core{
 		Index:      index,
 		Node:       node,
@@ -196,7 +199,7 @@ func NewCore(index, node int, cfg Config, w Workload, send func(txn *mem.Transac
 		warps:      make([]warp, cfg.WarpsPerCore),
 		readyWarps: cfg.WarpsPerCore,
 		ready:      allReady(cfg.WarpsPerCore),
-		held:       held,
+		held:       make([]uint64, cfg.WarpsPerCore*heldAddrs),
 		holding:    make([]uint64, (cfg.WarpsPerCore+63)/64),
 		l1:         cache.New(cfg.L1),
 		mshr:       cache.NewMSHR(cfg.MSHREntries, cfg.MSHRWaiters),
@@ -284,7 +287,7 @@ func (c *Core) Tick() {
 	c.stepLSU()
 	c.issue()
 	if wp := &c.warps[c.current]; len(c.lsuQ) == 0 && wp.state == warpReady && wp.computeLeft > 0 {
-		c.run, wp.computeLeft = wp.computeLeft, 0
+		c.run, wp.computeLeft = int(wp.computeLeft), 0
 	} else if c.lsuStall != noMSHRStall && len(c.lsuQ) >= c.cfg.LSUQueueCap {
 		c.stuck = c.readyAllHolding()
 	}
@@ -352,7 +355,7 @@ func (c *Core) tryIssue(w int) bool {
 	}
 	if !wp.initialised {
 		wp.initialised = true
-		wp.computeLeft = c.workload.NextCompute(c.Index, w)
+		wp.computeLeft = c.nextCompute(w)
 	}
 	if wp.computeLeft > 0 {
 		wp.computeLeft--
@@ -362,20 +365,21 @@ func (c *Core) tryIssue(w int) bool {
 	// Memory instruction: drawn once and held until all of its transactions
 	// fit in the LSU queue and, for a store, in the store queue. One wider
 	// than a queue can never fit, so it issues into that queue once empty.
-	addrs := c.held[w]
-	if len(addrs) == 0 {
-		wp.heldWrite, addrs = c.workload.NextMem(c.Index, w, addrs)
+	if wp.held == 0 {
+		var addrs []uint64
+		wp.heldWrite, addrs = c.workload.NextMem(c.Index, w, c.scratch(w))
 		if len(addrs) == 0 {
 			// No transactions (a replayed trace's compute-only tail record):
 			// it counts as a compute instruction.
 			c.Instructions++
-			wp.computeLeft = c.workload.NextCompute(c.Index, w)
+			wp.computeLeft = c.nextCompute(w)
 			return true
 		}
-		c.held[w] = addrs
+		c.hold(w, addrs)
 		setBit(c.holding, w)
 	}
-	n, write := len(addrs), wp.heldWrite
+	addrs, write := c.heldOf(w), wp.heldWrite
+	n := len(addrs)
 	if len(c.lsuQ) > 0 && len(c.lsuQ)+n > c.cfg.LSUQueueCap {
 		return false
 	}
@@ -386,22 +390,64 @@ func (c *Core) tryIssue(w int) bool {
 	for _, a := range addrs {
 		c.lsuQ = append(c.lsuQ, lsuOp{addr: a, write: write, warp: w})
 	}
-	c.held[w] = addrs[:0]
+	wp.held = 0
 	clearBit(c.holding, w)
 	c.Instructions++
 	c.MemInstrs++
-	wp.computeLeft = c.workload.NextCompute(c.Index, w)
+	wp.computeLeft = c.nextCompute(w)
 	if write {
 		c.outstandingStores += n
 		c.StoreTxns += uint64(n)
 	} else {
-		wp.pendingLoads += n
+		wp.pendingLoads += uint32(n)
 		wp.state = warpWaiting
 		c.readyWarps--
 		clearBit(c.ready, w)
 		c.LoadTxns += uint64(n)
 	}
 	return true
+}
+
+// nextCompute draws warp w's next compute run. A negative run issues as an
+// empty one, so it is stored as 0.
+func (c *Core) nextCompute(w int) uint32 {
+	n := max(c.workload.NextCompute(c.Index, w), 0)
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("gpu: core %d warp %d: a %d-instruction compute run exceeds uint32", c.Index, w, n))
+	}
+	return uint32(n)
+}
+
+// scratch is the buffer warp w passes NextMem: its slab share, or the wide
+// buffer it kept from a wider instruction.
+func (c *Core) scratch(w int) []uint64 {
+	if c.wide != nil && c.wide[w] != nil {
+		return c.wide[w][:0]
+	}
+	return c.held[w*heldAddrs : w*heldAddrs : (w+1)*heldAddrs]
+}
+
+// hold makes addrs the instruction warp w holds: in its slab share when it
+// fits, else in wide[w].
+func (c *Core) hold(w int, addrs []uint64) {
+	c.warps[w].held = uint32(len(addrs))
+	if len(addrs) <= heldAddrs {
+		copy(c.held[w*heldAddrs:], addrs)
+		return
+	}
+	if c.wide == nil {
+		c.wide = make([][]uint64, len(c.warps))
+	}
+	c.wide[w] = addrs
+}
+
+// heldOf returns the addresses of the instruction warp w holds.
+func (c *Core) heldOf(w int) []uint64 {
+	n := int(c.warps[w].held)
+	if n > heldAddrs {
+		return c.wide[w][:n]
+	}
+	return c.held[w*heldAddrs : w*heldAddrs+n]
 }
 
 // stepLSU processes up to LSUWidth queued transactions in order, stopping

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -206,5 +207,69 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewCore(0, 0, smallCoreConfig(), nil, nil); err == nil {
 		t.Fatal("nil workload/send accepted")
+	}
+}
+
+// widthsWorkload draws compute-free stores whose widths cycle through a list
+// straddling heldAddrs, each address fresh, and logs every address drawn.
+type widthsWorkload struct {
+	widths []int
+	n      int
+	next   uint64
+	drawn  []uint64
+}
+
+func (w *widthsWorkload) NextCompute(core, warp int) int { return 0 }
+
+func (w *widthsWorkload) NextMem(core, warp int, scratch []uint64) (bool, []uint64) {
+	k := w.widths[w.n%len(w.widths)]
+	w.n++
+	for i := 0; i < k; i++ {
+		w.next += 128
+		scratch = append(scratch, w.next)
+		w.drawn = append(w.drawn, w.next)
+	}
+	return true, scratch
+}
+
+// TestWideInstructionsHeldExactly: a warp holds an instruction wider than
+// its slab share in its wide buffer and a narrower one in the slab, and
+// widths alternating across heldAddrs pass through one warp behind a
+// three-entry LSU queue without an address lost, repeated or reordered: the
+// stores the core sends are exactly the ones drawn.
+func TestWideInstructionsHeldExactly(t *testing.T) {
+	col := &collector{}
+	cfg := DefaultConfig()
+	cfg.WarpsPerCore, cfg.LSUQueueCap, cfg.StoreQueueCap = 1, 3, 1<<20
+	wl := &widthsWorkload{widths: []int{6, 2, 8, 1, 4, 5, 3}}
+	c, err := NewCore(0, 5, cfg, wl, col.send)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for i := 0; i < 2000; i++ {
+		c.Tick()
+		if c.warps[0].held > 0 {
+			held++
+		}
+	}
+	if len(col.sent) < 500 || held == 0 {
+		t.Fatalf("%d stores sent, an instruction held on %d ticks: the test exercises nothing", len(col.sent), held)
+	}
+	for i, txn := range col.sent {
+		if txn.Addr != wl.drawn[i] {
+			t.Fatalf("store %d to %#x, drawn %#x", i, txn.Addr, wl.drawn[i])
+		}
+	}
+	if c.wide == nil || cap(c.wide[0]) < 8 {
+		t.Fatal("the eight-wide instruction was not held in the warp's wide buffer")
+	}
+}
+
+// TestWarpLayout pins a warp's issue state at 16 bytes: a core holds one per
+// warp, 1 344 of them in the Table I system.
+func TestWarpLayout(t *testing.T) {
+	if s := unsafe.Sizeof(warp{}); s != 16 {
+		t.Fatalf("warp is %d bytes, want 16", s)
 	}
 }

@@ -137,7 +137,7 @@ func (r *diffRig) tick(now int, reject, scan bool) {
 func effectiveWarp(c *Core, w int) warp {
 	wp := c.warps[w]
 	if w == c.current {
-		wp.computeLeft += c.run
+		wp.computeLeft += uint32(c.run)
 	}
 	return wp
 }
@@ -157,11 +157,11 @@ func checkMasks(c *Core) error {
 		if got := c.ready[w>>6]>>(w&63)&1 != 0; got != isReady {
 			return fmt.Errorf("warp %d: ready bit %v, state %d", w, got, wp.state)
 		}
-		if len(c.held[w]) > 0 && !(isReady && wp.initialised && wp.computeLeft == 0) {
-			return fmt.Errorf("warp %d holds %d addresses, warp %+v", w, len(c.held[w]), wp)
+		if wp.held > 0 && !(isReady && wp.initialised && wp.computeLeft == 0) {
+			return fmt.Errorf("warp %d holds %d addresses, warp %+v", w, wp.held, wp)
 		}
-		if got := hasBit(c.holding, w); got != (len(c.held[w]) > 0) {
-			return fmt.Errorf("warp %d: holding bit %v, %d addresses held", w, got, len(c.held[w]))
+		if got := hasBit(c.holding, w); got != (wp.held > 0) {
+			return fmt.Errorf("warp %d: holding bit %v, %d addresses held", w, got, wp.held)
 		}
 		if isReady {
 			ready++
@@ -212,8 +212,8 @@ func compareCores(t *testing.T, name func() string, fast, ref *Core, fastLog, re
 			ref.current, len(ref.lsuQ), ref.outstandingStores)
 	}
 	for w := range fast.warps {
-		if a, b := effectiveWarp(fast, w), ref.warps[w]; a != b || !slices.Equal(fast.held[w], ref.held[w]) {
-			t.Fatalf("%s: warp %d %+v holding %x, reference %+v holding %x", name(), w, a, fast.held[w], b, ref.held[w])
+		if a, b := effectiveWarp(fast, w), ref.warps[w]; a != b || !slices.Equal(fast.heldOf(w), ref.heldOf(w)) {
+			t.Fatalf("%s: warp %d %+v holding %x, reference %+v holding %x", name(), w, a, fast.heldOf(w), b, ref.heldOf(w))
 		}
 	}
 	if len(*fastLog) != len(*refLog) {
@@ -273,8 +273,8 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 
 				name := func() string { return fmt.Sprintf("lsu %d warps %d tick %d", lsuCap, warps, now) }
 				compareCores(t, name, fast.core, ref.core, &fastWL.log, &refWL.log)
-				for _, held := range fast.core.held {
-					if len(held) > 0 {
+				for _, wp := range fast.core.warps {
+					if wp.held > 0 {
 						retries++ // carried into the next tick
 					}
 				}

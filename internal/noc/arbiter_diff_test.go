@@ -96,7 +96,7 @@ func TestEjectorPickMatchesRoundRobin(t *testing.T) {
 	for iter := 0; iter < 20000; iter++ {
 		nvc := 1 + r.Intn(32)
 		ref := roundRobin{n: nvc, next: r.Intn(nvc)}
-		e := ejector{vcs: make([]flitQueue, nvc), next: ref.next}
+		e := ejector{vcs: make([]flitRing, nvc), next: ref.next}
 		for round := 0; round < 6; round++ {
 			e.nonEmpty = uint32(r.Uint64()) & maskAll(nvc)
 			if r.Intn(8) == 0 {
@@ -386,10 +386,11 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 		for o := range rt.out {
 			op := &rt.out[o]
 			op.free = 0
-			for v := range op.vcs {
-				op.vcs[v] = outVCState{credits: int32(r.Intn(depth + 1)), ownerPort: -1}
+			for v := 0; v < cfg.VCs; v++ {
+				ov := rt.outVC(o, v)
+				*ov = outVCState{credits: int32(r.Intn(depth + 1)), ownerPort: -1}
 				if r.Intn(3) == 0 {
-					op.vcs[v].ownerPort = 1
+					ov.ownerPort = 1
 				} else {
 					op.free |= 1 << uint(v)
 				}
@@ -397,8 +398,8 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 		}
 		pkt := &Packet{Size: 1 + r.Intn(depth)}
 		h := n.pkts.add(pkt)
-		vc.buf = flitQueue{buf: vc.buf.buf}
-		vc.buf.push(flit{h: h})
+		vc.buf = flitRing{off: vc.buf.off}
+		vc.buf.push(n.flits, depth, flit{h: h})
 		vc.need = uint16(pkt.Size) // what RC captures
 		vc.nCands = uint8(1 + r.Intn(2))
 		for i := range vc.cands[:vc.nCands] {
@@ -408,7 +409,7 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 		wantPort, wantVC, best := -1, -1, int32(-1)
 		for _, cand := range vc.cands[:vc.nCands] {
 			for v := cfg.VCs - 1; v >= 0; v-- {
-				ov := rt.out[cand.port].vcs[v]
+				ov := *rt.outVC(int(cand.port), v)
 				if cand.vcMask&(1<<uint(v)) != 0 && ov.ownerPort < 0 && int(ov.credits) >= pkt.Size && ov.credits > best {
 					wantPort, wantVC, best = int(cand.port), v, ov.credits
 				}

@@ -171,12 +171,13 @@ func BenchmarkRouteCompute(b *testing.B) {
 	}
 }
 
-func BenchmarkFlitQueue(b *testing.B) {
-	q := flitQueue{buf: make([]flit, 9)}
+func BenchmarkFlitRing(b *testing.B) {
+	var q flitRing
+	slab := make([]flit, 9)
 	for i := 0; i < b.N; i++ {
-		q.pushPacket(0, 9)
+		q.pushPacket(slab, len(slab), 0, 9)
 		for s := 0; s < 9; s++ {
-			q.pop()
+			q.pop(slab, len(slab))
 		}
 	}
 }

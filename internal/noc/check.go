@@ -146,29 +146,42 @@ func (n *Network) checkRouter(r *router) error {
 		return err
 	}
 
-	// (1) and (4): buffer bounds and contiguity.
+	// (1) and (4): buffer bounds and contiguity. A mesh-edge port has no
+	// ring, so none of its VCs may hold a flit.
 	for g := range r.vcs {
 		buf := &r.vcs[g].buf
-		if buf.len() > depth {
-			return fmt.Errorf("port %d vc %d: %d flits exceed depth %d", g/r.nvc, g%r.nvc, buf.len(), depth)
+		p := g / r.nvc
+		if p < NumDirections && r.in[p].upstream < 0 && (buf.len() > 0 || countStaged(r.staged, p, -1) > 0) {
+			return fmt.Errorf("port %d vc %d: %d flits at a port no link feeds", p, g%r.nvc, buf.len())
 		}
-		if err := n.checkContiguity(buf); err != nil {
-			return fmt.Errorf("port %d vc %d: %w", g/r.nvc, g%r.nvc, err)
+		if buf.len() > depth {
+			return fmt.Errorf("port %d vc %d: %d flits exceed depth %d", p, g%r.nvc, buf.len(), depth)
+		}
+		if err := n.checkContiguity(buf, depth); err != nil {
+			return fmt.Errorf("port %d vc %d: %w", p, g%r.nvc, err)
 		}
 	}
 
-	// (2): credit conservation per output VC.
+	// (2): credit conservation per output VC, and the link wiring it rests
+	// on: a mesh output and the input port it feeds name each other.
 	for o := range r.out {
 		op := &r.out[o]
-		for v := range op.vcs {
-			credits := int(op.vcs[v].credits + op.creditIn[v])
+		if o < NumDirections && op.dest >= 0 {
+			p := op.destPort
+			if ip := &n.routers[op.dest].in[p]; ip.upstream != int32(r.id) || ip.upOut != int32(o) {
+				return fmt.Errorf("out %d feeds router %d port %d, whose upstream is %d/%d", o, op.dest, p, ip.upstream, ip.upOut)
+			}
+		}
+		for v := 0; v < r.nvc; v++ {
+			i := o*r.nvc + v
+			credits := int(r.outVCs[i].credits + r.creditIn[i])
 			var resident int
 			switch {
-			case op.dest != nil:
-				p := int(op.destPort)
-				resident = op.dest.vcs[p*r.nvc+v].buf.len() + countStaged(op.dest.staged, p, v)
-			case op.eject != nil:
-				resident = op.eject.vcs[v].len() + countStaged(op.eject.arrivals, 0, v)
+			case o == ejectPortIndex:
+				resident = e.vcs[v].len() + countStaged(e.arrivals, 0, v)
+			case op.dest >= 0:
+				dst, p := &n.routers[op.dest], int(op.destPort)
+				resident = dst.vcs[p*r.nvc+v].buf.len() + countStaged(dst.staged, p, v)
 			}
 			if credits+resident != depth {
 				return fmt.Errorf("out %d vc %d: credits %d + resident %d != depth %d",
@@ -179,9 +192,8 @@ func (n *Network) checkRouter(r *router) error {
 
 	// (3): ownership coherence in both directions.
 	for o := range r.out {
-		op := &r.out[o]
-		for v := range op.vcs {
-			owner := op.owner(v, r.nvc)
+		for v := 0; v < r.nvc; v++ {
+			owner := r.owner(o, v)
 			if owner < 0 {
 				continue
 			}
@@ -197,7 +209,7 @@ func (n *Network) checkRouter(r *router) error {
 		if vc.state != vcActive {
 			continue
 		}
-		if owner := r.out[vc.outPort].owner(int(vc.outVC), r.nvc); owner != g {
+		if owner := r.owner(int(vc.outPort), int(vc.outVC)); owner != g {
 			return fmt.Errorf("vc %d active toward %d/%d but not its owner (owner %d)",
 				g, vc.outPort, vc.outVC, owner)
 		}
@@ -214,7 +226,7 @@ func (n *Network) checkRouter(r *router) error {
 	}
 	// bindHead reserved the whole packet: stepFIFO never tests a credit.
 	if ni.boundVC >= 0 {
-		f := ni.queue.front()
+		f := ni.queue.front(n.flits)
 		if need, c := n.pkts.of(f).Size-int(f.seq), ni.vcCredits[ni.boundPort*r.nvc+ni.boundVC]; int(c) < need {
 			return fmt.Errorf("NI bound to injection port %d vc %d with %d credits for %d queued flits",
 				ni.boundPort, ni.boundVC, c, need)
@@ -261,7 +273,7 @@ func checkMasks(r *router) error {
 				if vc.buf.empty() {
 					return fmt.Errorf("port %d vc %d: waiting for a VC with no head flit", p, v)
 				}
-				if size := r.net.pkts.of(vc.buf.front()).Size; int(vc.need) != size {
+				if size := r.net.pkts.of(vc.buf.front(r.net.flits)).Size; int(vc.need) != size {
 					return fmt.Errorf("port %d vc %d: need %d for a %d-flit packet", p, v, vc.need, size)
 				}
 				// A waiter tried before is counted in its candidates' vaNeed.
@@ -276,10 +288,10 @@ func checkMasks(r *router) error {
 				// spends them: SA never tests one.
 				need := 1
 				if !vc.buf.empty() {
-					f := vc.buf.front()
+					f := vc.buf.front(r.net.flits)
 					need = r.net.pkts.of(f).Size - int(f.seq)
 				}
-				if c := r.out[vc.outPort].vcs[vc.outVC].credits; int(c) < need {
+				if c := r.outVC(int(vc.outPort), int(vc.outVC)).credits; int(c) < need {
 					return fmt.Errorf("port %d vc %d: downstream vc %d/%d has %d credits for %d unsent flits",
 						p, v, vc.outPort, vc.outVC, c, need)
 				}
@@ -320,11 +332,11 @@ func checkMasks(r *router) error {
 	for o := range r.out {
 		op := &r.out[o]
 		var free, dirty uint32
-		for v := range op.vcs {
-			if op.vcs[v].ownerPort < 0 {
+		for v := 0; v < r.nvc; v++ {
+			if r.outVC(o, v).ownerPort < 0 {
 				free |= 1 << uint(v)
 			}
-			if op.creditIn[v] != 0 {
+			if r.creditIn[o*r.nvc+v] != 0 {
 				dirty |= 1 << uint(v)
 			}
 		}
@@ -350,11 +362,11 @@ func checkMasks(r *router) error {
 // checkContiguity verifies (4) for one buffer: per-packet flit sequences
 // ascend by one, a packet's flits are never interleaved with another's, and
 // only a packet's last flit carries the tail bit.
-func (n *Network) checkContiguity(q *flitQueue) error {
+func (n *Network) checkContiguity(q *flitRing, capacity int) error {
 	var cur *Packet
 	expect := 0
 	for i := 0; i < q.len(); i++ {
-		f := q.at(i)
+		f := q.at(n.flits, capacity, i)
 		pkt := n.pkts.of(f)
 		if cur == nil || pkt != cur {
 			if cur != nil && expect != 0 && expect != cur.Size {
@@ -386,9 +398,9 @@ func (n *Network) checkContiguity(q *flitQueue) error {
 // queues, router staging lists and VC rings, ejector arrivals and rings —
 // with the node it sits at.
 func (n *Network) forEachFlit(visit func(node int, f flit)) {
-	queue := func(node int, q *flitQueue) {
+	queue := func(node int, q *flitRing, capacity int) {
 		for i := 0; i < q.len(); i++ {
-			visit(node, q.at(i))
+			visit(node, q.at(n.flits, capacity, i))
 		}
 	}
 	staged := func(node int, s []stagedFlit) {
@@ -398,17 +410,17 @@ func (n *Network) forEachFlit(visit func(node int, f flit)) {
 	}
 	for id := range n.routers {
 		ni, r, e := &n.nis[id], &n.routers[id], &n.ejectors[id]
-		queue(id, &ni.queue)
+		queue(id, &ni.queue, ni.queueCap)
 		for v := range ni.splitQueues {
-			queue(id, &ni.splitQueues[v])
+			queue(id, &ni.splitQueues[v], ni.queueCap)
 		}
 		staged(id, r.staged)
 		for g := range r.vcs {
-			queue(id, &r.vcs[g].buf)
+			queue(id, &r.vcs[g].buf, n.longPkt)
 		}
 		staged(id, e.arrivals)
 		for v := range e.vcs {
-			queue(id, &e.vcs[v])
+			queue(id, &e.vcs[v], n.longPkt)
 		}
 	}
 }

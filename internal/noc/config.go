@@ -103,8 +103,9 @@ type Config struct {
 	Routing RoutingAlgo
 
 	// NIQueueFlits is the total NI injection queue capacity in flits
-	// (Table I: 36 = four 9-flit long packets at 128-bit links). Split NIs
-	// divide the same total across VCs for fair comparison (§6.2).
+	// (Table I: 36 = four 9-flit long packets at 128-bit links; 0 means
+	// four long packets), at most 65 535. Split NIs divide the same total
+	// across VCs for fair comparison (§6.2).
 	NIQueueFlits int
 	// EjectRate is how many flits per cycle the ejection NI consumes.
 	EjectRate int
@@ -155,10 +156,15 @@ func (c Config) Validate() (Config, error) {
 		return c, fmt.Errorf("noc: a %d-flit long packet exceeds the %d flits a flit's seq can index", longPkt, maxPacketFlits)
 	}
 	if c.NIQueueFlits == 0 {
-		c.NIQueueFlits = 4 * longPkt
+		// Four long packets, as far as a flit ring holds: only a long
+		// packet above 16 383 flits meets the cap.
+		c.NIQueueFlits = min(4*longPkt, maxRingFlits)
 	}
 	if c.NIQueueFlits < longPkt {
 		return c, fmt.Errorf("noc: NI queue %d flits cannot hold a %d-flit packet", c.NIQueueFlits, longPkt)
+	}
+	if c.NIQueueFlits > maxRingFlits {
+		return c, fmt.Errorf("noc: NI queue %d flits exceeds the %d a flit ring holds", c.NIQueueFlits, maxRingFlits)
 	}
 	if c.EjectRate <= 0 {
 		c.EjectRate = 1

@@ -3,6 +3,7 @@ package noc
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -35,6 +36,8 @@ type DA2Mesh struct {
 	// pkts holds every packet with a flit still queued on a lane; the lane
 	// flits carry its handles.
 	pkts pktTable
+	// flits backs every lane's ring.
+	flits []flit
 }
 
 var _ Fabric = (*DA2Mesh)(nil)
@@ -48,15 +51,16 @@ type overlayArrival struct {
 
 // overlayLane is one narrow injection lane streaming whole packets.
 type overlayLane struct {
-	q         flitQueue // ring carved from the overlay's flit slab
+	q         flitRing // capacity overlayNI.laneCap, in the overlay's flit slab
 	streaming *Packet
 }
 
 // overlayNI is the injection interface of one node on the overlay.
 type overlayNI struct {
-	node  int
-	mode  NIMode
-	lanes []overlayLane
+	node    int
+	mode    NIMode
+	lanes   []overlayLane
+	laneCap int
 	// FIFO modes share one queue (lane 0's) and stream one flit/cycle in
 	// total; split mode gives each lane its own queue and link.
 	offeredAt int64
@@ -100,15 +104,20 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 		l, per := lanesOf(cfg.node(id))
 		lanes, flits = lanes+l, flits+l*per
 	}
-	laneSlab, flitSlab := make([]overlayLane, lanes), make([]flit, flits)
-	injLinks := 0
+	if flits > math.MaxInt32 {
+		return nil, fmt.Errorf("noc: %d flits of lane buffering exceed a ring offset's range", flits)
+	}
+	laneSlab := make([]overlayLane, lanes)
+	d.flits = make([]flit, flits)
+	injLinks, off := 0, 0
 	for id := range d.nis {
 		nc := cfg.node(id)
 		l, per := lanesOf(nc)
 		oni := &d.nis[id]
-		*oni = overlayNI{node: id, mode: nc.NI, offeredAt: -1, lanes: carve(&laneSlab, l)}
+		*oni = overlayNI{node: id, mode: nc.NI, offeredAt: -1, lanes: carve(&laneSlab, l), laneCap: per}
 		for i := range oni.lanes {
-			oni.lanes[i].q.buf = carve(&flitSlab, per)
+			oni.lanes[i].q.off = int32(off)
+			off += per
 		}
 		injLinks += len(oni.lanes)
 	}
@@ -156,7 +165,7 @@ func (d *DA2Mesh) Inject(node int, pkt *Packet) bool {
 	d.number(pkt)
 	pkt.CreatedAt = d.now
 	ni.offeredAt = d.now
-	ni.lanes[lane].q.pushPacket(d.pkts.add(pkt), pkt.Size)
+	ni.lanes[lane].q.pushPacket(d.flits, ni.laneCap, d.pkts.add(pkt), pkt.Size)
 	ni.queued += pkt.Size
 	ni.everHeld = true
 	ni.pick = (lane + 1) % len(ni.lanes)
@@ -169,7 +178,7 @@ func (d *DA2Mesh) Inject(node int, pkt *Packet) bool {
 func (ni *overlayNI) pickLane(pkt *Packet) int {
 	if ni.mode != NISplit {
 		// Single shared queue; MultiPort's extra lanes matter at drain.
-		if ni.lanes[0].q.free() >= pkt.Size {
+		if ni.lanes[0].q.free(ni.laneCap) >= pkt.Size {
 			return 0
 		}
 		return -1
@@ -179,7 +188,7 @@ func (ni *overlayNI) pickLane(pkt *Packet) int {
 	for k := 0; k < n; k++ {
 		l := (ni.pick + k) % n
 		q := &ni.lanes[l].q
-		if q.free() < pkt.Size {
+		if q.free(ni.laneCap) < pkt.Size {
 			continue
 		}
 		if best == -1 || q.len() < bestLen {
@@ -223,7 +232,7 @@ func (d *DA2Mesh) streamLanes() {
 			if lane.q.empty() {
 				continue
 			}
-			f := lane.q.front()
+			f := lane.q.front(d.flits)
 			if f.isHead() && lane.streaming == nil {
 				pkt := d.pkts.of(f)
 				if d.backlog[pkt.Dst] > window {
@@ -237,7 +246,7 @@ func (d *DA2Mesh) streamLanes() {
 			if lane.streaming == nil {
 				continue
 			}
-			lane.q.pop()
+			lane.q.pop(d.flits, ni.laneCap)
 			ni.queued--
 			budget--
 			d.stats.InjLinkFlits++
@@ -315,10 +324,11 @@ func (d *DA2Mesh) drainEjectors() {
 func (d *DA2Mesh) CheckInvariants() error {
 	named := make([]bool, len(d.pkts.pkts))
 	for id := range d.nis {
-		for l := range d.nis[id].lanes {
-			q := &d.nis[id].lanes[l].q
+		ni := &d.nis[id]
+		for l := range ni.lanes {
+			q := &ni.lanes[l].q
 			for i := 0; i < q.len(); i++ {
-				f := q.at(i)
+				f := q.at(d.flits, ni.laneCap, i)
 				if int(f.h) >= len(named) || d.pkts.pkts[f.h] == nil {
 					return fmt.Errorf("node %d lane %d: flit %d names free packet slot %d", id, l, f.seq, f.h)
 				}

@@ -101,7 +101,7 @@ func (n *Network) StateSnapshot() StateDump {
 				}
 				vd := VCDump{VC: v, State: vc.state.String(), Buffered: vc.buf.len()}
 				if !vc.buf.empty() {
-					f := vc.buf.front()
+					f := vc.buf.front(n.flits)
 					pd := n.packetDump(n.pkts.of(f))
 					vd.Head, vd.HeadFlit = &pd, int(f.seq)
 				}
@@ -118,9 +118,9 @@ func (n *Network) StateSnapshot() StateDump {
 		for o := range r.out {
 			op := &r.out[o]
 			od := OutPortDump{Port: o, StalledUntil: op.stalledUntil}
-			for v := range op.vcs {
-				od.Credits = append(od.Credits, int(op.vcs[v].credits+op.creditIn[v]))
-				od.Owners = append(od.Owners, op.owner(v, r.nvc))
+			for v := 0; v < r.nvc; v++ {
+				od.Credits = append(od.Credits, int(r.outVC(o, v).credits+r.creditIn[o*r.nvc+v]))
+				od.Owners = append(od.Owners, r.owner(o, v))
 			}
 			rd.Outs = append(rd.Outs, od)
 		}

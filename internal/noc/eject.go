@@ -9,7 +9,7 @@ import "math/bits"
 type ejector struct {
 	net  *Network
 	node int
-	vcs  []flitQueue
+	vcs  []flitRing // a long packet each, in the network's flit slab
 	// arrivals staged by the router's ST this cycle (at most one: the
 	// ejection port has one switch output).
 	arrivals []stagedFlit
@@ -34,13 +34,13 @@ func (e *ejector) init(net *Network, router *router, sl *slabs) {
 	*e = ejector{
 		net:      net,
 		node:     router.id,
-		vcs:      carve(&sl.queues, cfg.VCs),
+		vcs:      carve(&sl.rings, cfg.VCs),
 		arrivals: carve(&sl.staged, 1)[:0],
 		rate:     cfg.EjectRate,
 		router:   router,
 	}
 	for v := range e.vcs {
-		e.vcs[v].buf = carve(&sl.flits, net.longPkt)
+		e.vcs[v] = sl.ring(net.longPkt)
 	}
 	if cfg.RetransBufPkts > 0 {
 		e.vcBad = carve(&sl.bools, cfg.VCs)
@@ -58,7 +58,7 @@ func (e *ejector) addFlits(d int) { e.net.ejectFlits[e.node] += int32(d) }
 // applyArrivals lands every flit the router staged last cycle.
 func (e *ejector) applyArrivals() {
 	for _, sf := range e.arrivals {
-		e.vcs[sf.vc].push(sf.f)
+		e.vcs[sf.vc].push(e.net.flits, e.net.longPkt, sf.f)
 		e.nonEmpty |= 1 << uint(sf.vc)
 	}
 	e.arrivals = e.arrivals[:0]
@@ -91,7 +91,7 @@ func (e *ejector) consume(now int64) {
 		if v < 0 {
 			return
 		}
-		f := e.vcs[v].pop()
+		f := e.vcs[v].pop(e.net.flits, e.net.longPkt)
 		if e.vcs[v].empty() {
 			e.nonEmpty &^= 1 << uint(v)
 		}

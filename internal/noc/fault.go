@@ -326,7 +326,7 @@ func (n *Network) StallLink(node, port int, until int64) { n.fault(linkStall, no
 // built on; refusing keeps every fault schedule drainable.
 func (n *Network) killLink(node, port int) bool {
 	op := &n.routers[node].out[port]
-	if op.dest == nil || op.dead {
+	if op.dest < 0 || op.dead {
 		return false
 	}
 	op.dead = true // tentatively, for the connectivity probe

@@ -138,55 +138,61 @@ func PacketSize(t PacketType, linkBits, dataBytes int) int {
 	return 1 + n
 }
 
-// flitQueue is a fixed-capacity FIFO ring of flits, its ring carved from
-// the owning fabric's flit slab.
-type flitQueue struct {
-	buf        []flit
-	head, size int32
+// maxRingFlits is the largest capacity a flitRing's 16-bit head and size
+// can index.
+const maxRingFlits = 1<<16 - 1
+
+// flitRing is a fixed-capacity FIFO of flits held at [off, off+capacity) of
+// its fabric's flit slab. The record holds no pointer and no capacity: every
+// ring of one kind (router and ejector VCs, an NI's queues, an overlay
+// lane) has the same capacity, which its owner passes in with the slab.
+type flitRing struct {
+	off        int32
+	head, size uint16
 }
 
-func (q *flitQueue) len() int    { return int(q.size) }
-func (q *flitQueue) cap() int    { return len(q.buf) }
-func (q *flitQueue) free() int   { return len(q.buf) - int(q.size) }
-func (q *flitQueue) empty() bool { return q.size == 0 }
-func (q *flitQueue) full() bool  { return int(q.size) == len(q.buf) }
-func (q *flitQueue) front() flit { return q.buf[q.head] }
+func (q *flitRing) len() int                             { return int(q.size) }
+func (q *flitRing) empty() bool                          { return q.size == 0 }
+func (q *flitRing) free(capacity int) int                { return capacity - int(q.size) }
+func (q *flitRing) front(slab []flit) flit               { return slab[int(q.off)+int(q.head)] }
+func (q *flitRing) at(slab []flit, capacity, i int) flit { return slab[q.slot(capacity, i)] }
 
-// slot maps a logical position (0 = front, at most cap) to its ring index.
-func (q *flitQueue) slot(i int) int {
-	if i += int(q.head); i >= len(q.buf) {
-		i -= len(q.buf)
+// slot maps a logical position (0 = front, below capacity) to its slab
+// index.
+func (q *flitRing) slot(capacity, i int) int {
+	if i += int(q.head); i >= capacity {
+		i -= capacity
 	}
-	return i
+	return int(q.off) + i
 }
 
-func (q *flitQueue) at(i int) flit { return q.buf[q.slot(i)] }
-
-func (q *flitQueue) push(f flit) {
-	if q.full() {
-		panic("noc: flit queue overflow")
+func (q *flitRing) push(slab []flit, capacity int, f flit) {
+	if int(q.size) == capacity {
+		panic("noc: flit ring overflow")
 	}
-	q.buf[q.slot(int(q.size))] = f
+	slab[q.slot(capacity, int(q.size))] = f
 	q.size++
 }
 
 // pushPacket queues every flit of the size-flit packet with handle h.
-func (q *flitQueue) pushPacket(h uint32, size int) {
+func (q *flitRing) pushPacket(slab []flit, capacity int, h uint32, size int) {
 	for s := 0; s < size; s++ {
 		f := flit{h: h, seq: uint16(s)}
 		if s == size-1 {
 			f.bits = flitTail
 		}
-		q.push(f)
+		q.push(slab, capacity, f)
 	}
 }
 
-func (q *flitQueue) pop() flit {
-	if q.empty() {
-		panic("noc: flit queue underflow")
+func (q *flitRing) pop(slab []flit, capacity int) flit {
+	if q.size == 0 {
+		panic("noc: flit ring underflow")
 	}
-	f := q.buf[q.head]
-	q.head = int32(q.slot(1))
+	f := slab[int(q.off)+int(q.head)]
+	if q.head++; int(q.head) == capacity {
+		q.head = 0
+	}
 	q.size--
 	return f
 }

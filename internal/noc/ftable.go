@@ -51,11 +51,11 @@ const ftableEject = 0xFF
 // alive in both directions.
 func (n *Network) biAlive(u int, d Direction) bool {
 	op := &n.routers[u].out[d]
-	if op.dest == nil || op.dead {
+	if op.dest < 0 || op.dead {
 		return false
 	}
-	rev := &op.dest.out[d.opposite()]
-	return rev.dest != nil && !rev.dead
+	rev := &n.routers[op.dest].out[d.opposite()]
+	return rev.dest >= 0 && !rev.dead
 }
 
 // aliveBiConnected reports whether the undirected graph of mesh links alive

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/stats"
@@ -10,12 +12,17 @@ import (
 type Network struct {
 	fabricBase
 	// Routers, ejectors and NIs live by value, indexed by node id; their
-	// ports, VCs, flit rings and credit arrays are carved from a handful of
-	// per-network slabs (see slabs), so construction costs a few dozen
-	// allocations and a router's hot state sits in contiguous memory.
+	// ports, VCs, ring records and credit arrays are carved from a handful
+	// of per-network slabs (see slabs), so construction costs a few dozen
+	// allocations and a router's hot state sits in contiguous memory. No
+	// slab record holds a pointer: ports name their neighbours by node id
+	// and rings their storage by offset into flits.
 	routers  []router
 	ejectors []ejector
 	nis      []NI
+	// flits backs every flit ring of the network: router and ejector VCs
+	// and NI queues.
+	flits []flit
 
 	// Activity counters, indexed by node id: routerFlits[i] counts flits
 	// resident in router i (VC buffers plus staged arrivals), ejectFlits[i]
@@ -71,8 +78,8 @@ type Network struct {
 var _ Fabric = (*Network)(nil)
 
 // slabs are the backing arrays every router, ejector and NI of one network
-// is carved from (carve hands out consecutive sub-slices), sized exactly by
-// newSlabs.
+// is carved from (carve hands out consecutive sub-slices, ring consecutive
+// stretches of flits), sized exactly by newSlabs.
 type slabs struct {
 	inPorts  []inputPort
 	outPorts []outputPort
@@ -80,10 +87,11 @@ type slabs struct {
 	outVCs   []outVCState
 	sps      []switchPort
 	staged   []stagedFlit
-	flits    []flit
-	queues   []flitQueue
+	rings    []flitRing
 	int32s   []int32
 	bools    []bool
+	flits    []flit
+	nextFlit int // the first flit no ring holds yet
 }
 
 // carve cuts the next n elements off the front of *slab, capped so an
@@ -94,8 +102,15 @@ func carve[T any](slab *[]T, n int) []T {
 	return s
 }
 
-func newSlabs(cfg *Config) *slabs {
-	var inPorts, sps, staged, flits, queues, int32s, bools int
+// ring hands out the next capacity flits of the flit slab as a ring.
+func (sl *slabs) ring(capacity int) flitRing {
+	q := flitRing{off: int32(sl.nextFlit)}
+	sl.nextFlit += capacity
+	return q
+}
+
+func newSlabs(cfg *Config) (*slabs, error) {
+	var inPorts, sps, staged, flits, rings, int32s, bools int
 	nodes, long := cfg.Mesh.Nodes(), cfg.LongPacketFlits()
 	for id := 0; id < nodes; id++ {
 		nc := cfg.node(id)
@@ -104,11 +119,18 @@ func newSlabs(cfg *Config) *slabs {
 		sps += NumDirections + nc.injPorts()*nc.injSpeedup(cfg.VCs)
 		// Router input staging plus the ejector's one flit per cycle.
 		staged += stagedCap(nc, cfg.VCs) + 1
-		// Router VC and ejector rings (a long packet each), NI queue(s).
-		flits += (numIn+1)*cfg.VCs*long + niQueueFlits(cfg, nc)
-		queues += cfg.VCs
+		// Router VC and ejector rings (a long packet each) but none at a
+		// mesh-edge port, NI queue(s).
+		fed := numIn + 1
+		for d := Direction(0); d < Direction(NumDirections); d++ {
+			if cfg.Mesh.Neighbor(id, d) < 0 {
+				fed--
+			}
+		}
+		flits += fed*cfg.VCs*long + niQueueFlits(cfg, nc)
+		rings += cfg.VCs
 		if nc.NI == NISplit {
-			queues += cfg.VCs
+			rings += cfg.VCs
 		}
 		// Output creditIn slots, the NI's injection-VC credits and the
 		// router's switch-port offsets.
@@ -117,6 +139,9 @@ func newSlabs(cfg *Config) *slabs {
 			bools += cfg.VCs
 		}
 	}
+	if flits > math.MaxInt32 {
+		return nil, fmt.Errorf("noc: %d flits of buffering exceed a ring offset's range", flits)
+	}
 	return &slabs{
 		inPorts:  make([]inputPort, inPorts),
 		outPorts: make([]outputPort, nodes*numOutPorts),
@@ -124,11 +149,11 @@ func newSlabs(cfg *Config) *slabs {
 		outVCs:   make([]outVCState, nodes*numOutPorts*cfg.VCs),
 		sps:      make([]switchPort, sps),
 		staged:   make([]stagedFlit, staged),
-		flits:    make([]flit, flits),
-		queues:   make([]flitQueue, queues),
+		rings:    make([]flitRing, rings),
 		int32s:   make([]int32, int32s),
 		bools:    make([]bool, bools),
-	}
+		flits:    make([]flit, flits),
+	}, nil
 }
 
 // NewNetwork builds a network from cfg (validated first).
@@ -137,7 +162,11 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}}
+	sl, err := newSlabs(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}, flits: sl.flits}
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]router, nodes)
 	n.ejectors = make([]ejector, nodes)
@@ -147,29 +176,16 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.ejectFlits = carve(&activity, nodes)
 	n.niQueued = carve(&activity, nodes)
 	n.busy = make([]uint64, (nodes+63)/64)
-	sl := newSlabs(&n.cfg)
-	for id := range n.routers {
-		n.routers[id].init(n, id, sl)
-	}
-	// Wire mesh links and local ports.
 	meshLinks, injLinks := 0, 0
 	for id := range n.routers {
 		r := &n.routers[id]
-		for d := Direction(0); d < Direction(NumDirections); d++ {
-			nb := cfg.Mesh.Neighbor(id, d)
-			if nb < 0 {
-				continue
+		r.init(n, id, sl)
+		for d := 0; d < NumDirections; d++ {
+			if r.out[d].dest >= 0 {
+				meshLinks++
 			}
-			// Output port d of this router feeds input port opposite(d) of
-			// the neighbour.
-			op := &r.out[d]
-			op.dest, op.destPort = &n.routers[nb], int32(d.opposite())
-			dst := &op.dest.in[op.destPort]
-			dst.upstream, dst.upOut = r, int32(d)
-			meshLinks++
 		}
 		n.ejectors[id].init(n, r, sl)
-		r.out[ejectPortIndex].eject = &n.ejectors[id]
 		ni := &n.nis[id]
 		ni.init(n, r, sl)
 		if ni.mode == NISplit {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -338,6 +339,41 @@ func TestLongPacketValidated(t *testing.T) {
 	cfg.DataBytes++
 	if _, err := cfg.Validate(); err == nil {
 		t.Fatalf("a %d-flit long packet accepted", cfg.LongPacketFlits())
+	}
+}
+
+// TestNIQueueValidated: a flit ring's 16-bit head and size index at most
+// 65 535 flits, so Validate rejects a larger NI queue, and the default of
+// four long packets stops there.
+func TestNIQueueValidated(t *testing.T) {
+	cfg := Config{Mesh: Mesh{Width: 2, Height: 2}, VCs: 4, LinkBits: 128, DataBytes: 128, NIQueueFlits: maxRingFlits}
+	if _, err := NewNetwork(cfg); err != nil {
+		t.Fatalf("a %d-flit NI queue rejected: %v", cfg.NIQueueFlits, err)
+	}
+	cfg.NIQueueFlits++
+	if _, err := cfg.Validate(); err == nil {
+		t.Fatalf("a %d-flit NI queue accepted", cfg.NIQueueFlits)
+	}
+	cfg = Config{Mesh: Mesh{Width: 2, Height: 2}, VCs: 4, LinkBits: 8, DataBytes: 20000}
+	if v, err := cfg.Validate(); err != nil || v.NIQueueFlits != maxRingFlits {
+		t.Fatalf("default NI queue for %d-flit packets: %d flits, %v", cfg.LongPacketFlits(), v.NIQueueFlits, err)
+	}
+}
+
+// TestFlitSlabOffsetValidated: a ring names its storage by an int32 offset,
+// so a fabric whose buffering exceeds that range is refused before any slab
+// is allocated. Each config below asks for tens of GB of flits.
+func TestFlitSlabOffsetValidated(t *testing.T) {
+	cfg := Config{Mesh: Mesh{Width: 64, Height: 64}, VCs: 32, LinkBits: 8, DataBytes: maxPacketFlits - 1}
+	if _, err := NewNetwork(cfg); err == nil || !strings.Contains(err.Error(), "ring offset") {
+		t.Fatalf("a %d-node mesh of %d-flit VCs built: %v", cfg.Mesh.Nodes(), cfg.LongPacketFlits(), err)
+	}
+	cfg.Nodes = make([]NodeConfig, cfg.Mesh.Nodes())
+	for i := range cfg.Nodes {
+		cfg.Nodes[i] = NodeConfig{NI: NIMultiPort, InjPorts: maxInjPorts}
+	}
+	if _, err := NewDA2Mesh(cfg); err == nil || !strings.Contains(err.Error(), "ring offset") {
+		t.Fatalf("a %d-node overlay of %d-lane NIs built: %v", cfg.Mesh.Nodes(), maxInjPorts, err)
 	}
 }
 

@@ -29,13 +29,16 @@ type NI struct {
 	vcCredits []int32
 
 	// Baseline / MultiPort state: one FIFO and the (port, VC) binding of
-	// the packet currently streaming over the narrow link.
-	queue               flitQueue
+	// the packet currently streaming over the narrow link. The queue and
+	// the split queues are rings in the network's flit slab, each of
+	// capacity queueCap.
+	queue               flitRing
+	queueCap            int
 	boundPort, boundVC  int
 	bindNext            int // round-robin pointer over port*vc slots for head binding
 	lastOfferCycle      int64
 	offeredThisCycle    bool
-	splitQueues         []flitQueue // NISplit: one per VC
+	splitQueues         []flitRing // NISplit: one per VC
 	occupancy           stats.TimeWeighted
 	everHeld            bool
 	acceptedPackets     uint64
@@ -97,12 +100,14 @@ func (ni *NI) init(net *Network, router *router, sl *slabs) {
 	}
 	switch ni.mode {
 	case NISplit:
-		ni.splitQueues = carve(&sl.queues, cfg.VCs)
+		ni.queueCap = splitQueueFlits(cfg)
+		ni.splitQueues = carve(&sl.rings, cfg.VCs)
 		for v := range ni.splitQueues {
-			ni.splitQueues[v].buf = carve(&sl.flits, splitQueueFlits(cfg))
+			ni.splitQueues[v] = sl.ring(ni.queueCap)
 		}
 	default:
-		ni.queue.buf = carve(&sl.flits, cfg.NIQueueFlits)
+		ni.queueCap = cfg.NIQueueFlits
+		ni.queue = sl.ring(ni.queueCap)
 	}
 	if cfg.RetransBufPkts > 0 {
 		ni.retransCap = cfg.RetransBufPkts
@@ -138,7 +143,7 @@ func (ni *NI) CanAccept(pkt *Packet, now int64) bool {
 	if ni.mode == NISplit {
 		return ni.pickSplitQueue(pkt) >= 0
 	}
-	return ni.queue.free() >= pkt.Size
+	return ni.queue.free(ni.queueCap) >= pkt.Size
 }
 
 // Offer hands a whole packet to the NI. It returns false (and the node must
@@ -183,7 +188,7 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 			payload: pkt.Payload,
 		})
 	}
-	q.pushPacket(ni.net.pkts.add(pkt), pkt.Size)
+	q.pushPacket(ni.net.flits, ni.queueCap, ni.net.pkts.add(pkt), pkt.Size)
 	ni.addQueued(pkt.Size)
 	ni.net.markBusy(ni.node)
 	ni.everHeld = true
@@ -200,7 +205,7 @@ func (ni *NI) pickSplitQueue(pkt *Packet) int {
 	best, bestLen := -1, 0
 	for v := range ni.splitQueues {
 		q := &ni.splitQueues[v]
-		if q.free() < pkt.Size {
+		if q.free(ni.queueCap) < pkt.Size {
 			continue
 		}
 		if best == -1 || q.len() < bestLen {
@@ -240,7 +245,7 @@ func (ni *NI) stepFIFO(now int64) {
 	if ni.queue.empty() {
 		return
 	}
-	f := ni.queue.front()
+	f := ni.queue.front(ni.net.flits)
 	if f.isHead() && ni.boundVC == -1 {
 		ni.bindHead(ni.net.pkts.of(f).Size)
 		if ni.boundVC == -1 {
@@ -248,7 +253,7 @@ func (ni *NI) stepFIFO(now int64) {
 		}
 	}
 	// bindHead reserved room for the whole packet in the bound VC.
-	ni.deliver(ni.queue.pop(), ni.boundPort, ni.boundVC, now)
+	ni.deliver(ni.queue.pop(ni.net.flits, ni.queueCap), ni.boundPort, ni.boundVC, now)
 	if f.isTail() {
 		ni.boundPort, ni.boundVC = -1, -1
 	}
@@ -287,7 +292,7 @@ func (ni *NI) stepSplit(now int64) {
 		if ni.splitQueues[v].empty() || ni.vcCredits[v] <= 0 {
 			continue
 		}
-		ni.deliver(ni.splitQueues[v].pop(), 0, v, now)
+		ni.deliver(ni.splitQueues[v].pop(ni.net.flits, ni.queueCap), 0, v, now)
 	}
 }
 
@@ -314,11 +319,7 @@ func (ni *NI) OccupancyAvg(now int64) float64 {
 // QueueCapacityFlits returns the NI's total buffering in flits.
 func (ni *NI) QueueCapacityFlits() int {
 	if ni.mode == NISplit {
-		total := 0
-		for v := range ni.splitQueues {
-			total += ni.splitQueues[v].cap()
-		}
-		return total
+		return len(ni.splitQueues) * ni.queueCap
 	}
-	return ni.queue.cap()
+	return ni.queueCap
 }

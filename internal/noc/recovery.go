@@ -235,10 +235,10 @@ func (ni *NI) tryRetransmit(now int64) {
 			return // no split queue has room: retry next cycle
 		}
 		q = &ni.splitQueues[v]
-	} else if q.free() < e.size {
+	} else if q.free(ni.queueCap) < e.size {
 		return // queue full: retry next cycle
 	}
-	q.pushPacket(ni.net.pkts.add(pkt), e.size)
+	q.pushPacket(ni.net.flits, ni.queueCap, ni.net.pkts.add(pkt), e.size)
 	ni.addQueued(e.size)
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)

@@ -29,7 +29,7 @@ const (
 // they iterate the set bits of the owning port's masks (see inputPort) and
 // only then touch the VC.
 type inputVC struct {
-	buf flitQueue // ring carved from the network's flit slab
+	buf flitRing // a long packet's ring in the network's flit slab
 	// waitSince is when the head flit last became eligible without being
 	// served; it drives the starvation guard.
 	waitSince int64
@@ -83,9 +83,10 @@ type inputPort struct {
 	frozenUntil int64
 
 	// upstream/upOut name the neighbouring router's output port feeding this
-	// port (nil for injection ports, whose credits return to the NI).
-	upstream *router
-	upOut    int32
+	// port. upstream is -1 for an injection port, whose credits return to
+	// the NI, and for a mesh-edge port, which no link feeds and whose VCs
+	// have no ring.
+	upstream, upOut int32
 }
 
 // outVCState tracks one downstream virtual channel from the sender's side.
@@ -98,22 +99,17 @@ type outVCState struct {
 }
 
 // outputPort is a router output port: a mesh link to a neighbour or the
-// local ejection port.
+// local ejection port. Its per-VC state lives in the router's outVCs and
+// creditIn, at o*VCs + v.
 type outputPort struct {
-	vcs []outVCState
-	// creditIn stages credits returned by the downstream consumer this
-	// cycle, applied at the start of the next cycle; the owning router's
-	// creditDirty mask flags the non-zero slots.
-	creditIn []int32
 	// free has bit v set while downstream VC v has no owner (VA's candidate
 	// filter).
 	free uint32
-
-	// Exactly one of dest (mesh; destPort is the neighbour's input port) or
-	// eject (local) is non-nil, except at a mesh edge where both are.
-	dest     *router
-	destPort int32
-	eject    *ejector
+	// dest is the neighbour a mesh output feeds, at input port destPort
+	// (the direction opposite this output); -1 for the ejection port,
+	// which feeds the node's own ejector, and at a mesh edge, where there
+	// is no link.
+	dest int32
 
 	// flits counts traversals onto this output's link (observability).
 	flits uint64
@@ -129,17 +125,21 @@ type outputPort struct {
 	// dead marks a permanently killed mesh link (killLink): route
 	// computation never offers it again. Worms that held it at death drain
 	// gracefully.
-	dead bool
+	dead     bool
+	destPort int32
 }
 
+// outVC returns the sender-side state of downstream VC v of output o.
+func (r *router) outVC(o, v int) *outVCState { return &r.outVCs[o*r.nvc+v] }
+
 // owner returns the flat index (port*VCs + vc) of the input VC holding
-// downstream VC v, or -1.
-func (op *outputPort) owner(v, vcs int) int {
-	ov := &op.vcs[v]
+// downstream VC v of output o, or -1.
+func (r *router) owner(o, v int) int {
+	ov := r.outVC(o, v)
 	if ov.ownerPort < 0 {
 		return -1
 	}
-	return int(ov.ownerPort)*vcs + int(ov.ownerVC)
+	return int(ov.ownerPort)*r.nvc + int(ov.ownerVC)
 }
 
 // switchPort is one crossbar input. A mesh input port owns one switch-port
@@ -187,13 +187,18 @@ type router struct {
 	in  []inputPort
 	out []outputPort
 	vcs []inputVC // port*nvc + vc
+	// outVCs is every output's downstream-VC state, and creditIn the
+	// credits returned to it this cycle, applied at the start of the next;
+	// both at o*nvc + v. creditDirty[o] flags output o's non-zero creditIn
+	// slots.
+	outVCs   []outVCState
+	creditIn []int32
 
 	// staged holds the flits in flight toward this router's input buffers,
 	// in staging order. Each (port, VC) buffer has a single producer (one
 	// upstream output, or the NI), so one list preserves every buffer's
 	// arrival order.
-	staged []stagedFlit
-	// creditDirty[o] flags the non-zero slots of out[o].creditIn.
+	staged      []stagedFlit
 	creditDirty [numOutPorts]uint32
 
 	// Router-level activity masks, so RC, SA and credit application visit
@@ -274,8 +279,36 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 	r.sps = carve(&sl.sps, NumDirections+nc.injPorts()*speedup)
 	r.spStart = carve(&sl.int32s, numIn+1)
 	r.staged = carve(&sl.staged, stagedCap(nc, vcs))[:0]
-	for i := range r.vcs {
-		r.vcs[i] = inputVC{buf: flitQueue{buf: carve(&sl.flits, net.longPkt)}, outPort: -1, outVC: -1}
+	r.out = carve(&sl.outPorts, numOutPorts)
+	r.outVCs = carve(&sl.outVCs, numOutPorts*vcs)
+	r.creditIn = carve(&sl.int32s, numOutPorts*vcs)
+	// Mesh output d feeds input port opposite(d) of neighbour nb, whose
+	// output opposite(d) feeds input port d here. A port at the mesh edge
+	// has no link, so its VCs get no ring.
+	for p := range r.in {
+		r.in[p].upstream = -1
+		if p < NumDirections {
+			d := Direction(p)
+			nb := cfg.Mesh.Neighbor(id, d)
+			r.out[p].dest, r.out[p].destPort = int32(nb), int32(d.opposite())
+			if nb >= 0 {
+				r.in[p].upstream, r.in[p].upOut = int32(nb), int32(d.opposite())
+			}
+		}
+		for v := 0; v < vcs; v++ {
+			vc := inputVC{buf: flitRing{off: -1}, outPort: -1, outVC: -1}
+			if p >= NumDirections || r.in[p].upstream >= 0 {
+				vc.buf = sl.ring(net.longPkt)
+			}
+			r.vcs[p*vcs+v] = vc
+		}
+	}
+	r.out[ejectPortIndex].dest = -1
+	for o := range r.out {
+		r.out[o].free = maskAll(vcs)
+	}
+	for i := range r.outVCs {
+		r.outVCs[i] = outVCState{credits: int32(net.longPkt), ownerPort: -1}
 	}
 	sp := 0
 	for p := range r.in {
@@ -294,17 +327,6 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 		}
 	}
 	r.spStart[numIn] = int32(sp)
-
-	r.out = carve(&sl.outPorts, numOutPorts)
-	for o := range r.out {
-		op := &r.out[o]
-		op.vcs = carve(&sl.outVCs, vcs)
-		op.creditIn = carve(&sl.int32s, vcs)
-		op.free = maskAll(vcs)
-		for v := range op.vcs {
-			op.vcs[v] = outVCState{credits: int32(net.longPkt), ownerPort: -1}
-		}
-	}
 }
 
 // stagedCap bounds the flits simultaneously in flight toward one router:
@@ -331,7 +353,7 @@ func (r *router) stage(f flit, port, vc int32) {
 // returnCredit stages one credit for downstream VC v of output o, applied
 // by the next applyArrivals.
 func (r *router) returnCredit(o, v int32) {
-	r.out[o].creditIn[v]++
+	r.creditIn[int(o)*r.nvc+int(v)]++
 	r.creditDirty[o] |= 1 << uint(v)
 	r.creditOuts |= 1 << uint(o)
 }
@@ -341,10 +363,11 @@ func (r *router) returnCredit(o, v int32) {
 // VC gives RC work at its port, one landing in an active VC gives SA a
 // bidder (a waiting VC already holds its head flit).
 func (r *router) applyArrivals() {
+	flits, depth := r.net.flits, r.net.longPkt
 	for i := range r.staged {
 		sf := &r.staged[i]
 		vc := &r.vcs[int(sf.port)*r.nvc+int(sf.vc)]
-		vc.buf.push(sf.f)
+		vc.buf.push(flits, depth, sf.f)
 		r.in[sf.port].nonEmpty |= 1 << uint(sf.vc)
 		switch vc.state {
 		case vcIdle:
@@ -358,16 +381,17 @@ func (r *router) applyArrivals() {
 		o := bits.TrailingZeros8(outs)
 		m := r.creditDirty[o]
 		r.creditDirty[o] = 0
-		op := &r.out[o]
+		free := r.out[o].free
 		for ; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros32(m)
-			op.vcs[v].credits += op.creditIn[v]
-			op.creditIn[v] = 0
-			if op.free&(1<<uint(v)) != 0 {
+			i := o*r.nvc + v
+			r.outVCs[i].credits += r.creditIn[i]
+			r.creditIn[i] = 0
+			if free&(1<<uint(v)) != 0 {
 				// Credits on a free VC may turn a failed allocation into a
 				// grant; an owned VC was granted with room for its whole
 				// packet.
-				r.offer(o, op.vcs[v].credits)
+				r.offer(o, r.outVCs[i].credits)
 			}
 		}
 	}
@@ -438,7 +462,7 @@ func (r *router) routeCompute(now int64) {
 		for m := ip.nonEmpty &^ (ip.waitVC | ip.active); m != 0; m &= m - 1 {
 			v := bits.TrailingZeros32(m)
 			vc := &r.vcs[p*r.nvc+v]
-			f := vc.buf.front()
+			f := vc.buf.front(r.net.flits)
 			if !f.isHead() {
 				panic("noc: non-head flit at front of idle VC")
 			}
@@ -466,7 +490,7 @@ func (r *router) routeCompute(now int64) {
 			ip.vaFresh = ip.waitVC
 			for m := ip.waitVC; m != 0; m &= m - 1 {
 				vc := &r.vcs[p*r.nvc+bits.TrailingZeros32(m)]
-				r.setCandidates(vc, r.net.pkts.of(vc.buf.front()).Dst)
+				r.setCandidates(vc, r.net.pkts.of(vc.buf.front(r.net.flits)).Dst)
 			}
 		}
 	}
@@ -528,9 +552,9 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 			}
 			continue
 		}
-		op := &r.out[bestPort]
-		op.vcs[bestVC].ownerPort, op.vcs[bestVC].ownerVC = int16(p), int16(v)
-		op.free &^= 1 << uint(bestVC)
+		ov := r.outVC(bestPort, bestVC)
+		ov.ownerPort, ov.ownerVC = int16(p), int16(v)
+		r.out[bestPort].free &^= 1 << uint(bestVC)
 		vc.outPort, vc.outVC = int8(bestPort), int8(bestVC)
 		vc.state = vcActive
 		bit := uint32(1) << uint(v)
@@ -540,7 +564,7 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 		r.waitVCs--
 		r.net.vaGrants++
 		if r.net.tracer != nil {
-			r.net.trace(r.net.pkts.of(vc.buf.front()), r.id, TraceVAGrant, now)
+			r.net.trace(r.net.pkts.of(vc.buf.front(r.net.flits)), r.id, TraceVAGrant, now)
 		}
 	}
 }
@@ -558,13 +582,14 @@ func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
 	for _, cand := range vc.cands[:vc.nCands] {
 		op := &r.out[cand.port]
 		f := cand.vcMask & op.free
-		if f == 0 || (int(cand.port) != ejectPortIndex && op.dest == nil) {
+		if f == 0 || (int(cand.port) != ejectPortIndex && op.dest < 0) {
 			continue // nothing free, or mesh edge: no link in that direction
 		}
+		base := int(cand.port) * r.nvc
 		for f != 0 {
 			ov := 31 - bits.LeadingZeros32(f)
 			f &^= 1 << uint(ov)
-			if c := op.vcs[ov].credits; c >= need && c > bestCredits {
+			if c := r.outVCs[base+ov].credits; c >= need && c > bestCredits {
 				bestPort, bestVC, bestCredits = int(cand.port), ov, c
 			}
 		}
@@ -680,55 +705,58 @@ func (sp *switchPort) pick(bidding uint32, nvc int) int {
 // output o's link, returns a credit upstream, and retires the downstream-VC
 // ownership at the tail.
 func (r *router) traverse(p, v, o int, now int64) {
+	net := r.net
 	ip := &r.in[p]
 	vc := &r.vcs[p*r.nvc+v]
 	op := &r.out[o]
 	bit := uint32(1) << uint(v)
+	outVC := int32(vc.outVC)
 
-	f := vc.buf.pop()
+	f := vc.buf.pop(net.flits, net.longPkt)
 	if vc.buf.empty() {
 		ip.nonEmpty &^= bit
 	}
-	r.addFlits(-1)
-	ov := &op.vcs[vc.outVC]
+	net.routerFlits[r.id]--
+	ov := r.outVC(o, int(outVC))
 	ov.credits--
 	op.flits++
-	r.net.stats.SwitchTraversals++
-	if r.net.faulted && now < op.corruptUntil {
+	net.stats.SwitchTraversals++
+	if net.faulted && now < op.corruptUntil {
 		// The link is inside a corruption window: the flit's payload is
 		// damaged in transit. Only the receiving NI's CRC check observes it.
 		f.bits |= flitBad
-		r.net.recovery.CorruptFlits++
+		net.recovery.CorruptFlits++
 	}
-	if r.net.tracer != nil && f.isHead() {
-		r.net.trace(r.net.pkts.of(f), r.id, TraceSwitch, now)
+	if net.tracer != nil && f.isHead() {
+		net.trace(net.pkts.of(f), r.id, TraceSwitch, now)
 	}
 
 	// A flit sent at cycle t lands in the downstream buffer at t+1
 	// (single-cycle router + 1-cycle link).
 	switch {
-	case op.dest != nil:
-		op.dest.stage(f, op.destPort, int32(vc.outVC))
-		r.net.markBusy(op.dest.id)
-		r.net.stats.MeshLinkFlits++
-	case op.eject != nil:
-		op.eject.arrivals = append(op.eject.arrivals, stagedFlit{f: f, vc: int32(vc.outVC)})
-		op.eject.addFlits(1)
+	case o == ejectPortIndex:
+		e := &net.ejectors[r.id]
+		e.arrivals = append(e.arrivals, stagedFlit{f: f, vc: outVC})
+		e.addFlits(1)
+	case op.dest >= 0:
+		net.routers[op.dest].stage(f, op.destPort, outVC)
+		net.markBusy(int(op.dest))
+		net.stats.MeshLinkFlits++
 	default:
 		panic("noc: output port with no destination")
 	}
 
 	// Credit for the freed input-buffer slot.
 	if p >= NumDirections {
-		r.net.nis[r.id].creditReturn(p-NumDirections, v)
+		net.nis[r.id].creditReturn(p-NumDirections, v)
 	} else {
-		ip.upstream.returnCredit(ip.upOut, int32(v))
+		net.routers[ip.upstream].returnCredit(ip.upOut, int32(v))
 	}
 
 	vc.waitSince = now
 	if f.isTail() {
 		ov.ownerPort = -1
-		op.free |= 1 << uint(vc.outVC)
+		op.free |= 1 << uint(outVC)
 		r.offer(o, ov.credits)
 		vc.state = vcIdle
 		vc.outPort, vc.outVC = -1, -1

@@ -106,7 +106,7 @@ func (tw *twinNets) step() {
 		}
 		rt := &l.routers[j]
 		for _, sf := range rt.staged {
-			if up := rt.in[sf.port].upstream; up != nil && up.id < j {
+			if up := rt.in[sf.port].upstream; up >= 0 && int(up) < j {
 				tw.wokeAbove++
 				if rerouting[j] {
 					tw.wokeRerouting++

@@ -94,9 +94,11 @@ func (k Kernel) Validate() error {
 		}
 	}
 	// Cap the geometric means: beyond this the sampler's float->int
-	// conversions stop being meaningful (and no workload needs them).
-	const maxMeanParam = 1e9
-	if k.ComputePerMem < 0 || k.ComputePerMem > maxMeanParam ||
+	// conversions stop being meaningful (and no workload needs them). A
+	// compute run is kept in a uint32 (by a core and by the trace format),
+	// so its mean is capped lower: the sampler's clamp, 64m+64, fits.
+	const maxMeanParam, maxComputeMean = 1e9, 6e7
+	if k.ComputePerMem < 0 || k.ComputePerMem > maxComputeMean ||
 		k.ReadFrac < 0 || k.ReadFrac > 1 ||
 		k.CoalesceMean < 0 || k.CoalesceMean > maxMeanParam ||
 		k.Locality < 0 || k.Locality > 1 || k.L2Frac < 0 || k.L2Frac > 1 {
@@ -116,12 +118,11 @@ const (
 	streamBase = uint64(0x30_0000_0000)
 )
 
-// warpGen is the per-warp stream state.
+// warpGen is the per-warp stream state. Its hot-set base is its core's
+// (hotOff), so it is derived rather than stored.
 type warpGen struct {
-	rng     rng.Source
-	cursor  uint64
-	hotOff  uint64 // this warp's hot-set base offset in lines
-	started bool
+	rng    rng.Source
+	cursor uint64
 }
 
 // Generator implements gpu.Workload for one kernel on a given core count.
@@ -155,9 +156,6 @@ func NewGenerator(k Kernel, cores int, seed uint64) (*Generator, error) {
 	for i := range g.warps {
 		w := &g.warps[i]
 		w.rng = *root.Split(uint64(i) + 1)
-		// The hot set is shared by a core's warps (inter-warp reuse), so a
-		// kernel with HotLines within the L1 capacity is L1-friendly.
-		w.hotOff = uint64(i/k.WarpsPerCore) * uint64(k.HotLines)
 		// Stagger streaming cursors so warps do not trivially share lines.
 		w.cursor = (uint64(i) * 7919) % k.StreamLines
 	}
@@ -198,7 +196,7 @@ func (g *Generator) NextMem(core, warp int, scratch []uint64) (write bool, addrs
 			n = 4
 		}
 	}
-	base := g.nextAddr(w)
+	base := g.nextAddr(w, g.hotOff(core))
 	addrs = append(scratch, base)
 	for i := 1; i < n; i++ {
 		// Divergent transactions touch adjacent lines: distinct packets to
@@ -208,12 +206,18 @@ func (g *Generator) NextMem(core, warp int, scratch []uint64) (write bool, addrs
 	return write, addrs
 }
 
-// nextAddr draws one line address from the kernel's region mix.
-func (g *Generator) nextAddr(w *warpGen) uint64 {
+// hotOff is core's hot-set base offset in lines. The hot set is shared by a
+// core's warps (inter-warp reuse), so a kernel with HotLines within the L1
+// capacity is L1-friendly.
+func (g *Generator) hotOff(core int) uint64 { return uint64(core) * uint64(g.k.HotLines) }
+
+// nextAddr draws one line address from the kernel's region mix for warp w,
+// whose core's hot set starts hot lines in.
+func (g *Generator) nextAddr(w *warpGen, hot uint64) uint64 {
 	r := &w.rng
 	switch {
 	case r.Bool(g.k.Locality):
-		line := w.hotOff + uint64(r.Intn(g.k.HotLines))
+		line := hot + uint64(r.Intn(g.k.HotLines))
 		return hotBase + line*lineBytes
 	case r.Bool(g.k.L2Frac):
 		line := uint64(r.Intn(g.k.SharedLines))

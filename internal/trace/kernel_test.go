@@ -194,6 +194,8 @@ func TestValidateRejectsBadKernels(t *testing.T) {
 		func(k *Kernel) { k.Locality = -0.1 },
 		func(k *Kernel) { k.HotLines = 0 },
 		func(k *Kernel) { k.StreamLines = 0 },
+		// A compute run must fit the uint32 a core keeps it in.
+		func(k *Kernel) { k.ComputePerMem = 6e7 + 1 },
 	}
 	for i, mutate := range cases {
 		k := testKernel()
@@ -204,6 +206,11 @@ func TestValidateRejectsBadKernels(t *testing.T) {
 	}
 	if _, err := NewGenerator(testKernel(), 0, 1); err == nil {
 		t.Fatal("zero cores accepted")
+	}
+	k := testKernel()
+	k.ComputePerMem = 6e7
+	if err := k.Validate(); err != nil {
+		t.Fatalf("the largest compute mean rejected: %v", err)
 	}
 }
 
