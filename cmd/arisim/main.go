@@ -54,6 +54,15 @@ func main() {
 	}
 }
 
+// schemeList is -scheme's help: every label of the scheme table.
+func schemeList() string {
+	labels := make([]string, core.NumSchemes)
+	for i := range labels {
+		labels[i] = core.Scheme(i).String()
+	}
+	return strings.Join(labels, ", ")
+}
+
 // run is the testable entry point: it parses args, runs (or estimates) the
 // simulation and prints its statistics to stdout.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -62,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	def := core.DefaultConfig()
 	var (
 		benchName = fs.String("bench", "bfs", "benchmark name (see -list)")
-		schemeStr = fs.String("scheme", "Ada-ARI", "scheme: XY-Baseline, XY-ARI, Ada-Baseline, Ada-MultiPort, Ada-ARI, Acc-Supply, Acc-Consume, Acc-Both-NoPriority, DA2Mesh, DA2Mesh+ARI")
+		schemeStr = fs.String("scheme", "Ada-ARI", "scheme: "+schemeList())
 		cycles    = fs.Int64("cycles", def.MeasureCycles, "measured NoC cycles")
 		warmup    = fs.Int64("warmup", def.WarmupCycles, "warmup NoC cycles")
 		seed      = fs.Uint64("seed", def.Seed, "simulation seed")

@@ -88,43 +88,34 @@ func NewModel(cfg core.Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("analytic: %w", err)
 	}
-	if cfg.Scheme.UsesOverlay() {
+	mech := cfg.Scheme.Mechanisms()
+	if mech.Overlay {
 		return nil, fmt.Errorf("analytic: scheme %s uses the DA2mesh overlay, which the model does not cover", cfg.Scheme)
 	}
 	if cfg.IdealReply {
 		return nil, fmt.Errorf("analytic: ideal reply fabric is not modelled")
 	}
-	// noc.PacketSize needs at least one byte per flit; reject instead of
-	// panicking — estimate-mode requests carry arbitrary client configs.
-	if cfg.ReqLinkBits < 8 || cfg.RepLinkBits < 8 {
-		return nil, fmt.Errorf("analytic: link widths must be at least 8 bits (req %d, rep %d)",
-			cfg.ReqLinkBits, cfg.RepLinkBits)
-	}
-	if cfg.DataBytes <= 0 {
-		return nil, fmt.Errorf("analytic: DataBytes must be positive, got %d", cfg.DataBytes)
+	// The reply mesh the simulator builds, with noc's defaults filled in;
+	// Validate has accepted it.
+	rep, mcNodes, ccNodes := core.ReplyNetwork(cfg)
+	rep, err := rep.Validate()
+	if err != nil {
+		return nil, fmt.Errorf("analytic: %w", err)
 	}
 
 	m := &Model{cfg: cfg}
-	m.mesh = noc.Mesh{Width: cfg.MeshWidth, Height: cfg.MeshHeight}
+	m.mesh = rep.Mesh
 	m.nodes = m.mesh.Nodes()
-	m.nMC = cfg.NumMC
-	m.nCores = m.nodes - m.nMC
+	m.nMC = len(mcNodes)
+	m.nCores = len(ccNodes)
 
 	m.reqShort = 1
 	m.reqLong = noc.PacketSize(noc.WriteRequest, cfg.ReqLinkBits, cfg.DataBytes)
-	m.repLong = noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.DataBytes)
+	m.repLong = rep.LongPacketFlits()
 	m.repShort = 1
 
-	mcNodes := cfg.MCPlacement()
-	isMC := make(map[int]bool, len(mcNodes))
-	for _, n := range mcNodes {
-		isMC[n] = true
-	}
 	var hops, pairs float64
-	for n := 0; n < m.nodes; n++ {
-		if isMC[n] {
-			continue
-		}
+	for _, n := range ccNodes {
 		for _, mc := range mcNodes {
 			hops += float64(m.mesh.Hops(n, mc))
 			pairs++
@@ -135,49 +126,25 @@ func NewModel(cfg core.Config) (*Model, error) {
 	}
 	m.meshLinks = 2 * (m.mesh.Height*(m.mesh.Width-1) + m.mesh.Width*(m.mesh.Height-1))
 
-	// Injection architecture of the scheme (paper §4): the baseline NI
+	// Injection architecture of every MC node (paper §4): the baseline NI
 	// supplies one flit/cycle over a single narrow link; ARI's split NI
 	// feeds every injection VC in parallel; crossbar speedup lets the
 	// switch drain that many flits/cycle from the injection port; the
 	// MultiPort scheme adds ports (consumption parallelism) but keeps the
 	// one-flit supply.
-	scheme := cfg.Scheme
+	nc := rep.Nodes[mcNodes[0]]
 	m.supplyRate = 1
-	if scheme.HasSplitNI() {
-		m.supplyRate = float64(cfg.VCs)
+	if nc.NI == noc.NISplit {
+		m.supplyRate = float64(rep.VCs)
 	}
-	m.consumeRate = 1
-	if scheme.HasSpeedup() {
-		s := cfg.InjSpeedup
-		if s <= 0 {
-			s = 4 // the paper's sized choice (eq. 1/2)
-		}
-		if s > cfg.VCs {
-			s = cfg.VCs
-		}
-		m.consumeRate = float64(s)
-	}
-	m.multiPorts = 1
-	if scheme.IsMultiPort() {
-		p := cfg.MultiPortPorts
-		if p < 1 {
-			p = 1
-		}
-		m.multiPorts = float64(p)
-	}
-	m.priority = scheme.HasPriority()
-
-	m.ejectRate = float64(cfg.EjectRate)
-	if m.ejectRate <= 0 {
-		m.ejectRate = 1
-	}
+	m.consumeRate = float64(nc.Speedup(rep.VCs))
+	m.multiPorts = float64(nc.Ports())
+	m.priority = mech.Priority
+	m.ejectRate = float64(rep.EjectRate)
 
 	m.coreClockRatio = float64(cfg.CoreClockNum) / float64(cfg.CoreClockDen)
 
-	m.niQueueFlits = float64(cfg.NIQueueFlits)
-	if m.niQueueFlits <= 0 {
-		m.niQueueFlits = float64(4 * m.repLong) // noc.Config.Validate default
-	}
+	m.niQueueFlits = float64(rep.NIQueueFlits)
 	m.vcBufFlits = float64(cfg.VCs * m.repLong) // every VC buffers one long packet
 
 	mc := cfg.MC
@@ -193,9 +160,6 @@ func NewModel(cfg core.Config) (*Model, error) {
 	rowMiss := float64(d.TRP + d.TRCD + d.TCL + d.BurstCycles)
 	rowHit := float64(d.TCL + d.BurstCycles)
 	memClk := float64(cfg.MemClockNum) / float64(cfg.MemClockDen)
-	if memClk <= 0 {
-		memClk = 1
-	}
 	m.dramLat = (0.5*rowMiss + 0.5*rowHit) / memClk
 	m.dramChanRate = memClk / float64(d.BurstCycles)
 	return m, nil

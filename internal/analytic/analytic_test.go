@@ -135,3 +135,24 @@ func TestEstimateSuiteOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestModelReadsSimulatorNIQueue: the NI queue bound is the one the
+// simulator builds — four long reply packets by default, capped at what a
+// flit ring holds once a long packet passes 16 383 flits.
+func TestModelReadsSimulatorNIQueue(t *testing.T) {
+	for _, tc := range []struct {
+		linkBits, dataBytes int
+		want                float64
+	}{{128, 128, 36}, {8, 128, 4 * 129}, {8, 20000, 65535}} {
+		cfg := core.DefaultConfig()
+		cfg.Scheme = core.AdaARI
+		cfg.RepLinkBits, cfg.DataBytes = tc.linkBits, tc.dataBytes
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.niQueueFlits != tc.want {
+			t.Errorf("%d-bit links, %d B lines: NI queue %v flits, want %v", tc.linkBits, tc.dataBytes, m.niQueueFlits, tc.want)
+		}
+	}
+}

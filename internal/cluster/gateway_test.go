@@ -234,6 +234,19 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown bench: %d %s", w.Code, w.Body)
 	}
+	// Configs past a network limit, which the replica could not run.
+	vcs, niq, ports := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs.VCs = 40
+	niq.NIQueueFlits = -5
+	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
+	for _, cfg := range []core.Config{vcs, niq, ports} {
+		for _, estimate := range []bool{false, true} {
+			w := postJob(t, g, serve.JobRequest{Bench: "bfs", Config: &cfg, Estimate: estimate})
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("invalid config, estimate %v: %d %s", estimate, w.Code, w.Body)
+			}
+		}
+	}
 	if a.hits.Load() != 0 {
 		t.Fatal("unroutable request reached a replica")
 	}

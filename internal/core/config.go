@@ -15,31 +15,21 @@ import (
 )
 
 // Scheme identifies one evaluated configuration (paper §6.2 and Fig 10's
-// ablations).
+// ablations): a label over its row of the scheme table, which says what
+// each one composes.
 type Scheme int
 
+// The schemes, in table order.
 const (
-	// XYBaseline: XY routing with the enhanced baseline NI (§4.1).
 	XYBaseline Scheme = iota
-	// XYARI: XY routing with the full ARI design.
 	XYARI
-	// AdaBaseline: minimal adaptive routing, enhanced baseline NI.
 	AdaBaseline
-	// AdaMultiPort: adaptive routing with the MultiPort scheme [3].
 	AdaMultiPort
-	// AdaARI: adaptive routing with the full ARI design.
 	AdaARI
-	// AccSupply: ARI's supply acceleration only (split NI, no speedup,
-	// no priority) — Fig 10.
 	AccSupply
-	// AccConsume: ARI's consumption acceleration only (baseline NI,
-	// injection-port speedup) — Fig 10.
 	AccConsume
-	// AccBothNoPriority: supply + consumption without prioritisation.
 	AccBothNoPriority
-	// DA2MeshBase: reply network replaced by the DA2mesh overlay [20].
 	DA2MeshBase
-	// DA2MeshARI: DA2mesh overlay with ARI's NI architecture on top.
 	DA2MeshARI
 	numSchemes
 )
@@ -47,94 +37,68 @@ const (
 // NumSchemes is the number of defined schemes.
 const NumSchemes = int(numSchemes)
 
+// Mechanisms is one scheme's row of the scheme table: the routing and the
+// reply-side mechanisms it composes at every MC node. Fig 10 builds ARI from
+// three of them (split-NI supply, injection-port speedup, multi-level
+// priority) and its ablations switch them off one at a time.
+type Mechanisms struct {
+	Label   string
+	Routing noc.RoutingAlgo
+	// NI is the MC nodes' reply NI: noc.NIBaseline, noc.NISplit (ARI's
+	// supply acceleration) or noc.NIMultiPort (the MultiPort scheme [3]).
+	NI noc.NIMode
+	// Speedup gives the MC injection ports crossbar speedup (§4.2).
+	Speedup bool
+	// Priority turns on ARI's multi-level injection priority (§5).
+	Priority bool
+	// Overlay replaces the reply mesh with the DA2mesh overlay [20].
+	Overlay bool
+}
+
+// schemes is the scheme table, one row per Scheme.
+var schemes = [numSchemes]Mechanisms{
+	XYBaseline:        {Label: "XY-Baseline", Routing: noc.RouteXY},
+	XYARI:             {Label: "XY-ARI", Routing: noc.RouteXY, NI: noc.NISplit, Speedup: true, Priority: true},
+	AdaBaseline:       {Label: "Ada-Baseline", Routing: noc.RouteMinAdaptive},
+	AdaMultiPort:      {Label: "Ada-MultiPort", Routing: noc.RouteMinAdaptive, NI: noc.NIMultiPort},
+	AdaARI:            {Label: "Ada-ARI", Routing: noc.RouteMinAdaptive, NI: noc.NISplit, Speedup: true, Priority: true},
+	AccSupply:         {Label: "Acc-Supply", Routing: noc.RouteMinAdaptive, NI: noc.NISplit},
+	AccConsume:        {Label: "Acc-Consume", Routing: noc.RouteMinAdaptive, Speedup: true},
+	AccBothNoPriority: {Label: "Acc-Both-NoPriority", Routing: noc.RouteMinAdaptive, NI: noc.NISplit, Speedup: true},
+	DA2MeshBase:       {Label: "DA2Mesh", Routing: noc.RouteMinAdaptive, Overlay: true},
+	DA2MeshARI:        {Label: "DA2Mesh+ARI", Routing: noc.RouteMinAdaptive, NI: noc.NISplit, Speedup: true, Priority: true, Overlay: true},
+}
+
+// Mechanisms returns the scheme's row of the scheme table (the zero row for
+// an undefined scheme, which Config.Validate rejects).
+func (s Scheme) Mechanisms() Mechanisms {
+	if s < 0 || s >= numSchemes {
+		return Mechanisms{}
+	}
+	return schemes[s]
+}
+
 // String returns the paper's label for the scheme.
 func (s Scheme) String() string {
-	switch s {
-	case XYBaseline:
-		return "XY-Baseline"
-	case XYARI:
-		return "XY-ARI"
-	case AdaBaseline:
-		return "Ada-Baseline"
-	case AdaMultiPort:
-		return "Ada-MultiPort"
-	case AdaARI:
-		return "Ada-ARI"
-	case AccSupply:
-		return "Acc-Supply"
-	case AccConsume:
-		return "Acc-Consume"
-	case AccBothNoPriority:
-		return "Acc-Both-NoPriority"
-	case DA2MeshBase:
-		return "DA2Mesh"
-	case DA2MeshARI:
-		return "DA2Mesh+ARI"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
+	if m := s.Mechanisms(); m.Label != "" {
+		return m.Label
 	}
+	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
 // ParseScheme resolves a paper label (e.g. "Ada-ARI", matched without
 // regard to case) to its Scheme.
 func ParseScheme(s string) (Scheme, error) {
-	for sch := Scheme(0); sch < numSchemes; sch++ {
-		if strings.EqualFold(sch.String(), s) {
-			return sch, nil
+	for sch, m := range schemes {
+		if strings.EqualFold(m.Label, s) {
+			return Scheme(sch), nil
 		}
 	}
 	return 0, fmt.Errorf("core: unknown scheme %q", s)
 }
 
 // Routing returns the routing algorithm the scheme uses.
-func (s Scheme) Routing() noc.RoutingAlgo {
-	switch s {
-	case XYBaseline, XYARI:
-		return noc.RouteXY
-	default:
-		return noc.RouteMinAdaptive
-	}
-}
-
-// The scheme predicates below are the one seam through which both the layers
-// that build the system (NewSimulator) and those that model it
-// (internal/analytic) read what a Scheme means.
-
-// UsesOverlay reports whether the reply fabric is the DA2mesh overlay.
-func (s Scheme) UsesOverlay() bool { return s == DA2MeshBase || s == DA2MeshARI }
-
-// HasSplitNI reports whether the scheme accelerates injection supply with
-// ARI's per-VC split NI queues.
-func (s Scheme) HasSplitNI() bool {
-	switch s {
-	case XYARI, AdaARI, AccSupply, AccBothNoPriority, DA2MeshARI:
-		return true
-	}
-	return false
-}
-
-// HasSpeedup reports whether the scheme accelerates injection consumption
-// with crossbar speedup (§4.2).
-func (s Scheme) HasSpeedup() bool {
-	switch s {
-	case XYARI, AdaARI, AccConsume, AccBothNoPriority, DA2MeshARI:
-		return true
-	}
-	return false
-}
-
-// HasPriority reports whether the scheme uses ARI's multi-level injection
-// prioritisation (§5).
-func (s Scheme) HasPriority() bool {
-	switch s {
-	case XYARI, AdaARI, DA2MeshARI:
-		return true
-	}
-	return false
-}
-
-// IsMultiPort reports whether the scheme is the MultiPort baseline [3].
-func (s Scheme) IsMultiPort() bool { return s == AdaMultiPort }
+func (s Scheme) Routing() noc.RoutingAlgo { return s.Mechanisms().Routing }
 
 // Config is the full-system configuration; DefaultConfig matches Table I.
 type Config struct {
@@ -268,15 +232,66 @@ func (c Config) Validate() error {
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("core: invalid horizon warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
 	}
-	if c.RetransBufPkts < 0 {
-		return fmt.Errorf("core: RetransBufPkts %d must be >= 0", c.RetransBufPkts)
+	req, rep, mc := c.networks()
+	if _, err := req.Validate(); err != nil {
+		return fmt.Errorf("core: request network: %w", err)
+	}
+	if _, err := rep.Validate(); err != nil {
+		return fmt.Errorf("core: reply network: %w", err)
+	}
+	if err := mc.Validate(); err != nil {
+		return fmt.Errorf("core: MC nodes: %w", err)
 	}
 	if c.Fault.Enabled {
 		if _, err := c.Fault.Validate(); err != nil {
 			return err
 		}
 	}
+	if err := c.MC.Validate(); err != nil {
+		return err
+	}
 	return c.Core.Validate()
+}
+
+// networks derives, in one place, the meshes c describes: the request mesh,
+// which no scheme modifies (§4.2, §6.1); the reply mesh without its per-node
+// table; and the reply injection architecture every MC node gets — the
+// scheme row's NI kind, its speedup (InjSpeedup, 0 selecting the paper's
+// 4) and MultiPort's MultiPortPorts, with UnenhancedBaseline narrowing a
+// baseline NI's MC link. Validate checks all three, so a config it accepts
+// constructs unless its flit buffers overflow noc's int32 ring offsets
+// (checked at construction, since counting them takes a per-node walk);
+// ReplyNetwork places the MC nodes' entry.
+func (c Config) networks() (req, rep noc.Config, mc noc.NodeConfig) {
+	m := c.Scheme.Mechanisms()
+	req = noc.Config{
+		Mesh:           noc.Mesh{Width: c.MeshWidth, Height: c.MeshHeight},
+		VCs:            c.VCs,
+		LinkBits:       c.ReqLinkBits,
+		DataBytes:      c.DataBytes,
+		Routing:        m.Routing,
+		EjectRate:      c.EjectRate,
+		RetransBufPkts: retransBufPkts(c),
+	}
+	rep = req
+	rep.LinkBits, rep.NIQueueFlits = c.RepLinkBits, c.NIQueueFlits
+	if m.Priority {
+		rep.PriorityLevels, rep.StarvationLimit = c.PriorityLevels, c.StarvationLimit
+	}
+	mc.NI = m.NI
+	if m.Speedup {
+		mc.InjSpeedup = c.InjSpeedup
+		if mc.InjSpeedup <= 0 {
+			mc.InjSpeedup = 4
+		}
+	}
+	if m.NI == noc.NIMultiPort {
+		mc.InjPorts = c.MultiPortPorts
+	}
+	if c.UnenhancedBaseline && mc.NI == noc.NIBaseline {
+		mc.NI = noc.NINarrowLink
+	}
+	return req, rep, mc
 }
 
 // MCPlacement returns the memory-controller node ids of c's mesh: the

@@ -1,30 +1,70 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/trace"
 )
 
-// FuzzConfigValidate throws arbitrary geometry at Config.Validate: every
-// input must yield either nil (for a genuinely usable configuration) or an
-// error — never a panic. The L1 fields are included because cache geometry
-// validation does modular arithmetic that an int overflow could turn into a
-// division by zero.
-func FuzzConfigValidate(f *testing.F) {
-	f.Add(6, 6, 8, 4, 16<<10, 128, 4, int64(4000), int64(20000))
-	f.Add(8, 8, 8, 4, 16<<10, 128, 4, int64(0), int64(1))
-	f.Add(0, 0, 0, 0, 0, 0, 0, int64(-1), int64(0))
-	f.Add(1<<20, 1<<20, 1, 4, 16<<10, 128, 4, int64(100), int64(100))
-	f.Add(6, 6, 8, 4, 1<<62, 1<<31, 1<<31, int64(100), int64(100))
-	f.Add(6, 6, 8, 4, 1<<30, 1<<62, 4, int64(100), int64(100))
-	// MC counts the placement cannot put on distinct nodes.
-	f.Add(6, 6, 24, 4, 16<<10, 128, 4, int64(100), int64(100))
-	f.Add(1, 6, 5, 4, 16<<10, 128, 4, int64(100), int64(100))
+// pastNoCLimits are Table I configs each past one limit of the networks the
+// config derives: more VCs than a router supports, a negative NI queue, and
+// more MultiPort injection ports than a router's port mask holds.
+func pastNoCLimits() map[string]core.Config {
+	vcs, niq, ports := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs.VCs = 40
+	niq.NIQueueFlits = -5
+	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
+	return map[string]core.Config{"VCs 40": vcs, "NIQueueFlits -5": niq, "MultiPortPorts 40": ports}
+}
 
+// TestGateAgreement: every entry point that takes a Config refuses what
+// Validate refuses — the simulator and the estimator alike.
+func TestGateAgreement(t *testing.T) {
+	k, err := trace.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range pastNoCLimits() {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if _, err := core.NewSimulator(cfg, k); err == nil {
+			t.Errorf("%s: NewSimulator accepted it", name)
+		}
+		if _, err := analytic.NewModel(cfg); err == nil {
+			t.Errorf("%s: analytic.NewModel accepted it", name)
+		}
+	}
+}
+
+// FuzzConfigValidate throws arbitrary geometry at Config.Validate: every
+// input must yield either nil or an error — never a panic — and a config it
+// accepts must construct. The L1 fields are included because cache geometry
+// validation does modular arithmetic that an int overflow could turn into a
+// division by zero. Construction is checked on meshes of at most 8x8 with an
+// L1 of at most 1 MB, which keeps each input's allocation small.
+func FuzzConfigValidate(f *testing.F) {
+	f.Add(6, 6, 8, 4, 16<<10, 128, 4, int64(4000), int64(20000), 4, 0, 2)
+	f.Add(8, 8, 8, 4, 16<<10, 128, 4, int64(0), int64(1), 3, 0, 2)
+	f.Add(0, 0, 0, 0, 0, 0, 0, int64(-1), int64(0), 0, 0, 0)
+	f.Add(1<<20, 1<<20, 1, 4, 16<<10, 128, 4, int64(100), int64(100), 0, 0, 2)
+	f.Add(4096, 4096, 8, 4, 16<<10, 128, 4, int64(100), int64(100), 4, 0, 2)
+	f.Add(6, 6, 8, 4, 1<<62, 1<<31, 1<<31, int64(100), int64(100), 0, 0, 2)
+	f.Add(6, 6, 8, 4, 1<<30, 1<<62, 4, int64(100), int64(100), 0, 0, 2)
+	// MC counts the placement cannot put on distinct nodes.
+	f.Add(6, 6, 24, 4, 16<<10, 128, 4, int64(100), int64(100), 0, 0, 2)
+	f.Add(1, 6, 5, 4, 16<<10, 128, 4, int64(100), int64(100), 0, 0, 2)
+
+	k, err := trace.ByName("bfs")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, w, h, mc, vcs, l1Size, l1Line, l1Ways int,
-		warmup, measure int64) {
-		cfg := DefaultConfig()
+		warmup, measure int64, scheme, niQueue, ports int) {
+		cfg := core.DefaultConfig()
 		cfg.MeshWidth = w
 		cfg.MeshHeight = h
 		cfg.NumMC = mc
@@ -32,6 +72,20 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.Core.L1 = cache.Config{SizeBytes: l1Size, LineBytes: l1Line, Ways: l1Ways}
 		cfg.WarmupCycles = warmup
 		cfg.MeasureCycles = measure
-		_ = cfg.Validate() // must not panic on any input
+		cfg.Scheme = core.Scheme(scheme)
+		cfg.NIQueueFlits = niQueue
+		cfg.MultiPortPorts = ports
+		if cfg.Validate() != nil || w > 8 || h > 8 || l1Size > 1<<20 {
+			return
+		}
+		if _, err := core.NewSimulator(cfg, k); err != nil {
+			t.Fatalf("Validate accepted a config NewSimulator refuses: %v", err)
+		}
+		if cfg.Scheme.Mechanisms().Overlay || cfg.IdealReply {
+			return
+		}
+		if _, err := analytic.NewModel(cfg); err != nil {
+			t.Fatalf("Validate accepted a config analytic.NewModel refuses: %v", err)
+		}
 	})
 }

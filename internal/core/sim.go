@@ -137,58 +137,30 @@ func retransBufPkts(cfg Config) int {
 	return cfg.RetransBufPkts
 }
 
-// ReplyNetwork returns the mesh reply network cfg describes — the
-// per-MC-node injection architecture of cfg.Scheme (split NIs, crossbar
-// speedup, default 4; MultiPort ports), its priority levels and recovery
-// sizing — together with the node split it serves: the MC nodes that inject
-// replies and the compute nodes that receive them. NewSimulator builds its
-// reply fabric from it, and so does the standalone load-latency figure.
-func ReplyNetwork(cfg Config) (rep noc.Config, mcNodes, ccNodes []int) {
-	mesh := noc.Mesh{Width: cfg.MeshWidth, Height: cfg.MeshHeight}
-	mcNodes = cfg.MCPlacement()
-	isMC := make([]bool, mesh.Nodes())
-	for _, n := range mcNodes {
-		isMC[n] = true
-	}
-	for n := 0; n < mesh.Nodes(); n++ {
-		if !isMC[n] {
-			ccNodes = append(ccNodes, n)
-		}
-	}
+// RequestNetwork returns the request mesh cfg describes: no scheme modifies
+// it (§4.2, §6.1).
+func RequestNetwork(cfg Config) noc.Config {
+	req, _, _ := cfg.networks()
+	return req
+}
 
-	rep = noc.Config{
-		Mesh:           mesh,
-		VCs:            cfg.VCs,
-		LinkBits:       cfg.RepLinkBits,
-		DataBytes:      cfg.DataBytes,
-		Routing:        cfg.Scheme.Routing(),
-		NIQueueFlits:   cfg.NIQueueFlits,
-		EjectRate:      cfg.EjectRate,
-		RetransBufPkts: retransBufPkts(cfg),
-	}
-	if cfg.Scheme.HasPriority() {
-		rep.PriorityLevels = cfg.PriorityLevels
-		rep.StarvationLimit = cfg.StarvationLimit
-	}
-	rep.Nodes = make([]noc.NodeConfig, mesh.Nodes())
-	speedup := cfg.InjSpeedup
-	if speedup <= 0 {
-		speedup = 4
-	}
+// ReplyNetwork returns the mesh reply network cfg describes — every MC
+// node gets the injection architecture of cfg.Scheme's row (Config.networks)
+// — together with the node split it serves: the MC nodes that inject
+// replies and the compute nodes that receive them. NewSimulator builds its
+// reply fabric from it, and so do the estimator and the standalone
+// load-latency figure.
+func ReplyNetwork(cfg Config) (rep noc.Config, mcNodes, ccNodes []int) {
+	_, rep, mc := cfg.networks()
+	mcNodes = cfg.MCPlacement()
+	rep.Nodes = make([]noc.NodeConfig, rep.Mesh.Nodes())
+	isMC := make([]bool, len(rep.Nodes))
 	for _, n := range mcNodes {
-		nc := &rep.Nodes[n]
-		if cfg.Scheme.HasSplitNI() {
-			nc.NI = noc.NISplit
-		}
-		if cfg.Scheme.HasSpeedup() {
-			nc.InjSpeedup = speedup
-		}
-		if cfg.Scheme.IsMultiPort() {
-			nc.NI = noc.NIMultiPort
-			nc.InjPorts = cfg.MultiPortPorts
-		}
-		if cfg.UnenhancedBaseline && nc.NI == noc.NIBaseline {
-			nc.NI = noc.NINarrowLink
+		rep.Nodes[n], isMC[n] = mc, true
+	}
+	for n, is := range isMC {
+		if !is {
+			ccNodes = append(ccNodes, n)
 		}
 	}
 	return rep, mcNodes, ccNodes
@@ -205,16 +177,7 @@ func (s *Simulator) buildNetworks() error {
 		fcfg.Seed = cfg.Seed
 	}
 
-	// Request network: never modified by any scheme (§4.2, §6.1).
-	reqNet, err := noc.NewNetwork(noc.Config{
-		Mesh:           s.mesh,
-		VCs:            cfg.VCs,
-		LinkBits:       cfg.ReqLinkBits,
-		DataBytes:      cfg.DataBytes,
-		Routing:        cfg.Scheme.Routing(),
-		EjectRate:      cfg.EjectRate,
-		RetransBufPkts: retransBufPkts(cfg),
-	})
+	reqNet, err := noc.NewNetwork(RequestNetwork(cfg))
 	if err != nil {
 		return fmt.Errorf("core: request network: %w", err)
 	}
@@ -231,7 +194,7 @@ func (s *Simulator) buildNetworks() error {
 		if s.repNet, err = noc.NewIdealFabric(repCfg); err != nil {
 			return fmt.Errorf("core: ideal reply fabric: %w", err)
 		}
-	case cfg.Scheme.UsesOverlay():
+	case cfg.Scheme.Mechanisms().Overlay:
 		if s.repNet, err = noc.NewDA2Mesh(repCfg); err != nil {
 			return fmt.Errorf("core: reply overlay: %w", err)
 		}

@@ -251,21 +251,49 @@ func TestChooseSpeedup(t *testing.T) {
 	}
 }
 
+// TestSchemeProperties pins every row of the scheme table to the paper's
+// decomposition: ARI is split-NI supply + injection speedup + priority over
+// the enhanced baseline (§4–5), Fig 10's ablations drop mechanisms from it,
+// MultiPort [3] swaps the baseline NI for injection ports, XY-ARI changes
+// only the routing, and the DA2mesh pair [20] only the reply fabric.
 func TestSchemeProperties(t *testing.T) {
-	if XYBaseline.Routing() != noc.RouteXY || AdaARI.Routing() != noc.RouteMinAdaptive {
-		t.Fatal("routing mapping wrong")
+	base := Mechanisms{Routing: noc.RouteMinAdaptive}
+	ari := Mechanisms{Routing: noc.RouteMinAdaptive, NI: noc.NISplit, Speedup: true, Priority: true}
+	with := func(m Mechanisms, label string, f func(*Mechanisms)) Mechanisms {
+		m.Label = label
+		if f != nil {
+			f(&m)
+		}
+		return m
 	}
-	if !AdaARI.HasSplitNI() || !AdaARI.HasSpeedup() || !AdaARI.HasPriority() {
-		t.Fatal("AdaARI must enable all three mechanisms")
+	want := map[Scheme]Mechanisms{
+		XYBaseline:        with(base, "XY-Baseline", func(m *Mechanisms) { m.Routing = noc.RouteXY }),
+		XYARI:             with(ari, "XY-ARI", func(m *Mechanisms) { m.Routing = noc.RouteXY }),
+		AdaBaseline:       with(base, "Ada-Baseline", nil),
+		AdaMultiPort:      with(base, "Ada-MultiPort", func(m *Mechanisms) { m.NI = noc.NIMultiPort }),
+		AdaARI:            with(ari, "Ada-ARI", nil),
+		AccSupply:         with(ari, "Acc-Supply", func(m *Mechanisms) { m.Speedup, m.Priority = false, false }),
+		AccConsume:        with(ari, "Acc-Consume", func(m *Mechanisms) { m.NI, m.Priority = noc.NIBaseline, false }),
+		AccBothNoPriority: with(ari, "Acc-Both-NoPriority", func(m *Mechanisms) { m.Priority = false }),
+		DA2MeshBase:       with(base, "DA2Mesh", func(m *Mechanisms) { m.Overlay = true }),
+		DA2MeshARI:        with(ari, "DA2Mesh+ARI", func(m *Mechanisms) { m.Overlay = true }),
 	}
-	if AccSupply.HasSpeedup() || AccConsume.HasSplitNI() || AccBothNoPriority.HasPriority() {
-		t.Fatal("ablation schemes enable the wrong mechanisms")
+	if len(want) != NumSchemes {
+		t.Fatalf("%d schemes pinned, the table has %d", len(want), NumSchemes)
 	}
-	if !DA2MeshARI.UsesOverlay() || DA2MeshBase.HasSplitNI() {
-		t.Fatal("overlay schemes wired wrong")
+	for s, w := range want {
+		if got := s.Mechanisms(); got != w {
+			t.Errorf("%v: row %+v, want %+v", s, got, w)
+		}
+		if s.String() != w.Label || s.Routing() != w.Routing {
+			t.Errorf("%v: String %q, Routing %v", s, s.String(), s.Routing())
+		}
+		if p, err := ParseScheme(strings.ToLower(w.Label)); p != s || err != nil {
+			t.Errorf("ParseScheme(%q) = %v, %v", strings.ToLower(w.Label), p, err)
+		}
 	}
-	if !AdaMultiPort.IsMultiPort() || AdaARI.IsMultiPort() {
-		t.Fatal("MultiPort flag wrong")
+	if got := Scheme(NumSchemes).Mechanisms(); got != (Mechanisms{}) || Scheme(-1).String() != "Scheme(-1)" {
+		t.Errorf("undefined scheme: row %+v, label %q", got, Scheme(-1).String())
 	}
 }
 

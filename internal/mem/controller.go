@@ -96,16 +96,24 @@ type Controller struct {
 	nextWBID     uint64
 }
 
-// NewController builds an MC node attached to the reply fabric.
-func NewController(node int, cfg MCConfig, fabric noc.Fabric, linkBits, dataBytes int) (*Controller, error) {
+// Validate checks the L2, the DRAM and the queue and latency bounds.
+func (cfg MCConfig) Validate() error {
 	if err := cfg.L2.Validate(); err != nil {
-		return nil, fmt.Errorf("mem: L2: %w", err)
+		return fmt.Errorf("mem: L2: %w", err)
 	}
 	if err := cfg.DRAM.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.InQueueCap <= 0 || cfg.L2PipeCap <= 0 || cfg.ReplyQueueCap <= 0 || cfg.L2Latency < 0 {
-		return nil, fmt.Errorf("mem: invalid queue/latency config %+v", cfg)
+		return fmt.Errorf("mem: invalid queue/latency config %+v", cfg)
+	}
+	return nil
+}
+
+// NewController builds an MC node attached to the reply fabric.
+func NewController(node int, cfg MCConfig, fabric noc.Fabric, linkBits, dataBytes int) (*Controller, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	c := &Controller{
 		Node:         node,

@@ -93,17 +93,17 @@ func TestMultiPortBetweenBaselineAndARI(t *testing.T) {
 
 func TestInjSpeedupClampedToVCs(t *testing.T) {
 	nc := NodeConfig{InjSpeedup: 99}
-	if got := nc.injSpeedup(4); got != 4 {
+	if got := nc.Speedup(4); got != 4 {
 		t.Fatalf("speedup clamp: got %d, want 4 (eq. 2)", got)
 	}
-	if got := nc.injSpeedup(2); got != 2 {
+	if got := nc.Speedup(2); got != 2 {
 		t.Fatalf("speedup clamp: got %d, want 2", got)
 	}
 	zero := NodeConfig{}
-	if got := zero.injSpeedup(4); got != 1 {
+	if got := zero.Speedup(4); got != 1 {
 		t.Fatalf("default speedup: got %d, want 1", got)
 	}
-	if got := zero.injPorts(); got != 1 {
+	if got := zero.Ports(); got != 1 {
 		t.Fatalf("default ports: got %d, want 1", got)
 	}
 }

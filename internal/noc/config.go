@@ -67,22 +67,26 @@ type NodeConfig struct {
 // mesh ports plus the injection ports) fit one uint32 mask.
 const maxInjPorts = 32 - NumDirections
 
-func (nc NodeConfig) injPorts() int {
+// Validate checks the limits a node's injection architecture must meet.
+func (nc NodeConfig) Validate() error {
+	if nc.InjPorts > maxInjPorts {
+		return fmt.Errorf("%d injection ports, at most %d supported", nc.InjPorts, maxInjPorts)
+	}
+	return nil
+}
+
+// Ports returns the node's injection input ports (at least 1).
+func (nc NodeConfig) Ports() int {
 	if nc.InjPorts < 1 {
 		return 1
 	}
 	return nc.InjPorts
 }
 
-func (nc NodeConfig) injSpeedup(vcs int) int {
-	s := nc.InjSpeedup
-	if s < 1 {
-		s = 1
-	}
-	if s > vcs {
-		s = vcs // eq. (2): no benefit beyond NVC switch-ports
-	}
-	return s
+// Speedup returns the switch-ports each injection port owns on a network of
+// vcs VCs: at least 1, at most vcs (eq. 2: no benefit beyond NVC).
+func (nc NodeConfig) Speedup(vcs int) int {
+	return min(max(nc.InjSpeedup, 1), vcs)
 }
 
 // Config describes one network (the request and reply networks are two
@@ -183,8 +187,8 @@ func (c Config) Validate() (Config, error) {
 		return c, fmt.Errorf("noc: Nodes has %d entries for a %d-node mesh", len(c.Nodes), c.Mesh.Nodes())
 	}
 	for id, nc := range c.Nodes {
-		if nc.InjPorts > maxInjPorts {
-			return c, fmt.Errorf("noc: node %d has %d injection ports, at most %d supported", id, nc.InjPorts, maxInjPorts)
+		if err := nc.Validate(); err != nil {
+			return c, fmt.Errorf("noc: node %d: %w", id, err)
 		}
 	}
 	return c, nil

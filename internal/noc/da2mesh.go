@@ -95,7 +95,7 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 		case NISplit:
 			return cfg.VCs, splitQueueFlits(&cfg)
 		case NIMultiPort:
-			return nc.injPorts(), cfg.NIQueueFlits
+			return nc.Ports(), cfg.NIQueueFlits
 		}
 		return 1, cfg.NIQueueFlits
 	}

@@ -114,9 +114,9 @@ func newSlabs(cfg *Config) (*slabs, error) {
 	nodes, long := cfg.Mesh.Nodes(), cfg.LongPacketFlits()
 	for id := 0; id < nodes; id++ {
 		nc := cfg.node(id)
-		numIn := NumDirections + nc.injPorts()
+		numIn := NumDirections + nc.Ports()
 		inPorts += numIn
-		sps += NumDirections + nc.injPorts()*nc.injSpeedup(cfg.VCs)
+		sps += NumDirections + nc.Ports()*nc.Speedup(cfg.VCs)
 		// Router input staging plus the ejector's one flit per cycle.
 		staged += stagedCap(nc, cfg.VCs) + 1
 		// Router VC and ejector rings (a long packet each) but none at a
@@ -134,7 +134,7 @@ func newSlabs(cfg *Config) (*slabs, error) {
 		}
 		// Output creditIn slots, the NI's injection-VC credits and the
 		// router's switch-port offsets.
-		int32s += (numOutPorts+nc.injPorts())*cfg.VCs + numIn + 1
+		int32s += (numOutPorts+nc.Ports())*cfg.VCs + numIn + 1
 		if cfg.RetransBufPkts > 0 {
 			bools += cfg.VCs
 		}

@@ -272,11 +272,11 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 		vaNeed:    noNeeds(),
 	}
 
-	numIn := NumDirections + nc.injPorts()
-	speedup := nc.injSpeedup(vcs)
+	numIn := NumDirections + nc.Ports()
+	speedup := nc.Speedup(vcs)
 	r.in = carve(&sl.inPorts, numIn)
 	r.vcs = carve(&sl.inVCs, numIn*vcs)
-	r.sps = carve(&sl.sps, NumDirections+nc.injPorts()*speedup)
+	r.sps = carve(&sl.sps, NumDirections+nc.Ports()*speedup)
 	r.spStart = carve(&sl.int32s, numIn+1)
 	r.staged = carve(&sl.staged, stagedCap(nc, vcs))[:0]
 	r.out = carve(&sl.outPorts, numOutPorts)
@@ -333,7 +333,7 @@ func (r *router) init(net *Network, id int, sl *slabs) {
 // each mesh link carries one flit per cycle, and an NI supplies at most VCs
 // flits per cycle per injection port.
 func stagedCap(nc NodeConfig, vcs int) int {
-	return NumDirections + nc.injPorts()*vcs
+	return NumDirections + nc.Ports()*vcs
 }
 
 // flitCount reads the router's activity predicate: flits resident in its

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -133,9 +134,116 @@ func (tw *twinNets) step() {
 		tw.t.Fatalf("cycle %d: deliveries %v, reference %v", now, tw.log[0], tw.log[1])
 	}
 	tw.log[0], tw.log[1] = tw.log[0][:0], tw.log[1][:0]
-	if a, b := l.StateSnapshot(), r.StateSnapshot(); !reflect.DeepEqual(a, b) {
-		tw.t.Fatalf("cycle %d: state differs\n%s\nreference\n%s", now, a, b)
+	if d := stateDiff(l, r); d != "" {
+		tw.t.Fatalf("cycle %d: state differs at %s\n%s\nreference\n%s", now, d, l.StateSnapshot(), r.StateSnapshot())
 	}
+}
+
+// stateDiff names the first difference between what a's and b's
+// StateSnapshot report, "" when there is none. It reads the networks in
+// place, the snapshot's fields in the snapshot's terms, so comparing every
+// cycle costs no dump and no reflection.
+func stateDiff(a, b *Network) string {
+	if a.now != b.now || a.inFlight != b.inFlight {
+		return "cycle or in-flight count"
+	}
+	ka, oa := oldest5(a)
+	kb, ob := oldest5(b)
+	if ka != kb {
+		return "oldest packets"
+	}
+	for i := range ka {
+		if a.packetDump(oa[i]) != b.packetDump(ob[i]) {
+			return "oldest packets"
+		}
+	}
+	for id := range a.routers {
+		if d := routerDiff(a, b, id); d != "" {
+			return fmt.Sprintf("router %d %s", id, d)
+		}
+	}
+	return ""
+}
+
+// oldest5 returns the snapshot's oldest packets (by CreatedAt, then ID) by
+// insertion into five slots rather than a sort of every live packet.
+func oldest5(n *Network) (k int, top [5]*Packet) {
+	older := func(p, q *Packet) bool {
+		return p.CreatedAt < q.CreatedAt || p.CreatedAt == q.CreatedAt && p.ID < q.ID
+	}
+	for _, p := range n.pkts.pkts {
+		if p == nil {
+			continue
+		}
+		i := k
+		if k < len(top) {
+			k++
+		} else if older(p, top[k-1]) {
+			i = k - 1
+		} else {
+			continue
+		}
+		for ; i > 0 && older(p, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = p
+	}
+	return k, top
+}
+
+// routerDiff compares node id's RouterDump on a and b: whether it is dumped
+// at all, its flit levels, its input VCs, staged arrivals and freezes, its
+// output credits, owners and stalls, and its NI.
+func routerDiff(a, b *Network, id int) string {
+	ra, rb := &a.routers[id], &b.routers[id]
+	ea, eb, na, nb := &a.ejectors[id], &b.ejectors[id], &a.nis[id], &b.nis[id]
+	if ra.flitCount() != rb.flitCount() || ea.flitCount() != eb.flitCount() || na.queuedFlits() != nb.queuedFlits() {
+		return "flit levels"
+	}
+	if ra.flitCount() == 0 && ea.flitCount() == 0 && na.queuedFlits() == 0 {
+		return "" // not dumped
+	}
+	if ra.isMC != rb.isMC || na.queuedFlits() > 0 && na.mode != nb.mode {
+		return "MC tag or NI mode"
+	}
+	for p := range ra.in {
+		staged := countStaged(ra.staged, p, -1)
+		if staged != countStaged(rb.staged, p, -1) {
+			return fmt.Sprintf("in %d staged", p)
+		}
+		busy := staged > 0
+		for v := 0; v < ra.nvc; v++ {
+			va, vb := &ra.vcs[p*ra.nvc+v], &rb.vcs[p*rb.nvc+v]
+			if va.state != vb.state || va.buf.len() != vb.buf.len() {
+				return fmt.Sprintf("in %d vc %d state or level", p, v)
+			}
+			if !va.buf.empty() {
+				fa, fb := va.buf.front(a.flits), vb.buf.front(b.flits)
+				if fa.seq != fb.seq || a.packetDump(a.pkts.of(fa)) != b.packetDump(b.pkts.of(fb)) {
+					return fmt.Sprintf("in %d vc %d head", p, v)
+				}
+			}
+			if va.state != vcIdle && (va.outPort != vb.outPort || va.outVC != vb.outVC || va.waitSince != vb.waitSince) {
+				return fmt.Sprintf("in %d vc %d route or wait", p, v)
+			}
+			busy = busy || !va.buf.empty() || va.state != vcIdle
+		}
+		if busy && ra.in[p].frozenUntil != rb.in[p].frozenUntil {
+			return fmt.Sprintf("in %d freeze", p)
+		}
+	}
+	for o := range ra.out {
+		if ra.out[o].stalledUntil != rb.out[o].stalledUntil {
+			return fmt.Sprintf("out %d stall", o)
+		}
+		for v := 0; v < ra.nvc; v++ {
+			i := o*ra.nvc + v
+			if ra.outVC(o, v).credits+ra.creditIn[i] != rb.outVC(o, v).credits+rb.creditIn[i] || ra.owner(o, v) != rb.owner(o, v) {
+				return fmt.Sprintf("out %d vc %d credits or owner", o, v)
+			}
+		}
+	}
+	return ""
 }
 
 // finish drains both twins, stepping in lockstep, and compares what is only
@@ -202,6 +310,7 @@ func TestStepMatchesScan(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			tw := newTwinNets(t, tc.mutate)
 			cfg := tw.live.Config()
 			nodes := cfg.Mesh.Nodes()

@@ -130,18 +130,44 @@ func TestSubmitFullConfigOverride(t *testing.T) {
 }
 
 func TestSubmitRejectsBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for _, body := range []string{
+	s, ts := newTestServer(t, Config{})
+	bodies := []string{
 		`{`,                       // malformed JSON
 		`{"bench":"nosuchbench"}`, // unknown benchmark
 		`{"bench":"bfs","scheme":"nosuchscheme"}`,  // unknown scheme
 		`{"bench":"bfs","config":{"MeshWidth":0}}`, // invalid config
-	} {
+	}
+	// Configs past a network limit, in run and estimate mode: Validate
+	// refuses what NewSimulator would, so they never reach admission.
+	vcs, niq, ports := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs.VCs = 40
+	niq.NIQueueFlits = -5
+	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
+	for _, cfg := range []core.Config{vcs, niq, ports} {
+		for _, estimate := range []bool{false, true} {
+			b, err := json.Marshal(JobRequest{Bench: "bfs", Config: &cfg, Estimate: estimate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, string(b))
+		}
+	}
+	for _, body := range bodies {
 		resp := post(t, ts.URL, body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: status = %v, want 400", body, resp.Status)
 		}
+	}
+	// Every one ended at decode: no queue slot, run, estimate or SLO event.
+	s.mu.Lock()
+	counts := s.counts
+	s.mu.Unlock()
+	if counts[outBadRequest] != int64(len(bodies)) || counts[outError] != 0 {
+		t.Errorf("outcomes %v: want %d bad requests and nothing else", counts, len(bodies))
+	}
+	if runs, slo := s.cfg.Runner.Runs(), s.slo.Report(); runs != 0 || slo.Objectives[0].Total != 0 {
+		t.Errorf("%d runs, %d SLO events", runs, slo.Objectives[0].Total)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
