@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/noc"
 	"repro/internal/rng"
@@ -23,23 +24,16 @@ func main() {
 
 	mesh := noc.Mesh{Width: 6, Height: 6}
 	mcs := noc.DiamondMCPlacement(mesh, 8)
-	isMC := map[int]bool{}
-	for _, n := range mcs {
-		isMC[n] = true
-	}
-
 	cfg := noc.Config{
 		Mesh:      mesh,
 		VCs:       4,
 		LinkBits:  128,
 		DataBytes: 128,
 		Routing:   noc.RouteMinAdaptive,
+		MCNodes:   mcs,
 	}
 	if *ari {
-		cfg.Nodes = make([]noc.NodeConfig, mesh.Nodes())
-		for _, n := range mcs {
-			cfg.Nodes[n] = noc.NodeConfig{NI: noc.NISplit, InjSpeedup: 4}
-		}
+		cfg.MC = noc.NodeConfig{NI: noc.NISplit, InjSpeedup: 4}
 		cfg.PriorityLevels = 2
 	}
 	net, err := noc.NewNetwork(cfg)
@@ -56,7 +50,7 @@ func main() {
 	src := rng.New(42)
 	var ccs []int
 	for n := 0; n < mesh.Nodes(); n++ {
-		if !isMC[n] {
+		if !slices.Contains(mcs, n) {
 			ccs = append(ccs, n)
 		}
 	}

@@ -97,7 +97,7 @@ func NewModel(cfg core.Config) (*Model, error) {
 	}
 	// The reply mesh the simulator builds, with noc's defaults filled in;
 	// Validate has accepted it.
-	rep, mcNodes, ccNodes := core.ReplyNetwork(cfg)
+	rep, ccNodes := core.ReplyNetwork(cfg)
 	rep, err := rep.Validate()
 	if err != nil {
 		return nil, fmt.Errorf("analytic: %w", err)
@@ -106,7 +106,7 @@ func NewModel(cfg core.Config) (*Model, error) {
 	m := &Model{cfg: cfg}
 	m.mesh = rep.Mesh
 	m.nodes = m.mesh.Nodes()
-	m.nMC = len(mcNodes)
+	m.nMC = len(rep.MCNodes)
 	m.nCores = len(ccNodes)
 
 	m.reqShort = 1
@@ -116,7 +116,7 @@ func NewModel(cfg core.Config) (*Model, error) {
 
 	var hops, pairs float64
 	for _, n := range ccNodes {
-		for _, mc := range mcNodes {
+		for _, mc := range rep.MCNodes {
 			hops += float64(m.mesh.Hops(n, mc))
 			pairs++
 		}
@@ -132,7 +132,7 @@ func NewModel(cfg core.Config) (*Model, error) {
 	// switch drain that many flits/cycle from the injection port; the
 	// MultiPort scheme adds ports (consumption parallelism) but keeps the
 	// one-flit supply.
-	nc := rep.Nodes[mcNodes[0]]
+	nc := rep.MC
 	m.supplyRate = 1
 	if nc.NI == noc.NISplit {
 		m.supplyRate = float64(rep.VCs)
@@ -150,9 +150,6 @@ func NewModel(cfg core.Config) (*Model, error) {
 	mc := cfg.MC
 	m.mcQueueSlots = float64(mc.InQueueCap + mc.L2PipeCap + mc.ReplyQueueCap)
 	m.l2Latency = float64(mc.L2Latency)
-	if m.l2Latency <= 0 {
-		m.l2Latency = 20
-	}
 	// DRAM access estimate: activate + CAS + burst on a row miss, CAS +
 	// burst on a hit; assume an even split, scaled from the memory clock to
 	// NoC cycles.

@@ -156,3 +156,21 @@ func TestModelReadsSimulatorNIQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestModelReadsSimulatorL2Latency: the model's L2 term is the configured
+// L2 latency, 0 included, since the simulator runs a 0-cycle L2 as
+// configured: an all-hit MC with an idle DRAM channel turns a request
+// around in L2Latency cycles.
+func TestModelReadsSimulatorL2Latency(t *testing.T) {
+	for _, l2 := range []int{0, 20, 35} {
+		cfg := core.DefaultConfig()
+		cfg.MC.L2Latency = l2
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.mcServiceTime(1, 0.1); got != float64(l2) {
+			t.Errorf("L2Latency %d: all-hit MC turnaround %v cycles", l2, got)
+		}
+	}
+}

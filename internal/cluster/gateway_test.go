@@ -235,11 +235,12 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 		t.Fatalf("unknown bench: %d %s", w.Code, w.Body)
 	}
 	// Configs past a network limit, which the replica could not run.
-	vcs, niq, ports := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs, niq, ports, mesh := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
 	vcs.VCs = 40
 	niq.NIQueueFlits = -5
 	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
-	for _, cfg := range []core.Config{vcs, niq, ports} {
+	mesh.MeshWidth, mesh.MeshHeight = 4096, 4096 // flit buffers past int32 offsets
+	for _, cfg := range []core.Config{vcs, niq, ports, mesh} {
 		for _, estimate := range []bool{false, true} {
 			w := postJob(t, g, serve.JobRequest{Bench: "bfs", Config: &cfg, Estimate: estimate})
 			if w.Code != http.StatusBadRequest {

@@ -81,7 +81,7 @@ func TestRunCheckedPollDoesNotAllocate(t *testing.T) {
 			w := newWatchdog(sims[0], CheckOptions{})
 			window := func(s *Simulator, poll bool) func() {
 				return func() {
-					for i := int64(0); i < w.opt.PollEvery; i++ {
+					for i := int64(0); i < pollEvery; i++ {
 						s.Step()
 					}
 					if poll {
@@ -102,7 +102,7 @@ func TestRunCheckedPollDoesNotAllocate(t *testing.T) {
 			const polls = 16
 			withPoll, without := testing.AllocsPerRun(polls, polled), testing.AllocsPerRun(polls, plain)
 			if withPoll != without {
-				t.Fatalf("a %d-cycle window allocated %.2f objects with the watchdog poll, %.2f without", w.opt.PollEvery, withPoll, without)
+				t.Fatalf("a %d-cycle window allocated %.2f objects with the watchdog poll, %.2f without", pollEvery, withPoll, without)
 			}
 		})
 	}
@@ -111,7 +111,7 @@ func TestRunCheckedPollDoesNotAllocate(t *testing.T) {
 // TestNewSimulatorAllocBudget keeps construction cheap: it is most of a
 // short job's setup time (serve-paths runs 50 ms jobs), and it was 12 380
 // allocations — 80 % of them routers and flit rings — before the networks
-// were slab-built. 464 at the time of writing; the budget is about twice
+// were slab-built. 461 at the time of writing; the budget is about twice
 // that.
 func TestNewSimulatorAllocBudget(t *testing.T) {
 	k, err := trace.ByName("bfs")
@@ -139,7 +139,7 @@ func TestNewSimulatorAllocBudget(t *testing.T) {
 // pointer-free 8-byte flits behind a packet table and flat tag/state and
 // MSHR tables. With offset-addressed flit rings, index-linked NoC ports,
 // one held-instruction slab per core and 16-byte warps it is 0.63 MB
-// (627 106 B) at the time of writing.
+// (626 138 B, with no per-node reply table) at the time of writing.
 func TestNewSimulatorByteBudget(t *testing.T) {
 	k, err := trace.ByName("bfs")
 	if err != nil {

@@ -232,15 +232,12 @@ func (c Config) Validate() error {
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("core: invalid horizon warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
 	}
-	req, rep, mc := c.networks()
+	req, rep := c.networks()
 	if _, err := req.Validate(); err != nil {
 		return fmt.Errorf("core: request network: %w", err)
 	}
 	if _, err := rep.Validate(); err != nil {
 		return fmt.Errorf("core: reply network: %w", err)
-	}
-	if err := mc.Validate(); err != nil {
-		return fmt.Errorf("core: MC nodes: %w", err)
 	}
 	if c.Fault.Enabled {
 		if _, err := c.Fault.Validate(); err != nil {
@@ -254,15 +251,13 @@ func (c Config) Validate() error {
 }
 
 // networks derives, in one place, the meshes c describes: the request mesh,
-// which no scheme modifies (§4.2, §6.1); the reply mesh without its per-node
-// table; and the reply injection architecture every MC node gets — the
-// scheme row's NI kind, its speedup (InjSpeedup, 0 selecting the paper's
-// 4) and MultiPort's MultiPortPorts, with UnenhancedBaseline narrowing a
-// baseline NI's MC link. Validate checks all three, so a config it accepts
-// constructs unless its flit buffers overflow noc's int32 ring offsets
-// (checked at construction, since counting them takes a per-node walk);
-// ReplyNetwork places the MC nodes' entry.
-func (c Config) networks() (req, rep noc.Config, mc noc.NodeConfig) {
+// which no scheme modifies (§4.2, §6.1), and the reply mesh, whose MC nodes
+// (MCPlacement) get the scheme row's injection architecture — its NI kind,
+// its speedup (InjSpeedup, 0 selecting the paper's 4) and MultiPort's
+// MultiPortPorts, with UnenhancedBaseline narrowing a baseline NI's MC link.
+// Validate checks both, buffer counts included, so a config it accepts
+// constructs.
+func (c Config) networks() (req, rep noc.Config) {
 	m := c.Scheme.Mechanisms()
 	req = noc.Config{
 		Mesh:           noc.Mesh{Width: c.MeshWidth, Height: c.MeshHeight},
@@ -278,20 +273,20 @@ func (c Config) networks() (req, rep noc.Config, mc noc.NodeConfig) {
 	if m.Priority {
 		rep.PriorityLevels, rep.StarvationLimit = c.PriorityLevels, c.StarvationLimit
 	}
-	mc.NI = m.NI
+	rep.MCNodes, rep.MC.NI = c.MCPlacement(), m.NI
 	if m.Speedup {
-		mc.InjSpeedup = c.InjSpeedup
-		if mc.InjSpeedup <= 0 {
-			mc.InjSpeedup = 4
+		rep.MC.InjSpeedup = c.InjSpeedup
+		if rep.MC.InjSpeedup <= 0 {
+			rep.MC.InjSpeedup = 4
 		}
 	}
 	if m.NI == noc.NIMultiPort {
-		mc.InjPorts = c.MultiPortPorts
+		rep.MC.InjPorts = c.MultiPortPorts
 	}
-	if c.UnenhancedBaseline && mc.NI == noc.NIBaseline {
-		mc.NI = noc.NINarrowLink
+	if c.UnenhancedBaseline && rep.MC.NI == noc.NIBaseline {
+		rep.MC.NI = noc.NINarrowLink
 	}
-	return req, rep, mc
+	return req, rep
 }
 
 // MCPlacement returns the memory-controller node ids of c's mesh: the

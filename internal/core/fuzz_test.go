@@ -10,29 +10,35 @@ import (
 )
 
 // pastNoCLimits are Table I configs each past one limit of the networks the
-// config derives: more VCs than a router supports, a negative NI queue, and
-// more MultiPort injection ports than a router's port mask holds.
+// config derives: more VCs than a router supports, a negative NI queue, more
+// MultiPort injection ports than a router's port mask holds, and a
+// 4096×4096 mesh whose 4.2 G flits of buffering overflow a ring's int32
+// offset.
 func pastNoCLimits() map[string]core.Config {
-	vcs, niq, ports := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs, niq, ports, mesh := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
 	vcs.VCs = 40
 	niq.NIQueueFlits = -5
 	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
-	return map[string]core.Config{"VCs 40": vcs, "NIQueueFlits -5": niq, "MultiPortPorts 40": ports}
+	mesh.MeshWidth, mesh.MeshHeight = 4096, 4096
+	return map[string]core.Config{"VCs 40": vcs, "NIQueueFlits -5": niq, "MultiPortPorts 40": ports, "mesh 4096x4096": mesh}
 }
 
 // TestGateAgreement: every entry point that takes a Config refuses what
-// Validate refuses — the simulator and the estimator alike.
+// Validate refuses — the simulator and the estimator alike — and the
+// simulator refuses it with Validate's error, before building anything.
 func TestGateAgreement(t *testing.T) {
 	k, err := trace.ByName("bfs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, cfg := range pastNoCLimits() {
-		if err := cfg.Validate(); err == nil {
+		verr := cfg.Validate()
+		if verr == nil {
 			t.Errorf("%s: Validate accepted it", name)
+			continue
 		}
-		if _, err := core.NewSimulator(cfg, k); err == nil {
-			t.Errorf("%s: NewSimulator accepted it", name)
+		if _, err := core.NewSimulator(cfg, k); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s: NewSimulator returned %v, want Validate's %v", name, err, verr)
 		}
 		if _, err := analytic.NewModel(cfg); err == nil {
 			t.Errorf("%s: analytic.NewModel accepted it", name)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/mem"
@@ -137,33 +138,30 @@ func retransBufPkts(cfg Config) int {
 	return cfg.RetransBufPkts
 }
 
-// RequestNetwork returns the request mesh cfg describes: no scheme modifies
-// it (§4.2, §6.1).
-func RequestNetwork(cfg Config) noc.Config {
-	req, _, _ := cfg.networks()
-	return req
+// ReplyNetwork returns the mesh reply network cfg describes — its MCNodes
+// inject replies with the injection architecture of cfg.Scheme's row
+// (Config.networks) — together with the compute nodes that receive them.
+// The estimator and the standalone load-latency figure build on it, as
+// NewSimulator does.
+func ReplyNetwork(cfg Config) (rep noc.Config, ccNodes []int) {
+	_, rep = cfg.networks()
+	return rep, computeNodes(rep)
 }
 
-// ReplyNetwork returns the mesh reply network cfg describes — every MC
-// node gets the injection architecture of cfg.Scheme's row (Config.networks)
-// — together with the node split it serves: the MC nodes that inject
-// replies and the compute nodes that receive them. NewSimulator builds its
-// reply fabric from it, and so do the estimator and the standalone
-// load-latency figure.
-func ReplyNetwork(cfg Config) (rep noc.Config, mcNodes, ccNodes []int) {
-	_, rep, mc := cfg.networks()
-	mcNodes = cfg.MCPlacement()
-	rep.Nodes = make([]noc.NodeConfig, rep.Mesh.Nodes())
-	isMC := make([]bool, len(rep.Nodes))
-	for _, n := range mcNodes {
-		rep.Nodes[n], isMC[n] = mc, true
-	}
-	for n, is := range isMC {
-		if !is {
-			ccNodes = append(ccNodes, n)
+// computeNodes returns, in ascending order, the nodes of rep's mesh that are
+// not MC nodes.
+func computeNodes(rep noc.Config) []int {
+	mcs := slices.Clone(rep.MCNodes)
+	slices.Sort(mcs)
+	cc := make([]int, 0, rep.Mesh.Nodes()-len(mcs))
+	for n := range rep.Mesh.Nodes() {
+		if len(mcs) > 0 && mcs[0] == n {
+			mcs = mcs[1:]
+		} else {
+			cc = append(cc, n)
 		}
 	}
-	return rep, mcNodes, ccNodes
+	return cc
 }
 
 // buildNetworks wires the request mesh and the scheme's reply fabric, and
@@ -177,7 +175,8 @@ func (s *Simulator) buildNetworks() error {
 		fcfg.Seed = cfg.Seed
 	}
 
-	reqNet, err := noc.NewNetwork(RequestNetwork(cfg))
+	reqCfg, repCfg := cfg.networks()
+	reqNet, err := noc.NewNetwork(reqCfg)
 	if err != nil {
 		return fmt.Errorf("core: request network: %w", err)
 	}
@@ -187,8 +186,7 @@ func (s *Simulator) buildNetworks() error {
 	}
 
 	// Reply fabric: this switch is the one place that decides its type.
-	repCfg, mcNodes, ccNodes := ReplyNetwork(cfg)
-	s.mcNodes, s.ccNodes = mcNodes, ccNodes
+	s.mcNodes, s.ccNodes = repCfg.MCNodes, computeNodes(repCfg)
 	switch {
 	case cfg.IdealReply:
 		if s.repNet, err = noc.NewIdealFabric(repCfg); err != nil {
@@ -202,9 +200,6 @@ func (s *Simulator) buildNetworks() error {
 		rep, err := noc.NewNetwork(repCfg)
 		if err != nil {
 			return fmt.Errorf("core: reply network: %w", err)
-		}
-		for _, n := range mcNodes {
-			rep.MarkMCRouter(n)
 		}
 		if err := rep.ScheduleFaults(fcfg, 2); err != nil {
 			return fmt.Errorf("core: reply fault schedule: %w", err)

@@ -11,6 +11,10 @@ import (
 // CheckOptions.Interrupt hook asks them to stop (cancellation, timeout).
 var ErrInterrupted = errors.New("core: run interrupted")
 
+// pollEvery is the watchdog sampling period in cycles. The checks are O(1)
+// except the age scan, which is O(buffers) and runs at this cadence too.
+const pollEvery = 64
+
 // CheckOptions configures the forward-progress watchdogs of RunChecked and
 // RunWorkChecked. The zero value enables the default thresholds; set a
 // field negative to disable that check.
@@ -26,20 +30,16 @@ type CheckOptions struct {
 	// but some packet never gets through). 0 selects the default (50000
 	// cycles); negative disables the age check.
 	PacketAgeCap int64
-	// PollEvery is the watchdog sampling period in cycles (default 64). The
-	// checks are O(1) except the age scan, which is O(buffers) and runs at
-	// this cadence too.
-	PollEvery int64
 	// InvariantEvery, when positive, additionally runs CheckInvariants on
 	// both fabrics every InvariantEvery cycles and converts a
 	// violation into an error naming the run. It is the one invariant gate:
 	// no Config carries one.
 	InvariantEvery int64
-	// Interrupt, when non-nil, is polled every PollEvery cycles; returning
+	// Interrupt, when non-nil, is polled every pollEvery cycles; returning
 	// true aborts the run with ErrInterrupted. The experiment harness wires
 	// context cancellation and per-run timeouts through it.
 	Interrupt func() bool
-	// Inspector, when non-nil, receives a progress report every PollEvery
+	// Inspector, when non-nil, receives a progress report every pollEvery
 	// cycles and may request a state snapshot, which the run produces at the
 	// same poll — the only race-free point to observe simulator state from
 	// outside its goroutine. Live introspection (obs.RunStatus) hooks in
@@ -69,9 +69,6 @@ func (o CheckOptions) withDefaults() CheckOptions {
 	}
 	if o.PacketAgeCap == 0 {
 		o.PacketAgeCap = 50000
-	}
-	if o.PollEvery <= 0 {
-		o.PollEvery = 64
 	}
 	return o
 }
@@ -153,7 +150,7 @@ func newWatchdog(s *Simulator, opt CheckOptions) *watchdog {
 // poll runs the due checks; call it after every Step with the new cycle.
 func (w *watchdog) poll() error {
 	now := w.s.cycle
-	if now%w.opt.PollEvery != 0 {
+	if now%pollEvery != 0 {
 		return nil
 	}
 	if w.opt.Interrupt != nil && w.opt.Interrupt() {

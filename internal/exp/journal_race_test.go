@@ -117,8 +117,8 @@ func TestRunnerLookupKeyAndAdopt(t *testing.T) {
 	if rB.Runs() != 0 {
 		t.Fatalf("Adopt counted %d runs, want 0", rB.Runs())
 	}
-	if got, ok := rB.Lookup(cfg, "bfs"); !ok || got.IPC != res.IPC {
-		t.Fatalf("Lookup after Adopt = %+v, %v", got, ok)
+	if got, ok := rB.LookupKey(JobKey(cfg, "bfs")); !ok || got.IPC != res.IPC {
+		t.Fatalf("LookupKey after Adopt = %+v, %v", got, ok)
 	}
 	if err := jB.Close(); err != nil {
 		t.Fatal(err)

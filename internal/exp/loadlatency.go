@@ -66,7 +66,7 @@ func replyNetPoint(base core.Config, ari bool, load float64, cycles int) (latenc
 	if ari {
 		base.Scheme = core.AdaARI
 	}
-	cfg, mcs, ccs := core.ReplyNetwork(base)
+	cfg, ccs := core.ReplyNetwork(base)
 	net, err := noc.NewNetwork(cfg)
 	if err != nil {
 		return 0, 0, err
@@ -78,7 +78,7 @@ func replyNetPoint(base core.Config, ari bool, load float64, cycles int) (latenc
 	perCycle := load / float64(longPkt)
 	src := rng.New(base.Seed ^ 0xA51)
 	for c := 0; c < cycles; c++ {
-		for _, mc := range mcs {
+		for _, mc := range cfg.MCNodes {
 			if src.Float64() < perCycle {
 				net.Inject(mc, &noc.Packet{
 					Type: noc.ReadReply,
@@ -91,6 +91,6 @@ func replyNetPoint(base core.Config, ari bool, load float64, cycles int) (latenc
 	}
 	st := net.Stats()
 	lat := st.AvgLatency(noc.ReadReply)
-	thr := float64(delivered) / float64(cycles) / float64(len(mcs))
+	thr := float64(delivered) / float64(cycles) / float64(len(cfg.MCNodes))
 	return lat, thr, nil
 }

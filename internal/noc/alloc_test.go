@@ -114,10 +114,7 @@ func benchLikeConfig(ari bool) Config {
 		Routing:   RouteMinAdaptive,
 	}
 	if ari {
-		cfg.Nodes = make([]NodeConfig, mesh.Nodes())
-		for _, n := range DiamondMCPlacement(mesh, 8) {
-			cfg.Nodes[n] = NodeConfig{NI: NISplit, InjSpeedup: 4}
-		}
+		cfg.MCNodes, cfg.MC = DiamondMCPlacement(mesh, 8), NodeConfig{NI: NISplit, InjSpeedup: 4}
 		cfg.PriorityLevels = 2
 	}
 	return cfg

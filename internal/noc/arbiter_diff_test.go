@@ -274,8 +274,7 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 			for _, prio := range []int{0, 2} {
 				cfg := Config{Mesh: Mesh{Width: 3, Height: 3}, VCs: vcs, LinkBits: 128, DataBytes: 128,
 					Routing: RouteMinAdaptive, PriorityLevels: prio, StarvationLimit: 20}
-				cfg.Nodes = make([]NodeConfig, cfg.Mesh.Nodes())
-				cfg.Nodes[4] = nc
+				cfg.MCNodes, cfg.MC = []int{4}, nc
 				n, err := NewNetwork(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -13,8 +13,7 @@ const ariSrc = 5
 func ariConfig(t *testing.T, nc NodeConfig) Config {
 	return testConfig(t, func(c *Config) {
 		c.Routing = RouteMinAdaptive
-		c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-		c.Nodes[ariSrc] = nc
+		c.MCNodes, c.MC = []int{ariSrc}, nc
 	})
 }
 
@@ -159,9 +158,8 @@ func TestPriorityFavoursInjectionAtContendedOutput(t *testing.T) {
 			Routing:        RouteXY,
 			PriorityLevels: levels,
 			EjectRate:      1,
-			Nodes: []NodeConfig{
-				{}, {NI: NISplit, InjSpeedup: 4}, {},
-			},
+			MCNodes:        []int{1},
+			MC:             NodeConfig{NI: NISplit, InjSpeedup: 4},
 		}
 		n, err := NewNetwork(cfg)
 		if err != nil {
@@ -207,8 +205,7 @@ func TestStarvationGuardBoundsWait(t *testing.T) {
 	cfg := testConfig(t, func(c *Config) {
 		c.PriorityLevels = 2
 		c.StarvationLimit = 16
-		c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-		c.Nodes[1] = NodeConfig{NI: NISplit, InjSpeedup: 4}
+		c.MCNodes, c.MC = []int{1}, NodeConfig{NI: NISplit, InjSpeedup: 4}
 	})
 	n, err := NewNetwork(cfg)
 	if err != nil {

@@ -14,10 +14,7 @@ func benchNet(b *testing.B, ari bool) *Network {
 		Routing:   RouteMinAdaptive,
 	}
 	if ari {
-		cfg.Nodes = make([]NodeConfig, mesh.Nodes())
-		for _, n := range DiamondMCPlacement(mesh, 8) {
-			cfg.Nodes[n] = NodeConfig{NI: NISplit, InjSpeedup: 4}
-		}
+		cfg.MCNodes, cfg.MC = DiamondMCPlacement(mesh, 8), NodeConfig{NI: NISplit, InjSpeedup: 4}
 		cfg.PriorityLevels = 2
 	}
 	n, err := NewNetwork(cfg)
@@ -77,10 +74,7 @@ func BenchmarkNetworkStepFaulty(b *testing.B) {
 		RetransBufPkts: 8,
 		PriorityLevels: 2,
 	}
-	cfg.Nodes = make([]NodeConfig, mesh.Nodes())
-	for _, n := range DiamondMCPlacement(mesh, 8) {
-		cfg.Nodes[n] = NodeConfig{NI: NISplit, InjSpeedup: 4}
-	}
+	cfg.MCNodes, cfg.MC = DiamondMCPlacement(mesh, 8), NodeConfig{NI: NISplit, InjSpeedup: 4}
 	n, err := NewNetwork(cfg)
 	if err != nil {
 		b.Fatal(err)

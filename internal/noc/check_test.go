@@ -86,19 +86,13 @@ func TestInvariantsARI(t *testing.T) {
 	runChecked(t, func(c *Config) {
 		c.Routing = RouteMinAdaptive
 		c.PriorityLevels = 2
-		c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-		for i := 0; i < c.Mesh.Nodes(); i += 3 {
-			c.Nodes[i] = NodeConfig{NI: NISplit, InjSpeedup: 4}
-		}
+		c.MCNodes, c.MC = everyKth(c.Mesh, 3), NodeConfig{NI: NISplit, InjSpeedup: 4}
 	}, 1500, 4)
 }
 
 func TestInvariantsMultiPort(t *testing.T) {
 	runChecked(t, func(c *Config) {
-		c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-		for i := 0; i < c.Mesh.Nodes(); i += 4 {
-			c.Nodes[i] = NodeConfig{NI: NIMultiPort, InjPorts: 2}
-		}
+		c.MCNodes, c.MC = everyKth(c.Mesh, 4), NodeConfig{NI: NIMultiPort, InjPorts: 2}
 	}, 1500, 5)
 }
 

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NIMode selects the network-interface / injection architecture at a node
@@ -50,7 +51,7 @@ func (m NIMode) String() string {
 	}
 }
 
-// NodeConfig is the per-node injection architecture. The zero value is the
+// NodeConfig is a node's injection architecture. The zero value is the
 // enhanced baseline (one injection port, no crossbar speedup).
 type NodeConfig struct {
 	NI NIMode
@@ -132,13 +133,17 @@ type Config struct {
 	// no faults and ignore this field.
 	RetransBufPkts int
 
-	// Nodes optionally overrides the injection architecture per node id.
-	// Missing/zero entries are the enhanced baseline.
-	Nodes []NodeConfig
+	// MCNodes lists the memory-controller nodes (distinct, any order): each
+	// gets the injection architecture MC, and its router reports as an MC
+	// router. Every other node is the enhanced baseline, the zero
+	// NodeConfig.
+	MCNodes []int
+	// MC is the injection architecture of every node in MCNodes.
+	MC NodeConfig
 }
 
 // Validate checks invariants and fills defaults; it returns the normalised
-// config.
+// config, MCNodes sorted.
 func (c Config) Validate() (Config, error) {
 	if c.Mesh.Width <= 0 || c.Mesh.Height <= 0 {
 		return c, fmt.Errorf("noc: mesh %dx%d invalid", c.Mesh.Width, c.Mesh.Height)
@@ -183,23 +188,90 @@ func (c Config) Validate() (Config, error) {
 	if c.RetransBufPkts < 0 {
 		return c, fmt.Errorf("noc: RetransBufPkts must be >= 0, got %d", c.RetransBufPkts)
 	}
-	if c.Nodes != nil && len(c.Nodes) != c.Mesh.Nodes() {
-		return c, fmt.Errorf("noc: Nodes has %d entries for a %d-node mesh", len(c.Nodes), c.Mesh.Nodes())
+	if err := c.MC.Validate(); err != nil {
+		return c, fmt.Errorf("noc: MC nodes: %w", err)
 	}
-	for id, nc := range c.Nodes {
-		if err := nc.Validate(); err != nil {
-			return c, fmt.Errorf("noc: node %d: %w", id, err)
+	// A port names its neighbour by an int32 node id.
+	if c.Mesh.Width > math.MaxInt32/c.Mesh.Height {
+		return c, fmt.Errorf("noc: mesh %dx%d has more nodes than an int32 names", c.Mesh.Width, c.Mesh.Height)
+	}
+	c.MCNodes = slices.Clone(c.MCNodes)
+	slices.Sort(c.MCNodes)
+	for i, n := range c.MCNodes {
+		if n < 0 || n >= c.Mesh.Nodes() {
+			return c, fmt.Errorf("noc: MC node %d outside the %d-node mesh", n, c.Mesh.Nodes())
 		}
+		if i > 0 && c.MCNodes[i-1] == n {
+			return c, fmt.Errorf("noc: MC node %d listed twice", n)
+		}
+	}
+	// A ring names its storage by an int32 offset into its fabric's slab.
+	if b := c.buffers(); max(b.flits, b.laneFlits) > math.MaxInt32 {
+		return c, fmt.Errorf("noc: %d flits of buffering exceed a ring offset's range", max(b.flits, b.laneFlits))
 	}
 	return c, nil
 }
 
-// node returns the per-node config (zero value when not overridden).
-func (c *Config) node(id int) NodeConfig {
-	if c.Nodes == nil {
-		return NodeConfig{}
+// eachNode calls f for every node id in ascending order with the node's
+// injection architecture and whether it is an MC node. c must be validated,
+// so that MCNodes is sorted.
+func (c *Config) eachNode(f func(id int, nc NodeConfig, mc bool)) {
+	mcs := c.MCNodes
+	for id := range c.Mesh.Nodes() {
+		if len(mcs) > 0 && mcs[0] == id {
+			mcs = mcs[1:]
+			f(id, c.MC, true)
+		} else {
+			f(id, NodeConfig{}, false)
+		}
 	}
-	return c.Nodes[id]
+}
+
+// bufferCounts is the storage a fabric built from a Config carves from its
+// slabs: a mesh's ports, VCs, staging slots, rings, credit and flag words and
+// flits, and the DA2mesh overlay's NI lanes and their flits.
+type bufferCounts struct {
+	inPorts, sps, staged, rings, int32s, bools, flits int
+	lanes, laneFlits                                  int
+}
+
+// buffers counts a fabric's storage in closed form. A node is one of two
+// kinds, baseline or MC, and within a kind nodes differ only in their
+// mesh-edge ports: the 2(W+H) input ports with no link, whose VCs get no
+// ring. c's defaults must be filled (Validate).
+func (c *Config) buffers() bufferCounts {
+	var b bufferCounts
+	mcs := len(c.MCNodes)
+	b.add(c, NodeConfig{}, c.Mesh.Nodes()-mcs)
+	b.add(c, c.MC, mcs)
+	b.flits -= 2 * (c.Mesh.Width + c.Mesh.Height) * c.VCs * c.LongPacketFlits()
+	return b
+}
+
+// add counts k nodes of architecture nc, each with every mesh port linked.
+func (b *bufferCounts) add(c *Config, nc NodeConfig, k int) {
+	numIn := NumDirections + nc.Ports()
+	b.inPorts += k * numIn
+	b.sps += k * (NumDirections + nc.Ports()*nc.Speedup(c.VCs))
+	// Router input staging plus the ejector's one flit per cycle.
+	b.staged += k * (stagedCap(nc, c.VCs) + 1)
+	// A long packet per router and ejector VC and the NI queue(s); ejector
+	// VC rings and a split NI's queue rings.
+	niq, rings := c.NIQueueFlits, c.VCs
+	if nc.NI == NISplit {
+		niq, rings = c.VCs*splitQueueFlits(c), 2*c.VCs
+	}
+	b.flits += k * ((numIn+1)*c.VCs*c.LongPacketFlits() + niq)
+	b.rings += k * rings
+	// Output creditIn slots, the NI's injection-VC credits and the
+	// router's switch-port offsets.
+	b.int32s += k * ((numOutPorts+nc.Ports())*c.VCs + numIn + 1)
+	if c.RetransBufPkts > 0 {
+		b.bools += k * c.VCs
+	}
+	lanes, per := overlayLanes(c, nc)
+	b.lanes += k * lanes
+	b.laneFlits += k * lanes * per
 }
 
 // LongPacketFlits returns the flit count of long packets under this config:

@@ -3,7 +3,6 @@ package noc
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -75,6 +74,19 @@ type overlayNI struct {
 // before lanes stop starting new packets toward it.
 const overlayWindowPackets = 2
 
+// overlayLanes returns the lanes of an overlay NI of architecture nc and the
+// flits each lane's ring holds: NIQueueFlits in the FIFO modes (whose traffic
+// all queues on lane 0), a mesh split queue's share in split mode.
+func overlayLanes(cfg *Config, nc NodeConfig) (lanes, per int) {
+	switch nc.NI {
+	case NISplit:
+		return cfg.VCs, splitQueueFlits(cfg)
+	case NIMultiPort:
+		return nc.Ports(), cfg.NIQueueFlits
+	}
+	return 1, cfg.NIQueueFlits
+}
+
 // NewDA2Mesh builds the overlay fabric from cfg (same Config schema as the
 // mesh network; Routing is ignored).
 func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
@@ -87,32 +99,12 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 	d.backlog = make([]int, nodes)
 	d.ejectQ = make([][]overlayArrival, nodes)
 	d.nis = make([]overlayNI, nodes)
-	// Every lane has its own ring: NIQueueFlits in the FIFO modes (whose
-	// traffic all queues on lane 0), a mesh split queue's share in split
-	// mode.
-	lanesOf := func(nc NodeConfig) (lanes, per int) {
-		switch nc.NI {
-		case NISplit:
-			return cfg.VCs, splitQueueFlits(&cfg)
-		case NIMultiPort:
-			return nc.Ports(), cfg.NIQueueFlits
-		}
-		return 1, cfg.NIQueueFlits
-	}
-	var lanes, flits int
-	for id := 0; id < nodes; id++ {
-		l, per := lanesOf(cfg.node(id))
-		lanes, flits = lanes+l, flits+l*per
-	}
-	if flits > math.MaxInt32 {
-		return nil, fmt.Errorf("noc: %d flits of lane buffering exceed a ring offset's range", flits)
-	}
-	laneSlab := make([]overlayLane, lanes)
-	d.flits = make([]flit, flits)
+	b := cfg.buffers()
+	laneSlab := make([]overlayLane, b.lanes)
+	d.flits = make([]flit, b.laneFlits)
 	injLinks, off := 0, 0
-	for id := range d.nis {
-		nc := cfg.node(id)
-		l, per := lanesOf(nc)
+	cfg.eachNode(func(id int, nc NodeConfig, _ bool) {
+		l, per := overlayLanes(&cfg, nc)
 		oni := &d.nis[id]
 		*oni = overlayNI{node: id, mode: nc.NI, offeredAt: -1, lanes: carve(&laneSlab, l), laneCap: per}
 		for i := range oni.lanes {
@@ -120,7 +112,7 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 			off += per
 		}
 		injLinks += len(oni.lanes)
-	}
+	})
 	d.stats.InjLinks = injLinks
 	d.stats.MeshLinks = 0
 	return d, nil

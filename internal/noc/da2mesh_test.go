@@ -63,8 +63,7 @@ func TestOverlayInjectionSerialisation(t *testing.T) {
 	// VCs per cycle.
 	drainTime := func(nc NodeConfig) int64 {
 		d := newTestOverlay(t, func(c *Config) {
-			c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-			c.Nodes[0] = nc
+			c.MCNodes, c.MC = []int{0}, nc
 		})
 		d.SetEjectHandler(func(int, *Packet, int64) {})
 		// Offer one packet per cycle to distinct destinations.
@@ -96,10 +95,7 @@ func TestOverlayEjectionContention(t *testing.T) {
 	// Many sources to one destination: delivery rate is capped by the
 	// destination's EjectRate.
 	d := newTestOverlay(t, func(c *Config) {
-		c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-		for i := range c.Nodes {
-			c.Nodes[i] = NodeConfig{NI: NISplit, InjSpeedup: 4}
-		}
+		c.MCNodes, c.MC = everyKth(c.Mesh, 1), NodeConfig{NI: NISplit, InjSpeedup: 4}
 	})
 	var flits uint64
 	d.SetEjectHandler(func(node int, pkt *Packet, now int64) { flits += uint64(pkt.Size) })
@@ -142,10 +138,7 @@ func TestOverlayConservation(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			d := newTestOverlay(t, func(c *Config) {
-				c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-				for i := range c.Nodes {
-					c.Nodes[i] = nc
-				}
+				c.MCNodes, c.MC = everyKth(c.Mesh, 1), nc
 			})
 			var delivered uint64
 			d.SetEjectHandler(func(int, *Packet, int64) { delivered++ })

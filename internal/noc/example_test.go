@@ -15,9 +15,9 @@ func Example() {
 		LinkBits:  128,
 		DataBytes: 128,
 		Routing:   noc.RouteMinAdaptive,
+		MCNodes:   []int{5},
+		MC:        noc.NodeConfig{NI: noc.NISplit, InjSpeedup: 4}, // the MC
 	}
-	cfg.Nodes = make([]noc.NodeConfig, cfg.Mesh.Nodes())
-	cfg.Nodes[5] = noc.NodeConfig{NI: noc.NISplit, InjSpeedup: 4} // the MC
 
 	net, err := noc.NewNetwork(cfg)
 	if err != nil {

@@ -93,10 +93,7 @@ func TestTracerLifecycleOnEveryFabric(t *testing.T) {
 	const sample = 3
 	cfg := testConfig(t, func(c *Config) {
 		c.Routing = RouteMinAdaptive
-		c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-		for i := 0; i < c.Mesh.Nodes(); i += 5 {
-			c.Nodes[i] = NodeConfig{NI: NISplit, InjSpeedup: 2}
-		}
+		c.MCNodes, c.MC = everyKth(c.Mesh, 5), NodeConfig{NI: NISplit, InjSpeedup: 2}
 	})
 	for _, fab := range testFabrics(t, cfg) {
 		t.Run(fab.name, func(t *testing.T) {

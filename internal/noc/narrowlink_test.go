@@ -9,8 +9,7 @@ import "testing"
 func TestNarrowLinkThrottlesAcceptance(t *testing.T) {
 	accepted := func(mode NIMode) int {
 		n := newTestNet(t, func(c *Config) {
-			c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-			c.Nodes[5] = NodeConfig{NI: mode}
+			c.MCNodes, c.MC = []int{5}, NodeConfig{NI: mode}
 		})
 		n.SetEjectHandler(func(int, *Packet, int64) {})
 		got := 0
@@ -37,9 +36,6 @@ func TestNarrowLinkThrottlesAcceptance(t *testing.T) {
 // TestNarrowLinkDrains: packets still flow end to end under the mode.
 func TestNarrowLinkDrains(t *testing.T) {
 	runChecked(t, func(c *Config) {
-		c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-		for i := range c.Nodes {
-			c.Nodes[i] = NodeConfig{NI: NINarrowLink}
-		}
+		c.MCNodes, c.MC = everyKth(c.Mesh, 1), NodeConfig{NI: NINarrowLink}
 	}, 800, 77)
 }

@@ -51,14 +51,10 @@ func TestNetStatsPerClassCounters(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			n := newTestNet(t, func(c *Config) {
-				nodes := make([]NodeConfig, c.Mesh.Nodes())
-				for i := range nodes {
-					nodes[i].NI = mode.ni
-					if mode.ni == NIMultiPort {
-						nodes[i].InjPorts = 2
-					}
+				c.MCNodes, c.MC.NI = everyKth(c.Mesh, 1), mode.ni
+				if mode.ni == NIMultiPort {
+					c.MC.InjPorts = 2
 				}
-				c.Nodes = nodes
 			})
 			want := injectMix(t, n)
 			runUntilIdle(t, n, 5000)

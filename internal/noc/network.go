@@ -1,8 +1,6 @@
 package noc
 
 import (
-	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/stats"
@@ -79,7 +77,7 @@ var _ Fabric = (*Network)(nil)
 
 // slabs are the backing arrays every router, ejector and NI of one network
 // is carved from (carve hands out consecutive sub-slices, ring consecutive
-// stretches of flits), sized exactly by newSlabs.
+// stretches of flits), sized exactly by Config.buffers.
 type slabs struct {
 	inPorts  []inputPort
 	outPorts []outputPort
@@ -109,51 +107,20 @@ func (sl *slabs) ring(capacity int) flitRing {
 	return q
 }
 
-func newSlabs(cfg *Config) (*slabs, error) {
-	var inPorts, sps, staged, flits, rings, int32s, bools int
-	nodes, long := cfg.Mesh.Nodes(), cfg.LongPacketFlits()
-	for id := 0; id < nodes; id++ {
-		nc := cfg.node(id)
-		numIn := NumDirections + nc.Ports()
-		inPorts += numIn
-		sps += NumDirections + nc.Ports()*nc.Speedup(cfg.VCs)
-		// Router input staging plus the ejector's one flit per cycle.
-		staged += stagedCap(nc, cfg.VCs) + 1
-		// Router VC and ejector rings (a long packet each) but none at a
-		// mesh-edge port, NI queue(s).
-		fed := numIn + 1
-		for d := Direction(0); d < Direction(NumDirections); d++ {
-			if cfg.Mesh.Neighbor(id, d) < 0 {
-				fed--
-			}
-		}
-		flits += fed*cfg.VCs*long + niQueueFlits(cfg, nc)
-		rings += cfg.VCs
-		if nc.NI == NISplit {
-			rings += cfg.VCs
-		}
-		// Output creditIn slots, the NI's injection-VC credits and the
-		// router's switch-port offsets.
-		int32s += (numOutPorts+nc.Ports())*cfg.VCs + numIn + 1
-		if cfg.RetransBufPkts > 0 {
-			bools += cfg.VCs
-		}
-	}
-	if flits > math.MaxInt32 {
-		return nil, fmt.Errorf("noc: %d flits of buffering exceed a ring offset's range", flits)
-	}
+func newSlabs(cfg *Config) *slabs {
+	b, nodes := cfg.buffers(), cfg.Mesh.Nodes()
 	return &slabs{
-		inPorts:  make([]inputPort, inPorts),
+		inPorts:  make([]inputPort, b.inPorts),
 		outPorts: make([]outputPort, nodes*numOutPorts),
-		inVCs:    make([]inputVC, inPorts*cfg.VCs),
+		inVCs:    make([]inputVC, b.inPorts*cfg.VCs),
 		outVCs:   make([]outVCState, nodes*numOutPorts*cfg.VCs),
-		sps:      make([]switchPort, sps),
-		staged:   make([]stagedFlit, staged),
-		rings:    make([]flitRing, rings),
-		int32s:   make([]int32, int32s),
-		bools:    make([]bool, bools),
-		flits:    make([]flit, flits),
-	}, nil
+		sps:      make([]switchPort, b.sps),
+		staged:   make([]stagedFlit, b.staged),
+		rings:    make([]flitRing, b.rings),
+		int32s:   make([]int32, b.int32s),
+		bools:    make([]bool, b.bools),
+		flits:    make([]flit, b.flits),
+	}
 }
 
 // NewNetwork builds a network from cfg (validated first).
@@ -162,10 +129,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	sl, err := newSlabs(&cfg)
-	if err != nil {
-		return nil, err
-	}
+	sl := newSlabs(&cfg)
 	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}, flits: sl.flits}
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]router, nodes)
@@ -177,9 +141,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.niQueued = carve(&activity, nodes)
 	n.busy = make([]uint64, (nodes+63)/64)
 	meshLinks, injLinks := 0, 0
-	for id := range n.routers {
+	cfg.eachNode(func(id int, nc NodeConfig, mc bool) {
 		r := &n.routers[id]
-		r.init(n, id, sl)
+		r.init(n, id, nc, sl)
+		r.isMC = mc
 		for d := 0; d < NumDirections; d++ {
 			if r.out[d].dest >= 0 {
 				meshLinks++
@@ -187,13 +152,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 		}
 		n.ejectors[id].init(n, r, sl)
 		ni := &n.nis[id]
-		ni.init(n, r, sl)
+		ni.init(n, r, nc.NI, sl)
 		if ni.mode == NISplit {
 			injLinks += cfg.VCs
 		} else {
 			injLinks += ni.injPorts
 		}
-	}
+	})
 	n.stats.MeshLinks = meshLinks
 	n.stats.InjLinks = injLinks
 	return n, nil
@@ -201,9 +166,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 
 // Config returns the validated configuration.
 func (n *Network) Config() Config { return n.cfg }
-
-// MarkMCRouter tags a node's router as an MC-router (stats/diagnostics).
-func (n *Network) MarkMCRouter(node int) { n.routers[node].isMC = true }
 
 // SetSinkGate installs the per-node ejection readiness check.
 func (n *Network) SetSinkGate(g func(node int) bool) { n.sinkGate = g }

@@ -25,6 +25,15 @@ func testConfig(t *testing.T, mutate func(*Config)) Config {
 	return v
 }
 
+// everyKth returns the node ids 0, k, 2k, … of m: with k = 1, every node.
+func everyKth(m Mesh, k int) []int {
+	var ids []int
+	for id := 0; id < m.Nodes(); id += k {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 func newTestNet(t *testing.T, mutate func(*Config)) *Network {
 	t.Helper()
 	n, err := NewNetwork(testConfig(t, mutate))
@@ -361,19 +370,47 @@ func TestNIQueueValidated(t *testing.T) {
 }
 
 // TestFlitSlabOffsetValidated: a ring names its storage by an int32 offset,
-// so a fabric whose buffering exceeds that range is refused before any slab
-// is allocated. Each config below asks for tens of GB of flits.
+// so Validate refuses a config whose buffering exceeds that range, and no
+// fabric allocates a slab for it. The first config asks for tens of GB of
+// mesh flits; the second fits as a mesh (9-flit VCs) but its overlay lanes,
+// 28 of 65 535 flits at each of 4096 MultiPort nodes, do not.
 func TestFlitSlabOffsetValidated(t *testing.T) {
-	cfg := Config{Mesh: Mesh{Width: 64, Height: 64}, VCs: 32, LinkBits: 8, DataBytes: maxPacketFlits - 1}
-	if _, err := NewNetwork(cfg); err == nil || !strings.Contains(err.Error(), "ring offset") {
-		t.Fatalf("a %d-node mesh of %d-flit VCs built: %v", cfg.Mesh.Nodes(), cfg.LongPacketFlits(), err)
+	mesh := Mesh{Width: 64, Height: 64}
+	for name, cfg := range map[string]Config{
+		"mesh": {Mesh: mesh, VCs: 32, LinkBits: 8, DataBytes: maxPacketFlits - 1},
+		"lanes": {Mesh: mesh, VCs: 1, LinkBits: 128, DataBytes: 128, NIQueueFlits: maxRingFlits,
+			MCNodes: everyKth(mesh, 1), MC: NodeConfig{NI: NIMultiPort, InjPorts: maxInjPorts}},
+	} {
+		_, err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "ring offset") {
+			t.Fatalf("%s: Validate accepted %d-flit VCs, %d-flit NI queues: %v", name, cfg.LongPacketFlits(), cfg.NIQueueFlits, err)
+		}
+		if _, err := NewNetwork(cfg); err == nil {
+			t.Fatalf("%s: mesh built", name)
+		}
+		if _, err := NewDA2Mesh(cfg); err == nil {
+			t.Fatalf("%s: overlay built", name)
+		}
 	}
-	cfg.Nodes = make([]NodeConfig, cfg.Mesh.Nodes())
-	for i := range cfg.Nodes {
-		cfg.Nodes[i] = NodeConfig{NI: NIMultiPort, InjPorts: maxInjPorts}
-	}
-	if _, err := NewDA2Mesh(cfg); err == nil || !strings.Contains(err.Error(), "ring offset") {
-		t.Fatalf("a %d-node overlay of %d-lane NIs built: %v", cfg.Mesh.Nodes(), maxInjPorts, err)
+}
+
+// TestMCNodesValidated: an MC node must name a node of the mesh, once.
+func TestMCNodesValidated(t *testing.T) {
+	for _, tc := range []struct {
+		mcs  []int
+		want string
+	}{
+		{[]int{3, 0, 2}, ""},
+		{[]int{4}, "outside"},
+		{[]int{-1}, "outside"},
+		{[]int{2, 1, 2}, "listed twice"},
+	} {
+		cfg := Config{Mesh: Mesh{Width: 2, Height: 2}, VCs: 4, LinkBits: 128, DataBytes: 128,
+			MCNodes: tc.mcs, MC: NodeConfig{NI: NISplit}}
+		_, err := cfg.Validate()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("MC nodes %v: %v, want %q", tc.mcs, err, tc.want)
+		}
 	}
 }
 
@@ -381,13 +418,12 @@ func TestFlitSlabOffsetValidated(t *testing.T) {
 // uint32 activity masks, so a node with more injection ports than fit next
 // to the four mesh ports is rejected.
 func TestInjPortsValidated(t *testing.T) {
-	cfg := Config{Mesh: Mesh{Width: 2, Height: 2}, VCs: 4, LinkBits: 128, DataBytes: 128}
-	cfg.Nodes = make([]NodeConfig, cfg.Mesh.Nodes())
-	cfg.Nodes[3] = NodeConfig{NI: NIMultiPort, InjPorts: 28}
+	cfg := Config{Mesh: Mesh{Width: 2, Height: 2}, VCs: 4, LinkBits: 128, DataBytes: 128,
+		MCNodes: []int{3}, MC: NodeConfig{NI: NIMultiPort, InjPorts: 28}}
 	if _, err := NewNetwork(cfg); err != nil {
 		t.Fatalf("28 injection ports rejected: %v", err)
 	}
-	cfg.Nodes[3].InjPorts++
+	cfg.MC.InjPorts++
 	if _, err := cfg.Validate(); err == nil {
 		t.Fatal("29 injection ports accepted")
 	}

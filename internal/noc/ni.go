@@ -74,21 +74,13 @@ func splitQueueFlits(cfg *Config) int {
 	return per
 }
 
-// niQueueFlits is the total injection-queue storage of a node's NI.
-func niQueueFlits(cfg *Config, nc NodeConfig) int {
-	if nc.NI == NISplit {
-		return cfg.VCs * splitQueueFlits(cfg)
-	}
-	return cfg.NIQueueFlits
-}
-
-// init builds the NI of router's node out of the network's slabs.
-func (ni *NI) init(net *Network, router *router, sl *slabs) {
+// init builds the NI, of kind mode, of router's node out of the slabs.
+func (ni *NI) init(net *Network, router *router, mode NIMode, sl *slabs) {
 	cfg := &net.cfg
 	*ni = NI{
 		net:       net,
 		node:      router.id,
-		mode:      cfg.node(router.id).NI,
+		mode:      mode,
 		router:    router,
 		injPorts:  len(router.in) - NumDirections,
 		boundPort: -1,

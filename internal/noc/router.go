@@ -181,7 +181,7 @@ func (g *saGrant) offer(sp, vc, rank int32, prio int) {
 type router struct {
 	net  *Network
 	id   int
-	isMC bool // tagged by the caller for stats / scheme logic
+	isMC bool // an MC node's router (Config.MCNodes), for diagnostics
 	nvc  int  // Config.VCs
 
 	in  []inputPort
@@ -260,9 +260,8 @@ type router struct {
 }
 
 // init builds router id out of the network's slabs.
-func (r *router) init(net *Network, id int, sl *slabs) {
+func (r *router) init(net *Network, id int, nc NodeConfig, sl *slabs) {
 	cfg := &net.cfg
-	nc := cfg.node(id)
 	vcs := cfg.VCs
 	*r = router{
 		net:       net,

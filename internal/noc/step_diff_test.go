@@ -276,10 +276,7 @@ func (tw *twinNets) finish() {
 func TestStepMatchesScan(t *testing.T) {
 	split := func(every int, nc NodeConfig) func(c *Config) {
 		return func(c *Config) {
-			c.Nodes = make([]NodeConfig, c.Mesh.Nodes())
-			for i := 0; i < c.Mesh.Nodes(); i += every {
-				c.Nodes[i] = nc
-			}
+			c.MCNodes, c.MC = everyKth(c.Mesh, every), nc
 		}
 	}
 	for _, tc := range []struct {

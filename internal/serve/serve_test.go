@@ -124,7 +124,7 @@ func TestSubmitFullConfigOverride(t *testing.T) {
 		t.Fatal("full-config job keyed differently from its config")
 	}
 	// The server must have simulated exactly this config.
-	if res, ok := r.Lookup(cfg, "lavaMD"); !ok || !reflect.DeepEqual(res, out.Result) {
+	if res, ok := r.LookupKey(exp.JobKey(cfg, "lavaMD")); !ok || !reflect.DeepEqual(res, out.Result) {
 		t.Fatal("result not stored under the submitted config")
 	}
 }
@@ -139,11 +139,12 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	}
 	// Configs past a network limit, in run and estimate mode: Validate
 	// refuses what NewSimulator would, so they never reach admission.
-	vcs, niq, ports := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs, niq, ports, mesh := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
 	vcs.VCs = 40
 	niq.NIQueueFlits = -5
 	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
-	for _, cfg := range []core.Config{vcs, niq, ports} {
+	mesh.MeshWidth, mesh.MeshHeight = 4096, 4096 // flit buffers past int32 offsets
+	for _, cfg := range []core.Config{vcs, niq, ports, mesh} {
 		for _, estimate := range []bool{false, true} {
 			b, err := json.Marshal(JobRequest{Bench: "bfs", Config: &cfg, Estimate: estimate})
 			if err != nil {
