@@ -30,18 +30,19 @@ test:
 # band by hand), arisim's stdout golden (cmd/arisim/testdata/
 # bfs_ada_ari.golden), and the figures — the Markdown report
 # experiments_full.txt and every results_csv/ file from one `ariexp -fig all`
-# pass. A change that moves the model on purpose runs it in the same
-# commit, never separately; EXPERIMENTS.md is then updated from
-# experiments_full.txt by hand.
+# pass (a CSV no registry figure writes any more is removed). A change that
+# moves the model on purpose runs it in the same commit, never separately;
+# EXPERIMENTS.md is then updated from experiments_full.txt by hand.
 goldens:
 	go test ./internal/simeq -run 'GoldenDeterminism|MatrixDigests' -count=1 -update
 	go test ./internal/exp -run 'Decompose|FiguresGenerate' -count=1 -update
 	go test ./internal/analytic -run TestErrorBands -count=1 -analytic-full -analytic-record
 	go test ./cmd/arisim -count=1 -update
+	rm -f results_csv/fig_*.csv
 	go run ./cmd/ariexp -fig all -csv results_csv | tee experiments_full.txt
 
 # figures-check proves the committed figures are what the tree produces:
-# it regenerates the whole evaluation (`ariexp -fig all -csv`, 566
+# it regenerates the whole evaluation (`ariexp -fig all -csv`, 498
 # simulations, ~1 min on two CPUs) into a temp dir and fails unless every
 # CSV equals results_csv/ (diff -r) and the report equals
 # experiments_full.txt. ariexp writes its wall time to stderr, so the report
@@ -100,7 +101,7 @@ loadtest:
 # semantics (incl. the allocation-free sampling guard), the Chrome-trace
 # schema fixture, the instrumented-vs-plain byte-identity lock on all three
 # reply fabrics, the per-class NetStats counters, the per-fabric tracer event
-# order, the decomposition (with its DA2mesh rows) + SLO-figure goldens, the
+# order, the decomposition golden (with its DA2mesh rows), the
 # /metrics, /debug/nocstate and pprof endpoint tests (DESIGN.md §10), the
 # distributed-tracing suites (trace continuation, hedge propagation,
 # traced-vs-plain byte identity; DESIGN.md §15), the 2-replica traced
@@ -112,7 +113,7 @@ obs:
 	go vet ./internal/obs ./internal/serve/... ./internal/noc ./internal/exp
 	go test -race -count=1 ./internal/obs ./internal/stats
 	go test -race -count=1 ./internal/noc -run 'NetStats|VAGrant|Tracer'
-	go test -race -count=1 ./internal/exp -run 'Decompose|SLOFigure'
+	go test -race -count=1 ./internal/exp -run 'Decompose'
 	go test -race -count=1 ./internal/serve -run 'Metrics|NoCState|Pprof|Observability|Trace|ByteIdentical|DebugEndpoints|StageBoundaries'
 	go test -race -count=1 ./internal/cluster -run 'Trace|RetryAfter|Rollup|ClusterMetrics|Contract|EveryCounter|Outcomes'
 	go test -race -count=1 ./cmd/arisweep -run 'PointMetrics'
@@ -128,9 +129,10 @@ obs:
 # schemes, 4000 warmup + 40000 measured cycles, LOWLOAD_SEEDS seeds) is
 # profiled the same way into $(PROFILE_DIR)/low and gets its own merged top
 # 30: the fixed per-cycle cost that sparse traffic exposes has a profile
-# next to the saturated one. Then `ariexp -fig enhanced -cpuprofile` profiles
-# the costliest figure (120 runs at Table I load on the worker pool) into
-# $(PROFILE_DIR)/fig/enhanced.pprof, with its own top 30.
+# next to the saturated one. Then `ariexp -cpuprofile` profiles the two
+# costliest figures, Fig 10 (the ARI ablation ladder at Table I load) and
+# scale (4x4, 6x6 and 8x8 meshes), on the worker pool into
+# $(PROFILE_DIR)/fig/10.pprof and scale.pprof, each with its own top 30.
 # One job (bfs, Ada-ARI) also writes a heap profile, whose alloc_space top
 # 15 shows what building and running a simulator allocates: construction
 # footprint has a figure next to the CPU profile.
@@ -151,8 +153,10 @@ profile:
 	done; done; done
 	go tool pprof -top -nodecount 30 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/low/*.pprof
 	go build -o $(PROFILE_DIR)/ariexp ./cmd/ariexp
-	$(PROFILE_DIR)/ariexp -fig enhanced -cpuprofile $(PROFILE_DIR)/fig/enhanced.pprof > /dev/null
-	go tool pprof -top -nodecount 30 $(PROFILE_DIR)/ariexp $(PROFILE_DIR)/fig/enhanced.pprof
+	for f in 10 scale; do \
+		$(PROFILE_DIR)/ariexp -fig $$f -cpuprofile $(PROFILE_DIR)/fig/$$f.pprof > /dev/null || exit 1; \
+		go tool pprof -top -nodecount 30 $(PROFILE_DIR)/ariexp $(PROFILE_DIR)/fig/$$f.pprof || exit 1; \
+	done
 	$(PROFILE_DIR)/arisim -bench bfs -scheme Ada-ARI -warmup 1000 -cycles 3000 \
 		-memprofile $(PROFILE_DIR)/mem.heap > /dev/null
 	go tool pprof -sample_index=alloc_space -top -nodecount 15 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/mem.heap

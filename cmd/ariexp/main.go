@@ -3,17 +3,17 @@
 //
 // Usage:
 //
-//	ariexp -fig 11                # one figure (-list prints the ids)
-//	ariexp -fig all > report.md   # everything, in paper order
-//	ariexp -csv results_csv       # ... and every figure's table as CSV
-//	ariexp -fig slo -bench srad   # traced figures run on the first benchmark
-//	ariexp -fig 11 -cycles 20000  # longer measurement window
-//	ariexp -quick                 # fast smoke pass (short horizons)
-//	ariexp -v                     # per-run progress
-//	ariexp -bench bfs,srad        # restrict the suite to a benchmark subset
-//	ariexp -journal runs.jsonl    # resume an interrupted pass from a journal
-//	ariexp -timeout 5m            # fail any single run exceeding 5 minutes
-//	ariexp -fig enhanced -cpuprofile cpu.pprof  # profile the figure's runs
+//	ariexp -fig 11                     # one figure (-list prints the ids)
+//	ariexp -fig all > report.md        # everything, in paper order
+//	ariexp -csv results_csv            # ... and every figure's table as CSV
+//	ariexp -fig decompose -bench srad  # the traced figure runs on the first benchmark
+//	ariexp -fig 11 -cycles 20000       # longer measurement window
+//	ariexp -quick                      # fast smoke pass (short horizons)
+//	ariexp -v                          # per-run progress
+//	ariexp -bench bfs,srad             # restrict the suite to a benchmark subset
+//	ariexp -journal runs.jsonl         # resume an interrupted pass from a journal
+//	ariexp -timeout 5m                 # fail any single run exceeding 5 minutes
+//	ariexp -fig 10 -cpuprofile cpu.pprof  # profile the figure's runs
 //
 // Every simulation executes under the harness watchdogs: a run that stops
 // making forward progress fails with a diagnostic dump instead of hanging

@@ -19,7 +19,7 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"table1", "3", "decompose", "11", "area", "slo"} {
+	for _, want := range []string{"table1", "3", "decompose", "11", "area"} {
 		found := false
 		for _, line := range strings.Split(out.String(), "\n") {
 			if line == want {

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -133,8 +134,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		// A field Config does not have is refused, not dropped: a file
+		// naming an option the simulator lacks must not run without it.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cfg); err != nil {
 			return fmt.Errorf("parsing %s: %w", *confFile, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return fmt.Errorf("parsing %s: data after the configuration", *confFile)
 		}
 	}
 	set := map[string]bool{}

@@ -123,6 +123,21 @@ func TestRecordReplay(t *testing.T) {
 }
 
 func TestRejectsBadFlags(t *testing.T) {
+	// A -config file naming a field Config does not have is refused rather
+	// than run without it.
+	var cfg map[string]any
+	if err := json.Unmarshal([]byte(arisim(t, "-dumpconfig")), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["EdgeMCPlacement"] = true
+	unknown, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "unknown.json")
+	if err := os.WriteFile(path, unknown, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range [][]string{
 		{"-mesh", "6x6"},
 		{"-mcs", "24"},
@@ -130,6 +145,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-link-death", "2"},
 		{"-bench", "nosuchbench"},
 		{"-scheme", "nosuchscheme"},
+		{"-config", path},
 	} {
 		var out, errb bytes.Buffer
 		if err := run(append(short, bad...), &out, &errb); err == nil {

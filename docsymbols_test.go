@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // docSymbol matches a backticked `q.Name` or `q.Name.Member`. Names are Go
@@ -19,13 +21,22 @@ import (
 // `gpu.ns_per_tick` never match.
 var docSymbol = regexp.MustCompile("`([a-z][a-z0-9]*)((?:\\.[A-Za-z][A-Za-z0-9]*){1,2})`")
 
+// docFigure matches a `-fig <id>` in the docs; alternatives may be joined by
+// "|" (`-fig decompose|fault`).
+var docFigure = regexp.MustCompile(`-fig\s+([A-Za-z0-9|]+)`)
+
 // TestDocSymbolsResolve holds DESIGN.md, README.md, EXPERIMENTS.md and the
 // verify skill to the code: every backticked `q.Name` or `q.Name.Member`
-// must resolve (docIndex.resolves says how), so a doc that still names a
-// deleted package's or type's symbol fails.
+// must resolve (docIndex.resolves says how), and every `-fig <id>` must name
+// an exp.Registry() figure or "all", so a doc that still names a deleted
+// package's or type's symbol, or runs a deleted figure, fails.
 func TestDocSymbolsResolve(t *testing.T) {
 	ix := newDocIndex(t)
-	checked := 0
+	figures := map[string]bool{"all": true}
+	for _, e := range exp.Registry() {
+		figures[e.ID] = true
+	}
+	checked, figChecked := 0, 0
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -37,9 +48,17 @@ func TestDocSymbolsResolve(t *testing.T) {
 				t.Errorf("%s names `%s%s`, which resolves to no package, type, string or file of the repo", doc, m[1], m[2])
 			}
 		}
+		for _, m := range docFigure.FindAllStringSubmatch(string(text), -1) {
+			for _, id := range strings.Split(m[1], "|") {
+				figChecked++
+				if !figures[id] {
+					t.Errorf("%s runs `-fig %s`, which is no registry figure", doc, id)
+				}
+			}
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no symbol found in the docs")
+	if checked == 0 || figChecked == 0 {
+		t.Fatalf("%d symbols and %d figures found in the docs", checked, figChecked)
 	}
 }
 

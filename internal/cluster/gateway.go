@@ -328,7 +328,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q serve.JobRequest
-	if err := json.Unmarshal(body, &q); err != nil {
+	if err := serve.DecodeJobRequest(bytes.NewReader(body), &q); err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

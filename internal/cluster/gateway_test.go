@@ -248,6 +248,18 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 			}
 		}
 	}
+	// A field core.Config does not have, inside a valid config in run and
+	// estimate mode.
+	for _, estimate := range []bool{false, true} {
+		def := core.DefaultConfig()
+		body, _ := json.Marshal(serve.JobRequest{Bench: "bfs", Config: &def, Estimate: estimate})
+		body = bytes.Replace(body, []byte(`"config":{`), []byte(`"config":{"EdgeMCPlacement":true,`), 1)
+		w := httptest.NewRecorder()
+		g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("unknown config field, estimate %v: %d %s", estimate, w.Code, w.Body)
+		}
+	}
 	if a.hits.Load() != 0 {
 		t.Fatal("unroutable request reached a replica")
 	}

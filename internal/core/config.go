@@ -124,15 +124,6 @@ type Config struct {
 	// fabric — the paper's instrument for measuring the ideal packet
 	// injection rate that sizes the crossbar speedup (eq. 1, §4.2).
 	IdealReply bool
-	// EdgeMCPlacement switches from the paper's diamond placement [1] to a
-	// naive perimeter clustering (placement ablation; Table I's baseline
-	// uses diamond).
-	EdgeMCPlacement bool
-	// UnenhancedBaseline reverts §4.1's enhancement: MC nodes whose scheme
-	// leaves them on the baseline NI get the original narrow MC->NI link
-	// (a packet occupies it for Size cycles). Quantifies why the paper
-	// evaluates against the enhanced baseline.
-	UnenhancedBaseline bool
 	// MultiPortPorts is the injection-port count of the MultiPort scheme.
 	MultiPortPorts int
 
@@ -216,12 +207,8 @@ func (c Config) Validate() error {
 	mcs := c.MCPlacement()
 	slices.Sort(mcs)
 	if distinct := len(slices.Compact(mcs)); distinct < c.NumMC {
-		placement := "diamond"
-		if c.EdgeMCPlacement {
-			placement = "edge"
-		}
-		return fmt.Errorf("core: NumMC %d exceeds the %d distinct nodes the %s placement finds on a %dx%d mesh",
-			c.NumMC, distinct, placement, c.MeshWidth, c.MeshHeight)
+		return fmt.Errorf("core: NumMC %d exceeds the %d distinct nodes the placement finds on a %dx%d mesh",
+			c.NumMC, distinct, c.MeshWidth, c.MeshHeight)
 	}
 	if c.Scheme < 0 || int(c.Scheme) >= NumSchemes {
 		return fmt.Errorf("core: unknown scheme %d", c.Scheme)
@@ -254,9 +241,8 @@ func (c Config) Validate() error {
 // which no scheme modifies (§4.2, §6.1), and the reply mesh, whose MC nodes
 // (MCPlacement) get the scheme row's injection architecture — its NI kind,
 // its speedup (InjSpeedup, 0 selecting the paper's 4) and MultiPort's
-// MultiPortPorts, with UnenhancedBaseline narrowing a baseline NI's MC link.
-// Validate checks both, buffer counts included, so a config it accepts
-// constructs.
+// MultiPortPorts. Validate checks both, buffer counts included, so a config
+// it accepts constructs.
 func (c Config) networks() (req, rep noc.Config) {
 	m := c.Scheme.Mechanisms()
 	req = noc.Config{
@@ -283,21 +269,14 @@ func (c Config) networks() (req, rep noc.Config) {
 	if m.NI == noc.NIMultiPort {
 		rep.MC.InjPorts = c.MultiPortPorts
 	}
-	if c.UnenhancedBaseline && rep.MC.NI == noc.NIBaseline {
-		rep.MC.NI = noc.NINarrowLink
-	}
 	return req, rep
 }
 
 // MCPlacement returns the memory-controller node ids of c's mesh: the
-// diamond placement, or the perimeter spread under EdgeMCPlacement.
-// Validate requires NumMC distinct ones.
+// diamond placement, or an even perimeter spread on shapes the paper does
+// not evaluate. Validate requires NumMC distinct ones.
 func (c Config) MCPlacement() []int {
-	mesh := noc.Mesh{Width: c.MeshWidth, Height: c.MeshHeight}
-	if c.EdgeMCPlacement {
-		return noc.EdgeMCPlacement(mesh, c.NumMC)
-	}
-	return noc.DiamondMCPlacement(mesh, c.NumMC)
+	return noc.DiamondMCPlacement(noc.Mesh{Width: c.MeshWidth, Height: c.MeshHeight}, c.NumMC)
 }
 
 // ChooseSpeedup implements the paper's speedup sizing (§4.2): the minimal

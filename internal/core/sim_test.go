@@ -207,24 +207,22 @@ func TestConfigValidation(t *testing.T) {
 func TestValidateMCPlacement(t *testing.T) {
 	for _, c := range []struct {
 		w, h, mc int
-		edge     bool
 		limit    string // "" = valid
 	}{
-		{6, 6, 8, false, ""}, // Table I
-		{4, 4, 12, false, ""},
-		{6, 6, 20, true, ""},
-		{6, 6, 24, false, "20 distinct nodes the diamond placement"},
-		{6, 6, 24, true, "20 distinct nodes the edge placement"},
-		{1, 6, 5, false, "3 distinct nodes the diamond placement"},
+		{6, 6, 8, ""}, // Table I
+		{4, 4, 12, ""},
+		{6, 6, 20, ""},
+		{6, 6, 24, "20 distinct nodes the placement"},
+		{1, 6, 5, "3 distinct nodes the placement"},
 	} {
 		cfg := DefaultConfig()
-		cfg.MeshWidth, cfg.MeshHeight, cfg.NumMC, cfg.EdgeMCPlacement = c.w, c.h, c.mc, c.edge
+		cfg.MeshWidth, cfg.MeshHeight, cfg.NumMC = c.w, c.h, c.mc
 		err := cfg.Validate()
 		switch {
 		case c.limit == "" && err != nil:
-			t.Errorf("%dx%d/%d edge=%v: %v", c.w, c.h, c.mc, c.edge, err)
+			t.Errorf("%dx%d/%d: %v", c.w, c.h, c.mc, err)
 		case c.limit != "" && (err == nil || !strings.Contains(err.Error(), c.limit)):
-			t.Errorf("%dx%d/%d edge=%v: error %v, want one naming %q", c.w, c.h, c.mc, c.edge, err, c.limit)
+			t.Errorf("%dx%d/%d: error %v, want one naming %q", c.w, c.h, c.mc, err, c.limit)
 		}
 	}
 }

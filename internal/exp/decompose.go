@@ -12,28 +12,27 @@ import (
 )
 
 // tracedSample is the reply-packet sampling rate of the registry's traced
-// figures (decompose, slo): one packet in four.
+// figure (decompose): one packet in four.
 const tracedSample = 4
 
-// sloSchemes are the schemes the SLO figure compares; the decomposition adds
-// the DA2mesh pair (Fig 16) to them.
-var (
-	sloSchemes       = []core.Scheme{core.XYBaseline, core.AdaARI}
-	decomposeSchemes = []core.Scheme{core.XYBaseline, core.AdaARI, core.DA2MeshBase, core.DA2MeshARI}
-)
+// decomposeSchemes are the schemes the decomposition compares: the mesh
+// baseline and ARI, and the DA2mesh pair (Fig 16).
+var decomposeSchemes = []core.Scheme{core.XYBaseline, core.AdaARI, core.DA2MeshBase, core.DA2MeshARI}
 
-// traceReplies runs bench under each of schemes through the Runner's run
-// path — watchdogs, timeout, retries, panic recovery — with every sample-th
-// reply-fabric packet traced (1 = all), and returns one collector per
-// scheme. The runs bypass the result store because traces are not part of
-// Result.
-func (r *Runner) traceReplies(bench string, schemes []core.Scheme, sample uint64) ([]*obs.Collector, error) {
+// Decompose reproduces the paper's motivation analysis (Figs. 2/3): it runs
+// bench under each scheme through the Runner's run path — watchdogs,
+// timeout, retries, panic recovery — with every sample-th reply-fabric
+// packet traced (1 = all), and attributes each scheme's mean reply latency to
+// its components — NI injection queueing (the bottleneck the paper removes),
+// network transit and ejection. The runs bypass the result store because
+// traces are not part of Result.
+func Decompose(r *Runner, bench string, sample uint64) (*Figure, error) {
 	kernel, err := trace.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
-	colls := make([]*obs.Collector, len(schemes))
-	for i, sch := range schemes {
+	colls := make([]*obs.Collector, len(decomposeSchemes))
+	for i, sch := range decomposeSchemes {
 		ctx := WithInstrument(context.Background(), func(_ Job, sim *core.Simulator) {
 			// A fresh collector per attempt: a retried run starts over.
 			colls[i] = obs.NewCollector("rep")
@@ -42,18 +41,6 @@ func (r *Runner) traceReplies(bench string, schemes []core.Scheme, sample uint64
 		if _, err := r.simulateRetry(ctx, Job{Cfg: r.withScheme(sch), Kernel: kernel}); err != nil {
 			return nil, err
 		}
-	}
-	return colls, nil
-}
-
-// Decompose reproduces the paper's motivation analysis (Figs. 2/3): it runs
-// bench traced (see traceReplies) and attributes each scheme's mean reply
-// latency to its components — NI injection queueing (the bottleneck the
-// paper removes), network transit and ejection.
-func Decompose(r *Runner, bench string, sample uint64) (*Figure, error) {
-	colls, err := r.traceReplies(bench, decomposeSchemes, sample)
-	if err != nil {
-		return nil, err
 	}
 	table := stats.NewTable("scheme", "replies", "queue", "network", "eject", "total", "queue_share")
 	summary := make(map[string]float64)

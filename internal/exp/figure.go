@@ -48,7 +48,7 @@ func (f *Figure) String() string {
 type GenFunc func(r *Runner) (*Figure, error)
 
 // Registry maps figure ids to their generators, in paper order. The traced
-// figures (decompose, slo) run on the suite's first benchmark.
+// figure (decompose) runs on the suite's first benchmark.
 func Registry() []struct {
 	ID  string
 	Gen GenFunc
@@ -64,7 +64,6 @@ func Registry() []struct {
 		{"5", Fig5},
 		{"util", LinkUtil},
 		{"6", Fig6},
-		{"enhanced", EnhancedBaseline},
 		{"sizing", SpeedupSizing},
 		{"9", Fig9},
 		{"10", Fig10},
@@ -76,11 +75,9 @@ func Registry() []struct {
 		{"16", Fig16},
 		{"scale", Scalability},
 		{"area", AreaOverhead},
-		{"placement", PlacementAblation},
 		{"stability", SeedStability},
 		{"fault", FaultFigure},
 		{"loadlat", LoadLatency},
-		{"slo", func(r *Runner) (*Figure, error) { return SLOFigure(r, r.Benchmarks[0].Name, tracedSample, 0) }},
 		{"analytic", AnalyticComparison},
 	}
 }

@@ -13,11 +13,13 @@ import (
 	"repro/internal/core"
 )
 
-// journalVersion is bumped whenever the serialised Result or the key schema
-// changes shape, or the model changes what a Config computes; entries from
-// another version are ignored on load, and the version is hashed into
-// JobKey, so a stale journal, cache or peer can never answer a submission
-// with a result of the older model.
+// journalVersion is hashed into JobKey, and entries of another version are
+// ignored on load, so no stale journal, cache or peer answers a submission
+// with an older model's result. Bump it when the Result encoding changes, or
+// when a key could name a result the current model would not compute (the
+// model changes what a Config computes). A removed Config field needs no
+// bump: the key hashes the Config's JSON, so every key changes and no old
+// key can equal a new one.
 const journalVersion = 5
 
 // journalEntry is one completed run, one JSON object per line (JSONL).

@@ -63,7 +63,7 @@ func walkBuffers(c *Config) bufferCounts {
 // counts, and Validate's int32 verdict to the walk's flit totals.
 func TestBuffersMatchWalk(t *testing.T) {
 	r := rng.New(50)
-	modes := []NIMode{NIBaseline, NISplit, NIMultiPort, NINarrowLink}
+	modes := []NIMode{NIBaseline, NISplit, NIMultiPort}
 	refused := 0
 	for i := 0; i < 600; i++ {
 		mesh := Mesh{Width: 1 + r.Intn(64), Height: 1 + r.Intn(64)}

@@ -26,13 +26,6 @@ const (
 	// own switch-port), but the NI still supplies at most one flit per
 	// cycle in total, so injection is consumption-improved only.
 	NIMultiPort
-	// NINarrowLink is the *default* (unenhanced) baseline of GPGPU-Sim the
-	// paper starts from (§4.1): the MC->NI link is narrow, so handing a
-	// packet to the NI occupies the link for Size cycles instead of one.
-	// The paper replaces it with NIBaseline "to avoid giving unfair
-	// advantage to our proposed design"; this mode exists so that choice
-	// can be quantified.
-	NINarrowLink
 )
 
 // String returns the mode name.
@@ -44,8 +37,6 @@ func (m NIMode) String() string {
 		return "split"
 	case NIMultiPort:
 		return "multiport"
-	case NINarrowLink:
-		return "narrowlink"
 	default:
 		return fmt.Sprintf("NIMode(%d)", uint8(m))
 	}

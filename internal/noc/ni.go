@@ -44,9 +44,6 @@ type NI struct {
 	acceptedPackets     uint64
 	rejectedOfferEvents uint64
 	injectedFlits       uint64 // flits sent over the injection link(s)
-	// mcLinkBusyUntil models the narrow MC->NI link of the unenhanced
-	// baseline (NINarrowLink): accepting a packet occupies it Size cycles.
-	mcLinkBusyUntil int64
 	// stalledUntil is the fault-injection backpressure horizon: while now is
 	// before it the NI supplies no flits, so its queues back up and Offer
 	// rejections propagate the burst to the node (see fault.go).
@@ -129,9 +126,6 @@ func (ni *NI) CanAccept(pkt *Packet, now int64) bool {
 	if ni.retransCap > 0 && len(ni.retrans) >= ni.retransCap {
 		return false // retransmission buffer full: unacked packets at the cap
 	}
-	if ni.mode == NINarrowLink && now < ni.mcLinkBusyUntil {
-		return false // previous packet still serialising over the MC->NI link
-	}
 	if ni.mode == NISplit {
 		return ni.pickSplitQueue(pkt) >= 0
 	}
@@ -152,9 +146,6 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	}
 	ni.offeredThisCycle = true
 	ni.lastOfferCycle = now
-	if ni.mode == NINarrowLink {
-		ni.mcLinkBusyUntil = now + int64(pkt.Size)
-	}
 	pkt.CreatedAt = now
 	if ni.net.cfg.PriorityLevels >= 2 {
 		pkt.Priority = ni.net.cfg.PriorityLevels - 1

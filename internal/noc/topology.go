@@ -144,15 +144,6 @@ func DiamondMCPlacement(m Mesh, numMC int) []int {
 	return ids
 }
 
-// EdgeMCPlacement spreads numMC nodes evenly along the mesh perimeter,
-// clockwise from the top-left corner — the naive "MCs at the pins"
-// placement. It concentrates reply traffic in edge corridors, which is
-// exactly the contention the diamond placement avoids; the repository's
-// placement ablation uses it as the contrast case.
-func EdgeMCPlacement(m Mesh, numMC int) []int {
-	return evenEdgePlacement(m, numMC)
-}
-
 // evenEdgePlacement spreads numMC nodes evenly along the mesh perimeter,
 // clockwise from the top-left corner. It is the fallback for mesh shapes
 // the paper does not evaluate.

@@ -79,82 +79,6 @@ func BucketBound(i int) int64 {
 	return int64(1)<<uint(i) - 1
 }
 
-// Mean returns the mean observation (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) estimated by linear
-// interpolation inside the containing bucket — the standard
-// log-bucket-histogram estimate, exact to within a factor of 2.
-func (s *HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			lo, hi := float64(bucketLow(i)), float64(BucketBound(i))
-			if next == cum { // unreachable (c > 0), keeps the division safe
-				return hi
-			}
-			return lo + (hi-lo)*(rank-cum)/float64(c)
-		}
-		cum = next
-	}
-	return float64(BucketBound(HistBuckets - 1))
-}
-
-// Compliance returns the fraction of observations at or below threshold,
-// interpolating inside the bucket that straddles it. This is the SLI behind
-// latency objectives ("p99 of replies within N cycles" is equivalently
-// "Compliance(N) >= 0.99").
-func (s *HistSnapshot) Compliance(threshold int64) float64 {
-	if s.Count == 0 {
-		return 1
-	}
-	var good float64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := bucketLow(i), BucketBound(i)
-		switch {
-		case hi <= threshold:
-			good += float64(c)
-		case lo > threshold:
-			// buckets are ordered; nothing above contributes
-			return good / float64(s.Count)
-		default:
-			width := float64(hi-lo) + 1
-			good += float64(c) * (float64(threshold-lo) + 1) / width
-		}
-	}
-	return good / float64(s.Count)
-}
-
-// bucketLow returns the inclusive lower bound of bucket i.
-func bucketLow(i int) int64 {
-	if i == 0 {
-		return 0
-	}
-	return int64(1) << uint(i-1)
-}
-
 // Histogram renders a snapshot as a real Prometheus histogram family:
 // cumulative <name>_bucket{le="..."} samples, <name>_sum and <name>_count.
 // unitSeconds converts one histogram unit to seconds (1e-6 for microsecond

@@ -266,8 +266,7 @@ func (s *Server) answer(rq *request, a *answer) {
 // decode resolves the body into a validated job and its key — the identity
 // every later stage, the journal and the cluster's peers use.
 func (s *Server) decode(rq *request) *answer {
-	dec := json.NewDecoder(http.MaxBytesReader(rq.w, rq.r.Body, 1<<20))
-	if err := dec.Decode(&rq.q); err != nil {
+	if err := DecodeJobRequest(http.MaxBytesReader(rq.w, rq.r.Body, 1<<20), &rq.q); err != nil {
 		return reject(outBadRequest, fmt.Errorf("bad request body: %w", err))
 	}
 	job, err := BuildJob(s.cfg.Runner.Base, &rq.q)

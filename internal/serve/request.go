@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/analytic"
@@ -42,6 +45,22 @@ type JobRequest struct {
 	// store it wins over the model. Escalation to a real simulation is a
 	// resubmission with Estimate unset — idempotent under the same JobKey.
 	Estimate bool `json:"estimate,omitempty"`
+}
+
+// DecodeJobRequest reads one JobRequest from body. It refuses a field that
+// neither JobRequest nor core.Config has, so a request naming an option the
+// simulator does not have fails instead of running without it, and anything
+// after the object. The server and the gateway both decode with it.
+func DecodeJobRequest(body io.Reader, q *JobRequest) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(q); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the request object")
+	}
+	return nil
 }
 
 // Timeout returns the request deadline as a duration (0 = none).

@@ -153,6 +153,17 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 			bodies = append(bodies, string(b))
 		}
 	}
+	// A field neither JobRequest nor core.Config has, at the top level and
+	// inside a valid config in run and estimate mode: refused, not dropped.
+	bodies = append(bodies, `{"bench":"bfs","cycels":100}`)
+	for _, estimate := range []bool{false, true} {
+		def := core.DefaultConfig()
+		b, err := json.Marshal(JobRequest{Bench: "bfs", Config: &def, Estimate: estimate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, strings.Replace(string(b), `"config":{`, `"config":{"EdgeMCPlacement":true,`, 1))
+	}
 	for _, body := range bodies {
 		resp := post(t, ts.URL, body)
 		resp.Body.Close()
