@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/noc"
 	"repro/internal/trace"
@@ -68,30 +69,16 @@ func CalibrateSpeedup(cfg Config, k trace.Kernel, opt CheckOptions) (Calibration
 		avgFlits = (reads*longPkt + writes) / (reads + writes)
 	}
 
-	// Eq. (1) minimal S, before the eq. (2) clamp.
-	need := rate * avgFlits
-	required := int(need)
-	if float64(required) < need {
-		required++
-	}
-	if required < 1 {
-		required = 1
-	}
-	bound := NumMeshOutputs
-	if cfg.VCs < bound {
-		bound = cfg.VCs
-	}
-	chosen := required
-	if chosen > bound {
-		chosen = bound
-	}
+	// Eq. (1) alone (no outputs or VCs to clamp by), then with eq. (2).
+	required := ChooseSpeedup(rate, avgFlits, math.MaxInt, math.MaxInt)
+	chosen := ChooseSpeedup(rate, avgFlits, NumMeshOutputs, cfg.VCs)
 	return Calibration{
 		Benchmark:        k.Name,
 		PeakRatePerMC:    rate,
 		AvgFlitsPerPkt:   avgFlits,
 		RequiredS:        required,
 		ChosenS:          chosen,
-		SatisfiedByBound: required <= bound,
+		SatisfiedByBound: chosen == required,
 	}, nil
 }
 

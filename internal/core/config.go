@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -283,20 +284,5 @@ func (c Config) MCPlacement() []int {
 // integer S satisfying eq. (1) S >= injRate x avgFlitsPerPkt, clamped by
 // eq. (2) S <= min(nOut, nVC).
 func ChooseSpeedup(pktInjRatePerCycle, avgFlitsPerPkt float64, nOut, nVC int) int {
-	need := pktInjRatePerCycle * avgFlitsPerPkt
-	s := int(need)
-	if float64(s) < need {
-		s++
-	}
-	if s < 1 {
-		s = 1
-	}
-	bound := nOut
-	if nVC < bound {
-		bound = nVC
-	}
-	if s > bound {
-		s = bound
-	}
-	return s
+	return min(max(int(math.Ceil(pktInjRatePerCycle*avgFlitsPerPkt)), 1), nOut, nVC)
 }

@@ -141,8 +141,8 @@ func retransBufPkts(cfg Config) int {
 // ReplyNetwork returns the mesh reply network cfg describes — its MCNodes
 // inject replies with the injection architecture of cfg.Scheme's row
 // (Config.networks) — together with the compute nodes that receive them.
-// The estimator and the standalone load-latency figure build on it, as
-// NewSimulator does.
+// The estimator and the NoC conformance tests build on it, as NewSimulator
+// does.
 func ReplyNetwork(cfg Config) (rep noc.Config, ccNodes []int) {
 	_, rep = cfg.networks()
 	return rep, computeNodes(rep)

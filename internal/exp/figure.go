@@ -77,7 +77,6 @@ func Registry() []struct {
 		{"area", AreaOverhead},
 		{"stability", SeedStability},
 		{"fault", FaultFigure},
-		{"loadlat", LoadLatency},
 		{"analytic", AnalyticComparison},
 	}
 }

@@ -1,0 +1,328 @@
+package noc_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/noc"
+	"repro/internal/rng"
+)
+
+// The conformance tests hold the mesh router to what any wormhole VC mesh
+// must do, on the Table I reply mesh that core.ReplyNetwork builds for the
+// simulator: (a) an idle mesh delivers every packet in its closed-form
+// zero-load latency, and (b) at an offered load past saturation, throughput
+// stays inside the channel-load and injection bounds and reaches stated
+// floors — among them the paper's premise (§3) that one flit per cycle of
+// MC injection caps few-to-many reply throughput, and that ARI lifts it.
+
+// replyMesh returns the reply mesh of the Table I system under scheme, built
+// as the simulator builds it, and its compute nodes.
+func replyMesh(scheme core.Scheme) (noc.Config, []int) {
+	cfg := core.DefaultConfig()
+	cfg.Scheme = scheme
+	return core.ReplyNetwork(cfg)
+}
+
+func newNet(t *testing.T, cfg noc.Config) *noc.Network {
+	t.Helper()
+	net, err := noc.NewNetwork(cfg)
+	if err != nil {
+		t.Fatalf("NewNetwork: %v", err)
+	}
+	return net
+}
+
+// TestConformanceZeroLoadLatency sends one packet at a time through an idle
+// 6x6 mesh, every ordered src != dst pair with a 1-flit and a long packet:
+// each must arrive exactly hops + size + 1 cycles after Inject — one cycle
+// per router hop, one per flit of serialisation and one for the NI's
+// injection link. Both routings run under each MC injection architecture at
+// Table I, and then under one change at a time.
+func TestConformanceZeroLoadLatency(t *testing.T) {
+	nis := []core.Scheme{core.AdaBaseline, core.AdaARI, core.AdaMultiPort}
+	changes := []struct {
+		name string
+		set  func(*noc.Config)
+	}{
+		{"TableI", func(*noc.Config) {}},
+		{"link64", func(c *noc.Config) { c.LinkBits = 64 }},
+		{"link256", func(c *noc.Config) { c.LinkBits = 256 }},
+		{"speedup1", func(c *noc.Config) { c.MC.InjSpeedup = 1 }},
+		{"eject2", func(c *noc.Config) { c.EjectRate = 2 }},
+		{"priority2", func(c *noc.Config) { c.PriorityLevels = 2 }},
+	}
+	for _, algo := range []noc.RoutingAlgo{noc.RouteXY, noc.RouteMinAdaptive} {
+		for _, scheme := range nis {
+			for _, ch := range changes {
+				cfg, _ := replyMesh(scheme)
+				cfg.Routing = algo
+				ch.set(&cfg)
+				name := fmt.Sprintf("%v/%v/%s", algo, cfg.MC.NI, ch.name)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					checkZeroLoad(t, newNet(t, cfg))
+				})
+			}
+		}
+	}
+}
+
+// checkZeroLoad runs every pair through net, one packet in flight at a time.
+func checkZeroLoad(t *testing.T, net *noc.Network) {
+	cfg := net.Config()
+	var got *noc.Packet
+	net.SetEjectHandler(func(_ int, pkt *noc.Packet, _ int64) { got = pkt })
+	sizes := []struct {
+		typ  noc.PacketType
+		size int
+	}{{noc.ReadRequest, 1}, {noc.ReadReply, cfg.LongPacketFlits()}}
+	bad := 0
+	for src := range cfg.Mesh.Nodes() {
+		for dst := range cfg.Mesh.Nodes() {
+			if src == dst {
+				continue
+			}
+			for _, sz := range sizes {
+				pkt := &noc.Packet{Type: sz.typ, Dst: dst, Size: sz.size}
+				if !net.Inject(src, pkt) {
+					t.Fatalf("%d->%d: Inject rejected on an idle mesh", src, dst)
+				}
+				for got = nil; got == nil; net.Step() {
+					if net.Now()-pkt.CreatedAt > 1000 {
+						t.Fatalf("%d->%d: %d-flit packet undelivered after 1000 cycles", src, dst, sz.size)
+					}
+				}
+				for !net.Idle() {
+					net.Step()
+				}
+				lat, want := pkt.EjectedAt-pkt.CreatedAt, int64(cfg.Mesh.Hops(src, dst)+sz.size+1)
+				if lat != want {
+					if bad++; bad <= 5 {
+						t.Errorf("%d->%d (%d hops), %d flits: latency %d, want %d", src, dst, cfg.Mesh.Hops(src, dst), sz.size, lat, want)
+					}
+				}
+			}
+		}
+	}
+	if bad > 5 {
+		t.Errorf("%d mismatches in all", bad)
+	}
+}
+
+// window is what a saturated run measured over its measurement window.
+type window struct {
+	cycles    int
+	injected  []uint64 // per node: flits its NI moved into its router
+	delivered uint64   // flits ejected anywhere
+	buffered  int      // flits in routers when the window opened
+}
+
+// deliveredPer returns the delivered flits per cycle, averaged over nodes.
+func (w window) deliveredPer(nodes []int) float64 {
+	return float64(w.delivered) / float64(w.cycles) / float64(len(nodes))
+}
+
+// checkBound fails t unless the window delivered at most bound flits per
+// cycle per source, plus the flits already in the routers when it opened.
+func (w window) checkBound(t *testing.T, what string, bound float64, srcs []int) {
+	t.Helper()
+	if limit := bound*float64(w.cycles*len(srcs)) + float64(w.buffered); float64(w.delivered) > limit {
+		t.Errorf("%s: %d flits delivered in %d cycles, over the bound of %.0f", what, w.delivered, w.cycles, limit)
+	}
+}
+
+// injectedPer returns the flits per cycle nodes injected, averaged over them.
+func (w window) injectedPer(nodes []int) float64 {
+	var sum uint64
+	for _, n := range nodes {
+		sum += w.injected[n]
+	}
+	return float64(sum) / float64(w.cycles) / float64(len(nodes))
+}
+
+// saturate drives net with backlogged sources: every cycle each node of
+// srcs offers a size-flit packet to dst(src) whenever its NI can take it,
+// an offered load past any saturation point. It warms up for 500 cycles,
+// then measures 2000. Every cycle it also holds each NI to its supply
+// links (supplyLinks).
+func saturate(t *testing.T, net *noc.Network, srcs []int, size int, dst func(r *rng.Source, src int) int) window {
+	t.Helper()
+	const warm, cycles = 500, 2000
+	cfg := net.Config()
+	typ := noc.ReadReply
+	if size == 1 {
+		typ = noc.ReadRequest
+	}
+	var delivered uint64
+	net.SetEjectHandler(func(_ int, pkt *noc.Packet, _ int64) { delivered += uint64(pkt.Size) })
+	r := rng.New(1)
+	probe := noc.Packet{Type: typ, Size: size}
+	prev := net.NILoad()
+	var w window
+	for c := range warm + cycles {
+		if c == warm {
+			w = window{cycles: cycles, injected: prev, delivered: delivered, buffered: net.BufferedFlits()}
+		}
+		for _, s := range srcs {
+			if net.CanInject(s, &probe) {
+				net.Inject(s, &noc.Packet{Type: typ, Dst: dst(r, s), Size: size})
+			}
+		}
+		net.Step()
+		now := net.NILoad()
+		for n := range now {
+			if d := now[n] - prev[n]; d > uint64(supplyLinks(cfg, n)) {
+				t.Fatalf("cycle %d: node %d's NI moved %d flits into its router, over its %d supply links", c, n, d, supplyLinks(cfg, n))
+			}
+		}
+		prev = now
+	}
+	for n := range prev {
+		w.injected[n] = prev[n] - w.injected[n]
+	}
+	w.delivered = delivered - w.delivered
+	return w
+}
+
+// supplyLinks returns the narrow NI-to-router links of node n: one per VC
+// for a split NI (ARI), otherwise one.
+func supplyLinks(cfg noc.Config, n int) int {
+	if cfg.MC.NI == noc.NISplit && slices.Contains(cfg.MCNodes, n) {
+		return cfg.VCs
+	}
+	return 1
+}
+
+// TestConformanceSyntheticThroughput saturates the Table I mesh with
+// uniform and transpose traffic of 1-flit packets under both routings.
+// Accepted throughput stays inside the channel-load bound of each pattern.
+// XY reaches 70% of the uniform bound (measured: 0.524 of 0.667 flits/cycle
+// per node, 79%; the floor sits 11% under it), and adaptive routing carries
+// at least 1.5x XY's transpose throughput (measured: 0.530 against 0.333,
+// 1.59x; 6% under).
+func TestConformanceSyntheticThroughput(t *testing.T) {
+	t.Parallel()
+	cfg, _ := replyMesh(core.XYBaseline)
+	m := cfg.Mesh
+	k, n := m.Width, m.Nodes()
+	all, senders := make([]int, n), []int{}
+	for id := range all {
+		all[id] = id
+		if x, y := m.Coord(id); x != y {
+			senders = append(senders, id)
+		}
+	}
+	uniform := func(r *rng.Source, src int) int {
+		d := r.Intn(n - 1)
+		if d >= src {
+			d++
+		}
+		return d
+	}
+	transpose := func(_ *rng.Source, src int) int {
+		x, y := m.Coord(src)
+		return m.ID(y, x)
+	}
+	// Uniform: more than half of each source's packets cross the middle
+	// cut, which has k links a direction, so the mean accepted rate is at
+	// most 4/k flits/cycle per node. Transpose: the n/2 sources of the two
+	// off-diagonal quadrants all cross the middle cut (k flits/cycle a
+	// direction between them), and each of the n/2-k other senders has one
+	// injection link.
+	uniformBound := 4 / float64(k)
+	transposeBound := float64(2*k+n/2-k) / float64(len(senders))
+	var xyTranspose float64
+	for _, s := range []core.Scheme{core.XYBaseline, core.AdaBaseline} {
+		cfg, _ := replyMesh(s)
+		u := saturate(t, newNet(t, cfg), all, 1, uniform)
+		tr := saturate(t, newNet(t, cfg), senders, 1, transpose)
+		t.Logf("%v: uniform %.3f flits/cycle/node (bound %.3f), transpose %.3f (bound %.3f)",
+			s, u.deliveredPer(all), uniformBound, tr.deliveredPer(senders), transposeBound)
+		u.checkBound(t, "uniform", uniformBound, all)
+		tr.checkBound(t, "transpose", transposeBound, senders)
+		switch s {
+		case core.XYBaseline:
+			if got := u.deliveredPer(all); got < 0.7*uniformBound {
+				t.Errorf("XY uniform throughput %.3f below 70%% of the %.3f bound", got, uniformBound)
+			}
+			xyTranspose = tr.deliveredPer(senders)
+		case core.AdaBaseline:
+			if got := tr.deliveredPer(senders); got < 1.5*xyTranspose {
+				t.Errorf("adaptive transpose throughput %.3f below 1.5x XY's %.3f", got, xyTranspose)
+			}
+		}
+	}
+}
+
+// TestConformanceFewToMany saturates the reply mesh with the GPU's reply
+// pattern, the 8 MCs sending long packets to random compute nodes, under
+// the schemes that differ in MC injection. Where an MC's NI supplies one
+// flit per cycle, that caps its injection rate (§3), and the mesh nearly
+// reaches it: at least 0.9 flits/cycle/MC (measured: 0.971 XY-Baseline,
+// 0.978 Ada-Baseline, 1.000 Ada-MultiPort; the floor sits 7% under the
+// lowest). Ada-ARI lifts the cap to at least 1.5x Ada-Baseline (measured:
+// 0.197 against 0.109 pkt/cycle/MC, 1.81x; 17% under) and stays within its
+// own injection bound: per MC, the fewest of its NI supply links, its
+// injection switch-ports and its linked mesh outputs, plus what the
+// injection VCs buffer ahead of the switch.
+func TestConformanceFewToMany(t *testing.T) {
+	t.Parallel()
+	var adaBaseline float64
+	for _, s := range []core.Scheme{core.XYBaseline, core.AdaBaseline, core.AdaMultiPort, core.AdaARI} {
+		cfg, ccs := replyMesh(s)
+		long := cfg.LongPacketFlits()
+		w := saturate(t, newNet(t, cfg), cfg.MCNodes, long, func(r *rng.Source, _ int) int { return ccs[r.Intn(len(ccs))] })
+		rate := w.injectedPer(cfg.MCNodes)
+		t.Logf("%v: %.3f flits/cycle/MC, %.4f pkt/cycle/MC", s, rate, rate/float64(long))
+		if s != core.AdaARI {
+			if rate > 1 || rate < 0.9 {
+				t.Errorf("%v: %.3f flits/cycle/MC outside [0.9, 1] under one-flit-per-cycle supply", s, rate)
+			}
+			if s == core.AdaBaseline {
+				adaBaseline = rate
+			}
+			continue
+		}
+		if rate < 1.5*adaBaseline {
+			t.Errorf("Ada-ARI injects %.3f flits/cycle/MC, below 1.5x Ada-Baseline's %.3f", rate, adaBaseline)
+		}
+		var injected, bound uint64
+		for _, mc := range cfg.MCNodes {
+			outs := 0
+			for d := range noc.NumDirections {
+				if cfg.Mesh.Neighbor(mc, noc.Direction(d)) >= 0 {
+					outs++
+				}
+			}
+			switchPorts := cfg.MC.Ports() * cfg.MC.Speedup(cfg.VCs)
+			injected += w.injected[mc]
+			bound += uint64(min(supplyLinks(cfg, mc)*w.cycles, min(switchPorts, outs)*w.cycles+cfg.MC.Ports()*cfg.VCs*long))
+		}
+		if injected > bound {
+			t.Errorf("Ada-ARI MCs injected %d flits in %d cycles, over their bound of %d", injected, w.cycles, bound)
+		}
+	}
+}
+
+// TestConformanceManyToFew saturates the request mesh with the GPU's
+// request pattern, the 28 compute nodes sending 1-flit read requests to
+// random MCs. At Table I the request mesh of a baseline scheme is its reply
+// mesh. Each MC ejects one flit per cycle, which caps the pattern under
+// either routing, and the mesh nearly reaches it: at least 0.9 flits/cycle
+// per MC (measured: 0.994 XY, 0.980 adaptive; the floor sits 8% under the
+// lower).
+func TestConformanceManyToFew(t *testing.T) {
+	t.Parallel()
+	for _, s := range []core.Scheme{core.XYBaseline, core.AdaBaseline} {
+		cfg, ccs := replyMesh(s)
+		w := saturate(t, newNet(t, cfg), ccs, 1, func(r *rng.Source, _ int) int { return cfg.MCNodes[r.Intn(len(cfg.MCNodes))] })
+		perMC := w.deliveredPer(cfg.MCNodes)
+		t.Logf("%v: %.4f flits/cycle/MC delivered, %.4f flits/cycle/CC", s, perMC, w.deliveredPer(ccs))
+		if perMC > float64(cfg.EjectRate) || perMC < 0.9*float64(cfg.EjectRate) {
+			t.Errorf("%v: MCs eject %.3f flits/cycle, outside [0.9, 1] of their %d-flit ejection", s, perMC, cfg.EjectRate)
+		}
+	}
+}

@@ -92,11 +92,6 @@ func TestSinglePacketDelivery(t *testing.T) {
 	if got.EjectedAt <= got.CreatedAt {
 		t.Fatalf("timestamps out of order: created %d ejected %d", got.CreatedAt, got.EjectedAt)
 	}
-	// Minimum latency sanity: 6 hops, 9 flits, single-cycle routers.
-	lat := got.EjectedAt - got.CreatedAt
-	if lat < 6+9 {
-		t.Fatalf("latency %d implausibly low", lat)
-	}
 }
 
 // TestStallNISupplyOnHealthyNetwork stalls one NI of a network no other
