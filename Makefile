@@ -98,17 +98,19 @@ loadtest:
 	go test -race -count=1 ./internal/exp -run 'Journal|Retr|JobKey'
 
 # obs runs the observability suites under vet + -race: registry/collector
-# semantics (incl. the allocation-free sampling guard), the Chrome-trace
-# schema fixture, the instrumented-vs-plain byte-identity lock on all three
-# reply fabrics, the per-class NetStats counters, the per-fabric tracer event
-# order, the decomposition golden (with its DA2mesh rows), the
-# /metrics, /debug/nocstate and pprof endpoint tests (DESIGN.md §10), the
-# distributed-tracing suites (trace continuation, hedge propagation,
-# traced-vs-plain byte identity; DESIGN.md §15), the 2-replica traced
-# cluster smoke (one gateway-routed job must export a single schema-valid
-# Chrome trace spanning gateway, replica and NoC packets), and arisweep's
-# per-point metrics: points run concurrently, yet each CSV equals a lone
-# instrumented run's byte for byte.
+# semantics (incl. the allocation-free sampling guard), the one Chrome trace
+# exporter against its schema fixture (spans, and arisim -trace-out's packet
+# document), the histogram rendering, the instrumented-vs-plain
+# byte-identity lock on all three reply fabrics, the per-class NetStats
+# counters, the per-fabric tracer event order, the decomposition golden
+# (with its DA2mesh rows), the /metrics, /debug/nocstate and pprof endpoint
+# tests (DESIGN.md §10), the per-outcome counters the latency objectives are
+# rebuilt from, the distributed-tracing suites (trace continuation, hedge
+# propagation, traced-vs-plain byte identity; DESIGN.md §15), the 2-replica
+# traced cluster smoke (one gateway-routed job must export a single
+# schema-valid Chrome trace spanning gateway, replica and NoC packets), and
+# arisweep's per-point metrics: points run concurrently, yet each CSV equals
+# a lone instrumented run's byte for byte.
 obs:
 	go vet ./internal/obs ./internal/serve/... ./internal/noc ./internal/exp
 	go test -race -count=1 ./internal/obs ./internal/stats
@@ -117,6 +119,7 @@ obs:
 	go test -race -count=1 ./internal/serve -run 'Metrics|NoCState|Pprof|Observability|Trace|ByteIdentical|DebugEndpoints|StageBoundaries'
 	go test -race -count=1 ./internal/cluster -run 'Trace|RetryAfter|Rollup|ClusterMetrics|Contract|EveryCounter|Outcomes'
 	go test -race -count=1 ./cmd/arisweep -run 'PointMetrics'
+	go test -race -count=1 ./cmd/arisim -run 'TraceOut'
 
 # profile captures a CPU profile of the ledger's hot regime: the
 # sim-reply-saturated job list of benchmark/ (bfs/kmeans/pathfinder under

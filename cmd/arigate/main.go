@@ -15,11 +15,11 @@
 //	GET  /v1/stats         routing/failover/hedge counters
 //	GET  /healthz          gateway liveness
 //	GET  /readyz           200 while >= 1 replica is routable, else 503
-//	GET  /metrics          Prometheus text: routing, per-replica health, SLO
+//	GET  /metrics          Prometheus text: per-outcome route counters, latency
+//	                       histograms, per-replica health
 //	GET  /metrics/cluster  federated rollup of every live replica's /metrics
 //	GET  /debug/spans      recorded gateway spans (?trace= filters)
 //	GET  /debug/trace      merged gateway+replica Chrome trace for one trace ID
-//	GET  /debug/slo        route-latency burn-rate report (JSON)
 //
 // The gateway is stateless: routing is a pure function of the replica set,
 // so any number of arigate instances compute identical placement, and a
@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		addr      = fs.String("addr", "127.0.0.1:9090", "listen address")
 		replicas  = fs.String("replicas", "", "comma-separated ariserve base URLs (required)")
 		repl      = fs.Int("replication", 2, "owners per job key (failover depth)")
-		vnodes    = fs.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per replica on the hash ring")
 		hedge     = fs.Duration("hedge-after", 250*time.Millisecond, "race a secondary owner after this long (negative disables)")
 		probe     = fs.Duration("probe-interval", 500*time.Millisecond, "readyz health-probe cadence")
 		threshold = fs.Int("breaker-threshold", 3, "consecutive failures opening a replica's circuit")
@@ -74,8 +73,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		warmup    = fs.Int64("warmup", 3000, "default warmup cycles (must match the replicas' base)")
 		traceSamp = fs.Int("trace-sample", 0, "start a distributed trace on every Nth routed job (0 disables; incoming X-Ari-Trace is always honoured)")
 		traceCap  = fs.Int("trace-cap", 0, "span-recorder ring capacity (0 = default)")
-		sloTarget = fs.Duration("slo-target", 2*time.Second, "route-latency SLO threshold")
-		sloGoal   = fs.Float64("slo-goal", 0.99, "route-latency SLO goal (fraction of routes within the target)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -97,15 +94,12 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	g, err := cluster.New(cluster.Config{
 		Base:             base,
 		Replicas:         urls,
-		Vnodes:           *vnodes,
 		Replication:      *repl,
 		HedgeAfter:       *hedge,
 		ProbeInterval:    *probe,
 		BreakerThreshold: *threshold,
 		TraceSample:      *traceSamp,
 		TraceCap:         *traceCap,
-		SLOTarget:        *sloTarget,
-		SLOGoal:          *sloGoal,
 	})
 	if err != nil {
 		return err

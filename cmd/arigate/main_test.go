@@ -72,6 +72,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// Flags that no longer exist are refused, not ignored.
+	for _, args := range [][]string{{"-slo-target", "1s"}, {"-slo-goal", "0.9"}, {"-vnodes", "64"}} {
+		err := run(append([]string{"-replicas", "http://a:1"}, args...), &out, &errb, sigs)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
+		}
+	}
 }
 
 func TestGateRoutesAndDrains(t *testing.T) {

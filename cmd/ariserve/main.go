@@ -17,13 +17,13 @@
 //	GET  /v1/stats        admission/shed/service-time counters
 //	GET  /healthz         liveness
 //	GET  /readyz          readiness (503 once draining)
-//	GET  /metrics         Prometheus text: server counters, per-job progress
-//	                      (cycles, cycles/sec, ETA, watchdog state), runtime
+//	GET  /metrics         Prometheus text: per-outcome job counters, latency
+//	                      histograms, per-job progress (cycles, cycles/sec,
+//	                      ETA, watchdog state), runtime
 //	GET  /debug/nocstate  JSON NoC state snapshot of every in-flight job
 //	GET  /debug/pprof/    CPU/heap/goroutine profiling (net/http/pprof)
 //	GET  /debug/spans     recorded spans (?trace= filters by trace ID)
 //	GET  /debug/trace     Chrome trace of one trace ID (default: latest)
-//	GET  /debug/slo       job-latency burn-rate report (JSON)
 //
 // An overloaded server sheds submissions with 429 + Retry-After instead of
 // queueing unboundedly; SIGTERM/SIGINT stops admission, finishes in-flight
@@ -82,8 +82,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		tracePk  = fs.Int("trace-packets", 0, "max NoC packet spans linked per traced run (0 = default)")
 		pktSamp  = fs.Int("packet-sample", 0, "trace every Nth reply packet of a traced run (0 = default)")
 		process  = fs.String("process", "", "process name on exported spans (default ariserve)")
-		sloTgt   = fs.Duration("slo-target", 30*time.Second, "job-latency SLO threshold")
-		sloGoal  = fs.Float64("slo-goal", 0.99, "job-latency SLO goal (fraction of jobs within the target)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -117,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		Runner: r, MaxInFlight: *inflight, QueueDepth: *queue,
 		Peers: peerList, PeerTimeout: *peerTO,
 		TraceSample: *traceS, TracePackets: *tracePk, PacketSample: *pktSamp,
-		Process: *process, SLOTarget: *sloTgt, SLOGoal: *sloGoal,
+		Process: *process,
 	})
 	if err != nil {
 		return err

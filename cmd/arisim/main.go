@@ -250,7 +250,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *traceSample > 0 {
 		printDecomposition(stdout, reqColl, repColl)
 		if *traceOut != "" {
-			if err := writeChromeTrace(stderr, *traceOut, reqColl, repColl); err != nil {
+			if err := writeTraceOut(stderr, *traceOut, reqColl, repColl); err != nil {
 				return err
 			}
 		}
@@ -305,13 +305,20 @@ func printDecomposition(w io.Writer, reqColl, repColl *obs.Collector) {
 	}
 }
 
-// writeChromeTrace exports the sampled lifecycles for chrome://tracing.
-func writeChromeTrace(stderr io.Writer, path string, colls ...*obs.Collector) error {
+// writeTraceOut exports the sampled lifecycles as one trace of packet
+// spans (one row per fabric, cycles read as microseconds), in the format
+// ariserve's /debug/trace serves.
+func writeTraceOut(stderr io.Writer, path string, colls ...*obs.Collector) error {
+	id := obs.NewTraceID()
+	var spans []obs.Span
+	for _, c := range colls {
+		spans = append(spans, obs.PacketSpans(c, id, "", "arisim", 0, 0)...)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteChromeTrace(f, colls...); err != nil {
+	if err := obs.WriteSpanTrace(f, spans); err != nil {
 		f.Close()
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -138,6 +139,17 @@ func TestRejectsBadFlags(t *testing.T) {
 	if err := os.WriteFile(path, unknown, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Packets of half the caches' line.
+	delete(cfg, "EdgeMCPlacement")
+	cfg["DataBytes"] = 64
+	half, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfPath := filepath.Join(t.TempDir(), "half.json")
+	if err := os.WriteFile(halfPath, half, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range [][]string{
 		{"-mesh", "6x6"},
 		{"-mcs", "24"},
@@ -146,10 +158,110 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-bench", "nosuchbench"},
 		{"-scheme", "nosuchscheme"},
 		{"-config", path},
+		{"-config", halfPath},
 	} {
 		var out, errb bytes.Buffer
 		if err := run(append(short, bad...), &out, &errb); err == nil {
 			t.Errorf("run(%v) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestTraceOutMatchesSchema: -trace-out writes the sampled packets of both
+// fabrics as one trace_event document that satisfies the exporter's schema
+// fixture, one complete event per packet the decomposition table counts,
+// each carrying its queue/network/eject split.
+func TestTraceOutMatchesSchema(t *testing.T) {
+	rawSchema, err := os.ReadFile("../../internal/obs/testdata/chrome_trace_schema.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var schema struct {
+		TopLevelRequired        []string            `json:"top_level_required"`
+		AllowedDisplayTimeUnits []string            `json:"allowed_display_time_units"`
+		EventRequired           []string            `json:"event_required"`
+		AllowedPhases           []string            `json:"allowed_phases"`
+		PhaseRequired           map[string][]string `json:"phase_required"`
+		NumericFields           []string            `json:"numeric_fields"`
+	}
+	if err := json.Unmarshal(rawSchema, &schema); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out := arisim(t, append(short, "-trace-sample", "16", "-trace-out", path)...)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace is not a JSON object: %v", err)
+	}
+	for _, k := range schema.TopLevelRequired {
+		if _, ok := doc[k]; !ok {
+			t.Errorf("top-level key %q missing", k)
+		}
+	}
+	var unit string
+	json.Unmarshal(doc["displayTimeUnit"], &unit)
+	if !slices.Contains(schema.AllowedDisplayTimeUnits, unit) {
+		t.Errorf("displayTimeUnit = %q, allowed %v", unit, schema.AllowedDisplayTimeUnits)
+	}
+	var events []map[string]json.RawMessage
+	if err := json.Unmarshal(doc["traceEvents"], &events); err != nil {
+		t.Fatal(err)
+	}
+	perNet := map[string]int{}
+	for i, ev := range events {
+		var ph string
+		json.Unmarshal(ev["ph"], &ph)
+		if !slices.Contains(schema.AllowedPhases, ph) {
+			t.Fatalf("event %d has phase %q, allowed %v", i, ph, schema.AllowedPhases)
+		}
+		for _, k := range append(schema.EventRequired, schema.PhaseRequired[ph]...) {
+			if _, ok := ev[k]; !ok {
+				t.Fatalf("%q event %d missing %q", ph, i, k)
+			}
+		}
+		num := map[string]int{}
+		for _, k := range schema.NumericFields {
+			var v int
+			if err := json.Unmarshal(ev[k], &v); ev[k] != nil && (err != nil || v < 0) {
+				t.Fatalf("event %d field %q is not a count: %s", i, k, ev[k])
+			}
+			num[k] = v
+		}
+		if ph != "X" {
+			continue
+		}
+		var args map[string]string
+		if err := json.Unmarshal(ev["args"], &args); err != nil {
+			t.Fatalf("event %d args: %v", i, err)
+		}
+		dur, split := num["dur"], 0
+		for _, k := range []string{"queue", "net_cy", "eject"} {
+			n, err := strconv.Atoi(args[k])
+			if err != nil || n < 0 {
+				t.Fatalf("event %d attr %s = %q", i, k, args[k])
+			}
+			split += n
+		}
+		if split != dur {
+			t.Fatalf("event %d: queue+network+eject = %d, dur %d", i, split, dur)
+		}
+		perNet[args["net"]]++
+	}
+	// The decomposition table on stdout counts the same sampled packets.
+	for _, net := range []string{"req", "rep"} {
+		var want int
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == net {
+				want, _ = strconv.Atoi(f[1])
+			}
+		}
+		if want == 0 || perNet[net] != want {
+			t.Errorf("%s: %d packet events, decomposition counts %d", net, perNet[net], want)
 		}
 	}
 }

@@ -143,10 +143,14 @@ func TestModelReadsSimulatorNIQueue(t *testing.T) {
 	for _, tc := range []struct {
 		linkBits, dataBytes int
 		want                float64
-	}{{128, 128, 36}, {8, 128, 4 * 129}, {8, 20000, 65535}} {
+	}{{128, 128, 36}, {8, 128, 4 * 129}, {8, 32768, 65535}} {
 		cfg := core.DefaultConfig()
 		cfg.Scheme = core.AdaARI
 		cfg.RepLinkBits, cfg.DataBytes = tc.linkBits, tc.dataBytes
+		// A packet carries one cache line: both caches keep their set
+		// counts' power of two at the line size.
+		cfg.Core.L1.LineBytes, cfg.Core.L1.SizeBytes = tc.dataBytes, tc.dataBytes*cfg.Core.L1.Ways
+		cfg.MC.L2.LineBytes, cfg.MC.L2.SizeBytes = tc.dataBytes, tc.dataBytes*cfg.MC.L2.Ways
 		m, err := NewModel(cfg)
 		if err != nil {
 			t.Fatal(err)

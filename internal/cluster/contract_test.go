@@ -286,31 +286,27 @@ func lineDiff(want, got string) string {
 	return strings.Join(out, "\n")
 }
 
-// jobOutcomes maps serve.Stats' job-outcome counters, by json tag, to their
-// ari_jobs_total{outcome=…} label.
-var jobOutcomes = map[string]string{
-	"completed":  "ok",
-	"cache_hits": "cached",
-	"estimated":  "estimated",
-	"peer_hits":  "peer",
-	"shed":       "shed",
-}
-
 // TestEveryCounterHasASeries locks the class of drift that hid
 // Stats.Estimated from /metrics: every int64 counter field of serve.Stats and
 // cluster.Stats, named by its json tag, must have a <prefix>_<tag>_total
-// series in the corresponding /metrics body, or for a job outcome an
-// ari_jobs_total{outcome=…} sample — and the federated /metrics/cluster must
-// relay the replicas' series unchanged.
+// series in the corresponding /metrics body, or for an outcome a sample of
+// the binary's per-outcome family (ari_jobs_total, arigate_routes_total) —
+// and the federated /metrics/cluster must relay the replicas' series
+// unchanged.
 func TestEveryCounterHasASeries(t *testing.T) {
 	c := startContractCluster(t)
 	c.submit(t, c.gateway.URL, `{"bench":"bfs","estimate":true}`, "")
 	for _, tc := range []struct {
-		stats any
-		url   string
+		stats  any
+		url    string
+		family string
+		// outcomes maps the Stats outcome counters, by json tag, to their
+		// family's outcome label.
+		outcomes map[string]string
 	}{
-		{serve.Stats{}, c.replicas[0].URL + "/metrics"},
-		{Stats{}, c.gateway.URL + "/metrics"},
+		{serve.Stats{}, c.replicas[0].URL + "/metrics", "ari_jobs_total",
+			map[string]string{"completed": "ok", "cache_hits": "cached", "estimated": "estimated", "peer_hits": "peer", "shed": "shed"}},
+		{Stats{}, c.gateway.URL + "/metrics", "arigate_routes_total", map[string]string{"shed": "shed"}},
 	} {
 		body := string(httpGet(t, tc.url))
 		typ := reflect.TypeOf(tc.stats)
@@ -321,8 +317,8 @@ func TestEveryCounterHasASeries(t *testing.T) {
 			}
 			tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 			series := regexp.MustCompile(`(?m)^[a-z_]+_` + tag + `_total `)
-			if o, ok := jobOutcomes[tag]; ok && typ == reflect.TypeOf(serve.Stats{}) {
-				series = regexp.MustCompile(`(?m)^ari_jobs_total\{outcome="` + o + `"\} `)
+			if o, ok := tc.outcomes[tag]; ok {
+				series = regexp.MustCompile(`(?m)^` + tc.family + `\{outcome="` + o + `"\} `)
 			}
 			if !series.MatchString(body) {
 				t.Errorf("%s.%s (json %q) has no series matching %s on %s", typ, f.Name, tag, series, tc.url)

@@ -27,9 +27,6 @@ type Config struct {
 	// Replicas are the ariserve base URLs forming the cluster. Required.
 	Replicas []string
 
-	// Vnodes is the per-replica virtual-node count (DefaultVnodes when 0).
-	Vnodes int
-
 	// Replication is how many distinct owners each key has on the ring —
 	// the failover depth. Default 2, clamped to len(Replicas).
 	Replication int
@@ -59,13 +56,6 @@ type Config struct {
 	// TraceCap bounds the in-memory span recorder (obs.DefaultSpanCap
 	// when 0).
 	TraceCap int
-
-	// SLOTarget is the end-to-end routing-latency objective boundary
-	// (default 2s): a submission answered 2xx within it is a good event.
-	SLOTarget time.Duration
-
-	// SLOGoal is the objective's target good fraction (default 0.99).
-	SLOGoal float64
 }
 
 // Stats is a point-in-time snapshot of the gateway's counters.
@@ -112,7 +102,6 @@ type Gateway struct {
 	spans       *obs.SpanRecorder
 	routeHist   obs.Histogram // end-to-end routing latency, µs
 	attemptHist obs.Histogram // per-proxied-attempt latency, µs
-	slo         *obs.SLOTracker
 
 	mu        sync.Mutex
 	requests  int64
@@ -126,7 +115,7 @@ type Gateway struct {
 // New builds a Gateway; call Start to begin health probing and Close to
 // stop it.
 func New(cfg Config) (*Gateway, error) {
-	ring, err := NewRing(cfg.Replicas, cfg.Vnodes)
+	ring, err := NewRing(cfg.Replicas, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -140,22 +129,13 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = serve.ClusterClient
 	}
-	if cfg.SLOTarget <= 0 {
-		cfg.SLOTarget = 2 * time.Second
-	}
-	if cfg.SLOGoal <= 0 || cfg.SLOGoal >= 1 {
-		cfg.SLOGoal = 0.99
-	}
 	g := &Gateway{
 		cfg:     cfg,
 		ring:    ring,
 		health:  NewHealth(ring.Replicas(), cfg.BreakerThreshold, cfg.ProbeInterval, cfg.HTTPClient),
 		started: time.Now(),
 		spans:   obs.NewSpanRecorder(cfg.TraceCap),
-		slo: obs.NewSLOTracker([]obs.Objective{
-			{Name: "route_latency", Threshold: cfg.SLOTarget.Microseconds(), Goal: cfg.SLOGoal},
-		}),
-		routed: make(map[string]int64, len(cfg.Replicas)),
+		routed:  make(map[string]int64, len(cfg.Replicas)),
 	}
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("/v1/jobs", g.handleJobs)
@@ -168,7 +148,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("/metrics/cluster", g.handleClusterMetrics)
 	g.mux.Handle("/debug/spans", g.spans)
 	g.mux.HandleFunc("/debug/trace", g.handleTrace)
-	g.mux.Handle("/debug/slo", g.slo)
 	return g, nil
 }
 
@@ -243,23 +222,24 @@ type outcome int
 
 const (
 	outOK        outcome = iota // an owner answered 2xx: relayed verbatim
-	outRejected                 // an owner answered a deterministic rejection: relayed verbatim
+	outRejected                 // an owner answered a deterministic 4xx: relayed verbatim
+	outError                    // an owner answered a deterministic 5xx: relayed verbatim
 	outShed                     // every owner is down or shedding: 429 + Retry-After
 	outAbandoned                // the client went away first: nothing written
 	numOutcomes
 )
 
-// outcomes describes every way a routed submission can end: the
-// gateway.route span's outcome attr (a rejection appends the relayed
-// status) and what the answer means for the route_latency objective.
+// outcomes describes every way a routed submission can end. name is the
+// gateway.route span's outcome attr (a relayed answer appends its status)
+// and the arigate_routes_total{outcome} label.
 var outcomes = [numOutcomes]struct {
-	name   string
-	served bool // latency observed: arigate_route_seconds, good when within the target
-	failed bool // a bad event (a rejection only when the relayed status is 5xx)
+	name  string
+	timed bool // latency observed in arigate_route_seconds
 }{
-	outOK:        {name: "ok", served: true},
-	outRejected:  {name: "rejected", failed: true},
-	outShed:      {name: "shed", failed: true},
+	outOK:        {name: "ok", timed: true},
+	outRejected:  {name: "rejected"},
+	outError:     {name: "error"},
+	outShed:      {name: "shed"},
 	outAbandoned: {name: "abandoned"},
 }
 
@@ -272,15 +252,14 @@ type routing struct {
 }
 
 // answer ends one routed submission: the only code that moves an outcome
-// counter, the route histogram or the SLO tracker, closes the root span and
-// writes the response. res is the owner's answer being relayed (ok,
-// rejected) or, for a shed, just the Retry-After hints the owners offered.
+// counter or the route histogram, closes the root span and writes the
+// response. res is the owner's answer being relayed (ok, rejected, error)
+// or, for a shed, just the Retry-After hints the owners offered.
 func (g *Gateway) answer(rt *routing, o outcome, res attemptResult) {
 	rt.answered = true
-	row, name := outcomes[o], outcomes[o].name
-	if o == outRejected {
+	name := outcomes[o].name
+	if o == outRejected || o == outError {
 		name += " " + strconv.Itoa(res.status)
-		row.failed = res.status >= 500
 	}
 	g.mu.Lock()
 	g.counts[o]++
@@ -288,17 +267,13 @@ func (g *Gateway) answer(rt *routing, o outcome, res attemptResult) {
 		g.hedgeWins++
 	}
 	g.mu.Unlock()
-	switch d := time.Since(rt.start); {
-	case row.served:
-		g.routeHist.ObserveDuration(d)
-		g.slo.Observe(d.Microseconds())
-	case row.failed:
-		g.slo.Fail()
+	if outcomes[o].timed {
+		g.routeHist.ObserveDuration(time.Since(rt.start))
 	}
 	rt.scope.Finish(name)
 
 	switch o {
-	case outOK, outRejected:
+	case outOK, outRejected, outError:
 		relay(rt.w, res)
 	case outShed:
 		switch {
@@ -468,7 +443,11 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 				// Deterministic rejection (malformed job, simulation
 				// failure): identical on every replica, so relay verbatim —
 				// failing over would only duplicate the failure.
-				g.answer(rt, outRejected, res)
+				o := outRejected
+				if res.status >= 500 {
+					o = outError
+				}
+				g.answer(rt, o, res)
 				return
 			}
 		case <-hedgeC:

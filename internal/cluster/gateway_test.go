@@ -235,12 +235,13 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 		t.Fatalf("unknown bench: %d %s", w.Code, w.Body)
 	}
 	// Configs past a network limit, which the replica could not run.
-	vcs, niq, ports, mesh := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs, niq, ports, mesh, lines := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
 	vcs.VCs = 40
 	niq.NIQueueFlits = -5
 	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
 	mesh.MeshWidth, mesh.MeshHeight = 4096, 4096 // flit buffers past int32 offsets
-	for _, cfg := range []core.Config{vcs, niq, ports, mesh} {
+	lines.DataBytes = 64                         // packets of half a cache line
+	for _, cfg := range []core.Config{vcs, niq, ports, mesh, lines} {
 		for _, estimate := range []bool{false, true} {
 			w := postJob(t, g, serve.JobRequest{Bench: "bfs", Config: &cfg, Estimate: estimate})
 			if w.Code != http.StatusBadRequest {
@@ -264,8 +265,15 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 		t.Fatal("unroutable request reached a replica")
 	}
 
-	r := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
+	// The route-latency objective is a query over /metrics (DESIGN.md §15).
 	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/slo", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("GET /debug/slo: %d, want 404", rec.Code)
+	}
+
+	r := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
+	rec = httptest.NewRecorder()
 	g.ServeHTTP(rec, r)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/jobs = %d", rec.Code)

@@ -11,9 +11,17 @@ import (
 // format, mirroring ariserve's /metrics shape (internal/obs.PromWriter).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := g.Stats()
+	g.mu.Lock()
+	counts := g.counts
+	g.mu.Unlock()
 	var p obs.PromWriter
 	p.Metric("arigate_requests_total", "Job submissions accepted for routing.", "counter", float64(st.Requests))
-	p.Metric("arigate_shed_total", "Submissions answered 429 because every owner was down or shedding.", "counter", float64(st.Shed))
+	p.Family("arigate_routes_total", "Routed submissions by how they ended, one sample per row of the outcomes table (DESIGN.md §14): "+
+		"ok is relayed 2xx and timed in arigate_route_seconds; rejected is a relayed 4xx; error a relayed 5xx; "+
+		"shed a 429 because every owner was down or shedding; abandoned had no client left to answer.", "counter")
+	for o, row := range outcomes {
+		p.Sample("arigate_routes_total", obs.Labels("outcome", row.name), float64(counts[o]))
+	}
 	p.Metric("arigate_failovers_total", "Attempts launched because a prior owner failed or shed.", "counter", float64(st.Failovers))
 	p.Metric("arigate_hedges_total", "Attempts launched because a prior owner was slow.", "counter", float64(st.Hedges))
 	p.Metric("arigate_hedge_wins_total", "Requests won by a hedged attempt.", "counter", float64(st.HedgeWins))
@@ -33,7 +41,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		g.routeHist.Snapshot(), 1e-6)
 	p.Histogram("arigate_attempt_seconds", "Latency of individual proxied attempts (including failed and cancelled legs).",
 		g.attemptHist.Snapshot(), 1e-6)
-	g.slo.Report().WriteMetrics(&p, "arigate")
 
 	p.Metric("arigate_trace_spans", "Spans held in the in-memory recorder.", "gauge", float64(g.spans.Len()))
 	p.Metric("arigate_uptime_seconds", "Seconds since the gateway started.", "gauge", time.Since(g.started).Seconds())

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -14,8 +16,9 @@ import (
 
 // TestGatewayOutcomes drives the gateway to every row of its outcomes table
 // against two scripted owners and checks the whole row at once: status,
-// Retry-After, the shed counter, the SLO class, the route histogram and the
-// gateway.route span's outcome.
+// Retry-After, the shed counter, the one arigate_routes_total sample that
+// moved, the route-latency objective's good/bad events read from /metrics
+// alone, the route histogram and the gateway.route span's outcome.
 func TestGatewayOutcomes(t *testing.T) {
 	const date = "Wed, 21 Oct 2026 07:28:00 GMT"
 	answer := func(status int, retryAfter string) http.HandlerFunc {
@@ -41,21 +44,22 @@ func TestGatewayOutcomes(t *testing.T) {
 		status     int              // 0: nothing may be written
 		retryAfter string
 		shed       int64
-		good, bad  uint64
+		good, bad  float64
+		sample     string // the arigate_routes_total outcome label
 		outcome    string
 	}{
-		{name: "ok", a: okJobs("k"), b: okJobs("k"), status: 200, good: 1, outcome: "ok"},
-		{name: "rejected 400", a: answer(400, ""), b: answer(400, ""), status: 400, outcome: "rejected 400"},
-		{name: "rejected 500", a: answer(500, ""), b: answer(500, ""), status: 500, bad: 1, outcome: "rejected 500"},
+		{name: "ok", a: okJobs("k"), b: okJobs("k"), status: 200, good: 1, sample: "ok", outcome: "ok"},
+		{name: "rejected 400", a: answer(400, ""), b: answer(400, ""), status: 400, sample: "rejected", outcome: "rejected 400"},
+		{name: "rejected 500", a: answer(500, ""), b: answer(500, ""), status: 500, bad: 1, sample: "error", outcome: "error 500"},
 		{name: "shed, max parsed hint", a: answer(429, "3"), b: answer(503, "7"),
-			status: 429, retryAfter: "7", shed: 1, bad: 1, outcome: "shed"},
+			status: 429, retryAfter: "7", shed: 1, bad: 1, sample: "shed", outcome: "shed"},
 		{name: "shed, parsed beats raw", a: answer(429, date), b: answer(429, "9"),
-			status: 429, retryAfter: "9", shed: 1, bad: 1, outcome: "shed"},
+			status: 429, retryAfter: "9", shed: 1, bad: 1, sample: "shed", outcome: "shed"},
 		{name: "shed, raw HTTP-date hint", a: answer(503, date), b: answer(503, date),
-			status: 429, retryAfter: date, shed: 1, bad: 1, outcome: "shed"},
+			status: 429, retryAfter: date, shed: 1, bad: 1, sample: "shed", outcome: "shed"},
 		{name: "shed, no hint", a: answer(504, ""), b: answer(502, ""),
-			status: 429, retryAfter: "1", shed: 1, bad: 1, outcome: "shed"},
-		{name: "abandoned", a: hang, b: hang, hangUp: true, outcome: "abandoned"},
+			status: 429, retryAfter: "1", shed: 1, bad: 1, sample: "shed", outcome: "shed"},
+		{name: "abandoned", a: hang, b: hang, hangUp: true, sample: "abandoned", outcome: "abandoned"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := startFakeReplica(t, tc.a), startFakeReplica(t, tc.b)
@@ -88,12 +92,27 @@ func TestGatewayOutcomes(t *testing.T) {
 			if got := g.Stats().Shed; got != tc.shed {
 				t.Errorf("shed = %d, want %d", got, tc.shed)
 			}
-			o := g.slo.Report().Objectives[0]
-			if good, bad := o.Good, o.Total-o.Good; good != tc.good || bad != tc.bad {
-				t.Errorf("SLO good/bad = %d/%d, want %d/%d", good, bad, tc.good, tc.bad)
+			m := gatewayMetrics(t, g)
+			for o := range outcomes {
+				name, want := outcomes[o].name, 0.0
+				if name == tc.sample {
+					want = 1
+				}
+				if got := m[`arigate_routes_total{outcome="`+name+`"}`]; got != want {
+					t.Errorf("arigate_routes_total{outcome=%q} = %v, want %v", name, got, want)
+				}
 			}
-			if got := g.routeHist.Count(); got != tc.good {
-				t.Errorf("arigate_route_seconds count = %d, want %d (ok answers only)", got, tc.good)
+			// The route-latency objective at a 2 s threshold: good are the
+			// ok answers within the le="2.097151" bucket, bad the slower ok
+			// answers, relayed 5xx and sheds. A relayed 4xx is the client's.
+			events := m[`arigate_routes_total{outcome="ok"}`] + m[`arigate_routes_total{outcome="error"}`] +
+				m[`arigate_routes_total{outcome="shed"}`]
+			good := m[`arigate_route_seconds_bucket{le="2.097151"}`]
+			if bad := events - good; good != tc.good || bad != tc.bad {
+				t.Errorf("objective good/bad = %v/%v, want %v/%v", good, bad, tc.good, tc.bad)
+			}
+			if got := m["arigate_route_seconds_count"]; got != tc.good {
+				t.Errorf("arigate_route_seconds count = %v, want %v (ok answers only)", got, tc.good)
 			}
 			var outcome string
 			for _, sp := range g.spans.Spans(trace.Trace) {
@@ -106,4 +125,25 @@ func TestGatewayOutcomes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gatewayMetrics reads the gateway's /metrics into a map from each sample's
+// name and labels, as written, to its value.
+func gatewayMetrics(t *testing.T, g *Gateway) map[string]float64 {
+	t.Helper()
+	w := httptest.NewRecorder()
+	g.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return samples
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // Scheme identifies one evaluated configuration (paper §6.2 and Fig 10's
@@ -235,7 +236,18 @@ func (c Config) Validate() error {
 	if err := c.MC.Validate(); err != nil {
 		return err
 	}
-	return c.Core.Validate()
+	if err := c.Core.Validate(); err != nil {
+		return err
+	}
+	// A long packet carries one cache line, and mcNodeFor interleaves the
+	// MCs by DataBytes-sized lines of addresses the workloads align to
+	// trace.LineBytes: a line the caches do not use, or one shorter than a
+	// transaction, leaves some MCs idle.
+	if c.DataBytes != c.Core.L1.LineBytes || c.DataBytes != c.MC.L2.LineBytes || c.DataBytes < trace.LineBytes {
+		return fmt.Errorf("core: DataBytes %d must equal the L1 and L2 line sizes (%d B, %d B) and be at least the %d B memory transaction",
+			c.DataBytes, c.Core.L1.LineBytes, c.MC.L2.LineBytes, trace.LineBytes)
+	}
+	return nil
 }
 
 // networks derives, in one place, the meshes c describes: the request mesh,

@@ -11,16 +11,23 @@ import (
 
 // pastNoCLimits are Table I configs each past one limit of the networks the
 // config derives: more VCs than a router supports, a negative NI queue, more
-// MultiPort injection ports than a router's port mask holds, and a
-// 4096×4096 mesh whose 4.2 G flits of buffering overflow a ring's int32
-// offset.
+// MultiPort injection ports than a router's port mask holds, a 4096×4096
+// mesh whose 4.2 G flits of buffering overflow a ring's int32 offset, and
+// packet payloads the MC interleave cannot spread over every MC.
 func pastNoCLimits() map[string]core.Config {
 	vcs, niq, ports, mesh := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
 	vcs.VCs = 40
 	niq.NIQueueFlits = -5
 	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
 	mesh.MeshWidth, mesh.MeshHeight = 4096, 4096
-	return map[string]core.Config{"VCs 40": vcs, "NIQueueFlits -5": niq, "MultiPortPorts 40": ports, "mesh 4096x4096": mesh}
+	// Lines the MC interleave does not match: a payload of half a cache
+	// line, and 64 B lines throughout, below the workloads' 128 B
+	// transactions. Either leaves half the MCs without a request.
+	half, small := core.DefaultConfig(), core.DefaultConfig()
+	half.DataBytes = 64
+	small.DataBytes, small.Core.L1.LineBytes, small.MC.L2.LineBytes = 64, 64, 64
+	return map[string]core.Config{"VCs 40": vcs, "NIQueueFlits -5": niq, "MultiPortPorts 40": ports, "mesh 4096x4096": mesh,
+		"DataBytes 64": half, "64 B lines": small}
 }
 
 // TestGateAgreement: every entry point that takes a Config refuses what

@@ -419,7 +419,8 @@ func (s *Simulator) ReplyNet() noc.Fabric { return s.repNet }
 func (s *Simulator) MCNodes() []int { return s.mcNodes }
 
 // StateDumpJSON returns a JSON diagnostic of both fabrics' non-quiescent
-// state (the structured form of the watchdog's text dump). It only reads, but it must run on the goroutine stepping the simulator —
+// state: what /debug/nocstate serves and, indented, a WatchdogError's Dump.
+// It only reads, but it must run on the goroutine stepping the simulator —
 // the watchdog poll services Inspector state requests for exactly that
 // reason.
 func (s *Simulator) StateDumpJSON() []byte {

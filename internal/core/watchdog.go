@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -90,7 +92,8 @@ type WatchdogError struct {
 	OldestPacketAge int64
 	ReqInFlight     int
 	RepInFlight     int
-	// Dump is the diagnostic state dump of both fabrics.
+	// Dump is both fabrics' stuck state as indented JSON: the document
+	// Simulator.StateDumpJSON returns and /debug/nocstate serves.
 	Dump string
 }
 
@@ -204,8 +207,9 @@ func (s *Simulator) oldestPacketAge() int64 {
 
 // diagnose builds the structured watchdog failure for the current state.
 func (s *Simulator) diagnose(kind string, noProgress int64) *WatchdogError {
-	dump := "request network:\n" + s.reqNet.StateSnapshot().String() +
-		"reply network:\n" + s.repNet.StateSnapshot().String()
+	var dump bytes.Buffer
+	// StateDumpJSON's document, its error fallback included, is valid JSON.
+	_ = json.Indent(&dump, s.StateDumpJSON(), "", "  ")
 	return &WatchdogError{
 		Kind:            kind,
 		Benchmark:       s.kernel.Name,
@@ -215,6 +219,6 @@ func (s *Simulator) diagnose(kind string, noProgress int64) *WatchdogError {
 		OldestPacketAge: s.oldestPacketAge(),
 		ReqInFlight:     s.reqNet.InFlight(),
 		RepInFlight:     s.repNet.InFlight(),
-		Dump:            dump,
+		Dump:            dump.String(),
 	}
 }

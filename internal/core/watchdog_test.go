@@ -1,10 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/noc"
@@ -63,12 +64,36 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	if werr.ReqInFlight == 0 {
 		t.Fatal("deadlock reported with nothing in flight")
 	}
-	// The dump must carry the stuck state: router VC lines, the credit map
-	// and the oldest packets.
-	for _, want := range []string{"router", "credits=", "oldest packets", "STALLED"} {
-		if !strings.Contains(werr.Dump, want) {
-			t.Errorf("diagnostic dump missing %q:\n%.2000s", want, werr.Dump)
+	// The dump is the /debug/nocstate document, indented, and carries the
+	// stuck state: router VCs, the credit map, the stalls and the oldest
+	// packets.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, []byte(werr.Dump)); err != nil {
+		t.Fatalf("dump is not JSON: %v\n%.2000s", err, werr.Dump)
+	}
+	if !bytes.Equal(compact.Bytes(), sim.StateDumpJSON()) {
+		t.Errorf("dump differs from StateDumpJSON:\n%.2000s", werr.Dump)
+	}
+	var dump struct{ Request noc.StateDump }
+	if err := json.Unmarshal(compact.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	req := dump.Request
+	var vcs, credits, stalled int
+	for _, r := range req.Routers {
+		for _, ip := range r.Ins {
+			vcs += len(ip.VCs)
 		}
+		for _, op := range r.Outs {
+			credits += len(op.Credits)
+			if req.Cycle < op.StalledUntil {
+				stalled++
+			}
+		}
+	}
+	if vcs == 0 || credits == 0 || stalled == 0 || len(req.OldestPackets) == 0 {
+		t.Errorf("request dump: %d busy VCs, %d credit counts, %d stalled ports, %d oldest packets; want all > 0",
+			vcs, credits, stalled, len(req.OldestPackets))
 	}
 }
 

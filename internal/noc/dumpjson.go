@@ -1,10 +1,5 @@
 package noc
 
-import (
-	"fmt"
-	"strings"
-)
-
 // PacketDump is the JSON form of one in-flight packet's header state.
 type PacketDump struct {
 	ID        uint64 `json:"id"`
@@ -68,10 +63,9 @@ type RouterDump struct {
 	EjectorFlits  int           `json:"ejector_flits,omitempty"`
 }
 
-// StateDump is a fabric's non-quiescent state: JSON-encodable so a live
-// /debug/nocstate request is diagnosable remotely, and rendered as text
-// (String) for watchdog failures. Routers is empty on the behavioural
-// fabrics, which have none.
+// StateDump is a fabric's non-quiescent state, encoded as JSON both for a
+// live /debug/nocstate request and for a watchdog failure's dump. Routers is
+// empty on the behavioural fabrics, which have none.
 type StateDump struct {
 	Cycle         int64        `json:"cycle"`
 	InFlight      int          `json:"in_flight"`
@@ -130,61 +124,4 @@ func (n *Network) StateSnapshot() StateDump {
 		d.Routers = append(d.Routers, rd)
 	}
 	return d
-}
-
-// String renders the dump as the watchdog's human-readable diagnostic.
-func (d StateDump) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "network @cycle %d: inFlight=%d\n", d.Cycle, d.InFlight)
-	for _, r := range d.Routers {
-		tag := ""
-		if r.MC {
-			tag = " [MC]"
-		}
-		fmt.Fprintf(&b, "router %d%s: %d flits\n", r.ID, tag, r.Flits)
-		for _, ip := range r.Ins {
-			for _, vc := range ip.VCs {
-				fmt.Fprintf(&b, "  in %d vc %d: state=%s buf=%d", ip.Port, vc.VC, vc.State, vc.Buffered)
-				if h := vc.Head; h != nil {
-					fmt.Fprintf(&b, " head=pkt %d %s %d->%d flit %d/%d age=%d",
-						h.ID, h.Type, h.Src, h.Dst, vc.HeadFlit, h.Size, h.Age)
-				}
-				if vc.State != vcIdle.String() {
-					fmt.Fprintf(&b, " out=%d/%d waiting=%d", vc.OutPort, vc.OutVC, vc.Waiting)
-				}
-				if d.Cycle < ip.FrozenUntil {
-					fmt.Fprintf(&b, " FROZEN(until %d)", ip.FrozenUntil)
-				}
-				b.WriteByte('\n')
-			}
-			if ip.Staged > 0 {
-				fmt.Fprintf(&b, "  in %d: %d staged arrivals\n", ip.Port, ip.Staged)
-			}
-		}
-		for _, op := range r.Outs {
-			creds := make([]string, len(op.Credits))
-			for v, c := range op.Credits {
-				creds[v] = fmt.Sprintf("%d(own %d)", c, op.Owners[v])
-			}
-			stall := ""
-			if d.Cycle < op.StalledUntil {
-				stall = fmt.Sprintf(" STALLED(until %d)", op.StalledUntil)
-			}
-			fmt.Fprintf(&b, "  out %d: credits=[%s]%s\n", op.Port, strings.Join(creds, " "), stall)
-		}
-		if r.NIQueuedFlits > 0 {
-			fmt.Fprintf(&b, "  ni: %d queued flits (mode %s)\n", r.NIQueuedFlits, r.NIMode)
-		}
-		if r.EjectorFlits > 0 {
-			fmt.Fprintf(&b, "  ejector: %d flits\n", r.EjectorFlits)
-		}
-	}
-	if len(d.OldestPackets) > 0 {
-		b.WriteString("oldest packets:\n")
-		for _, p := range d.OldestPackets {
-			fmt.Fprintf(&b, "  pkt %d %s %d->%d size=%d prio=%d created=%d age=%d\n",
-				p.ID, p.Type, p.Src, p.Dst, p.Size, p.Priority, p.CreatedAt, p.Age)
-		}
-	}
-	return b.String()
 }

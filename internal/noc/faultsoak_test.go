@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -74,7 +75,7 @@ func runSoak(t *testing.T, name string, mutate func(*Config), seed uint64) soakF
 	}
 	if !n.Idle() {
 		t.Fatalf("%s: network did not drain after faults expired (inFlight=%d)\n%s",
-			name, n.InFlight(), n.StateSnapshot().String())
+			name, n.InFlight(), stateJSON(n))
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("%s: invariants dirty after drain: %v", name, err)
@@ -221,7 +222,7 @@ func runChaos(t *testing.T, name string, mutate func(*Config), seed uint64) (Rec
 	}
 	if !n.Idle() {
 		t.Fatalf("%s: network did not drain under chaos (inFlight=%d, ctl=%d)\n%s",
-			name, n.InFlight(), n.CtlPending(), n.StateSnapshot().String())
+			name, n.InFlight(), n.CtlPending(), stateJSON(n))
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("%s: invariants dirty after drain: %v", name, err)
@@ -274,4 +275,10 @@ func TestChaosZeroUndetectedCorruption(t *testing.T) {
 		})
 		seed++
 	}
+}
+
+// stateJSON is a stuck network's state as the watchdog's dump shows it.
+func stateJSON(n *Network) []byte {
+	b, _ := json.MarshalIndent(n.StateSnapshot(), "", "  ")
+	return b
 }

@@ -135,7 +135,7 @@ func (tw *twinNets) step() {
 	}
 	tw.log[0], tw.log[1] = tw.log[0][:0], tw.log[1][:0]
 	if d := stateDiff(l, r); d != "" {
-		tw.t.Fatalf("cycle %d: state differs at %s\n%s\nreference\n%s", now, d, l.StateSnapshot(), r.StateSnapshot())
+		tw.t.Fatalf("cycle %d: state differs at %s\n%s\nreference\n%s", now, d, stateJSON(l), stateJSON(r))
 	}
 }
 

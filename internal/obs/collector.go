@@ -5,13 +5,6 @@ import (
 	"repro/internal/stats"
 )
 
-// HopEvent is one per-hop lifecycle event of a traced packet.
-type HopEvent struct {
-	Node  int
-	Stage noc.TraceStage
-	Cycle int64
-}
-
 // PacketTrace is the recorded lifecycle of one sampled packet.
 type PacketTrace struct {
 	ID       uint64
@@ -20,21 +13,11 @@ type PacketTrace struct {
 	// Enqueued is when the node handed the packet to the NI; Injected when
 	// the head flit left the NI; Ejected when the tail flit was consumed.
 	Enqueued, Injected, Ejected int64
-	// Hops holds the per-hop VA-grant and switch-traversal events in
-	// pipeline order.
-	Hops []HopEvent
-}
-
-// lastSwitch returns the cycle of the final switch traversal (the hop that
-// staged the head flit toward the destination's ejector), or Injected when
-// no hop was recorded.
-func (p *PacketTrace) lastSwitch() int64 {
-	for i := len(p.Hops) - 1; i >= 0; i-- {
-		if p.Hops[i].Stage == noc.TraceSwitch {
-			return p.Hops[i].Cycle
-		}
-	}
-	return p.Injected
+	// LastSwitch is the cycle of the final switch traversal (the hop that
+	// staged the head flit toward the destination's ejector), or Injected
+	// when no switch traversal was recorded: where network transit ends and
+	// ejection begins.
+	LastSwitch int64
 }
 
 // Collector implements noc.Tracer: it assembles the event stream of one
@@ -65,9 +48,9 @@ func (c *Collector) PacketEvent(pktID uint64, t noc.PacketType, src, dst, node i
 	}
 	switch stage {
 	case noc.TraceInject:
-		p.Injected = cycle
-	case noc.TraceVAGrant, noc.TraceSwitch:
-		p.Hops = append(p.Hops, HopEvent{Node: node, Stage: stage, Cycle: cycle})
+		p.Injected, p.LastSwitch = cycle, cycle
+	case noc.TraceSwitch:
+		p.LastSwitch = cycle
 	case noc.TraceEject:
 		p.Ejected = cycle
 		c.done = append(c.done, p)
@@ -120,10 +103,9 @@ func (c *Collector) Decompose(types ...noc.PacketType) Decomposition {
 			continue
 		}
 		d.Packets++
-		last := p.lastSwitch()
 		d.Queue.Add(float64(p.Injected - p.Enqueued))
-		d.Net.Add(float64(last - p.Injected))
-		d.Eject.Add(float64(p.Ejected - last))
+		d.Net.Add(float64(p.LastSwitch - p.Injected))
+		d.Eject.Add(float64(p.Ejected - p.LastSwitch))
 		d.Total.Add(float64(p.Ejected - p.Enqueued))
 	}
 	return d

@@ -6,6 +6,14 @@ import (
 	"repro/internal/noc"
 )
 
+// HopEvent is one per-hop event fed to a collector between injection and
+// ejection.
+type HopEvent struct {
+	Node  int
+	Stage noc.TraceStage
+	Cycle int64
+}
+
 // feedLifecycle replays one packet's event stream into c.
 func feedLifecycle(c *Collector, id uint64, typ noc.PacketType, enq, inj int64, hops []HopEvent, eject int64) {
 	c.PacketEvent(id, typ, 0, 5, 0, noc.TraceNIEnqueue, enq)

@@ -83,20 +83,17 @@ func BucketBound(i int) int64 {
 // cumulative <name>_bucket{le="..."} samples, <name>_sum and <name>_count.
 // unitSeconds converts one histogram unit to seconds (1e-6 for microsecond
 // histograms); le bounds and the sum are emitted in seconds per the
-// Prometheus convention. Empty trailing buckets are elided (le="+Inf"
-// always closes the family).
+// Prometheus convention. Every finite bucket is rendered, empty or not, so
+// an objective's bucket (le="33.554431" for 30 s) is a series from the first
+// scrape; the overflow bucket is counted only by le="+Inf".
 func (p *PromWriter) Histogram(name, help string, s HistSnapshot, unitSeconds float64) {
 	p.Family(name, help, "histogram")
-	last := 0
-	for i, c := range s.Counts {
-		if c > 0 {
-			last = i
-		}
-	}
 	var cum uint64
-	for i := 0; i <= last; i++ {
+	for i := 0; i < HistBuckets-1; i++ {
 		cum += s.Counts[i]
-		le := float64(BucketBound(i)) * unitSeconds
+		// Dividing by the units per second keeps each label the exact
+		// decimal (2.097151, not 2.0971509999999998) a query names.
+		le := float64(BucketBound(i)) / (1 / unitSeconds)
 		p.Sample(name+"_bucket", `le="`+formatFloat(le)+`"`, float64(cum))
 	}
 	p.Sample(name+"_bucket", `le="+Inf"`, float64(s.Count))

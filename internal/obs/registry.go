@@ -1,8 +1,10 @@
 // Package obs is the observability layer of the simulator: a metrics
 // registry snapshotting per-interval time series from the NoC and GPU
 // layers, sampled packet-lifetime tracing with the paper's Fig. 2/3-style
-// latency decomposition and a Chrome trace_event exporter, and live
-// run-progress tracking for the job server.
+// latency decomposition, request-scoped spans with the one Chrome
+// trace_event exporter (WriteSpanTrace, which sampled packets reach through
+// PacketSpans), the Prometheus text writer and fixed-bucket histograms, and
+// live run-progress tracking for the job server.
 //
 // Everything here is observation only: attaching a registry or a tracer
 // never changes a simulated decision, so an instrumented run's Result is

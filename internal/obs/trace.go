@@ -282,8 +282,8 @@ func (sc *Scope) Finish(outcome string) {
 
 // PacketSpans converts the completed packet lifecycles of a Collector into
 // spans of the given trace, parented under the simulation-run span and
-// anchored at its wall-clock start: packet cycles map 1:1 to microseconds
-// (the Chrome exporter's existing convention), so the NoC timeline nests
+// anchored at its wall-clock start: packet cycles map 1:1 to microseconds,
+// so a trace viewer's time axis reads in cycles and the NoC timeline nests
 // inside the run's slice of the distributed trace. At most limit packets
 // are converted (0 = all) — sampling already bounds the collector, the
 // limit bounds the recorder.
@@ -306,26 +306,47 @@ func PacketSpans(c *Collector, trace, parent, process string, anchorUS int64, li
 			StartUS: anchorUS + p.Enqueued,
 			DurUS:   p.Ejected - p.Enqueued,
 		}
-		last := p.lastSwitch()
 		sp.Attrs = map[string]string{
 			"net":    c.Label,
 			"src":    strconv.Itoa(p.Src),
 			"dst":    strconv.Itoa(p.Dst),
 			"queue":  strconv.FormatInt(p.Injected-p.Enqueued, 10),
-			"net_cy": strconv.FormatInt(last-p.Injected, 10),
-			"eject":  strconv.FormatInt(p.Ejected-last, 10),
+			"net_cy": strconv.FormatInt(p.LastSwitch-p.Injected, 10),
+			"eject":  strconv.FormatInt(p.Ejected-p.LastSwitch, 10),
 		}
 		out = append(out, sp)
 	}
 	return out
 }
 
-// WriteSpanTrace exports spans as a Chrome trace_event JSON document (the
-// same Object Format WriteChromeTrace emits, validated against the same
-// schema fixture): one process row per distinct Span.Process, one thread
+// chromeEvent is one entry of the Chrome trace_event JSON Object Format
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
+// "X" complete events carry a duration, "M" metadata events name the
+// process/thread rows. Timestamps are microseconds.
+type chromeEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Phase string         `json:"ph"`
+	TS    int64          `json:"ts"`
+	Dur   int64          `json:"dur"`
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+// chromeTrace is the Object-format wrapper.
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// WriteSpanTrace exports spans as a Chrome trace_event JSON document,
+// loadable in chrome://tracing or Perfetto (testdata/chrome_trace_schema.json
+// is the contract): one process row per distinct Span.Process, one thread
 // row per span name within it, timestamps normalised to the earliest span.
 // Spans from arigate, every ariserve replica, and the NoC packet lifecycles
-// of a traced run therefore render as a single merged timeline.
+// of a traced run therefore render as a single merged timeline; arisim
+// -trace-out writes its sampled packets through the same function.
 func WriteSpanTrace(w io.Writer, spans []Span) error {
 	trace := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 

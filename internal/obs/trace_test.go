@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -81,17 +82,54 @@ func TestPacketSpansAnchorAndLimit(t *testing.T) {
 	if sp.StartUS != 1_000_000 || sp.DurUS != 12 {
 		t.Fatalf("anchor: start=%d dur=%d", sp.StartUS, sp.DurUS)
 	}
-	if sp.Attrs["src"] != "0" || sp.Attrs["dst"] != "5" || sp.Attrs["net"] != "rep" {
-		t.Fatalf("attrs: %v", sp.Attrs)
+	// Injected at 3, last switch at 7: queue 3, network 4, eject 5.
+	for k, want := range map[string]string{"src": "0", "dst": "5", "net": "rep", "queue": "3", "net_cy": "4", "eject": "5"} {
+		if sp.Attrs[k] != want {
+			t.Fatalf("attr %s = %q, want %q (attrs %v)", k, sp.Attrs[k], want, sp.Attrs)
+		}
 	}
 	if PacketSpans(nil, "t", "p", "x", 0, 0) != nil {
 		t.Fatal("nil collector must yield nil")
 	}
 }
 
-// TestWriteSpanTraceMatchesSchema locks the span exporter to the same
-// trace_event schema fixture the packet exporter honours: the merged
-// cluster trace must load in chrome://tracing and Perfetto.
+// chromeSchema mirrors testdata/chrome_trace_schema.json: the subset of the
+// trace_event format contract the exporter must satisfy for chrome://tracing
+// and Perfetto to load its output.
+type chromeSchema struct {
+	TopLevelRequired        []string            `json:"top_level_required"`
+	AllowedDisplayTimeUnits []string            `json:"allowed_display_time_units"`
+	EventRequired           []string            `json:"event_required"`
+	AllowedPhases           []string            `json:"allowed_phases"`
+	PhaseRequired           map[string][]string `json:"phase_required"`
+	NumericFields           []string            `json:"numeric_fields"`
+}
+
+func loadChromeSchema(t *testing.T) chromeSchema {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/chrome_trace_schema.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s chromeSchema
+	if err := json.Unmarshal(raw, &s); err != nil {
+		t.Fatalf("schema fixture unparsable: %v", err)
+	}
+	return s
+}
+
+func contains(xs []string, x string) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWriteSpanTraceMatchesSchema locks the one trace exporter to the
+// trace_event schema fixture: the merged cluster trace, and arisim
+// -trace-out's packet document, must load in chrome://tracing and Perfetto.
 func TestWriteSpanTraceMatchesSchema(t *testing.T) {
 	schema := loadChromeSchema(t)
 

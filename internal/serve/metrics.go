@@ -17,14 +17,16 @@ import (
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var p obs.PromWriter
 	st := s.Stats()
+	s.mu.Lock()
+	counts := s.counts
+	s.mu.Unlock()
 
 	p.Metric("ari_jobs_admitted", "Jobs currently holding an admission slot (executing + waiting).", "gauge", float64(st.Admitted))
-	p.Family("ari_jobs_total", "Submissions by how they ended: cached (cache or journal), estimated (analytical model), "+
-		"peer (a cluster peer's journal), shed (429, queue full), ok (simulated by this process).", "counter")
-	for _, row := range outcomes {
-		if row.stat != nil {
-			p.Sample("ari_jobs_total", obs.Labels("outcome", row.name), float64(*row.stat(&st)))
-		}
+	p.Family("ari_jobs_total", "Submissions by how they ended, one sample per row of the outcomes table (DESIGN.md §9): "+
+		"cached, estimated, peer and ok are answered 2xx and timed in ari_job_seconds; bad_request is the client's 400; "+
+		"draining, shed, cancelled and error are failures; abandoned had no client left to answer.", "counter")
+	for o, row := range outcomes {
+		p.Sample("ari_jobs_total", obs.Labels("outcome", row.name), float64(counts[o]))
 	}
 	p.Metric("ari_draining", "1 once admission is closed.", "gauge", obs.Bool(st.Draining))
 	p.Metric("ari_service_time_seconds", "EWMA of observed simulation wall time.", "gauge", st.ServiceTimeMs/1000)
@@ -56,7 +58,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			p.Histogram(st.metric, st.help, s.stageHist[i].Snapshot(), 1e-6)
 		}
 	}
-	s.slo.Report().WriteMetrics(&p, "ari")
 	p.Metric("ari_trace_spans", "Spans held in the in-memory recorder.", "gauge", float64(s.spans.Len()))
 
 	var ms runtime.MemStats

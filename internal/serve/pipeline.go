@@ -40,44 +40,36 @@ const (
 	numOutcomes
 )
 
-// sloClass is an outcome's meaning for the job_latency objective.
-type sloClass int
-
-const (
-	sloNone   sloClass = iota // not an event: the client's fault, or no client left
-	sloServed                 // latency observed: ari_job_seconds, good when within the target
-	sloFailed                 // a bad event
-)
-
 var (
 	errDraining  = errors.New("draining")
 	errQueueFull = errors.New("admission queue full")
 )
 
 // outcomes is the one description of every way a submission can end.
+// Every row is counted on /metrics as ari_jobs_total{outcome=name}.
 var outcomes = [numOutcomes]struct {
-	name string // the serve.job span's outcome attr
+	name string // the serve.job span's outcome attr and the metric label
 	// status is the HTTP answer; 0 takes it from the error's class
 	// (errorClass). Every 429 and 503 carries Retry-After (writeError).
 	status int
-	slo    sloClass
-	// stat, when set, counts the outcome in Stats and on /metrics as
-	// ari_jobs_total{outcome=name}.
+	// timed answers have their latency observed in ari_job_seconds.
+	timed bool
+	// stat, when set, also counts the outcome in Stats.
 	stat func(*Stats) *int64
 }{
 	outBadRequest: {name: "bad_request", status: http.StatusBadRequest},
-	outCached: {name: "cached", status: http.StatusOK, slo: sloServed,
+	outCached: {name: "cached", status: http.StatusOK, timed: true,
 		stat: func(st *Stats) *int64 { return &st.CacheHits }},
-	outEstimated: {name: "estimated", status: http.StatusOK, slo: sloServed,
+	outEstimated: {name: "estimated", status: http.StatusOK, timed: true,
 		stat: func(st *Stats) *int64 { return &st.Estimated }},
-	outPeer: {name: "peer", status: http.StatusOK, slo: sloServed,
+	outPeer: {name: "peer", status: http.StatusOK, timed: true,
 		stat: func(st *Stats) *int64 { return &st.PeerHits }},
-	outDraining: {name: "draining", status: http.StatusServiceUnavailable, slo: sloFailed},
-	outShed: {name: "shed", status: http.StatusTooManyRequests, slo: sloFailed,
+	outDraining: {name: "draining", status: http.StatusServiceUnavailable},
+	outShed: {name: "shed", status: http.StatusTooManyRequests,
 		stat: func(st *Stats) *int64 { return &st.Shed }},
-	outCancelled: {name: "cancelled", slo: sloFailed},
-	outError:     {name: "error", slo: sloFailed},
-	outOK: {name: "ok", status: http.StatusOK, slo: sloServed,
+	outCancelled: {name: "cancelled"},
+	outError:     {name: "error"},
+	outOK: {name: "ok", status: http.StatusOK, timed: true,
 		stat: func(st *Stats) *int64 { return &st.Completed }},
 	outAbandoned: {name: "abandoned"}, // nobody left to answer: nothing is written
 }
@@ -215,13 +207,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 // answer ends one submission: it is the only code that moves a counter, a
-// histogram, the SLO tracker or the service-time EWMA, and it does all of it
+// histogram or the service-time EWMA, and it does all of it
 // before the response is written, so a client holding its answer can rely on
 // the counters already showing it.
 func (s *Server) answer(rq *request, a *answer) {
 	rq.answered = true
 	row := &outcomes[a.outcome]
-	d := time.Since(rq.start)
 
 	s.mu.Lock()
 	s.counts[a.outcome]++
@@ -241,12 +232,8 @@ func (s *Server) answer(rq *request, a *answer) {
 			s.stageHist[i].ObserveDuration(rq.took[i])
 		}
 	}
-	switch row.slo {
-	case sloServed:
-		s.jobHist.ObserveDuration(d)
-		s.slo.Observe(d.Microseconds())
-	case sloFailed:
-		s.slo.Fail()
+	if row.timed {
+		s.jobHist.ObserveDuration(time.Since(rq.start))
 	}
 	rq.scope.Finish(row.name)
 

@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -98,14 +100,66 @@ func (h *pipelineHarness) post(body string) *http.Response {
 
 // accounts is everything Server.answer may move.
 type accounts struct {
-	stats     Stats
-	good, bad uint64
-	hist      uint64
+	stats   Stats
+	metrics map[string]float64 // every /metrics sample
 }
 
 func (h *pipelineHarness) accounts() accounts {
-	o := h.s.slo.Report().Objectives[0]
-	return accounts{stats: h.s.Stats(), good: o.Good, bad: o.Total - o.Good, hist: h.s.jobHist.Count()}
+	return accounts{stats: h.s.Stats(), metrics: scrapeMetrics(h.t, h.url)}
+}
+
+// scrapeMetrics reads GET /metrics into a map from each sample's name and
+// labels, as written, to its value.
+func scrapeMetrics(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(string(raw), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return samples
+}
+
+// objectiveEvents counts a job-latency objective's events from /metrics
+// alone, as DESIGN.md §15's query does: good are the 2xx answers within the
+// threshold of ari_job_seconds' bucket le, bad the slower 2xx answers and
+// every failure. A 400 is the client's fault and an abandoned submission
+// has no client: neither is an event.
+func objectiveEvents(m map[string]float64, le string) (good, bad float64) {
+	var events float64
+	for _, o := range []string{"cached", "estimated", "peer", "ok", "draining", "shed", "cancelled", "error"} {
+		events += m[`ari_jobs_total{outcome="`+o+`"}`]
+	}
+	good = m[`ari_job_seconds_bucket{le="`+le+`"}`]
+	return good, events - good
+}
+
+// movedSamples maps each sample of family whose value differs between the
+// two scrapes to its change.
+func movedSamples(family string, before, after map[string]float64) map[string]float64 {
+	moved := map[string]float64{}
+	for k, v := range after {
+		if strings.HasPrefix(k, family+"{") && v != before[k] {
+			moved[k] = v - before[k]
+		}
+	}
+	return moved
 }
 
 // movedCounters names, by json tag, the int64 Stats fields that differ.
@@ -123,9 +177,10 @@ func movedCounters(before, after Stats) []string {
 
 // TestStageBoundaries drives a real Server to every outcome of the pipeline
 // and checks, per outcome, the whole row of the outcomes table at once:
-// status, Retry-After, the one counter that moved, the SLO class, the latency
-// histogram, the serve.job span's outcome — and that queue slot, work slot
-// and inflight are released afterwards.
+// status, Retry-After, the one Stats counter that moved, the one
+// ari_jobs_total sample that moved, the latency histogram, the serve.job
+// span's outcome — and that queue slot, work slot and inflight are released
+// afterwards.
 func TestStageBoundaries(t *testing.T) {
 	base := core.DefaultConfig()
 	base.WarmupCycles = 200
@@ -155,8 +210,10 @@ func TestStageBoundaries(t *testing.T) {
 		status     int // 0: no response to look at
 		retryAfter bool
 		counter    string // json tag of the one Stats counter that moves ("" = none)
-		good, bad  uint64
-		outcome    string
+		// good/bad are the events a job-latency objective with a 30 s
+		// threshold counts, read from /metrics (objectiveEvents).
+		good, bad float64
+		outcome   string // the serve.job span's outcome and ari_jobs_total label
 	}{
 		{name: "malformed body", drive: func(h *pipelineHarness) *http.Response { return h.post(`{"bench":`) },
 			status: 400, outcome: "bad_request"},
@@ -247,11 +304,17 @@ func TestStageBoundaries(t *testing.T) {
 			if got := movedCounters(before.stats, after.stats); !reflect.DeepEqual(got, want) {
 				t.Errorf("counters moved = %v, want %v", got, want)
 			}
-			if g, b := after.good-before.good, after.bad-before.bad; g != tc.good || b != tc.bad {
-				t.Errorf("SLO good/bad delta = %d/%d, want %d/%d", g, b, tc.good, tc.bad)
+			wantSample := map[string]float64{`ari_jobs_total{outcome="` + tc.outcome + `"}`: 1}
+			if got := movedSamples("ari_jobs_total", before.metrics, after.metrics); !reflect.DeepEqual(got, wantSample) {
+				t.Errorf("ari_jobs_total moved %v, want %v", got, wantSample)
 			}
-			if got := after.hist - before.hist; got != tc.good {
-				t.Errorf("ari_job_seconds count delta = %d, want %d (served answers only)", got, tc.good)
+			goodAfter, badAfter := objectiveEvents(after.metrics, "33.554431")
+			goodBefore, badBefore := objectiveEvents(before.metrics, "33.554431")
+			if g, b := goodAfter-goodBefore, badAfter-badBefore; g != tc.good || b != tc.bad {
+				t.Errorf("objective good/bad delta = %v/%v, want %v/%v", g, b, tc.good, tc.bad)
+			}
+			if got := after.metrics["ari_job_seconds_count"] - before.metrics["ari_job_seconds_count"]; got != tc.good {
+				t.Errorf("ari_job_seconds count delta = %v, want %v (2xx answers only)", got, tc.good)
 			}
 			var outcome string
 			for _, sp := range h.s.spans.Spans(h.trace.Trace) {

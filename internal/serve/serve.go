@@ -93,13 +93,6 @@ type Config struct {
 	// give each cluster replica a distinct name so the merged Chrome trace
 	// renders one process row per replica.
 	Process string
-
-	// SLOTarget is the submission-latency objective boundary: a 2xx answer
-	// within it is a good event (default 30s — simulations are heavy).
-	SLOTarget time.Duration
-
-	// SLOGoal is the objective's target good fraction (default 0.99).
-	SLOGoal float64
 }
 
 // Stats is a point-in-time snapshot of the server's counters.
@@ -148,7 +141,6 @@ type Server struct {
 	spans     *obs.SpanRecorder
 	jobHist   obs.Histogram            // full submission latency of served answers, µs
 	stageHist [numStages]obs.Histogram // per-stage latency, µs (see stages)
-	slo       *obs.SLOTracker
 
 	// stageHook, when set (tests only), is called as a submission enters a
 	// stage: the transition tests wait on instead of polling counters.
@@ -203,12 +195,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Process == "" {
 		cfg.Process = "ariserve"
 	}
-	if cfg.SLOTarget <= 0 {
-		cfg.SLOTarget = 30 * time.Second
-	}
-	if cfg.SLOGoal <= 0 || cfg.SLOGoal >= 1 {
-		cfg.SLOGoal = 0.99
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
@@ -216,9 +202,6 @@ func New(cfg Config) (*Server, error) {
 		work:    make(chan struct{}, cfg.MaxInFlight),
 		started: time.Now(),
 		spans:   obs.NewSpanRecorder(cfg.TraceCap),
-		slo: obs.NewSLOTracker([]obs.Objective{
-			{Name: "job_latency", Threshold: cfg.SLOTarget.Microseconds(), Goal: cfg.SLOGoal},
-		}),
 		rootCtx: ctx,
 		abort:   cancel,
 	}
@@ -234,7 +217,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/debug/nocstate", s.handleNoCState)
 	s.mux.Handle("/debug/spans", s.spans)
 	s.mux.HandleFunc("/debug/trace", s.handleTrace)
-	s.mux.Handle("/debug/slo", s.slo)
 	// pprof goes on the server's own mux — ariserve never serves the
 	// DefaultServeMux, so the import's side-effect registrations alone
 	// would be unreachable.

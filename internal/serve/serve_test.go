@@ -139,12 +139,13 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	}
 	// Configs past a network limit, in run and estimate mode: Validate
 	// refuses what NewSimulator would, so they never reach admission.
-	vcs, niq, ports, mesh := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs, niq, ports, mesh, lines := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
 	vcs.VCs = 40
 	niq.NIQueueFlits = -5
 	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
 	mesh.MeshWidth, mesh.MeshHeight = 4096, 4096 // flit buffers past int32 offsets
-	for _, cfg := range []core.Config{vcs, niq, ports, mesh} {
+	lines.DataBytes = 64                         // packets of half a cache line
+	for _, cfg := range []core.Config{vcs, niq, ports, mesh, lines} {
 		for _, estimate := range []bool{false, true} {
 			b, err := json.Marshal(JobRequest{Bench: "bfs", Config: &cfg, Estimate: estimate})
 			if err != nil {
@@ -171,15 +172,15 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 			t.Errorf("body %s: status = %v, want 400", body, resp.Status)
 		}
 	}
-	// Every one ended at decode: no queue slot, run, estimate or SLO event.
+	// Every one ended at decode: no queue slot, run, estimate or timed answer.
 	s.mu.Lock()
 	counts := s.counts
 	s.mu.Unlock()
 	if counts[outBadRequest] != int64(len(bodies)) || counts[outError] != 0 {
 		t.Errorf("outcomes %v: want %d bad requests and nothing else", counts, len(bodies))
 	}
-	if runs, slo := s.cfg.Runner.Runs(), s.slo.Report(); runs != 0 || slo.Objectives[0].Total != 0 {
-		t.Errorf("%d runs, %d SLO events", runs, slo.Objectives[0].Total)
+	if runs, timed := s.cfg.Runner.Runs(), s.jobHist.Count(); runs != 0 || timed != 0 {
+		t.Errorf("%d runs, %d answers timed in ari_job_seconds", runs, timed)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {

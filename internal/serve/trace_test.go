@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -154,7 +155,8 @@ func TestTracedRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestServeDebugEndpoints covers /debug/slo, /debug/spans and /debug/trace.
+// TestServeDebugEndpoints covers /debug/trace, and that /debug/slo is gone:
+// the job-latency objective is a query over /metrics.
 func TestServeDebugEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{TraceSample: 1, PacketSample: 1})
 
@@ -174,17 +176,9 @@ func TestServeDebugEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep obs.SLOReport
-	err = json.NewDecoder(resp.Body).Decode(&rep)
 	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Objectives) != 1 || rep.Objectives[0].Name != "job_latency" {
-		t.Fatalf("slo report = %+v", rep)
-	}
-	if rep.Objectives[0].Total == 0 {
-		t.Fatal("slo report counted no events after a job")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/slo = %d, want 404", resp.StatusCode)
 	}
 
 	resp, err = http.Get(ts.URL + "/debug/trace")
@@ -213,29 +207,52 @@ func TestServeDebugEndpoints(t *testing.T) {
 	}
 }
 
-// TestServeMetricsHistogramsAndSLO: /metrics exposes the new histogram
-// families and SLO gauges.
+// TestServeMetricsHistogramsAndSLO: /metrics alone answers the job-latency
+// objective. A mixed run — a bad request, two fast 2xx answers, a slow run,
+// a failed run and a submission refused while draining — must read back as
+// the 2 good and 3 bad events a latency tracker with a 524 ms threshold
+// (the le="0.524287" bucket) would have counted, with the bad request
+// counted as neither.
 func TestServeMetricsHistogramsAndSLO(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	post(t, ts.URL, `{"bench":"bfs"}`).Body.Close()
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	s, ts := newTestServer(t, Config{})
+	s.stageHook = func(stage string) {
+		if stage == "run" {
+			time.Sleep(600 * time.Millisecond) // past the 0.524287 s bucket
+		}
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	got := string(raw)
-	for _, want := range []string{
-		"# TYPE ari_job_seconds histogram",
-		"ari_job_seconds_count 1",
-		"# TYPE ari_run_seconds histogram",
-		"# TYPE ari_queue_wait_seconds histogram",
-		`ari_slo_compliance{objective="job_latency"} 1`,
-		`ari_slo_alerting{objective="job_latency"} 0`,
+	for _, sub := range []struct {
+		body   string
+		status int
+	}{
+		{`{"bench":`, 400},
+		{`{"bench":"bfs","estimate":true}`, 200},
+		{`{"bench":"bfs"}`, 200}, // slow: run
+		{`{"bench":"bfs"}`, 200}, // fast: cached
+		{`{"bench":"kmeans","cycles":1099511627776,"timeout_ms":30}`, 504},
 	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("/metrics missing %q", want)
+		resp := post(t, ts.URL, sub.body)
+		resp.Body.Close()
+		if resp.StatusCode != sub.status {
+			t.Fatalf("%s: status %d, want %d", sub.body, resp.StatusCode, sub.status)
+		}
+	}
+	s.BeginDrain()
+	post(t, ts.URL, `{"bench":"nn"}`).Body.Close()
+
+	m := scrapeMetrics(t, ts.URL)
+	if good, bad := objectiveEvents(m, "0.524287"); good != 2 || bad != 3 || m[`ari_jobs_total{outcome="bad_request"}`] != 1 {
+		t.Errorf("good %v, bad %v, bad requests %v; want 2, 3, 1", good, bad, m[`ari_jobs_total{outcome="bad_request"}`])
+	}
+	var served float64
+	for _, o := range []string{"cached", "estimated", "peer", "ok"} {
+		served += m[`ari_jobs_total{outcome="`+o+`"}`]
+	}
+	if m["ari_job_seconds_count"] != served {
+		t.Errorf("ari_job_seconds_count %v, want the %v 2xx answers", m["ari_job_seconds_count"], served)
+	}
+	for _, family := range []string{"ari_job_seconds", "ari_run_seconds", "ari_queue_wait_seconds"} {
+		if _, ok := m[family+`_bucket{le="33.554431"}`]; !ok {
+			t.Errorf("/metrics has no %s bucket at the 30 s objective", family)
 		}
 	}
 }

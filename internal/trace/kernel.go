@@ -110,9 +110,11 @@ func (k Kernel) Validate() error {
 	return nil
 }
 
-// Region base addresses, line-aligned and far apart so regions never alias.
+// LineBytes is the size of one memory transaction: every address a
+// workload issues is aligned to it. Region base addresses are line-aligned
+// and far apart so regions never alias.
 const (
-	lineBytes  = 128
+	LineBytes  = 128
 	hotBase    = uint64(0x10_0000_0000)
 	sharedBase = uint64(0x20_0000_0000)
 	streamBase = uint64(0x30_0000_0000)
@@ -201,7 +203,7 @@ func (g *Generator) NextMem(core, warp int, scratch []uint64) (write bool, addrs
 	for i := 1; i < n; i++ {
 		// Divergent transactions touch adjacent lines: distinct packets to
 		// (generally) the same or neighbouring MCs.
-		addrs = append(addrs, base+uint64(i)*lineBytes)
+		addrs = append(addrs, base+uint64(i)*LineBytes)
 	}
 	return write, addrs
 }
@@ -218,12 +220,12 @@ func (g *Generator) nextAddr(w *warpGen, hot uint64) uint64 {
 	switch {
 	case r.Bool(g.k.Locality):
 		line := hot + uint64(r.Intn(g.k.HotLines))
-		return hotBase + line*lineBytes
+		return hotBase + line*LineBytes
 	case r.Bool(g.k.L2Frac):
 		line := uint64(r.Intn(g.k.SharedLines))
-		return sharedBase + line*lineBytes
+		return sharedBase + line*LineBytes
 	default:
 		w.cursor = (w.cursor + 1) % g.k.StreamLines
-		return streamBase + w.cursor*lineBytes
+		return streamBase + w.cursor*LineBytes
 	}
 }

@@ -126,7 +126,7 @@ func TestCoalescingBounds(t *testing.T) {
 		}
 		// Extra transactions touch adjacent lines.
 		for j := 1; j < len(addrs); j++ {
-			if addrs[j] != addrs[0]+uint64(j)*lineBytes {
+			if addrs[j] != addrs[0]+uint64(j)*LineBytes {
 				t.Fatalf("divergent txn %d not adjacent: %x vs %x", j, addrs[j], addrs[0])
 			}
 		}
@@ -147,12 +147,12 @@ func TestAddressesLineAlignedAndInRegionsQuick(t *testing.T) {
 		for i := 0; i <= int(steps%16); i++ {
 			_, addrs := g.NextMem(c, w, nil)
 			for _, a := range addrs {
-				if a%lineBytes != 0 {
+				if a%LineBytes != 0 {
 					return false
 				}
-				inHot := a >= hotBase && a < hotBase+uint64(2*k.WarpsPerCore*k.HotLines+8)*lineBytes
-				inShared := a >= sharedBase && a < sharedBase+uint64(k.SharedLines+4)*lineBytes
-				inStream := a >= streamBase && a < streamBase+(k.StreamLines+4)*lineBytes
+				inHot := a >= hotBase && a < hotBase+uint64(2*k.WarpsPerCore*k.HotLines+8)*LineBytes
+				inShared := a >= sharedBase && a < sharedBase+uint64(k.SharedLines+4)*LineBytes
+				inStream := a >= streamBase && a < streamBase+(k.StreamLines+4)*LineBytes
 				if !inHot && !inShared && !inStream {
 					return false
 				}
