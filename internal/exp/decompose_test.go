@@ -1,12 +1,18 @@
 package exp
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens (decompose_golden.csv, figures_tiny.md) from the current simulator")
@@ -82,5 +88,42 @@ func TestDecomposeDA2MeshQueueShare(t *testing.T) {
 func TestDecomposeUnknownBench(t *testing.T) {
 	if _, err := Decompose(decomposeRunner(), "no-such-bench", 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// lifecycleDigest is the SHA-256 of every traced reply-fabric lifecycle of
+// TestDecomposeLifecycleDigest's runs, recorded when each fabric still
+// reported a lifecycle as per-stage events.
+const lifecycleDigest = "5bde5e5711b3181ee7bfb4e99c9e0812e226b285163cb3f0f63a2a16fed71cbb"
+
+// TestDecomposeLifecycleDigest pins each traced packet of the decomposition's
+// four schemes (bfs, seed 1, every packet sampled, faults off) in delivery
+// order: ID, NI enqueue, injection, arrival at the ejector and ejection. The
+// figure rounds these to means; the digest holds every cycle exactly.
+func TestDecomposeLifecycleDigest(t *testing.T) {
+	r := decomposeRunner()
+	kernel, err := trace.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	packets := 0
+	for _, sch := range decomposeSchemes {
+		var coll *obs.Collector
+		ctx := WithInstrument(context.Background(), func(_ Job, sim *core.Simulator) {
+			coll = obs.NewCollector("rep")
+			sim.ReplyNet().SetTracer(coll, 1)
+		})
+		if _, err := r.simulateRetry(ctx, Job{Cfg: r.withScheme(sch), Kernel: kernel}); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%v\n", sch)
+		for _, p := range coll.Done() {
+			fmt.Fprintf(h, "%d %d %d %d %d\n", p.ID, p.Enqueued, p.Injected, p.LastSwitch, p.Ejected)
+		}
+		packets += len(coll.Done())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != lifecycleDigest {
+		t.Fatalf("lifecycle digest over %d packets = %s, want %s", packets, got, lifecycleDigest)
 	}
 }
