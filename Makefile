@@ -102,10 +102,12 @@ loadtest:
 # exporter against its schema fixture (spans, and arisim -trace-out's packet
 # document), the histogram rendering, the instrumented-vs-plain
 # byte-identity lock on all three reply fabrics, the per-class NetStats
-# counters, the per-fabric tracer event order, the decomposition golden
-# (with its DA2mesh rows), the /metrics, /debug/nocstate and pprof endpoint
-# tests (DESIGN.md §10), the per-outcome counters the latency objectives are
-# rebuilt from, the distributed-tracing suites (trace continuation, hedge
+# counters, each fabric's packet stamps as the tracer sees them at delivery
+# (ordered, above the fabric's floors, a retransmitted packet once) and
+# their zero-load closed forms, the decomposition golden (with its DA2mesh
+# rows) and lifecycle digest, the /metrics, /debug/nocstate and pprof
+# endpoint tests (DESIGN.md §10), the per-outcome counters the latency
+# objectives are rebuilt from (the gateway's own bad_request row included), the distributed-tracing suites (trace continuation, hedge
 # propagation, traced-vs-plain byte identity; DESIGN.md §15), the 2-replica
 # traced cluster smoke (one gateway-routed job must export a single
 # schema-valid Chrome trace spanning gateway, replica and NoC packets), and
@@ -114,10 +116,10 @@ loadtest:
 obs:
 	go vet ./internal/obs ./internal/serve/... ./internal/noc ./internal/exp
 	go test -race -count=1 ./internal/obs ./internal/stats
-	go test -race -count=1 ./internal/noc -run 'NetStats|VAGrant|Tracer'
+	go test -race -count=1 ./internal/noc -run 'NetStats|VAGrant|Tracer|ConformanceZeroLoad'
 	go test -race -count=1 ./internal/exp -run 'Decompose'
 	go test -race -count=1 ./internal/serve -run 'Metrics|NoCState|Pprof|Observability|Trace|ByteIdentical|DebugEndpoints|StageBoundaries'
-	go test -race -count=1 ./internal/cluster -run 'Trace|RetryAfter|Rollup|ClusterMetrics|Contract|EveryCounter|Outcomes'
+	go test -race -count=1 ./internal/cluster -run 'Trace|RetryAfter|Rollup|ClusterMetrics|Contract|EveryCounter|Outcomes|BadRequests'
 	go test -race -count=1 ./cmd/arisweep -run 'PointMetrics'
 	go test -race -count=1 ./cmd/arisim -run 'TraceOut'
 

@@ -221,26 +221,28 @@ type attemptResult struct {
 type outcome int
 
 const (
-	outOK        outcome = iota // an owner answered 2xx: relayed verbatim
-	outRejected                 // an owner answered a deterministic 4xx: relayed verbatim
-	outError                    // an owner answered a deterministic 5xx: relayed verbatim
-	outShed                     // every owner is down or shedding: 429 + Retry-After
-	outAbandoned                // the client went away first: nothing written
+	outOK         outcome = iota // an owner answered 2xx: relayed verbatim
+	outRejected                  // an owner answered a deterministic 4xx: relayed verbatim
+	outError                     // an owner answered a deterministic 5xx: relayed verbatim
+	outShed                      // every owner is down or shedding: 429 + Retry-After
+	outAbandoned                 // the client went away first: nothing written
+	outBadRequest                // the gateway refused the request itself: 405 or 400, never routed
 	numOutcomes
 )
 
-// outcomes describes every way a routed submission can end. name is the
+// outcomes describes every way a submission can end. name is the
 // gateway.route span's outcome attr (a relayed answer appends its status)
 // and the arigate_routes_total{outcome} label.
 var outcomes = [numOutcomes]struct {
 	name  string
 	timed bool // latency observed in arigate_route_seconds
 }{
-	outOK:        {name: "ok", timed: true},
-	outRejected:  {name: "rejected"},
-	outError:     {name: "error"},
-	outShed:      {name: "shed"},
-	outAbandoned: {name: "abandoned"},
+	outOK:         {name: "ok", timed: true},
+	outRejected:   {name: "rejected"},
+	outError:      {name: "error"},
+	outShed:       {name: "shed"},
+	outAbandoned:  {name: "abandoned"},
+	outBadRequest: {name: "bad_request"},
 }
 
 // routing is one submission on its way through the gateway.
@@ -251,10 +253,11 @@ type routing struct {
 	answered bool
 }
 
-// answer ends one routed submission: the only code that moves an outcome
-// counter or the route histogram, closes the root span and writes the
-// response. res is the owner's answer being relayed (ok, rejected, error)
-// or, for a shed, just the Retry-After hints the owners offered.
+// answer ends one submission: the only code that moves an outcome counter
+// or the route histogram, closes the root span and writes the response. res
+// is the owner's answer being relayed (ok, rejected, error), for a shed just
+// the Retry-After hints the owners offered, and for a bad request the
+// gateway's own status and message.
 func (g *Gateway) answer(rt *routing, o outcome, res attemptResult) {
 	rt.answered = true
 	name := outcomes[o].name
@@ -285,7 +288,15 @@ func (g *Gateway) answer(rt *routing, o outcome, res attemptResult) {
 			rt.w.Header().Set("Retry-After", "1")
 		}
 		serve.WriteError(rt.w, http.StatusTooManyRequests, "all owners of this job are down or shedding")
+	case outBadRequest:
+		serve.WriteError(rt.w, res.status, string(res.body))
 	}
+}
+
+// refuse answers a submission the gateway will not route: no owner is asked
+// and no span is opened.
+func (g *Gateway) refuse(w http.ResponseWriter, status int, msg string) {
+	g.answer(&routing{w: w}, outBadRequest, attemptResult{status: status, body: []byte(msg)})
 }
 
 // handleJobs routes one submission: consistent-hash owners, healthy-first,
@@ -294,24 +305,24 @@ func (g *Gateway) answer(rt *routing, o outcome, res attemptResult) {
 func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
+		g.refuse(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "read request body: "+err.Error())
+		g.refuse(w, http.StatusBadRequest, "read request body: "+err.Error())
 		return
 	}
 	var q serve.JobRequest
 	if err := serve.DecodeJobRequest(bytes.NewReader(body), &q); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		g.refuse(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	// Resolve the job exactly as a replica would, so the routing key IS the
 	// idempotency key: every duplicate of a job lands on the same owners.
 	job, err := serve.BuildJob(g.cfg.Base, &q)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
+		g.refuse(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := exp.JobKey(job.Cfg, job.Kernel.Name)

@@ -16,9 +16,10 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	g.mu.Unlock()
 	var p obs.PromWriter
 	p.Metric("arigate_requests_total", "Job submissions accepted for routing.", "counter", float64(st.Requests))
-	p.Family("arigate_routes_total", "Routed submissions by how they ended, one sample per row of the outcomes table (DESIGN.md §14): "+
+	p.Family("arigate_routes_total", "Submissions by how they ended, one sample per row of the outcomes table (DESIGN.md §14): "+
 		"ok is relayed 2xx and timed in arigate_route_seconds; rejected is a relayed 4xx; error a relayed 5xx; "+
-		"shed a 429 because every owner was down or shedding; abandoned had no client left to answer.", "counter")
+		"shed a 429 because every owner was down or shedding; abandoned had no client left to answer; "+
+		"bad_request a 405 or 400 the gateway answered itself, never routed.", "counter")
 	for o, row := range outcomes {
 		p.Sample("arigate_routes_total", obs.Labels("outcome", row.name), float64(counts[o]))
 	}

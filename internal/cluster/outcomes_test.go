@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // TestGatewayOutcomes drives the gateway to every row of its outcomes table
@@ -124,6 +125,35 @@ func TestGatewayOutcomes(t *testing.T) {
 				t.Errorf("gateway.route outcome = %q, want %q", outcome, tc.outcome)
 			}
 		})
+	}
+}
+
+// TestGatewayCountsBadRequests: a submission the gateway refuses itself
+// reaches no replica, counts as arigate_routes_total{outcome="bad_request"}
+// and stays out of arigate_requests_total, which counts routed submissions.
+func TestGatewayCountsBadRequests(t *testing.T) {
+	a := startFakeReplica(t, okJobs("k"))
+	g := gateFor(t, Config{Base: core.DefaultConfig(), Replicas: []string{a.ts.URL}})
+	if w := postJob(t, g, serve.JobRequest{Bench: "no-such-kernel"}); w.Code != http.StatusBadRequest {
+		t.Fatalf("unknown bench: %d %s", w.Code, w.Body)
+	}
+	m := gatewayMetrics(t, g)
+	if got := m[`arigate_routes_total{outcome="bad_request"}`]; got != 1 {
+		t.Errorf(`arigate_routes_total{outcome="bad_request"} = %v, want 1`, got)
+	}
+	if got := m["arigate_requests_total"]; got != 0 {
+		t.Errorf("arigate_requests_total = %v, want 0", got)
+	}
+	w := httptest.NewRecorder()
+	g.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs", nil))
+	if w.Code != http.StatusMethodNotAllowed || w.Header().Get("Allow") != http.MethodPost {
+		t.Fatalf("GET /v1/jobs: %d, Allow %q", w.Code, w.Header().Get("Allow"))
+	}
+	if got := gatewayMetrics(t, g)[`arigate_routes_total{outcome="bad_request"}`]; got != 2 {
+		t.Errorf(`after a GET, arigate_routes_total{outcome="bad_request"} = %v, want 2`, got)
+	}
+	if a.hits.Load() != 0 {
+		t.Fatal("a refused request reached a replica")
 	}
 }
 

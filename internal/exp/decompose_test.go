@@ -119,7 +119,7 @@ func TestDecomposeLifecycleDigest(t *testing.T) {
 		}
 		fmt.Fprintf(h, "%v\n", sch)
 		for _, p := range coll.Done() {
-			fmt.Fprintf(h, "%d %d %d %d %d\n", p.ID, p.Enqueued, p.Injected, p.LastSwitch, p.Ejected)
+			fmt.Fprintf(h, "%d %d %d %d %d\n", p.ID, p.Enqueued, p.Injected, p.Arrived, p.Ejected)
 		}
 		packets += len(coll.Done())
 	}

@@ -13,21 +13,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
-
-// Workload is the instruction-stream generator driving a core's warps: the
-// synthetic stand-in for the paper's CUDA benchmarks (internal/trace
-// implements it).
-type Workload interface {
-	// NextCompute returns the number of compute instructions warp w of core
-	// c executes before its next memory instruction, at most MaxUint32.
-	NextCompute(core, warp int) int
-	// NextMem returns the next memory instruction of warp w of core c: its
-	// kind and the coalesced line addresses it touches (1..N transactions).
-	// The returned slice may reuse scratch. The core calls it once per
-	// instruction and holds the result until the instruction issues.
-	NextMem(core, warp int, scratch []uint64) (write bool, addrs []uint64)
-}
 
 // Config describes one SIMT core (Table I: 16KB L1 per core, 8 CTAs/core,
 // warp size 32, SIMD width 8, greedy-then-oldest scheduling).
@@ -152,7 +139,7 @@ type Core struct {
 	// can issue or move the LSU, so each one only counts its stalls.
 	stuck bool
 
-	workload Workload
+	workload trace.Workload
 	// send hands a transaction to the request-network NI; false means the
 	// NI is full and the LSU must retry.
 	send func(txn *mem.Transaction) bool
@@ -185,7 +172,7 @@ type Core struct {
 
 // NewCore builds a core. send is the request-injection hook installed by
 // the system glue.
-func NewCore(index, node int, cfg Config, w Workload, send func(txn *mem.Transaction) bool) (*Core, error) {
+func NewCore(index, node int, cfg Config, w trace.Workload, send func(txn *mem.Transaction) bool) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // scriptedWorkload issues a fixed compute length and round-robin addresses.
@@ -45,7 +46,7 @@ func smallCoreConfig() Config {
 	return cfg
 }
 
-func newTestCore(t *testing.T, w Workload, send func(*mem.Transaction) bool) *Core {
+func newTestCore(t *testing.T, w trace.Workload, send func(*mem.Transaction) bool) *Core {
 	t.Helper()
 	c, err := NewCore(0, 5, smallCoreConfig(), w, send)
 	if err != nil {

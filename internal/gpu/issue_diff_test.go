@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // The issue stage against its own reference: a core stepped by Tick and one
@@ -95,7 +96,7 @@ type diffRig struct {
 // hashedLatency derives a reply delay of 4..40 ticks from the transaction ID.
 func hashedLatency(txn *mem.Transaction) int { return 4 + int(txn.ID*2654435761%37) }
 
-func newDiffRig(t *testing.T, cfg Config, wl Workload, latency func(*mem.Transaction) int) *diffRig {
+func newDiffRig(t *testing.T, cfg Config, wl trace.Workload, latency func(*mem.Transaction) int) *diffRig {
 	r := &diffRig{latency: latency}
 	c, err := NewCore(3, 7, cfg, wl, func(txn *mem.Transaction) bool {
 		if r.reject {

@@ -39,8 +39,11 @@ func newNet(t *testing.T, cfg noc.Config) *noc.Network {
 // 6x6 mesh, every ordered src != dst pair with a 1-flit and a long packet:
 // each must arrive exactly hops + size + 1 cycles after Inject — one cycle
 // per router hop, one per flit of serialisation and one for the NI's
-// injection link. Both routings run under each MC injection architecture at
-// Table I, and then under one change at a time.
+// injection link. The packet's stamps split that exactly: the head leaves
+// the NI in the cycle it is offered, reaches the destination's ejector
+// hops + 1 cycles later, and the tail is consumed size cycles after that.
+// Both routings run under each MC injection architecture at Table I, and
+// then under one change at a time.
 func TestConformanceZeroLoadLatency(t *testing.T) {
 	nis := []core.Scheme{core.AdaBaseline, core.AdaARI, core.AdaMultiPort}
 	changes := []struct {
@@ -98,10 +101,12 @@ func checkZeroLoad(t *testing.T, net *noc.Network) {
 				for !net.Idle() {
 					net.Step()
 				}
-				lat, want := pkt.EjectedAt-pkt.CreatedAt, int64(cfg.Mesh.Hops(src, dst)+sz.size+1)
-				if lat != want {
+				hops, size := int64(cfg.Mesh.Hops(src, dst)), int64(sz.size)
+				queue, transit, eject := pkt.InjectedAt-pkt.CreatedAt, pkt.ArrivedAt-pkt.InjectedAt, pkt.EjectedAt-pkt.ArrivedAt
+				if lat := pkt.EjectedAt - pkt.CreatedAt; lat != hops+size+1 || queue != 0 || transit != hops+1 || eject != size {
 					if bad++; bad <= 5 {
-						t.Errorf("%d->%d (%d hops), %d flits: latency %d, want %d", src, dst, cfg.Mesh.Hops(src, dst), sz.size, lat, want)
+						t.Errorf("%d->%d (%d hops), %d flits: latency %d = queue %d + transit %d + ejection %d, want %d = 0 + %d + %d",
+							src, dst, hops, size, lat, queue, transit, eject, hops+size+1, hops+1, size)
 					}
 				}
 			}

@@ -161,7 +161,7 @@ func (d *DA2Mesh) Inject(node int, pkt *Packet) bool {
 	ni.queued += pkt.Size
 	ni.everHeld = true
 	ni.pick = (lane + 1) % len(ni.lanes)
-	d.accept(node, pkt)
+	d.accept(pkt)
 	return true
 }
 
@@ -232,7 +232,6 @@ func (d *DA2Mesh) streamLanes() {
 				}
 				lane.streaming = pkt
 				pkt.InjectedAt = d.now
-				d.trace(pkt, ni.node, TraceInject, d.now)
 				d.backlog[pkt.Dst] += pkt.Size
 			}
 			if lane.streaming == nil {
@@ -257,8 +256,8 @@ func (d *DA2Mesh) streamLanes() {
 
 // deliverArrivals moves due in-flight packets into their destination
 // ejection queues in (arriveAt, ID) order — a unique key, so the order is
-// fully determined — and traces each arrival as the packet's one switch
-// event. The arrivals are gathered into a scratch slice reused every cycle.
+// fully determined — and stamps each packet's ArrivedAt. The arrivals are
+// gathered into a scratch slice reused every cycle.
 func (d *DA2Mesh) deliverArrivals() {
 	due, arrived := d.inflight[:0], d.arrived[:0]
 	for _, a := range d.inflight {
@@ -273,8 +272,8 @@ func (d *DA2Mesh) deliverArrivals() {
 		return cmp.Or(cmp.Compare(a.arriveAt, b.arriveAt), cmp.Compare(a.pkt.ID, b.pkt.ID))
 	})
 	for _, a := range arrived {
+		a.pkt.ArrivedAt = d.now
 		d.ejectQ[a.pkt.Dst] = append(d.ejectQ[a.pkt.Dst], a)
-		d.trace(a.pkt, a.pkt.Dst, TraceSwitch, d.now)
 	}
 }
 

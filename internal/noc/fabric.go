@@ -40,8 +40,8 @@ type Fabric interface {
 	// obtained from GetPacket, and only once no reference remains (after
 	// the ejection callback returned, or after Inject rejected it).
 	PutPacket(*Packet)
-	// SetTracer installs a lifecycle tracer sampling every sampleEvery-th
-	// packet (see tracer.go for the events each fabric emits).
+	// SetTracer installs a tracer that sees every sampleEvery-th packet
+	// by ID at its delivery.
 	SetTracer(tr Tracer, sampleEvery uint64)
 	// RecoveryStats returns the cumulative fault-recovery counters (zero on
 	// fabrics without the recovery layer).
@@ -59,6 +59,16 @@ type Fabric interface {
 	// diagnostics: the cycle, the in-flight count, the oldest packets and,
 	// on the mesh, every non-idle router.
 	StateSnapshot() StateDump
+}
+
+// Tracer observes sampled packets at delivery. Delivered is called
+// synchronously from a fabric's Step, before the eject handler, with the
+// packet's four timestamps set (CreatedAt, InjectedAt, ArrivedAt,
+// EjectedAt); it must not block, touch the fabric or keep pkt, which the
+// handler may recycle. Packets arrive in delivery order. A retransmitted
+// packet is seen once, at its clean delivery.
+type Tracer interface {
+	Delivered(pkt *Packet)
 }
 
 // fabricBase is the state every Fabric keeps the same way — configuration,
@@ -82,9 +92,8 @@ type fabricBase struct {
 	pool         pktPool
 	ejectHandler func(node int, pkt *Packet, now int64)
 
-	// tracer receives lifecycle events for every traceEvery-th packet (see
-	// SetTracer); nil disables tracing at the cost of a nil check per
-	// event site.
+	// tracer sees every traceEvery-th packet at delivery (see SetTracer);
+	// nil disables tracing at the cost of one nil check per delivery.
 	tracer     Tracer
 	traceEvery uint64
 }
@@ -113,8 +122,9 @@ func (b *fabricBase) PutPacket(p *Packet) { b.pool.put(p) }
 func (b *fabricBase) RecoveryStats() RecoveryStats { return b.recovery }
 
 // SetTracer installs tr and samples every sampleEvery-th packet by ID
-// (1 traces every packet; 0 or a nil tracer disables tracing). Tracing is
-// observation only: it never alters a routing, allocation or timing
+// (1 traces every packet; 0 or a nil tracer disables tracing). A tracer
+// installed mid-run sees every sampled packet delivered from then on. Tracing
+// is observation only: it never alters a routing, allocation or timing
 // decision, so a traced run's Result is bit-identical to an untraced one.
 func (b *fabricBase) SetTracer(tr Tracer, sampleEvery uint64) {
 	if tr == nil || sampleEvery == 0 {
@@ -147,32 +157,23 @@ func (b *fabricBase) number(pkt *Packet) {
 	}
 }
 
-// accept counts pkt, accepted from node, into the fabric: in flight, the
-// per-type injection counters, and — when the tracer samples its ID — the
-// NI enqueue event that opens its traced lifecycle.
-func (b *fabricBase) accept(node int, pkt *Packet) {
+// accept counts pkt into the fabric: in flight and the per-type injection
+// counters.
+func (b *fabricBase) accept(pkt *Packet) {
 	b.inFlight++
 	b.stats.PacketsInjected[pkt.Type]++
 	b.stats.FlitsInjected[pkt.Type] += uint64(pkt.Size)
-	if b.tracer != nil && pkt.ID%b.traceEvery == 0 {
-		pkt.traced = true
-		b.tracer.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, node, TraceNIEnqueue, b.now)
-	}
 }
 
-// trace emits stage at node for pkt when the tracer sampled it.
-func (b *fabricBase) trace(pkt *Packet, node int, stage TraceStage, cycle int64) {
-	if b.tracer != nil && pkt.traced {
-		b.tracer.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, node, stage, cycle)
-	}
-}
-
-// deliver retires pkt at node: latency statistics, the in-flight count, the
-// eject event, then the handler — last, because it may recycle the packet.
+// deliver retires pkt at node: latency statistics (which stamp EjectedAt),
+// the in-flight count, the tracer when it samples pkt's ID, then the
+// handler — last, because it may recycle the packet.
 func (b *fabricBase) deliver(node int, pkt *Packet, now int64) {
 	b.stats.recordEject(pkt, now)
 	b.inFlight--
-	b.trace(pkt, node, TraceEject, now)
+	if b.tracer != nil && pkt.ID%b.traceEvery == 0 {
+		b.tracer.Delivered(pkt)
+	}
 	if b.ejectHandler != nil {
 		b.ejectHandler(node, pkt, now)
 	}

@@ -66,29 +66,30 @@ func TestInjectRejectsInvalidPackets(t *testing.T) {
 	}
 }
 
-// lifecycleRecorder is a Tracer keeping every event per packet.
+// lifecycleRecorder is a Tracer keeping a copy of every packet it sees and
+// the cycle it saw it at.
 type lifecycleRecorder struct {
-	events map[uint64][]tracedEvent
+	f    Fabric
+	seen map[uint64]Packet
+	at   map[uint64]int64
+	dups int
 }
 
-type tracedEvent struct {
-	node  int
-	stage TraceStage
-	cycle int64
-}
-
-func (r *lifecycleRecorder) PacketEvent(id uint64, _ PacketType, _, _, node int, stage TraceStage, cycle int64) {
-	r.events[id] = append(r.events[id], tracedEvent{node, stage, cycle})
+func (r *lifecycleRecorder) Delivered(pkt *Packet) {
+	if _, ok := r.seen[pkt.ID]; ok {
+		r.dups++
+	}
+	r.seen[pkt.ID], r.at[pkt.ID] = *pkt, r.f.Now()
 }
 
 // TestTracerLifecycleOnEveryFabric drives each fabric with the same random
-// traffic and a tracer sampling every third packet. Every sampled accepted
-// packet must record enqueue -> inject -> ... -> eject, with cycles never
-// decreasing, enqueue and inject at its source and eject at its
-// destination; between inject and eject the mesh records a VA grant and a
-// switch traversal per router, the overlay one switch event (arrival at the
-// ejection queue) and the ideal fabric nothing. Unsampled packets record
-// nothing.
+// traffic and a tracer sampling every third packet. Every sampled packet
+// must reach the tracer exactly once, at its delivery and before the eject
+// handler, with CreatedAt <= InjectedAt <= ArrivedAt <= EjectedAt and the
+// fabric's own floor between the stamps: on the mesh at least hops + 1
+// cycles of transit and size cycles of ejection, on the overlay the lane's
+// serialisation plus hops of transit, and on the ideal fabric arrival at
+// injection. Unsampled packets never reach it.
 func TestTracerLifecycleOnEveryFabric(t *testing.T) {
 	const sample = 3
 	cfg := testConfig(t, func(c *Config) {
@@ -97,10 +98,15 @@ func TestTracerLifecycleOnEveryFabric(t *testing.T) {
 	})
 	for _, fab := range testFabrics(t, cfg) {
 		t.Run(fab.name, func(t *testing.T) {
-			rec := &lifecycleRecorder{events: make(map[uint64][]tracedEvent)}
+			rec := &lifecycleRecorder{f: fab.f, seen: make(map[uint64]Packet), at: make(map[uint64]int64)}
 			fab.f.SetTracer(rec, sample)
 			delivered := make(map[uint64]bool)
-			fab.f.SetEjectHandler(func(node int, pkt *Packet, now int64) { delivered[pkt.ID] = true })
+			fab.f.SetEjectHandler(func(node int, pkt *Packet, now int64) {
+				delivered[pkt.ID] = true
+				if _, ok := rec.seen[pkt.ID]; ok != (pkt.ID%sample == 0) {
+					t.Errorf("packet %d reached the handler traced=%v", pkt.ID, ok)
+				}
+			})
 			r := rng.New(5)
 			accepted := make(map[uint64]*Packet)
 			nodes := cfg.Mesh.Nodes()
@@ -123,53 +129,45 @@ func TestTracerLifecycleOnEveryFabric(t *testing.T) {
 			if fab.f.InFlight() != 0 {
 				t.Fatalf("%d packets still in flight", fab.f.InFlight())
 			}
+			if rec.dups != 0 {
+				t.Fatalf("%d packets traced twice", rec.dups)
+			}
 
 			sampled := 0
 			for id, pkt := range accepted {
-				ev := rec.events[id]
+				p, ok := rec.seen[id]
 				if id%sample != 0 {
-					if len(ev) != 0 {
-						t.Fatalf("unsampled packet %d traced: %v", id, ev)
+					if ok {
+						t.Fatalf("unsampled packet %d traced", id)
 					}
 					continue
 				}
 				sampled++
-				if !delivered[id] {
-					t.Fatalf("packet %d never delivered", id)
+				if !ok || !delivered[id] {
+					t.Fatalf("packet %d: traced %v, delivered %v", id, ok, delivered[id])
 				}
-				if len(ev) < 3 || ev[0].stage != TraceNIEnqueue || ev[1].stage != TraceInject || ev[len(ev)-1].stage != TraceEject {
-					t.Fatalf("packet %d: lifecycle %v, want enqueue, inject, ..., eject", id, ev)
+				if p.Src != pkt.Src || p.Dst != pkt.Dst || rec.at[id] != p.EjectedAt {
+					t.Fatalf("packet %d: traced %d->%d at %d, sent %d->%d, ejected at %d", id, p.Src, p.Dst, rec.at[id], pkt.Src, pkt.Dst, p.EjectedAt)
 				}
-				if ev[0].node != pkt.Src || ev[1].node != pkt.Src || ev[len(ev)-1].node != pkt.Dst {
-					t.Fatalf("packet %d (%d->%d): events at the wrong nodes %v", id, pkt.Src, pkt.Dst, ev)
+				if !(p.CreatedAt <= p.InjectedAt && p.InjectedAt <= p.ArrivedAt && p.ArrivedAt <= p.EjectedAt) {
+					t.Fatalf("packet %d: stamps out of order: created %d, injected %d, arrived %d, ejected %d",
+						id, p.CreatedAt, p.InjectedAt, p.ArrivedAt, p.EjectedAt)
 				}
-				for i := 1; i < len(ev); i++ {
-					if ev[i].cycle < ev[i-1].cycle {
-						t.Fatalf("packet %d: cycle decreases at event %d: %v", id, i, ev)
-					}
-				}
-				hops := ev[2 : len(ev)-1]
+				hops, size := int64(cfg.Mesh.Hops(p.Src, p.Dst)), int64(p.Size)
+				var transit, eject int64 // the fabric's floors
 				switch fab.name {
 				case "Network":
-					if len(hops) == 0 || len(hops)%2 != 0 {
-						t.Fatalf("packet %d: mesh hops %v, want VA grant + switch pairs", id, hops)
-					}
-					for i, h := range hops {
-						if want := []TraceStage{TraceVAGrant, TraceSwitch}[i%2]; h.stage != want {
-							t.Fatalf("packet %d: hop event %d is %v, want %v", id, i, h.stage, want)
-						}
-					}
-					if last := hops[len(hops)-1]; last.node != pkt.Dst {
-						t.Fatalf("packet %d: last switch at node %d, want %d", id, last.node, pkt.Dst)
-					}
+					transit, eject = hops+1, size
 				case "DA2Mesh":
-					if len(hops) != 1 || hops[0].stage != TraceSwitch || hops[0].node != pkt.Dst {
-						t.Fatalf("packet %d: overlay hops %v, want one switch at %d", id, hops, pkt.Dst)
-					}
+					transit = size - 1 + hops
 				case "IdealFabric":
-					if len(hops) != 0 {
-						t.Fatalf("packet %d: ideal hops %v, want none", id, hops)
+					if p.ArrivedAt != p.InjectedAt {
+						t.Fatalf("packet %d: ideal arrival %d, want the injection cycle %d", id, p.ArrivedAt, p.InjectedAt)
 					}
+				}
+				if p.ArrivedAt-p.InjectedAt < transit || p.EjectedAt-p.ArrivedAt < eject {
+					t.Fatalf("packet %d (%d hops, %d flits): transit %d, ejection %d, below the floors %d, %d",
+						id, hops, size, p.ArrivedAt-p.InjectedAt, p.EjectedAt-p.ArrivedAt, transit, eject)
 				}
 			}
 			if sampled < 50 {

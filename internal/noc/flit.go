@@ -62,14 +62,9 @@ func (t PacketType) IsLong() bool { return t == ReadReply || t == WriteRequest }
 type Packet struct {
 	ID   uint64
 	Type PacketType
-	// traced marks a packet sampled by the network's Tracer; the flag only
-	// selects which packets emit lifecycle events and never influences a
-	// routing or allocation decision. The packet pool's zeroing clears it.
-	// It sits in Type's padding so the struct size is unchanged.
-	traced bool
-	Src    int // source node id
-	Dst    int // destination node id
-	Size   int // length in flits at this network's link width
+	Src  int // source node id
+	Dst  int // destination node id
+	Size int // length in flits at this network's link width
 
 	// Priority is the ARI multi-level priority field carried in the header.
 	// It is set to Config.PriorityLevels-1 at generation and decremented by
@@ -79,9 +74,15 @@ type Packet struct {
 	// Timestamps, in NoC cycles. CreatedAt is when the node handed the
 	// packet to the NI (so NI queueing counts toward packet latency, as in
 	// paper §7.4). InjectedAt is when the head flit entered the injection
-	// port. EjectedAt is when the tail flit was consumed at the destination.
+	// port. ArrivedAt is when the head flit reached the destination's
+	// ejector: on the mesh its traversal onto the ejection port, on the
+	// DA2mesh overlay its arrival in the ejection queue, and on the ideal
+	// fabric the injection cycle. EjectedAt is when the tail flit was
+	// consumed at the destination. A retransmission is a fresh shell that
+	// keeps CreatedAt and stamps the other three anew.
 	CreatedAt  int64
 	InjectedAt int64
+	ArrivedAt  int64
 	EjectedAt  int64
 
 	// Payload carries the higher-level transaction (e.g. *mem.Transaction).

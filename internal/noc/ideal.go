@@ -62,14 +62,14 @@ func (f *IdealFabric) Inject(node int, pkt *Packet) bool {
 	f.number(pkt)
 	pkt.CreatedAt = f.now
 	pkt.InjectedAt = f.now
+	pkt.ArrivedAt = f.now
 	hops := f.cfg.Mesh.Hops(node, pkt.Dst)
 	f.inflight = append(f.inflight, overlayArrival{
 		pkt:      pkt,
 		arriveAt: f.now + int64(hops) + int64(pkt.Size),
 	})
 	f.windowCount[node]++
-	f.accept(node, pkt)
-	f.trace(pkt, node, TraceInject, f.now)
+	f.accept(pkt)
 	return true
 }
 

@@ -177,7 +177,7 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)
 	ni.acceptedPackets++
-	ni.net.accept(ni.node, pkt)
+	ni.net.accept(pkt)
 	return true
 }
 
@@ -283,9 +283,7 @@ func (ni *NI) deliver(f flit, p, v int, now int64) {
 	ni.vcCredits[p*ni.router.nvc+v]--
 	ni.addQueued(-1)
 	if f.isHead() {
-		pkt := ni.net.pkts.of(f)
-		pkt.InjectedAt = now
-		ni.net.trace(pkt, ni.node, TraceInject, now)
+		ni.net.pkts.of(f).InjectedAt = now
 	}
 	ni.router.stage(f, int32(NumDirections+p), int32(v))
 	ni.injectedFlits++

@@ -512,20 +512,20 @@ func (r *router) vcAllocatePass(now int64) {
 	rr := int(now % int64(len(r.vcs)))
 	rrPort, low := rr/r.nvc, uint32(1)<<uint(rr%r.nvc)-1
 	if m := r.in[rrPort].waitVC &^ low; m != 0 {
-		r.vcAllocatePort(rrPort, m, now)
+		r.vcAllocatePort(rrPort, m)
 	}
 	for p := rrPort + 1; p < len(r.in); p++ {
 		if m := r.in[p].waitVC; m != 0 {
-			r.vcAllocatePort(p, m, now)
+			r.vcAllocatePort(p, m)
 		}
 	}
 	for p := 0; p < rrPort; p++ {
 		if m := r.in[p].waitVC; m != 0 {
-			r.vcAllocatePort(p, m, now)
+			r.vcAllocatePort(p, m)
 		}
 	}
 	if m := r.in[rrPort].waitVC & low; m != 0 {
-		r.vcAllocatePort(rrPort, m, now)
+		r.vcAllocatePort(rrPort, m)
 	}
 }
 
@@ -534,7 +534,7 @@ func (r *router) vcAllocatePass(now int64) {
 // not been offered its need since is skipped: it failed then, and the grants
 // in between only removed options, so it would fail again. A waiter left
 // waiting counts its need into its candidates' vaNeed.
-func (r *router) vcAllocatePort(p int, m uint32, now int64) {
+func (r *router) vcAllocatePort(p int, m uint32) {
 	ip := &r.in[p]
 	fresh := ip.vaFresh
 	ip.vaFresh &^= m
@@ -562,9 +562,6 @@ func (r *router) vcAllocatePort(p int, m uint32, now int64) {
 		r.bidPorts |= 1 << uint(p)
 		r.waitVCs--
 		r.net.vaGrants++
-		if r.net.tracer != nil {
-			r.net.trace(r.net.pkts.of(vc.buf.front(r.net.flits)), r.id, TraceVAGrant, now)
-		}
 	}
 }
 
@@ -726,14 +723,14 @@ func (r *router) traverse(p, v, o int, now int64) {
 		f.bits |= flitBad
 		net.recovery.CorruptFlits++
 	}
-	if net.tracer != nil && f.isHead() {
-		net.trace(net.pkts.of(f), r.id, TraceSwitch, now)
-	}
 
 	// A flit sent at cycle t lands in the downstream buffer at t+1
 	// (single-cycle router + 1-cycle link).
 	switch {
 	case o == ejectPortIndex:
+		if f.isHead() {
+			net.pkts.of(f).ArrivedAt = now
+		}
 		e := &net.ejectors[r.id]
 		e.arrivals = append(e.arrivals, stagedFlit{f: f, vc: outVC})
 		e.addFlits(1)

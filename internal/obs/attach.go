@@ -122,7 +122,7 @@ func attachGPU(reg *Registry, sim *core.Simulator) {
 
 // AttachTracers installs collectors sampling every sampleEvery-th packet on
 // both fabrics of sim and returns them, request first, then reply. Every
-// fabric is traceable; noc.Tracer lists the events each emits.
+// fabric is traceable: each stamps the four timestamps a collector records.
 func AttachTracers(sim *core.Simulator, sampleEvery uint64) (req, rep *Collector) {
 	req, rep = NewCollector("req"), NewCollector("rep")
 	sim.RequestNet().SetTracer(req, sampleEvery)

@@ -3,43 +3,29 @@ package obs
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/noc"
 )
 
-// HopEvent is one per-hop event fed to a collector between injection and
-// ejection.
-type HopEvent struct {
-	Node  int
-	Stage noc.TraceStage
-	Cycle int64
-}
-
-// feedLifecycle replays one packet's event stream into c.
-func feedLifecycle(c *Collector, id uint64, typ noc.PacketType, enq, inj int64, hops []HopEvent, eject int64) {
-	c.PacketEvent(id, typ, 0, 5, 0, noc.TraceNIEnqueue, enq)
-	c.PacketEvent(id, typ, 0, 5, 0, noc.TraceInject, inj)
-	for _, h := range hops {
-		c.PacketEvent(id, typ, 0, 5, h.Node, h.Stage, h.Cycle)
-	}
-	c.PacketEvent(id, typ, 0, 5, 5, noc.TraceEject, eject)
+// deliver hands c one delivered packet with the given stamps, as a fabric
+// does at delivery.
+func deliver(c *Collector, id uint64, typ noc.PacketType, enq, inj, arr, eject int64) {
+	c.Delivered(&noc.Packet{ID: id, Type: typ, Dst: 5,
+		CreatedAt: enq, InjectedAt: inj, ArrivedAt: arr, EjectedAt: eject})
 }
 
 func TestCollectorDecompose(t *testing.T) {
 	c := NewCollector("rep")
-	// Packet 1: enqueued 10, injected 30 (queue 20), last switch 50
-	// (network 20), ejected 58 (eject 8), total 48.
-	feedLifecycle(c, 1, noc.ReadReply, 10, 30, []HopEvent{
-		{Node: 1, Stage: noc.TraceVAGrant, Cycle: 31},
-		{Node: 1, Stage: noc.TraceSwitch, Cycle: 32},
-		{Node: 5, Stage: noc.TraceSwitch, Cycle: 50},
-	}, 58)
-	// Packet 2: queue 0, no hops recorded -> network 0, eject 4, total 4.
-	feedLifecycle(c, 2, noc.ReadReply, 100, 100, nil, 104)
+	// Packet 1: enqueued 10, injected 30 (queue 20), arrived 50 (network
+	// 20), ejected 58 (eject 8), total 48.
+	deliver(c, 1, noc.ReadReply, 10, 30, 50, 58)
+	// Packet 2: queue 0, network 0, eject 4, total 4.
+	deliver(c, 2, noc.ReadReply, 100, 100, 100, 104)
 	// A request packet that must be excluded by the type filter.
-	feedLifecycle(c, 3, noc.ReadRequest, 0, 1, nil, 9)
+	deliver(c, 3, noc.ReadRequest, 0, 1, 1, 9)
 
-	if len(c.Done()) != 3 || c.Open() != 0 {
-		t.Fatalf("done=%d open=%d, want 3/0", len(c.Done()), c.Open())
+	if len(c.Done()) != 3 {
+		t.Fatalf("done=%d, want 3", len(c.Done()))
 	}
 	d := c.Decompose(noc.ReadReply, noc.WriteReply)
 	if d.Packets != 2 {
@@ -70,28 +56,52 @@ func TestCollectorDecompose(t *testing.T) {
 	}
 }
 
-// TestCollectorSkipsMidFlightPackets pins the late-attach rule: events for a
-// packet whose NI-enqueue was never seen are dropped, not recorded as a
-// truncated lifecycle.
-func TestCollectorSkipsMidFlightPackets(t *testing.T) {
-	c := NewCollector("rep")
-	c.PacketEvent(7, noc.ReadReply, 0, 5, 3, noc.TraceSwitch, 40)
-	c.PacketEvent(7, noc.ReadReply, 0, 5, 5, noc.TraceEject, 44)
-	if len(c.Done()) != 0 || c.Open() != 0 {
-		t.Fatalf("mid-flight packet recorded: done=%d open=%d", len(c.Done()), c.Open())
+// inFlightPacket returns the Table I reply mesh holding one long packet
+// from node 0 to the far corner, offered at cycle 0 and stepped 3 cycles.
+func inFlightPacket(t *testing.T) (*noc.Network, *noc.Packet) {
+	t.Helper()
+	cfg, _ := core.ReplyNetwork(core.DefaultConfig())
+	net, err := noc.NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	pkt := &noc.Packet{Type: noc.ReadReply, Dst: cfg.Mesh.Nodes() - 1, Size: cfg.LongPacketFlits()}
+	if !net.Inject(0, pkt) {
+		t.Fatal("Inject rejected on an idle mesh")
+	}
+	for range 3 {
+		net.Step()
+	}
+	return net, pkt
 }
 
 // TestCollectorOpenPacketsExcluded: a packet still in flight at the end of
-// the run is visible via Open but not part of the decomposition.
+// the run is not recorded, so it is no part of the decomposition.
 func TestCollectorOpenPacketsExcluded(t *testing.T) {
 	c := NewCollector("rep")
-	c.PacketEvent(9, noc.ReadReply, 2, 6, 2, noc.TraceNIEnqueue, 10)
-	c.PacketEvent(9, noc.ReadReply, 2, 6, 2, noc.TraceInject, 12)
-	if c.Open() != 1 {
-		t.Fatalf("Open = %d, want 1", c.Open())
+	net, _ := inFlightPacket(t)
+	net.SetTracer(c, 1)
+	net.Step()
+	if net.InFlight() != 1 || len(c.Done()) != 0 {
+		t.Fatalf("in flight %d, recorded %d: want the packet in flight and unrecorded", net.InFlight(), len(c.Done()))
 	}
 	if d := c.Decompose(); d.Packets != 0 {
 		t.Fatalf("in-flight packet decomposed: %+v", d)
+	}
+}
+
+// TestCollectorAttachedMidRun: a collector attached while a packet is in
+// flight records it at delivery with its true timestamps, enqueue included.
+func TestCollectorAttachedMidRun(t *testing.T) {
+	c := NewCollector("rep")
+	net, pkt := inFlightPacket(t)
+	net.SetTracer(c, 1)
+	for net.InFlight() > 0 {
+		net.Step()
+	}
+	want := PacketTrace{ID: pkt.ID, Type: pkt.Type, Src: 0, Dst: pkt.Dst,
+		Enqueued: 0, Injected: pkt.InjectedAt, Arrived: pkt.ArrivedAt, Ejected: pkt.EjectedAt}
+	if got := c.Done(); len(got) != 1 || got[0] != want || want.Injected > want.Arrived || want.Arrived >= want.Ejected {
+		t.Fatalf("recorded %+v, want [%+v] with ordered stamps", got, want)
 	}
 }

@@ -78,7 +78,7 @@ func TestInstrumentedRunIsByteIdentical(t *testing.T) {
 
 // TestBehaviouralFabricAttaches is the same lock on the reply fabrics
 // without routers — the ideal fabric and the DA2mesh overlay — which get the
-// NetStats probes and trace their own lifecycle events.
+// NetStats probes and stamp their own packet lifecycles.
 func TestBehaviouralFabricAttaches(t *testing.T) {
 	ideal := simeq.ShortConfig()
 	ideal.Scheme = core.XYBaseline

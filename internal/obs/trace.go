@@ -280,7 +280,7 @@ func (sc *Scope) Finish(outcome string) {
 	}
 }
 
-// PacketSpans converts the completed packet lifecycles of a Collector into
+// PacketSpans converts the delivered packet lifecycles of a Collector into
 // spans of the given trace, parented under the simulation-run span and
 // anchored at its wall-clock start: packet cycles map 1:1 to microseconds,
 // so a trace viewer's time axis reads in cycles and the NoC timeline nests
@@ -311,8 +311,8 @@ func PacketSpans(c *Collector, trace, parent, process string, anchorUS int64, li
 			"src":    strconv.Itoa(p.Src),
 			"dst":    strconv.Itoa(p.Dst),
 			"queue":  strconv.FormatInt(p.Injected-p.Enqueued, 10),
-			"net_cy": strconv.FormatInt(p.LastSwitch-p.Injected, 10),
-			"eject":  strconv.FormatInt(p.Ejected-p.LastSwitch, 10),
+			"net_cy": strconv.FormatInt(p.Arrived-p.Injected, 10),
+			"eject":  strconv.FormatInt(p.Ejected-p.Arrived, 10),
 		}
 		out = append(out, sp)
 	}

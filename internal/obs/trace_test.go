@@ -65,10 +65,8 @@ func TestSpanRecorderRingAndLatest(t *testing.T) {
 
 func TestPacketSpansAnchorAndLimit(t *testing.T) {
 	c := NewCollector("rep")
-	feedLifecycle(c, 1, noc.ReadReply, 0, 3, []HopEvent{
-		{Node: 1, Stage: noc.TraceSwitch, Cycle: 7},
-	}, 12)
-	feedLifecycle(c, 2, noc.WriteReply, 4, 5, nil, 20)
+	deliver(c, 1, noc.ReadReply, 0, 3, 7, 12)
+	deliver(c, 2, noc.WriteReply, 4, 5, 5, 20)
 
 	spans := PacketSpans(c, "t", "parent", "replica", 1_000_000, 1)
 	if len(spans) != 1 {
@@ -78,11 +76,11 @@ func TestPacketSpansAnchorAndLimit(t *testing.T) {
 	if sp.Trace != "t" || sp.Parent != "parent" || sp.Process != "replica" {
 		t.Fatalf("identity: %+v", sp)
 	}
-	// feedLifecycle enqueues packet 1 at cycle 0 and ejects at 12.
+	// Packet 1 is enqueued at cycle 0 and ejected at 12.
 	if sp.StartUS != 1_000_000 || sp.DurUS != 12 {
 		t.Fatalf("anchor: start=%d dur=%d", sp.StartUS, sp.DurUS)
 	}
-	// Injected at 3, last switch at 7: queue 3, network 4, eject 5.
+	// Injected at 3, arrived at 7: queue 3, network 4, eject 5.
 	for k, want := range map[string]string{"src": "0", "dst": "5", "net": "rep", "queue": "3", "net_cy": "4", "eject": "5"} {
 		if sp.Attrs[k] != want {
 			t.Fatalf("attr %s = %q, want %q (attrs %v)", k, sp.Attrs[k], want, sp.Attrs)

@@ -127,7 +127,7 @@ type warpGen struct {
 	cursor uint64
 }
 
-// Generator implements gpu.Workload for one kernel on a given core count.
+// Generator implements Workload for one kernel on a given core count.
 type Generator struct {
 	k     Kernel
 	warps []warpGen // [core*warpsPerCore + warp]

@@ -28,11 +28,17 @@ const (
 	maxTraceAddr = 8
 )
 
-// Workload is the instruction-stream interface this package generates,
-// records and replays. It is structurally identical to gpu.Workload, so
-// Generators, Recorders and Replayers plug straight into cores.
+// Workload is the instruction-stream generator driving a GPU core's warps
+// (gpu.NewCore): the synthetic stand-in for the paper's CUDA benchmarks.
+// This package generates, records and replays it.
 type Workload interface {
+	// NextCompute returns the number of compute instructions warp w of core
+	// c executes before its next memory instruction, at most MaxUint32.
 	NextCompute(core, warp int) int
+	// NextMem returns the next memory instruction of warp w of core c: its
+	// kind and the coalesced line addresses it touches (1..N transactions).
+	// The returned slice may reuse scratch. The core calls it once per
+	// instruction and holds the result until the instruction issues.
 	NextMem(core, warp int, scratch []uint64) (write bool, addrs []uint64)
 }
 
