@@ -42,9 +42,9 @@ goldens:
 	go run ./cmd/ariexp -fig all -csv results_csv | tee experiments_full.txt
 
 # figures-check proves the committed figures are what the tree produces:
-# it regenerates the whole evaluation (`ariexp -fig all -csv`, 498
-# simulations, ~1 min on two CPUs) into a temp dir and fails unless every
-# CSV equals results_csv/ (diff -r) and the report equals
+# it regenerates the whole evaluation (`ariexp -fig all -csv`, ~1 min on
+# two CPUs; the report's last line counts the runs) into a temp dir and
+# fails unless every CSV equals results_csv/ (diff -r) and the report equals
 # experiments_full.txt. ariexp writes its wall time to stderr, so the report
 # is diffed whole.
 figures-check:
@@ -105,22 +105,26 @@ loadtest:
 # counters, each fabric's packet stamps as the tracer sees them at delivery
 # (ordered, above the fabric's floors, a retransmitted packet once) and
 # their zero-load closed forms, the decomposition golden (with its DA2mesh
-# rows) and lifecycle digest, the /metrics, /debug/nocstate and pprof
-# endpoint tests (DESIGN.md §10), the per-outcome counters the latency
-# objectives are rebuilt from (the gateway's own bad_request row included), the distributed-tracing suites (trace continuation, hedge
-# propagation, traced-vs-plain byte identity; DESIGN.md §15), the 2-replica
-# traced cluster smoke (one gateway-routed job must export a single
-# schema-valid Chrome trace spanning gateway, replica and NoC packets), and
-# arisweep's per-point metrics: points run concurrently, yet each CSV equals
-# a lone instrumented run's byte for byte.
+# rows) and lifecycle digest, the observed-job contract (a job with
+# Job.Observe runs and is counted even when its key is stored; the sizing
+# runs are Runner jobs), the /metrics, /debug/nocstate and pprof endpoint
+# tests (DESIGN.md §10), the per-outcome counters the latency objectives
+# are rebuilt from (the gateway's own bad_request row included), the
+# distributed-tracing suites (trace continuation, hedge propagation,
+# traced-vs-plain byte identity; DESIGN.md §15), the 2-replica traced
+# cluster smoke (one gateway-routed job must export a single schema-valid
+# Chrome trace spanning gateway, replica and NoC packets), and arisweep's
+# per-point metrics: points run concurrently, yet each CSV equals a lone
+# instrumented run's byte for byte, and a journalled point still writes
+# its CSV.
 obs:
 	go vet ./internal/obs ./internal/serve/... ./internal/noc ./internal/exp
 	go test -race -count=1 ./internal/obs ./internal/stats
 	go test -race -count=1 ./internal/noc -run 'NetStats|VAGrant|Tracer|ConformanceZeroLoad'
-	go test -race -count=1 ./internal/exp -run 'Decompose'
+	go test -race -count=1 ./internal/exp -run 'Decompose|Observed|Sizing'
 	go test -race -count=1 ./internal/serve -run 'Metrics|NoCState|Pprof|Observability|Trace|ByteIdentical|DebugEndpoints|StageBoundaries'
 	go test -race -count=1 ./internal/cluster -run 'Trace|RetryAfter|Rollup|ClusterMetrics|Contract|EveryCounter|Outcomes|BadRequests'
-	go test -race -count=1 ./cmd/arisweep -run 'PointMetrics'
+	go test -race -count=1 ./cmd/arisweep -run 'PointMetrics|JournalledSweep'
 	go test -race -count=1 ./cmd/arisim -run 'TraceOut'
 
 # profile captures a CPU profile of the ledger's hot regime: the

@@ -9,12 +9,13 @@
 // mcs, niqueue, starvation or priolevels. -corrupt-prob and -link-death,
 // shared with arisim, inject faults into every point.
 //
-// A local sweep is one exp.Runner.Grid call: the points run concurrently on
-// the harness's worker pool, each under the forward-progress watchdogs (a
-// deadlocked configuration fails with a diagnostic instead of hanging),
-// -timeout bounds each run's wall time, and -journal makes an interrupted
-// sweep resumable without recomputing finished points. The table is printed
-// in point order once every point has finished.
+// A local sweep is one exp.Runner dispatch, a job per point: the points run
+// concurrently on the harness's worker pool, each under the forward-progress
+// watchdogs (a deadlocked configuration fails with a diagnostic instead of
+// hanging), -timeout bounds each run's wall time, and -journal makes an
+// interrupted sweep resumable without recomputing finished points — except
+// under -obs-interval, whose observed points always run and write their CSVs.
+// The table is printed in point order once every point has finished.
 // With -server, points are not simulated locally: each is submitted to a
 // running ariserve instance through the retrying client, so shed requests
 // (429), drains and even server restarts are ridden out transparently, and
@@ -24,13 +25,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -78,6 +79,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *server != "" && (*journal != "" || *obsInterval > 0) {
+		return errors.New("-journal and -obs-interval do not apply with -server: the server keeps the journal and the metrics")
+	}
 
 	kernel, err := trace.ByName(*bench)
 	if err != nil {
@@ -109,9 +113,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var results []core.Result
 	if *server != "" {
-		if *obsInterval > 0 {
-			fmt.Fprintln(stderr, "arisweep: -obs-interval is ignored with -server (metrics are per-process; scrape the server's /metrics instead)")
-		}
 		cli := client.New(*server)
 		for i := range cfgs {
 			// -timeout becomes the job's watchdog deadline (TimeoutMs) and,
@@ -130,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			results = append(results, resp.Result)
 		}
 	} else {
-		runner := &exp.Runner{Base: base, RunTimeout: *timeout}
+		runner := &exp.Runner{RunTimeout: *timeout}
 		if *journal != "" {
 			j, err := exp.OpenJournal(*journal)
 			if err != nil {
@@ -142,35 +143,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stderr, "arisweep: resuming, %d runs journalled in %s\n", j.Loaded(), j.Path())
 			}
 		}
-		// Every simulated point gets its own metrics registry, keyed by JobKey
-		// as points run concurrently. A point journalled by an earlier sweep
-		// builds no simulator and writes no CSV: resumption stays cheap.
-		var mu sync.Mutex
-		regs := map[string]*obs.Registry{}
-		ctx := context.Background()
-		if *obsInterval > 0 {
-			ctx = exp.WithInstrument(ctx, func(j exp.Job, sim *core.Simulator) {
-				reg := obs.NewRegistry(*obsInterval)
-				obs.AttachSimulator(reg, sim)
-				reg.Reserve(int((base.WarmupCycles+base.MeasureCycles) / *obsInterval) + 2)
-				mu.Lock()
-				regs[exp.JobKey(j.Cfg, j.Kernel.Name)] = reg
-				mu.Unlock()
-			})
+		// With -obs-interval every point is observed by its own registry.
+		jobs := make([]exp.Job, len(cfgs))
+		regs := make([]*obs.Registry, len(cfgs))
+		for i := range cfgs {
+			jobs[i] = exp.Job{Cfg: cfgs[i], Kernel: kernel}
+			if *obsInterval > 0 {
+				jobs[i].Observe = func(sim *core.Simulator) {
+					regs[i] = obs.NewRegistry(*obsInterval)
+					obs.AttachSimulator(regs[i], sim)
+					regs[i].Reserve(int((base.WarmupCycles+base.MeasureCycles) / *obsInterval) + 2)
+				}
+			}
 		}
-		res, err := runner.Grid(ctx, []trace.Kernel{kernel}, points)
-		if err != nil {
+		if results, err = runner.RunAll(jobs); err != nil {
 			return err
 		}
-		results = res[0]
-		for i, p := range points {
-			reg, ok := regs[exp.JobKey(cfgs[i], kernel.Name)]
-			if !ok {
+		for i, reg := range regs {
+			if reg == nil {
 				continue
 			}
 			var csv bytes.Buffer
 			reg.WriteCSV(&csv) // a bytes.Buffer write cannot fail
-			path := fmt.Sprintf("%s/metrics_%s.csv", *obsDir, notFileSafe.ReplaceAllString(p.Label, "_"))
+			path := fmt.Sprintf("%s/metrics_%s.csv", *obsDir, notFileSafe.ReplaceAllString(points[i].Label, "_"))
 			if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
 				return err
 			}

@@ -30,6 +30,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// A flag -server makes inert is refused by name.
+	for _, flagName := range []string{"-journal", "-obs-interval"} {
+		err := run([]string{"-server", "http://127.0.0.1:1", flagName, "1"}, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), flagName) || !strings.Contains(err.Error(), "-server") {
+			t.Errorf("%s with -server: err = %v, want a usage error naming both", flagName, err)
+		}
+	}
 	// The unknown-parameter error lists what -param accepts.
 	err := run([]string{"-param", "nosuchparam"}, &out, &errb)
 	for _, a := range exp.Axes {
@@ -169,5 +176,23 @@ func TestRunJournalledSweepResumes(t *testing.T) {
 	}
 	if !strings.Contains(err2.String(), "resuming") {
 		t.Errorf("second pass did not report resuming:\n%s", err2.String())
+	}
+
+	// An observed point always runs: with -obs-interval every journalled
+	// point is simulated again and writes its CSV, and the table is the same.
+	dir := t.TempDir()
+	var out3, err3 bytes.Buffer
+	if err := run(append(args, "-obs-interval", "100", "-obs-dir", dir), &out3, &err3); err != nil {
+		t.Fatalf("observed pass: %v", err)
+	}
+	if out3.String() != out1.String() {
+		t.Fatalf("observed rerun diverged:\n%s\nvs\n%s", out3.String(), out1.String())
+	}
+	vcs, err := exp.AxisNamed("vcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != len(vcs.Values) {
+		t.Fatalf("observed pass wrote %d CSVs (%v), want %d", len(entries), err, len(vcs.Values))
 	}
 }

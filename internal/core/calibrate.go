@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/noc"
-	"repro/internal/trace"
 )
 
 // Calibration is the outcome of the paper's §4.2 speedup-sizing procedure
@@ -30,29 +28,15 @@ type Calibration struct {
 	SatisfiedByBound bool
 }
 
-// CalibrateSpeedup performs the eq. (1)/(2) sizing for kernel k under cfg.
-// The ideal-fabric run goes through RunChecked under opt, so a stuck or
-// interrupted calibration fails like any other run.
-func CalibrateSpeedup(cfg Config, k trace.Kernel, opt CheckOptions) (Calibration, error) {
-	cfg.IdealReply = true
-	sim, err := NewSimulator(cfg, k)
-	if err != nil {
-		return Calibration{}, err
-	}
-	defer sim.Close()
-	res, err := sim.RunChecked(opt)
-	if err != nil {
-		return Calibration{}, err
-	}
-
-	ideal, ok := sim.ReplyNet().(*noc.IdealFabric)
-	if !ok {
-		return Calibration{}, fmt.Errorf("core: calibration simulator lacks ideal fabric")
-	}
-
+// SizeSpeedup performs the eq. (1)/(2) sizing from one finished run of cfg
+// against the unlimited-bandwidth reply fabric (cfg.IdealReply set): res is
+// the run's Result and ideal its reply fabric, whose per-MC injection
+// windows are the eq. (1) measurement.
+func SizeSpeedup(cfg Config, res Result, ideal *noc.IdealFabric) Calibration {
+	rep, _ := ReplyNetwork(cfg)
 	// Peak per-MC rate: the highest 95th-percentile window across MCs.
 	var peakPer100 float64
-	for _, node := range sim.MCNodes() {
+	for _, node := range rep.MCNodes {
 		if w := ideal.PeakWindow(node, 95); w > peakPer100 {
 			peakPer100 = w
 		}
@@ -61,7 +45,7 @@ func CalibrateSpeedup(cfg Config, k trace.Kernel, opt CheckOptions) (Calibration
 
 	// Reply-mix-weighted average packet length (read replies long, write
 	// replies single-flit).
-	longPkt := float64(sim.LongPacketFlits())
+	longPkt := float64(noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.DataBytes))
 	reads := float64(res.Rep.PacketsInjected[noc.ReadReply])
 	writes := float64(res.Rep.PacketsInjected[noc.WriteReply])
 	avgFlits := longPkt
@@ -73,13 +57,13 @@ func CalibrateSpeedup(cfg Config, k trace.Kernel, opt CheckOptions) (Calibration
 	required := ChooseSpeedup(rate, avgFlits, math.MaxInt, math.MaxInt)
 	chosen := ChooseSpeedup(rate, avgFlits, NumMeshOutputs, cfg.VCs)
 	return Calibration{
-		Benchmark:        k.Name,
+		Benchmark:        res.Benchmark,
 		PeakRatePerMC:    rate,
 		AvgFlitsPerPkt:   avgFlits,
 		RequiredS:        required,
 		ChosenS:          chosen,
 		SatisfiedByBound: chosen == required,
-	}, nil
+	}
 }
 
 // NumMeshOutputs is the non-local output port count of a 2D-mesh router,

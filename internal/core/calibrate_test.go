@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/noc"
@@ -44,14 +43,25 @@ func TestIdealBeatsRealNetwork(t *testing.T) {
 	}
 }
 
+// calibrate sizes the speedup of kernel name from one run of cfg against the
+// ideal reply fabric.
+func calibrate(t *testing.T, cfg Config, name string) Calibration {
+	t.Helper()
+	k, _ := trace.ByName(name)
+	cfg.IdealReply = true
+	sim, err := NewSimulator(cfg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mustRun(t, sim)
+	return SizeSpeedup(cfg, res, sim.ReplyNet().(*noc.IdealFabric))
+}
+
 func TestCalibrateSpeedup(t *testing.T) {
 	cfg := fastConfig(AdaBaseline)
+	cals := map[string]Calibration{}
 	for _, name := range []string{"bfs", "lavaMD"} {
-		k, _ := trace.ByName(name)
-		cal, err := CalibrateSpeedup(cfg, k, CheckOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cal := calibrate(t, cfg, name)
 		if cal.Benchmark != name {
 			t.Fatalf("calibration tagged %q", cal.Benchmark)
 		}
@@ -64,24 +74,11 @@ func TestCalibrateSpeedup(t *testing.T) {
 		if cal.AvgFlitsPerPkt < 1 || cal.AvgFlitsPerPkt > 9 {
 			t.Fatalf("avg flits per packet %v out of range", cal.AvgFlitsPerPkt)
 		}
+		cals[name] = cal
 	}
 	// A memory-bound benchmark must demand more speedup than a
 	// compute-bound one.
-	kHigh, _ := trace.ByName("bfs")
-	kLow, _ := trace.ByName("lavaMD")
-	ch, _ := CalibrateSpeedup(cfg, kHigh, CheckOptions{})
-	cl, _ := CalibrateSpeedup(cfg, kLow, CheckOptions{})
-	if ch.PeakRatePerMC <= cl.PeakRatePerMC {
+	if ch, cl := cals["bfs"], cals["lavaMD"]; ch.PeakRatePerMC <= cl.PeakRatePerMC {
 		t.Fatalf("bfs peak rate %.4f not above lavaMD %.4f", ch.PeakRatePerMC, cl.PeakRatePerMC)
-	}
-}
-
-// TestCalibrateSpeedupObeysInterrupt: the ideal-fabric run goes through the
-// checked loop, so the harness's interrupt stops it.
-func TestCalibrateSpeedupObeysInterrupt(t *testing.T) {
-	k, _ := trace.ByName("bfs")
-	_, err := CalibrateSpeedup(fastConfig(AdaBaseline), k, CheckOptions{Interrupt: func() bool { return true }})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
 }

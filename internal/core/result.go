@@ -144,8 +144,3 @@ func (s *Simulator) collect() Result {
 	}
 	return r
 }
-
-// LongPacketFlits returns the reply-network long-packet size in flits.
-func (s *Simulator) LongPacketFlits() int {
-	return noc.PacketSize(noc.ReadReply, s.cfg.RepLinkBits, s.cfg.DataBytes)
-}

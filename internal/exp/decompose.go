@@ -20,27 +20,27 @@ const tracedSample = 4
 var decomposeSchemes = []core.Scheme{core.XYBaseline, core.AdaARI, core.DA2MeshBase, core.DA2MeshARI}
 
 // Decompose reproduces the paper's motivation analysis (Figs. 2/3): it runs
-// bench under each scheme through the Runner's run path — watchdogs,
-// timeout, retries, panic recovery — with every sample-th reply-fabric
-// packet traced (1 = all), and attributes each scheme's mean reply latency to
-// its components — NI injection queueing (the bottleneck the paper removes),
-// network transit and ejection. The runs bypass the result store because
-// traces are not part of Result.
+// bench under each scheme as one Runner dispatch, each job observed with its
+// own collector tracing every sample-th reply-fabric packet (1 = all), and
+// attributes each scheme's mean reply latency to its components — NI
+// injection queueing (the bottleneck the paper removes), network transit and
+// ejection. Observed jobs always simulate: a stored Result holds no trace.
 func Decompose(r *Runner, bench string, sample uint64) (*Figure, error) {
 	kernel, err := trace.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
 	colls := make([]*obs.Collector, len(decomposeSchemes))
+	jobs := make([]Job, len(decomposeSchemes))
 	for i, sch := range decomposeSchemes {
-		ctx := WithInstrument(context.Background(), func(_ Job, sim *core.Simulator) {
+		jobs[i] = Job{Cfg: r.withScheme(sch), Kernel: kernel, Observe: func(sim *core.Simulator) {
 			// A fresh collector per attempt: a retried run starts over.
 			colls[i] = obs.NewCollector("rep")
 			sim.ReplyNet().SetTracer(colls[i], sample)
-		})
-		if _, err := r.simulateRetry(ctx, Job{Cfg: r.withScheme(sch), Kernel: kernel}); err != nil {
-			return nil, err
-		}
+		}}
+	}
+	if _, err := r.RunAllContext(context.Background(), jobs); err != nil {
+		return nil, err
 	}
 	table := stats.NewTable("scheme", "replies", "queue", "network", "eject", "total", "queue_share")
 	summary := make(map[string]float64)

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -106,22 +105,25 @@ func TestDecomposeLifecycleDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	colls := make([]*obs.Collector, len(decomposeSchemes))
+	jobs := make([]Job, len(decomposeSchemes))
+	for i, sch := range decomposeSchemes {
+		jobs[i] = Job{Cfg: r.withScheme(sch), Kernel: kernel, Observe: func(sim *core.Simulator) {
+			colls[i] = obs.NewCollector("rep")
+			sim.ReplyNet().SetTracer(colls[i], 1)
+		}}
+	}
+	if _, err := r.RunAll(jobs); err != nil {
+		t.Fatal(err)
+	}
 	h := sha256.New()
 	packets := 0
-	for _, sch := range decomposeSchemes {
-		var coll *obs.Collector
-		ctx := WithInstrument(context.Background(), func(_ Job, sim *core.Simulator) {
-			coll = obs.NewCollector("rep")
-			sim.ReplyNet().SetTracer(coll, 1)
-		})
-		if _, err := r.simulateRetry(ctx, Job{Cfg: r.withScheme(sch), Kernel: kernel}); err != nil {
-			t.Fatal(err)
-		}
+	for i, sch := range decomposeSchemes {
 		fmt.Fprintf(h, "%v\n", sch)
-		for _, p := range coll.Done() {
+		for _, p := range colls[i].Done() {
 			fmt.Fprintf(h, "%d %d %d %d %d\n", p.ID, p.Enqueued, p.Injected, p.Arrived, p.Ejected)
 		}
-		packets += len(coll.Done())
+		packets += len(colls[i].Done())
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != lifecycleDigest {
 		t.Fatalf("lifecycle digest over %d packets = %s, want %s", packets, got, lifecycleDigest)

@@ -78,17 +78,6 @@ type Runner struct {
 	hits    int
 }
 
-type instrumentKey struct{}
-
-// WithInstrument returns a context under which every simulator built by
-// RunAllContext/RunKey is handed to fn, with the Job it runs (runs execute
-// concurrently), before it runs — the one pre-run hook, scoped to the runs a
-// caller waits on. fn must only observe (a config determines its stored
-// Result byte-identically), never alter the run.
-func WithInstrument(ctx context.Context, fn func(Job, *core.Simulator)) context.Context {
-	return context.WithValue(ctx, instrumentKey{}, fn)
-}
-
 // ErrRunTimeout marks a run that exceeded RunTimeout; errors.Is against it
 // selects the only failure class MaxRetries re-attempts.
 var ErrRunTimeout = errors.New("run timed out")
@@ -114,6 +103,12 @@ func NewRunner() *Runner {
 type Job struct {
 	Cfg    core.Config
 	Kernel trace.Kernel
+	// Observe, when non-nil, is handed every simulator built for the job —
+	// a retried attempt's fresh one too — before it runs. It must only
+	// observe (a config determines its Result byte-identically), never
+	// alter the run. An observed job always simulates, even when the store
+	// holds its key; its Result is stored and counted like any other run.
+	Observe func(*core.Simulator)
 }
 
 // Runs returns the number of distinct simulations executed so far.
@@ -166,15 +161,18 @@ func (r *Runner) RunKey(ctx context.Context, key string, j Job) (core.Result, er
 
 // runKeyed runs jobs[i] under keys[i] = its JobKey.
 func (r *Runner) runKeyed(ctx context.Context, keys []string, jobs []Job) ([]core.Result, error) {
-	// Collect the distinct keys that still need simulating; the journal
+	// Collect the jobs that still need simulating: every observed job, and
+	// one job per distinct other key the store cannot answer — the journal
 	// answers for runs a previous (possibly killed) sweep finished.
-	need := make(map[string]Job)
+	var need []int
+	pending := make(map[string]bool)
 	hits := 0
 	for i, j := range jobs {
-		if _, ok := r.LookupKey(keys[i]); ok {
+		if _, ok := r.LookupKey(keys[i]); ok && j.Observe == nil {
 			hits++
-		} else {
-			need[keys[i]] = j
+		} else if j.Observe != nil || !pending[keys[i]] {
+			need = append(need, i)
+			pending[keys[i]] = true
 		}
 	}
 	r.mu.Lock()
@@ -182,23 +180,19 @@ func (r *Runner) runKeyed(ctx context.Context, keys []string, jobs []Job) ([]cor
 	r.mu.Unlock()
 
 	if len(need) > 0 {
-		order := make([]string, 0, len(need))
-		for k := range need {
-			order = append(order, k)
-		}
-		sort.Slice(order, func(i, j int) bool {
-			a, b := need[order[i]], need[order[j]]
-			if a.Kernel.Name != b.Kernel.Name {
-				return a.Kernel.Name < b.Kernel.Name
+		sort.SliceStable(need, func(a, b int) bool {
+			x, y := jobs[need[a]], jobs[need[b]]
+			if x.Kernel.Name != y.Kernel.Name {
+				return x.Kernel.Name < y.Kernel.Name
 			}
-			return fmt.Sprint(a.Cfg) < fmt.Sprint(b.Cfg)
+			return fmt.Sprint(x.Cfg) < fmt.Sprint(y.Cfg)
 		})
 
 		workers := r.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		workers = min(workers, len(order))
+		workers = min(workers, len(need))
 
 		// fail is closed once, on the first failure; dispatch selects on it
 		// so queued jobs are abandoned rather than started.
@@ -214,27 +208,27 @@ func (r *Runner) runKeyed(ctx context.Context, keys []string, jobs []Job) ([]cor
 		}
 
 		var wg sync.WaitGroup
-		ch := make(chan string)
+		ch := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for k := range ch {
-					res, err := r.simulateRetry(ctx, need[k])
+				for i := range ch {
+					res, err := r.simulateRetry(ctx, jobs[i])
 					if err != nil {
 						report(err)
 						continue
 					}
-					if err := r.finish(k, res); err != nil {
+					if err := r.finish(keys[i], res); err != nil {
 						report(err)
 					}
 				}
 			}()
 		}
 	dispatch:
-		for _, k := range order {
+		for _, i := range need {
 			select {
-			case ch <- k:
+			case ch <- i:
 			case <-fail:
 				break dispatch
 			case <-ctx.Done():
@@ -367,8 +361,8 @@ func (r *Runner) simulate(ctx context.Context, j Job) (res core.Result, err erro
 		return core.Result{}, fmt.Errorf("exp: %s: %w", name, err)
 	}
 	defer sim.Close()
-	if attach, ok := ctx.Value(instrumentKey{}).(func(Job, *core.Simulator)); ok {
-		attach(j, sim)
+	if j.Observe != nil {
+		j.Observe(sim)
 	}
 	if r.Monitor != nil {
 		st := r.Monitor.Begin(name, j.Cfg.Scheme.String(), j.Cfg.WarmupCycles+j.Cfg.MeasureCycles)

@@ -131,6 +131,76 @@ func TestSizingObeysRunTimeout(t *testing.T) {
 	}
 }
 
+// TestSizingRunsThroughRunner: the §4.2 calibration runs are Runner jobs,
+// so they are counted and a panicking one fails the figure with an error
+// naming the run instead of killing the process.
+func TestSizingRunsThroughRunner(t *testing.T) {
+	r := tinyRunner(t)
+	if _, err := SpeedupSizing(r); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Runs(), len(r.Benchmarks); got != want {
+		t.Errorf("sizing ran %d simulations, want %d", got, want)
+	}
+
+	orig := newSimulator
+	defer func() { newSimulator = orig }()
+	newSimulator = func(cfg core.Config, k trace.Kernel) (*core.Simulator, error) {
+		if k.Name == "lavaMD" {
+			panic("injected test panic")
+		}
+		return orig(cfg, k)
+	}
+	_, err := SpeedupSizing(tinyRunner(t))
+	if err == nil {
+		t.Fatal("panicking calibration run returned no error")
+	}
+	for _, want := range []string{"injected test panic", "lavaMD/" + core.AdaBaseline.String()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error missing %q: %v", want, err)
+		}
+	}
+}
+
+// TestSizingObeysCancelledContext: cancelling the figure's context stops its
+// calibration runs like any other dispatch.
+func TestSizingObeysCancelledContext(t *testing.T) {
+	r := tinyRunner(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := speedupSizing(ctx, r); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if r.Runs() != 0 {
+		t.Errorf("runs = %d after a cancelled sizing, want 0", r.Runs())
+	}
+}
+
+// TestObservedJobRunsDespiteStoredKey: the store answers no observed job — it
+// is simulated, observed and counted, and its Result is the stored one.
+func TestObservedJobRunsDespiteStoredKey(t *testing.T) {
+	r := tinyRunner(t)
+	cfg, k := r.withScheme(core.AdaARI), r.Benchmarks[0]
+	want, err := r.Run(cfg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := 0
+	got, err := r.RunAll([]Job{{Cfg: cfg, Kernel: k, Observe: func(*core.Simulator) { observed++ }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed != 1 {
+		t.Errorf("observer called %d times, want 1", observed)
+	}
+	if r.Runs() != 2 || r.StoreHits() != 0 {
+		t.Errorf("runs = %d, store hits = %d; want 2 and 0", r.Runs(), r.StoreHits())
+	}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Error("observed run's Result differs from the stored one")
+	}
+}
+
 // sweepJobs is a small 3-benchmark x 2-scheme matrix used by the journal
 // tests.
 func sweepJobs(r *Runner) []Job {

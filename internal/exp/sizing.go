@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/noc"
 	"repro/internal/stats"
 )
 
@@ -12,19 +13,32 @@ import (
 // measure the ideal reply injection rate against an unlimited-bandwidth
 // fabric and derive the eq. (1) minimal speedup; the paper reports that an
 // injection-port speedup of 4 (the eq. (2) bound on a mesh) satisfies 95%
-// of the peak rates. Each calibration run obeys the Runner's Checks and
-// RunTimeout like any other run.
+// of the peak rates. The ideal-fabric runs are one Runner dispatch, each job
+// observed to keep its run's fabric.
 func SpeedupSizing(r *Runner) (*Figure, error) {
+	return speedupSizing(context.Background(), r)
+}
+
+// speedupSizing is SpeedupSizing under ctx.
+func speedupSizing(ctx context.Context, r *Runner) (*Figure, error) {
+	cfg := r.withScheme(core.AdaBaseline)
+	cfg.IdealReply = true
+	jobs := make([]Job, len(r.Benchmarks))
+	ideal := make([]*noc.IdealFabric, len(jobs))
+	for i, k := range r.Benchmarks {
+		jobs[i] = Job{Cfg: cfg, Kernel: k, Observe: func(sim *core.Simulator) {
+			ideal[i] = sim.ReplyNet().(*noc.IdealFabric)
+		}}
+	}
+	res, err := r.RunAllContext(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("benchmark", "peak rate (pkt/cyc/MC)", "avg flits/pkt", "eq.1 S", "chosen S")
 	satisfied := 0
 	var chosen []float64
-	ctx := context.Background()
-	for _, k := range r.Benchmarks {
-		cfg := r.withScheme(core.AdaBaseline)
-		cal, err := core.CalibrateSpeedup(cfg, k, r.checks(ctx))
-		if err != nil {
-			return nil, r.runError(ctx, k.Name+"/"+cfg.Scheme.String(), err)
-		}
+	for i, k := range r.Benchmarks {
+		cal := core.SizeSpeedup(cfg, res[i], ideal[i])
 		if cal.SatisfiedByBound {
 			satisfied++
 		}

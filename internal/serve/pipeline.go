@@ -346,19 +346,19 @@ func (s *Server) awaitSlot(rq *request) *answer {
 	}
 }
 
-// run simulates. Its span anchors the trace's NoC layer: a traced run's
-// simulator gets packet collectors (read-only tracer hooks, so the Result
-// stays byte-identical — TestTracedRunByteIdentical) and the sampled
-// lifecycles land as child spans at 1 cycle = 1 µs from the span's start.
+// run simulates. Its span anchors the trace's NoC layer: a traced job is
+// observed, so it always simulates and its simulator gets packet collectors
+// (read-only: the Result stays byte-identical, TestTracedRunByteIdentical);
+// sampled lifecycles land as child spans at 1 cycle = 1 µs from its start.
 func (s *Server) run(rq *request) *answer {
-	ctx, sp := rq.ctx, rq.span
+	job, sp := rq.job, rq.span
 	var req, rep *obs.Collector
 	if rq.scope != nil && s.cfg.TracePackets > 0 {
-		ctx = exp.WithInstrument(ctx, func(_ exp.Job, sim *core.Simulator) {
+		job.Observe = func(sim *core.Simulator) {
 			req, rep = obs.AttachTracers(sim, uint64(s.cfg.PacketSample))
-		})
+		}
 	}
-	res, err := s.cfg.Runner.RunKey(ctx, rq.key, rq.job)
+	res, err := s.cfg.Runner.RunKey(rq.ctx, rq.key, job)
 	if err != nil {
 		rq.endSpan("error", err.Error())
 		return reject(outError, err)
