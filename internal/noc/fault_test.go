@@ -19,15 +19,18 @@ func scheduled(t *testing.T, cfg FaultConfig, stream uint64, mutate func(*Config
 	return n
 }
 
-// TestFaultScheduleGolden pins the fault draw stream itself. An idle Table I
-// 6×6 mesh with the recovery layer on is stepped for 20 000 cycles under
-// three configurations — the chaos soak's, Fig fault's 10 % corruption
-// point and the shape arisim's -corrupt-prob/-link-death flags build — on
-// the request (tag 1) and reply (tag 2) streams. The schedule does not
-// depend on traffic, so the event count and a SHA-256 of every event's
-// (cycle, kind, node, port, duration) fix which fault lands where and when;
-// a refactor of the schedule must leave both unchanged. Seed 1 is what a
-// fault config with Seed 0 inherits from core.DefaultConfig.
+// TestFaultScheduleGolden pins the fault draw stream by what it does. An
+// idle Table I 6×6 mesh with the recovery layer on is stepped for 20 000
+// cycles under three configurations — the chaos soak's, Fig fault's 10 %
+// corruption point and the shape arisim's -corrupt-prob/-link-death flags
+// build — on the request (tag 1) and reply (tag 2) streams. Every cycle,
+// each fault horizon the schedule writes — every router output's
+// stalledUntil and corruptUntil, its dead mark, every input's frozenUntil
+// and every NI's stalledUntil — is compared with the cycle before, and the
+// SHA-256 of every change (cycle, slot, new value) together with
+// FaultEvents fixes which fault lands where and when. The schedule does not
+// depend on traffic; a refactor of it must leave both unchanged. Seed 1 is
+// what a fault config with Seed 0 inherits from core.DefaultConfig.
 func TestFaultScheduleGolden(t *testing.T) {
 	configs := map[string]FaultConfig{
 		"chaos":     ChaosFaults(7),
@@ -38,12 +41,12 @@ func TestFaultScheduleGolden(t *testing.T) {
 		events int
 		sha    string
 	}{
-		"chaos/1":     {2439, "c92f38739eb2ec326ffaff82732d73b0d37a1cd30ab7373b9cdbd867d03d8039"},
-		"chaos/2":     {2426, "c02fc197c3b87c208a4546583e17f64156ddfbf545dfb4dbd4c427de0887d8ea"},
-		"faultfig/1":  {2040, "7b293808e3ccb9a986e41bfa1964c6fa14995eb96bec1ed3b430d6f0c36e0789"},
-		"faultfig/2":  {1947, "310eee33c6c156fe152464695ff3a265cc7f86dec9ff5e35c4acc0528c65022f"},
-		"faultflag/1": {602, "91fdc33b82af8c8f316a4981871a88e8687ad021e1bb4b89d2df19fa1771f417"},
-		"faultflag/2": {630, "a38eab8922082d25dacfef84f2769bcc62c6ebad8e47f6ff2ae20e8042ccd7cd"},
+		"chaos/1":     {2439, "a51024804f7257b5c25883ebaf8e368ec6a082d35c8681baf8305a6b653ed603"},
+		"chaos/2":     {2426, "788b79fce1bccf37bef1d2f632c74db3a070dfbb2d9e8a793a9ffa72ae4681ac"},
+		"faultfig/1":  {2040, "51727114d123c12d6c3345946c9e661710976e2bd8f4a6bd418a4b85935c083d"},
+		"faultfig/2":  {1947, "1d34e79d2f0ae871b9fd0ce841537225560c918f5551f757cdb02a3beb80bc3f"},
+		"faultflag/1": {602, "bca7515dcacee6f7e7d43d9fe1d1bb4a2b10ac2c5bbaaabadd4c42240ed60205"},
+		"faultflag/2": {630, "543f893ec1f54161e7c2d47a521763811d2f9049f107bdb7585cbb10f8f37744"},
 	}
 	for name, cfg := range configs {
 		for _, tag := range []uint64{1, 2} {
@@ -54,7 +57,6 @@ func TestFaultScheduleGolden(t *testing.T) {
 				LinkBits:       128,
 				DataBytes:      128,
 				Routing:        RouteMinAdaptive,
-				EjectRate:      1,
 				RetransBufPkts: 8,
 			})
 			if err != nil {
@@ -63,20 +65,51 @@ func TestFaultScheduleGolden(t *testing.T) {
 			if err := n.ScheduleFaults(cfg, tag); err != nil {
 				t.Fatal(err)
 			}
+			h := sha256.New()
+			var prev, cur []int64
 			for c := 0; c < 20000; c++ {
 				n.Step()
-			}
-			h := sha256.New()
-			events := n.faults.events
-			for _, e := range events {
-				fmt.Fprintf(h, "%d %d %d %d %d\n", e.Cycle, e.Kind, e.Node, e.Port, e.Duration)
+				cur = faultHorizons(n, cur[:0])
+				if prev == nil {
+					prev = make([]int64, len(cur))
+				}
+				for i, v := range cur {
+					if v != prev[i] {
+						fmt.Fprintf(h, "%d %d %d\n", c, i, v)
+					}
+				}
+				prev, cur = cur, prev
 			}
 			sum := hex.EncodeToString(h.Sum(nil))
-			if w := want[id]; len(events) != w.events || sum != w.sha {
-				t.Errorf("%s: %d events, sha256 %s; want %d events, %s", id, len(events), sum, w.events, w.sha)
+			if w := want[id]; n.FaultEvents() != w.events || sum != w.sha {
+				t.Errorf("%s: %d events, sha256 %s; want %d events, %s", id, n.FaultEvents(), sum, w.events, w.sha)
 			}
 		}
 	}
+}
+
+// faultHorizons appends to dst, in a fixed order, every fault horizon of
+// n: per router each output's stalledUntil, corruptUntil and dead (1 or 0)
+// and each input's frozenUntil, then per NI its stalledUntil.
+func faultHorizons(n *Network, dst []int64) []int64 {
+	for i := range n.routers {
+		r := &n.routers[i]
+		for o := range r.out {
+			op := &r.out[o]
+			dead := int64(0)
+			if op.dead {
+				dead = 1
+			}
+			dst = append(dst, op.stalledUntil, op.corruptUntil, dead)
+		}
+		for p := range r.in {
+			dst = append(dst, r.in[p].frozenUntil)
+		}
+	}
+	for i := range n.nis {
+		dst = append(dst, n.nis[i].stalledUntil)
+	}
+	return dst
 }
 
 // TestFaultMaxEventsCap pins the bounded event log: past the cap faults are
