@@ -124,42 +124,45 @@ func TestRecordReplay(t *testing.T) {
 }
 
 func TestRejectsBadFlags(t *testing.T) {
-	// A -config file naming a field Config does not have is refused rather
-	// than run without it.
-	var cfg map[string]any
-	if err := json.Unmarshal([]byte(arisim(t, "-dumpconfig")), &cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg["EdgeMCPlacement"] = true
-	unknown, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "unknown.json")
-	if err := os.WriteFile(path, unknown, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Packets of half the caches' line.
-	delete(cfg, "EdgeMCPlacement")
-	cfg["DataBytes"] = 64
-	half, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	halfPath := filepath.Join(t.TempDir(), "half.json")
-	if err := os.WriteFile(halfPath, half, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][]string{
+	bad := [][]string{
 		{"-mesh", "6x6"},
 		{"-mcs", "24"},
 		{"-corrupt-prob", "-1"},
 		{"-link-death", "2"},
 		{"-bench", "nosuchbench"},
 		{"-scheme", "nosuchscheme"},
-		{"-config", path},
-		{"-config", halfPath},
+	}
+	// A -config file naming a field Config does not have — one it never
+	// had, then the six it dropped, each in the object it lived in and with
+	// the value it took — is refused rather than run without it; so is an
+	// L2 line half the L1 line a packet carries.
+	dir := t.TempDir()
+	for i, edit := range []func(cfg map[string]any){
+		func(cfg map[string]any) { cfg["EdgeMCPlacement"] = true },
+		func(cfg map[string]any) { cfg["DataBytes"] = 128 },
+		func(cfg map[string]any) { cfg["MultiPortPorts"] = 2 },
+		func(cfg map[string]any) { cfg["EjectRate"] = 1 },
+		func(cfg map[string]any) { cfg["Core"].(map[string]any)["WarpsPerCore"] = 48 },
+		func(cfg map[string]any) { cfg["Fault"].(map[string]any)["Enabled"] = true },
+		func(cfg map[string]any) { cfg["Fault"].(map[string]any)["MaxEvents"] = 65536 },
+		func(cfg map[string]any) { cfg["MC"].(map[string]any)["L2"].(map[string]any)["LineBytes"] = 64 },
 	} {
+		var cfg map[string]any
+		if err := json.Unmarshal([]byte(arisim(t, "-dumpconfig")), &cfg); err != nil {
+			t.Fatal(err)
+		}
+		edit(cfg)
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "bad"+strconv.Itoa(i)+".json")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bad = append(bad, []string{"-config", path})
+	}
+	for _, bad := range bad {
 		var out, errb bytes.Buffer
 		if err := run(append(short, bad...), &out, &errb); err == nil {
 			t.Errorf("run(%v) succeeded, want error", bad)

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -9,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,6 +93,56 @@ func TestDocSymbolClassifier(t *testing.T) {
 		if got := ix.resolves(tc.sym); got != tc.want {
 			t.Errorf("resolves(%q) = %v, want %v", tc.sym, got, tc.want)
 		}
+	}
+}
+
+// designMaxBytes bounds DESIGN.md. A change may lower it, never raise it.
+const designMaxBytes = 92348
+
+// changesEntryMaxBytes bounds the newest CHANGES.md entry (1.5 KB).
+const changesEntryMaxBytes = 1536
+
+// changesEntry matches the first line of a CHANGES.md entry.
+var changesEntry = regexp.MustCompile(`(?m)^PR [0-9]+`)
+
+// docBudgetErrors returns what breaks a budget: the newest CHANGES.md
+// entry, from its last line that starts "PR <n>" to the end, over
+// changesEntryMaxBytes, and DESIGN.md over designMaxBytes.
+func docBudgetErrors(changes, design []byte) []string {
+	var errs []string
+	starts := changesEntry.FindAllIndex(changes, -1)
+	if len(starts) == 0 {
+		errs = append(errs, "CHANGES.md has no line that starts an entry (\"PR <n>\")")
+	} else if n := len(changes) - starts[len(starts)-1][0]; n > changesEntryMaxBytes {
+		errs = append(errs, fmt.Sprintf("the newest CHANGES.md entry is %d B, over its %d B budget", n, changesEntryMaxBytes))
+	}
+	if len(design) > designMaxBytes {
+		errs = append(errs, fmt.Sprintf("DESIGN.md is %d B, over its %d B bound", len(design), designMaxBytes))
+	}
+	return errs
+}
+
+// TestDocBudgets holds CHANGES.md's newest entry and DESIGN.md to their
+// budgets, and checks that an entry of 1.6 KB or a DESIGN.md a byte over
+// the bound is refused.
+func TestDocBudgets(t *testing.T) {
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range docBudgetErrors(changes, design) {
+		t.Error(e)
+	}
+	long := append([]byte("\nPR 0 (a test entry): "), bytes.Repeat([]byte("x"), 1600)...)
+	if errs := docBudgetErrors(append(slices.Clip(changes), long...), design); len(errs) != 1 {
+		t.Errorf("a 1.6 KB entry: %q, want one error", errs)
+	}
+	if errs := docBudgetErrors(changes, make([]byte, designMaxBytes+1)); len(errs) != 1 {
+		t.Errorf("DESIGN.md a byte over its bound: %q, want one error", errs)
 	}
 }
 

@@ -63,8 +63,6 @@ type Model struct {
 	multiPorts  float64
 	priority    bool
 
-	ejectRate float64
-
 	// coreClockRatio is core cycles per NoC cycle (>1: cores are faster).
 	coreClockRatio float64
 
@@ -110,7 +108,7 @@ func NewModel(cfg core.Config) (*Model, error) {
 	m.nCores = len(ccNodes)
 
 	m.reqShort = 1
-	m.reqLong = noc.PacketSize(noc.WriteRequest, cfg.ReqLinkBits, cfg.DataBytes)
+	m.reqLong = noc.PacketSize(noc.WriteRequest, cfg.ReqLinkBits, cfg.Core.L1.LineBytes)
 	m.repLong = rep.LongPacketFlits()
 	m.repShort = 1
 
@@ -140,7 +138,6 @@ func NewModel(cfg core.Config) (*Model, error) {
 	m.consumeRate = float64(nc.Speedup(rep.VCs))
 	m.multiPorts = float64(nc.Ports())
 	m.priority = mech.Priority
-	m.ejectRate = float64(rep.EjectRate)
 
 	m.coreClockRatio = float64(cfg.CoreClockNum) / float64(cfg.CoreClockDen)
 
@@ -247,19 +244,18 @@ func (m *Model) network(flits int, rho, lenMean float64) float64 {
 	return 2*routers + float64(flits-1) + routers*m.hopWait(rho, lenMean)
 }
 
-// ejection models the destination NI's consumption stage: flits drain at
-// EjectRate, shared by every packet converging on that node.
+// ejection models the destination NI's consumption stage: flits drain one
+// per cycle, shared by every packet converging on that node.
 func (m *Model) ejection(mix classMix, shortLen, longLen int) float64 {
 	lambda := mix.packets()
 	if lambda <= 0 {
 		return 0
 	}
 	pLong := mix.long / lambda
-	sShort := float64(shortLen) / m.ejectRate
-	sLong := float64(longLen) / m.ejectRate
+	sShort, sLong := float64(shortLen), float64(longLen)
 	s := (1-pLong)*sShort + pLong*sLong
 	s2 := (1-pLong)*sShort*sShort + pLong*sLong*sLong
-	return mg1Wait(lambda, s, s2, m.vcBufFlits/m.ejectRate)
+	return mg1Wait(lambda, s, s2, m.vcBufFlits)
 }
 
 // meshRho returns the average directed-link flit utilisation for traffic of
@@ -376,7 +372,7 @@ func (m *Model) replyFlitCapacity() float64 {
 	// route length.
 	meshCap := float64(m.meshLinks) / ((m.avgHops + 1) * float64(m.nMC))
 	// Ejection: per-MC share of the aggregate core-side drain rate.
-	ejCap := float64(m.nCores) * m.ejectRate / float64(m.nMC)
+	ejCap := float64(m.nCores) / float64(m.nMC)
 	return math.Min(injCap, math.Min(meshCap, ejCap))
 }
 
@@ -385,7 +381,7 @@ func (m *Model) replyFlitCapacity() float64 {
 // regardless of scheme; the converging stage is the MCs' ejection share.
 func (m *Model) requestFlitCapacity() float64 {
 	meshCap := float64(m.meshLinks) / ((m.avgHops + 1) * float64(m.nCores))
-	ejCap := float64(m.nMC) * m.ejectRate / float64(m.nCores)
+	ejCap := float64(m.nMC) / float64(m.nCores)
 	return math.Min(1, math.Min(meshCap, ejCap))
 }
 

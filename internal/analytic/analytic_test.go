@@ -146,7 +146,7 @@ func TestModelReadsSimulatorNIQueue(t *testing.T) {
 	}{{128, 128, 36}, {8, 128, 4 * 129}, {8, 32768, 65535}} {
 		cfg := core.DefaultConfig()
 		cfg.Scheme = core.AdaARI
-		cfg.RepLinkBits, cfg.DataBytes = tc.linkBits, tc.dataBytes
+		cfg.RepLinkBits = tc.linkBits
 		// A packet carries one cache line: both caches keep their set
 		// counts' power of two at the line size.
 		cfg.Core.L1.LineBytes, cfg.Core.L1.SizeBytes = tc.dataBytes, tc.dataBytes*cfg.Core.L1.Ways

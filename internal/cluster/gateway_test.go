@@ -235,13 +235,12 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 		t.Fatalf("unknown bench: %d %s", w.Code, w.Body)
 	}
 	// Configs past a network limit, which the replica could not run.
-	vcs, niq, ports, mesh, lines := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs, niq, mesh, lines := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
 	vcs.VCs = 40
 	niq.NIQueueFlits = -5
-	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
 	mesh.MeshWidth, mesh.MeshHeight = 4096, 4096 // flit buffers past int32 offsets
-	lines.DataBytes = 64                         // packets of half a cache line
-	for _, cfg := range []core.Config{vcs, niq, ports, mesh, lines} {
+	lines.MC.L2.LineBytes = 64                   // half the line a packet carries
+	for _, cfg := range []core.Config{vcs, niq, mesh, lines} {
 		for _, estimate := range []bool{false, true} {
 			w := postJob(t, g, serve.JobRequest{Bench: "bfs", Config: &cfg, Estimate: estimate})
 			if w.Code != http.StatusBadRequest {
@@ -249,16 +248,27 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 			}
 		}
 	}
-	// A field core.Config does not have, inside a valid config in run and
-	// estimate mode.
-	for _, estimate := range []bool{false, true} {
-		def := core.DefaultConfig()
-		body, _ := json.Marshal(serve.JobRequest{Bench: "bfs", Config: &def, Estimate: estimate})
-		body = bytes.Replace(body, []byte(`"config":{`), []byte(`"config":{"EdgeMCPlacement":true,`), 1)
-		w := httptest.NewRecorder()
-		g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("unknown config field, estimate %v: %d %s", estimate, w.Code, w.Body)
+	// A field core.Config does not have — one it never had and the six it
+	// dropped, each in the object it lived in — inside a valid config in
+	// run and estimate mode.
+	for _, f := range []struct{ in, field string }{
+		{`"config":{`, `"EdgeMCPlacement":true,`},
+		{`"config":{`, `"DataBytes":128,`},
+		{`"config":{`, `"MultiPortPorts":2,`},
+		{`"config":{`, `"EjectRate":1,`},
+		{`"Core":{`, `"WarpsPerCore":48,`},
+		{`"Fault":{`, `"Enabled":true,`},
+		{`"Fault":{`, `"MaxEvents":65536,`},
+	} {
+		for _, estimate := range []bool{false, true} {
+			def := core.DefaultConfig()
+			body, _ := json.Marshal(serve.JobRequest{Bench: "bfs", Config: &def, Estimate: estimate})
+			body = bytes.Replace(body, []byte(f.in), []byte(f.in+f.field), 1)
+			w := httptest.NewRecorder()
+			g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("config field %s, estimate %v: %d %s", f.field, estimate, w.Code, w.Body)
+			}
 		}
 	}
 	if a.hits.Load() != 0 {

@@ -45,7 +45,7 @@ func SizeSpeedup(cfg Config, res Result, ideal *noc.IdealFabric) Calibration {
 
 	// Reply-mix-weighted average packet length (read replies long, write
 	// replies single-flit).
-	longPkt := float64(noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.DataBytes))
+	longPkt := float64(noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.Core.L1.LineBytes))
 	reads := float64(res.Rep.PacketsInjected[noc.ReadReply])
 	writes := float64(res.Rep.PacketsInjected[noc.WriteReply])
 	avgFlits := longPkt

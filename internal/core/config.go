@@ -102,6 +102,10 @@ func ParseScheme(s string) (Scheme, error) {
 // Routing returns the routing algorithm the scheme uses.
 func (s Scheme) Routing() noc.RoutingAlgo { return s.Mechanisms().Routing }
 
+// multiPortPorts is the injection-port count of the MultiPort scheme [3]
+// at every MC node.
+const multiPortPorts = 2
+
 // Config is the full-system configuration; DefaultConfig matches Table I.
 type Config struct {
 	MeshWidth  int
@@ -111,7 +115,6 @@ type Config struct {
 	VCs         int
 	ReqLinkBits int
 	RepLinkBits int
-	DataBytes   int
 
 	Scheme Scheme
 	// PriorityLevels used when the scheme has priority (Fig 9 varies it).
@@ -126,13 +129,10 @@ type Config struct {
 	// fabric — the paper's instrument for measuring the ideal packet
 	// injection rate that sizes the crossbar speedup (eq. 1, §4.2).
 	IdealReply bool
-	// MultiPortPorts is the injection-port count of the MultiPort scheme.
-	MultiPortPorts int
 
 	// NIQueueFlits sizes the reply-side NI injection queues; 0 = 4 long
 	// packets (Table I: 36 flits at 128-bit links).
 	NIQueueFlits int
-	EjectRate    int
 
 	// RetransBufPkts enables the NoC fault-recovery protocol layer (CRC
 	// detection, NACK/ACK sideband, bounded retransmission — noc/recovery.go)
@@ -172,12 +172,9 @@ func DefaultConfig() Config {
 		VCs:            4,
 		ReqLinkBits:    128,
 		RepLinkBits:    128,
-		DataBytes:      128,
 		Scheme:         XYBaseline,
 		PriorityLevels: 2,
 		InjSpeedup:     4,
-		MultiPortPorts: 2,
-		EjectRate:      1,
 		Core:           gpu.DefaultConfig(),
 		MC:             mem.DefaultMCConfig(),
 		CoreClockNum:   1126,
@@ -221,17 +218,8 @@ func (c Config) Validate() error {
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("core: invalid horizon warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
 	}
-	req, rep := c.networks()
-	if _, err := req.Validate(); err != nil {
-		return fmt.Errorf("core: request network: %w", err)
-	}
-	if _, err := rep.Validate(); err != nil {
-		return fmt.Errorf("core: reply network: %w", err)
-	}
-	if c.Fault.Enabled {
-		if _, err := c.Fault.Validate(); err != nil {
-			return err
-		}
+	if _, err := c.Fault.Validate(); err != nil {
+		return err
 	}
 	if err := c.MC.Validate(); err != nil {
 		return err
@@ -239,13 +227,20 @@ func (c Config) Validate() error {
 	if err := c.Core.Validate(); err != nil {
 		return err
 	}
-	// A long packet carries one cache line, and mcNodeFor interleaves the
-	// MCs by DataBytes-sized lines of addresses the workloads align to
-	// trace.LineBytes: a line the caches do not use, or one shorter than a
-	// transaction, leaves some MCs idle.
-	if c.DataBytes != c.Core.L1.LineBytes || c.DataBytes != c.MC.L2.LineBytes || c.DataBytes < trace.LineBytes {
-		return fmt.Errorf("core: DataBytes %d must equal the L1 and L2 line sizes (%d B, %d B) and be at least the %d B memory transaction",
-			c.DataBytes, c.Core.L1.LineBytes, c.MC.L2.LineBytes, trace.LineBytes)
+	// A long packet carries one L1 line, and mcNodeFor interleaves the MCs
+	// by lines of addresses the workloads align to trace.LineBytes: an L2
+	// line of another size, or a line shorter than a transaction, leaves
+	// some MCs idle.
+	if line := c.Core.L1.LineBytes; line != c.MC.L2.LineBytes || line < trace.LineBytes {
+		return fmt.Errorf("core: the L1 line (%d B) must equal the L2 line (%d B) and be at least the %d B memory transaction",
+			line, c.MC.L2.LineBytes, trace.LineBytes)
+	}
+	req, rep := c.networks()
+	if _, err := req.Validate(); err != nil {
+		return fmt.Errorf("core: request network: %w", err)
+	}
+	if _, err := rep.Validate(); err != nil {
+		return fmt.Errorf("core: reply network: %w", err)
 	}
 	return nil
 }
@@ -254,17 +249,16 @@ func (c Config) Validate() error {
 // which no scheme modifies (§4.2, §6.1), and the reply mesh, whose MC nodes
 // (MCPlacement) get the scheme row's injection architecture — its NI kind,
 // its speedup (InjSpeedup, 0 selecting the paper's 4) and MultiPort's
-// MultiPortPorts. Validate checks both, buffer counts included, so a config
-// it accepts constructs.
+// multiPortPorts. A long packet carries one L1 line. Validate checks both,
+// buffer counts included, so a config it accepts constructs.
 func (c Config) networks() (req, rep noc.Config) {
 	m := c.Scheme.Mechanisms()
 	req = noc.Config{
 		Mesh:           noc.Mesh{Width: c.MeshWidth, Height: c.MeshHeight},
 		VCs:            c.VCs,
 		LinkBits:       c.ReqLinkBits,
-		DataBytes:      c.DataBytes,
+		DataBytes:      c.Core.L1.LineBytes,
 		Routing:        m.Routing,
-		EjectRate:      c.EjectRate,
 		RetransBufPkts: retransBufPkts(c),
 	}
 	rep = req
@@ -280,7 +274,7 @@ func (c Config) networks() (req, rep noc.Config) {
 		}
 	}
 	if m.NI == noc.NIMultiPort {
-		rep.MC.InjPorts = c.MultiPortPorts
+		rep.MC.InjPorts = multiPortPorts
 	}
 	return req, rep
 }

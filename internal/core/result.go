@@ -36,10 +36,8 @@ type Result struct {
 	// MeasuredCycles understates the true execution time.
 	Truncated bool
 
-	// FaultEvents counts injected NoC faults when fault injection was
-	// enabled (request + reply side). Counted by the schedules' totals, so
-	// the figure is exact even when the retained event log hits the
-	// noc.FaultConfig.MaxEvents cap.
+	// FaultEvents counts injected NoC faults, request and reply side (0
+	// when Config.Fault starts none).
 	FaultEvents int
 
 	// Networks (copies of the per-fabric stats).

@@ -9,17 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
-// The simulator layer's stepping reference. Simulator.Step skips the
-// pipeline walk of a quiescent memory controller (SkipIdle only advances its
-// DRAM clock) and the ticks of a core sleeping through a compute burst;
-// scanStep ticks every controller and every core every cycle. The layers below
+// The simulator layer's stepping reference. Simulator.Step skips the ticks
+// of a core sleeping through a compute burst, and ticks every memory
+// controller, whose inert gate only advances an idle controller's DRAM
+// clock; scanStep ticks every core every cycle. The layers below
 // hold their own references in their own tests — the NoC's scan step in
 // internal/noc, the issue stage's scan tick in internal/gpu — and
 // internal/simeq's TestMatrixDigests pins the composition across commits.
 
-// scanStep is Step with every core and every memory controller ticked,
-// sleeping or quiescent or not. It returns how many of its ticks went to a
-// quiescent controller: the visits Step skips.
+// scanStep is Step with every core ticked, sleeping or not. It returns how
+// many of its ticks went to a quiescent controller.
 func (s *Simulator) scanStep() (quiet int) {
 	coreTicks := s.coreClock.Tick()
 	memTicks := s.memClock.Tick()
@@ -120,10 +119,10 @@ func matchScan(t *testing.T, cfg Config, k trace.Kernel, run func(*Simulator) (R
 	return quiet
 }
 
-// TestMCSkipMatchesScan holds the quiescent-controller skip to the reference
-// that ticks every controller: every suite kernel under every covered reply
-// path must produce a byte-identical encoded Result, and the skip must have
-// been taken.
+// TestMCSkipMatchesScan holds Step to the reference on quiescent
+// controllers, which both tick through Tick's inert gate: every suite kernel
+// under every covered reply path must produce a byte-identical encoded
+// Result, and some controller must have been quiescent.
 func TestMCSkipMatchesScan(t *testing.T) {
 	for _, v := range scanVariants {
 		t.Run(v.name, func(t *testing.T) {

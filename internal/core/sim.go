@@ -132,7 +132,7 @@ func (s *Simulator) Close() {}
 // corrupting fault schedule turns recovery on by default
 // (Config.RetransBufPkts documents this).
 func retransBufPkts(cfg Config) int {
-	if cfg.RetransBufPkts == 0 && cfg.Fault.Enabled && cfg.Fault.CorruptProb > 0 {
+	if cfg.RetransBufPkts == 0 && cfg.Fault.CorruptProb > 0 {
 		return 8
 	}
 	return cfg.RetransBufPkts
@@ -214,8 +214,6 @@ func (s *Simulator) buildNetworks() error {
 func (s *Simulator) buildNodes() error {
 	cfg := s.cfg
 
-	coreCfg := cfg.Core
-	coreCfg.WarpsPerCore = s.kernel.WarpsPerCore
 	workload := s.workload
 	if workload == nil {
 		gen, err := trace.NewGenerator(s.kernel, len(s.ccNodes), cfg.Seed)
@@ -229,7 +227,7 @@ func (s *Simulator) buildNodes() error {
 	for i, node := range s.ccNodes {
 		idx, nd := i, node
 		send := func(txn *mem.Transaction) bool { return s.sendRequest(nd, txn) }
-		c, err := gpu.NewCore(idx, nd, coreCfg, workload, send)
+		c, err := gpu.NewCore(idx, nd, cfg.Core, s.kernel.WarpsPerCore, workload, send)
 		if err != nil {
 			return err
 		}
@@ -245,7 +243,7 @@ func (s *Simulator) buildNodes() error {
 
 	s.mcs = make([]*mem.Controller, len(s.mcNodes))
 	for i, node := range s.mcNodes {
-		mc, err := mem.NewController(node, cfg.MC, s.repNet, cfg.RepLinkBits, cfg.DataBytes)
+		mc, err := mem.NewController(node, cfg.MC, s.repNet, cfg.RepLinkBits, cfg.Core.L1.LineBytes)
 		if err != nil {
 			return err
 		}
@@ -290,7 +288,7 @@ func (s *Simulator) buildNodes() error {
 // mcNodeFor maps a line address to its owning MC node (line interleaving
 // across MCs).
 func (s *Simulator) mcNodeFor(addr uint64) int {
-	line := addr / uint64(s.cfg.DataBytes)
+	line := addr / uint64(s.cfg.Core.L1.LineBytes)
 	return s.mcNodes[int(line%uint64(len(s.mcNodes)))]
 }
 
@@ -303,7 +301,7 @@ func (s *Simulator) sendRequest(node int, txn *mem.Transaction) bool {
 	pkt := s.reqNet.GetPacket()
 	pkt.Type = typ
 	pkt.Dst = s.mcNodeFor(txn.Addr)
-	pkt.Size = noc.PacketSize(typ, s.cfg.ReqLinkBits, s.cfg.DataBytes)
+	pkt.Size = noc.PacketSize(typ, s.cfg.ReqLinkBits, s.cfg.Core.L1.LineBytes)
 	pkt.Payload = txn
 	if !s.reqNet.Inject(node, pkt) {
 		s.reqNet.PutPacket(pkt)
@@ -320,13 +318,7 @@ func (s *Simulator) Step() {
 		s.tickCores(tick)
 	}
 	for _, mc := range s.mcs {
-		if !mc.Quiescent() {
-			mc.Tick(s.cycle, memTicks)
-		} else {
-			// A quiescent MC's Tick only advances the DRAM clock; skip
-			// the rest of the pipeline walk but keep that clock aligned.
-			mc.SkipIdle(memTicks)
-		}
+		mc.Tick(s.cycle, memTicks)
 	}
 	if s.measuring {
 		s.coreCyclesMeasured += uint64(coreTicks)

@@ -52,13 +52,13 @@ func TestDefaultConfigMatchesTableI(t *testing.T) {
 	if cfg.ReqLinkBits != 128 || cfg.RepLinkBits != 128 {
 		t.Fatalf("link width %d/%d, want 128", cfg.ReqLinkBits, cfg.RepLinkBits)
 	}
-	longPkt := noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.DataBytes)
+	longPkt := noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.Core.L1.LineBytes)
 	if longPkt != 9 {
 		t.Fatalf("long packet = %d flits, want 9 (1 header + 8 data)", longPkt)
 	}
 	nocCfg, err := noc.Config{
 		Mesh: noc.Mesh{Width: 6, Height: 6}, VCs: cfg.VCs,
-		LinkBits: cfg.RepLinkBits, DataBytes: cfg.DataBytes,
+		LinkBits: cfg.RepLinkBits, DataBytes: cfg.Core.L1.LineBytes,
 	}.Validate()
 	if err != nil {
 		t.Fatal(err)

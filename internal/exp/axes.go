@@ -38,7 +38,7 @@ var Axes = []Axis{
 	newAxis("mcs", "%dMC", []int{4, 8, 12, 16}, func(c *core.Config, v int) { c.NumMC = v }),
 	// NI queue capacity in long (read-reply) packets of the edited config.
 	newAxis("niqueue", "%dpkt", []int{4, 12, 28, 50, 80}, func(c *core.Config, v int) {
-		c.NIQueueFlits = v * noc.PacketSize(noc.ReadReply, c.RepLinkBits, c.DataBytes)
+		c.NIQueueFlits = v * noc.PacketSize(noc.ReadReply, c.RepLinkBits, c.Core.L1.LineBytes)
 	}),
 	newAxis("starvation", "%d", []int{100, 1000, 10000, 100000}, func(c *core.Config, v int) { c.StarvationLimit = int64(v) }),
 	newAxis("priolevels", "L=%d", []int{1, 2, 3, 4, 5, 6}, func(c *core.Config, v int) { c.PriorityLevels = v }),
@@ -68,9 +68,6 @@ func FaultFlags(fs *flag.FlagSet) func(*core.Config) {
 				c.Fault.LinkDeathProb = *death
 			}
 		})
-		if *corrupt != 0 || *death != 0 {
-			c.Fault.Enabled = true
-		}
 	}
 }
 

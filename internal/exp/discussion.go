@@ -158,7 +158,7 @@ func Scalability(r *Runner) (*Figure, error) {
 func AreaOverhead(r *Runner) (*Figure, error) {
 	cfg := r.Base
 	mesh := noc.Mesh{Width: cfg.MeshWidth, Height: cfg.MeshHeight}
-	longPkt := noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.DataBytes)
+	longPkt := noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.Core.L1.LineBytes)
 	speedup := cfg.InjSpeedup
 	if speedup <= 0 {
 		speedup = 4

@@ -40,7 +40,7 @@ func FaultFigure(r *Runner) (*Figure, error) {
 				// only the fault pressure, never the protocol machinery.
 				c.RetransBufPkts = 8
 				if rate > 0 {
-					c.Fault = noc.FaultConfig{Enabled: true, CorruptProb: rate}
+					c.Fault = noc.FaultConfig{CorruptProb: rate}
 				}
 			}})
 		}

@@ -35,7 +35,7 @@ func TableI(r *Runner) (*Figure, error) {
 	t.AddRow("Virtual Channels", fmt.Sprintf("%d per port, 1 pkt per VC", cfg.VCs))
 	t.AddRow("Allocator", "Separable Input First")
 	t.AddRow("Link Bandwidth", fmt.Sprintf("%d bit/cycle", cfg.RepLinkBits))
-	longPkt := noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.DataBytes)
+	longPkt := noc.PacketSize(noc.ReadReply, cfg.RepLinkBits, cfg.Core.L1.LineBytes)
 	t.AddRow("NI Injection Queue", fmt.Sprintf("%d flits", 4*longPkt))
 	return &Figure{
 		ID:    "Table I",
@@ -178,7 +178,7 @@ func LinkUtil(r *Runner) (*Figure, error) {
 func Fig6(r *Runner) (*Figure, error) {
 	benches := []string{"pathfinder", "hotspot", "srad", "bfs"}
 	caps := axis("niqueue")
-	longPkt := noc.PacketSize(noc.ReadReply, r.Base.RepLinkBits, r.Base.DataBytes)
+	longPkt := noc.PacketSize(noc.ReadReply, r.Base.RepLinkBits, r.Base.Core.L1.LineBytes)
 
 	kernels, err := kernelsNamed(benches...)
 	if err != nil {

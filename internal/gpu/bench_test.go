@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkCoreTickCompute(b *testing.B) {
-	c, err := NewCore(0, 0, smallCoreConfig(), &scriptedWorkload{compute: 1 << 30},
+	c, err := NewCore(0, 0, DefaultConfig(), testWarps, &scriptedWorkload{compute: 1 << 30},
 		func(*mem.Transaction) bool { return true })
 	if err != nil {
 		b.Fatal(err)
@@ -28,7 +28,7 @@ func BenchmarkCoreTickMemoryBound(b *testing.B) {
 		pending = append(pending, txn)
 		return true
 	}
-	c, err := NewCore(0, 0, smallCoreConfig(), &scriptedWorkload{compute: 0, stride: 128}, send)
+	c, err := NewCore(0, 0, DefaultConfig(), testWarps, &scriptedWorkload{compute: 0, stride: 128}, send)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func BenchmarkCoreTickLSUFull(b *testing.B) {
 	// The request NI never accepts: the LSU queue fills with the first
 	// loads and stays full, and every other warp sits ready on a memory
 	// instruction that cannot fit — the reply-saturated regime's tick.
-	c, err := NewCore(0, 0, DefaultConfig(), &scriptedWorkload{compute: 0, stride: 128},
+	c, err := NewCore(0, 0, DefaultConfig(), 48, &scriptedWorkload{compute: 0, stride: 128},
 		func(*mem.Transaction) bool { return false })
 	if err != nil {
 		b.Fatal(err)

@@ -19,10 +19,9 @@ import (
 // Config describes one SIMT core (Table I: 16KB L1 per core, 8 CTAs/core,
 // warp size 32, SIMD width 8, greedy-then-oldest scheduling).
 type Config struct {
-	WarpsPerCore int
-	L1           cache.Config
-	MSHREntries  int
-	MSHRWaiters  int
+	L1          cache.Config
+	MSHREntries int
+	MSHRWaiters int
 	// LSUWidth is the number of memory transactions the load-store unit
 	// processes per core cycle.
 	LSUWidth int
@@ -35,7 +34,6 @@ type Config struct {
 // DefaultConfig returns the Table I core parameters.
 func DefaultConfig() Config {
 	return Config{
-		WarpsPerCore:  48, // 8 CTAs x 6 warps
 		L1:            cache.Config{SizeBytes: 16 << 10, LineBytes: 128, Ways: 4},
 		MSHREntries:   32,
 		MSHRWaiters:   8,
@@ -47,7 +45,7 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.WarpsPerCore <= 0 || c.MSHREntries <= 0 || c.MSHRWaiters <= 0 ||
+	if c.MSHREntries <= 0 || c.MSHRWaiters <= 0 ||
 		c.LSUWidth <= 0 || c.StoreQueueCap <= 0 || c.LSUQueueCap <= 0 {
 		return fmt.Errorf("gpu: non-positive core parameter %+v", c)
 	}
@@ -170,11 +168,15 @@ type Core struct {
 	StoreQStalls  uint64
 }
 
-// NewCore builds a core. send is the request-injection hook installed by
-// the system glue.
-func NewCore(index, node int, cfg Config, w trace.Workload, send func(txn *mem.Transaction) bool) (*Core, error) {
+// NewCore builds a core running the given number of warps (the kernel's
+// occupancy). send is the request-injection hook installed by the system
+// glue.
+func NewCore(index, node int, cfg Config, warps int, w trace.Workload, send func(txn *mem.Transaction) bool) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if warps <= 0 {
+		return nil, fmt.Errorf("gpu: core needs a positive warp count, got %d", warps)
 	}
 	if w == nil || send == nil {
 		return nil, fmt.Errorf("gpu: core needs a workload and a send hook")
@@ -183,11 +185,11 @@ func NewCore(index, node int, cfg Config, w trace.Workload, send func(txn *mem.T
 		Index:      index,
 		Node:       node,
 		cfg:        cfg,
-		warps:      make([]warp, cfg.WarpsPerCore),
-		readyWarps: cfg.WarpsPerCore,
-		ready:      allReady(cfg.WarpsPerCore),
-		held:       make([]uint64, cfg.WarpsPerCore*heldAddrs),
-		holding:    make([]uint64, (cfg.WarpsPerCore+63)/64),
+		warps:      make([]warp, warps),
+		readyWarps: warps,
+		ready:      allReady(warps),
+		held:       make([]uint64, warps*heldAddrs),
+		holding:    make([]uint64, (warps+63)/64),
 		l1:         cache.New(cfg.L1),
 		mshr:       cache.NewMSHR(cfg.MSHREntries, cfg.MSHRWaiters),
 		workload:   w,

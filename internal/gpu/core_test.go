@@ -40,15 +40,12 @@ func (c *collector) send(txn *mem.Transaction) bool {
 	return true
 }
 
-func smallCoreConfig() Config {
-	cfg := DefaultConfig()
-	cfg.WarpsPerCore = 4
-	return cfg
-}
+// testWarps is the warp count of the small test cores.
+const testWarps = 4
 
 func newTestCore(t *testing.T, w trace.Workload, send func(*mem.Transaction) bool) *Core {
 	t.Helper()
-	c, err := NewCore(0, 5, smallCoreConfig(), w, send)
+	c, err := NewCore(0, 5, DefaultConfig(), testWarps, w, send)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +198,10 @@ func TestResetStats(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg := smallCoreConfig()
-	cfg.WarpsPerCore = 0
-	if _, err := NewCore(0, 0, cfg, &scriptedWorkload{}, func(*mem.Transaction) bool { return true }); err == nil {
+	if _, err := NewCore(0, 0, DefaultConfig(), 0, &scriptedWorkload{}, func(*mem.Transaction) bool { return true }); err == nil {
 		t.Fatal("invalid warp count accepted")
 	}
-	if _, err := NewCore(0, 0, smallCoreConfig(), nil, nil); err == nil {
+	if _, err := NewCore(0, 0, DefaultConfig(), testWarps, nil, nil); err == nil {
 		t.Fatal("nil workload/send accepted")
 	}
 }
@@ -241,9 +236,9 @@ func (w *widthsWorkload) NextMem(core, warp int, scratch []uint64) (bool, []uint
 func TestWideInstructionsHeldExactly(t *testing.T) {
 	col := &collector{}
 	cfg := DefaultConfig()
-	cfg.WarpsPerCore, cfg.LSUQueueCap, cfg.StoreQueueCap = 1, 3, 1<<20
+	cfg.LSUQueueCap, cfg.StoreQueueCap = 3, 1<<20
 	wl := &widthsWorkload{widths: []int{6, 2, 8, 1, 4, 5, 3}}
-	c, err := NewCore(0, 5, cfg, wl, col.send)
+	c, err := NewCore(0, 5, cfg, 1, wl, col.send)
 	if err != nil {
 		t.Fatal(err)
 	}

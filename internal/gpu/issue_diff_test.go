@@ -96,9 +96,9 @@ type diffRig struct {
 // hashedLatency derives a reply delay of 4..40 ticks from the transaction ID.
 func hashedLatency(txn *mem.Transaction) int { return 4 + int(txn.ID*2654435761%37) }
 
-func newDiffRig(t *testing.T, cfg Config, wl trace.Workload, latency func(*mem.Transaction) int) *diffRig {
+func newDiffRig(t *testing.T, cfg Config, warps int, wl trace.Workload, latency func(*mem.Transaction) int) *diffRig {
 	r := &diffRig{latency: latency}
-	c, err := NewCore(3, 7, cfg, wl, func(txn *mem.Transaction) bool {
+	c, err := NewCore(3, 7, cfg, warps, wl, func(txn *mem.Transaction) bool {
 		if r.reject {
 			return false
 		}
@@ -240,11 +240,11 @@ func TestIssueStageMatchesScanReference(t *testing.T) {
 	for _, lsuCap := range []int{1, 4, 8} {
 		for _, warps := range []int{1, 48, 65} {
 			cfg := DefaultConfig()
-			cfg.LSUQueueCap, cfg.WarpsPerCore = lsuCap, warps
+			cfg.LSUQueueCap = lsuCap
 			// Small enough that MSHR and store-queue stalls occur too.
 			cfg.MSHREntries, cfg.MSHRWaiters, cfg.StoreQueueCap = 4, 2, 6
 			fastWL, refWL := &diffWorkload{src: *rng.New(99)}, &diffWorkload{src: *rng.New(99)}
-			fast, ref := newDiffRig(t, cfg, fastWL, hashedLatency), newDiffRig(t, cfg, refWL, hashedLatency)
+			fast, ref := newDiffRig(t, cfg, warps, fastWL, hashedLatency), newDiffRig(t, cfg, warps, refWL, hashedLatency)
 
 			script := rng.New(uint64(100*lsuCap + warps))
 			burst, retries := 0, 0
@@ -403,12 +403,11 @@ func TestComputeBurstMatchesScanReference(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallCoreConfig()
-			cfg.WarpsPerCore = tc.warps
+			cfg := DefaultConfig()
 			latency := func(*mem.Transaction) int { return 6 }
 			fastWL := &playWorkload{computes: tc.computes, mems: tc.mems}
 			refWL := &playWorkload{computes: tc.computes, mems: tc.mems}
-			fast, ref := newDiffRig(t, cfg, fastWL, latency), newDiffRig(t, cfg, refWL, latency)
+			fast, ref := newDiffRig(t, cfg, tc.warps, fastWL, latency), newDiffRig(t, cfg, tc.warps, refWL, latency)
 			happened, bursts := false, 0
 			for now := 0; now < 120; now++ {
 				if now == tc.reset {
@@ -439,9 +438,7 @@ func TestComputeBurstMatchesScanReference(t *testing.T) {
 func TestSkipBurstMatchesTicks(t *testing.T) {
 	latency := func(*mem.Transaction) int { return 6 }
 	newCore := func() *Core {
-		cfg := smallCoreConfig()
-		cfg.WarpsPerCore = 1
-		return newDiffRig(t, cfg, &playWorkload{computes: []int{40}}, latency).core
+		return newDiffRig(t, DefaultConfig(), 1, &playWorkload{computes: []int{40}}, latency).core
 	}
 	ticked, skipped := newCore(), newCore()
 	ticked.Tick()

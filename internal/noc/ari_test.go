@@ -157,7 +157,6 @@ func TestPriorityFavoursInjectionAtContendedOutput(t *testing.T) {
 			DataBytes:      128,
 			Routing:        RouteXY,
 			PriorityLevels: levels,
-			EjectRate:      1,
 			MCNodes:        []int{1},
 			MC:             NodeConfig{NI: NISplit, InjSpeedup: 4},
 		}

@@ -106,7 +106,3 @@ func TestInvariantsTwoVCs(t *testing.T) {
 func TestInvariantsWideLinks(t *testing.T) {
 	runChecked(t, func(c *Config) { c.LinkBits = 256 }, 1000, 7)
 }
-
-func TestInvariantsHighEjectRate(t *testing.T) {
-	runChecked(t, func(c *Config) { c.EjectRate = 4 }, 1000, 8)
-}

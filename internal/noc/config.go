@@ -103,8 +103,6 @@ type Config struct {
 	// four long packets), at most 65 535. Split NIs divide the same total
 	// across VCs for fair comparison (§6.2).
 	NIQueueFlits int
-	// EjectRate is how many flits per cycle the ejection NI consumes.
-	EjectRate int
 
 	// PriorityLevels enables the ARI multi-level prioritisation (§5) when
 	// >= 2. Packets are generated at level PriorityLevels-1 and decremented
@@ -165,9 +163,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.NIQueueFlits > maxRingFlits {
 		return c, fmt.Errorf("noc: NI queue %d flits exceeds the %d a flit ring holds", c.NIQueueFlits, maxRingFlits)
-	}
-	if c.EjectRate <= 0 {
-		c.EjectRate = 1
 	}
 	if c.PriorityLevels > math.MaxInt16+1 {
 		// A VC captures the arriving priority in an int16 (inputVC.effPrio).

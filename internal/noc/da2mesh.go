@@ -19,7 +19,7 @@ import (
 //   - Flight: a packet whose tail left its lane at cycle t is handed to the
 //     destination's ejection queue at t + Hops(src,dst) (pipelined narrow
 //     channel, one flit per cycle per lane).
-//   - Ejection: the destination drains EjectRate flits/cycle in arrival
+//   - Ejection: the destination drains one flit per cycle in arrival
 //     order; a lane will not start a packet toward a destination whose
 //     backlog exceeds the overlay window (2 long packets), which stands in
 //     for the plane's finite buffering.
@@ -277,33 +277,22 @@ func (d *DA2Mesh) deliverArrivals() {
 	}
 }
 
-// drainEjectors consumes EjectRate flits/cycle at every destination,
-// skipping those with an empty ejection queue (the budget loop would exit
-// immediately for them). Delivered packets leave the queue by copying the
-// rest down, so its backing array is reused forever.
+// drainEjectors consumes one flit per cycle at every destination with a
+// non-empty ejection queue. A delivered packet leaves the queue by copying
+// the rest down, so its backing array is reused forever.
 func (d *DA2Mesh) drainEjectors() {
-	for node := range d.ejectQ {
-		q := d.ejectQ[node]
+	for node, q := range d.ejectQ {
 		if len(q) == 0 {
 			continue
 		}
-		budget := d.cfg.EjectRate
-		for budget > 0 && len(q) > 0 {
-			a := &q[0]
-			take := a.pkt.Size - a.drained
-			if take > budget {
-				take = budget
-			}
-			a.drained += take
-			budget -= take
-			d.stats.EjectFlits += uint64(take)
-			d.backlog[node] -= take
-			if a.drained == a.pkt.Size {
-				d.deliver(node, a.pkt, d.now)
-				q = q[1:]
-			}
+		a := &q[0]
+		a.drained++
+		d.stats.EjectFlits++
+		d.backlog[node]--
+		if a.drained == a.pkt.Size {
+			d.deliver(node, a.pkt, d.now)
+			d.ejectQ[node] = q[:copy(q, q[1:])]
 		}
-		d.ejectQ[node] = d.ejectQ[node][:copy(d.ejectQ[node], q)]
 	}
 }
 

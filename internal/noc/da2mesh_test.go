@@ -93,7 +93,7 @@ func TestOverlayInjectionSerialisation(t *testing.T) {
 
 func TestOverlayEjectionContention(t *testing.T) {
 	// Many sources to one destination: delivery rate is capped by the
-	// destination's EjectRate.
+	// destination's one-flit ejection.
 	d := newTestOverlay(t, func(c *Config) {
 		c.MCNodes, c.MC = everyKth(c.Mesh, 1), NodeConfig{NI: NISplit, InjSpeedup: 4}
 	})
@@ -108,7 +108,7 @@ func TestOverlayEjectionContention(t *testing.T) {
 	}
 	rate := float64(flits) / cycles
 	if rate > 1.01 {
-		t.Fatalf("hot destination consumed %.3f flits/cycle, above the EjectRate of 1", rate)
+		t.Fatalf("hot destination consumed %.3f flits/cycle, above its one-flit ejection", rate)
 	}
 	if rate < 0.5 {
 		t.Fatalf("hot destination rate %.3f implausibly low", rate)

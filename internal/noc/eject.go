@@ -3,7 +3,7 @@ package noc
 import "math/bits"
 
 // ejector is the ejection side of a node's network interface: per-VC
-// reassembly buffers drained at a fixed flit rate. Completed packets are
+// reassembly buffers drained one flit per cycle. Completed packets are
 // delivered to the network's ejection handler; every drained flit returns a
 // credit to the router's ejection output port.
 type ejector struct {
@@ -17,7 +17,6 @@ type ejector struct {
 	// round-robin pointer of consume's pick over it.
 	nonEmpty uint32
 	next     int
-	rate     int
 	// router is the node's router: its ejection output port's credits track
 	// this ejector's buffer space.
 	router *router
@@ -36,7 +35,6 @@ func (e *ejector) init(net *Network, router *router, sl *slabs) {
 		node:     router.id,
 		vcs:      carve(&sl.rings, cfg.VCs),
 		arrivals: carve(&sl.staged, 1)[:0],
-		rate:     cfg.EjectRate,
 		router:   router,
 	}
 	for v := range e.vcs {
@@ -79,49 +77,47 @@ func (e *ejector) pickVC() int {
 	return v
 }
 
-// consume drains up to rate flits this cycle, round-robin across VCs, and
-// delivers packets whose tail flit has drained. A closed sink gate (node
-// ingress full) stops ejection entirely, backing traffic into the network.
+// consume drains one flit this cycle, round-robin across VCs, and delivers
+// a packet whose tail flit has drained. A closed sink gate (node ingress
+// full) stops ejection entirely, backing traffic into the network.
 func (e *ejector) consume(now int64) {
 	if g := e.net.sinkGate; g != nil && !g(e.node) {
 		return
 	}
-	for k := 0; k < e.rate; k++ {
-		v := e.pickVC()
-		if v < 0 {
-			return
-		}
-		f := e.vcs[v].pop(e.net.flits, e.net.longPkt)
-		if e.vcs[v].empty() {
-			e.nonEmpty &^= 1 << uint(v)
-		}
-		e.addFlits(-1)
-		e.router.returnCredit(int32(ejectPortIndex), int32(v))
-		e.net.stats.EjectFlits++
-		if f.isBad() && e.vcBad != nil {
-			e.vcBad[v] = true
-		}
-		if f.isTail() {
-			// The tail leaves the fabric's buffers: the packet's table slot
-			// is released before the handler, which may recycle the packet.
-			pkt := e.net.pkts.of(f)
-			e.net.pkts.release(f.h)
-			if e.vcBad != nil && e.vcBad[v] {
-				// CRC mismatch at reassembly: drop the packet and NACK the
-				// source; the sender's retransmission buffer still holds it.
-				// Credits were returned per flit above, so flow control is
-				// already settled; inFlight stays up until a clean copy of
-				// this packet is delivered.
-				e.vcBad[v] = false
-				e.net.dropCorrupt(e.node, pkt, now)
-				continue
-			}
-			if e.vcBad != nil {
-				// Clean delivery: ACK frees the sender's retransmission slot.
-				// Sent before the handler, which may recycle the shell.
-				e.net.sendCtl(e.node, pkt.Src, pkt.ID, false, now)
-			}
-			e.net.deliver(e.node, pkt, now)
-		}
+	v := e.pickVC()
+	if v < 0 {
+		return
 	}
+	f := e.vcs[v].pop(e.net.flits, e.net.longPkt)
+	if e.vcs[v].empty() {
+		e.nonEmpty &^= 1 << uint(v)
+	}
+	e.addFlits(-1)
+	e.router.returnCredit(int32(ejectPortIndex), int32(v))
+	e.net.stats.EjectFlits++
+	if f.isBad() && e.vcBad != nil {
+		e.vcBad[v] = true
+	}
+	if !f.isTail() {
+		return
+	}
+	// The tail leaves the fabric's buffers: the packet's table slot is
+	// released before the handler, which may recycle the packet.
+	pkt := e.net.pkts.of(f)
+	e.net.pkts.release(f.h)
+	if e.vcBad != nil && e.vcBad[v] {
+		// CRC mismatch at reassembly: drop the packet and NACK the source;
+		// the sender's retransmission buffer still holds it. Credits were
+		// returned per flit above, so flow control is already settled;
+		// inFlight stays up until a clean copy of this packet is delivered.
+		e.vcBad[v] = false
+		e.net.dropCorrupt(e.node, pkt, now)
+		return
+	}
+	if e.vcBad != nil {
+		// Clean delivery: ACK frees the sender's retransmission slot. Sent
+		// before the handler, which may recycle the shell.
+		e.net.sendCtl(e.node, pkt.Src, pkt.ID, false, now)
+	}
+	e.net.deliver(e.node, pkt, now)
 }

@@ -34,12 +34,9 @@ import (
 // internal/rng, so a (FaultConfig, stream) pair replays the identical
 // schedule.
 
-// FaultConfig parameterises one network's fault schedule. The zero value
-// injects nothing.
+// FaultConfig parameterises one network's fault schedule. A config whose
+// probabilities are all zero, the zero value among them, injects nothing.
 type FaultConfig struct {
-	// Enabled gates injection entirely (so a FaultConfig can ride inside a
-	// larger configuration struct without being active).
-	Enabled bool
 	// Seed seeds the fault schedule. Each network splits its own stream off
 	// it (ScheduleFaults' stream tag), so request- and reply-side schedules
 	// are decorrelated but both fully determined by (FaultConfig, Seed).
@@ -64,10 +61,6 @@ type FaultConfig struct {
 	// the rest of the schedule is unchanged.
 	MaxDeadLinks int
 
-	// MaxEvents caps the retained event log (0 = 65536). Beyond the cap
-	// faults are injected but not logged; FaultEvents still counts them.
-	MaxEvents int
-
 	// MinDuration and MaxDuration bound each fault's length in cycles
 	// (inclusive). Zero values default to [8, 64].
 	MinDuration int
@@ -77,6 +70,17 @@ type FaultConfig struct {
 	// a high-probability configuration from freezing the whole mesh at once,
 	// which would read as a watchdog deadlock rather than a transient fault.
 	MaxConcurrent int
+}
+
+// injects reports whether c starts any fault: some kind's probability is
+// positive.
+func (c *FaultConfig) injects() bool {
+	for k := range faultKinds {
+		if faultKinds[k].prob(c) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate checks bounds and fills defaults, returning the normalised config.
@@ -91,9 +95,6 @@ func (c FaultConfig) Validate() (FaultConfig, error) {
 	}
 	if c.MaxDeadLinks < 0 {
 		return c, fmt.Errorf("fault: negative MaxDeadLinks %d", c.MaxDeadLinks)
-	}
-	if c.MaxEvents < 0 {
-		return c, fmt.Errorf("fault: negative MaxEvents %d", c.MaxEvents)
 	}
 	if c.MinDuration == 0 {
 		c.MinDuration = 8
@@ -110,9 +111,6 @@ func (c FaultConfig) Validate() (FaultConfig, error) {
 	if c.MaxDeadLinks == 0 {
 		c.MaxDeadLinks = 2
 	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = 65536
-	}
 	return c, nil
 }
 
@@ -120,7 +118,6 @@ func (c FaultConfig) Validate() (FaultConfig, error) {
 // frequent, short, overlapping faults of the three stall kinds.
 func SoakFaults(seed uint64) FaultConfig {
 	return FaultConfig{
-		Enabled:        true,
 		Seed:           seed,
 		LinkStallProb:  0.05,
 		PortFreezeProb: 0.03,
@@ -156,74 +153,43 @@ const (
 	numFaultKinds
 )
 
-// faultKinds holds one row per kind, in draw order: its name, its
-// probability field, the range its port is drawn from (0: no port is drawn)
-// and the horizon a transient fault extends. linkDeath has no horizon: it is
-// permanent, capped by MaxDeadLinks instead of MaxConcurrent, and has no
-// duration.
+// faultKinds holds one row per kind, in draw order: its probability field,
+// the range its port is drawn from (0: no port is drawn) and the horizon a
+// transient fault extends. linkDeath has no horizon: it is permanent,
+// capped by MaxDeadLinks instead of MaxConcurrent, and has no duration.
 var faultKinds = [numFaultKinds]struct {
-	name    string
 	prob    func(*FaultConfig) float64
 	ports   int
 	horizon func(n *Network, node, port int) *int64
 }{
-	linkStall: {"link-stall", func(c *FaultConfig) float64 { return c.LinkStallProb }, numOutPorts,
+	linkStall: {func(c *FaultConfig) float64 { return c.LinkStallProb }, numOutPorts,
 		func(n *Network, node, port int) *int64 { return &n.routers[node].out[port].stalledUntil }},
-	portFreeze: {"port-freeze", func(c *FaultConfig) float64 { return c.PortFreezeProb }, NumDirections,
+	portFreeze: {func(c *FaultConfig) float64 { return c.PortFreezeProb }, NumDirections,
 		func(n *Network, node, port int) *int64 { return &n.routers[node].in[port].frozenUntil }},
-	niStall: {"ni-stall", func(c *FaultConfig) float64 { return c.NIStallProb }, 0,
+	niStall: {func(c *FaultConfig) float64 { return c.NIStallProb }, 0,
 		func(n *Network, node, _ int) *int64 { return &n.nis[node].stalledUntil }},
-	flitCorrupt: {"flit-corrupt", func(c *FaultConfig) float64 { return c.CorruptProb }, numOutPorts,
+	flitCorrupt: {func(c *FaultConfig) float64 { return c.CorruptProb }, numOutPorts,
 		func(n *Network, node, port int) *int64 { return &n.routers[node].out[port].corruptUntil }},
-	linkDeath: {"link-death", func(c *FaultConfig) float64 { return c.LinkDeathProb }, NumDirections, nil},
-}
-
-func (k faultKind) String() string { return faultKinds[k].name }
-
-// faultEvent records one injected fault.
-type faultEvent struct {
-	Cycle int64
-	Kind  faultKind
-	Node  int
-	// Port is the output port (link stall, corruption, death), the input
-	// port (freeze) or -1 (NI stall).
-	Port int
-	// Duration is the fault window in cycles; -1 marks a permanent fault.
-	Duration int
-}
-
-func (e faultEvent) String() string {
-	switch {
-	case e.Duration < 0:
-		return fmt.Sprintf("cycle %d: %s node %d port %d permanently", e.Cycle, e.Kind, e.Node, e.Port)
-	case e.Port < 0:
-		return fmt.Sprintf("cycle %d: %s node %d for %d cycles", e.Cycle, e.Kind, e.Node, e.Duration)
-	default:
-		return fmt.Sprintf("cycle %d: %s node %d port %d for %d cycles", e.Cycle, e.Kind, e.Node, e.Port, e.Duration)
-	}
+	linkDeath: {func(c *FaultConfig) float64 { return c.LinkDeathProb }, NumDirections, nil},
 }
 
 // faultSchedule is one network's fault stream and its bookkeeping.
 type faultSchedule struct {
 	cfg     FaultConfig
 	src     *rng.Source
-	events  []faultEvent // the first cfg.MaxEvents injected faults
-	total   uint64       // every injected fault, logged or not
-	expires []int64      // active transient faults' expiry cycles
+	total   uint64  // every injected fault
+	expires []int64 // active transient faults' expiry cycles
 }
 
 // ScheduleFaults installs a fault schedule drawn from cfg on stream tag
 // stream, which decorrelates networks sharing one seed (the simulator uses
 // 1 for the request mesh and 2 for the reply mesh). From the next Step on,
-// every cycle draws its faults before the network moves. A disabled cfg
-// installs nothing; corruption on a network without the recovery layer is
-// an error.
+// every cycle draws its faults before the network moves. A cfg whose
+// probabilities are all zero installs nothing; corruption on a network
+// without the recovery layer is an error.
 func (n *Network) ScheduleFaults(cfg FaultConfig, stream uint64) error {
-	if !cfg.Enabled {
-		return nil
-	}
 	cfg, err := cfg.Validate()
-	if err != nil {
+	if err != nil || !cfg.injects() {
 		return err
 	}
 	if cfg.CorruptProb > 0 && !n.recoveryOn() {
@@ -234,8 +200,8 @@ func (n *Network) ScheduleFaults(cfg FaultConfig, stream uint64) error {
 	return nil
 }
 
-// FaultEvents returns the number of faults the schedule injected, including
-// any past MaxEvents' log cap (0 without a schedule).
+// FaultEvents returns the number of faults the schedule injected (0 without
+// a schedule).
 func (n *Network) FaultEvents() int {
 	if n.faults == nil {
 		return 0
@@ -270,7 +236,7 @@ func (s *faultSchedule) step(n *Network) {
 			if n.DeadLinks() < s.cfg.MaxDeadLinks {
 				node, port := s.src.Intn(nodes), s.src.Intn(row.ports)
 				if n.killLink(node, port) {
-					s.record(faultEvent{Cycle: now, Kind: faultKind(k), Node: node, Port: port, Duration: -1})
+					s.total++
 				}
 			}
 			continue
@@ -286,15 +252,8 @@ func (s *faultSchedule) step(n *Network) {
 		}
 		until := now + int64(dur)
 		n.fault(faultKind(k), node, port, until)
-		s.record(faultEvent{Cycle: now, Kind: faultKind(k), Node: node, Port: port, Duration: dur})
+		s.total++
 		s.expires = append(s.expires, until)
-	}
-}
-
-func (s *faultSchedule) record(e faultEvent) {
-	s.total++
-	if len(s.events) < s.cfg.MaxEvents {
-		s.events = append(s.events, e)
 	}
 }
 

@@ -132,7 +132,7 @@ func TestRepeatedRetransmissionAndBackpressure(t *testing.T) {
 // on the 4x4 mesh under 10% link corruption, every packet sampled, drained.
 func TestTracerSeesRetransmittedPackets(t *testing.T) {
 	n := recoveryNet(t, func(c *Config) { c.RetransBufPkts = 8 })
-	if err := n.ScheduleFaults(FaultConfig{Enabled: true, Seed: 1, CorruptProb: 0.1}, 0); err != nil {
+	if err := n.ScheduleFaults(FaultConfig{Seed: 1, CorruptProb: 0.1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	rec := &lifecycleRecorder{f: n, seen: make(map[uint64]Packet), at: make(map[uint64]int64)}

@@ -129,6 +129,18 @@ func TestSubmitFullConfigOverride(t *testing.T) {
 	}
 }
 
+// goneConfigFields are fields core.Config does not have, each with the
+// object it would sit in: one it never had, then the six it dropped.
+var goneConfigFields = []struct{ in, field string }{
+	{`"config":{`, `"EdgeMCPlacement":true,`},
+	{`"config":{`, `"DataBytes":128,`},
+	{`"config":{`, `"MultiPortPorts":2,`},
+	{`"config":{`, `"EjectRate":1,`},
+	{`"Core":{`, `"WarpsPerCore":48,`},
+	{`"Fault":{`, `"Enabled":true,`},
+	{`"Fault":{`, `"MaxEvents":65536,`},
+}
+
 func TestSubmitRejectsBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	bodies := []string{
@@ -139,13 +151,12 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	}
 	// Configs past a network limit, in run and estimate mode: Validate
 	// refuses what NewSimulator would, so they never reach admission.
-	vcs, niq, ports, mesh, lines := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
+	vcs, niq, mesh, lines := core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig(), core.DefaultConfig()
 	vcs.VCs = 40
 	niq.NIQueueFlits = -5
-	ports.Scheme, ports.MultiPortPorts = core.AdaMultiPort, 40
 	mesh.MeshWidth, mesh.MeshHeight = 4096, 4096 // flit buffers past int32 offsets
-	lines.DataBytes = 64                         // packets of half a cache line
-	for _, cfg := range []core.Config{vcs, niq, ports, mesh, lines} {
+	lines.MC.L2.LineBytes = 64                   // half the line a packet carries
+	for _, cfg := range []core.Config{vcs, niq, mesh, lines} {
 		for _, estimate := range []bool{false, true} {
 			b, err := json.Marshal(JobRequest{Bench: "bfs", Config: &cfg, Estimate: estimate})
 			if err != nil {
@@ -156,6 +167,8 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	}
 	// A field neither JobRequest nor core.Config has, at the top level and
 	// inside a valid config in run and estimate mode: refused, not dropped.
+	// The config fields are one it never had and the ones it dropped, each
+	// where it lived and with the value it took.
 	bodies = append(bodies, `{"bench":"bfs","cycels":100}`)
 	for _, estimate := range []bool{false, true} {
 		def := core.DefaultConfig()
@@ -163,7 +176,9 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodies = append(bodies, strings.Replace(string(b), `"config":{`, `"config":{"EdgeMCPlacement":true,`, 1))
+		for _, f := range goneConfigFields {
+			bodies = append(bodies, strings.Replace(string(b), f.in, f.in+f.field, 1))
+		}
 	}
 	for _, body := range bodies {
 		resp := post(t, ts.URL, body)
