@@ -96,7 +96,7 @@ func TestEjectorPickMatchesRoundRobin(t *testing.T) {
 	for iter := 0; iter < 20000; iter++ {
 		nvc := 1 + r.Intn(32)
 		ref := roundRobin{n: nvc, next: r.Intn(nvc)}
-		e := ejector{vcs: make([]flitRing, nvc), next: ref.next}
+		e := ejector{vcs: make([]pktRing, nvc), next: ref.next}
 		for round := 0; round < 6; round++ {
 			e.nonEmpty = uint32(r.Uint64()) & maskAll(nvc)
 			if r.Intn(8) == 0 {
@@ -369,7 +369,9 @@ func TestArbitrateMatchesSeparableStages(t *testing.T) {
 // TestPickOutVCMatchesScan is VA's choice: the reference is the scan the
 // router used to run — candidates in order, downstream VCs descending, first
 // strict maximum of credits among unowned VCs with room for the whole
-// packet (non-atomic allocation), for every size a VC holds.
+// packet (non-atomic allocation), for every size a VC holds. The candidates
+// are drawn ports, each admitting the VCs its position gives it: every VC on
+// the first, the adaptive ones on a second.
 func TestPickOutVCMatchesScan(t *testing.T) {
 	r := rng.New(17)
 	cfg := Config{Mesh: Mesh{Width: 3, Height: 3}, VCs: 6, LinkBits: 128, DataBytes: 128,
@@ -397,19 +399,20 @@ func TestPickOutVCMatchesScan(t *testing.T) {
 		}
 		pkt := &Packet{Size: 1 + r.Intn(depth)}
 		h := n.pkts.add(pkt)
-		vc.buf = flitRing{off: vc.buf.off}
-		vc.buf.push(n.flits, depth, flit{h: h})
+		vc.buf = pktRing{off: vc.buf.off}
+		vc.buf.push(n.handles, depth, flit{h: h})
 		vc.need = uint16(pkt.Size) // what RC captures
 		vc.nCands = uint8(1 + r.Intn(2))
 		for i := range vc.cands[:vc.nCands] {
-			vc.cands[i] = routeCandidate{port: int8(r.Intn(numOutPorts)), vcMask: uint32(r.Uint64()) & maskAll(cfg.VCs)}
+			vc.cands[i] = routeCandidate{port: int8(r.Intn(numOutPorts))}
 		}
+		masks := [2]uint32{maskAll(cfg.VCs), maskAll(cfg.VCs) &^ 1}
 
 		wantPort, wantVC, best := -1, -1, int32(-1)
-		for _, cand := range vc.cands[:vc.nCands] {
+		for i, cand := range vc.cands[:vc.nCands] {
 			for v := cfg.VCs - 1; v >= 0; v-- {
 				ov := *rt.outVC(int(cand.port), v)
-				if cand.vcMask&(1<<uint(v)) != 0 && ov.ownerPort < 0 && int(ov.credits) >= pkt.Size && ov.credits > best {
+				if masks[i]&(1<<uint(v)) != 0 && ov.ownerPort < 0 && int(ov.credits) >= pkt.Size && ov.credits > best {
 					wantPort, wantVC, best = int(cand.port), v, ov.credits
 				}
 			}

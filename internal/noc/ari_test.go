@@ -265,26 +265,25 @@ func TestSplitQueueCapacityAtLeastBaseline(t *testing.T) {
 func TestChoosePacketVCMaskAdaptive(t *testing.T) {
 	m := Mesh{Width: 4, Height: 4}
 	// Two productive dimensions: XY-preferred port carries the escape VC.
-	cands := computeRoute(m, RouteMinAdaptive, 0, m.ID(2, 2), 4, nil)
+	cands := computeRoute(m, RouteMinAdaptive, 0, m.ID(2, 2), nil)
 	if len(cands) != 2 {
 		t.Fatalf("adaptive candidates = %d, want 2", len(cands))
 	}
-	if int(cands[0].port) != int(East) {
-		t.Fatalf("XY-preferred port = %d, want East", cands[0].port)
+	if int(cands[0].port) != int(East) || int(cands[1].port) != int(South) {
+		t.Fatalf("candidate ports = %d, %d, want East then South", cands[0].port, cands[1].port)
 	}
-	if cands[0].vcMask&1 == 0 {
-		t.Fatal("escape VC missing from XY-preferred candidate")
+	// The XY-preferred first candidate takes every VC, the second only the
+	// adaptive ones; a lone VC is every VC.
+	if candidateMask(0, 4) != maskAll(4) || candidateMask(1, 4) != 0b1110 || candidateMask(1, 1) != 1 {
+		t.Fatalf("candidate masks %04b, %04b, one VC %b", candidateMask(0, 4), candidateMask(1, 4), candidateMask(1, 1))
 	}
-	if cands[1].vcMask&1 != 0 {
-		t.Fatal("escape VC present on non-XY candidate")
-	}
-	// One dimension left: full mask.
-	cands = computeRoute(m, RouteMinAdaptive, 0, 3, 4, nil)
-	if len(cands) != 1 || cands[0].vcMask != maskAll(4) {
+	// One dimension left: a single candidate.
+	cands = computeRoute(m, RouteMinAdaptive, 0, 3, nil)
+	if len(cands) != 1 || int(cands[0].port) != int(East) {
 		t.Fatalf("single-dimension candidate wrong: %+v", cands)
 	}
 	// Arrived: ejection port.
-	cands = computeRoute(m, RouteMinAdaptive, 5, 5, 4, nil)
+	cands = computeRoute(m, RouteMinAdaptive, 5, 5, nil)
 	if len(cands) != 1 || int(cands[0].port) != ejectPortIndex {
 		t.Fatalf("arrival candidate wrong: %+v", cands)
 	}

@@ -161,17 +161,21 @@ func BenchmarkRouteCompute(b *testing.B) {
 	m := Mesh{Width: 8, Height: 8}
 	var scratch []routeCandidate
 	for i := 0; i < b.N; i++ {
-		scratch = computeRoute(m, RouteMinAdaptive, i%64, (i*7)%64, 4, scratch[:0])
+		scratch = computeRoute(m, RouteMinAdaptive, i%64, (i*7)%64, scratch[:0])
 	}
 }
 
-func BenchmarkFlitRing(b *testing.B) {
-	var q flitRing
-	slab := make([]flit, 9)
+// BenchmarkPacketRing lands a long packet flit by flit in a VC-sized ring,
+// as a router VC receives one, and drains it.
+func BenchmarkPacketRing(b *testing.B) {
+	var q pktRing
+	slab := make([]uint32, 9)
 	for i := 0; i < b.N; i++ {
-		q.pushPacket(slab, len(slab), 0, 9)
 		for s := 0; s < 9; s++ {
-			q.pop(slab, len(slab))
+			q.push(slab, len(slab), flit{seq: uint16(s)})
+		}
+		for s := 0; s < 9; s++ {
+			q.pop(slab, len(slab), 9)
 		}
 	}
 }

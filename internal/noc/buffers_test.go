@@ -50,8 +50,9 @@ func walkBuffers(c *Config) bufferCounts {
 			b.laneFlits += c.NIQueueFlits
 		}
 		b.int32s += (numOutPorts+nc.Ports())*c.VCs + numIn + 1
-		if c.RetransBufPkts > 0 {
-			b.bools += c.VCs
+		b.int32s += c.VCs // the ejector's front packet sizes
+		if nc.NI == NISplit {
+			b.int32s += c.VCs // the split queues' front packet sizes
 		}
 	}
 	return b

@@ -18,11 +18,13 @@ import (
 //     holds has a credit for every flit of the packet still to send;
 //  3. ownership coherence: a downstream VC owned by an input VC is the
 //     one that input VC is actively forwarding into, and vice versa;
-//  4. wormhole contiguity: within any VC buffer, flits form contiguous
-//     ascending runs per packet and packets never interleave;
+//  4. wormhole contiguity: every buffer's packet ring accounts for exactly
+//     its resident flits (checkRing), and a VC forwards the packet whose
+//     size it captured;
 //
-// and, for the packet table flits name their packets through (checkPackets),
-// that its live slots are exactly the packets with a flit in the network.
+// and, for the packet table rings and flits name their packets through
+// (checkPackets), that its live slots are exactly the packets with a flit
+// in the network.
 //
 // It also asserts that every incrementally maintained index the allocators
 // iterate instead of scanning — the per-port VC masks, the free-VC and
@@ -136,30 +138,48 @@ func (n *Network) checkRouter(r *router) error {
 	if recount != ni.queuedFlits() {
 		return fmt.Errorf("NI activity counter %d != recounted %d queued flits", ni.queuedFlits(), recount)
 	}
+	for v := range e.vcs {
+		if err := n.pkts.checkRing(&e.vcs[v], n.handles, depth, false); err != nil {
+			return fmt.Errorf("ejector vc %d: %w", v, err)
+		}
+		// consume reads the front packet's size as its head drains.
+		if q := &e.vcs[v]; q.seq != 0 && int(e.size[v]) != n.pkts.of(q.front(n.handles).h).Size {
+			return fmt.Errorf("ejector vc %d: size %d for the front packet of %d flits", v, e.size[v], n.pkts.of(q.front(n.handles).h).Size)
+		}
+	}
+	if err := n.pkts.checkRing(&ni.queue, n.handles, ni.queueCap, true); err != nil {
+		return fmt.Errorf("NI queue: %w", err)
+	}
+	for v := range ni.splitQueues {
+		q := &ni.splitQueues[v]
+		if err := n.pkts.checkRing(q, n.handles, ni.queueCap, true); err != nil {
+			return fmt.Errorf("NI split queue %d: %w", v, err)
+		}
+		if q.seq != 0 && int(ni.splitSize[v]) != n.pkts.of(q.front(n.handles).h).Size {
+			return fmt.Errorf("NI split queue %d: size %d for the front packet of %d flits", v, ni.splitSize[v], n.pkts.of(q.front(n.handles).h).Size)
+		}
+	}
 	// A node with work must be in the busy set, or Step would never visit it.
 	if n.busy[r.id>>6]&(1<<(r.id&63)) == 0 &&
 		(r.flitCount() > 0 || e.flitCount() > 0 || ni.queuedFlits() > 0 || ni.protoActive()) {
 		return fmt.Errorf("busy bit clear with %d router, %d ejector, %d NI flits (protocol work %v)",
 			r.flitCount(), e.flitCount(), ni.queuedFlits(), ni.protoActive())
 	}
-	if err := checkMasks(r); err != nil {
-		return err
-	}
-
-	// (1) and (4): buffer bounds and contiguity. A mesh-edge port has no
-	// ring, so none of its VCs may hold a flit.
+	// (1) and (4): buffer bounds and contiguity, checked before anything
+	// reads a ring's front. A mesh-edge port has no ring, so none of its
+	// VCs may hold a packet.
 	for g := range r.vcs {
 		buf := &r.vcs[g].buf
 		p := g / r.nvc
-		if p < NumDirections && r.in[p].upstream < 0 && (buf.len() > 0 || countStaged(r.staged, p, -1) > 0) {
-			return fmt.Errorf("port %d vc %d: %d flits at a port no link feeds", p, g%r.nvc, buf.len())
+		if p < NumDirections && r.in[p].upstream < 0 && (buf.n > 0 || countStaged(r.staged, p, -1) > 0) {
+			return fmt.Errorf("port %d vc %d: %d packets at a port no link feeds", p, g%r.nvc, buf.n)
 		}
-		if buf.len() > depth {
-			return fmt.Errorf("port %d vc %d: %d flits exceed depth %d", p, g%r.nvc, buf.len(), depth)
-		}
-		if err := n.checkContiguity(buf, depth); err != nil {
+		if err := n.pkts.checkRing(buf, n.handles, depth, false); err != nil {
 			return fmt.Errorf("port %d vc %d: %w", p, g%r.nvc, err)
 		}
+	}
+	if err := checkMasks(r); err != nil {
+		return err
 	}
 
 	// (2): credit conservation per output VC, and the link wiring it rests
@@ -226,11 +246,14 @@ func (n *Network) checkRouter(r *router) error {
 	}
 	// bindHead reserved the whole packet: stepFIFO never tests a credit.
 	if ni.boundVC >= 0 {
-		f := ni.queue.front(n.flits)
-		if need, c := n.pkts.of(f).Size-int(f.seq), ni.vcCredits[ni.boundPort*r.nvc+ni.boundVC]; int(c) < need {
-			return fmt.Errorf("NI bound to injection port %d vc %d with %d credits for %d queued flits",
-				ni.boundPort, ni.boundVC, c, need)
+		f := ni.queue.front(n.handles)
+		size := n.pkts.of(f.h).Size
+		if need, c := size-int(f.seq), ni.vcCredits[ni.boundPort*r.nvc+ni.boundVC]; int(c) < need || ni.boundSize != size {
+			return fmt.Errorf("NI bound to injection port %d vc %d with %d credits for %d queued flits of a %d-flit packet (bound size %d)",
+				ni.boundPort, ni.boundVC, c, need, size, ni.boundSize)
 		}
+	} else if ni.queue.seq != 0 {
+		return fmt.Errorf("NI unbound with flit %d of its front packet sent", ni.queue.seq)
 	}
 	return nil
 }
@@ -267,14 +290,20 @@ func checkMasks(r *router) error {
 			if !vc.buf.empty() {
 				nonEmpty |= bit
 			}
+			if vc.state != vcIdle {
+				// traverse pops the front packet with the size RC captured.
+				if vc.buf.n == 0 {
+					return fmt.Errorf("port %d vc %d: %v with no packet", p, v, vc.state)
+				}
+				if size := r.net.pkts.of(vc.buf.front(r.net.handles).h).Size; int(vc.need) != size {
+					return fmt.Errorf("port %d vc %d: need %d for a %d-flit packet", p, v, vc.need, size)
+				}
+			}
 			switch vc.state {
 			case vcWaitVC:
 				waitVC |= bit
-				if vc.buf.empty() {
+				if vc.buf.empty() || vc.buf.seq != 0 {
 					return fmt.Errorf("port %d vc %d: waiting for a VC with no head flit", p, v)
-				}
-				if size := r.net.pkts.of(vc.buf.front(r.net.flits)).Size; int(vc.need) != size {
-					return fmt.Errorf("port %d vc %d: need %d for a %d-flit packet", p, v, vc.need, size)
 				}
 				// A waiter tried before is counted in its candidates' vaNeed.
 				for _, c := range vc.cands[:vc.nCands] {
@@ -286,11 +315,7 @@ func checkMasks(r *router) error {
 				act |= bit
 				// VA granted credits for the whole packet and only this VC
 				// spends them: SA never tests one.
-				need := 1
-				if !vc.buf.empty() {
-					f := vc.buf.front(r.net.flits)
-					need = r.net.pkts.of(f).Size - int(f.seq)
-				}
+				need := int(vc.need) - int(vc.buf.seq)
 				if c := r.outVC(int(vc.outPort), int(vc.outVC)).credits; int(c) < need {
 					return fmt.Errorf("port %d vc %d: downstream vc %d/%d has %d credits for %d unsent flits",
 						p, v, vc.outPort, vc.outVC, c, need)
@@ -359,91 +384,109 @@ func checkMasks(r *router) error {
 	return nil
 }
 
-// checkContiguity verifies (4) for one buffer: per-packet flit sequences
-// ascend by one, a packet's flits are never interleaved with another's, and
-// only a packet's last flit carries the tail bit.
-func (n *Network) checkContiguity(q *flitRing, capacity int) error {
-	var cur *Packet
-	expect := 0
-	for i := 0; i < q.len(); i++ {
-		f := q.at(n.flits, capacity, i)
-		pkt := n.pkts.of(f)
-		if cur == nil || pkt != cur {
-			if cur != nil && expect != 0 && expect != cur.Size {
-				// Previous packet truncated mid-stream inside the buffer is
-				// fine only if its earlier flits already left; a *new*
-				// packet may only start at a head flit.
-				if !f.isHead() {
-					return fmt.Errorf("packet %d interleaved mid-stream", pkt.ID)
-				}
+// checkRing verifies (1) and (4) for one packet ring of the given
+// capacity: its counts fit it, every handle names a live packet, the front
+// packet's next flit is below its size, and the resident flits are what the
+// handles account for — the front packet's from seq on and every whole
+// packet between the front and the back, plus at least one flit of the back
+// (all of it in a queue that takes whole packets). A lone front packet may
+// have fewer flits resident than it has left, none included, while the rest
+// of it is on its way.
+func (t *pktTable) checkRing(q *pktRing, slab []uint32, capacity int, whole bool) error {
+	if int(q.flits) > capacity || int(q.n) > capacity {
+		return fmt.Errorf("%d flits and %d packets exceed capacity %d", q.flits, q.n, capacity)
+	}
+	if q.n == 0 {
+		if q.flits != 0 || q.seq != 0 {
+			return fmt.Errorf("no packet, yet %d flits resident and front flit %d", q.flits, q.seq)
+		}
+		return nil
+	}
+	left := int(q.flits) // resident flits no packet has accounted for yet
+	for i := 0; i < int(q.n); i++ {
+		h := q.handle(slab, capacity, i)
+		if int(h) >= len(t.pkts) || t.pkts[h] == nil {
+			return fmt.Errorf("packet %d of %d names free slot %d", i, q.n, h)
+		}
+		p := t.pkts[h]
+		rest := p.Size // its flits not yet sent on
+		if i == 0 {
+			if int(q.seq) >= p.Size {
+				return fmt.Errorf("front packet %d at flit %d of %d", p.ID, q.seq, p.Size)
 			}
-			cur = pkt
-			expect = int(f.seq)
+			rest -= int(q.seq)
 		}
-		if int(f.seq) != expect {
-			return fmt.Errorf("packet %d flit %d out of order (want %d)", pkt.ID, f.seq, expect)
+		if i < int(q.n)-1 {
+			left -= rest
+			continue
 		}
-		expect++
-		if f.isTail() != (expect == cur.Size) {
-			return fmt.Errorf("packet %d flit %d of %d: tail bit %v", pkt.ID, f.seq, cur.Size, f.isTail())
+		lo := 1 // the back packet's head has landed
+		if q.n == 1 {
+			lo = 0
 		}
-		if expect == cur.Size {
-			cur, expect = nil, 0
+		if whole {
+			lo = rest
+		}
+		if left < lo || left > rest {
+			return fmt.Errorf("%d flits resident, leaving %d for back packet %d with %d of %d flits left (at least %d)",
+				q.flits, left, p.ID, rest, p.Size, lo)
 		}
 	}
 	return nil
 }
 
-// forEachFlit visits every flit resident in the network — NI and split
-// queues, router staging lists and VC rings, ejector arrivals and rings —
-// with the node it sits at.
-func (n *Network) forEachFlit(visit func(node int, f flit)) {
-	queue := func(node int, q *flitRing, capacity int) {
-		for i := 0; i < q.len(); i++ {
-			visit(node, q.at(n.flits, capacity, i))
+// forEachHandle visits every packet handle the network's buffers name — NI
+// and split queues, router staging lists and VC rings, ejector arrivals and
+// rings — with the node it sits at: a ring names each packet it holds once,
+// a staged flit its own packet.
+func (n *Network) forEachHandle(visit func(node int, h uint32)) {
+	ring := func(node int, q *pktRing, capacity int) {
+		for i := 0; i < int(q.n); i++ {
+			visit(node, q.handle(n.handles, capacity, i))
 		}
 	}
 	staged := func(node int, s []stagedFlit) {
 		for i := range s {
-			visit(node, s[i].f)
+			visit(node, s[i].h)
 		}
 	}
 	for id := range n.routers {
 		ni, r, e := &n.nis[id], &n.routers[id], &n.ejectors[id]
-		queue(id, &ni.queue, ni.queueCap)
+		ring(id, &ni.queue, ni.queueCap)
 		for v := range ni.splitQueues {
-			queue(id, &ni.splitQueues[v], ni.queueCap)
+			ring(id, &ni.splitQueues[v], ni.queueCap)
 		}
 		staged(id, r.staged)
 		for g := range r.vcs {
-			queue(id, &r.vcs[g].buf, n.longPkt)
+			ring(id, &r.vcs[g].buf, n.longPkt)
 		}
 		staged(id, e.arrivals)
 		for v := range e.vcs {
-			queue(id, &e.vcs[v], n.longPkt)
+			ring(id, &e.vcs[v], n.longPkt)
 		}
 	}
 }
 
 // checkPackets validates the packet table (pool.go):
 //
-//  8. every resident flit names a live slot and every live slot is named by
-//     a resident flit, so the live slots are exactly the packets in the
-//     network (the watchdog's minimum over them is the minimum over the
-//     buffers);
+//  8. every handle a ring or a staged flit holds names a live slot and
+//     every live slot is named by one, so the live slots are exactly the
+//     packets in the network (the watchdog's minimum over them is the
+//     minimum over the buffers), and only a live slot carries a corruption
+//     mark;
 //  9. the live slots are the packets accepted and not yet retired: inFlight
 //     less the dropped packets awaiting retransmission (NACKs on the
 //     sideband, NACKed retransmission-buffer entries).
 func (n *Network) checkPackets() error {
 	named := make([]bool, len(n.pkts.pkts))
 	var err error
-	n.forEachFlit(func(node int, f flit) {
+	n.forEachHandle(func(node int, h uint32) {
 		switch {
 		case err != nil:
-		case int(f.h) >= len(named) || n.pkts.pkts[f.h] == nil:
-			err = fmt.Errorf("node %d: flit %d names free packet slot %d", node, f.seq, f.h)
+		case int(h) >= len(named) || n.pkts.pkts[h] == nil:
+			err = fmt.Errorf("node %d: a buffer names free packet slot %d", node, h)
 		default:
-			named[f.h] = true
+			named[h] = true
 		}
 	})
 	if err != nil {
@@ -452,6 +495,9 @@ func (n *Network) checkPackets() error {
 	for h, p := range n.pkts.pkts {
 		if p != nil && !named[h] {
 			return fmt.Errorf("packet %d holds slot %d with no flit in the network", p.ID, h)
+		}
+		if p == nil && n.pkts.bad[h] {
+			return fmt.Errorf("free slot %d carries a corruption mark", h)
 		}
 	}
 	awaiting := 0

@@ -35,7 +35,7 @@ func (c checkedNet) Step() {
 // ejector of n, found by walking every one of them.
 func bufferedOldestAge(n *Network) int64 {
 	oldest := n.now
-	n.forEachFlit(func(_ int, f flit) { oldest = min(oldest, n.pkts.of(f).CreatedAt) })
+	n.forEachHandle(func(_ int, h uint32) { oldest = min(oldest, n.pkts.of(h).CreatedAt) })
 	return n.now - oldest
 }
 

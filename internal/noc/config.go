@@ -154,7 +154,7 @@ func (c Config) Validate() (Config, error) {
 		return c, fmt.Errorf("noc: a %d-flit long packet exceeds the %d flits a flit's seq can index", longPkt, maxPacketFlits)
 	}
 	if c.NIQueueFlits == 0 {
-		// Four long packets, as far as a flit ring holds: only a long
+		// Four long packets, as far as a packet ring holds: only a long
 		// packet above 16 383 flits meets the cap.
 		c.NIQueueFlits = min(4*longPkt, maxRingFlits)
 	}
@@ -162,7 +162,7 @@ func (c Config) Validate() (Config, error) {
 		return c, fmt.Errorf("noc: NI queue %d flits cannot hold a %d-flit packet", c.NIQueueFlits, longPkt)
 	}
 	if c.NIQueueFlits > maxRingFlits {
-		return c, fmt.Errorf("noc: NI queue %d flits exceeds the %d a flit ring holds", c.NIQueueFlits, maxRingFlits)
+		return c, fmt.Errorf("noc: NI queue %d flits exceeds the %d a packet ring holds", c.NIQueueFlits, maxRingFlits)
 	}
 	if c.PriorityLevels > math.MaxInt16+1 {
 		// A VC captures the arriving priority in an int16 (inputVC.effPrio).
@@ -214,11 +214,12 @@ func (c *Config) eachNode(f func(id int, nc NodeConfig, mc bool)) {
 }
 
 // bufferCounts is the storage a fabric built from a Config carves from its
-// slabs: a mesh's ports, VCs, staging slots, rings, credit and flag words and
-// flits, and the DA2mesh overlay's NI lanes and their flits.
+// slabs: a mesh's ports, VCs, staging slots, rings, int32 words and flits of
+// ring capacity (one handle slot each), and the DA2mesh overlay's NI lanes
+// and their flits.
 type bufferCounts struct {
-	inPorts, sps, staged, rings, int32s, bools, flits int
-	lanes, laneFlits                                  int
+	inPorts, sps, staged, rings, int32s, flits int
+	lanes, laneFlits                           int
 }
 
 // buffers counts a fabric's storage in closed form. A node is one of two
@@ -249,11 +250,12 @@ func (b *bufferCounts) add(c *Config, nc NodeConfig, k int) {
 	}
 	b.flits += k * ((numIn+1)*c.VCs*c.LongPacketFlits() + niq)
 	b.rings += k * rings
-	// Output creditIn slots, the NI's injection-VC credits and the
-	// router's switch-port offsets.
-	b.int32s += k * ((numOutPorts+nc.Ports())*c.VCs + numIn + 1)
-	if c.RetransBufPkts > 0 {
-		b.bools += k * c.VCs
+	// Output creditIn slots, the NI's injection-VC credits, the router's
+	// switch-port offsets, the ejector's front packet sizes and a split
+	// NI's.
+	b.int32s += k * ((numOutPorts+nc.Ports()+1)*c.VCs + numIn + 1)
+	if nc.NI == NISplit {
+		b.int32s += k * c.VCs
 	}
 	lanes, per := overlayLanes(c, nc)
 	b.lanes += k * lanes

@@ -33,10 +33,10 @@ type DA2Mesh struct {
 	arrived  []overlayArrival // deliverArrivals' scratch
 
 	// pkts holds every packet with a flit still queued on a lane; the lane
-	// flits carry its handles.
+	// rings name it by its handle.
 	pkts pktTable
-	// flits backs every lane's ring.
-	flits []flit
+	// handles backs every lane's ring.
+	handles []uint32
 }
 
 var _ Fabric = (*DA2Mesh)(nil)
@@ -50,8 +50,10 @@ type overlayArrival struct {
 
 // overlayLane is one narrow injection lane streaming whole packets.
 type overlayLane struct {
-	q         flitRing // capacity overlayNI.laneCap, in the overlay's flit slab
-	streaming *Packet
+	q pktRing // capacity overlayNI.laneCap, in the overlay's handle slab
+	// size is the size of the packet streaming off the lane, 0 while none
+	// is.
+	size int32
 }
 
 // overlayNI is the injection interface of one node on the overlay.
@@ -101,7 +103,7 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 	d.nis = make([]overlayNI, nodes)
 	b := cfg.buffers()
 	laneSlab := make([]overlayLane, b.lanes)
-	d.flits = make([]flit, b.laneFlits)
+	d.handles = make([]uint32, b.laneFlits)
 	injLinks, off := 0, 0
 	cfg.eachNode(func(id int, nc NodeConfig, _ bool) {
 		l, per := overlayLanes(&cfg, nc)
@@ -157,7 +159,7 @@ func (d *DA2Mesh) Inject(node int, pkt *Packet) bool {
 	d.number(pkt)
 	pkt.CreatedAt = d.now
 	ni.offeredAt = d.now
-	ni.lanes[lane].q.pushPacket(d.flits, ni.laneCap, d.pkts.add(pkt), pkt.Size)
+	ni.lanes[lane].q.pushPacket(d.handles, ni.laneCap, d.pkts.add(pkt), pkt.Size)
 	ni.queued += pkt.Size
 	ni.everHeld = true
 	ni.pick = (lane + 1) % len(ni.lanes)
@@ -224,31 +226,28 @@ func (d *DA2Mesh) streamLanes() {
 			if lane.q.empty() {
 				continue
 			}
-			f := lane.q.front(d.flits)
-			if f.isHead() && lane.streaming == nil {
-				pkt := d.pkts.of(f)
+			if lane.size == 0 {
+				// The lane holds whole packets, so its front flit is a head.
+				pkt := d.pkts.of(lane.q.front(d.handles).h)
 				if d.backlog[pkt.Dst] > window {
 					continue // destination plane buffers full
 				}
-				lane.streaming = pkt
+				lane.size = int32(pkt.Size)
 				pkt.InjectedAt = d.now
 				d.backlog[pkt.Dst] += pkt.Size
 			}
-			if lane.streaming == nil {
-				continue
-			}
-			lane.q.pop(d.flits, ni.laneCap)
+			f, tail := lane.q.pop(d.handles, ni.laneCap, int(lane.size))
 			ni.queued--
 			budget--
 			d.stats.InjLinkFlits++
-			if f.isTail() {
-				pkt := lane.streaming
+			if tail {
+				pkt := d.pkts.of(f.h)
 				d.pkts.release(f.h)
 				d.inflight = append(d.inflight, overlayArrival{
 					pkt:      pkt,
 					arriveAt: d.now + int64(d.cfg.Mesh.Hops(pkt.Src, pkt.Dst)),
 				})
-				lane.streaming = nil
+				lane.size = 0
 			}
 		}
 	}
@@ -296,23 +295,28 @@ func (d *DA2Mesh) drainEjectors() {
 	}
 }
 
-// CheckInvariants validates the overlay's packet table: every lane flit
-// names a live slot, every live slot is named by a lane flit, and the live
-// slots are the accepted packets whose tail has not left its lane — those
-// in flight less those flying toward or queued at an ejector. O(lanes), for
-// tests.
+// CheckInvariants validates the overlay's lanes and packet table: every
+// lane ring holds whole packets (checkRing), every live slot is named by a
+// lane, and the live slots are the accepted packets whose tail has not left
+// its lane — those in flight less those flying toward or queued at an
+// ejector. O(lanes), for tests.
 func (d *DA2Mesh) CheckInvariants() error {
 	named := make([]bool, len(d.pkts.pkts))
 	for id := range d.nis {
 		ni := &d.nis[id]
 		for l := range ni.lanes {
 			q := &ni.lanes[l].q
-			for i := 0; i < q.len(); i++ {
-				f := q.at(d.flits, ni.laneCap, i)
-				if int(f.h) >= len(named) || d.pkts.pkts[f.h] == nil {
-					return fmt.Errorf("node %d lane %d: flit %d names free packet slot %d", id, l, f.seq, f.h)
-				}
-				named[f.h] = true
+			if err := d.pkts.checkRing(q, d.handles, ni.laneCap, true); err != nil {
+				return fmt.Errorf("node %d lane %d: %w", id, l, err)
+			}
+			// A lane streams its front packet from the head's departure to
+			// the tail's.
+			if size := ni.lanes[l].size; (size != 0) != (q.seq != 0) ||
+				size != 0 && int(size) != d.pkts.of(q.front(d.handles).h).Size {
+				return fmt.Errorf("node %d lane %d: streaming size %d at front flit %d", id, l, size, q.seq)
+			}
+			for i := 0; i < int(q.n); i++ {
+				named[q.handle(d.handles, ni.laneCap, i)] = true
 			}
 		}
 	}

@@ -95,8 +95,8 @@ func (n *Network) StateSnapshot() StateDump {
 				}
 				vd := VCDump{VC: v, State: vc.state.String(), Buffered: vc.buf.len()}
 				if !vc.buf.empty() {
-					f := vc.buf.front(n.flits)
-					pd := n.packetDump(n.pkts.of(f))
+					f := vc.buf.front(n.handles)
+					pd := n.packetDump(n.pkts.of(f.h))
 					vd.Head, vd.HeadFlit = &pd, int(f.seq)
 				}
 				if vc.state != vcIdle {

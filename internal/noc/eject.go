@@ -9,7 +9,10 @@ import "math/bits"
 type ejector struct {
 	net  *Network
 	node int
-	vcs  []flitRing // a long packet each, in the network's flit slab
+	vcs  []pktRing // a long packet's worth of flits each, in the network's handle slab
+	// size[v] is the size of the packet at the front of vcs[v], read when
+	// its head flit drains.
+	size []int32
 	// arrivals staged by the router's ST this cycle (at most one: the
 	// ejection port has one switch output).
 	arrivals []stagedFlit
@@ -20,11 +23,6 @@ type ejector struct {
 	// router is the node's router: its ejection output port's credits track
 	// this ejector's buffer space.
 	router *router
-	// vcBad accumulates, per reassembly VC, whether any flit of the packet
-	// currently reassembling arrived corrupted — the model of the receiving
-	// NI recomputing the packet CRC. Nil when recovery is disabled
-	// (corrupted packets are then delivered undetected).
-	vcBad []bool
 }
 
 // init builds the ejector of router's node out of the network's slabs.
@@ -34,14 +32,12 @@ func (e *ejector) init(net *Network, router *router, sl *slabs) {
 		net:      net,
 		node:     router.id,
 		vcs:      carve(&sl.rings, cfg.VCs),
+		size:     carve(&sl.int32s, cfg.VCs),
 		arrivals: carve(&sl.staged, 1)[:0],
 		router:   router,
 	}
 	for v := range e.vcs {
 		e.vcs[v] = sl.ring(net.longPkt)
-	}
-	if cfg.RetransBufPkts > 0 {
-		e.vcBad = carve(&sl.bools, cfg.VCs)
 	}
 }
 
@@ -56,7 +52,7 @@ func (e *ejector) addFlits(d int) { e.net.ejectFlits[e.node] += int32(d) }
 // applyArrivals lands every flit the router staged last cycle.
 func (e *ejector) applyArrivals() {
 	for _, sf := range e.arrivals {
-		e.vcs[sf.vc].push(e.net.flits, e.net.longPkt, sf.f)
+		e.vcs[sf.vc].push(e.net.handles, e.net.longPkt, flit{h: sf.h, seq: sf.seq})
 		e.nonEmpty |= 1 << uint(sf.vc)
 	}
 	e.arrivals = e.arrivals[:0]
@@ -88,33 +84,37 @@ func (e *ejector) consume(now int64) {
 	if v < 0 {
 		return
 	}
-	f := e.vcs[v].pop(e.net.flits, e.net.longPkt)
-	if e.vcs[v].empty() {
+	q, handles := &e.vcs[v], e.net.handles
+	if q.seq == 0 {
+		e.size[v] = int32(e.net.pkts.of(q.front(handles).h).Size)
+	}
+	f, tail := q.pop(handles, e.net.longPkt, int(e.size[v]))
+	if q.empty() {
 		e.nonEmpty &^= 1 << uint(v)
 	}
 	e.addFlits(-1)
 	e.router.returnCredit(int32(ejectPortIndex), int32(v))
 	e.net.stats.EjectFlits++
-	if f.isBad() && e.vcBad != nil {
-		e.vcBad[v] = true
-	}
-	if !f.isTail() {
+	if !tail {
 		return
 	}
 	// The tail leaves the fabric's buffers: the packet's table slot is
-	// released before the handler, which may recycle the packet.
-	pkt := e.net.pkts.of(f)
-	e.net.pkts.release(f.h)
-	if e.vcBad != nil && e.vcBad[v] {
+	// released before the handler, which may recycle the packet. The
+	// release returns the packet's corruption mark, the model of the
+	// receiving NI recomputing its CRC; without the recovery layer a
+	// corrupted packet is delivered undetected.
+	pkt := e.net.pkts.of(f.h)
+	bad := e.net.pkts.release(f.h)
+	recovery := e.net.recoveryOn()
+	if recovery && bad {
 		// CRC mismatch at reassembly: drop the packet and NACK the source;
 		// the sender's retransmission buffer still holds it. Credits were
 		// returned per flit above, so flow control is already settled;
 		// inFlight stays up until a clean copy of this packet is delivered.
-		e.vcBad[v] = false
 		e.net.dropCorrupt(e.node, pkt, now)
 		return
 	}
-	if e.vcBad != nil {
+	if recovery {
 		// Clean delivery: ACK frees the sender's retransmission slot. Sent
 		// before the handler, which may recycle the shell.
 		e.net.sendCtl(e.node, pkt.Src, pkt.ID, false, now)

@@ -19,10 +19,11 @@ import (
 //     back up and Offer rejections reach the node logic (MC data stalls,
 //     core send stalls);
 //   - flit corruption bursts: every flit crossing one output link inside a
-//     bounded window has its payload marked bad (flitBad). Only the
-//     receiving NI's CRC check sees it: it drops and NACKs the packet, and
-//     the source retransmits (recovery.go). So corruption requires the
-//     recovery layer (Config.RetransBufPkts > 0);
+//     bounded window has its payload damaged, which marks its packet bad in
+//     the packet table (pktTable.bad). Only the receiving NI's CRC check
+//     sees it: it drops and NACKs the packet, and the source retransmits
+//     (recovery.go). So corruption requires the recovery layer
+//     (Config.RetransBufPkts > 0);
 //   - permanent link death: one mesh link stops forwarding forever
 //     (killLink), and fault-adaptive routing detours around it (ftable.go).
 //

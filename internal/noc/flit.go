@@ -94,29 +94,17 @@ type Packet struct {
 	Check uint32
 }
 
-// flit is one link-width slice of a packet: an 8-byte, pointer-free value
-// naming its packet by a handle into the owning fabric's packet table
-// (pktTable), so the flit slab is never scanned by the garbage collector.
-// Flits are stored in ring buffers; they are never shared across buffers.
+// flit is one link-width slice of a packet while it moves between buffers:
+// the handle naming its packet in the owning fabric's packet table
+// (pktTable) and its 0-based index within the packet. No buffer stores a
+// flit; a buffer holds packets (pktRing), and a flit is a value only on its
+// way from one buffer to the next.
 type flit struct {
 	h   uint32 // packet-table handle
 	seq uint16 // 0-based flit index within the packet
-	// bits holds flitTail, and flitBad for a flit whose payload was
-	// corrupted on a link traversal (a flit-corrupt fault window). The bad
-	// bit rides the flit through buffers and never influences routing or
-	// arbitration; only the receiving NI's CRC-check-equivalent reads it
-	// (recovery.go).
-	bits uint8
 }
 
-const (
-	flitTail uint8 = 1 << iota
-	flitBad
-)
-
 func (f flit) isHead() bool { return f.seq == 0 }
-func (f flit) isTail() bool { return f.bits&flitTail != 0 }
-func (f flit) isBad() bool  { return f.bits&flitBad != 0 }
 
 // maxPacketFlits is the longest packet a flit's 16-bit seq can index.
 const maxPacketFlits = 1<<16 - 1
@@ -139,61 +127,95 @@ func PacketSize(t PacketType, linkBits, dataBytes int) int {
 	return 1 + n
 }
 
-// maxRingFlits is the largest capacity a flitRing's 16-bit head and size
-// can index.
+// maxRingFlits is the largest capacity a pktRing's 16-bit counts can index.
 const maxRingFlits = 1<<16 - 1
 
-// flitRing is a fixed-capacity FIFO of flits held at [off, off+capacity) of
-// its fabric's flit slab. The record holds no pointer and no capacity: every
-// ring of one kind (router and ejector VCs, an NI's queues, an overlay
-// lane) has the same capacity, which its owner passes in with the slab.
-type flitRing struct {
+// pktRing is a fixed-capacity FIFO buffer of flits held as packets: one
+// packet-table handle per packet, at [off, off+capacity) of its fabric's
+// handle slab, plus the flits resident and seq, the front packet's next
+// flit. Wormhole switching lands a packet's flits in a buffer contiguously
+// and in order, so a head flit appends its packet's handle, a body flit
+// only counts, and the pop that sends a packet's last flit advances the
+// front; the owner passes the front packet's size, which it reads once per
+// packet. Only the back packet can be partly arrived, so every packet
+// before it has all its flits from seq on resident, and a front packet with
+// no flit resident is alone: a ring never holds more handles than its
+// capacity in flits.
+//
+// The record holds no pointer and no capacity: every ring of one kind
+// (router and ejector VCs, an NI's queues, an overlay lane) has the same
+// capacity, which its owner passes in with the slab.
+type pktRing struct {
 	off        int32
-	head, size uint16
+	head, n    uint16 // the front handle's slot and the handles held
+	flits, seq uint16
 }
 
-func (q *flitRing) len() int                             { return int(q.size) }
-func (q *flitRing) empty() bool                          { return q.size == 0 }
-func (q *flitRing) free(capacity int) int                { return capacity - int(q.size) }
-func (q *flitRing) front(slab []flit) flit               { return slab[int(q.off)+int(q.head)] }
-func (q *flitRing) at(slab []flit, capacity, i int) flit { return slab[q.slot(capacity, i)] }
+func (q *pktRing) len() int              { return int(q.flits) }
+func (q *pktRing) empty() bool           { return q.flits == 0 }
+func (q *pktRing) free(capacity int) int { return capacity - int(q.flits) }
 
-// slot maps a logical position (0 = front, below capacity) to its slab
+// front returns the next flit to leave: flit seq of the front packet. The
+// ring must hold a packet.
+func (q *pktRing) front(slab []uint32) flit {
+	return flit{h: slab[int(q.off)+int(q.head)], seq: q.seq}
+}
+
+// handle returns the handle of the i-th packet from the front (i < n).
+func (q *pktRing) handle(slab []uint32, capacity, i int) uint32 {
+	return slab[q.slot(capacity, i)]
+}
+
+// slot maps the i-th packet from the front (i below capacity) to its slab
 // index.
-func (q *flitRing) slot(capacity, i int) int {
+func (q *pktRing) slot(capacity, i int) int {
 	if i += int(q.head); i >= capacity {
 		i -= capacity
 	}
 	return int(q.off) + i
 }
 
-func (q *flitRing) push(slab []flit, capacity int, f flit) {
-	if int(q.size) == capacity {
-		panic("noc: flit ring overflow")
+// push lands flit f at the back: a head flit starts a packet, a body flit
+// belongs to the back packet.
+func (q *pktRing) push(slab []uint32, capacity int, f flit) {
+	if int(q.flits) == capacity {
+		panic("noc: packet ring overflow")
 	}
-	slab[q.slot(capacity, int(q.size))] = f
-	q.size++
+	if f.seq == 0 {
+		q.append(slab, capacity, f.h)
+	}
+	q.flits++
 }
 
 // pushPacket queues every flit of the size-flit packet with handle h.
-func (q *flitRing) pushPacket(slab []flit, capacity int, h uint32, size int) {
-	for s := 0; s < size; s++ {
-		f := flit{h: h, seq: uint16(s)}
-		if s == size-1 {
-			f.bits = flitTail
-		}
-		q.push(slab, capacity, f)
+func (q *pktRing) pushPacket(slab []uint32, capacity int, h uint32, size int) {
+	if q.free(capacity) < size {
+		panic("noc: packet ring overflow")
 	}
+	q.append(slab, capacity, h)
+	q.flits += uint16(size)
 }
 
-func (q *flitRing) pop(slab []flit, capacity int) flit {
-	if q.size == 0 {
-		panic("noc: flit ring underflow")
+func (q *pktRing) append(slab []uint32, capacity int, h uint32) {
+	slab[q.slot(capacity, int(q.n))] = h
+	q.n++
+}
+
+// pop removes the front flit, of a front packet size flits long, and
+// reports whether it was the packet's tail.
+func (q *pktRing) pop(slab []uint32, capacity, size int) (f flit, tail bool) {
+	if q.flits == 0 {
+		panic("noc: packet ring underflow")
 	}
-	f := slab[int(q.off)+int(q.head)]
+	f = q.front(slab)
+	q.flits--
+	if q.seq++; int(q.seq) < size {
+		return f, false
+	}
+	q.seq = 0
 	if q.head++; int(q.head) == capacity {
 		q.head = 0
 	}
-	q.size--
-	return f
+	q.n--
+	return f, true
 }

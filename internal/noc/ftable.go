@@ -37,7 +37,7 @@ import "sort"
 //
 // Paths are minimal within this discipline, not globally; the premium is
 // the price of deadlock freedom and only paid while links are dead.
-// Routing uses the full VC mask on every hop — no escape-VC split is
+// Routing admits every VC on every hop — no escape-VC split is
 // needed because the table itself is the deadlock-free layer.
 //
 // The table is rebuilt on every successful kill (serial, between cycles)
@@ -219,16 +219,16 @@ func (n *Network) rebuildFaultTable() {
 
 // routeCandidates is route computation's entry point: the configured
 // algorithm while the mesh is healthy, the fault-routing table as soon as
-// any link is dead. Table routes carry the full VC mask — the table is
-// itself the deadlock-free layer, so no escape VC needs reserving.
+// any link is dead. A table route is a single candidate, which takes every
+// VC (candidateMask) — the table is itself the deadlock-free layer, so no
+// escape VC needs reserving.
 func (n *Network) routeCandidates(here, dst int, scratch []routeCandidate) []routeCandidate {
 	if n.ftable == nil {
-		return computeRoute(n.cfg.Mesh, n.cfg.Routing, here, dst, n.cfg.VCs, scratch)
+		return computeRoute(n.cfg.Mesh, n.cfg.Routing, here, dst, scratch)
 	}
-	scratch = scratch[:0]
-	if here == dst {
-		return append(scratch, routeCandidate{port: int8(ejectPortIndex), vcMask: maskAll(n.cfg.VCs)})
+	port := int8(ejectPortIndex)
+	if here != dst {
+		port = int8(n.ftable[here*n.cfg.Mesh.Nodes()+dst])
 	}
-	dir := n.ftable[here*n.cfg.Mesh.Nodes()+dst]
-	return append(scratch, routeCandidate{port: int8(dir), vcMask: maskAll(n.cfg.VCs)})
+	return append(scratch[:0], routeCandidate{port: port})
 }

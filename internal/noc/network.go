@@ -14,13 +14,14 @@ type Network struct {
 	// of per-network slabs (see slabs), so construction costs a few dozen
 	// allocations and a router's hot state sits in contiguous memory. No
 	// slab record holds a pointer: ports name their neighbours by node id
-	// and rings their storage by offset into flits.
+	// and rings their storage by offset into handles.
 	routers  []router
 	ejectors []ejector
 	nis      []NI
-	// flits backs every flit ring of the network: router and ejector VCs
-	// and NI queues.
-	flits []flit
+	// handles backs every packet ring of the network — router and ejector
+	// VCs and NI queues — one packet-table handle slot per flit of
+	// capacity.
+	handles []uint32
 
 	// Activity counters, indexed by node id: routerFlits[i] counts flits
 	// resident in router i (VC buffers plus staged arrivals), ejectFlits[i]
@@ -65,7 +66,7 @@ type Network struct {
 	InjWindows     []uint32
 
 	// pkts holds every packet with a flit in an NI queue, staged, in a VC
-	// buffer or in an ejector; flits carry its handles.
+	// buffer or in an ejector; rings and flits name it by its handle.
 	pkts pktTable
 	// vaGrants counts successful VC allocations. It lives here rather than
 	// in NetStats so encoded Results (which embed NetStats) stay
@@ -77,7 +78,7 @@ var _ Fabric = (*Network)(nil)
 
 // slabs are the backing arrays every router, ejector and NI of one network
 // is carved from (carve hands out consecutive sub-slices, ring consecutive
-// stretches of flits), sized exactly by Config.buffers.
+// stretches of handles), sized exactly by Config.buffers.
 type slabs struct {
 	inPorts  []inputPort
 	outPorts []outputPort
@@ -85,11 +86,10 @@ type slabs struct {
 	outVCs   []outVCState
 	sps      []switchPort
 	staged   []stagedFlit
-	rings    []flitRing
+	rings    []pktRing
 	int32s   []int32
-	bools    []bool
-	flits    []flit
-	nextFlit int // the first flit no ring holds yet
+	handles  []uint32
+	nextSlot int // the first handle slot no ring holds yet
 }
 
 // carve cuts the next n elements off the front of *slab, capped so an
@@ -100,10 +100,10 @@ func carve[T any](slab *[]T, n int) []T {
 	return s
 }
 
-// ring hands out the next capacity flits of the flit slab as a ring.
-func (sl *slabs) ring(capacity int) flitRing {
-	q := flitRing{off: int32(sl.nextFlit)}
-	sl.nextFlit += capacity
+// ring hands out the next capacity slots of the handle slab as a ring.
+func (sl *slabs) ring(capacity int) pktRing {
+	q := pktRing{off: int32(sl.nextSlot)}
+	sl.nextSlot += capacity
 	return q
 }
 
@@ -116,10 +116,9 @@ func newSlabs(cfg *Config) *slabs {
 		outVCs:   make([]outVCState, nodes*numOutPorts*cfg.VCs),
 		sps:      make([]switchPort, b.sps),
 		staged:   make([]stagedFlit, b.staged),
-		rings:    make([]flitRing, b.rings),
+		rings:    make([]pktRing, b.rings),
 		int32s:   make([]int32, b.int32s),
-		bools:    make([]bool, b.bools),
-		flits:    make([]flit, b.flits),
+		handles:  make([]uint32, b.flits),
 	}
 }
 
@@ -130,7 +129,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	sl := newSlabs(&cfg)
-	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}, flits: sl.flits}
+	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}, handles: sl.handles}
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]router, nodes)
 	n.ejectors = make([]ejector, nodes)

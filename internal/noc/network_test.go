@@ -346,7 +346,7 @@ func TestLongPacketValidated(t *testing.T) {
 	}
 }
 
-// TestNIQueueValidated: a flit ring's 16-bit head and size index at most
+// TestNIQueueValidated: a packet ring's 16-bit counts index at most
 // 65 535 flits, so Validate rejects a larger NI queue, and the default of
 // four long packets stops there.
 func TestNIQueueValidated(t *testing.T) {

@@ -28,17 +28,20 @@ type NI struct {
 	// switch traversal).
 	vcCredits []int32
 
-	// Baseline / MultiPort state: one FIFO and the (port, VC) binding of
-	// the packet currently streaming over the narrow link. The queue and
-	// the split queues are rings in the network's flit slab, each of
-	// capacity queueCap.
-	queue               flitRing
-	queueCap            int
-	boundPort, boundVC  int
-	bindNext            int // round-robin pointer over port*vc slots for head binding
-	lastOfferCycle      int64
-	offeredThisCycle    bool
-	splitQueues         []flitRing // NISplit: one per VC
+	// Baseline / MultiPort state: one FIFO and the (port, VC) binding and
+	// size of the packet currently streaming over the narrow link. The
+	// queue and the split queues are rings in the network's handle slab,
+	// each of capacity queueCap.
+	queue                         pktRing
+	queueCap                      int
+	boundPort, boundVC, boundSize int
+	bindNext                      int // round-robin pointer over port*vc slots for head binding
+	lastOfferCycle                int64
+	offeredThisCycle              bool
+	splitQueues                   []pktRing // NISplit: one per VC
+	// splitSize[v] is the size of the packet at the front of splitQueues[v],
+	// read when its head flit leaves.
+	splitSize           []int32
 	occupancy           stats.TimeWeighted
 	everHeld            bool
 	acceptedPackets     uint64
@@ -91,6 +94,7 @@ func (ni *NI) init(net *Network, router *router, mode NIMode, sl *slabs) {
 	case NISplit:
 		ni.queueCap = splitQueueFlits(cfg)
 		ni.splitQueues = carve(&sl.rings, cfg.VCs)
+		ni.splitSize = carve(&sl.int32s, cfg.VCs)
 		for v := range ni.splitQueues {
 			ni.splitQueues[v] = sl.ring(ni.queueCap)
 		}
@@ -171,7 +175,7 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 			payload: pkt.Payload,
 		})
 	}
-	q.pushPacket(ni.net.flits, ni.queueCap, ni.net.pkts.add(pkt), pkt.Size)
+	q.pushPacket(ni.net.handles, ni.queueCap, ni.net.pkts.add(pkt), pkt.Size)
 	ni.addQueued(pkt.Size)
 	ni.net.markBusy(ni.node)
 	ni.everHeld = true
@@ -228,16 +232,18 @@ func (ni *NI) stepFIFO(now int64) {
 	if ni.queue.empty() {
 		return
 	}
-	f := ni.queue.front(ni.net.flits)
-	if f.isHead() && ni.boundVC == -1 {
-		ni.bindHead(ni.net.pkts.of(f).Size)
+	if ni.boundVC == -1 {
+		// The queue holds whole packets and a binding lasts until its tail
+		// leaves, so the front flit is a head.
+		ni.bindHead(ni.net.pkts.of(ni.queue.front(ni.net.handles).h).Size)
 		if ni.boundVC == -1 {
 			return // no injection VC can take the packet yet
 		}
 	}
 	// bindHead reserved room for the whole packet in the bound VC.
-	ni.deliver(ni.queue.pop(ni.net.flits, ni.queueCap), ni.boundPort, ni.boundVC, now)
-	if f.isTail() {
+	f, tail := ni.queue.pop(ni.net.handles, ni.queueCap, ni.boundSize)
+	ni.deliver(f, ni.boundPort, ni.boundVC, now)
+	if tail {
 		ni.boundPort, ni.boundVC = -1, -1
 	}
 }
@@ -265,17 +271,22 @@ func (ni *NI) bindHead(size int) {
 		return
 	}
 	ni.bindNext = (best + 1) % n
-	ni.boundPort, ni.boundVC = best/vcs, best%vcs
+	ni.boundPort, ni.boundVC, ni.boundSize = best/vcs, best%vcs, size
 }
 
 // stepSplit implements the ARI split supply: every split queue forwards one
 // flit per cycle into its dedicated VC of injection port 0.
 func (ni *NI) stepSplit(now int64) {
 	for v := range ni.splitQueues {
-		if ni.splitQueues[v].empty() || ni.vcCredits[v] <= 0 {
+		q := &ni.splitQueues[v]
+		if q.empty() || ni.vcCredits[v] <= 0 {
 			continue
 		}
-		ni.deliver(ni.splitQueues[v].pop(ni.net.flits, ni.queueCap), 0, v, now)
+		if q.seq == 0 {
+			ni.splitSize[v] = int32(ni.net.pkts.of(q.front(ni.net.handles).h).Size)
+		}
+		f, _ := q.pop(ni.net.handles, ni.queueCap, int(ni.splitSize[v]))
+		ni.deliver(f, 0, v, now)
 	}
 }
 
@@ -283,7 +294,7 @@ func (ni *NI) deliver(f flit, p, v int, now int64) {
 	ni.vcCredits[p*ni.router.nvc+v]--
 	ni.addQueued(-1)
 	if f.isHead() {
-		ni.net.pkts.of(f).InjectedAt = now
+		ni.net.pkts.of(f.h).InjectedAt = now
 	}
 	ni.router.stage(f, int32(NumDirections+p), int32(v))
 	ni.injectedFlits++

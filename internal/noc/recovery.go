@@ -11,13 +11,12 @@ import (
 // cooperating pieces:
 //
 //   - Detection. Every packet accepted by a sending NI carries a CRC32
-//     checksum over its header identity (Packet.Check). A link traversal
-//     inside a corruption window (a flit-corrupt fault) marks the flit value
-//     bad — the model of a payload bit-flip that a CRC recomputation at the
-//     receiver would catch. The ejector accumulates the per-VC bad flag
-//     while reassembling and, at the tail flit, drops the whole packet
-//     instead of delivering it: the eject handler never sees a corrupted
-//     packet.
+//     checksum over its header identity (Packet.Check). A flit traversal
+//     of a link inside a corruption window (a flit-corrupt fault) marks its
+//     packet bad in the packet table — the model of a payload bit-flip that
+//     a CRC recomputation at the receiver would catch. The ejector reads
+//     the mark as the tail flit drains and drops the whole packet instead
+//     of delivering it: the eject handler never sees a corrupted packet.
 //
 //   - NACK/ACK sideband. On a drop the receiving NI sends a NACK back to
 //     the source; on a clean delivery it sends an ACK. Control signals are
@@ -238,7 +237,7 @@ func (ni *NI) tryRetransmit(now int64) {
 	} else if q.free(ni.queueCap) < e.size {
 		return // queue full: retry next cycle
 	}
-	q.pushPacket(ni.net.flits, ni.queueCap, ni.net.pkts.add(pkt), e.size)
+	q.pushPacket(ni.net.handles, ni.queueCap, ni.net.pkts.add(pkt), e.size)
 	ni.addQueued(e.size)
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)

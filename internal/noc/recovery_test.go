@@ -85,6 +85,83 @@ func TestCorruptionDetectedAndRetransmitted(t *testing.T) {
 	}
 }
 
+// TestOneCorruptBodyFlit opens a one-cycle corruption window on node 0's
+// East link just as the second flit of a 0 -> 3 packet crosses it. That one
+// body flit marks the whole packet bad: one corrupt flit, one dropped
+// packet, one NACK, and one retransmission that crosses the healed link
+// clean and is delivered once and ACKed.
+func TestOneCorruptBodyFlit(t *testing.T) {
+	n := recoveryNet(t, nil)
+	delivered := 0
+	n.SetEjectHandler(func(_ int, pkt *Packet, _ int64) {
+		delivered++
+		if want := PacketCheck(pkt); pkt.Check != want {
+			t.Errorf("delivered packet %d check %#x != recomputed %#x", pkt.ID, pkt.Check, want)
+		}
+	})
+	pkt := mkPacket(n.Config(), ReadReply, 3)
+	if !n.Inject(0, pkt) {
+		t.Fatal("Inject rejected")
+	}
+	east := &n.routers[0].out[East]
+	for east.flits == 0 {
+		n.Step()
+	}
+	// The head has crossed; the body streams right behind it.
+	n.fault(flitCorrupt, 0, int(East), n.Now()+1)
+	n.Step()
+	if east.flits != 2 {
+		t.Fatalf("%d flits crossed the link by the end of the window, want the head and one body flit", east.flits)
+	}
+	runUntilIdle(t, n, 2000)
+
+	want := RecoveryStats{CorruptFlits: 1, CorruptPackets: 1, NacksSent: 1, AcksSent: 1,
+		RetransPackets: 1, RetransFlits: uint64(pkt.Size)}
+	if rs := n.RecoveryStats(); rs != want {
+		t.Fatalf("recovery counters %+v, want %+v", rs, want)
+	}
+	if delivered != 1 {
+		t.Fatalf("packet delivered %d times, want exactly 1", delivered)
+	}
+}
+
+// TestCorruptionWindowClosedBeforeCrossing opens a corruption window on node
+// 1's East link that closes the very cycle a 0 -> 3 packet's head crosses
+// it: the window never overlaps the packet, so nothing is marked, dropped
+// or retransmitted, and no packet-table slot carries a mark at any cycle.
+func TestCorruptionWindowClosedBeforeCrossing(t *testing.T) {
+	n := recoveryNet(t, nil)
+	delivered := 0
+	n.SetEjectHandler(func(int, *Packet, int64) { delivered++ })
+	const closes = 2 // injected at 0: NI link, router 0, then router 1 at cycle 2
+	n.fault(flitCorrupt, 1, int(East), closes)
+	if !n.Inject(0, mkPacket(n.Config(), ReadReply, 3)) {
+		t.Fatal("Inject rejected")
+	}
+	east, crossed := &n.routers[1].out[East], int64(-1)
+	for !n.Idle() && n.Now() < 2000 {
+		now := n.Now()
+		n.Step()
+		if crossed < 0 && east.flits > 0 {
+			crossed = now
+		}
+		for h, bad := range n.pkts.bad {
+			if bad {
+				t.Fatalf("cycle %d: packet slot %d marked corrupt", now, h)
+			}
+		}
+	}
+	if crossed != closes {
+		t.Fatalf("head crossed node 1's East link at cycle %d, want %d: the window is not at the boundary", crossed, closes)
+	}
+	if rs := n.RecoveryStats(); rs != (RecoveryStats{AcksSent: 1}) {
+		t.Fatalf("recovery counters %+v, want a single ACK", rs)
+	}
+	if delivered != 1 {
+		t.Fatalf("packet delivered %d times, want exactly 1", delivered)
+	}
+}
+
 // TestRepeatedRetransmissionAndBackpressure keeps the only XY path corrupted
 // across several round trips: every copy inside the window is dropped again,
 // so one packet retransmits repeatedly until the window lapses. With a

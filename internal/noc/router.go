@@ -29,10 +29,7 @@ const (
 // they iterate the set bits of the owning port's masks (see inputPort) and
 // only then touch the VC.
 type inputVC struct {
-	buf flitRing // a long packet's ring in the network's flit slab
-	// waitSince is when the head flit last became eligible without being
-	// served; it drives the starvation guard.
-	waitSince int64
+	buf pktRing // a long packet's worth of flits, in the network's handle slab
 	// cands[:nCands] are the admissible outputs computed by RC.
 	cands [2]routeCandidate
 	// effPrio is the packet priority captured at route computation, before
@@ -48,15 +45,19 @@ type inputVC struct {
 	// outPort/outVC name the downstream VC held while active, -1 otherwise.
 	outPort int8
 	outVC   int8
+	// waitSince is when the head flit last became eligible without being
+	// served; it drives the starvation guard.
+	waitSince int64
 }
 
-// stagedFlit is a flit in flight on a link, delivered into buffer (port,
-// vc) of its target at the start of the next cycle. Ejectors have a single
-// port and leave port zero.
+// stagedFlit is flit (h, seq) in flight on a link, delivered into buffer
+// (port, vc) of its target at the start of the next cycle. Ejectors have a
+// single port and leave port zero. Config.Validate bounds input ports and
+// VCs to 32, so each fits a byte.
 type stagedFlit struct {
-	f    flit
-	port int32
-	vc   int32
+	h        uint32
+	seq      uint16
+	port, vc uint8
 }
 
 // inputPort is a router input port: one of the four mesh ports (indices
@@ -295,7 +296,7 @@ func (r *router) init(net *Network, id int, nc NodeConfig, sl *slabs) {
 			}
 		}
 		for v := 0; v < vcs; v++ {
-			vc := inputVC{buf: flitRing{off: -1}, outPort: -1, outVC: -1}
+			vc := inputVC{buf: pktRing{off: -1}, outPort: -1, outVC: -1}
 			if p >= NumDirections || r.in[p].upstream >= 0 {
 				vc.buf = sl.ring(net.longPkt)
 			}
@@ -345,7 +346,7 @@ func (r *router) addFlits(d int) { r.net.routerFlits[r.id] += int32(d) }
 // stage puts a flit in flight toward input buffer (port, vc), landing at
 // the start of the next cycle.
 func (r *router) stage(f flit, port, vc int32) {
-	r.staged = append(r.staged, stagedFlit{f: f, port: port, vc: vc})
+	r.staged = append(r.staged, stagedFlit{h: f.h, seq: f.seq, port: uint8(port), vc: uint8(vc)})
 	r.addFlits(1)
 }
 
@@ -362,11 +363,11 @@ func (r *router) returnCredit(o, v int32) {
 // VC gives RC work at its port, one landing in an active VC gives SA a
 // bidder (a waiting VC already holds its head flit).
 func (r *router) applyArrivals() {
-	flits, depth := r.net.flits, r.net.longPkt
+	handles, depth := r.net.handles, r.net.longPkt
 	for i := range r.staged {
 		sf := &r.staged[i]
 		vc := &r.vcs[int(sf.port)*r.nvc+int(sf.vc)]
-		vc.buf.push(flits, depth, sf.f)
+		vc.buf.push(handles, depth, flit{h: sf.h, seq: sf.seq})
 		r.in[sf.port].nonEmpty |= 1 << uint(sf.vc)
 		switch vc.state {
 		case vcIdle:
@@ -461,11 +462,11 @@ func (r *router) routeCompute(now int64) {
 		for m := ip.nonEmpty &^ (ip.waitVC | ip.active); m != 0; m &= m - 1 {
 			v := bits.TrailingZeros32(m)
 			vc := &r.vcs[p*r.nvc+v]
-			f := vc.buf.front(r.net.flits)
+			f := vc.buf.front(r.net.handles)
 			if !f.isHead() {
 				panic("noc: non-head flit at front of idle VC")
 			}
-			pkt := r.net.pkts.of(f)
+			pkt := r.net.pkts.of(f.h)
 			r.setCandidates(vc, pkt.Dst)
 			vc.effPrio = int16(pkt.Priority)
 			vc.need = uint16(pkt.Size)
@@ -489,7 +490,7 @@ func (r *router) routeCompute(now int64) {
 			ip.vaFresh = ip.waitVC
 			for m := ip.waitVC; m != 0; m &= m - 1 {
 				vc := &r.vcs[p*r.nvc+bits.TrailingZeros32(m)]
-				r.setCandidates(vc, r.net.pkts.of(vc.buf.front(r.net.flits)).Dst)
+				r.setCandidates(vc, r.net.pkts.of(vc.buf.front(r.net.handles).h).Dst)
 			}
 		}
 	}
@@ -569,15 +570,16 @@ func (r *router) vcAllocatePort(p int, m uint32) {
 // -1, -1: over its candidates in order and downstream VCs descending, the
 // first strict maximum of downstream credits among the eligible VCs (local
 // congestion awareness; scanning VCs downward makes ties prefer adaptive VCs
-// over the escape VC). Allocation is non-atomic (WPF [28], enabled for both
+// over the escape VC). A candidate's admissible VCs follow from its
+// position (candidateMask). Allocation is non-atomic (WPF [28], enabled for both
 // routings in §6.2): a free VC is eligible once it has credits for the whole
 // packet, so every flit of a granted packet has a slot waiting downstream.
 func (r *router) pickOutVC(vc *inputVC) (bestPort, bestVC int) {
 	bestPort, bestVC = -1, -1
 	need, bestCredits := int32(vc.need), int32(-1)
-	for _, cand := range vc.cands[:vc.nCands] {
+	for i, cand := range vc.cands[:vc.nCands] {
 		op := &r.out[cand.port]
-		f := cand.vcMask & op.free
+		f := candidateMask(i, r.nvc) & op.free
 		if f == 0 || (int(cand.port) != ejectPortIndex && op.dest < 0) {
 			continue // nothing free, or mesh edge: no link in that direction
 		}
@@ -708,7 +710,7 @@ func (r *router) traverse(p, v, o int, now int64) {
 	bit := uint32(1) << uint(v)
 	outVC := int32(vc.outVC)
 
-	f := vc.buf.pop(net.flits, net.longPkt)
+	f, tail := vc.buf.pop(net.handles, net.longPkt, int(vc.need))
 	if vc.buf.empty() {
 		ip.nonEmpty &^= bit
 	}
@@ -720,7 +722,7 @@ func (r *router) traverse(p, v, o int, now int64) {
 	if net.faulted && now < op.corruptUntil {
 		// The link is inside a corruption window: the flit's payload is
 		// damaged in transit. Only the receiving NI's CRC check observes it.
-		f.bits |= flitBad
+		net.pkts.bad[f.h] = true
 		net.recovery.CorruptFlits++
 	}
 
@@ -729,10 +731,10 @@ func (r *router) traverse(p, v, o int, now int64) {
 	switch {
 	case o == ejectPortIndex:
 		if f.isHead() {
-			net.pkts.of(f).ArrivedAt = now
+			net.pkts.of(f.h).ArrivedAt = now
 		}
 		e := &net.ejectors[r.id]
-		e.arrivals = append(e.arrivals, stagedFlit{f: f, vc: outVC})
+		e.arrivals = append(e.arrivals, stagedFlit{h: f.h, seq: f.seq, vc: uint8(outVC)})
 		e.addFlits(1)
 	case op.dest >= 0:
 		net.routers[op.dest].stage(f, op.destPort, outVC)
@@ -750,7 +752,7 @@ func (r *router) traverse(p, v, o int, now int64) {
 	}
 
 	vc.waitSince = now
-	if f.isTail() {
+	if tail {
 		ov.ownerPort = -1
 		op.free |= 1 << uint(outVC)
 		r.offer(o, ov.credits)

@@ -21,23 +21,26 @@ func (r RoutingAlgo) String() string {
 	return "Ada"
 }
 
-// routeCandidate is one admissible (output port, downstream VC set) choice
-// produced by route computation.
+// routeCandidate is one admissible output port produced by route
+// computation. Its admissible downstream VCs follow from its position in the
+// candidate list (candidateMask).
 type routeCandidate struct {
-	vcMask uint32 // bit v set => downstream VC v admissible
-	port   int8   // output port index (Direction, or ejection port)
+	port int8 // output port index (Direction, or ejection port)
 }
 
 // maskAll returns a VC mask with the low n bits set.
 func maskAll(n int) uint32 { return (1 << uint(n)) - 1 }
 
-// maskNoEscape returns a VC mask with bits 1..n-1 set (escape VC excluded).
-// With a single VC there is no adaptive class, so the full mask is returned.
-func maskNoEscape(n int) uint32 {
-	if n <= 1 {
-		return maskAll(n)
+// candidateMask returns the downstream VCs admissible on the i-th of a
+// packet's route candidates among vcs VCs: every VC on the first, which
+// computeRoute orders as the XY-preferred port (the only one carrying the
+// escape VC 0), and the adaptive VCs 1..vcs-1 on a second. With a single VC
+// there is no adaptive class, so a second candidate takes that VC too.
+func candidateMask(i, vcs int) uint32 {
+	if i == 0 || vcs <= 1 {
+		return maskAll(vcs)
 	}
-	return maskAll(n) &^ 1
+	return maskAll(vcs) &^ 1
 }
 
 // computeRoute returns the admissible output candidates for a packet at the
@@ -49,10 +52,10 @@ func maskNoEscape(n int) uint32 {
 // computeRoute assumes every link is alive; the moment any mesh link dies
 // permanently, routing switches to the fault-adaptive up*/down* table
 // instead (Network.routeCandidates, ftable.go).
-func computeRoute(m Mesh, algo RoutingAlgo, here, dst, vcs int, scratch []routeCandidate) []routeCandidate {
+func computeRoute(m Mesh, algo RoutingAlgo, here, dst int, scratch []routeCandidate) []routeCandidate {
 	scratch = scratch[:0]
 	if here == dst {
-		return append(scratch, routeCandidate{port: int8(ejectPortIndex), vcMask: maskAll(vcs)})
+		return append(scratch, routeCandidate{port: int8(ejectPortIndex)})
 	}
 	hx, hy := m.Coord(here)
 	dx, dy := m.Coord(dst)
@@ -76,22 +79,12 @@ func computeRoute(m Mesh, algo RoutingAlgo, here, dst, vcs int, scratch []routeC
 		xyDir = xDir
 	}
 
-	if algo == RouteXY {
-		return append(scratch, routeCandidate{port: int8(xyDir), vcMask: maskAll(vcs)})
+	// Minimal adaptive routing also admits the other productive direction,
+	// on the adaptive VCs only; XY, or a packet with one productive
+	// dimension left, has the XY direction alone.
+	scratch = append(scratch, routeCandidate{port: int8(xyDir)})
+	if algo == RouteMinAdaptive && hasX && hasY {
+		scratch = append(scratch, routeCandidate{port: int8(yDir)})
 	}
-
-	// Minimal adaptive: every productive direction is admissible on the
-	// adaptive VCs; the escape VC is additionally admissible on the XY
-	// direction only.
-	if hasX && hasY {
-		other := yDir
-		if xyDir == yDir {
-			other = xDir
-		}
-		scratch = append(scratch, routeCandidate{port: int8(xyDir), vcMask: maskNoEscape(vcs) | 1})
-		scratch = append(scratch, routeCandidate{port: int8(other), vcMask: maskNoEscape(vcs)})
-		return scratch
-	}
-	// Only one productive dimension left: it is the XY direction.
-	return append(scratch, routeCandidate{port: int8(xyDir), vcMask: maskAll(vcs)})
+	return scratch
 }

@@ -8,9 +8,9 @@ import (
 
 // routeOnce copies computeRoute's candidates so two route computations can
 // be compared (computeRoute reuses its scratch slice).
-func routeOnce(m Mesh, algo RoutingAlgo, here, dst, vcs int) []routeCandidate {
+func routeOnce(m Mesh, algo RoutingAlgo, here, dst int) []routeCandidate {
 	var scratch []routeCandidate
-	return append([]routeCandidate(nil), computeRoute(m, algo, here, dst, vcs, scratch)...)
+	return append([]routeCandidate(nil), computeRoute(m, algo, here, dst, scratch)...)
 }
 
 // randomMesh draws a mesh shape and a (src, dst) pair.
@@ -29,15 +29,13 @@ func TestXYRouteMinimalAndOrdered(t *testing.T) {
 		m, src, dst := randomMesh(r)
 		here, steps, movedY := src, 0, false
 		for here != dst {
-			cands := routeOnce(m, RouteXY, here, dst, 4)
+			cands := routeOnce(m, RouteXY, here, dst)
+			// A lone candidate is the first, so it takes every VC.
 			if len(cands) != 1 {
 				t.Fatalf("mesh %dx%d %d->%d at %d: XY gave %d candidates, want 1",
 					m.Width, m.Height, src, dst, here, len(cands))
 			}
 			dir := Direction(cands[0].port)
-			if cands[0].vcMask != maskAll(4) {
-				t.Fatalf("XY candidate restricts VCs: mask %#x", cands[0].vcMask)
-			}
 			if dir == North || dir == South {
 				movedY = true
 			} else if movedY {
@@ -60,7 +58,7 @@ func TestXYRouteMinimalAndOrdered(t *testing.T) {
 			t.Fatalf("XY walk %d->%d took %d steps, minimal is %d",
 				src, dst, steps, m.Hops(src, dst))
 		}
-		arrived := routeOnce(m, RouteXY, dst, dst, 4)
+		arrived := routeOnce(m, RouteXY, dst, dst)
 		if len(arrived) != 1 || int(arrived[0].port) != ejectPortIndex {
 			t.Fatalf("arrived packet not routed to the ejection port: %+v", arrived)
 		}
@@ -69,9 +67,9 @@ func TestXYRouteMinimalAndOrdered(t *testing.T) {
 
 // TestAdaptiveRouteMinimalProductive checks minimal-adaptive routing:
 // every candidate is a productive direction (so any adaptive choice
-// sequence is exactly Hops(src,dst) long — never more than minimal), masks
-// stay within the VC count, and a random walk over the candidate sets
-// terminates minimally.
+// sequence is exactly Hops(src,dst) long — never more than minimal), there
+// are at most the two a VC records, their masks stay within the VC count,
+// and a random walk over the candidate sets terminates minimally.
 func TestAdaptiveRouteMinimalProductive(t *testing.T) {
 	r := rng.New(0xB0B1)
 	for trial := 0; trial < 2000; trial++ {
@@ -79,13 +77,13 @@ func TestAdaptiveRouteMinimalProductive(t *testing.T) {
 		vcs := 2 + r.Intn(3)
 		here, steps := src, 0
 		for here != dst {
-			cands := routeOnce(m, RouteMinAdaptive, here, dst, vcs)
-			if len(cands) == 0 {
-				t.Fatalf("no adaptive candidates at %d toward %d", here, dst)
+			cands := routeOnce(m, RouteMinAdaptive, here, dst)
+			if len(cands) == 0 || len(cands) > len(inputVC{}.cands) {
+				t.Fatalf("%d adaptive candidates at %d toward %d", len(cands), here, dst)
 			}
-			for _, c := range cands {
-				if c.vcMask == 0 || c.vcMask&^maskAll(vcs) != 0 {
-					t.Fatalf("candidate mask %#x invalid for %d VCs", c.vcMask, vcs)
+			for i, c := range cands {
+				if mask := candidateMask(i, vcs); mask == 0 || mask&^maskAll(vcs) != 0 {
+					t.Fatalf("candidate %d mask %#x invalid for %d VCs", i, mask, vcs)
 				}
 				next := m.Neighbor(here, Direction(c.port))
 				if next < 0 {
@@ -120,12 +118,12 @@ func TestAdaptiveEscapeVCFollowsXY(t *testing.T) {
 		vcs := 2 + r.Intn(3)
 		here := src
 		for here != dst {
-			cands := routeOnce(m, RouteMinAdaptive, here, dst, vcs)
-			xy := routeOnce(m, RouteXY, here, dst, vcs)[0]
+			cands := routeOnce(m, RouteMinAdaptive, here, dst)
+			xy := routeOnce(m, RouteXY, here, dst)[0]
 
 			var escapePorts []int
 			for i, c := range cands {
-				if c.vcMask&1 != 0 {
+				if candidateMask(i, vcs)&1 != 0 {
 					escapePorts = append(escapePorts, int(c.port))
 					if i != 0 {
 						t.Fatalf("escape candidate not ordered first at %d toward %d", here, dst)

@@ -218,8 +218,8 @@ func routerDiff(a, b *Network, id int) string {
 				return fmt.Sprintf("in %d vc %d state or level", p, v)
 			}
 			if !va.buf.empty() {
-				fa, fb := va.buf.front(a.flits), vb.buf.front(b.flits)
-				if fa.seq != fb.seq || a.packetDump(a.pkts.of(fa)) != b.packetDump(b.pkts.of(fb)) {
+				fa, fb := va.buf.front(a.handles), vb.buf.front(b.handles)
+				if fa.seq != fb.seq || a.packetDump(a.pkts.of(fa.h)) != b.packetDump(b.pkts.of(fb.h)) {
 					return fmt.Sprintf("in %d vc %d head", p, v)
 				}
 			}
