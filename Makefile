@@ -65,8 +65,9 @@ validate-analytic:
 # soak runs every robustness soak under -race:
 #   - fault injection (DESIGN.md §8): the noc fault suites (seeded fault
 #     schedules across schemes with invariants checked throughout, the
-#     schedule golden, deterministic replay under faults) and the watchdog
-#     deadlock/starvation detectors;
+#     schedule golden, deterministic replay under faults), the watchdog
+#     deadlock/starvation detectors, and NoC slab recycling (a simulator
+#     built on a closed one's storage, faults on, equals a fresh one);
 #   - layered fault recovery (DESIGN.md §13): every stall kind combined with
 #     flit-corruption bursts and permanent link deaths, checking zero
 #     undetected corruption (every corrupted packet is CRC-caught, NACKed and
@@ -84,7 +85,7 @@ validate-analytic:
 #     run alongside.
 soak:
 	go test -race -count=1 ./internal/noc -run 'Soak|Chaos|Fault'
-	go test -race -count=1 ./internal/core -run 'Watchdog|Fault|RunChecked|Truncated'
+	go test -race -count=1 ./internal/core -run 'Watchdog|Fault|RunChecked|Truncated|Recycled|Close'
 	go test -race -count=1 ./internal/serve -run 'ChaosKillRestart' -timeout 10m
 	go test -race -count=1 ./internal/cluster ./cmd/arigate -timeout 15m
 

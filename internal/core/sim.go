@@ -122,10 +122,19 @@ func (s *Simulator) RecoveryStats() noc.RecoveryStats {
 	return agg
 }
 
-// Close is a no-op: a simulator holds no resources beyond memory. It stays
-// because callers (the benchmark driver among them) pair every NewSimulator
-// with a Close.
-func (s *Simulator) Close() {}
+// Close is the simulator's last use: it hands both mesh networks' storage
+// back for the next NewSimulator to reuse (noc.Network.Release), so Step and
+// RunChecked panic afterwards, and nothing of the simulator — its fabrics
+// above all — may be read once it returns. A second Close does nothing. A
+// caller that hands the simulator or a fabric on (exp.Runner's observed
+// jobs, whose observers may keep a fabric) does not close it, and the GC
+// takes its storage instead.
+func (s *Simulator) Close() {
+	s.reqNet.Release()
+	if rep, ok := s.repNet.(*noc.Network); ok {
+		rep.Release()
+	}
+}
 
 // retransBufPkts sizes the recovery protocol: corruption without a
 // retransmission buffer would mean silently wrong deliveries, so a

@@ -360,9 +360,10 @@ func (r *Runner) simulate(ctx context.Context, j Job) (res core.Result, err erro
 	if err != nil {
 		return core.Result{}, fmt.Errorf("exp: %s: %w", name, err)
 	}
-	defer sim.Close()
 	if j.Observe != nil {
-		j.Observe(sim)
+		j.Observe(sim) // an observer may keep a fabric: the GC, not Close, frees it
+	} else {
+		defer sim.Close()
 	}
 	if r.Monitor != nil {
 		st := r.Monitor.Begin(name, j.Cfg.Scheme.String(), j.Cfg.WarmupCycles+j.Cfg.MeasureCycles)

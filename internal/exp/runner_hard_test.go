@@ -2,7 +2,9 @@ package exp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/noc"
 	"repro/internal/trace"
 )
 
@@ -198,6 +201,36 @@ func TestObservedJobRunsDespiteStoredKey(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], want) {
 		t.Error("observed run's Result differs from the stored one")
+	}
+}
+
+// TestObservedJobKeepsItsNetwork: the Runner does not close an observed
+// job's simulator, because its observer may keep a fabric, so the storage
+// of a network it kept is never handed to a later job. Its state after the
+// later jobs must be the state it finished in.
+func TestObservedJobKeepsItsNetwork(t *testing.T) {
+	r := tinyRunner(t)
+	cfg, k := r.withScheme(core.AdaARI), r.Benchmarks[0]
+	var kept *noc.Network
+	if _, err := r.RunAll([]Job{{Cfg: cfg, Kernel: k, Observe: func(s *core.Simulator) { kept = s.RequestNet() }}}); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() []byte {
+		b, err := json.Marshal(kept.StateSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := snapshot()
+	if kept.InFlight() == 0 {
+		t.Fatal("the observed network finished empty: the test would see no change")
+	}
+	if _, err := r.RunAll(sweepJobs(r)); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot(); !bytes.Equal(got, want) {
+		t.Errorf("the observed job's request network changed under later jobs:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/stats"
 )
@@ -43,6 +44,10 @@ type Network struct {
 	// faults is the fault schedule (ScheduleFaults), nil on a fault-free
 	// network; Step draws its faults first.
 	faults *faultSchedule
+	// slabs is the whole storage the network was carved from, kept so that
+	// Release can hand it back for reuse; nil once released. It sits beside
+	// the fields every Step reads, as Step checks it.
+	slabs *slabs
 	// faulted is set by the first transient fault (Network.fault). Until
 	// then every frozenUntil/stalledUntil/corruptUntil horizon is 0, never
 	// after the current cycle, so switch allocation, traversal and the NIs
@@ -107,19 +112,53 @@ func (sl *slabs) ring(capacity int) pktRing {
 	return q
 }
 
+// slabPool holds the slabs of released networks (Release) for newSlabs to
+// reuse: building a simulator after closing one then clears memory the heap
+// already has instead of growing it. The GC drains the pool.
+var slabPool sync.Pool
+
+// newSlabs returns slabs sized for cfg, taking a released network's from
+// the pool when it has one: each slab whose capacity suffices is cleared
+// and re-sliced, a shorter one allocated anew.
 func newSlabs(cfg *Config) *slabs {
 	b, nodes := cfg.buffers(), cfg.Mesh.Nodes()
-	return &slabs{
-		inPorts:  make([]inputPort, b.inPorts),
-		outPorts: make([]outputPort, nodes*numOutPorts),
-		inVCs:    make([]inputVC, b.inPorts*cfg.VCs),
-		outVCs:   make([]outVCState, nodes*numOutPorts*cfg.VCs),
-		sps:      make([]switchPort, b.sps),
-		staged:   make([]stagedFlit, b.staged),
-		rings:    make([]pktRing, b.rings),
-		int32s:   make([]int32, b.int32s),
-		handles:  make([]uint32, b.flits),
+	sl, _ := slabPool.Get().(*slabs)
+	if sl == nil {
+		sl = new(slabs)
 	}
+	fit(&sl.inPorts, b.inPorts)
+	fit(&sl.outPorts, nodes*numOutPorts)
+	fit(&sl.inVCs, b.inPorts*cfg.VCs)
+	fit(&sl.outVCs, nodes*numOutPorts*cfg.VCs)
+	fit(&sl.sps, b.sps)
+	fit(&sl.staged, b.staged)
+	fit(&sl.rings, b.rings)
+	fit(&sl.int32s, b.int32s)
+	fit(&sl.handles, b.flits)
+	sl.nextSlot = 0
+	return sl
+}
+
+// fit sets *s to n zero elements, in its own backing array when that holds
+// n, else in a new one.
+func fit[T any](s *[]T, n int) {
+	if cap(*s) < n {
+		*s = make([]T, n)
+		return
+	}
+	*s = (*s)[:n]
+	clear(*s)
+}
+
+// Release hands the network's slabs to the next NewNetwork. It is the
+// network's last use: Step panics afterwards, and a second Release does
+// nothing, so one set of slabs never backs two live networks.
+func (n *Network) Release() {
+	if n.slabs == nil {
+		return
+	}
+	slabPool.Put(n.slabs)
+	n.slabs = nil
 }
 
 // NewNetwork builds a network from cfg (validated first).
@@ -128,8 +167,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	sl := newSlabs(&cfg)
-	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}, handles: sl.handles}
+	full := newSlabs(&cfg)
+	sl := *full // carving consumes sl; full stays whole for Release
+	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}, handles: full.handles, slabs: full}
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]router, nodes)
 	n.ejectors = make([]ejector, nodes)
@@ -142,16 +182,16 @@ func NewNetwork(cfg Config) (*Network, error) {
 	meshLinks, injLinks := 0, 0
 	cfg.eachNode(func(id int, nc NodeConfig, mc bool) {
 		r := &n.routers[id]
-		r.init(n, id, nc, sl)
+		r.init(n, id, nc, &sl)
 		r.isMC = mc
 		for d := 0; d < NumDirections; d++ {
 			if r.out[d].dest >= 0 {
 				meshLinks++
 			}
 		}
-		n.ejectors[id].init(n, r, sl)
+		n.ejectors[id].init(n, r, &sl)
 		ni := &n.nis[id]
-		ni.init(n, r, nc.NI, sl)
+		ni.init(n, r, nc.NI, &sl)
 		if ni.mode == NISplit {
 			injLinks += cfg.VCs
 		} else {
@@ -235,6 +275,9 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 // cycle. When no packet is in flight and no control signal is pending the
 // rest of the cycle is skipped. DESIGN.md §7 has the argument in full.
 func (n *Network) Step() {
+	if n.slabs == nil {
+		panic("noc: Step on a released network (Release, Simulator.Close)")
+	}
 	if n.faults != nil {
 		n.faults.step(n)
 	}
