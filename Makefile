@@ -1,4 +1,4 @@
-.PHONY: check test bench-ledger-check goldens figures-check validate-analytic fuzz soak loadtest obs profile
+.PHONY: check test bench-ledger-check goldens figures-check fuzz soak loadtest obs profile
 
 # check is the full gate: build everything, vet, gofmt, and run all tests
 # with the race detector (covers the equivalence, golden, property, and race
@@ -26,17 +26,16 @@ test:
 # goldens regenerates every committed file the model feeds, from the tree as
 # it stands: the simeq goldens (golden.json, matrix_digests.json), the
 # decomposition golden, the tiny-runner figure report (figures_tiny.md),
-# the analytic error bands (90 simulations; review the diff, never widen a
-# band by hand), arisim's stdout golden (cmd/arisim/testdata/
-# bfs_ada_ari.golden), and the figures — the Markdown report
-# experiments_full.txt and every results_csv/ file from one `ariexp -fig all`
-# pass (a CSV no registry figure writes any more is removed). A change that
+# arisim's stdout golden (cmd/arisim/testdata/bfs_ada_ari.golden), and the
+# figures — the Markdown report experiments_full.txt and every results_csv/
+# file from one `ariexp -fig all` pass (a CSV no registry figure writes any
+# more is removed). The estimator's error is the analytic figure's four
+# summaries, so it moves here with the figures. A change that
 # moves the model on purpose runs it in the same commit, never separately;
 # EXPERIMENTS.md is then updated from experiments_full.txt by hand.
 goldens:
 	go test ./internal/simeq -run 'GoldenDeterminism|MatrixDigests' -count=1 -update
 	go test ./internal/exp -run 'Decompose|FiguresGenerate' -count=1 -update
-	go test ./internal/analytic -run TestErrorBands -count=1 -analytic-full -analytic-record
 	go test ./cmd/arisim -count=1 -update
 	rm -f results_csv/fig_*.csv
 	go run ./cmd/ariexp -fig all -csv results_csv | tee experiments_full.txt
@@ -51,16 +50,6 @@ figures-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	go run ./cmd/ariexp -fig all -csv "$$tmp/csv" > "$$tmp/report.txt" && \
 	diff -r results_csv "$$tmp/csv" && diff experiments_full.txt "$$tmp/report.txt"
-
-# validate-analytic is the physics drift oracle (DESIGN.md §12): re-run the
-# analytical estimator against the cycle-accurate simulator over the full
-# benchmark suite x validation schemes and fail when any per-workload error
-# drifts outside the recorded bands (internal/analytic/testdata/
-# error_bands.json). Both sides are deterministic, so a drift means the
-# simulator's physics or the model changed; re-record deliberately with
-#   go test ./internal/analytic -run TestErrorBands -analytic-record
-validate-analytic:
-	go test ./internal/analytic -run TestErrorBands -analytic-full -count=1 -v
 
 # soak runs every robustness soak under -race:
 #   - fault injection (DESIGN.md §8): the noc fault suites (seeded fault

@@ -438,7 +438,7 @@ func buildWorkload(stderr io.Writer, record, replay string, cfg core.Config, ker
 func printEstimate(w io.Writer, e analytic.Estimate) {
 	fmt.Fprintf(w, "benchmark        %s\n", e.Bench)
 	fmt.Fprintf(w, "scheme           %s\n", e.Scheme)
-	fmt.Fprintln(w, "mode             analytical estimate (no simulation; see DESIGN.md §12 for error bands)")
+	fmt.Fprintln(w, "mode             analytical estimate (no simulation; ariexp -fig analytic measures its error)")
 	fmt.Fprintf(w, "IPC              %.3f warp-instr/core-cycle (aggregate)\n", e.IPC)
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "request net:  avg pkt latency %.1f\n", e.ReqLatency)

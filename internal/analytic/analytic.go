@@ -9,13 +9,9 @@
 //
 // The model is deliberately coarse — a handful of queueing formulas over
 // the same router abstractions the simulator implements — and it is *not*
-// expected to match the simulator exactly. Instead its per-workload error
-// against the simulator is measured once and recorded as goldens
-// (testdata/error_bands.json); `make validate-analytic` then re-runs the
-// comparison and fails when the error drifts outside the recorded bands.
-// Because both sides are deterministic, any drift means the physics of one
-// of them changed — a sanity oracle for the simulator that is independent
-// of byte-identity goldens (DESIGN.md §12).
+// expected to match the simulator exactly. Its per-workload error against
+// the simulator is computed in one place, `ariexp -fig analytic` (Compare),
+// whose committed output pins every error byte for byte (DESIGN.md §12).
 package analytic
 
 import (

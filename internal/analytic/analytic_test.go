@@ -86,7 +86,7 @@ func TestMG1WaitBounded(t *testing.T) {
 // (millions of cycles) in the answer.
 func TestEstimateFiniteAcrossSuite(t *testing.T) {
 	for _, s := range ValidationSchemes() {
-		cfg := ValidationConfig()
+		cfg := core.DefaultConfig()
 		cfg.Scheme = s
 		m, err := NewModel(cfg)
 		if err != nil {
@@ -117,7 +117,7 @@ func TestEstimateFiniteAcrossSuite(t *testing.T) {
 // TestEstimateSuiteOrder locks that EstimateSuite answers in suite order
 // with the right labels — the serving layer indexes into it positionally.
 func TestEstimateSuiteOrder(t *testing.T) {
-	cfg := ValidationConfig()
+	cfg := core.DefaultConfig()
 	ests, err := EstimateSuite(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // estimate mode answers. The acceptance budget is < 1ms per config
 // (TestEstimateSuiteUnderBudget); the ledger's row is analytic.estimate_us.
 func BenchmarkAnalyticSuite(b *testing.B) {
-	cfg := analytic.ValidationConfig()
+	cfg := core.DefaultConfig()
 	cfg.Scheme = core.AdaARI
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -27,7 +27,7 @@ func BenchmarkAnalyticSuite(b *testing.B) {
 // directly, with 10x headroom for a loaded CI machine: the median of
 // several timed full-suite estimates must stay under 10ms.
 func TestEstimateSuiteUnderBudget(t *testing.T) {
-	cfg := analytic.ValidationConfig()
+	cfg := core.DefaultConfig()
 	cfg.Scheme = core.AdaARI
 	best := time.Hour
 	for i := 0; i < 5; i++ {

@@ -14,7 +14,7 @@ import (
 // so every band's errors are known exactly, and checks the (kernel, scheme)
 // order and the shape checks. No simulation runs.
 func TestCompareFabricatedResults(t *testing.T) {
-	cfg := ValidationConfig()
+	cfg := core.DefaultConfig()
 	kernels := trace.Suite()[:2]
 	schemes := ValidationSchemes()
 	res := make([][]core.Result, len(kernels))

@@ -97,11 +97,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ (uint64(c.cfg.LineBytes) - 1)
-}
-
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	line := addr >> c.shift
 	return int(line & c.mask), line >> c.setBits
@@ -249,12 +244,4 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 func (c *Cache) rebuild(set int, tag uint64) uint64 {
 	line := tag<<c.setBits | uint64(set)
 	return line << c.shift
-}
-
-// HitRate returns hits/accesses.
-func (c *Cache) HitRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Accesses)
 }

@@ -12,8 +12,9 @@ import (
 // AnalyticComparison runs the analytical estimator (internal/analytic)
 // against the cycle-accurate simulator over the benchmark suite and the
 // validation schemes, one row per (benchmark, scheme) point — the
-// estimator-vs-simulator figure behind `ariexp -fig analytic`, and the
-// human-readable face of the validate-analytic drift oracle.
+// estimator-vs-simulator figure behind `ariexp -fig analytic`, and the one
+// place the estimator's error is computed. Its four summaries are the
+// error figures; the committed figure goldens pin every row.
 func AnalyticComparison(r *Runner) (*Figure, error) {
 	schemes := analytic.ValidationSchemes()
 	res, err := r.Grid(context.Background(), r.Benchmarks, SchemePoints(schemes...))
@@ -42,7 +43,7 @@ func AnalyticComparison(r *Runner) (*Figure, error) {
 	return &Figure{
 		ID:    "analytic",
 		Title: "Extension: analytical estimator vs cycle-accurate simulator",
-		Paper: "(beyond the paper) M/G/1-style model in the style of Mandal et al.; errors are recorded as the drift-oracle bands",
+		Paper: "(beyond the paper) M/G/1-style model in the style of Mandal et al.; its error against the simulator is this table's four summaries",
 		Table: t,
 		Summary: map[string]float64{
 			"mean_abs_rep_latency_err": safeDiv(sumRep, n),
@@ -51,7 +52,7 @@ func AnalyticComparison(r *Runner) (*Figure, error) {
 			"max_abs_ipc_err":          maxIPC,
 		},
 		Notes: []string{
-			"the model answers in microseconds per point; the drift oracle (make validate-analytic) fails when these errors move outside internal/analytic/testdata/error_bands.json",
+			"the model answers in microseconds per point; the committed figure goldens pin every error, so a model or simulator change moves them only through make goldens",
 		},
 	}, nil
 }

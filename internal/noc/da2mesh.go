@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // DA2Mesh is a behavioural model of the DA2mesh overlay of Kim et al. [20]:
 // each injecting node owns dedicated narrow per-destination channels, so
@@ -29,8 +25,7 @@ type DA2Mesh struct {
 	nis      []overlayNI
 	backlog  []int // per destination, flits queued or in flight toward it
 	ejectQ   [][]overlayArrival
-	inflight []overlayArrival // packets in flight, unsorted
-	arrived  []overlayArrival // deliverArrivals' scratch
+	inflight delayLine // packets whose tail left its lane
 
 	// pkts holds every packet with a flit still queued on a lane; the lane
 	// rings name it by its handle.
@@ -40,13 +35,6 @@ type DA2Mesh struct {
 }
 
 var _ Fabric = (*DA2Mesh)(nil)
-
-// overlayArrival is a packet due at a destination ejection queue.
-type overlayArrival struct {
-	pkt      *Packet
-	arriveAt int64
-	drained  int // flits already drained by the ejector
-}
 
 // overlayLane is one narrow injection lane streaming whole packets.
 type overlayLane struct {
@@ -243,10 +231,7 @@ func (d *DA2Mesh) streamLanes() {
 			if tail {
 				pkt := d.pkts.of(f.h)
 				d.pkts.release(f.h)
-				d.inflight = append(d.inflight, overlayArrival{
-					pkt:      pkt,
-					arriveAt: d.now + int64(d.cfg.Mesh.Hops(pkt.Src, pkt.Dst)),
-				})
+				d.inflight.add(pkt, d.now+int64(d.cfg.Mesh.Hops(pkt.Src, pkt.Dst)))
 				lane.size = 0
 			}
 		}
@@ -254,23 +239,10 @@ func (d *DA2Mesh) streamLanes() {
 }
 
 // deliverArrivals moves due in-flight packets into their destination
-// ejection queues in (arriveAt, ID) order — a unique key, so the order is
-// fully determined — and stamps each packet's ArrivedAt. The arrivals are
-// gathered into a scratch slice reused every cycle.
+// ejection queues in the line's (arriveAt, ID) order and stamps each
+// packet's ArrivedAt.
 func (d *DA2Mesh) deliverArrivals() {
-	due, arrived := d.inflight[:0], d.arrived[:0]
-	for _, a := range d.inflight {
-		if a.arriveAt <= d.now {
-			arrived = append(arrived, a)
-		} else {
-			due = append(due, a)
-		}
-	}
-	d.inflight, d.arrived = due, arrived
-	slices.SortFunc(arrived, func(a, b overlayArrival) int {
-		return cmp.Or(cmp.Compare(a.arriveAt, b.arriveAt), cmp.Compare(a.pkt.ID, b.pkt.ID))
-	})
-	for _, a := range arrived {
+	for _, a := range d.inflight.take(d.now) {
 		a.pkt.ArrivedAt = d.now
 		d.ejectQ[a.pkt.Dst] = append(d.ejectQ[a.pkt.Dst], a)
 	}
@@ -325,7 +297,7 @@ func (d *DA2Mesh) CheckInvariants() error {
 			return fmt.Errorf("packet %d holds slot %d with no flit on a lane", p.ID, h)
 		}
 	}
-	offLane := len(d.inflight)
+	offLane := len(d.inflight.held)
 	for _, q := range d.ejectQ {
 		offLane += len(q)
 	}
@@ -338,7 +310,7 @@ func (d *DA2Mesh) CheckInvariants() error {
 // OldestPacketAge returns the age of the oldest packet the overlay holds:
 // on a lane, flying toward its destination, or in an ejection queue.
 func (d *DA2Mesh) OldestPacketAge() int64 {
-	oldest := oldestArrival(d.inflight, d.pkts.oldest(d.now))
+	oldest := d.inflight.oldest(d.pkts.oldest(d.now))
 	for _, q := range d.ejectQ {
 		oldest = oldestArrival(q, oldest)
 	}
@@ -348,10 +320,7 @@ func (d *DA2Mesh) OldestPacketAge() int64 {
 // StateSnapshot reports the cycle, the in-flight count and the oldest
 // packets.
 func (d *DA2Mesh) StateSnapshot() StateDump {
-	held := d.pkts.appendLive(nil)
-	for _, a := range d.inflight {
-		held = append(held, a.pkt)
-	}
+	held := d.inflight.appendPackets(d.pkts.appendLive(nil))
 	for _, q := range d.ejectQ {
 		for _, a := range q {
 			held = append(held, a.pkt)

@@ -198,6 +198,13 @@ func (b *fabricBase) snapshot(held []*Packet) StateDump {
 	return d
 }
 
+// overlayArrival is a packet due at a destination at cycle arriveAt.
+type overlayArrival struct {
+	pkt      *Packet
+	arriveAt int64
+	drained  int // flits already drained by DA2Mesh's ejector
+}
+
 // oldestArrival returns the minimum of oldest and the CreatedAt of every
 // packet in as.
 func oldestArrival(as []overlayArrival, oldest int64) int64 {
@@ -205,6 +212,49 @@ func oldestArrival(as []overlayArrival, oldest int64) int64 {
 		oldest = min(oldest, a.pkt.CreatedAt)
 	}
 	return oldest
+}
+
+// delayLine is the wire of the two non-mesh fabrics: it holds packets in
+// flight, each until its arrival cycle, with no contention.
+type delayLine struct {
+	held []overlayArrival // unsorted
+	due  []overlayArrival // take's scratch
+}
+
+// add puts pkt on the line, due at cycle arriveAt.
+func (l *delayLine) add(pkt *Packet, arriveAt int64) {
+	l.held = append(l.held, overlayArrival{pkt: pkt, arriveAt: arriveAt})
+}
+
+// take removes the packets due by now and returns them in (arriveAt, ID)
+// order — a unique key, so the order is fully determined. The slice is
+// scratch that the next take reuses.
+func (l *delayLine) take(now int64) []overlayArrival {
+	kept, due := l.held[:0], l.due[:0]
+	for _, a := range l.held {
+		if a.arriveAt <= now {
+			due = append(due, a)
+		} else {
+			kept = append(kept, a)
+		}
+	}
+	l.held, l.due = kept, due
+	slices.SortFunc(due, func(a, b overlayArrival) int {
+		return cmp.Or(cmp.Compare(a.arriveAt, b.arriveAt), cmp.Compare(a.pkt.ID, b.pkt.ID))
+	})
+	return due
+}
+
+// oldest returns the minimum of oldest and the CreatedAt of every held
+// packet.
+func (l *delayLine) oldest(oldest int64) int64 { return oldestArrival(l.held, oldest) }
+
+// appendPackets appends the held packets to dst.
+func (l *delayLine) appendPackets(dst []*Packet) []*Packet {
+	for _, a := range l.held {
+		dst = append(dst, a.pkt)
+	}
+	return dst
 }
 
 // packetDump converts one packet header at the current cycle.

@@ -48,9 +48,6 @@ func (t PacketType) String() string {
 	}
 }
 
-// IsReply reports whether the packet type travels on the reply network.
-func (t PacketType) IsReply() bool { return t == ReadReply || t == WriteReply }
-
 // IsLong reports whether the packet type carries a data payload and is
 // therefore a multi-flit packet.
 func (t PacketType) IsLong() bool { return t == ReadReply || t == WriteRequest }

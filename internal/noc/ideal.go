@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // IdealFabric is a reply network with unlimited bandwidth: every offered
 // packet is accepted immediately and delivered after its minimal hop
@@ -15,8 +11,7 @@ import (
 type IdealFabric struct {
 	fabricBase
 
-	inflight []overlayArrival
-	due      []overlayArrival // Step's scratch
+	inflight delayLine
 
 	// Per-node injection counts per 100-cycle window, for the eq. (1)
 	// peak-rate measurement.
@@ -64,30 +59,17 @@ func (f *IdealFabric) Inject(node int, pkt *Packet) bool {
 	pkt.InjectedAt = f.now
 	pkt.ArrivedAt = f.now
 	hops := f.cfg.Mesh.Hops(node, pkt.Dst)
-	f.inflight = append(f.inflight, overlayArrival{
-		pkt:      pkt,
-		arriveAt: f.now + int64(hops) + int64(pkt.Size),
-	})
+	f.inflight.add(pkt, f.now+int64(hops)+int64(pkt.Size))
 	f.windowCount[node]++
 	f.accept(pkt)
 	return true
 }
 
-// Step advances one cycle, delivering due packets in ID order (IDs are
-// unique, so the order is fully determined). The due packets are gathered
-// into a scratch slice reused every cycle.
+// Step advances one cycle, delivering due packets in ID order: a packet
+// accepted at cycle c is due at c + hops + size > c, so every packet due
+// now arrives now, and the line's (arriveAt, ID) order is ID order.
 func (f *IdealFabric) Step() {
-	kept, due := f.inflight[:0], f.due[:0]
-	for _, a := range f.inflight {
-		if a.arriveAt <= f.now {
-			due = append(due, a)
-		} else {
-			kept = append(kept, a)
-		}
-	}
-	f.inflight, f.due = kept, due
-	slices.SortFunc(due, func(a, b overlayArrival) int { return cmp.Compare(a.pkt.ID, b.pkt.ID) })
-	for _, a := range due {
+	for _, a := range f.inflight.take(f.now) {
 		f.deliver(a.pkt.Dst, a.pkt, f.now)
 	}
 	f.now++
@@ -107,10 +89,10 @@ func (f *IdealFabric) NIOccupancyAvgFlits() float64 { return 0 }
 // CheckInvariants validates that every packet in flight is counted and none
 // is overdue (Step delivers each at its arrival cycle).
 func (f *IdealFabric) CheckInvariants() error {
-	if len(f.inflight) != f.inFlight {
-		return fmt.Errorf("%d packets held != %d in flight", len(f.inflight), f.inFlight)
+	if len(f.inflight.held) != f.inFlight {
+		return fmt.Errorf("%d packets held != %d in flight", len(f.inflight.held), f.inFlight)
 	}
-	for _, a := range f.inflight {
+	for _, a := range f.inflight.held {
 		if a.arriveAt < f.now {
 			return fmt.Errorf("packet %d overdue: due at %d, now %d", a.pkt.ID, a.arriveAt, f.now)
 		}
@@ -119,16 +101,12 @@ func (f *IdealFabric) CheckInvariants() error {
 }
 
 // OldestPacketAge returns the age of the oldest packet in flight.
-func (f *IdealFabric) OldestPacketAge() int64 { return f.now - oldestArrival(f.inflight, f.now) }
+func (f *IdealFabric) OldestPacketAge() int64 { return f.now - f.inflight.oldest(f.now) }
 
 // StateSnapshot reports the cycle, the in-flight count and the oldest
 // packets.
 func (f *IdealFabric) StateSnapshot() StateDump {
-	held := make([]*Packet, len(f.inflight))
-	for i, a := range f.inflight {
-		held[i] = a.pkt
-	}
-	return f.snapshot(held)
+	return f.snapshot(f.inflight.appendPackets(nil))
 }
 
 // PeakWindow returns the p-th percentile (0..100) of per-100-cycle packet

@@ -70,19 +70,6 @@ func (s *NetStats) InjLinkUtil() float64 {
 	return float64(s.InjLinkFlits) / float64(s.Cycles) / float64(s.InjLinks)
 }
 
-// FlitShare returns the fraction of injected flits belonging to type t
-// (the paper's Fig 5 weighting).
-func (s *NetStats) FlitShare(t PacketType) float64 {
-	var total uint64
-	for _, f := range s.FlitsInjected {
-		total += f
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(s.FlitsInjected[t]) / float64(total)
-}
-
 func (s *NetStats) recordEject(p *Packet, now int64) {
 	p.EjectedAt = now
 	s.PacketsEjected[p.Type]++

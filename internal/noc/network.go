@@ -221,7 +221,6 @@ func (n *Network) ResetStats() {
 		ni := &n.nis[i]
 		ni.occupancy = stats.NewTimeWeightedAt(float64(ni.queuedFlits()), n.now)
 		ni.everHeld = ni.queuedFlits() > 0
-		ni.rejectedOfferEvents = 0
 		ni.injectedFlits = 0
 	}
 	for i := range n.routers {

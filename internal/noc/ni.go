@@ -36,17 +36,16 @@ type NI struct {
 	queueCap                      int
 	boundPort, boundVC, boundSize int
 	bindNext                      int // round-robin pointer over port*vc slots for head binding
-	lastOfferCycle                int64
-	offeredThisCycle              bool
-	splitQueues                   []pktRing // NISplit: one per VC
+	// lastOfferCycle is the cycle of the last accepted Offer (-1 before the
+	// first): the NI formats at most one packet per cycle.
+	lastOfferCycle int64
+	splitQueues    []pktRing // NISplit: one per VC
 	// splitSize[v] is the size of the packet at the front of splitQueues[v],
 	// read when its head flit leaves.
-	splitSize           []int32
-	occupancy           stats.TimeWeighted
-	everHeld            bool
-	acceptedPackets     uint64
-	rejectedOfferEvents uint64
-	injectedFlits       uint64 // flits sent over the injection link(s)
+	splitSize     []int32
+	occupancy     stats.TimeWeighted
+	everHeld      bool
+	injectedFlits uint64 // flits sent over the injection link(s)
 	// stalledUntil is the fault-injection backpressure horizon: while now is
 	// before it the NI supplies no flits, so its queues back up and Offer
 	// rejections propagate the burst to the node (see fault.go).
@@ -78,13 +77,14 @@ func splitQueueFlits(cfg *Config) int {
 func (ni *NI) init(net *Network, router *router, mode NIMode, sl *slabs) {
 	cfg := &net.cfg
 	*ni = NI{
-		net:       net,
-		node:      router.id,
-		mode:      mode,
-		router:    router,
-		injPorts:  len(router.in) - NumDirections,
-		boundPort: -1,
-		boundVC:   -1,
+		net:            net,
+		node:           router.id,
+		mode:           mode,
+		router:         router,
+		injPorts:       len(router.in) - NumDirections,
+		boundPort:      -1,
+		boundVC:        -1,
+		lastOfferCycle: -1,
 	}
 	ni.vcCredits = carve(&sl.int32s, ni.injPorts*cfg.VCs)
 	for i := range ni.vcCredits {
@@ -124,7 +124,7 @@ func (ni *NI) addQueued(d int) { ni.net.niQueued[ni.node] += int32(d) }
 // per cycle, §4.1) and the target queue must have space for the whole
 // packet, since the wide link writes it in one cycle.
 func (ni *NI) CanAccept(pkt *Packet, now int64) bool {
-	if ni.offeredThisCycle && ni.lastOfferCycle == now {
+	if ni.lastOfferCycle == now {
 		return false
 	}
 	if ni.retransCap > 0 && len(ni.retrans) >= ni.retransCap {
@@ -141,14 +141,12 @@ func (ni *NI) CanAccept(pkt *Packet, now int64) bool {
 // paper's "data stall in MC" condition (Fig 12).
 func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	if !ni.CanAccept(pkt, now) {
-		ni.rejectedOfferEvents++
 		ni.net.stats.NIFullRejects++
 		if ni.retransCap > 0 && len(ni.retrans) >= ni.retransCap {
 			ni.net.recovery.RetransBufFullRejects++
 		}
 		return false
 	}
-	ni.offeredThisCycle = true
 	ni.lastOfferCycle = now
 	pkt.CreatedAt = now
 	if ni.net.cfg.PriorityLevels >= 2 {
@@ -180,7 +178,6 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	ni.net.markBusy(ni.node)
 	ni.everHeld = true
 	ni.occupancy.Set(float64(ni.queuedFlits()), now)
-	ni.acceptedPackets++
 	ni.net.accept(pkt)
 	return true
 }

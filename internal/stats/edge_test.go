@@ -43,28 +43,27 @@ func TestTimeWeightedWarmupReset(t *testing.T) {
 		sets        [][2]float64 // (value, time) after reset
 		finish      int64
 		wantAvg     float64
-		wantPeak    float64
 		wantZeroDur bool // window of zero length: average falls back to level
 	}{
 		{
 			name: "level carries across reset", level: 3, resetAt: 1000,
-			sets: nil, finish: 1100, wantAvg: 3, wantPeak: 3,
+			sets: nil, finish: 1100, wantAvg: 3,
 		},
 		{
 			name: "post-reset window only", level: 2, resetAt: 1000,
 			sets: [][2]float64{{6, 1050}}, finish: 1100,
 			// 2 for 50 cycles, then 6 for 50 cycles.
-			wantAvg: 4, wantPeak: 6,
+			wantAvg: 4,
 		},
 		{
 			name: "zero-length window reports current level", level: 5, resetAt: 1000,
-			sets: nil, finish: 1000, wantAvg: 5, wantPeak: 5, wantZeroDur: true,
+			sets: nil, finish: 1000, wantAvg: 5, wantZeroDur: true,
 		},
 		{
 			name: "same-time sets keep last value", level: 1, resetAt: 0,
 			sets: [][2]float64{{9, 50}, {2, 50}}, finish: 100,
 			// 1 for 50 cycles, then 2 for 50 (the 9 lasted zero time)...
-			wantAvg: 1.5, wantPeak: 9,
+			wantAvg: 1.5,
 		},
 	} {
 		tw := NewTimeWeightedAt(tc.level, tc.resetAt)
@@ -74,9 +73,6 @@ func TestTimeWeightedWarmupReset(t *testing.T) {
 		tw.Finish(tc.finish)
 		if got := tw.Average(); math.Abs(got-tc.wantAvg) > 1e-12 {
 			t.Errorf("%s: Average = %v, want %v", tc.name, got, tc.wantAvg)
-		}
-		if got := tw.Peak(); got != tc.wantPeak {
-			t.Errorf("%s: Peak = %v, want %v", tc.name, got, tc.wantPeak)
 		}
 	}
 }

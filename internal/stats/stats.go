@@ -26,12 +26,6 @@ func (m *Mean) Add(v float64) {
 	m.count++
 }
 
-// AddN folds n identical samples into the mean.
-func (m *Mean) AddN(v float64, n uint64) {
-	m.sum += v * float64(n)
-	m.count += n
-}
-
 // Value returns the current mean, or 0 if no samples were added.
 func (m *Mean) Value() float64 {
 	if m.count == 0 {
@@ -76,7 +70,7 @@ func (m *Mean) UnmarshalJSON(data []byte) error {
 // NewTimeWeightedAt returns a TimeWeighted whose observation window starts
 // at time now with the given level (used when resetting stats mid-run).
 func NewTimeWeightedAt(level float64, now int64) TimeWeighted {
-	return TimeWeighted{level: level, lastTime: now, peak: level}
+	return TimeWeighted{level: level, lastTime: now}
 }
 
 // TimeWeighted tracks the time-average of a level signal (such as queue
@@ -86,7 +80,6 @@ type TimeWeighted struct {
 	lastTime int64
 	weighted float64
 	span     int64
-	peak     float64
 }
 
 // Set records that the level changed to v at time now.
@@ -98,9 +91,6 @@ func (t *TimeWeighted) Set(v float64, now int64) {
 	}
 	t.level = v
 	t.lastTime = now
-	if v > t.peak {
-		t.peak = v
-	}
 }
 
 // Finish closes the observation window at time now.
@@ -113,9 +103,6 @@ func (t *TimeWeighted) Average() float64 {
 	}
 	return t.weighted / float64(t.span)
 }
-
-// Peak returns the highest level observed.
-func (t *TimeWeighted) Peak() float64 { return t.peak }
 
 // Series is a compact time series: (time, value) pairs in parallel slices,
 // appended in non-decreasing time order. It is the storage behind the
@@ -206,16 +193,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.header))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row of formatted float cells after a leading label.
-func (t *Table) AddRowf(label string, format string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.AddRow(cells...)
 }
 
 // String renders the table as a Markdown pipe table whose columns are

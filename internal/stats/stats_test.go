@@ -14,11 +14,7 @@ func TestMeanBasics(t *testing.T) {
 	}
 	m.Add(2)
 	m.Add(4)
-	if m.Value() != 3 {
-		t.Fatalf("mean = %v, want 3", m.Value())
-	}
-	m.AddN(6, 2)
-	if m.Value() != 4.5 || m.Count() != 4 || m.Sum() != 18 {
+	if m.Value() != 3 || m.Count() != 2 || m.Sum() != 6 {
 		t.Fatalf("mean=%v count=%d sum=%v", m.Value(), m.Count(), m.Sum())
 	}
 }
@@ -66,9 +62,6 @@ func TestTimeWeighted(t *testing.T) {
 	// avg = (2*10 + 4*10) / 20 = 3
 	if got := tw.Average(); got != 3 {
 		t.Fatalf("average = %v, want 3", got)
-	}
-	if tw.Peak() != 4 {
-		t.Fatalf("peak = %v, want 4", tw.Peak())
 	}
 }
 
@@ -123,7 +116,7 @@ func TestGeoMeanBetweenMinMaxQuick(t *testing.T) {
 func TestTable(t *testing.T) {
 	tb := NewTable("name", "value")
 	tb.AddRow("alpha", "1")
-	tb.AddRowf("beta", "%.2f", 2.5)
+	tb.AddRow("beta", "2.50")
 	out := tb.String()
 	if !strings.Contains(out, "alpha") || !strings.Contains(out, "2.50") {
 		t.Fatalf("table output missing cells:\n%s", out)

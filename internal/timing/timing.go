@@ -39,9 +39,6 @@ func (c *Clock) Tick() int {
 // Cycles returns the total slave ticks granted since construction.
 func (c *Clock) Cycles() uint64 { return c.cycles }
 
-// Ratio returns the clock ratio numerator and denominator.
-func (c *Clock) Ratio() (num, den uint64) { return c.num, c.den }
-
 // Reset rewinds the clock to time zero.
 func (c *Clock) Reset() {
 	c.acc = 0

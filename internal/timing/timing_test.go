@@ -104,11 +104,3 @@ func TestInvalidRatioPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestRatioAccessor(t *testing.T) {
-	c := NewClock(7, 4)
-	n, d := c.Ratio()
-	if n != 7 || d != 4 {
-		t.Fatalf("Ratio = %d/%d, want 7/4", n, d)
-	}
-}
