@@ -56,7 +56,10 @@ figures-check:
 #     schedules across schemes with invariants checked throughout, the
 #     schedule golden, deterministic replay under faults), the watchdog
 #     deadlock/starvation detectors, and NoC slab recycling (a simulator
-#     built on a closed one's storage, faults on, equals a fresh one);
+#     built on a closed one's storage, faults on, equals a fresh one). The
+#     recycling tests also run 20 times without -race: their byte checks
+#     (no slab was reused) are skipped under it, and they depend on which P
+#     the test goroutine runs on;
 #   - layered fault recovery (DESIGN.md §13): every stall kind combined with
 #     flit-corruption bursts and permanent link deaths, checking zero
 #     undetected corruption (every corrupted packet is CRC-caught, NACKed and
@@ -75,6 +78,7 @@ figures-check:
 soak:
 	go test -race -count=1 ./internal/noc -run 'Soak|Chaos|Fault'
 	go test -race -count=1 ./internal/core -run 'Watchdog|Fault|RunChecked|Truncated|Recycled|Close'
+	go test -count=20 ./internal/core -run 'Recycled'
 	go test -race -count=1 ./internal/serve -run 'ChaosKillRestart' -timeout 10m
 	go test -race -count=1 ./internal/cluster ./cmd/arigate -timeout 15m
 

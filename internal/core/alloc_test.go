@@ -12,8 +12,9 @@ import (
 // burst-heavy kernel, whose cores mostly sleep: after a warmup long enough to
 // grow every queue, freelist and scratch slice to its working size, Step
 // must not allocate. The only tolerated residue is the amortised growth of
-// the per-run InjWindows series (one append per 100 cycles per network),
-// which stays far below the 0.01 allocs/op bound.
+// the ideal fabric's per-node eq. (1) windows (IdealFabric.Windows, one
+// append per 100 cycles per node), which stays far below the 0.01
+// allocs/op bound; the mesh and DA2mesh keep no window series.
 func TestStepDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is slow")
@@ -167,11 +168,12 @@ func TestNewSimulatorByteBudget(t *testing.T) {
 // back and the build clears them instead of allocating, 198 KB less than a
 // fresh build. 345 400 B at the time of writing; the budget is 5 % above
 // that. Under the race detector sync.Pool drops Puts at random, so the
-// test needs a build without it.
+// test needs a build without it; it runs on one P (see oneP).
 func TestRecycledSimulatorByteBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops released slabs at random under the race detector")
 	}
+	defer oneP()()
 	k, err := trace.ByName("bfs")
 	if err != nil {
 		t.Fatal(err)

@@ -37,6 +37,17 @@ func drainSlabPool() {
 	runtime.GC()
 }
 
+// oneP sets GOMAXPROCS to 1 for a test that asserts slab reuse and returns
+// the restore, to be deferred. sync.Pool keeps a Put in the current P's
+// private slot, which no other P can take: a DA2mesh scheme releases one
+// mesh, so its one slab sits there, and a goroutine that moved to another P
+// between Close and the rebuild would find nothing to reuse. With one P it
+// cannot move.
+func oneP() (restore func()) {
+	prev := runtime.GOMAXPROCS(1)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
 // allocated returns the bytes f allocates.
 func allocated(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -66,6 +77,7 @@ func TestRecycledRunEqualsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer oneP()()
 	for _, fc := range recycleFaults {
 		for sc := range Scheme(NumSchemes) {
 			cfg := recycleConfig(sc, fc.fault)

@@ -4,20 +4,13 @@ import (
 	"repro/internal/noc"
 )
 
-// Activity captures the event counts the power model (internal/power)
-// charges energy for.
+// Activity holds the cache and DRAM counts the power model (internal/power)
+// charges energy for; it reads its other counts from Result's own fields.
 type Activity struct {
-	NoCCycles      int64
-	CoreCycles     uint64
-	Instructions   uint64
-	L1Accesses     uint64
-	L2Accesses     uint64
-	DRAMReads      uint64
-	DRAMWrites     uint64
-	ReqFlitHops    uint64
-	RepFlitHops    uint64
-	BufferedFlits  uint64 // buffer write+read pairs ~ switch traversals
-	InjectionFlits uint64
+	L1Accesses uint64
+	L2Accesses uint64
+	DRAMReads  uint64
+	DRAMWrites uint64
 }
 
 // Result is the outcome of one simulation run.
@@ -60,9 +53,8 @@ type Result struct {
 	DRAMRowHitRate  float64
 
 	// Reply NI occupancy (Fig 6), in flits; capacity for normalisation.
-	NIOccAvgFlits     float64
-	NIQueueCapFlits   int
-	ReplyInjPeakWin95 float64 // 95th pct packets per 100-cycle window (eq. 1)
+	NIOccAvgFlits   float64
+	NIQueueCapFlits int
 
 	Activity Activity
 }
@@ -122,23 +114,10 @@ func (s *Simulator) collect() Result {
 	r.NIOccAvgFlits = s.repNet.NIOccupancyAvgFlits()
 	if mesh, ok := s.repNet.(*noc.Network); ok {
 		r.FaultEvents += mesh.FaultEvents()
-		// NI capacity and the eq. (1) injection windows are the mesh's own.
+		// The NI capacity is the mesh's own.
 		r.NIQueueCapFlits = mesh.NIQueueCapacityFlits(s.mcNodes[0])
-		r.ReplyInjPeakWin95 = mesh.PeakInjWindow(95)
 	}
 
-	r.Activity = Activity{
-		NoCCycles:      s.measuredCycles,
-		CoreCycles:     s.coreCyclesMeasured,
-		Instructions:   r.Instructions,
-		L1Accesses:     l1Acc,
-		L2Accesses:     l2Acc,
-		DRAMReads:      dr,
-		DRAMWrites:     dw,
-		ReqFlitHops:    r.Req.MeshLinkFlits,
-		RepFlitHops:    r.Rep.MeshLinkFlits,
-		BufferedFlits:  r.Req.SwitchTraversals + r.Rep.SwitchTraversals,
-		InjectionFlits: r.Req.InjLinkFlits + r.Rep.InjLinkFlits,
-	}
+	r.Activity = Activity{L1Accesses: l1Acc, L2Accesses: l2Acc, DRAMReads: dr, DRAMWrites: dw}
 	return r
 }

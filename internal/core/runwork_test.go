@@ -48,8 +48,9 @@ func TestRunWorkRespectsCycleBound(t *testing.T) {
 	}
 }
 
-// TestRunWorkActivityUsesRealWindow: static energy must be charged for the
-// realised window, not the configured horizon.
+// TestRunWorkActivityUsesRealWindow: static energy is charged for
+// MeasuredCycles (power.Estimate), so it must be the realised window — the
+// cycles both networks stepped while measuring — not the configured horizon.
 func TestRunWorkActivityUsesRealWindow(t *testing.T) {
 	k, _ := trace.ByName("bfs")
 	cfg := fastConfig(XYBaseline)
@@ -58,8 +59,8 @@ func TestRunWorkActivityUsesRealWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := mustRunWork(t, sim, 5000, 100000)
-	if r.Activity.NoCCycles != r.MeasuredCycles {
-		t.Fatalf("activity window %d != measured %d", r.Activity.NoCCycles, r.MeasuredCycles)
+	if r.Req.Cycles != r.MeasuredCycles || r.Rep.Cycles != r.MeasuredCycles {
+		t.Fatalf("network windows %d/%d != measured %d", r.Req.Cycles, r.Rep.Cycles, r.MeasuredCycles)
 	}
 	if r.MeasuredCycles == cfg.MeasureCycles {
 		t.Fatal("suspiciously equal to the configured horizon")

@@ -21,7 +21,7 @@ func Fig14(r *Runner) (*Figure, error) {
 	}
 	params := power.DefaultParams()
 	perInstr := func(res core.Result, ari bool) (power.Breakdown, error) {
-		return power.PerInstruction(power.Estimate(res.Activity, ari, params), res.Instructions)
+		return power.PerInstruction(power.Estimate(res, ari, params), res.Instructions)
 	}
 	t := stats.NewTable("benchmark", "baseline", "ARI", "ARI_dynamic", "ARI_static")
 	var totals []float64

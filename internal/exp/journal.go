@@ -15,11 +15,12 @@ import (
 
 // journalVersion is hashed into JobKey, and entries of another version are
 // ignored on load, so no stale journal, cache or peer answers a submission
-// with an older model's result. Bump it when the Result encoding changes, or
-// when a key could name a result the current model would not compute (the
-// model changes what a Config computes). A removed Config field needs no
-// bump: the key hashes the Config's JSON, so every key changes and no old
-// key can equal a new one.
+// with an older model's result. Bump it when a Result field is added or
+// redefined, or when a key could name a result the current model would not
+// compute (the model changes what a Config computes). A deleted Result field
+// needs no bump: json.Unmarshal skips the keys of an old line that Result no
+// longer has. Nor does a removed Config field: the key hashes the Config's
+// JSON, so every key changes and no old key can equal a new one.
 const journalVersion = 5
 
 // journalEntry is one completed run, one JSON object per line (JSONL).

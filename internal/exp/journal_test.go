@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -248,5 +249,51 @@ func TestJournalKeepsOlderVersionLines(t *testing.T) {
 	defer j2.Close()
 	if _, ok := j2.Get("new"); !ok || j2.Loaded() != 1 {
 		t.Fatalf("reopen loaded %d entries (new present: %v), want exactly the appended one", j2.Loaded(), ok)
+	}
+}
+
+// TestJournalLoadsLinesWithDeletedFields pins the rule that deleting a
+// Result field needs no journalVersion bump: testdata holds two version-5
+// entries written before Result.ReplyInjPeakWin95 and seven Activity fields
+// were deleted (bfs on tinyRunner's horizons, under Ada-ARI on the mesh and
+// under DA2Mesh+ARI). json.Unmarshal skips the keys Result
+// no longer has, so each entry must load as its job's fresh Result. It
+// fails if a count the old lines carry moves to another place in the JSON.
+func TestJournalLoadsLinesWithDeletedFields(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "journal_v5_deleted_fields.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"ReplyInjPeakWin95":`, `"NoCCycles":`, `"BufferedFlits":`} {
+		if bytes.Count(raw, []byte(key)) != 2 {
+			t.Fatalf("the old journal does not carry %s on both lines", key)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if j.Loaded() != 2 {
+		t.Fatalf("loaded %d entries of the old journal, want 2", j.Loaded())
+	}
+	r := tinyRunner(t)
+	for _, sc := range []core.Scheme{core.AdaARI, core.DA2MeshARI} {
+		cfg, k := r.withScheme(sc), r.Benchmarks[0]
+		got, ok := j.Get(jobKey(cfg, k.Name))
+		if !ok {
+			t.Fatalf("%s/%s: the old journal has no entry under the job's key", k.Name, sc)
+		}
+		want, err := r.Run(cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/%s: the old journal's Result differs from a fresh run:\n got %+v\nwant %+v", k.Name, sc, got, want)
+		}
 	}
 }

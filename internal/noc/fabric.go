@@ -270,15 +270,3 @@ func (b *fabricBase) packetDump(p *Packet) PacketDump {
 		Age:       b.now - p.CreatedAt,
 	}
 }
-
-// peakWindow returns the p-th percentile (0..100) of per-100-cycle packet
-// injection counts, the measurement behind eq. (1): §4.2 sizes the speedup
-// S so that 95% of peak windows are satisfied.
-func peakWindow(windows []uint32, p float64) float64 {
-	if len(windows) == 0 {
-		return 0
-	}
-	sorted := slices.Clone(windows)
-	slices.Sort(sorted)
-	return float64(sorted[int(p/100*float64(len(sorted)-1))])
-}

@@ -1,6 +1,9 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // IdealFabric is a reply network with unlimited bandwidth: every offered
 // packet is accepted immediately and delivered after its minimal hop
@@ -109,8 +112,14 @@ func (f *IdealFabric) StateSnapshot() StateDump {
 	return f.snapshot(f.inflight.appendPackets(nil))
 }
 
-// PeakWindow returns the p-th percentile (0..100) of per-100-cycle packet
-// injection counts of the given node (eq. (1), see peakWindow).
+// PeakWindow returns the p-th percentile (0..100) of the given node's
+// per-100-cycle packet injection counts, the measurement behind eq. (1):
+// §4.2 sizes the speedup S so that 95% of peak windows are satisfied.
 func (f *IdealFabric) PeakWindow(node int, p float64) float64 {
-	return peakWindow(f.Windows[node], p)
+	if len(f.Windows[node]) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(f.Windows[node])
+	slices.Sort(sorted)
+	return float64(sorted[int(p/100*float64(len(sorted)-1))])
 }

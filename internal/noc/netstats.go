@@ -26,8 +26,9 @@ type NetStats struct {
 	EjectFlits       uint64
 	SwitchTraversals uint64
 	// CreditStallCycles is always 0 (every packet fits its VC, granted with
-	// credits for all of it). It keeps encoded Results' bytes until the next
-	// exp.journalVersion bump, which drops it and the ledger's row.
+	// credits for all of it). Only the benchmark ledger's
+	// noc.credit_stall_cycles row reads it, so it goes once that row does
+	// (a deleted field needs no exp.journalVersion bump).
 	CreditStallCycles uint64
 
 	// NIFullRejects counts Offer calls rejected because the NI queue could

@@ -63,13 +63,6 @@ type Network struct {
 	// flits up into the network — the §3 backpressure chain.
 	sinkGate func(node int) bool
 
-	// injWindow tracks packets injected in the current 100-cycle window,
-	// to expose the peak packet injection rate used by eq. (1)'s speedup
-	// sizing (§4.2).
-	injWindowCount uint32
-	injWindowStart int64
-	InjWindows     []uint32
-
 	// pkts holds every packet with a flit in an NI queue, staged, in a VC
 	// buffer or in an ejector; rings and flits name it by its handle.
 	pkts pktTable
@@ -214,9 +207,6 @@ func (n *Network) SetSinkGate(g func(node int) bool) { n.sinkGate = g }
 func (n *Network) ResetStats() {
 	meshLinks, injLinks := n.stats.MeshLinks, n.stats.InjLinks
 	n.stats = NetStats{MeshLinks: meshLinks, InjLinks: injLinks}
-	n.InjWindows = n.InjWindows[:0]
-	n.injWindowCount = 0
-	n.injWindowStart = n.now
 	for i := range n.nis {
 		ni := &n.nis[i]
 		ni.occupancy = stats.NewTimeWeightedAt(float64(ni.queuedFlits()), n.now)
@@ -242,11 +232,7 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 	n.checkPacket(pkt)
 	pkt.Src = node
 	n.number(pkt)
-	ok := n.nis[node].Offer(pkt, n.now)
-	if ok {
-		n.injWindowCount++
-	}
-	return ok
+	return n.nis[node].Offer(pkt, n.now)
 }
 
 // Step advances the network one cycle: the fault schedule, if any, draws
@@ -330,16 +316,10 @@ func (n *Network) Step() {
 // lands on a node already busy (DESIGN.md §7).
 func (n *Network) markBusy(node int) { n.busy[node>>6] |= 1 << (node & 63) }
 
-// endCycle closes the cycle: the clock, the cycle count and the 100-cycle
-// injection windows.
+// endCycle closes the cycle: the clock and the cycle count.
 func (n *Network) endCycle() {
 	n.now++
 	n.stats.Cycles++
-	if n.now-n.injWindowStart >= 100 {
-		n.InjWindows = append(n.InjWindows, n.injWindowCount)
-		n.injWindowCount = 0
-		n.injWindowStart = n.now
-	}
 }
 
 // Idle reports whether no flit exists anywhere in the network and no
@@ -447,7 +427,3 @@ func (n *Network) NILoad() []uint64 {
 	}
 	return out
 }
-
-// PeakInjWindow returns the p-th percentile (0..100) of the network's
-// per-100-cycle packet injection counts (eq. (1), see peakWindow).
-func (n *Network) PeakInjWindow(p float64) float64 { return peakWindow(n.InjWindows, p) }

@@ -11,10 +11,9 @@ import (
 // and installs reg.Sample as sim's sampling hook at reg.Interval() cycles:
 //
 //   - for both fabrics, per-class injection/ejection rates and flit counts,
-//     in-flight packets, credit-stall cycles (always 0: every packet fits
-//     its VC; the series stays until NetStats.CreditStallCycles goes), SA
-//     grant (switch traversal) rates, link-flit counters and NI-full
-//     rejections;
+//     in-flight packets, SA grant (switch traversal) rates, link-flit
+//     counters and NI-full rejections (no credit-stall series: every
+//     packet fits its VC, so NetStats.CreditStallCycles is always 0);
 //   - on a mesh fabric also VA grant rates, per-VC occupancy and router/NI
 //     buffer levels;
 //   - the warp-stall breakdown (issue/LSU-send/MSHR/store-queue stalls),
@@ -45,7 +44,6 @@ func attachFabric(reg *Registry, label string, f noc.Fabric) {
 		reg.Counter(fmt.Sprintf("%s.injected_flits.%s", label, typ),
 			func() float64 { return float64(st.FlitsInjected[typ]) })
 	}
-	reg.Counter(label+".credit_stall_cycles", func() float64 { return float64(st.CreditStallCycles) })
 	reg.Counter(label+".sa_grants", func() float64 { return float64(st.SwitchTraversals) })
 	if mesh != nil {
 		reg.Counter(label+".va_grants", func() float64 { return float64(mesh.VAGrants()) })

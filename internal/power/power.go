@@ -20,7 +20,7 @@ type Params struct {
 	L2Access   float64
 	DRAMAccess float64 // per line read/write
 	FlitHop    float64 // per flit per router-to-router link traversal
-	BufferRW   float64 // per flit buffered (write+read pair)
+	BufferRW   float64 // per switch traversal (a buffer write+read pair)
 	InjFlit    float64 // per flit over an injection link
 
 	// StaticPower is units per NoC cycle for the whole chip. The paper
@@ -59,23 +59,24 @@ type Breakdown struct {
 // Total returns dynamic + static energy.
 func (b Breakdown) Total() float64 { return b.Dynamic + b.Static }
 
-// Estimate computes the energy of a run from its event counts; ari applies
+// Estimate computes the energy of run r from its event counts; ari applies
 // the ARI static overhead factor.
-func Estimate(a core.Activity, ari bool, p Params) Breakdown {
+func Estimate(r core.Result, ari bool, p Params) Breakdown {
+	a := r.Activity
 	var b Breakdown
-	b.Dynamic += float64(a.Instructions) * p.CoreInstr
+	b.Dynamic += float64(r.Instructions) * p.CoreInstr
 	b.Dynamic += float64(a.L1Accesses) * p.L1Access
 	b.Dynamic += float64(a.L2Accesses) * p.L2Access
 	b.Dynamic += float64(a.DRAMReads+a.DRAMWrites) * p.DRAMAccess
-	b.Dynamic += float64(a.ReqFlitHops+a.RepFlitHops) * p.FlitHop
-	b.Dynamic += float64(a.BufferedFlits) * p.BufferRW
-	b.Dynamic += float64(a.InjectionFlits) * p.InjFlit
+	b.Dynamic += float64(r.Req.MeshLinkFlits+r.Rep.MeshLinkFlits) * p.FlitHop
+	b.Dynamic += float64(r.Req.SwitchTraversals+r.Rep.SwitchTraversals) * p.BufferRW
+	b.Dynamic += float64(r.Req.InjLinkFlits+r.Rep.InjLinkFlits) * p.InjFlit
 
 	static := p.StaticPower
 	if ari {
 		static *= 1 + p.ARIStaticOverhead
 	}
-	b.Static = static * float64(a.NoCCycles)
+	b.Static = static * float64(r.MeasuredCycles)
 	return b
 }
 

@@ -5,25 +5,26 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/noc"
 )
 
-func sampleActivity() core.Activity {
-	return core.Activity{
-		NoCCycles:      10000,
+func sampleResult() core.Result {
+	return core.Result{
+		MeasuredCycles: 10000,
 		Instructions:   500000,
-		L1Accesses:     100000,
-		L2Accesses:     40000,
-		DRAMReads:      20000,
-		DRAMWrites:     5000,
-		ReqFlitHops:    30000,
-		RepFlitHops:    90000,
-		BufferedFlits:  120000,
-		InjectionFlits: 60000,
+		Activity: core.Activity{
+			L1Accesses: 100000,
+			L2Accesses: 40000,
+			DRAMReads:  20000,
+			DRAMWrites: 5000,
+		},
+		Req: noc.NetStats{MeshLinkFlits: 30000, SwitchTraversals: 40000, InjLinkFlits: 20000},
+		Rep: noc.NetStats{MeshLinkFlits: 90000, SwitchTraversals: 80000, InjLinkFlits: 40000},
 	}
 }
 
 func TestEstimatePositive(t *testing.T) {
-	b := Estimate(sampleActivity(), false, DefaultParams())
+	b := Estimate(sampleResult(), false, DefaultParams())
 	if b.Dynamic <= 0 || b.Static <= 0 || b.Total() != b.Dynamic+b.Static {
 		t.Fatalf("bad breakdown %+v", b)
 	}
@@ -31,8 +32,8 @@ func TestEstimatePositive(t *testing.T) {
 
 func TestARIOverheadSmall(t *testing.T) {
 	p := DefaultParams()
-	base := Estimate(sampleActivity(), false, p)
-	ari := Estimate(sampleActivity(), true, p)
+	base := Estimate(sampleResult(), false, p)
+	ari := Estimate(sampleResult(), true, p)
 	if ari.Dynamic != base.Dynamic {
 		t.Fatal("ARI flag changed dynamic energy for identical activity")
 	}
@@ -44,10 +45,10 @@ func TestARIOverheadSmall(t *testing.T) {
 
 func TestStaticScalesWithCycles(t *testing.T) {
 	p := DefaultParams()
-	a := sampleActivity()
-	b1 := Estimate(a, false, p)
-	a.NoCCycles *= 2
-	b2 := Estimate(a, false, p)
+	r := sampleResult()
+	b1 := Estimate(r, false, p)
+	r.MeasuredCycles *= 2
+	b2 := Estimate(r, false, p)
 	if b2.Static != 2*b1.Static {
 		t.Fatalf("static energy not linear in cycles: %v vs %v", b1.Static, b2.Static)
 	}
@@ -71,13 +72,13 @@ func TestPerInstruction(t *testing.T) {
 // dynamic work done in fewer cycles means less static energy per unit work.
 func TestFasterSchemeSavesEnergyPerWork(t *testing.T) {
 	p := DefaultParams()
-	slow := sampleActivity()
+	slow := sampleResult()
 	fast := slow
 	// The faster scheme completes 15% more instructions in the same window
 	// (fixed-horizon runs), with proportional activity.
 	fast.Instructions = uint64(float64(fast.Instructions) * 1.15)
-	fast.L1Accesses = uint64(float64(fast.L1Accesses) * 1.15)
-	fast.DRAMReads = uint64(float64(fast.DRAMReads) * 1.15)
+	fast.Activity.L1Accesses = uint64(float64(fast.Activity.L1Accesses) * 1.15)
+	fast.Activity.DRAMReads = uint64(float64(fast.Activity.DRAMReads) * 1.15)
 
 	slowPI, _ := PerInstruction(Estimate(slow, false, p), slow.Instructions)
 	fastPI, _ := PerInstruction(Estimate(fast, true, p), fast.Instructions)
@@ -93,11 +94,11 @@ func TestFasterSchemeSavesEnergyPerWork(t *testing.T) {
 func TestEstimateMonotonicQuick(t *testing.T) {
 	p := DefaultParams()
 	f := func(extra uint16) bool {
-		a := sampleActivity()
-		b1 := Estimate(a, false, p)
-		a.DRAMReads += uint64(extra)
-		a.RepFlitHops += uint64(extra)
-		b2 := Estimate(a, false, p)
+		r := sampleResult()
+		b1 := Estimate(r, false, p)
+		r.Activity.DRAMReads += uint64(extra)
+		r.Rep.MeshLinkFlits += uint64(extra)
+		b2 := Estimate(r, false, p)
 		return b2.Dynamic >= b1.Dynamic
 	}
 	if err := quick.Check(f, nil); err != nil {
