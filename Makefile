@@ -55,11 +55,11 @@ figures-check:
 #   - fault injection (DESIGN.md §8): the noc fault suites (seeded fault
 #     schedules across schemes with invariants checked throughout, the
 #     schedule golden, deterministic replay under faults), the watchdog
-#     deadlock/starvation detectors, and NoC slab recycling (a simulator
-#     built on a closed one's storage, faults on, equals a fresh one). The
+#     deadlock/starvation detectors, and simulator recycling (a simulator
+#     rebuilt on a closed one's system, faults on, equals a fresh one). The
 #     recycling tests also run 20 times without -race: their byte checks
-#     (no slab was reused) are skipped under it, and they depend on which P
-#     the test goroutine runs on;
+#     (the closed system was not reused) are skipped under it, and they
+#     depend on which P the test goroutine runs on;
 #   - layered fault recovery (DESIGN.md §13): every stall kind combined with
 #     flit-corruption bursts and permanent link deaths, checking zero
 #     undetected corruption (every corrupted packet is CRC-caught, NACKed and
@@ -78,7 +78,7 @@ figures-check:
 soak:
 	go test -race -count=1 ./internal/noc -run 'Soak|Chaos|Fault'
 	go test -race -count=1 ./internal/core -run 'Watchdog|Fault|RunChecked|Truncated|Recycled|Close'
-	go test -count=20 ./internal/core -run 'Recycled'
+	go test -count=20 ./internal/core -run 'Recycled|Close'
 	go test -race -count=1 ./internal/serve -run 'ChaosKillRestart' -timeout 10m
 	go test -race -count=1 ./internal/cluster ./cmd/arigate -timeout 15m
 
@@ -136,14 +136,15 @@ obs:
 # costliest figures, Fig 10 (the ARI ablation ladder at Table I load) and
 # scale (4x4, 6x6 and 8x8 meshes), on the worker pool into
 # $(PROFILE_DIR)/fig/10.pprof and scale.pprof, each with its own top 30.
-# One job (bfs, Ada-ARI) also writes a heap profile, whose alloc_space top
-# 15 shows what building and running a simulator allocates: construction
-# footprint has a figure next to the CPU profile.
+# Last, core's BenchmarkNewSimulatorBurst (close serve-paths' 48
+# simulators, build them again) writes two heap profiles, of 2 and 102
+# bursts; the alloc_space top 15 of their difference is what 100 bursts of
+# rebuilds on closed systems still allocate, with no fresh build in it.
 PROFILE_DIR := .bench_build/profile
 PROFILE_SEEDS := 1 2 3 4 5 6 7 8
 LOWLOAD_SEEDS := 1 2
 profile:
-	mkdir -p $(PROFILE_DIR)/low $(PROFILE_DIR)/fig && rm -f $(PROFILE_DIR)/*.pprof $(PROFILE_DIR)/low/*.pprof $(PROFILE_DIR)/fig/*.pprof $(PROFILE_DIR)/mem.heap
+	mkdir -p $(PROFILE_DIR)/low $(PROFILE_DIR)/fig && rm -f $(PROFILE_DIR)/*.pprof $(PROFILE_DIR)/low/*.pprof $(PROFILE_DIR)/fig/*.pprof $(PROFILE_DIR)/*.heap
 	go build -o $(PROFILE_DIR)/arisim ./cmd/arisim
 	for b in bfs kmeans pathfinder; do for s in Ada-Baseline Ada-ARI; do for seed in $(PROFILE_SEEDS); do \
 		$(PROFILE_DIR)/arisim -bench $$b -scheme $$s -warmup 1000 -cycles 3000 -seed $$seed \
@@ -160,9 +161,12 @@ profile:
 		$(PROFILE_DIR)/ariexp -fig $$f -cpuprofile $(PROFILE_DIR)/fig/$$f.pprof > /dev/null || exit 1; \
 		go tool pprof -top -nodecount 30 $(PROFILE_DIR)/ariexp $(PROFILE_DIR)/fig/$$f.pprof || exit 1; \
 	done
-	$(PROFILE_DIR)/arisim -bench bfs -scheme Ada-ARI -warmup 1000 -cycles 3000 \
-		-memprofile $(PROFILE_DIR)/mem.heap > /dev/null
-	go tool pprof -sample_index=alloc_space -top -nodecount 15 $(PROFILE_DIR)/arisim $(PROFILE_DIR)/mem.heap
+	for n in 2 102; do \
+		go test ./internal/core -run '^$$' -bench NewSimulatorBurst -benchtime $${n}x -memprofilerate 1 \
+			-memprofile $(PROFILE_DIR)/burst$$n.heap -o $(PROFILE_DIR)/core.test > /dev/null || exit 1; \
+	done
+	go tool pprof -sample_index=alloc_space -top -nodecount 15 -diff_base $(PROFILE_DIR)/burst2.heap \
+		$(PROFILE_DIR)/core.test $(PROFILE_DIR)/burst102.heap
 
 # fuzz replays the committed corpora and then fuzzes each target briefly.
 fuzz:

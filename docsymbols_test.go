@@ -97,7 +97,7 @@ func TestDocSymbolClassifier(t *testing.T) {
 }
 
 // designMaxBytes bounds DESIGN.md. A change may lower it, never raise it.
-const designMaxBytes = 91511
+const designMaxBytes = 91464
 
 // changesEntryMaxBytes bounds the newest CHANGES.md entry (1.5 KB).
 const changesEntryMaxBytes = 1536

@@ -4,7 +4,11 @@
 // merges outstanding misses.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/slab"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -78,23 +82,28 @@ type Cache struct {
 // New builds a cache; it panics on invalid geometry (a construction bug,
 // not a runtime condition).
 func New(cfg Config) *Cache {
+	c := new(Cache)
+	c.Init(cfg)
+	return c
+}
+
+// Init builds c, empty, for cfg in place: the tag and state tables it
+// already holds are cleared and re-sliced when large enough. It panics on
+// invalid geometry, as New does.
+func (c *Cache) Init(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	sets := cfg.Sets()
-	c := &Cache{
-		cfg:  cfg,
-		tags: make([]uint64, sets*cfg.Ways),
-		meta: make([]uint8, sets*cfg.Ways),
-		mask: uint64(sets - 1),
-	}
+	*c = Cache{cfg: cfg, tags: c.tags, meta: c.meta, mask: uint64(sets - 1)}
+	slab.Fit(&c.tags, sets*cfg.Ways)
+	slab.Fit(&c.meta, sets*cfg.Ways)
 	for s := 1; s < cfg.LineBytes; s <<= 1 {
 		c.shift++
 	}
 	for m := c.mask; m != 0; m >>= 1 {
 		c.setBits++
 	}
-	return c
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {

@@ -1,5 +1,7 @@
 package cache
 
+import "repro/internal/slab"
+
 // MSHR is a miss-status holding register file: it tracks outstanding line
 // fills and merges subsequent misses to the same line, so one in-flight
 // read request serves every warp waiting on that line.
@@ -26,12 +28,24 @@ type MSHR struct {
 // NewMSHR returns an MSHR file with at most maxEntries outstanding lines
 // and maxWaiters merged waiters per line.
 func NewMSHR(maxEntries, maxWaiters int) *MSHR {
+	m := new(MSHR)
+	m.Init(maxEntries, maxWaiters)
+	return m
+}
+
+// Init makes m an empty file of NewMSHR's shape in place, reusing the
+// tables it already holds when large enough.
+func (m *MSHR) Init(maxEntries, maxWaiters int) {
 	if maxEntries <= 0 || maxWaiters <= 0 {
 		panic("cache: MSHR sizes must be positive")
 	}
-	ints := make([]int32, maxEntries+(maxEntries+1)*maxWaiters)
-	return &MSHR{
-		lines:   make([]uint64, maxEntries),
+	// nWait is the front of the one int32 slab, so its capacity is the
+	// slab's.
+	lines, ints := m.lines, m.nWait[:cap(m.nWait)]
+	slab.Fit(&lines, maxEntries)
+	slab.Fit(&ints, maxEntries+(maxEntries+1)*maxWaiters)
+	*m = MSHR{
+		lines:   lines,
 		nWait:   ints[:maxEntries],
 		waiters: ints[maxEntries : maxEntries+maxEntries*maxWaiters],
 		filled:  ints[maxEntries+maxEntries*maxWaiters:],

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -111,9 +112,10 @@ func TestRunCheckedPollDoesNotAllocate(t *testing.T) {
 // TestNewSimulatorAllocBudget keeps construction cheap: it is most of a
 // short job's setup time (serve-paths runs 50 ms jobs), and it was 12 380
 // allocations — 80 % of them routers and flit rings — before the networks
-// were slab-built. 466 at the time of writing, 446 when each build reuses
-// the NoC slabs of the one closed before it, as here; the budget is about
-// twice that.
+// were slab-built. A fresh build makes 461 at the time of writing, and a
+// rebuild of the system closed before it, as here, 44; the budget is about
+// twice the fresh count, which a build under the race detector may pay (its
+// sync.Pool drops Puts at random).
 func TestNewSimulatorAllocBudget(t *testing.T) {
 	k, err := trace.ByName("bfs")
 	if err != nil {
@@ -141,9 +143,9 @@ func TestNewSimulatorAllocBudget(t *testing.T) {
 // MSHR tables, and 0.63 MB with offset-addressed flit rings, index-linked
 // NoC ports, one held-instruction slab per core and 16-byte warps. With NoC
 // buffers that hold 4-byte packet handles instead of 8-byte flits, 8-byte
-// staged flits and 32-byte VCs it is 0.54 MB (543 136 B) at the time of
+// staged flits and 32-byte VCs it is 0.54 MB (539 920 B) at the time of
 // writing; the budget is 5 % above that. The builds are fresh: the pool of
-// released NoC slabs is drained first, and no build is closed.
+// closed systems is drained first, and no build is closed.
 func TestNewSimulatorByteBudget(t *testing.T) {
 	k, err := trace.ByName("bfs")
 	if err != nil {
@@ -152,7 +154,7 @@ func TestNewSimulatorByteBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = AdaARI
 	const runs, budget = 10, 570_000
-	drainSlabPool()
+	drainPool()
 	per := allocated(func() {
 		for i := 0; i < runs; i++ {
 			mustSimulator(t, cfg, k)
@@ -164,14 +166,15 @@ func TestNewSimulatorByteBudget(t *testing.T) {
 }
 
 // TestRecycledSimulatorByteBudget holds what a build costs after a
-// same-shape simulator was closed: Close hands both mesh networks' slabs
-// back and the build clears them instead of allocating, 198 KB less than a
-// fresh build. 345 400 B at the time of writing; the budget is 5 % above
-// that. Under the race detector sync.Pool drops Puts at random, so the
-// test needs a build without it; it runs on one P (see oneP).
+// same-shape simulator was closed: Close hands the whole system back and the
+// build clears it in place, so it allocates only the simulator handle and
+// the hooks that name the new run. That was 345 KB when only the meshes'
+// slabs were reused, and 1 736 B at the time of writing; the budget is about
+// twice that. Under the race detector sync.Pool drops Puts at random, so
+// the test needs a build without it; it runs on one P (see oneP).
 func TestRecycledSimulatorByteBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops released slabs at random under the race detector")
+		t.Skip("sync.Pool drops closed systems at random under the race detector")
 	}
 	defer oneP()()
 	k, err := trace.ByName("bfs")
@@ -180,7 +183,7 @@ func TestRecycledSimulatorByteBudget(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Scheme = AdaARI
-	const runs, budget = 10, 363_000
+	const runs, budget = 10, 4_000
 	mustSimulator(t, cfg, k).Close()
 	per := allocated(func() {
 		for i := 0; i < runs; i++ {
@@ -194,8 +197,8 @@ func TestRecycledSimulatorByteBudget(t *testing.T) {
 
 // BenchmarkNewSimulator measures construction of the Table I system: the
 // fixed cost of every run, and most of a short job's setup time. Every
-// iteration closes its simulator, so every build but the first reuses the
-// previous one's NoC slabs.
+// iteration closes its simulator, so every build but the first rebuilds the
+// previous one's system in place.
 func BenchmarkNewSimulator(b *testing.B) {
 	k, err := trace.ByName("bfs")
 	if err != nil {
@@ -211,6 +214,54 @@ func BenchmarkNewSimulator(b *testing.B) {
 		}
 		sim.Close()
 	}
+}
+
+// BenchmarkNewSimulatorBurst measures a job server's set-up burst, as the
+// ledger's serve-paths workload times it: close the 48 simulators of its
+// job list (8 light kernels x Ada-Baseline/Ada-ARI x 3 seeds), then build
+// the 48 again. B/build is what one rebuild allocates and gc/burst the GC
+// cycles a burst runs; a burst that rebuilds every closed system runs none.
+func BenchmarkNewSimulatorBurst(b *testing.B) {
+	type job struct {
+		cfg Config
+		k   trace.Kernel
+	}
+	var jobs []job
+	for _, name := range []string{"sobolQRNG", "blackScholes", "monteCarlo", "quasirandomG", "matrixMul", "convolution", "fastWalsh", "mergeSort"} {
+		k, err := trace.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sc := range []Scheme{AdaBaseline, AdaARI} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				cfg := DefaultConfig()
+				cfg.Scheme, cfg.Seed = sc, seed
+				jobs = append(jobs, job{cfg, k})
+			}
+		}
+	}
+	sims := make([]*Simulator, len(jobs))
+	build := func() {
+		for i, j := range jobs {
+			sims[i] = mustSimulator(b, j.cfg, j.k)
+		}
+	}
+	build()
+	var before, after runtime.MemStats
+	var bytes, gcs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range sims {
+			s.Close()
+		}
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+		gcs += uint64(after.NumGC - before.NumGC)
+	}
+	b.ReportMetric(float64(bytes)/float64(b.N*len(jobs)), "B/build")
+	b.ReportMetric(float64(gcs)/float64(b.N), "gc/burst")
 }
 
 // BenchmarkSimulatorStepLowLoad steps the Table I system under Ada-ARI on

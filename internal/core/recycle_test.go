@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"strings"
@@ -30,19 +31,18 @@ func recycleConfig(sc Scheme, f noc.FaultConfig) Config {
 	return cfg
 }
 
-// drainSlabPool empties the NoC's pool of released slabs: a pooled object
-// survives one collection in the pool's victim cache, not two.
-func drainSlabPool() {
+// drainPool empties the pool of closed simulators' systems: a pooled
+// object survives one collection in the pool's victim cache, not two.
+func drainPool() {
 	runtime.GC()
 	runtime.GC()
 }
 
-// oneP sets GOMAXPROCS to 1 for a test that asserts slab reuse and returns
-// the restore, to be deferred. sync.Pool keeps a Put in the current P's
-// private slot, which no other P can take: a DA2mesh scheme releases one
-// mesh, so its one slab sits there, and a goroutine that moved to another P
-// between Close and the rebuild would find nothing to reuse. With one P it
-// cannot move.
+// oneP sets GOMAXPROCS to 1 for a test that asserts a system is reused and
+// returns the restore, to be deferred. sync.Pool keeps a Put in the current
+// P's private slot, which no other P can take: a goroutine that moved to
+// another P between Close and the rebuild would find nothing to reuse. With
+// one P it cannot move.
 func oneP() (restore func()) {
 	prev := runtime.GOMAXPROCS(1)
 	return func() { runtime.GOMAXPROCS(prev) }
@@ -66,12 +66,96 @@ func mustSimulator(t testing.TB, cfg Config, k trace.Kernel) *Simulator {
 	return sim
 }
 
-// TestRecycledRunEqualsFresh holds a simulator built on a closed one's NoC
-// storage to a fresh one's Result, for every scheme under every fault
-// setting. The storage comes from a larger (8x8) simulator closed with
-// packets in flight, faults drawn and links dead, so every slab a 6x6
-// network carves holds stale state until it is cleared. Invariants are
-// checked every cycle of the recycled run.
+// replayer returns a trace.Replayer over a few records of every warp of k
+// on cores cores, drawn from k's generator under seed.
+func replayer(t *testing.T, k trace.Kernel, cores int, seed uint64) *trace.Replayer {
+	t.Helper()
+	gen, err := trace.NewGenerator(k, cores, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec, err := trace.NewRecorder(gen, &buf, cores, k.WarpsPerCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 4 {
+		for c := range cores {
+			for w := range k.WarpsPerCore {
+				rec.NextCompute(c, w)
+				rec.NextMem(c, w, nil)
+			}
+		}
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := trace.NewReplayer(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// closeDirty leaves one closed system in the pool, dirty everywhere a
+// rebuild for cfg (a 6x6 bfs run) reuses storage: two 8x8 simulators run
+// on it in turn and are closed with packets in flight, faults drawn and
+// links dead. The first runs kmeans' synthetic streams (bfs' warp count,
+// other generator state) on cfg's kind of reply fabric; the second
+// replays a hotspot trace (40 warps a core) over another kind: the mesh
+// under an overlay scheme, else, by scheme, the DA2mesh overlay or the
+// ideal fabric. It returns the second simulator, closed once.
+func closeDirty(t *testing.T, cfg Config) *Simulator {
+	t.Helper()
+	big := cfg
+	big.MeshWidth, big.MeshHeight = 8, 8
+	cores := big.MeshWidth*big.MeshHeight - big.NumMC
+	other := big
+	switch {
+	case cfg.Scheme.Mechanisms().Overlay:
+		other.Scheme = AdaARI
+	case cfg.Scheme%2 == 0:
+		other.Scheme = DA2MeshARI
+	default:
+		other.IdealReply = true
+	}
+	kmeans, err := trace.ByName("kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hotspot, err := trace.ByName("hotspot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sim *Simulator
+	for _, d := range []struct {
+		cfg Config
+		k   trace.Kernel
+		w   trace.Workload
+	}{
+		{big, kmeans, nil},
+		{other, hotspot, replayer(t, hotspot, cores, 5)},
+	} {
+		if sim, err = NewSimulatorWorkload(d.cfg, d.k, d.w); err != nil {
+			t.Fatal(err)
+		}
+		for range 300 {
+			sim.Step()
+		}
+		if sim.RequestNet().InFlight() == 0 {
+			t.Fatalf("%s/%s: the 8x8 simulator holds no packet when closed", d.k.Name, d.cfg.Scheme)
+		}
+		sim.Close()
+	}
+	return sim
+}
+
+// TestRecycledRunEqualsFresh holds a simulator rebuilt on a closed one's
+// system to a fresh one's Result, for every scheme under every fault
+// setting. The system comes from closeDirty, so every table a 6x6 bfs
+// system reuses — fabrics, cores, L1s, MSHRs, MCs, L2s, DRAM channels and
+// the generator — holds another run's state until its Init clears it.
+// Invariants are checked every cycle of the recycled run.
 func TestRecycledRunEqualsFresh(t *testing.T) {
 	k, err := trace.ByName("bfs")
 	if err != nil {
@@ -83,26 +167,16 @@ func TestRecycledRunEqualsFresh(t *testing.T) {
 			cfg := recycleConfig(sc, fc.fault)
 			name := fc.name + "/" + sc.String()
 
-			drainSlabPool()
+			drainPool()
 			var fresh *Simulator
 			freshBytes := allocated(func() { fresh = mustSimulator(t, cfg, k) })
 			want := mustRun(t, fresh)
 
-			big := cfg
-			big.MeshWidth, big.MeshHeight = 8, 8
-			dirty := mustSimulator(t, big, k)
-			for range 300 {
-				dirty.Step()
-			}
-			if dirty.reqNet.InFlight() == 0 {
-				t.Fatalf("%s: the 8x8 simulator holds no packet when closed", name)
-			}
-			dirty.Close()
-
+			closeDirty(t, cfg)
 			var sim *Simulator
 			recycledBytes := allocated(func() { sim = mustSimulator(t, cfg, k) })
-			if !raceEnabled && recycledBytes+64_000 > freshBytes {
-				t.Fatalf("%s: the recycled build allocated %d B, the fresh one %d B: no slab was reused", name, recycledBytes, freshBytes)
+			if !raceEnabled && recycledBytes*10 > freshBytes {
+				t.Fatalf("%s: the rebuild allocated %d B, the fresh build %d B: the closed system was not reused", name, recycledBytes, freshBytes)
 			}
 			got, err := sim.RunChecked(CheckOptions{InvariantEvery: 1})
 			if err != nil {
@@ -110,15 +184,15 @@ func TestRecycledRunEqualsFresh(t *testing.T) {
 			}
 			sim.Close()
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: a run on recycled storage differs from a fresh run", name)
+				t.Errorf("%s: a run on a closed system differs from a fresh run", name)
 			}
 		}
 	}
 }
 
-// TestClosedSimulatorPanics: Close is a simulator's last use, so stepping
-// or running it afterwards panics with a message naming Close instead of
-// touching storage another simulator may own.
+// TestClosedSimulatorPanics: Close is a simulator's last use, so running or
+// reading it afterwards panics with a message naming Close instead of
+// touching a system another simulator may own.
 func TestClosedSimulatorPanics(t *testing.T) {
 	k, err := trace.ByName("bfs")
 	if err != nil {
@@ -127,8 +201,13 @@ func TestClosedSimulatorPanics(t *testing.T) {
 	for _, sc := range []Scheme{AdaARI, DA2MeshARI} {
 		cfg := recycleConfig(sc, noc.FaultConfig{})
 		for name, use := range map[string]func(*Simulator){
-			"Step":       func(s *Simulator) { s.Step() },
-			"RunChecked": func(s *Simulator) { s.RunChecked(CheckOptions{}) },
+			"Step":          func(s *Simulator) { s.Step() },
+			"RunChecked":    func(s *Simulator) { s.RunChecked(CheckOptions{}) },
+			"Cores":         func(s *Simulator) { s.Cores() },
+			"MCs":           func(s *Simulator) { s.MCs() },
+			"RequestNet":    func(s *Simulator) { s.RequestNet() },
+			"ReplyNet":      func(s *Simulator) { s.ReplyNet() },
+			"StateDumpJSON": func(s *Simulator) { s.StateDumpJSON() },
 		} {
 			sim := mustSimulator(t, cfg, k)
 			sim.Step()
@@ -146,10 +225,10 @@ func TestClosedSimulatorPanics(t *testing.T) {
 	}
 }
 
-// TestDoubleCloseSharesNothing closes a simulator twice, then steps two
-// simulators built after it in lockstep: were the second Close to hand the
-// same storage back again, the two would share buffers and their Results
-// would not be a fresh run's.
+// TestDoubleCloseSharesNothing closes closeDirty's simulator a second time,
+// then steps two simulators built after it in lockstep: were the second
+// Close to hand the same system back again, the two would share it and
+// their Results would not be a fresh run's.
 func TestDoubleCloseSharesNothing(t *testing.T) {
 	var ks [2]trace.Kernel
 	for i, name := range []string{"bfs", "kmeans"} {
@@ -159,24 +238,23 @@ func TestDoubleCloseSharesNothing(t *testing.T) {
 		}
 		ks[i] = k
 	}
+	defer oneP()()
 	for _, fc := range recycleFaults {
 		cfg := recycleConfig(AdaARI, fc.fault)
 		var want [2]Result
-		drainSlabPool()
+		drainPool()
 		for i, k := range ks {
 			want[i] = mustRun(t, mustSimulator(t, cfg, k))
 		}
 
-		closed := mustSimulator(t, cfg, ks[0])
-		for range 200 {
-			closed.Step()
-		}
-		closed.Close()
-		closed.Close()
+		closeDirty(t, cfg).Close()
 
 		var sims [2]*Simulator
 		for i, k := range ks {
 			sims[i] = mustSimulator(t, cfg, k)
+		}
+		if sims[0].system == sims[1].system {
+			t.Fatalf("%s: two live simulators share one system", fc.name)
 		}
 		for c := int64(0); c < cfg.WarmupCycles; c++ {
 			sims[0].Step()
@@ -202,7 +280,7 @@ func TestDoubleCloseSharesNothing(t *testing.T) {
 }
 
 // TestRecycledAcrossGoroutines builds, runs and closes simulators on
-// several goroutines at once, as exp.Runner's workers do, so released slabs
+// several goroutines at once, as exp.Runner's workers do, so closed systems
 // move between goroutines through the pool: every run must still be its
 // kernel's fresh Result.
 func TestRecycledAcrossGoroutines(t *testing.T) {
@@ -215,7 +293,7 @@ func TestRecycledAcrossGoroutines(t *testing.T) {
 		ks = append(ks, k)
 	}
 	cfg := recycleConfig(AdaARI, recycleFaults[1].fault)
-	drainSlabPool()
+	drainPool()
 	want := make([]Result, len(ks))
 	for i, k := range ks {
 		want[i] = mustRun(t, mustSimulator(t, cfg, k))

@@ -6,17 +6,31 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/gpu"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/slab"
 	"repro/internal/timing"
 	"repro/internal/trace"
 )
 
 // Simulator is one full-system instance: a kernel running on every compute
-// node, request and reply networks, and the MC nodes.
+// node, request and reply networks, and the MC nodes. It is a handle on the
+// system it drives: Close hands the system to the next NewSimulator, and
+// every other method panics afterwards.
 type Simulator struct {
+	*system
+}
+
+// system is a simulator's whole object graph: both fabrics, cores with their
+// L1s and MSHR files, MCs with their L2 banks and DRAM channels, and the
+// synthetic workload. A closed simulator's system waits in systems, and
+// NewSimulator rebuilds one from there in place — every layer's Init
+// clears and re-slices what it already holds — so a build after a Close
+// allocates almost nothing.
+type system struct {
 	cfg      Config
 	kernel   trace.Kernel
 	workload trace.Workload
@@ -27,9 +41,20 @@ type Simulator struct {
 
 	reqNet *noc.Network
 	repNet noc.Fabric
+	// repMesh, overlay and ideal are the reply fabrics of each kind the
+	// system has built, kept for the rebuilds that need that kind; repNet
+	// is one of them. gen is the synthetic workload's storage.
+	repMesh *noc.Network
+	overlay *noc.DA2Mesh
+	ideal   *noc.IdealFabric
+	gen     *trace.Generator
 
 	cores []*gpu.Core
 	mcs   []*mem.Controller
+	// mcAt and coreAt are indexed by node id, nil where the node holds the
+	// other kind: the per-eject lookups of the fabrics' handlers.
+	mcAt   []*mem.Controller
+	coreAt []*gpu.Core
 
 	// awake has bit i set while core i does full ticks. A tick that hands
 	// off a compute burst (gpu.Core.Burst) leaves only burst ticks until the
@@ -41,8 +66,8 @@ type Simulator struct {
 	sleep    []coreSleep
 	nextWake uint64
 
-	coreClock *timing.Clock
-	memClock  *timing.Clock
+	coreClock timing.Clock
+	memClock  timing.Clock
 	cycle     int64
 	measuring bool
 	// measuredCycles is the realised measurement window (fixed for
@@ -58,6 +83,10 @@ type Simulator struct {
 	sampler     func(cycle int64)
 	sampleEvery int64
 }
+
+// systems holds closed simulators' systems for NewSimulator to rebuild.
+// The GC drains it.
+var systems sync.Pool
 
 // coreSleep is a sleeping core's wake tick and the core tick up to which
 // its slept ticks are applied; wake is notAsleep while the core is awake.
@@ -77,7 +106,8 @@ func NewSimulator(cfg Config, k trace.Kernel) (*Simulator, error) {
 // explicit workload (e.g. a trace.Replayer over a recorded trace, or a
 // trace.Recorder teeing the synthetic streams to disk). k still supplies
 // the occupancy (WarpsPerCore) and labels; when w is nil the synthetic
-// generator for k is used.
+// generator for k is used. It rebuilds a closed simulator's system when
+// one is waiting.
 func NewSimulatorWorkload(cfg Config, k trace.Kernel, w trace.Workload) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,27 +115,57 @@ func NewSimulatorWorkload(cfg Config, k trace.Kernel, w trace.Workload) (*Simula
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{
+	s, _ := systems.Get().(*system)
+	if s == nil {
+		s = new(system)
+	}
+	if err := s.init(cfg, k, w); err != nil {
+		return nil, err
+	}
+	return &Simulator{s}, nil
+}
+
+// init builds s for kernel k under cfg in place, keeping every object and
+// slice it already holds for the layers' Inits to reuse.
+func (s *system) init(cfg Config, k trace.Kernel, w trace.Workload) error {
+	*s = system{
 		cfg:       cfg,
 		kernel:    k,
 		workload:  w,
 		mesh:      noc.Mesh{Width: cfg.MeshWidth, Height: cfg.MeshHeight},
-		coreClock: timing.NewClock(cfg.CoreClockNum, cfg.CoreClockDen),
-		memClock:  timing.NewClock(cfg.MemClockNum, cfg.MemClockDen),
+		reqNet:    s.reqNet,
+		repMesh:   s.repMesh,
+		overlay:   s.overlay,
+		ideal:     s.ideal,
+		gen:       s.gen,
+		cores:     s.cores,
+		mcs:       s.mcs,
+		mcAt:      s.mcAt,
+		coreAt:    s.coreAt,
+		awake:     s.awake,
+		sleep:     s.sleep,
+		coreClock: *timing.NewClock(cfg.CoreClockNum, cfg.CoreClockDen),
+		memClock:  *timing.NewClock(cfg.MemClockNum, cfg.MemClockDen),
 	}
 	if err := s.buildNetworks(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := s.buildNodes(); err != nil {
-		return nil, err
+	return s.buildNodes()
+}
+
+// open returns s's system, panicking once Close has handed it on.
+func (s *Simulator) open() *system {
+	if s.system == nil {
+		panic("core: Simulator used after Close")
 	}
-	return s, nil
+	return s.system
 }
 
 // RecoveryStats returns the fault-recovery protocol counters summed over
 // both fabrics. Zero when recovery is disabled (Config.RetransBufPkts 0 and
 // no corrupting faults) and always zero on the behavioural reply fabrics.
 func (s *Simulator) RecoveryStats() noc.RecoveryStats {
+	s.open()
 	var agg noc.RecoveryStats
 	add := func(r noc.RecoveryStats) {
 		agg.CorruptFlits += r.CorruptFlits
@@ -122,17 +182,18 @@ func (s *Simulator) RecoveryStats() noc.RecoveryStats {
 	return agg
 }
 
-// Close is the simulator's last use: it hands both mesh networks' storage
-// back for the next NewSimulator to reuse (noc.Network.Release), so Step and
-// RunChecked panic afterwards, and nothing of the simulator — its fabrics
-// above all — may be read once it returns. A second Close does nothing. A
-// caller that hands the simulator or a fabric on (exp.Runner's observed
-// jobs, whose observers may keep a fabric) does not close it, and the GC
-// takes its storage instead.
+// Close is the simulator's last use: it hands the simulator's system —
+// fabrics, cores, caches, MCs and workload generator — to the next
+// NewSimulator to rebuild in place, so every method but Close panics
+// afterwards, and nothing read from the simulator (its cores, MCs and
+// fabrics above all) may be used once it returns. A second Close does
+// nothing. A caller that hands the simulator or a fabric on (exp.Runner's
+// observed jobs, whose observers may keep a fabric) does not close it, and
+// the GC takes its storage instead.
 func (s *Simulator) Close() {
-	s.reqNet.Release()
-	if rep, ok := s.repNet.(*noc.Network); ok {
-		rep.Release()
+	if s.system != nil {
+		systems.Put(s.system)
+		s.system = nil
 	}
 }
 
@@ -177,7 +238,7 @@ func computeNodes(rep noc.Config) []int {
 // gives each mesh its fault schedule (Config.Fault; stream 1 for the request
 // mesh, 2 for the reply mesh). The DA2mesh overlay and the ideal fabric are
 // behavioural models without per-link state, so they get none.
-func (s *Simulator) buildNetworks() error {
+func (s *system) buildNetworks() error {
 	cfg := s.cfg
 	fcfg := cfg.Fault
 	if fcfg.Seed == 0 {
@@ -185,12 +246,13 @@ func (s *Simulator) buildNetworks() error {
 	}
 
 	reqCfg, repCfg := cfg.networks()
-	reqNet, err := noc.NewNetwork(reqCfg)
-	if err != nil {
+	if s.reqNet == nil {
+		s.reqNet = new(noc.Network)
+	}
+	if err := s.reqNet.Init(reqCfg); err != nil {
 		return fmt.Errorf("core: request network: %w", err)
 	}
-	s.reqNet = reqNet
-	if err := reqNet.ScheduleFaults(fcfg, 1); err != nil {
+	if err := s.reqNet.ScheduleFaults(fcfg, 1); err != nil {
 		return fmt.Errorf("core: request fault schedule: %w", err)
 	}
 
@@ -198,95 +260,115 @@ func (s *Simulator) buildNetworks() error {
 	s.mcNodes, s.ccNodes = repCfg.MCNodes, computeNodes(repCfg)
 	switch {
 	case cfg.IdealReply:
-		if s.repNet, err = noc.NewIdealFabric(repCfg); err != nil {
+		if s.ideal == nil {
+			s.ideal = new(noc.IdealFabric)
+		}
+		if err := s.ideal.Init(repCfg); err != nil {
 			return fmt.Errorf("core: ideal reply fabric: %w", err)
 		}
+		s.repNet = s.ideal
 	case cfg.Scheme.Mechanisms().Overlay:
-		if s.repNet, err = noc.NewDA2Mesh(repCfg); err != nil {
+		if s.overlay == nil {
+			s.overlay = new(noc.DA2Mesh)
+		}
+		if err := s.overlay.Init(repCfg); err != nil {
 			return fmt.Errorf("core: reply overlay: %w", err)
 		}
+		s.repNet = s.overlay
 	default:
-		rep, err := noc.NewNetwork(repCfg)
-		if err != nil {
+		if s.repMesh == nil {
+			s.repMesh = new(noc.Network)
+		}
+		if err := s.repMesh.Init(repCfg); err != nil {
 			return fmt.Errorf("core: reply network: %w", err)
 		}
-		if err := rep.ScheduleFaults(fcfg, 2); err != nil {
+		if err := s.repMesh.ScheduleFaults(fcfg, 2); err != nil {
 			return fmt.Errorf("core: reply fault schedule: %w", err)
 		}
-		s.repNet = rep
+		s.repNet = s.repMesh
 	}
 	return nil
 }
 
+// reuse returns ptrs resized to n, keeping every object its backing array
+// already points at; the slots past those are nil.
+func reuse[T any](ptrs []*T, n int) []*T {
+	if cap(ptrs) < n {
+		ptrs = append(ptrs[:cap(ptrs)], make([]*T, n-cap(ptrs))...)
+	}
+	return ptrs[:n]
+}
+
 // buildNodes constructs the cores and memory controllers and installs the
 // traffic hooks.
-func (s *Simulator) buildNodes() error {
+func (s *system) buildNodes() error {
 	cfg := s.cfg
 
 	workload := s.workload
 	if workload == nil {
-		gen, err := trace.NewGenerator(s.kernel, len(s.ccNodes), cfg.Seed)
-		if err != nil {
+		if s.gen == nil {
+			s.gen = new(trace.Generator)
+		}
+		if err := s.gen.Init(s.kernel, len(s.ccNodes), cfg.Seed); err != nil {
 			return err
 		}
-		workload = gen
+		workload = s.gen
 	}
 
-	s.cores = make([]*gpu.Core, len(s.ccNodes))
+	s.cores = reuse(s.cores, len(s.ccNodes))
 	for i, node := range s.ccNodes {
-		idx, nd := i, node
-		send := func(txn *mem.Transaction) bool { return s.sendRequest(nd, txn) }
-		c, err := gpu.NewCore(idx, nd, cfg.Core, s.kernel.WarpsPerCore, workload, send)
-		if err != nil {
+		send := func(txn *mem.Transaction) bool { return s.sendRequest(node, txn) }
+		if s.cores[i] == nil {
+			s.cores[i] = new(gpu.Core)
+		}
+		if err := s.cores[i].Init(i, node, cfg.Core, s.kernel.WarpsPerCore, workload, send); err != nil {
 			return err
 		}
-		s.cores[i] = c
 	}
-	s.awake = make([]uint64, (len(s.cores)+63)/64)
-	s.sleep = make([]coreSleep, len(s.cores))
+	slab.Fit(&s.awake, (len(s.cores)+63)/64)
+	slab.Fit(&s.sleep, len(s.cores))
 	for i := range s.cores {
 		s.awake[i>>6] |= 1 << (i & 63)
 		s.sleep[i].wake = notAsleep
 	}
 	s.nextWake = notAsleep
 
-	s.mcs = make([]*mem.Controller, len(s.mcNodes))
+	s.mcs = reuse(s.mcs, len(s.mcNodes))
 	for i, node := range s.mcNodes {
-		mc, err := mem.NewController(node, cfg.MC, s.repNet, cfg.RepLinkBits, cfg.Core.L1.LineBytes)
-		if err != nil {
+		if s.mcs[i] == nil {
+			s.mcs[i] = new(mem.Controller)
+		}
+		if err := s.mcs[i].Init(node, cfg.MC, s.repNet, cfg.RepLinkBits, cfg.Core.L1.LineBytes); err != nil {
 			return err
 		}
-		s.mcs[i] = mc
 	}
 
 	// Request network delivers to MCs, gated by their ingress space. The MC
 	// extracts the transaction, so the packet shell recycles immediately.
-	// mcAt and coreAt are indexed by node id (nil where the node holds the
-	// other kind): the per-eject lookups are a slice index.
-	mcAt := make([]*mem.Controller, s.mesh.Nodes())
+	slab.Fit(&s.mcAt, s.mesh.Nodes())
 	for _, mc := range s.mcs {
-		mcAt[mc.Node] = mc
+		s.mcAt[mc.Node] = mc
 	}
 	s.reqNet.SetEjectHandler(func(node int, pkt *noc.Packet, now int64) {
-		mcAt[node].Receive(pkt)
+		s.mcAt[node].Receive(pkt)
 		s.reqNet.PutPacket(pkt)
 	})
 	s.reqNet.SetSinkGate(func(node int) bool {
-		mc := mcAt[node]
+		mc := s.mcAt[node]
 		return mc == nil || mc.CanReceive()
 	})
 
 	// Reply fabric delivers to cores.
-	coreAt := make([]*gpu.Core, s.mesh.Nodes())
+	slab.Fit(&s.coreAt, s.mesh.Nodes())
 	for _, c := range s.cores {
-		coreAt[c.Node] = c
+		s.coreAt[c.Node] = c
 	}
 	s.repNet.SetEjectHandler(func(node int, pkt *noc.Packet, now int64) {
 		txn, ok := pkt.Payload.(*mem.Transaction)
 		if !ok {
 			panic("core: reply packet without Transaction payload")
 		}
-		if c := coreAt[node]; c != nil {
+		if c := s.coreAt[node]; c != nil {
 			c.ReceiveReply(txn)
 		}
 		s.repNet.PutPacket(pkt)
@@ -296,13 +378,13 @@ func (s *Simulator) buildNodes() error {
 
 // mcNodeFor maps a line address to its owning MC node (line interleaving
 // across MCs).
-func (s *Simulator) mcNodeFor(addr uint64) int {
+func (s *system) mcNodeFor(addr uint64) int {
 	line := addr / uint64(s.cfg.Core.L1.LineBytes)
 	return s.mcNodes[int(line%uint64(len(s.mcNodes)))]
 }
 
 // sendRequest builds and injects a request packet from a core's node.
-func (s *Simulator) sendRequest(node int, txn *mem.Transaction) bool {
+func (s *system) sendRequest(node int, txn *mem.Transaction) bool {
 	typ := noc.ReadRequest
 	if txn.IsWrite {
 		typ = noc.WriteRequest
@@ -320,7 +402,10 @@ func (s *Simulator) sendRequest(node int, txn *mem.Transaction) bool {
 }
 
 // Step advances the whole system by one NoC cycle.
-func (s *Simulator) Step() {
+func (s *Simulator) Step() { s.open().step() }
+
+// step is Step on a system known to be open.
+func (s *system) step() {
 	coreTicks := s.coreClock.Tick()
 	memTicks := s.memClock.Tick()
 	for tick := s.coreClock.Cycles() - uint64(coreTicks); tick < s.coreClock.Cycles(); tick++ {
@@ -346,7 +431,7 @@ func (s *Simulator) Step() {
 // order ticking every core gives, as a burst tick touches nothing outside
 // its core. A core whose tick hands off a burst of k ticks sleeps through
 // them and wakes at tick+1+k.
-func (s *Simulator) tickCores(tick uint64) {
+func (s *system) tickCores(tick uint64) {
 	if tick == s.nextWake {
 		s.nextWake = notAsleep
 		for i := range s.sleep {
@@ -375,7 +460,7 @@ func (s *Simulator) tickCores(tick uint64) {
 
 // settle applies the ticks every sleeping core has slept so far, so its
 // counters read what ticking it every core cycle would leave.
-func (s *Simulator) settle() {
+func (s *system) settle() {
 	now := s.coreClock.Cycles()
 	for i := range s.sleep {
 		if sl := &s.sleep[i]; sl.wake != notAsleep {
@@ -390,6 +475,7 @@ func (s *Simulator) settle() {
 // must not mutate simulator state, so an instrumented run stays
 // bit-identical to an uninstrumented one.
 func (s *Simulator) SetSampler(every int64, fn func(cycle int64)) {
+	s.open()
 	if fn == nil || every <= 0 {
 		s.sampler, s.sampleEvery = nil, 0
 		return
@@ -398,26 +484,26 @@ func (s *Simulator) SetSampler(every int64, fn func(cycle int64)) {
 }
 
 // Cycle returns the current NoC cycle.
-func (s *Simulator) Cycle() int64 { return s.cycle }
+func (s *Simulator) Cycle() int64 { return s.open().cycle }
 
 // Cores exposes the compute nodes, their counters settled to the current
 // cycle.
 func (s *Simulator) Cores() []*gpu.Core {
-	s.settle()
+	s.open().settle()
 	return s.cores
 }
 
 // MCs exposes the memory controllers.
-func (s *Simulator) MCs() []*mem.Controller { return s.mcs }
+func (s *Simulator) MCs() []*mem.Controller { return s.open().mcs }
 
 // RequestNet exposes the request network.
-func (s *Simulator) RequestNet() *noc.Network { return s.reqNet }
+func (s *Simulator) RequestNet() *noc.Network { return s.open().reqNet }
 
 // ReplyNet exposes the reply fabric.
-func (s *Simulator) ReplyNet() noc.Fabric { return s.repNet }
+func (s *Simulator) ReplyNet() noc.Fabric { return s.open().repNet }
 
 // MCNodes returns the MC node ids.
-func (s *Simulator) MCNodes() []int { return s.mcNodes }
+func (s *Simulator) MCNodes() []int { return s.open().mcNodes }
 
 // StateDumpJSON returns a JSON diagnostic of both fabrics' non-quiescent
 // state: what /debug/nocstate serves and, indented, a WatchdogError's Dump.
@@ -425,6 +511,7 @@ func (s *Simulator) MCNodes() []int { return s.mcNodes }
 // the watchdog poll services Inspector state requests for exactly that
 // reason.
 func (s *Simulator) StateDumpJSON() []byte {
+	s.open()
 	type dump struct {
 		Cycle       int64         `json:"cycle"`
 		Benchmark   string        `json:"benchmark"`
@@ -451,7 +538,7 @@ func (s *Simulator) StateDumpJSON() []byte {
 }
 
 // resetStats clears all measurement counters at the warmup boundary.
-func (s *Simulator) resetStats() {
+func (s *system) resetStats() {
 	s.settle()
 	for _, c := range s.cores {
 		c.ResetStats()
@@ -474,6 +561,7 @@ func (s *Simulator) resetStats() {
 // carrying a full diagnostic dump instead of spinning. The watchdog only
 // reads: a healthy run's Result is the one plain Step calls would give.
 func (s *Simulator) RunChecked(opt CheckOptions) (Result, error) {
+	s.open()
 	return s.run(opt, s.cfg.MeasureCycles, nil)
 }
 
@@ -485,11 +573,12 @@ func (s *Simulator) RunChecked(opt CheckOptions) (Result, error) {
 // same work. A run clipped by maxCycles is not an error — the Result comes
 // back with Truncated set so callers can decide.
 func (s *Simulator) RunWorkChecked(instructions uint64, maxCycles int64, opt CheckOptions) (Result, error) {
+	s.open()
 	return s.run(opt, maxCycles, func() bool { return s.retired() >= instructions })
 }
 
 // retired sums the warp-instructions the cores retired since the last reset.
-func (s *Simulator) retired() uint64 {
+func (s *system) retired() uint64 {
 	s.settle()
 	var done uint64
 	for _, c := range s.cores {
@@ -505,7 +594,7 @@ func (s *Simulator) retired() uint64 {
 func (s *Simulator) run(opt CheckOptions, maxCycles int64, workDone func() bool) (Result, error) {
 	w := newWatchdog(s, opt)
 	for s.cycle < s.cfg.WarmupCycles {
-		s.Step()
+		s.step()
 		if err := w.poll(); err != nil {
 			return Result{}, err
 		}
@@ -519,7 +608,7 @@ func (s *Simulator) run(opt CheckOptions, maxCycles int64, workDone func() bool)
 			truncated = workDone != nil
 			break
 		}
-		s.Step()
+		s.step()
 		if err := w.poll(); err != nil {
 			return Result{}, err
 		}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -172,38 +173,54 @@ type Core struct {
 // occupancy). send is the request-injection hook installed by the system
 // glue.
 func NewCore(index, node int, cfg Config, warps int, w trace.Workload, send func(txn *mem.Transaction) bool) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Core)
+	if err := c.Init(index, node, cfg, warps, w, send); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// Init builds c as NewCore does, in place: the warp tables, L1, MSHR file,
+// LSU queue and transaction freelist it already holds are reset and reused.
+func (c *Core) Init(index, node int, cfg Config, warps int, w trace.Workload, send func(txn *mem.Transaction) bool) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if warps <= 0 {
-		return nil, fmt.Errorf("gpu: core needs a positive warp count, got %d", warps)
+		return fmt.Errorf("gpu: core needs a positive warp count, got %d", warps)
 	}
 	if w == nil || send == nil {
-		return nil, fmt.Errorf("gpu: core needs a workload and a send hook")
+		return fmt.Errorf("gpu: core needs a workload and a send hook")
 	}
-	return &Core{
+	*c = Core{
 		Index:      index,
 		Node:       node,
 		cfg:        cfg,
-		warps:      make([]warp, warps),
+		warps:      c.warps,
 		readyWarps: warps,
-		ready:      allReady(warps),
-		held:       make([]uint64, warps*heldAddrs),
-		holding:    make([]uint64, (warps+63)/64),
-		l1:         cache.New(cfg.L1),
-		mshr:       cache.NewMSHR(cfg.MSHREntries, cfg.MSHRWaiters),
+		ready:      c.ready,
+		held:       c.held,
+		holding:    c.holding,
+		l1:         c.l1,
+		mshr:       c.mshr,
+		lsuQ:       c.lsuQ[:0],
 		workload:   w,
 		send:       send,
-	}, nil
-}
-
-// allReady returns the ready mask of n warps, all ready.
-func allReady(n int) []uint64 {
-	m := make([]uint64, (n+63)/64)
-	for w := 0; w < n; w++ {
-		setBit(m, w)
+		txnFree:    c.txnFree,
 	}
-	return m
+	slab.Fit(&c.warps, warps)
+	slab.Fit(&c.ready, (warps+63)/64)
+	for w := range warps {
+		setBit(c.ready, w)
+	}
+	slab.Fit(&c.held, warps*heldAddrs)
+	slab.Fit(&c.holding, (warps+63)/64)
+	if c.l1 == nil {
+		c.l1, c.mshr = new(cache.Cache), new(cache.MSHR)
+	}
+	c.l1.Init(cfg.L1)
+	c.mshr.Init(cfg.MSHREntries, cfg.MSHRWaiters)
+	return nil
 }
 
 // setBit, clearBit and hasBit write and read warp w's bit of a warp mask.

@@ -112,23 +112,47 @@ func (cfg MCConfig) Validate() error {
 
 // NewController builds an MC node attached to the reply fabric.
 func NewController(node int, cfg MCConfig, fabric noc.Fabric, linkBits, dataBytes int) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Controller)
+	if err := c.Init(node, cfg, fabric, linkBits, dataBytes); err != nil {
 		return nil, err
 	}
-	c := &Controller{
+	return c, nil
+}
+
+// Init builds c as NewController does, in place: its L2, DRAM channel,
+// queues and freelists are reset and reused.
+func (c *Controller) Init(node int, cfg MCConfig, fabric noc.Fabric, linkBits, dataBytes int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	clear(c.pendingReads)
+	*c = Controller{
 		Node:         node,
 		cfg:          cfg,
-		l2:           cache.New(cfg.L2),
-		dram:         NewDRAM(cfg.DRAM),
-		pendingReads: make(map[uint64]*fill),
+		l2:           c.l2,
+		dram:         c.dram,
+		inQ:          c.inQ[:0],
+		l2Pipe:       c.l2Pipe[:0],
+		pendingReads: c.pendingReads,
+		dramDone:     c.dramDone[:0],
+		replyQ:       c.replyQ[:0],
+		completed:    c.completed[:0],
 		fabric:       fabric,
 		linkBits:     linkBits,
 		dataBytes:    dataBytes,
+		wbFree:       c.wbFree,
+		fillFree:     c.fillFree,
+		takeWB:       c.takeWB,
 	}
-	// Built once here so passing it to TakeCompleted every cycle does not
-	// allocate a method-value closure.
-	c.takeWB = func(txn *Transaction) { c.wbFree = append(c.wbFree, txn) }
-	return c, nil
+	if c.l2 == nil {
+		c.l2, c.dram, c.pendingReads = new(cache.Cache), new(DRAM), make(map[uint64]*fill)
+		// Built once here so passing it to TakeCompleted every cycle does
+		// not allocate a method-value closure.
+		c.takeWB = func(txn *Transaction) { c.wbFree = append(c.wbFree, txn) }
+	}
+	c.l2.Init(cfg.L2)
+	c.dram.Init(cfg.DRAM)
+	return nil
 }
 
 // L2 exposes the L2 bank for stats.

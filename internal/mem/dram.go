@@ -7,6 +7,8 @@ package mem
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/slab"
 )
 
 // Transaction is one memory request travelling through the system; it rides
@@ -123,25 +125,38 @@ type DRAM struct {
 
 // NewDRAM builds a channel; invalid config panics (construction bug).
 func NewDRAM(cfg DRAMConfig) *DRAM {
+	d := new(DRAM)
+	d.Init(cfg)
+	return d
+}
+
+// Init makes d an idle channel of cfg in place, reusing its bank table and
+// queues; invalid config panics, as in NewDRAM.
+func (d *DRAM) Init(cfg DRAMConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &DRAM{
-		cfg:      cfg,
-		banks:    make([]bankState, cfg.Banks),
-		queue:    make([]dramReq, 0, cfg.QueueCap),
-		nextDone: math.MaxInt64,
+	queue := d.queue[:0]
+	if cap(queue) < cfg.QueueCap {
+		queue = make([]dramReq, 0, cfg.QueueCap)
 	}
 	// Start timing references far in the past so fresh banks see no
 	// phantom tRC/tRRD/tRAS constraints.
 	const longAgo = int64(-1) << 30
-	d.lastActAt = longAgo
+	*d = DRAM{
+		cfg:       cfg,
+		banks:     d.banks,
+		queue:     queue,
+		done:      d.done[:0],
+		lastActAt: longAgo,
+		nextDone:  math.MaxInt64,
+	}
+	slab.Fit(&d.banks, cfg.Banks)
 	for i := range d.banks {
 		d.banks[i].openRow = -1
 		d.banks[i].actAt = longAgo
 		d.banks[i].readyAt = longAgo
 	}
-	return d
 }
 
 // CanAccept reports whether the scheduler queue has space.

@@ -1,6 +1,10 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/slab"
+)
 
 // DA2Mesh is a behavioural model of the DA2mesh overlay of Kim et al. [20]:
 // each injecting node owns dedicated narrow per-destination channels, so
@@ -32,6 +36,8 @@ type DA2Mesh struct {
 	pkts pktTable
 	// handles backs every lane's ring.
 	handles []uint32
+	// lanes is the slab every overlay NI's lanes are carved from.
+	lanes []overlayLane
 }
 
 var _ Fabric = (*DA2Mesh)(nil)
@@ -80,18 +86,37 @@ func overlayLanes(cfg *Config, nc NodeConfig) (lanes, per int) {
 // NewDA2Mesh builds the overlay fabric from cfg (same Config schema as the
 // mesh network; Routing is ignored).
 func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
-	cfg, err := cfg.Validate()
-	if err != nil {
+	d := new(DA2Mesh)
+	if err := d.Init(cfg); err != nil {
 		return nil, err
 	}
-	d := &DA2Mesh{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}}
-	nodes := cfg.Mesh.Nodes()
-	d.backlog = make([]int, nodes)
-	d.ejectQ = make([][]overlayArrival, nodes)
-	d.nis = make([]overlayNI, nodes)
-	b := cfg.buffers()
-	laneSlab := make([]overlayLane, b.lanes)
-	d.handles = make([]uint32, b.laneFlits)
+	return d, nil
+}
+
+// Init builds d from cfg in place, as NewDA2Mesh does, reusing the storage
+// it already holds.
+func (d *DA2Mesh) Init(cfg Config) error {
+	cfg, err := cfg.Validate()
+	if err != nil {
+		return err
+	}
+	*d = DA2Mesh{
+		fabricBase: d.reuseBase(cfg),
+		nis:        d.nis,
+		backlog:    d.backlog,
+		ejectQ:     d.ejectQ,
+		inflight:   d.inflight.reset(),
+		pkts:       d.pkts.reset(),
+		handles:    d.handles,
+		lanes:      d.lanes,
+	}
+	nodes, b := cfg.Mesh.Nodes(), cfg.buffers()
+	slab.Fit(&d.backlog, nodes)
+	fitRows(&d.ejectQ, nodes)
+	slab.Fit(&d.nis, nodes)
+	slab.Fit(&d.lanes, b.lanes)
+	slab.Fit(&d.handles, b.laneFlits)
+	laneSlab := d.lanes
 	injLinks, off := 0, 0
 	cfg.eachNode(func(id int, nc NodeConfig, _ bool) {
 		l, per := overlayLanes(&cfg, nc)
@@ -104,8 +129,7 @@ func NewDA2Mesh(cfg Config) (*DA2Mesh, error) {
 		injLinks += len(oni.lanes)
 	})
 	d.stats.InjLinks = injLinks
-	d.stats.MeshLinks = 0
-	return d, nil
+	return nil
 }
 
 // ResetStats clears measurement counters (end of warmup).

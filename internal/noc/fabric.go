@@ -98,6 +98,12 @@ type fabricBase struct {
 	traceEvery uint64
 }
 
+// reuseBase returns a fabric's base at cycle 0 for cfg (validated), which
+// keeps b's packet freelist: every packet on it is zeroed before reuse.
+func (b *fabricBase) reuseBase(cfg Config) fabricBase {
+	return fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits(), pool: b.pool}
+}
+
 // Now returns the current cycle.
 func (b *fabricBase) Now() int64 { return b.now }
 
@@ -219,6 +225,24 @@ func oldestArrival(as []overlayArrival, oldest int64) int64 {
 type delayLine struct {
 	held []overlayArrival // unsorted
 	due  []overlayArrival // take's scratch
+}
+
+// reset returns l emptied, over the same storage.
+func (l delayLine) reset() delayLine {
+	return delayLine{held: l.held[:0], due: l.due[:0]}
+}
+
+// fitRows sets *rows to n empty rows, each keeping the backing array it
+// had.
+func fitRows[T any](rows *[][]T, n int) {
+	if cap(*rows) < n {
+		*rows = make([][]T, n)
+		return
+	}
+	*rows = (*rows)[:n]
+	for i := range *rows {
+		(*rows)[i] = (*rows)[i][:0]
+	}
 }
 
 // add puts pkt on the line, due at cycle arriveAt.

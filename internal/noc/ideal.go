@@ -3,6 +3,8 @@ package noc
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/slab"
 )
 
 // IdealFabric is a reply network with unlimited bandwidth: every offered
@@ -27,16 +29,29 @@ var _ Fabric = (*IdealFabric)(nil)
 
 // NewIdealFabric builds an unlimited-bandwidth fabric over cfg's mesh.
 func NewIdealFabric(cfg Config) (*IdealFabric, error) {
-	cfg, err := cfg.Validate()
-	if err != nil {
+	f := new(IdealFabric)
+	if err := f.Init(cfg); err != nil {
 		return nil, err
 	}
-	nodes := cfg.Mesh.Nodes()
-	return &IdealFabric{
-		fabricBase:  fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()},
-		windowCount: make([]uint32, nodes),
-		Windows:     make([][]uint32, nodes),
-	}, nil
+	return f, nil
+}
+
+// Init builds f from cfg in place, as NewIdealFabric does, reusing the
+// storage it already holds.
+func (f *IdealFabric) Init(cfg Config) error {
+	cfg, err := cfg.Validate()
+	if err != nil {
+		return err
+	}
+	*f = IdealFabric{
+		fabricBase:  f.reuseBase(cfg),
+		inflight:    f.inflight.reset(),
+		windowCount: f.windowCount,
+		Windows:     f.Windows,
+	}
+	slab.Fit(&f.windowCount, cfg.Mesh.Nodes())
+	fitRows(&f.Windows, cfg.Mesh.Nodes())
+	return nil
 }
 
 // ResetStats clears measurement counters.

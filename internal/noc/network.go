@@ -2,8 +2,8 @@ package noc
 
 import (
 	"math/bits"
-	"sync"
 
+	"repro/internal/slab"
 	"repro/internal/stats"
 )
 
@@ -44,10 +44,6 @@ type Network struct {
 	// faults is the fault schedule (ScheduleFaults), nil on a fault-free
 	// network; Step draws its faults first.
 	faults *faultSchedule
-	// slabs is the whole storage the network was carved from, kept so that
-	// Release can hand it back for reuse; nil once released. It sits beside
-	// the fields every Step reads, as Step checks it.
-	slabs *slabs
 	// faulted is set by the first transient fault (Network.fault). Until
 	// then every frozenUntil/stalledUntil/corruptUntil horizon is 0, never
 	// after the current cycle, so switch allocation, traversal and the NIs
@@ -66,6 +62,9 @@ type Network struct {
 	// pkts holds every packet with a flit in an NI queue, staged, in a VC
 	// buffer or in an ejector; rings and flits name it by its handle.
 	pkts pktTable
+	// slabs is the whole storage the network was carved from, kept so that
+	// Init can carve the next network from it.
+	slabs slabs
 	// vaGrants counts successful VC allocations. It lives here rather than
 	// in NetStats so encoded Results (which embed NetStats) stay
 	// byte-identical to pre-observability golden files.
@@ -76,7 +75,8 @@ var _ Fabric = (*Network)(nil)
 
 // slabs are the backing arrays every router, ejector and NI of one network
 // is carved from (carve hands out consecutive sub-slices, ring consecutive
-// stretches of handles), sized exactly by Config.buffers.
+// stretches of handles), sized exactly by Config.buffers, plus the three
+// per-node activity counters at the front of int32s.
 type slabs struct {
 	inPorts  []inputPort
 	outPorts []outputPort
@@ -90,11 +90,11 @@ type slabs struct {
 	nextSlot int // the first handle slot no ring holds yet
 }
 
-// carve cuts the next n elements off the front of *slab, capped so an
+// carve cuts the next n elements off the front of *from, capped so an
 // append to the result can never run into its neighbour.
-func carve[T any](slab *[]T, n int) []T {
-	s := (*slab)[:n:n]
-	*slab = (*slab)[n:]
+func carve[T any](from *[]T, n int) []T {
+	s := (*from)[:n:n]
+	*from = (*from)[n:]
 	return s
 }
 
@@ -105,73 +105,59 @@ func (sl *slabs) ring(capacity int) pktRing {
 	return q
 }
 
-// slabPool holds the slabs of released networks (Release) for newSlabs to
-// reuse: building a simulator after closing one then clears memory the heap
-// already has instead of growing it. The GC drains the pool.
-var slabPool sync.Pool
-
-// newSlabs returns slabs sized for cfg, taking a released network's from
-// the pool when it has one: each slab whose capacity suffices is cleared
-// and re-sliced, a shorter one allocated anew.
-func newSlabs(cfg *Config) *slabs {
+// fit sizes the slabs for cfg, each cleared in its own backing array when
+// that is large enough, else allocated.
+func (sl *slabs) fit(cfg *Config) {
 	b, nodes := cfg.buffers(), cfg.Mesh.Nodes()
-	sl, _ := slabPool.Get().(*slabs)
-	if sl == nil {
-		sl = new(slabs)
-	}
-	fit(&sl.inPorts, b.inPorts)
-	fit(&sl.outPorts, nodes*numOutPorts)
-	fit(&sl.inVCs, b.inPorts*cfg.VCs)
-	fit(&sl.outVCs, nodes*numOutPorts*cfg.VCs)
-	fit(&sl.sps, b.sps)
-	fit(&sl.staged, b.staged)
-	fit(&sl.rings, b.rings)
-	fit(&sl.int32s, b.int32s)
-	fit(&sl.handles, b.flits)
+	slab.Fit(&sl.inPorts, b.inPorts)
+	slab.Fit(&sl.outPorts, nodes*numOutPorts)
+	slab.Fit(&sl.inVCs, b.inPorts*cfg.VCs)
+	slab.Fit(&sl.outVCs, nodes*numOutPorts*cfg.VCs)
+	slab.Fit(&sl.sps, b.sps)
+	slab.Fit(&sl.staged, b.staged)
+	slab.Fit(&sl.rings, b.rings)
+	slab.Fit(&sl.int32s, 3*nodes+b.int32s)
+	slab.Fit(&sl.handles, b.flits)
 	sl.nextSlot = 0
-	return sl
-}
-
-// fit sets *s to n zero elements, in its own backing array when that holds
-// n, else in a new one.
-func fit[T any](s *[]T, n int) {
-	if cap(*s) < n {
-		*s = make([]T, n)
-		return
-	}
-	*s = (*s)[:n]
-	clear(*s)
-}
-
-// Release hands the network's slabs to the next NewNetwork. It is the
-// network's last use: Step panics afterwards, and a second Release does
-// nothing, so one set of slabs never backs two live networks.
-func (n *Network) Release() {
-	if n.slabs == nil {
-		return
-	}
-	slabPool.Put(n.slabs)
-	n.slabs = nil
 }
 
 // NewNetwork builds a network from cfg (validated first).
 func NewNetwork(cfg Config) (*Network, error) {
-	cfg, err := cfg.Validate()
-	if err != nil {
+	n := new(Network)
+	if err := n.Init(cfg); err != nil {
 		return nil, err
 	}
-	full := newSlabs(&cfg)
-	sl := *full // carving consumes sl; full stays whole for Release
-	n := &Network{fabricBase: fabricBase{cfg: cfg, longPkt: cfg.LongPacketFlits()}, handles: full.handles, slabs: full}
+	return n, nil
+}
+
+// Init builds n from cfg (validated first) in place, as NewNetwork does: the
+// router, ejector and NI arrays, slabs, packet table and packet freelist it
+// already holds are cleared and carved again.
+func (n *Network) Init(cfg Config) error {
+	cfg, err := cfg.Validate()
+	if err != nil {
+		return err
+	}
+	*n = Network{
+		fabricBase: n.reuseBase(cfg),
+		routers:    n.routers,
+		ejectors:   n.ejectors,
+		nis:        n.nis,
+		busy:       n.busy,
+		pkts:       n.pkts.reset(),
+		slabs:      n.slabs,
+	}
+	n.slabs.fit(&cfg)
+	sl := n.slabs // carving consumes sl; n.slabs stays whole for the next Init
+	n.handles = sl.handles
 	nodes := cfg.Mesh.Nodes()
-	n.routers = make([]router, nodes)
-	n.ejectors = make([]ejector, nodes)
-	n.nis = make([]NI, nodes)
-	activity := make([]int32, 3*nodes)
-	n.routerFlits = carve(&activity, nodes)
-	n.ejectFlits = carve(&activity, nodes)
-	n.niQueued = carve(&activity, nodes)
-	n.busy = make([]uint64, (nodes+63)/64)
+	slab.Fit(&n.routers, nodes)
+	slab.Fit(&n.ejectors, nodes)
+	slab.Fit(&n.nis, nodes)
+	n.routerFlits = carve(&sl.int32s, nodes)
+	n.ejectFlits = carve(&sl.int32s, nodes)
+	n.niQueued = carve(&sl.int32s, nodes)
+	slab.Fit(&n.busy, (nodes+63)/64)
 	meshLinks, injLinks := 0, 0
 	cfg.eachNode(func(id int, nc NodeConfig, mc bool) {
 		r := &n.routers[id]
@@ -193,7 +179,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	})
 	n.stats.MeshLinks = meshLinks
 	n.stats.InjLinks = injLinks
-	return n, nil
+	return nil
 }
 
 // Config returns the validated configuration.
@@ -260,9 +246,6 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 // cycle. When no packet is in flight and no control signal is pending the
 // rest of the cycle is skipped. DESIGN.md §7 has the argument in full.
 func (n *Network) Step() {
-	if n.slabs == nil {
-		panic("noc: Step on a released network (Release, Simulator.Close)")
-	}
 	if n.faults != nil {
 		n.faults.step(n)
 	}

@@ -50,6 +50,13 @@ type pktTable struct {
 	free []uint32 // released handles, reused last in, first out
 }
 
+// reset returns t emptied, over the same storage: the next handle added is
+// 0, as in a new table.
+func (t pktTable) reset() pktTable {
+	clear(t.pkts)
+	return pktTable{pkts: t.pkts[:0], bad: t.bad[:0], free: t.free[:0]}
+}
+
 // add stores p in a free slot and returns its handle.
 func (t *pktTable) add(p *Packet) uint32 {
 	if n := len(t.free); n > 0 {

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"repro/internal/rng"
+	"repro/internal/slab"
 )
 
 // Sensitivity is the paper's NoC-sensitivity class of a benchmark.
@@ -141,27 +142,37 @@ type Generator struct {
 // NewGenerator builds the deterministic stream generator for kernel k over
 // `cores` cores, seeded by seed.
 func NewGenerator(k Kernel, cores int, seed uint64) (*Generator, error) {
-	if err := k.Validate(); err != nil {
+	g := new(Generator)
+	if err := g.Init(k, cores, seed); err != nil {
 		return nil, err
 	}
+	return g, nil
+}
+
+// Init makes g NewGenerator's generator in place, reusing its warp table.
+func (g *Generator) Init(k Kernel, cores int, seed uint64) error {
+	if err := k.Validate(); err != nil {
+		return err
+	}
 	if cores <= 0 {
-		return nil, fmt.Errorf("trace: cores must be positive")
+		return fmt.Errorf("trace: cores must be positive")
 	}
 	root := rng.New(seed ^ hashName(k.Name))
-	g := &Generator{
+	*g = Generator{
 		k:        k,
+		warps:    g.warps,
 		wpc:      k.WarpsPerCore,
 		compute:  rng.NewGeometric(k.ComputePerMem),
 		coalesce: rng.NewGeometric(k.CoalesceMean - 1),
 	}
-	g.warps = make([]warpGen, cores*k.WarpsPerCore)
+	slab.Fit(&g.warps, cores*k.WarpsPerCore)
 	for i := range g.warps {
 		w := &g.warps[i]
 		w.rng = *root.Split(uint64(i) + 1)
 		// Stagger streaming cursors so warps do not trivially share lines.
 		w.cursor = (uint64(i) * 7919) % k.StreamLines
 	}
-	return g, nil
+	return nil
 }
 
 // Kernel returns the kernel parameters.
