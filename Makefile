@@ -52,34 +52,23 @@ figures-check:
 	diff -r results_csv "$$tmp/csv" && diff experiments_full.txt "$$tmp/report.txt"
 
 # soak runs every robustness soak under -race:
-#   - fault injection (DESIGN.md §8): the noc fault suites (seeded fault
-#     schedules across schemes with invariants checked throughout, the
-#     schedule golden, deterministic replay under faults), the watchdog
-#     deadlock/starvation detectors, and simulator recycling (a simulator
-#     rebuilt on a closed one's system, faults on, equals a fresh one). The
-#     recycling tests also run 20 times without -race: their byte checks
-#     (the closed system was not reused) are skipped under it, and they
-#     depend on which P the test goroutine runs on;
-#   - layered fault recovery (DESIGN.md §13): every stall kind combined with
-#     flit-corruption bursts and permanent link deaths, checking zero
-#     undetected corruption (every corrupted packet is CRC-caught, NACKed and
-#     retransmitted), and the ariserve kill/restart soak with chaos faults
-#     active — byte-identical results across the restart with no completed
-#     job re-executed;
+#   - the simulator (DESIGN.md §8): the watchdog deadlock/starvation
+#     detectors, the checked run loop, and simulator recycling (a simulator
+#     rebuilt on a closed one's system equals a fresh one). The recycling
+#     tests also run 20 times without -race: their byte checks (the closed
+#     system was not reused) are skipped under it, and they depend on which
+#     P the test goroutine runs on;
 #   - the cluster-wide chaos soak (DESIGN.md §14): three journalled ariserve
 #     replicas behind an arigate front door, hard-killed and restarted
-#     mid-flight while chaos faults are active inside every simulation. Every
-#     job is answered byte-identically to an uninterrupted run, none is lost
-#     or re-run (a post-soak resubmission sweep is served entirely from
-#     journals — locally or via cross-replica peer fetch), and the
-#     failover/hedging path is exercised. The cluster unit suites (ring
-#     properties, breaker, gateway routing) and the arigate lifecycle smoke
-#     run alongside.
+#     mid-flight. Every job is answered byte-identically to an
+#     uninterrupted run, none is lost or re-run (a post-soak resubmission
+#     sweep is served entirely from journals — locally or via cross-replica
+#     peer fetch), and the failover/hedging path is exercised. The cluster
+#     unit suites (ring properties, breaker, gateway routing) and the
+#     arigate lifecycle smoke run alongside.
 soak:
-	go test -race -count=1 ./internal/noc -run 'Soak|Chaos|Fault'
-	go test -race -count=1 ./internal/core -run 'Watchdog|Fault|RunChecked|Truncated|Recycled|Close'
+	go test -race -count=1 ./internal/core -run 'Watchdog|RunChecked|Truncated|Recycled|Close'
 	go test -count=20 ./internal/core -run 'Recycled|Close'
-	go test -race -count=1 ./internal/serve -run 'ChaosKillRestart' -timeout 10m
 	go test -race -count=1 ./internal/cluster ./cmd/arigate -timeout 15m
 
 # loadtest runs the serving robustness suites under -race: overload (shed
@@ -97,7 +86,7 @@ loadtest:
 # document), the histogram rendering, the instrumented-vs-plain
 # byte-identity lock on all three reply fabrics, the per-class NetStats
 # counters, each fabric's packet stamps as the tracer sees them at delivery
-# (ordered, above the fabric's floors, a retransmitted packet once) and
+# (ordered, above the fabric's floors) and
 # their zero-load closed forms, the decomposition golden (with its DA2mesh
 # rows) and lifecycle digest, the observed-job contract (a job with
 # Job.Observe runs and is counted even when its key is stored; the sizing

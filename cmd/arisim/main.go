@@ -18,10 +18,6 @@
 // With -estimate, the analytical model (internal/analytic, DESIGN.md §12)
 // answers in microseconds instead of running the simulation.
 //
-// Fault injection (DESIGN.md §13): -corrupt-prob and -link-death enable
-// seeded flit corruption (recovered by CRC + NACK retransmission) and
-// permanent link deaths (detoured by fault-adaptive routing).
-//
 // Observability (DESIGN.md §10):
 //
 //	arisim -bench bfs -obs-interval 100 -obs-out metrics.csv   # per-interval time series
@@ -97,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		vals := strings.Trim(fmt.Sprint(ax.Values), "[]")
 		axisVals[i] = fs.Int(ax.Name, 0, fmt.Sprintf("set the parameter as arisweep -param %s does (it sweeps %s)", ax.Name, vals))
 	}
-	applyFaults := exp.FaultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -164,7 +159,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			ax.Point(*axisVals[i]).Edit(&cfg)
 		}
 	}
-	applyFaults(&cfg)
 
 	if *dumpConf {
 		out, err := json.MarshalIndent(cfg, "", "  ")
@@ -470,12 +464,6 @@ func printResult(w io.Writer, r core.Result) {
 	fmt.Fprintf(w, "replies sent     %d\n", r.RepliesSent)
 	fmt.Fprintf(w, "NI occupancy     %.1f flits avg (cap %d)\n", r.NIOccAvgFlits, r.NIQueueCapFlits)
 	fmt.Fprintf(w, "L1 hit %.3f  L2 hit %.3f  DRAM row hit %.3f\n", r.L1HitRate, r.L2HitRate, r.DRAMRowHitRate)
-	if r.FaultEvents > 0 || r.Recovery != (noc.RecoveryStats{}) {
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "faults injected  %d (dead links %d)\n", r.FaultEvents, r.Recovery.DeadLinks)
-		fmt.Fprintf(w, "recovery         %d corrupted pkts dropped+NACKed, %d retransmitted, %d buffer-full rejects\n",
-			r.Recovery.CorruptPackets, r.Recovery.RetransPackets, r.Recovery.RetransBufFullRejects)
-	}
 }
 
 // flitShareBoth computes a packet type's share of flits across the two

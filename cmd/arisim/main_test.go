@@ -62,7 +62,7 @@ func TestGolden(t *testing.T) {
 // TestDumpConfigRoundTrip: a dumped configuration loaded back with -config
 // dumps to the same bytes.
 func TestDumpConfigRoundTrip(t *testing.T) {
-	first := arisim(t, "-scheme", "XY-ARI", "-mesh", "8", "-seed", "3", "-corrupt-prob", "0.05", "-dumpconfig")
+	first := arisim(t, "-scheme", "XY-ARI", "-mesh", "8", "-seed", "3", "-dumpconfig")
 	path := filepath.Join(t.TempDir(), "cfg.json")
 	if err := os.WriteFile(path, []byte(first), 0o644); err != nil {
 		t.Fatal(err)
@@ -124,34 +124,42 @@ func TestRecordReplay(t *testing.T) {
 }
 
 func TestRejectsBadFlags(t *testing.T) {
-	bad := [][]string{
-		{"-mesh", "6x6"},
-		{"-mcs", "24"},
-		{"-corrupt-prob", "-1"},
-		{"-link-death", "2"},
-		{"-bench", "nosuchbench"},
-		{"-scheme", "nosuchscheme"},
+	type badRun struct {
+		args []string
+		name string // the removed flag or field the error must name, if any
+	}
+	bad := []badRun{
+		{args: []string{"-mesh", "6x6"}},
+		{args: []string{"-mcs", "24"}},
+		{args: []string{"-bench", "nosuchbench"}},
+		{args: []string{"-scheme", "nosuchscheme"}},
+		// The fault-injection flags are gone, even with a value they took.
+		{args: []string{"-corrupt-prob", "0.05"}, name: "corrupt-prob"},
+		{args: []string{"-link-death", "0.001"}, name: "link-death"},
 	}
 	// A -config file naming a field Config does not have — one it never
-	// had, then the six it dropped, each in the object it lived in and with
-	// the value it took — is refused rather than run without it; so is an
+	// had, then the seven it dropped, each in the object it lived in and
+	// with a value it took — is refused rather than run without it; so is an
 	// L2 line half the L1 line a packet carries.
 	dir := t.TempDir()
-	for i, edit := range []func(cfg map[string]any){
-		func(cfg map[string]any) { cfg["EdgeMCPlacement"] = true },
-		func(cfg map[string]any) { cfg["DataBytes"] = 128 },
-		func(cfg map[string]any) { cfg["MultiPortPorts"] = 2 },
-		func(cfg map[string]any) { cfg["EjectRate"] = 1 },
-		func(cfg map[string]any) { cfg["Core"].(map[string]any)["WarpsPerCore"] = 48 },
-		func(cfg map[string]any) { cfg["Fault"].(map[string]any)["Enabled"] = true },
-		func(cfg map[string]any) { cfg["Fault"].(map[string]any)["MaxEvents"] = 65536 },
-		func(cfg map[string]any) { cfg["MC"].(map[string]any)["L2"].(map[string]any)["LineBytes"] = 64 },
+	for i, edit := range []struct {
+		name string
+		set  func(cfg map[string]any)
+	}{
+		{"", func(cfg map[string]any) { cfg["EdgeMCPlacement"] = true }},
+		{"", func(cfg map[string]any) { cfg["DataBytes"] = 128 }},
+		{"", func(cfg map[string]any) { cfg["MultiPortPorts"] = 2 }},
+		{"", func(cfg map[string]any) { cfg["EjectRate"] = 1 }},
+		{"", func(cfg map[string]any) { cfg["Core"].(map[string]any)["WarpsPerCore"] = 48 }},
+		{"Fault", func(cfg map[string]any) { cfg["Fault"] = map[string]any{"CorruptProb": 0.05} }},
+		{"RetransBufPkts", func(cfg map[string]any) { cfg["RetransBufPkts"] = 8 }},
+		{"", func(cfg map[string]any) { cfg["MC"].(map[string]any)["L2"].(map[string]any)["LineBytes"] = 64 }},
 	} {
 		var cfg map[string]any
 		if err := json.Unmarshal([]byte(arisim(t, "-dumpconfig")), &cfg); err != nil {
 			t.Fatal(err)
 		}
-		edit(cfg)
+		edit.set(cfg)
 		b, err := json.Marshal(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -160,12 +168,15 @@ func TestRejectsBadFlags(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		bad = append(bad, []string{"-config", path})
+		bad = append(bad, badRun{args: []string{"-config", path}, name: edit.name})
 	}
 	for _, bad := range bad {
 		var out, errb bytes.Buffer
-		if err := run(append(short, bad...), &out, &errb); err == nil {
-			t.Errorf("run(%v) succeeded, want error", bad)
+		err := run(append(short, bad.args...), &out, &errb)
+		if err == nil {
+			t.Errorf("run(%v) succeeded, want error", bad.args)
+		} else if !strings.Contains(err.Error(), bad.name) {
+			t.Errorf("run(%v): error %q does not name %s", bad.args, err, bad.name)
 		}
 	}
 }

@@ -6,8 +6,7 @@
 //
 // -param names a row of exp.Axes, the table the figures take their columns
 // from and arisim its parameter flags: speedup, vcs, reqlink, replink, mesh,
-// mcs, niqueue, starvation or priolevels. -corrupt-prob and -link-death,
-// shared with arisim, inject faults into every point.
+// mcs, niqueue, starvation or priolevels.
 //
 // A local sweep is one exp.Runner dispatch, a job per point: the points run
 // concurrently on the harness's worker pool, each under the forward-progress
@@ -75,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		obsInterval = fs.Int64("obs-interval", 0, "metrics sampling interval in NoC cycles for locally-run points (0 = off)")
 		obsDir      = fs.String("obs-dir", ".", "directory for per-point metric CSVs (metrics_<label>.csv)")
 	)
-	applyFaults := exp.FaultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	base.WarmupCycles = *warmup
 	base.MeasureCycles = *cycles
 	base.Seed = *seed
-	applyFaults(&base)
 
 	ax, err := exp.AxisNamed(*param)
 	if err != nil {

@@ -23,11 +23,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "nosuchbench"},
 		{"-scheme", "nosuchscheme"},
 		{"-nosuchflag"},
-		{"-corrupt-prob", "-1"},
-		{"-link-death", "2"},
 	} {
 		if err := run(args, &out, &errb); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+	// The fault-injection flags are gone: each is refused by name, even
+	// with a value it took.
+	for _, args := range [][]string{{"-corrupt-prob", "0.05"}, {"-link-death", "0.001"}} {
+		err := run(append([]string{"-param", "vcs", "-cycles", "300", "-warmup", "100"}, args...), &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), args[0][1:]) {
+			t.Errorf("run(%v): err = %v, want an unknown-flag error naming it", args, err)
 		}
 	}
 	// A flag -server makes inert is refused by name.

@@ -248,7 +248,7 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 			}
 		}
 	}
-	// A field core.Config does not have — one it never had and the six it
+	// A field core.Config does not have — one it never had and the seven it
 	// dropped, each in the object it lived in — inside a valid config in
 	// run and estimate mode.
 	for _, f := range []struct{ in, field string }{
@@ -257,8 +257,8 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 		{`"config":{`, `"MultiPortPorts":2,`},
 		{`"config":{`, `"EjectRate":1,`},
 		{`"Core":{`, `"WarpsPerCore":48,`},
-		{`"Fault":{`, `"Enabled":true,`},
-		{`"Fault":{`, `"MaxEvents":65536,`},
+		{`"config":{`, `"Fault":{"CorruptProb":0.05},`},
+		{`"config":{`, `"RetransBufPkts":8,`},
 	} {
 		for _, estimate := range []bool{false, true} {
 			def := core.DefaultConfig()

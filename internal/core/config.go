@@ -134,14 +134,6 @@ type Config struct {
 	// packets (Table I: 36 flits at 128-bit links).
 	NIQueueFlits int
 
-	// RetransBufPkts enables the NoC fault-recovery protocol layer (CRC
-	// detection, NACK/ACK sideband, bounded retransmission — noc/recovery.go)
-	// on both mesh networks, sized to this many unacknowledged packets per
-	// NI. 0 leaves recovery off unless Fault.CorruptProb > 0, in which case
-	// it defaults to 8 — corruption without recovery would deliver silently
-	// wrong packets, which ScheduleFaults refuses.
-	RetransBufPkts int
-
 	Core gpu.Config
 	MC   mem.MCConfig
 
@@ -152,13 +144,6 @@ type Config struct {
 	Seed          uint64
 	WarmupCycles  int64
 	MeasureCycles int64
-
-	// Fault configures deterministic, seeded NoC fault injection (stalls,
-	// freezes, NI bursts, corruption, link death — see noc/fault.go).
-	// Fault.Seed 0 inherits Seed. Faults apply to the mesh networks;
-	// schemes whose reply fabric is the DA2mesh overlay or the ideal fabric
-	// get request-side faults only.
-	Fault noc.FaultConfig
 }
 
 // DefaultConfig returns the Table I configuration: 6x6 mesh, 28 compute
@@ -218,9 +203,6 @@ func (c Config) Validate() error {
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("core: invalid horizon warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
 	}
-	if _, err := c.Fault.Validate(); err != nil {
-		return err
-	}
 	if err := c.MC.Validate(); err != nil {
 		return err
 	}
@@ -254,12 +236,11 @@ func (c Config) Validate() error {
 func (c Config) networks() (req, rep noc.Config) {
 	m := c.Scheme.Mechanisms()
 	req = noc.Config{
-		Mesh:           noc.Mesh{Width: c.MeshWidth, Height: c.MeshHeight},
-		VCs:            c.VCs,
-		LinkBits:       c.ReqLinkBits,
-		DataBytes:      c.Core.L1.LineBytes,
-		Routing:        m.Routing,
-		RetransBufPkts: retransBufPkts(c),
+		Mesh:      noc.Mesh{Width: c.MeshWidth, Height: c.MeshHeight},
+		VCs:       c.VCs,
+		LinkBits:  c.ReqLinkBits,
+		DataBytes: c.Core.L1.LineBytes,
+		Routing:   m.Routing,
 	}
 	rep = req
 	rep.LinkBits, rep.NIQueueFlits = c.RepLinkBits, c.NIQueueFlits

@@ -8,25 +8,12 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/noc"
 	"repro/internal/trace"
 )
 
-// recycleFaults are the fault settings the recycling tests run under:
-// none, corruption with link deaths (the recovery layer and the up*/down*
-// table on), and the chaos soak's mix.
-var recycleFaults = []struct {
-	name  string
-	fault noc.FaultConfig
-}{
-	{"none", noc.FaultConfig{}},
-	{"corrupt+death", noc.FaultConfig{Seed: 7, CorruptProb: 0.05, LinkDeathProb: 0.005}},
-	{"chaos", noc.ChaosFaults(7)},
-}
-
-func recycleConfig(sc Scheme, f noc.FaultConfig) Config {
+func recycleConfig(sc Scheme) Config {
 	cfg := DefaultConfig()
-	cfg.Scheme, cfg.Fault = sc, f
+	cfg.Scheme = sc
 	cfg.WarmupCycles, cfg.MeasureCycles = 150, 450
 	return cfg
 }
@@ -97,14 +84,14 @@ func replayer(t *testing.T, k trace.Kernel, cores int, seed uint64) *trace.Repla
 	return rep
 }
 
-// closeDirty leaves one closed system in the pool, dirty everywhere a
-// rebuild for cfg (a 6x6 bfs run) reuses storage: two 8x8 simulators run
-// on it in turn and are closed with packets in flight, faults drawn and
-// links dead. The first runs kmeans' synthetic streams (bfs' warp count,
-// other generator state) on cfg's kind of reply fabric; the second
-// replays a hotspot trace (40 warps a core) over another kind: the mesh
-// under an overlay scheme, else, by scheme, the DA2mesh overlay or the
-// ideal fabric. It returns the second simulator, closed once.
+// closeDirty leaves one closed system in the pool, dirty everywhere a rebuild
+// for cfg (a 6x6 bfs run) reuses storage: two 8x8 simulators run on it in
+// turn and are closed with packets in flight. The first runs kmeans'
+// synthetic streams (bfs' warp count, other generator state) on cfg's kind of
+// reply fabric; the second replays a hotspot trace (40 warps a core) over
+// another kind: the mesh under an overlay scheme, else, by scheme, the
+// DA2mesh overlay or the ideal fabric. It returns the second simulator,
+// closed once.
 func closeDirty(t *testing.T, cfg Config) *Simulator {
 	t.Helper()
 	big := cfg
@@ -151,41 +138,38 @@ func closeDirty(t *testing.T, cfg Config) *Simulator {
 }
 
 // TestRecycledRunEqualsFresh holds a simulator rebuilt on a closed one's
-// system to a fresh one's Result, for every scheme under every fault
-// setting. The system comes from closeDirty, so every table a 6x6 bfs
-// system reuses — fabrics, cores, L1s, MSHRs, MCs, L2s, DRAM channels and
-// the generator — holds another run's state until its Init clears it.
-// Invariants are checked every cycle of the recycled run.
+// system to a fresh one's Result, for every scheme. The system comes from
+// closeDirty, so every table a 6x6 bfs system reuses — fabrics, cores, L1s,
+// MSHRs, MCs, L2s, DRAM channels and the generator — holds another run's
+// state until its Init clears it. Invariants are checked every cycle of the
+// recycled run.
 func TestRecycledRunEqualsFresh(t *testing.T) {
 	k, err := trace.ByName("bfs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oneP()()
-	for _, fc := range recycleFaults {
-		for sc := range Scheme(NumSchemes) {
-			cfg := recycleConfig(sc, fc.fault)
-			name := fc.name + "/" + sc.String()
+	for sc := range Scheme(NumSchemes) {
+		cfg := recycleConfig(sc)
 
-			drainPool()
-			var fresh *Simulator
-			freshBytes := allocated(func() { fresh = mustSimulator(t, cfg, k) })
-			want := mustRun(t, fresh)
+		drainPool()
+		var fresh *Simulator
+		freshBytes := allocated(func() { fresh = mustSimulator(t, cfg, k) })
+		want := mustRun(t, fresh)
 
-			closeDirty(t, cfg)
-			var sim *Simulator
-			recycledBytes := allocated(func() { sim = mustSimulator(t, cfg, k) })
-			if !raceEnabled && recycledBytes*10 > freshBytes {
-				t.Fatalf("%s: the rebuild allocated %d B, the fresh build %d B: the closed system was not reused", name, recycledBytes, freshBytes)
-			}
-			got, err := sim.RunChecked(CheckOptions{InvariantEvery: 1})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sim.Close()
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: a run on a closed system differs from a fresh run", name)
-			}
+		closeDirty(t, cfg)
+		var sim *Simulator
+		recycledBytes := allocated(func() { sim = mustSimulator(t, cfg, k) })
+		if !raceEnabled && recycledBytes*10 > freshBytes {
+			t.Fatalf("%s: the rebuild allocated %d B, the fresh build %d B: the closed system was not reused", sc, recycledBytes, freshBytes)
+		}
+		got, err := sim.RunChecked(CheckOptions{InvariantEvery: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		sim.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a run on a closed system differs from a fresh run", sc)
 		}
 	}
 }
@@ -199,7 +183,7 @@ func TestClosedSimulatorPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sc := range []Scheme{AdaARI, DA2MeshARI} {
-		cfg := recycleConfig(sc, noc.FaultConfig{})
+		cfg := recycleConfig(sc)
 		for name, use := range map[string]func(*Simulator){
 			"Step":          func(s *Simulator) { s.Step() },
 			"RunChecked":    func(s *Simulator) { s.RunChecked(CheckOptions{}) },
@@ -239,43 +223,41 @@ func TestDoubleCloseSharesNothing(t *testing.T) {
 		ks[i] = k
 	}
 	defer oneP()()
-	for _, fc := range recycleFaults {
-		cfg := recycleConfig(AdaARI, fc.fault)
-		var want [2]Result
-		drainPool()
-		for i, k := range ks {
-			want[i] = mustRun(t, mustSimulator(t, cfg, k))
-		}
+	cfg := recycleConfig(AdaARI)
+	var want [2]Result
+	drainPool()
+	for i, k := range ks {
+		want[i] = mustRun(t, mustSimulator(t, cfg, k))
+	}
 
-		closeDirty(t, cfg).Close()
+	closeDirty(t, cfg).Close()
 
-		var sims [2]*Simulator
-		for i, k := range ks {
-			sims[i] = mustSimulator(t, cfg, k)
+	var sims [2]*Simulator
+	for i, k := range ks {
+		sims[i] = mustSimulator(t, cfg, k)
+	}
+	if sims[0].system == sims[1].system {
+		t.Fatal("two live simulators share one system")
+	}
+	for c := int64(0); c < cfg.WarmupCycles; c++ {
+		sims[0].Step()
+		sims[1].Step()
+	}
+	for _, s := range sims {
+		s.resetStats()
+		s.measuring = true
+	}
+	for c := int64(0); c < cfg.MeasureCycles; c++ {
+		sims[0].Step()
+		sims[1].Step()
+	}
+	for i, s := range sims {
+		s.measuring = false
+		s.measuredCycles = cfg.MeasureCycles
+		if got := s.collect(); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s: interleaved run after a double Close differs from a fresh run", ks[i].Name)
 		}
-		if sims[0].system == sims[1].system {
-			t.Fatalf("%s: two live simulators share one system", fc.name)
-		}
-		for c := int64(0); c < cfg.WarmupCycles; c++ {
-			sims[0].Step()
-			sims[1].Step()
-		}
-		for _, s := range sims {
-			s.resetStats()
-			s.measuring = true
-		}
-		for c := int64(0); c < cfg.MeasureCycles; c++ {
-			sims[0].Step()
-			sims[1].Step()
-		}
-		for i, s := range sims {
-			s.measuring = false
-			s.measuredCycles = cfg.MeasureCycles
-			if got := s.collect(); !reflect.DeepEqual(got, want[i]) {
-				t.Errorf("%s/%s: interleaved run after a double Close differs from a fresh run", fc.name, ks[i].Name)
-			}
-			s.Close()
-		}
+		s.Close()
 	}
 }
 
@@ -292,7 +274,7 @@ func TestRecycledAcrossGoroutines(t *testing.T) {
 		}
 		ks = append(ks, k)
 	}
-	cfg := recycleConfig(AdaARI, recycleFaults[1].fault)
+	cfg := recycleConfig(AdaARI)
 	drainPool()
 	want := make([]Result, len(ks))
 	for i, k := range ks {

@@ -29,20 +29,9 @@ type Result struct {
 	// MeasuredCycles understates the true execution time.
 	Truncated bool
 
-	// FaultEvents counts injected NoC faults, request and reply side (0
-	// when Config.Fault starts none).
-	FaultEvents int
-
 	// Networks (copies of the per-fabric stats).
 	Req noc.NetStats
 	Rep noc.NetStats
-
-	// Recovery sums the fault-recovery protocol counters over both networks
-	// (zero when recovery is off). NacksSent == CorruptPackets always (every
-	// detected drop is NACKed on the spot); RetransPackets may trail
-	// CorruptPackets by the recoveries still in flight when the fixed
-	// measurement horizon ended the run.
-	Recovery noc.RecoveryStats
 
 	// Memory-side.
 	MCStallTime     int64 // summed reply-data stall cycles (Fig 12)
@@ -107,13 +96,9 @@ func (s *Simulator) collect() Result {
 
 	r.Req = *s.reqNet.Stats()
 	r.Rep = *s.repNet.Stats()
-	r.Recovery = s.RecoveryStats()
-
-	r.FaultEvents = s.reqNet.FaultEvents()
 
 	r.NIOccAvgFlits = s.repNet.NIOccupancyAvgFlits()
 	if mesh, ok := s.repNet.(*noc.Network); ok {
-		r.FaultEvents += mesh.FaultEvents()
 		// The NI capacity is the mesh's own.
 		r.NIQueueCapFlits = mesh.NIQueueCapacityFlits(s.mcNodes[0])
 	}

@@ -161,27 +161,6 @@ func (s *Simulator) open() *system {
 	return s.system
 }
 
-// RecoveryStats returns the fault-recovery protocol counters summed over
-// both fabrics. Zero when recovery is disabled (Config.RetransBufPkts 0 and
-// no corrupting faults) and always zero on the behavioural reply fabrics.
-func (s *Simulator) RecoveryStats() noc.RecoveryStats {
-	s.open()
-	var agg noc.RecoveryStats
-	add := func(r noc.RecoveryStats) {
-		agg.CorruptFlits += r.CorruptFlits
-		agg.CorruptPackets += r.CorruptPackets
-		agg.NacksSent += r.NacksSent
-		agg.AcksSent += r.AcksSent
-		agg.RetransPackets += r.RetransPackets
-		agg.RetransFlits += r.RetransFlits
-		agg.RetransBufFullRejects += r.RetransBufFullRejects
-		agg.DeadLinks += r.DeadLinks
-	}
-	add(s.reqNet.RecoveryStats())
-	add(s.repNet.RecoveryStats())
-	return agg
-}
-
 // Close is the simulator's last use: it hands the simulator's system —
 // fabrics, cores, caches, MCs and workload generator — to the next
 // NewSimulator to rebuild in place, so every method but Close panics
@@ -195,17 +174,6 @@ func (s *Simulator) Close() {
 		systems.Put(s.system)
 		s.system = nil
 	}
-}
-
-// retransBufPkts sizes the recovery protocol: corruption without a
-// retransmission buffer would mean silently wrong deliveries, so a
-// corrupting fault schedule turns recovery on by default
-// (Config.RetransBufPkts documents this).
-func retransBufPkts(cfg Config) int {
-	if cfg.RetransBufPkts == 0 && cfg.Fault.CorruptProb > 0 {
-		return 8
-	}
-	return cfg.RetransBufPkts
 }
 
 // ReplyNetwork returns the mesh reply network cfg describes — its MCNodes
@@ -234,26 +202,15 @@ func computeNodes(rep noc.Config) []int {
 	return cc
 }
 
-// buildNetworks wires the request mesh and the scheme's reply fabric, and
-// gives each mesh its fault schedule (Config.Fault; stream 1 for the request
-// mesh, 2 for the reply mesh). The DA2mesh overlay and the ideal fabric are
-// behavioural models without per-link state, so they get none.
+// buildNetworks wires the request mesh and the scheme's reply fabric.
 func (s *system) buildNetworks() error {
 	cfg := s.cfg
-	fcfg := cfg.Fault
-	if fcfg.Seed == 0 {
-		fcfg.Seed = cfg.Seed
-	}
-
 	reqCfg, repCfg := cfg.networks()
 	if s.reqNet == nil {
 		s.reqNet = new(noc.Network)
 	}
 	if err := s.reqNet.Init(reqCfg); err != nil {
 		return fmt.Errorf("core: request network: %w", err)
-	}
-	if err := s.reqNet.ScheduleFaults(fcfg, 1); err != nil {
-		return fmt.Errorf("core: request fault schedule: %w", err)
 	}
 
 	// Reply fabric: this switch is the one place that decides its type.
@@ -281,9 +238,6 @@ func (s *system) buildNetworks() error {
 		}
 		if err := s.repMesh.Init(repCfg); err != nil {
 			return fmt.Errorf("core: reply network: %w", err)
-		}
-		if err := s.repMesh.ScheduleFaults(fcfg, 2); err != nil {
-			return fmt.Errorf("core: reply fault schedule: %w", err)
 		}
 		s.repNet = s.repMesh
 	}

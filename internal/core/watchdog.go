@@ -24,7 +24,7 @@ type CheckOptions struct {
 	// DeadlockCycles fails the run when flits are in flight anywhere but no
 	// fabric moves a single flit for this many consecutive cycles. 0 selects
 	// the default (10000 cycles — far beyond any legitimate stall, including
-	// the longest §5 starvation window and fault-injection bursts); negative
+	// the longest §5 starvation window); negative
 	// disables deadlock detection.
 	DeadlockCycles int64
 	// PacketAgeCap fails the run when any in-flight packet is older than

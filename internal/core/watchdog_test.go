@@ -21,29 +21,25 @@ func testKernel(t *testing.T) trace.Kernel {
 	return k
 }
 
-// stallAllLinks withholds service on every output link of the simulator's
-// request network forever: credits stop circulating, so once the injection
-// buffers fill, flits are in flight with zero movement — a synthetic
-// deadlock the watchdog must catch instead of spinning.
-func stallAllLinks(s *Simulator) {
-	req := s.RequestNet()
-	nodes := req.Config().Mesh.Nodes()
-	for node := 0; node < nodes; node++ {
-		for port := 0; port < 5; port++ {
-			req.StallLink(node, port, math.MaxInt64)
-		}
-	}
+// closeAllSinks closes the ejection sink of every node of the simulator's
+// request network forever, replacing the MCs' own ingress gate: no request
+// ever leaves the mesh, so once its buffers fill, flits are in flight with
+// zero movement — a deadlock the watchdog must catch instead of spinning.
+func closeAllSinks(s *Simulator) {
+	s.RequestNet().SetSinkGate(func(int) bool { return false })
 }
 
 func TestWatchdogDetectsDeadlock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupCycles = 0
-	cfg.MeasureCycles = 1 << 30 // would spin ~forever without the watchdog
+	// The deadlock trips within a few thousand cycles; a run that reaches
+	// this horizon instead ends with no error and fails the test.
+	cfg.MeasureCycles = 20_000
 	sim, err := NewSimulator(cfg, testKernel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stallAllLinks(sim)
+	closeAllSinks(sim)
 	_, err = sim.RunChecked(CheckOptions{DeadlockCycles: 500, PacketAgeCap: -1})
 	if err == nil {
 		t.Fatal("deadlocked simulation returned no error")
@@ -65,8 +61,8 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 		t.Fatal("deadlock reported with nothing in flight")
 	}
 	// The dump is the /debug/nocstate document, indented, and carries the
-	// stuck state: router VCs, the credit map, the stalls and the oldest
-	// packets.
+	// stuck state: router VCs, the credit map, the ejectors the closed
+	// sinks back up and the oldest packets.
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, []byte(werr.Dump)); err != nil {
 		t.Fatalf("dump is not JSON: %v\n%.2000s", err, werr.Dump)
@@ -79,21 +75,21 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := dump.Request
-	var vcs, credits, stalled int
+	var vcs, credits, ejecting int
 	for _, r := range req.Routers {
 		for _, ip := range r.Ins {
 			vcs += len(ip.VCs)
 		}
 		for _, op := range r.Outs {
 			credits += len(op.Credits)
-			if req.Cycle < op.StalledUntil {
-				stalled++
-			}
+		}
+		if r.EjectorFlits > 0 {
+			ejecting++
 		}
 	}
-	if vcs == 0 || credits == 0 || stalled == 0 || len(req.OldestPackets) == 0 {
-		t.Errorf("request dump: %d busy VCs, %d credit counts, %d stalled ports, %d oldest packets; want all > 0",
-			vcs, credits, stalled, len(req.OldestPackets))
+	if vcs == 0 || credits == 0 || ejecting == 0 || len(req.OldestPackets) == 0 {
+		t.Errorf("request dump: %d busy VCs, %d credit counts, %d backed-up ejectors, %d oldest packets; want all > 0",
+			vcs, credits, ejecting, len(req.OldestPackets))
 	}
 }
 
@@ -105,7 +101,7 @@ func TestWatchdogDetectsStarvation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stallAllLinks(sim)
+	closeAllSinks(sim)
 	// Deadlock detection off, tight age cap on: the same stuck state must
 	// now be reported as starvation (packets aging beyond the cap).
 	_, err = sim.RunChecked(CheckOptions{DeadlockCycles: -1, PacketAgeCap: 400})
@@ -224,40 +220,5 @@ func TestRunCheckedInterrupt(t *testing.T) {
 	}})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-}
-
-// TestFaultInjectionDeterministic is the full-system half of the soak
-// acceptance: with fault injection enabled, three schemes complete a run
-// with invariants checked throughout, and the same seed reproduces the
-// byte-identical Result.
-func TestFaultInjectionDeterministic(t *testing.T) {
-	for _, scheme := range []Scheme{XYBaseline, AdaARI, AdaMultiPort} {
-		scheme := scheme
-		t.Run(scheme.String(), func(t *testing.T) {
-			run := func() Result {
-				cfg := DefaultConfig()
-				cfg.Scheme = scheme
-				cfg.WarmupCycles = 200
-				cfg.MeasureCycles = 800
-				cfg.Fault = noc.SoakFaults(7)
-				sim, err := NewSimulator(cfg, testKernel(t))
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := sim.RunChecked(CheckOptions{InvariantEvery: 64})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return r
-			}
-			a, b := run(), run()
-			if a.FaultEvents == 0 {
-				t.Fatal("soak config injected no faults")
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("same seed diverged under faults:\n%+v\nvs\n%+v", a, b)
-			}
-		})
 	}
 }

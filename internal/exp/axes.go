@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"flag"
 	"fmt"
 	"strings"
 
@@ -50,25 +49,6 @@ func newAxis(name, format string, values []int, set func(c *core.Config, v int))
 	return Axis{name, values, func(v int) Point {
 		return Point{fmt.Sprintf(format, v), func(c *core.Config) { set(c, v) }}
 	}}
-}
-
-// FaultFlags registers -corrupt-prob and -link-death on fs and returns the
-// edit that applies them once fs is parsed: each flag the command line set
-// writes its probability, and a non-zero probability enables fault
-// injection. Config.Validate rejects a probability outside [0,1].
-func FaultFlags(fs *flag.FlagSet) func(*core.Config) {
-	corrupt := fs.Float64("corrupt-prob", 0, "per-cycle probability of a flit-corruption burst; non-zero enables fault injection and the NoC recovery layer (CRC + NACK retransmission)")
-	death := fs.Float64("link-death", 0, "per-cycle probability of a permanent link death; non-zero enables fault injection with fault-adaptive routing around dead links")
-	return func(c *core.Config) {
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "corrupt-prob":
-				c.Fault.CorruptProb = *corrupt
-			case "link-death":
-				c.Fault.LinkDeathProb = *death
-			}
-		})
-	}
 }
 
 // AxisNamed returns the axis called name; the error for an unknown name

@@ -96,7 +96,7 @@ func TestDecomposeUnknownBench(t *testing.T) {
 const lifecycleDigest = "5bde5e5711b3181ee7bfb4e99c9e0812e226b285163cb3f0f63a2a16fed71cbb"
 
 // TestDecomposeLifecycleDigest pins each traced packet of the decomposition's
-// four schemes (bfs, seed 1, every packet sampled, faults off) in delivery
+// four schemes (bfs, seed 1, every packet sampled) in delivery
 // order: ID, NI enqueue, injection, arrival at the ejector and ejection. The
 // figure rounds these to means; the digest holds every cycle exactly.
 func TestDecomposeLifecycleDigest(t *testing.T) {

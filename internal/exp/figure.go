@@ -76,7 +76,6 @@ func Registry() []struct {
 		{"scale", Scalability},
 		{"area", AreaOverhead},
 		{"stability", SeedStability},
-		{"fault", FaultFigure},
 		{"analytic", AnalyticComparison},
 	}
 }

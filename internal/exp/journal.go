@@ -185,7 +185,7 @@ func JobKey(cfg core.Config, bench string) string { return jobKey(cfg, bench) }
 
 // jobKey derives the journal key for one (config, benchmark) run: a SHA-256
 // over the canonical JSON of both, so any config change — scheme, horizons,
-// seed, fault schedule — keys a distinct entry.
+// seed — keys a distinct entry.
 func jobKey(cfg core.Config, bench string) string {
 	b, err := json.Marshal(struct {
 		V     int

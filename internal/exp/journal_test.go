@@ -254,17 +254,19 @@ func TestJournalKeepsOlderVersionLines(t *testing.T) {
 
 // TestJournalLoadsLinesWithDeletedFields pins the rule that deleting a
 // Result field needs no journalVersion bump: testdata holds two version-5
-// entries written before Result.ReplyInjPeakWin95 and seven Activity fields
-// were deleted (bfs on tinyRunner's horizons, under Ada-ARI on the mesh and
-// under DA2Mesh+ARI). json.Unmarshal skips the keys Result
-// no longer has, so each entry must load as its job's fresh Result. It
-// fails if a count the old lines carry moves to another place in the JSON.
+// entries written before Result.ReplyInjPeakWin95, seven Activity fields,
+// FaultEvents and Recovery were deleted (bfs on tinyRunner's horizons, under
+// Ada-ARI on the mesh and under DA2Mesh+ARI). Each line's key is its job's
+// JobKey today: deleting Config's fault keys moved every key, and only the
+// keys were rewritten then. json.Unmarshal skips the keys Result no longer
+// has, so each entry must load as its job's fresh Result. It fails if a
+// count the old lines carry moves to another place in the JSON.
 func TestJournalLoadsLinesWithDeletedFields(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "journal_v5_deleted_fields.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"ReplyInjPeakWin95":`, `"NoCCycles":`, `"BufferedFlits":`} {
+	for _, key := range []string{`"ReplyInjPeakWin95":`, `"NoCCycles":`, `"BufferedFlits":`, `"FaultEvents":`, `"Recovery":`} {
 		if bytes.Count(raw, []byte(key)) != 2 {
 			t.Fatalf("the old journal does not carry %s on both lines", key)
 		}

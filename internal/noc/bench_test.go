@@ -57,55 +57,6 @@ func stepLoaded(b *testing.B, n *Network) {
 func BenchmarkNetworkStepBaseline(b *testing.B) { stepLoaded(b, benchNet(b, false)) }
 func BenchmarkNetworkStepARI(b *testing.B)      { stepLoaded(b, benchNet(b, true)) }
 
-// BenchmarkNetworkStepFaulty prices the recovery protocol layer in the hot
-// stepping path: the ARI network with retransmission buffers on, one dead
-// link (so every route goes through the fault table) and a rolling
-// corruption window that keeps CRC drops, NACK/ACK sideband traffic and
-// retransmissions live throughout. It drives the corruption and kill
-// setters directly, not a fault schedule, so the load stays fixed.
-func BenchmarkNetworkStepFaulty(b *testing.B) {
-	mesh := Mesh{Width: 6, Height: 6}
-	cfg := Config{
-		Mesh:           mesh,
-		VCs:            4,
-		LinkBits:       128,
-		DataBytes:      128,
-		Routing:        RouteMinAdaptive,
-		RetransBufPkts: 8,
-		PriorityLevels: 2,
-	}
-	cfg.MCNodes, cfg.MC = DiamondMCPlacement(mesh, 8), NodeConfig{NI: NISplit, InjSpeedup: 4}
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.SetEjectHandler(func(int, *Packet, int64) {})
-	if !n.killLink(14, int(East)) {
-		b.Fatal("kill refused")
-	}
-
-	mcs := DiamondMCPlacement(mesh, 8)
-	seed := uint64(1)
-	next := func(mod int) int {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return int(seed>>33) % mod
-	}
-	long := cfg.LongPacketFlits()
-	var id uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%64 == 0 {
-			// Re-arm a short corruption window on a rotating mesh link.
-			n.fault(flitCorrupt, next(36), next(NumDirections), n.Now()+8)
-		}
-		id++
-		pkt := &Packet{ID: id, Type: ReadReply, Dst: next(36), Size: long}
-		pkt.Check = PacketCheck(pkt)
-		n.Inject(mcs[i%len(mcs)], pkt)
-		n.Step()
-	}
-}
-
 // benchEventNet builds the baseline 6x6 network for the low/medium-load
 // stepping benchmarks.
 func benchEventNet(b *testing.B) *Network {

@@ -94,9 +94,6 @@ func TestBuffersMatchWalk(t *testing.T) {
 		if r.Bool(0.5) {
 			cfg.NIQueueFlits = cfg.LongPacketFlits() + r.Intn(200)
 		}
-		if r.Bool(0.3) {
-			cfg.RetransBufPkts = 1 + r.Intn(8)
-		}
 		v, err := cfg.Validate()
 		if err != nil {
 			refused++

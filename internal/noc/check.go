@@ -32,58 +32,12 @@ import (
 // — equals a full recount, that no waiter VA would skip is grantable, and
 // that every node with work is in the busy set Step walks.
 func (n *Network) CheckInvariants() error {
-	if err := n.checkRecovery(); err != nil {
-		return err
-	}
 	if err := n.checkPackets(); err != nil {
 		return err
 	}
 	for i := range n.routers {
 		if err := n.checkRouter(&n.routers[i]); err != nil {
 			return fmt.Errorf("router %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// checkRecovery validates the fault-recovery protocol layer (recovery.go):
-//
-//  5. every NI's retransmission buffer respects its cap and its pending
-//     counter matches a recount;
-//  6. ctlPending equals the ACK/NACK signals actually sitting in NI
-//     inboxes (no signal is lost or double-counted);
-//  7. when nothing is in flight and no signal is pending, every
-//     retransmission buffer is empty — each accepted packet was delivered
-//     exactly once and acknowledged.
-func (n *Network) checkRecovery() error {
-	if !n.recoveryOn() {
-		return nil
-	}
-	inbox := 0
-	for id := range n.nis {
-		ni := &n.nis[id]
-		if len(ni.retrans) > ni.retransCap {
-			return fmt.Errorf("ni %d: %d retrans entries exceed cap %d", id, len(ni.retrans), ni.retransCap)
-		}
-		pending := 0
-		for i := range ni.retrans {
-			if ni.retrans[i].pending {
-				pending++
-			}
-		}
-		if pending != ni.retransPending {
-			return fmt.Errorf("ni %d: retransPending %d != recounted %d", id, ni.retransPending, pending)
-		}
-		inbox += len(ni.inbox)
-	}
-	if inbox != n.ctlPending {
-		return fmt.Errorf("ctlPending %d != %d signals in NI inboxes", n.ctlPending, inbox)
-	}
-	if n.inFlight == 0 && n.ctlPending == 0 {
-		for id := range n.nis {
-			if ni := &n.nis[id]; len(ni.retrans) != 0 {
-				return fmt.Errorf("ni %d: %d retrans entries with nothing in flight or pending", id, len(ni.retrans))
-			}
 		}
 	}
 	return nil
@@ -161,9 +115,9 @@ func (n *Network) checkRouter(r *router) error {
 	}
 	// A node with work must be in the busy set, or Step would never visit it.
 	if n.busy[r.id>>6]&(1<<(r.id&63)) == 0 &&
-		(r.flitCount() > 0 || e.flitCount() > 0 || ni.queuedFlits() > 0 || ni.protoActive()) {
-		return fmt.Errorf("busy bit clear with %d router, %d ejector, %d NI flits (protocol work %v)",
-			r.flitCount(), e.flitCount(), ni.queuedFlits(), ni.protoActive())
+		(r.flitCount() > 0 || e.flitCount() > 0 || ni.queuedFlits() > 0) {
+		return fmt.Errorf("busy bit clear with %d router, %d ejector, %d NI flits",
+			r.flitCount(), e.flitCount(), ni.queuedFlits())
 	}
 	// (1) and (4): buffer bounds and contiguity, checked before anything
 	// reads a ring's front. A mesh-edge port has no ring, so none of its
@@ -469,14 +423,12 @@ func (n *Network) forEachHandle(visit func(node int, h uint32)) {
 
 // checkPackets validates the packet table (pool.go):
 //
-//  8. every handle a ring or a staged flit holds names a live slot and
+//  5. every handle a ring or a staged flit holds names a live slot and
 //     every live slot is named by one, so the live slots are exactly the
 //     packets in the network (the watchdog's minimum over them is the
-//     minimum over the buffers), and only a live slot carries a corruption
-//     mark;
-//  9. the live slots are the packets accepted and not yet retired: inFlight
-//     less the dropped packets awaiting retransmission (NACKs on the
-//     sideband, NACKed retransmission-buffer entries).
+//     minimum over the buffers);
+//  6. the live slots are the packets accepted and not yet retired:
+//     inFlight.
 func (n *Network) checkPackets() error {
 	named := make([]bool, len(n.pkts.pkts))
 	var err error
@@ -496,22 +448,9 @@ func (n *Network) checkPackets() error {
 		if p != nil && !named[h] {
 			return fmt.Errorf("packet %d holds slot %d with no flit in the network", p.ID, h)
 		}
-		if p == nil && n.pkts.bad[h] {
-			return fmt.Errorf("free slot %d carries a corruption mark", h)
-		}
 	}
-	awaiting := 0
-	for id := range n.nis {
-		ni := &n.nis[id]
-		awaiting += ni.retransPending
-		for _, c := range ni.inbox {
-			if c.nack {
-				awaiting++
-			}
-		}
-	}
-	if live := n.pkts.live(); live != n.inFlight-awaiting {
-		return fmt.Errorf("%d live packet slots != %d in flight - %d awaiting retransmission", live, n.inFlight, awaiting)
+	if live := n.pkts.live(); live != n.inFlight {
+		return fmt.Errorf("%d live packet slots != %d in flight", live, n.inFlight)
 	}
 	return nil
 }

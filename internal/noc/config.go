@@ -112,16 +112,6 @@ type Config struct {
 	// priority is suppressed at a router (§5; 1k cycles in the paper).
 	StarvationLimit int64
 
-	// RetransBufPkts, when positive, enables the fault-recovery protocol
-	// layer (recovery.go): sending NIs stamp a CRC over each packet, retain
-	// up to RetransBufPkts unacknowledged packets for retransmission, and
-	// receiving NIs drop-and-NACK corrupted packets instead of delivering
-	// them. 0 (default) disables recovery: corruption, if injected, is
-	// delivered undetected — the unprotected-network contrast case.
-	// Recovery is mesh-only: the DA2mesh overlay and the ideal fabric carry
-	// no faults and ignore this field.
-	RetransBufPkts int
-
 	// MCNodes lists the memory-controller nodes (distinct, any order): each
 	// gets the injection architecture MC, and its router reports as an MC
 	// router. Every other node is the enhanced baseline, the zero
@@ -170,9 +160,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.StarvationLimit <= 0 {
 		c.StarvationLimit = 1000
-	}
-	if c.RetransBufPkts < 0 {
-		return c, fmt.Errorf("noc: RetransBufPkts must be >= 0, got %d", c.RetransBufPkts)
 	}
 	if err := c.MC.Validate(); err != nil {
 		return c, fmt.Errorf("noc: MC nodes: %w", err)

@@ -31,9 +31,6 @@ type InPortDump struct {
 	Port   int      `json:"port"`
 	VCs    []VCDump `json:"vcs,omitempty"`
 	Staged int      `json:"staged_arrivals,omitempty"`
-	// FrozenUntil is the horizon of the port's last fault-injected freeze:
-	// the port is frozen while the dump's Cycle is below it.
-	FrozenUntil int64 `json:"frozen_until,omitempty"`
 }
 
 // OutPortDump is the JSON form of one router output port's credit state.
@@ -45,9 +42,6 @@ type OutPortDump struct {
 	// reports whatever the stepping schedule.
 	Credits []int `json:"credits"`
 	Owners  []int `json:"owners"`
-	// StalledUntil is the horizon of the link's last fault-injected stall:
-	// the port is stalled while the dump's Cycle is below it.
-	StalledUntil int64 `json:"stalled_until,omitempty"`
 }
 
 // RouterDump is the JSON form of one non-quiescent router (plus its node's
@@ -87,7 +81,7 @@ func (n *Network) StateSnapshot() StateDump {
 		}
 		rd := RouterDump{ID: r.id, MC: r.isMC, Flits: r.flitCount(), EjectorFlits: e.flitCount()}
 		for p := range r.in {
-			ip := InPortDump{Port: p, Staged: countStaged(r.staged, p, -1), FrozenUntil: r.in[p].frozenUntil}
+			ip := InPortDump{Port: p, Staged: countStaged(r.staged, p, -1)}
 			for v := 0; v < r.nvc; v++ {
 				vc := &r.vcs[p*r.nvc+v]
 				if vc.buf.empty() && vc.state == vcIdle {
@@ -110,8 +104,7 @@ func (n *Network) StateSnapshot() StateDump {
 			}
 		}
 		for o := range r.out {
-			op := &r.out[o]
-			od := OutPortDump{Port: o, StalledUntil: op.stalledUntil}
+			od := OutPortDump{Port: o}
 			for v := 0; v < r.nvc; v++ {
 				od.Credits = append(od.Credits, int(r.outVC(o, v).credits+r.creditIn[o*r.nvc+v]))
 				od.Owners = append(od.Owners, r.owner(o, v))

@@ -99,25 +99,8 @@ func (e *ejector) consume(now int64) {
 		return
 	}
 	// The tail leaves the fabric's buffers: the packet's table slot is
-	// released before the handler, which may recycle the packet. The
-	// release returns the packet's corruption mark, the model of the
-	// receiving NI recomputing its CRC; without the recovery layer a
-	// corrupted packet is delivered undetected.
+	// released before the handler, which may recycle the packet.
 	pkt := e.net.pkts.of(f.h)
-	bad := e.net.pkts.release(f.h)
-	recovery := e.net.recoveryOn()
-	if recovery && bad {
-		// CRC mismatch at reassembly: drop the packet and NACK the source;
-		// the sender's retransmission buffer still holds it. Credits were
-		// returned per flit above, so flow control is already settled;
-		// inFlight stays up until a clean copy of this packet is delivered.
-		e.net.dropCorrupt(e.node, pkt, now)
-		return
-	}
-	if recovery {
-		// Clean delivery: ACK frees the sender's retransmission slot. Sent
-		// before the handler, which may recycle the shell.
-		e.net.sendCtl(e.node, pkt.Src, pkt.ID, false, now)
-	}
+	e.net.pkts.release(f.h)
 	e.net.deliver(e.node, pkt, now)
 }

@@ -10,7 +10,7 @@ import (
 // types implement it: the cycle-accurate mesh Network, the DA2mesh overlay
 // (DA2Mesh) and the unlimited-bandwidth IdealFabric. Callers drive and
 // observe a fabric through it alone; what only the mesh has (routers, VCs,
-// per-link load, fault hooks) stays on *Network.
+// per-link load, the sink gate) stays on *Network.
 type Fabric interface {
 	// CanInject reports whether Inject(node, pkt) would succeed this cycle.
 	CanInject(node int, pkt *Packet) bool
@@ -43,9 +43,6 @@ type Fabric interface {
 	// SetTracer installs a tracer that sees every sampleEvery-th packet
 	// by ID at its delivery.
 	SetTracer(tr Tracer, sampleEvery uint64)
-	// RecoveryStats returns the cumulative fault-recovery counters (zero on
-	// fabrics without the recovery layer).
-	RecoveryStats() RecoveryStats
 	// NIOccupancyAvgFlits returns the mean time-weighted injection-queue
 	// occupancy in flits over the NIs that queued traffic (Fig 6).
 	NIOccupancyAvgFlits() float64
@@ -65,8 +62,7 @@ type Fabric interface {
 // synchronously from a fabric's Step, before the eject handler, with the
 // packet's four timestamps set (CreatedAt, InjectedAt, ArrivedAt,
 // EjectedAt); it must not block, touch the fabric or keep pkt, which the
-// handler may recycle. Packets arrive in delivery order. A retransmitted
-// packet is seen once, at its clean delivery.
+// handler may recycle. Packets arrive in delivery order.
 type Tracer interface {
 	Delivered(pkt *Packet)
 }
@@ -81,11 +77,6 @@ type fabricBase struct {
 	now      int64
 	inFlight int
 	stats    NetStats
-	// recovery holds the fault-recovery protocol counters (recovery.go);
-	// kept off NetStats so encoded Results stay byte-identical to
-	// pre-recovery goldens. Never reset — consumers take deltas. Only the
-	// mesh moves them.
-	recovery RecoveryStats
 	// lastPktID is the ID handed to the most recently numbered packet
 	// (1, 2, 3, ...; IDs are not part of encoded Results).
 	lastPktID    uint64
@@ -124,9 +115,6 @@ func (b *fabricBase) GetPacket() *Packet { return b.pool.get() }
 // PutPacket releases a delivered or rejected packet to the freelist.
 func (b *fabricBase) PutPacket(p *Packet) { b.pool.put(p) }
 
-// RecoveryStats returns the cumulative recovery counters.
-func (b *fabricBase) RecoveryStats() RecoveryStats { return b.recovery }
-
 // SetTracer installs tr and samples every sampleEvery-th packet by ID
 // (1 traces every packet; 0 or a nil tracer disables tracing). A tracer
 // installed mid-run sees every sampled packet delivered from then on. Tracing
@@ -155,7 +143,7 @@ func (b *fabricBase) checkPacket(pkt *Packet) {
 }
 
 // number gives pkt the next packet ID unless it already carries one (a
-// retransmission keeps its own).
+// packet offered again after a refusal keeps its own).
 func (b *fabricBase) number(pkt *Packet) {
 	if pkt.ID == 0 {
 		b.lastPktID++

@@ -75,8 +75,7 @@ type Packet struct {
 	// ejector: on the mesh its traversal onto the ejection port, on the
 	// DA2mesh overlay its arrival in the ejection queue, and on the ideal
 	// fabric the injection cycle. EjectedAt is when the tail flit was
-	// consumed at the destination. A retransmission is a fresh shell that
-	// keeps CreatedAt and stamps the other three anew.
+	// consumed at the destination.
 	CreatedAt  int64
 	InjectedAt int64
 	ArrivedAt  int64
@@ -84,11 +83,6 @@ type Packet struct {
 
 	// Payload carries the higher-level transaction (e.g. *mem.Transaction).
 	Payload any
-
-	// Check is the CRC32 the sending NI stamps over the header identity when
-	// fault recovery is enabled (Config.RetransBufPkts > 0); see PacketCheck.
-	// Zero when recovery is off.
-	Check uint32
 }
 
 // flit is one link-width slice of a packet while it moves between buffers:

@@ -34,26 +34,9 @@ type Network struct {
 	niQueued    []int32
 	// busy has bit i set while node i may hold work (markBusy); Step's
 	// sweeps walk its set bits and its ejection sweep clears a node's bit
-	// once the three counters are zero and its NI owes no protocol work.
+	// once the three counters are zero.
 	busy []uint64
 
-	// ctlPending counts ACK/NACK sideband signals issued but not yet
-	// consumed; it keeps Step and Idle honest after the last flit drains
-	// while acknowledgements are still propagating.
-	ctlPending int
-	// faults is the fault schedule (ScheduleFaults), nil on a fault-free
-	// network; Step draws its faults first.
-	faults *faultSchedule
-	// faulted is set by the first transient fault (Network.fault). Until
-	// then every frozenUntil/stalledUntil/corruptUntil horizon is 0, never
-	// after the current cycle, so switch allocation, traversal and the NIs
-	// skip reading them.
-	faulted bool
-	// ftable is the fault-adaptive up*/down* next-hop table, non-nil once
-	// any mesh link is permanently dead; it then supersedes the configured
-	// routing algorithm entirely (ftable.go). Rebuilt on every kill,
-	// read-only during stepping.
-	ftable []uint8
 	// sinkGate, when set, lets a node refuse ejection this cycle (e.g. a
 	// memory controller whose request ingress is full); the refusal backs
 	// flits up into the network — the §3 backpressure chain.
@@ -221,12 +204,11 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 	return n.nis[node].Offer(pkt, n.now)
 }
 
-// Step advances the network one cycle: the fault schedule, if any, draws
-// this cycle's faults; arrivals and credits land and NIs supply flits, then
-// every router runs its fused RC/VA/SA/ST cycle (see router.cycle for why
-// fusing is order-safe), then ejectors drain in node order. Each sweep
-// walks the busy set in node order and, at a busy node, visits only the
-// components whose activity counter is non-zero:
+// Step advances the network one cycle: arrivals and credits land and NIs
+// supply flits, then every router runs its fused RC/VA/SA/ST cycle (see
+// router.cycle for why fusing is order-safe), then ejectors drain in node
+// order. Each sweep walks the busy set in node order and, at a busy node,
+// visits only the components whose activity counter is non-zero:
 //
 //   - a router with no flits has nothing buffered or staged, so RC/VA/SA
 //     are no-ops on it (vcWaitVC implies a buffered head flit, and the
@@ -235,23 +217,18 @@ func (n *Network) Inject(node int, pkt *Packet) bool {
 //     until its next applyArrivals — no decision can read them before then;
 //   - an NI with no queued flits can neither supply a flit nor change its
 //     time-weighted occupancy (the level is unchanged, and TimeWeighted.Set
-//     is idempotent for unchanged levels) — unless the recovery protocol
-//     still owes it work (protoActive);
+//     is idempotent for unchanged levels);
 //   - an ejector with no buffered or staged flits has nothing to drain.
 //
-// A sweep reads each word of the busy set once, when it reaches it, so a
-// node marked while it runs may wait for the next cycle. That is exact too:
-// a node the ejection sweep marks has nothing to eject, and a router woken
-// by a neighbour's traversal holds only a staged flit, which lands next
-// cycle. When no packet is in flight and no control signal is pending the
-// rest of the cycle is skipped. DESIGN.md §7 has the argument in full.
+// A sweep reads each word of the busy set once, when it reaches it, so a node
+// marked while it runs may wait for the next cycle. That is exact too: a node
+// the ejection sweep marks has nothing to eject, and a router woken by a
+// neighbour's traversal holds only a staged flit, which lands next cycle.
+// When no packet is in flight the rest of the cycle is skipped. DESIGN.md §7
+// has the argument in full.
 func (n *Network) Step() {
-	if n.faults != nil {
-		n.faults.step(n)
-	}
-	if n.inFlight > 0 || n.ctlPending > 0 {
+	if n.inFlight > 0 {
 		now := n.now
-		proto := n.recoveryOn()
 		for w, m := range n.busy {
 			for ; m != 0; m &= m - 1 {
 				i := w<<6 | bits.TrailingZeros64(m)
@@ -261,7 +238,7 @@ func (n *Network) Step() {
 				if n.ejectFlits[i] > 0 {
 					n.ejectors[i].applyArrivals()
 				}
-				if n.niQueued[i] > 0 || (proto && n.nis[i].protoActive()) {
+				if n.niQueued[i] > 0 {
 					n.nis[i].step(now)
 				}
 			}
@@ -284,8 +261,7 @@ func (n *Network) Step() {
 				if n.ejectFlits[i] > 0 {
 					n.ejectors[i].consume(now)
 				}
-				if n.routerFlits[i] == 0 && n.ejectFlits[i] == 0 && n.niQueued[i] == 0 &&
-					!(proto && n.nis[i].protoActive()) {
+				if n.routerFlits[i] == 0 && n.ejectFlits[i] == 0 && n.niQueued[i] == 0 {
 					n.busy[w] &^= m & -m
 				}
 			}
@@ -295,7 +271,7 @@ func (n *Network) Step() {
 }
 
 // markBusy sets node's busy bit where it can go from idle to busy: a flit
-// staged into a neighbour (traverse), Offer, and sendCtl. Every other work
+// staged into a neighbour (traverse) and Offer. Every other work
 // lands on a node already busy (DESIGN.md §7).
 func (n *Network) markBusy(node int) { n.busy[node>>6] |= 1 << (node & 63) }
 
@@ -305,10 +281,9 @@ func (n *Network) endCycle() {
 	n.stats.Cycles++
 }
 
-// Idle reports whether no flit exists anywhere in the network and no
-// recovery-protocol work (ACK/NACK signals, unacknowledged packets) remains.
+// Idle reports whether no flit exists anywhere in the network.
 func (n *Network) Idle() bool {
-	if n.inFlight != 0 || n.ctlPending != 0 {
+	if n.inFlight != 0 {
 		return false
 	}
 	for i := range n.nis {

@@ -94,31 +94,6 @@ func TestSinglePacketDelivery(t *testing.T) {
 	}
 }
 
-// TestStallNISupplyOnHealthyNetwork stalls one NI of a network no other
-// fault has touched: it must supply nothing until the horizon, then deliver.
-// The stall is the first fault, so it alone must open the NI's fault-horizon
-// read (Network.faulted).
-func TestStallNISupplyOnHealthyNetwork(t *testing.T) {
-	n := newTestNet(t, nil)
-	delivered := int64(-1)
-	n.SetEjectHandler(func(_ int, _ *Packet, now int64) { delivered = now })
-	pkt := mkPacket(n.Config(), ReadReply, 15)
-	n.fault(niStall, 0, 0, 20)
-	if !n.Inject(0, pkt) {
-		t.Fatal("Inject rejected on empty network")
-	}
-	for n.Now() < 20 {
-		n.Step()
-		if q := n.nis[0].queuedFlits(); q != pkt.Size {
-			t.Fatalf("cycle %d: stalled NI holds %d of %d flits", n.Now(), q, pkt.Size)
-		}
-	}
-	runUntilIdle(t, n, 1000)
-	if delivered < 20 || pkt.InjectedAt < 20 {
-		t.Fatalf("injected at %d, delivered at %d: before the stall ended at 20", pkt.InjectedAt, delivered)
-	}
-}
-
 func TestAllPairsDeliveryXY(t *testing.T) {
 	testAllPairs(t, RouteXY)
 }

@@ -46,20 +46,6 @@ type NI struct {
 	occupancy     stats.TimeWeighted
 	everHeld      bool
 	injectedFlits uint64 // flits sent over the injection link(s)
-	// stalledUntil is the fault-injection backpressure horizon: while now is
-	// before it the NI supplies no flits, so its queues back up and Offer
-	// rejections propagate the burst to the node (see fault.go).
-	stalledUntil int64
-
-	// Fault-recovery protocol state (recovery.go). retransCap > 0 enables
-	// the layer: retrans retains unacknowledged packets (bounded by
-	// retransCap — a full buffer backpressures Offer), retransPending counts
-	// NACKed entries awaiting re-injection, and inbox holds ACK/NACK
-	// sideband signals in flight toward this NI.
-	retransCap     int
-	retrans        []retransEntry
-	retransPending int
-	inbox          []ctlSignal
 }
 
 // splitQueueFlits is the capacity of each split queue: an equal share of the
@@ -102,10 +88,6 @@ func (ni *NI) init(net *Network, router *router, mode NIMode, sl *slabs) {
 		ni.queueCap = cfg.NIQueueFlits
 		ni.queue = sl.ring(ni.queueCap)
 	}
-	if cfg.RetransBufPkts > 0 {
-		ni.retransCap = cfg.RetransBufPkts
-		ni.retrans = make([]retransEntry, 0, cfg.RetransBufPkts)
-	}
 }
 
 // creditReturn restores one credit for injection port p, VC v; called by
@@ -127,9 +109,6 @@ func (ni *NI) CanAccept(pkt *Packet, now int64) bool {
 	if ni.lastOfferCycle == now {
 		return false
 	}
-	if ni.retransCap > 0 && len(ni.retrans) >= ni.retransCap {
-		return false // retransmission buffer full: unacked packets at the cap
-	}
 	if ni.mode == NISplit {
 		return ni.pickSplitQueue(pkt) >= 0
 	}
@@ -142,9 +121,6 @@ func (ni *NI) CanAccept(pkt *Packet, now int64) bool {
 func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	if !ni.CanAccept(pkt, now) {
 		ni.net.stats.NIFullRejects++
-		if ni.retransCap > 0 && len(ni.retrans) >= ni.retransCap {
-			ni.net.recovery.RetransBufFullRejects++
-		}
 		return false
 	}
 	ni.lastOfferCycle = now
@@ -157,21 +133,6 @@ func (ni *NI) Offer(pkt *Packet, now int64) bool {
 	q := &ni.queue
 	if ni.mode == NISplit {
 		q = &ni.splitQueues[ni.pickSplitQueue(pkt)]
-	}
-	if ni.retransCap > 0 {
-		// Stamp the end-to-end checksum and retain the packet's identity
-		// until the ACK arrives (recovery.go). Identity fields are copied:
-		// the delivered shell may be recycled while the ACK is in flight.
-		pkt.Check = PacketCheck(pkt)
-		ni.retrans = append(ni.retrans, retransEntry{
-			id:      pkt.ID,
-			typ:     pkt.Type,
-			dst:     pkt.Dst,
-			size:    pkt.Size,
-			check:   pkt.Check,
-			created: pkt.CreatedAt,
-			payload: pkt.Payload,
-		})
 	}
 	q.pushPacket(ni.net.handles, ni.queueCap, ni.net.pkts.add(pkt), pkt.Size)
 	ni.addQueued(pkt.Size)
@@ -203,19 +164,11 @@ func (ni *NI) pickSplitQueue(pkt *Packet) int {
 // VCs. Staged flits land in the VC buffers at the start of the next cycle
 // (the injection link is a real 1-cycle link).
 func (ni *NI) step(now int64) {
-	if !ni.net.faulted || now >= ni.stalledUntil {
-		if ni.retransCap > 0 {
-			// Protocol work first: consume due ACK/NACKs and re-inject at
-			// most one NACKed packet, so it can start supplying this cycle.
-			// A stalled NI does neither — the fault freezes the whole NI.
-			ni.stepProtocol(now)
-		}
-		switch ni.mode {
-		case NISplit:
-			ni.stepSplit(now)
-		default:
-			ni.stepFIFO(now)
-		}
+	switch ni.mode {
+	case NISplit:
+		ni.stepSplit(now)
+	default:
+		ni.stepFIFO(now)
 	}
 	if ni.everHeld {
 		ni.occupancy.Set(float64(ni.queuedFlits()), now)

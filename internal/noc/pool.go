@@ -34,27 +34,21 @@ func (p *pktPool) put(pk *Packet) {
 
 // pktTable is a fabric's in-flight packet table: buffers and flits name a
 // packet by a handle into pkts instead of holding a *Packet, which keeps the
-// handle slab pointer-free. A slot is taken when an NI accepts (or
-// re-injects) a packet and released when its tail flit leaves the fabric's
-// buffers — consumed at the destination, dropped as corrupt, or (DA2mesh)
-// streamed off its lane. Handles are never ordered or compared beyond
-// equality, so which slot a packet gets cannot influence a simulated
-// decision.
+// handle slab pointer-free. A slot is taken when an NI accepts a packet and
+// released when its tail flit leaves the fabric's buffers — consumed at the
+// destination or (DA2mesh) streamed off its lane. Handles are never ordered
+// or compared beyond equality, so which slot a packet gets cannot influence a
+// simulated decision.
 type pktTable struct {
 	pkts []*Packet // by handle; nil marks a free slot
-	// bad marks, by handle, a packet one of whose flits crossed a link
-	// inside a corruption window (router.traverse): the payload damage only
-	// the receiving NI's CRC check sees, when the tail drains (recovery.go).
-	// The release clears it.
-	bad  []bool
-	free []uint32 // released handles, reused last in, first out
+	free []uint32  // released handles, reused last in, first out
 }
 
 // reset returns t emptied, over the same storage: the next handle added is
 // 0, as in a new table.
 func (t pktTable) reset() pktTable {
 	clear(t.pkts)
-	return pktTable{pkts: t.pkts[:0], bad: t.bad[:0], free: t.free[:0]}
+	return pktTable{pkts: t.pkts[:0], free: t.free[:0]}
 }
 
 // add stores p in a free slot and returns its handle.
@@ -66,17 +60,13 @@ func (t *pktTable) add(p *Packet) uint32 {
 		return h
 	}
 	t.pkts = append(t.pkts, p)
-	t.bad = append(t.bad, false)
 	return uint32(len(t.pkts) - 1)
 }
 
-// release frees handle h, whose packet is no longer in the fabric, and
-// returns its corruption mark.
-func (t *pktTable) release(h uint32) (bad bool) {
-	bad = t.bad[h]
-	t.pkts[h], t.bad[h] = nil, false
+// release frees handle h, whose packet is no longer in the fabric.
+func (t *pktTable) release(h uint32) {
+	t.pkts[h] = nil
 	t.free = append(t.free, h)
-	return bad
 }
 
 // of returns the packet with handle h.

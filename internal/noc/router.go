@@ -69,19 +69,13 @@ type stagedFlit struct {
 //	nonEmpty  the VC's buffer holds at least one flit
 //	waitVC    state == vcWaitVC
 //	active    state == vcActive
-//	vaFresh   waiting, and not yet tried by VA since RC or a re-route
+//	vaFresh   waiting, and not yet tried by VA since RC
 //
 // Every mask is maintained at the single place its predicate changes (push,
 // pop, RC, VA grant, traversal) and CheckInvariants asserts each one equals
 // a recount.
 type inputPort struct {
 	nonEmpty, waitVC, active, vaFresh uint32
-
-	// frozenUntil is the fault-injection freeze horizon: while now is before
-	// it, no VC of this port may bid for the switch. Buffered flits (and
-	// their credits) are untouched, so the stall is absorbed losslessly by
-	// the credit flow control (see fault.go).
-	frozenUntil int64
 
 	// upstream/upOut name the neighbouring router's output port feeding this
 	// port. upstream is -1 for an injection port, whose credits return to
@@ -113,20 +107,7 @@ type outputPort struct {
 	dest int32
 
 	// flits counts traversals onto this output's link (observability).
-	flits uint64
-
-	// stalledUntil is the fault-injection link-stall horizon: while now is
-	// before it, switch allocation never grants this output, so no flit
-	// traverses the link. Credits and buffered flits are untouched.
-	stalledUntil int64
-	// corruptUntil is the fault-injection corruption horizon: flits
-	// traversing the link while now is before it are marked bad (payload
-	// bit-flips detected by the receiving NI's CRC check; see recovery.go).
-	corruptUntil int64
-	// dead marks a permanently killed mesh link (killLink): route
-	// computation never offers it again. Worms that held it at death drain
-	// gracefully.
-	dead     bool
+	flits    uint64
 	destPort int32
 }
 
@@ -253,11 +234,6 @@ type router struct {
 	// the bound stays valid until the guard rescans; while now-starveFloor is
 	// within the starvation limit no VC can be starving.
 	starveFloor int64
-
-	// reroute is set on every router by a link kill (the fault-routing table
-	// is global): VCs already waiting on a computed route recompute their
-	// candidates at the next RC.
-	reroute bool
 }
 
 // init builds router id out of the network's slabs.
@@ -434,10 +410,10 @@ func (r *router) offered(vc *inputVC) bool {
 // an outbox entry — only becomes readable at the next cycle's
 // applyArrivals, which has already run for every router of this cycle; the
 // stages of different routers therefore commute. RC runs only when a port
-// has a head flit to route or a link kill asks for a re-route, and VA only
-// when a waiter may have become grantable (vaRetry).
+// has a head flit to route, and VA only when a waiter may have become
+// grantable (vaRetry).
 func (r *router) cycle(now int64) {
-	if r.rcPorts != 0 || r.reroute {
+	if r.rcPorts != 0 {
 		r.routeCompute(now)
 	}
 	if r.waitVCs > 0 && r.vaRetry {
@@ -451,10 +427,7 @@ func (r *router) cycle(now int64) {
 
 // routeCompute runs RC for every idle VC with a buffered head flit, at the
 // ports rcPorts names: it computes the admissible candidates, captures the
-// arrival priority, and performs the per-hop priority decrement (§5). After
-// a link death, VCs still waiting for a downstream VC recompute their
-// candidates — without re-applying the priority decrement, which is per
-// hop, not per recomputation.
+// arrival priority, and performs the per-hop priority decrement (§5).
 func (r *router) routeCompute(now int64) {
 	for pm := r.rcPorts; pm != 0; pm &= pm - 1 {
 		p := bits.TrailingZeros32(pm)
@@ -467,7 +440,7 @@ func (r *router) routeCompute(now int64) {
 				panic("noc: non-head flit at front of idle VC")
 			}
 			pkt := r.net.pkts.of(f.h)
-			r.setCandidates(vc, pkt.Dst)
+			vc.nCands = uint8(len(computeRoute(r.net.cfg.Mesh, r.net.cfg.Routing, r.id, pkt.Dst, vc.cands[:0])))
 			vc.effPrio = int16(pkt.Priority)
 			vc.need = uint16(pkt.Size)
 			if pkt.Priority > 0 {
@@ -482,22 +455,6 @@ func (r *router) routeCompute(now int64) {
 		}
 	}
 	r.rcPorts = 0
-	if r.reroute {
-		r.reroute = false
-		r.vaRetry = true
-		for p := range r.in {
-			ip := &r.in[p]
-			ip.vaFresh = ip.waitVC
-			for m := ip.waitVC; m != 0; m &= m - 1 {
-				vc := &r.vcs[p*r.nvc+bits.TrailingZeros32(m)]
-				r.setCandidates(vc, r.net.pkts.of(vc.buf.front(r.net.handles).h).Dst)
-			}
-		}
-	}
-}
-
-func (r *router) setCandidates(vc *inputVC, dst int) {
-	vc.nCands = uint8(len(r.net.routeCandidates(r.id, dst, vc.cands[:0])))
 }
 
 // vcAllocatePass runs separable input-first VC allocation: every waiting VC
@@ -629,28 +586,22 @@ func (r *router) switchAllocate(now int64) {
 }
 
 // arbitrate is SA with stage 2 folded into stage 1's scan. Each switch-port
-// of a bidding port (bidPorts) not frozen by fault injection picks among its
-// member VCs that are active and hold a flit; the winner requests its output
-// with the priority it carried on arrival when ARI prioritisation is enabled
-// (injection VCs forced to 0 while the starvation guard is active), and the
-// output's running winner (saGrant.offer) takes it or keeps its own. A
-// switch-port of a port outside bidPorts has no bidder, and stage 2 keeps
-// the maximum of (priority, rank) with every rank distinct, so skipping
-// those ports leaves every winner as the full scan picks it. An output
-// stalled by fault injection grants nobody, so requests toward it are
-// dropped. Every arbiter pointer moves as the two separate stages moved it;
-// won (zero on entry) receives each output's winner, and the returned mask
-// has bit o set for each output that has one.
+// of a bidding port (bidPorts) picks among its member VCs that are active and
+// hold a flit; the winner requests its output with the priority it carried on
+// arrival when ARI prioritisation is enabled (injection VCs forced to 0 while
+// the starvation guard is active), and the output's running winner
+// (saGrant.offer) takes it or keeps its own. A switch-port of a port outside
+// bidPorts has no bidder, and stage 2 keeps the maximum of (priority, rank)
+// with every rank distinct, so skipping those ports leaves every winner as
+// the full scan picks it. Every arbiter pointer moves as the two separate
+// stages moved it; won (zero on entry) receives each output's winner, and the
+// returned mask has bit o set for each output that has one.
 func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) (wonOuts uint8) {
 	starved := r.prioArbOn && r.starvationActive(now)
-	faulted := r.net.faulted
 	nSP := int32(len(r.sps))
 	for pm := r.bidPorts; pm != 0; pm &= pm - 1 {
 		p := bits.TrailingZeros32(pm)
 		ip := &r.in[p]
-		if faulted && now < ip.frozenUntil {
-			continue
-		}
 		ready := ip.active & ip.nonEmpty
 		for i := r.spStart[p]; i < r.spStart[p+1]; i++ {
 			sp := &r.sps[i]
@@ -661,9 +612,6 @@ func (r *router) arbitrate(now int64, won *[numOutPorts]saGrant) (wonOuts uint8)
 			v := sp.pick(bidding, r.nvc)
 			vc := &r.vcs[p*r.nvc+v]
 			o := vc.outPort
-			if faulted && now < r.out[o].stalledUntil {
-				continue
-			}
 			prio := 0
 			if r.prioArbOn && !(starved && p >= NumDirections) {
 				prio = int(vc.effPrio)
@@ -719,12 +667,6 @@ func (r *router) traverse(p, v, o int, now int64) {
 	ov.credits--
 	op.flits++
 	net.stats.SwitchTraversals++
-	if net.faulted && now < op.corruptUntil {
-		// The link is inside a corruption window: the flit's payload is
-		// damaged in transit. Only the receiving NI's CRC check observes it.
-		net.pkts.bad[f.h] = true
-		net.recovery.CorruptFlits++
-	}
 
 	// A flit sent at cycle t lands in the downstream buffer at t+1
 	// (single-cycle router + 1-cycle link).

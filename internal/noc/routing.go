@@ -44,14 +44,10 @@ func candidateMask(i, vcs int) uint32 {
 }
 
 // computeRoute returns the admissible output candidates for a packet at the
-// router of node `here` heading to pkt.Dst, on a healthy mesh. The ejection
-// port is returned when the packet has arrived. Candidates are ordered
-// deterministically: the XY-preferred port first (it is the only one
-// carrying the escape VC), then the other productive direction.
-//
-// computeRoute assumes every link is alive; the moment any mesh link dies
-// permanently, routing switches to the fault-adaptive up*/down* table
-// instead (Network.routeCandidates, ftable.go).
+// router of node `here` heading to pkt.Dst. The ejection port is returned
+// when the packet has arrived. Candidates are ordered deterministically: the
+// XY-preferred port first (it is the only one carrying the escape VC), then
+// the other productive direction.
 func computeRoute(m Mesh, algo RoutingAlgo, here, dst int, scratch []routeCandidate) []routeCandidate {
 	scratch = scratch[:0]
 	if here == dst {

@@ -30,8 +30,8 @@ func AttachSimulator(reg *Registry, sim *core.Simulator) {
 }
 
 // attachFabric registers f's probe set under the label: the NetStats
-// counters and the in-flight gauge on every fabric, and the router, VC and
-// recovery probes only where routers exist (the mesh).
+// counters and the in-flight gauge on every fabric, and the router and VC
+// probes only where routers exist (the mesh).
 func attachFabric(reg *Registry, label string, f noc.Fabric) {
 	st := f.Stats()
 	mesh, _ := f.(*noc.Network)
@@ -62,18 +62,6 @@ func attachFabric(reg *Registry, label string, f noc.Fabric) {
 		vc := v
 		reg.Gauge(fmt.Sprintf("%s.vc_flits.v%d", label, vc),
 			func() float64 { return float64(mesh.VCOccupancy(vc)) })
-	}
-	// Recovery-protocol counters, only when the layer is enabled: networks
-	// without it keep their historical metric set byte-identical.
-	if mesh.Config().RetransBufPkts > 0 {
-		reg.Counter(label+".corrupt_flits", func() float64 { return float64(mesh.RecoveryStats().CorruptFlits) })
-		reg.Counter(label+".corrupt_packets", func() float64 { return float64(mesh.RecoveryStats().CorruptPackets) })
-		reg.Counter(label+".nacks_sent", func() float64 { return float64(mesh.RecoveryStats().NacksSent) })
-		reg.Counter(label+".acks_sent", func() float64 { return float64(mesh.RecoveryStats().AcksSent) })
-		reg.Counter(label+".retrans_packets", func() float64 { return float64(mesh.RecoveryStats().RetransPackets) })
-		reg.Counter(label+".retrans_buf_rejects", func() float64 { return float64(mesh.RecoveryStats().RetransBufFullRejects) })
-		reg.Gauge(label+".dead_links", func() float64 { return float64(mesh.DeadLinks()) })
-		reg.Gauge(label+".ctl_pending", func() float64 { return float64(mesh.CtlPending()) })
 	}
 }
 

@@ -31,8 +31,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Metric("ari_draining", "1 once admission is closed.", "gauge", obs.Bool(st.Draining))
 	p.Metric("ari_service_time_seconds", "EWMA of observed simulation wall time.", "gauge", st.ServiceTimeMs/1000)
 	p.Metric("ari_uptime_seconds", "Server process uptime.", "gauge", time.Since(s.started).Seconds())
-	p.Metric("ari_fault_events_total", "Injected NoC faults across all completed simulations.", "counter", float64(st.FaultEvents))
-	p.Metric("ari_recovered_packets_total", "Corrupted packets recovered by NACK retransmission across all completed simulations.", "counter", float64(st.RecoveredPackets))
 
 	// Per-job progress, labelled by run identity. One gauge family per
 	// dimension, the Prometheus-idiomatic shape of the monitor's snapshot.

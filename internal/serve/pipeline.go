@@ -217,8 +217,6 @@ func (s *Server) answer(rq *request, a *answer) {
 	s.mu.Lock()
 	s.counts[a.outcome]++
 	if a.outcome == outOK {
-		s.faultEvents += int64(a.resp.Result.FaultEvents)
-		s.recovered += int64(a.resp.Result.Recovery.RetransPackets)
 		// Service time: EWMA (α = 0.2) of run wall time, the basis of Retry-After.
 		if run := rq.took[stRun]; s.ewma == 0 {
 			s.ewma = run

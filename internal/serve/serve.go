@@ -118,11 +118,6 @@ type Stats struct {
 	// ServiceTimeMs is the exponentially weighted moving average of
 	// observed simulation wall time, the basis of Retry-After.
 	ServiceTimeMs float64 `json:"service_time_ms"`
-	// FaultEvents totals the injected NoC faults over every simulation this
-	// process ran; RecoveredPackets totals their corrupted-and-retransmitted
-	// packets (zero for fault-free configurations).
-	FaultEvents      int64 `json:"fault_events"`
-	RecoveredPackets int64 `json:"recovered_packets"`
 }
 
 // Server is the http.Handler implementing the job API:
@@ -151,13 +146,11 @@ type Server struct {
 	rootCtx context.Context
 	abort   context.CancelFunc
 
-	mu          sync.Mutex
-	draining    bool
-	ewma        time.Duration
-	counts      [numOutcomes]int64 // submissions answered, per outcome
-	faultEvents int64
-	recovered   int64
-	inflight    sync.WaitGroup
+	mu       sync.Mutex
+	draining bool
+	ewma     time.Duration
+	counts   [numOutcomes]int64 // submissions answered, per outcome
+	inflight sync.WaitGroup
 }
 
 // New builds a Server over cfg.Runner.
@@ -310,11 +303,9 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Admitted:         len(s.queue),
-		Draining:         s.draining,
-		ServiceTimeMs:    float64(s.ewma) / float64(time.Millisecond),
-		FaultEvents:      s.faultEvents,
-		RecoveredPackets: s.recovered,
+		Admitted:      len(s.queue),
+		Draining:      s.draining,
+		ServiceTimeMs: float64(s.ewma) / float64(time.Millisecond),
 	}
 	for o, row := range outcomes {
 		if row.stat != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -130,16 +131,19 @@ func TestSubmitFullConfigOverride(t *testing.T) {
 }
 
 // goneConfigFields are fields core.Config does not have, each with the
-// object it would sit in: one it never had, then the six it dropped.
+// object it would sit in: one it never had, then the seven it dropped.
 var goneConfigFields = []struct{ in, field string }{
 	{`"config":{`, `"EdgeMCPlacement":true,`},
 	{`"config":{`, `"DataBytes":128,`},
 	{`"config":{`, `"MultiPortPorts":2,`},
 	{`"config":{`, `"EjectRate":1,`},
 	{`"Core":{`, `"WarpsPerCore":48,`},
-	{`"Fault":{`, `"Enabled":true,`},
-	{`"Fault":{`, `"MaxEvents":65536,`},
+	{`"config":{`, `"Fault":{"CorruptProb":0.05},`},
+	{`"config":{`, `"RetransBufPkts":8,`},
 }
+
+// fieldName is the JSON key a goneConfigFields field sets.
+func fieldName(field string) string { return strings.Split(field, `"`)[1] }
 
 func TestSubmitRejectsBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
@@ -169,7 +173,9 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	// inside a valid config in run and estimate mode: refused, not dropped.
 	// The config fields are one it never had and the ones it dropped, each
 	// where it lived and with the value it took.
+	// Each of those is refused by name.
 	bodies = append(bodies, `{"bench":"bfs","cycels":100}`)
+	named := map[string]string{}
 	for _, estimate := range []bool{false, true} {
 		def := core.DefaultConfig()
 		b, err := json.Marshal(JobRequest{Bench: "bfs", Config: &def, Estimate: estimate})
@@ -177,14 +183,19 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range goneConfigFields {
-			bodies = append(bodies, strings.Replace(string(b), f.in, f.in+f.field, 1))
+			body := strings.Replace(string(b), f.in, f.in+f.field, 1)
+			bodies = append(bodies, body)
+			named[body] = fieldName(f.field)
 		}
 	}
 	for _, body := range bodies {
 		resp := post(t, ts.URL, body)
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: status = %v, want 400", body, resp.Status)
+		} else if !strings.Contains(string(msg), named[body]) {
+			t.Errorf("body %s: answer %q does not name %s", body, msg, named[body])
 		}
 	}
 	// Every one ended at decode: no queue slot, run, estimate or timed answer.
